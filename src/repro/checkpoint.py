@@ -106,7 +106,7 @@ class CheckpointStore:
         return iter(self._checkpoints)
 
 
-def _authoritative_bytes(system, page: int, frame):
+def _authoritative_bytes(system, page: int, backing):
     """The freshest copy of ``page`` at a barrier quiesce point.
 
     The home frame, unless the directory credits a thread with a
@@ -117,11 +117,11 @@ def _authoritative_bytes(system, page: int, frame):
     owner = system.directory.owner_of(page)
     if owner is not None:
         cache = system._caches.get(owner)
-        if cache is not None:
-            entry = cache.entries.get(page)
-            if entry is not None and entry.is_dirty and entry.data is not None:
-                return bytes(entry.data)
-    data = frame.data
+        if cache is not None and cache.is_dirty(page):
+            data = cache.peek(page)
+            if data is not None:
+                return bytes(data)
+    data = backing.peek(page)
     return bytes(data) if data is not None else None
 
 
@@ -134,13 +134,13 @@ def take_checkpoint(system) -> Checkpoint:
     for server in system.memory_servers:
         if system.is_server_dead(server.index):
             continue
-        for page, frame in server.backing.frames.items():
+        for page in server.backing.live_pages():
             # Only the page's *resolved* home contributes: a backup's frame
             # is a passive copy that may lag the primary's apply stream.
             home = allocator.home_of_page(page)
             if directory.resolve_home(home) != server.index:
                 continue
-            pages[page] = _authoritative_bytes(system, page, frame)
+            pages[page] = _authoritative_bytes(system, page, server.backing)
             page_homes[page] = home
     wal_marks = {server.index: server.wal._next_lsn
                  for server in system.memory_servers

@@ -228,8 +228,8 @@ class ComputeServer:
             self.stats.counters["prefetch_waits"] += 1
             yield in_flight
 
-        entries = cache.entries
-        missing = [p for p in cache.layout.line_pages(line) if p not in entries]
+        resident = cache.resident_page_set()
+        missing = [p for p in cache.layout.line_pages(line) if p not in resident]
         missing = self._allocated_only(missing)
         if missing:
             self.stats.counters["faults"] += 1
@@ -260,6 +260,7 @@ class ComputeServer:
         counters = self.stats.counters
         allocated_only = self._allocated_only
         line_pages = cache.layout.line_pages
+        resident = cache.resident_page_set()
         demand: list[int] = []
         missed_lines: list[int] = []
         for line in lines:
@@ -267,8 +268,7 @@ class ComputeServer:
             if in_flight is not None:
                 counters["prefetch_waits"] += 1
                 yield in_flight
-            entries = cache.entries
-            missing = [p for p in line_pages(line) if p not in entries]
+            missing = [p for p in line_pages(line) if p not in resident]
             missing = allocated_only(missing)
             if missing:
                 counters["faults"] += 1
@@ -343,7 +343,7 @@ class ComputeServer:
             grouped = sorted(by_server.items())
 
         epoch_get = cache.inval_epoch.get
-        entries = cache.entries
+        resident = cache.resident_page_set()
         install_time = config.install_page_time
         try_advance = self.engine.try_advance
         counters = self.stats.counters
@@ -409,7 +409,7 @@ class ComputeServer:
                 eligible = []
                 stale = 0
                 for p in server_pages:
-                    if p in entries:
+                    if p in resident:
                         continue  # raced fill: silent skip, like below
                     if epoch_get(p, 0) != snapshots[p]:
                         stale += 1
@@ -423,15 +423,14 @@ class ComputeServer:
                     if target <= engine._until and engine._next_time > target:
                         engine.now = target
                         engine._coalesced += k
-                        cache.install_many(
-                            [(p, data.get(p)) for p in eligible],
-                            prefetched=prefetched)
+                        cache.install_many(eligible, data,
+                                           prefetched=prefetched)
                         if stale:
                             counters["stale_fetch_dropped"] += stale
                         counters["pages_fetched"] += len(server_pages)
                         continue
             for page in server_pages:
-                if page in entries:
+                if page in resident:
                     continue  # raced with another fill
                 if epoch_get(page, 0) != snapshots[page]:
                     counters["stale_fetch_dropped"] += 1
@@ -556,14 +555,14 @@ class ComputeServer:
         """
         cache = self.system.cache_of(tid)
         pending = self.pending[tid]
-        entries = cache.entries
+        resident = cache.resident_page_set()
         targets: list[int] = []
         pages: list[int] = []
         for line in lines:
             if line in pending or line in exclude:
                 continue
             missing = [p for p in cache.layout.line_pages(line)
-                       if p not in entries]
+                       if p not in resident]
             missing = self._allocated_only(missing)
             if missing:
                 targets.append(line)
@@ -606,7 +605,7 @@ class ComputeServer:
         if budget <= 0:
             return
         pending = self.pending[tid]
-        entries = cache.entries
+        resident = cache.resident_page_set()
         pages_spanning = cache.layout.pages_spanning
         line_of = cache.layout.line_of_page
         pages: list[int] = []
@@ -614,7 +613,7 @@ class ComputeServer:
         seen: set[int] = set()
         for addr, nbytes in spans:
             for page in pages_spanning(addr, nbytes):
-                if page in seen or page in entries:
+                if page in seen or page in resident:
                     continue
                 seen.add(page)
                 line = line_of(page)
@@ -635,8 +634,8 @@ class ComputeServer:
     def _prefetch_lines(self, tid: int, lines: list[int], pages: list[int],
                         gate):
         try:
-            entries = self.system.cache_of(tid).entries
-            still_missing = [p for p in pages if p not in entries]
+            resident = self.system.cache_of(tid).resident_page_set()
+            still_missing = [p for p in pages if p not in resident]
             if still_missing:
                 if self.batched_rt:
                     # Pure speculative trip(s): one per home server.

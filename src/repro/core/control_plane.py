@@ -87,6 +87,14 @@ class ShardedPageDirectory:
     def _part(self, page: int) -> PageDirectory:
         return self.parts[shard_of_page(page, len(self.parts))]
 
+    def _by_part(self, pages):
+        """``(partition, its pages)`` pairs for a bulk operation."""
+        groups: dict[int, list[int]] = {}
+        n = len(self.parts)
+        for page in pages:
+            groups.setdefault(shard_of_page(page, n), []).append(page)
+        return [(self.parts[idx], group) for idx, group in groups.items()]
+
     # -- home map (failover indirection), global across partitions --------
     def resolve_home(self, index: int) -> int:
         remap = self._home_remap
@@ -109,6 +117,10 @@ class ShardedPageDirectory:
     def add_sharer(self, page: int, thread_id: int) -> None:
         self._part(page).add_sharer(page, thread_id)
 
+    def add_sharers(self, pages, thread_id: int) -> None:
+        for part, group in self._by_part(pages):
+            part.add_sharers(group, thread_id)
+
     def remove_sharer(self, page: int, thread_id: int) -> None:
         self._part(page).remove_sharer(page, thread_id)
 
@@ -120,12 +132,8 @@ class ShardedPageDirectory:
         self._part(page).record_owner(page, thread_id)
 
     def record_owners(self, pages, thread_id: int) -> None:
-        groups: dict[int, list[int]] = {}
-        n = len(self.parts)
-        for page in pages:
-            groups.setdefault(shard_of_page(page, n), []).append(page)
-        for idx, group in groups.items():
-            self.parts[idx].record_owners(group, thread_id)
+        for part, group in self._by_part(pages):
+            part.record_owners(group, thread_id)
 
     def owner_of(self, page: int) -> int | None:
         return self._part(page).owner_of(page)

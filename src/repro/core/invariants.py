@@ -31,9 +31,7 @@ def check_invariants(system, quiescent: bool = True) -> int:
     if quiescent and system.config.coherence == "regc":
         for page in list(system.directory._owner):
             owner = system.directory.owner_of(page)
-            cache = system.cache_of(owner)
-            entry = cache.entries.get(page)
-            if entry is None or not entry.is_dirty:
+            if not system.cache_of(owner).is_dirty(page):
                 raise InvariantViolation(
                     f"page {page} owned by t{owner} but not dirty-resident there")
             checks += 1
@@ -57,7 +55,7 @@ def check_invariants(system, quiescent: bool = True) -> int:
 
     # I4: every resident page belongs to some allocation (no wild pages).
     for tid in system.thread_ids:
-        for page in system.cache_of(tid).entries:
+        for page in system.cache_of(tid).resident_page_set():
             try:
                 system.allocator.home_of_page(page)
             except Exception as exc:
@@ -70,8 +68,7 @@ def check_invariants(system, quiescent: bool = True) -> int:
     if system.config.coherence == "ivy":
         for page in _all_resident_pages(system):
             dirty_holders = [tid for tid in system.thread_ids
-                             if (e := system.cache_of(tid).entries.get(page))
-                             is not None and e.is_dirty]
+                             if system.cache_of(tid).is_dirty(page)]
             if len(dirty_holders) > 1:
                 raise InvariantViolation(
                     f"IVY page {page} dirty at multiple threads {dirty_holders}")
@@ -108,5 +105,5 @@ def check_invariants(system, quiescent: bool = True) -> int:
 def _all_resident_pages(system) -> set[int]:
     pages: set[int] = set()
     for tid in system.thread_ids:
-        pages.update(system.cache_of(tid).entries)
+        pages.update(system.cache_of(tid).resident_page_set())
     return pages

@@ -22,7 +22,7 @@ from repro.errors import (
     StaleEpochError,
 )
 from repro.faults.recovery import RpcDedup
-from repro.memory.backing import BackingStore, PageFrame
+from repro.memory.backing import BackingStore
 from repro.memory.directory import PageDirectory
 from repro.memory.storelog import ReplicationLog
 from repro.sim.engine import Engine, Timeout
@@ -155,9 +155,6 @@ class MemoryServer:
             add_sharer = self.directory.add_sharer
             backing = self.backing
             read_page = backing.read_page
-            functional = backing.functional
-            frames = backing.frames
-            backing_counters = backing.stats.counters
             integrity = backing.integrity
             crcs: dict[int, int] | None = {} if integrity else None
             result = {}
@@ -174,17 +171,7 @@ class MemoryServer:
                     # leaves stale -- that staleness IS the detection.
                     self._maybe_bitrot(page)
                     crcs[page] = backing.page_crc(page)
-                if functional:
-                    result[page] = read_page(page)
-                else:
-                    # read_page() inlined for timing mode: there is no data
-                    # to copy, only the frame-existence side effect and the
-                    # read counter (fetches dominate the protocol hot path).
-                    backing_counters["page_reads"] += 1
-                    if page not in frames:
-                        frames[page] = PageFrame(None)
-                        backing_counters["frames_created"] += 1
-                    result[page] = None
+                result[page] = read_page(page)
             self.last_serve_crcs = crcs
             return result
         finally:
@@ -216,40 +203,39 @@ class MemoryServer:
                 r = self._recall_bulk(owner, by_owner[owner])
                 if r is not None:
                     yield from r
-            add_sharer = self.directory.add_sharer
-            backing = self.backing
-            functional = backing.functional
-            integrity = backing.integrity
-            crcs: dict[int, int] | None = {} if integrity else None
-            result = {}
-            if functional or integrity:
-                read_page = backing.read_page
-                frames = backing.frames
-                backing_counters = backing.stats.counters
-                for page in pages:
-                    add_sharer(page, requester_tid)
-                    if integrity:
-                        self._maybe_bitrot(page)
-                        crcs[page] = backing.page_crc(page)
-                    if functional:
-                        result[page] = read_page(page)
-                    else:
-                        backing_counters["page_reads"] += 1
-                        if page not in frames:
-                            frames[page] = PageFrame(None)
-                            backing_counters["frames_created"] += 1
-                        result[page] = None
-            else:
-                # Timing fast path: no bytes move; only frame existence and
-                # the read counters matter, paid in bulk. The returned
-                # mapping stays empty -- timing-mode callers only ``.get``
-                # per-page data, which is None either way.
-                self.directory.add_sharers(pages, requester_tid)
-                backing.serve_pages_timing(pages)
-            self.last_serve_crcs = crcs
-            return result
+            return self._read_served(requester_tid, pages, bitrot=True)
         finally:
             self.resource.release()
+
+    def _read_served(self, requester_tid: int, pages: list[int],
+                     bitrot: bool) -> dict:
+        """The read leg of a bulk serve: register the requester as sharer
+        and copy each page out (checksummed -- after the fault model's
+        bitrot draw when ``bitrot`` -- with integrity armed). Sets
+        ``last_serve_crcs``; returns ``{page: data}``."""
+        backing = self.backing
+        integrity = backing.integrity
+        crcs: dict[int, int] | None = {} if integrity else None
+        result = {}
+        if backing.functional or integrity:
+            add_sharer = self.directory.add_sharer
+            read_page = backing.read_page
+            for page in pages:
+                add_sharer(page, requester_tid)
+                if integrity:
+                    if bitrot:
+                        self._maybe_bitrot(page)
+                    crcs[page] = backing.page_crc(page)
+                result[page] = read_page(page)
+        else:
+            # Timing fast path: no bytes move; only frame existence and
+            # the read counters matter, paid in bulk. The returned mapping
+            # stays empty -- timing-mode callers only ``.get`` per-page
+            # data, which is None either way.
+            self.directory.add_sharers(pages, requester_tid)
+            backing.serve_pages_timing(pages)
+        self.last_serve_crcs = crcs
+        return result
 
     def serve_fetch_hedged(self, requester_tid: int, pages: list[int],
                            primary: "MemoryServer"):
@@ -295,32 +281,7 @@ class MemoryServer:
                     delay = self.config.apply_time_per_byte * replayed
                     if not self.engine.try_advance(delay):
                         yield Timeout(delay)
-            add_sharer = self.directory.add_sharer
-            functional = backing.functional
-            integrity = backing.integrity
-            crcs: dict[int, int] | None = {} if integrity else None
-            result = {}
-            if functional or integrity:
-                read_page = backing.read_page
-                frames = backing.frames
-                backing_counters = backing.stats.counters
-                for page in pages:
-                    add_sharer(page, requester_tid)
-                    if integrity:
-                        crcs[page] = backing.page_crc(page)
-                    if functional:
-                        result[page] = read_page(page)
-                    else:
-                        backing_counters["page_reads"] += 1
-                        if page not in frames:
-                            frames[page] = PageFrame(None)
-                            backing_counters["frames_created"] += 1
-                        result[page] = None
-            else:
-                self.directory.add_sharers(pages, requester_tid)
-                backing.serve_pages_timing(pages)
-            self.last_serve_crcs = crcs
-            return result
+            return self._read_served(requester_tid, pages, bitrot=False)
         finally:
             self.resource.release()
 
@@ -383,10 +344,7 @@ class MemoryServer:
     def _recall_merge(self, owner_cache, owner_comp, page):
         """Plain: take the owner's diff and merge it; ``None`` or generator."""
         system = self._system
-        entry = owner_cache.entries.get(page)
-        diff = None
-        if entry is not None and entry.is_dirty:
-            diff = owner_cache.take_diff(page)
+        diff = owner_cache.take_diff(page) if owner_cache.is_dirty(page) else None
         # Ownership must clear atomically with the diff take: if it lingered
         # across the transfer below, the old owner's fast write path
         # (owner == tid) could re-dirty the page it is about to lose.
@@ -470,15 +428,12 @@ class MemoryServer:
             backing.apply_diff_sizes(dirty_pages, payload)
             self.stats.incr("recall_bytes", payload)
             return None
-        entries = owner_cache.entries
+        is_dirty = owner_cache.is_dirty
         take_diff = owner_cache.take_diff
         diffs = []
         for page in pages:
-            entry = entries.get(page)
-            if entry is not None and entry.is_dirty:
-                diff = take_diff(page)
-                if diff is not None:
-                    diffs.append(diff)
+            if is_dirty(page):
+                diffs.append(take_diff(page))
             clear_owner(page)
         if not diffs:
             return None
@@ -543,8 +498,7 @@ class MemoryServer:
                 if t is not None:
                     yield from t
                 cache = system.cache_of(sharer)
-                entry = cache.entries.get(page)
-                if entry is not None and entry.is_dirty:
+                if cache.is_dirty(page):
                     # Stale exclusivity: merge first.
                     diff = cache.take_diff(page)
                     self._wal_append(page, diff)

@@ -83,12 +83,6 @@ class SamhitaConfig:
     #: ablation shrinks this).
     cache_capacity_pages: int = 1 << 18
     eviction_policy: EvictionPolicy = EvictionPolicy.DIRTY_BIASED
-    #: Victim-selection implementation: ``"heap"`` (lazy min-heap, O(log n)
-    #: per victim) or ``"sorted"`` (the seed's full sort per eviction
-    #: batch). Both produce the identical victim sequence -- the heap keys
-    #: are the exact sort keys and they are unique -- so this is a pure
-    #: complexity knob, kept switchable for the equivalence gate.
-    eviction_impl: str = "heap"
     #: Fetch the adjacent cache line asynchronously on every miss (§II).
     #: Legacy switch, equivalent to ``prefetch=PrefetchPolicy(mode=...)``
     #: with "adjacent"/"none"; ignored when ``prefetch`` is given.
@@ -280,8 +274,6 @@ class SamhitaConfig:
             raise ReproError(f"unknown coherence protocol {self.coherence!r}")
         if self.cache_capacity_pages < self.layout.pages_per_line:
             raise ReproError("cache must hold at least one cache line")
-        if self.eviction_impl not in ("heap", "sorted"):
-            raise ReproError(f"unknown eviction_impl {self.eviction_impl!r}")
         if self.prefetch is not None and not isinstance(self.prefetch,
                                                         PrefetchPolicy):
             raise ReproError("prefetch must be a PrefetchPolicy or None")
@@ -334,8 +326,8 @@ class SamhitaConfig:
     @classmethod
     def adaptive_cache(cls, **overrides) -> "SamhitaConfig":
         """The adaptive data plane: stride prefetching plus batched line
-        fetches (heap eviction is already the default). Keyword overrides
-        apply on top, e.g. ``SamhitaConfig.adaptive_cache(coherence="ivy")``.
+        fetches. Keyword overrides apply on top, e.g.
+        ``SamhitaConfig.adaptive_cache(coherence="ivy")``.
         """
         base: dict = {"prefetch": PrefetchPolicy(mode="stride"),
                       "batch_line_fetches": True}
@@ -380,11 +372,10 @@ class SamhitaConfig:
 
     @classmethod
     def compat_cache(cls, **overrides) -> "SamhitaConfig":
-        """The seed data plane, explicitly: adjacent-line prefetch, sorted
-        eviction, per-line fetches -- the configuration whose simulated
-        metrics must stay bit-identical to the goldens."""
+        """The seed data plane, explicitly: adjacent-line prefetch, per-line
+        fetches -- the configuration whose simulated metrics must stay
+        bit-identical to the goldens."""
         base: dict = {"prefetch": PrefetchPolicy(mode="adjacent"),
-                      "eviction_impl": "sorted",
                       "batch_line_fetches": False,
                       "batched_round_trips": False}
         base.update(overrides)

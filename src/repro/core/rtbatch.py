@@ -231,7 +231,9 @@ class _Race:
         try:
             self.results[tag] = yield from gen
         except ReproError as exc:
-            self.errors[tag] = exc
+            # Stored, not raised: without its traceback, whose frames (this
+            # one included) would tie the race and the error into a cycle.
+            self.errors[tag] = exc.with_traceback(None)
         self._arrive(tag)
 
     def timer(self, delay: float):
@@ -356,7 +358,12 @@ def _hedged_trip(cs: "ComputeServer", tid: int, home: int, server,
         if not pending:
             # Both legs failed: surface the primary's error (the hedge's
             # is usually a decline riding on the same root cause).
-            raise race.errors.get("primary", race.errors[tag])
+            error = race.errors.get("primary", race.errors[tag])
+            race.errors.clear()
+            try:
+                raise error
+            finally:
+                del error  # the new traceback holds this frame: same cycle
     race.decided = True
     data, crcs = race.results[winner]
     if winner == "hedge":
@@ -485,7 +492,7 @@ def speculative_pages(cs: "ComputeServer", tid: int, targets,
     """
     cache = cs.system.cache_of(tid)
     pending = cs.pending[tid]
-    entries = cache.entries
+    resident = cache.resident_page_set()
     line_pages = cache.layout.line_pages
     allocated_only = cs._allocated_only
     owner_of = cs.system.directory.owner_of
@@ -495,7 +502,7 @@ def speculative_pages(cs: "ComputeServer", tid: int, targets,
         if line in pending or line in exclude or line in seen:
             continue
         seen.add(line)
-        missing = [p for p in line_pages(line) if p not in entries]
+        missing = [p for p in line_pages(line) if p not in resident]
         for p in allocated_only(missing):
             owner = owner_of(p)
             if owner is None or owner == tid:
@@ -514,6 +521,7 @@ def fault_lines_batched(cs: "ComputeServer", tid: int, lines,
     counters = cs.stats.counters
     allocated_only = cs._allocated_only
     line_pages = cache.layout.line_pages
+    resident = cache.resident_page_set()
     demand: list[int] = []
     missed_lines: list[int] = []
     for line in lines:
@@ -521,8 +529,7 @@ def fault_lines_batched(cs: "ComputeServer", tid: int, lines,
         if in_flight is not None:
             counters["prefetch_waits"] += 1
             yield in_flight
-        entries = cache.entries
-        missing = [p for p in line_pages(line) if p not in entries]
+        missing = [p for p in line_pages(line) if p not in resident]
         missing = allocated_only(missing)
         if missing:
             counters["faults"] += 1
@@ -580,7 +587,7 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
 
     inval_epoch = cache.inval_epoch
     epoch_get = inval_epoch.get
-    entries = cache.entries
+    resident = cache.resident_page_set()
     install_time = system.config.install_page_time
     engine = cs.engine
     try_advance = engine.try_advance
@@ -631,11 +638,11 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
                 if snapshots is None and not inval_epoch:
                     # Still no epochs anywhere: only raced fills can
                     # disqualify.
-                    return [p for p in pages if p not in entries], 0
+                    return [p for p in pages if p not in resident], 0
                 live = []
                 dropped = 0
                 for p in pages:
-                    if p in entries:
+                    if p in resident:
                         continue  # raced with another fill
                     snap = 0 if snapshots is None else snapshots[p]
                     if epoch_get(p, 0) != snap:
@@ -672,13 +679,9 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
                         yield Timeout(delay)
                         continue  # suspended: re-validate before installing
                 if eligible_d:
-                    cache.install_many(
-                        [(p, data.get(p)) for p in eligible_d],
-                        prefetched=False)
+                    cache.install_many(eligible_d, data, prefetched=False)
                 if eligible_s:
-                    cache.install_many(
-                        [(p, data.get(p)) for p in eligible_s],
-                        prefetched=True)
+                    cache.install_many(eligible_s, data, prefetched=True)
                 break
             if stale:
                 counters["stale_fetch_dropped"] += stale

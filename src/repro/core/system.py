@@ -307,7 +307,6 @@ class SamhitaSystem:
             # IVY has no twins: exclusive pages write back whole.
             use_twins=(self.config.multiple_writer
                        and self.config.coherence == "regc"),
-            impl=self.config.eviction_impl,
             name=f"cache.t{tid}")
         self._regions[tid] = RegionTracker(f"regions.t{tid}")
         self._storelogs[tid] = StoreLog(self.config.layout)
@@ -691,8 +690,7 @@ class SamhitaSystem:
             # Page-grain ablation: drop stale copies of CR pages. Passing
             # non-resident pages too advances their invalidation counters,
             # voiding in-flight fetches of pre-release data.
-            targets = [p for p in invalidate
-                       if p not in cache.entries or not cache.entries[p].is_dirty]
+            targets = [p for p in invalidate if not cache.is_dirty(p)]
             dropped = cache.invalidate(targets)
             if dropped:
                 yield Timeout(len(dropped) * self.config.invalidate_page_time)
@@ -849,13 +847,11 @@ class SamhitaSystem:
             applied = cache.apply_fine_grain(cr_diffs)
             if applied:
                 yield Timeout(applied * self.config.apply_time_per_byte)
-        entries = cache.entries
         # Skip locally-dirty pages (lazily-held diffs the directory still
         # credits to this thread). Resident pages are a tiny subset of the
         # directive, so find the dirty ones by set intersection and only
         # fall back to filtering the full list when there are any.
-        dirty_skip = {p for p in entries.keys() & invalidate
-                      if not entries[p].dirty.empty}
+        dirty_skip = cache.dirty_among(invalidate)
         if dirty_skip:
             # Never mutate in place: ``invalidate`` may alias the plan.
             targets = set(invalidate) - dirty_skip
@@ -863,8 +859,7 @@ class SamhitaSystem:
             targets = invalidate
         if cr_invalidate:
             extra = [p for p in cr_invalidate
-                     if (p not in entries or entries[p].dirty.empty)
-                     and p not in targets]
+                     if not cache.is_dirty(p) and p not in targets]
             if extra:
                 targets = set(targets) | set(extra)
         dropped = cache.invalidate(targets)

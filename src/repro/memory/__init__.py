@@ -6,6 +6,8 @@ cache management problem". This package is that machinery:
 * :class:`MemoryLayout` -- address arithmetic (pages, multi-page cache lines);
 * :class:`BackingStore` -- the memory-server side page frames (NumPy-backed
   in functional mode, metadata-only in timing mode);
+* :class:`~repro.memory.pagetable.PageTable` -- the chunked struct-of-arrays
+  both of the above keep their per-page state in;
 * :class:`SoftwareCache` -- the per-compute-thread cache with demand paging,
   adjacent-line prefetch bookkeeping, and dirty-biased eviction;
 * :mod:`repro.memory.diff` -- twin/diff support for the multiple-writer
@@ -16,7 +18,7 @@ cache management problem". This package is that machinery:
 """
 
 from repro.memory.layout import MemoryLayout
-from repro.memory.backing import BackingStore, PageFrame
+from repro.memory.backing import BackingStore
 from repro.memory.diff import ByteRanges, PageDiff, compute_diff_spans
 from repro.memory.storelog import StoreLog
 from repro.memory.cache import CacheEntry, EvictionPolicy, SoftwareCache
@@ -30,7 +32,6 @@ __all__ = [
     "MemoryLayout",
     "PageDiff",
     "PageDirectory",
-    "PageFrame",
     "SoftwareCache",
     "StoreLog",
     "compute_diff_spans",

@@ -1,9 +1,10 @@
 """Memory-server page frames.
 
 A :class:`BackingStore` holds the authoritative copy of every page homed on
-one memory server. In functional mode each frame is a real zero-initialized
-NumPy buffer; in timing mode frames exist but carry no data, keeping large
-sweeps cheap while versioning still works.
+one memory server. A frame is one row of a page table (existence, version,
+corruption marker); functional mode adds a real zero-initialized NumPy
+buffer per frame, timing mode carries no data, keeping large sweeps cheap
+while versioning still works.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from repro.errors import MemoryError_
 from repro.memory.diff import PageDiff
 from repro.memory.layout import MemoryLayout
+from repro.memory.pagetable import CHUNK_MASK, CHUNK_SHIFT, PageTable
 from repro.sim.stats import StatSet
 
 #: Timing-mode corruption sentinel: with no bytes to checksum, a rotted
@@ -35,116 +37,124 @@ def payload_crc_ok(data: np.ndarray | None, crc: int | None) -> bool:
     return (zlib.crc32(data) & 0xFFFFFFFF) == crc
 
 
-class PageFrame:
-    """One page's authoritative storage."""
-
-    __slots__ = ("data", "version", "crc", "corrupt")
-
-    def __init__(self, data: np.ndarray | None):
-        self.data = data
-        self.version = 0
-        #: Lazily computed CRC32 of ``data`` (integrity armed, functional
-        #: mode); None = not computed since the last clean mutation.
-        self.crc = None
-        #: Bitrot marker: the stored CRC is deliberately stale (it predates
-        #: the rot), so verification keeps failing until a replica repair
-        #: rebuilds the frame. Never cleared by apply_diff -- recomputing a
-        #: checksum over rotted bytes would launder the corruption.
-        self.corrupt = False
+#: Columns of a frame chunk. ``VERSION`` counts mutations, ``LIVE`` marks a
+#: frame that exists, ``CORRUPT`` is the bitrot marker: the stored CRC is
+#: deliberately stale (it predates the rot), so verification keeps failing
+#: until a replica repair rebuilds the frame -- never cleared by apply_diff,
+#: recomputing a checksum over rotted bytes would launder the corruption.
+#: ``DATA`` (page bytes) and ``CRC`` (lazily computed CRC32, None = not
+#: computed since the last clean mutation) exist in functional mode only.
+VERSION, LIVE, CORRUPT, DATA, CRC = range(5)
 
 
 class BackingStore:
-    """Page frames homed on one memory server."""
+    """Page frames homed on one memory server, as rows of a
+    :class:`~repro.memory.pagetable.PageTable`."""
 
     def __init__(self, layout: MemoryLayout, functional: bool = True, name: str = "backing"):
         self.layout = layout
         self.functional = functional
         self.name = name
-        self.frames: dict[int, PageFrame] = {}
+        payload = list if functional else None
+        self._table = PageTable((np.int64, np.bool_, np.bool_, payload, payload))
+        self._frames = 0
         #: End-to-end checksums; armed by the system when replication is on
         #: (a detected corruption is only survivable with a replica to
         #: repair from). Off, the mutation paths skip all CRC bookkeeping.
         self.integrity = False
         self.stats = StatSet(name)
 
-    def ensure(self, page: int) -> PageFrame:
-        """Get (creating zero-filled on first touch) the frame for ``page``."""
-        frame = self.frames.get(page)
-        if frame is None:
-            data = np.zeros(self.layout.page_bytes, dtype=np.uint8) if self.functional else None
-            frame = PageFrame(data)
-            self.frames[page] = frame
+    def ensure(self, page: int):
+        """``(cols, i)``: the row of the page's frame, created zero-filled
+        on first touch."""
+        try:
+            cols = self._table.chunks[page >> CHUNK_SHIFT]
+        except KeyError:
+            cols = self._table.chunk(page >> CHUNK_SHIFT)
+        i = page & CHUNK_MASK
+        if not cols[LIVE][i]:
+            cols[LIVE][i] = True
+            if self.functional:
+                cols[DATA][i] = np.zeros(self.layout.page_bytes, dtype=np.uint8)
+            self._frames += 1
             self.stats.incr("frames_created")
-        return frame
+        return cols, i
+
+    def _touch_many(self, pages, bump: bool) -> None:
+        """Bulk frame creation (+ one version bump each with ``bump``) for
+        timing-mode batches of distinct pages: no bytes exist, only
+        existence and versions."""
+        table = self._table
+        pages = np.array(pages, dtype=np.int64)
+        created = len(pages) - int(np.count_nonzero(table.gather(LIVE, pages)))
+        if created:
+            table.scatter(LIVE, pages, True, create=True)
+            self._frames += created
+            self.stats.counters["frames_created"] += created
+        if bump:
+            table.scatter(VERSION, pages, table.gather(VERSION, pages) + 1)
+
+    def live_pages(self) -> list[int]:
+        """Every page that has a frame, ascending."""
+        return sorted(p for _, _, pages in self._table.live_rows(LIVE)
+                      for p in pages.tolist())
+
+    def peek(self, page: int) -> np.ndarray | None:
+        """The frame's bytes in place (no copy, no counters); None in
+        timing mode."""
+        cols, i = self.ensure(page)
+        return cols[DATA][i] if self.functional else None
 
     def read_page(self, page: int) -> np.ndarray | None:
         """A *copy* of the page's bytes (what goes over the wire)."""
         self.stats.counters["page_reads"] += 1
-        frame = self.frames.get(page)
-        if frame is None:
-            frame = self.ensure(page)
-        data = frame.data
-        return data.copy() if data is not None else None
+        cols, i = self.ensure(page)
+        return cols[DATA][i].copy() if self.functional else None
 
     def write_page(self, page: int, data: np.ndarray | None) -> None:
         """Replace the page's contents wholesale."""
         self.stats.incr("page_writes")
-        frame = self.ensure(page)
+        cols, i = self.ensure(page)
         if self.functional:
             if data is None:
                 raise MemoryError_("functional store requires data on write_page")
             if data.shape[0] != self.layout.page_bytes:
                 raise MemoryError_("write_page size mismatch")
-            frame.data[:] = data
-        frame.version += 1
+            cols[DATA][i][:] = data
+        cols[VERSION][i] += 1
         if self.integrity:
             # Wholesale replacement overwrites any rot.
-            frame.crc = None
-            frame.corrupt = False
+            cols[CORRUPT][i] = False
+            if self.functional:
+                cols[CRC][i] = None
 
     def apply_diff(self, diff: PageDiff) -> None:
         """Merge one writer's diff into the authoritative page."""
         counters = self.stats.counters
         counters["diffs_applied"] += 1
         counters["diff_bytes"] += diff.payload_bytes
-        frame = self.ensure(diff.page)
-        if frame.data is not None:
-            diff.apply_to(frame.data)
-        frame.version += 1
-        if self.integrity and not frame.corrupt:
-            frame.crc = None
+        cols, i = self.ensure(diff.page)
+        if self.functional:
+            diff.apply_to(cols[DATA][i])
+            if self.integrity and not cols[CORRUPT][i]:
+                cols[CRC][i] = None
+        cols[VERSION][i] += 1
 
     def apply_diff_sizes(self, pages: list[int], payload_bytes: int) -> None:
         """Timing-mode bulk twin of :meth:`apply_diff` for a recall batch:
-        the frame/version/counter side effects of one diff per page,
-        without PageDiff objects (no bytes to merge; the caller gates on
-        integrity being off)."""
+        the frame/version/counter side effects of one diff per (distinct)
+        page, without PageDiff objects (no bytes to merge; the caller gates
+        on integrity being off)."""
         counters = self.stats.counters
         counters["diffs_applied"] += len(pages)
         counters["diff_bytes"] += payload_bytes
-        frames = self.frames
-        created = 0
-        for page in pages:
-            frame = frames.get(page)
-            if frame is None:
-                frame = frames[page] = PageFrame(None)
-                created += 1
-            frame.version += 1
-        if created:
-            counters["frames_created"] += created
+        self._touch_many(pages, bump=True)
 
     def serve_pages_timing(self, pages: list[int]) -> None:
         """Timing-mode bulk read touch: the ``read_page`` side effects
-        (frame existence + read counter) for a whole served batch, paid in
-        two dict sweeps instead of one call per page."""
-        counters = self.stats.counters
-        counters["page_reads"] += len(pages)
-        frames = self.frames
-        missing = [p for p in pages if p not in frames]
-        if missing:
-            for p in missing:
-                frames[p] = PageFrame(None)
-            counters["frames_created"] += len(missing)
+        (frame existence + read counter) for a whole served batch."""
+        self.stats.counters["page_reads"] += len(pages)
+        self._touch_many(pages, bump=False)
 
     def read_range(self, addr: int, nbytes: int) -> np.ndarray | None:
         """Gather an arbitrary byte range (used by the SMP baseline, which
@@ -154,16 +164,9 @@ class BackingStore:
         if nbytes == 0:
             return np.empty(0, dtype=np.uint8)
         pieces = []
-        page_bytes = self.layout.page_bytes
-        end_addr = addr + nbytes
-        for page in self.layout.pages_spanning(addr, nbytes):
-            frame = self.ensure(page)
-            page_start = page * page_bytes
-            start = addr if addr > page_start else page_start
-            page_end = page_start + page_bytes
-            end = end_addr if end_addr < page_end else page_end
-            off = start - page_start
-            pieces.append(frame.data[off:off + (end - start)])
+        for page, start, end in self.layout.page_slices(addr, nbytes):
+            cols, i = self.ensure(page)
+            pieces.append(cols[DATA][i][start:end])
         if len(pieces) == 1:
             return pieces[0].copy()
         return np.concatenate(pieces)
@@ -174,38 +177,18 @@ class BackingStore:
             return
         if self.functional and data is not None and len(data) != nbytes:
             raise MemoryError_("write_range data length mismatch")
-        functional = self.functional
-        if not functional:
-            # Timing mode: only frame existence and versions matter, so the
-            # per-page offset arithmetic is skipped (SMP-baseline stores
-            # span thousands of pages).
-            frames = self.frames
-            created = 0
-            for page in self.layout.pages_spanning(addr, nbytes):
-                frame = frames.get(page)
-                if frame is None:
-                    frame = PageFrame(None)
-                    frames[page] = frame
-                    created += 1
-                frame.version += 1
-            if created:
-                self.stats.counters["frames_created"] += created
+        if not self.functional:
+            # Timing mode: only frame existence and versions matter
+            # (SMP-baseline stores span thousands of pages).
+            self._touch_many(self.layout.pages_spanning(addr, nbytes), bump=True)
             return
         consumed = 0
-        page_bytes = self.layout.page_bytes
-        end_addr = addr + nbytes
-        for page in self.layout.pages_spanning(addr, nbytes):
-            frame = self.ensure(page)
-            page_start = page * page_bytes
-            start = addr if addr > page_start else page_start
-            page_end = page_start + page_bytes
-            end = end_addr if end_addr < page_end else page_end
-            off = start - page_start
-            chunk = end - start
+        for page, start, end in self.layout.page_slices(addr, nbytes):
+            cols, i = self.ensure(page)
             if data is not None:
-                frame.data[off:off + chunk] = data[consumed:consumed + chunk]
-            consumed += chunk
-            frame.version += 1
+                cols[DATA][i][start:end] = data[consumed:consumed + end - start]
+            consumed += end - start
+            cols[VERSION][i] += 1
 
     # -- end-to-end integrity (replication armed) ------------------------
     def page_crc(self, page: int) -> int:
@@ -217,41 +200,41 @@ class BackingStore:
         the frame version, with :data:`CRC_CORRUPT` standing in when the
         frame is rotted (no bytes exist to checksum).
         """
-        frame = self.ensure(page)
+        cols, i = self.ensure(page)
         if not self.functional:
-            return CRC_CORRUPT if frame.corrupt else frame.version
-        if frame.crc is None:
-            frame.crc = zlib.crc32(frame.data) & 0xFFFFFFFF
-        return frame.crc
+            return CRC_CORRUPT if cols[CORRUPT][i] else int(cols[VERSION][i])
+        if cols[CRC][i] is None:
+            cols[CRC][i] = zlib.crc32(cols[DATA][i]) & 0xFFFFFFFF
+        return cols[CRC][i]
 
     def corrupt_page(self, page: int) -> None:
         """Inject bitrot: flip a stored byte WITHOUT refreshing the CRC."""
-        frame = self.ensure(page)
+        cols, i = self.ensure(page)
         if self.functional:
-            if frame.crc is None:
-                frame.crc = zlib.crc32(frame.data) & 0xFFFFFFFF
-            frame.data[0] ^= 0xFF
-        frame.corrupt = True
+            self.page_crc(page)  # pin the pre-rot checksum
+            cols[DATA][i][0] ^= 0xFF
+        cols[CORRUPT][i] = True
         self.stats.counters["pages_rotted"] += 1
 
     def restore_page(self, page: int, data: np.ndarray | None) -> None:
         """Replace a rotted frame with a replica's clean copy."""
-        frame = self.ensure(page)
-        if self.functional and data is not None:
-            frame.data[:] = data
-        frame.version += 1
-        frame.corrupt = False
-        frame.crc = None
+        cols, i = self.ensure(page)
+        if self.functional:
+            if data is not None:
+                cols[DATA][i][:] = data
+            cols[CRC][i] = None
+        cols[VERSION][i] += 1
+        cols[CORRUPT][i] = False
         self.stats.counters["pages_restored"] += 1
 
     def version_of(self, page: int) -> int:
-        frame = self.frames.get(page)
-        return frame.version if frame is not None else 0
+        cols = self._table.chunks.get(page >> CHUNK_SHIFT)
+        return int(cols[VERSION][page & CHUNK_MASK]) if cols is not None else 0
 
     @property
     def resident_pages(self) -> int:
-        return len(self.frames)
+        return self._frames
 
     @property
     def resident_bytes(self) -> int:
-        return len(self.frames) * self.layout.page_bytes
+        return self._frames * self.layout.page_bytes

@@ -11,22 +11,38 @@ Policy knobs reproduced from the paper:
 * cache lines span multiple pages (``layout.pages_per_line``);
 * eviction "is biased towards pages that have been written to";
 * a multiple-writer twin is created on the first ordinary-region write.
+
+Per-page state is one row of a :class:`~repro.memory.pagetable.PageTable`
+(DESIGN.md S9): LRU tick, prefetched flag and a dirty extent ``[lo, hi)`` in
+NumPy columns, page bytes and twin in list columns that only functional
+mode allocates. A page that acquires a second, disjoint dirty range spills
+to a :class:`ByteRanges`. Operations on a wide span or batch are slice /
+index operations on the columns; narrow ones (fewer than ``WIDE`` pages)
+walk the pages, which is cheaper than the fixed cost of an array call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from heapq import heapify, heappop, heappush
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
 
 from repro.errors import ConsistencyError, MemoryError_, ProtectionError
-from repro.memory.diff import (ByteRanges, PageDiff, SpanTwin,
-                               compute_diff_spans)
+from repro.memory.diff import ByteRanges, PageDiff, SpanTwin
 from repro.memory.layout import MemoryLayout
+from repro.memory.pagetable import CHUNK_MASK, CHUNK_SHIFT, PageTable
 from repro.sim.stats import StatSet
+
+#: Column indices of a cache chunk. ``TICK`` is the last-access tick, 0 for
+#: a non-resident page (ticks start at 1). ``HI`` is 0 for a clean page and
+#: -1 for one whose ranges spilled to ``SoftwareCache._spill``.
+TICK, PREF, LO, HI, DATA, TWIN = range(6)
+
+#: Spans and batches of at least this many pages go through the columns.
+WIDE = 8
 
 
 class EvictionPolicy(Enum):
@@ -38,46 +54,38 @@ class EvictionPolicy(Enum):
     CLEAN_FIRST = "clean-first"
 
 
-# Module-level eviction key functions: keeps choose_victims lint-clean and
-# avoids allocating a fresh closure on every eviction decision.
-def _victim_key_dirty_biased(entry: "CacheEntry"):
-    return (entry.dirty.empty, entry.last_access)  # dirty first, then LRU
-
-
-def _victim_key_clean_first(entry: "CacheEntry"):
-    return (not entry.dirty.empty, entry.last_access)
-
-
-def _victim_key_lru(entry: "CacheEntry"):
-    return entry.last_access
-
-
-_VICTIM_KEYS = {
-    EvictionPolicy.DIRTY_BIASED: _victim_key_dirty_biased,
-    EvictionPolicy.CLEAN_FIRST: _victim_key_clean_first,
-    EvictionPolicy.LRU: _victim_key_lru,
-}
-
-
 class CacheEntry:
-    """One resident page."""
+    """Read-only view of one resident page's row (diagnostics and tests;
+    the cache's own paths construct none)."""
 
-    __slots__ = ("page", "data", "twin", "dirty", "last_access", "prefetched")
+    __slots__ = ("_cache", "page")
 
-    def __init__(self, page: int, data: np.ndarray | None, tick: int, prefetched: bool):
+    def __init__(self, cache: "SoftwareCache", page: int):
+        self._cache = cache
         self.page = page
-        self.data = data
-        #: Multiple-writer twin: a :class:`SpanTwin` (pre-images of dirty
-        #: ranges only) on the zero-copy path; a raw page copy is still
-        #: honoured everywhere for compatibility.
-        self.twin: SpanTwin | np.ndarray | None = None
-        self.dirty = ByteRanges()
-        self.last_access = tick
-        self.prefetched = prefetched
+
+    def _field(self, column: int):
+        cols = self._cache._table.chunks[self.page >> CHUNK_SHIFT]
+        return None if cols[column] is None else cols[column][self.page & CHUNK_MASK]
+
+    data = property(lambda self: self._field(DATA))
+    twin = property(lambda self: self._field(TWIN))
+    last_access = property(lambda self: int(self._field(TICK)))
+    prefetched = property(lambda self: bool(self._field(PREF)))
+    is_dirty = property(lambda self: bool(self._field(HI)))
 
     @property
-    def is_dirty(self) -> bool:
-        return not self.dirty.empty
+    def dirty(self) -> ByteRanges:
+        return ByteRanges(self._cache.dirty_ranges(self.page))
+
+
+def _outside(lo: int, hi: int, start: int, end: int):
+    """Sub-ranges of [start, end) NOT covered by the extent [lo, hi) --
+    ``ByteRanges.gaps_within`` for a single range."""
+    if end <= lo or start >= hi:
+        return ((start, end),)
+    gaps = ((start, lo),) if start < lo else ()
+    return gaps + ((hi, end),) if end > hi else gaps
 
 
 class SoftwareCache:
@@ -91,12 +99,9 @@ class SoftwareCache:
         policy: EvictionPolicy = EvictionPolicy.DIRTY_BIASED,
         use_twins: bool = True,
         name: str = "cache",
-        impl: str = "heap",
     ):
         if capacity_pages < layout.pages_per_line:
             raise MemoryError_("cache must hold at least one full line")
-        if impl not in ("heap", "sorted"):
-            raise MemoryError_(f"unknown eviction impl {impl!r}")
         self.layout = layout
         self.capacity_pages = capacity_pages
         self.functional = functional
@@ -105,13 +110,16 @@ class SoftwareCache:
         #: like a single-writer protocol and write-back ships whole pages.
         self.use_twins = use_twins
         self.name = name
-        self.entries: dict[int, CacheEntry] = {}
-        #: Residency bitmap mirroring ``entries.keys()`` -- lets span
-        #: queries (the batched-plan hit test, miss classification) run as
-        #: one vectorized slice check instead of a per-page dict probe.
-        #: Maintained by install/evict/invalidate/clear, the only methods
-        #: that change residency.
-        self._resident_mask = np.zeros(1024, dtype=bool)
+        payload = list if functional else None
+        extent = np.int16 if layout.page_bytes < 1 << 15 else np.int32
+        self._table = PageTable((np.int64, np.bool_, extent, extent,
+                                 payload, payload))
+        #: Resident page numbers. Mirrors ``TICK != 0``: the set answers
+        #: per-page probes and set intersections (barrier directives), the
+        #: column answers spans.
+        self._resident: set[int] = set()
+        #: Pages holding two or more disjoint dirty ranges (``HI == -1``).
+        self._spill: dict[int, ByteRanges] = {}
         #: Pages ordinary-written since the last barrier (the write-notice
         #: set). Independent of residency: an evicted page's notice must
         #: still reach threads holding stale copies.
@@ -129,174 +137,161 @@ class SoftwareCache:
         self._inflight_token = 0
         self.stats = StatSet(name)
         self._tick = 0
-        self._victim_key = _VICTIM_KEYS[policy]
-        #: Precomputed heap-key prefixes for the two hot transitions: a
-        #: just-installed (or just-diffed) entry is clean, a just-written
-        #: entry is dirty, so their victim keys are ``(prefix, tick)``
-        #: without calling the key function or probing the entry. None
-        #: means LRU (the key is the bare tick).
-        if policy is EvictionPolicy.DIRTY_BIASED:
-            self._clean_key_first, self._dirty_key_first = True, False
-        elif policy is EvictionPolicy.CLEAN_FIRST:
-            self._clean_key_first, self._dirty_key_first = False, True
-        else:
-            self._clean_key_first = self._dirty_key_first = None
-        #: Lazy min-heap of ``(victim_key, page)`` records, or None under
-        #: the legacy full-sort implementation. The heap is *lazy*: records
-        #: go stale when a page is re-accessed (its key only grows then)
-        #: and are re-validated against the live entry at pop time. The one
-        #: key-DECREASING transition per policy (clean->dirty under the
-        #: dirty-biased default, dirty->clean under clean-first) gets an
-        #: eager push, so every resident page always owns at least one
-        #: record with key <= its current key -- which makes the pop
-        #: sequence exactly the ascending sort order, victim for victim.
-        self._heap: list | None = [] if impl == "heap" else None
-        #: Resident-page count per cache line. ``missing_lines`` is a plain
-        #: counter compare per line instead of a set intersection over the
-        #: line's page range.
-        self._line_resident: dict[int, int] = {}
-        self._pages_per_line = layout.pages_per_line
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """Read-only diagnostic snapshot: resident page -> a
+        :class:`CacheEntry` view, built per use (O(resident pages))."""
+        return MappingProxyType({page: CacheEntry(self, page)
+                                 for page in sorted(self._resident)})
+
+    def _row(self, page: int):
+        """``(cols, i)`` of a page whose chunk exists."""
+        return self._table.chunks[page >> CHUNK_SHIFT], page & CHUNK_MASK
 
     # ------------------------------------------------------------------
     # residency queries
     # ------------------------------------------------------------------
     def resident(self, page: int) -> bool:
-        return page in self.entries
+        return page in self._resident
 
     def span_resident(self, addr: int, nbytes: int) -> bool:
-        """True iff every page of ``[addr, addr+nbytes)`` is resident.
-
-        One slice ``.all()`` over the residency bitmap -- the hit test the
-        batched access-plan executor runs per operation.
-        """
+        """True iff every page of ``[addr, addr+nbytes)`` is resident --
+        the hit test the batched access-plan executor runs per operation."""
         if nbytes <= 0:
             return True
         page_bytes = self.layout.page_bytes
         first = addr // page_bytes
         last = (addr + nbytes - 1) // page_bytes
-        mask = self._resident_mask
-        if last >= mask.shape[0]:
-            return False
         if first == last:
-            return bool(mask[first])
-        return bool(mask[first:last + 1].all())
+            return first in self._resident
+        if last - first < WIDE:
+            return self._resident.issuperset(range(first, last + 1))
+        for cols, a, b, _ in self._table.segments(first, last + 1):
+            if cols is None or not cols[TICK][a:b].all():
+                return False
+        return True
+
+    def missing_in(self, first: int, stop: int) -> list[int]:
+        """Non-resident pages of ``[first, stop)``, ascending."""
+        if stop - first < WIDE:
+            resident = self._resident
+            return [p for p in range(first, stop) if p not in resident]
+        missing = []
+        for cols, a, b, page in self._table.segments(first, stop):
+            if cols is None:
+                missing.extend(range(page, page + b - a))
+            else:
+                absent = (cols[TICK][a:b] == 0).nonzero()[0]
+                if absent.size:
+                    missing.extend((absent + page).tolist())
+        return missing
 
     def missing_pages(self, addr: int, nbytes: int) -> list[int]:
         pages = self.layout.pages_spanning(addr, nbytes)
-        if not pages:
-            return []
-        first, stop = pages.start, pages.stop
-        mask = self._resident_mask
-        n = mask.shape[0]
-        if first >= n:
-            return list(pages)
-        hi = stop if stop <= n else n
-        missing = [int(p) for p in np.flatnonzero(~mask[first:hi]) + first]
-        if hi < stop:
-            missing.extend(range(hi, stop))
-        return missing
+        return self.missing_in(pages.start, pages.stop) if pages else []
 
     def missing_lines(self, addr: int, nbytes: int) -> list[int]:
-        """Lines with at least one non-resident page, for the span.
-
-        A line is complete iff its resident-page count -- maintained by
-        install/evict/invalidate/clear, the only residency changers -- has
-        full cardinality: one dict probe per line instead of rebuilding a
-        page-set intersection on every call.
-        """
-        counts = self._line_resident.get
-        full = self._pages_per_line
-        return [line for line in self.layout.lines_spanning(addr, nbytes)
-                if counts(line, 0) < full]
+        """Lines with at least one non-resident page, for the span."""
+        lines = self.layout.lines_spanning(addr, nbytes)
+        if not lines:
+            return []
+        per_line = self.layout.pages_per_line
+        missing = self.missing_in(lines.start * per_line,
+                                  lines.stop * per_line)
+        return sorted({p // per_line for p in missing})
 
     def resident_page_set(self):
         """Set view of the resident page numbers (live, do not mutate)."""
-        return self.entries.keys()
+        return self._resident
 
     @property
     def resident_pages(self) -> int:
-        return len(self.entries)
+        return len(self._resident)
 
     @property
     def free_pages(self) -> int:
-        return self.capacity_pages - len(self.entries)
+        return self.capacity_pages - len(self._resident)
+
+    def peek(self, page: int) -> np.ndarray | None:
+        """A resident page's bytes in place, untouched (None in timing
+        mode)."""
+        cols, i = self._row(page)
+        return cols[DATA][i] if self.functional else None
+
+    def is_dirty(self, page: int) -> bool:
+        """Resident with unflushed ordinary-region writes?"""
+        return (page in self._resident and bool(
+            self._table.chunks[page >> CHUNK_SHIFT][HI][page & CHUNK_MASK]))
+
+    def dirty_among(self, pages) -> set[int]:
+        """The members of ``pages`` that are resident-dirty."""
+        hits = self._resident.intersection(pages)
+        if len(hits) < WIDE:
+            is_dirty = self.is_dirty
+            return {p for p in hits if is_dirty(p)}
+        hits = np.array(sorted(hits), dtype=np.int64)
+        return set(hits[self._table.gather(HI, hits) != 0].tolist())
+
+    def dirty_ranges(self, page: int):
+        """The page's dirty ``(start, end)`` ranges, ascending."""
+        cols = self._table.chunks[page >> CHUNK_SHIFT]
+        hi = int(cols[HI][page & CHUNK_MASK])
+        if hi < 0:
+            return self._spill[page]
+        return ((int(cols[LO][page & CHUNK_MASK]), hi),) if hi else ()
+
+    def _dirty_within(self, page: int, start: int, end: int):
+        """The dirty sub-ranges of the window [start, end) of a page."""
+        return [(max(start, lo), min(end, hi))
+                for lo, hi in self.dirty_ranges(page) if lo < end and hi > start]
 
     # ------------------------------------------------------------------
     # install / evict / invalidate
     # ------------------------------------------------------------------
     def install(self, page: int, data: np.ndarray | None, prefetched: bool = False) -> None:
         """Bring a fetched page into the cache (caller made room first)."""
-        if len(self.entries) >= self.capacity_pages:
-            raise MemoryError_(f"{self.name}: install over capacity")
-        if page in self.entries:
-            # Refresh of an already-resident page (re-fetch after a race).
-            entry = self.entries[page]
-            if entry.is_dirty:
-                raise ConsistencyError(f"{self.name}: refreshing dirty page {page}")
-            entry.data = data
-            entry.prefetched = prefetched
-            return
-        self._tick += 1
-        entry = CacheEntry(page, data, self._tick, prefetched)
-        self.entries[page] = entry
-        mask = self._resident_mask
-        if page >= mask.shape[0]:
-            grown = np.zeros(max(mask.shape[0] * 2, page + 1), dtype=bool)
-            grown[:mask.shape[0]] = mask
-            self._resident_mask = mask = grown
-        mask[page] = True
-        line = page // self._pages_per_line
-        counts = self._line_resident
-        counts[line] = counts.get(line, 0) + 1
-        if self._heap is not None:
-            first = self._clean_key_first
-            heappush(self._heap,
-                     (self._tick if first is None else (first, self._tick),
-                      page))
-        counters = self.stats.counters
-        counters["installs"] += 1
-        if prefetched:
-            counters["prefetch_installs"] += 1
+        if page not in self._resident:
+            return self.install_many([page], {page: data}, prefetched)
+        # Refresh of an already-resident page (re-fetch after a race).
+        cols, i = self._row(page)
+        if cols[HI][i]:
+            raise ConsistencyError(f"{self.name}: refreshing dirty page {page}")
+        if self.functional:
+            cols[DATA][i] = data
+        cols[PREF][i] = prefetched
 
-    def install_many(self, pages_data, prefetched: bool = False) -> None:
-        """Batched :meth:`install` of distinct, non-resident pages.
+    def install_many(self, pages: list[int], data, prefetched: bool = False) -> None:
+        """Batched :meth:`install` of distinct, non-resident pages;
+        ``data`` maps page -> bytes (empty in timing mode).
 
-        Contract (the bulk-fetch fast path guarantees it): the caller has
-        verified capacity for the whole batch and that none of the pages is
-        already resident. Per-entry ticks advance exactly as the per-page
+        Contract (the bulk-fetch fast path guarantees it): none of the
+        pages is already resident. Ticks advance exactly as the per-page
         calls would; counters flush once.
         """
-        entries = self.entries
-        tick = self._tick
-        heap = self._heap
-        first = self._clean_key_first
-        counts = self._line_resident
-        counts_get = counts.get
-        pages_per_line = self._pages_per_line
-        pages: list[int] = []
-        append = pages.append
-        for page, data in pages_data:
-            tick += 1
-            entries[page] = CacheEntry(page, data, tick, prefetched)
-            line = page // pages_per_line
-            counts[line] = counts_get(line, 0) + 1
-            if heap is not None:
-                heappush(heap,
-                         (tick if first is None else (first, tick), page))
-            append(page)
-        self._tick = tick
         n = len(pages)
-        if n:
-            # One vectorized residency-bitmap update for the whole batch.
-            mask = self._resident_mask
-            top = max(pages)
-            if top >= mask.shape[0]:
-                grown = np.zeros(max(mask.shape[0] * 2, top + 1), dtype=bool)
-                grown[:mask.shape[0]] = mask
-                self._resident_mask = mask = grown
-            mask[pages] = True
-        if len(entries) > self.capacity_pages:
+        if len(self._resident) + n > self.capacity_pages:
             raise MemoryError_(f"{self.name}: install over capacity")
+        tick = self._tick
+        chunk = self._table.chunk
+        if n < WIDE:
+            for page in pages:
+                tick += 1
+                cols = chunk(page >> CHUNK_SHIFT)
+                cols[TICK][page & CHUNK_MASK] = tick
+                cols[PREF][page & CHUNK_MASK] = prefetched
+        else:
+            batch = np.array(pages, dtype=np.int64)
+            self._table.scatter(TICK, batch, np.arange(tick + 1, tick + n + 1),
+                                create=True)
+            self._table.scatter(PREF, batch, prefetched)
+            tick += n
+        if self.functional:
+            chunks = self._table.chunks
+            for page in pages:
+                chunks[page >> CHUNK_SHIFT][DATA][page & CHUNK_MASK] = data.get(page)
+        self._tick = tick
+        self._resident.update(pages)
         counters = self.stats.counters
         counters["installs"] += n
         if prefetched:
@@ -305,74 +300,58 @@ class SoftwareCache:
     def choose_victims(self, count: int, protect: Iterable[int] = ()) -> list[int]:
         """Pick ``count`` pages to evict under the configured policy.
 
-        Victim order is identical under both implementations: the heap's
-        records are the exact sort keys, and keys are unique (``_tick`` is
-        globally monotonic, so ``last_access`` never repeats), so ascending
-        heap pops reproduce the full sort's prefix bit-for-bit -- at
-        O(log n) per victim instead of O(n log n) per call.
+        One ordered selection over the columns per call: candidates sort by
+        (policy class, last-access tick). Ticks never repeat, so the order
+        is total and the result is the prefix of the full ascending sort.
         """
         if count <= 0:
             return []
         protected = set(protect)
-        if self._heap is None:
-            candidates = [e for p, e in self.entries.items() if p not in protected]
-            if len(candidates) < count:
-                raise MemoryError_(f"{self.name}: cannot evict {count} pages "
-                                   f"({len(candidates)} unprotected)")
-            candidates.sort(key=self._victim_key)
-            return [e.page for e in candidates[:count]]
-        entries = self.entries
-        available = len(entries) - len(protected & entries.keys())
+        available = len(self._resident) - len(protected & self._resident)
         if available < count:
             raise MemoryError_(f"{self.name}: cannot evict {count} pages "
                                f"({available} unprotected)")
-        heap = self._heap
-        if len(heap) > 4 * len(entries) + 64:
-            # Stale-record hygiene: rebuild from the live entries.
-            key = self._victim_key
-            heap[:] = [(key(e), p) for p, e in entries.items()]
-            heapify(heap)
-        key = self._victim_key
-        victims: list[int] = []
-        chosen: set[int] = set()
-        pushback: list = []
-        while len(victims) < count:
-            if not heap:  # pragma: no cover - invariant backstop
-                heap[:] = [(key(e), p) for p, e in entries.items()
-                           if p not in chosen]
-                heapify(heap)
-            record = heappop(heap)
-            page = record[1]
-            entry = entries.get(page)
-            if entry is None or page in chosen:
-                continue  # stale: evicted, invalidated, or already picked
-            current = key(entry)
-            if current != record[0]:
-                heappush(heap, (current, page))  # re-file under the live key
-                continue
-            pushback.append(record)
-            if page in protected:
-                continue
-            victims.append(page)
-            chosen.add(page)
-        for record in pushback:
-            heappush(heap, record)
-        return victims
+        pages, key = [], []
+        for cols, rows, chunk_pages in self._table.live_rows(TICK):
+            ticks = cols[TICK][rows]
+            if self.policy is not EvictionPolicy.LRU:
+                # The class evicted last sorts above every tick.
+                late = cols[HI][rows] == 0
+                if self.policy is EvictionPolicy.CLEAN_FIRST:
+                    late = ~late
+                ticks = ticks + (late.astype(np.int64) << 62)
+            pages.append(chunk_pages)
+            key.append(ticks)
+        pages = pages[0] if len(pages) == 1 else np.concatenate(pages)
+        key = key[0] if len(key) == 1 else np.concatenate(key)
+        # The count + |protected| smallest keys hold the count smallest
+        # unprotected ones, whatever is protected.
+        want = count + len(protected)
+        nearest = (np.argpartition(key, want - 1)[:want]
+                   if want < key.size else np.arange(key.size))
+        ordered = pages[nearest[np.argsort(key[nearest])]].tolist()
+        return [p for p in ordered if p not in protected][:count]
 
     def evict(self, page: int) -> PageDiff | None:
         """Drop a page; if dirty, return the diff that must be written back."""
-        entry = self.entries.pop(page, None)
-        if entry is None:
+        if page not in self._resident:
             raise MemoryError_(f"{self.name}: evicting non-resident page {page}")
-        self._resident_mask[page] = False
-        self._drop_line_count(page)
         counters = self.stats.counters
         counters["evictions"] += 1
-        if entry.is_dirty:
+        cols, i = self._row(page)
+        diff = None
+        if cols[HI][i]:
             counters["evictions_dirty"] += 1
-            return self._diff_of(entry)
-        counters["evictions_clean"] += 1
-        return None
+            diff = self._diff_of(page)
+            cols[HI][i] = 0
+            self._spill.pop(page, None)
+        else:
+            counters["evictions_clean"] += 1
+        self._resident.remove(page)
+        cols[TICK][i] = 0
+        if self.functional:
+            cols[DATA][i] = cols[TWIN][i] = None
+        return diff
 
     def begin_fetch(self, pages: Iterable[int]) -> int:
         """Register a fetch's pages as in flight; returns a token for
@@ -408,36 +387,29 @@ class SoftwareCache:
                 bump |= inflight & pages
             if bump:
                 self.inval_epoch.update(bump)
-        entries = self.entries
         # Barrier directives list every page anyone else wrote -- usually
         # thousands, nearly all non-resident. One set intersection (over
         # the smaller side) finds the residents.
-        hits = entries.keys() & pages
-        if not hits:
+        dropped = sorted(self._resident & pages)
+        if not dropped:
             return []
-        dropped = []
-        for page in sorted(hits):
-            entry = entries[page]
-            if not entry.dirty.empty:
-                raise ConsistencyError(
-                    f"{self.name}: invalidating dirty page {page} without flush")
-            del entries[page]
-            dropped.append(page)
-        if dropped:
-            self._resident_mask[dropped] = False
+        dirty = self.dirty_among(dropped)
+        if dirty:
+            raise ConsistencyError(f"{self.name}: invalidating dirty page "
+                                   f"{min(dirty)} without flush")
+        # Clean rows: HI is 0 and (invariant I3) no twin is held.
+        self._resident.difference_update(dropped)
+        chunks = self._table.chunks
+        if len(dropped) < WIDE:
             for page in dropped:
-                self._drop_line_count(page)
+                chunks[page >> CHUNK_SHIFT][TICK][page & CHUNK_MASK] = 0
+        else:
+            self._table.scatter(TICK, np.array(dropped, dtype=np.int64), 0)
+        if self.functional:
+            for page in dropped:
+                chunks[page >> CHUNK_SHIFT][DATA][page & CHUNK_MASK] = None
         self.stats.counters["invalidations"] += len(dropped)
         return dropped
-
-    def _drop_line_count(self, page: int) -> None:
-        line = page // self._pages_per_line
-        counts = self._line_resident
-        remaining = counts[line] - 1
-        if remaining:
-            counts[line] = remaining
-        else:
-            del counts[line]
 
     def inval_epoch_of(self, page: int) -> int:
         return self.inval_epoch.get(page, 0)
@@ -445,73 +417,68 @@ class SoftwareCache:
     # ------------------------------------------------------------------
     # data access (requires residency)
     # ------------------------------------------------------------------
-    def _entry_for_access(self, page: int) -> CacheEntry:
-        entry = self.entries.get(page)
-        if entry is None:
-            raise ProtectionError(f"{self.name}: access to non-resident page {page}")
-        self._tick += 1
-        entry.last_access = self._tick
-        self.stats.incr("page_touches")
-        if entry.prefetched:
-            entry.prefetched = False
-            self.stats.incr("prefetch_hits")
-        return entry
-
-    def _check_span(self, addr: int, nbytes: int) -> None:
-        if addr < 0:
-            raise MemoryError_(f"negative address: {addr:#x}")
-        if nbytes < 0:
-            raise MemoryError_(f"negative span: {nbytes}")
+    def _touch(self, first: int, last: int) -> None:
+        """One access to each page of ``[first, last]``: residency check
+        (nothing changes if a page is missing), an LRU tick per page in
+        ascending order, prefetch-hit accounting."""
+        n = last - first + 1
+        tick = self._tick
+        hits = 0
+        if n < WIDE:
+            resident = self._resident
+            chunks = self._table.chunks
+            for page in range(first, last + 1):
+                if page not in resident:
+                    raise ProtectionError(
+                        f"{self.name}: access to non-resident page {page}")
+            for page in range(first, last + 1):
+                cols = chunks[page >> CHUNK_SHIFT]
+                i = page & CHUNK_MASK
+                tick += 1
+                cols[TICK][i] = tick
+                if cols[PREF][i]:
+                    cols[PREF][i] = False
+                    hits += 1
+        else:
+            missing = self.missing_in(first, last + 1)
+            if missing:
+                raise ProtectionError(
+                    f"{self.name}: access to non-resident page {missing[0]}")
+            for cols, a, b, _ in self._table.segments(first, last + 1):
+                cols[TICK][a:b] = np.arange(tick + 1, tick + 1 + b - a)
+                tick += b - a
+                prefetched = int(np.count_nonzero(cols[PREF][a:b]))
+                if prefetched:
+                    cols[PREF][a:b] = False
+                    hits += prefetched
+        self._tick = tick
+        counters = self.stats.counters
+        counters["page_touches"] += n
+        if hits:
+            counters["prefetch_hits"] += hits
 
     def read(self, addr: int, nbytes: int) -> np.ndarray | None:
-        """Gather bytes (functional) or just touch pages (timing).
-
-        The page loop is inlined (no per-page method calls) and the stat
-        counters are accumulated locally and flushed once per operation --
-        reads and writes dominate every kernel's inner loop.
-        """
+        """Gather bytes (functional) or just touch pages (timing)."""
         if nbytes == 0:
             return np.empty(0, dtype=np.uint8) if self.functional else None
-        self._check_span(addr, nbytes)
-        entries = self.entries
+        if addr < 0 or nbytes < 0:
+            raise MemoryError_(f"negative address or span: {addr:#x}, {nbytes}")
         page_bytes = self.layout.page_bytes
         first = addr // page_bytes
         last = (addr + nbytes - 1) // page_bytes
-        end_addr = addr + nbytes
-        tick = self._tick
-        prefetch_hits = 0
-        pieces = [] if self.functional else None
-        try:
-            for page in range(first, last + 1):
-                entry = entries[page]
-                tick += 1
-                entry.last_access = tick
-                if entry.prefetched:
-                    entry.prefetched = False
-                    prefetch_hits += 1
-                if pieces is not None:
-                    page_start = page * page_bytes
-                    start = addr if addr > page_start else page_start
-                    page_end = page_start + page_bytes
-                    end = end_addr if end_addr < page_end else page_end
-                    off = start - page_start
-                    pieces.append(entry.data[off:off + (end - start)])
-        except KeyError:
-            self._tick = tick
-            raise ProtectionError(
-                f"{self.name}: access to non-resident page {page}") from None
-        self._tick = tick
+        self._touch(first, last)
         counters = self.stats.counters
-        counters["page_touches"] += last - first + 1
-        if prefetch_hits:
-            counters["prefetch_hits"] += prefetch_hits
         counters["reads"] += 1
         counters["read_bytes"] += nbytes
-        if pieces is None:
+        if not self.functional:
             return None
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces)
+        chunks = self._table.chunks
+        if first == last:
+            start = addr - first * page_bytes
+            return chunks[first >> CHUNK_SHIFT][DATA][first & CHUNK_MASK][start:start + nbytes]
+        return np.concatenate(
+            [chunks[page >> CHUNK_SHIFT][DATA][page & CHUNK_MASK][start:end]
+             for page, start, end in self.layout.page_slices(addr, nbytes)])
 
     def write(self, addr: int, nbytes: int, data: np.ndarray | None,
               ordinary: bool = True) -> int:
@@ -527,146 +494,138 @@ class SoftwareCache:
         functional = self.functional
         if functional and data is not None and len(data) != nbytes:
             raise MemoryError_("write data length mismatch")
-        self._check_span(addr, nbytes)
-        entries = self.entries
+        if addr < 0 or nbytes < 0:
+            raise MemoryError_(f"negative address or span: {addr:#x}, {nbytes}")
         page_bytes = self.layout.page_bytes
         first = addr // page_bytes
         last = (addr + nbytes - 1) // page_bytes
-        end_addr = addr + nbytes
-        tick = self._tick
-        prefetch_hits = 0
-        use_twins = self.use_twins
-        heap = self._heap
-        dirty_first = self._dirty_key_first
-        consumed = 0
+        self._touch(first, last)
         twins = 0
-        try:
-            for page in range(first, last + 1):
-                entry = entries[page]
-                tick += 1
-                entry.last_access = tick
-                if entry.prefetched:
-                    entry.prefetched = False
-                    prefetch_hits += 1
-                page_start = page * page_bytes
-                start = addr if addr > page_start else page_start
-                page_end = page_start + page_bytes
-                end = end_addr if end_addr < page_end else page_end
-                off = start - page_start
-                chunk = end - start
-                if ordinary:
-                    dirty = entry.dirty
-                    ranges = dirty._ranges
-                    newly_dirty = not ranges
-                    if use_twins and functional:
-                        twin = entry.twin
-                        if twin is None and newly_dirty:
-                            # Zero-copy twin: uninitialized scratch now,
-                            # actual pre-image bytes captured span by span
-                            # below.
-                            twin = entry.twin = SpanTwin(page_bytes)
-                            twins += 1
-                        if type(twin) is SpanTwin:
-                            # Snapshot the about-to-be-dirtied bytes this
-                            # write adds; bytes already dirty were captured
-                            # by the write that dirtied them. (A raw-ndarray
-                            # twin is a full page copy and needs no upkeep.)
-                            twin.snapshot(entry.data, dirty, off, off + chunk)
-                    # ByteRanges.add's sequential branch, inlined (this loop
-                    # dominates every kernel; the general splice is rare).
-                    end_off = off + chunk
-                    if newly_dirty:
-                        ranges.append((off, end_off))
-                    else:
-                        last_s, last_e = ranges[-1]
-                        if off >= last_s:
-                            if off > last_e:
-                                ranges.append((off, end_off))
-                            elif end_off > last_e:
-                                ranges[-1] = (last_s, end_off)
-                        else:
-                            dirty.add(off, end_off)
-                    if newly_dirty and heap is not None:
-                        # Clean->dirty is the one key-DECREASING transition
-                        # of the dirty-biased order; file the live key
-                        # eagerly so the lazy heap's min stays exact. The
-                        # entry was just written, so its key is (dirty
-                        # prefix, tick) without probing it.
-                        heappush(heap,
-                                 (tick if dirty_first is None
-                                  else (dirty_first, tick), page))
-                if functional and data is not None:
-                    chunk_data = data[consumed:consumed + chunk]
-                    entry.data[off:off + chunk] = chunk_data
-                    if not ordinary and entry.twin is not None:
-                        # Consistency-region stores propagate via the store
-                        # log; mirroring them into the twin keeps them out
-                        # of this thread's ordinary-region diff (shipping
-                        # them there could overwrite other threads' CR
-                        # updates at the home).
-                        twin = entry.twin
-                        if type(twin) is SpanTwin:
-                            twin.mirror(chunk_data, entry.dirty,
-                                        off, off + chunk)
-                        else:
-                            twin[off:off + chunk] = chunk_data
-                consumed += chunk
-        except KeyError:
-            self._tick = tick
-            raise ProtectionError(
-                f"{self.name}: access to non-resident page {page}") from None
-        self._tick = tick
-        if ordinary:
-            # One C-level bulk update instead of a per-page set.add.
-            self.epoch_written.update(range(first, last + 1))
+        if functional:
+            twins = self._store(addr, nbytes, data, ordinary)
+        elif ordinary:
+            end_off = addr + nbytes - last * page_bytes
+            if first == last:
+                self._add_dirty(first, addr - first * page_bytes, end_off)
+            else:
+                self._add_dirty(first, addr - first * page_bytes, page_bytes)
+                self._add_dirty(last, 0, end_off)
+                # The pages in between are dirty over their whole length:
+                # whatever ranges they held merge into one full extent.
+                for cols, a, b, _ in self._table.segments(first + 1, last):
+                    cols[LO][a:b] = 0
+                    cols[HI][a:b] = page_bytes
+                if self._spill:
+                    for page in [p for p in self._spill if first < p < last]:
+                        del self._spill[page]
         counters = self.stats.counters
-        counters["page_touches"] += last - first + 1
-        if prefetch_hits:
-            counters["prefetch_hits"] += prefetch_hits
+        if ordinary:
+            self.epoch_written.update(range(first, last + 1))
         if twins:
             counters["twins_created"] += twins
         counters["writes"] += 1
         counters["write_bytes"] += nbytes
         return twins
 
+    def _add_dirty(self, page: int, start: int, end: int) -> None:
+        """``ByteRanges.add`` on the page's dirty state: extend the extent
+        when [start, end) touches it, spill when it does not."""
+        cols = self._table.chunks[page >> CHUNK_SHIFT]
+        i = page & CHUNK_MASK
+        hi = cols[HI].item(i)  # plain ints: NumPy scalars compare slowly
+        if not hi:
+            cols[LO][i] = start
+            cols[HI][i] = end
+        elif hi < 0:
+            self._spill[page].add(start, end)
+        else:
+            lo = cols[LO].item(i)
+            if start > hi or end < lo:
+                self._spill[page] = ByteRanges(((lo, hi), (start, end)))
+                cols[HI][i] = -1
+            else:
+                if start < lo:
+                    cols[LO][i] = start
+                if end > hi:
+                    cols[HI][i] = end
+
+    def _store(self, addr: int, nbytes: int, data, ordinary: bool) -> int:
+        """Functional-mode store: real byte copies, so one pass per page --
+        twin upkeep, dirty extent, scatter. Returns twins created."""
+        page_bytes = self.layout.page_bytes
+        chunks = self._table.chunks
+        use_twins = self.use_twins
+        consumed = 0
+        twins = 0
+        for page, off, end_off in self.layout.page_slices(addr, nbytes):
+            cols = chunks[page >> CHUNK_SHIFT]
+            i = page & CHUNK_MASK
+            buf = cols[DATA][i]
+            twin = cols[TWIN][i]
+            if ordinary:
+                hi = cols[HI].item(i)
+                if use_twins and not hi:
+                    # Zero-copy twin: uninitialized scratch now, only the
+                    # pre-image of the bytes this write dirties captured.
+                    twin = cols[TWIN][i] = SpanTwin(page_bytes)
+                    twins += 1
+                    twin.snapshot(buf, ((off, end_off),))
+                elif twin is not None:
+                    # Snapshot the bytes this write newly dirties; bytes
+                    # already dirty were captured by the write that
+                    # dirtied them.
+                    twin.snapshot(buf, self._spill[page].gaps_within(off, end_off)
+                                  if hi < 0 else
+                                  _outside(cols[LO].item(i), hi, off, end_off))
+                self._add_dirty(page, off, end_off)
+            if data is not None:
+                chunk_data = data[consumed:consumed + end_off - off]
+                buf[off:end_off] = chunk_data
+                if not ordinary and twin is not None:
+                    # Consistency-region stores propagate via the store
+                    # log; mirroring them into the twin keeps them out of
+                    # this thread's ordinary-region diff (shipping them
+                    # there could overwrite other threads' CR updates at
+                    # the home).
+                    twin.mirror(chunk_data, self._dirty_within(page, off, end_off), off)
+            consumed += end_off - off
+        return twins
+
     # ------------------------------------------------------------------
     # diffs & fine-grain updates
     # ------------------------------------------------------------------
-    def _diff_of(self, entry: CacheEntry) -> PageDiff:
+    def _diff_of(self, page: int) -> PageDiff:
+        cols = self._table.chunks[page >> CHUNK_SHIFT]
+        i = page & CHUNK_MASK
         if not self.use_twins:
             # Single-writer fallback: no twin exists, so the whole page is
             # the write-back unit (the classic DSM behaviour the paper's
             # multiple-writer protocol improves on).
             if self.functional:
-                return PageDiff(entry.page, spans=[(0, entry.data.copy())])
-            return PageDiff(entry.page, spans=[(0, None)],
+                return PageDiff(page, spans=[(0, cols[DATA][i].copy())])
+            return PageDiff(page, spans=[(0, None)],
                             sizes=[self.layout.page_bytes])
-        twin = entry.twin
-        if self.functional and twin is not None:
-            if type(twin) is SpanTwin:
-                spans = twin.diff_spans(entry.data, entry.dirty)
-            else:
-                spans = compute_diff_spans(twin, entry.data)
-            diff = PageDiff(entry.page, spans=spans)
-        else:
-            diff = PageDiff.from_ranges(entry.page, entry.dirty)
-        return diff
+        ranges = self.dirty_ranges(page)
+        twin = cols[TWIN][i] if self.functional else None
+        if twin is not None:
+            return PageDiff(page, spans=twin.diff_spans(cols[DATA][i], ranges))
+        return PageDiff.from_ranges(page, ranges)
 
     def take_diff(self, page: int) -> PageDiff | None:
         """Extract the pending diff for one dirty page and mark it clean."""
-        entry = self.entries.get(page)
-        if entry is None:
+        if page not in self._resident:
             raise MemoryError_(f"{self.name}: take_diff on non-resident page {page}")
-        if not entry.is_dirty:
+        cols = self._table.chunks[page >> CHUNK_SHIFT]
+        i = page & CHUNK_MASK
+        hi = cols[HI][i]
+        if not hi:
             return None
-        diff = self._diff_of(entry)
-        entry.twin = None
-        entry.dirty.clear()
-        if self._heap is not None:
-            # Dirty->clean decreases the clean-first key; re-file eagerly
-            # (a no-op for correctness under the other policies, whose keys
-            # only grow here -- the stale record is discarded at pop time).
-            heappush(self._heap, (self._victim_key(entry), page))
+        diff = self._diff_of(page)
+        cols[HI][i] = 0
+        if hi < 0:
+            del self._spill[page]
+        if self.functional:
+            cols[TWIN][i] = None
         counters = self.stats.counters
         counters["diffs_taken"] += 1
         counters["diff_bytes"] += diff.payload_bytes
@@ -677,44 +636,36 @@ class SoftwareCache:
         (``config.batched_round_trips``).
 
         Returns ``(dirty_pages, payload_bytes, wire_bytes)`` summed over
-        the dirty members of ``pages``, with take_diff's exact side
-        effects (twin dropped, dirty ranges cleared, heap re-filed,
-        counters) but none of the PageDiff objects: with no data to diff
-        a span diff is pure sizes -- payload = dirty bytes, wire =
-        payload + one span header per dirty range. Only valid with
-        ``use_twins`` in timing mode (the caller gates on both).
+        the dirty members of ``pages`` (in their given order), with
+        take_diff's exact side effects but none of the PageDiff objects:
+        with no data to diff a span diff is pure sizes -- payload = dirty
+        bytes, wire = payload + one span header per dirty range. Only
+        valid with ``use_twins`` in timing mode (the caller gates on both).
         """
-        entries = self.entries
-        heap = self._heap
-        clean_first = self._clean_key_first
-        header = PageDiff.SPAN_HEADER_BYTES
-        dirty_pages: list[int] = []
-        payload = 0
-        wire = 0
-        for page in pages:
-            entry = entries.get(page)
-            if entry is None or not entry.dirty._ranges:
-                continue
-            ranges = entry.dirty
-            nbytes = ranges.nbytes
-            payload += nbytes
-            wire += nbytes + header * len(ranges)
-            entry.twin = None
-            ranges.clear()
-            if heap is not None:
-                # Just cleaned: the key is (clean prefix, last_access).
-                heappush(heap,
-                         (entry.last_access if clean_first is None
-                          else (clean_first, entry.last_access), page))
-            dirty_pages.append(page)
-        if dirty_pages:
-            counters = self.stats.counters
-            counters["diffs_taken"] += len(dirty_pages)
-            counters["diff_bytes"] += payload
-        return dirty_pages, payload, wire
+        table = self._table
+        batch = np.array(pages, dtype=np.int64)
+        hi = table.gather(HI, batch)
+        dirty_pages = batch[hi != 0].tolist()
+        if not dirty_pages:
+            return dirty_pages, 0, 0
+        single = hi > 0             # one extent each; the rest spilled
+        n_ranges = int(single.sum())
+        payload = int((hi[single] - table.gather(LO, batch[single])).sum())
+        if n_ranges < len(dirty_pages):
+            for page in dirty_pages:
+                ranges = self._spill.pop(page, None)
+                if ranges is not None:
+                    payload += ranges.nbytes
+                    n_ranges += len(ranges)
+        table.scatter(HI, batch, 0)
+        counters = self.stats.counters
+        counters["diffs_taken"] += len(dirty_pages)
+        counters["diff_bytes"] += payload
+        return (dirty_pages, payload,
+                payload + PageDiff.SPAN_HEADER_BYTES * n_ranges)
 
     def dirty_page_ids(self) -> list[int]:
-        return sorted(p for p, e in self.entries.items() if e.is_dirty)
+        return sorted(p for p in self._resident if self.is_dirty(p))
 
     def take_epoch_notices(self) -> list[int]:
         """Write notices for the ending epoch: pages ordinary-written since
@@ -729,30 +680,27 @@ class SoftwareCache:
         resident copies; non-resident pages are skipped (they will fault to
         the already-updated home). Returns bytes applied."""
         applied = 0
+        resident = self._resident
         for diff in diffs:
-            entry = self.entries.get(diff.page)
-            if entry is None:
+            page = diff.page
+            if page not in resident:
                 continue
-            if self.functional and entry.data is not None:
-                diff.apply_to(entry.data)
+            if self.functional:
+                cols, i = self._row(page)
+                diff.apply_to(cols[DATA][i])
                 # Keep the twin in sync so these bytes don't reappear in the
                 # thread's own ordinary-region diff.
-                twin = entry.twin
+                twin = cols[TWIN][i]
                 if twin is not None:
-                    if type(twin) is SpanTwin:
-                        for offset, span in diff.spans:
-                            if span is not None:
-                                twin.mirror(span, entry.dirty, offset,
-                                            offset + len(span))
-                    else:
-                        diff.apply_to(twin)
+                    for offset, span in diff.spans:
+                        if span is not None:
+                            twin.mirror(span, self._dirty_within(
+                                page, offset, offset + len(span)), offset)
             applied += diff.payload_bytes
         self.stats.incr("fine_grain_bytes", applied)
         return applied
 
     def clear(self) -> None:
-        self.entries.clear()
-        self._resident_mask[:] = False
-        self._line_resident.clear()
-        if self._heap is not None:
-            self._heap.clear()
+        self._table.chunks.clear()
+        self._resident.clear()
+        self._spill.clear()

@@ -105,22 +105,6 @@ class ByteRanges:
         if cursor < end:
             yield cursor, end
 
-    def cover_within(self, start: int, end: int):
-        """Sub-ranges of [start, end) covered by some interval (the
-        complement of :meth:`gaps_within` over the same window)."""
-        ranges = self._ranges
-        lo = bisect_right(ranges, (start,))
-        if lo and ranges[lo - 1][1] > start:
-            lo -= 1
-        for i in range(lo, len(ranges)):
-            s, e = ranges[i]
-            if s >= end:
-                break
-            lo_b = s if s > start else start
-            hi_b = e if e < end else end
-            if hi_b > lo_b:
-                yield lo_b, hi_b
-
     @property
     def nbytes(self) -> int:
         return sum(e - s for s, e in self._ranges)
@@ -201,29 +185,29 @@ class SpanTwin:
     def __init__(self, page_bytes: int):
         self.pre = np.empty(page_bytes, dtype=np.uint8)
 
-    def snapshot(self, data: np.ndarray, dirty: ByteRanges,
-                 start: int, end: int) -> None:
-        """Capture pre-images of the not-yet-dirty bytes of [start, end).
+    def snapshot(self, data: np.ndarray, gaps) -> None:
+        """Capture pre-images of ``gaps``: the not-yet-dirty sub-ranges of
+        the window a store is about to dirty.
 
-        Must run before ``dirty.add(start, end)`` and before the write
-        itself scatters into ``data``.
+        Must run before the store's range joins the dirty set and before
+        the write itself scatters into ``data``.
         """
         pre = self.pre
-        for s, e in dirty.gaps_within(start, end):
+        for s, e in gaps:
             pre[s:e] = data[s:e]
 
-    def mirror(self, chunk: np.ndarray, dirty: ByteRanges,
-               start: int, end: int) -> None:
+    def mirror(self, chunk: np.ndarray, covered, start: int) -> None:
         """Keep the pre-image in sync with a consistency-region store of
-        ``chunk`` at [start, end): those bytes must not surface in this
-        writer's ordinary diff. Only the dirty overlap matters -- outside
-        the dirty ranges the pre-image is never consulted."""
+        ``chunk`` at offset ``start``: those bytes must not surface in this
+        writer's ordinary diff. ``covered`` is the dirty overlap of the
+        stored window -- outside the dirty ranges the pre-image is never
+        consulted."""
         pre = self.pre
-        for s, e in dirty.cover_within(start, end):
+        for s, e in covered:
             pre[s:e] = chunk[s - start:e - start]
 
     def diff_spans(self, current: np.ndarray,
-                   dirty: ByteRanges) -> list[tuple[int, np.ndarray]]:
+                   dirty) -> list[tuple[int, np.ndarray]]:
         """``(offset, changed_bytes)`` spans vs the pre-image, scanning only
         the dirty ranges (bit-identical to the whole-page scan)."""
         pre = self.pre

@@ -52,6 +52,17 @@ class MemoryLayout:
         last = (addr + nbytes - 1) // self.page_bytes
         return range(first, last + 1)
 
+    def page_slices(self, addr: int, nbytes: int) -> list[tuple[int, int, int]]:
+        """``(page, start, end)`` per page of [addr, addr + nbytes), with
+        ``[start, end)`` the touched bytes as offsets into that page."""
+        page_bytes = self.page_bytes
+        first = addr // page_bytes
+        last = (addr + nbytes - 1) // page_bytes
+        slices = [(page, 0, page_bytes) for page in range(first, last + 1)]
+        slices[0] = (first, addr - first * page_bytes, page_bytes)
+        slices[-1] = (last, slices[-1][1], addr + nbytes - last * page_bytes)
+        return slices
+
     # -- lines ----------------------------------------------------------
     def line_of_page(self, page: int) -> int:
         return page // self.pages_per_line

@@ -1,0 +1,109 @@
+"""Sparse struct-of-arrays page state.
+
+Per-page bookkeeping (the software cache's LRU ticks and dirty extents, a
+memory server's frame versions) lives in *columns* -- one array per field,
+indexed by page -- so an operation on a span or a batch of pages is a few
+array operations instead of a Python object per page.
+
+The table is two-level: fixed-size chunks keyed by ``page >> CHUNK_SHIFT``,
+created on first touch. Memory is therefore O(pages ever touched), not
+O(capacity) and not O(highest page number) -- the sharded control plane
+hands out pages from 2^28-page slices -- and a span inside one chunk is a
+plain slice of each column.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+#: Pages per chunk (256). Small enough that a cache holding a handful of
+#: pages costs ~3 KB per region it touches (a 64-thread run builds 64 such
+#: caches; at 512 the suite's sync_storm peak RSS rose 1.4%), large enough
+#: that the 74-page spans of the Jacobi campaign mostly stay in one chunk
+#: (512 buys ~1% more smoke wall clock, 128 costs ~8%).
+CHUNK_SHIFT = 8
+CHUNK_PAGES = 1 << CHUNK_SHIFT
+CHUNK_MASK = CHUNK_PAGES - 1
+
+
+class PageTable:
+    """Chunked columns. A chunk is a tuple with one entry per column.
+
+    ``columns`` gives each column's kind: a NumPy dtype (zero-filled
+    array), ``list`` (a Python list of ``None`` -- object payloads such as
+    page buffers, read per page without NumPy scalar boxing) or ``None``
+    (column absent in this mode; the chunk holds ``None`` in its place).
+    """
+
+    __slots__ = ("_columns", "chunks")
+
+    def __init__(self, columns):
+        self._columns = tuple(columns)
+        self.chunks: dict[int, tuple] = {}
+
+    def chunk(self, key: int) -> tuple:
+        """The chunk ``key``, created zeroed on first touch."""
+        cols = self.chunks.get(key)
+        if cols is None:
+            cols = self.chunks[key] = tuple(
+                None if kind is None
+                else [None] * CHUNK_PAGES if kind is list
+                else np.zeros(CHUNK_PAGES, dtype=kind)
+                for kind in self._columns)
+        return cols
+
+    def segments(self, first: int, stop: int):
+        """Cover pages ``[first, stop)`` chunk by chunk: yields
+        ``(cols, a, b, page)`` where ``cols[k][a:b]`` are the rows of pages
+        ``page .. page + (b - a)``. ``cols`` is None for a chunk that does
+        not exist."""
+        chunks = self.chunks
+        while first < stop:
+            a = first & CHUNK_MASK
+            b = min(CHUNK_PAGES, a + stop - first)
+            yield chunks.get(first >> CHUNK_SHIFT), a, b, first
+            first += b - a
+
+    def groups(self, pages: np.ndarray, create: bool = False):
+        """Split an arbitrary page array into maximal runs that stay inside
+        one chunk: yields ``(cols, rows, where)`` with ``rows`` the in-chunk
+        indices and ``where`` the slice of ``pages`` they came from (input
+        order is preserved; sorted batches yield one run per chunk)."""
+        if not len(pages):
+            return
+        keys = pages >> CHUNK_SHIFT
+        rows = pages & CHUNK_MASK
+        cuts = (keys[1:] != keys[:-1]).nonzero()[0] + 1
+        chunks = self.chunks
+        start = 0
+        for stop in (*cuts.tolist(), len(pages)):
+            key = int(keys[start])
+            yield ((self.chunk(key) if create else chunks.get(key)),
+                   rows[start:stop], slice(start, stop))
+            start = stop
+
+    def gather(self, column: int, pages: np.ndarray) -> np.ndarray:
+        """``column`` at each of ``pages``, in order (0 where no chunk)."""
+        out = np.zeros(len(pages), dtype=np.int64)
+        for cols, rows, where in self.groups(pages):
+            if cols is not None:
+                out[where] = cols[column][rows]
+        return out
+
+    def scatter(self, column: int, pages: np.ndarray, values,
+                create: bool = False) -> None:
+        """Store ``values`` (a scalar, or an array aligned with ``pages``)
+        into ``column`` at ``pages``; chunks that do not exist are skipped
+        unless ``create``."""
+        aligned = np.ndim(values) > 0
+        for cols, rows, where in self.groups(pages, create):
+            if cols is not None:
+                cols[column][rows] = values[where] if aligned else values
+
+    def live_rows(self, column: int):
+        """Yield ``(cols, rows, pages)`` per chunk for the rows whose
+        ``column`` entry is nonzero."""
+        for key, cols in self.chunks.items():
+            rows = cols[column].nonzero()[0]
+            if rows.size:
+                yield cols, rows, rows + (key << CHUNK_SHIFT)

@@ -114,8 +114,10 @@ class BaseBackend(ABC):
         # runs BEFORE the run starts, not after it ends: at run end the
         # just-finished graph is still reachable (dispose comes later), so
         # a collect there scans everything and frees nothing, while by the
-        # next run's start a disposed predecessor has died by refcount and
-        # the gen-0 count stays far below the threshold.
+        # next run's start a disposed predecessor has died by refcount
+        # (:meth:`dispose` cuts every back-edge of the run graph, pinned
+        # by tests/runtime/test_dispose_refcount.py) and the gen-0 count
+        # stays far below the threshold.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             if gc.get_count()[0] >= 100_000:

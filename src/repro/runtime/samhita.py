@@ -207,10 +207,24 @@ class SamhitaBackend(BaseBackend):
 
     def dispose(self) -> None:
         # The component->system back-edges are the remaining cycle anchors
-        # on the Samhita side (compute servers, memory-server bind()).
+        # on the Samhita side: compute servers, memory-server bind(), the
+        # control plane, and the control plane's hooks on its shards.
         super().dispose()
         system = self.system
         for server in system.memory_servers:
             server._system = None
         for cs in system.compute_servers.values():
             cs.system = None
+        system.control.system = None
+        for mgr in system.managers:
+            mgr.cr_source = mgr.cr_gather = mgr.prune_hook = None
+        # With a fault plan armed: the fabric's shadowing bound method, the
+        # failure detector, and the recovery hooks the engine and the
+        # injector's watchdog hold (bound methods of their own owners).
+        system.fabric.detach_injector()
+        if system.detector is not None:
+            system.detector.system = None
+        if system.injector is not None:
+            system.injector.watchdog.recoverers.clear()
+            system.injector.detector = None
+        system.engine.deadlock_hooks.clear()

@@ -48,8 +48,8 @@ class TestFunctionalIdentity:
         assert _grid_digest(default) == _grid_digest(compat)
 
     def test_compat_mode_is_bit_identical_to_default_timing(self, compat):
-        # The heap eviction default must not move a single timestamp
-        # relative to the legacy sort (compat pins impl="sorted").
+        # The default data plane must not move a single timestamp relative
+        # to the compat preset beyond what its named knobs change.
         # batched_round_trips is held at compat's value: the batched
         # protocol model changes timing by design (its own off-gate is
         # pinned by --check-batched-rt and the rtbatch property tests).
@@ -108,13 +108,20 @@ class TestConfigSurface:
         cfg = SamhitaConfig.adaptive_cache()
         assert cfg.prefetch_policy.mode == "stride"
         assert cfg.batch_line_fetches
-        assert cfg.eviction_impl == "heap"
 
     def test_compat_cache_knobs(self):
         cfg = SamhitaConfig.compat_cache()
         assert cfg.prefetch_policy.mode == "adjacent"
         assert not cfg.batch_line_fetches
-        assert cfg.eviction_impl == "sorted"
+
+    def test_victim_selection_is_not_configurable(self):
+        # One implementation (column selection in SoftwareCache), pinned to
+        # the reference model by tests/property/test_cache_equivalence.py.
+        import dataclasses
+        fields = {f.name for f in dataclasses.fields(SamhitaConfig)}
+        assert "eviction_impl" not in fields
+        with pytest.raises(TypeError):
+            SamhitaConfig(eviction_impl="sorted")
 
     def test_prefetch_none_disables_speculation(self):
         cfg = SamhitaConfig(functional=True,

@@ -13,7 +13,7 @@ import pytest
 from repro.core import SamhitaConfig, SamhitaSystem
 from repro.errors import ReproError
 from repro.faults import FaultPlan, permanent_crash
-from repro.memory.backing import CRC_CORRUPT, BackingStore, payload_crc_ok
+from repro.memory.backing import CRC, CRC_CORRUPT, BackingStore, payload_crc_ok
 from repro.memory.diff import PageDiff
 from repro.memory.directory import PageDirectory
 from repro.memory.layout import MemoryLayout
@@ -143,7 +143,8 @@ class TestPageIntegrity:
     def test_integrity_off_means_no_crc_bookkeeping(self):
         store = BackingStore(MemoryLayout(page_bytes=64), functional=True)
         store.apply_diff(make_diff(3, 0, b"\x11"))
-        assert store.frames[3].crc is None
+        cols, row = store.ensure(3)
+        assert cols[CRC][row] is None
         assert payload_crc_ok(store.read_page(3), None)
 
 

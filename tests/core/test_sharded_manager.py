@@ -113,6 +113,41 @@ def test_sharded_directory_routes_per_page():
     assert len(directory) == 2 and low in directory
 
 
+def test_sharded_directory_has_every_public_name_of_page_directory():
+    # The facade stands in for PageDirectory everywhere (system.directory);
+    # a bulk method added to one and not the other only fails on the first
+    # deployment that reaches it -- as add_sharers did, in timing mode.
+    from repro.memory import PageDirectory
+    public = {name for name in vars(PageDirectory) if not name.startswith("_")}
+    missing = sorted(name for name in public
+                     if not hasattr(ShardedPageDirectory, name))
+    assert not missing
+
+
+def test_sharded_directory_bulk_sharers_route_per_slice():
+    directory = ShardedPageDirectory(2)
+    low, high = 7, SHARD_SLICE_PAGES + 7
+    directory.add_sharers([low, high, low + 1], 5)
+    assert directory.parts[0].sharers_of(low) == {5}
+    assert directory.parts[0].sharers_of(low + 1) == {5}
+    assert directory.parts[1].sharers_of(high) == {5}
+    assert directory.parts[1].sharers_of(low) == set()
+
+
+def test_timing_mode_cell_with_data_runs_on_the_sharded_control_plane():
+    # Timing-mode page fetches take the bulk-serve path (add_sharers +
+    # serve_pages_timing); it used to raise AttributeError under sharding.
+    from repro.experiments.harness import run_workload_direct
+    from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
+    params = MicrobenchParams(N=4, M=2, S=4, allocation=Allocation.GLOBAL)
+    sharded = run_workload_direct(
+        "samhita", 8, spawn_microbench, params, functional=False,
+        config=SamhitaConfig.sharded_control_plane(4))
+    assert sharded.stats["compute_servers"]["pages_fetched"] > 0
+    assert sharded.stats["memory_servers"]["pages_served"] > 0
+    assert len(sharded.stats["manager_rpcs_by_shard"]) == 4
+
+
 def test_routing_is_deterministic_across_runs():
     def observe():
         system, tids = sharded_cluster(4, shards=2)

@@ -75,9 +75,11 @@ def test_checker_catches_planted_violations():
         check_invariants(system, quiescent=True)
     system.directory.clear_owner(some_clean_page)
 
-    # Plant a twin on a clean entry.
-    import numpy as np
-    entry = system.cache_of(0).entries[some_clean_page]
-    entry.twin = np.zeros(4096, np.uint8)
+    # Plant a twin on a clean page (``entries`` is a read-only view, so
+    # the twin goes straight into the page's row).
+    from repro.memory.cache import TWIN
+    from repro.memory.diff import SpanTwin
+    cols, row = system.cache_of(0)._row(some_clean_page)
+    cols[TWIN][row] = SpanTwin(4096)
     with pytest.raises(InvariantViolation):
         check_invariants(system, quiescent=True)

@@ -60,6 +60,33 @@ class TestBackingStore:
         assert store.resident_bytes == 8192
 
 
+    def test_timing_bulk_touches_equal_the_per_page_calls(self):
+        # The batch forms are one array pass over the frame table; their
+        # frames, versions and counters must equal a loop of the per-page
+        # methods -- across chunk boundaries and sparse page numbers.
+        from repro.memory.pagetable import CHUNK_PAGES
+        served = [3, CHUNK_PAGES - 1, CHUNK_PAGES, 5 * CHUNK_PAGES + 7, 1 << 28]
+        merged = [CHUNK_PAGES, 9, 1 << 28]
+        bulk = BackingStore(L, functional=False)
+        loop = BackingStore(L, functional=False)
+        bulk.serve_pages_timing(served)
+        bulk.apply_diff_sizes(merged, payload_bytes=48)
+        bulk.write_range((CHUNK_PAGES - 2) * 4096 + 100, 4 * 4096, None)
+        for page in served:
+            loop.read_page(page)
+        for page in merged:
+            loop.apply_diff(PageDiff(page, spans=[(0, None)], sizes=[16]))
+        for page in range(CHUNK_PAGES - 2, CHUNK_PAGES + 3):
+            loop.apply_diff(PageDiff(page, spans=[(0, None)], sizes=[0]))
+            loop.stats.counters["diffs_applied"] -= 1
+        assert bulk.live_pages() == loop.live_pages() == sorted(
+            {*served, *merged, *range(CHUNK_PAGES - 2, CHUNK_PAGES + 3)})
+        assert ([bulk.version_of(p) for p in bulk.live_pages()]
+                == [loop.version_of(p) for p in loop.live_pages()])
+        assert bulk.stats.snapshot() == loop.stats.snapshot()
+        assert bulk.resident_pages == loop.resident_pages == 9
+
+
 class TestStoreLog:
     def test_empty_log(self):
         log = StoreLog(L)

@@ -5,14 +5,20 @@ import pytest
 
 from repro.errors import ConsistencyError, MemoryError_, ProtectionError
 from repro.memory import EvictionPolicy, MemoryLayout, PageDiff, SoftwareCache
+from repro.memory.cache import WIDE
+from repro.memory.pagetable import CHUNK_PAGES
+from tests.memory.reference_cache import ReferenceCache
 
 L = MemoryLayout(page_bytes=4096, pages_per_line=4)
 
 
 def make(capacity=64, functional=True, policy=EvictionPolicy.DIRTY_BIASED,
-         impl="heap"):
-    return SoftwareCache(L, capacity_pages=capacity, functional=functional,
-                         policy=policy, impl=impl)
+         impl="table"):
+    """``impl="sorted"`` builds the dict-of-records reference (full sort per
+    victim choice) instead: the oracle answers the same cases."""
+    cls = SoftwareCache if impl == "table" else ReferenceCache
+    return cls(L, capacity_pages=capacity, functional=functional,
+               policy=policy)
 
 
 def install_zero(cache, *pages, prefetched=False):
@@ -225,9 +231,10 @@ class TestFineGrain:
 
 
 class TestEvictionBothImpls:
-    """The ablation policies under the heap and the legacy sort."""
+    """The ablation policies under the column selection and the reference
+    model's full sort."""
 
-    @pytest.mark.parametrize("impl", ["heap", "sorted"])
+    @pytest.mark.parametrize("impl", ["table", "sorted"])
     def test_clean_first_full_order(self, impl):
         c = make(policy=EvictionPolicy.CLEAN_FIRST, impl=impl)
         install_zero(c, 0, 1, 2, 3)
@@ -236,7 +243,7 @@ class TestEvictionBothImpls:
         # Clean pages in install (LRU) order first, then the dirty ones.
         assert c.choose_victims(4) == [0, 2, 1, 3]
 
-    @pytest.mark.parametrize("impl", ["heap", "sorted"])
+    @pytest.mark.parametrize("impl", ["table", "sorted"])
     def test_clean_first_dirty_page_cleaned_by_diff_moves_class(self, impl):
         c = make(policy=EvictionPolicy.CLEAN_FIRST, impl=impl)
         install_zero(c, 0, 1)
@@ -247,7 +254,7 @@ class TestEvictionBothImpls:
         # class puts page 1 (older touch) first.
         assert c.choose_victims(2) == [1, 0]
 
-    @pytest.mark.parametrize("impl", ["heap", "sorted"])
+    @pytest.mark.parametrize("impl", ["table", "sorted"])
     def test_lru_write_refreshes_recency(self, impl):
         c = make(policy=EvictionPolicy.LRU, impl=impl)
         install_zero(c, 0, 1, 2)
@@ -255,7 +262,7 @@ class TestEvictionBothImpls:
         c.read(2 * 4096, 8)                   # page 2 next
         assert c.choose_victims(2) == [1, 0]
 
-    @pytest.mark.parametrize("impl", ["heap", "sorted"])
+    @pytest.mark.parametrize("impl", ["table", "sorted"])
     def test_dirty_biased_cleaned_page_loses_priority(self, impl):
         c = make(policy=EvictionPolicy.DIRTY_BIASED, impl=impl)
         install_zero(c, 0, 1, 2)
@@ -264,13 +271,23 @@ class TestEvictionBothImpls:
         c.take_diff(2)
         assert c.choose_victims(1) == [0]     # all clean: plain LRU
 
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(MemoryError_):
-            SoftwareCache(L, capacity_pages=8, impl="btree")
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    def test_selection_over_many_chunks_with_protection(self, policy):
+        # Victims come from every chunk of the table; protected pages and
+        # the policy class order are honoured across chunk boundaries.
+        c, ref = make(policy=policy), make(policy=policy, impl="sorted")
+        pages = [7, CHUNK_PAGES - 1, CHUNK_PAGES, 3 * CHUNK_PAGES + 5, 1 << 28]
+        for cache in (c, ref):
+            install_zero(cache, *pages)
+            cache.write(CHUNK_PAGES * 4096, 8, np.ones(8, np.uint8))
+            cache.read(7 * 4096, 8)
+        for count in range(1, 5):
+            assert (c.choose_victims(count, protect=[pages[1]])
+                    == ref.choose_victims(count, protect=[pages[1]]))
 
 
 class TestLineResidency:
-    """missing_lines is answered from the per-line resident counts."""
+    """missing_lines is answered from the residency columns."""
 
     def test_counts_track_evict(self):
         c = make()
@@ -303,7 +320,7 @@ class TestLineResidency:
         install_zero(c, 1)                    # refresh of a resident page
         c.evict(1)
         assert c.missing_lines(0, 4 * 4096) == [0]
-        assert c._line_resident == {0: 3}
+        assert c.resident_pages == 3
 
 
 class TestPrefetchAccounting:
@@ -335,3 +352,100 @@ class TestPrefetchAccounting:
         c.write(0, 8, np.ones(8, np.uint8))
         c.write(8, 8, np.ones(8, np.uint8))
         assert c.stats.get("prefetch_hits") == 1
+
+
+class TestPageStateTable:
+    """Directed cases for the columnar representation: the spill rule, the
+    narrow/wide dispatch, chunk boundaries, the memory bound."""
+
+    def test_second_disjoint_range_spills_and_sizes_stay_exact(self):
+        c = make(functional=False)
+        install_zero(c, 0, 1)
+        c.write(0, 8, None)
+        c.write(100, 50, None)            # disjoint: page 0 now holds two ranges
+        c.write(4096 + 16, 16, None)      # page 1: one range
+        assert list(c.entries[0].dirty) == [(0, 8), (100, 150)]
+        pages, payload, wire = c.take_diff_sizes([1, 0, 5])
+        assert (pages, payload) == ([1, 0], 58 + 16)
+        assert wire == payload + 3 * PageDiff.SPAN_HEADER_BYTES
+        assert c.dirty_page_ids() == []
+
+    def test_touching_and_overlapping_ranges_stay_one_extent(self):
+        c = make(functional=False)
+        install_zero(c, 0)
+        c.write(100, 50, None)
+        c.write(150, 10, None)            # touches on the right
+        c.write(90, 10, None)             # touches on the left
+        c.write(95, 100, None)            # overlaps both ends
+        assert list(c.entries[0].dirty) == [(90, 195)]
+        assert c.take_diff(0).wire_bytes == 105 + PageDiff.SPAN_HEADER_BYTES
+
+    def test_full_page_store_absorbs_spilled_ranges(self):
+        c = make(functional=False)
+        install_zero(c, *range(4))
+        c.write(4096 + 0, 8, None)
+        c.write(4096 + 100, 8, None)      # page 1 spills
+        c.write(100, 3 * 4096, None)      # pages 0..3, page 1 and 2 whole
+        assert list(c.entries[1].dirty) == [(0, 4096)]
+        assert c.take_diff_sizes([0, 1, 2, 3])[1] == 3 * 4096
+
+    def test_extent_growing_both_ways_keeps_rewritten_bytes_out_of_the_diff(self):
+        c = make()
+        install_zero(c, 0)
+        c.write(20, 10, np.full(10, 7, np.uint8))
+        c.write(10, 15, np.concatenate([np.zeros(10, np.uint8),
+                                        np.full(5, 7, np.uint8)]))  # rewrite
+        c.write(25, 15, np.concatenate([np.full(5, 7, np.uint8),
+                                        np.full(10, 9, np.uint8)]))
+        diff = c.take_diff(0)
+        assert [(off, bytes(d)) for off, d in diff.spans] == [
+            (20, bytes([7] * 10 + [9] * 10))]
+
+    @pytest.mark.parametrize("functional", [True, False])
+    def test_wide_span_across_a_chunk_boundary_matches_the_reference(self, functional):
+        first = CHUNK_PAGES - WIDE
+        pages = list(range(first, first + 3 * WIDE))
+        c = make(functional=functional)
+        ref = make(functional=functional, impl="sorted")
+        data = {p: np.full(4096, p % 251, np.uint8) for p in pages} if functional else {}
+        c.install_many(pages, data, prefetched=True)
+        ref.install_many(pages, {p: d.copy() for p, d in data.items()}, prefetched=True)
+        nbytes = (3 * WIDE - 1) * 4096
+        payload = np.arange(nbytes, dtype=np.uint32).astype(np.uint8) if functional else None
+        for cache in (c, ref):
+            cache.write(first * 4096 + 100, nbytes, payload)
+        got, want = c.read(first * 4096, 4096 * 3 * WIDE), ref.read(first * 4096, 4096 * 3 * WIDE)
+        assert (None if got is None else bytes(got)) == want
+        for page in pages:
+            assert c.entries[page].last_access == ref.entries[page].last_access
+            assert list(c.entries[page].dirty) == list(ref.entries[page].dirty)
+        assert c.stats.get("prefetch_hits") == ref.stats["prefetch_hits"] == 3 * WIDE
+        for page in pages:
+            assert c.take_diff(page).sizes() == ref.take_diff(page).sizes()
+        stale = range(first + WIDE // 2, first + 4 * WIDE)
+        assert c.invalidate(stale) == ref.invalidate(stale) == pages[WIDE // 2:]
+        assert c.missing_pages(first * 4096, 3 * WIDE * 4096) == pages[WIDE // 2:]
+
+    def test_failed_access_changes_nothing(self):
+        c = make()
+        install_zero(c, 0, 2, prefetched=True)
+        with pytest.raises(ProtectionError):
+            c.read(0, 3 * 4096)           # page 1 is missing
+        assert c.stats.get("page_touches") == 0
+        assert c.entries[0].prefetched and c.entries[0].last_access == 1
+
+    def test_memory_is_bounded_by_pages_touched_not_capacity_or_address(self):
+        c = make(capacity=1 << 18)
+        assert not c._table.chunks           # nothing until the first install
+        install_zero(c, 3, (1 << 28) + 3, 5 * (1 << 28))
+        assert len(c._table.chunks) == 3     # one small chunk per region
+        assert c.missing_pages(((1 << 28) + 2) * 4096, 3 * 4096) == [
+            (1 << 28) + 2, (1 << 28) + 4]
+
+    def test_entries_view_is_read_only(self):
+        c = make()
+        install_zero(c, 0)
+        with pytest.raises(AttributeError):
+            c.entries[0].twin = None
+        with pytest.raises(TypeError):
+            c.entries[1] = None
