@@ -113,7 +113,7 @@ class LockUpdateLog:
         """Record one release's updates; returns the new version."""
         self._version += 1
         payload = sum(d.payload_bytes for d in diffs)
-        spans = sum(len(d.spans) for d in diffs)
+        spans = sum(d.n_spans for d in diffs)
         self._epochs.append(_LogEpoch(self._version, list(diffs), payload,
                                       spans, tuple(invalidate_pages)))
         return self._version

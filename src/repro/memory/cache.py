@@ -241,11 +241,6 @@ class SoftwareCache:
             return self._spill[page]
         return ((int(cols[LO][page & CHUNK_MASK]), hi),) if hi else ()
 
-    def _dirty_within(self, page: int, start: int, end: int):
-        """The dirty sub-ranges of the window [start, end) of a page."""
-        return [(max(start, lo), min(end, hi))
-                for lo, hi in self.dirty_ranges(page) if lo < end and hi > start]
-
     # ------------------------------------------------------------------
     # install / evict / invalidate
     # ------------------------------------------------------------------
@@ -586,8 +581,8 @@ class SoftwareCache:
                     # log; mirroring them into the twin keeps them out of
                     # this thread's ordinary-region diff (shipping them
                     # there could overwrite other threads' CR updates at
-                    # the home).
-                    twin.mirror(chunk_data, self._dirty_within(page, off, end_off), off)
+                    # the home); clean bytes too: their pre-image is never read.
+                    twin.pre[off:end_off] = chunk_data
             consumed += end_off - off
         return twins
 
@@ -602,13 +597,13 @@ class SoftwareCache:
             # the write-back unit (the classic DSM behaviour the paper's
             # multiple-writer protocol improves on).
             if self.functional:
-                return PageDiff(page, spans=[(0, cols[DATA][i].copy())])
+                return PageDiff(page, spans=[(0, cols[DATA][i])])
             return PageDiff(page, spans=[(0, None)],
                             sizes=[self.layout.page_bytes])
         ranges = self.dirty_ranges(page)
         twin = cols[TWIN][i] if self.functional else None
         if twin is not None:
-            return PageDiff(page, spans=twin.diff_spans(cols[DATA][i], ranges))
+            return twin.diff_spans(cols[DATA][i], ranges, page)
         return PageDiff.from_ranges(page, ranges)
 
     def take_diff(self, page: int) -> PageDiff | None:
@@ -692,10 +687,7 @@ class SoftwareCache:
                 # thread's own ordinary-region diff.
                 twin = cols[TWIN][i]
                 if twin is not None:
-                    for offset, span in diff.spans:
-                        if span is not None:
-                            twin.mirror(span, self._dirty_within(
-                                page, offset, offset + len(span)), offset)
+                    twin.mirror(diff)
             applied += diff.payload_bytes
         self.stats.incr("fine_grain_bytes", applied)
         return applied

@@ -5,10 +5,10 @@ sharing: each writer keeps a pristine *twin* of the page, and at
 synchronization time ships only the bytes that differ. Concurrent writers of
 disjoint byte ranges therefore merge cleanly at the page's home.
 
-Two representations coexist:
+Both modes ship the same immutable, columnar :class:`PageDiff`:
 
-* functional mode -- :func:`compute_diff_spans` extracts ``(offset, bytes)``
-  spans by comparing real NumPy buffers;
+* functional mode -- :meth:`SpanTwin.diff_spans` compares real NumPy buffers
+  and keeps the changed bytes as one position column and one payload array;
 * timing mode -- :class:`ByteRanges` tracks dirty intervals without data, so
   diff *sizes* (what the timing model needs) stay exact.
 """
@@ -22,6 +22,7 @@ import numpy as np
 from repro.errors import MemoryError_
 
 _INF = float("inf")
+_ZERO = np.zeros(1, dtype=np.intp)
 
 
 class ByteRanges:
@@ -132,26 +133,40 @@ class ByteRanges:
         return f"ByteRanges({self._ranges!r})"
 
 
-def compute_diff_spans(twin: np.ndarray, current: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Extract ``(offset, changed_bytes)`` spans between twin and current.
+def _extract(page: int, pre: np.ndarray, current: np.ndarray, dirty) -> "PageDiff":
+    """The diff of ``current`` against ``pre`` within the ``dirty`` ranges.
 
-    Both arrays must be equal-length uint8 buffers. Consecutive changed bytes
-    coalesce into one span (vectorized -- no Python loop over bytes).
+    Consecutive changed bytes coalesce into one span. ``dirty`` holds
+    ascending ``(start, end)`` ranges that do not touch, so no run crosses
+    from one range into the next. Vectorized: a fixed number of NumPy
+    operations per dirty range and none per span.
     """
+    changed = np.zeros(current.shape[0], dtype=bool)
+    for s, e in dirty:
+        np.not_equal(pre[s:e], current[s:e], out=changed[s:e])
+    index = np.flatnonzero(changed)
+    n = index.shape[0]
+    diff = PageDiff.__new__(PageDiff)
+    diff.page, diff.index, diff.payload, diff.payload_bytes = page, index, current[index], n
+    if n:
+        # A span starts at the first changed byte and wherever consecutive
+        # changed positions jump by more than one.
+        breaks = np.flatnonzero(index[1:] - index[:-1] != 1) + 1
+        first = np.concatenate((_ZERO, breaks))
+        diff.starts = index[first]
+        diff.sizes = np.concatenate((breaks, (n,))) - first
+        diff.n_spans, diff.end = first.shape[0], int(index[-1]) + 1
+    else:  # rewritten with the bytes it already held: common, keep it cheap
+        diff.starts = diff.sizes = index
+        diff.n_spans = diff.end = 0
+    return diff
+
+
+def compute_diff_spans(twin: np.ndarray, current: np.ndarray, page: int = 0) -> "PageDiff":
+    """The diff of a page against its whole-page twin (equal-length uint8)."""
     if twin.shape != current.shape:
         raise MemoryError_("twin/current shape mismatch")
-    # XOR of uint8 buffers is nonzero exactly at changed bytes; flatnonzero
-    # over the mask avoids materializing an intermediate boolean array twice.
-    changed = np.flatnonzero(np.bitwise_xor(twin, current))
-    if changed.size == 0:
-        return []
-    # Span boundaries are where consecutive changed indices jump by > 1.
-    breaks = np.flatnonzero(np.diff(changed) > 1) + 1
-    starts = changed[np.concatenate(([0], breaks))] if breaks.size else changed[:1]
-    ends = np.concatenate((changed[breaks - 1], changed[-1:])) + 1 if breaks.size \
-        else changed[-1:] + 1
-    return [(int(s), current[int(s):int(e)].copy())
-            for s, e in zip(starts, ends)]
+    return _extract(page, twin, current, ((0, current.shape[0]),))
 
 
 class SpanTwin:
@@ -168,7 +183,7 @@ class SpanTwin:
 
     * changed bytes are confined to the entry's dirty ranges -- outside
       them, data only moves via consistency-region stores and incoming
-      fine-grain updates, which the cache mirrors into the twin either way;
+      fine-grain updates, which the cache copies into the twin either way;
     * within a dirty range the pre-image is byte-identical to the page copy
       (snapshotted before the dirtying write, then kept in sync by the same
       CR mirroring);
@@ -196,99 +211,102 @@ class SpanTwin:
         for s, e in gaps:
             pre[s:e] = data[s:e]
 
-    def mirror(self, chunk: np.ndarray, covered, start: int) -> None:
-        """Keep the pre-image in sync with a consistency-region store of
-        ``chunk`` at offset ``start``: those bytes must not surface in this
-        writer's ordinary diff. ``covered`` is the dirty overlap of the
-        stored window -- outside the dirty ranges the pre-image is never
-        consulted."""
-        pre = self.pre
-        for s, e in covered:
-            pre[s:e] = chunk[s - start:e - start]
+    def mirror(self, diff: "PageDiff") -> None:
+        """Keep the pre-image in sync with a fine-grain update that landed on
+        the page, so its bytes stay out of this writer's ordinary diff. The
+        whole diff is stored, dirty or not: outside the dirty ranges the
+        pre-image is never read, and a byte is snapshotted before it turns dirty."""
+        diff._store(self.pre)
 
-    def diff_spans(self, current: np.ndarray,
-                   dirty) -> list[tuple[int, np.ndarray]]:
-        """``(offset, changed_bytes)`` spans vs the pre-image, scanning only
-        the dirty ranges (bit-identical to the whole-page scan)."""
-        pre = self.pre
-        spans: list[tuple[int, np.ndarray]] = []
-        for s, e in dirty:
-            changed = np.flatnonzero(np.bitwise_xor(pre[s:e], current[s:e]))
-            if changed.size == 0:
-                continue
-            breaks = np.flatnonzero(np.diff(changed) > 1) + 1
-            if breaks.size:
-                starts = changed[np.concatenate(([0], breaks))]
-                ends = np.concatenate((changed[breaks - 1], changed[-1:])) + 1
-            else:
-                starts = changed[:1]
-                ends = changed[-1:] + 1
-            spans.extend(
-                (s + int(a), current[s + int(a):s + int(b)].copy())
-                for a, b in zip(starts, ends))
-        return spans
+    def diff_spans(self, current: np.ndarray, dirty, page: int = 0) -> "PageDiff":
+        """The page's diff vs the pre-image, scanning only the dirty ranges
+        (span for span what the whole-page scan would find)."""
+        return _extract(page, self.pre, current, dirty)
 
 
 class PageDiff:
-    """The unit shipped at synchronization time for one page.
+    """The unit shipped at synchronization time for one page: immutable columns.
 
-    ``spans`` is a list of ``(offset, data)`` where ``data`` is a uint8 array
-    in functional mode or ``None`` (length carried in ``_sizes``) in timing
-    mode. Wire size adds a small per-span header, matching a run-length
-    encoded diff format.
+    * ``starts`` / ``sizes`` -- one integer per span: its offset in the page
+      and its length. They carry the wire accounting (a run-length encoded
+      diff: payload plus a small header per span) and exist in both modes.
+    * ``payload`` -- every span's bytes back to back in one uint8 array, or
+      ``None`` in timing mode, where only sizes matter.
+    * ``index`` -- the page offset of each payload byte: an extraction diff
+      is the runs of one ascending scan, disjoint by construction, so it
+      lands with one indexed store. ``None`` on a diff built from a span
+      list: a store log keeps its pieces in program order and they may
+      overlap, so those replay span by span and the later store wins.
+
+    ``end`` is one past the last byte any span touches (apply's bounds check).
     """
 
     SPAN_HEADER_BYTES = 8
 
-    __slots__ = ("page", "spans", "_sizes", "_payload")
+    __slots__ = ("page", "starts", "sizes", "index", "payload",
+                 "n_spans", "payload_bytes", "end")
 
     def __init__(self, page: int, spans=None, sizes=None):
-        self.page = page
-        self.spans: list[tuple[int, np.ndarray | None]] = list(spans or [])
-        if sizes is not None:
-            self._sizes = list(sizes)
-        else:
-            self._sizes = [len(d) if d is not None else 0 for _, d in self.spans]
-        if len(self._sizes) != len(self.spans):
-            raise MemoryError_("span/size length mismatch")
-        self._payload = None
+        """Normalise and validate a list of ``(offset, data)`` spans: ``data``
+        is a uint8 array (copied), or ``None`` on every span of a timing diff
+        whose lengths come from ``sizes``."""
+        spans = list(spans or ())
+        starts = [offset for offset, _ in spans]
+        pieces = [data for _, data in spans if data is not None]
+        if sizes is None:
+            sizes = [0 if data is None else len(data) for _, data in spans]
+        if len(sizes) != len(spans) or len(pieces) not in (0, len(spans)):
+            raise MemoryError_(f"page {page}: span/size/data count mismatch")
+        if spans and (min(starts) < 0 or min(sizes) < 0):
+            raise MemoryError_(f"page {page}: negative diff span offset or size")
+        self.page, self.index, self.n_spans = page, None, len(spans)
+        self.payload_bytes = sum(sizes)
+        self.payload = np.concatenate(
+            pieces, dtype=np.uint8, casting="unsafe") if pieces else None
+        if pieces and self.payload.shape[0] != self.payload_bytes:
+            raise MemoryError_(f"page {page}: span sizes disagree with their data")
+        self.end = max((s + n for s, n in zip(starts, sizes)), default=0)
+        self.starts = np.array(starts, dtype=np.intp)
+        self.sizes = np.array(sizes, dtype=np.intp)
 
     @classmethod
-    def from_ranges(cls, page: int, ranges: ByteRanges) -> "PageDiff":
+    def from_ranges(cls, page: int, ranges) -> "PageDiff":
         """Timing-mode diff: spans with sizes but no data."""
-        spans = [(s, None) for s, _ in ranges]
-        sizes = [e - s for s, e in ranges]
-        return cls(page, spans=spans, sizes=sizes)
-
-    @property
-    def payload_bytes(self) -> int:
-        # Cached: a diff's size is read several times on its way to the wire
-        # (scan cost, transfer size, apply cost, stats). Spans are only
-        # appended during construction (storelog), before the size is read.
-        payload = self._payload
-        if payload is None:
-            payload = self._payload = sum(self._sizes)
-        return payload
+        return cls(page, [(s, None) for s, _ in ranges], [e - s for s, e in ranges])
 
     @property
     def wire_bytes(self) -> int:
-        return self.payload_bytes + self.SPAN_HEADER_BYTES * len(self.spans)
+        return self.payload_bytes + self.SPAN_HEADER_BYTES * self.n_spans
 
     @property
     def empty(self) -> bool:
-        return not self.spans
+        return not self.n_spans
+
+    @property
+    def spans(self) -> list:
+        """``(offset, data)`` per span (``data`` is ``None`` in timing mode),
+        materialised on each read: for tests and diagnostics, not hot paths."""
+        starts = self.starts.tolist()
+        if self.payload is None:
+            return [(start, None) for start in starts]
+        return list(zip(starts, np.split(self.payload, self.sizes.cumsum()[:-1])))
 
     def apply_to(self, buffer: np.ndarray) -> None:
         """Write the diff's bytes into a page-sized uint8 buffer."""
-        for (offset, data), size in zip(self.spans, self._sizes):
-            if data is None:
-                continue  # timing mode: nothing to apply
-            if offset + size > buffer.shape[0]:
-                raise MemoryError_(f"diff span [{offset}, {offset+size}) exceeds page")
-            buffer[offset:offset + size] = data
+        if self.payload is not None and self.end > buffer.shape[0]:
+            raise MemoryError_(f"diff of page {self.page} ends at byte "
+                               f"{self.end} of a {buffer.shape[0]}-byte page")
+        self._store(buffer)
 
-    def sizes(self) -> list[int]:
-        return list(self._sizes)
+    def _store(self, buffer: np.ndarray) -> None:
+        payload = self.payload
+        if self.index is not None:
+            buffer[self.index] = payload
+        elif payload is not None:  # None: timing mode, nothing to apply
+            at = 0
+            for start, size in zip(self.starts.tolist(), self.sizes.tolist()):
+                buffer[start:start + size] = payload[at:at + size]
+                at += size
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<PageDiff page={self.page} spans={len(self.spans)} bytes={self.payload_bytes}>"
+        return f"<PageDiff page={self.page} spans={self.n_spans} bytes={self.payload_bytes}>"

@@ -61,30 +61,20 @@ class StoreLog:
     def to_page_diffs(self) -> list[PageDiff]:
         """Convert the log to per-page diffs (applied at homes / acquirers).
 
-        Later stores to the same bytes win, which the ordered span list
-        preserves because :meth:`PageDiff.apply_to` applies spans in order.
+        Each page's pieces stay in store order and :class:`PageDiff` replays
+        them in that order, so later stores to the same bytes win.
         """
-        per_page: dict[int, PageDiff] = {}
-        page_bytes = self.layout.page_bytes
+        per_page: dict[int, tuple[list, list]] = {}
         for addr, nbytes, data in self.entries:
-            start = addr
-            remaining = nbytes
             consumed = 0
-            while remaining > 0:
-                page = self.layout.page_of(start)
-                offset = self.layout.page_offset(start)
-                chunk = min(remaining, page_bytes - offset)
-                diff = per_page.get(page)
-                if diff is None:
-                    diff = PageDiff(page)
-                    per_page[page] = diff
-                piece = data[consumed:consumed + chunk] if data is not None else None
-                diff.spans.append((offset, piece))
-                diff._sizes.append(chunk)
-                start += chunk
+            for page, start, end in self.layout.page_slices(addr, nbytes):
+                spans, sizes = per_page.setdefault(page, ([], []))
+                chunk = end - start
+                spans.append((start, None if data is None
+                              else data[consumed:consumed + chunk]))
+                sizes.append(chunk)
                 consumed += chunk
-                remaining -= chunk
-        return [per_page[p] for p in sorted(per_page)]
+        return [PageDiff(page, *per_page[page]) for page in sorted(per_page)]
 
     def clear(self) -> None:
         self.entries.clear()

@@ -10,7 +10,10 @@ modelled -- the drivers never access a non-resident page.
 
 from collections import Counter
 
-from repro.memory import ByteRanges, EvictionPolicy, PageDiff, compute_diff_spans
+import numpy as np
+
+from repro.memory import ByteRanges, EvictionPolicy, PageDiff
+from tests.memory.reference_diff import reference_spans
 
 
 class Entry:
@@ -91,8 +94,9 @@ class ReferenceCache:
             return PageDiff(entry.page, spans=[(0, None)],
                             sizes=[self.layout.page_bytes])
         if self.functional:
-            return PageDiff(entry.page,
-                            spans=compute_diff_spans(entry.twin, entry.data))
+            return PageDiff(entry.page, spans=[
+                (off, np.frombuffer(run, np.uint8))
+                for off, run in reference_spans(entry.twin, entry.data)])
         return PageDiff.from_ranges(entry.page, entry.dirty)
 
     def take_diff(self, page):

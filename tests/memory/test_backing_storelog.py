@@ -41,7 +41,7 @@ class TestBackingStore:
         base = store.read_page(0)
         new = base.copy()
         new[10:20] = 7
-        diff = PageDiff(0, spans=compute_diff_spans(base, new))
+        diff = compute_diff_spans(base, new)
         store.apply_diff(diff)
         assert (store.read_page(0)[10:20] == 7).all()
         assert store.version_of(0) == 1
@@ -141,6 +141,36 @@ class TestStoreLog:
         for d in log.to_page_diffs():
             d.apply_to(buf)
         assert (buf[:4] == 2).all()
+
+    def test_straddling_overlapping_stores_keep_order_and_wire_size(self):
+        # Three stores, two of them across the page 0/1 boundary and all
+        # overlapping: every piece stays a span (wire accounting) and the
+        # later store wins where they overlap.
+        log = StoreLog(L)
+        log.record(4090, 12, np.full(12, 1, np.uint8))
+        log.record(4094, 8, np.full(8, 2, np.uint8))
+        log.record(4088, 4, np.full(4, 3, np.uint8))
+        image = np.zeros(2 * 4096, np.uint8)
+        for addr, n, data in log.entries:
+            image[addr:addr + n] = data
+        d0, d1 = log.to_page_diffs()
+        assert [(d.page, d.n_spans, d.payload_bytes, d.wire_bytes) for d in (d0, d1)] == [
+            (0, 3, 6 + 2 + 4, 12 + 3 * 8), (1, 2, 6 + 6, 12 + 2 * 8)]
+        assert d0.starts.tolist() == [4090, 4094, 4088] and d0.sizes.tolist() == [6, 2, 4]
+        assert d1.starts.tolist() == [0, 0] and d1.sizes.tolist() == [6, 6]
+        rebuilt = np.zeros(2 * 4096, np.uint8)
+        d0.apply_to(rebuilt[:4096])
+        d1.apply_to(rebuilt[4096:])
+        assert np.array_equal(rebuilt, image)
+
+    def test_timing_log_builds_the_same_spans_without_data(self):
+        log = StoreLog(L)
+        log.record(4090, 12, None)
+        log.record(4094, 8, None)
+        d0, d1 = log.to_page_diffs()
+        assert d0.payload is None and d1.payload is None
+        assert [(d.n_spans, d.payload_bytes, d.wire_bytes) for d in (d0, d1)] == [
+            (2, 8, 24), (2, 12, 28)]
 
     def test_timing_mode_sizes_without_data(self):
         log = StoreLog(L)

@@ -421,7 +421,7 @@ class TestPageStateTable:
             assert list(c.entries[page].dirty) == list(ref.entries[page].dirty)
         assert c.stats.get("prefetch_hits") == ref.stats["prefetch_hits"] == 3 * WIDE
         for page in pages:
-            assert c.take_diff(page).sizes() == ref.take_diff(page).sizes()
+            assert c.take_diff(page).sizes.tolist() == ref.take_diff(page).sizes.tolist()
         stale = range(first + WIDE // 2, first + 4 * WIDE)
         assert c.invalidate(stale) == ref.invalidate(stale) == pages[WIDE // 2:]
         assert c.missing_pages(first * 4096, 3 * WIDE * 4096) == pages[WIDE // 2:]

@@ -88,13 +88,14 @@ class TestByteRanges:
 class TestComputeDiffSpans:
     def test_identical_pages_have_empty_diff(self):
         buf = np.arange(PAGE, dtype=np.uint8) % 251
-        assert compute_diff_spans(buf, buf.copy()) == []
+        diff = compute_diff_spans(buf, buf.copy())
+        assert diff.empty and diff.spans == [] and diff.payload_bytes == 0
 
     def test_single_changed_byte(self):
         twin = np.zeros(PAGE, dtype=np.uint8)
         cur = twin.copy()
         cur[100] = 7
-        spans = compute_diff_spans(twin, cur)
+        spans = compute_diff_spans(twin, cur).spans
         assert len(spans) == 1
         off, data = spans[0]
         assert off == 100 and list(data) == [7]
@@ -103,7 +104,7 @@ class TestComputeDiffSpans:
         twin = np.zeros(PAGE, dtype=np.uint8)
         cur = twin.copy()
         cur[10:20] = 9
-        spans = compute_diff_spans(twin, cur)
+        spans = compute_diff_spans(twin, cur).spans
         assert len(spans) == 1
         assert spans[0][0] == 10 and len(spans[0][1]) == 10
 
@@ -112,8 +113,8 @@ class TestComputeDiffSpans:
         cur = twin.copy()
         cur[0:4] = 1
         cur[100:104] = 2
-        spans = compute_diff_spans(twin, cur)
-        assert [s[0] for s in spans] == [0, 100]
+        diff = compute_diff_spans(twin, cur)
+        assert diff.starts.tolist() == [0, 100] and diff.sizes.tolist() == [4, 4]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MemoryError_):
@@ -127,9 +128,8 @@ class TestComputeDiffSpans:
         cur = twin.copy()
         for off, length, value in writes:
             cur[off:off + length] = value
-        spans = compute_diff_spans(twin, cur)
         rebuilt = twin.copy()
-        PageDiff(0, spans=spans).apply_to(rebuilt)
+        compute_diff_spans(twin, cur).apply_to(rebuilt)
         assert np.array_equal(rebuilt, cur)
 
 
@@ -165,8 +165,8 @@ class TestPageDiff:
         w1, w2 = base.copy(), base.copy()
         w1[0:100] = 1
         w2[200:300] = 2
-        d1 = PageDiff(0, spans=compute_diff_spans(base, w1))
-        d2 = PageDiff(0, spans=compute_diff_spans(base, w2))
+        d1 = compute_diff_spans(base, w1)
+        d2 = compute_diff_spans(base, w2)
         for order in ((d1, d2), (d2, d1)):
             home = base.copy()
             for d in order:
@@ -176,3 +176,70 @@ class TestPageDiff:
     def test_empty_flag(self):
         assert PageDiff(0).empty
         assert not PageDiff(0, spans=[(0, np.ones(1, np.uint8))]).empty
+
+    def test_columns_of_a_normalised_diff(self):
+        d = PageDiff(3, spans=[(4, np.full(2, 7, np.uint8)), (9, np.full(3, 8, np.uint8))])
+        assert d.starts.tolist() == [4, 9] and d.sizes.tolist() == [2, 3]
+        assert d.index is None  # a span list replays in order
+        assert d.payload.tolist() == [7, 7, 8, 8, 8]
+        assert (d.n_spans, d.payload_bytes, d.end) == (2, 5, 12)
+        assert [(off, bytes(data)) for off, data in d.spans] == [
+            (4, bytes([7, 7])), (9, bytes([8, 8, 8]))]
+
+    def test_columns_of_an_extracted_diff(self):
+        twin = np.zeros(16, np.uint8)
+        cur = twin.copy()
+        cur[4:6], cur[9:12] = 7, 8
+        d = compute_diff_spans(twin, cur, page=3)
+        assert d.page == 3
+        assert d.starts.tolist() == [4, 9] and d.sizes.tolist() == [2, 3]
+        assert d.index.tolist() == [4, 5, 9, 10, 11]
+        assert d.payload.tolist() == [7, 7, 8, 8, 8]
+        assert (d.n_spans, d.payload_bytes, d.wire_bytes, d.end) == (2, 5, 21, 12)
+        cur[:] = 0  # the payload is a copy
+        assert d.payload.tolist() == [7, 7, 8, 8, 8]
+        with pytest.raises(MemoryError_):
+            d.apply_to(np.zeros(11, np.uint8))
+
+    def test_constructor_copies_its_data(self):
+        data = np.ones(4, np.uint8)
+        d = PageDiff(0, spans=[(0, data)])
+        data[:] = 9
+        assert d.payload.tolist() == [1, 1, 1, 1]
+
+    def test_negative_offset_rejected(self):
+        # Used to wrap around: offset -8 of a 16-byte page landed at 8..12.
+        with pytest.raises(MemoryError_):
+            PageDiff(0, spans=[(-8, np.ones(4, np.uint8))])
+        with pytest.raises(MemoryError_):
+            PageDiff(0, spans=[(-4, np.ones(8, np.uint8))])
+        with pytest.raises(MemoryError_):
+            PageDiff(0, spans=[(-4, None)], sizes=[8])
+
+    def test_declared_size_must_match_the_data(self):
+        # Used to escape as a bare numpy ValueError from apply_to.
+        with pytest.raises(MemoryError_):
+            PageDiff(0, spans=[(0, np.ones(4, np.uint8))], sizes=[6])
+        with pytest.raises(MemoryError_):
+            PageDiff(0, spans=[(0, None)], sizes=[-1])
+        with pytest.raises(MemoryError_):
+            PageDiff(0, spans=[(0, np.ones(4, np.uint8))], sizes=[4, 4])
+
+    def test_data_on_every_span_or_on_none(self):
+        with pytest.raises(MemoryError_):
+            PageDiff(0, spans=[(0, np.ones(4, np.uint8)), (8, None)], sizes=[4, 4])
+
+    def test_no_mutators(self):
+        d = PageDiff(0, spans=[(0, np.ones(4, np.uint8))])
+        assert (d.payload_bytes, d.wire_bytes) == (4, 12)
+        d.spans.append((8, np.ones(2, np.uint8)))  # a fresh list every read
+        assert (d.n_spans, d.payload_bytes, d.wire_bytes) == (1, 4, 12)
+        assert not hasattr(d, "__dict__")
+
+    def test_overlapping_spans_replay_in_order(self):
+        d = PageDiff(0, spans=[(0, np.full(8, 1, np.uint8)), (4, np.full(8, 2, np.uint8)),
+                               (2, np.full(4, 3, np.uint8))])
+        assert d.index is None and (d.n_spans, d.payload_bytes) == (3, 20)
+        buf = np.zeros(16, np.uint8)
+        d.apply_to(buf)
+        assert buf.tolist() == [1, 1, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0]

@@ -46,7 +46,7 @@ page_sets = st.sets(pages, max_size=N_PAGES)
 def diff_record(diff):
     if diff is None:
         return None
-    return (diff.page, diff.sizes(), diff.wire_bytes,
+    return (diff.page, diff.sizes.tolist(), diff.wire_bytes,
             [(off, None if data is None else bytes(data))
              for off, data in diff.spans])
 

@@ -101,7 +101,7 @@ def _run(ops, functional, use_plan, config=None):
         diff = cache.take_diff(page)
         spans = [(off, len(data) if data is not None else size,
                   None if data is None else bytes(data))
-                 for (off, data), size in zip(diff.spans, diff._sizes)]
+                 for (off, data), size in zip(diff.spans, diff.sizes.tolist())]
         diffs.append((diff.page, diff.payload_bytes, spans))
     clock = result.threads[0].clock
     return {
