@@ -25,7 +25,9 @@ plan-informed prefetch (see ``SamhitaBackend.run_plan``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from repro.core import rtbatch
 from repro.core.prefetcher import StridePrefetcher
@@ -35,6 +37,7 @@ from repro.errors import (
     ReplicationError,
 )
 from repro.memory.backing import payload_crc_ok
+from repro.memory.pagetable import NO_PAGES
 from repro.sim.engine import Timeout
 from repro.sim.stats import StatSet
 
@@ -193,30 +196,47 @@ class ComputeServer:
         cache = self.system.cache_of(tid)
         if cache.span_resident(addr, nbytes):
             return
-        protect = set(cache.layout.pages_spanning(addr, nbytes))
+        layout = cache.layout
+        span = layout.pages_spanning(addr, nbytes)
+        protect = span  # eviction must spare the faulted span
+        per_line = layout.pages_per_line
+        first = span.start - span.start % per_line
+        stop = span.stop + -span.stop % per_line
         for attempt in range(64):
-            if not cache.missing_pages(addr, nbytes):
-                return
-            if attempt < 8:
-                if self.batched_rt:
-                    yield from rtbatch.fault_lines_batched(
-                        self, tid, cache.missing_lines(addr, nbytes),
-                        protect, speculate)
-                elif self.batch_fetches:
-                    yield from self._fault_lines(
-                        tid, cache.missing_lines(addr, nbytes), protect,
-                        speculate)
-                else:
-                    for line in cache.missing_lines(addr, nbytes):
-                        yield from self._fault_line(tid, line, protect)
+            # The attempt's one residency scan: every non-resident page of
+            # the lines the span touches. A voided attempt scans again.
+            missing = cache.missing_in(first, stop)
+            if attempt:
+                # Only a retry has to ask again whether the span itself
+                # still lacks a page (line tails may stay missing forever).
+                lo, hi = missing.searchsorted((span.start, span.stop))
+                if lo == hi:
+                    return
+            if attempt >= 8:
+                yield from self._fetch_pages_pinned(
+                    tid, self._allocated_only(missing[lo:hi]).tolist(),
+                    protect)
+            elif self.batched_rt:
+                yield from rtbatch.fault_lines_batched(
+                    self, tid, missing, protect, speculate)
+            elif self.batch_fetches:
+                yield from self._fault_lines(
+                    tid, layout.lines_of(missing), protect,
+                    speculate)
             else:
-                missing = self._allocated_only(
-                    cache.missing_pages(addr, nbytes))
-                yield from self._fetch_pages_pinned(tid, missing, protect)
+                for line in layout.lines_of(missing):
+                    yield from self._fault_line(tid, line, protect)
         raise MemoryError_(
             f"thread {tid} starved faulting [{addr:#x}, +{nbytes})")
 
-    def _fault_line(self, tid: int, line: int, protect: set[int]):
+    def _line_missing(self, cache, line: int) -> list[int]:
+        """The allocated, non-resident pages of one line (the per-line
+        compatibility paths)."""
+        first = line * cache.layout.pages_per_line
+        return self._allocated_only(cache.missing_in(
+            first, first + cache.layout.pages_per_line)).tolist()
+
+    def _fault_line(self, tid: int, line: int, protect: Iterable[int]):
         """Generator: demand-fetch one cache line (§II fault path)."""
         cache = self.system.cache_of(tid)
         config = self.system.config
@@ -228,9 +248,7 @@ class ComputeServer:
             self.stats.counters["prefetch_waits"] += 1
             yield in_flight
 
-        resident = cache.resident_page_set()
-        missing = [p for p in cache.layout.line_pages(line) if p not in resident]
-        missing = self._allocated_only(missing)
+        missing = self._line_missing(cache, line)
         if missing:
             self.stats.counters["faults"] += 1
             # try_advance applies the same inline-advance rule _step would;
@@ -242,7 +260,7 @@ class ComputeServer:
 
         self._after_demand_miss(tid, (line,))
 
-    def _fault_lines(self, tid: int, lines, protect: set[int],
+    def _fault_lines(self, tid: int, lines, protect: Iterable[int],
                      speculate: bool = True):
         """Generator: demand-fetch several missing lines at once.
 
@@ -258,9 +276,6 @@ class ComputeServer:
         config = self.system.config
         pending = self.pending[tid]
         counters = self.stats.counters
-        allocated_only = self._allocated_only
-        line_pages = cache.layout.line_pages
-        resident = cache.resident_page_set()
         demand: list[int] = []
         missed_lines: list[int] = []
         for line in lines:
@@ -268,8 +283,7 @@ class ComputeServer:
             if in_flight is not None:
                 counters["prefetch_waits"] += 1
                 yield in_flight
-            missing = [p for p in line_pages(line) if p not in resident]
-            missing = allocated_only(missing)
+            missing = self._line_missing(cache, line)
             if missing:
                 counters["faults"] += 1
                 demand.extend(missing)
@@ -291,26 +305,35 @@ class ComputeServer:
             yield from self._fetch_pages(tid, demand, protect,
                                          prefetched=False)
 
-    def _allocated_only(self, pages: list[int]) -> list[int]:
-        """Drop pages outside any allocation (line tails past a region).
+    def _allocated_only(self, pages: np.ndarray) -> np.ndarray:
+        """Drop pages outside any allocation (line tails past a region)
+        from an ascending page vector.
 
-        Faulted spans are contiguous runs, so one region lookup usually
-        answers for the whole run instead of a raising probe per page.
+        A region is one page extent, so when the first page's region also
+        holds the last page it holds them all: a fault inside one
+        allocation is answered by a single lookup. Otherwise the vector is
+        cut region by region.
         """
-        if not pages:
+        if not pages.size:
             return pages
         allocated_span = self.system.allocator.allocated_span
-        span = None
-        out = []
-        for page in pages:
-            if span is None or not span[0] <= page < span[1]:
-                span = allocated_span(page)
-                if span is None:
-                    continue
-            out.append(page)
-        return out
+        span = allocated_span(pages.item(0))
+        if span is not None and pages.item(-1) < span[1]:
+            return pages
+        kept = []
+        at = 0
+        while at < pages.size:
+            if span is None:
+                at += 1  # a line tail: at most a line's worth of these
+            else:
+                end = int(pages.searchsorted(span[1]))
+                kept.append(pages[at:end])
+                at = end
+            if at < pages.size:
+                span = allocated_span(pages.item(at))
+        return np.concatenate(kept) if kept else pages[:0]
 
-    def _fetch_pages(self, tid: int, pages: list[int], protect: set[int],
+    def _fetch_pages(self, tid: int, pages: list[int], protect: Iterable[int],
                      prefetched: bool):
         """Generator: fetch pages (grouped per home server) and install them.
 
@@ -329,7 +352,7 @@ class ComputeServer:
             cache.end_fetch(token)
 
     def _fetch_pages_flight(self, tid: int, pages: list[int],
-                            protect: set[int], prefetched: bool):
+                            protect: Iterable[int], prefetched: bool):
         system = self.system
         cache = system.cache_of(tid)
         config = system.config
@@ -439,7 +462,7 @@ class ComputeServer:
                     if prefetched:
                         counters["prefetch_skipped_full"] += 1
                         continue
-                    yield from self._evict(tid, 1, protect | set(server_pages))
+                    yield from self._evict(tid, 1, {*protect, *server_pages})
                 if not try_advance(install_time):
                     yield Timeout(install_time)
                 if epoch_get(page, 0) != snapshots[page]:
@@ -462,7 +485,8 @@ class ComputeServer:
                 f"page {page}: repaired copy failed its checksum")
         return repaired
 
-    def _fetch_pages_pinned(self, tid: int, pages: list[int], protect: set[int]):
+    def _fetch_pages_pinned(self, tid: int, pages: list[int],
+                            protect: Iterable[int]):
         """Generator: starvation-proof fetch -- the home server is held for
         the whole request INCLUDING the data transfer, and the install runs
         synchronously on return, so no invalidation can void it."""
@@ -474,7 +498,7 @@ class ComputeServer:
         for server_index, server_pages in sorted(by_server.items()):
             # Pre-make room (evictions may need the same server).
             while cache.free_pages < len(server_pages):
-                yield from self._evict(tid, 1, protect | set(server_pages))
+                yield from self._evict(tid, 1, {*protect, *server_pages})
             counters["fetch_requests"] += 1
             backoffs = 0
             while True:
@@ -555,15 +579,12 @@ class ComputeServer:
         """
         cache = self.system.cache_of(tid)
         pending = self.pending[tid]
-        resident = cache.resident_page_set()
         targets: list[int] = []
         pages: list[int] = []
         for line in lines:
             if line in pending or line in exclude:
                 continue
-            missing = [p for p in cache.layout.line_pages(line)
-                       if p not in resident]
-            missing = self._allocated_only(missing)
+            missing = self._line_missing(cache, line)
             if missing:
                 targets.append(line)
                 pages.extend(missing)
@@ -626,7 +647,9 @@ class ComputeServer:
                     break
             if len(pages) >= budget:
                 break
-        pages = self._allocated_only(pages)
+        allocated = set(self._allocated_only(
+            np.array(sorted(pages), dtype=np.int64)).tolist())
+        pages = [p for p in pages if p in allocated]  # span order kept
         if pages:
             self.stats.counters["plan_prefetches"] += 1
             self._issue_prefetch(tid, targets, pages)
@@ -634,16 +657,16 @@ class ComputeServer:
     def _prefetch_lines(self, tid: int, lines: list[int], pages: list[int],
                         gate):
         try:
-            resident = self.system.cache_of(tid).resident_page_set()
-            still_missing = [p for p in pages if p not in resident]
-            if still_missing:
+            still_missing = self.system.cache_of(tid).missing_among(
+                np.array(pages, dtype=np.int64))
+            if still_missing.size:
                 if self.batched_rt:
                     # Pure speculative trip(s): one per home server.
-                    yield from rtbatch.fetch_batched(self, tid, [],
-                                                     still_missing, set())
+                    yield from rtbatch.fetch_batched(
+                        self, tid, NO_PAGES, still_missing, set())
                 else:
-                    yield from self._fetch_pages(tid, still_missing, set(),
-                                                 prefetched=True)
+                    yield from self._fetch_pages(
+                        tid, still_missing.tolist(), set(), prefetched=True)
         finally:
             pending = self.pending[tid]
             for line in lines:
@@ -653,7 +676,7 @@ class ComputeServer:
     # ------------------------------------------------------------------
     # eviction (dirty-biased write-back, §II)
     # ------------------------------------------------------------------
-    def _evict(self, tid: int, count: int, protect: set[int]):
+    def _evict(self, tid: int, count: int, protect: Iterable[int]):
         """Generator: evict ``count`` pages, writing dirty victims back."""
         if self.batched_rt:
             yield from rtbatch.evict_batched(self, tid, count, protect)

@@ -19,13 +19,15 @@ RegC distinguishes two propagation mechanisms:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.memory.diff import PageDiff
 from repro.memory.directory import PageDirectory
+from repro.memory.pagetable import NO_PAGES
 
 #: Default column for ``dict.get`` when mapped over a thread population
 #: (keeps the prune horizon scan in C).
@@ -34,20 +36,86 @@ _ZEROS = repeat(0)
 
 @dataclass
 class BarrierPlan:
-    """The manager's directives for one barrier generation."""
+    """The manager's directives for one barrier generation.
 
-    #: Per-thread pages whose cached copies must be dropped. Kept as sets:
-    #: consumers only intersect them with (much smaller) residency and
-    #: in-flight structures and take their length for message sizing, so
-    #: sorting thousands of mostly-non-resident page ids per thread per
-    #: barrier would be pure waste.
-    invalidate: dict[int, set[int]]
-    #: Per-thread dirty pages that must be diff-flushed to their homes now.
+    Page-id collections are ascending ``int64`` vectors shared by every
+    thread's directive; nothing here grows with threads x pages.
+    """
+
+    #: Every page noticed this round.
+    pages: np.ndarray
+    #: The pages of ``pages`` written by more than one thread.
+    multi: np.ndarray
+    #: Each thread's own notices that nobody else wrote: pages it now owns
+    #: and keeps.
+    kept: dict[int, np.ndarray]
+    #: Per-thread dirty pages that must be diff-flushed to their homes now
+    #: (the thread's other notices: its multi-writer pages).
     flush: dict[int, list[int]]
-    #: Pages written by more than one thread this epoch (diagnostics).
-    multi_writer_pages: set[int]
     #: Total pages noticed (sizes the directive messages).
     total_notices: int
+    _members: frozenset | None = field(default=None, repr=False)
+
+    def members(self) -> frozenset:
+        """``pages`` as a set, built when the first directive is resolved
+        and shared by the round's threads."""
+        if self._members is None:
+            self._members = frozenset(self.pages.tolist())
+        return self._members
+
+    def directive(self, tid: int) -> "InvalidateDirective":
+        return InvalidateDirective(self, self.kept[tid])
+
+    @property
+    def invalidate(self) -> dict[int, "InvalidateDirective"]:
+        """Every thread's invalidate directive (diagnostics and tests)."""
+        return {tid: self.directive(tid) for tid in self.kept}
+
+    @property
+    def multi_writer_pages(self) -> set[int]:
+        return set(self.multi.tolist())
+
+
+class InvalidateDirective:
+    """The cached copies one thread must drop: every page noticed this
+    round except the thread's own single-writer pages.
+
+    Never materialised on the barrier path: its length is arithmetic (the
+    directive message is sized from it) and :meth:`intersection` resolves
+    it against the few pages a cache actually holds. Iterating it does
+    build the page list, for tests and diagnostics.
+    """
+
+    __slots__ = ("_plan", "_kept")
+
+    def __init__(self, plan: BarrierPlan, kept: np.ndarray):
+        self._plan = plan
+        self._kept = kept
+
+    def __len__(self) -> int:
+        return self._plan.pages.size - self._kept.size
+
+    def intersection(self, pages: set[int]) -> set[int]:
+        """The members of ``pages`` this directive lists, as a new set."""
+        if self._plan.pages.size == self._kept.size:
+            return set()
+        hits = pages & self._plan.members()
+        if hits:
+            hits.difference_update(self._kept.tolist())
+        return hits
+
+    def __iter__(self):
+        return iter(np.setdiff1d(self._plan.pages, self._kept,
+                                 assume_unique=True).tolist())
+
+
+def _notice_vector(pages) -> np.ndarray:
+    """One thread's notices, ascending and distinct. A vector is taken to
+    be both already (``SoftwareCache.take_epoch_notices`` hands one over);
+    any other iterable is normalised."""
+    if isinstance(pages, np.ndarray):
+        return pages
+    return np.unique(np.array(list(pages), dtype=np.int64))
 
 
 def plan_barrier(notices: Mapping[int, Iterable[int]],
@@ -58,28 +126,35 @@ def plan_barrier(notices: Mapping[int, Iterable[int]],
     become owned by their writer; multi-writer pages lose any owner because
     the eager merge makes the home authoritative again.
     """
-    notice_sets = {tid: set(pages) for tid, pages in notices.items()}
-    # Multi-writer detection via a page -> writer-count histogram: C-level
-    # set/Counter operations replace the per-(page, tid) Python loop.
-    counts: Counter = Counter()
-    for pages in notice_sets.values():
-        counts.update(pages)
-    multi = {page for page, n in counts.items() if n > 1}
-    for page in multi:
-        directory.clear_owner(page)
-    for tid, mine in notice_sets.items():
-        directory.record_owners(mine - multi, tid)
-
-    all_pages = set(counts)
-    invalidate: dict[int, set[int]] = {}
-    flush: dict[int, list[int]] = {}
-    for tid, mine in notice_sets.items():
-        mine_multi = mine & multi
-        invalidate[tid] = (all_pages - mine) | mine_multi
-        flush[tid] = sorted(mine_multi)
-    total = sum(len(p) for p in notice_sets.values())
-    return BarrierPlan(invalidate=invalidate, flush=flush,
-                       multi_writer_pages=multi, total_notices=total)
+    # In thread order, so that block partitions concatenate ascending.
+    kept = {tid: _notice_vector(notices[tid]) for tid in sorted(notices)}
+    flat = np.concatenate(list(kept.values())) if kept else NO_PAGES
+    flush: dict[int, list[int]] = {tid: [] for tid in kept}
+    sizes = [own.size for own in kept.values()]
+    writer = np.repeat(np.fromiter(kept, np.int64, len(kept)), sizes)
+    if (flat[1:] > flat[:-1]).all():
+        # Disjoint partitions noticed in thread order (a block-partitioned
+        # grid): the concatenation is already the page list, one writer each.
+        directory.record_owners(flat, writer)
+        return BarrierPlan(flat, NO_PAGES, kept, flush, flat.size)
+    # Writers per page: each thread's notices are distinct, so a page's
+    # multiplicity in the concatenation is its number of writers, and a
+    # single-writer page's one position names that writer.
+    pages, first, writers = np.unique(flat, return_index=True,
+                                      return_counts=True)
+    single = writers == 1
+    multi = pages[~single]
+    if multi.size:
+        directory.clear_owners(multi)
+        shared = ~single[np.searchsorted(pages, flat)]
+        start = 0
+        for (tid, own), size in zip(list(kept.items()), sizes):
+            mask = shared[start:start + size]
+            flush[tid] = own[mask].tolist()
+            kept[tid] = own[~mask]
+            start += size
+    directory.record_owners(pages[single], writer[first][single])
+    return BarrierPlan(pages, multi, kept, flush, flat.size)
 
 
 @dataclass

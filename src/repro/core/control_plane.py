@@ -47,10 +47,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core import protocol
 from repro.core.allocator import SamhitaAllocator
 from repro.errors import ReplicationError, RetryExhaustedError
 from repro.memory.directory import PageDirectory
+from repro.memory.pagetable import page_vector
 from repro.sim.engine import Timeout
 from repro.sim.stats import StatSet
 
@@ -87,13 +90,18 @@ class ShardedPageDirectory:
     def _part(self, page: int) -> PageDirectory:
         return self.parts[shard_of_page(page, len(self.parts))]
 
-    def _by_part(self, pages):
-        """``(partition, its pages)`` pairs for a bulk operation."""
-        groups: dict[int, list[int]] = {}
-        n = len(self.parts)
-        for page in pages:
-            groups.setdefault(shard_of_page(page, n), []).append(page)
-        return [(self.parts[idx], group) for idx, group in groups.items()]
+    def _by_part(self, pages: np.ndarray):
+        """``(partition, where)`` pairs for a bulk operation: ``pages[where]``
+        are the partition's pages (a fault or a notice list rarely leaves
+        one slice, and then ``where`` is the whole vector)."""
+        if not pages.size:
+            return []
+        shards = np.minimum(pages // SHARD_SLICE_PAGES, len(self.parts) - 1)
+        first = int(shards[0])
+        if (shards == first).all():
+            return [(self.parts[first], slice(None))]
+        return [(self.parts[idx], shards == idx)
+                for idx in np.unique(shards).tolist()]
 
     # -- home map (failover indirection), global across partitions --------
     def resolve_home(self, index: int) -> int:
@@ -118,8 +126,9 @@ class ShardedPageDirectory:
         self._part(page).add_sharer(page, thread_id)
 
     def add_sharers(self, pages, thread_id: int) -> None:
-        for part, group in self._by_part(pages):
-            part.add_sharers(group, thread_id)
+        pages = page_vector(pages)
+        for part, where in self._by_part(pages):
+            part.add_sharers(pages[where], thread_id)
 
     def remove_sharer(self, page: int, thread_id: int) -> None:
         self._part(page).remove_sharer(page, thread_id)
@@ -131,21 +140,35 @@ class ShardedPageDirectory:
     def record_owner(self, page: int, thread_id: int) -> None:
         self._part(page).record_owner(page, thread_id)
 
-    def record_owners(self, pages, thread_id: int) -> None:
-        for part, group in self._by_part(pages):
-            part.record_owners(group, thread_id)
-
     def owner_of(self, page: int) -> int | None:
         return self._part(page).owner_of(page)
 
     def clear_owner(self, page: int) -> None:
         self._part(page).clear_owner(page)
 
-    def owned_by(self, thread_id: int) -> list[int]:
-        pages: list[int] = []
-        for part in self.parts:
-            pages.extend(part.owned_by(thread_id))
-        return sorted(pages)
+    def owners_of(self, pages: np.ndarray,
+                  but: int | None = None) -> np.ndarray:
+        owners = np.full(pages.size, -1, dtype=np.int64)
+        for part, where in self._by_part(pages):
+            owners[where] = part.owners_of(pages[where], but)
+        return owners
+
+    def record_owners(self, pages, thread_ids) -> None:
+        pages = page_vector(pages)
+        aligned = np.ndim(thread_ids) > 0
+        for part, where in self._by_part(pages):
+            part.record_owners(
+                pages[where], thread_ids[where] if aligned else thread_ids)
+
+    def clear_owners(self, pages) -> None:
+        pages = page_vector(pages)
+        for part, where in self._by_part(pages):
+            part.clear_owners(pages[where])
+
+    def owned_by(self, thread_id: int | None = None) -> list[int]:
+        # Slices ascend with the partition index, so this is sorted.
+        return [page for part in self.parts
+                for page in part.owned_by(thread_id)]
 
     def __len__(self) -> int:
         return sum(len(part) for part in self.parts)

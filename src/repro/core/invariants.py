@@ -29,7 +29,7 @@ def check_invariants(system, quiescent: bool = True) -> int:
     # during an IVY upgrade the grant precedes the write; quiescent runs
     # must satisfy it strictly under RegC.
     if quiescent and system.config.coherence == "regc":
-        for page in list(system.directory._owner):
+        for page in system.directory.owned_by():
             owner = system.directory.owner_of(page)
             if not system.cache_of(owner).is_dirty(page):
                 raise InvariantViolation(

@@ -560,7 +560,7 @@ class Manager:
             # Fault build: a retried arrival whose original reply was lost
             # re-presents itself; keep the first registration.
             return
-        state.arrived[tid] = list(notices)
+        state.arrived[tid] = notices
 
     def barrier_arrive(self, tid: int, comp: str, barrier_id: int,
                        notices: list[int]):
@@ -591,8 +591,8 @@ class Manager:
         else:
             yield state.arrive_gate
         plan = state.plan
-        inv = plan.invalidate.get(tid, [])
-        flush = plan.flush.get(tid, [])
+        inv = plan.directive(tid)
+        flush = plan.flush[tid]
         # A barrier is RegC's *global* consistency point: it must also make
         # consistency-region updates visible to threads that never acquire
         # the corresponding lock. Collect every lock-log update this thread
@@ -643,8 +643,8 @@ class Manager:
         directives = {}
         reply_bytes = 0
         for tid in arrivals:
-            inv = plan.invalidate.get(tid, [])
-            flush = plan.flush.get(tid, [])
+            inv = plan.directive(tid)
+            flush = plan.flush[tid]
             cr_diffs, cr_payload, cr_invalidate = self._cr_updates(tid)
             directives[tid] = (inv, flush, cr_diffs, sorted(cr_invalidate))
             reply_bytes += (protocol.directive_message_bytes(len(inv), len(flush))

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.errors import (
     OverloadShedError,
     ReplicationError,
@@ -49,6 +51,9 @@ class MemoryServer:
         self.index = index
         self.config = config
         self.directory = directory
+        #: Only the eager write-invalidate baseline ever reads sharer
+        #: lists (:meth:`serve_upgrade`), so only it pays to keep them.
+        self._track_sharers = config.coherence == "ivy"
         self.backing = BackingStore(config.layout, functional=config.functional,
                                     name=f"backing{index}")
         self.resource = Resource(engine, capacity=1, name=f"memserver{index}")
@@ -152,7 +157,7 @@ class MemoryServer:
             counters["fetches"] += 1
             counters["pages_served"] += len(pages)
             owner_of = self.directory.owner_of
-            add_sharer = self.directory.add_sharer
+            track_sharers = self._track_sharers
             backing = self.backing
             read_page = backing.read_page
             integrity = backing.integrity
@@ -164,7 +169,8 @@ class MemoryServer:
                     r = self._recall(page, owner)
                     if r is not None:
                         yield from r
-                add_sharer(page, requester_tid)
+                if track_sharers:
+                    self.directory.add_sharer(page, requester_tid)
                 if integrity:
                     # Rot strikes (maybe) before the read below copies the
                     # bytes; the shipped CRC is the stored one, which a rot
@@ -177,8 +183,9 @@ class MemoryServer:
         finally:
             self.resource.release()
 
-    def serve_fetch_bulk(self, requester_tid: int, pages: list[int]):
-        """Generator: batched fetch serve (``config.batched_round_trips``).
+    def serve_fetch_bulk(self, requester_tid: int, pages: np.ndarray):
+        """Generator: batched fetch serve (``config.batched_round_trips``)
+        of a page vector.
 
         The round-trip twin of :meth:`serve_fetch`: one dedup admission and
         ONE service charge for the whole request (alpha is paid once per
@@ -192,36 +199,31 @@ class MemoryServer:
         try:
             counters = self.stats.counters
             counters["fetches"] += 1
-            counters["pages_served"] += len(pages)
-            owner_of = self.directory.owner_of
-            by_owner: dict[int, list[int]] = {}
-            for page in pages:
-                owner = owner_of(page)
-                if owner is not None and owner != requester_tid:
-                    by_owner.setdefault(owner, []).append(page)
-            for owner in sorted(by_owner):
-                r = self._recall_bulk(owner, by_owner[owner])
+            counters["pages_served"] += pages.size
+            owners = self.directory.owners_of(pages, but=requester_tid)
+            for owner in sorted(set(owners[owners >= 0].tolist())):
+                r = self._recall_bulk(owner, pages[owners == owner])
                 if r is not None:
                     yield from r
             return self._read_served(requester_tid, pages, bitrot=True)
         finally:
             self.resource.release()
 
-    def _read_served(self, requester_tid: int, pages: list[int],
+    def _read_served(self, requester_tid: int, pages: np.ndarray,
                      bitrot: bool) -> dict:
         """The read leg of a bulk serve: register the requester as sharer
-        and copy each page out (checksummed -- after the fault model's
-        bitrot draw when ``bitrot`` -- with integrity armed). Sets
+        (IVY) and copy each page out (checksummed -- after the fault
+        model's bitrot draw when ``bitrot`` -- with integrity armed). Sets
         ``last_serve_crcs``; returns ``{page: data}``."""
         backing = self.backing
         integrity = backing.integrity
         crcs: dict[int, int] | None = {} if integrity else None
         result = {}
+        if self._track_sharers:
+            self.directory.add_sharers(pages, requester_tid)
         if backing.functional or integrity:
-            add_sharer = self.directory.add_sharer
             read_page = backing.read_page
-            for page in pages:
-                add_sharer(page, requester_tid)
+            for page in pages.tolist():
                 if integrity:
                     if bitrot:
                         self._maybe_bitrot(page)
@@ -232,12 +234,11 @@ class MemoryServer:
             # the read counters matter, paid in bulk. The returned mapping
             # stays empty -- timing-mode callers only ``.get`` per-page
             # data, which is None either way.
-            self.directory.add_sharers(pages, requester_tid)
             backing.serve_pages_timing(pages)
         self.last_serve_crcs = crcs
         return result
 
-    def serve_fetch_hedged(self, requester_tid: int, pages: list[int],
+    def serve_fetch_hedged(self, requester_tid: int, pages: np.ndarray,
                            primary: "MemoryServer"):
         """Generator: bulk fetch served by a BACKUP on behalf of a slow
         primary (``config.hedged_fetches``).
@@ -257,14 +258,11 @@ class MemoryServer:
         self._admit(requester_tid)
         yield from self.resource.request_service(self._service_time())
         try:
-            owner_of = self.directory.owner_of
-            for page in pages:
-                owner = owner_of(page)
-                if owner is not None and owner != requester_tid:
-                    self.stats.counters["hedge_declines"] += 1
-                    raise OverloadShedError(
-                        self.component, self.component, "hedge_fetch",
-                        0, 0, self.engine.now)
+            if (self.directory.owners_of(pages, but=requester_tid) >= 0).any():
+                self.stats.counters["hedge_declines"] += 1
+                raise OverloadShedError(
+                    self.component, self.component, "hedge_fetch",
+                    0, 0, self.engine.now)
             counters = self.stats.counters
             counters["hedge_serves"] += 1
             counters["pages_served"] += len(pages)
@@ -272,7 +270,7 @@ class MemoryServer:
             wal = primary.wal
             if wal is not None:
                 replayed = 0
-                for page in pages:
+                for page in pages.tolist():
                     for entry in wal.unshipped_for_page(page, self.index):
                         backing.apply_diff(entry.diff)
                         replayed += entry.diff.payload_bytes
@@ -373,7 +371,7 @@ class MemoryServer:
     # ------------------------------------------------------------------
     # bulk recall (config.batched_round_trips)
     # ------------------------------------------------------------------
-    def _recall_bulk(self, owner_tid: int, pages: list[int]):
+    def _recall_bulk(self, owner_tid: int, pages: np.ndarray):
         """Pull ALL pages one owner holds as ONE modeled round trip: a
         single recall request, a single bulk diff return (summed wire
         bytes, one fused apply tail) and a single merge.
@@ -384,11 +382,11 @@ class MemoryServer:
         """
         system = self._system
         counters = self.stats.counters
-        counters["recalls"] += len(pages)
+        counters["recalls"] += pages.size
         counters["recall_trips"] += 1
-        line_of = self.config.layout.line_of_page
-        system.rt_ledger.record(self.index, "recall",
-                                len({line_of(p) for p in pages}))
+        system.rt_ledger.record(
+            self.index, "recall",
+            len(self.config.layout.lines_of(pages)))
         owner_comp = system.component_of(owner_tid)
         t = system.scl.send(self.component, owner_comp, category="recall")
         if t is not None:
@@ -409,15 +407,13 @@ class MemoryServer:
         then one bulk transfer + merge."""
         system = self._system
         owner_cache = system.cache_of(owner_tid)
-        clear_owner = self.directory.clear_owner
         backing = self.backing
         if (not backing.functional and owner_cache.use_twins
                 and self.wal is None and not backing.integrity):
             # Timing fast path: a diff is pure sizes here, so take and
             # apply in bulk without materializing PageDiff objects.
             dirty_pages, payload, wire = owner_cache.take_diff_sizes(pages)
-            for page in pages:
-                clear_owner(page)
+            self.directory.clear_owners(pages)
             if not dirty_pages:
                 return None
             t = system.fabric.transfer_inline(
@@ -429,12 +425,9 @@ class MemoryServer:
             self.stats.incr("recall_bytes", payload)
             return None
         is_dirty = owner_cache.is_dirty
-        take_diff = owner_cache.take_diff
-        diffs = []
-        for page in pages:
-            if is_dirty(page):
-                diffs.append(take_diff(page))
-            clear_owner(page)
+        diffs = [owner_cache.take_diff(page) for page in pages.tolist()
+                 if is_dirty(page)]
+        self.directory.clear_owners(pages)
         if not diffs:
             return None
         for diff in diffs:
@@ -552,7 +545,8 @@ class MemoryServer:
                     r = self._recall(page, owner)
                     if r is not None:
                         yield from r
-                self.directory.add_sharer(page, requester_tid)
+                if self._track_sharers:
+                    self.directory.add_sharer(page, requester_tid)
                 result[page] = self.backing.read_page(page)
             nbytes = len(pages) * self.config.layout.page_bytes
             t = self._system.fabric.transfer_inline(

@@ -56,8 +56,9 @@ the per-operation protocol shape is bit-identical to the previous build
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from repro.errors import (
     CommunicationError,
@@ -67,6 +68,7 @@ from repro.errors import (
 from repro.faults.plan import RetryPolicy
 from repro.interconnect.scl import CONTROL_BYTES
 from repro.memory.backing import payload_crc_ok
+from repro.memory.pagetable import NO_PAGES
 from repro.sim.engine import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -378,17 +380,20 @@ def _hedged_trip(cs: "ComputeServer", tid: int, home: int, server,
     return data, crcs, server
 
 
-def _home_trip(cs: "ComputeServer", tid: int, home: int, demand_pages,
-               spec_pages, protect: set[int]):
+def _home_trip(cs: "ComputeServer", tid: int, home: int,
+               demand_pages: np.ndarray, server_pages: np.ndarray,
+               protect: Iterable[int]):
     """Generator: land the bulk data for one home group, surviving gray
     failures -- slow primaries are hedged, shed (NACKed) requests back
     off under the retry budget, an open breaker routes around the
     primary entirely.
 
-    Returns ``(data, snapshots)`` for the install leg, or None when an
-    open breaker with no eligible replica degraded the group to the
-    synchronous per-page path (which installed the demand pages itself;
-    speculative riders are dropped, per-operation accounting applies).
+    ``server_pages`` is the request: the demand pages, then the
+    speculative riders. Returns ``(data, snapshots)`` for the install leg,
+    or None when an open breaker with no eligible replica degraded the
+    group to the synchronous per-page path (which installed the demand
+    pages itself; speculative riders are dropped, per-operation accounting
+    applies).
     """
     system = cs.system
     engine = cs.engine
@@ -397,14 +402,13 @@ def _home_trip(cs: "ComputeServer", tid: int, home: int, demand_pages,
     inval_epoch = cache.inval_epoch
     epoch_get = inval_epoch.get
     resolve_home = system.directory.resolve_home
-    server_pages = demand_pages + spec_pages
-    nbytes = len(server_pages) * cache.layout.page_bytes
+    nbytes = server_pages.size * cache.layout.page_bytes
     armed = system.injector is not None
     backoffs = 0
     while True:
         server = system.memory_servers[resolve_home(home)]
         floor = (trip_timeout_floor(system, cs.component, server.component,
-                                    len(server_pages)) if armed else 0.0)
+                                    server_pages.size) if armed else 0.0)
         reroute = None
         guard = system.breaker_for(server.component)
         if guard is not None and not guard.allow(engine.now):
@@ -412,14 +416,14 @@ def _home_trip(cs: "ComputeServer", tid: int, home: int, demand_pages,
                                           tid)
             if reroute is None:
                 counters["breaker_degraded"] += 1
-                if demand_pages:
-                    yield from cs._fetch_pages(tid, demand_pages, protect,
-                                               prefetched=False)
+                if demand_pages.size:
+                    yield from cs._fetch_pages(tid, demand_pages.tolist(),
+                                               protect, prefetched=False)
                 return None
             counters["breaker_reroutes"] += 1
         # No epochs recorded yet -> every snapshot would read 0; skip
         # building the dict and compare against 0 in _live instead.
-        snapshots = ({p: epoch_get(p, 0) for p in server_pages}
+        snapshots = ({p: epoch_get(p, 0) for p in server_pages.tolist()}
                      if inval_epoch else None)
         counters["fetch_requests"] += 1
         try:
@@ -434,7 +438,7 @@ def _home_trip(cs: "ComputeServer", tid: int, home: int, demand_pages,
                 data, crcs = yield from _plain_trip(
                     cs, tid, server, server_pages, nbytes, floor)
             if crcs is not None:
-                for page in server_pages:
+                for page in server_pages.tolist():
                     if payload_crc_ok(data.get(page), crcs.get(page)):
                         continue
                     counters["integrity_failures"] += 1
@@ -479,9 +483,10 @@ def predict_lines(cs: "ComputeServer", tid: int, lines, speculate: bool):
 
 
 def speculative_pages(cs: "ComputeServer", tid: int, targets,
-                      exclude: frozenset) -> list[int]:
+                      exclude: frozenset) -> np.ndarray:
     """Expand predicted lines to the missing pages a trip should carry
-    (skipping in-flight lines and the demand batch's own lines).
+    (skipping in-flight lines and the demand batch's own lines), in
+    prediction order.
 
     Pages another thread currently owns dirty are NOT speculated on:
     riders share the demand trip, so a guessed page would recall an
@@ -492,108 +497,117 @@ def speculative_pages(cs: "ComputeServer", tid: int, targets,
     """
     cache = cs.system.cache_of(tid)
     pending = cs.pending[tid]
-    resident = cache.resident_page_set()
-    line_pages = cache.layout.line_pages
-    allocated_only = cs._allocated_only
-    owner_of = cs.system.directory.owner_of
-    pages: list[int] = []
-    seen: set[int] = set()
-    for line in targets:
-        if line in pending or line in exclude or line in seen:
-            continue
-        seen.add(line)
-        missing = [p for p in line_pages(line) if p not in resident]
-        for p in allocated_only(missing):
-            owner = owner_of(p)
-            if owner is None or owner == tid:
-                pages.append(p)
-    return pages
+    per_line = cache.layout.pages_per_line
+    wanted = []
+    # At most ``degree`` predictions; each line once, first mention first.
+    for line in dict.fromkeys(targets):
+        if line not in pending and line not in exclude:
+            wanted.append(cs._allocated_only(
+                cache.missing_in(line * per_line, (line + 1) * per_line)))
+    if not wanted:
+        return NO_PAGES
+    pages = wanted[0] if len(wanted) == 1 else np.concatenate(wanted)
+    return pages[cs.system.directory.owners_of(pages, but=tid) < 0]
 
 
-def fault_lines_batched(cs: "ComputeServer", tid: int, lines,
-                        protect: set[int], speculate: bool = True):
+def fault_lines_batched(cs: "ComputeServer", tid: int, missing: np.ndarray,
+                        protect: Iterable[int], speculate: bool = True):
     """Generator: the batched fault path -- one fault-handler charge and
     one round trip per home server for the whole missed span, with the
-    predictor's targets riding the same trips as speculative cargo."""
+    predictor's targets riding the same trips as speculative cargo.
+
+    ``missing`` is the caller's residency scan, taken with no suspension
+    since: the non-resident pages (ascending) of every line the faulted
+    span touches. It is cut only at a line with a prefetch in flight: that
+    prefetch is waited for, and the line and everything after it are
+    scanned again (the wait may have filled them, or anything else).
+    """
     cache = cs.system.cache_of(tid)
-    config = cs.system.config
+    layout = cache.layout
     pending = cs.pending[tid]
     counters = cs.stats.counters
-    allocated_only = cs._allocated_only
-    line_pages = cache.layout.line_pages
-    resident = cache.resident_page_set()
-    demand: list[int] = []
-    missed_lines: list[int] = []
-    for line in lines:
-        in_flight = pending.get(line)
-        if in_flight is not None:
-            counters["prefetch_waits"] += 1
-            yield in_flight
-        missing = [p for p in line_pages(line) if p not in resident]
-        missing = allocated_only(missing)
-        if missing:
-            counters["faults"] += 1
-            demand.extend(missing)
-            missed_lines.append(line)
-    if not missed_lines:
+    found = []  # non-resident pages, one piece per wait
+    if pending:
+        per_line = layout.pages_per_line
+        lines = layout.lines_of(missing)
+        for at, line in enumerate(lines):
+            in_flight = pending.get(line)
+            if in_flight is not None:
+                found.append(missing[:missing.searchsorted(line * per_line)])
+                counters["prefetch_waits"] += 1
+                yield in_flight
+                missing = cache.missing_in(line * per_line,
+                                           (lines[-1] + 1) * per_line)
+                missing = missing[np.isin(missing // per_line, lines[at:])]
+    found.append(missing)
+    demand = cs._allocated_only(
+        found[0] if len(found) == 1 else np.concatenate(found))
+    if not demand.size:
         return
-    spec: list[int] = []
+    missed_lines = layout.lines_of(demand)
+    counters["faults"] += len(missed_lines)
+    spec = NO_PAGES
     targets = predict_lines(cs, tid, missed_lines, speculate)
     if targets:
         spec = speculative_pages(cs, tid, targets, frozenset(missed_lines))
     counters["batched_line_fetches"] += 1
     counters["batched_lines"] += len(missed_lines)
-    if spec:
-        counters["speculative_riders"] += len(spec)
+    if spec.size:
+        counters["speculative_riders"] += spec.size
+    config = cs.system.config
     if not cs.engine.try_advance(config.fault_handler_time):
         yield Timeout(config.fault_handler_time)
     yield from fetch_batched(cs, tid, demand, spec, protect)
 
 
-def fetch_batched(cs: "ComputeServer", tid: int, demand: list[int],
-                  spec: list[int], protect: set[int]):
-    """Generator: fetch demand + speculative pages, ONE round trip per
-    home server (request message, bulk serve -- recalls included -- and
-    one bulk data return; installs pay beta's per-page leg).
+def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
+                  spec: np.ndarray, protect: Iterable[int]):
+    """Generator: fetch demand + speculative pages (two page vectors), ONE
+    round trip per home server (request message, bulk serve -- recalls
+    included -- and one bulk data return; installs pay beta's per-page
+    leg).
 
     Demand pages install like a demand fetch (may evict); speculative
     riders install with ``prefetched=True`` and never evict -- a full
     cache skips them, exactly like the daemon path they replace.
     """
     cache = cs.system.cache_of(tid)
-    token = cache.begin_fetch(chain(demand, spec))
+    pages = np.concatenate((demand, spec)) if spec.size else demand
+    token = cache.begin_fetch(pages)
     try:
-        yield from _fetch_batched_flight(cs, tid, demand, spec, protect)
+        yield from _fetch_batched_flight(cs, tid, demand, spec, pages,
+                                         protect)
     finally:
         cache.end_fetch(token)
 
 
-def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
-                          spec: list[int], protect: set[int]):
+def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: np.ndarray,
+                          spec: np.ndarray, pages: np.ndarray,
+                          protect: Iterable[int]):
+    """``pages`` is ``demand`` followed by ``spec`` (the whole request)."""
     system = cs.system
     cache = system.cache_of(tid)
     layout = cache.layout
-    grouped: dict[int, tuple[list[int], list[int]]]
+    grouped: dict[int, tuple[np.ndarray, np.ndarray]]
     if system.config.n_memory_servers == 1:
         # Single home: skip the per-page home lookups entirely.
-        grouped = {0: (demand, spec)} if (demand or spec) else {}
+        grouped = {0: (demand, spec)} if pages.size else {}
     else:
         home_of_page = system.allocator.home_of_page
-        grouped = {}
-        for page in demand:
-            grouped.setdefault(home_of_page(page), ([], []))[0].append(page)
-        for page in spec:
-            grouped.setdefault(home_of_page(page), ([], []))[1].append(page)
+        homes_d = np.fromiter(map(home_of_page, demand.tolist()), np.int64,
+                              demand.size)
+        homes_s = np.fromiter(map(home_of_page, spec.tolist()), np.int64,
+                              spec.size)
+        grouped = {home: (demand[homes_d == home], spec[homes_s == home])
+                   for home in {*homes_d.tolist(), *homes_s.tolist()}}
 
     inval_epoch = cache.inval_epoch
     epoch_get = inval_epoch.get
-    resident = cache.resident_page_set()
     install_time = system.config.install_page_time
     engine = cs.engine
     try_advance = engine.try_advance
     counters = cs.stats.counters
     ledger = system.rt_ledger
-    line_of = layout.line_of_page
     # With hedging armed, a home group mixing owner-free and owned pages
     # splits into two sub-trips: the owner-free portion (speculative
     # riders are owner-free by construction) can be raced against a
@@ -601,28 +615,27 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
     # the true home -- no backup can collect another thread's
     # uncollected dirty writes. Off, every group is one trip, as before.
     split = system.trip_rtt is not None and system.config.hedged_fetches
-    owner_of = system.directory.owner_of
     for home in sorted(grouped):
         subtrips = [grouped[home]]
         if split:
             demand_pages, spec_pages = grouped[home]
-            free_d, owned_d = [], []
-            for p in demand_pages:
-                owner = owner_of(p)
-                (free_d if owner is None or owner == tid
-                 else owned_d).append(p)
-            if owned_d and (free_d or spec_pages):
-                subtrips = [(free_d, spec_pages), (owned_d, [])]
+            free = system.directory.owners_of(demand_pages, but=tid) < 0
+            if not free.all() and (free.any() or spec_pages.size):
+                subtrips = [(demand_pages[free], spec_pages),
+                            (demand_pages[~free], NO_PAGES)]
         for demand_pages, spec_pages in subtrips:
-            server_pages = demand_pages + spec_pages
+            server_pages = (
+                pages if demand_pages is demand and spec_pages is spec
+                else np.concatenate((demand_pages, spec_pages)))
             trip = yield from _home_trip(cs, tid, home, demand_pages,
-                                         spec_pages, protect)
+                                         server_pages, protect)
             if trip is None:
                 continue  # breaker degrade: the per-page path installed them
             data, snapshots = trip
-            ledger.record(home, "demand" if demand_pages else "speculative",
-                          len({line_of(p) for p in server_pages}))
-            counters["pages_fetched"] += len(server_pages)
+            ledger.record(
+                home, "demand" if demand_pages.size else "speculative",
+                len(layout.lines_of(server_pages)))
+            counters["pages_fetched"] += server_pages.size
 
             # The batched install leg: beta's per-page install cost is ONE
             # modeled charge of k * install_page_time for the whole group
@@ -635,21 +648,16 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
             # evict: what the cache cannot hold is skipped, not made room
             # for.
             def _live(pages, snapshots=snapshots):
+                if not pages.size:
+                    return pages, 0
+                live = cache.missing_among(pages)  # minus raced fills
                 if snapshots is None and not inval_epoch:
-                    # Still no epochs anywhere: only raced fills can
-                    # disqualify.
-                    return [p for p in pages if p not in resident], 0
-                live = []
-                dropped = 0
-                for p in pages:
-                    if p in resident:
-                        continue  # raced with another fill
-                    snap = 0 if snapshots is None else snapshots[p]
-                    if epoch_get(p, 0) != snap:
-                        dropped += 1
-                    else:
-                        live.append(p)
-                return live, dropped
+                    return live, 0  # still no epochs anywhere
+                fresh = [p for p in live.tolist()
+                         if epoch_get(p, 0) == (0 if snapshots is None
+                                                else snapshots[p])]
+                return (np.array(fresh, dtype=np.int64),
+                        live.size - len(fresh))
 
             stale = 0
             eligible_d = demand_pages
@@ -660,27 +668,27 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
                 stale += dropped
                 eligible_s, dropped = _live(eligible_s)
                 stale += dropped
-                need = len(eligible_d) - cache.free_pages
+                need = eligible_d.size - cache.free_pages
                 if need > 0:
-                    yield from evict_batched(cs, tid, need,
-                                             protect | set(server_pages))
+                    yield from evict_batched(
+                        cs, tid, need, {*protect, *server_pages.tolist()})
                     continue
-                room = cache.free_pages - len(eligible_d)
-                if len(eligible_s) > room:
+                room = cache.free_pages - eligible_d.size
+                if eligible_s.size > room:
                     keep = room if room > 0 else 0
                     counters["prefetch_skipped_full"] += \
-                        len(eligible_s) - keep
+                        eligible_s.size - keep
                     eligible_s = eligible_s[:keep]
-                k = len(eligible_d) + len(eligible_s)
+                k = eligible_d.size + eligible_s.size
                 if k and not charged:
                     charged = True
                     delay = k * install_time
                     if not try_advance(delay):
                         yield Timeout(delay)
                         continue  # suspended: re-validate before installing
-                if eligible_d:
+                if eligible_d.size:
                     cache.install_many(eligible_d, data, prefetched=False)
-                if eligible_s:
+                if eligible_s.size:
                     cache.install_many(eligible_s, data, prefetched=True)
                 break
             if stale:
@@ -688,7 +696,7 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
 
 
 def evict_batched(cs: "ComputeServer", tid: int, count: int,
-                  protect: set[int]):
+                  protect: Iterable[int]):
     """Generator: evict ``count`` pages; dirty victims' diffs ship as one
     merge trip per home server instead of one put per page."""
     system = cs.system

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.allocator import AllocationKind, SamhitaAllocator
 from repro.core.compute_server import ComputeServer
 from repro.core.control_plane import (
@@ -64,6 +66,7 @@ from repro.interconnect.routing import Fabric
 from repro.interconnect.scl import SCL
 from repro.memory.cache import SoftwareCache
 from repro.memory.directory import PageDirectory
+from repro.memory.pagetable import NO_PAGES
 from repro.memory.storelog import StoreLog
 from repro.sim.engine import Engine, Timeout
 from repro.sim.stats import StatSet
@@ -399,11 +402,8 @@ class SamhitaSystem:
                        if i != primary_index and i not in dead), None)
         if backup is None:
             return None
-        owner_of = self.directory.owner_of
-        for page in pages:
-            owner = owner_of(page)
-            if owner is not None and owner != tid:
-                return None
+        if (self.directory.owners_of(pages, but=tid) >= 0).any():
+            return None
         return self.memory_servers[backup]
 
     def handle_shard_failure(self, index: int) -> None:
@@ -847,22 +847,15 @@ class SamhitaSystem:
             applied = cache.apply_fine_grain(cr_diffs)
             if applied:
                 yield Timeout(applied * self.config.apply_time_per_byte)
-        # Skip locally-dirty pages (lazily-held diffs the directory still
-        # credits to this thread). Resident pages are a tiny subset of the
-        # directive, so find the dirty ones by set intersection and only
-        # fall back to filtering the full list when there are any.
-        dirty_skip = cache.dirty_among(invalidate)
-        if dirty_skip:
-            # Never mutate in place: ``invalidate`` may alias the plan.
-            targets = set(invalidate) - dirty_skip
-        else:
-            targets = invalidate
+        # Locally-dirty pages are skipped (lazily-held diffs the directory
+        # still credits to this thread). The directive is resolved against
+        # the pages this cache holds; it is never built as a page list.
+        dropped = cache.invalidate(invalidate, skip_dirty=True)
         if cr_invalidate:
-            extra = [p for p in cr_invalidate
-                     if not cache.is_dirty(p) and p not in targets]
+            extra = {p for p in cr_invalidate if not cache.is_dirty(p)}
+            extra -= invalidate.intersection(extra)  # the directive's, done
             if extra:
-                targets = set(targets) | set(extra)
-        dropped = cache.invalidate(targets)
+                dropped = sorted(dropped + cache.invalidate(extra))
         if dropped:
             yield Timeout(len(dropped) * self.config.invalidate_page_time)
             if self.config.barrier_eager_refresh:
@@ -870,8 +863,9 @@ class SamhitaSystem:
                 # home server, instead of lazily refaulting line by line.
                 cs = self.compute_server_of(tid)
                 if cs.batched_rt:
-                    from repro.core.rtbatch import fetch_batched
-                    yield from fetch_batched(cs, tid, dropped, [], set())
+                    yield from rtbatch.fetch_batched(
+                        cs, tid, np.array(dropped, dtype=np.int64),
+                        NO_PAGES, set())
                 else:
                     yield from cs._fetch_pages(
                         tid, dropped, protect=set(), prefetched=False)

@@ -12,7 +12,7 @@ whose edges carry :class:`LinkModel` hops. Three builders cover the paper:
 
 from __future__ import annotations
 
-import networkx as nx
+import heapq
 
 from repro.errors import TopologyError
 from repro.hardware.node import Component, ComponentKind
@@ -28,7 +28,8 @@ class Topology:
 
     def __init__(self, name: str = "topology"):
         self.name = name
-        self.graph = nx.Graph()
+        #: Adjacency: ``links[a][b]`` is the link of edge a~b (both ways).
+        self.links: dict[str, dict[str, LinkModel]] = {}
         self.components: dict[str, Component] = {}
         self._route_cache: dict[tuple[str, str], list[LinkModel]] = {}
         #: BFS parent/depth tables for the tree fast path in :meth:`route`;
@@ -39,7 +40,7 @@ class Topology:
         if component.name in self.components:
             raise TopologyError(f"duplicate component {component.name!r}")
         self.components[component.name] = component
-        self.graph.add_node(component.name)
+        self.links[component.name] = {}
         return component
 
     def connect(self, a: str, b: str, link: LinkModel) -> None:
@@ -50,7 +51,7 @@ class Topology:
         # per physical link, so two PCIe buses built from one template must
         # not share a queue.
         edge_link = link.with_(name=f"{link.name}[{a}~{b}]")
-        self.graph.add_edge(a, b, link=edge_link, weight=edge_link.latency)
+        self.links[a][b] = self.links[b][a] = edge_link
         self._route_cache.clear()
         self._tree = None
 
@@ -72,13 +73,8 @@ class Topology:
             if name not in self.components:
                 raise TopologyError(
                     f"unknown component {name!r} in route {src!r} -> {dst!r}")
-        path = self._tree_path(src, dst)
-        if path is None:
-            try:
-                path = nx.shortest_path(self.graph, src, dst, weight="weight")
-            except nx.NetworkXNoPath:
-                raise TopologyError(f"no path {src!r} -> {dst!r}") from None
-        links = [self.graph.edges[u, v]["link"] for u, v in zip(path, path[1:])]
+        path = self._tree_path(src, dst) or self._shortest_path(src, dst)
+        links = [self.links[u][v] for u, v in zip(path, path[1:])]
         self._route_cache[key] = links
         self._route_cache[(dst, src)] = list(reversed(links))
         return links
@@ -89,17 +85,17 @@ class Topology:
         All builders in this module produce trees (hub-and-spoke with
         per-node access hops), where the weighted shortest path *is* the
         only simple path -- so one BFS parent table replaces a Dijkstra per
-        component pair. Returns None (fall back to networkx) when the
-        graph has cycles; raises when src/dst are disconnected.
+        component pair. Returns None (fall back to Dijkstra) when the
+        graph is not a tree.
         """
-        graph = self.graph
+        links = self.links
         tables = self._tree
         if tables is None:
-            if graph.number_of_edges() != graph.number_of_nodes() - 1:
+            if self.n_links != len(links) - 1:
                 return None  # has a cycle (or is a forest): not a tree
             parent: dict[str, str | None] = {}
             depth: dict[str, int] = {}
-            root = next(iter(graph.nodes))
+            root = next(iter(links))
             parent[root] = None
             depth[root] = 0
             frontier = [root]
@@ -107,14 +103,14 @@ class Topology:
                 nxt = []
                 for node in frontier:
                     d = depth[node] + 1
-                    for nb in graph.adj[node]:
+                    for nb in links[node]:
                         if nb not in depth:
                             parent[nb] = node
                             depth[nb] = d
                             nxt.append(nb)
                 frontier = nxt
-            if len(depth) != graph.number_of_nodes():
-                return None  # disconnected forest: let networkx report it
+            if len(depth) != len(links):
+                return None  # disconnected forest: let Dijkstra report it
             tables = (parent, depth)
             self._tree = tables
         parent, depth = tables
@@ -138,6 +134,37 @@ class Topology:
         down.reverse()
         return up + down
 
+    def _shortest_path(self, src: str, dst: str) -> list[str]:
+        """Latency-shortest path on a graph with cycles (Dijkstra). Ties
+        go to the path found first: candidates leave the queue in the
+        order they entered it, and neighbours enter in connection order."""
+        links = self.links
+        best = {src: 0.0}
+        parent: dict[str, str] = {}
+        queue = [(0.0, 0, src)]
+        pushed = 1
+        while queue:
+            dist, _, node = heapq.heappop(queue)
+            if node == dst:
+                path = [dst]
+                while path[-1] != src:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            if dist > best[node]:
+                continue  # a shorter way here was found after this entry
+            for nb, link in links[node].items():
+                reach = dist + link.latency
+                if reach < best.get(nb, float("inf")):
+                    best[nb] = reach
+                    parent[nb] = node
+                    heapq.heappush(queue, (reach, pushed, nb))
+                    pushed += 1
+        raise TopologyError(f"no path {src!r} -> {dst!r}")
+
+    @property
+    def n_links(self) -> int:
+        return sum(len(adjacent) for adjacent in self.links.values()) // 2
+
     def compute_components(self) -> list[Component]:
         """Components that can host compute threads, in insertion order."""
         return [c for c in self.components.values()
@@ -146,7 +173,7 @@ class Topology:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Topology {self.name}: {len(self.components)} components, "
-                f"{self.graph.number_of_edges()} links>")
+                f"{self.n_links} links>")
 
 
 def smp_topology(node: NodeSpec = PENRYN_NODE) -> Topology:

@@ -85,7 +85,7 @@ class BackingStore:
         timing-mode batches of distinct pages: no bytes exist, only
         existence and versions."""
         table = self._table
-        pages = np.array(pages, dtype=np.int64)
+        pages = np.asarray(pages, dtype=np.int64)
         created = len(pages) - int(np.count_nonzero(table.gather(LIVE, pages)))
         if created:
             table.scatter(LIVE, pages, True, create=True)

@@ -33,7 +33,8 @@ import numpy as np
 from repro.errors import ConsistencyError, MemoryError_, ProtectionError
 from repro.memory.diff import ByteRanges, PageDiff, SpanTwin
 from repro.memory.layout import MemoryLayout
-from repro.memory.pagetable import CHUNK_MASK, CHUNK_SHIFT, PageTable
+from repro.memory.pagetable import (CHUNK_MASK, CHUNK_SHIFT, NO_PAGES,
+                                    PageTable)
 from repro.sim.stats import StatSet
 
 #: Column indices of a cache chunk. ``TICK`` is the last-access tick, 0 for
@@ -43,6 +44,13 @@ TICK, PREF, LO, HI, DATA, TWIN = range(6)
 
 #: Spans and batches of at least this many pages go through the columns.
 WIDE = 8
+
+
+def _selector(pages):
+    """``select(held) -> set``: the members of the set ``held`` that
+    ``pages`` lists. Sets and barrier directives answer that themselves."""
+    select = getattr(pages, "intersection", None)
+    return set(pages).intersection if select is None else select
 
 
 class EvictionPolicy(Enum):
@@ -132,8 +140,9 @@ class SoftwareCache:
         #: is fetching has no observer, and barrier directives routinely
         #: list thousands of non-resident pages.
         self.inval_epoch: Counter = Counter()
-        #: Active fetch registrations: token -> page set (see begin_fetch).
-        self._inflight_sets: dict[int, set[int]] = {}
+        #: Active fetch registrations: token -> pages as registered, or as
+        #: a set once an invalidation looked at them (see begin_fetch).
+        self._inflight_sets: dict[int, object] = {}
         self._inflight_token = 0
         self.stats = StatSet(name)
         self._tick = 0
@@ -172,24 +181,39 @@ class SoftwareCache:
                 return False
         return True
 
-    def missing_in(self, first: int, stop: int) -> list[int]:
-        """Non-resident pages of ``[first, stop)``, ascending."""
+    def missing_in(self, first: int, stop: int) -> np.ndarray:
+        """Non-resident pages of ``[first, stop)``: an ascending vector."""
         if stop - first < WIDE:
             resident = self._resident
-            return [p for p in range(first, stop) if p not in resident]
+            return np.array([p for p in range(first, stop)
+                             if p not in resident], dtype=np.int64)
         missing = []
         for cols, a, b, page in self._table.segments(first, stop):
             if cols is None:
-                missing.extend(range(page, page + b - a))
+                missing.append(np.arange(page, page + b - a))
             else:
                 absent = (cols[TICK][a:b] == 0).nonzero()[0]
                 if absent.size:
-                    missing.extend((absent + page).tolist())
-        return missing
+                    missing.append(absent + page)
+        if len(missing) == 1:
+            return missing[0]
+        return np.concatenate(missing) if missing else NO_PAGES
+
+    def missing_among(self, pages: np.ndarray) -> np.ndarray:
+        """The non-resident members of a page vector, in its order."""
+        if pages.size < 64:  # set probes beat a column gather up to here
+            resident = self._resident
+            missing = [p for p in pages.tolist() if p not in resident]
+            if len(missing) == pages.size:
+                return pages
+            return np.array(missing, dtype=np.int64)
+        return pages[self._table.gather(TICK, pages) == 0]
 
     def missing_pages(self, addr: int, nbytes: int) -> list[int]:
         pages = self.layout.pages_spanning(addr, nbytes)
-        return self.missing_in(pages.start, pages.stop) if pages else []
+        if not pages:
+            return []
+        return self.missing_in(pages.start, pages.stop).tolist()
 
     def missing_lines(self, addr: int, nbytes: int) -> list[int]:
         """Lines with at least one non-resident page, for the span."""
@@ -197,9 +221,8 @@ class SoftwareCache:
         if not lines:
             return []
         per_line = self.layout.pages_per_line
-        missing = self.missing_in(lines.start * per_line,
-                                  lines.stop * per_line)
-        return sorted({p // per_line for p in missing})
+        return self.layout.lines_of(self.missing_in(
+            lines.start * per_line, lines.stop * per_line))
 
     def resident_page_set(self):
         """Set view of the resident page numbers (live, do not mutate)."""
@@ -226,7 +249,7 @@ class SoftwareCache:
 
     def dirty_among(self, pages) -> set[int]:
         """The members of ``pages`` that are resident-dirty."""
-        hits = self._resident.intersection(pages)
+        hits = _selector(pages)(self._resident)
         if len(hits) < WIDE:
             is_dirty = self.is_dirty
             return {p for p in hits if is_dirty(p)}
@@ -256,9 +279,10 @@ class SoftwareCache:
             cols[DATA][i] = data
         cols[PREF][i] = prefetched
 
-    def install_many(self, pages: list[int], data, prefetched: bool = False) -> None:
-        """Batched :meth:`install` of distinct, non-resident pages;
-        ``data`` maps page -> bytes (empty in timing mode).
+    def install_many(self, pages, data, prefetched: bool = False) -> None:
+        """Batched :meth:`install` of distinct, non-resident pages (a list
+        or a page vector); ``data`` maps page -> bytes (empty in timing
+        mode).
 
         Contract (the bulk-fetch fast path guarantees it): none of the
         pages is already resident. Ticks advance exactly as the per-page
@@ -268,19 +292,22 @@ class SoftwareCache:
         if len(self._resident) + n > self.capacity_pages:
             raise MemoryError_(f"{self.name}: install over capacity")
         tick = self._tick
-        chunk = self._table.chunk
         if n < WIDE:
+            if isinstance(pages, np.ndarray):
+                pages = pages.tolist()
+            chunk = self._table.chunk
             for page in pages:
                 tick += 1
                 cols = chunk(page >> CHUNK_SHIFT)
                 cols[TICK][page & CHUNK_MASK] = tick
                 cols[PREF][page & CHUNK_MASK] = prefetched
         else:
-            batch = np.array(pages, dtype=np.int64)
+            batch = np.asarray(pages, dtype=np.int64)
             self._table.scatter(TICK, batch, np.arange(tick + 1, tick + n + 1),
                                 create=True)
             self._table.scatter(PREF, batch, prefetched)
             tick += n
+            pages = batch.tolist()
         if self.functional:
             chunks = self._table.chunks
             for page in pages:
@@ -348,50 +375,68 @@ class SoftwareCache:
             cols[DATA][i] = cols[TWIN][i] = None
         return diff
 
-    def begin_fetch(self, pages: Iterable[int]) -> int:
-        """Register a fetch's pages as in flight; returns a token for
-        :meth:`end_fetch`. While registered, :meth:`invalidate` advances
-        the pages' invalidation counters, so the fetcher's snapshot/check
-        pair sees any invalidation that lands mid-flight."""
+    def begin_fetch(self, pages) -> int:
+        """Register a fetch's pages (any iterable, or a page vector) as in
+        flight; returns a token for :meth:`end_fetch`. While registered,
+        :meth:`invalidate` advances the pages' invalidation counters, so
+        the fetcher's snapshot/check pair sees any invalidation that lands
+        mid-flight."""
         self._inflight_token += 1
-        self._inflight_sets[self._inflight_token] = set(pages)
+        self._inflight_sets[self._inflight_token] = pages
         return self._inflight_token
 
     def end_fetch(self, token: int) -> None:
         self._inflight_sets.pop(token, None)
 
-    def invalidate(self, pages: Iterable[int]) -> list[int]:
+    def _inflight(self):
+        """Every registration as a set; a fetch's pages become one the
+        first time an invalidation has to look at them."""
+        registered = self._inflight_sets
+        for token, pages in registered.items():
+            if not isinstance(pages, set):
+                pages = registered[token] = set(
+                    pages.tolist() if isinstance(pages, np.ndarray) else pages)
+            yield pages
+
+    def invalidate(self, pages, skip_dirty: bool = False) -> list[int]:
         """Drop clean copies of the given pages; returns the pages dropped.
+
+        ``pages`` is an iterable of page numbers, or anything that can say
+        which members of a set it lists (``intersection``: a set, or a
+        barrier's :class:`~repro.core.consistency.InvalidateDirective`,
+        which names every page anyone else wrote -- usually thousands,
+        nearly all non-resident -- and is only ever resolved against the
+        pages held here).
 
         An in-flight fetch of a listed page carries pre-invalidation data
         and must be discarded on arrival: the invalidation counter of
         every listed page some fetcher has registered (:meth:`begin_fetch`)
         advances, resident copy or not. Unregistered pages' counters are
-        left alone -- no snapshot exists that could observe the bump, and
-        barrier directives routinely list thousands of non-resident,
-        un-fetched pages.
+        left alone -- no snapshot exists that could observe the bump.
 
         Invalidating a dirty page is a protocol error -- the consistency
-        layer must flush (multi-writer) diffs before invalidating.
+        layer must flush (multi-writer) diffs before invalidating -- unless
+        ``skip_dirty``: a barrier leaves alone the lazily-held diffs the
+        directory still credits to this thread.
         """
-        if not isinstance(pages, (set, frozenset)):
-            pages = set(pages)
+        select = _selector(pages)
+        hits = select(self._resident)
+        dirty = self.dirty_among(hits) if hits else hits
+        if dirty:
+            if not skip_dirty:
+                raise ConsistencyError(f"{self.name}: invalidating dirty page "
+                                       f"{min(dirty)} without flush")
+            hits = hits - dirty
         if self._inflight_sets:
             bump: set[int] = set()
-            for inflight in self._inflight_sets.values():
-                bump |= inflight & pages
+            for inflight in self._inflight():
+                bump |= select(inflight)
+            bump -= dirty
             if bump:
                 self.inval_epoch.update(bump)
-        # Barrier directives list every page anyone else wrote -- usually
-        # thousands, nearly all non-resident. One set intersection (over
-        # the smaller side) finds the residents.
-        dropped = sorted(self._resident & pages)
-        if not dropped:
+        if not hits:
             return []
-        dirty = self.dirty_among(dropped)
-        if dirty:
-            raise ConsistencyError(f"{self.name}: invalidating dirty page "
-                                   f"{min(dirty)} without flush")
+        dropped = sorted(hits)
         # Clean rows: HI is 0 and (invariant I3) no twin is held.
         self._resident.difference_update(dropped)
         chunks = self._table.chunks
@@ -436,7 +481,7 @@ class SoftwareCache:
                     hits += 1
         else:
             missing = self.missing_in(first, last + 1)
-            if missing:
+            if missing.size:
                 raise ProtectionError(
                     f"{self.name}: access to non-resident page {missing[0]}")
             for cols, a, b, _ in self._table.segments(first, last + 1):
@@ -638,7 +683,7 @@ class SoftwareCache:
         valid with ``use_twins`` in timing mode (the caller gates on both).
         """
         table = self._table
-        batch = np.array(pages, dtype=np.int64)
+        batch = np.asarray(pages, dtype=np.int64)
         hi = table.gather(HI, batch)
         dirty_pages = batch[hi != 0].tolist()
         if not dirty_pages:
@@ -662,12 +707,17 @@ class SoftwareCache:
     def dirty_page_ids(self) -> list[int]:
         return sorted(p for p in self._resident if self.is_dirty(p))
 
-    def take_epoch_notices(self) -> list[int]:
+    def take_epoch_notices(self) -> np.ndarray:
         """Write notices for the ending epoch: pages ordinary-written since
-        the previous barrier. Clears the set (pages may stay lazily dirty --
-        ownership in the directory keeps them readable by others)."""
-        notices = sorted(self.epoch_written)
-        self.epoch_written.clear()
+        the previous barrier, as an ascending vector. Clears the set (pages
+        may stay lazily dirty -- ownership in the directory keeps them
+        readable by others)."""
+        written = self.epoch_written
+        if not written:
+            return NO_PAGES
+        notices = np.fromiter(written, np.int64, len(written))
+        notices.sort()
+        written.clear()
         return notices
 
     def apply_fine_grain(self, diffs: Iterable[PageDiff]) -> int:

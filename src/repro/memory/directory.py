@@ -5,25 +5,37 @@ a page dirtied by exactly one thread is *not* flushed at a barrier -- the
 directory records that thread as the page's owner, and the home recalls the
 diff only if someone else faults on the page (or the owner evicts it).
 Multi-writer pages are merged eagerly at the barrier and ownership clears.
+
+Ownership is one column of a :class:`~repro.memory.pagetable.PageTable`
+(DESIGN.md "Page-id vectors"), so a barrier plan records, and a bulk serve
+gathers, the owners of a whole page vector in a few array operations.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.memory.pagetable import (CHUNK_MASK, CHUNK_SHIFT, PageTable,
+                                    page_vector)
 from repro.sim.stats import StatSet
 
 
 class PageDirectory:
     """Maps lazily written-back pages to their owning thread.
 
-    Also tracks *sharers* (threads that fetched a copy). RegC only uses
-    ownership; the eager write-invalidate (IVY-style) baseline needs the
-    sharer lists to know whom to invalidate on a write. Sharer lists are
-    conservative supersets -- a locally dropped copy may linger until the
-    next protocol action touches it.
+    Also tracks *sharers* (threads that fetched a copy), for the eager
+    write-invalidate (IVY-style) baseline only: it must know whom to
+    invalidate on a write, RegC never asks, so the memory servers register
+    sharers only under ``coherence="ivy"``. Sharer lists are conservative
+    supersets -- a locally dropped copy may linger until the next protocol
+    action touches it.
     """
 
     def __init__(self, name: str = "directory"):
-        self._owner: dict[int, int] = {}
+        #: The owner column holds ``thread id + 1``; 0 (what a fresh chunk
+        #: is filled with) means nobody owns the page.
+        self._owners = PageTable((np.int32,))
+        self._owned = 0
         self._sharers: dict[int, set[int]] = {}
         #: Failover indirection over the allocator's static home function:
         #: logical home index -> live server index. Empty until a failover
@@ -56,7 +68,7 @@ class PageDirectory:
     def home_remap(self) -> dict[int, int]:
         return dict(self._home_remap)
 
-    # -- sharers ---------------------------------------------------------
+    # -- sharers (IVY only) ----------------------------------------------
     def add_sharer(self, page: int, thread_id: int) -> None:
         sharers = self._sharers.get(page)
         if sharers is None:
@@ -65,15 +77,9 @@ class PageDirectory:
             sharers.add(thread_id)
 
     def add_sharers(self, pages, thread_id: int) -> None:
-        """Bulk :meth:`add_sharer` for a batch-served fetch: one call for
-        the whole page list instead of one per page."""
-        sharers = self._sharers
-        for page in pages:
-            s = sharers.get(page)
-            if s is None:
-                sharers[page] = {thread_id}
-            else:
-                s.add(thread_id)
+        """:meth:`add_sharer` for every page of a batch-served fetch."""
+        for page in page_vector(pages).tolist():
+            self.add_sharer(page, thread_id)
 
     def remove_sharer(self, page: int, thread_id: int) -> None:
         sharers = self._sharers.get(page)
@@ -85,31 +91,78 @@ class PageDirectory:
     def sharers_of(self, page: int) -> set[int]:
         return set(self._sharers.get(page, ()))
 
+    # -- owners: one page ------------------------------------------------
+    def owner_of(self, page: int) -> int | None:
+        cols = self._owners.chunks.get(page >> CHUNK_SHIFT)
+        if cols is None:
+            return None
+        owner = cols[0].item(page & CHUNK_MASK)  # a plain int, not a scalar
+        return owner - 1 if owner else None
+
     def record_owner(self, page: int, thread_id: int) -> None:
-        self._owner[page] = thread_id
+        column = self._owners.chunk(page >> CHUNK_SHIFT)[0]
+        if not column[page & CHUNK_MASK]:
+            self._owned += 1
+        column[page & CHUNK_MASK] = thread_id + 1
         self.stats.counters["owners_recorded"] += 1
 
-    def record_owners(self, pages, thread_id: int) -> None:
-        """Bulk :meth:`record_owner` -- barrier plans assign ownership for
-        thousands of single-writer pages at once; one C-level dict update
-        replaces the per-page call."""
-        if not pages:
+    def clear_owner(self, page: int) -> None:
+        cols = self._owners.chunks.get(page >> CHUNK_SHIFT)
+        if cols is not None and cols[0][page & CHUNK_MASK]:
+            cols[0][page & CHUNK_MASK] = 0
+            self._owned -= 1
+            self.stats.counters["owners_cleared"] += 1
+
+    # -- owners: a page vector -------------------------------------------
+    def owners_of(self, pages: np.ndarray,
+                  but: int | None = None) -> np.ndarray:
+        """The owner of each page of a vector, in order; ``-1`` where there
+        is none -- or where it is ``but``: a fetch by thread *t* asks whom
+        it must recall from, and *t* itself is nobody."""
+        if not self._owned:
+            return np.full(pages.size, -1, dtype=np.int64)
+        owners = self._owners.gather(0, pages)
+        if but is not None:
+            owners[owners == but + 1] = 0
+        owners -= 1
+        return owners
+
+    def record_owners(self, pages, thread_ids) -> None:
+        """Make ``thread_ids`` (one id, or a vector aligned with ``pages``)
+        the owners of the distinct ``pages`` -- a barrier plan assigns every
+        single-writer page of its round in one call."""
+        pages = page_vector(pages)
+        if not len(pages):
             return
-        self._owner.update(dict.fromkeys(pages, thread_id))
+        table = self._owners
+        self._owned += len(pages) - int(
+            np.count_nonzero(table.gather(0, pages)))
+        table.scatter(0, pages, np.asarray(thread_ids) + 1, create=True)
         self.stats.counters["owners_recorded"] += len(pages)
 
-    def owner_of(self, page: int) -> int | None:
-        return self._owner.get(page)
+    def clear_owners(self, pages) -> None:
+        """Drop whatever ownership the distinct ``pages`` carry."""
+        if not self._owned:
+            return
+        pages = page_vector(pages)
+        table = self._owners
+        owned = int(np.count_nonzero(table.gather(0, pages)))
+        if owned:
+            table.scatter(0, pages, 0)
+            self._owned -= owned
+            self.stats.counters["owners_cleared"] += owned
 
-    def clear_owner(self, page: int) -> None:
-        if self._owner.pop(page, None) is not None:
-            self.stats.incr("owners_cleared")
-
-    def owned_by(self, thread_id: int) -> list[int]:
-        return sorted(p for p, t in self._owner.items() if t == thread_id)
+    def owned_by(self, thread_id: int | None = None) -> list[int]:
+        """Pages owned by ``thread_id`` (by anyone, if None), ascending."""
+        found = []
+        for cols, rows, pages in self._owners.live_rows(0):
+            if thread_id is not None:
+                pages = pages[cols[0][rows] == thread_id + 1]
+            found.extend(pages.tolist())
+        return sorted(found)
 
     def __len__(self) -> int:
-        return len(self._owner)
+        return self._owned
 
     def __contains__(self, page: int) -> bool:
-        return page in self._owner
+        return self.owner_of(page) is not None

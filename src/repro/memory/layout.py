@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import MemoryError_
 
 
@@ -73,6 +75,16 @@ class MemoryLayout:
     def line_pages(self, line: int) -> range:
         first = line * self.pages_per_line
         return range(first, first + self.pages_per_line)
+
+    def lines_of(self, pages: np.ndarray) -> list[int]:
+        """The distinct lines a page vector (in any order) touches,
+        ascending."""
+        lines = pages // self.pages_per_line
+        if lines.size >= 64:
+            lines.sort()
+            lines = lines[np.concatenate(([True], lines[1:] != lines[:-1]))]
+            return lines.tolist()
+        return sorted(set(lines.tolist()))
 
     def lines_spanning(self, addr: int, nbytes: int) -> range:
         pages = self.pages_spanning(addr, nbytes)

@@ -25,6 +25,22 @@ CHUNK_SHIFT = 8
 CHUNK_PAGES = 1 << CHUNK_SHIFT
 CHUNK_MASK = CHUNK_PAGES - 1
 
+#: :meth:`PageTable.gather` / :meth:`PageTable.scatter` walk batches
+#: shorter than this page by page: splitting a batch into per-chunk index
+#: arrays costs ~4 us however few pages there are, a page ~0.2 us.
+NARROW = 16
+
+#: The empty page vector.
+NO_PAGES = np.empty(0, dtype=np.int64)
+
+
+def page_vector(pages) -> np.ndarray:
+    """A collection of page ids as an ``int64`` vector (a vector passes
+    through untouched)."""
+    if isinstance(pages, np.ndarray):
+        return pages
+    return np.fromiter(pages, np.int64, len(pages))
+
 
 class PageTable:
     """Chunked columns. A chunk is a tuple with one entry per column.
@@ -84,7 +100,15 @@ class PageTable:
 
     def gather(self, column: int, pages: np.ndarray) -> np.ndarray:
         """``column`` at each of ``pages``, in order (0 where no chunk)."""
-        out = np.zeros(len(pages), dtype=np.int64)
+        if pages.size < NARROW:
+            chunks = self.chunks
+            found = []
+            for page in pages.tolist():
+                cols = chunks.get(page >> CHUNK_SHIFT)
+                found.append(0 if cols is None
+                             else cols[column].item(page & CHUNK_MASK))
+            return np.array(found, dtype=np.int64)
+        out = np.zeros(pages.size, dtype=np.int64)
         for cols, rows, where in self.groups(pages):
             if cols is not None:
                 out[where] = cols[column][rows]
@@ -96,6 +120,15 @@ class PageTable:
         into ``column`` at ``pages``; chunks that do not exist are skipped
         unless ``create``."""
         aligned = np.ndim(values) > 0
+        if pages.size < NARROW:
+            chunks = self.chunks
+            for at, page in enumerate(pages.tolist()):
+                cols = (self.chunk(page >> CHUNK_SHIFT) if create
+                        else chunks.get(page >> CHUNK_SHIFT))
+                if cols is not None:
+                    cols[column][page & CHUNK_MASK] = (values[at] if aligned
+                                                       else values)
+            return
         for cols, rows, where in self.groups(pages, create):
             if cols is not None:
                 cols[column][rows] = values[where] if aligned else values

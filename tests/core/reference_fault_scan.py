@@ -1,0 +1,89 @@
+"""The per-line fault scan, kept as the oracle of the run-wise one.
+
+``fault_lines_batched`` here is the scan ``repro.core.rtbatch`` shipped
+before page-id collections became vectors: it visits the faulted lines one
+at a time, probes residency page by page, asks the allocator and the
+directory about single pages, and builds Python lists. It hands those lists
+(as vectors) to the shipped ``fetch_batched``, so swapping it in for the
+shipped scan must leave every counter and every event where it was.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core import rtbatch
+from repro.sim.engine import Timeout
+
+
+def _allocated_only(cs, pages: list[int]) -> list[int]:
+    allocated_span = cs.system.allocator.allocated_span
+    span = None
+    out = []
+    for page in pages:
+        if span is None or not span[0] <= page < span[1]:
+            span = allocated_span(page)
+            if span is None:
+                continue
+        out.append(page)
+    return out
+
+
+def _speculative_pages(cs, tid: int, targets, exclude: frozenset) -> list[int]:
+    cache = cs.system.cache_of(tid)
+    pending = cs.pending[tid]
+    resident = cache.resident_page_set()
+    line_pages = cache.layout.line_pages
+    owner_of = cs.system.directory.owner_of
+    pages: list[int] = []
+    seen: set[int] = set()
+    for line in targets:
+        if line in pending or line in exclude or line in seen:
+            continue
+        seen.add(line)
+        missing = [p for p in line_pages(line) if p not in resident]
+        for p in _allocated_only(cs, missing):
+            owner = owner_of(p)
+            if owner is None or owner == tid:
+                pages.append(p)
+    return pages
+
+
+def fault_lines_batched(cs, tid: int, missing: np.ndarray, protect,
+                        speculate: bool = True):
+    """Generator with the shipped scan's signature; ``missing`` only names
+    the lines to visit (what ``SoftwareCache.missing_lines`` returned)."""
+    cache = cs.system.cache_of(tid)
+    config = cs.system.config
+    pending = cs.pending[tid]
+    counters = cs.stats.counters
+    line_pages = cache.layout.line_pages
+    resident = cache.resident_page_set()
+    demand: list[int] = []
+    missed_lines: list[int] = []
+    for line in cache.layout.lines_of(missing):
+        in_flight = pending.get(line)
+        if in_flight is not None:
+            counters["prefetch_waits"] += 1
+            yield in_flight
+        still = [p for p in line_pages(line) if p not in resident]
+        still = _allocated_only(cs, still)
+        if still:
+            counters["faults"] += 1
+            demand.extend(still)
+            missed_lines.append(line)
+    if not missed_lines:
+        return
+    spec: list[int] = []
+    targets = rtbatch.predict_lines(cs, tid, missed_lines, speculate)
+    if targets:
+        spec = _speculative_pages(cs, tid, targets, frozenset(missed_lines))
+    counters["batched_line_fetches"] += 1
+    counters["batched_lines"] += len(missed_lines)
+    if spec:
+        counters["speculative_riders"] += len(spec)
+    if not cs.engine.try_advance(config.fault_handler_time):
+        yield Timeout(config.fault_handler_time)
+    yield from rtbatch.fetch_batched(
+        cs, tid, np.array(demand, dtype=np.int64),
+        np.array(spec, dtype=np.int64), protect)

@@ -10,7 +10,8 @@ from repro.memory import PageDiff, PageDirectory
 class TestPlanBarrier:
     def test_no_notices_is_empty_plan(self):
         plan = plan_barrier({0: [], 1: []}, PageDirectory())
-        assert plan.invalidate == {0: set(), 1: set()}
+        assert {t: set(d) for t, d in plan.invalidate.items()} == {
+            0: set(), 1: set()}
         assert plan.flush == {0: [], 1: []}
         assert plan.multi_writer_pages == set()
 
@@ -19,16 +20,16 @@ class TestPlanBarrier:
         plan = plan_barrier({0: [5], 1: []}, d)
         assert plan.flush == {0: [], 1: []}
         # Writer does not invalidate its own page; the other thread must.
-        assert plan.invalidate[0] == set()
-        assert plan.invalidate[1] == {5}
+        assert set(plan.invalidate[0]) == set()
+        assert set(plan.invalidate[1]) == {5}
         assert d.owner_of(5) == 0
 
     def test_multi_writer_page_flushes_everywhere(self):
         d = PageDirectory()
         plan = plan_barrier({0: [5], 1: [5]}, d)
         assert plan.flush == {0: [5], 1: [5]}
-        assert plan.invalidate[0] == {5}
-        assert plan.invalidate[1] == {5}
+        assert set(plan.invalidate[0]) == {5}
+        assert set(plan.invalidate[1]) == {5}
         assert plan.multi_writer_pages == {5}
         assert d.owner_of(5) is None
 
@@ -43,9 +44,9 @@ class TestPlanBarrier:
         plan = plan_barrier({0: [1, 2], 1: [2, 3], 2: []}, d)
         assert plan.multi_writer_pages == {2}
         assert plan.flush[0] == [2] and plan.flush[1] == [2] and plan.flush[2] == []
-        assert plan.invalidate[0] == {2, 3}
-        assert plan.invalidate[1] == {1, 2}
-        assert plan.invalidate[2] == {1, 2, 3}
+        assert set(plan.invalidate[0]) == {2, 3}
+        assert set(plan.invalidate[1]) == {1, 2}
+        assert set(plan.invalidate[2]) == {1, 2, 3}
         assert d.owner_of(1) == 0 and d.owner_of(3) == 1
 
     def test_total_notices_counted(self):

@@ -124,6 +124,34 @@ def test_sharded_directory_has_every_public_name_of_page_directory():
     assert not missing
 
 
+def test_sharded_directory_bulk_methods_match_the_plain_signatures():
+    # Name parity is not enough for the bulk methods: the callers pass
+    # ``but=`` and aligned owner vectors by the plain directory's names.
+    import inspect
+    from repro.memory import PageDirectory
+    for name in ("owners_of", "record_owners", "clear_owners", "owned_by",
+                 "add_sharers"):
+        plain = inspect.signature(getattr(PageDirectory, name))
+        sharded = inspect.signature(getattr(ShardedPageDirectory, name))
+        assert list(plain.parameters) == list(sharded.parameters), name
+
+
+def test_sharded_directory_bulk_owners_route_per_slice():
+    import numpy as np
+    directory = ShardedPageDirectory(3)
+    low, mid, high = 7, SHARD_SLICE_PAGES + 7, 2 * SHARD_SLICE_PAGES + 7
+    pages = np.array([high, low, mid, low + 1], dtype=np.int64)
+    directory.record_owners(pages, np.array([4, 1, 2, 1], dtype=np.int64))
+    assert [len(part) for part in directory.parts] == [2, 1, 1]
+    assert directory.parts[0].owned_by(1) == [low, low + 1]
+    assert directory.owners_of(pages).tolist() == [4, 1, 2, 1]
+    assert directory.owners_of(pages, but=1).tolist() == [4, -1, 2, -1]
+    assert directory.owned_by() == [low, low + 1, mid, high]
+    directory.clear_owners(np.array([low, high], dtype=np.int64))
+    assert directory.owners_of(pages).tolist() == [-1, -1, 2, 1]
+    assert len(directory) == 2 and mid in directory and high not in directory
+
+
 def test_sharded_directory_bulk_sharers_route_per_slice():
     directory = ShardedPageDirectory(2)
     low, high = 7, SHARD_SLICE_PAGES + 7

@@ -121,3 +121,62 @@ class TestHeteroNode:
     def test_coprocessor_has_many_cores(self):
         topo = hetero_node_topology()
         assert topo.component("mic0").cores >= 32
+
+
+def _cyclic_topology() -> Topology:
+    """A ring of five switches with a chord, spokes to two hosts, and two
+    equal-latency ways round (ties must break the way networkx breaks
+    them: first found, neighbours in connection order)."""
+    topo = Topology("cyclic")
+    for name in ("a", "b", "c", "d", "e", "x", "y"):
+        topo.add(Component(name, ComponentKind.SWITCH))
+    fast, slow = ib_qdr(), ib_qdr().with_(latency=5e-6)
+    for u, v, link in (("a", "b", fast), ("b", "c", fast), ("c", "d", fast),
+                       ("d", "e", fast), ("e", "a", fast), ("b", "e", slow),
+                       ("x", "a", slow), ("y", "c", fast), ("y", "d", fast)):
+        topo.connect(u, v, link)
+    return topo
+
+
+class TestRoutesMatchNetworkx:
+    """The adjacency-dict router against ``networkx.shortest_path`` (the
+    router this module used to delegate to), on every builder and on a
+    graph with cycles and latency ties."""
+
+    @pytest.mark.parametrize("build", [
+        smp_topology,
+        lambda: cluster_topology(2),
+        lambda: cluster_topology(7),
+        lambda: hetero_node_topology(1),
+        lambda: hetero_node_topology(4),
+        _cyclic_topology,
+    ], ids=["smp", "cluster2", "cluster7", "hetero1", "hetero4", "cyclic"])
+    def test_every_pair(self, build):
+        nx = pytest.importorskip("networkx")
+        topo = build()
+        graph = nx.Graph()
+        graph.add_nodes_from(topo.components)
+        seen = set()
+        for u, adjacent in topo.links.items():
+            for v, link in adjacent.items():
+                if (v, u) not in seen:  # each edge once, in connection order
+                    seen.add((u, v))
+                    graph.add_edge(u, v, link=link, weight=link.latency)
+        for src in topo.components:
+            for dst in topo.components:
+                if src == dst:
+                    continue
+                path = nx.shortest_path(graph, src, dst, weight="weight")
+                want = [graph.edges[u, v]["link"]
+                        for u, v in zip(path, path[1:])]
+                assert topo.route(src, dst) == want, (src, dst)
+
+    def test_cyclic_graph_takes_the_dijkstra_path(self):
+        topo = _cyclic_topology()
+        assert topo._tree_path("x", "y") is None
+        # x-a is slow either way; a-b-c-y (3 fast hops) ties with
+        # a-e-d-y, and loses to neither the b-e chord nor a longer way.
+        assert len(topo.route("x", "y")) == 4
+        topo.add(Component("island", ComponentKind.SWITCH))
+        with pytest.raises(TopologyError):
+            topo.route("x", "island")

@@ -426,6 +426,51 @@ class TestPageStateTable:
         assert c.invalidate(stale) == ref.invalidate(stale) == pages[WIDE // 2:]
         assert c.missing_pages(first * 4096, 3 * WIDE * 4096) == pages[WIDE // 2:]
 
+    def test_page_vectors_in_and_out(self):
+        # What the fault path hands the cache and gets back: ascending
+        # int64 vectors, on both sides of every narrow/wide dispatch and
+        # across a chunk boundary.
+        c = make(capacity=512, functional=False)
+        first = CHUNK_PAGES - 40
+        held = np.arange(first, first + 100, 3)
+        c.install_many(held, {})
+        assert c.resident_pages == held.size
+        assert c.entries[int(held[-1])].last_access == held.size
+        span = np.arange(first, first + 100)
+        missing = c.missing_in(first, first + 100)
+        assert missing.dtype == np.int64
+        assert missing.tolist() == [p for p in span.tolist()
+                                    if (p - first) % 3]
+        mixed = np.concatenate((span[50:], span[:50]))  # not ascending
+        assert c.missing_among(mixed).tolist() == [
+            p for p in mixed.tolist() if (p - first) % 3]
+        assert c.missing_among(missing[:5]).tolist() == missing[:5].tolist()
+        assert c.missing_in(first, first + 1).size == 0
+
+    def test_epoch_notices_are_an_ascending_vector(self):
+        c = make(capacity=64, functional=False)
+        install_zero(c, 9, 3, 4, 40)
+        for page in (40, 3, 9):
+            c.write(page * 4096, 8, None)
+        c.write(3 * 4096 + 4000, 200, None)     # spills into page 4
+        notices = c.take_epoch_notices()
+        assert notices.dtype == np.int64 and notices.tolist() == [3, 4, 9, 40]
+        assert c.take_epoch_notices().size == 0  # cleared; pages stay dirty
+        assert c.is_dirty(9)
+
+    def test_invalidate_skips_dirty_pages_only_when_told_to(self):
+        c = make(capacity=64, functional=False)
+        install_zero(c, 1, 2, 3)
+        c.write(2 * 4096, 8, None)
+        token = c.begin_fetch(np.array([2, 7], dtype=np.int64))
+        with pytest.raises(ConsistencyError):
+            c.invalidate({1, 2, 7})
+        assert c.invalidate({1, 2, 7}, skip_dirty=True) == [1]
+        assert c.resident(2) and c.is_dirty(2)
+        # The in-flight fetch of 7 is voided; the dirty page's is not.
+        assert c.inval_epoch_of(7) == 1 and c.inval_epoch_of(2) == 0
+        c.end_fetch(token)
+
     def test_failed_access_changes_nothing(self):
         c = make()
         install_zero(c, 0, 2, prefetched=True)

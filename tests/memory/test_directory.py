@@ -36,3 +36,21 @@ def test_owned_by_lists_thread_pages_sorted():
     assert d.owned_by(1) == [3, 9]
     assert d.owned_by(2) == [7]
     assert d.owned_by(3) == []
+
+
+def test_bulk_owner_methods_take_page_vectors():
+    import numpy as np
+    d = PageDirectory()
+    pages = np.array([300, 5, 6, 7], dtype=np.int64)     # two table chunks
+    d.record_owners(pages, np.array([1, 2, 2, 3], dtype=np.int64))
+    assert d.owners_of(np.array([7, 8, 300, 5])).tolist() == [3, -1, 1, 2]
+    # A fetch by thread 2 recalls from everyone but itself.
+    assert d.owners_of(pages, but=2).tolist() == [1, -1, -1, 3]
+    assert d.owned_by(2) == [5, 6] and d.owned_by() == [5, 6, 7, 300]
+    d.record_owners(np.array([6, 9]), 4)                 # one id for all
+    assert d.owner_of(6) == 4 and len(d) == 5
+    d.clear_owners(np.array([5, 6, 1000]))               # 1000: never owned
+    assert d.owned_by() == [7, 9, 300] and len(d) == 3
+    assert d.stats.get("owners_recorded") == 6
+    assert d.stats.get("owners_cleared") == 2
+    assert PageDirectory().owners_of(pages).tolist() == [-1] * 4

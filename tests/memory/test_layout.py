@@ -54,6 +54,17 @@ class TestLines:
         assert list(L.lines_spanning(0, 4096)) == [0]
         assert list(L.lines_spanning(0, L.line_bytes + 1)) == [0, 1]
 
+    def test_lines_of_a_page_vector(self):
+        import numpy as np
+        # Any order, duplicates of a line collapse, ascending result; both
+        # sides of the few-lines shortcut give the same answer.
+        for pages in ([9, 1, 2, 8, 40], list(range(3, 300, 2))[::-1],
+                      list(range(100, 420)), [], [7]):
+            vector = np.array(pages, dtype=np.int64)
+            want = sorted({p // 4 for p in pages})
+            assert L.lines_of(vector) == want
+            assert vector.tolist() == pages   # the input is left alone
+
     def test_single_page_lines(self):
         layout = MemoryLayout(page_bytes=4096, pages_per_line=1)
         assert layout.line_bytes == 4096

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from repro.memory.pagetable import CHUNK_PAGES, PageTable
+import pytest
+
+from repro.memory.pagetable import CHUNK_PAGES, NARROW, PageTable
 
 
 def test_chunks_appear_on_first_touch_only():
@@ -40,3 +42,28 @@ def test_gather_and_scatter_keep_input_order_over_sparse_pages():
     live = sorted(p for _, _, found in table.live_rows(1) for p in found.tolist())
     assert live == [4, CHUNK_PAGES]
     assert table.gather(0, np.empty(0, dtype=np.int64)).size == 0
+
+
+@pytest.mark.parametrize("n", [1, NARROW - 1, NARROW, 5 * NARROW])
+def test_gather_and_scatter_agree_with_a_dict_on_both_sides_of_narrow(n):
+    """Batches shorter than ``NARROW`` walk pages, longer ones split into
+    per-chunk index arrays; both must read and write the same cells."""
+    rng = np.random.default_rng(n)
+    universe = np.concatenate([
+        np.arange(CHUNK_PAGES - 20, CHUNK_PAGES + 20),
+        np.arange(9 * CHUNK_PAGES, 9 * CHUNK_PAGES + 40)])
+    table, model = PageTable((np.int64, np.int32)), {}
+    for step in range(6):
+        pages = rng.choice(universe, size=n, replace=False)
+        values = rng.integers(1, 1000, size=n)
+        create = step % 2 == 0
+        table.scatter(0, pages, values, create=create)
+        for page, value in zip(pages.tolist(), values.tolist()):
+            if create or page >> 8 in {k >> 8 for k in model}:
+                model[page] = value
+        probe = rng.choice(universe, size=n, replace=False)
+        assert table.gather(0, probe).tolist() == [
+            model.get(page, 0) for page in probe.tolist()]
+    table.scatter(1, universe, 7)            # scalar, existing chunks only
+    assert table.gather(1, universe).tolist() == [
+        7 if page >> 8 in table.chunks else 0 for page in universe.tolist()]

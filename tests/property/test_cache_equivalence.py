@@ -2,10 +2,11 @@
 
 A hypothesis state machine drives both with the same random operations --
 install / install_many / read / write (ordinary and consistency-region) /
-invalidate / begin_fetch / take_diff / take_diff_sizes / choose_victims /
-evict -- under all three policies, functional and timing, with spans on
-both sides of the narrow/wide dispatch, pages on both sides of a table
-chunk boundary, and pages dirtied in one range or several. After every
+invalidate (a page set, or a barrier directive with dirty pages skipped) /
+begin_fetch (a set or a page vector) / take_diff / take_diff_sizes /
+choose_victims / evict -- under all three policies, functional and timing,
+with spans on both sides of the narrow/wide dispatch, pages on both sides
+of a table chunk boundary, and pages dirtied in one range or several. After every
 step: equal residency, ticks, prefetched flags, dirty ranges, write
 notices, invalidation epochs and counters; every diff equal in spans,
 sizes and bytes; every victim list equal.
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
-from repro.memory import EvictionPolicy, MemoryLayout, SoftwareCache
+from repro.core.consistency import plan_barrier
+from repro.memory import (EvictionPolicy, MemoryLayout, PageDirectory,
+                          SoftwareCache)
 from repro.memory.cache import WIDE
 from repro.memory.pagetable import CHUNK_PAGES
 from tests.memory.reference_cache import ReferenceCache
@@ -112,9 +115,22 @@ class CacheEquivalence(RuleBasedStateMachine):
         stale -= {p for p, e in self.ref.entries.items() if not e.dirty.empty}
         assert self.cache.invalidate(stale) == self.ref.invalidate(stale)
 
-    @rule(batch=page_sets)
-    def begin_fetch(self, batch):
-        self.tokens.append((self.cache.begin_fetch(batch),
+    @rule(mine=page_sets, others=page_sets)
+    def barrier_invalidate(self, mine, others):
+        """A barrier directive is resolved against the pages held and the
+        pages in flight, never listed; locally dirty pages are skipped."""
+        plan = plan_barrier({0: sorted(mine), 1: sorted(others)},
+                            PageDirectory())
+        directive = plan.directive(0)
+        clean = set(directive) - {p for p, e in self.ref.entries.items()
+                                  if not e.dirty.empty}
+        assert (self.cache.invalidate(directive, skip_dirty=True)
+                == self.ref.invalidate(clean))
+
+    @rule(batch=page_sets, as_vector=st.booleans())
+    def begin_fetch(self, batch, as_vector):
+        given = np.array(sorted(batch), dtype=np.int64) if as_vector else batch
+        self.tokens.append((self.cache.begin_fetch(given),
                             self.ref.begin_fetch(batch)))
 
     @precondition(lambda self: self.tokens)
@@ -211,8 +227,12 @@ class CacheEquivalence(RuleBasedStateMachine):
             if self.functional:
                 assert bytes(got.data) == bytes(want.data)
         span = range(FIRST, FIRST + N_PAGES)
-        assert cache.missing_in(span.start, span.stop) == [
-            p for p in span if p not in ref.entries]
+        missing = [p for p in span if p not in ref.entries]
+        assert cache.missing_in(span.start, span.stop).tolist() == missing
+        backwards = np.array(span[::-1], dtype=np.int64)
+        assert cache.missing_among(backwards).tolist() == missing[::-1]
+        assert cache.missing_among(backwards[:WIDE - 1]).tolist() == [
+            p for p in span[::-1][:WIDE - 1] if p not in ref.entries]
         assert cache.span_resident(FIRST * PAGE, N_PAGES * PAGE) == (
             len(ref.entries) == N_PAGES)
 

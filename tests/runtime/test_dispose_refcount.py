@@ -39,5 +39,5 @@ def test_disposed_run_leaves_no_cyclic_garbage(config, functional):
         unreachable = gc.collect()
     finally:
         gc.enable()
-    # What remains is the topology's networkx graph and a few closures.
+    # What remains is a few closures.
     assert unreachable < 1000
