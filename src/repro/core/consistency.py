@@ -200,20 +200,27 @@ class LockUpdateLog:
         marks the thread up to date.
         """
         seen = self.last_seen.get(tid, 0)
-        if seen >= self._version or not self._epochs:
+        epochs = self._epochs
+        self.last_seen[tid] = self._version
+        if seen >= self._version or not epochs:
             # Nothing outstanding (the overwhelmingly common case on the
             # coherence broadcast path, which walks every lock per barrier
-            # arrival): skip the five comprehensions. Marking the thread up
-            # to date still matters when old epochs were pruned away.
-            self.last_seen[tid] = self._version
+            # arrival). Marking the thread up to date still matters when
+            # old epochs were pruned away.
             return [], 0, 0, []
-        pending = [e for e in self._epochs if e.version > seen]
-        self.last_seen[tid] = self._version
-        diffs = [d for e in pending for d in e.diffs]
-        payload = sum(e.payload_bytes for e in pending)
-        spans = sum(e.span_count for e in pending)
-        invalidate = sorted({p for e in pending for p in e.invalidate_pages})
-        return diffs, payload, spans, invalidate
+        # Versions are consecutive (one epoch per bump) and the list is
+        # only ever trimmed from the front, so the unseen epochs are a
+        # suffix that starts at a computable index.
+        diffs: list[PageDiff] = []
+        payload = spans = 0
+        invalidate: set[int] = set()
+        for epoch in epochs[max(seen + 1 - epochs[0].version, 0):]:
+            diffs += epoch.diffs
+            payload += epoch.payload_bytes
+            spans += epoch.span_count
+            if epoch.invalidate_pages:  # page-grain ablation only
+                invalidate.update(epoch.invalidate_pages)
+        return diffs, payload, spans, sorted(invalidate)
 
     def prune(self, all_tids: Iterable[int]) -> None:
         """Drop epochs every known thread has consumed.
@@ -228,13 +235,11 @@ class LockUpdateLog:
         tids = list(all_tids)
         if not tids:
             return
-        get = self.last_seen.get
-        horizon = min(map(get, tids, _ZEROS))
-        if horizon < epochs[0].version:
-            # Oldest retained epoch is still unconsumed by someone: the
-            # rebuild below would be an identity copy.
-            return
-        self._epochs = [e for e in epochs if e.version > horizon]
+        horizon = min(map(self.last_seen.get, tids, _ZEROS))
+        # The consumed epochs are the prefix up to version ``horizon``.
+        consumed = horizon + 1 - epochs[0].version
+        if consumed > 0:
+            del epochs[:consumed]
 
     def __len__(self) -> int:
         return len(self._epochs)

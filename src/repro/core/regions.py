@@ -61,3 +61,13 @@ class RegionTracker:
         self.stats.incr("ordinary_stores")
         self.stats.incr("ordinary_store_bytes", nbytes)
         return False
+
+    def ordinary_stores(self, count: int, nbytes: int) -> None:
+        """Record ``count`` ordinary-region stores of ``nbytes`` in total:
+        what :meth:`classify_store` records for each store of a plan's hit
+        run, which never executes inside a consistency region."""
+        if self._depth > 0:
+            raise ConsistencyError("bulk stores inside a consistency region")
+        if count:
+            self.stats.incr("ordinary_stores", count)
+            self.stats.incr("ordinary_store_bytes", nbytes)

@@ -112,28 +112,30 @@ def microbench_thread(ctx: ThreadCtx, shared: dict, lock: Lock, bar: Barrier,
 
     # ---- compute phase (Figure 2) -----------------------------------------
     gsum_addr = shared["gsum"]
+    # The whole M x S row sweep is one access plan: the same read /
+    # scale-write / compute sequence per row as the per-access loop, with
+    # each write a callable over the row's own read so the scaling
+    # recurrence chains through the plan. Every outer iteration sweeps the
+    # same rows, so the plan is built once and submitted N times.
+    plan = AccessPlan()
+    rsums: list[float] = []
+    for _j in range(params.M):
+        for row in my_rows:
+            r = arr.read_rows_op(plan, row)
+
+            if ctx.functional:
+                def scale(results, _r=r):
+                    scaled = params.r * arr.decode(results[_r], 1)[0]
+                    rsums.append(float(scaled.sum()))
+                    return scaled
+
+                arr.write_rows_op(plan, row, scale, nrows=1)
+            else:
+                arr.write_rows_op(plan, row, None, nrows=1)
+            # Two flops per element (multiply + accumulate).
+            plan.compute(B, flops_per_element=2.0)
     for _i in range(params.N):
-        # The whole M x S row sweep is one access plan: the same
-        # read / scale-write / compute sequence per row as the per-access
-        # loop, with each write a callable over the row's own read so the
-        # scaling recurrence chains through the plan.
-        plan = AccessPlan()
-        rsums: list[float] = []
-        for _j in range(params.M):
-            for row in my_rows:
-                r = arr.read_rows_op(plan, row)
-
-                if ctx.functional:
-                    def scale(results, _r=r):
-                        scaled = params.r * arr.decode(results[_r], 1)[0]
-                        rsums.append(float(scaled.sum()))
-                        return scaled
-
-                    arr.write_rows_op(plan, row, scale, nrows=1)
-                else:
-                    arr.write_rows_op(plan, row, None, nrows=1)
-                # Two flops per element (multiply + accumulate).
-                plan.compute(B, flops_per_element=2.0)
+        rsums.clear()
         yield from ctx.submit(plan)
         local_sum = 0.0
         for rsum in rsums:

@@ -497,6 +497,56 @@ class SoftwareCache:
         if hits:
             counters["prefetch_hits"] += hits
 
+    def apply_hit_run(self, touches: int, pages: np.ndarray,
+                      last_touch: np.ndarray, pieces, reads: int,
+                      read_bytes: int, writes: int, write_bytes: int) -> None:
+        """A run of timing-mode ordinary-region reads and writes, every one
+        a hit on fewer than ``WIDE`` pages, applied at once; the state left
+        behind is what :meth:`read` / :meth:`write` leave call by call.
+
+        The run made ``touches`` page touches; ``pages`` are the distinct
+        pages touched and ``last_touch`` the 0-based position of each one's
+        last touch (its final LRU tick -- earlier ticks are overwritten
+        unread). ``pieces`` lists the distinct dirty pieces ``(page, lo,
+        hi, full)`` in first-occurrence order: a dirty state is the union
+        of what was added to it, so adding a piece a second time changes
+        nothing and only first occurrences matter. ``full`` marks a page
+        in the middle of a multi-page write.
+        """
+        if self.functional:
+            raise MemoryError_(f"{self.name}: hit runs carry no bytes")
+        missing = self.missing_among(pages)
+        if missing.size:
+            raise ProtectionError(
+                f"{self.name}: access to non-resident page {missing[0]}")
+        table = self._table
+        table.scatter(TICK, pages, self._tick + 1 + last_touch)
+        self._tick += touches
+        # A prefetched page is a prefetch hit at its first touch, once.
+        prefetched = pages[table.gather(PREF, pages) != 0]
+        if prefetched.size:
+            table.scatter(PREF, prefetched, False)
+        page_bytes = self.layout.page_bytes
+        for page, lo, hi, full in pieces:
+            if full:
+                cols, i = self._row(page)
+                cols[LO][i] = 0
+                cols[HI][i] = page_bytes
+                self._spill.pop(page, None)
+            else:
+                self._add_dirty(page, lo, hi)
+        self.epoch_written.update([piece[0] for piece in pieces])
+        counters = self.stats.counters
+        counters["page_touches"] += touches
+        if prefetched.size:
+            counters["prefetch_hits"] += prefetched.size
+        if reads:
+            counters["reads"] += reads
+            counters["read_bytes"] += read_bytes
+        if writes:
+            counters["writes"] += writes
+            counters["write_bytes"] += write_bytes
+
     def read(self, addr: int, nbytes: int) -> np.ndarray | None:
         """Gather bytes (functional) or just touch pages (timing)."""
         if nbytes == 0:

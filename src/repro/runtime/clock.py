@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class ThreadClock:
@@ -38,3 +40,28 @@ class ThreadClock:
     def charge_detail(self, key: str, dt: float) -> None:
         """Extra attribution (e.g. 'fault', 'barrier') on top of the bucket."""
         self.detail[key] = self.detail.get(key, 0.0) + dt
+
+    def charge_hit_run(self, start: float, dts: np.ndarray,
+                       memory: bool) -> float:
+        """Charge a stretch of plan operations that all hit: compute
+        intervals ``dts`` (seconds, in order) and, if ``memory``, reads and
+        writes, which cost no simulated time. Returns ``start`` advanced by
+        every interval.
+
+        Each total is the chain ``t = fl(t + dt)`` that one :meth:`charge`
+        / :meth:`charge_detail` pair per operation produces:
+        ``np.add.accumulate`` is strictly sequential where ``np.sum`` adds
+        pairwise, and a memory hit's ``fl(t + 0.0)`` is ``t``.
+        """
+        detail = self.detail
+        compute = detail["compute"] = detail.get("compute", 0.0)
+        if memory:
+            detail["memory"] = detail.get("memory", 0.0)
+        if not dts.size:
+            return start
+        chains = np.empty((4, dts.size + 1))
+        chains[:, 0] = (start, self.compute, compute, detail.get("cpu", 0.0))
+        chains[:, 1:] = dts
+        (start, self.compute, detail["compute"],
+         detail["cpu"]) = np.add.accumulate(chains, axis=1)[:, -1].tolist()
+        return start

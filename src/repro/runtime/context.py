@@ -5,8 +5,11 @@ unchanged on both backends; the context routes each operation to backend ops
 and books elapsed virtual time into the paper's two buckets (compute time,
 which includes fault stalls, and synchronization time).
 
-All blocking operations are generators -- kernels call them with
-``yield from``.
+All blocking operations return generators -- kernels call them with
+``yield from``. Apart from ``compute`` and the compat plan path they are
+plain functions handing back the generator of the layer below
+(:meth:`ThreadCtx._timed` around the backend's op), so resuming a blocked
+thread crosses one frame per layer that does something.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ class ThreadCtx:
         self.tid = tid
         self.nthreads = nthreads
         self.clock = ThreadClock()
+        #: Bound once: ``_timed`` reads the engine's clock twice per op.
+        self._engine = ops.engine
 
     @property
     def functional(self) -> bool:
@@ -34,7 +39,7 @@ class ThreadCtx:
 
     @property
     def now(self) -> float:
-        return self._ops.engine.now
+        return self._engine.now
 
     def reset_clock(self) -> None:
         """Zero the time buckets -- kernels call this after their setup /
@@ -48,9 +53,10 @@ class ThreadCtx:
     # time-bucketed op wrappers
     # ------------------------------------------------------------------
     def _timed(self, gen, bucket: str, detail: str | None = None):
-        t0 = self._ops.engine.now
+        engine = self._engine
+        t0 = engine.now
         value = yield from gen
-        dt = self._ops.engine.now - t0
+        dt = engine.now - t0
         self.clock.charge(bucket, dt)
         if detail:
             self.clock.charge_detail(detail, dt)
@@ -62,31 +68,30 @@ class ThreadCtx:
     # -- memory ----------------------------------------------------------
     def malloc(self, size: int):
         """Generator: allocate ``size`` bytes of shared memory."""
-        return (yield from self._timed(self._ops.malloc(self.tid, size),
-                                       "compute", "alloc"))
+        return self._timed(self._ops.malloc(self.tid, size),
+                           "compute", "alloc")
 
     def malloc_shared(self, size: int):
         """Generator: allocate a page-aligned shared global (the analogue of
         a program global variable -- never placed in a thread arena)."""
-        return (yield from self._timed(self._ops.malloc_shared(self.tid, size),
-                                       "compute", "alloc"))
+        return self._timed(self._ops.malloc_shared(self.tid, size),
+                           "compute", "alloc")
 
     def free(self, addr: int):
         """Generator: release an allocation."""
-        return (yield from self._timed(self._ops.free(self.tid, addr),
-                                       "compute", "alloc"))
+        return self._timed(self._ops.free(self.tid, addr),
+                           "compute", "alloc")
 
     def read(self, addr: int, nbytes: int):
         """Generator: read bytes; returns uint8 array (functional mode) or
         None (timing mode). Fault stalls are charged to compute time."""
-        return (yield from self._timed(self._ops.mem_read(self.tid, addr, nbytes),
-                                       "compute", "memory"))
+        return self._timed(self._ops.mem_read(self.tid, addr, nbytes),
+                           "compute", "memory")
 
     def write(self, addr: int, nbytes: int, data: np.ndarray | None = None):
         """Generator: write bytes (data=None in timing mode)."""
-        return (yield from self._timed(
-            self._ops.mem_write(self.tid, addr, nbytes, data),
-            "compute", "memory"))
+        return self._timed(self._ops.mem_write(self.tid, addr, nbytes, data),
+                           "compute", "memory")
 
     def compute(self, elements: int, flops_per_element: float = 2.0):
         """Generator: burn CPU for ``elements`` inner-loop elements."""
@@ -95,17 +100,18 @@ class ThreadCtx:
         self.clock.charge_detail("cpu", dt)
         tracer = getattr(self._ops, "tracer", None)
         if tracer is not None and tracer.enabled and dt > 0:
-            tracer.emit(self._ops.engine.now, f"t{self.tid}", "cpu", duration=dt)
+            tracer.emit(self._engine.now, f"t{self.tid}", "cpu", duration=dt)
         # Back-to-back compute merges before scheduling: when the engine's
         # next event is strictly later, advance inline and return without a
         # yield round-trip at all.
-        if not self._ops.engine.try_advance(dt):
+        if not self._engine.try_advance(dt):
             yield Timeout(dt)
 
     # -- batched access plans ---------------------------------------------
     def submit(self, plan: AccessPlan):
         """Generator: execute an :class:`AccessPlan`; returns the list of
-        read results (in plan order).
+        read results (in plan order). A plan is not consumed: it may be
+        submitted again.
 
         Backends exposing a batched executor (``plans_supported`` +
         ``run_plan``) cost cache hits in bulk; elsewhere -- pthreads, IVY
@@ -118,58 +124,54 @@ class ThreadCtx:
         tracer = getattr(ops_backend, "tracer", None)
         if (not getattr(ops_backend, "plans_supported", False)
                 or (tracer is not None and tracer.enabled)):
-            return (yield from self._submit_compat(plan))
-        results, charges = yield from ops_backend.run_plan(self.tid, plan.ops)
-        clock = self.clock
-        for detail, dt in charges:
-            clock.charge("compute", dt)
-            clock.charge_detail(detail, dt)
-        return results
+            return self._submit_compat(plan)
+        return ops_backend.run_plan(self.tid, plan, self.clock)
 
     def _submit_compat(self, plan: AccessPlan):
         """Generator: the per-op reference semantics of a plan."""
         results = []
-        for op in plan.ops:
-            kind = op.kind
+        payloads = plan.payload
+        for i, kind in enumerate(plan.kind):
             if kind == COMPUTE:
-                yield from self.compute(op.elements, op.flops)
+                yield from self.compute(plan.elements[i], plan.flops[i])
             elif kind == READ:
-                results.append((yield from self.read(op.addr, op.nbytes)))
+                results.append(
+                    (yield from self.read(plan.addr[i], plan.nbytes[i])))
             else:
-                data = op.data
+                data = payloads[i]
                 if callable(data):
                     data = data(results)
-                yield from self.write(op.addr, op.nbytes, data)
+                yield from self.write(plan.addr[i], plan.nbytes[i], data)
         return results
 
     # -- synchronization ---------------------------------------------------
     def lock(self, lock: Lock):
         """Generator: acquire (enters a RegC consistency region)."""
-        return (yield from self._timed(
-            self._ops.acquire_lock(self.tid, lock.id), "sync", "lock"))
+        return self._timed(self._ops.acquire_lock(self.tid, lock.id),
+                           "sync", "lock")
 
     def unlock(self, lock: Lock):
         """Generator: release (leaves the consistency region, propagating
         its updates)."""
-        return (yield from self._timed(
-            self._ops.release_lock(self.tid, lock.id), "sync", "lock"))
+        return self._timed(self._ops.release_lock(self.tid, lock.id),
+                           "sync", "lock")
 
     def barrier(self, barrier: Barrier):
         """Generator: barrier wait (a RegC global consistency point)."""
-        return (yield from self._timed(
-            self._ops.barrier_wait(self.tid, barrier.id), "sync", "barrier"))
+        return self._timed(self._ops.barrier_wait(self.tid, barrier.id),
+                           "sync", "barrier")
 
     def cond_wait(self, cond: Cond, lock: Lock):
         """Generator: POSIX-style condition wait (hold the lock)."""
-        return (yield from self._timed(
-            self._ops.cond_wait(self.tid, cond.id, lock.id), "sync", "cond"))
+        return self._timed(self._ops.cond_wait(self.tid, cond.id, lock.id),
+                           "sync", "cond")
 
     def cond_signal(self, cond: Cond):
         """Generator: wake one waiter."""
-        return (yield from self._timed(
-            self._ops.cond_signal(self.tid, cond.id, False), "sync", "cond"))
+        return self._timed(self._ops.cond_signal(self.tid, cond.id, False),
+                           "sync", "cond")
 
     def cond_broadcast(self, cond: Cond):
         """Generator: wake all waiters."""
-        return (yield from self._timed(
-            self._ops.cond_signal(self.tid, cond.id, True), "sync", "cond"))
+        return self._timed(self._ops.cond_signal(self.tid, cond.id, True),
+                           "sync", "cond")

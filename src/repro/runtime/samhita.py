@@ -7,8 +7,26 @@ from repro.core.system import SamhitaSystem
 from repro.errors import BackendError
 from repro.hardware.cpu import ComputeCostModel
 from repro.runtime.backend import BaseBackend
-from repro.runtime.plan import COMPUTE, READ, upcoming_spans
+from repro.runtime.plan import COMPUTE, READ
 from repro.sim.engine import AdvanceTo, Timeout
+
+
+#: A stretch of plan operations that all hit is applied as column operations
+#: only when it covers at least ``MIN_RUN`` operations. Measured on the
+#: Figure 2 row sweep (read, write, compute per 2 KB row; one thread, every
+#: page resident): a hit costs ~2.1 us through the per-op loop, a bulk run
+#: ~23 us plus ~0.02 us per operation, so the two break even near 11
+#: operations; 24 leaves the bulk path a 2x margin, which also pays for the
+#: probes that come back short.
+MIN_RUN = 24
+#: The executor asks where the hits end only after this many operations in a
+#: row have hit. In a sweep that is still faulting, each row's read misses
+#: and its write and compute hit, so at <= 2 the probe fires inside every
+#: such sweep: 2,250 of 2,890 probes per ``strided_share`` pass come back
+#: short of ``MIN_RUN``; at 3 and 4 it is 17 of 657 and 10 of 650 (wall
+#: 0.73 s at 1, 0.65 s at 4, 0.75 s at 8: waiting longer only runs more
+#: hits one by one).
+HIT_STREAK = 4
 
 
 class SamhitaBackend(BaseBackend):
@@ -68,21 +86,21 @@ class SamhitaBackend(BaseBackend):
         self._cost_models[tid] = ComputeCostModel(cpu)
         return tid
 
-    # -- ops ------------------------------------------------------------------
+    # -- ops: each hands back the system's generator (no frame of its own) --
     def malloc(self, tid, size):
-        return (yield from self.system.malloc(tid, size))
+        return self.system.malloc(tid, size)
 
     def malloc_shared(self, tid, size):
-        return (yield from self.system.malloc(tid, size, shared=True))
+        return self.system.malloc(tid, size, shared=True)
 
     def free(self, tid, addr):
-        return (yield from self.system.free(tid, addr))
+        return self.system.free(tid, addr)
 
     def mem_read(self, tid, addr, nbytes):
-        return (yield from self.system.mem_read(tid, addr, nbytes))
+        return self.system.mem_read(tid, addr, nbytes)
 
     def mem_write(self, tid, addr, nbytes, data):
-        return (yield from self.system.mem_write(tid, addr, nbytes, data))
+        return self.system.mem_write(tid, addr, nbytes, data)
 
     # -- batched access plans ---------------------------------------------
     @property
@@ -95,44 +113,88 @@ class SamhitaBackend(BaseBackend):
         return (self.system.config.coherence == "regc"
                 and self.system.engine.coalesce)
 
-    def run_plan(self, tid, ops):
-        """Generator: execute plan ops, costing cache hits in bulk.
+    def run_plan(self, tid, plan, clock):
+        """Generator: execute a plan, costing cache hits in bulk; returns
+        the read results.
 
-        Returns ``(read_results, charges)`` where ``charges`` replays, in
-        order, the exact per-op ``(detail_key, dt)`` values the per-access
-        path would have charged to the thread clock. Hit runs accumulate
-        their delays into ``target`` with the same sequential float
-        rounding the per-op path produces (``t = fl(t + dt)`` per op) and
-        advance the engine once via :class:`AdvanceTo`; any miss first
-        drains the pending advance, then takes the ordinary fault path.
+        ``clock`` (the thread's) is charged in place, operation by
+        operation in order, with the exact ``(detail_key, dt)`` values the
+        per-access path would charge. Hits accumulate their delays into
+        ``target`` with the same sequential float rounding the per-op path
+        produces (``t = fl(t + dt)`` per op) and advance the engine once
+        via :class:`AdvanceTo`; any miss first drains the pending advance,
+        then takes the ordinary fault path.
+
+        Two shapes of the same semantics, chosen from what is observable
+        here. The per-op loop below runs everything that can miss, carries
+        bytes or is logged: functional mode, consistency regions, short
+        plans. In timing mode outside a consistency region a hit touches
+        no protocol state, so once ``HIT_STREAK`` operations in a row have
+        hit, the executor asks the cache once which of the plan's pages
+        are missing and, if that leaves at least ``MIN_RUN`` operations
+        before the next miss, applies them all as column operations
+        (``SoftwareCache.apply_hit_run``, DESIGN.md S17) -- nothing can
+        change residency in between, because nothing yields.
         """
         system = self.system
         engine = system.engine
         cache = system.cache_of(tid)
         cs = system.compute_server_of(tid)
-        element_time = self._cost_models[tid].element_time
+        cost_model = self._cost_models[tid]
+        element_time = cost_model.element_time
         span_resident = cache.span_resident
         write_resident = system.write_resident
         cache_read = cache.read
+        charge = clock.charge
+        charge_detail = clock.charge_detail
         # Plan-informed prefetch (adaptive data plane only): a miss mid-plan
         # reveals exactly what the plan touches next, so hand those spans to
         # the compute server for a batched look-ahead fetch.
         plan_prefetch = (cs.prefetch_spans
                          if system.config.batch_line_fetches else None)
+        kinds, addrs, sizes = plan.kind, plan.addr, plan.nbytes
+        n = len(kinds)
+        regions = system.region_tracker_of(tid)
+        # The operation at which to ask for a hit run: HIT_STREAK past the
+        # plan's start and past every miss; never where runs cannot happen.
+        hit_streak = (HIT_STREAK if n >= MIN_RUN and not self.functional
+                      and not regions.in_consistency_region else n)
+        probe_at = hit_streak
         results = []
-        charges = []
         target = engine.now
         pending = False
-        for i, op in enumerate(ops):
-            kind = op.kind
+        i = 0
+        while i < n:
+            if i >= probe_at and n - i >= MIN_RUN:
+                columns = plan.hit_columns(cache.layout.page_bytes, cost_model)
+                stop = columns.run_end(i, cache.missing_among(columns.pages))
+                # Operation ``stop`` misses or is a cut; if it turns out to
+                # hit, the streak it ends is still unbroken.
+                probe_at = stop + 1
+                if stop - i >= MIN_RUN:
+                    effects = columns.cache_effects(i, stop)
+                    cache.apply_hit_run(*effects)
+                    reads, _, writes, write_bytes = effects[4:]
+                    regions.ordinary_stores(writes, write_bytes)
+                    results.extend([None] * reads)
+                    dts = columns.compute_dts(i, stop)
+                    target = clock.charge_hit_run(target, dts,
+                                                  memory=reads + writes > 0)
+                    if dts.size:
+                        pending = True
+                    i = stop
+                    continue
+            kind = kinds[i]
             if kind == COMPUTE:
-                dt = element_time(op.elements, op.flops)
-                charges.append(("cpu", dt))
+                dt = element_time(plan.elements[i], plan.flops[i])
+                charge("compute", dt)
+                charge_detail("cpu", dt)
                 target = target + dt
                 pending = True
+                i += 1
                 continue
-            addr = op.addr
-            nbytes = op.nbytes
+            addr = addrs[i]
+            nbytes = sizes[i]
             if nbytes and not span_resident(addr, nbytes):
                 if pending:
                     yield AdvanceTo(target)
@@ -141,56 +203,57 @@ class SamhitaBackend(BaseBackend):
                 yield from cs.ensure_resident(
                     tid, addr, nbytes, speculate=plan_prefetch is None)
                 if plan_prefetch is not None:
-                    plan_prefetch(tid, upcoming_spans(ops, i + 1))
+                    plan_prefetch(tid, plan.upcoming_spans(i + 1))
                 if kind == READ:
                     results.append(cache_read(addr, nbytes))
                 else:
-                    data = op.data
+                    data = plan.payload[i]
                     if callable(data):
                         data = data(results)
                     stall = write_resident(tid, addr, nbytes, data)
                     if stall:
                         yield Timeout(stall)
-                charges.append(("memory", engine.now - t0))
+                dt = engine.now - t0
                 target = engine.now
-                continue
-            if kind == READ:
+                probe_at = i + 1 + hit_streak
+            elif kind == READ:
                 results.append(cache_read(addr, nbytes))
-                charges.append(("memory", 0.0))
+                dt = 0.0
             else:
-                data = op.data
+                data = plan.payload[i]
                 if callable(data):
                     data = data(results)
-                stall = write_resident(tid, addr, nbytes, data)
-                if stall:
+                dt = write_resident(tid, addr, nbytes, data)
+                if dt:
                     # fl(fl(t + stall) - t), exactly what _timed measures.
-                    new_target = target + stall
-                    charges.append(("memory", new_target - target))
+                    new_target = target + dt
+                    dt = new_target - target
                     target = new_target
                     pending = True
-                else:
-                    charges.append(("memory", 0.0))
+            charge("compute", dt)
+            charge_detail("memory", dt)
+            i += 1
         if pending:
             yield AdvanceTo(target)
-        return results, charges
+        return results
 
     def compute_cost(self, tid, elements, flops_per_element):
         return self._cost_models[tid].element_time(elements, flops_per_element)
 
     def acquire_lock(self, tid, lock_id):
-        return (yield from self.system.acquire_lock(tid, lock_id))
+        return self.system.acquire_lock(tid, lock_id)
 
     def release_lock(self, tid, lock_id):
-        return (yield from self.system.release_lock(tid, lock_id))
+        return self.system.release_lock(tid, lock_id)
 
     def barrier_wait(self, tid, barrier_id):
-        return (yield from self.system.barrier_wait(tid, barrier_id))
+        return self.system.barrier_wait(tid, barrier_id)
 
     def cond_wait(self, tid, cond_id, lock_id):
-        return (yield from self.system.cond_wait(tid, cond_id, lock_id))
+        return self.system.cond_wait(tid, cond_id, lock_id)
 
     def cond_signal(self, tid, cond_id, broadcast):
-        return (yield from self.system.cond_signal(tid, cond_id, broadcast))
+        return self.system.cond_signal(tid, cond_id, broadcast)
 
     def stats_report(self) -> dict:
         return self.system.stats_report()

@@ -109,3 +109,66 @@ class TestLockUpdateLog:
         log.updates_since(1)
         log.prune([0, 1])
         assert len(log) == 0
+
+    def test_never_acquired_thread_gets_full_retained_history_after_prune(self):
+        log = LockUpdateLog()
+        for page in (1, 2, 3):
+            log.append([self._diff(page, 4)])
+        log.updates_since(0)
+        log.prune([0])                # thread 0 alone: everything consumed
+        assert len(log) == 0
+        for page in (4, 5):
+            log.append([self._diff(page, 4)])
+        # Thread 9 joins late; versions 1-3 are gone, 4-5 are all there is.
+        diffs, payload, spans, _ = log.updates_since(9)
+        assert [d.page for d in diffs] == [4, 5]
+        assert (payload, spans) == (8, 2)
+        assert log.last_seen[9] == log.version == 5
+
+    def test_acquire_after_partial_prune_gets_the_unseen_suffix_in_order(self):
+        log = LockUpdateLog()
+        for page in range(1, 7):
+            log.append([self._diff(page, page)], invalidate_pages=[page])
+            if page == 2:
+                log.updates_since(0)  # thread 0 has seen v1-v2
+            if page == 4:
+                log.updates_since(1)  # thread 1 has seen v1-v4
+        log.prune([0, 1])             # horizon v2: v3-v6 retained
+        assert len(log) == 4
+        d0, p0, s0, i0 = log.updates_since(0)
+        assert [d.page for d in d0] == [3, 4, 5, 6]
+        assert (p0, s0, i0) == (18, 4, [3, 4, 5, 6])
+        d1, p1, s1, i1 = log.updates_since(1)
+        assert [d.page for d in d1] == [5, 6]
+        assert (p1, s1, i1) == (11, 2, [5, 6])
+        log.prune([0, 1])
+        assert len(log) == 0
+        assert log.updates_since(0) == ([], 0, 0, [])
+
+    def test_absorbed_stash_keeps_versions_consecutive(self):
+        """Records logged out of band (a drained ownership-cache stash)
+        enter through ``append`` like any release, empty ones not at all:
+        retained versions stay consecutive, which is what lets
+        ``updates_since`` slice instead of filter."""
+        from repro.core import SamhitaSystem
+
+        system = SamhitaSystem.cluster(n_threads=2)
+        for _ in range(2):
+            system.add_thread()
+        lock_id = system.create_lock()
+        manager = system.manager
+        log = manager._lock(lock_id).log
+        log.append([self._diff(1, 4)])
+        log.updates_since(1)
+        stash = [([self._diff(2, 4)], 4, 1, ()),
+                 ([], 0, 0, ()),              # empty record: not logged
+                 ([self._diff(3, 4)], 4, 1, ())]
+        manager.absorb_lock_stash(0, lock_id, stash)
+        log.append([self._diff(4, 4)])
+        assert [e.version for e in log._epochs] == [1, 2, 3, 4]
+        assert log.last_seen[0] == 3  # the stasher has seen its own records
+        diffs, _, _, _ = log.updates_since(1)
+        assert [d.page for d in diffs] == [2, 3, 4]
+        diffs, _, _, _ = log.updates_since(0)
+        assert [d.page for d in diffs] == [4]
+

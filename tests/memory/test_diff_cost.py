@@ -6,6 +6,7 @@ of calls, builtins included, however many runs the page has: the diff is
 columns, and no step of extraction or application walks its spans.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -32,12 +33,16 @@ def calls_to_write_back(runs: int) -> int:
         nonlocal calls
         calls += event in ("call", "c_call")
 
+    # No collection while counting: once any hypothesis test has run, a
+    # Python-level gc callback is installed and would be counted here.
+    gc.disable()
     sys.setprofile(count)
     try:
         diff = cache.take_diff(0)
         home.apply_diff(diff)
     finally:
         sys.setprofile(None)
+        gc.enable()
     assert diff.n_spans == runs and diff.payload_bytes == 7 * runs
     assert np.array_equal(home.read_page(0), page.reshape(-1))
     return calls
