@@ -36,7 +36,6 @@ from repro.experiments import figures  # noqa: E402
 from repro.experiments.__main__ import _QUICK_KWARGS  # noqa: E402
 from repro.experiments.parallel import (  # noqa: E402
     Executor, ResultCache, activate, cell_key)
-from repro.sim.engine import engine_variant  # noqa: E402
 
 #: The smoke campaign: one microbenchmark figure + one application figure,
 #: both at --quick scale. Small enough for CI, large enough to exercise the
@@ -51,47 +50,23 @@ BASELINE_SEED = {
     "best_of": 3,
     "commit": "cf352c7",
     "note": "same smoke campaign (fig03+fig12 --quick), serial, seed code",
-    # Scheduled-event count of the same campaign with the legacy per-event
-    # shape (measured via REPRO_NO_COALESCE=1, which restores it exactly);
-    # the seed code schedules at least this many. The --check-events gate
-    # in tools/bench_report.py compares against this.
+    # Scheduled-event count of the same campaign with every resumption
+    # sent through the event queue (recorded while a switch could still
+    # restore that shape); the seed code schedules at least this many. The
+    # --check-events gate in tools/bench_report.py compares against this.
     "events_scheduled": 557_529,
-}
-
-
-#: Trajectory fingerprint of the canonical functional Jacobi cell at the
-#: PR 8 commit (a0b19e2), captured with the same ``_jacobi_fingerprint``
-#: shape. ``batched_round_trips=False`` must reproduce this dict exactly --
-#: the --check-batched-rt gate in tools/bench_report.py compares them.
-PR8_FINGERPRINT = {
-    "grid_sha256": ("2b3e7a116b07bdfd16475c9584b7b7e1"
-                    "8394155fdfc4cc67038985f54f9e34b2"),
-    "gdiff": 7.8125,
-    "elapsed": 0.001379653349999996,
-    "events_scheduled": 849,
-    "cache_counters": {
-        "diff_bytes": 512,
-        "diffs_taken": 166,
-        "fine_grain_bytes": 480,
-        "installs": 292,
-        "invalidations": 174,
-        "page_touches": 489,
-        "prefetch_hits": 113,
-        "prefetch_installs": 189,
-        "read_bytes": 848096,
-        "reads": 49,
-        "twins_created": 182,
-        "write_bytes": 897144,
-        "writes": 37,
-    },
+    # Modeled round-trip request messages on the fig12 smoke cells under
+    # the per-operation protocol (one request per line / recall / put;
+    # recorded at PR 15, the last tree that could run it). The
+    # --check-batched-rt gate compares against this.
+    "rt_requests": 96_257,
 }
 
 
 #: Trajectory fingerprint of the canonical functional Jacobi cell at the
 #: PR 9 commit (de37097), captured with the same ``_jacobi_fingerprint``
-#: shape. The default configuration (gray-failure machinery off) must
-#: reproduce this dict exactly -- the --check-grayfail-off gate in
-#: tools/bench_report.py compares them.
+#: shape. The default configuration must reproduce this dict exactly -- the
+#: --check-off-state gate in tools/bench_report.py compares them.
 PR9_FINGERPRINT = {
     "grid_sha256": ("2b3e7a116b07bdfd16475c9584b7b7e1"
                     "8394155fdfc4cc67038985f54f9e34b2"),
@@ -114,12 +89,12 @@ PR9_FINGERPRINT = {
 }
 
 
-def run_smoke(executor=None, config=None) -> float:
+def run_smoke(executor=None) -> float:
     """Run the smoke campaign once; returns wall-clock seconds."""
     t0 = time.perf_counter()
     with activate(executor):
         for name in SMOKE_FIGURES:
-            figures.FIGURES[name](**_QUICK_KWARGS[name], config=config)
+            figures.FIGURES[name](**_QUICK_KWARGS[name])
     return time.perf_counter() - t0
 
 
@@ -201,26 +176,21 @@ def _jacobi_fingerprint(config) -> dict:
     }, result
 
 
-def faults_off_fingerprint() -> dict:
-    """Injector absent vs armed-but-silent: the two trajectories must be
-    bit-identical (the --check-faults-off gate compares these dicts)."""
+def off_state(default: dict) -> dict:
+    """The default build against its recorded pin, and against the two
+    configurations that arm a subsystem with nothing for it to do: an
+    all-zero fault plan (injector constructed, silent) and ``fencing=True``
+    on a healthy run (the fence is bookkeeping until a failover mints an
+    epoch). The --check-off-state gate requires all four fingerprints to be
+    bit-identical. (Every other off-by-default field is *at* its default in
+    ``SamhitaConfig()``, so there is nothing else to compare.)"""
     from repro.core.params import SamhitaConfig
     from repro.faults import FaultPlan
 
-    absent, _ = _jacobi_fingerprint(None)
     silent, _ = _jacobi_fingerprint(SamhitaConfig(faults=FaultPlan(seed=0)))
-    return {"injector_absent": absent, "injector_silent": silent}
-
-
-def replication_off_fingerprint() -> dict:
-    """Default build vs explicit ``replication_factor=1``: the replication
-    machinery must not exist at rf=1 -- no WAL, no checksums, no detector,
-    no extra events (the --check-replication-off gate compares these)."""
-    from repro.core.params import SamhitaConfig
-
-    rf_absent, _ = _jacobi_fingerprint(None)
-    rf_one, _ = _jacobi_fingerprint(SamhitaConfig(replication_factor=1))
-    return {"rf_absent": rf_absent, "rf_one": rf_one}
+    fenced, _ = _jacobi_fingerprint(SamhitaConfig(fencing=True))
+    return {"default": default, "pr9_fingerprint": PR9_FINGERPRINT,
+            "injector_silent": silent, "fencing_idle": fenced}
 
 
 def replication_overhead() -> dict:
@@ -249,12 +219,12 @@ def replication_overhead() -> dict:
     }
 
 
-def chaos_counters() -> dict:
-    """One seeded drop-storm cell: recovery counters + data-identity bit."""
+def chaos_counters(clean: dict) -> dict:
+    """One seeded drop-storm cell: recovery counters + data-identity bit
+    against ``clean``, the default fingerprint."""
     from repro.core.params import SamhitaConfig
     from repro.faults import drop_storm
 
-    clean, _ = _jacobi_fingerprint(None)
     plan = drop_storm(11)
     faulty, result = _jacobi_fingerprint(SamhitaConfig(faults=plan))
     return {
@@ -345,9 +315,6 @@ def _checkpoint_roundtrip() -> dict:
 def partition_safety_fingerprint() -> dict:
     """The --check-partition-safety gate's evidence:
 
-    * a healthy run with ``fencing=True`` is bit-identical to the default
-      build (the fence is pure bookkeeping until a failover mints an
-      epoch);
     * a partition that severs one memory server of the fenced three-shard
       machine still produces bit-identical data, with the promotion and at
       least one fenced stale-epoch write on the record (zero stale writes
@@ -357,9 +324,6 @@ def partition_safety_fingerprint() -> dict:
     """
     from repro.core.params import SamhitaConfig
     from repro.faults import partition
-
-    defaults, _ = _jacobi_fingerprint(None)
-    fenced_idle, _ = _jacobi_fingerprint(SamhitaConfig(fencing=True))
 
     def fenced(faults=None):
         return SamhitaConfig(manager_shards=3, n_memory_servers=2,
@@ -371,8 +335,6 @@ def partition_safety_fingerprint() -> dict:
     cut, cut_result = _jacobi_fingerprint(fenced(plan))
     membership = cut_result.stats.get("membership", {})
     return {
-        "fencing_absent": defaults,
-        "fencing_idle": fenced_idle,
         "partition": {
             "plan": "partition(seed=11, ('node4',), 4e-4 +3e-4)",
             "data_identical": (cut["grid_sha256"] == baseline["grid_sha256"]
@@ -382,93 +344,6 @@ def partition_safety_fingerprint() -> dict:
             "membership": {k: membership[k] for k in sorted(membership)},
         },
         "checkpoint": _checkpoint_roundtrip(),
-    }
-
-
-class _AggregatingExecutor(Executor):
-    """Serial executor summing data-plane counters over unique Samhita cells."""
-
-    KEYS = ("fetch_requests", "pages_fetched", "faults",
-            "batched_line_fetches")
-
-    def __init__(self, totals: dict):
-        super().__init__(workers=0, cache=None)
-        self.totals = totals
-        self._seen: dict[str, object] = {}
-
-    def map(self, specs):
-        out = []
-        for spec in specs:
-            key = cell_key(spec)
-            result = self._seen.get(key)
-            if result is None:
-                result = super().map([spec])[0]
-                self._seen[key] = result
-                if spec.backend == "samhita":
-                    _absorb_stats(self.totals, result)
-            out.append(result)
-        return out
-
-
-def _absorb_stats(totals: dict, result) -> None:
-    cs = result.stats.get("compute_servers", {})
-    for key in _AggregatingExecutor.KEYS:
-        totals[key] = totals.get(key, 0) + cs.get(key, 0)
-    prefetch = result.stats.get("prefetch", {})
-    for key in ("prefetch_installs", "prefetch_hits"):
-        totals[key] = totals.get(key, 0) + prefetch.get(key, 0)
-    engine = result.stats.get("engine", {})
-    totals["events_scheduled"] = (totals.get("events_scheduled", 0)
-                                  + engine.get("scheduled_events", 0))
-
-
-#: The Jacobi smoke campaign the prefetch gate measures: the canonical
-#: functional Jacobi cell plus the fig12 --quick Samhita cells. (fig03's
-#: per-thread arrays span two cache lines at --quick scale -- structurally
-#: nothing to prefetch -- so it carries no signal for this gate.)
-PREFETCH_GATE_FIGURE = "fig12"
-
-
-def _prefetch_campaign(config) -> dict:
-    """Run the Jacobi smoke campaign under one config; summed counters."""
-    totals: dict = {}
-    _, result = _jacobi_fingerprint(config)
-    _absorb_stats(totals, result)
-    with activate(_AggregatingExecutor(totals)):
-        figures.FIGURES[PREFETCH_GATE_FIGURE](
-            **_QUICK_KWARGS[PREFETCH_GATE_FIGURE], config=config)
-    return totals
-
-
-def prefetch_comparison() -> dict:
-    """Compat vs adaptive data plane over the Jacobi smoke campaign.
-
-    The ``--check-prefetch`` gate in tools/bench_report.py reads this
-    block: remote line fetches (``fetch_requests``, one per home-server
-    round trip) must drop by the gated fraction, prefetch accuracy must
-    clear the gated floor, and the adaptive plane must not schedule more
-    DES events than the compat plane.
-    """
-    from repro.core.params import SamhitaConfig
-
-    compat = _prefetch_campaign(SamhitaConfig.compat_cache())
-    adaptive = _prefetch_campaign(SamhitaConfig.adaptive_cache())
-    installs = adaptive["prefetch_installs"]
-    fetch_reduction = (1.0 - adaptive["fetch_requests"]
-                       / compat["fetch_requests"]
-                       if compat["fetch_requests"] else None)
-    return {
-        "campaign": ("jacobi 64x256x3 functional cell + "
-                     f"{PREFETCH_GATE_FIGURE} --quick samhita cells"),
-        "compat": compat,
-        "adaptive": adaptive,
-        "fetch_reduction": (round(fetch_reduction, 4)
-                            if fetch_reduction is not None else None),
-        "prefetch_accuracy": (round(adaptive["prefetch_hits"] / installs, 4)
-                              if installs else 1.0),
-        "accuracy_note": ("accuracy over adaptive-mode installs; an "
-                          "install-free campaign (everything batched on "
-                          "demand) counts as perfectly accurate"),
     }
 
 
@@ -520,11 +395,10 @@ def _sync_sweep_cell(n_compute: int, shards: int,
         "shards": shards,
         "tree_barriers": tree_barriers,
         "elapsed": system.engine.now,
-        "engine": engine.variant,
         "run_wall_s": round(run_wall, 4),
         "events_scheduled": engine.scheduled_events,
         "events_coalesced": engine.coalesced_events,
-        "epochs_run": getattr(engine, "epochs_run", 0),
+        "epochs_run": engine.epochs_run,
         "events_per_sec": (round(engine.scheduled_events / run_wall)
                            if run_wall else 0),
         "total_manager_rpcs": total,
@@ -541,15 +415,10 @@ def shard_scaling() -> dict:
     """16 -> 64 -> 256 compute-server sweep of the sharded control plane.
 
     The ``--check-shard-scaling`` gate in tools/bench_report.py reads this
-    block: the ``manager_shards=1`` fingerprint must be bit-identical to
-    the default build, per-shard RPC load must stay flat (<= 25%
-    deviation) across the sweep, and hierarchical tree barriers must cut
-    total barrier RPCs by >= 2x versus flat barriers at every point.
+    block: per-shard RPC load must stay flat (<= 25% deviation) across the
+    sweep, and hierarchical tree barriers must cut total barrier RPCs by
+    >= 2x versus flat barriers at every point.
     """
-    from repro.core.params import SamhitaConfig
-
-    absent, _ = _jacobi_fingerprint(None)
-    one, _ = _jacobi_fingerprint(SamhitaConfig(manager_shards=1))
     sweep = []
     for n_compute, shards in SHARD_SWEEP:
         tree = _sync_sweep_cell(n_compute, shards, tree_barriers=True)
@@ -565,8 +434,6 @@ def shard_scaling() -> dict:
         "campaign": (f"sync-heavy cell ({SHARD_SWEEP_ROUNDS} rounds of "
                      "private lock + full barrier per thread), "
                      "16 compute servers per shard"),
-        "shards_absent": absent,
-        "shards_one": one,
         "sweep": sweep,
         "per_shard_mean_deviation": (
             round(max(abs(m - center) for m in means) / center, 4)
@@ -575,8 +442,8 @@ def shard_scaling() -> dict:
 
 
 #: Modeled round-trip *request* categories: one fabric message per modeled
-#: round trip in both protocol shapes (replies -- ``page``/``recall_diff``
-#: -- are the same trips seen from the other end and are not re-counted).
+#: round trip (replies -- ``page``/``recall_diff`` -- are the same trips
+#: seen from the other end and are not re-counted).
 RT_REQUEST_CATEGORIES = ("fetch_req", "recall", "diff", "barrier_diff",
                          "fine_grain", "cr_page")
 
@@ -606,53 +473,25 @@ class _FabricSummingExecutor(Executor):
         return out
 
 
-def _rt_request_totals(config) -> dict:
-    """Sum round-trip request messages over the fig12 smoke cells."""
-    totals: dict = {}
-    with activate(_FabricSummingExecutor(totals)):
-        figures.FIGURES["fig12"](**_QUICK_KWARGS["fig12"], config=config)
-    totals["total"] = sum(totals.values())
-    return totals
-
-
-def batched_rt_comparison() -> dict:
-    """Batched vs per-operation protocol shape; the --check-batched-rt
-    gate's evidence.
-
-    Three facts recorded:
-
-    * the ``batched_round_trips=False`` trajectory fingerprint, compared
-      against :data:`PR8_FINGERPRINT` (the gate requires bit-identity --
-      off must be the PR 8 protocol, not a near miss);
-    * modeled round-trip request messages over the fig12 smoke cells,
-      batched off vs on (the gate requires the reduction factor);
-    * data identity between the two shapes on the canonical functional
-      cell (the batching may change timing, never bytes), plus the
-      on-state ``round_trips`` ledger snapshot.
-    """
-    from repro.core.params import SamhitaConfig
-
-    off_fp, _ = _jacobi_fingerprint(SamhitaConfig(batched_round_trips=False))
-    on_fp, on_result = _jacobi_fingerprint(None)
-    off_req = _rt_request_totals(SamhitaConfig(batched_round_trips=False))
-    on_req = _rt_request_totals(None)
-    reduction = (round(off_req["total"] / on_req["total"], 2)
-                 if on_req["total"] else None)
+def batched_rt_comparison(default_result) -> dict:
+    """The --check-batched-rt gate's evidence: modeled round-trip request
+    messages over the fig12 smoke cells, against the per-operation
+    protocol's recorded total (``BASELINE_SEED["rt_requests"]``), plus the
+    ``round_trips`` ledger of the canonical Jacobi cell."""
+    requests: dict = {}
+    with activate(_FabricSummingExecutor(requests)):
+        figures.FIGURES["fig12"](**_QUICK_KWARGS["fig12"])
+    requests["total"] = sum(requests.values())
+    recorded = BASELINE_SEED["rt_requests"]
     return {
         "campaign": ("fig12 --quick samhita cells (modeled round-trip "
-                     "request messages) + canonical jacobi cell "
-                     "(fingerprints)"),
+                     "request messages) + canonical jacobi cell (ledger)"),
         "request_categories": list(RT_REQUEST_CATEGORIES),
-        "off_requests": off_req,
-        "on_requests": on_req,
-        "trip_reduction": reduction,
-        "off_fingerprint": off_fp,
-        "pr8_fingerprint": PR8_FINGERPRINT,
-        "off_identical_to_pr8": off_fp == PR8_FINGERPRINT,
-        "data_identical_on_off": (
-            on_fp["grid_sha256"] == off_fp["grid_sha256"]
-            and on_fp["gdiff"] == off_fp["gdiff"]),
-        "round_trips": on_result.stats.get("round_trips"),
+        "requests": requests,
+        "requests_per_operation": recorded,
+        "trip_reduction": (round(recorded / requests["total"], 2)
+                           if requests["total"] else None),
+        "round_trips": default_result.stats["round_trips"],
     }
 
 
@@ -678,13 +517,10 @@ def _grayfail_fingerprint(config) -> dict:
 
 
 def grayfail_comparison() -> dict:
-    """Gray-failure resilience evidence; the --check-grayfail gates' input.
+    """Gray-failure resilience evidence; the --check-grayfail gate's input.
 
-    Four facts recorded:
+    Three facts recorded:
 
-    * the default-configuration trajectory fingerprint, compared against
-      :data:`PR9_FINGERPRINT` (the off-gate requires bit-identity -- the
-      hedging/breaker/shedding machinery must be unreachable when off);
     * data identity between the clean grayfail deployment and the same
       deployment under a 10x slow-server storm (gray failures may change
       timing, never bytes);
@@ -696,7 +532,6 @@ def grayfail_comparison() -> dict:
     from repro.core.params import SamhitaConfig
     from repro.faults import slow_server
 
-    off_fp, _ = _jacobi_fingerprint(None)
     storm = slow_server(11, "node1", factor=10.0, start=2e-4, duration=1.0)
     clean, _ = _grayfail_fingerprint(SamhitaConfig.grayfail())
     hedged, hedged_result = _grayfail_fingerprint(
@@ -706,9 +541,6 @@ def grayfail_comparison() -> dict:
     return {
         "campaign": ("jacobi 64x256x6 functional cell, grayfail deployment, "
                      "slow_server(seed=11, node1, factor=10)"),
-        "off_fingerprint": off_fp,
-        "pr9_fingerprint": PR9_FINGERPRINT,
-        "off_identical_to_pr9": off_fp == PR9_FINGERPRINT,
         "data_identical": (
             hedged["grid_sha256"] == clean["grid_sha256"]
             and hedged["gdiff"] == clean["gdiff"]
@@ -743,7 +575,6 @@ def sweep_events_rate(best_of_n: int = 3) -> dict:
     return {
         "campaign": (f"sync-heavy sweep cell, {n_compute} compute servers / "
                      f"{shards} shards, run phase only, best of {best_of_n}"),
-        "engine": best["engine"],
         "events_scheduled": best["events_scheduled"],
         "events_coalesced": best["events_coalesced"],
         "epochs_run": best["epochs_run"],
@@ -787,39 +618,28 @@ def main(argv=None) -> int:
     print("per-cell instrumentation pass ...")
     cells = measure_cells()
 
-    print("faults-off fingerprint + chaos counters ...")
-    faults_off = faults_off_fingerprint()
-    chaos = chaos_counters()
+    print("off-state fingerprints + chaos counters ...")
+    default_fp, default_result = _jacobi_fingerprint(None)
+    off = off_state(default_fp)
+    chaos = chaos_counters(default_fp)
 
-    print("replication-off fingerprint + rf=2 overhead ...")
-    replication_off = replication_off_fingerprint()
+    print("rf=2 overhead ...")
     replication = replication_overhead()
-
-    print("prefetch comparison (compat vs adaptive data plane) ...")
-    prefetch = prefetch_comparison()
 
     print("shard scaling sweep (16 -> 64 -> 256 compute servers) ...")
     shards = shard_scaling()
 
-    print("partition-safety fingerprint (fencing, quorum, checkpoint) ...")
+    print("partition-safety cell (quorum, fencing, checkpoint) ...")
     partition_safety = partition_safety_fingerprint()
 
-    print("batched round-trip comparison (off-pin + trip reduction) ...")
-    batched_rt = batched_rt_comparison()
+    print("batched round trips (modeled requests vs recorded) ...")
+    batched_rt = batched_rt_comparison(default_result)
 
-    print("gray-failure comparison (off-pin + slow-server storm) ...")
+    print("gray-failure comparison (slow-server storm) ...")
     grayfail = grayfail_comparison()
 
     print("sustained events/sec at the 256-server sweep point ...")
     rate = sweep_events_rate(best_of_n=max(args.best_of, 3))
-
-    print(f"after_adaptive_cache: best of {args.best_of} ...")
-    from repro.core.params import SamhitaConfig
-
-    def run_adaptive():
-        return run_smoke(config=SamhitaConfig.adaptive_cache())
-
-    adaptive_best, adaptive_runs = best_of(args.best_of, run_adaptive)
 
     print(f"after_workers{workers}_cold: best of {args.best_of} ...")
 
@@ -850,7 +670,6 @@ def main(argv=None) -> int:
             "cpus_usable": usable,
             "workers_requested": args.workers,
             "workers_effective": workers,
-            "engine_default": engine_variant(),
         },
         "smoke_figures": list(SMOKE_FIGURES),
         "baseline_seed": BASELINE_SEED,
@@ -866,22 +685,11 @@ def main(argv=None) -> int:
                 "wall_s": round(serial_best, 3),
                 "runs": [round(r, 3) for r in serial_runs],
                 "speedup_vs_seed": round(seed / serial_best, 2),
-                "engine": engine_variant(),
-            },
-            "after_adaptive_cache": {
-                "wall_s": round(adaptive_best, 3),
-                "runs": [round(r, 3) for r in adaptive_runs],
-                "speedup_vs_seed": round(seed / adaptive_best, 2),
-                "engine": engine_variant(),
-                "config": "SamhitaConfig.adaptive_cache()",
-                "fetch_reduction": prefetch["fetch_reduction"],
-                "prefetch_accuracy": prefetch["prefetch_accuracy"],
             },
             f"after_workers{workers}_cold": {
                 "wall_s": round(cold, 3),
                 "runs": [round(r, 3) for r in cold_runs],
                 "speedup_vs_seed": round(seed / cold, 2),
-                "engine": engine_variant(),
             },
             f"after_workers{workers}_cached": {
                 "wall_s": round(warm, 3),
@@ -891,16 +699,13 @@ def main(argv=None) -> int:
                 # "cached" in tools/bench_report.py.
                 "speedup_vs_seed": (round(seed / warm, 1)
                                     if warm >= 0.005 else None),
-                "engine": engine_variant(),
                 "cache_hits": warm_cache.hits,
             },
         },
         "events_rate": rate,
         "cells": cells,
-        "prefetch": prefetch,
-        "faults_off": faults_off,
+        "off_state": off,
         "chaos": chaos,
-        "replication_off": replication_off,
         "replication": replication,
         "shard_scaling": shards,
         "partition_safety": partition_safety,
@@ -921,10 +726,6 @@ def main(argv=None) -> int:
     print(f"  seed baseline        {seed:7.3f} s")
     print(f"  after_serial         {serial_best:7.3f} s  "
           f"({seed / serial_best:.2f}x vs seed)")
-    print(f"  after_adaptive_cache {adaptive_best:7.3f} s  "
-          f"({seed / adaptive_best:.2f}x vs seed; "
-          f"fetches -{prefetch['fetch_reduction'] * 100:.0f}%, "
-          f"accuracy {prefetch['prefetch_accuracy'] * 100:.0f}%)")
     print(f"  workers{workers} cold        {cold:7.3f} s  "
           f"({seed / cold:.2f}x vs seed)")
     warm_vs = f"({seed / warm:.0f}x vs seed)" if warm >= 0.005 else "(cached)"
@@ -932,21 +733,16 @@ def main(argv=None) -> int:
     print(f"  scheduled events     {events_scheduled:,} "
           f"({seed_events / events_scheduled:.2f}x fewer than seed; "
           f"{events_coalesced:,} coalesced)")
-    ok = faults_off["injector_absent"] == faults_off["injector_silent"]
-    print(f"  faults-off identity  {'bit-identical' if ok else 'DIVERGED'}")
+    ok = all(off[k] == default_fp for k in
+             ("pr9_fingerprint", "injector_silent", "fencing_idle"))
+    print(f"  off-state identity   {'bit-identical' if ok else 'DIVERGED'}")
     print(f"  chaos drop_storm     data_identical={chaos['data_identical']} "
           f"retransmits={chaos['counters'].get('retransmits', 0)}")
-    repl_ok = replication_off["rf_absent"] == replication_off["rf_one"]
-    print(f"  replication-off      "
-          f"{'bit-identical' if repl_ok else 'DIVERGED'}")
     overhead = replication["elapsed_overhead"]
     print(f"  rf=2 healthy path    data_identical="
           f"{replication['data_identical']} "
           f"elapsed +{overhead * 100:.1f}% "
           f"ships={replication['counters'].get('repl_ships', 0)}")
-    shards_ok = shards["shards_absent"] == shards["shards_one"]
-    print(f"  shards-off           "
-          f"{'bit-identical' if shards_ok else 'DIVERGED'}")
     dev = shards["per_shard_mean_deviation"]
     last = shards["sweep"][-1]
     print(f"  shard sweep          per-shard load dev {dev * 100:.1f}% "
@@ -955,18 +751,14 @@ def main(argv=None) -> int:
           f"{last['n_compute']}")
     print(f"  events/sec (256)     {rate['events_per_sec']:,}/s sustained "
           f"({rate['events_scheduled']:,} events in "
-          f"{rate['run_wall_s']:.3f} s run phase, "
-          f"{rate['engine']} engine)")
-    print(f"  batched round trips  "
-          f"{'off==PR8' if batched_rt['off_identical_to_pr8'] else 'off DIVERGED'}"
-          f"  requests {batched_rt['off_requests']['total']:,} -> "
-          f"{batched_rt['on_requests']['total']:,} "
-          f"(-{batched_rt['trip_reduction']:.1f}x)  data_identical="
-          f"{batched_rt['data_identical_on_off']}")
+          f"{rate['run_wall_s']:.3f} s run phase)")
+    print(f"  batched round trips  requests "
+          f"{batched_rt['requests_per_operation']:,} (per-operation, "
+          f"recorded) -> {batched_rt['requests']['total']:,} "
+          f"(-{batched_rt['trip_reduction']:.1f}x)")
     gf = grayfail
     print(f"  gray failure         "
-          f"{'off==PR9' if gf['off_identical_to_pr9'] else 'off DIVERGED'}"
-          f"  storm slowdown {gf['hedged_slowdown']:.2f}x hedged "
+          f"storm slowdown {gf['hedged_slowdown']:.2f}x hedged "
           f"(unhedged {gf['unhedged_slowdown']:.2f}x)  "
           f"hedges_won={gf['counters'].get('hedges_won', 0)} "
           f"breaker_opens={gf['counters'].get('breaker_opens', 0)} "

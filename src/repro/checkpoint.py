@@ -35,8 +35,7 @@ turns "last replica of a shard lost" from a fatal
 checkpoint and replay".
 
 At ``checkpoint_interval=0`` (the default) no store is constructed and the
-barrier hook is one ``is None`` check -- bit-identity with the
-no-checkpoint build is CI-gated by ``--check-partition-safety``.
+barrier hook is one ``is None`` check.
 """
 
 from __future__ import annotations

@@ -5,22 +5,23 @@ This class implements the fault path of §II: on a miss the thread requests
 the whole multi-page cache line from its home; if the cache is full, victims
 are chosen by the dirty-biased policy and written back before the install.
 
-The prefetch side is policy-driven (``SamhitaConfig.prefetch_policy``):
+Every fault, prefetch and eviction is one batched round trip per home
+server (:mod:`repro.core.rtbatch`); the prefetch side is policy-driven
+(``SamhitaConfig.prefetch``):
 
-* ``adjacent`` -- the paper's anticipatory paging: every demand miss fires
-  an asynchronous request for the adjacent line (the compatibility
-  default, event-for-event identical to the seed);
+* ``adjacent`` -- the paper's anticipatory paging: the line after every
+  demand miss rides the miss's own round trip (the default);
 * ``stride`` -- a per-thread reference-prediction table
   (:class:`~repro.core.prefetcher.StridePrefetcher`) detects forward and
   backward strides in the miss stream and fetches ``degree`` lines ahead
-  as one batched request, throttling back to adjacent-line behaviour when
-  measured accuracy drops;
+  on the demand trip, throttling back to adjacent-line behaviour when
+  measured accuracy drops; the plan executor additionally feeds
+  upcoming-operation spans in as plan-informed prefetch (see
+  ``SamhitaBackend.run_plan``);
 * ``none`` -- demand paging only.
 
-With ``config.batch_line_fetches`` a span that misses k lines is fetched in
-ONE protocol round-trip per home server instead of k sequential transfers,
-and the batched plan executor feeds upcoming-operation spans in as
-plan-informed prefetch (see ``SamhitaBackend.run_plan``).
+The synchronous per-page fetch (:meth:`ComputeServer._fetch_pages`) remains
+as the degrade path of an open circuit breaker with no eligible replica.
 """
 
 from __future__ import annotations
@@ -86,15 +87,9 @@ class ComputeServer:
         #: stamped on write-side RPCs, refreshed when a receiver fences a
         #: stale stamp after a failover this component missed.
         self.known_epoch = 0
-        config = system.config
-        self.prefetch_policy = config.prefetch_policy
-        self.batch_fetches = config.batch_line_fetches
-        #: Batched round-trip protocol model (repro.core.rtbatch): the
-        #: fault, prefetch and eviction paths below dispatch to the
-        #: per-home batched forms when set.
-        self.batched_rt = config.batched_round_trips
-        self.prefetcher = (StridePrefetcher(self.prefetch_policy, self.stats)
-                           if self.prefetch_policy.mode == "stride" else None)
+        policy = system.config.prefetch
+        self.prefetcher = (StridePrefetcher(policy, self.stats)
+                           if policy.mode == "stride" else None)
 
     def register_thread(self, tid: int) -> None:
         self.threads.append(tid)
@@ -216,94 +211,11 @@ class ComputeServer:
                 yield from self._fetch_pages_pinned(
                     tid, self._allocated_only(missing[lo:hi]).tolist(),
                     protect)
-            elif self.batched_rt:
+            else:
                 yield from rtbatch.fault_lines_batched(
                     self, tid, missing, protect, speculate)
-            elif self.batch_fetches:
-                yield from self._fault_lines(
-                    tid, layout.lines_of(missing), protect,
-                    speculate)
-            else:
-                for line in layout.lines_of(missing):
-                    yield from self._fault_line(tid, line, protect)
         raise MemoryError_(
             f"thread {tid} starved faulting [{addr:#x}, +{nbytes})")
-
-    def _line_missing(self, cache, line: int) -> list[int]:
-        """The allocated, non-resident pages of one line (the per-line
-        compatibility paths)."""
-        first = line * cache.layout.pages_per_line
-        return self._allocated_only(cache.missing_in(
-            first, first + cache.layout.pages_per_line)).tolist()
-
-    def _fault_line(self, tid: int, line: int, protect: Iterable[int]):
-        """Generator: demand-fetch one cache line (§II fault path)."""
-        cache = self.system.cache_of(tid)
-        config = self.system.config
-        pending = self.pending[tid]
-
-        in_flight = pending.get(line)
-        if in_flight is not None:
-            # A prefetch is already bringing this line in.
-            self.stats.counters["prefetch_waits"] += 1
-            yield in_flight
-
-        missing = self._line_missing(cache, line)
-        if missing:
-            self.stats.counters["faults"] += 1
-            # try_advance applies the same inline-advance rule _step would;
-            # when it succeeds the whole yield-from chain stays un-suspended.
-            if not self.engine.try_advance(config.fault_handler_time):
-                yield Timeout(config.fault_handler_time)
-            yield from self._fetch_pages(tid, missing, protect,
-                                         prefetched=False)
-
-        self._after_demand_miss(tid, (line,))
-
-    def _fault_lines(self, tid: int, lines, protect: Iterable[int],
-                     speculate: bool = True):
-        """Generator: demand-fetch several missing lines at once.
-
-        The adaptive-mode fault path: one fault-handler charge and one
-        protocol round-trip per home server for the whole batch, instead
-        of the per-line sequence the compatibility mode keeps.
-        ``speculate=False`` (plan-executor misses) trains the predictor
-        but issues no speculative prefetch -- the plan's own look-ahead is
-        authoritative about what comes next, so guessing alongside it only
-        wastes installs.
-        """
-        cache = self.system.cache_of(tid)
-        config = self.system.config
-        pending = self.pending[tid]
-        counters = self.stats.counters
-        demand: list[int] = []
-        missed_lines: list[int] = []
-        for line in lines:
-            in_flight = pending.get(line)
-            if in_flight is not None:
-                counters["prefetch_waits"] += 1
-                yield in_flight
-            missing = self._line_missing(cache, line)
-            if missing:
-                counters["faults"] += 1
-                demand.extend(missing)
-                missed_lines.append(line)
-        if missed_lines:
-            # Predict BEFORE fetching: the speculative request then overlaps
-            # the demand round-trip below instead of starting after it, so
-            # mid-stream predictions are installed by the time the thread
-            # scans forward to them (issuing after the fetch, the daemon
-            # only ever won the race at stall points -- block boundaries --
-            # exactly where predictions overshoot).
-            self._after_demand_miss(tid, missed_lines, issue=speculate,
-                                    exclude=frozenset(missed_lines))
-        if demand:
-            counters["batched_line_fetches"] += 1
-            counters["batched_lines"] += len(missed_lines)
-            if not self.engine.try_advance(config.fault_handler_time):
-                yield Timeout(config.fault_handler_time)
-            yield from self._fetch_pages(tid, demand, protect,
-                                         prefetched=False)
 
     def _allocated_only(self, pages: np.ndarray) -> np.ndarray:
         """Drop pages outside any allocation (line tails past a region)
@@ -333,9 +245,10 @@ class ComputeServer:
                 span = allocated_span(pages.item(at))
         return np.concatenate(kept) if kept else pages[:0]
 
-    def _fetch_pages(self, tid: int, pages: list[int], protect: Iterable[int],
-                     prefetched: bool):
-        """Generator: fetch pages (grouped per home server) and install them.
+    def _fetch_pages(self, tid: int, pages: list[int], protect: Iterable[int]):
+        """Generator: fetch pages (grouped per home server) and install
+        them, synchronously and page by page -- the degrade path of an open
+        circuit breaker with no eligible replica.
 
         Installs are guarded by per-page invalidation counters: data fetched
         before an invalidation of that page (barrier directive, page-grain
@@ -346,13 +259,12 @@ class ComputeServer:
         cache = self.system.cache_of(tid)
         token = cache.begin_fetch(pages)
         try:
-            yield from self._fetch_pages_flight(tid, pages, protect,
-                                                prefetched)
+            yield from self._fetch_pages_flight(tid, pages, protect)
         finally:
             cache.end_fetch(token)
 
     def _fetch_pages_flight(self, tid: int, pages: list[int],
-                            protect: Iterable[int], prefetched: bool):
+                            protect: Iterable[int]):
         system = self.system
         cache = system.cache_of(tid)
         config = system.config
@@ -428,30 +340,28 @@ class ComputeServer:
             # No event can run inside the window, so the per-page re-checks
             # of the slow path are provably no-ops here.
             engine = self.engine
-            if engine.coalesce:
-                eligible = []
-                stale = 0
-                for p in server_pages:
-                    if p in resident:
-                        continue  # raced fill: silent skip, like below
-                    if epoch_get(p, 0) != snapshots[p]:
-                        stale += 1
-                    else:
-                        eligible.append(p)
-                k = len(eligible)
-                if k and cache.free_pages >= k:
-                    target = engine.now
-                    for _ in range(k):
-                        target = target + install_time
-                    if target <= engine._until and engine._next_time > target:
-                        engine.now = target
-                        engine._coalesced += k
-                        cache.install_many(eligible, data,
-                                           prefetched=prefetched)
-                        if stale:
-                            counters["stale_fetch_dropped"] += stale
-                        counters["pages_fetched"] += len(server_pages)
-                        continue
+            eligible = []
+            stale = 0
+            for p in server_pages:
+                if p in resident:
+                    continue  # raced fill: silent skip, like below
+                if epoch_get(p, 0) != snapshots[p]:
+                    stale += 1
+                else:
+                    eligible.append(p)
+            k = len(eligible)
+            if k and cache.free_pages >= k:
+                target = engine.now
+                for _ in range(k):
+                    target = target + install_time
+                if target <= engine._until and engine._next_time > target:
+                    engine.now = target
+                    engine._coalesced += k
+                    cache.install_many(eligible, data)
+                    if stale:
+                        counters["stale_fetch_dropped"] += stale
+                    counters["pages_fetched"] += len(server_pages)
+                    continue
             for page in server_pages:
                 if page in resident:
                     continue  # raced with another fill
@@ -459,16 +369,14 @@ class ComputeServer:
                     counters["stale_fetch_dropped"] += 1
                     continue
                 if cache.free_pages == 0:
-                    if prefetched:
-                        counters["prefetch_skipped_full"] += 1
-                        continue
-                    yield from self._evict(tid, 1, {*protect, *server_pages})
+                    yield from rtbatch.evict_batched(
+                        self, tid, 1, {*protect, *server_pages})
                 if not try_advance(install_time):
                     yield Timeout(install_time)
                 if epoch_get(page, 0) != snapshots[page]:
                     counters["stale_fetch_dropped"] += 1
                     continue
-                cache.install(page, data.get(page), prefetched=prefetched)
+                cache.install(page, data.get(page))
             counters["pages_fetched"] += len(server_pages)
 
     def _repair_page(self, server, page: int):
@@ -498,7 +406,8 @@ class ComputeServer:
         for server_index, server_pages in sorted(by_server.items()):
             # Pre-make room (evictions may need the same server).
             while cache.free_pages < len(server_pages):
-                yield from self._evict(tid, 1, {*protect, *server_pages})
+                yield from rtbatch.evict_batched(
+                    self, tid, 1, {*protect, *server_pages})
             counters["fetch_requests"] += 1
             backoffs = 0
             while True:
@@ -528,69 +437,9 @@ class ComputeServer:
             counters["pages_fetched"] += len(server_pages)
 
     # ------------------------------------------------------------------
-    # prefetch (anticipatory paging, §II; stride prediction)
+    # plan-informed prefetch (speculation itself rides the demand trips:
+    # rtbatch.predict_lines)
     # ------------------------------------------------------------------
-    def _after_demand_miss(self, tid: int, lines, issue: bool = True,
-                           exclude: frozenset = frozenset()) -> None:
-        """Issue the policy's prefetch for a run of demand-missed lines.
-
-        ``issue=False`` only trains the stride predictor (plan-executor
-        misses: the plan look-ahead already covers what comes next);
-        ``exclude`` lists lines a concurrent demand fetch already covers.
-        """
-        mode = self.prefetch_policy.mode
-        # A batch already fetching more lines than the prefetch degree has
-        # outrun anything the predictor could add: the only lines a
-        # prediction would reach past such a batch are the ones BEYOND the
-        # faulted span -- measured on the Jacobi campaigns, those are the
-        # installs that cross into other threads' partitions and get
-        # invalidated untouched. Train on the batch, predict nothing.
-        issue = issue and len(lines) <= self.prefetch_policy.degree
-        if mode == "adjacent":
-            if issue:
-                for line in lines:
-                    self._maybe_prefetch(tid, (line + 1,), exclude)
-        elif mode == "stride":
-            cache = self.system.cache_of(tid)
-            cache_counters = cache.stats.counters
-            pages_per_line = cache.layout.pages_per_line
-            allocated_span = self.system.allocator.allocated_span
-            prefetcher = self.prefetcher
-            targets: tuple[int, ...] = ()
-            for line in lines:
-                # Streams are keyed by allocation so a kernel alternating
-                # between arrays (src/dst sweeps) trains one clean stride
-                # per array. Feed the whole run; the last observation's
-                # prediction is the freshest, so only it is issued.
-                span = allocated_span(line * pages_per_line)
-                targets = prefetcher.observe(
-                    tid, line, cache_counters,
-                    stream_key=span[0] if span else None)
-            if issue and targets:
-                self._maybe_prefetch(tid, targets, exclude)
-
-    def _maybe_prefetch(self, tid: int, lines,
-                        exclude: frozenset = frozenset()) -> None:
-        """Queue an asynchronous fetch of the given lines' missing pages.
-
-        All lines ride ONE daemon process and one request per home server;
-        each line is registered in ``pending`` so a demand fault can wait
-        on the in-flight data instead of re-requesting it.
-        """
-        cache = self.system.cache_of(tid)
-        pending = self.pending[tid]
-        targets: list[int] = []
-        pages: list[int] = []
-        for line in lines:
-            if line in pending or line in exclude:
-                continue
-            missing = self._line_missing(cache, line)
-            if missing:
-                targets.append(line)
-                pages.extend(missing)
-        if targets:
-            self._issue_prefetch(tid, targets, pages)
-
     def _issue_prefetch(self, tid: int, targets: list[int],
                         pages: list[int]) -> None:
         """Spawn the daemon fetching ``pages``, registered under ``targets``
@@ -660,62 +509,11 @@ class ComputeServer:
             still_missing = self.system.cache_of(tid).missing_among(
                 np.array(pages, dtype=np.int64))
             if still_missing.size:
-                if self.batched_rt:
-                    # Pure speculative trip(s): one per home server.
-                    yield from rtbatch.fetch_batched(
-                        self, tid, NO_PAGES, still_missing, set())
-                else:
-                    yield from self._fetch_pages(
-                        tid, still_missing.tolist(), set(), prefetched=True)
+                # Pure speculative trip(s): one per home server.
+                yield from rtbatch.fetch_batched(
+                    self, tid, NO_PAGES, still_missing, set())
         finally:
             pending = self.pending[tid]
             for line in lines:
                 del pending[line]
             gate.succeed()
-
-    # ------------------------------------------------------------------
-    # eviction (dirty-biased write-back, §II)
-    # ------------------------------------------------------------------
-    def _evict(self, tid: int, count: int, protect: Iterable[int]):
-        """Generator: evict ``count`` pages, writing dirty victims back."""
-        if self.batched_rt:
-            yield from rtbatch.evict_batched(self, tid, count, protect)
-            return
-        cache = self.system.cache_of(tid)
-        victims = cache.choose_victims(count, protect=protect)
-        for page in victims:
-            diff = cache.evict(page)
-            if diff is not None and not diff.empty:
-                yield from self.flush_diff(tid, diff)
-            # Only the page's *owner* surrenders ownership on eviction;
-            # evicting a clean bystander copy must not erase the record of
-            # someone else's lazily-held dirty data.
-            if self.system.directory.owner_of(page) == tid:
-                self.system.directory.clear_owner(page)
-            self.system.directory.remove_sharer(page, tid)
-        self.stats.counters["evictions"] += len(victims)
-
-    def flush_diff(self, tid: int, diff):
-        """Generator: write one page diff back to its (live) home server,
-        retrying through a failover (and through a fencing reject: the
-        first write after a missed failover refreshes this sender's epoch
-        and re-ships)."""
-        config = self.system.config
-        fencing = self.system.membership is not None
-        backoffs = 0
-        while True:
-            server = self.system.server_of_page(diff.page)
-            try:
-                # Diff-scan cost rides the put's suspension (fused lead leg).
-                t = self.system.scl.rdma_put(self.component, server.component,
-                                             diff.wire_bytes, category="diff",
-                                             lead=config.diff_scan_time)
-                if t is not None:
-                    yield from t
-                yield from server.apply_diffs(
-                    [diff], epoch=self.known_epoch if fencing else None)
-            except CommunicationError as err:
-                backoffs = yield from rtbatch.recover(self, server, err,
-                                                      backoffs)
-                continue
-            break

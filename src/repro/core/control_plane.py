@@ -39,8 +39,7 @@ cooperating :class:`~repro.core.manager.Manager` instances:
 
 At ``manager_shards=1`` none of this is constructed: the system keeps the
 plain allocator/directory and the ControlPlane degenerates to a zero-cost
-delegation layer, preserving the single-manager trajectory bit-for-bit
-(CI-gated by ``--check-shard-scaling``).
+delegation layer.
 """
 
 from __future__ import annotations

@@ -184,8 +184,7 @@ class MemoryServer:
             self.resource.release()
 
     def serve_fetch_bulk(self, requester_tid: int, pages: np.ndarray):
-        """Generator: batched fetch serve (``config.batched_round_trips``)
-        of a page vector.
+        """Generator: batched fetch serve of a page vector.
 
         The round-trip twin of :meth:`serve_fetch`: one dedup admission and
         ONE service charge for the whole request (alpha is paid once per
@@ -369,7 +368,7 @@ class MemoryServer:
         self.stats.incr("recall_bytes", diff.payload_bytes)
 
     # ------------------------------------------------------------------
-    # bulk recall (config.batched_round_trips)
+    # bulk recall
     # ------------------------------------------------------------------
     def _recall_bulk(self, owner_tid: int, pages: np.ndarray):
         """Pull ALL pages one owner holds as ONE modeled round trip: a

@@ -27,14 +27,15 @@ class PrefetchPolicy:
     ``mode`` selects the predictor:
 
     * ``"adjacent"`` -- the paper's anticipatory paging: every demand miss
-      fires one asynchronous fetch of the next cache line (§II). This is
-      the compatibility default and the behaviour the stride predictor
-      demotes to when its predictions miss.
+      also fetches the next cache line, riding the same round trip (§II).
+      This is the default and the behaviour the stride predictor demotes
+      to when its predictions miss.
     * ``"stride"`` -- a per-thread reference-prediction table over the
       demand-miss line stream: constant forward/backward strides (and
       sequential runs, stride +1) are detected after ``min_confidence``
-      repeats, and ``degree`` lines ahead are fetched as ONE batched
-      request per home server.
+      repeats, and ``degree`` lines ahead ride the demand trip; the plan
+      executor additionally prefetches the pages its upcoming operations
+      name.
     * ``"none"`` -- demand paging only (the ablation).
 
     The throttle keeps the stride predictor honest: every
@@ -83,26 +84,9 @@ class SamhitaConfig:
     #: ablation shrinks this).
     cache_capacity_pages: int = 1 << 18
     eviction_policy: EvictionPolicy = EvictionPolicy.DIRTY_BIASED
-    #: Fetch the adjacent cache line asynchronously on every miss (§II).
-    #: Legacy switch, equivalent to ``prefetch=PrefetchPolicy(mode=...)``
-    #: with "adjacent"/"none"; ignored when ``prefetch`` is given.
-    prefetch_adjacent: bool = True
-    #: Full prefetch policy; ``None`` derives it from ``prefetch_adjacent``.
-    prefetch: PrefetchPolicy | None = None
-    #: Fetch all missing lines of a faulted span (and of a batched access
-    #: plan's upcoming operations) in ONE protocol round-trip per home
-    #: server instead of one per line. Off by default: merging transfers
-    #: changes simulated timing, so the compatibility mode keeps the
-    #: per-line shape the goldens pin.
-    batch_line_fetches: bool = False
-    #: Batched round-trip protocol model (:mod:`repro.core.rtbatch`): all
-    #: demand misses, speculative prefetches, owner recalls and diff merges
-    #: bound for the SAME home server within a round aggregate into one
-    #: modeled round trip (single request message + single service charge +
-    #: single bulk data return, cost = alpha + beta * lines). On by default;
-    #: False restores the per-line/per-page protocol shape bit-identically
-    #: (CI-gated by ``--check-batched-rt``).
-    batched_round_trips: bool = True
+    #: Prefetch policy (default: the paper's adjacent-line anticipatory
+    #: paging, §II).
+    prefetch: PrefetchPolicy = PrefetchPolicy()
 
     # -- consistency ----------------------------------------------------
     #: Memory coherence protocol: "regc" (the paper's Regional Consistency)
@@ -150,8 +134,8 @@ class SamhitaConfig:
     memserver_service_time: float = 1.0e-6
 
     # -- control plane ----------------------------------------------------
-    #: Manager shards. 1 (the default) keeps the single-manager build
-    #: bit-identical (CI-gated by ``--check-shard-scaling``); k > 1 splits
+    #: Manager shards. 1 (the default) is the single-manager build (the
+    #: default trajectory is CI-gated by ``--check-off-state``); k > 1 splits
     #: the control plane across k components: the page directory and
     #: allocator partition by address range (one slice per shard), and
     #: lock/barrier/cond RPCs route to the owning shard by ID hash. Each
@@ -177,9 +161,8 @@ class SamhitaConfig:
     tree_barriers: bool = False
 
     # -- replication / availability ---------------------------------------
-    #: Copies of every home page, primary included. 1 (the default) keeps
-    #: today's single-copy behavior bit-identical (CI-gated by
-    #: ``--check-replication-off``); k > 1 gives each page ``k - 1`` backup
+    #: Copies of every home page, primary included. 1 (the default) is the
+    #: single-copy build; k > 1 gives each page ``k - 1`` backup
     #: homes on the next servers of the ring, diffs ship to them through a
     #: write-ahead replication log, and a heartbeat failure detector
     #: promotes a backup when the primary permanently crashes.
@@ -192,9 +175,8 @@ class SamhitaConfig:
     #: dead and failover runs (the detector's ``k``).
     heartbeat_misses: int = 3
     #: Partition-tolerant failover: fencing epochs on write-side RPCs plus
-    #: quorum-gated promotion. Off (the default) keeps every failover path
-    #: bit-identical to the pre-fencing build (CI-gated by
-    #: ``--check-partition-safety``). On, every failover bumps a cluster
+    #: quorum-gated promotion. On a healthy run it changes nothing (CI-gated
+    #: by ``--check-off-state``); every failover bumps a cluster
     #: epoch, stale-epoch writes are rejected at memory servers and manager
     #: shards, declaring a component dead needs a majority of manager
     #: shards to agree it is unreachable (single-shard configs keep the
@@ -215,14 +197,13 @@ class SamhitaConfig:
     #: times plus a variance term per destination and sizes its retransmit
     #: timer as ``srtt + 4*rttvar`` (floored at the static policy timeout
     #: and at the bulk-trip timing law) instead of the one-size
-    #: ``RetryPolicy.timeout``. Off (the default) keeps the static law
-    #: bit-identical (CI-gated by ``--check-grayfail-off``).
+    #: ``RetryPolicy.timeout``. Off (the default) keeps the static law.
     adaptive_timeouts: bool = False
     #: Hedged batched fetches: when a bulk round trip's reply is late past
     #: the ``hedge_quantile`` estimate of that home's observed trip times
     #: and a live replica exists (``replication_factor >= 2``), issue ONE
     #: hedge of the owner-free pages to the first backup; first reply wins
-    #: and the loser's reply is deduped. Requires batched_round_trips.
+    #: and the loser's reply is deduped.
     hedged_fetches: bool = False
     #: Lateness quantile the hedger fires at (empirical, over a sliding
     #: window of observed per-home trip times).
@@ -274,9 +255,8 @@ class SamhitaConfig:
             raise ReproError(f"unknown coherence protocol {self.coherence!r}")
         if self.cache_capacity_pages < self.layout.pages_per_line:
             raise ReproError("cache must hold at least one cache line")
-        if self.prefetch is not None and not isinstance(self.prefetch,
-                                                        PrefetchPolicy):
-            raise ReproError("prefetch must be a PrefetchPolicy or None")
+        if not isinstance(self.prefetch, PrefetchPolicy):
+            raise ReproError("prefetch must be a PrefetchPolicy")
         if not (0 < self.arena_max_alloc <= self.arena_chunk_bytes):
             raise ReproError("require 0 < arena_max_alloc <= arena_chunk_bytes")
         if self.stripe_threshold <= self.arena_max_alloc:
@@ -304,8 +284,6 @@ class SamhitaConfig:
             raise ReproError("lock_lease_time must be >= 0")
         if not 0.0 < self.hedge_quantile <= 1.0:
             raise ReproError("hedge_quantile must be in (0, 1]")
-        if self.hedged_fetches and not self.batched_round_trips:
-            raise ReproError("hedged_fetches requires batched_round_trips")
         if self.retry_budget < 0:
             raise ReproError("retry_budget must be >= 0")
         if self.retry_budget_refill < 0.0:
@@ -315,22 +293,13 @@ class SamhitaConfig:
         if self.admission_queue_limit < 0:
             raise ReproError("admission_queue_limit must be >= 0")
 
-    @property
-    def prefetch_policy(self) -> PrefetchPolicy:
-        """The effective prefetch policy (resolves the legacy switch)."""
-        if self.prefetch is not None:
-            return self.prefetch
-        return PrefetchPolicy(
-            mode="adjacent" if self.prefetch_adjacent else "none")
-
     @classmethod
     def adaptive_cache(cls, **overrides) -> "SamhitaConfig":
-        """The adaptive data plane: stride prefetching plus batched line
-        fetches. Keyword overrides apply on top, e.g.
-        ``SamhitaConfig.adaptive_cache(coherence="ivy")``.
+        """The adaptive data plane: stride prefetching, which also turns on
+        the plan executor's look-ahead prefetch. Keyword overrides apply on
+        top, e.g. ``SamhitaConfig.adaptive_cache(coherence="ivy")``.
         """
-        base: dict = {"prefetch": PrefetchPolicy(mode="stride"),
-                      "batch_line_fetches": True}
+        base: dict = {"prefetch": PrefetchPolicy(mode="stride")}
         base.update(overrides)
         return cls(**base)
 
@@ -367,17 +336,6 @@ class SamhitaConfig:
                       "hedge_quantile": 0.9,
                       "retry_budget": 2,
                       "admission_queue_limit": 1}
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def compat_cache(cls, **overrides) -> "SamhitaConfig":
-        """The seed data plane, explicitly: adjacent-line prefetch, per-line
-        fetches -- the configuration whose simulated metrics must stay
-        bit-identical to the goldens."""
-        base: dict = {"prefetch": PrefetchPolicy(mode="adjacent"),
-                      "batch_line_fetches": False,
-                      "batched_round_trips": False}
         base.update(overrides)
         return cls(**base)
 

@@ -1,6 +1,6 @@
-"""Batched protocol round trips (``config.batched_round_trips``).
+"""Batched protocol round trips: the fault, prefetch and eviction protocol.
 
-The per-operation protocol model charges one request message, one server
+A per-operation protocol model would charge one request message, one server
 service slot and one reply transfer per cache line (and one recall round
 trip per owned page, one diff put per evicted page). On the smoke
 campaigns that shape is ~10^5 modeled round trips, almost all of them
@@ -16,7 +16,7 @@ serialization + one ``memserver_service_time`` charge + reply latency) and
 beta the per-line part (per-page wire serialization at the link bandwidth
 + one ``install_page_time`` per page), all under the *existing*
 interconnect parameters -- no new constants are introduced, the law is
-what the per-operation model already charges minus the repeated alphas.
+what a per-operation model charges minus the repeated alphas.
 
 Three aggregations ride the same trip structure:
 
@@ -46,11 +46,8 @@ reply is deduplicated on arrival. Shed (NACKed) requests back off under
 the plan's retry policy while spending the destination's retry budget;
 a dry budget opens that destination's circuit breaker and subsequent
 trips route around it (replica serve, or degrade to the synchronous
-per-page path). All of it is unreachable at the defaults.
-
-Off (``batched_round_trips=False``) every path below is unreachable and
-the per-operation protocol shape is bit-identical to the previous build
-(CI-gated by ``--check-batched-rt``).
+per-page path, ``ComputeServer._fetch_pages``). All of it is unreachable
+at the defaults.
 """
 
 from __future__ import annotations
@@ -418,7 +415,7 @@ def _home_trip(cs: "ComputeServer", tid: int, home: int,
                 counters["breaker_degraded"] += 1
                 if demand_pages.size:
                     yield from cs._fetch_pages(tid, demand_pages.tolist(),
-                                               protect, prefetched=False)
+                                               protect)
                 return None
             counters["breaker_reroutes"] += 1
         # No epochs recorded yet -> every snapshot would read 0; skip
@@ -453,15 +450,20 @@ def _home_trip(cs: "ComputeServer", tid: int, home: int,
 
 
 def predict_lines(cs: "ComputeServer", tid: int, lines, speculate: bool):
-    """The policy's predictions for a run of demand-missed lines.
+    """The policy's predictions for a run of demand-missed lines, returned
+    so they can ride the demand trip.
 
-    The collect twin of ``ComputeServer._after_demand_miss``: same
-    training (the stride predictor observes every miss regardless), same
-    issue gate (a batch wider than the prefetch degree predicts nothing),
-    but the targets are *returned* so they can ride the demand trip
-    instead of spawning a daemon.
+    The stride predictor observes every miss; ``speculate=False``
+    (plan-executor misses, whose own look-ahead is authoritative about
+    what comes next) trains it but predicts nothing.
     """
-    policy = cs.prefetch_policy
+    policy = cs.system.config.prefetch
+    # A batch already fetching more lines than the prefetch degree has
+    # outrun anything the predictor could add: the only lines a prediction
+    # would reach past such a batch are the ones BEYOND the faulted span --
+    # measured on the Jacobi campaigns, those are the installs that cross
+    # into other threads' partitions and get invalidated untouched. Train
+    # on the batch, predict nothing.
     issue = speculate and len(lines) <= policy.degree
     mode = policy.mode
     if mode == "adjacent":
@@ -474,6 +476,10 @@ def predict_lines(cs: "ComputeServer", tid: int, lines, speculate: bool):
         prefetcher = cs.prefetcher
         targets: tuple[int, ...] = ()
         for line in lines:
+            # Streams are keyed by allocation so a kernel alternating
+            # between arrays (src/dst sweeps) trains one clean stride per
+            # array. Feed the whole run; the last observation's prediction
+            # is the freshest, so only it is returned.
             span = allocated_span(line * pages_per_line)
             targets = prefetcher.observe(
                 tid, line, cache_counters,
@@ -569,7 +575,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
 
     Demand pages install like a demand fetch (may evict); speculative
     riders install with ``prefetched=True`` and never evict -- a full
-    cache skips them, exactly like the daemon path they replace.
+    cache skips them.
     """
     cache = cs.system.cache_of(tid)
     pages = np.concatenate((demand, spec)) if spec.size else demand
@@ -613,7 +619,7 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: np.ndarray,
     # riders are owner-free by construction) can be raced against a
     # backup replica, while the owned remainder must pay its recall at
     # the true home -- no backup can collect another thread's
-    # uncollected dirty writes. Off, every group is one trip, as before.
+    # uncollected dirty writes. Off, every group is one trip.
     split = system.trip_rtt is not None and system.config.hedged_fetches
     for home in sorted(grouped):
         subtrips = [grouped[home]]
@@ -638,13 +644,11 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: np.ndarray,
             counters["pages_fetched"] += server_pages.size
 
             # The batched install leg: beta's per-page install cost is ONE
-            # modeled charge of k * install_page_time for the whole group
-            # (the per-operation model charged -- and suspended on -- each
-            # page separately). Installs apply in bulk after the charge;
-            # any suspension (eviction for the demand leg, the charge
-            # itself not advancing inline) re-validates against raced
-            # fills and invalidation epochs before bytes land, like the
-            # per-page re-checks it replaces. Speculative riders never
+            # modeled charge of k * install_page_time for the whole group.
+            # Installs apply in bulk after the charge; any suspension
+            # (eviction for the demand leg, the charge itself not
+            # advancing inline) re-validates against raced fills and
+            # invalidation epochs before bytes land. Speculative riders never
             # evict: what the cache cannot hold is skipped, not made room
             # for.
             def _live(pages, snapshots=snapshots):
@@ -708,7 +712,9 @@ def evict_batched(cs: "ComputeServer", tid: int, count: int,
         diff = cache.evict(page)
         if diff is not None and not diff.empty:
             diffs.append(diff)
-        # Owner-only surrender, as in the per-page path.
+        # Only the page's *owner* surrenders ownership on eviction;
+        # evicting a clean bystander copy must not erase the record of
+        # someone else's lazily-held dirty data.
         if directory.owner_of(page) == tid:
             directory.clear_owner(page)
         directory.remove_sharer(page, tid)

@@ -101,12 +101,9 @@ class SamhitaSystem:
             self.directory = ShardedPageDirectory(n_shards)
             self.allocator = ShardedAllocator(self.config, n_shards)
         self.stats = StatSet("system")
-        #: Round-trip accounting (config.batched_round_trips): one record
-        #: per modeled batched trip, surfaced as stats_report's
-        #: ``round_trips`` namespace. None when the gate is off, so the
-        #: per-operation build carries no ledger branches at all.
-        self.rt_ledger = (RoundTripLedger()
-                          if self.config.batched_round_trips else None)
+        #: Round-trip accounting: one record per modeled batched trip,
+        #: surfaced as stats_report's ``round_trips`` namespace.
+        self.rt_ledger = RoundTripLedger()
 
         compute = compute_components or [c.name for c in topology.compute_components()]
         if not compute:
@@ -175,14 +172,13 @@ class SamhitaSystem:
 
         # Replication / failover: armed only when the config asks for extra
         # copies or extra shards. At the defaults (replication_factor=1,
-        # manager_shards=1) nothing below runs, keeping the single-copy
-        # single-manager trajectory bit-identical (CI-gated).
+        # manager_shards=1) nothing below runs.
         self.detector: FailureDetector | None = None
         self._dead_servers: set[int] = set()
         # Fencing epochs: the membership view exists only when the knob is
         # on, so every fencing check below degrades to one ``is None`` on
-        # the default build (bit-identity, CI-gated by
-        # ``--check-partition-safety``).
+        # the default build (a healthy fenced run is CI-gated equal to it
+        # by ``--check-off-state``).
         self.membership: Membership | None = (
             Membership() if self.config.fencing else None)
         # Crash-consistent checkpoints, taken at barrier-aligned quiesce
@@ -210,7 +206,7 @@ class SamhitaSystem:
         # timers, per-destination circuit breakers. Armed only alongside a
         # fault plan -- the machinery exists to survive injected slowness,
         # and a fault-free run with the knobs on must stay on the clean
-        # trajectory (None checks only, CI-gated by --check-grayfail-off).
+        # trajectory (None checks only).
         self.trip_rtt: RttEstimator | None = None
         self.breakers: dict[str, CircuitBreaker] | None = None
         if self.injector is not None and self.config.grayfail_armed:
@@ -631,7 +627,7 @@ class SamhitaSystem:
                     break
                 # Pre-make room so the post-grant install cannot block.
                 if not cache.resident(page) and cache.free_pages == 0:
-                    yield from cs._evict(tid, 1, {page})
+                    yield from rtbatch.evict_batched(cs, tid, 1, {page})
                 server = self.server_of_page(page)
                 try:
                     t = self.scl.send(comp, server.component,
@@ -769,11 +765,10 @@ class SamhitaSystem:
                                                           backoffs)
                     continue
                 break
-            if self.rt_ledger is not None:
-                # Already one trip per home; the ledger only accounts it.
-                line_of = self.config.layout.line_of_page
-                self.rt_ledger.record(
-                    index, "merge", len({line_of(d.page) for d in group}))
+            # Already one trip per home; the ledger only accounts it.
+            line_of = self.config.layout.line_of_page
+            self.rt_ledger.record(
+                index, "merge", len({line_of(d.page) for d in group}))
 
     def barrier_wait(self, tid: int, barrier_id: int):
         """Generator: the RegC global consistency point.
@@ -861,14 +856,9 @@ class SamhitaSystem:
             if self.config.barrier_eager_refresh:
                 # Update-style: pull the merged pages back now, batched per
                 # home server, instead of lazily refaulting line by line.
-                cs = self.compute_server_of(tid)
-                if cs.batched_rt:
-                    yield from rtbatch.fetch_batched(
-                        cs, tid, np.array(dropped, dtype=np.int64),
-                        NO_PAGES, set())
-                else:
-                    yield from cs._fetch_pages(
-                        tid, dropped, protect=set(), prefetched=False)
+                yield from rtbatch.fetch_batched(
+                    self.compute_server_of(tid), tid,
+                    np.array(dropped, dtype=np.int64), NO_PAGES, set())
 
     def _combined_arrive(self, tid: int, comp: str, barrier_id: int,
                          notices: list[int]):
@@ -993,15 +983,13 @@ class SamhitaSystem:
             prefetch["prefetch_accuracy"] = (
                 prefetch.get("prefetch_hits", 0) / installs)
         report["prefetch"] = prefetch
-        if self.rt_ledger is not None:
-            # The batched-round-trip ledger: per-home trip counts by kind
-            # plus the lines-per-trip histogram. Absent when the gate is
-            # off, so per-operation reports stay byte-identical.
-            trips = self.rt_ledger.snapshot()
-            recall_trips = report["memory_servers"].get("recall_trips")
-            if recall_trips:
-                trips["recall_trips"] = recall_trips
-            report["round_trips"] = trips
+        # The round-trip ledger: per-home trip counts by kind plus the
+        # lines-per-trip histogram.
+        trips = self.rt_ledger.snapshot()
+        recall_trips = report["memory_servers"].get("recall_trips")
+        if recall_trips:
+            trips["recall_trips"] = recall_trips
+        report["round_trips"] = trips
         if self.config.lock_owner_cache:
             # One namespace for the ownership-cache protocol: hits and local
             # releases at the compute servers, revocations and barrier

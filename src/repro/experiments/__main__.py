@@ -133,13 +133,10 @@ def _print_round_trips_row() -> None:
     params = JacobiParams(rows=64, cols=256, iterations=3)
     result = run_workload_direct("samhita", 4, spawn_jacobi, params,
                                  functional=True)
-    rt = result.stats.get("round_trips")
+    rt = result.stats["round_trips"]
     print("===== round trips (live, canonical jacobi cell) =====")
-    if not rt:
-        print("batched_round_trips off: per-operation protocol, no ledger")
-        return
     kinds: dict[str, int] = {}
-    for per_kind in rt.get("by_home", {}).values():
+    for per_kind in rt["by_home"].values():
         for kind, n in per_kind.items():
             kinds[kind] = kinds.get(kind, 0) + n
     kind_cells = "  ".join(f"{k}={v}" for k, v in sorted(kinds.items()))

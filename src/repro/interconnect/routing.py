@@ -146,8 +146,7 @@ class Fabric:
         of the unfused sequence -- ``fl(fl(now + lead) + ...)`` -- so the
         simulated trajectory is bit-identical; only the heap traffic drops.
         Fusion requires the intervening code to be side-effect-free, which
-        holds for every call site (counter increments commute). With
-        coalescing off the legacy multi-yield shape is kept for A/B runs.
+        holds for every call site (counter increments commute).
 
         ``timeout_floor`` sizes the retransmission timer for messages whose
         legitimate reply time exceeds the single-message law (a bulk fetch
@@ -214,26 +213,21 @@ class Fabric:
         if self.model_contention and bottleneck.contended and serialize > 0.0:
             return self._slow_contended(latency, serialize, bottleneck,
                                         lead, tail)
-        if engine.coalesce:
-            # Coalescing on: the whole transfer is one resume instant,
-            # accumulated with the per-leg rounding of the unfused sequence.
-            target = engine.now
-            if lead:
-                target = target + lead
-            target = target + (latency + serialize)
-            if tail:
-                target = target + tail
-            # Engine.try_advance_to inlined (target >= now by construction):
-            # transfers are the single hottest advance site. _next_time is
-            # the earliest pending instant (inf when idle) on both engine
-            # variants, so this is the scalar heap-top peek and the epoch
-            # queue peek in one compare.
-            if target < engine._next_time and target <= engine._until:
-                engine.now = target
-                engine._coalesced += 1
-                return None
-            return self._slow_one(AdvanceTo(target))
-        return self._slow_legacy(latency, serialize, lead, tail)
+        # The whole transfer is one resume instant, accumulated with the
+        # per-leg rounding of the unfused sequence.
+        target = engine.now
+        if lead:
+            target = target + lead
+        target = target + (latency + serialize)
+        if tail:
+            target = target + tail
+        # Engine.try_advance_to inlined (target >= now by construction):
+        # transfers are the single hottest advance site.
+        if target < engine._next_time and target <= engine._until:
+            engine.now = target
+            engine._coalesced += 1
+            return None
+        return self._slow_one(AdvanceTo(target))
 
     # -- fault injection --------------------------------------------------
     def attach_injector(self, injector) -> None:
@@ -413,27 +407,15 @@ class Fabric:
 
     def _slow_contended(self, latency, serialize, bottleneck, lead, tail):
         engine = self.engine
-        fuse = (lead != 0.0 or tail != 0.0) and engine.coalesce
-        if fuse and lead:
+        if lead:
             # fl(fl(now + lead) + latency): the unfused two-leg rounding.
             target = (engine.now + lead) + latency
             if not engine.try_advance_to(target):
                 yield AdvanceTo(target)
-        else:
-            if lead and not engine.try_advance(lead):
-                yield Timeout(lead)
-            if not engine.try_advance(latency):
-                yield Timeout(latency)
+        elif not engine.try_advance(latency):
+            yield Timeout(latency)
         yield from self._resource_for(bottleneck).use(serialize)
         if tail and not engine.try_advance(tail):
-            yield Timeout(tail)
-
-    def _slow_legacy(self, latency, serialize, lead, tail):
-        # Coalescing off: keep the legacy multi-yield shape for A/B runs.
-        if lead:
-            yield Timeout(lead)
-        yield Timeout(latency + serialize)
-        if tail:
             yield Timeout(tail)
 
     def link_utilization(self) -> dict[str, float]:

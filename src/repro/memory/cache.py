@@ -722,8 +722,7 @@ class SoftwareCache:
         return diff
 
     def take_diff_sizes(self, pages):
-        """Timing-mode bulk variant of :meth:`take_diff` for a recall batch
-        (``config.batched_round_trips``).
+        """Timing-mode bulk variant of :meth:`take_diff` for a recall batch.
 
         Returns ``(dirty_pages, payload_bytes, wire_bytes)`` summed over
         the dirty members of ``pages`` (in their given order), with

@@ -133,13 +133,13 @@ class BaseBackend(ABC):
             raise BackendError(f"threads never finished: {sorted(missing)}")
         stats = self.stats_report()
         engine_stats = StatSet("engine")
-        engine_stats.incr("scheduled_events", self.engine.scheduled_events)
-        engine_stats.incr("coalesced_events",
-                          getattr(self.engine, "coalesced_events", 0))
-        engine_stats.incr("epochs_run", getattr(self.engine, "epochs_run", 0))
-        engine_stats.incr("epoch_peak", getattr(self.engine, "epoch_peak", 0))
+        engine = self.engine
+        engine_stats.incr("scheduled_events", engine.scheduled_events)
+        engine_stats.incr("coalesced_events", engine.coalesced_events)
+        engine_stats.incr("epochs_run", engine.epochs_run)
+        engine_stats.incr("epoch_peak", engine.epoch_peak)
         stats["engine"] = engine_stats.snapshot()
-        stats["engine"]["variant"] = getattr(self.engine, "variant", "scalar")
+        stats["engine"]["variant"] = engine.variant
         return RunResult(
             backend=self.name,
             n_threads=self._spawned,

@@ -61,6 +61,12 @@ class SamhitaBackend(BaseBackend):
         super().__init__(n_threads, functional=system.config.functional,
                          trace=trace)
         self._cost_models: dict[int, ComputeCostModel] = {}
+        #: Batching is sound under RegC: within a plan no remote action can
+        #: change what this thread's *hits* observe (recalls serve owner
+        #: data in place, and invalidation epochs only void non-resident
+        #: fetches). IVY's eager write-invalidate can yank pages
+        #: mid-window, so it keeps the per-access path.
+        self.plans_supported = system.config.coherence == "regc"
 
     @property
     def engine(self):
@@ -103,16 +109,6 @@ class SamhitaBackend(BaseBackend):
         return self.system.mem_write(tid, addr, nbytes, data)
 
     # -- batched access plans ---------------------------------------------
-    @property
-    def plans_supported(self) -> bool:
-        """Batching is sound under RegC: within a plan no remote action can
-        change what this thread's *hits* observe (recalls serve owner data
-        in place, and invalidation epochs only void non-resident fetches).
-        IVY's eager write-invalidate can yank pages mid-window, so it keeps
-        the per-access path; REPRO_NO_COALESCE restores it everywhere."""
-        return (self.system.config.coherence == "regc"
-                and self.system.engine.coalesce)
-
     def run_plan(self, tid, plan, clock):
         """Generator: execute a plan, costing cache hits in bulk; returns
         the read results.
@@ -147,11 +143,11 @@ class SamhitaBackend(BaseBackend):
         cache_read = cache.read
         charge = clock.charge
         charge_detail = clock.charge_detail
-        # Plan-informed prefetch (adaptive data plane only): a miss mid-plan
+        # Plan-informed prefetch (stride policy only): a miss mid-plan
         # reveals exactly what the plan touches next, so hand those spans to
         # the compute server for a batched look-ahead fetch.
         plan_prefetch = (cs.prefetch_spans
-                         if system.config.batch_line_fetches else None)
+                         if system.config.prefetch.mode == "stride" else None)
         kinds, addrs, sizes = plan.kind, plan.addr, plan.nbytes
         n = len(kinds)
         regions = system.region_tracker_of(tid)

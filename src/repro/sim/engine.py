@@ -5,48 +5,33 @@ number increments on every schedule, so equal-time events run in schedule
 order. Nothing in the engine consults wall-clock time or unseeded randomness,
 which makes every simulation in this package exactly reproducible.
 
-Two queue implementations share the contract (and are pinned against each
-other by ``tests/property/test_engine_equivalence.py``):
+Pending work is bucketed by exact timestamp (*epoch-sliced*): one min-heap
+of distinct epoch instants (a plain float column, so heap compares never
+touch tuples) plus a dict mapping each instant to its slice of ``(fn, args)``
+records in sequence order. Scheduling into an instant that is already
+pending is an O(1) append -- no ``heappush`` -- which is what lets
+independent components (per-cell barriers, prefetch daemons, heartbeat
+probes) ride through quiet epochs without per-event heap churn. ``run()``
+drains one epoch as a batch: a single pop surfaces the whole same-instant
+slice.
 
-* :class:`EpochEngine` (the default) -- the *epoch-sliced* core. Pending
-  work is bucketed by exact timestamp: one min-heap of distinct epoch
-  instants (a plain float column, so heap compares never touch tuples) plus
-  a dict mapping each instant to its slice of ``(fn, args)`` records in
-  sequence order. Scheduling into an instant that is already pending is an
-  O(1) append -- no ``heappush`` -- which is what lets independent
-  components (per-cell barriers, prefetch daemons, heartbeat probes) ride
-  through quiet epochs without per-event heap churn. ``run()`` drains one
-  epoch as a batch: a single pop surfaces the whole same-instant slice.
-* :class:`ScalarEngine` -- the legacy per-event heap of ``(time, seq, fn,
-  args)`` tuples, kept verbatim as an escape hatch and A/B baseline.
-  ``REPRO_SCALAR_ENGINE=1`` makes it the default build-wide.
-
-Both engines maintain ``_next_time`` -- the earliest pending-undispatched
-instant (``inf`` when idle) -- as the uniform O(1) peek used by the
-coalescing fast paths here and in :mod:`repro.interconnect.routing`. The
-trajectory of event execution is bit-identical across engines and across
-coalescing modes; only the bookkeeping differs.
+A resumption whose outcome is already determined never enters the queue
+(see :meth:`Engine._step`): ``_next_time`` -- the earliest
+pending-undispatched instant (``inf`` when idle) -- is the O(1) peek those
+fast paths test against, here and in :mod:`repro.interconnect.routing`.
+The per-event heap this replaced lives on as the test oracle
+``tests/sim/reference_engine.py``; ``tests/property/test_engine_equivalence.py``
+pins the two to the same trajectory.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from math import inf
 from types import GeneratorType
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import _PENDING, SimEvent, _Callback
-
-#: Event coalescing is on by default; set REPRO_NO_COALESCE=1 to force every
-#: resumption through the heap (A/B comparisons, equivalence tests).
-_COALESCE_DEFAULT = os.environ.get("REPRO_NO_COALESCE", "") == ""
-
-#: Engine selection: the epoch-sliced core is the default; set
-#: REPRO_SCALAR_ENGINE=1 to fall back to the legacy per-event heap
-#: (bit-identical trajectories, CI-gated -- the escape hatch exists for
-#: A/B debugging and as the reference the equivalence tests pin against).
-_SCALAR_DEFAULT = os.environ.get("REPRO_SCALAR_ENGINE", "") != ""
 
 #: Finished-process compaction: once at least this many processes have
 #: finished AND the dead outnumber the live, the process list is rebuilt
@@ -74,7 +59,7 @@ class AdvanceTo:
     """Yield command: resume at the *absolute* simulated time ``target``.
 
     The batched access-plan executor accumulates many per-operation delays
-    with exactly the float rounding the legacy per-op path would produce
+    with exactly the float rounding the per-access path produces
     (``t = fl(fl(t + d1) + d2) ...``) and then advances in one step. A
     relative ``Timeout`` cannot express that: ``fl(now + fl(d1 + d2))`` is
     not in general the same float as the sequential accumulation, and the
@@ -143,22 +128,40 @@ class Process:
         return f"<Process {self.name} {state}>"
 
 
-class _EngineCore:
-    """State and behaviour shared by both queue implementations."""
+class Engine:
+    """The event loop: a virtual clock over an epoch-sliced queue.
 
-    def __init__(self, coalesce: bool | None = None):
+    The queue is two columns: ``_times``, a min-heap of *distinct* pending
+    instants (plain floats -- comparisons never touch tuples), and
+    ``_buckets``, mapping each instant to its slice of ``(fn, args)``
+    records. Sequence order within a bucket is append order (the sequence
+    counter is globally monotonic), so a per-entry ``(time, seq)`` key is
+    implied by bucket identity and position -- each record carries only the
+    two object fields, and scheduling into an already-pending instant never
+    touches the heap.
+
+    ``run()`` drains one epoch per heap pop: the whole same-instant slice
+    dispatches as a batch, with new same-instant work appended to the live
+    slice mid-dispatch (exactly the order a ``(time, seq)`` heap produces).
+    """
+
+    variant = "epoch"
+
+    def __init__(self):
         self.now: float = 0.0
         self._seq: int = 0
         self._coalesced: int = 0
         self._until: float = inf
         #: Earliest pending-undispatched instant (inf when idle): the O(1)
-        #: peek every coalescing fast path tests against, here and in the
-        #: interconnect's inlined transfer advance.
+        #: peek every inline-advance fast path tests against, here and in
+        #: the interconnect's inlined transfer advance.
         self._next_time: float = inf
-        #: When True, resumptions whose outcome is already determined skip
-        #: the queue entirely (see :meth:`_step`); the trajectory of event
-        #: execution is provably identical either way.
-        self.coalesce = _COALESCE_DEFAULT if coalesce is None else coalesce
+        self._times: list[float] = []
+        self._buckets: dict[float, list] = {}
+        #: Epochs dispatched and the largest batch drained in one slice --
+        #: the amortization the epoch queue buys (surfaced in stats_report).
+        self.epochs_run: int = 0
+        self.epoch_peak: int = 0
         self._procs: list[Process] = []
         self._dead: int = 0
         self._failed: list[tuple[Process, BaseException]] = []
@@ -170,8 +173,65 @@ class _EngineCore:
         self.deadlock_hooks: list = []
 
     # ------------------------------------------------------------------
-    # scheduling primitives shared across implementations
+    # scheduling primitives
     # ------------------------------------------------------------------
+    def schedule(self, delay: float, fn, *args) -> None:
+        """Run ``fn(*args)`` after ``delay`` simulated seconds.
+
+        O(1) when the target instant is already pending (the common case:
+        zero-delay resumptions, lockstep component wake-ups); one float
+        heappush when the instant is new. Passing the callee's arguments
+        explicitly (typically a bound method plus its operands) avoids
+        allocating a closure per scheduled event.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        self._seq += 1
+        t = self.now + delay
+        bucket = self._buckets.get(t)
+        if bucket is None:
+            self._buckets[t] = [(fn, args)]
+            heapq.heappush(self._times, t)
+        else:
+            bucket.append((fn, args))
+        if t < self._next_time:
+            self._next_time = t
+
+    def try_advance(self, delay: float) -> bool:
+        """Advance ``now`` by ``delay`` without queue traffic, if legal.
+
+        Legal exactly when the next pending instant is *strictly* later than
+        the target (an equal-time entry holds a smaller sequence number, so
+        it must run first) and the run horizon is not crossed. In that case
+        popping the would-be queue entry is the very next thing ``run()``
+        would do, so skipping the push/pop is unobservable. Returns True if
+        the clock moved; the caller falls back to yielding a Timeout.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot advance into the past (delay={delay})")
+        target = self.now + delay
+        if self._next_time <= target or target > self._until:
+            return False
+        self.now = target
+        self._coalesced += 1
+        return True
+
+    def try_advance_to(self, target: float) -> bool:
+        """Absolute-time counterpart of :meth:`try_advance`."""
+        if target < self.now:
+            raise SimulationError(f"cannot advance into the past (target={target})")
+        if self._next_time <= target or target > self._until:
+            return False
+        self.now = target
+        self._coalesced += 1
+        return True
+
+    def clear_pending(self) -> None:
+        """Drop all scheduled work (teardown aid; engine unusable after)."""
+        self._times.clear()
+        self._buckets.clear()
+        self._next_time = inf
+
     def event(self, name: str = "") -> SimEvent:
         """Create a fresh un-triggered event bound to this engine."""
         return SimEvent(self, name=name)
@@ -197,6 +257,98 @@ class _EngineCore:
             self.schedule(0.0, self._step, waiter, event._value, None)
         else:
             self.schedule(0.0, self._step, waiter, None, event._exc)
+
+    # ------------------------------------------------------------------
+    # process stepping
+    # ------------------------------------------------------------------
+    def _step(self, proc: Process, send_value, throw_exc) -> None:
+        """Resume a process and keep stepping it while the outcome of each
+        yield is already determined.
+
+        Two fast paths keep such resumptions out of the queue:
+
+        * ``Timeout`` / ``AdvanceTo``: when the next pending instant is
+          strictly later than the target (and the run horizon is not
+          crossed), the queued resumption would be the very next pop -- so
+          advance the clock inline and continue the generator. Strictness
+          matters: an equal-time entry has a smaller sequence number and
+          must run first.
+        * already-triggered ``SimEvent`` / finished ``Process``: deliver the
+          outcome immediately instead of scheduling a zero-delay resumption,
+          provided no entry is due at the current instant (it would have
+          run before the zero-delay event).
+
+        Everything else -- pending events, horizon-crossing or tied
+        timeouts -- goes through the queue, so event ordering (and with it
+        every simulated metric) is the one a queue-everything engine
+        produces; only the number of queue transits differs.
+        """
+        if not proc._alive:
+            raise SimulationError(f"stepping finished process {proc.name}")
+        gen = proc.gen
+        while True:
+            proc.blocked_on = None
+            try:
+                if throw_exc is not None:
+                    exc, throw_exc = throw_exc, None
+                    command = gen.throw(exc)
+                else:
+                    command = gen.send(send_value)
+            except StopIteration as stop:
+                self._finish(proc, stop.value, None)
+                return
+            except BaseException as exc:  # noqa: BLE001 - deliberately catch all
+                self._finish(proc, None, exc)
+                return
+            ctype = type(command)
+            if ctype is Timeout:  # exact: Timeout is never subclassed
+                target = self.now + command.delay
+            elif ctype is AdvanceTo:
+                target = command.target
+                if target < self.now:  # pragma: no cover - executor guards
+                    raise SimulationError(
+                        f"cannot advance into the past (target={target})")
+            else:
+                if isinstance(command, Process):
+                    event = command.done_event
+                elif isinstance(command, SimEvent):
+                    event = command
+                else:
+                    exc = SimulationError(
+                        f"process {proc.name} yielded {command!r}; "
+                        f"expected Timeout, SimEvent or Process")
+                    self.schedule(0.0, self._step, proc, None, exc)
+                    return
+                if ((event._value is not _PENDING or event._exc is not None)
+                        and not self._next_time <= self.now):
+                    self._coalesced += 1
+                    if event._exc is None:
+                        send_value = event._value
+                    else:
+                        send_value = None
+                        throw_exc = event._exc
+                    continue
+                proc.blocked_on = event
+                event._add_waiter(proc)
+                return
+            if target <= self._until and not self._next_time <= target:
+                self.now = target
+                self._coalesced += 1
+                send_value = command.value
+                continue
+            # Park the resumption in its epoch bucket (seq order = append
+            # order).
+            self._seq += 1
+            bucket = self._buckets.get(target)
+            if bucket is None:
+                self._buckets[target] = [(self._step,
+                                          (proc, command.value, None))]
+                heapq.heappush(self._times, target)
+            else:
+                bucket.append((self._step, (proc, command.value, None)))
+            if target < self._next_time:
+                self._next_time = target
+            return
 
     def _finish(self, proc: Process, value, exc) -> None:
         proc._alive = False
@@ -226,410 +378,6 @@ class _EngineCore:
         else:
             self._dead = dead
 
-    @staticmethod
-    def _wait_reasons(blocked) -> dict:
-        """``{process name: what it waits on}`` for deadlock diagnostics."""
-        reasons = {}
-        for proc in blocked:
-            event = proc.blocked_on
-            if event is None:
-                reasons[proc.name] = "<not waiting on any event>"
-            else:
-                reasons[proc.name] = getattr(event, "name", "") or repr(event)
-        return reasons
-
-    def _raise_failures(self) -> None:
-        if self._failed:
-            proc, exc = self._failed[0]
-            raise SimulationError(f"process {proc.name} failed: {exc!r}") from exc
-
-    @property
-    def scheduled_events(self) -> int:
-        """Total events scheduled so far (the sequence counter)."""
-        return self._seq
-
-    @property
-    def coalesced_events(self) -> int:
-        """Resumptions that skipped the queue via the fast paths in
-        :meth:`_step` / :meth:`try_advance` -- work the legacy engine would
-        have scheduled as events."""
-        return self._coalesced
-
-    @property
-    def live_processes(self) -> list[Process]:
-        return [p for p in self._procs if p._alive]
-
-
-class ScalarEngine(_EngineCore):
-    """The legacy per-event heap: ``(time, seq, fn, args)`` tuples.
-
-    Kept behaviour-for-behaviour identical to the pre-epoch engine --
-    ``REPRO_SCALAR_ENGINE=1`` selects it build-wide so any trajectory can be
-    reproduced on the original dispatch machinery. The only addition is the
-    ``_next_time`` bookkeeping both engines now share.
-    """
-
-    variant = "scalar"
-
-    def __init__(self, coalesce: bool | None = None):
-        super().__init__(coalesce)
-        self._heap: list = []
-
-    # ------------------------------------------------------------------
-    # scheduling primitives
-    # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn, *args) -> None:
-        """Run ``fn(*args)`` after ``delay`` simulated seconds.
-
-        Heap entries are ``(time, seq, fn, args)`` tuples; passing the
-        callee's arguments explicitly (typically a bound method plus its
-        operands) avoids allocating a closure per scheduled event.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        t = self.now + delay
-        heapq.heappush(self._heap, (t, self._seq, fn, args))
-        if t < self._next_time:
-            self._next_time = t
-
-    def try_advance(self, delay: float) -> bool:
-        """Advance ``now`` by ``delay`` without touching the heap, if legal.
-
-        Legal exactly when the next pending entry is *strictly* later than
-        the target (an equal-time entry holds a smaller sequence number, so
-        it must run first) and the run horizon is not crossed. In that case
-        popping the would-be heap entry is the very next thing ``run()``
-        would do, so skipping the push/pop is unobservable. Returns True if
-        the clock moved; the caller falls back to yielding a Timeout.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot advance into the past (delay={delay})")
-        if not self.coalesce:
-            return False
-        target = self.now + delay
-        if self._next_time <= target or target > self._until:
-            return False
-        self.now = target
-        self._coalesced += 1
-        return True
-
-    def try_advance_to(self, target: float) -> bool:
-        """Absolute-time counterpart of :meth:`try_advance`."""
-        if not self.coalesce:
-            return False
-        if target < self.now:
-            raise SimulationError(f"cannot advance into the past (target={target})")
-        if self._next_time <= target or target > self._until:
-            return False
-        self.now = target
-        self._coalesced += 1
-        return True
-
-    def clear_pending(self) -> None:
-        """Drop all scheduled work (teardown aid; engine unusable after)."""
-        self._heap.clear()
-        self._next_time = inf
-
-    # ------------------------------------------------------------------
-    # process stepping
-    # ------------------------------------------------------------------
-    def _step(self, proc: Process, send_value, throw_exc) -> None:
-        """Resume a process and keep stepping it while the outcome of each
-        yield is already determined.
-
-        Coalescing fast paths (all gated on :attr:`coalesce`):
-
-        * ``Timeout``: when the next pending entry is strictly later than
-          ``now + delay`` (and the run horizon is not crossed), the pushed
-          resumption would be the very next pop -- so advance the clock
-          inline and continue the generator without ever entering the heap.
-          Strictness matters: an equal-time heap entry has a smaller
-          sequence number and must run first.
-        * already-triggered ``SimEvent`` / finished ``Process``: deliver the
-          outcome immediately instead of scheduling a zero-delay resumption,
-          provided no heap entry is due at the current instant (it would
-          have run before the zero-delay event).
-
-        Everything else -- pending events, horizon-crossing or tied
-        timeouts -- takes the legacy heap path, so event ordering (and with
-        it every simulated metric) is bit-identical with coalescing on or
-        off; only the number of heap transits changes.
-        """
-        if not proc._alive:
-            raise SimulationError(f"stepping finished process {proc.name}")
-        gen = proc.gen
-        heap = self._heap
-        coalesce = self.coalesce
-        while True:
-            proc.blocked_on = None
-            try:
-                if throw_exc is not None:
-                    exc, throw_exc = throw_exc, None
-                    command = gen.throw(exc)
-                else:
-                    command = gen.send(send_value)
-            except StopIteration as stop:
-                self._finish(proc, stop.value, None)
-                return
-            except BaseException as exc:  # noqa: BLE001 - deliberately catch all
-                self._finish(proc, None, exc)
-                return
-            ctype = type(command)
-            if ctype is Timeout:  # exact: Timeout is never subclassed
-                target = self.now + command.delay
-            elif ctype is AdvanceTo:
-                target = command.target
-                if target < self.now:  # pragma: no cover - executor guards
-                    raise SimulationError(
-                        f"cannot advance into the past (target={target})")
-            else:
-                if isinstance(command, Process):
-                    event = command.done_event
-                elif isinstance(command, SimEvent):
-                    event = command
-                else:
-                    exc = SimulationError(
-                        f"process {proc.name} yielded {command!r}; "
-                        f"expected Timeout, SimEvent or Process")
-                    self.schedule(0.0, self._step, proc, None, exc)
-                    return
-                if (coalesce
-                        and (event._value is not _PENDING or event._exc is not None)
-                        and not self._next_time <= self.now):
-                    self._coalesced += 1
-                    if event._exc is None:
-                        send_value = event._value
-                    else:
-                        send_value = None
-                        throw_exc = event._exc
-                    continue
-                proc.blocked_on = event
-                event._add_waiter(proc)
-                return
-            if (coalesce and target <= self._until
-                    and not self._next_time <= target):
-                self.now = target
-                self._coalesced += 1
-                send_value = command.value
-                continue
-            self._seq += 1
-            heapq.heappush(heap, (target, self._seq, self._step,
-                                  (proc, command.value, None)))
-            if target < self._next_time:
-                self._next_time = target
-            return
-
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-    def run(self, until: float = inf) -> float:
-        """Advance the simulation until the heap drains or `until` is reached.
-
-        Raises :class:`DeadlockError` if non-daemon processes remain blocked
-        with no scheduled work (after giving every :attr:`deadlock_hooks`
-        entry the chance to schedule recovery work), and re-raises the first
-        unhandled process exception.
-        """
-        heap = self._heap
-        failed = self._failed
-        heappop = heapq.heappop
-        # The inline-advance fast path must never carry `now` past the run
-        # horizon (the resumption would then have to wait on the heap, where
-        # the `time > until` check below can see it).
-        self._until = until
-        try:
-            while True:
-                while heap:
-                    entry = heap[0]
-                    time = entry[0]
-                    if time > until:
-                        self.now = until
-                        self._raise_failures()
-                        return self.now
-                    heappop(heap)
-                    self._next_time = heap[0][0] if heap else inf
-                    if time < self.now:  # pragma: no cover - guarded by schedule()
-                        raise SimulationError("event heap went backwards in time")
-                    self.now = time
-                    entry[2](*entry[3])
-                    if failed:
-                        self._raise_failures()
-                blocked = [p for p in self._procs if p._alive and not p.daemon]
-                if not blocked:
-                    return self.now
-                if not any(hook(blocked) for hook in self.deadlock_hooks):
-                    raise DeadlockError(blocked, now=self.now,
-                                        reasons=self._wait_reasons(blocked))
-                # A hook scheduled recovery work: keep draining the heap.
-        finally:
-            self._until = inf
-
-
-class EpochEngine(_EngineCore):
-    """The epoch-sliced core: pending work bucketed by exact timestamp.
-
-    The queue is two columns: ``_times``, a min-heap of *distinct* pending
-    instants (plain floats -- comparisons never touch tuples), and
-    ``_buckets``, mapping each instant to its slice of ``(fn, args)``
-    records. Sequence order within a bucket is append order (the sequence
-    counter is globally monotonic), so the per-entry ``(time, seq)`` columns
-    of the scalar heap are implied by bucket identity and position -- each
-    record carries only the two object fields, and scheduling into an
-    already-pending instant never touches the heap.
-
-    ``run()`` drains one epoch per heap pop: the whole same-instant slice
-    dispatches as a batch, with new same-instant work appended to the live
-    slice mid-dispatch (exactly the order the scalar heap would produce).
-    """
-
-    variant = "epoch"
-
-    def __init__(self, coalesce: bool | None = None):
-        super().__init__(coalesce)
-        self._times: list[float] = []
-        self._buckets: dict[float, list] = {}
-        #: Epochs dispatched and the largest batch drained in one slice --
-        #: the amortization the epoch core buys (surfaced in stats_report).
-        self.epochs_run: int = 0
-        self.epoch_peak: int = 0
-
-    # ------------------------------------------------------------------
-    # scheduling primitives
-    # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn, *args) -> None:
-        """Run ``fn(*args)`` after ``delay`` simulated seconds.
-
-        O(1) when the target instant is already pending (the common case:
-        zero-delay resumptions, lockstep component wake-ups); one float
-        heappush when the instant is new.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        t = self.now + delay
-        bucket = self._buckets.get(t)
-        if bucket is None:
-            self._buckets[t] = [(fn, args)]
-            heapq.heappush(self._times, t)
-        else:
-            bucket.append((fn, args))
-        if t < self._next_time:
-            self._next_time = t
-
-    def try_advance(self, delay: float) -> bool:
-        """Advance ``now`` by ``delay`` without queue traffic, if legal.
-
-        Same legality rule as the scalar engine (next pending instant
-        strictly later, horizon not crossed); ``_next_time`` makes the test
-        two float compares.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot advance into the past (delay={delay})")
-        if not self.coalesce:
-            return False
-        target = self.now + delay
-        if self._next_time <= target or target > self._until:
-            return False
-        self.now = target
-        self._coalesced += 1
-        return True
-
-    def try_advance_to(self, target: float) -> bool:
-        """Absolute-time counterpart of :meth:`try_advance`."""
-        if not self.coalesce:
-            return False
-        if target < self.now:
-            raise SimulationError(f"cannot advance into the past (target={target})")
-        if self._next_time <= target or target > self._until:
-            return False
-        self.now = target
-        self._coalesced += 1
-        return True
-
-    def clear_pending(self) -> None:
-        """Drop all scheduled work (teardown aid; engine unusable after)."""
-        self._times.clear()
-        self._buckets.clear()
-        self._next_time = inf
-
-    # ------------------------------------------------------------------
-    # process stepping
-    # ------------------------------------------------------------------
-    def _step(self, proc: Process, send_value, throw_exc) -> None:
-        """Resume a process; same contract and fast paths as the scalar
-        engine's ``_step`` (see there for the coalescing rules), with the
-        queue peeks going through ``_next_time``."""
-        if not proc._alive:
-            raise SimulationError(f"stepping finished process {proc.name}")
-        gen = proc.gen
-        coalesce = self.coalesce
-        while True:
-            proc.blocked_on = None
-            try:
-                if throw_exc is not None:
-                    exc, throw_exc = throw_exc, None
-                    command = gen.throw(exc)
-                else:
-                    command = gen.send(send_value)
-            except StopIteration as stop:
-                self._finish(proc, stop.value, None)
-                return
-            except BaseException as exc:  # noqa: BLE001 - deliberately catch all
-                self._finish(proc, None, exc)
-                return
-            ctype = type(command)
-            if ctype is Timeout:  # exact: Timeout is never subclassed
-                target = self.now + command.delay
-            elif ctype is AdvanceTo:
-                target = command.target
-                if target < self.now:  # pragma: no cover - executor guards
-                    raise SimulationError(
-                        f"cannot advance into the past (target={target})")
-            else:
-                if isinstance(command, Process):
-                    event = command.done_event
-                elif isinstance(command, SimEvent):
-                    event = command
-                else:
-                    exc = SimulationError(
-                        f"process {proc.name} yielded {command!r}; "
-                        f"expected Timeout, SimEvent or Process")
-                    self.schedule(0.0, self._step, proc, None, exc)
-                    return
-                if (coalesce
-                        and (event._value is not _PENDING or event._exc is not None)
-                        and not self._next_time <= self.now):
-                    self._coalesced += 1
-                    if event._exc is None:
-                        send_value = event._value
-                    else:
-                        send_value = None
-                        throw_exc = event._exc
-                    continue
-                proc.blocked_on = event
-                event._add_waiter(proc)
-                return
-            if (coalesce and target <= self._until
-                    and not self._next_time <= target):
-                self.now = target
-                self._coalesced += 1
-                send_value = command.value
-                continue
-            # Park the resumption in its epoch bucket (seq order = append
-            # order; the counter stays the scalar engine's event count).
-            self._seq += 1
-            bucket = self._buckets.get(target)
-            if bucket is None:
-                self._buckets[target] = [(self._step,
-                                          (proc, command.value, None))]
-                heapq.heappush(self._times, target)
-            else:
-                bucket.append((self._step, (proc, command.value, None)))
-            if target < self._next_time:
-                self._next_time = target
-            return
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
@@ -639,16 +387,23 @@ class EpochEngine(_EngineCore):
         One heap pop surfaces a whole epoch: every record at that instant
         dispatches in sequence order from the bucket list, including records
         appended *during* the slice by the handlers themselves (a zero-delay
-        schedule lands at the live instant and runs in turn, exactly as the
-        scalar heap would order it). ``_next_time`` is advanced to the next
-        epoch just before the final record of the slice runs, so the
-        coalescing peeks inside that record see precisely what the scalar
-        engine's heap top would show.
+        schedule lands at the live instant and runs in turn). ``_next_time``
+        is advanced to the next epoch just before the final record of the
+        slice runs, so the inline-advance peeks inside that record see the
+        next epoch, not the one being drained.
+
+        Raises :class:`DeadlockError` if non-daemon processes remain blocked
+        with no scheduled work (after giving every :attr:`deadlock_hooks`
+        entry the chance to schedule recovery work), and re-raises the first
+        unhandled process exception.
         """
         times = self._times
         buckets = self._buckets
         failed = self._failed
         heappop = heapq.heappop
+        # The inline-advance fast path must never carry `now` past the run
+        # horizon (the resumption would then have to wait in the queue,
+        # where the `t > until` check below can see it).
         self._until = until
         try:
             while True:
@@ -670,8 +425,7 @@ class EpochEngine(_EngineCore):
                         while i < n:
                             if i + 1 == n:
                                 # Last known record of the slice: future
-                                # peeks must see the next epoch (the scalar
-                                # heap's top would already be it).
+                                # peeks must see the next epoch.
                                 self._next_time = times[0] if times else inf
                             fn, args = bucket[i]
                             i += 1
@@ -685,8 +439,7 @@ class EpochEngine(_EngineCore):
                         if i < len(bucket):
                             # Abnormal exit mid-slice: keep the undispatched
                             # tail queued so a caller that catches the error
-                            # observes the same pending set as the scalar
-                            # engine would.
+                            # still observes it as pending.
                             del bucket[:i]
                             heapq.heappush(times, t)
                             self._next_time = times[0]
@@ -702,30 +455,43 @@ class EpochEngine(_EngineCore):
         finally:
             self._until = inf
 
+    @staticmethod
+    def _wait_reasons(blocked) -> dict:
+        """``{process name: what it waits on}`` for deadlock diagnostics."""
+        reasons = {}
+        for proc in blocked:
+            event = proc.blocked_on
+            if event is None:
+                reasons[proc.name] = "<not waiting on any event>"
+            else:
+                reasons[proc.name] = getattr(event, "name", "") or repr(event)
+        return reasons
+
+    def _raise_failures(self) -> None:
+        if self._failed:
+            proc, exc = self._failed[0]
+            raise SimulationError(f"process {proc.name} failed: {exc!r}") from exc
+
+    # ------------------------------------------------------------------
+    # introspection
+    # ------------------------------------------------------------------
+    @property
+    def scheduled_events(self) -> int:
+        """Total events scheduled so far (the sequence counter)."""
+        return self._seq
+
+    @property
+    def coalesced_events(self) -> int:
+        """Resumptions that skipped the queue via the fast paths in
+        :meth:`_step` / :meth:`try_advance`."""
+        return self._coalesced
+
+    @property
+    def live_processes(self) -> list[Process]:
+        return [p for p in self._procs if p._alive]
+
     def pending_epochs(self):
         """Sorted ndarray of pending epoch instants (introspection aid)."""
         import numpy as np
 
         return np.sort(np.array(self._times, dtype=np.float64))
-
-
-def Engine(coalesce: bool | None = None, impl: str | None = None):
-    """Build an engine: the epoch-sliced core unless ``REPRO_SCALAR_ENGINE``
-    (or ``impl='scalar'``) asks for the legacy per-event heap.
-
-    A factory rather than a class so every existing ``Engine()`` call site
-    picks up the selected implementation; both classes are importable
-    directly for A/B tests.
-    """
-    if impl is None:
-        impl = "scalar" if _SCALAR_DEFAULT else "epoch"
-    if impl == "scalar":
-        return ScalarEngine(coalesce)
-    if impl == "epoch":
-        return EpochEngine(coalesce)
-    raise SimulationError(f"unknown engine impl {impl!r}")
-
-
-def engine_variant() -> str:
-    """The build-wide default engine variant name (for fingerprints)."""
-    return "scalar" if _SCALAR_DEFAULT else "epoch"

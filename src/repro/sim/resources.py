@@ -198,8 +198,8 @@ class Resource:
                 # would be sleeping through its service time, so resume it
                 # directly at the completion instant -- fl(now + duration)
                 # is the same float the grant-then-sleep path computes --
-                # and book its queueing delay here, at the grant, where the
-                # legacy path booked it.
+                # and book its queueing delay here, at the grant, where
+                # ``request()`` books it.
                 gate, duration, t0 = nxt
                 self.total_queue_time += self.engine.now - t0
                 gate.succeed_at(duration)
@@ -216,14 +216,9 @@ class Resource:
         but a contended grant schedules this process's resumption directly
         at its service-completion instant (one event instead of a wake at
         the grant plus a sleep). The unit stays held; the caller must
-        ``release()``. With coalescing off the legacy two-step shape is
-        used, so A/B runs compare like with like.
+        ``release()``.
         """
         engine = self.engine
-        if not engine.coalesce:
-            yield from self.request()
-            yield Timeout(duration)
-            return self
         self.total_requests += 1
         if self._in_use < self.capacity:
             self._in_use += 1

@@ -13,12 +13,13 @@ mechanism; see DESIGN.md section 15)."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.core.params import SamhitaConfig
 from repro.experiments.harness import run_workload_direct
 from repro.faults import jitter_storm, slow_server
-from repro.kernels.jacobi import JacobiParams, spawn_jacobi
+from repro.kernels.jacobi import JacobiParams, jacobi_reference, spawn_jacobi
 from repro.kernels.md import MDParams, spawn_md
 
 from tests.chaos.conftest import chaos_seeds
@@ -119,3 +120,26 @@ def test_unhedged_storm_keeps_data_identical(jacobi_baseline):
     gdiff, digest, _result = _run_jacobi(
         SamhitaConfig.grayfail(faults=plan, hedged_fetches=False))
     assert (gdiff, digest) == jacobi_baseline[:2]
+
+
+def test_open_breaker_degrades_to_the_per_page_fetch():
+    """The fault_storm cell of the benchmark suite, pinned: with the slow
+    primary's breaker open and the backup ineligible (owned pages), a trip
+    degrades to the synchronous per-page fetch -- the one caller
+    ``ComputeServer._fetch_pages`` / ``MemoryServer.serve_fetch`` still
+    have. Values recorded at PR 15."""
+    params = JacobiParams(rows=256, cols=512, iterations=10,
+                          collect_result=True)
+    plan = grayfail_profiles(11)["slow_server"]
+    result = run_workload_direct("samhita", 8, spawn_jacobi, params,
+                                 functional=True,
+                                 config=SamhitaConfig.grayfail(faults=plan))
+    gdiff, grid = result.threads[0].value
+    ref_gdiff, ref_grid = jacobi_reference(params)
+    assert gdiff == ref_gdiff
+    assert np.array_equal(grid, ref_grid)
+    hedges = result.stats["hedges"]
+    assert hedges["breaker_degraded"] == 62
+    assert hedges["breaker_reroutes"] == 8
+    assert hedges["shed_backoffs"] == 123
+    assert result.elapsed == 0.00901180079999981

@@ -1,18 +1,17 @@
-"""Chaos: the batched round-trip layer under fault schedules.
+"""Chaos: the batched round-trip protocol under fault schedules.
 
-The per-home batch daemon changes the protocol's message shape (one
-modeled round trip carries many lines), so its retry/dedup path is a new
-surface the generic chaos cells don't pin down explicitly. These cells
-run the canonical drop/latency schedules with ``batched_round_trips``
-explicitly on and assert:
+One modeled round trip carries many lines, so a lost or replayed message
+is a lost or replayed *batch*; these cells run the canonical drop/latency
+schedules and assert:
 
-* final data is bit-identical to the fault-free run (both shapes);
-* the faulty batched run still aggregates (a live ``round_trips``
-  ledger with multi-line trips), i.e. faults didn't silently degrade
-  the daemon to per-page trips;
+* final data is bit-identical to the fault-free run, and to the bytes the
+  per-operation protocol computed for this cell (recorded at PR 8);
+* the faulty run still aggregates (a live ``round_trips`` ledger with
+  multi-line trips), i.e. faults didn't silently degrade the protocol to
+  per-page trips;
 * the retry counters prove the loss-bearing schedules actually hit the
   batched protocol;
-* a pure duplicate storm is fully deduplicated with batching on.
+* a pure duplicate storm is fully deduplicated.
 """
 
 import hashlib
@@ -31,8 +30,15 @@ N_THREADS = 4
 PARAMS = JacobiParams(rows=64, cols=256, iterations=3, collect_result=True)
 
 
-def _run(batched: bool, plan=None):
-    config = SamhitaConfig(batched_round_trips=batched, faults=plan)
+#: ``(gdiff, sha256 of the final grid)`` of this cell under the unbatched
+#: per-line protocol, recorded at the PR 8 tree. Faults never change data,
+#: so one digest covers every schedule.
+UNBATCHED_PR8 = (7.8125, "2b3e7a116b07bdfd16475c9584b7b7e1"
+                         "8394155fdfc4cc67038985f54f9e34b2")
+
+
+def _run(plan=None):
+    config = SamhitaConfig(faults=plan)
     result = run_workload_direct("samhita", N_THREADS, spawn_jacobi, PARAMS,
                                  functional=True, config=config)
     gdiff, grid = result.threads[0].value
@@ -41,8 +47,8 @@ def _run(batched: bool, plan=None):
 
 @pytest.fixture(scope="module")
 def baseline():
-    """Fault-free batched run: the data every faulty cell must reproduce."""
-    gdiff, digest, result = _run(batched=True)
+    """Fault-free run: the data every faulty cell must reproduce."""
+    gdiff, digest, result = _run()
     return gdiff, digest, result
 
 
@@ -50,7 +56,7 @@ def baseline():
 @pytest.mark.parametrize("profile", ["drop_storm", "latency_storm"])
 def test_batched_data_survives_faults(baseline, profile, seed):
     plan = chaos_profiles(seed)[profile]
-    gdiff, digest, result = _run(batched=True, plan=plan)
+    gdiff, digest, result = _run(plan)
     assert (gdiff, digest) == baseline[:2]
 
     faults = result.stats["faults"]
@@ -72,12 +78,10 @@ def test_batched_data_survives_faults(baseline, profile, seed):
 @pytest.mark.parametrize("seed", chaos_seeds())
 @pytest.mark.parametrize("profile", ["drop_storm", "latency_storm"])
 def test_batched_matches_unbatched_under_faults(profile, seed):
-    """Same fault schedule, both protocol shapes: identical final bytes.
-    (Timing diverges -- the schedules perturb different message streams.)"""
+    """Under a fault schedule the batched protocol ends on the bytes the
+    unbatched protocol computed."""
     plan = chaos_profiles(seed)[profile]
-    on = _run(batched=True, plan=plan)
-    off = _run(batched=False, plan=plan)
-    assert on[:2] == off[:2]
+    assert _run(plan)[:2] == UNBATCHED_PR8
 
 
 @pytest.mark.parametrize("seed", chaos_seeds())
@@ -85,8 +89,8 @@ def test_batched_chaos_replays_bit_identically(seed):
     """Determinism under faults survives batching: the whole faulty
     trajectory (data, modeled time, fault counters) replays exactly."""
     plan = chaos_profiles(seed)["drop_storm"]
-    first = _run(batched=True, plan=plan)
-    second = _run(batched=True, plan=plan)
+    first = _run(plan)
+    second = _run(plan)
     assert first[:2] == second[:2]
     assert first[2].elapsed == second[2].elapsed
     assert first[2].stats["faults"] == second[2].stats["faults"]
@@ -99,7 +103,7 @@ def test_batched_duplicate_storm_deduplicated(baseline):
     from repro.faults import FaultPlan
 
     plan = FaultPlan(seed=5, duplicate_rate=0.05)
-    gdiff, digest, result = _run(batched=True, plan=plan)
+    gdiff, digest, result = _run(plan)
     assert (gdiff, digest) == baseline[:2]
     faults = result.stats["faults"]
     assert faults.get("dup_rpcs_dropped", 0) + \

@@ -1,19 +1,26 @@
 """End-to-end checks of the adaptive software-cache data plane.
 
-The adaptive configuration (stride prefetch + batched line fetches) must be
-a pure *timing* optimization: the computed data is identical to the compat
-path, only the protocol round-trip count changes. These tests run the smoke
-Jacobi cell (the same one ``golden_run.json`` pins) in both modes and
-compare data, counters, and the fetch-reduction the issue gates on.
+The adaptive configuration (stride prefetch + plan look-ahead) must be a
+pure *timing* optimization: the computed data is identical to the default
+data plane's. These tests run the canonical functional Jacobi cell under
+both and compare data and counters; the per-line protocol that used to be
+the comparison's other side survives as the recorded numbers in
+:data:`PER_LINE_PR8`.
 """
 
+import dataclasses
 import hashlib
+import inspect
+import pathlib
 
 import pytest
 
+import repro
 from repro.core.params import PrefetchPolicy, SamhitaConfig
 from repro.experiments.harness import run_workload_direct
 from repro.kernels.jacobi import JacobiParams, spawn_jacobi
+from repro.sim.engine import Engine
+from tests.core.conftest import run_threads
 
 PARAMS = JacobiParams(rows=64, cols=256, iterations=3, collect_result=True)
 N_THREADS = 4
@@ -29,9 +36,19 @@ def _grid_digest(result):
     return gdiff, hashlib.sha256(grid.tobytes()).hexdigest()
 
 
+#: This cell under the per-line protocol of the PR 8 tree (one request per
+#: missed line, adjacent-line prefetch as its own daemon trip).
+PER_LINE_PR8 = {
+    "grid": (7.8125, "2b3e7a116b07bdfd16475c9584b7b7e1"
+                     "8394155fdfc4cc67038985f54f9e34b2"),
+    "fetch_requests": 82,
+    "scheduled_events": 849,
+}
+
+
 @pytest.fixture(scope="module")
-def compat():
-    return _run(SamhitaConfig.compat_cache(functional=True))
+def default():
+    return _run(SamhitaConfig(functional=True))
 
 
 @pytest.fixture(scope="module")
@@ -40,42 +57,26 @@ def adaptive():
 
 
 class TestFunctionalIdentity:
-    def test_adaptive_computes_identical_data(self, compat, adaptive):
-        assert _grid_digest(adaptive) == _grid_digest(compat)
+    def test_adaptive_computes_identical_data(self, default, adaptive):
+        assert _grid_digest(adaptive) == _grid_digest(default)
 
-    def test_default_config_matches_compat_data(self, compat):
-        default = _run(SamhitaConfig(functional=True))
-        assert _grid_digest(default) == _grid_digest(compat)
-
-    def test_compat_mode_is_bit_identical_to_default_timing(self, compat):
-        # The default data plane must not move a single timestamp relative
-        # to the compat preset beyond what its named knobs change.
-        # batched_round_trips is held at compat's value: the batched
-        # protocol model changes timing by design (its own off-gate is
-        # pinned by --check-batched-rt and the rtbatch property tests).
-        default = _run(SamhitaConfig(functional=True,
-                                     batched_round_trips=False))
-        assert default.elapsed == compat.elapsed
-        assert ({t: r.clock.total for t, r in default.threads.items()}
-                == {t: r.clock.total for t, r in compat.threads.items()})
+    def test_default_config_matches_compat_data(self, default):
+        assert _grid_digest(default) == PER_LINE_PR8["grid"]
 
 
 class TestFetchReduction:
-    def test_batching_collapses_round_trips(self, compat, adaptive):
-        before = compat.stats["compute_servers"]["fetch_requests"]
+    def test_batching_collapses_round_trips(self, adaptive):
         after = adaptive.stats["compute_servers"]["fetch_requests"]
-        assert before > 0
-        # The issue's acceptance gate: >= 20% fewer remote line fetches.
-        assert after <= 0.8 * before
+        assert 0 < after <= 0.8 * PER_LINE_PR8["fetch_requests"]
 
-    def test_adaptive_uses_batched_path(self, compat, adaptive):
+    def test_adaptive_uses_batched_path(self, adaptive):
         cs = adaptive.stats["compute_servers"]
         assert cs.get("batched_line_fetches", 0) > 0
-        assert compat.stats["compute_servers"].get("batched_line_fetches", 0) == 0
+        assert cs.get("plan_prefetches", 0) > 0
 
-    def test_adaptive_schedules_no_more_events(self, compat, adaptive):
+    def test_adaptive_schedules_no_more_events(self, adaptive):
         assert (adaptive.stats["engine"]["scheduled_events"]
-                <= compat.stats["engine"]["scheduled_events"])
+                <= PER_LINE_PR8["scheduled_events"])
 
 
 class TestPrefetchReporting:
@@ -90,38 +91,53 @@ class TestPrefetchReporting:
             assert ns["prefetch_accuracy"] >= 0.6
             assert ns["prefetch_accuracy"] == ns["prefetch_hits"] / installs
 
-    def test_demand_misses_wait_on_pending_prefetches(self, compat, adaptive):
+    def test_demand_misses_wait_on_pending_prefetches(self, adaptive):
         # A demand miss that lands on an in-flight prefetched line must
         # block on the existing fetch (one wire transfer), not start a
-        # second one -- counted as prefetch_waits on either data plane.
-        for result in (compat, adaptive):
-            assert result.stats["prefetch"]["prefetch_waits"] > 0
+        # second one -- counted as prefetch_waits.
+        assert adaptive.stats["prefetch"]["prefetch_waits"] > 0
 
-    def test_compat_accuracy_reported_from_adjacent_prefetch(self, compat):
-        ns = compat.stats["prefetch"]
-        assert ns.get("prefetch_installs", 0) > 0
-        assert 0.0 <= ns["prefetch_accuracy"] <= 1.0
+    def test_compat_accuracy_reported_from_adjacent_prefetch(self, cluster2):
+        # The default (adjacent-line) policy: a sequential scan installs
+        # riders, and the report derives accuracy from the same counters.
+        system, (t0, _) = cluster2
+        line = system.config.layout.line_bytes
+
+        def body():
+            addr = yield from system.malloc(t0, 256 << 10)
+            for off in range(0, 16 * line, line):
+                yield from system.mem_read(t0, addr + off, 8)
+
+        run_threads(system, [body()])
+        ns = system.stats_report()["prefetch"]
+        assert ns["prefetch_installs"] > 0
+        assert ns["prefetch_accuracy"] == (ns["prefetch_hits"]
+                                           / ns["prefetch_installs"])
+        assert 0.0 < ns["prefetch_accuracy"] <= 1.0
 
 
 class TestConfigSurface:
     def test_adaptive_cache_knobs(self):
-        cfg = SamhitaConfig.adaptive_cache()
-        assert cfg.prefetch_policy.mode == "stride"
-        assert cfg.batch_line_fetches
-
-    def test_compat_cache_knobs(self):
-        cfg = SamhitaConfig.compat_cache()
-        assert cfg.prefetch_policy.mode == "adjacent"
-        assert not cfg.batch_line_fetches
+        assert SamhitaConfig.adaptive_cache().prefetch.mode == "stride"
+        assert SamhitaConfig().prefetch.mode == "adjacent"
 
     def test_victim_selection_is_not_configurable(self):
-        # One implementation (column selection in SoftwareCache), pinned to
-        # the reference model by tests/property/test_cache_equivalence.py.
-        import dataclasses
+        # One implementation of each mechanism, no switch to a predecessor:
+        # victim selection (column selection in SoftwareCache, pinned to
+        # the reference model by tests/property/test_cache_equivalence.py),
+        # the fault / prefetch / evict protocol (rtbatch), the engine.
         fields = {f.name for f in dataclasses.fields(SamhitaConfig)}
-        assert "eviction_impl" not in fields
-        with pytest.raises(TypeError):
-            SamhitaConfig(eviction_impl="sorted")
+        for gone in ("eviction_impl", "batched_round_trips",
+                     "batch_line_fetches", "prefetch_adjacent"):
+            assert gone not in fields
+            with pytest.raises(TypeError):
+                SamhitaConfig(**{gone: False})
+        with pytest.raises(AttributeError):
+            SamhitaConfig.compat_cache
+        assert not inspect.signature(Engine).parameters
+        src = pathlib.Path(repro.__file__).parent
+        assert not [str(p) for p in src.rglob("*.py")
+                    if "os.environ" in p.read_text()]
 
     def test_prefetch_none_disables_speculation(self):
         cfg = SamhitaConfig(functional=True,

@@ -132,12 +132,9 @@ def _outcome(result):
     (None, spawn_jacobi, JacobiParams(rows=128, cols=256, iterations=3), 4),
     # Stride prediction + plan-informed prefetch: demand faults find lines
     # with a prefetch in flight and must wait exactly where they used to.
-    (SamhitaConfig.adaptive_cache(batched_round_trips=True),
-     spawn_microbench,
+    (SamhitaConfig.adaptive_cache(), spawn_microbench,
      MicrobenchParams(N=6, M=4, S=8, allocation=Allocation.GLOBAL), 6),
-    (SamhitaConfig.adaptive_cache(batched_round_trips=True,
-                                  n_memory_servers=2),
-     spawn_microbench,
+    (SamhitaConfig.adaptive_cache(n_memory_servers=2), spawn_microbench,
      MicrobenchParams(N=5, M=3, S=4, allocation=Allocation.GLOBAL_STRIDED),
      8),
     (SamhitaConfig(cache_capacity_pages=48), spawn_microbench,
@@ -162,7 +159,7 @@ def test_the_in_flight_cut_is_exercised():
         "samhita", 6, spawn_microbench,
         MicrobenchParams(N=6, M=4, S=8, allocation=Allocation.GLOBAL),
         functional=False,
-        config=SamhitaConfig.adaptive_cache(batched_round_trips=True))
+        config=SamhitaConfig.adaptive_cache())
     assert result.stats["prefetch"]["prefetch_waits"] > 0
 
 

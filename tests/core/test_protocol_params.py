@@ -41,9 +41,9 @@ class TestConfigValidation:
 
     def test_with_returns_modified_copy(self):
         config = SamhitaConfig()
-        changed = config.with_(prefetch_adjacent=False)
-        assert not changed.prefetch_adjacent
-        assert config.prefetch_adjacent
+        changed = config.with_(multiple_writer=False)
+        assert not changed.multiple_writer
+        assert config.multiple_writer
 
     def test_cache_must_hold_one_line(self):
         layout = MemoryLayout(pages_per_line=8)

@@ -4,7 +4,7 @@ recall -- driven through a whole SamhitaSystem."""
 import numpy as np
 import pytest
 
-from repro.core import SamhitaConfig, SamhitaSystem
+from repro.core import PrefetchPolicy, SamhitaConfig, SamhitaSystem
 from repro.errors import MemoryError_
 from tests.core.conftest import run_threads, u8
 
@@ -129,11 +129,8 @@ class TestPrefetch:
 
         run_threads(system, [body()])
         cs = system.compute_server_of(t0)
-        # The batched protocol carries the prediction as speculative
-        # riders on the demand trip; the per-operation path spawns an
-        # async prefetch daemon. Either way the adjacent line was pulled.
-        assert (cs.stats.get("prefetches_issued")
-                + cs.stats.get("speculative_riders")) >= 1
+        # The prediction rides the demand trip as speculative cargo.
+        assert cs.stats.get("speculative_riders") >= 1
 
     def test_sequential_scan_hits_prefetched_lines(self, cluster2):
         system, (t0, _) = cluster2
@@ -148,7 +145,7 @@ class TestPrefetch:
         assert cache.stats.get("prefetch_hits") >= 8
 
     def test_prefetch_disabled_by_config(self):
-        config = SamhitaConfig(prefetch_adjacent=False)
+        config = SamhitaConfig(prefetch=PrefetchPolicy(mode="none"))
         system = SamhitaSystem.cluster(n_threads=1, config=config)
         t0 = system.add_thread()
 
@@ -157,12 +154,13 @@ class TestPrefetch:
             yield from system.mem_read(t0, addr, 8)
 
         run_threads(system, [body()])
-        assert system.compute_server_of(t0).stats.get("prefetches_issued") == 0
+        assert system.compute_server_of(t0).stats.get("speculative_riders") == 0
 
 
 class TestEviction:
     def _tiny_cache_system(self, policy=None):
-        kw = {"cache_capacity_pages": 8, "prefetch_adjacent": False}
+        kw = {"cache_capacity_pages": 8,
+              "prefetch": PrefetchPolicy(mode="none")}
         if policy is not None:
             kw["eviction_policy"] = policy
         config = SamhitaConfig(**kw)

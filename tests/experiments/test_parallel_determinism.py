@@ -11,12 +11,9 @@ Two separate promises are pinned here:
 2. *Pre == post optimization*: wall-clock rework must not move a single
    simulated timestamp. ``golden_metrics.json`` holds every series point
    of fig03/fig11/fig12 (--quick scale) plus a functional Jacobi data
-   capture under the CURRENT default machine (batched round trips on);
-   the current code must reproduce them exactly (JSON round-trip on both
-   sides kills float-repr ambiguity). ``golden_metrics_pr8.json`` is the
-   same capture from the PR 8 tree, before the batched protocol existed:
-   ``batched_round_trips=False`` must still reproduce *it* bit for bit,
-   so the off gate keeps pinning every pre-batching optimization too.
+   capture under the default machine; the current code must reproduce
+   them exactly (JSON round-trip on both sides kills float-repr
+   ambiguity).
 """
 
 import hashlib
@@ -32,7 +29,6 @@ from repro.experiments.parallel import (
 from repro.kernels.jacobi import JacobiParams, spawn_jacobi
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_metrics.json"
-GOLDEN_PR8 = pathlib.Path(__file__).parent / "golden_metrics_pr8.json"
 
 #: Reduced axes: small enough for the test suite, wide enough to cover
 #: both backends and a multi-node Samhita point.
@@ -87,7 +83,7 @@ class TestCellKey:
         assert cell_key(a) == cell_key(b)
 
 
-def jacobi_functional_snapshot(config=None) -> dict:
+def jacobi_functional_snapshot() -> dict:
     """Canonical JSON-safe capture of one functional-mode Jacobi cell.
 
     Unlike the figure snapshots (timing-only), this pins the *data plane*:
@@ -98,7 +94,7 @@ def jacobi_functional_snapshot(config=None) -> dict:
     """
     params = JacobiParams(rows=64, cols=256, iterations=3, collect_result=True)
     result = run_workload_direct("samhita", 4, spawn_jacobi, params,
-                                 functional=True, config=config)
+                                 functional=True)
     threads = {}
     for tid, tr in sorted(result.threads.items()):
         value = tr.value
@@ -137,23 +133,3 @@ class TestGoldenMetrics:
 
     def test_jacobi_functional_matches_seed_capture(self):
         assert jacobi_functional_snapshot() == self.golden["jacobi_functional"]
-
-
-class TestGoldenMetricsBatchedOff:
-    """``batched_round_trips=False`` must reproduce the PR 8 captures --
-    the gate keeps every pre-batching timestamp pinned bit for bit."""
-
-    golden = json.loads(GOLDEN_PR8.read_text())
-
-    @pytest.mark.parametrize("name", sorted(set(golden) & set(QUICK)))
-    def test_matches_pr8_capture(self, name):
-        from repro.core import SamhitaConfig
-        config = SamhitaConfig(batched_round_trips=False)
-        got = points_of(figures.FIGURES[name](**QUICK[name], config=config))
-        assert got == self.golden[name]
-
-    def test_jacobi_functional_matches_pr8_capture(self):
-        from repro.core import SamhitaConfig
-        snap = jacobi_functional_snapshot(
-            SamhitaConfig(batched_round_trips=False))
-        assert snap == self.golden["jacobi_functional"]

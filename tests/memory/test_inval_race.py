@@ -46,7 +46,7 @@ class TestFetchInvalidateRace:
         cache = system.cache_of(tid)
         cs = system.compute_servers[system.component_of(tid)]
 
-        system.engine.process(cs._fetch_pages(tid, [page], set(), False),
+        system.engine.process(cs._fetch_pages(tid, [page], set()),
                               name="fetch")
         system.engine.run()
 
@@ -70,7 +70,7 @@ class TestFetchInvalidateRace:
 
         # The fetcher is scheduled first, so its snapshot precedes the
         # invalidation deterministically.
-        system.engine.process(cs._fetch_pages(tid, [page], set(), False),
+        system.engine.process(cs._fetch_pages(tid, [page], set()),
                               name="fetch")
         system.engine.process(invalidator(), name="invalidate")
         system.engine.run()
@@ -93,13 +93,13 @@ class TestFetchInvalidateRace:
             yield Timeout(1e-9)
             cache.invalidate([page])
 
-        system.engine.process(cs._fetch_pages(tid, [page], set(), False),
+        system.engine.process(cs._fetch_pages(tid, [page], set()),
                               name="fetch")
         system.engine.process(invalidator(), name="invalidate")
         system.engine.run()
         assert page not in cache.entries
 
-        system.engine.process(cs._fetch_pages(tid, [page], set(), False),
+        system.engine.process(cs._fetch_pages(tid, [page], set()),
                               name="refetch")
         system.engine.run()
         assert page in cache.entries

@@ -1,11 +1,13 @@
-"""Property tests: the epoch-sliced engine is bit-identical to the scalar
-engine.
+"""Property tests: the shipped engine is bit-identical to the reference heap.
 
 Random programs of Timeout / AdvanceTo / SimEvent / Process operations run
-through both queue implementations; the observable trajectory -- every
-``(now, seq)`` pair at every resumption, the coalesced count, the final
-clock, even the deadlock diagnosis -- must match exactly. The epoch core
-may only change *how* the queue is stored, never what runs when.
+through the epoch-sliced :class:`Engine` and through the per-event heap kept
+as an oracle in ``tests/sim/reference_engine.py``; the observable trajectory
+-- every ``(now, seq)`` pair at every resumption, the coalesced count, the
+final clock, even the deadlock diagnosis -- must match exactly. The epoch
+queue may only change *how* pending work is stored, never what runs when;
+and against the oracle with its inline advance switched off, the fast paths
+may only change queue traffic, never simulated time.
 """
 
 import math
@@ -15,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.engine import (AdvanceTo, Engine, EpochEngine, ScalarEngine,
-                              Timeout, engine_variant)
+from repro.sim.engine import AdvanceTo, Engine, Timeout
+
+from tests.sim.reference_engine import ReferenceEngine
 
 #: Delays drawn from a small grid so distinct processes collide on the same
 #: instant often -- equal-time collisions are exactly what exercises epoch
-#: bucketing (and the seq tie-break in the scalar heap).
+#: bucketing (and the seq tie-break in the reference heap).
 DELAY_GRID = (0.0, 1e-6, 2e-6, 1e-5, 0.25, 0.5, 1.0)
 
 N_EVENTS = 4
@@ -39,9 +42,8 @@ ops = st.one_of(
 programs = st.lists(st.lists(ops, max_size=6), min_size=1, max_size=5)
 
 
-def run_program(engine_cls, program, coalesce=None, until=math.inf):
+def run_program(eng, program, until=math.inf):
     """Drive one random program; return its full observable trajectory."""
-    eng = engine_cls(coalesce=coalesce)
     events = [eng.event(name=f"ev{i}") for i in range(N_EVENTS)]
     trace = []
     procs = []
@@ -91,42 +93,51 @@ def run_program(engine_cls, program, coalesce=None, until=math.inf):
     }
 
 
+HORIZONS = st.sampled_from([0.0, 1e-6, 0.3, 0.75, 2.0])
+
+
+def _simulated(run):
+    """What a run looks like in simulated time: every (pid, op, now)
+    observation, the final clock and the outcome -- the seq column and the
+    queue-traffic counters dropped."""
+    return ([rec[:3] for rec in run["trace"]], run["now"], run["outcome"])
+
+
 @given(programs)
 @settings(max_examples=120, deadline=None)
 def test_epoch_engine_matches_scalar_engine(program):
-    scalar = run_program(ScalarEngine, program)
-    epoch = run_program(EpochEngine, program)
-    assert scalar == epoch
+    assert (run_program(Engine(), program)
+            == run_program(ReferenceEngine(), program))
 
 
-@given(programs)
+@given(programs, HORIZONS)
 @settings(max_examples=60, deadline=None)
-def test_equivalence_holds_with_coalescing_off(program):
-    scalar = run_program(ScalarEngine, program, coalesce=False)
-    epoch = run_program(EpochEngine, program, coalesce=False)
-    assert scalar == epoch
-    assert scalar["coalesced"] == 0
+def test_equivalence_holds_under_a_run_horizon(program, until):
+    assert (run_program(Engine(), program, until=until)
+            == run_program(ReferenceEngine(), program, until=until))
 
 
 @given(programs)
 @settings(max_examples=60, deadline=None)
 def test_coalescing_never_changes_the_simulated_trajectory(program):
-    """On vs off must agree on every (pid, op, now) observation and the
-    final clock; only queue traffic (seq, coalesced) may differ."""
-    on = run_program(EpochEngine, program, coalesce=True)
-    off = run_program(EpochEngine, program, coalesce=False)
-    strip = lambda rec: rec[:3]  # noqa: E731 - drop the seq column
-    assert [strip(r) for r in on["trace"]] == [strip(r) for r in off["trace"]]
-    assert on["now"] == off["now"]
-    assert on["outcome"] == off["outcome"]
+    """Against the heap that queues every resumption, the shipped engine
+    must agree on every (pid, op, now) observation and the final clock;
+    only queue traffic (seq, coalesced) may differ."""
+    on = run_program(Engine(), program)
+    off = run_program(ReferenceEngine(coalesce=False), program)
+    assert _simulated(on) == _simulated(off)
+    assert off["coalesced"] == 0
 
 
-@given(programs, st.sampled_from([0.0, 1e-6, 0.3, 0.75, 2.0]))
+@given(programs, HORIZONS)
 @settings(max_examples=60, deadline=None)
-def test_equivalence_holds_under_a_run_horizon(program, until):
-    scalar = run_program(ScalarEngine, program, until=until)
-    epoch = run_program(EpochEngine, program, until=until)
-    assert scalar == epoch
+def test_equivalence_holds_with_coalescing_off(program, until):
+    """The same, stopped at a run horizon: an inline advance may never
+    carry a process past ``until`` when the queued resumption would have
+    stayed parked."""
+    on = run_program(Engine(), program, until=until)
+    off = run_program(ReferenceEngine(coalesce=False), program, until=until)
+    assert _simulated(on) == _simulated(off)
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +145,7 @@ def test_equivalence_holds_under_a_run_horizon(program, until):
 # ----------------------------------------------------------------------
 
 def test_mid_slice_same_time_appends_dispatch_in_order():
-    eng = EpochEngine()
+    eng = Engine()
     order = []
     eng.schedule(1.0, lambda: (order.append("a"),
                                eng.schedule(0.0, lambda: order.append("c"))))
@@ -147,7 +158,7 @@ def test_mid_slice_same_time_appends_dispatch_in_order():
 
 
 def test_epoch_engine_retains_undispatched_tail_on_error():
-    eng = EpochEngine()
+    eng = Engine()
     ran = []
 
     def boom():
@@ -165,18 +176,9 @@ def test_epoch_engine_retains_undispatched_tail_on_error():
 
 
 def test_clear_pending_empties_both_columns():
-    eng = EpochEngine()
+    eng = Engine()
     eng.schedule(1.0, lambda: None)
     eng.schedule(2.0, lambda: None)
     eng.clear_pending()
     assert not eng._times and not eng._buckets
     assert eng.run() == 0.0
-
-
-def test_factory_honours_impl_and_reports_variant():
-    assert isinstance(Engine(impl="scalar"), ScalarEngine)
-    assert isinstance(Engine(impl="epoch"), EpochEngine)
-    default = Engine()
-    assert default.variant == engine_variant()  # env-selected build default
-    with pytest.raises(SimulationError):
-        Engine(impl="simd")

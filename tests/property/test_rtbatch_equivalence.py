@@ -1,19 +1,12 @@
-"""Batched round trips: off-state bit-identity and on-state data identity.
+"""Batched round trips: data identity with the per-operation protocol.
 
-Two guarantees from DESIGN.md S14, checked across the same workload x
-config matrix that generated ``rtbatch_pr8_digests.json`` (pinned at the
-PR 8 tree, before the batched layer existed):
+``rtbatch_pr8_digests.json`` holds the final-data digest of every cell of a
+workload x config matrix, recorded at the PR 8 tree -- before the batched
+layer existed, so by the per-line / per-page protocol. The batched protocol
+may change timing and event counts, but the bytes every thread computes
+must not move: each cell, run today, must reproduce its recorded digest.
 
-* ``batched_round_trips=False`` is **bit-identical** to PR 8: final data,
-  modeled elapsed time, scheduled-event count, and every cache counter
-  match the pins exactly, for every coherence/sharding/replication
-  configuration in the matrix.
-* ``batched_round_trips=True`` (the default) is **data-identical** to the
-  off shape: the aggregated protocol may change timing and event counts,
-  but the bytes every thread computes must not move.
-
-Each cell runs once per session (results are memoized), so the hypothesis
-sampling and the exhaustive sweep share the same 24 runs.
+Each distinct configuration runs once per session (results are memoized).
 """
 
 from __future__ import annotations
@@ -21,10 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.params import SamhitaConfig
 from repro.experiments.harness import run_workload_direct
@@ -34,21 +23,17 @@ from repro.kernels.md import MDParams, spawn_md
 PINS = json.loads(
     (pathlib.Path(__file__).parent / "rtbatch_pr8_digests.json").read_text())
 
-#: Config factories; each takes the batched_round_trips value so the same
-#: matrix drives both the off-vs-pin and the on-vs-off comparisons. The
-#: compat preset pins batched_round_trips=False itself -- the override
-#: must win for the on-shape run.
+#: The matrix's configurations. "compat" was the per-line preset of the PR 8
+#: tree; with batching on it is the default configuration, so the two names
+#: share one run.
 CONFIGS = {
-    "default": lambda b: SamhitaConfig(batched_round_trips=b),
-    "compat": lambda b: SamhitaConfig.compat_cache(batched_round_trips=b),
-    "adaptive": lambda b: SamhitaConfig.adaptive_cache(
-        batched_round_trips=b),
-    "sharded": lambda b: SamhitaConfig(
-        manager_shards=2, n_memory_servers=2, batched_round_trips=b),
-    "replicated": lambda b: SamhitaConfig(
-        n_memory_servers=2, replication_factor=2, fencing=True,
-        batched_round_trips=b),
-    "ivy": lambda b: SamhitaConfig(coherence="ivy", batched_round_trips=b),
+    "default": SamhitaConfig(),
+    "compat": SamhitaConfig(),
+    "adaptive": SamhitaConfig.adaptive_cache(),
+    "sharded": SamhitaConfig(manager_shards=2, n_memory_servers=2),
+    "replicated": SamhitaConfig(n_memory_servers=2, replication_factor=2,
+                                fencing=True),
+    "ivy": SamhitaConfig(coherence="ivy"),
 }
 
 WORKLOADS = {
@@ -62,20 +47,17 @@ WORKLOADS = {
         n_particles=48, steps=3, seed=47, collect_state=True)),
 }
 
-CELLS = sorted(PINS)
-
-_digest_cache: dict[tuple[str, int, str, bool], dict] = {}
+_run_cache: dict[tuple[str, int, SamhitaConfig], tuple[str, dict]] = {}
 
 
-def _digest(wname: str, seed: int, cname: str, batched: bool) -> dict:
-    """The full trajectory digest for one matrix cell (memoized)."""
-    key = (wname, seed, cname, batched)
-    if key in _digest_cache:
-        return _digest_cache[key]
+def _run(wname: str, seed: int, cname: str) -> tuple[str, dict]:
+    """``(data digest, round_trips stats)`` of one matrix cell (memoized)."""
+    key = (wname, seed, CONFIGS[cname])
+    if key in _run_cache:
+        return _run_cache[key]
     spawn_fn, params = WORKLOADS[(wname, seed)]
-    config = CONFIGS[cname](batched)
     result = run_workload_direct("samhita", 4, spawn_fn, params,
-                                 functional=True, config=config)
+                                 functional=True, config=CONFIGS[cname])
     h = hashlib.sha256()
     if wname == "jacobi":
         gdiff, grid = result.threads[0].value
@@ -86,14 +68,8 @@ def _digest(wname: str, seed: int, cname: str, batched: bool) -> dict:
         h.update(pos.tobytes())
         h.update(vel.tobytes())
         h.update(repr(energies).encode())
-    digest = {
-        "data_sha256": h.hexdigest(),
-        "elapsed": result.elapsed,
-        "events_scheduled": result.stats["engine"]["scheduled_events"],
-        "cache_counters": dict(sorted(result.stats["caches"].items())),
-    }
-    _digest_cache[key] = digest
-    return digest
+    _run_cache[key] = h.hexdigest(), result.stats["round_trips"]
+    return _run_cache[key]
 
 
 def _split(cell: str) -> tuple[str, int, str]:
@@ -107,48 +83,21 @@ def test_pin_matrix_shape() -> None:
                 for (w, s) in WORKLOADS for c in CONFIGS}
     assert set(PINS) == expected
     for cell, pin in PINS.items():
-        assert set(pin) == {"data_sha256", "elapsed", "events_scheduled",
-                            "cache_counters"}, cell
+        assert set(pin) == {"data_sha256"}, cell
 
 
-@given(cell=st.sampled_from(CELLS))
-@settings(max_examples=24, deadline=None)
-def test_batched_off_bit_identical_to_pr8(cell: str) -> None:
-    """Gate off => the full digest (data, elapsed, events, counters)
-    matches the PR 8 pin bit for bit."""
-    wname, seed, cname = _split(cell)
-    digest = _digest(wname, seed, cname, batched=False)
-    pin = PINS[cell]
-    assert digest["data_sha256"] == pin["data_sha256"], cell
-    assert digest["elapsed"] == pin["elapsed"], cell
-    assert digest["events_scheduled"] == pin["events_scheduled"], cell
-    assert digest["cache_counters"] == pin["cache_counters"], cell
-
-
-def test_batched_off_full_matrix() -> None:
-    """Exhaustive sweep of the same 24 cells: hypothesis sampling above
-    may skip corners; coverage here is total (runs are memoized)."""
-    diverged = [cell for cell in CELLS
-                if _digest(*_split(cell), batched=False) != PINS[cell]]
-    assert not diverged, f"off-state diverged from PR 8 pins: {diverged}"
-
-
-@given(cell=st.sampled_from(CELLS))
-@settings(max_examples=24, deadline=None)
-def test_batched_on_data_identical_to_off(cell: str) -> None:
-    """Gate on => identical final bytes. Timing and event counts may
-    (and do) differ -- that is the point of batching -- so only the data
-    digest is compared."""
-    wname, seed, cname = _split(cell)
-    on = _digest(wname, seed, cname, batched=True)
-    off = _digest(wname, seed, cname, batched=False)
-    assert on["data_sha256"] == off["data_sha256"], cell
+def test_batched_on_data_identical_to_off() -> None:
+    """Every cell reproduces the bytes the per-operation protocol computed.
+    Timing and event counts differ -- that is the point of batching -- so
+    only the data digest is pinned."""
+    diverged = [cell for cell in sorted(PINS)
+                if _run(*_split(cell))[0] != PINS[cell]["data_sha256"]]
+    assert not diverged, f"data diverged from the PR 8 pins: {diverged}"
 
 
 def test_batched_on_actually_batches() -> None:
-    """Sanity: on the default config the batched shape schedules fewer
-    events than the per-operation shape (otherwise the data-identity
-    tests above could pass trivially with the gate wired to nothing)."""
-    on = _digest("jacobi", 0, "default", batched=True)
-    off = _digest("jacobi", 0, "default", batched=False)
-    assert on["events_scheduled"] < off["events_scheduled"]
+    """Sanity: on the default config a trip carries more than one line on
+    average (otherwise the data-identity test above could pass trivially
+    with the batching wired to nothing)."""
+    _, trips = _run("jacobi", 0, "default")
+    assert trips["lines"] > trips["trips"] > 0

@@ -13,13 +13,10 @@ The gates (used by CI after ``benchmarks/bench_perf.py``)::
         100000] [--max-smoke-wall 3.0]
     python tools/bench_report.py --check-batched-rt [--min-trip-reduction
         5.0] [--max-smoke-wall 3.0]
-    python tools/bench_report.py --check-faults-off
-    python tools/bench_report.py --check-replication-off
-    python tools/bench_report.py --check-prefetch [--min-prefetch-accuracy
-        0.6] [--min-fetch-reduction 0.2]
+    python tools/bench_report.py --check-off-state
     python tools/bench_report.py --check-shard-scaling
         [--max-shard-load-deviation 0.25] [--min-barrier-reduction 2.0]
-    python tools/bench_report.py --check-grayfail-off
+    python tools/bench_report.py --check-partition-safety
     python tools/bench_report.py --check-grayfail [--max-hedged-slowdown 2.0]
 
 ``--check`` exits non-zero when the measured serial smoke-campaign wall
@@ -36,56 +33,41 @@ count. Event counts are deterministic (no interpreter or box noise), so
 this gate is tight: it pins the batching/coalescing win itself, not the
 wall clock it happens to buy.
 
-``--check-events-rate`` gates the epoch-sliced engine's dispatch
-throughput: the 256-server sweep cell must sustain at least
-``min_events_rate`` scheduled events/sec through its run phase, and the
-serial smoke wall must stay under ``max_smoke_wall`` seconds absolute.
+``--check-events-rate`` gates the engine's dispatch throughput: the
+256-server sweep cell must sustain at least ``min_events_rate`` scheduled
+events/sec through its run phase, and the serial smoke wall must stay
+under ``max_smoke_wall`` seconds absolute.
 (The former ``max_smoke_ratio`` seed-relative slack leg was retired when
 the batched round-trip layer pushed the wall well below it.)
 
-``--check-batched-rt`` gates the batched round-trip layer: the
-``batched_round_trips=False`` trajectory fingerprint must be
-bit-identical to the recorded PR 8 pin, the batched shape must cut
-modeled round-trip request messages on the fig12 smoke cells by at least
-``min_trip_reduction``x with data identical between the shapes, and the
-serial smoke wall must stay under the absolute target.
+``--check-batched-rt`` gates the batched round-trip protocol: modeled
+round-trip request messages on the fig12 smoke cells must be at least
+``min_trip_reduction``x below the per-operation protocol's recorded total,
+and the serial smoke wall must stay under the absolute target.
 
-``--check-prefetch`` gates the adaptive data plane on the Jacobi smoke
-campaign: remote line fetches (one ``fetch_requests`` per home-server
-round trip) must drop by at least ``min_fetch_reduction`` versus the
-compat plane, measured prefetch accuracy must be at least
-``min_prefetch_accuracy``, and the adaptive plane must schedule no more
-DES events than the compat plane. All three quantities are deterministic,
-so the gate is exact.
-
-``--check-faults-off`` exits non-zero when the two recorded trajectory
-fingerprints -- fault injector absent vs compiled in but disabled (an
-all-zero FaultPlan) -- differ in any field. Fingerprints are exact
-simulated metrics (grid hash, elapsed, event and cache counters), so this
-gate is bit-tight: arming the fault subsystem with nothing to inject must
-change NOTHING.
-
-``--check-replication-off`` is the same bit-tight gate for the
-replication subsystem: the default build vs an explicit
-``replication_factor=1`` must produce identical trajectory fingerprints,
-pinning the promise that at rf=1 no WAL, no checksums, no detector and no
-extra events exist.
+``--check-off-state`` is the one determinism gate for everything that is
+off by default. The canonical Jacobi cell's trajectory fingerprint (grid
+hash, elapsed, event and cache counters -- exact, no tolerance) at the
+default configuration must equal the recorded PR 9 pin, and so must the two
+configurations that arm a subsystem with nothing for it to do: an all-zero
+``FaultPlan`` (injector constructed, silent) and ``fencing=True`` on a
+healthy run. Every other gate -- replication, shards, hedging, retry
+budgets, admission control, adaptive timeouts -- sits at its default value
+in ``SamhitaConfig()``, so the pin covers them.
 
 ``--check-shard-scaling`` gates the sharded control plane on the
-16 -> 64 -> 256 compute-server sweep: the ``manager_shards=1``
-fingerprint must be bit-identical to the default build (same bit-tight
-comparison as the other off-gates), the mean per-shard manager RPC load
+16 -> 64 -> 256 compute-server sweep: the mean per-shard manager RPC load
 must stay flat across the sweep (deviation at most
 ``max_shard_load_deviation``), and hierarchical tree barriers must cut
 total barrier RPCs by at least ``min_barrier_reduction`` x versus flat
 barriers at every sweep point. All quantities are deterministic RPC
 counts, so the load and reduction gates are exact.
 
-``--check-grayfail-off`` is the bit-tight off-gate for the gray-failure
-layer: the default build's canonical Jacobi fingerprint must match the
-recorded PR 9 pin field for field -- adaptive timeouts, hedged fetches,
-retry budgets and admission control may not perturb a single event until
-asked for.
+``--check-partition-safety`` gates the fenced three-shard machine: a
+partition severing one memory server must end data-identical to its
+fault-free baseline with a quorum promotion and a fenced stale-epoch write
+on the record, and a checkpoint/restore round trip must reproduce the
+straight-through final bytes.
 
 ``--check-grayfail`` gates the resilience itself on the recorded
 slow-server storm cell (one memory server serving 10x slow): final data
@@ -108,25 +90,20 @@ def render(report: dict) -> str:
     base = report["baseline_seed"]
     host = report["host"]
     cpus = host.get("cpus_usable", host.get("cpus", "?"))
-    engine = host.get("engine_default")
     lines.append(f"smoke campaign: {', '.join(report['smoke_figures'])}  "
-                 f"(host: {cpus} cpu, python {host['python']}"
-                 f"{', ' + engine + ' engine' if engine else ''})")
+                 f"(host: {cpus} cpu, python {host['python']})")
     lines.append("")
-    lines.append(f"{'configuration':<26} {'wall (s)':>9} {'vs seed':>9} "
-                 f"{'engine':>7}")
-    lines.append("-" * 54)
+    lines.append(f"{'configuration':<26} {'wall (s)':>9} {'vs seed':>9}")
+    lines.append("-" * 46)
     lines.append(f"{'seed baseline (' + base['commit'] + ')':<26} "
-                 f"{base['wall_s']:>9.3f} {'1.00x':>9} {'scalar':>7}")
+                 f"{base['wall_s']:>9.3f} {'1.00x':>9}")
     for name, phase in report["phases"].items():
         speed = phase.get("speedup_vs_seed")
         # A warm result cache answers the campaign in ~zero wall time;
         # a speedup figure there is nonsense (or a division by zero at
         # generation time), so cache-hit phases render as "cached".
         vs_seed = f"{speed:.2f}x" if speed is not None else "cached"
-        lines.append(f"{name:<26} {phase['wall_s']:>9.3f} "
-                     f"{vs_seed:>9} "
-                     f"{phase.get('engine', '?'):>7}")
+        lines.append(f"{name:<26} {phase['wall_s']:>9.3f} {vs_seed:>9}")
     events = report.get("events")
     if events:
         lines.append("")
@@ -139,7 +116,7 @@ def render(report: dict) -> str:
         lines.append("")
         lines.append(f"sustained dispatch: {rate['events_per_sec']:,} "
                      f"events/s  ({rate['events_scheduled']:,} events in "
-                     f"{rate['run_wall_s']:.3f} s, {rate['engine']} engine, "
+                     f"{rate['run_wall_s']:.3f} s, "
                      f"best of {rate.get('best_of', 1)})")
         lines.append(f"  campaign: {rate.get('campaign')}")
     lines.append("")
@@ -153,24 +130,6 @@ def render(report: dict) -> str:
                      f"{cell.get('events_coalesced', 0):>9,} "
                      f"{cell['events_per_sec']:>10,} "
                      f"{cell['cache_ops_per_sec']:>11,}")
-    prefetch = report.get("prefetch")
-    if prefetch:
-        lines.append("")
-        compat = prefetch.get("compat", {})
-        adaptive = prefetch.get("adaptive", {})
-        lines.append(f"prefetch gate campaign: {prefetch.get('campaign')}")
-        lines.append(
-            f"  remote line fetches: {compat.get('fetch_requests', 0):,} "
-            f"(compat) -> {adaptive.get('fetch_requests', 0):,} (adaptive)"
-            f"  [-{(prefetch.get('fetch_reduction') or 0) * 100:.1f}%]")
-        lines.append(
-            f"  prefetch accuracy:   "
-            f"{(prefetch.get('prefetch_accuracy') or 0) * 100:.1f}%  "
-            f"({adaptive.get('prefetch_hits', 0)}/"
-            f"{adaptive.get('prefetch_installs', 0)} installs touched)")
-        lines.append(
-            f"  scheduled events:    {compat.get('events_scheduled', 0):,} "
-            f"(compat) -> {adaptive.get('events_scheduled', 0):,} (adaptive)")
     chaos = report.get("chaos")
     if chaos:
         lines.append("")
@@ -213,18 +172,17 @@ def render(report: dict) -> str:
     batched = report.get("batched_rt")
     if batched:
         lines.append("")
-        off_req = batched.get("off_requests", {})
-        on_req = batched.get("on_requests", {})
         rt = batched.get("round_trips") or {}
         lines.append(
-            f"batched round trips: {off_req.get('total', 0):,} -> "
-            f"{on_req.get('total', 0):,} modeled requests "
-            f"(-{batched.get('trip_reduction') or 0:.1f}x, fig12 smoke)  "
-            f"off==PR8: {batched.get('off_identical_to_pr8')}  "
-            f"data identical: {batched.get('data_identical_on_off')}")
+            f"batched round trips: "
+            f"{batched.get('requests', {}).get('total', 0):,} modeled "
+            f"requests (fig12 smoke) vs "
+            f"{batched.get('requests_per_operation', 0):,} per-operation, "
+            f"recorded (-{batched.get('trip_reduction') or 0:.1f}x)")
         if rt:
             lines.append(
-                f"  on-state ledger: {rt.get('trips', 0):,} trips / "
+                f"  ledger (canonical jacobi cell): {rt.get('trips', 0):,} "
+                f"trips / "
                 f"{rt.get('lines', 0):,} lines "
                 f"({rt.get('lines_per_trip_mean', 0)} lines/trip, "
                 f"hist {rt.get('lines_per_trip_hist')})")
@@ -234,7 +192,6 @@ def render(report: dict) -> str:
         counters = grayfail.get("counters", {})
         lines.append(
             f"gray failure (10x slow server): "
-            f"off==PR9: {grayfail.get('off_identical_to_pr9')}  "
             f"data identical: {grayfail.get('data_identical')}  "
             f"slowdown {grayfail.get('hedged_slowdown')}x hedged / "
             f"{grayfail.get('unhedged_slowdown')}x unhedged")
@@ -287,7 +244,7 @@ def check_events(report: dict, min_reduction: float) -> tuple[bool, str]:
 
 def check_events_rate(report: dict, min_rate: float,
                       max_smoke_wall: float) -> tuple[bool, str]:
-    """The dispatch-throughput gate for the epoch-sliced engine.
+    """The engine's dispatch-throughput gate.
 
     Two legs:
 
@@ -315,20 +272,17 @@ def check_events_rate(report: dict, min_rate: float,
     if problems:
         return False, "events-rate gate FAILED: " + "; ".join(problems)
     return True, (f"events rate: {per_sec:,}/s sustained on the 256-server "
-                  f"sweep (gate >= {min_rate:,.0f}/s, {rate.get('engine')} "
-                  f"engine); serial smoke {smoke:.3f} s <= "
-                  f"{max_smoke_wall:.2f} s absolute target")
+                  f"sweep (gate >= {min_rate:,.0f}/s); serial smoke "
+                  f"{smoke:.3f} s <= {max_smoke_wall:.2f} s absolute target")
 
 
 def check_batched_rt(report: dict, min_trip_reduction: float,
                      max_smoke_wall: float) -> tuple[bool, str]:
-    """The batched round-trip gate, three legs in one:
+    """The batched round-trip gate, two legs:
 
-    * ``batched_round_trips=False`` must reproduce the PR 8 trajectory
-      fingerprint field for field (bit-tight: off IS the old protocol);
-    * the batched shape must cut modeled round-trip request messages on
-      the fig12 smoke cells by at least ``min_trip_reduction``x, with
-      final data identical between the two shapes;
+    * modeled round-trip request messages on the fig12 smoke cells must be
+      at least ``min_trip_reduction``x below the per-operation protocol's
+      recorded total;
     * the serial smoke wall must stay under ``max_smoke_wall`` seconds.
     """
     block = report.get("batched_rt")
@@ -336,104 +290,50 @@ def check_batched_rt(report: dict, min_trip_reduction: float,
         return False, ("report has no 'batched_rt' block; regenerate it "
                        "with the current benchmarks/bench_perf.py")
     problems = []
-    if not block.get("off_identical_to_pr8"):
-        off = block.get("off_fingerprint", {})
-        pin = block.get("pr8_fingerprint", {})
-        diverged = sorted(k for k in set(off) | set(pin)
-                          if off.get(k) != pin.get(k))
-        problems.append("batched-off fingerprint DIVERGED from the PR 8 "
-                        "pin in: " + ", ".join(diverged))
     reduction = block.get("trip_reduction")
     if reduction is None or reduction < min_trip_reduction:
         problems.append(f"round-trip reduction {reduction} < "
                         f"{min_trip_reduction:.1f}x")
-    if not block.get("data_identical_on_off"):
-        problems.append("batched-on data diverged from batched-off")
     smoke = report["phases"]["after_serial"]["wall_s"]
     if smoke > max_smoke_wall:
         problems.append(f"serial smoke wall {smoke:.3f} s > "
                         f"{max_smoke_wall:.2f} s")
     if problems:
         return False, "batched round-trip gate FAILED: " + "; ".join(problems)
-    off_total = block.get("off_requests", {}).get("total", 0)
-    on_total = block.get("on_requests", {}).get("total", 0)
-    return True, (f"batched round trips: off bit-identical to PR 8 pin; "
-                  f"{off_total:,} -> {on_total:,} modeled requests "
+    return True, (f"batched round trips: "
+                  f"{block.get('requests_per_operation', 0):,} recorded "
+                  f"per-operation requests -> "
+                  f"{block.get('requests', {}).get('total', 0):,} "
                   f"(-{reduction:.1f}x, gate >= {min_trip_reduction:.1f}x); "
-                  f"data identical on/off; serial smoke {smoke:.3f} s <= "
-                  f"{max_smoke_wall:.2f} s")
+                  f"serial smoke {smoke:.3f} s <= {max_smoke_wall:.2f} s")
 
 
-def check_prefetch(report: dict, min_accuracy: float,
-                   min_fetch_reduction: float) -> tuple[bool, str]:
-    """The adaptive data-plane gate: fewer round trips, accurate
-    speculation, no event regression. Deterministic, so exact."""
-    prefetch = report.get("prefetch")
-    if not prefetch:
-        return False, ("report has no 'prefetch' block; regenerate it with "
-                       "the current benchmarks/bench_perf.py")
-    problems = []
-    reduction = prefetch.get("fetch_reduction")
-    if reduction is None or reduction < min_fetch_reduction:
-        problems.append(f"fetch reduction {reduction} < "
-                        f"{min_fetch_reduction:.2f}")
-    accuracy = prefetch.get("prefetch_accuracy")
-    if accuracy is None or accuracy < min_accuracy:
-        problems.append(f"prefetch accuracy {accuracy} < {min_accuracy:.2f}")
-    compat_events = prefetch.get("compat", {}).get("events_scheduled", 0)
-    adaptive_events = prefetch.get("adaptive", {}).get("events_scheduled", 0)
-    if not compat_events or adaptive_events > compat_events:
-        problems.append(f"adaptive schedules {adaptive_events:,} events vs "
-                        f"{compat_events:,} compat")
-    if problems:
-        return False, "adaptive data plane FAILED: " + "; ".join(problems)
-    return True, (f"adaptive data plane: fetches -{reduction * 100:.1f}% "
-                  f"(gate >= {min_fetch_reduction * 100:.0f}%), accuracy "
-                  f"{accuracy * 100:.1f}% (gate >= {min_accuracy * 100:.0f}%), "
-                  f"events {adaptive_events:,} <= {compat_events:,}")
-
-
-def check_faults_off(report: dict) -> tuple[bool, str]:
-    """The faults-off gate: armed-but-silent must equal injector-absent,
-    field for field (exact floats and counter dicts, no tolerance)."""
-    fingerprints = report.get("faults_off")
-    if not fingerprints:
-        return False, ("report has no 'faults_off' block; regenerate it "
+def check_off_state(report: dict) -> tuple[bool, str]:
+    """The off-state gate: the default build's fingerprint must equal the
+    PR 9 pin, the injector-silent run and the fencing-idle run, field for
+    field (exact floats and counter dicts, no tolerance)."""
+    block = report.get("off_state")
+    if not block:
+        return False, ("report has no 'off_state' block; regenerate it "
                        "with the current benchmarks/bench_perf.py")
-    absent = fingerprints.get("injector_absent", {})
-    silent = fingerprints.get("injector_silent", {})
-    diverged = sorted(k for k in set(absent) | set(silent)
-                      if absent.get(k) != silent.get(k))
-    if diverged:
-        return False, ("faults-off fingerprints DIVERGED in: "
-                       + ", ".join(diverged))
-    return True, ("faults-off fingerprints bit-identical "
-                  f"({len(absent)} fields compared)")
-
-
-def check_replication_off(report: dict) -> tuple[bool, str]:
-    """The replication-off gate: explicit rf=1 must equal the default
-    build, field for field -- the subsystem may not exist until asked."""
-    fingerprints = report.get("replication_off")
-    if not fingerprints:
-        return False, ("report has no 'replication_off' block; regenerate "
-                       "it with the current benchmarks/bench_perf.py")
-    absent = fingerprints.get("rf_absent", {})
-    rf_one = fingerprints.get("rf_one", {})
-    diverged = sorted(k for k in set(absent) | set(rf_one)
-                      if absent.get(k) != rf_one.get(k))
-    if diverged:
-        return False, ("replication-off fingerprints DIVERGED in: "
-                       + ", ".join(diverged))
-    return True, ("replication-off fingerprints bit-identical "
-                  f"({len(absent)} fields compared)")
+    default = block.get("default", {})
+    problems = []
+    for name in ("pr9_fingerprint", "injector_silent", "fencing_idle"):
+        other = block.get(name, {})
+        diverged = sorted(k for k in set(default) | set(other)
+                          if default.get(k) != other.get(k))
+        if diverged:
+            problems.append(f"default vs {name} in: " + ", ".join(diverged))
+    if problems:
+        return False, "off-state fingerprints DIVERGED: " + "; ".join(problems)
+    return True, ("off-state fingerprints bit-identical: default == PR 9 pin "
+                  f"== injector-silent == fencing-idle ({len(default)} "
+                  "fields compared)")
 
 
 def check_partition_safety(report: dict) -> tuple[bool, str]:
-    """The partition-safety gate, three sub-checks in one:
+    """The partition-safety gate, two sub-checks in one:
 
-    * fencing idle must be bit-identical to the default build (field for
-      field -- the fence may not perturb a healthy run);
     * the partition chaos cell must end with data identical to its
       fault-free baseline, with >= 1 promotion and >= 1 fenced
       stale-epoch write on the record (zero stale writes applied);
@@ -445,13 +345,6 @@ def check_partition_safety(report: dict) -> tuple[bool, str]:
         return False, ("report has no 'partition_safety' block; regenerate "
                        "it with the current benchmarks/bench_perf.py")
     problems = []
-    absent = block.get("fencing_absent", {})
-    idle = block.get("fencing_idle", {})
-    diverged = sorted(k for k in set(absent) | set(idle)
-                      if absent.get(k) != idle.get(k))
-    if diverged:
-        problems.append("fencing-idle fingerprint DIVERGED in: "
-                        + ", ".join(diverged))
     cut = block.get("partition", {})
     membership = cut.get("membership", {})
     if not cut.get("data_identical"):
@@ -470,8 +363,7 @@ def check_partition_safety(report: dict) -> tuple[bool, str]:
         problems.append("no checkpoints were taken")
     if problems:
         return False, "partition safety FAILED: " + "; ".join(problems)
-    return True, (f"partition safety: fencing idle bit-identical "
-                  f"({len(absent)} fields), cut survived with "
+    return True, (f"partition safety: cut survived with "
                   f"{membership.get('promotions')} promotion(s) and "
                   f"{membership.get('stale_writes_fenced')} fenced stale "
                   f"write(s), checkpoint round trip reproduced "
@@ -480,20 +372,13 @@ def check_partition_safety(report: dict) -> tuple[bool, str]:
 
 def check_shard_scaling(report: dict, max_deviation: float,
                         min_barrier_reduction: float) -> tuple[bool, str]:
-    """The sharded-control-plane gate: shards=1 bit-identical, per-shard
-    RPC load flat across the sweep, tree barriers beat flat barriers."""
+    """The sharded-control-plane gate: per-shard RPC load flat across the
+    sweep, tree barriers beat flat barriers."""
     shards = report.get("shard_scaling")
     if not shards:
         return False, ("report has no 'shard_scaling' block; regenerate it "
                        "with the current benchmarks/bench_perf.py")
     problems = []
-    absent = shards.get("shards_absent", {})
-    one = shards.get("shards_one", {})
-    diverged = sorted(k for k in set(absent) | set(one)
-                      if absent.get(k) != one.get(k))
-    if diverged:
-        problems.append("shards=1 fingerprint DIVERGED in: "
-                        + ", ".join(diverged))
     deviation = shards.get("per_shard_mean_deviation")
     if deviation is None or deviation > max_deviation:
         problems.append(f"per-shard load deviation {deviation} > "
@@ -510,34 +395,12 @@ def check_shard_scaling(report: dict, max_deviation: float,
     if problems:
         return False, "shard scaling FAILED: " + "; ".join(problems)
     top = sweep[-1]
-    return True, (f"shard scaling: shards=1 bit-identical "
-                  f"({len(absent)} fields), per-shard load deviation "
+    return True, (f"shard scaling: per-shard load deviation "
                   f"{deviation * 100:.1f}% (gate <= "
                   f"{max_deviation * 100:.0f}%) across "
                   f"{'/'.join(str(c['n_compute']) for c in sweep)} servers, "
                   f"barriers -{top['barrier_rpc_reduction']:.1f}x vs flat "
                   f"(gate >= {min_barrier_reduction:.1f}x)")
-
-
-def check_grayfail_off(report: dict) -> tuple[bool, str]:
-    """The grayfail-off gate: the default build (no fault plan, no
-    hedging/breaker/shedding knobs) must reproduce the PR 9 trajectory
-    fingerprint field for field -- the gray-failure machinery may not
-    exist until asked for."""
-    block = report.get("grayfail")
-    if not block:
-        return False, ("report has no 'grayfail' block; regenerate it "
-                       "with the current benchmarks/bench_perf.py")
-    if not block.get("off_identical_to_pr9"):
-        off = block.get("off_fingerprint", {})
-        pin = block.get("pr9_fingerprint", {})
-        diverged = sorted(k for k in set(off) | set(pin)
-                          if off.get(k) != pin.get(k))
-        return False, ("grayfail-off fingerprint DIVERGED from the PR 9 "
-                       "pin in: " + ", ".join(diverged))
-    return True, ("grayfail-off fingerprint bit-identical to the PR 9 pin "
-                  f"({len(block.get('pr9_fingerprint', {}))} fields "
-                  "compared)")
 
 
 def check_grayfail(report: dict,
@@ -606,46 +469,28 @@ def main(argv=None) -> int:
                              "measured 1.48 s on the 1-CPU reference box "
                              "plus CI-runner jitter headroom)")
     parser.add_argument("--check-batched-rt", action="store_true",
-                        help="batched round-trip gate: exit 1 unless the "
-                             "batched-off fingerprint matches the PR 8 pin "
-                             "bit for bit, modeled round trips drop by "
-                             "min-trip-reduction x with identical data, and "
-                             "the serial smoke wall is under the target")
+                        help="batched round-trip gate: exit 1 unless "
+                             "modeled round-trip requests are "
+                             "min-trip-reduction x below the recorded "
+                             "per-operation total and the serial smoke wall "
+                             "is under the target")
     parser.add_argument("--min-trip-reduction", type=float, default=5.0,
                         help="required reduction in modeled round-trip "
-                             "request messages, batched off vs on "
-                             "(default 5.0)")
-    parser.add_argument("--check-prefetch", action="store_true",
-                        help="adaptive data-plane gate: exit 1 unless the "
-                             "recorded fetch reduction, prefetch accuracy "
-                             "and event counts clear their thresholds")
-    parser.add_argument("--min-prefetch-accuracy", type=float, default=0.6,
-                        help="required prefetch accuracy (default 0.6)")
-    parser.add_argument("--min-fetch-reduction", type=float, default=0.2,
-                        help="required remote-fetch reduction vs the compat "
-                             "plane (default 0.2)")
-    parser.add_argument("--check-faults-off", action="store_true",
+                             "request messages vs the recorded per-operation "
+                             "total (default 5.0)")
+    parser.add_argument("--check-off-state", action="store_true",
                         help="determinism gate: exit 1 unless the recorded "
-                             "injector-absent and injector-silent "
-                             "fingerprints are bit-identical")
-    parser.add_argument("--check-replication-off", action="store_true",
-                        help="determinism gate: exit 1 unless the recorded "
-                             "default-build and replication_factor=1 "
-                             "fingerprints are bit-identical")
+                             "default, PR 9 pin, injector-silent and "
+                             "fencing-idle fingerprints are bit-identical")
     parser.add_argument("--check-partition-safety", action="store_true",
-                        help="gate: fencing idle bit-identical to defaults, "
-                             "partition cell data-identical with >=1 fenced "
-                             "stale write, checkpoint round trip exact")
+                        help="gate: partition cell data-identical with >=1 "
+                             "fenced stale write, checkpoint round trip "
+                             "exact")
     parser.add_argument("--check-shard-scaling", action="store_true",
-                        help="control-plane gate: exit 1 unless shards=1 is "
-                             "bit-identical, per-shard RPC load stays flat "
-                             "across the sweep, and tree barriers cut "
-                             "barrier RPCs by the required factor")
-    parser.add_argument("--check-grayfail-off", action="store_true",
-                        help="determinism gate: exit 1 unless the recorded "
-                             "default-build fingerprint matches the PR 9 "
-                             "pin bit for bit (gray-failure machinery off "
-                             "is the PR 9 protocol, not a near miss)")
+                        help="control-plane gate: exit 1 unless per-shard "
+                             "RPC load stays flat across the sweep and tree "
+                             "barriers cut barrier RPCs by the required "
+                             "factor")
     parser.add_argument("--check-grayfail", action="store_true",
                         help="resilience gate: exit 1 unless the hedged "
                              "slow-server storm run kept data bit-identical "
@@ -691,25 +536,12 @@ def main(argv=None) -> int:
                                    args.max_smoke_wall)
         print(f"\n[{'PASS' if ok else 'FAIL'}] {msg}")
         failed |= not ok
-    if args.check_prefetch:
-        ok, msg = check_prefetch(report, args.min_prefetch_accuracy,
-                                 args.min_fetch_reduction)
-        print(f"\n[{'PASS' if ok else 'FAIL'}] {msg}")
-        failed |= not ok
-    if args.check_faults_off:
-        ok, msg = check_faults_off(report)
-        print(f"\n[{'PASS' if ok else 'FAIL'}] {msg}")
-        failed |= not ok
-    if args.check_replication_off:
-        ok, msg = check_replication_off(report)
+    if args.check_off_state:
+        ok, msg = check_off_state(report)
         print(f"\n[{'PASS' if ok else 'FAIL'}] {msg}")
         failed |= not ok
     if args.check_partition_safety:
         ok, msg = check_partition_safety(report)
-        print(f"\n[{'PASS' if ok else 'FAIL'}] {msg}")
-        failed |= not ok
-    if args.check_grayfail_off:
-        ok, msg = check_grayfail_off(report)
         print(f"\n[{'PASS' if ok else 'FAIL'}] {msg}")
         failed |= not ok
     if args.check_grayfail:
