@@ -495,67 +495,6 @@ def batched_rt_comparison(default_result) -> dict:
     }
 
 
-def _grayfail_fingerprint(config) -> dict:
-    """Gray-failure acceptance cell: the canonical grid at six Jacobi
-    iterations -- long enough for the backup's RTT window to warm up and
-    the slow-server storm to drive hedges and breaker opens."""
-    import hashlib
-
-    from repro.experiments.harness import run_workload_direct
-    from repro.kernels.jacobi import JacobiParams, spawn_jacobi
-
-    params = JacobiParams(rows=64, cols=256, iterations=6,
-                          collect_result=True)
-    result = run_workload_direct("samhita", 4, spawn_jacobi, params,
-                                 functional=True, config=config)
-    gdiff, grid = result.threads[0].value
-    return {
-        "grid_sha256": hashlib.sha256(grid.tobytes()).hexdigest(),
-        "gdiff": gdiff,
-        "elapsed": result.elapsed,
-    }, result
-
-
-def grayfail_comparison() -> dict:
-    """Gray-failure resilience evidence; the --check-grayfail gate's input.
-
-    Three facts recorded:
-
-    * data identity between the clean grayfail deployment and the same
-      deployment under a 10x slow-server storm (gray failures may change
-      timing, never bytes);
-    * the hedged slowdown under that storm (the gate caps it at 2x);
-    * the ``hedges`` counter namespace from the storm run (the gate
-      requires hedges actually won and breakers actually opened), plus an
-      unhedged control run of the same storm for the comparison row.
-    """
-    from repro.core.params import SamhitaConfig
-    from repro.faults import slow_server
-
-    storm = slow_server(11, "node1", factor=10.0, start=2e-4, duration=1.0)
-    clean, _ = _grayfail_fingerprint(SamhitaConfig.grayfail())
-    hedged, hedged_result = _grayfail_fingerprint(
-        SamhitaConfig.grayfail(faults=storm))
-    unhedged, _ = _grayfail_fingerprint(
-        SamhitaConfig.grayfail(faults=storm, hedged_fetches=False))
-    return {
-        "campaign": ("jacobi 64x256x6 functional cell, grayfail deployment, "
-                     "slow_server(seed=11, node1, factor=10)"),
-        "data_identical": (
-            hedged["grid_sha256"] == clean["grid_sha256"]
-            and hedged["gdiff"] == clean["gdiff"]
-            and unhedged["grid_sha256"] == clean["grid_sha256"]),
-        "elapsed_clean": clean["elapsed"],
-        "elapsed_hedged_storm": hedged["elapsed"],
-        "elapsed_unhedged_storm": unhedged["elapsed"],
-        "hedged_slowdown": (round(hedged["elapsed"] / clean["elapsed"], 3)
-                            if clean["elapsed"] else None),
-        "unhedged_slowdown": (round(unhedged["elapsed"] / clean["elapsed"], 3)
-                              if clean["elapsed"] else None),
-        "counters": hedged_result.stats.get("hedges", {}),
-    }
-
-
 def sweep_events_rate(best_of_n: int = 3) -> dict:
     """Sustained dispatch rate at the top of the shard sweep.
 
@@ -635,9 +574,6 @@ def main(argv=None) -> int:
     print("batched round trips (modeled requests vs recorded) ...")
     batched_rt = batched_rt_comparison(default_result)
 
-    print("gray-failure comparison (slow-server storm) ...")
-    grayfail = grayfail_comparison()
-
     print("sustained events/sec at the 256-server sweep point ...")
     rate = sweep_events_rate(best_of_n=max(args.best_of, 3))
 
@@ -710,7 +646,6 @@ def main(argv=None) -> int:
         "shard_scaling": shards,
         "partition_safety": partition_safety,
         "batched_rt": batched_rt,
-        "grayfail": grayfail,
         "notes": [
             f"host has {usable} schedulable CPU(s); on a single-CPU host the "
             "pool adds no parallel speedup -- gains there come from the "
@@ -756,14 +691,6 @@ def main(argv=None) -> int:
           f"{batched_rt['requests_per_operation']:,} (per-operation, "
           f"recorded) -> {batched_rt['requests']['total']:,} "
           f"(-{batched_rt['trip_reduction']:.1f}x)")
-    gf = grayfail
-    print(f"  gray failure         "
-          f"storm slowdown {gf['hedged_slowdown']:.2f}x hedged "
-          f"(unhedged {gf['unhedged_slowdown']:.2f}x)  "
-          f"hedges_won={gf['counters'].get('hedges_won', 0)} "
-          f"breaker_opens={gf['counters'].get('breaker_opens', 0)} "
-          f"sheds={gf['counters'].get('sheds', 0)}  data_identical="
-          f"{gf['data_identical']}")
     return 0
 
 

@@ -20,8 +20,9 @@ server (:mod:`repro.core.rtbatch`); the prefetch side is policy-driven
   ``SamhitaBackend.run_plan``);
 * ``none`` -- demand paging only.
 
-The synchronous per-page fetch (:meth:`ComputeServer._fetch_pages`) remains
-as the degrade path of an open circuit breaker with no eligible replica.
+Two fetch paths exist: the batched one every fault takes, and the pinned
+fetch :meth:`ComputeServer.ensure_resident` escalates to when ordinary
+fetches keep being voided (the starvation escape).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro.errors import (
 )
 from repro.memory.backing import payload_crc_ok
 from repro.memory.pagetable import NO_PAGES
-from repro.sim.engine import Timeout
 from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -244,140 +244,6 @@ class ComputeServer:
             if at < pages.size:
                 span = allocated_span(pages.item(at))
         return np.concatenate(kept) if kept else pages[:0]
-
-    def _fetch_pages(self, tid: int, pages: list[int], protect: Iterable[int]):
-        """Generator: fetch pages (grouped per home server) and install
-        them, synchronously and page by page -- the degrade path of an open
-        circuit breaker with no eligible replica.
-
-        Installs are guarded by per-page invalidation counters: data fetched
-        before an invalidation of that page (barrier directive, page-grain
-        acquire, IVY upgrade) is dropped instead of installed. The pages
-        are registered as in flight for the duration so those counters
-        actually advance (see :meth:`SoftwareCache.begin_fetch`).
-        """
-        cache = self.system.cache_of(tid)
-        token = cache.begin_fetch(pages)
-        try:
-            yield from self._fetch_pages_flight(tid, pages, protect)
-        finally:
-            cache.end_fetch(token)
-
-    def _fetch_pages_flight(self, tid: int, pages: list[int],
-                            protect: Iterable[int]):
-        system = self.system
-        cache = system.cache_of(tid)
-        config = system.config
-        home_of_page = system.allocator.home_of_page
-        if len(pages) == 1:  # the common case: one page, one home
-            grouped = [(home_of_page(pages[0]), pages)]
-        else:
-            by_server: dict[int, list[int]] = {}
-            for page in pages:
-                by_server.setdefault(home_of_page(page), []).append(page)
-            grouped = sorted(by_server.items())
-
-        epoch_get = cache.inval_epoch.get
-        resident = cache.resident_page_set()
-        install_time = config.install_page_time
-        try_advance = self.engine.try_advance
-        counters = self.stats.counters
-        resolve_home = system.directory.resolve_home
-        armed = system.injector is not None
-        for server_index, server_pages in grouped:
-            backoffs = 0
-            while True:
-                server = system.memory_servers[resolve_home(server_index)]
-                snapshots = {p: epoch_get(p, 0) for p in server_pages}
-                # Request message out, server service (+ recalls), data back.
-                counters["fetch_requests"] += 1
-                # Retransmit-timer floor: the reply to a k-page request is
-                # legitimately alpha + beta*k away (ignored when fault-free).
-                floor = (rtbatch.trip_timeout_floor(
-                    system, self.component, server.component,
-                    len(server_pages)) if armed else 0.0)
-                try:
-                    t = system.scl.send(self.component, server.component,
-                                        category="fetch_req",
-                                        timeout_floor=floor)
-                    if t is not None:
-                        yield from t
-                    data = yield from server.serve_fetch(tid, server_pages)
-                    # Read synchronously, before any other serve overwrites
-                    # it (None unless the server has integrity armed).
-                    crcs = server.last_serve_crcs
-                    nbytes = len(server_pages) * cache.layout.page_bytes
-                    t = system.fabric.transfer_inline(server.component,
-                                                      self.component,
-                                                      nbytes, category="page")
-                    if t is not None:
-                        yield from t
-                    if crcs is not None:
-                        # End-to-end verify before anything installs; a bad
-                        # page is repaired from a replica, not raised.
-                        for page in server_pages:
-                            if payload_crc_ok(data.get(page),
-                                              crcs.get(page)):
-                                continue
-                            counters["integrity_failures"] += 1
-                            data[page] = yield from self._repair_page(
-                                server, page)
-                            counters["integrity_repairs"] += 1
-                except CommunicationError as err:
-                    # Home unreachable mid-exchange (failover), fenced
-                    # (epoch refresh) or shed (backoff): dispatch on the
-                    # error's recovery classification and refetch the whole
-                    # group from whichever server then resolves.
-                    backoffs = yield from rtbatch.recover(self, server, err,
-                                                          backoffs)
-                    continue
-                break
-            # Bulk-install fast path: when every install's inline advance
-            # would succeed (capacity available, no pending event inside the
-            # window, horizon clear), the whole group advances the clock in
-            # one step -- with the same sequential float accumulation the
-            # per-page path produces -- and installs in one batched call.
-            # No event can run inside the window, so the per-page re-checks
-            # of the slow path are provably no-ops here.
-            engine = self.engine
-            eligible = []
-            stale = 0
-            for p in server_pages:
-                if p in resident:
-                    continue  # raced fill: silent skip, like below
-                if epoch_get(p, 0) != snapshots[p]:
-                    stale += 1
-                else:
-                    eligible.append(p)
-            k = len(eligible)
-            if k and cache.free_pages >= k:
-                target = engine.now
-                for _ in range(k):
-                    target = target + install_time
-                if target <= engine._until and engine._next_time > target:
-                    engine.now = target
-                    engine._coalesced += k
-                    cache.install_many(eligible, data)
-                    if stale:
-                        counters["stale_fetch_dropped"] += stale
-                    counters["pages_fetched"] += len(server_pages)
-                    continue
-            for page in server_pages:
-                if page in resident:
-                    continue  # raced with another fill
-                if epoch_get(page, 0) != snapshots[page]:
-                    counters["stale_fetch_dropped"] += 1
-                    continue
-                if cache.free_pages == 0:
-                    yield from rtbatch.evict_batched(
-                        self, tid, 1, {*protect, *server_pages})
-                if not try_advance(install_time):
-                    yield Timeout(install_time)
-                if epoch_get(page, 0) != snapshots[page]:
-                    counters["stale_fetch_dropped"] += 1
-                    continue
-                cache.install(page, data.get(page))
-            counters["pages_fetched"] += len(server_pages)
 
     def _repair_page(self, server, page: int):
         """Generator: ask the home to rebuild a page whose fetched copy

@@ -95,14 +95,6 @@ class Membership:
     def quorum_denied(self) -> None:
         self.stats.counters["quorum_denials"] += 1
 
-    def gray_suspect(self, component: str) -> None:
-        """Record that ``component``'s circuit breaker opened -- the
-        membership view's signal that a node is *suspected* gray (slow,
-        shedding) without being declared dead: no epoch is minted, no
-        promotion runs, the suspicion is advisory accounting for the
-        failure detector and the operator."""
-        self.stats.counters["gray_suspects"] += 1
-
     def snapshot(self) -> dict:
         out = self.stats.snapshot()
         out["epoch"] = self.epoch

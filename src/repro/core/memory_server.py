@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import (
-    OverloadShedError,
     ReplicationError,
     RetryExhaustedError,
     StaleEpochError,
@@ -69,7 +68,7 @@ class MemoryServer:
         #: Serializes shipping so two concurrent flushes cannot double-ship
         #: the same WAL tail (created with the WAL).
         self._repl_lock: Resource | None = None
-        #: Checksums of the last :meth:`serve_fetch` reply, keyed by page.
+        #: Checksums of the last :meth:`serve_fetch_bulk` reply, keyed by page.
         #: Valid only until the requester's next yield -- it reads them
         #: synchronously after the serve returns. None when integrity off.
         self.last_serve_crcs: dict[int, int] | None = None
@@ -116,83 +115,24 @@ class MemoryServer:
             return base
         return base * inj.slow_factor(self.component, self.engine.now)
 
-    def _admission_check(self, category: str) -> None:
-        """Shed the request if the modeled service queue is full.
-
-        Admission control (``config.admission_queue_limit``): a fetch
-        arriving while the queue already holds ``limit`` waiters is NACKed
-        instead of queued, bounding the head-of-line damage one slow server
-        can do. Applies to demand/bulk/hedged fetches only -- escalated
-        pinned fetches and write-side applies are never shed, so forward
-        progress and the consistency protocol cannot starve.
-        """
-        limit = self.config.admission_queue_limit
-        if limit and self.resource.queue_length >= limit:
-            self.stats.counters["sheds"] += 1
-            raise OverloadShedError(self.component, self.component, category,
-                                    self.resource.queue_length, limit,
-                                    self.engine.now)
-
     # ------------------------------------------------------------------
     # request handlers (generators run inside the requester's process)
     # ------------------------------------------------------------------
-    def serve_fetch(self, requester_tid: int, pages: list[int]):
-        """Generator: serve page data for a fetch request.
+    def serve_fetch_bulk(self, requester_tid: int, pages: np.ndarray):
+        """Generator: batched fetch serve of a page vector.
 
-        The caller has already paid the request message; this charges server
-        queueing + service, performs any owner recalls, and returns
-        ``{page: data}`` (data is None in timing mode). The caller pays the
-        reply transfer.
+        The caller has already paid the request message; this charges one
+        dedup admission and ONE service charge for the whole request (alpha
+        is paid once per trip, not per line), performs owner recalls grouped
+        into one bulk recall round trip per owner, and returns
+        ``{page: data}`` (empty in timing mode). The caller pays the reply
+        transfer.
 
         The service resource is held for the WHOLE request (the server's
         event loop is sequential): otherwise two concurrent faults on an
         owner-held page race -- the second would see ownership already
         cleared and read the home copy before the in-flight recall merges.
         """
-        self._admission_check("fetch_req")
-        self._admit(requester_tid)
-        yield from self.resource.request_service(self._service_time())
-        try:
-            counters = self.stats.counters
-            counters["fetches"] += 1
-            counters["pages_served"] += len(pages)
-            owner_of = self.directory.owner_of
-            track_sharers = self._track_sharers
-            backing = self.backing
-            read_page = backing.read_page
-            integrity = backing.integrity
-            crcs: dict[int, int] | None = {} if integrity else None
-            result = {}
-            for page in pages:
-                owner = owner_of(page)
-                if owner is not None and owner != requester_tid:
-                    r = self._recall(page, owner)
-                    if r is not None:
-                        yield from r
-                if track_sharers:
-                    self.directory.add_sharer(page, requester_tid)
-                if integrity:
-                    # Rot strikes (maybe) before the read below copies the
-                    # bytes; the shipped CRC is the stored one, which a rot
-                    # leaves stale -- that staleness IS the detection.
-                    self._maybe_bitrot(page)
-                    crcs[page] = backing.page_crc(page)
-                result[page] = read_page(page)
-            self.last_serve_crcs = crcs
-            return result
-        finally:
-            self.resource.release()
-
-    def serve_fetch_bulk(self, requester_tid: int, pages: np.ndarray):
-        """Generator: batched fetch serve of a page vector.
-
-        The round-trip twin of :meth:`serve_fetch`: one dedup admission and
-        ONE service charge for the whole request (alpha is paid once per
-        trip, not per line), owner recalls grouped into one bulk recall
-        round trip per owner. The resource is held for the whole request,
-        exactly as in the per-page path.
-        """
-        self._admission_check("fetch_req")
         self._admit(requester_tid)
         yield from self.resource.request_service(self._service_time())
         try:
@@ -204,16 +144,15 @@ class MemoryServer:
                 r = self._recall_bulk(owner, pages[owners == owner])
                 if r is not None:
                     yield from r
-            return self._read_served(requester_tid, pages, bitrot=True)
+            return self._read_served(requester_tid, pages)
         finally:
             self.resource.release()
 
-    def _read_served(self, requester_tid: int, pages: np.ndarray,
-                     bitrot: bool) -> dict:
+    def _read_served(self, requester_tid: int, pages: np.ndarray) -> dict:
         """The read leg of a bulk serve: register the requester as sharer
-        (IVY) and copy each page out (checksummed -- after the fault
-        model's bitrot draw when ``bitrot`` -- with integrity armed). Sets
-        ``last_serve_crcs``; returns ``{page: data}``."""
+        (IVY) and copy each page out (checksummed, after the fault model's
+        bitrot draw, with integrity armed). Sets ``last_serve_crcs``;
+        returns ``{page: data}``."""
         backing = self.backing
         integrity = backing.integrity
         crcs: dict[int, int] | None = {} if integrity else None
@@ -224,8 +163,10 @@ class MemoryServer:
             read_page = backing.read_page
             for page in pages.tolist():
                 if integrity:
-                    if bitrot:
-                        self._maybe_bitrot(page)
+                    # Rot strikes (maybe) before the read below copies the
+                    # bytes; the shipped CRC is the stored one, which a rot
+                    # leaves stale -- that staleness IS the detection.
+                    self._maybe_bitrot(page)
                     crcs[page] = backing.page_crc(page)
                 result[page] = read_page(page)
         else:
@@ -236,51 +177,6 @@ class MemoryServer:
             backing.serve_pages_timing(pages)
         self.last_serve_crcs = crcs
         return result
-
-    def serve_fetch_hedged(self, requester_tid: int, pages: np.ndarray,
-                           primary: "MemoryServer"):
-        """Generator: bulk fetch served by a BACKUP on behalf of a slow
-        primary (``config.hedged_fetches``).
-
-        The hedger only targets owner-free pages, so no recall is needed;
-        staleness is closed with the :meth:`serve_repair` invariant run in
-        the other direction: this backup's copy lags ``primary`` by exactly
-        the WAL entries it has not acked, so replaying the primary's
-        durable unshipped tail for the requested pages (idempotent
-        byte-range patches -- a later regular ship re-applying them is
-        harmless) reproduces the primary's current bytes without touching
-        the primary's service queue. If an owner appeared between the
-        hedge decision and this serve, the hedge declines (retryable shed)
-        and the primary's in-flight serve stands alone.
-        """
-        self._admission_check("hedge_fetch")
-        self._admit(requester_tid)
-        yield from self.resource.request_service(self._service_time())
-        try:
-            if (self.directory.owners_of(pages, but=requester_tid) >= 0).any():
-                self.stats.counters["hedge_declines"] += 1
-                raise OverloadShedError(
-                    self.component, self.component, "hedge_fetch",
-                    0, 0, self.engine.now)
-            counters = self.stats.counters
-            counters["hedge_serves"] += 1
-            counters["pages_served"] += len(pages)
-            backing = self.backing
-            wal = primary.wal
-            if wal is not None:
-                replayed = 0
-                for page in pages.tolist():
-                    for entry in wal.unshipped_for_page(page, self.index):
-                        backing.apply_diff(entry.diff)
-                        replayed += entry.diff.payload_bytes
-                if replayed:
-                    counters["hedge_catchup_bytes"] += replayed
-                    delay = self.config.apply_time_per_byte * replayed
-                    if not self.engine.try_advance(delay):
-                        yield Timeout(delay)
-            return self._read_served(requester_tid, pages, bitrot=False)
-        finally:
-            self.resource.release()
 
     def _maybe_bitrot(self, page: int) -> None:
         """One bitrot draw for a page about to be served.
@@ -528,10 +424,10 @@ class MemoryServer:
 
     def serve_fetch_pinned(self, requester_tid: int, requester_comp: str,
                            pages: list[int]):
-        """Generator: starvation-proof fetch. Unlike :meth:`serve_fetch`,
-        the data transfer happens while the server resource is still held,
-        so no invalidating operation (upgrade, recall) can slip between the
-        read and the requester's install."""
+        """Generator: starvation-proof fetch. Unlike
+        :meth:`serve_fetch_bulk`, the data transfer happens while the server
+        resource is still held, so no invalidating operation (upgrade,
+        recall) can slip between the read and the requester's install."""
         self._admit(requester_comp)
         yield from self.resource.request_service(self._service_time())
         try:

@@ -191,40 +191,6 @@ class SamhitaConfig:
     #: a campaign from the latest snapshot.
     checkpoint_interval: int = 0
 
-    # -- gray-failure resilience ------------------------------------------
-    #: Jacobson-style adaptive per-destination retransmission timeouts:
-    #: the reliable-transport loop tracks an EWMA of observed delivery
-    #: times plus a variance term per destination and sizes its retransmit
-    #: timer as ``srtt + 4*rttvar`` (floored at the static policy timeout
-    #: and at the bulk-trip timing law) instead of the one-size
-    #: ``RetryPolicy.timeout``. Off (the default) keeps the static law.
-    adaptive_timeouts: bool = False
-    #: Hedged batched fetches: when a bulk round trip's reply is late past
-    #: the ``hedge_quantile`` estimate of that home's observed trip times
-    #: and a live replica exists (``replication_factor >= 2``), issue ONE
-    #: hedge of the owner-free pages to the first backup; first reply wins
-    #: and the loser's reply is deduped.
-    hedged_fetches: bool = False
-    #: Lateness quantile the hedger fires at (empirical, over a sliding
-    #: window of observed per-home trip times).
-    hedge_quantile: float = 0.95
-    #: Per-destination retry budget (token-bucket capacity) feeding the
-    #: circuit breaker; 0 (the default) disables budgets and breakers.
-    #: Sheds and exhausted transfers spend a token, successes refill
-    #: ``retry_budget_refill``; a dry bucket opens the breaker and fetches
-    #: route to a replica or degrade to the synchronous unbatched path.
-    retry_budget: int = 0
-    retry_budget_refill: float = 0.5
-    #: Open-breaker cool-down (simulated seconds) before one half-open
-    #: probe is allowed through.
-    breaker_cooldown: float = 200e-6
-    #: Memory-server admission control: a fetch arriving while the modeled
-    #: service queue already holds this many waiters is shed with a NACK
-    #: (the sender backs off and re-issues, spending retry budget).
-    #: 0 (the default) disables shedding. Escalated pinned fetches are
-    #: never shed, so forward progress cannot starve.
-    admission_queue_limit: int = 0
-
     # -- fault model ------------------------------------------------------
     #: Seeded fault schedule, or None (the default) for a perfect network.
     #: With None the fault subsystem is never constructed and the simulated
@@ -282,16 +248,6 @@ class SamhitaConfig:
             raise ReproError("faults must be a FaultPlan or None")
         if self.lock_lease_time < 0.0:
             raise ReproError("lock_lease_time must be >= 0")
-        if not 0.0 < self.hedge_quantile <= 1.0:
-            raise ReproError("hedge_quantile must be in (0, 1]")
-        if self.retry_budget < 0:
-            raise ReproError("retry_budget must be >= 0")
-        if self.retry_budget_refill < 0.0:
-            raise ReproError("retry_budget_refill must be >= 0")
-        if self.breaker_cooldown <= 0.0:
-            raise ReproError("breaker_cooldown must be positive")
-        if self.admission_queue_limit < 0:
-            raise ReproError("admission_queue_limit must be >= 0")
 
     @classmethod
     def adaptive_cache(cls, **overrides) -> "SamhitaConfig":
@@ -314,28 +270,15 @@ class SamhitaConfig:
         base.update(overrides)
         return cls(**base)
 
-    @property
-    def grayfail_armed(self) -> bool:
-        """Is any gray-failure feature on? (Gates the ``hedges`` stats
-        namespace and the per-trip bookkeeping that feeds it.)"""
-        return (self.adaptive_timeouts or self.hedged_fetches
-                or self.retry_budget > 0 or self.admission_queue_limit > 0)
-
     @classmethod
     def grayfail(cls, **overrides) -> "SamhitaConfig":
-        """The gray-failure-resilient deployment: two replicated memory
-        servers, adaptive timeouts, hedged fetches (P90 deadline -- tight
-        enough to fire against a gray primary within a short run), a
-        deliberately small retry budget (a couple of clustered sheds is
-        already a strong gray signal) and a single-slot admission queue.
-        Keyword overrides apply on top."""
-        base: dict = {"n_memory_servers": 2,
-                      "replication_factor": 2,
-                      "adaptive_timeouts": True,
-                      "hedged_fetches": True,
-                      "hedge_quantile": 0.9,
-                      "retry_budget": 2,
-                      "admission_queue_limit": 1}
+        """The two-server replicated deployment the ``fault_storm`` suite
+        workload and the gray chaos tests run on. A slow server or a jitter
+        storm changes timing only, and the plain retry loop survives both;
+        the tail-tolerance knobs this preset once armed each lost to it on
+        every fault profile (DESIGN.md S15). Keyword overrides apply on
+        top."""
+        base: dict = {"n_memory_servers": 2, "replication_factor": 2}
         base.update(overrides)
         return cls(**base)
 

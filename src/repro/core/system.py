@@ -43,7 +43,7 @@ from repro.core.membership import Membership
 from repro.core.params import SamhitaConfig
 from repro.checkpoint import CheckpointStore, restore_checkpoint, take_checkpoint
 from repro.faults.injector import FaultInjector
-from repro.faults.recovery import CircuitBreaker, RpcDedup, RttEstimator
+from repro.faults.recovery import RpcDedup
 from repro.core.placement import PlacementPolicy, choose_component
 from repro.core import rtbatch
 from repro.core.rtbatch import RoundTripLedger
@@ -201,24 +201,6 @@ class SamhitaSystem:
             self.injector.detector = self.detector
             self.engine.deadlock_hooks.append(self.detector.on_deadlock)
 
-        # Gray-failure resilience (config.grayfail_armed): trip-time
-        # estimation for hedging, adaptive per-destination retransmit
-        # timers, per-destination circuit breakers. Armed only alongside a
-        # fault plan -- the machinery exists to survive injected slowness,
-        # and a fault-free run with the knobs on must stay on the clean
-        # trajectory (None checks only).
-        self.trip_rtt: RttEstimator | None = None
-        self.breakers: dict[str, CircuitBreaker] | None = None
-        if self.injector is not None and self.config.grayfail_armed:
-            self.trip_rtt = RttEstimator()
-            if self.config.adaptive_timeouts:
-                # Message-grain estimator for the transport's retransmit
-                # timer; separate from trip_rtt, which observes whole
-                # request->reply trips for the hedge deadline.
-                self.fabric.enable_adaptive_timeouts(RttEstimator())
-            if self.config.retry_budget > 0:
-                self.breakers = {}
-
         # Per-thread state.
         self._caches: dict[int, SoftwareCache] = {}
         self._regions: dict[int, RegionTracker] = {}
@@ -363,44 +345,6 @@ class SamhitaSystem:
 
     def is_server_dead(self, index: int) -> bool:
         return index in self._dead_servers
-
-    def breaker_for(self, component: str) -> CircuitBreaker | None:
-        """The circuit breaker guarding ``component``, or None when retry
-        budgets are off (the common case: one ``is None`` check)."""
-        if self.breakers is None:
-            return None
-        guard = self.breakers.get(component)
-        if guard is None:
-            guard = CircuitBreaker(component, self.config.retry_budget,
-                                   self.config.retry_budget_refill,
-                                   self.config.breaker_cooldown)
-            self.breakers[component] = guard
-        return guard
-
-    def hedge_backup(self, home: int, primary_index: int, pages,
-                     tid: int) -> "MemoryServer | None":
-        """The backup server eligible to serve a hedged fetch of ``pages``
-        (all logically homed on ``home``), or None.
-
-        Eligible means: hedging armed, a live replica other than the
-        primary exists, and every page is owner-free -- an owned page
-        needs a recall that only its true home can run, and the backup's
-        WAL-replay catch-up covers applied diffs, not a writer's
-        uncollected ones (re-checked at serve time; see
-        :meth:`MemoryServer.serve_fetch_hedged`).
-        """
-        if not self.config.hedged_fetches:
-            return None
-        if self.config.replication_factor < 2:
-            return None
-        dead = self._dead_servers
-        backup = next((i for i in self.replica_ring(home)
-                       if i != primary_index and i not in dead), None)
-        if backup is None:
-            return None
-        if (self.directory.owners_of(pages, but=tid) >= 0).any():
-            return None
-        return self.memory_servers[backup]
 
     def handle_shard_failure(self, index: int) -> None:
         """Control-plane failover: merge the dead manager shard's sync state
@@ -758,9 +702,9 @@ class SamhitaSystem:
                     yield from server.apply_diffs(
                         group, epoch=cs.known_epoch if fencing else None)
                 except CommunicationError as err:
-                    # Failover wait, fencing-epoch refresh or shed backoff,
-                    # chosen by the error's recovery classification (the
-                    # retry pays its own wire cost -- the reject round trip).
+                    # Failover wait, fencing-epoch refresh or backoff, chosen
+                    # by the error's recovery classification (the retry
+                    # pays its own wire cost -- the reject round trip).
                     backoffs = yield from rtbatch.recover(cs, server, err,
                                                           backoffs)
                     continue
@@ -1025,19 +969,6 @@ class SamhitaSystem:
             repl.update({k: v for k, v in report["compute_servers"].items()
                          if k.startswith("integrity_")})
             report["replication"] = repl
-        if self.config.grayfail_armed:
-            # One namespace for the gray-failure machinery: hedged trips,
-            # breaker activity and overload shedding. Absent when every
-            # knob is at its default, so baseline reports stay
-            # byte-identical.
-            hedges = {k: v for k, v in report["compute_servers"].items()
-                      if k.startswith(("hedge", "breaker_", "shed_"))}
-            hedges.update({k: v for k, v in report["memory_servers"].items()
-                           if k.startswith(("sheds", "hedge_"))})
-            if self.breakers:
-                hedges["breaker_opens"] = sum(
-                    b.opens for b in self.breakers.values())
-            report["hedges"] = hedges
         if self.membership is not None or self.checkpoints is not None:
             # One namespace for the partition-tolerance machinery: the
             # fencing epoch and its counters, quorum decisions, degraded

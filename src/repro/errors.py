@@ -153,26 +153,6 @@ class StaleEpochError(RetryableError, CommunicationError):
             f"{fence_epoch}{at}")
 
 
-class OverloadShedError(RetryableError, CommunicationError):
-    """A memory server's admission controller NACKed a request.
-
-    Raised when the modeled service queue is already at
-    ``config.admission_queue_limit`` when a fetch arrives: the server sheds
-    the request instead of letting the queue grow unbounded. Retryable with
-    ``recovery = "backoff"`` -- the sender treats the NACK as an explicit
-    backpressure signal (wait, spend a retry-budget token, re-issue), not
-    as a failure of the server.
-    """
-
-    def __init__(self, src, dst, category, depth, limit, now=None):
-        self.src, self.dst, self.category = src, dst, category
-        self.depth, self.limit, self.now = depth, limit, now
-        at = f" at t={now:.9f}s" if now is not None else ""
-        super().__init__(
-            f"{category} {src}->{dst} shed: service queue {depth} >= "
-            f"limit {limit}{at}")
-
-
 class MemoryError_(ReproError):
     """DSM address-space misuse (bad address, double free, overflow)."""
 

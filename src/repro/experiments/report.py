@@ -50,15 +50,12 @@ def print_figure(fr: FigureResult) -> None:
 #: ``partition_drops`` through ``degraded_waits`` belong to the partition
 #: profile (fenced machine): severed messages, quorum promotions, fenced
 #: stale-epoch writes, degraded-mode backoff waits. ``jitter_stalls``
-#: through ``breaker_opens`` belong to the gray-failure profiles
-#: (grayfail machine): heavy-tailed latency stalls, admission-control
-#: NACKs, hedged fetches won against a slow primary, circuit-breaker
-#: opens. Each group is zero outside its own profiles.
+#: (heavy-tailed latency stalls) belongs to the jitter-storm profile.
+#: Each group is zero outside its own profiles.
 FAULT_COUNTERS = ("retries", "timeouts", "retransmits", "dup_rpcs_dropped",
                   "lease_expiries", "delay_spikes", "crash_drops",
                   "partition_drops", "promotions", "stale_writes_fenced",
-                  "degraded_waits", "jitter_stalls", "sheds", "hedges_won",
-                  "breaker_opens")
+                  "degraded_waits", "jitter_stalls")
 
 
 def format_chaos(rows: list[dict], clean_elapsed: float) -> str:

@@ -32,25 +32,15 @@ from repro.faults.plan import (
     server_outage,
     slow_server,
 )
-from repro.faults.recovery import (
-    CircuitBreaker,
-    DeadlockWatchdog,
-    RetryBudget,
-    RpcDedup,
-    RttEstimator,
-    wait_reasons,
-)
+from repro.faults.recovery import DeadlockWatchdog, RpcDedup, wait_reasons
 
 __all__ = [
     "CHAOS_PROFILES",
-    "CircuitBreaker",
     "DeadlockWatchdog",
     "FaultInjector",
     "FaultPlan",
-    "RetryBudget",
     "RetryPolicy",
     "RpcDedup",
-    "RttEstimator",
     "drop_storm",
     "jitter_storm",
     "latency_storm",

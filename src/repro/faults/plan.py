@@ -250,9 +250,9 @@ def slow_server(seed: int, component: str, factor: float, start: float,
     during ``[start, start + duration)``, no drops, no crash.
 
     The server answers everything -- heartbeats included -- so the
-    FailureDetector never suspects it; surviving this profile requires the
-    gray-failure layer (adaptive timeouts, hedged fetches, breakers,
-    admission control), not the failover machinery.
+    FailureDetector never suspects it and no failover runs. The profile
+    changes timing only: requests queue behind the slow service slot and
+    the plain retry loop survives it (measured: DESIGN.md S15).
     """
     return FaultPlan(seed=seed,
                      slow_servers=((component, factor, start, start + duration),))
@@ -265,8 +265,9 @@ def jitter_storm(seed: int, rate: float = 0.15,
 
     Unlike :func:`latency_storm` (bounded uniform spikes on the main
     verdict stream), jitter draws a Pareto-tailed multiplier from its own
-    stream: most stalls are small, a few are enormous -- the shape that
-    makes fixed timeouts and unhedged trips pathological.
+    stream: most stalls are small, a few are enormous. A stall makes a
+    message late, never lost, so the profile changes timing only and the
+    plain retry loop survives it (measured: DESIGN.md S15).
     """
     return FaultPlan(seed=seed, jitter_rate=rate, jitter_time=jitter_time,
                      jitter_alpha=jitter_alpha)

@@ -84,143 +84,6 @@ class DeadlockWatchdog:
         return False
 
 
-class RttEstimator:
-    """Per-destination round-trip-time statistics for the gray-failure layer.
-
-    Tracks two views of the same sample stream, per destination component:
-
-    * Jacobson/Karels EWMAs (``srtt`` with gain 1/8, ``rttvar`` with gain
-      1/4) feeding :meth:`rto` -- the adaptive retransmission timeout
-      ``srtt + 4*rttvar`` that replaces the one-size
-      ``RetryPolicy.timeout`` when ``adaptive_timeouts`` is on;
-    * a sliding window of the last ``window`` raw samples feeding
-      :meth:`quantile` -- the empirical P-quantile lateness estimate the
-      hedger fires on.
-
-    Pure arithmetic over observed simulated durations: deterministic, no
-    RNG, no wall clock.
-    """
-
-    def __init__(self, window: int = 64):
-        self.window = window
-        self._srtt: dict[str, float] = {}
-        self._rttvar: dict[str, float] = {}
-        self._samples: dict[str, list] = {}
-
-    def observe(self, dst: str, sample: float) -> None:
-        srtt = self._srtt.get(dst)
-        if srtt is None:
-            self._srtt[dst] = sample
-            self._rttvar[dst] = sample / 2.0
-        else:
-            err = sample - srtt
-            self._srtt[dst] = srtt + err / 8.0
-            aerr = err if err >= 0.0 else -err
-            self._rttvar[dst] += (aerr - self._rttvar[dst]) / 4.0
-        window = self._samples.setdefault(dst, [])
-        window.append(sample)
-        if len(window) > self.window:
-            del window[0]
-
-    def samples(self, dst: str) -> int:
-        return len(self._samples.get(dst, ()))
-
-    def rto(self, dst: str, floor: float) -> float:
-        """Adaptive retransmission timeout for ``dst``, never below
-        ``floor`` (the policy's static timeout or the bulk-trip law)."""
-        srtt = self._srtt.get(dst)
-        if srtt is None:
-            return floor
-        rto = srtt + 4.0 * self._rttvar[dst]
-        return rto if rto > floor else floor
-
-    def quantile(self, dst: str, q: float) -> float | None:
-        """Empirical ``q``-quantile of the sample window (None if empty)."""
-        window = self._samples.get(dst)
-        if not window:
-            return None
-        ordered = sorted(window)
-        index = int(q * (len(ordered) - 1))
-        return ordered[index]
-
-
-class RetryBudget:
-    """Token bucket of retry/backoff credit for one destination.
-
-    Every shed NACK or exhausted transfer spends one token; every
-    successful round trip refills ``refill`` tokens (capped at
-    ``capacity``). An empty bucket is the signal that a destination is not
-    transiently unlucky but persistently struggling -- the breaker opens
-    instead of letting retries storm it.
-    """
-
-    def __init__(self, capacity: int, refill: float):
-        self.capacity = float(capacity)
-        self.refill = refill
-        self.tokens = float(capacity)
-
-    def spend(self) -> bool:
-        """Take one token; False when the bucket is dry."""
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-    def credit(self) -> None:
-        tokens = self.tokens + self.refill
-        self.tokens = tokens if tokens < self.capacity else self.capacity
-
-
-class CircuitBreaker:
-    """closed -> open -> half-open state machine guarding one destination.
-
-    Failures (sheds, retry exhaustion) spend the retry budget; when it runs
-    dry the breaker opens for ``cooldown`` simulated seconds, during which
-    :meth:`allow` is False and callers route around the destination
-    (replica fetch or the synchronous unbatched path). After the cooldown
-    one probe is allowed through (half-open): success closes the breaker
-    and refills nothing extra -- normal success credit applies -- while
-    another failure re-opens it for a fresh cooldown.
-    """
-
-    def __init__(self, component: str, capacity: int, refill: float,
-                 cooldown: float):
-        self.component = component
-        self.budget = RetryBudget(capacity, refill)
-        self.cooldown = cooldown
-        self.state = "closed"
-        self.opened_at = 0.0
-        self.opens = 0
-
-    def allow(self, now: float) -> bool:
-        """May a request be sent to this destination right now?"""
-        if self.state == "open":
-            if now - self.opened_at >= self.cooldown:
-                self.state = "half_open"
-                return True
-            return False
-        return True
-
-    def success(self) -> None:
-        self.budget.credit()
-        if self.state == "half_open":
-            self.state = "closed"
-
-    def failure(self, now: float) -> bool:
-        """Record one failure; returns True while budget remains (caller
-        may back off and retry), False once the breaker opened."""
-        if self.state == "half_open" or not self.budget.spend():
-            self._open(now)
-            return False
-        return True
-
-    def _open(self, now: float) -> None:
-        if self.state != "open":
-            self.opens += 1
-        self.state = "open"
-        self.opened_at = now
-
-
 def wait_reasons(blocked) -> dict:
     """``{process name: wait reason}`` for DeadlockError diagnosability."""
     reasons = {}

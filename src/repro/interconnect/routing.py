@@ -58,10 +58,6 @@ class Fabric:
         #: which shadows ``transfer_inline`` on the instance -- the clean
         #: path below carries zero injection overhead when disabled.
         self._injector = None
-        #: Per-destination RTT estimator (``config.adaptive_timeouts``), or
-        #: None for the static one-size RetryPolicy law. Only consulted from
-        #: the injection shim, so the clean path never pays for it.
-        self._rtt = None
 
     def _resource_for(self, link: LinkModel) -> Resource:
         key = id(link)
@@ -246,18 +242,6 @@ class Fabric:
         self._injector = None
         self.__dict__.pop("transfer_inline", None)
 
-    def enable_adaptive_timeouts(self, estimator) -> None:
-        """Arm Jacobson-style adaptive retransmission timeouts.
-
-        ``estimator`` is a :class:`~repro.faults.recovery.RttEstimator`;
-        the injection shim feeds it one delivery-time sample per wire
-        message and the retry loop sizes its timer from ``srtt + 4*rttvar``
-        per destination instead of the static ``RetryPolicy.timeout``.
-        Requires an attached injector (without one there is no retransmit
-        timer to adapt).
-        """
-        self._rtt = estimator
-
     def _transfer_inline_faulty(self, src: str, dst: str, nbytes: int,
                                 category: str = "data",
                                 lead: float = 0.0, tail: float = 0.0,
@@ -277,31 +261,8 @@ class Fabric:
                 return self._transfer_faulty(verdict, src, dst, nbytes,
                                              category, lead, tail,
                                              timeout_floor)
-            rtt = self._rtt
-            if rtt is not None:
-                return self._timed_clean(src, dst, nbytes, category,
-                                         lead, tail)
         return Fabric.transfer_inline(self, src, dst, nbytes, category,
                                       lead, tail)
-
-    def _timed_clean(self, src, dst, nbytes, category, lead, tail):
-        """Clean delivery with an RTT sample fed to the adaptive estimator.
-
-        Plain-function-or-generator like the path it wraps; observing the
-        sample changes no timing (pure bookkeeping after the clock moved).
-        """
-        engine = self.engine
-        t0 = engine.now
-        t = Fabric.transfer_inline(self, src, dst, nbytes, category,
-                                   lead, tail)
-        if t is None:
-            self._rtt.observe(dst, engine.now - t0)
-            return None
-        return self._timed_tail(t, dst, t0)
-
-    def _timed_tail(self, gen, dst, t0):
-        yield from gen
-        self._rtt.observe(dst, self.engine.now - t0)
 
     def _transfer_faulty(self, verdict, src, dst, nbytes, category,
                          lead, tail, timeout_floor=0.0):
@@ -320,22 +281,12 @@ class Fabric:
         inj = self._injector
         counters = inj.stats.counters
         retry = inj.retry
-        rtt = self._rtt
-        # Effective timer floor: 0 for single messages (the static policy
-        # law, bit-identical to the historical build), the alpha +
-        # beta*lines cost for bulk trips, and -- when adaptive timeouts are
-        # armed -- the observed srtt + 4*rttvar for this destination,
-        # whichever is largest.
-        floor = timeout_floor
-        if rtt is not None:
-            static = retry.timeout if floor < retry.timeout else floor
-            adaptive = rtt.rto(dst, static)
-            if adaptive > floor:
-                floor = adaptive
-        timeout_used = retry.timeout if floor < retry.timeout else floor
+        # ``timeout_floor``: 0 for single messages (the static policy law),
+        # the alpha + beta*lines cost for bulk trips.
+        timeout_used = (retry.timeout if timeout_floor < retry.timeout
+                        else timeout_floor)
         clean = Fabric.transfer_inline
         attempt = 0
-        t0 = engine.now
         timeline: list[dict] = []
         while verdict is not None:
             kind, arg = verdict
@@ -355,7 +306,7 @@ class Fabric:
                 attempt += 1
                 counters["timeouts"] += 1
                 counters["retries"] += 1
-                delay = retry.delay(attempt, floor)
+                delay = retry.delay(attempt, timeout_floor)
                 if not engine.try_advance(delay):
                     yield Timeout(delay)
                 counters["retransmits"] += 1
@@ -365,8 +316,6 @@ class Fabric:
                 t = clean(self, src, dst, nbytes, category, 0.0, 0.0)
                 if t is not None:
                     yield from t
-                if rtt is not None:
-                    rtt.observe(dst, engine.now - t0)
                 return
             # kind == "drop": lost on the wire; ``arg`` names which fault
             # process fired (drops_injected, corruptions_detected,
@@ -382,7 +331,7 @@ class Fabric:
                                           now=engine.now, timeline=timeline)
             counters["timeouts"] += 1
             counters["retries"] += 1
-            delay = retry.delay(attempt, floor)
+            delay = retry.delay(attempt, timeout_floor)
             timeline.append({"attempt": attempt, "t": engine.now,
                              "fault": arg, "timeout": timeout_used,
                              "backoff": delay})
@@ -393,8 +342,6 @@ class Fabric:
         t = clean(self, src, dst, nbytes, category, lead, tail)
         if t is not None:
             yield from t
-        if rtt is not None:
-            rtt.observe(dst, engine.now - t0)
 
     # -- slow-path generators for transfer_inline ------------------------
     def _slow_one(self, command):

@@ -1,15 +1,12 @@
-"""Chaos: gray failures (slow servers, jitter storms) under the grayfail
-deployment keep data bit-identical while the resilience machinery works.
+"""Chaos: gray failures (slow servers, jitter storms) on the replicated
+two-server deployment keep data bit-identical.
 
 A gray failure changes *timing only*: a 10x-slow memory server or a
-Pareto-tailed jitter storm must never change final bytes. On top of data
-identity these cases assert the machinery actually ran -- Jacobi's
-neighbor reads produce owner-free bulk trips that hedge to the backup
-replica and shed under admission control until breakers open; MD is
-ownership-dominated (each thread writes its own particle block), so its
-trips are pinned to the true home and its resilience comes from
-admission control and shed backoff alone (hedges are a read-side
-mechanism; see DESIGN.md section 15)."""
+Pareto-tailed jitter storm must never change final bytes, must replay
+exactly, and -- under the slow server -- must stay inside a 2x elapsed
+envelope of the fault-free run (1.31x Jacobi, 1.65x MD measured). Nothing
+but the plain retry loop is involved: the tail-tolerance knobs that once
+rode these profiles each lost to this deployment (DESIGN.md section 15)."""
 
 import hashlib
 
@@ -76,15 +73,7 @@ def test_jacobi_survives_gray_failures(jacobi_baseline, profile, seed):
     gdiff, digest, result = _run_jacobi(SamhitaConfig.grayfail(faults=plan))
     assert gdiff == jacobi_baseline[0]
     assert digest == jacobi_baseline[1]
-    hedges = result.stats["hedges"]
-    assert hedges.get("hedges_issued", 0) > 0
-    assert hedges.get("sheds", 0) > 0
     if profile == "slow_server":
-        # The acceptance counters: hedges won against the slow primary,
-        # breakers opened once the shed budget ran dry, and the storm
-        # cost at most 2x the fault-free elapsed time.
-        assert hedges.get("hedges_won", 0) > 0
-        assert hedges.get("breaker_opens", 0) > 0
         assert result.elapsed <= 2.0 * jacobi_baseline[2]
     else:
         assert result.stats["faults"].get("jitter_stalls", 0) > 0
@@ -96,38 +85,28 @@ def test_md_survives_gray_failures(md_baseline, profile, seed):
     plan = grayfail_profiles(seed)[profile]
     digest, result = _run_md(SamhitaConfig.grayfail(faults=plan))
     assert digest == md_baseline[0]
-    hedges = result.stats["hedges"]
-    assert hedges.get("sheds", 0) > 0
-    if profile == "jitter_storm":
+    if profile == "slow_server":
+        assert result.elapsed <= 2.0 * md_baseline[1]
+    else:
         assert result.stats["faults"].get("jitter_stalls", 0) > 0
 
 
 @pytest.mark.parametrize("seed", chaos_seeds())
 def test_gray_failures_replay_bit_identically(seed):
-    """Same plan, same seed: the whole gray trajectory replays exactly,
-    hedge races and all."""
+    """Same plan, same seed: the whole gray trajectory replays exactly."""
     plan = grayfail_profiles(seed)["slow_server"]
     first = _run_jacobi(SamhitaConfig.grayfail(faults=plan))
     second = _run_jacobi(SamhitaConfig.grayfail(faults=plan))
     assert first[:2] == second[:2]
     assert first[2].elapsed == second[2].elapsed
-    assert first[2].stats["hedges"] == second[2].stats["hedges"]
+    assert first[2].stats["faults"] == second[2].stats["faults"]
 
 
-def test_unhedged_storm_keeps_data_identical(jacobi_baseline):
-    """Hedging off under the same storm: slower tail, same bytes."""
-    plan = grayfail_profiles(11)["slow_server"]
-    gdiff, digest, _result = _run_jacobi(
-        SamhitaConfig.grayfail(faults=plan, hedged_fetches=False))
-    assert (gdiff, digest) == jacobi_baseline[:2]
-
-
-def test_open_breaker_degrades_to_the_per_page_fetch():
-    """The fault_storm cell of the benchmark suite, pinned: with the slow
-    primary's breaker open and the backup ineligible (owned pages), a trip
-    degrades to the synchronous per-page fetch -- the one caller
-    ``ComputeServer._fetch_pages`` / ``MemoryServer.serve_fetch`` still
-    have. Values recorded at PR 15."""
+def test_fault_storm_slow_cell_is_pinned():
+    """The slow-server cell of the benchmark suite's ``fault_storm``,
+    pinned: the grid equals the sequential reference and the 10x-slow home
+    costs exactly what the plain retry loop pays for it. Value recorded at
+    PR 18 (1.29x the fault-free cell's 0.005616409799999949)."""
     params = JacobiParams(rows=256, cols=512, iterations=10,
                           collect_result=True)
     plan = grayfail_profiles(11)["slow_server"]
@@ -138,8 +117,5 @@ def test_open_breaker_degrades_to_the_per_page_fetch():
     ref_gdiff, ref_grid = jacobi_reference(params)
     assert gdiff == ref_gdiff
     assert np.array_equal(grid, ref_grid)
-    hedges = result.stats["hedges"]
-    assert hedges["breaker_degraded"] == 62
-    assert hedges["breaker_reroutes"] == 8
-    assert hedges["shed_backoffs"] == 123
-    assert result.elapsed == 0.00901180079999981
+    assert result.stats["compute_servers"]["fetch_requests"] == 122
+    assert result.elapsed == 0.007225090699999824

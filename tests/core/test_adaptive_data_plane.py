@@ -125,15 +125,23 @@ class TestConfigSurface:
         # One implementation of each mechanism, no switch to a predecessor:
         # victim selection (column selection in SoftwareCache, pinned to
         # the reference model by tests/property/test_cache_equivalence.py),
-        # the fault / prefetch / evict protocol (rtbatch), the engine.
+        # the fault / prefetch / evict protocol (rtbatch), the engine --
+        # and no tail-tolerance knob on top of the plain retry loop.
         fields = {f.name for f in dataclasses.fields(SamhitaConfig)}
         for gone in ("eviction_impl", "batched_round_trips",
-                     "batch_line_fetches", "prefetch_adjacent"):
+                     "batch_line_fetches", "prefetch_adjacent",
+                     "adaptive_timeouts", "hedged_fetches", "hedge_quantile",
+                     "retry_budget", "retry_budget_refill",
+                     "breaker_cooldown", "admission_queue_limit"):
             assert gone not in fields
             with pytest.raises(TypeError):
                 SamhitaConfig(**{gone: False})
         with pytest.raises(AttributeError):
             SamhitaConfig.compat_cache
+        with pytest.raises(AttributeError):
+            SamhitaConfig.grayfail_armed
+        assert SamhitaConfig.grayfail() == SamhitaConfig(
+            n_memory_servers=2, replication_factor=2)
         assert not inspect.signature(Engine).parameters
         src = pathlib.Path(repro.__file__).parent
         assert not [str(p) for p in src.rglob("*.py")

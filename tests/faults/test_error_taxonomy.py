@@ -12,7 +12,6 @@ from repro.errors import (
     CommunicationError,
     ConsistencyError,
     MemoryError_,
-    OverloadShedError,
     ProtectionError,
     ReplicationError,
     ReproError,
@@ -38,10 +37,6 @@ def _stale():
     return StaleEpochError("node0", "node1", "diff", 1, 2, now=1e-3)
 
 
-def _shed():
-    return OverloadShedError("node0", "node1", "fetch_req", 2, 2, now=1e-3)
-
-
 class TestClassification:
     def test_base_is_fatal(self):
         assert ReproError.retryable is False
@@ -51,7 +46,6 @@ class TestClassification:
         (_timeout, "backoff"),
         (_exhausted, "failover"),
         (_stale, "refresh_epoch"),
-        (_shed, "backoff"),
     ])
     def test_retryable_errors_carry_their_action(self, make, action):
         err = make()
@@ -82,15 +76,3 @@ class TestClassification:
         assert err.retryable is True
         assert recovery_action(err) == "backoff"
 
-
-class TestShedError:
-    def test_carries_queue_depth_and_limit(self):
-        err = _shed()
-        assert err.depth == 2 and err.limit == 2
-        assert "shed" in str(err)
-        assert "node0" in str(err) and "node1" in str(err)
-
-    def test_is_a_communication_error(self):
-        # The recovery loops catch CommunicationError; a shed NACK must
-        # land in the same net (then classify as backoff).
-        assert isinstance(_shed(), CommunicationError)

@@ -6,15 +6,17 @@ page-grain acquire, IVY ownership upgrade) lands while the data is in
 flight, the epoch moves and the install is dropped -- installing would
 resurrect a copy the protocol just declared dead.
 
-These tests drive :meth:`ComputeServer._fetch_pages` directly on the event
-engine with a precisely-timed concurrent invalidation, so the race is
-deterministic rather than statistical.
+These tests drive :func:`repro.core.rtbatch.fetch_batched` -- the path
+every fault takes -- directly on the event engine with a precisely-timed
+concurrent invalidation, so the race is deterministic rather than
+statistical.
 """
 
-import pytest
+import numpy as np
 
-from repro.core import SamhitaConfig
+from repro.core import SamhitaConfig, rtbatch
 from repro.core.system import SamhitaSystem
+from repro.memory.pagetable import NO_PAGES
 from repro.sim.engine import Timeout
 
 
@@ -38,6 +40,10 @@ def alloc_page(system, tid):
     return out["addr"] // system.config.layout.page_bytes
 
 
+def fetch(cs, tid, page):
+    return rtbatch.fetch_batched(cs, tid, np.array([page]), NO_PAGES, set())
+
+
 class TestFetchInvalidateRace:
     def test_fetch_without_invalidation_installs(self):
         """Sanity: the undisturbed fetch path installs the page."""
@@ -46,7 +52,7 @@ class TestFetchInvalidateRace:
         cache = system.cache_of(tid)
         cs = system.compute_servers[system.component_of(tid)]
 
-        system.engine.process(cs._fetch_pages(tid, [page], set()),
+        system.engine.process(fetch(cs, tid, page),
                               name="fetch")
         system.engine.run()
 
@@ -70,7 +76,7 @@ class TestFetchInvalidateRace:
 
         # The fetcher is scheduled first, so its snapshot precedes the
         # invalidation deterministically.
-        system.engine.process(cs._fetch_pages(tid, [page], set()),
+        system.engine.process(fetch(cs, tid, page),
                               name="fetch")
         system.engine.process(invalidator(), name="invalidate")
         system.engine.run()
@@ -93,13 +99,13 @@ class TestFetchInvalidateRace:
             yield Timeout(1e-9)
             cache.invalidate([page])
 
-        system.engine.process(cs._fetch_pages(tid, [page], set()),
+        system.engine.process(fetch(cs, tid, page),
                               name="fetch")
         system.engine.process(invalidator(), name="invalidate")
         system.engine.run()
         assert page not in cache.entries
 
-        system.engine.process(cs._fetch_pages(tid, [page], set()),
+        system.engine.process(fetch(cs, tid, page),
                               name="refetch")
         system.engine.run()
         assert page in cache.entries

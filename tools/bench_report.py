@@ -17,7 +17,6 @@ The gates (used by CI after ``benchmarks/bench_perf.py``)::
     python tools/bench_report.py --check-shard-scaling
         [--max-shard-load-deviation 0.25] [--min-barrier-reduction 2.0]
     python tools/bench_report.py --check-partition-safety
-    python tools/bench_report.py --check-grayfail [--max-hedged-slowdown 2.0]
 
 ``--check`` exits non-zero when the measured serial smoke-campaign wall
 clock exceeds ``max_ratio x`` the recorded seed baseline -- i.e. when a
@@ -51,9 +50,8 @@ hash, elapsed, event and cache counters -- exact, no tolerance) at the
 default configuration must equal the recorded PR 9 pin, and so must the two
 configurations that arm a subsystem with nothing for it to do: an all-zero
 ``FaultPlan`` (injector constructed, silent) and ``fencing=True`` on a
-healthy run. Every other gate -- replication, shards, hedging, retry
-budgets, admission control, adaptive timeouts -- sits at its default value
-in ``SamhitaConfig()``, so the pin covers them.
+healthy run. Every other gate -- replication, shards -- sits at its
+default value in ``SamhitaConfig()``, so the pin covers them.
 
 ``--check-shard-scaling`` gates the sharded control plane on the
 16 -> 64 -> 256 compute-server sweep: the mean per-shard manager RPC load
@@ -68,13 +66,6 @@ partition severing one memory server must end data-identical to its
 fault-free baseline with a quorum promotion and a fenced stale-epoch write
 on the record, and a checkpoint/restore round trip must reproduce the
 straight-through final bytes.
-
-``--check-grayfail`` gates the resilience itself on the recorded
-slow-server storm cell (one memory server serving 10x slow): final data
-must be bit-identical to the fault-free grayfail run, elapsed simulated
-time may stretch by at most ``max_hedged_slowdown`` x, and the counters
-must show the machinery earned its keep -- hedges won, breakers opened,
-overloaded servers shed.
 """
 
 from __future__ import annotations
@@ -186,24 +177,6 @@ def render(report: dict) -> str:
                 f"{rt.get('lines', 0):,} lines "
                 f"({rt.get('lines_per_trip_mean', 0)} lines/trip, "
                 f"hist {rt.get('lines_per_trip_hist')})")
-    grayfail = report.get("grayfail")
-    if grayfail:
-        lines.append("")
-        counters = grayfail.get("counters", {})
-        lines.append(
-            f"gray failure (10x slow server): "
-            f"data identical: {grayfail.get('data_identical')}  "
-            f"slowdown {grayfail.get('hedged_slowdown')}x hedged / "
-            f"{grayfail.get('unhedged_slowdown')}x unhedged")
-        lines.append(
-            f"  hedges: issued={counters.get('hedges_issued', 0)} "
-            f"won={counters.get('hedges_won', 0)} "
-            f"lost={counters.get('hedges_lost', 0)} "
-            f"ineligible={counters.get('hedges_ineligible', 0)}  "
-            f"breakers: opens={counters.get('breaker_opens', 0)} "
-            f"reroutes={counters.get('breaker_reroutes', 0)} "
-            f"degraded={counters.get('breaker_degraded', 0)}  "
-            f"sheds={counters.get('sheds', 0)}")
     for note in report.get("notes", ()):
         lines.append(f"note: {note}")
     return "\n".join(lines)
@@ -403,41 +376,6 @@ def check_shard_scaling(report: dict, max_deviation: float,
                   f"(gate >= {min_barrier_reduction:.1f}x)")
 
 
-def check_grayfail(report: dict,
-                   max_hedged_slowdown: float) -> tuple[bool, str]:
-    """The gray-failure resilience gate, three legs in one:
-
-    * under the recorded 10x slow-server storm the hedged grayfail
-      deployment must end with data bit-identical to the fault-free run;
-    * the hedged slowdown must stay under ``max_hedged_slowdown``;
-    * the resilience machinery must have actually worked for a living:
-      hedges won, breakers opened, overloaded servers shed.
-    """
-    block = report.get("grayfail")
-    if not block:
-        return False, ("report has no 'grayfail' block; regenerate it "
-                       "with the current benchmarks/bench_perf.py")
-    problems = []
-    if not block.get("data_identical"):
-        problems.append("storm data DIVERGED from the fault-free run")
-    slowdown = block.get("hedged_slowdown")
-    if slowdown is None or slowdown > max_hedged_slowdown:
-        problems.append(f"hedged slowdown {slowdown} > "
-                        f"{max_hedged_slowdown:.2f}x")
-    counters = block.get("counters", {})
-    for key in ("hedges_won", "breaker_opens", "sheds"):
-        if not counters.get(key):
-            problems.append(f"{key} == 0 (machinery never exercised)")
-    if problems:
-        return False, "gray-failure gate FAILED: " + "; ".join(problems)
-    return True, (f"gray failure: data identical under 10x slow-server "
-                  f"storm; slowdown {slowdown:.2f}x hedged (gate <= "
-                  f"{max_hedged_slowdown:.2f}x); hedges_won="
-                  f"{counters.get('hedges_won')} breaker_opens="
-                  f"{counters.get('breaker_opens')} "
-                  f"sheds={counters.get('sheds')}")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("report", nargs="?", default="BENCH_perf.json",
@@ -491,15 +429,6 @@ def main(argv=None) -> int:
                              "RPC load stays flat across the sweep and tree "
                              "barriers cut barrier RPCs by the required "
                              "factor")
-    parser.add_argument("--check-grayfail", action="store_true",
-                        help="resilience gate: exit 1 unless the hedged "
-                             "slow-server storm run kept data bit-identical "
-                             "under max-hedged-slowdown with hedges won, "
-                             "breakers opened and sheds recorded")
-    parser.add_argument("--max-hedged-slowdown", type=float, default=2.0,
-                        help="allowed elapsed-time ratio of the hedged "
-                             "storm run vs the fault-free grayfail run "
-                             "(default 2.0)")
     parser.add_argument("--max-shard-load-deviation", type=float,
                         default=0.25,
                         help="allowed per-shard mean RPC-load deviation "
@@ -542,10 +471,6 @@ def main(argv=None) -> int:
         failed |= not ok
     if args.check_partition_safety:
         ok, msg = check_partition_safety(report)
-        print(f"\n[{'PASS' if ok else 'FAIL'}] {msg}")
-        failed |= not ok
-    if args.check_grayfail:
-        ok, msg = check_grayfail(report, args.max_hedged_slowdown)
         print(f"\n[{'PASS' if ok else 'FAIL'}] {msg}")
         failed |= not ok
     if args.check_shard_scaling:
