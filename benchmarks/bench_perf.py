@@ -23,17 +23,20 @@ Run with::
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
 import os
 import pathlib
 import platform
+import pstats
 import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.experiments import figures  # noqa: E402
-from repro.experiments.__main__ import _QUICK_KWARGS  # noqa: E402
+from repro.experiments.__main__ import (  # noqa: E402
+    _QUICK_KWARGS, sync_sweep_system)
 from repro.experiments.parallel import (  # noqa: E402
     Executor, ResultCache, activate, cell_key)
 
@@ -351,38 +354,19 @@ def partition_safety_fingerprint() -> dict:
 #: scale with the machine (16 compute servers per shard), which is the
 #: deployment the flat-load claim is about: adding cells adds shards, and
 #: the RPC load each shard absorbs stays constant.
-SHARD_SWEEP = ((16, 1), (64, 4), (256, 16))
+SHARD_SWEEP = ((16, 1), (64, 4), (256, 16), (1024, 64))
 SHARD_SWEEP_ROUNDS = 3
+#: The sweep point whose dispatch rate ``--check-events-rate`` gates.
+EVENTS_RATE_POINT = (256, 16)
 
 
 def _sync_sweep_cell(n_compute: int, shards: int,
                      tree_barriers: bool) -> dict:
-    """One sync-heavy cell: every thread loops lock/unlock + barrier.
-
-    No data-plane traffic at all -- the cell isolates control-plane RPC
-    load so ``manager_rpcs_by_shard`` measures exactly the lock/barrier
-    protocol cost at this scale.
-    """
-    from repro.core.params import SamhitaConfig
-    from repro.core.system import SamhitaSystem
-    from repro.sim.engine import Timeout
-
-    config = SamhitaConfig(manager_shards=shards, lock_owner_cache=True,
-                           tree_barriers=tree_barriers)
-    system = SamhitaSystem.cluster(n_compute, config=config)
-    tids = [system.add_thread() for _ in range(n_compute)]
-    locks = [system.create_lock() for _ in range(n_compute)]
-    bar = system.create_barrier(n_compute)
-
-    def body(i, tid):
-        for _ in range(SHARD_SWEEP_ROUNDS):
-            yield from system.acquire_lock(tid, locks[i])
-            yield Timeout(1e-6)
-            yield from system.release_lock(tid, locks[i])
-            yield from system.barrier_wait(tid, bar)
-
-    for i, tid in enumerate(tids):
-        system.process(body(i, tid), name=f"t{i}")
+    """One sync-heavy cell (``sync_sweep_system``): no data-plane traffic
+    at all, so ``manager_rpcs_by_shard`` measures exactly the lock/barrier
+    protocol cost at this scale."""
+    system = sync_sweep_system(n_compute, shards, True, tree_barriers,
+                               SHARD_SWEEP_ROUNDS)
     t0 = time.perf_counter()
     system.run()
     run_wall = time.perf_counter() - t0
@@ -411,17 +395,33 @@ def _sync_sweep_cell(n_compute: int, shards: int,
     }
 
 
+def _sweep_host_calls(n_compute: int, shards: int) -> float:
+    """Host calls (cProfile total, builtins included) per thread-round of
+    the tree-barrier sweep cell: the host's cost of a round, as a count."""
+    system = sync_sweep_system(n_compute, shards, True, True,
+                               SHARD_SWEEP_ROUNDS)
+    profile = cProfile.Profile()
+    profile.runcall(system.run)
+    calls = sum(row[1] for row in pstats.Stats(profile).stats.values())
+    return round(calls / (n_compute * SHARD_SWEEP_ROUNDS), 1)
+
+
 def shard_scaling() -> dict:
-    """16 -> 64 -> 256 compute-server sweep of the sharded control plane.
+    """16 -> 64 -> 256 -> 1,024 compute-server sweep of the sharded control
+    plane.
 
     The ``--check-shard-scaling`` gate in tools/bench_report.py reads this
     block: per-shard RPC load must stay flat (<= 25% deviation) across the
-    sweep, and hierarchical tree barriers must cut total barrier RPCs by
-    >= 2x versus flat barriers at every point.
+    sweep, hierarchical tree barriers must cut total barrier RPCs by >= 2x
+    versus flat barriers at every point, and the host calls a thread-round
+    costs (a second, profiled run of the tree cell) must stay under a bound
+    and flat from the first point to the last.
     """
     sweep = []
     for n_compute, shards in SHARD_SWEEP:
         tree = _sync_sweep_cell(n_compute, shards, tree_barriers=True)
+        tree["host_calls_per_thread_round"] = _sweep_host_calls(n_compute,
+                                                                shards)
         flat = _sync_sweep_cell(n_compute, shards, tree_barriers=False)
         tree["flat_barrier_rpcs"] = flat["barrier_rpcs"]
         tree["barrier_rpc_reduction"] = (
@@ -504,7 +504,7 @@ def sweep_events_rate(best_of_n: int = 3) -> dict:
     "sustained" figure on a shared box. The ``--check-events-rate`` gate
     in tools/bench_report.py reads this block.
     """
-    n_compute, shards = SHARD_SWEEP[-1]
+    n_compute, shards = EVENTS_RATE_POINT
     best: dict | None = None
     for _ in range(best_of_n):
         cell = _sync_sweep_cell(n_compute, shards, tree_barriers=True)
@@ -565,7 +565,7 @@ def main(argv=None) -> int:
     print("rf=2 overhead ...")
     replication = replication_overhead()
 
-    print("shard scaling sweep (16 -> 64 -> 256 compute servers) ...")
+    print("shard scaling sweep (16 -> 64 -> 256 -> 1,024 compute servers) ...")
     shards = shard_scaling()
 
     print("partition-safety cell (quorum, fencing, checkpoint) ...")
@@ -683,7 +683,9 @@ def main(argv=None) -> int:
     print(f"  shard sweep          per-shard load dev {dev * 100:.1f}% "
           f"across {'/'.join(str(n) for n, _ in SHARD_SWEEP)} servers; "
           f"barriers -{last['barrier_rpc_reduction']:.0f}x at "
-          f"{last['n_compute']}")
+          f"{last['n_compute']}; host calls per thread-round "
+          + " / ".join(str(c["host_calls_per_thread_round"])
+                       for c in shards["sweep"]))
     print(f"  events/sec (256)     {rate['events_per_sec']:,}/s sustained "
           f"({rate['events_scheduled']:,} events in "
           f"{rate['run_wall_s']:.3f} s run phase)")

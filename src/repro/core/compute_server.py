@@ -82,6 +82,10 @@ class ComputeServer:
         #: Cached lock-ownership grants: {lock_id: _CachedLock}. Only ever
         #: populated with ``config.lock_owner_cache``.
         self.lock_cache: dict[int, _CachedLock] = {}
+        #: The same grants per caching thread, {tid: {lock_id: grant}}, each
+        #: in ``lock_cache`` order: a barrier arrival drains its own
+        #: thread's stashes without walking every lock cached on the node.
+        self._grants_of: dict[int, dict[int, _CachedLock]] = {}
         self.stats = StatSet(f"compute[{component}]")
         #: Last cluster epoch this sender observed (``config.fencing``):
         #: stamped on write-side RPCs, refreshed when a receiver fences a
@@ -94,6 +98,7 @@ class ComputeServer:
     def register_thread(self, tid: int) -> None:
         self.threads.append(tid)
         self.pending[tid] = {}
+        self._grants_of[tid] = {}
 
     # ------------------------------------------------------------------
     # lock-ownership cache (config.lock_owner_cache)
@@ -122,9 +127,8 @@ class ComputeServer:
         if entry is None or entry.tid != tid or not entry.held:
             return ("miss", None)
         if entry.revoke_pending:
-            stash = entry.stash
-            del self.lock_cache[lock_id]
-            return ("rpc", stash)
+            self._drop_grant(lock_id)
+            return ("rpc", entry.stash)
         entry.held = False
         entry.stash.append(record)
         self.stats.counters["lock_cache_local_releases"] += 1
@@ -133,7 +137,13 @@ class ComputeServer:
     def lock_cache_install(self, tid: int, lock_id: int) -> None:
         """The manager granted cacheability at release: remember the grant
         (idle, empty stash -- the release's record went to the manager)."""
-        self.lock_cache[lock_id] = _CachedLock(tid)
+        if lock_id in self.lock_cache:  # a stale grant keeps no slot
+            self._drop_grant(lock_id)
+        self.lock_cache[lock_id] = self._grants_of[tid][lock_id] = (
+            _CachedLock(tid))
+
+    def _drop_grant(self, lock_id: int) -> None:
+        del self._grants_of[self.lock_cache.pop(lock_id).tid][lock_id]
 
     def lock_cache_surrender(self, lock_id: int):
         """Manager-side revoke (synchronous call from the owning shard).
@@ -150,9 +160,8 @@ class ComputeServer:
         if entry.held:
             entry.revoke_pending = True
             return ("held", entry.tid)
-        stash = entry.stash
-        del self.lock_cache[lock_id]
-        return ("idle", stash)
+        self._drop_grant(lock_id)
+        return ("idle", entry.stash)
 
     def lock_cache_holds(self, tid: int, lock_id: int) -> bool:
         entry = self.lock_cache.get(lock_id)
@@ -164,8 +173,8 @@ class ComputeServer:
         manager's logs, an idle cached grant is consistent with RegC's
         global consistency point."""
         drained = []
-        for lock_id, entry in self.lock_cache.items():
-            if entry.tid == tid and entry.stash:
+        for lock_id, entry in self._grants_of[tid].items():
+            if entry.stash:
                 drained.append((lock_id, entry.stash))
                 entry.stash = []
         if drained:

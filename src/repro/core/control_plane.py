@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.core import protocol
 from repro.core.allocator import SamhitaAllocator
+from repro.core.manager import Manager
 from repro.errors import ReplicationError, RetryExhaustedError
 from repro.memory.directory import PageDirectory
 from repro.memory.pagetable import page_vector
@@ -57,7 +58,6 @@ from repro.sim.engine import Timeout
 from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.manager import Manager
     from repro.core.system import SamhitaSystem
 
 #: Pages per shard address slice (1 TiB of 4 KiB pages). Shard *k*'s
@@ -266,6 +266,12 @@ class ControlPlane:
         self.shards = shards
         self.n = len(shards)
         self._next_id = 0
+        #: With neither a fault plan nor fencing nothing can exhaust an
+        #: RPC's retries or mint an epoch, so :meth:`_route` has no failure
+        #: to guard against: the same "clean path pays nothing" rule
+        #: ``Fabric.attach_injector`` follows, decided here, once.
+        config = system.config
+        self._guard = config.faults is not None or config.fencing
         #: dead shard index -> ring successor (transitive-free, like
         #: ``PageDirectory.remap_home``).
         self._shard_remap: dict[int, int] = {}
@@ -312,10 +318,24 @@ class ControlPlane:
     def shard_for_id(self, obj_id: int) -> "Manager":
         return self.shards[self.live_index(self.shard_index(obj_id))]
 
-    def _guarded(self, index: int, op, comp: str | None = None):
-        """Generator: run ``op(manager)`` against the live shard for
-        logical shard ``index``, re-issuing through a shard failover when
-        the RPC exhausts its retries against a corpse.
+    def _route(self, index: int, comp: str, op, *args):
+        """``op(manager, *args)`` -- a :class:`Manager` RPC handler --
+        against the live shard for logical shard ``index``: what every
+        routed RPC below returns.
+
+        Always through :meth:`live_index`: the remap can be populated with
+        no fault plan at all (``handle_shard_failure`` is callable
+        directly, and the failover tests do call it)."""
+        if self._guard:
+            return self._guarded(index, comp, op, args)
+        remap = self._shard_remap
+        return op(self.shards[remap.get(index, index) if remap else index],
+                  *args)
+
+    def _guarded(self, index: int, comp: str, op, args):
+        """Generator: :meth:`_route` on a build that can fail -- re-issue
+        through a shard failover when the RPC exhausts its retries against
+        a corpse.
 
         With fencing on, a sender whose epoch view predates the successor
         shard's promotion is fenced first: its stale stamp is rejected
@@ -327,13 +347,13 @@ class ControlPlane:
         while True:
             live = self.live_index(index)
             mgr = self.shards[live]
-            if (membership is not None and comp is not None
+            if (membership is not None
                     and self._known_epoch.get(comp, 0) < mgr.fence_epoch):
                 membership.fenced()
                 self.stats.incr("control_rpcs_fenced")
                 self._known_epoch[comp] = membership.epoch
             try:
-                result = yield from op(mgr)
+                result = yield from op(mgr, *args)
                 return result
             except RetryExhaustedError as err:
                 yield from self.await_shard_failover(live, err, comp=comp)
@@ -380,57 +400,41 @@ class ControlPlane:
     def alloc_rpc(self, tid: int, comp: str, size: int,
                   force_shared: bool = False):
         if self.n == 1:
-            return self._guarded(
-                0, lambda m: m.alloc_rpc(tid, comp, size, force_shared),
-                comp=comp)
-        part = self.system.allocator.part_for_thread(tid)
-        return self._guarded(
-            self.shard_index(tid),
-            lambda m: m.alloc_rpc(tid, comp, size, force_shared,
-                                  allocator=part),
-            comp=comp)
+            return self._route(0, comp, Manager.alloc_rpc, tid, comp, size,
+                               force_shared)
+        return self._route(tid % self.n, comp, Manager.alloc_rpc, tid, comp,
+                           size, force_shared,
+                           self.system.allocator.part_for_thread(tid))
 
     def free_rpc(self, tid: int, comp: str, addr: int):
         if self.n == 1:
-            return self._guarded(0, lambda m: m.free_rpc(tid, comp, addr),
-                                 comp=comp)
+            return self._route(0, comp, Manager.free_rpc, tid, comp, addr)
         allocator = self.system.allocator
-        page = addr // allocator.layout.page_bytes
-        idx = shard_of_page(page, self.n)
-        part = allocator.parts[idx]
-        return self._guarded(
-            idx, lambda m: m.free_rpc(tid, comp, addr, allocator=part),
-            comp=comp)
+        idx = shard_of_page(addr // allocator.layout.page_bytes, self.n)
+        return self._route(idx, comp, Manager.free_rpc, tid, comp, addr,
+                           allocator.parts[idx])
 
     # ------------------------------------------------------------------
     # locks
     # ------------------------------------------------------------------
     def acquire_lock(self, tid: int, comp: str, lock_id: int):
-        return self._guarded(
-            self.shard_index(lock_id),
-            lambda m: m.acquire_lock(tid, comp, lock_id),
-            comp=comp)
+        return self._route(lock_id % self.n, comp, Manager.acquire_lock,
+                           tid, comp, lock_id)
 
     def release_lock(self, tid: int, comp: str, lock_id: int, diffs: list,
                      payload_bytes: int, span_count: int,
                      invalidate_pages=(), stash=()):
-        return self._guarded(
-            self.shard_index(lock_id),
-            lambda m: m.release_lock(tid, comp, lock_id, diffs,
-                                     payload_bytes, span_count,
-                                     invalidate_pages=invalidate_pages,
-                                     stash=stash),
-            comp=comp)
+        return self._route(lock_id % self.n, comp, Manager.release_lock,
+                           tid, comp, lock_id, diffs, payload_bytes,
+                           span_count, invalidate_pages, stash)
 
     def absorb_lock_stash(self, tid: int, lock_id: int, stash) -> None:
         """Synchronous stash absorption (see Manager.absorb_lock_stash)."""
         self.shard_for_id(lock_id).absorb_lock_stash(tid, lock_id, stash)
 
     def flush_lock_stash(self, tid: int, comp: str, lock_id: int, stash):
-        return self._guarded(
-            self.shard_index(lock_id),
-            lambda m: m.flush_lock_stash(tid, comp, lock_id, stash),
-            comp=comp)
+        return self._route(lock_id % self.n, comp, Manager.flush_lock_stash,
+                           tid, comp, lock_id, stash)
 
     def holds_lock(self, tid: int, lock_id: int) -> bool:
         return self.shard_for_id(lock_id).holds_lock(tid, lock_id)
@@ -454,38 +458,29 @@ class ControlPlane:
         return self.shard_for_id(barrier_id).barrier_parties(barrier_id)
 
     def barrier_arrive(self, tid: int, comp: str, barrier_id: int, notices):
-        return self._guarded(
-            self.shard_index(barrier_id),
-            lambda m: m.barrier_arrive(tid, comp, barrier_id, notices),
-            comp=comp)
+        return self._route(barrier_id % self.n, comp, Manager.barrier_arrive,
+                           tid, comp, barrier_id, notices)
 
     def barrier_arrive_group(self, comp: str, barrier_id: int, arrivals):
-        return self._guarded(
-            self.shard_index(barrier_id),
-            lambda m: m.barrier_arrive_group(comp, barrier_id, arrivals),
-            comp=comp)
+        return self._route(barrier_id % self.n, comp,
+                           Manager.barrier_arrive_group,
+                           comp, barrier_id, arrivals)
 
     def barrier_flush_done(self, tid: int, comp: str, barrier_id: int, state):
-        return self._guarded(
-            self.shard_index(barrier_id),
-            lambda m: m.barrier_flush_done(tid, comp, state),
-            comp=comp)
+        return self._route(barrier_id % self.n, comp,
+                           Manager.barrier_flush_done, tid, comp, state)
 
     # ------------------------------------------------------------------
     # condition variables
     # ------------------------------------------------------------------
     def cond_register(self, tid: int, comp: str, cond_id: int):
-        return self._guarded(
-            self.shard_index(cond_id),
-            lambda m: m.cond_register(tid, comp, cond_id),
-            comp=comp)
+        return self._route(cond_id % self.n, comp, Manager.cond_register,
+                           tid, comp, cond_id)
 
     def cond_signal(self, tid: int, comp: str, cond_id: int,
                     broadcast: bool = False):
-        return self._guarded(
-            self.shard_index(cond_id),
-            lambda m: m.cond_signal(tid, comp, cond_id, broadcast=broadcast),
-            comp=comp)
+        return self._route(cond_id % self.n, comp, Manager.cond_signal,
+                           tid, comp, cond_id, broadcast)
 
     # ------------------------------------------------------------------
     # cross-shard consistency gather

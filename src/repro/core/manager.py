@@ -23,12 +23,16 @@ from repro.errors import SynchronizationError
 from repro.faults.recovery import RpcDedup
 from repro.interconnect.scl import CONTROL_BYTES, SCL
 from repro.memory.directory import PageDirectory
-from repro.sim.engine import Engine
+from repro.sim.engine import DONE, PARK, Engine
 from repro.sim.resources import Resource
 from repro.sim.stats import StatSet
 
 #: RPC categories the manager serves; the dedup endpoint filters on these.
 RPC_CATEGORIES = frozenset({"sync", "alloc", "lock", "barrier", "cond"})
+
+#: Memoized per-category request counter keys (``routing._CATEGORY_KEYS``'s
+#: idiom): one string build per category, not per request.
+_REQUEST_KEYS: dict[str, str] = {}
 
 
 class CrClock:
@@ -74,13 +78,15 @@ class _LockState:
 
 
 class _BarrierState:
-    __slots__ = ("parties", "generation", "arrived", "arrive_gate", "plan",
-                 "flush_remaining", "flush_gate")
+    __slots__ = ("parties", "generation", "arrived", "departed",
+                 "arrive_gate", "plan", "flush_remaining", "flush_gate")
 
     def __init__(self, engine: Engine, parties: int, generation: int):
         self.parties = parties
         self.generation = generation
         self.arrived: dict[int, list[int]] = {}
+        #: Threads that hold their directive (see ``Manager._prune_logs``).
+        self.departed = 0
         self.arrive_gate = engine.event(f"barrier.gen{generation}.arrive")
         self.plan: BarrierPlan | None = None
         self.flush_remaining = 0
@@ -105,6 +111,9 @@ class Manager:
         self.allocator = allocator
         self.directory = directory
         self.scl = scl
+        #: §V: threads co-located with the manager use local atomics, no
+        #: RPC. None (never equal to a component) with the optimization off.
+        self._local = component if config.local_sync_optimization else None
         self.resource = Resource(engine, capacity=1, name="manager")
         self.stats = StatSet("manager")
         self._locks: dict[int, _LockState] = {}
@@ -252,32 +261,78 @@ class Manager:
     # ------------------------------------------------------------------
     # RPC plumbing
     # ------------------------------------------------------------------
-    def _is_local(self, comp: str) -> bool:
-        return self.config.local_sync_optimization and comp == self.component
+    def _rpc(self, comp: str, nbytes: int = CONTROL_BYTES,
+             category: str = "sync", reply: int | None = None):
+        """Generator: one request message into the manager + service time.
 
-    def _rpc(self, comp: str, nbytes: int = CONTROL_BYTES, category: str = "sync"):
-        """Generator: one request message into the manager + service time."""
-        if self._is_local(comp):
+        One suspension: a request that is a pure delay (``SCL.flight``)
+        joins the service queue as an engine callback at its arrival
+        instant, and the caller resumes when it has been served.
+
+        ``reply``: the RPC has no body -- a reply of that many bytes leaves
+        the moment the request has been served. A caller that had to park
+        sleeps through the whole exchange (:meth:`_answer`)."""
+        if comp == self._local:
             return  # §V: co-located threads use local atomics, no RPC
-        t = self.scl.send(comp, self.component, nbytes, category=category)
-        if t is not None:
-            yield from t
+        at = self.scl.flight(comp, self.component, nbytes, category)
+        if at is None:
+            t = self.scl.send(comp, self.component, nbytes, category=category)
+            if t is not None:
+                yield from t
         dedup = self.rpc_dedup
         if dedup is not None:
             # Reliable transport delivers each request once; retransmit
             # replays re-present the same number and are dropped before the
             # handler body (see FaultInjector.on_duplicate).
             dedup.admit(comp, dedup.next_seq(comp))
-        yield from self.resource.use(self.config.manager_service_time)
-        self.stats.incr("requests")
-        self.stats.incr("requests." + category)
+        engine = self.engine
+        service = self.config.manager_service_time
+        if reply is None:
+            if not self.resource.serve(service, at, engine._step,
+                                       engine.active, None, None):
+                yield PARK
+            self._served(category)
+        elif self.resource.serve(service, at, self._answer, engine.active,
+                                 comp, reply, category):
+            self._served(category)
+            yield from self._reply(comp, reply, category)
+        else:
+            rest = yield PARK  # _answer resumes us with what is left
+            yield from rest
+
+    def _served(self, category: str) -> None:
+        """One request has been through its service: free the unit, count."""
+        self.resource.release(self.config.manager_service_time)
+        key = _REQUEST_KEYS.get(category)
+        if key is None:
+            key = _REQUEST_KEYS[category] = "requests." + category
+        counters = self.stats.counters
+        counters["requests"] += 1
+        counters[key] += 1
+
+    def _answer(self, proc, comp: str, reply: int, category: str) -> None:
+        """Service completion of a body-less RPC whose caller is parked:
+        the reply leaves from here, and the caller is stepped when it lands
+        -- or now, handed the reply to drive, if that is not a pure delay.
+        The same bucket slots as a caller that woke to send it."""
+        self._served(category)
+        engine = self.engine
+        at = self.scl.flight(self.component, comp, reply, category)
+        if at is None:
+            engine._step(proc, self._reply(comp, reply, category), None)
+        elif engine.try_advance_to(at):
+            engine._step(proc, DONE, None)
+        else:
+            engine.schedule_at(at, engine._step, proc, DONE, None)
 
     def _reply(self, comp: str, nbytes: int = CONTROL_BYTES, category: str = "sync"):
-        if self._is_local(comp):
-            return
+        """One reply message out of the manager. Plain function: returns
+        what the handler must ``yield from`` (``DONE`` when the message was
+        local or completed inline)."""
+        if comp == self._local:
+            return DONE
         t = self.scl.send(self.component, comp, nbytes, category=category)
-        if t is not None:
-            yield from t
+        return DONE if t is None else t
 
     # ------------------------------------------------------------------
     # allocation RPCs
@@ -378,10 +433,8 @@ class Manager:
                 lock_id)
             self.stats.incr("lock_cache_revokes")
             if verdict == "idle":
-                nbytes = CONTROL_BYTES + sum(
-                    protocol.release_message_bytes(p, s)
-                    for _d, p, s, _i in payload)
-                t = self.scl.send(ccomp, self.component, nbytes,
+                t = self.scl.send(ccomp, self.component,
+                                  CONTROL_BYTES + self._stash_bytes(payload),
                                   category="lock")
                 if t is not None:
                     yield from t
@@ -397,6 +450,15 @@ class Manager:
         finally:
             gate, lock.revoking = lock.revoking, None
             gate.succeed()
+
+    @staticmethod
+    def _stash_bytes(stash) -> int:
+        """Wire bytes of a stash of release records shipped whole (a
+        surrender, a barrier-entry flush): one release message each."""
+        nbytes = 0
+        for _diffs, payload, spans, _inval in stash:
+            nbytes += protocol.release_message_bytes(payload, spans)
+        return nbytes
 
     def _absorb_stash(self, lock: _LockState, stash, tid: int) -> None:
         """Append a surrendered/flushed stash of release records (in their
@@ -426,8 +488,10 @@ class Manager:
         if lock.holder != tid:
             raise SynchronizationError(
                 f"thread {tid} releasing lock {lock_id} held by {lock.holder}")
-        wire_payload = payload_bytes + sum(p for _d, p, _s, _i in stash)
-        wire_spans = span_count + sum(s for _d, _p, s, _i in stash)
+        wire_payload, wire_spans = payload_bytes, span_count
+        for _diffs, payload, spans, _inval in stash:
+            wire_payload += payload
+            wire_spans += spans
         yield from self._rpc(
             comp, protocol.release_message_bytes(wire_payload, wire_spans),
             category="lock")
@@ -471,10 +535,8 @@ class Manager:
         release, cached or not. The grant itself stays cached. The records
         were already absorbed (:meth:`absorb_lock_stash`); this charges
         the message exchange."""
-        nbytes = CONTROL_BYTES + sum(
-            protocol.release_message_bytes(p, s) for _d, p, s, _i in stash)
-        yield from self._rpc(comp, nbytes, category="lock")
-        yield from self._reply(comp, category="lock")
+        yield from self._rpc(comp, CONTROL_BYTES + self._stash_bytes(stash),
+                             category="lock", reply=CONTROL_BYTES)
 
     def holds_lock(self, tid: int, lock_id: int) -> bool:
         return self._lock(lock_id).holder == tid
@@ -538,6 +600,12 @@ class Manager:
         return cr_diffs, cr_payload, cr_invalidate
 
     def _prune_logs(self) -> None:
+        """Garbage-collect the lock logs, behind a barrier round's *last*
+        departure: once per round is all it takes, and since pruning only
+        drops epochs no thread can ask for again (``updates_since`` slices
+        by version), when it runs is invisible to the simulation. Callers
+        test ``departed >= parties``: a retried arrival (fault build)
+        departs twice and may prune twice, but never wedges the count."""
         clock = self.cr_clock.value
         if self._prune_clean_at == clock:
             # The last prune pass left every visible log empty and nothing
@@ -598,11 +666,11 @@ class Manager:
         # the corresponding lock. Collect every lock-log update this thread
         # has not yet seen and ship it with the directive.
         cr_diffs, cr_payload, cr_invalidate = self._cr_updates(tid)
-        # Safe point to garbage-collect lock logs: prunes only epochs every
-        # known thread has already consumed.
-        self._prune_logs()
+        state.departed += 1
+        if state.departed >= state.parties:
+            self._prune_logs()
         # Directive reply (manager serializes these sends).
-        if not self._is_local(comp):
+        if comp != self._local:
             yield from self.resource.use(self.config.manager_service_time)
         yield from self._reply(
             comp,
@@ -650,8 +718,10 @@ class Manager:
             reply_bytes += (protocol.directive_message_bytes(len(inv), len(flush))
                             + cr_payload
                             + protocol.PAGE_ID_BYTES * len(cr_invalidate))
-        self._prune_logs()
-        if not self._is_local(comp):
+        state.departed += len(arrivals)
+        if state.departed >= state.parties:
+            self._prune_logs()
+        if comp != self._local:
             yield from self.resource.use(self.config.manager_service_time)
         yield from self._reply(comp, reply_bytes, category="barrier")
         return state, directives

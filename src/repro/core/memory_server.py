@@ -118,7 +118,8 @@ class MemoryServer:
     # ------------------------------------------------------------------
     # request handlers (generators run inside the requester's process)
     # ------------------------------------------------------------------
-    def serve_fetch_bulk(self, requester_tid: int, pages: np.ndarray):
+    def serve_fetch_bulk(self, requester_tid: int, pages: np.ndarray,
+                         at: float | None = None):
         """Generator: batched fetch serve of a page vector.
 
         The caller has already paid the request message; this charges one
@@ -132,9 +133,13 @@ class MemoryServer:
         event loop is sequential): otherwise two concurrent faults on an
         owner-held page race -- the second would see ownership already
         cleared and read the home copy before the in-flight recall merges.
+
+        ``at``: the request message is still in flight (``SCL.flight``) and
+        reaches the service queue at that instant; the requester resumes
+        once, served.
         """
         self._admit(requester_tid)
-        yield from self.resource.request_service(self._service_time())
+        yield from self.resource.request_service(self._service_time(), at)
         try:
             counters = self.stats.counters
             counters["fetches"] += 1
@@ -473,17 +478,19 @@ class MemoryServer:
         raise StaleEpochError(self.component, self.component, category,
                               epoch, self.fence_epoch, self.engine.now)
 
-    def apply_diffs(self, diffs: list, epoch: int | None = None):
+    def apply_diffs(self, diffs: list, epoch: int | None = None,
+                    at: float | None = None):
         """Generator: merge flushed diffs (server service + apply cost).
 
         The caller pays the wire transfer; homes apply in arrival order,
         which the DES serializes deterministically. As with fetches, the
         resource is held until the merge is visible. ``epoch`` is the
         sender's fencing stamp (``config.fencing``); stale stamps are
-        rejected before any byte is merged.
+        rejected before any byte is merged. ``at``: the put is still in
+        flight (see :meth:`serve_fetch_bulk`).
         """
         self._fence(epoch, "diff")
-        yield from self.resource.request_service(self._service_time())
+        yield from self.resource.request_service(self._service_time(), at)
         try:
             if self._system.is_server_dead(self.index):
                 # The request landed just before the crash cut the wire: a

@@ -157,11 +157,14 @@ def _plain_trip(cs: "ComputeServer", tid: int, server, server_pages,
     ``server``; returns ``(data, crcs)`` with the CRCs read synchronously
     at the serve, before any other serve overwrites them."""
     system = cs.system
-    t = system.scl.send(cs.component, server.component,
-                        category="fetch_req", timeout_floor=floor)
-    if t is not None:
-        yield from t
-    data = yield from server.serve_fetch_bulk(tid, server_pages)
+    at = system.scl.flight(cs.component, server.component,
+                           category="fetch_req")
+    if at is None:
+        t = system.scl.send(cs.component, server.component,
+                            category="fetch_req", timeout_floor=floor)
+        if t is not None:
+            yield from t
+    data = yield from server.serve_fetch_bulk(tid, server_pages, at)
     crcs = server.last_serve_crcs
     t = system.fabric.transfer_inline(server.component, cs.component,
                                       nbytes, category="page")

@@ -68,8 +68,14 @@ from repro.memory.cache import SoftwareCache
 from repro.memory.directory import PageDirectory
 from repro.memory.pagetable import NO_PAGES
 from repro.memory.storelog import StoreLog
-from repro.sim.engine import Engine, Timeout
+from repro.sim.engine import DONE, Engine, Timeout
 from repro.sim.stats import StatSet
+
+
+#: The release record ``(diffs, payload_bytes, span_count, invalidate_pages)``
+#: of a consistency region that stored nothing. One object shared by every
+#: stash it lands in, hence tuples all the way down: consumers only read it.
+NO_STORES = ((), 0, 0, ())
 
 
 class SamhitaSystem:
@@ -208,6 +214,8 @@ class SamhitaSystem:
         self._cr_pages: dict[int, set[int]] = {}
         self._thread_comp: dict[int, str] = {}
         self._combiners: dict[tuple[int, str], dict] = {}
+        #: barrier id -> its arrival protocol (:meth:`_arrival_for`).
+        self._arrivals: dict[int, object] = {}
         self._next_tid = 0
 
     # ------------------------------------------------------------------
@@ -294,6 +302,7 @@ class SamhitaSystem:
         self._cr_pages[tid] = set()
         self.compute_servers[component].register_thread(tid)
         self.control.register_thread(tid)
+        self._arrivals.clear()  # "full party" counts threads
         return tid
 
     def mark_thread_dead(self, tid: int) -> None:
@@ -609,16 +618,21 @@ class SamhitaSystem:
         return self.control.create_cond()
 
     def acquire_lock(self, tid: int, lock_id: int):
-        """Generator: acquire + apply the pending consistency updates."""
-        comp = self.component_of(tid)
-        if self.config.lock_owner_cache:
-            cs = self.compute_servers[comp]
-            if cs.lock_cache_try_acquire(tid, lock_id):
-                # Owner-cache hit: this thread released the lock last, no
-                # other thread contended since, so there is nothing to pull
-                # from the manager -- re-entry is free of any round trip.
-                self._regions[tid].enter()
-                return
+        """Acquire + apply the pending consistency updates. Plain function;
+        ``yield from`` what it returns: :data:`DONE` on an owner-cache hit
+        (this thread released the lock last and nobody contended since, so
+        there is nothing to pull, no round trip and no generator), else the
+        generator of the manager round trip."""
+        comp = self._thread_comp[tid]
+        if (self.config.lock_owner_cache
+                and self.compute_servers[comp].lock_cache_try_acquire(
+                    tid, lock_id)):
+            self._regions[tid].enter()
+            return DONE
+        return self._acquire_rpc(tid, comp, lock_id)
+
+    def _acquire_rpc(self, tid: int, comp: str, lock_id: int):
+        """Generator: the grant round trip, then the updates it carried."""
         diffs, payload, _spans, invalidate = yield from self.control.acquire_lock(
             tid, comp, lock_id)
         cache = self._caches[tid]
@@ -637,11 +651,20 @@ class SamhitaSystem:
         self._regions[tid].enter()
 
     def release_lock(self, tid: int, lock_id: int):
-        """Generator: write the consistency-region updates through to their
-        homes, then hand the lock back to the manager."""
+        """Write the consistency-region updates through to their homes,
+        then hand the lock back. Plain function, like :meth:`acquire_lock`:
+        a region that stored nothing has nothing to write through, and when
+        the owner cache keeps its release local the whole is :data:`DONE`."""
         self._regions[tid].leave()
-        comp = self.component_of(tid)
-        cache = self._caches[tid]
+        comp = self._thread_comp[tid]
+        if (self._storelogs[tid].entries if self.config.regc_fine_grain
+                else self._cr_pages[tid]):
+            return self._write_through(tid, comp, lock_id)
+        return self._hand_back(tid, comp, lock_id, NO_STORES)
+
+    def _write_through(self, tid: int, comp: str, lock_id: int):
+        """Generator: ship the region's stores to their homes, then hand
+        the lock back with the record of what was shipped."""
         if self.config.regc_fine_grain:
             log = self._storelogs[tid]
             diffs = log.to_page_diffs()
@@ -650,6 +673,7 @@ class SamhitaSystem:
             yield from self._apply_at_homes(tid, diffs, category="fine_grain")
             record = (diffs, payload, spans, ())
         else:
+            cache = self._caches[tid]
             pages = sorted(self._cr_pages[tid])
             self._cr_pages[tid].clear()
             diffs = []
@@ -659,17 +683,26 @@ class SamhitaSystem:
                     diffs.append(diff)
             yield from self._apply_at_homes(tid, diffs, category="cr_page")
             record = ([], 0, 0, tuple(pages))
+        yield from self._hand_back(tid, comp, lock_id, record)
+
+    def _hand_back(self, tid: int, comp: str, lock_id: int, record):
+        """The release proper, once the stores are home: ``DONE`` when the
+        owner cache stashes ``record`` locally, else the release RPC."""
         stash: tuple | list = ()
         if self.config.lock_owner_cache:
-            cs = self.compute_servers[comp]
-            verdict, surrendered = cs.lock_cache_release(tid, lock_id, record)
+            verdict, surrendered = self.compute_servers[comp].lock_cache_release(
+                tid, lock_id, record)
             if verdict == "local":
                 # Cached grant, nobody contending: the release record stays
                 # stashed at the compute server; no manager round trip.
-                return
+                return DONE
             if verdict == "rpc":
                 # Revoked while held: the release RPC carries the stash.
                 stash = surrendered
+        return self._release_rpc(tid, comp, lock_id, record, stash)
+
+    def _release_rpc(self, tid: int, comp: str, lock_id: int, record, stash):
+        """Generator: the release round trip to the lock's shard."""
         cacheable = yield from self.control.release_lock(
             tid, comp, lock_id, record[0], record[1], record[2],
             invalidate_pages=record[3], stash=stash)
@@ -695,12 +728,16 @@ class SamhitaSystem:
             while True:
                 server = self.memory_servers[self.directory.resolve_home(index)]
                 try:
-                    t = self.scl.rdma_put(comp, server.component, wire,
-                                          category=category)
-                    if t is not None:
-                        yield from t
+                    at = self.scl.flight(comp, server.component, wire,
+                                         category, op="rdma_put")
+                    if at is None:
+                        t = self.scl.rdma_put(comp, server.component, wire,
+                                              category=category)
+                        if t is not None:
+                            yield from t
                     yield from server.apply_diffs(
-                        group, epoch=cs.known_epoch if fencing else None)
+                        group, epoch=cs.known_epoch if fencing else None,
+                        at=at)
                 except CommunicationError as err:
                     # Failover wait, fencing-epoch refresh or backoff, chosen
                     # by the error's recovery classification (the retry
@@ -744,20 +781,10 @@ class SamhitaSystem:
             for lock_id, stash in drained:
                 yield from self.control.flush_lock_stash(tid, comp, lock_id,
                                                          stash)
-        full_party = (
-            (self.config.tree_barriers or self.config.hierarchical_sync)
-            and self.control.barrier_parties(barrier_id) == len(self._thread_comp))
-        if self.config.tree_barriers and full_party:
-            state, invalidate, flush, cr_diffs, cr_invalidate = (
-                yield from self.control.tree_arrive(tid, comp, barrier_id,
-                                                    notices))
-        elif self.config.hierarchical_sync and full_party:
-            state, invalidate, flush, cr_diffs, cr_invalidate = (
-                yield from self._combined_arrive(tid, comp, barrier_id, notices))
-        else:
-            state, invalidate, flush, cr_diffs, cr_invalidate = (
-                yield from self.control.barrier_arrive(tid, comp, barrier_id,
-                                                       notices))
+        arrive = (self._arrivals.get(barrier_id)
+                  or self._arrival_for(barrier_id))
+        state, invalidate, flush, cr_diffs, cr_invalidate = (
+            yield from arrive(tid, comp, barrier_id, notices))
         if flush:
             yield Timeout(len(flush) * self.config.diff_scan_time)
             diffs = []
@@ -803,6 +830,20 @@ class SamhitaSystem:
                 yield from rtbatch.fetch_batched(
                     self.compute_server_of(tid), tid,
                     np.array(dropped, dtype=np.int64), NO_PAGES, set())
+
+    def _arrival_for(self, barrier_id: int):
+        """The arrival protocol of one barrier, resolved once per barrier
+        id: the combining protocols need a full party (every spawned
+        thread participates), anything else arrives flat."""
+        config = self.config
+        arrive = self.control.barrier_arrive
+        if ((config.tree_barriers or config.hierarchical_sync)
+                and self.control.barrier_parties(barrier_id)
+                == len(self._thread_comp)):
+            arrive = (self.control.tree_arrive if config.tree_barriers
+                      else self._combined_arrive)
+        self._arrivals[barrier_id] = arrive
+        return arrive
 
     def _combined_arrive(self, tid: int, comp: str, barrier_id: int,
                          notices: list[int]):

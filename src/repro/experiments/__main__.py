@@ -142,6 +142,69 @@ def _print_round_trips_row() -> None:
     print(f"lines-per-trip histogram: {rt['lines_per_trip_hist']}")
 
 
+def sync_sweep_system(n_threads: int, shards: int, lock_owner_cache: bool,
+                      tree_barriers: bool, rounds: int):
+    """A cluster ready to ``run()`` the sync-heavy cell: every thread takes
+    a private lock, holds it 1 us, releases it and meets the others at a
+    full barrier, ``rounds`` times. No data-plane traffic at all, so the
+    counters measure the lock/barrier protocol alone (``sync_cost`` below,
+    ``bench_perf``'s shard sweep, ``tests/core/test_sync_cost.py``)."""
+    from repro.core.params import SamhitaConfig
+    from repro.core.system import SamhitaSystem
+    from repro.sim.engine import Timeout
+
+    system = SamhitaSystem.cluster(n_threads, config=SamhitaConfig(
+        manager_shards=shards, lock_owner_cache=lock_owner_cache,
+        tree_barriers=tree_barriers))
+    tids = [system.add_thread() for _ in range(n_threads)]
+    locks = [system.create_lock() for _ in tids]
+    bar = system.create_barrier(n_threads)
+
+    def body(tid, lock):
+        for _ in range(rounds):
+            yield from system.acquire_lock(tid, lock)
+            yield Timeout(1e-6)
+            yield from system.release_lock(tid, lock)
+            yield from system.barrier_wait(tid, bar)
+
+    for i, (tid, lock) in enumerate(zip(tids, locks)):
+        system.process(body(tid, lock), name=f"t{i}")
+    return system
+
+
+def sync_cost(n_threads: int, shards: int, lock_owner_cache: bool,
+              tree_barriers: bool, rounds: int = 6) -> tuple[float, float]:
+    """The model's own price of synchronization, from counters every run
+    keeps: ``(remote references per lock passage, manager barrier requests
+    per round)`` of the sync-heavy cell. The first is Golab's RMR measure
+    (arXiv 1109.5153): fabric messages in the lock protocol over passages,
+    cached or not."""
+    system = sync_sweep_system(n_threads, shards, lock_owner_cache,
+                               tree_barriers, rounds)
+    system.run()
+    report = system.stats_report()
+    passages = (report["manager"]["lock_acquires"]
+                + report.get("lock_cache", {}).get("lock_cache_hits", 0))
+    return (report["fabric"]["messages.lock"] / passages,
+            report["manager"]["requests.barrier"] / rounds)
+
+
+def _print_sync_row() -> None:
+    """One live row per machine size: what a lock passage and a barrier
+    round cost *in the model* (host cost is ``benchmarks/suite``'s
+    business; only that one may change under a perf PR)."""
+    print("===== sync (live: private lock, 1 us, unlock, full barrier; "
+          "six rounds) =====")
+    print("threads/shards  remote refs per lock passage  "
+          "manager barrier requests per round")
+    print("                owner cache off        on     flat      tree")
+    for n_threads, shards in ((16, 1), (64, 4)):
+        off, flat = sync_cost(n_threads, shards, False, False)
+        on, tree = sync_cost(n_threads, shards, True, True)
+        print(f"{n_threads:>11}/{shards:<2}  {off:>15.3f}  {on:>8.3f}  "
+              f"{flat:>7.1f}  {tree:>8.1f}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -208,6 +271,7 @@ def main(argv: list[str] | None = None) -> int:
             print(path.read_text().rstrip())
             print()
         _print_round_trips_row()
+        _print_sync_row()
         return 0
 
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]

@@ -54,6 +54,10 @@ class Fabric:
         #: thousands of times per simulation and the per-call route lookup
         #: plus per-link serialize_time() method calls dominated its cost.
         self._route_plans: dict[tuple[str, str], tuple] = {}
+        #: ``(src, dst, nbytes) -> latency + serialize`` for every message
+        #: shape :meth:`transfer_inline` has priced as a pure delay (remote,
+        #: uncontended, no injector): all that :meth:`flight` looks up.
+        self._flights: dict[tuple[str, str, int], float] = {}
         #: Fault injector, or None. Attached via :meth:`attach_injector`,
         #: which shadows ``transfer_inline`` on the instance -- the clean
         #: path below carries zero injection overhead when disabled.
@@ -130,10 +134,12 @@ class Fabric:
 
         Plain function: returns ``None`` when the whole transfer finished
         within this call (counters charged, clock advanced via the same
-        inline-advance rule ``_step`` applies to yielded commands), else a
-        generator for the remaining legs that the caller must ``yield
-        from``. Accounts per-category message and byte counts in
-        :attr:`stats` either way.
+        inline-advance rule ``_step`` applies to yielded commands), else
+        what the caller must ``yield from`` for the rest: a generator for
+        the remaining legs, or -- the whole transfer being one resume
+        instant -- the one command in a tuple, which hands it to the engine
+        with no generator frame in between. Accounts per-category message
+        and byte counts in :attr:`stats` either way.
 
         ``lead``/``tail`` fuse a fixed local delay the caller would otherwise
         charge as its own ``Timeout`` immediately before/after the transfer
@@ -149,10 +155,12 @@ class Fabric:
         request awaiting an alpha + beta*lines reply); the clean path has no
         retransmit timer, so it is consumed only by the injection shim.
         """
-        keys = _CATEGORY_KEYS.get(category)
-        if keys is None:
-            keys = _category_keys(category)
-        msg_key, bytes_key = keys
+        # Subscript + KeyError, not .get(): a category or a route is new a
+        # handful of times per run (message sizes are not that tame).
+        try:
+            msg_key, bytes_key = _CATEGORY_KEYS[category]
+        except KeyError:
+            msg_key, bytes_key = _category_keys(category)
         counters = self.stats.counters
         counters[msg_key] += 1
         counters["messages"] += 1
@@ -160,10 +168,10 @@ class Fabric:
         counters[bytes_key] += nbytes
         key = (src, dst)
         self.traffic[key] += nbytes
-        plan = self._route_plans.get(key)
-        if plan is None:
-            plan = self._build_plan(src, dst)
-        latency, hops, size_cache = plan
+        try:
+            latency, hops, size_cache = self._route_plans[key]
+        except KeyError:
+            latency, hops, size_cache = self._build_plan(src, dst)
         engine = self.engine
         if hops is None:
             # Local delivery is free; the lead/tail legs still cost their
@@ -171,28 +179,17 @@ class Fabric:
             if lead and not engine.try_advance(lead):
                 return self._slow_local(lead, tail)
             if tail and not engine.try_advance(tail):
-                return self._slow_one(Timeout(tail))
+                return (Timeout(tail),)
             return None
         cached = size_cache.get(nbytes)
         if cached is not None:
             serialize, bottleneck = cached
-        elif len(hops) == 1:  # single-hop fast path (the common case)
-            # Per-hop serialize_time() inlined from LinkModel (same float
-            # ops in the same order).
-            bottleneck, bandwidth, ppo, mtu = hops[0]
-            if nbytes <= 0:
-                serialize = 0.0
-            else:
-                serialize = nbytes / bandwidth
-                if mtu and ppo:
-                    serialize += ceil(nbytes / mtu) * ppo
-                elif ppo:
-                    serialize += ppo
-            size_cache[nbytes] = (serialize, bottleneck)
         else:
             serialize = -1.0
             bottleneck = hops[0][0]
             for link, bandwidth, ppo, mtu in hops:
+                # Per-hop serialize_time() inlined from LinkModel (same
+                # float ops in the same order).
                 if nbytes <= 0:
                     s = 0.0
                 else:
@@ -206,6 +203,10 @@ class Fabric:
                     serialize = s
                     bottleneck = link
             size_cache[nbytes] = (serialize, bottleneck)
+            if self._injector is None and not (
+                    self.model_contention and bottleneck.contended
+                    and serialize > 0.0):
+                self._flights[(src, dst, nbytes)] = latency + serialize
         if self.model_contention and bottleneck.contended and serialize > 0.0:
             return self._slow_contended(latency, serialize, bottleneck,
                                         lead, tail)
@@ -223,7 +224,36 @@ class Fabric:
             engine.now = target
             engine._coalesced += 1
             return None
-        return self._slow_one(AdvanceTo(target))
+        return (AdvanceTo(target),)
+
+    def flight(self, src: str, dst: str, nbytes: int,
+               category: str = "data") -> float | None:
+        """Charge one message that is a pure delay and return the absolute
+        instant it arrives, *without moving the clock*: the receiver
+        handles the arrival as an engine callback (``Resource.serve``), so
+        the sender is not resumed just to queue up.
+
+        Returns ``None``, having charged nothing, when the transfer is
+        anything else -- local delivery, a contended bottleneck, an armed
+        injector (every message needs a verdict), a route/size
+        :meth:`transfer_inline` has not priced yet -- and the caller sends
+        through :meth:`transfer_inline` instead. Counters and arrival
+        instant are the ones that call would have produced.
+        """
+        delay = self._flights.get((src, dst, nbytes))
+        if delay is None:
+            return None
+        try:
+            msg_key, bytes_key = _CATEGORY_KEYS[category]
+        except KeyError:
+            msg_key, bytes_key = _category_keys(category)
+        counters = self.stats.counters
+        counters[msg_key] += 1
+        counters["messages"] += 1
+        counters["bytes"] += nbytes
+        counters[bytes_key] += nbytes
+        self.traffic[(src, dst)] += nbytes
+        return self.engine.now + delay
 
     # -- fault injection --------------------------------------------------
     def attach_injector(self, injector) -> None:
@@ -236,6 +266,7 @@ class Fabric:
         """
         self._injector = injector
         self.transfer_inline = self._transfer_inline_faulty
+        self._flights.clear()  # and nothing is priced as a flight while armed
 
     def detach_injector(self) -> None:
         """Disarm injection; the class-level clean path takes over again."""
@@ -344,9 +375,6 @@ class Fabric:
             yield from t
 
     # -- slow-path generators for transfer_inline ------------------------
-    def _slow_one(self, command):
-        yield command
-
     def _slow_local(self, lead, tail):
         yield Timeout(lead)
         if tail and not self.engine.try_advance(tail):

@@ -80,6 +80,19 @@ class SCL:
         return self.fabric.transfer_inline(src, dst, nbytes, category=category,
                                            timeout_floor=timeout_floor)
 
+    def flight(self, src: str, dst: str, nbytes: int = CONTROL_BYTES,
+               category: str = "control", op: str = "send") -> float | None:
+        """A :meth:`send` (or, with ``op="rdma_put"``, a lead-less
+        :meth:`rdma_put`) whose arrival the receiver handles: the message
+        is charged and its absolute arrival instant returned for
+        ``Resource.use(duration, at=...)``, or ``None`` with nothing
+        counted when it is not a pure delay (:meth:`Fabric.flight`) and
+        the caller must send it the ordinary way."""
+        at = self.fabric.flight(src, dst, nbytes, category)
+        if at is not None:
+            self._counters[op] += 1
+        return at
+
     def request_response(self, src: str, dst: str,
                          request_bytes: int = CONTROL_BYTES,
                          response_bytes: int = CONTROL_BYTES,

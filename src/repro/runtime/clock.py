@@ -9,6 +9,7 @@ condition-variable operations including their consistency work.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +21,18 @@ class ThreadClock:
 
     compute: float = 0.0
     sync: float = 0.0
-    detail: dict = field(default_factory=dict)
+    #: Seconds per bucket and per attribution key; a key reads 0.0 until
+    #: something is charged to it.
+    detail: dict = field(default_factory=lambda: defaultdict(float))
 
     @property
     def total(self) -> float:
         return self.compute + self.sync
 
-    def charge(self, bucket: str, dt: float) -> None:
+    def charge(self, bucket: str, dt: float, key: str | None = None) -> None:
+        """Book ``dt`` to a bucket and, with ``key``, to its extra
+        attribution (e.g. 'fault', 'barrier') -- one call per timed
+        operation."""
         if dt < 0:
             raise ValueError(f"negative time charge: {dt}")
         if bucket == "compute":
@@ -35,11 +41,14 @@ class ThreadClock:
             self.sync += dt
         else:
             raise ValueError(f"unknown clock bucket {bucket!r}")
-        self.detail[bucket] = self.detail.get(bucket, 0.0) + dt
+        detail = self.detail
+        detail[bucket] += dt
+        if key is not None:
+            detail[key] += dt
 
     def charge_detail(self, key: str, dt: float) -> None:
-        """Extra attribution (e.g. 'fault', 'barrier') on top of the bucket."""
-        self.detail[key] = self.detail.get(key, 0.0) + dt
+        """Extra attribution alone, on top of a bucket already charged."""
+        self.detail[key] += dt
 
     def charge_hit_run(self, start: float, dts: np.ndarray,
                        memory: bool) -> float:
@@ -49,18 +58,18 @@ class ThreadClock:
         every interval.
 
         Each total is the chain ``t = fl(t + dt)`` that one :meth:`charge`
-        / :meth:`charge_detail` pair per operation produces:
+        per operation produces:
         ``np.add.accumulate`` is strictly sequential where ``np.sum`` adds
         pairwise, and a memory hit's ``fl(t + 0.0)`` is ``t``.
         """
         detail = self.detail
-        compute = detail["compute"] = detail.get("compute", 0.0)
+        compute = detail["compute"]  # (the read creates the key)
         if memory:
-            detail["memory"] = detail.get("memory", 0.0)
+            detail["memory"] += 0.0
         if not dts.size:
             return start
         chains = np.empty((4, dts.size + 1))
-        chains[:, 0] = (start, self.compute, compute, detail.get("cpu", 0.0))
+        chains[:, 0] = (start, self.compute, compute, detail["cpu"])
         chains[:, 1:] = dts
         (start, self.compute, detail["compute"],
          detail["cpu"]) = np.add.accumulate(chains, axis=1)[:, -1].tolist()

@@ -5,11 +5,13 @@ unchanged on both backends; the context routes each operation to backend ops
 and books elapsed virtual time into the paper's two buckets (compute time,
 which includes fault stalls, and synchronization time).
 
-All blocking operations return generators -- kernels call them with
-``yield from``. Apart from ``compute`` and the compat plan path they are
-plain functions handing back the generator of the layer below
-(:meth:`ThreadCtx._timed` around the backend's op), so resuming a blocked
-thread crosses one frame per layer that does something.
+All blocking operations return something to ``yield from`` -- that is how
+kernels call them. Apart from the compat plan path they are plain functions
+handing back the generator of the layer below (:meth:`ThreadCtx._timed`
+around the backend's op), so resuming a blocked thread crosses one frame per
+layer that does something; an operation that turns out not to block at all
+(an owner-cache lock passage, a compute burst the clock absorbs inline)
+hands back :data:`~repro.sim.engine.DONE` and builds no generator.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from repro.runtime.clock import ThreadClock
 from repro.runtime.handles import Barrier, Cond, Lock
 from repro.runtime.plan import COMPUTE, READ, AccessPlan
-from repro.sim.engine import Timeout
+from repro.sim.engine import DONE, Timeout
 
 
 class ThreadCtx:
@@ -30,8 +32,10 @@ class ThreadCtx:
         self.tid = tid
         self.nthreads = nthreads
         self.clock = ThreadClock()
-        #: Bound once: ``_timed`` reads the engine's clock twice per op.
+        #: Bound once: ``_timed`` reads the engine's clock twice per op, and
+        #: the tracer (None on a backend without one) once.
         self._engine = ops.engine
+        self._tracer = getattr(ops, "tracer", None)
 
     @property
     def functional(self) -> bool:
@@ -52,17 +56,15 @@ class ThreadCtx:
     # ------------------------------------------------------------------
     # time-bucketed op wrappers
     # ------------------------------------------------------------------
-    def _timed(self, gen, bucket: str, detail: str | None = None):
+    def _timed(self, gen, bucket: str, detail: str):
         engine = self._engine
         t0 = engine.now
         value = yield from gen
         dt = engine.now - t0
-        self.clock.charge(bucket, dt)
-        if detail:
-            self.clock.charge_detail(detail, dt)
-        tracer = getattr(self._ops, "tracer", None)
+        self.clock.charge(bucket, dt, detail)
+        tracer = self._tracer
         if tracer is not None and tracer.enabled and dt > 0:
-            tracer.emit(t0, f"t{self.tid}", detail or bucket, duration=dt)
+            tracer.emit(t0, f"t{self.tid}", detail, duration=dt)
         return value
 
     # -- memory ----------------------------------------------------------
@@ -94,18 +96,19 @@ class ThreadCtx:
                            "compute", "memory")
 
     def compute(self, elements: int, flops_per_element: float = 2.0):
-        """Generator: burn CPU for ``elements`` inner-loop elements."""
+        """Burn CPU for ``elements`` inner-loop elements (plain function;
+        ``yield from`` what it returns)."""
         dt = self._ops.compute_cost(self.tid, elements, flops_per_element)
-        self.clock.charge("compute", dt)
-        self.clock.charge_detail("cpu", dt)
-        tracer = getattr(self._ops, "tracer", None)
+        self.clock.charge("compute", dt, "cpu")
+        tracer = self._tracer
         if tracer is not None and tracer.enabled and dt > 0:
             tracer.emit(self._engine.now, f"t{self.tid}", "cpu", duration=dt)
         # Back-to-back compute merges before scheduling: when the engine's
-        # next event is strictly later, advance inline and return without a
-        # yield round-trip at all.
-        if not self._engine.try_advance(dt):
-            yield Timeout(dt)
+        # next event is strictly later, advance inline; else hand back the
+        # one command, with no generator frame around it.
+        if self._engine.try_advance(dt):
+            return DONE
+        return (Timeout(dt),)
 
     # -- batched access plans ---------------------------------------------
     def submit(self, plan: AccessPlan):
@@ -121,7 +124,7 @@ class ThreadCtx:
         bit-for-bit the same as hand-written ``ctx.read``/``ctx.write``.
         """
         ops_backend = self._ops
-        tracer = getattr(ops_backend, "tracer", None)
+        tracer = self._tracer
         if (not getattr(ops_backend, "plans_supported", False)
                 or (tracer is not None and tracer.enabled)):
             return self._submit_compat(plan)
@@ -146,15 +149,17 @@ class ThreadCtx:
 
     # -- synchronization ---------------------------------------------------
     def lock(self, lock: Lock):
-        """Generator: acquire (enters a RegC consistency region)."""
-        return self._timed(self._ops.acquire_lock(self.tid, lock.id),
-                           "sync", "lock")
+        """Acquire (enters a RegC consistency region). One that did not
+        block is handed straight back: no time elapsed, so nothing to book
+        (``fl(t + 0.0) == t``) and nothing to trace."""
+        op = self._ops.acquire_lock(self.tid, lock.id)
+        return op if op is DONE else self._timed(op, "sync", "lock")
 
     def unlock(self, lock: Lock):
-        """Generator: release (leaves the consistency region, propagating
-        its updates)."""
-        return self._timed(self._ops.release_lock(self.tid, lock.id),
-                           "sync", "lock")
+        """Release (leaves the consistency region, propagating its
+        updates); like :meth:`lock`, untimed when it did not block."""
+        op = self._ops.release_lock(self.tid, lock.id)
+        return op if op is DONE else self._timed(op, "sync", "lock")
 
     def barrier(self, barrier: Barrier):
         """Generator: barrier wait (a RegC global consistency point)."""

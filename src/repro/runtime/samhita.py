@@ -142,7 +142,6 @@ class SamhitaBackend(BaseBackend):
         write_resident = system.write_resident
         cache_read = cache.read
         charge = clock.charge
-        charge_detail = clock.charge_detail
         # Plan-informed prefetch (stride policy only): a miss mid-plan
         # reveals exactly what the plan touches next, so hand those spans to
         # the compute server for a batched look-ahead fetch.
@@ -183,8 +182,7 @@ class SamhitaBackend(BaseBackend):
             kind = kinds[i]
             if kind == COMPUTE:
                 dt = element_time(plan.elements[i], plan.flops[i])
-                charge("compute", dt)
-                charge_detail("cpu", dt)
+                charge("compute", dt, "cpu")
                 target = target + dt
                 pending = True
                 i += 1
@@ -226,8 +224,7 @@ class SamhitaBackend(BaseBackend):
                     dt = new_target - target
                     target = new_target
                     pending = True
-            charge("compute", dt)
-            charge_detail("memory", dt)
+            charge("compute", dt, "memory")
             i += 1
         if pending:
             yield AdvanceTo(target)
@@ -275,6 +272,7 @@ class SamhitaBackend(BaseBackend):
         for cs in system.compute_servers.values():
             cs.system = None
         system.control.system = None
+        system._arrivals.clear()  # bound methods of the system and its plane
         for mgr in system.managers:
             mgr.cr_source = mgr.cr_gather = mgr.prune_hook = None
         # With a fault plan armed: the fabric's shadowing bound method, the

@@ -11,6 +11,12 @@ The yield protocol understood by the engine:
 * ``yield process``          -- join another process (gets its return value).
 * ``yield AllOf([...])``     -- resume when every child event has triggered.
 * ``yield AnyOf([...])``     -- resume when the first child event triggers.
+* ``yield PARK``             -- suspend with nothing queued: whoever holds the
+  process resumes it (``Resource.serve`` does, at service completion).
+
+Operations are consumed with ``yield from``; one that completed without
+blocking may hand back ``repro.sim.engine.DONE`` (``()``) instead of a
+generator.
 """
 
 from repro.sim.engine import Engine, Process, Timeout

@@ -31,7 +31,7 @@ from math import inf
 from types import GeneratorType
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.events import _PENDING, SimEvent, _Callback
+from repro.sim.events import _PENDING, SimEvent
 
 #: Finished-process compaction: once at least this many processes have
 #: finished AND the dead outnumber the live, the process list is rebuilt
@@ -74,6 +74,27 @@ class AdvanceTo:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"AdvanceTo({self.target!r})"
+
+
+#: What an operation that completed without blocking hands back in place
+#: of a generator: ``yield from DONE`` yields nothing, so a caller written
+#: for the blocking case needs no second spelling.
+DONE = ()
+
+
+class _Park:
+    """Yield command: suspend, and queue nothing. Whoever was handed the
+    process (:attr:`Engine.active`) resumes it, by calling or scheduling
+    ``engine._step(proc, value, None)`` -- ``Resource.serve`` does, at the
+    service completion of a request whose arrival was an engine callback."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return "PARK"
+
+
+PARK = _Park()
 
 
 class Process:
@@ -163,6 +184,9 @@ class Engine:
         self.epochs_run: int = 0
         self.epoch_peak: int = 0
         self._procs: list[Process] = []
+        #: The process being stepped: whom a primitive that parks its
+        #: caller (``yield PARK``) must resume later.
+        self.active: Process | None = None
         self._dead: int = 0
         self._failed: list[tuple[Process, BaseException]] = []
         #: Deadlock hooks: callables ``fn(blocked) -> bool`` consulted when
@@ -188,6 +212,24 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         t = self.now + delay
+        bucket = self._buckets.get(t)
+        if bucket is None:
+            self._buckets[t] = [(fn, args)]
+            heapq.heappush(self._times, t)
+        else:
+            bucket.append((fn, args))
+        if t < self._next_time:
+            self._next_time = t
+
+    def schedule_at(self, t: float, fn, *args) -> None:
+        """Run ``fn(*args)`` at the *absolute* instant ``t``: the callback
+        counterpart of yielding :class:`AdvanceTo`, in the bucket slot (and
+        with the sequence number) that parked resumption would have taken.
+        Not ``schedule(t - now, ...)``: ``now + (t - now)`` is in general a
+        different float from ``t``."""
+        if t < self.now:
+            raise SimulationError(f"cannot schedule into the past (t={t})")
+        self._seq += 1
         bucket = self._buckets.get(t)
         if bucket is None:
             self._buckets[t] = [(fn, args)]
@@ -231,6 +273,7 @@ class Engine:
         self._times.clear()
         self._buckets.clear()
         self._next_time = inf
+        self.active = None
 
     def event(self, name: str = "") -> SimEvent:
         """Create a fresh un-triggered event bound to this engine."""
@@ -251,12 +294,40 @@ class Engine:
 
     def _resume_with_outcome(self, waiter, event: SimEvent) -> None:
         """Deliver a triggered event to a waiter (process or composite shim)."""
-        if isinstance(waiter, _Callback):
+        if type(waiter) is not Process:  # exact: Process is never subclassed
             waiter._deliver(event)
-        elif event.ok:
+        elif event._value is not _PENDING:
             self.schedule(0.0, self._step, waiter, event._value, None)
         else:
             self.schedule(0.0, self._step, waiter, None, event._exc)
+
+    def _resume_waiters(self, waiters: list, event: SimEvent) -> None:
+        """Deliver a triggered event to everything parked on it, in wait
+        order: :meth:`_resume_with_outcome` per waiter, except that the
+        current instant's slice is looked up once for the lot (a barrier
+        gate releases a whole party into one epoch)."""
+        if event._value is not _PENDING:
+            value, exc = event._value, None
+        else:
+            value, exc = None, event._exc
+        step = self._step
+        bucket = None
+        for waiter in waiters:
+            if type(waiter) is not Process:
+                waiter._deliver(event)
+                continue
+            self._seq += 1
+            if bucket is None:
+                # Nothing between here and the end of the loop can move
+                # the clock or retire this slice.
+                now = self.now
+                bucket = self._buckets.get(now)
+                if bucket is None:
+                    bucket = self._buckets[now] = []
+                    heapq.heappush(self._times, now)
+                if now < self._next_time:
+                    self._next_time = now
+            bucket.append((step, (waiter, value, exc)))
 
     # ------------------------------------------------------------------
     # process stepping
@@ -285,6 +356,7 @@ class Engine:
         """
         if not proc._alive:
             raise SimulationError(f"stepping finished process {proc.name}")
+        self.active = proc
         gen = proc.gen
         while True:
             proc.blocked_on = None
@@ -309,7 +381,11 @@ class Engine:
                     raise SimulationError(
                         f"cannot advance into the past (target={target})")
             else:
-                if isinstance(command, Process):
+                if ctype is SimEvent:  # the plain gate, by far the commonest
+                    event = command
+                elif command is PARK:
+                    return  # its resumption is in someone else's hands
+                elif isinstance(command, Process):
                     event = command.done_event
                 elif isinstance(command, SimEvent):
                     event = command
@@ -319,8 +395,11 @@ class Engine:
                         f"expected Timeout, SimEvent or Process")
                     self.schedule(0.0, self._step, proc, None, exc)
                     return
-                if ((event._value is not _PENDING or event._exc is not None)
-                        and not self._next_time <= self.now):
+                if event._value is _PENDING and event._exc is None:
+                    proc.blocked_on = event
+                    event._waiters.append(proc)
+                    return
+                if not self._next_time <= self.now:
                     self._coalesced += 1
                     if event._exc is None:
                         send_value = event._value
@@ -328,8 +407,10 @@ class Engine:
                         send_value = None
                         throw_exc = event._exc
                     continue
+                # Triggered, but an entry is due at this very instant and
+                # runs first: the zero-delay resumption queues behind it.
                 proc.blocked_on = event
-                event._add_waiter(proc)
+                self._resume_with_outcome(proc, event)
                 return
             if target <= self._until and not self._next_time <= target:
                 self.now = target
@@ -422,6 +503,7 @@ class Engine:
                     i = 0
                     try:
                         n = len(bucket)
+                        seq = self._seq
                         while i < n:
                             if i + 1 == n:
                                 # Last known record of the slice: future
@@ -432,10 +514,13 @@ class Engine:
                             fn(*args)
                             if failed:
                                 self._raise_failures()
-                            n = len(bucket)
+                            if self._seq != seq:
+                                # Only scheduling grows the live slice.
+                                seq = self._seq
+                                n = len(bucket)
                         if n > self.epoch_peak:
                             self.epoch_peak = n
-                    finally:
+                    except BaseException:
                         if i < len(bucket):
                             # Abnormal exit mid-slice: keep the undispatched
                             # tail queued so a caller that catches the error
@@ -445,6 +530,8 @@ class Engine:
                             self._next_time = times[0]
                         else:
                             del buckets[t]
+                        raise
+                    del buckets[t]
                 blocked = [p for p in self._procs if p._alive and not p.daemon]
                 if not blocked:
                     return self.now

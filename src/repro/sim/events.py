@@ -53,29 +53,6 @@ class SimEvent:
         self._flush()
         return self
 
-    def succeed_at(self, delay: float, value=None) -> "SimEvent":
-        """Trigger now, but resume the waiters ``delay`` seconds from now.
-
-        This is the timed FIFO hand-off used by :class:`~repro.sim.resources.
-        Resource`: when the granter already knows the waiter's next act is
-        sleeping through a fixed service time, delivering at the completion
-        instant collapses the wake-at-grant plus sleep into one scheduled
-        event. Only valid for private gates that already have their (single)
-        waiter parked -- a later ``_add_waiter`` would resume immediately,
-        which is not what a timed hand-off means.
-        """
-        if self._value is not _PENDING or self._exc is not None:
-            raise SimulationError(f"event {self.name!r} triggered twice")
-        if not self._waiters:
-            raise SimulationError(
-                f"succeed_at on {self.name!r} with no parked waiter")
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        engine = self.engine
-        for process in waiters:
-            engine.schedule(delay, engine._step, process, value, None)
-        return self
-
     def fail(self, exc: BaseException) -> "SimEvent":
         if self._value is not _PENDING or self._exc is not None:
             raise SimulationError(f"event {self.name!r} triggered twice")
@@ -86,15 +63,10 @@ class SimEvent:
         return self
 
     def _flush(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            self.engine._resume_with_outcome(process, self)
-
-    def _add_waiter(self, process) -> None:
-        if self._value is not _PENDING or self._exc is not None:
-            self.engine._resume_with_outcome(process, self)
-        else:
-            self._waiters.append(process)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            self.engine._resume_waiters(waiters, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self.triggered else "pending"

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import SimulationError, SynchronizationError
-from repro.sim.engine import Engine, Timeout
+from repro.sim.engine import PARK, Engine, Timeout
 from repro.sim.events import SimEvent
 
 
@@ -187,56 +187,97 @@ class Resource:
         self.total_queue_time += engine.now - t0
         return self
 
-    def release(self) -> None:
+    def release(self, busy: float = 0.0) -> None:
+        """Free the unit (handing it to the next waiter, if any), booking
+        ``busy`` seconds of service to :attr:`total_busy_time`."""
         if self._in_use <= 0:
             raise SimulationError(f"{self.name}: release without request")
+        self.total_busy_time += busy
         if self._waiters:
             # Hand the unit straight to the next waiter.
             nxt = self._waiters.popleft()
             if type(nxt) is tuple:
-                # Timed hand-off (request_service): the waiter's next act
-                # would be sleeping through its service time, so resume it
-                # directly at the completion instant -- fl(now + duration)
-                # is the same float the grant-then-sleep path computes --
-                # and book its queueing delay here, at the grant, where
+                # Timed hand-off (_arrive): the waiter's next act would be
+                # sleeping through its service time, so resume it directly
+                # at the completion instant -- fl(now + duration) is the
+                # same float the grant-then-sleep path computes -- and book
+                # its queueing delay here, at the grant, where
                 # ``request()`` books it.
-                gate, duration, t0 = nxt
+                duration, t0, fn, args = nxt
                 self.total_queue_time += self.engine.now - t0
-                gate.succeed_at(duration)
+                self.engine.schedule(duration, fn, *args)
             else:
                 nxt.succeed()
         else:
             self._in_use -= 1
 
-    def request_service(self, duration: float):
-        """Generator: FIFO-acquire a unit, then hold it through ``duration``
-        of service time -- the universal prologue of every server handler.
+    def _arrive(self, duration: float, fn, args, parked: bool = True) -> bool:
+        """One request reaches the server at ``engine.now``: take a free
+        unit and sleep through ``duration`` of service, or queue FIFO for
+        :meth:`release` to grant; ``fn(*args)`` resumes whoever sent it, at
+        service completion, the unit held.
 
-        Equivalent to ``request()`` followed by ``yield Timeout(duration)``,
-        but a contended grant schedules this process's resumption directly
-        at its service-completion instant (one event instead of a wake at
-        the grant plus a sleep). The unit stays held; the caller must
-        ``release()``.
+        The one arrival routine: called by :meth:`serve` for a requester
+        standing at the server (``parked=False``), and the engine callback
+        of a request still in flight. Returns True when the unit is held
+        and the clock already stands at the service completion (a parked
+        requester is resumed from here). Otherwise the resumption is queued
+        exactly where a process yielding ``Timeout(duration)`` (free unit)
+        or a private gate (busy) would have left it: grant order, queue-time
+        booking and the engine's own counters cannot tell the difference.
         """
         engine = self.engine
         self.total_requests += 1
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            if not engine.try_advance(duration):
-                yield Timeout(duration)
-            return self
-        gate = SimEvent(engine, name=self._wait_name)
-        self._waiters.append((gate, duration, engine.now))
-        yield gate
+        if self._in_use >= self.capacity:
+            self._waiters.append((duration, engine.now, fn, args))
+            return False
+        self._in_use += 1
+        if not engine.try_advance(duration):
+            engine.schedule(duration, fn, *args)
+            return False
+        if parked:
+            fn(*args)
+        return True
+
+    def serve(self, duration: float, at: float | None, fn, *args) -> bool:
+        """FIFO-acquire a unit and hold it through ``duration`` of service,
+        for a request that reaches the server at the absolute instant
+        ``at`` (``Fabric.flight``; None: it is here now).
+
+        True: it all happened inline -- the clock stands at the service
+        completion and the caller goes on, unit held. False: the caller
+        must suspend (``yield PARK``), and ``fn(*args)`` runs at the service
+        completion, unit held, in the bucket slots of a process that woke
+        for the arrival (``yield AdvanceTo(at)``) and slept through its
+        service.
+        """
+        engine = self.engine
+        if at is not None and not engine.try_advance_to(at):
+            engine.schedule_at(at, self._arrive, duration, fn, args)
+        elif self._arrive(duration, fn, args, False):
+            return True
+        engine.active.blocked_on = self  # what a deadlock report names
+        return False
+
+    def request_service(self, duration: float, at: float | None = None):
+        """Generator: :meth:`serve` for a process -- the universal prologue
+        of every server handler. Equivalent to ``request()`` followed by
+        ``yield Timeout(duration)``, but the process is resumed once, at
+        its service-completion instant. The unit stays held; the caller
+        must ``release()``."""
+        engine = self.engine
+        if not self.serve(duration, at, engine._step, engine.active, None,
+                          None):
+            yield PARK
         return self
 
-    def use(self, duration: float):
+    def use(self, duration: float, at: float | None = None):
         """Generator: request, hold for ``duration``, release."""
-        yield from self.request_service(duration)
-        try:
-            self.total_busy_time += duration
-        finally:
-            self.release()
+        engine = self.engine
+        if not self.serve(duration, at, engine._step, engine.active, None,
+                          None):
+            yield PARK
+        self.release(duration)
 
     @property
     def queue_length(self) -> int:

@@ -2,8 +2,11 @@
 
 import numpy as np
 
+from repro.core import SamhitaConfig, SamhitaSystem
+from repro.faults import FaultPlan
 from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
 from repro.runtime import Runtime
+from tests.core.conftest import run_threads, u8
 
 
 def _log_epochs(rt):
@@ -54,3 +57,60 @@ def test_non_acquiring_threads_still_gate_pruning():
     assert result.value_of(1) == 4
     # ...after which the log is fully consumed and pruned.
     assert _log_epochs(rt) == 0
+
+
+# ----------------------------------------------------------------------
+# once-per-round pruning (behind the round's last departure)
+# ----------------------------------------------------------------------
+P = 8
+
+
+def _cr_round(system, duplicate_of=None):
+    """P threads each store under one lock, then meet at a barrier. With
+    ``duplicate_of`` an extra process re-presents that thread's arrival
+    right behind the original -- what a retried arrival (fault build: the
+    first reply was lost) looks like to the manager."""
+    tids = [system.add_thread() for _ in range(P)]
+    lock = system.create_lock()
+    bar = system.create_barrier(P)
+    shared = {}
+    manager = system.manager
+
+    def allocate():
+        shared["addr"] = yield from system.malloc(tids[0], 64, shared=True)
+
+    def body(tid):
+        if tid != tids[0]:
+            yield from system.acquire_lock(tid, lock)
+            yield from system.mem_write(tid, shared["addr"], 8, u8(tid))
+            yield from system.release_lock(tid, lock)
+        elif duplicate_of is not None:
+            system.process(manager.barrier_arrive(
+                duplicate_of, system.component_of(duplicate_of), bar, []),
+                name="retry")
+        yield from system.barrier_wait(tid, bar)
+
+    run_threads(system, [allocate()])
+    run_threads(system, [body(tid) for tid in tids])
+    assert manager.stats.get("barrier_rounds") == 1
+    appended = manager._locks[lock].log.version
+    retained = sum(len(state.log) for state in manager._locks.values())
+    return appended, retained
+
+
+def test_logs_are_empty_behind_a_round_of_consistency_region_stores():
+    appended, retained = _cr_round(SamhitaSystem.cluster(n_threads=P))
+    assert appended == P - 1  # there was something to prune...
+    assert retained == 0      # ...and the last departure pruned it all
+
+
+def test_a_duplicated_arrival_cannot_wedge_the_once_per_round_prune():
+    """The retried arrival departs twice, ahead of threads that have not
+    consumed the round yet: a prune keyed to ``departed == parties`` would
+    fire one departure early, find epochs still owed, and never run again.
+    ``>=`` prunes behind every late departure too."""
+    system = SamhitaSystem.cluster(
+        n_threads=P, config=SamhitaConfig(faults=FaultPlan(seed=5)))
+    appended, retained = _cr_round(system, duplicate_of=0)
+    assert appended == P - 1
+    assert retained == 0

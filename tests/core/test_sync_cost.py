@@ -1,0 +1,205 @@
+"""Deterministic cost gates for the sync path (ROADMAP aim 1: call counts
+gate CI where wall clock is too noisy to).
+
+A synchronization operation should cost host work in proportion to the
+messages it models, not to the layers it crosses: a lock passage the owner
+cache absorbs sends nothing and so builds nothing; a barrier arrival's
+request legs are engine callbacks, so the thread is resumed when it has been
+served, not once per hop; and none of it grows with the machine.
+"""
+
+import gc
+import sys
+
+import pytest
+
+from repro.core import SamhitaConfig, SamhitaSystem
+from repro.core.system import NO_STORES
+from repro.experiments.__main__ import sync_cost, sync_sweep_system
+from repro.runtime import Runtime
+from repro.sim.engine import Engine, Timeout
+
+#: Calls (builtins included) of ``ctx.lock`` + ``ctx.unlock`` on a lock
+#: this thread owns through the cache, no stores in between: 14 today, 40
+#: when each was a generator wrapped in ``_timed``.
+PASSAGE_BOUND = 20
+#: Calls per steady-state thread-round of the sweep-cell body (private
+#: lock, 1 us, unlock, full tree barrier): 141 today at 16 servers / 1
+#: shard and at 256 / 16, 217 / 219 before the request legs were fused.
+ROUND_BOUND = 185
+#: ``Engine._step`` entries per steady-state thread-round: 4.25 / 4.55
+#: today (start of the round, stash flush, arrival; the rest are node and
+#: cell leaders' legs), 6.3 / 6.7 before.
+STEP_BOUND = 5.6
+
+_STEP = Engine._step.__code__
+
+
+class Counter:
+    """``sys.setprofile`` hook: every call, ``Engine._step`` entries, and
+    generator frames (first entries and resumptions alike)."""
+
+    def __init__(self):
+        self.calls = self.steps = self.generator_frames = 0
+
+    def __call__(self, frame, event, arg):
+        if event == "call":
+            self.calls += 1
+            code = frame.f_code
+            self.steps += code is _STEP
+            self.generator_frames += bool(code.co_flags & 0x20)  # CO_GENERATOR
+        elif event == "c_call":
+            self.calls += 1
+
+    def __enter__(self):
+        # No collection while counting: once any hypothesis test has run, a
+        # Python-level gc callback is installed and would be counted here.
+        gc.disable()
+        sys.setprofile(self)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
+        gc.enable()
+
+
+def test_owner_cache_passage_builds_no_generator():
+    rt = Runtime("samhita", n_threads=1,
+                 config=SamhitaConfig(lock_owner_cache=True, functional=False))
+    lock = rt.create_lock()
+    seen = {}
+
+    def body(ctx):
+        # The first passage is the manager's: grant, release, grant cached.
+        yield from ctx.lock(lock)
+        yield from ctx.unlock(lock)
+        with Counter() as counter:
+            acquired = ctx.lock(lock)
+            released = ctx.unlock(lock)
+        seen.update(counter=counter, ops=(acquired, released))
+        yield from acquired
+        yield from released
+
+    rt.spawn(body)
+    result = rt.run()
+    counter = seen["counter"]
+    assert seen["ops"] == ((), ())  # DONE, twice
+    assert counter.generator_frames == 0
+    assert counter.calls <= PASSAGE_BOUND
+    assert result.stats["lock_cache"]["lock_cache_hits"] == 1
+    assert result.stats["lock_cache"]["lock_cache_local_releases"] == 1
+
+
+def sweep_cell_cost(n_compute: int, shards: int, rounds: int) -> Counter:
+    """``bench_perf``'s tree-barrier sweep cell, run under the counter."""
+    system = sync_sweep_system(n_compute, shards, True, True, rounds)
+    with Counter() as counter:
+        system.run()
+    assert sum(m.stats.get("barrier_rounds")
+               for m in system.managers) == rounds
+    return counter
+
+
+@pytest.mark.parametrize("n_compute, shards", [(16, 1), (256, 16)])
+def test_thread_round_cost_is_bounded_and_flat(n_compute, shards):
+    # Rounds 1-2 install the cached grants and price the routes; the
+    # difference of two longer runs is steady state only.
+    short, long = (sweep_cell_cost(n_compute, shards, rounds)
+                   for rounds in (3, 6))
+    thread_rounds = n_compute * 3
+    assert (long.calls - short.calls) / thread_rounds <= ROUND_BOUND
+    assert (long.steps - short.steps) / thread_rounds <= STEP_BOUND
+
+
+def test_contended_rpc_resumes_its_caller_once():
+    """Four requests leave at one instant for one manager: each caller is
+    parked once and stepped once -- at its service completion, behind the
+    queue -- where it used to wake for the arrival as well."""
+    system = SamhitaSystem.cluster(n_threads=4)
+    tids = [system.add_thread() for _ in range(4)]
+    manager = system.manager
+    served = []
+
+    def warm():
+        # Prices the route and the size: only a priced message can fly.
+        yield from manager._rpc(system.component_of(tids[0]))
+
+    system.process(warm())
+    system.run()
+
+    def caller(tid):
+        yield from manager._rpc(system.component_of(tid))
+        served.append((tid, system.engine.now))
+
+    procs = [system.process(caller(tid), name=f"c{tid}") for tid in tids]
+    steps = dict.fromkeys(procs, 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is _STEP:
+            steps[frame.f_locals["proc"]] += 1
+
+    sys.setprofile(count)
+    try:
+        system.run()
+    finally:
+        sys.setprofile(None)
+    # One step to start each process, one to finish it.
+    assert set(steps.values()) == {2}
+    assert [tid for tid, _ in served] == tids
+    times = [t for _, t in served]
+    assert times == sorted(times) and len(set(times)) == 4
+    assert manager.resource.total_requests == 5
+    assert manager.resource.total_queue_time > 0
+
+
+def test_store_free_releases_share_one_record_that_nobody_writes():
+    """Every store-free local release stashes the same ``NO_STORES``
+    object: tuples all the way down, and its consumers -- the barrier-entry
+    flush and a contender's revoke, both ending in ``_absorb_stash`` --
+    only read it (an empty record adds no epoch to the lock's log)."""
+    assert NO_STORES == ((), 0, 0, ())
+    assert all(type(field) in (tuple, int) for field in NO_STORES)
+    system = SamhitaSystem.cluster(
+        n_threads=2, config=SamhitaConfig(lock_owner_cache=True))
+    t0, t1 = system.add_thread(), system.add_thread()
+    lock = system.create_lock()
+    bar = system.create_barrier(2)
+    cs = system.compute_server_of(t0)
+    stashed = []
+
+    def owner():
+        for _ in range(3):  # manager passage, then two cached ones
+            yield from system.acquire_lock(t0, lock)
+            yield from system.release_lock(t0, lock)
+        stashed.extend(cs.lock_cache[lock].stash)
+        yield from system.barrier_wait(t0, bar)  # flushes the stash
+        yield from system.acquire_lock(t0, lock)
+        yield from system.release_lock(t0, lock)
+        stashed.extend(cs.lock_cache[lock].stash)
+
+    def contender():
+        yield from system.barrier_wait(t1, bar)
+        yield Timeout(1e-3)
+        yield from system.acquire_lock(t1, lock)  # revokes: stash surrendered
+        yield from system.release_lock(t1, lock)
+
+    for body in (owner(), contender()):
+        system.process(body)
+    system.run()
+    assert len(stashed) == 3 and all(rec is NO_STORES for rec in stashed)
+    assert system.manager.stats.get("lock_cache_flushes") == 1
+    assert system.manager.stats.get("lock_cache_revokes") == 1
+    assert system.manager._locks[lock].log.version == 0  # nothing logged
+    assert NO_STORES == ((), 0, 0, ())
+
+
+def test_the_models_own_sync_cost_did_not_move():
+    """Golab's measure and the barrier fan-in, from counters every run
+    keeps (``python -m repro.experiments report`` prints them): what a
+    passage and a round cost *in the model*. Host cost may fall; these may
+    not move. The cache saves the grant round trip of five passages in six,
+    but every barrier still flushes the stash: two messages a passage."""
+    assert sync_cost(16, 1, False, False) == (3.0, 16.0)
+    assert sync_cost(16, 1, True, True) == (13 / 6, 3.0)
+    assert sync_cost(64, 4, False, False) == (3.0, 64.0)
+    assert sync_cost(64, 4, True, True) == (13 / 6, 12.0)

@@ -182,3 +182,81 @@ class TestSCL:
         eng2.process(s2.rdma_get("node0", "node1", 64 * 4096))
         eng1.run(), eng2.run()
         assert eng2.now > eng1.now
+
+
+class TestFlight:
+    """``Fabric.flight``: a priced pure delay is charged and its arrival
+    instant returned without moving the clock; anything else returns None
+    *having charged nothing* (the caller then sends through
+    ``transfer_inline``, which charges -- once)."""
+
+    @staticmethod
+    def _books(fabric, scl=None):
+        return (dict(fabric.stats.counters), dict(fabric.traffic),
+                dict(scl.stats.counters) if scl else None)
+
+    def _priced(self, topo=None, **kwargs):
+        eng = Engine()
+        fabric = Fabric(eng, topo or cluster_topology(2), **kwargs)
+        assert fabric.transfer_inline("node0", "node1", 4096, "page") is None
+        return eng, fabric
+
+    def test_a_priced_message_flies_and_is_charged_like_a_transfer(self):
+        eng, fabric = self._priced()
+        scl = SCL(fabric)
+        sent = self._books(fabric)
+        start = eng.now
+        at = scl.flight("node0", "node1", 4096, "page", op="rdma_put")
+        assert eng.now == start  # the clock did not move
+        assert at == start + fabric.path_time("node0", "node1", 4096)
+        counters, traffic, ops = self._books(fabric, scl)
+        assert counters == {k: 2 * v for k, v in sent[0].items()}
+        assert traffic == {("node0", "node1"): 2 * 4096}
+        assert ops == {"rdma_put": 1}
+        # The arrival instant is the one the transfer would have reached.
+        other_eng, other = self._priced()
+        other.transfer_inline("node0", "node1", 4096, "page")
+        assert other_eng.now == at
+
+    def test_never_seen_size_or_route_touches_no_counter(self):
+        eng, fabric = self._priced()
+        scl = SCL(fabric)
+        before = self._books(fabric, scl)
+        assert scl.flight("node0", "node1", 4097, "page") is None
+        assert scl.flight("node1", "node0", 4096, "page") is None
+        assert self._books(fabric, scl) == before
+
+    def test_local_delivery_touches_no_counter(self):
+        eng = Engine()
+        fabric = Fabric(eng, cluster_topology(2))
+        assert fabric.transfer_inline("node0", "node0", 64, "lock") is None
+        before = self._books(fabric)
+        assert fabric.flight("node0", "node0", 64, "lock") is None
+        assert self._books(fabric) == before
+
+    def test_contended_bottleneck_touches_no_counter(self):
+        eng = Engine()
+        fabric = Fabric(eng, hetero_node_topology(), model_contention=True)
+        eng.process(fabric.transfer("mic0", "host", 4096, "page"))
+        eng.run()
+        before = self._books(fabric)
+        assert fabric.flight("mic0", "host", 4096, "page") is None
+        assert self._books(fabric) == before
+        # The same bus with contention not modelled is a pure delay.
+        free = Fabric(Engine(), hetero_node_topology(), model_contention=False)
+        assert free.transfer_inline("mic0", "host", 4096, "page") is None
+        assert free.flight("mic0", "host", 4096, "page") is not None
+
+    def test_armed_injector_touches_no_counter(self):
+        from repro.faults import FaultInjector, FaultPlan
+
+        eng, fabric = self._priced()
+        assert fabric.flight("node0", "node1", 4096, "page") is not None
+        fabric.attach_injector(FaultInjector(FaultPlan(seed=3)))
+        before = self._books(fabric)
+        assert fabric.flight("node0", "node1", 4096, "page") is None
+        # ...nor does a transfer under the injector price one.
+        assert fabric.transfer_inline("node0", "node1", 8192, "page") is None
+        assert fabric.flight("node0", "node1", 8192, "page") is None
+        after = self._books(fabric)
+        assert after[0]["messages"] == before[0]["messages"] + 1

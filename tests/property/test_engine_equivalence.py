@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import AdvanceTo, Engine, Timeout
+from repro.sim.resources import Resource
 
-from tests.sim.reference_engine import ReferenceEngine
+from tests.sim.reference_engine import ReferenceEngine, ReferenceResource
 
 #: Delays drawn from a small grid so distinct processes collide on the same
 #: instant often -- equal-time collisions are exactly what exercises epoch
@@ -182,3 +183,178 @@ def test_clear_pending_empties_both_columns():
     eng.clear_pending()
     assert not eng._times and not eng._buckets
     assert eng.run() == 0.0
+
+
+# ----------------------------------------------------------------------
+# fused request legs: Resource.use(duration, at=...) against the oracle
+# ----------------------------------------------------------------------
+# A request in flight is an engine callback at its arrival instant on the
+# shipped engine; on the reference heap the sender wakes for its arrival
+# (``yield AdvanceTo(at)``) and queues at a ReferenceResource, which knows
+# nothing but Timeout and SimEvent. Same trajectory, same grant order, same
+# books -- or the callback does not stand where the resumption stood.
+
+FLIGHT_GRID = (0.0, 1e-6, 2e-6, 3e-6, 0.25, 0.5)
+SERVICE_GRID = (0.0, 1e-6, 1.5e-6, 0.25, 1.0)
+
+sender_ops = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from(DELAY_GRID)),
+    st.tuples(st.just("send"), st.sampled_from(FLIGHT_GRID),
+              st.sampled_from(SERVICE_GRID)),
+    st.tuples(st.just("send"), st.sampled_from(FLIGHT_GRID),
+              st.sampled_from(SERVICE_GRID)),
+    st.tuples(st.just("timer"), st.sampled_from(DELAY_GRID)),
+)
+sender_programs = st.lists(st.lists(sender_ops, max_size=5),
+                           min_size=1, max_size=6)
+
+
+def run_senders(eng, res, fused, program, until=math.inf):
+    """Several senders reach one server; ``fused`` picks the spelling."""
+    trace, served = [], []
+
+    def body(pid, prog):
+        for k, op in enumerate(prog):
+            if op[0] == "timeout":
+                yield Timeout(op[1])
+            elif op[0] == "timer":
+                eng.schedule(op[1], trace.append, ("tick", pid, k))
+            else:
+                at = eng.now + op[1]
+                if fused:
+                    yield from res.use(op[2], at=at)
+                else:
+                    yield AdvanceTo(at)
+                    yield from res.use(op[2])
+                served.append(pid)
+            trace.append((pid, k, eng.now, eng._seq, eng.coalesced_events))
+
+    for pid, prog in enumerate(program):
+        eng.process(body(pid, prog), name=f"s{pid}")
+    eng.run(until=until)
+    return {
+        "trace": trace,
+        "served": served,
+        "now": eng.now,
+        "seq": eng.scheduled_events,
+        "coalesced": eng.coalesced_events,
+        "epochs": None if isinstance(eng, ReferenceEngine) else eng.epochs_run,
+        "requests": res.total_requests,
+        "queue_time": res.total_queue_time,
+        "busy_time": res.total_busy_time,
+        "in_use": res._in_use,
+        "queued": len(res._waiters),
+        "live": sorted(p.name for p in eng.live_processes),
+    }
+
+
+def fused_and_reference(program, capacity=1, until=math.inf):
+    eng, ref = Engine(), ReferenceEngine()
+    fused = run_senders(eng, Resource(eng, capacity), True, program, until)
+    unfused = run_senders(ref, ReferenceResource(ref, capacity), False,
+                          program, until)
+    fused.pop("epochs"), unfused.pop("epochs")
+    return fused, unfused
+
+
+@given(sender_programs, st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_fused_request_legs_match_the_unfused_oracle(program, capacity):
+    fused, unfused = fused_and_reference(program, capacity)
+    assert fused == unfused
+
+
+@given(sender_programs, st.integers(1, 2), HORIZONS)
+@settings(max_examples=100, deadline=None)
+def test_fused_request_legs_match_under_a_run_horizon(program, capacity, until):
+    fused, unfused = fused_and_reference(program, capacity, until)
+    assert fused == unfused
+
+
+@given(sender_programs)
+@settings(max_examples=60, deadline=None)
+def test_fused_and_unfused_spellings_agree_on_the_shipped_engine(program):
+    """The same, with both spellings on ``Engine`` + ``Resource``: epochs
+    dispatched included (the suite fingerprint hashes ``epochs_run``)."""
+    one, two = Engine(), Engine()
+    assert (run_senders(one, Resource(one), True, program)
+            == run_senders(two, Resource(two), False, program))
+
+
+def test_two_arrivals_tied_at_one_instant_are_granted_in_sequence_order():
+    # s0 leaves at 0 with a flight of 0.25; s1 leaves at 0.125 with one of
+    # 0.125: both reach the server at 0.25, s0's callback scheduled first.
+    program = [[("send", 0.25, 1.0)],
+               [("timeout", 0.125), ("send", 0.125, 1.0)]]
+    fused, unfused = fused_and_reference(program)
+    assert fused == unfused
+    assert fused["served"] == [0, 1]
+    assert fused["queue_time"] == 1.0  # s1 waited out s0's whole service
+    # ...and the other way round when s1's request is scheduled first.
+    program = [[("timeout", 0.125), ("send", 0.125, 1.0)],
+               [("timer", 0.0), ("send", 0.25, 1.0)]]
+    fused, unfused = fused_and_reference(program)
+    assert fused == unfused
+    assert fused["served"] == [1, 0]
+
+
+def test_arrival_at_a_busy_unit_queues_from_its_arrival_instant():
+    program = [[("send", 0.0, 1.0)], [("send", 0.25, 0.5)]]
+    fused, unfused = fused_and_reference(program)
+    assert fused == unfused
+    assert fused["served"] == [0, 1]
+    assert fused["queue_time"] == 0.75  # arrived 0.25, granted 1.0
+    assert fused["now"] == 1.5
+
+
+def test_arrival_exactly_at_the_horizon_is_admitted_not_resumed():
+    program = [[("timer", 0.1), ("send", 0.5, 0.25)]]
+    fused, unfused = fused_and_reference(program, until=0.5)
+    assert fused == unfused
+    assert (fused["requests"], fused["in_use"], fused["served"]) == (1, 1, [])
+    assert fused["live"] == ["s0"]
+    # Past the horizon nothing arrives at all.
+    fused, unfused = fused_and_reference(program, until=0.3)
+    assert fused == unfused
+    assert (fused["requests"], fused["in_use"]) == (0, 0)
+
+
+def test_capacity_two_serves_two_arrivals_at_once():
+    program = [[("send", 0.125, 1.0)], [("send", 0.125, 1.0)],
+               [("send", 0.125, 1.0)]]
+    fused, unfused = fused_and_reference(program, capacity=2)
+    assert fused == unfused
+    assert fused["served"] == [0, 1, 2]
+    assert fused["queue_time"] == 1.0 and fused["now"] == 2.125
+
+
+def test_arrival_that_ends_its_slice_sees_the_next_epoch():
+    """The ``_next_time`` hand-over: the arrival callback is the last
+    record at its instant, so its service may advance the clock inline
+    (up to, not onto, the timer pending at 1.0) and step the sender from
+    inside the callback."""
+    program = [[("timer", 1.0), ("timer", 0.25), ("send", 0.25, 0.5)]]
+    fused, unfused = fused_and_reference(program)
+    assert fused == unfused
+    # One inline advance (the service); the arrival itself was queued.
+    assert fused["coalesced"] == 1
+    tied = [[("timer", 0.75), ("timer", 0.25), ("send", 0.25, 0.5)]]
+    fused, unfused = fused_and_reference(tied)
+    assert fused == unfused
+    assert fused["coalesced"] == 0  # an entry is due at 0.75: no advance
+
+
+def test_schedule_at_is_absolute():
+    # fl(0.3 + fl(0.9 - 0.3)) is not 0.9: a now-relative reschedule would
+    # land the callback in another bucket.
+    assert 0.3 + (0.9 - 0.3) != 0.9
+    for eng in (Engine(), ReferenceEngine()):
+        seen = []
+        eng.schedule(0.3, lambda eng=eng: eng.schedule_at(
+            0.9, lambda: seen.append(eng.now)))
+        eng.schedule_at(0.9, seen.append, "first")
+        eng.run()
+        assert seen == ["first", 0.9]
+        assert eng.scheduled_events == 3
+        with pytest.raises(SimulationError):
+            eng.schedule_at(0.5, seen.append, "past")

@@ -12,15 +12,22 @@ as the shipped engine, so the two must agree on every ``(now, seq,
 coalesced)`` observation; ``False`` sends every resumption through the heap,
 the queue-everything behaviour the fast paths claim to be indistinguishable
 from in simulated time.
+
+:class:`ReferenceResource` is the oracle of the fused request leg
+(``Resource.use(duration, at=...)``): the server as it was when every wait
+was a yield the engine queued -- the sender wakes for its arrival
+(``yield AdvanceTo(at)``), then sleeps through its service or parks on a
+private gate -- with no ``PARK``, no ``schedule_at`` and no arrival callback.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from math import inf
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.engine import AdvanceTo, Engine, Process, Timeout
+from repro.sim.engine import PARK, AdvanceTo, Engine, Process, Timeout
 from repro.sim.events import _PENDING, SimEvent
 
 
@@ -39,6 +46,18 @@ class ReferenceEngine(Engine):
         if t < self._next_time:
             self._next_time = t
 
+    def schedule_at(self, t: float, fn, *args) -> None:
+        if t < self.now:
+            raise SimulationError(f"cannot schedule into the past (t={t})")
+        self._seq += 1
+        heapq.heappush(self._heap, (t, self._seq, fn, args))
+        if t < self._next_time:
+            self._next_time = t
+
+    def _resume_waiters(self, waiters, event) -> None:
+        for waiter in waiters:
+            self._resume_with_outcome(waiter, event)
+
     def try_advance(self, delay: float) -> bool:
         if delay < 0:
             raise SimulationError(f"cannot advance into the past (delay={delay})")
@@ -54,6 +73,7 @@ class ReferenceEngine(Engine):
     def _step(self, proc: Process, send_value, throw_exc) -> None:
         if not proc._alive:
             raise SimulationError(f"stepping finished process {proc.name}")
+        self.active = proc
         gen = proc.gen
         coalesce = self.coalesce
         while True:
@@ -76,6 +96,8 @@ class ReferenceEngine(Engine):
             elif ctype is AdvanceTo:
                 target = command.target
             else:
+                if command is PARK:
+                    return
                 if isinstance(command, Process):
                     event = command.done_event
                 elif isinstance(command, SimEvent):
@@ -97,7 +119,10 @@ class ReferenceEngine(Engine):
                         throw_exc = event._exc
                     continue
                 proc.blocked_on = event
-                event._add_waiter(proc)
+                if event._value is not _PENDING or event._exc is not None:
+                    self._resume_with_outcome(proc, event)
+                else:
+                    event._waiters.append(proc)
                 return
             if (coalesce and target <= self._until
                     and not self._next_time <= target):
@@ -138,3 +163,44 @@ class ReferenceEngine(Engine):
                                         reasons=self._wait_reasons(blocked))
         finally:
             self._until = inf
+
+
+class ReferenceResource:
+    """``capacity`` units behind one FIFO queue; ``use`` yields only
+    ``Timeout`` and ``SimEvent``."""
+
+    def __init__(self, engine: Engine, capacity: int = 1):
+        self.engine = engine
+        self.capacity = capacity
+        self._in_use = 0
+        self._waiters: deque = deque()
+        self.total_requests = 0
+        self.total_busy_time = 0.0
+        self.total_queue_time = 0.0
+
+    def use(self, duration: float):
+        engine = self.engine
+        self.total_requests += 1
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            if not engine.try_advance(duration):
+                yield Timeout(duration)
+        else:
+            gate = SimEvent(engine, name="ref.wait")
+            self._waiters.append((gate, duration, engine.now))
+            yield gate
+        self.total_busy_time += duration
+        self.release()
+
+    def release(self) -> None:
+        if not self._waiters:
+            self._in_use -= 1
+            return
+        # Timed hand-off: the unit passes to the next waiter, whose
+        # resumption is scheduled straight at its service completion.
+        gate, duration, t0 = self._waiters.popleft()
+        engine = self.engine
+        self.total_queue_time += engine.now - t0
+        gate._value = None
+        (proc,), gate._waiters = gate._waiters, []
+        engine.schedule(duration, engine._step, proc, None, None)

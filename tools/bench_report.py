@@ -16,6 +16,7 @@ The gates (used by CI after ``benchmarks/bench_perf.py``)::
     python tools/bench_report.py --check-off-state
     python tools/bench_report.py --check-shard-scaling
         [--max-shard-load-deviation 0.25] [--min-barrier-reduction 2.0]
+        [--max-calls-per-thread-round 215]
     python tools/bench_report.py --check-partition-safety
 
 ``--check`` exits non-zero when the measured serial smoke-campaign wall
@@ -54,12 +55,16 @@ healthy run. Every other gate -- replication, shards -- sits at its
 default value in ``SamhitaConfig()``, so the pin covers them.
 
 ``--check-shard-scaling`` gates the sharded control plane on the
-16 -> 64 -> 256 compute-server sweep: the mean per-shard manager RPC load
-must stay flat across the sweep (deviation at most
-``max_shard_load_deviation``), and hierarchical tree barriers must cut
-total barrier RPCs by at least ``min_barrier_reduction`` x versus flat
-barriers at every sweep point. All quantities are deterministic RPC
-counts, so the load and reduction gates are exact.
+16 -> 64 -> 256 -> 1,024 compute-server sweep: the mean per-shard manager
+RPC load must stay flat across the sweep (deviation at most
+``max_shard_load_deviation``), hierarchical tree barriers must cut total
+barrier RPCs by at least ``min_barrier_reduction`` x versus flat barriers
+at every sweep point, and the host calls one thread-round costs (cProfile
+total of a second, untimed run) must stay at or under
+``max_calls_per_thread_round`` at every point and, at the last point,
+within 1.15x of the first -- the sync path's cost per thread may not grow
+with the machine. All quantities are deterministic counts, so the gates
+are exact.
 
 ``--check-partition-safety`` gates the fenced three-shard machine: a
 partition severing one memory server must end data-identical to its
@@ -148,14 +153,16 @@ def render(report: dict) -> str:
         lines.append("")
         lines.append(f"shard scaling campaign: {shards.get('campaign')}")
         lines.append(f"  {'servers':>8} {'shards':>7} {'rpc/shard':>10} "
-                     f"{'barrier rpcs':>13} {'vs flat':>8}")
+                     f"{'barrier rpcs':>13} {'vs flat':>8} "
+                     f"{'calls/thread-round':>19}")
         for cell in shards.get("sweep", ()):
             reduction = cell.get("barrier_rpc_reduction")
             lines.append(
                 f"  {cell['n_compute']:>8} {cell['shards']:>7} "
                 f"{cell['per_shard_mean']:>10} "
                 f"{cell['barrier_rpcs']:>13,} "
-                f"{f'-{reduction:.1f}x' if reduction else 'n/a':>8}")
+                f"{f'-{reduction:.1f}x' if reduction else 'n/a':>8} "
+                f"{cell.get('host_calls_per_thread_round', 'n/a'):>19}")
         dev = shards.get("per_shard_mean_deviation")
         if dev is not None:
             lines.append(f"  per-shard load deviation across sweep: "
@@ -343,10 +350,17 @@ def check_partition_safety(report: dict) -> tuple[bool, str]:
                   f"{ckpt.get('checkpoint_pages')} pages exactly")
 
 
+#: The last sweep point may cost at most this many times the first
+#: point's host calls per thread-round.
+MAX_CALLS_GROWTH = 1.15
+
+
 def check_shard_scaling(report: dict, max_deviation: float,
-                        min_barrier_reduction: float) -> tuple[bool, str]:
+                        min_barrier_reduction: float,
+                        max_calls: float) -> tuple[bool, str]:
     """The sharded-control-plane gate: per-shard RPC load flat across the
-    sweep, tree barriers beat flat barriers."""
+    sweep, tree barriers beat flat barriers, host calls per thread-round
+    bounded and flat."""
     shards = report.get("shard_scaling")
     if not shards:
         return False, ("report has no 'shard_scaling' block; regenerate it "
@@ -365,6 +379,17 @@ def check_shard_scaling(report: dict, max_deviation: float,
             problems.append(f"barrier RPC reduction {reduction} < "
                             f"{min_barrier_reduction:.1f}x at "
                             f"{cell.get('n_compute')} servers")
+        calls = cell.get("host_calls_per_thread_round")
+        if calls is None or calls > max_calls:
+            problems.append(f"{calls} host calls per thread-round > "
+                            f"{max_calls:g} at {cell.get('n_compute')} "
+                            f"servers")
+    per_round = [cell.get("host_calls_per_thread_round") for cell in sweep]
+    if all(per_round) and per_round[-1] > MAX_CALLS_GROWTH * per_round[0]:
+        problems.append(f"host calls per thread-round grow {per_round[0]} "
+                        f"-> {per_round[-1]} (> {MAX_CALLS_GROWTH}x) from "
+                        f"{sweep[0].get('n_compute')} to "
+                        f"{sweep[-1].get('n_compute')} servers")
     if problems:
         return False, "shard scaling FAILED: " + "; ".join(problems)
     top = sweep[-1]
@@ -373,7 +398,10 @@ def check_shard_scaling(report: dict, max_deviation: float,
                   f"{max_deviation * 100:.0f}%) across "
                   f"{'/'.join(str(c['n_compute']) for c in sweep)} servers, "
                   f"barriers -{top['barrier_rpc_reduction']:.1f}x vs flat "
-                  f"(gate >= {min_barrier_reduction:.1f}x)")
+                  f"(gate >= {min_barrier_reduction:.1f}x), host calls per "
+                  f"thread-round {' / '.join(str(c) for c in per_round)} "
+                  f"(gate <= {max_calls:g}, last <= {MAX_CALLS_GROWTH}x "
+                  f"first)")
 
 
 def main(argv=None) -> int:
@@ -436,6 +464,11 @@ def main(argv=None) -> int:
     parser.add_argument("--min-barrier-reduction", type=float, default=2.0,
                         help="required tree-vs-flat barrier RPC reduction "
                              "at every sweep point (default 2.0)")
+    parser.add_argument("--max-calls-per-thread-round", type=float,
+                        default=215.0,
+                        help="allowed host calls (cProfile total) per "
+                             "thread-round at every sweep point "
+                             "(default 215)")
     args = parser.parse_args(argv)
 
     path = pathlib.Path(args.report)
@@ -475,7 +508,8 @@ def main(argv=None) -> int:
         failed |= not ok
     if args.check_shard_scaling:
         ok, msg = check_shard_scaling(report, args.max_shard_load_deviation,
-                                      args.min_barrier_reduction)
+                                      args.min_barrier_reduction,
+                                      args.max_calls_per_thread_round)
         print(f"\n[{'PASS' if ok else 'FAIL'}] {msg}")
         failed |= not ok
     return 1 if failed else 0
