@@ -250,13 +250,14 @@ def test_eager_refresh(benchmark):
 
 
 def test_hierarchical_sync(benchmark):
-    """Node-combining barriers (§V-adjacent): manager traffic per barrier
+    """Node-combining barriers (§V-adjacent; ``tree_barriers`` on one
+    shard, where the tree has no cell level): manager traffic per barrier
     drops from O(threads) to O(nodes), flattening the Figure 11 slope."""
 
     params = MicrobenchParams(N=10, M=1, S=1, B=64, allocation=Allocation.LOCAL)
 
     def one(hierarchical, n_threads):
-        config = SamhitaConfig(hierarchical_sync=hierarchical)
+        config = SamhitaConfig(tree_barriers=hierarchical)
         return run_workload("samhita", n_threads, spawn_microbench, params,
                             config=config)
 

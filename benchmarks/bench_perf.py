@@ -412,10 +412,10 @@ def shard_scaling() -> dict:
 
     The ``--check-shard-scaling`` gate in tools/bench_report.py reads this
     block: per-shard RPC load must stay flat (<= 25% deviation) across the
-    sweep, hierarchical tree barriers must cut total barrier RPCs by >= 2x
-    versus flat barriers at every point, and the host calls a thread-round
-    costs (a second, profiled run of the tree cell) must stay under a bound
-    and flat from the first point to the last.
+    sweep, tree barriers must cut total barrier RPCs by >= 2x versus flat
+    barriers at every point, and the host calls a thread-round costs (a
+    second, profiled run of the tree cell) must stay under a bound, and
+    flat from the first point whose tree has a cell level to the last.
     """
     sweep = []
     for n_compute, shards in SHARD_SWEEP:

@@ -36,6 +36,9 @@ cooperating :class:`~repro.core.manager.Manager` instances:
   combiner shard (level 1) -- and finally sends ONE aggregate message per
   cell to the barrier's root shard, whose reply fans back down the same
   tree. Fan-in at any single component drops from O(threads) to O(cells).
+  A cell level with nothing to combine is skipped: the leader of a node
+  that is alone in its cell, and every node leader on a single shard
+  (where the combiner would be the root itself), arrives at the root.
 
 At ``manager_shards=1`` none of this is constructed: the system keeps the
 plain allocator/directory and the ControlPlane degenerates to a zero-cost
@@ -458,13 +461,10 @@ class ControlPlane:
         return self.shard_for_id(barrier_id).barrier_parties(barrier_id)
 
     def barrier_arrive(self, tid: int, comp: str, barrier_id: int, notices):
+        """Flat arrival: a group of one. Same result shape as
+        :meth:`tree_arrive`, ``(state, {tid: directive})``."""
         return self._route(barrier_id % self.n, comp, Manager.barrier_arrive,
-                           tid, comp, barrier_id, notices)
-
-    def barrier_arrive_group(self, comp: str, barrier_id: int, arrivals):
-        return self._route(barrier_id % self.n, comp,
-                           Manager.barrier_arrive_group,
-                           comp, barrier_id, arrivals)
+                           comp, barrier_id, {tid: notices})
 
     def barrier_flush_done(self, tid: int, comp: str, barrier_id: int, state):
         return self._route(barrier_id % self.n, comp,
@@ -526,15 +526,20 @@ class ControlPlane:
         return self._cell_members
 
     def tree_arrive(self, tid: int, comp: str, barrier_id: int, notices):
-        """Generator: two-level combining barrier arrival.
+        """Generator: combining barrier arrival.
 
         Level 0 combines threads on one compute node (free: shared
         memory); the node leader carries one message to its cell's
         combiner shard. Level 1 combines node leaders per cell; the cell
         leader carries ONE aggregate message to the barrier's root shard,
-        which runs the normal group-arrival protocol. Replies fan back
-        down: root -> cell shard (aggregate), cell shard -> each node
-        leader (per-node directives), leader -> local threads (free).
+        which runs the normal arrival protocol. Replies fan back down:
+        root -> cell shard (aggregate), cell shard -> each node leader
+        (per-node directives), leader -> local threads (free).
+
+        Level 1 is skipped where it has nothing to combine -- a node alone
+        in its cell, or a single shard, whose combiner would be the root
+        itself: that node's leader arrives at the root. Returns
+        ``(state, directives)`` covering at least this node's threads.
         """
         engine = self.system.engine
         key = (barrier_id, comp)
@@ -547,26 +552,30 @@ class ControlPlane:
         expected = len(self.system.compute_servers[comp].threads)
         if len(leaf["arrivals"]) == expected:
             del self._leaf_combiners[key]
-            result = yield from self._cell_arrive(comp, barrier_id,
-                                                  leaf["arrivals"])
-            leaf["result"] = result
+            if (self.n == 1
+                    or len(self._cell_population()[self._cell_of[comp]]) == 1):
+                leaf["result"] = yield from self._route(
+                    barrier_id % self.n, comp, Manager.barrier_arrive,
+                    comp, barrier_id, leaf["arrivals"])
+            else:
+                leaf["result"] = yield from self._cell_arrive(
+                    comp, barrier_id, leaf["arrivals"])
             leaf["gate"].succeed()
         else:
             yield leaf["gate"]
-        state, directives = leaf["result"]
-        inv, flush, cr_diffs, cr_inval = directives[tid]
-        return state, inv, flush, cr_diffs, cr_inval
+        return leaf["result"]
 
     def _cell_arrive(self, comp: str, barrier_id: int,
                      arrivals: dict[int, list[int]]):
-        """Generator: node-leader leg of the tree (level 1 + root)."""
+        """Generator: node-leader leg of the tree (level 1 + root). Both
+        upstream hops go through :meth:`_route`, so a dead combiner or root
+        shard is waited out and re-resolved like any other control RPC."""
         cell_idx = self._cell_of[comp]
-        cell_mgr = self.shards[self.live_index(cell_idx)]
         total_notices = sum(len(n) for n in arrivals.values())
         # Leader -> combiner shard: one request into the cell's service queue.
-        yield from cell_mgr._rpc(
-            comp, protocol.notice_message_bytes(total_notices),
-            category="barrier")
+        yield from self._route(
+            cell_idx, comp, Manager._rpc,
+            comp, protocol.notice_message_bytes(total_notices), "barrier")
         key = (barrier_id, cell_idx)
         cell = self._cell_combiners.get(key)
         if cell is None:
@@ -580,15 +589,16 @@ class ControlPlane:
         if len(cell["comps"]) == expected:
             # Cell leader: one aggregate message to the root shard.
             del self._cell_combiners[key]
-            root = self.shard_for_id(barrier_id)
-            result = yield from root.barrier_arrive_group(
-                cell_mgr.component, barrier_id, cell["arrivals"])
-            cell["result"] = result
+            cell_comp = self.shards[self.live_index(cell_idx)].component
+            cell["result"] = yield from self._route(
+                barrier_id % self.n, cell_comp, Manager.barrier_arrive,
+                cell_comp, barrier_id, cell["arrivals"])
             cell["gate"].succeed()
         else:
             yield cell["gate"]
         state, directives = cell["result"]
-        # Combiner shard -> this node's leader: per-node directive reply.
+        # Combiner shard -> this node's leader: per-node directive reply,
+        # from whichever shard serves the cell by now.
         mine = {tid: directives[tid] for tid in arrivals}
         reply_bytes = 0
         for inv, flush, cr_diffs, cr_inval in mine.values():
@@ -596,6 +606,7 @@ class ControlPlane:
                 protocol.directive_message_bytes(len(inv), len(flush))
                 + sum(d.payload_bytes for d in cr_diffs)
                 + protocol.PAGE_ID_BYTES * len(cr_inval))
+        cell_mgr = self.shards[self.live_index(cell_idx)]
         yield from cell_mgr.resource.use(
             self.system.config.manager_service_time)
         yield from cell_mgr._reply(comp, reply_bytes, category="barrier")

@@ -630,18 +630,25 @@ class Manager:
             return
         state.arrived[tid] = notices
 
-    def barrier_arrive(self, tid: int, comp: str, barrier_id: int,
-                       notices: list[int]):
+    def barrier_arrive(self, comp: str, barrier_id: int,
+                       arrivals: dict[int, list[int]]):
         """Generator: submit write notices, wait for the full party, and
-        receive this thread's directives.
+        receive the directives. One message carries the notices of every
+        thread in ``arrivals`` -- one thread when it arrives flat, a compute
+        node's or a cell's when a combining leader arrives for them -- and
+        one directive reply carries everyone's directives back.
 
-        Returns ``(state, invalidate_pages, flush_pages)`` -- the state
-        handle is needed for the flush-completion phase.
+        Returns ``(state, {tid: (invalidate, flush, cr_diffs, cr_inval)})``
+        -- the state handle is needed for the flush-completion phase.
         """
         state = self._barrier(barrier_id)
-        yield from self._rpc(comp, protocol.notice_message_bytes(len(notices)),
+        total_notices = 0
+        for notices in arrivals.values():
+            total_notices += len(notices)
+        yield from self._rpc(comp, protocol.notice_message_bytes(total_notices),
                              category="barrier")
-        self._register_arrival(state, tid, notices, barrier_id)
+        for tid, notices in arrivals.items():
+            self._register_arrival(state, tid, notices, barrier_id)
         if len(state.arrived) == state.parties:
             if self.cr_gather is not None:
                 # Sharded: pull the other shards' lock logs before the plan.
@@ -659,60 +666,15 @@ class Manager:
         else:
             yield state.arrive_gate
         plan = state.plan
-        inv = plan.directive(tid)
-        flush = plan.flush[tid]
-        # A barrier is RegC's *global* consistency point: it must also make
-        # consistency-region updates visible to threads that never acquire
-        # the corresponding lock. Collect every lock-log update this thread
-        # has not yet seen and ship it with the directive.
-        cr_diffs, cr_payload, cr_invalidate = self._cr_updates(tid)
-        state.departed += 1
-        if state.departed >= state.parties:
-            self._prune_logs()
-        # Directive reply (manager serializes these sends).
-        if comp != self._local:
-            yield from self.resource.use(self.config.manager_service_time)
-        yield from self._reply(
-            comp,
-            protocol.directive_message_bytes(len(inv), len(flush)) + cr_payload
-            + protocol.PAGE_ID_BYTES * len(cr_invalidate),
-            category="barrier")
-        return state, inv, flush, cr_diffs, sorted(cr_invalidate)
-
-    def barrier_arrive_group(self, comp: str, barrier_id: int,
-                             arrivals: dict[int, list[int]]):
-        """Generator: hierarchical-combining arrival -- one message carries
-        a whole compute node's write notices, and one directive reply
-        carries everyone's directives back.
-
-        Returns ``(state, {tid: (invalidate, flush, cr_diffs, cr_inval)})``.
-        """
-        state = self._barrier(barrier_id)
-        total_notices = sum(len(n) for n in arrivals.values())
-        yield from self._rpc(comp, protocol.notice_message_bytes(total_notices),
-                             category="barrier")
-        for tid, notices in arrivals.items():
-            self._register_arrival(state, tid, notices, barrier_id)
-        if len(state.arrived) == state.parties:
-            if self.cr_gather is not None:
-                yield from self.cr_gather(self)
-            state.plan = plan_barrier(state.arrived, self.directory)
-            state.flush_remaining = sum(
-                1 for pages in state.plan.flush.values() if pages)
-            if state.flush_remaining == 0:
-                state.flush_gate.succeed()
-            self._barriers[barrier_id] = _BarrierState(
-                self.engine, state.parties, state.generation + 1)
-            self.stats.incr("barrier_rounds")
-            state.arrive_gate.succeed()
-        else:
-            yield state.arrive_gate
-        plan = state.plan
         directives = {}
         reply_bytes = 0
         for tid in arrivals:
             inv = plan.directive(tid)
             flush = plan.flush[tid]
+            # A barrier is RegC's *global* consistency point: it must also
+            # make consistency-region updates visible to threads that never
+            # acquire the corresponding lock. Collect every lock-log update
+            # this thread has not yet seen and ship it with the directive.
             cr_diffs, cr_payload, cr_invalidate = self._cr_updates(tid)
             directives[tid] = (inv, flush, cr_diffs, sorted(cr_invalidate))
             reply_bytes += (protocol.directive_message_bytes(len(inv), len(flush))
@@ -721,6 +683,7 @@ class Manager:
         state.departed += len(arrivals)
         if state.departed >= state.parties:
             self._prune_logs()
+        # Directive reply (manager serializes these sends).
         if comp != self._local:
             yield from self.resource.use(self.config.manager_service_time)
         yield from self._reply(comp, reply_bytes, category="barrier")

@@ -25,6 +25,7 @@ from repro.errors import (
 from repro.faults.recovery import RpcDedup
 from repro.memory.backing import BackingStore
 from repro.memory.directory import PageDirectory
+from repro.memory.pagetable import page_vector
 from repro.memory.storelog import ReplicationLog
 from repro.sim.engine import Engine, Timeout
 from repro.sim.resources import Resource
@@ -214,71 +215,19 @@ class MemoryServer:
             return
         wal.append(page, diff, self._system.replica_targets(page, self.index))
 
-    def _recall(self, page: int, owner_tid: int):
-        """Pull the owner's unflushed diff and merge it.
-
-        Plain function (the transfer_inline pattern): returns ``None`` when
-        the whole recall completed inline, else a generator the caller must
-        ``yield from``. Requires :meth:`bind` to have run (every recall is
-        reached through a bound system, so no per-call assert).
-        """
-        system = self._system
-        owner_cache = system.cache_of(owner_tid)
-        owner_comp = system.component_of(owner_tid)
-        self.stats.counters["recalls"] += 1
-        # Recall request to the owner's node, diff data back.
-        t = system.scl.send(self.component, owner_comp, category="recall")
-        if t is not None:
-            return self._recall_after_send(t, owner_cache, owner_comp, page)
-        return self._recall_merge(owner_cache, owner_comp, page)
-
-    def _recall_after_send(self, send_gen, owner_cache, owner_comp, page):
-        """Generator: recall slow path -- finish the request message first."""
-        yield from send_gen
-        r = self._recall_merge(owner_cache, owner_comp, page)
-        if r is not None:
-            yield from r
-
-    def _recall_merge(self, owner_cache, owner_comp, page):
-        """Plain: take the owner's diff and merge it; ``None`` or generator."""
-        system = self._system
-        diff = owner_cache.take_diff(page) if owner_cache.is_dirty(page) else None
-        # Ownership must clear atomically with the diff take: if it lingered
-        # across the transfer below, the old owner's fast write path
-        # (owner == tid) could re-dirty the page it is about to lose.
-        self.directory.clear_owner(page)
-        if diff is None:
-            return None
-        self._wal_append(page, diff)
-        # The apply cost is fused into the transfer's suspension (same
-        # float trajectory, one heap transit instead of two).
-        t = system.fabric.transfer_inline(
-            owner_comp, self.component, diff.wire_bytes,
-            category="recall_diff",
-            tail=self.config.apply_time_per_byte * diff.payload_bytes)
-        if t is not None:
-            return self._recall_apply(t, diff)
-        self.backing.apply_diff(diff)
-        self.stats.incr("recall_bytes", diff.payload_bytes)
-        return None
-
-    def _recall_apply(self, transfer_gen, diff):
-        """Generator: recall slow path -- diff transfer still in flight."""
-        yield from transfer_gen
-        self.backing.apply_diff(diff)
-        self.stats.incr("recall_bytes", diff.payload_bytes)
-
     # ------------------------------------------------------------------
-    # bulk recall
+    # owner recall
     # ------------------------------------------------------------------
     def _recall_bulk(self, owner_tid: int, pages: np.ndarray):
         """Pull ALL pages one owner holds as ONE modeled round trip: a
         single recall request, a single bulk diff return (summed wire
         bytes, one fused apply tail) and a single merge.
 
-        Plain-or-generator, like :meth:`_recall`. The per-page ``recalls``
-        counter keeps its meaning (pages recalled); ``recall_trips``
-        counts the batched request messages.
+        Plain function (the transfer_inline pattern): returns ``None`` when
+        the whole recall completed inline, else a generator the caller must
+        ``yield from``. ``recalls`` counts pages recalled, ``recall_trips``
+        the request messages. Requires :meth:`bind` to have run (every
+        recall is reached through a bound system, so no per-call assert).
         """
         system = self._system
         counters = self.stats.counters
@@ -379,7 +328,7 @@ class MemoryServer:
         try:
             owner = self.directory.owner_of(page)
             if owner is not None and owner != writer_tid:
-                r = self._recall(page, owner)
+                r = self._recall_bulk(owner, page_vector([page]))
                 if r is not None:
                     yield from r
             for sharer in sorted(self.directory.sharers_of(page)):
@@ -442,7 +391,7 @@ class MemoryServer:
             for page in pages:
                 owner = self.directory.owner_of(page)
                 if owner is not None and owner != requester_tid:
-                    r = self._recall(page, owner)
+                    r = self._recall_bulk(owner, page_vector([page]))
                     if r is not None:
                         yield from r
                 if self._track_sharers:

@@ -105,11 +105,6 @@ class SamhitaConfig:
     #: §V future work -- threads co-located with the manager skip the
     #: network round-trip for synchronization operations.
     local_sync_optimization: bool = False
-    #: §V-adjacent extension: threads on one compute node combine their
-    #: barrier arrivals locally and send ONE message to the manager per
-    #: node, cutting the manager's per-barrier serialization from
-    #: O(threads) to O(nodes). Only applies to full-party barriers.
-    hierarchical_sync: bool = False
     #: Update-style barriers (Munin-flavoured ablation): instead of leaving
     #: invalidated pages to refault lazily during the next compute phase,
     #: refetch them in one batched request per home server while still
@@ -153,10 +148,12 @@ class SamhitaConfig:
     #: (a cached grant would dodge the lease timer), so releases stop
     #: granting cacheability whenever ``lock_lease_time > 0``.
     lock_owner_cache: bool = False
-    #: Hierarchical tree barriers: threads combine per compute node (as in
-    #: ``hierarchical_sync``), node leaders combine at a per-cell combiner
-    #: shard, and one aggregate message per cell reaches the barrier's
-    #: root shard -- barrier fan-in drops from O(threads) to O(cells).
+    #: Combining tree barriers (a §V-adjacent extension): threads combine
+    #: per compute node, node leaders combine at a per-cell combiner shard,
+    #: and one aggregate message per cell reaches the barrier's root shard
+    #: -- barrier fan-in drops from O(threads) to O(cells). A cell level
+    #: with nothing to combine (a node alone in its cell; any node on one
+    #: shard) is skipped, leaving one message per node: O(nodes).
     #: Only applies to full-party barriers; partial barriers stay flat.
     tree_barriers: bool = False
 

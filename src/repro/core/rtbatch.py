@@ -27,9 +27,9 @@ Three aggregations ride the same trip structure:
 * **recalls** -- the home pulls ALL pages one owner holds with a single
   recall request and a single bulk diff return
   (``MemoryServer.serve_fetch_bulk`` / ``_recall_bulk``);
-* **merges** -- eviction write-backs group per home into one diff put
-  (:func:`flush_diffs_batched`); barrier/region merges already shipped
-  per home (``system._apply_at_homes``) and are only *accounted* here.
+* **merges** -- eviction write-backs, barrier flushes and region
+  write-throughs all group per home into one diff put
+  (:func:`flush_diffs_batched`).
 
 Fault composition is inherited, not re-implemented: a batch is one
 request message through the injector's retry loop and one dedup sequence
@@ -466,16 +466,25 @@ def evict_batched(cs: "ComputeServer", tid: int, count: int,
             directory.clear_owner(page)
         directory.remove_sharer(page, tid)
     if diffs:
-        yield from flush_diffs_batched(cs, diffs)
+        yield from flush_diffs_batched(cs, diffs, "diff",
+                                       system.config.diff_scan_time)
     cs.stats.counters["evictions"] += len(victims)
 
 
-def flush_diffs_batched(cs: "ComputeServer", diffs, category: str = "diff"):
-    """Generator: write diffs back grouped per logical home -- one put
-    (diff-scan lead fused, one scan per diff) + one bulk apply per home,
-    retrying through failovers and fencing rejects as a unit."""
+def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
+                        scan_time: float):
+    """Generator: write diffs back grouped per logical home -- one put +
+    one bulk apply per home, retrying through failovers and fencing
+    rejects as a unit.
+
+    ``scan_time``: what the sender still owes per diff for scanning the
+    page against its twin, fused into the put as its lead (an eviction:
+    ``diff_scan_time``). 0.0 at a sync point, which has charged its scans
+    already; a put without a lead is a pure delay the home can handle on
+    arrival (``SCL.flight``)."""
     system = cs.system
     config = system.config
+    scl = system.scl
     fencing = system.membership is not None
     ledger = system.rt_ledger
     line_of = config.layout.line_of_page
@@ -492,20 +501,25 @@ def flush_diffs_batched(cs: "ComputeServer", diffs, category: str = "diff"):
     for home in sorted(by_home):
         group = by_home[home]
         wire = sum(d.wire_bytes for d in group)
+        lead = scan_time * len(group)
         backoffs = 0
         while True:
             server = system.memory_servers[resolve_home(home)]
             try:
-                t = system.scl.rdma_put(
-                    cs.component, server.component, wire, category=category,
-                    lead=config.diff_scan_time * len(group))
-                if t is not None:
-                    yield from t
+                at = None if lead else scl.flight(
+                    cs.component, server.component, wire, category,
+                    op="rdma_put")
+                if at is None:
+                    t = scl.rdma_put(cs.component, server.component, wire,
+                                     category=category, lead=lead)
+                    if t is not None:
+                        yield from t
                 yield from server.apply_diffs(
-                    group, epoch=cs.known_epoch if fencing else None)
+                    group, epoch=cs.known_epoch if fencing else None, at=at)
             except CommunicationError as err:
-                # Failover or fencing reject: dispatch on the error's
-                # recovery classification, then re-issue.
+                # Failover wait, fencing-epoch refresh or backoff, chosen by
+                # the error's recovery classification (the retry pays its
+                # own wire cost -- the reject round trip).
                 backoffs = yield from recover(cs, server, err, backoffs)
                 continue
             break

@@ -213,7 +213,6 @@ class SamhitaSystem:
         self._storelogs: dict[int, StoreLog] = {}
         self._cr_pages: dict[int, set[int]] = {}
         self._thread_comp: dict[int, str] = {}
-        self._combiners: dict[tuple[int, str], dict] = {}
         #: barrier id -> its arrival protocol (:meth:`_arrival_for`).
         self._arrivals: dict[int, object] = {}
         self._next_tid = 0
@@ -670,7 +669,8 @@ class SamhitaSystem:
             diffs = log.to_page_diffs()
             payload, spans = log.wire_bytes, len(log)
             log.clear()
-            yield from self._apply_at_homes(tid, diffs, category="fine_grain")
+            yield from rtbatch.flush_diffs_batched(
+                self.compute_servers[comp], diffs, "fine_grain", 0.0)
             record = (diffs, payload, spans, ())
         else:
             cache = self._caches[tid]
@@ -681,7 +681,8 @@ class SamhitaSystem:
                 diff = cache.take_diff(page)
                 if diff is not None and not diff.empty:
                     diffs.append(diff)
-            yield from self._apply_at_homes(tid, diffs, category="cr_page")
+            yield from rtbatch.flush_diffs_batched(
+                self.compute_servers[comp], diffs, "cr_page", 0.0)
             record = ([], 0, 0, tuple(pages))
         yield from self._hand_back(tid, comp, lock_id, record)
 
@@ -708,48 +709,6 @@ class SamhitaSystem:
             invalidate_pages=record[3], stash=stash)
         if cacheable:
             self.compute_servers[comp].lock_cache_install(tid, lock_id)
-
-    def _apply_at_homes(self, tid: int, diffs, category: str):
-        """Generator: ship diffs to their home servers, grouped per
-        *logical* home (the allocator's static map); each group resolves to
-        its live server at send time and retries through a failover."""
-        if not diffs:
-            return
-        comp = self.component_of(tid)
-        cs = self.compute_servers[comp]
-        fencing = self.membership is not None
-        by_server: dict[int, list] = {}
-        for diff in diffs:
-            by_server.setdefault(self.allocator.home_of_page(diff.page), []).append(diff)
-        for index in sorted(by_server):
-            group = by_server[index]
-            wire = sum(d.wire_bytes for d in group)
-            backoffs = 0
-            while True:
-                server = self.memory_servers[self.directory.resolve_home(index)]
-                try:
-                    at = self.scl.flight(comp, server.component, wire,
-                                         category, op="rdma_put")
-                    if at is None:
-                        t = self.scl.rdma_put(comp, server.component, wire,
-                                              category=category)
-                        if t is not None:
-                            yield from t
-                    yield from server.apply_diffs(
-                        group, epoch=cs.known_epoch if fencing else None,
-                        at=at)
-                except CommunicationError as err:
-                    # Failover wait, fencing-epoch refresh or backoff, chosen
-                    # by the error's recovery classification (the retry
-                    # pays its own wire cost -- the reject round trip).
-                    backoffs = yield from rtbatch.recover(cs, server, err,
-                                                          backoffs)
-                    continue
-                break
-            # Already one trip per home; the ledger only accounts it.
-            line_of = self.config.layout.line_of_page
-            self.rt_ledger.record(
-                index, "merge", len({line_of(d.page) for d in group}))
 
     def barrier_wait(self, tid: int, barrier_id: int):
         """Generator: the RegC global consistency point.
@@ -783,8 +742,8 @@ class SamhitaSystem:
                                                          stash)
         arrive = (self._arrivals.get(barrier_id)
                   or self._arrival_for(barrier_id))
-        state, invalidate, flush, cr_diffs, cr_invalidate = (
-            yield from arrive(tid, comp, barrier_id, notices))
+        state, directives = yield from arrive(tid, comp, barrier_id, notices)
+        invalidate, flush, cr_diffs, cr_invalidate = directives[tid]
         if flush:
             yield Timeout(len(flush) * self.config.diff_scan_time)
             diffs = []
@@ -794,7 +753,9 @@ class SamhitaSystem:
                 diff = cache.take_diff(page)
                 if diff is not None and not diff.empty:
                     diffs.append(diff)
-            yield from self._apply_at_homes(tid, diffs, category="barrier_diff")
+            # The scan was charged above, per page the directive named.
+            yield from rtbatch.flush_diffs_batched(
+                self.compute_servers[comp], diffs, "barrier_diff", 0.0)
             yield from self.control.barrier_flush_done(tid, comp, barrier_id,
                                                        state)
         yield state.flush_gate
@@ -833,47 +794,15 @@ class SamhitaSystem:
 
     def _arrival_for(self, barrier_id: int):
         """The arrival protocol of one barrier, resolved once per barrier
-        id: the combining protocols need a full party (every spawned
-        thread participates), anything else arrives flat."""
-        config = self.config
+        id: combining needs a full party (every spawned thread
+        participates), anything else arrives flat."""
         arrive = self.control.barrier_arrive
-        if ((config.tree_barriers or config.hierarchical_sync)
+        if (self.config.tree_barriers
                 and self.control.barrier_parties(barrier_id)
                 == len(self._thread_comp)):
-            arrive = (self.control.tree_arrive if config.tree_barriers
-                      else self._combined_arrive)
+            arrive = self.control.tree_arrive
         self._arrivals[barrier_id] = arrive
         return arrive
-
-    def _combined_arrive(self, tid: int, comp: str, barrier_id: int,
-                         notices: list[int]):
-        """Generator: hierarchical barrier arrival.
-
-        Threads on one compute node combine locally; the last local arrival
-        becomes the node leader and exchanges ONE message pair with the
-        manager on everyone's behalf. Requires a full-party barrier (every
-        spawned thread participates), which the caller checks.
-        """
-        key = (barrier_id, comp)
-        combiner = self._combiners.get(key)
-        if combiner is None:
-            combiner = {"arrivals": {}, "gate": self.engine.event(
-                f"combine.b{barrier_id}.{comp}"), "result": None}
-            self._combiners[key] = combiner
-        combiner["arrivals"][tid] = notices
-        expected = len(self.compute_servers[comp].threads)
-        if len(combiner["arrivals"]) == expected:
-            # Leader: close this generation's combiner and talk upstream.
-            del self._combiners[key]
-            state, directives = yield from self.control.barrier_arrive_group(
-                comp, barrier_id, combiner["arrivals"])
-            combiner["result"] = (state, directives)
-            combiner["gate"].succeed()
-        else:
-            yield combiner["gate"]
-        state, directives = combiner["result"]
-        invalidate, flush, cr_diffs, cr_invalidate = directives[tid]
-        return state, invalidate, flush, cr_diffs, cr_invalidate
 
     def cond_wait(self, tid: int, cond_id: int, lock_id: int):
         """Generator: POSIX-style wait (caller must hold the lock)."""

@@ -9,8 +9,6 @@ The yield protocol understood by the engine:
 * ``yield Timeout(dt)``      -- resume after ``dt`` simulated seconds.
 * ``yield event``            -- resume when the :class:`SimEvent` triggers.
 * ``yield process``          -- join another process (gets its return value).
-* ``yield AllOf([...])``     -- resume when every child event has triggered.
-* ``yield AnyOf([...])``     -- resume when the first child event triggers.
 * ``yield PARK``             -- suspend with nothing queued: whoever holds the
   process resumes it (``Resource.serve`` does, at service completion).
 
@@ -20,24 +18,18 @@ generator.
 """
 
 from repro.sim.engine import Engine, Process, Timeout
-from repro.sim.events import AllOf, AnyOf, SimEvent
-from repro.sim.resources import Resource, SimBarrier, SimCondition, SimMutex, SimSemaphore
-from repro.sim.queues import FIFOStore
+from repro.sim.events import SimEvent
+from repro.sim.resources import Resource, SimBarrier, SimMutex
 from repro.sim.trace import TraceRecord, Tracer
 from repro.sim.stats import StatSet
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Engine",
-    "FIFOStore",
     "Process",
     "Resource",
     "SimBarrier",
-    "SimCondition",
     "SimEvent",
     "SimMutex",
-    "SimSemaphore",
     "StatSet",
     "Timeout",
     "TraceRecord",

@@ -279,12 +279,6 @@ class Engine:
         """Create a fresh un-triggered event bound to this engine."""
         return SimEvent(self, name=name)
 
-    def timeout_event(self, delay: float, value=None, name: str = "") -> SimEvent:
-        """An event that succeeds automatically after ``delay`` seconds."""
-        ev = SimEvent(self, name=name or f"timeout({delay})")
-        self.schedule(delay, ev.succeed, value)
-        return ev
-
     def process(self, gen: GeneratorType, name: str = "proc", daemon: bool = False) -> Process:
         """Register and start a generator as a process (first step at `now`)."""
         proc = Process(self, gen, name=name, daemon=daemon)
@@ -292,11 +286,9 @@ class Engine:
         self.schedule(0.0, self._step, proc, None, None)
         return proc
 
-    def _resume_with_outcome(self, waiter, event: SimEvent) -> None:
-        """Deliver a triggered event to a waiter (process or composite shim)."""
-        if type(waiter) is not Process:  # exact: Process is never subclassed
-            waiter._deliver(event)
-        elif event._value is not _PENDING:
+    def _resume_with_outcome(self, waiter: Process, event: SimEvent) -> None:
+        """Deliver a triggered event to a waiting process."""
+        if event._value is not _PENDING:
             self.schedule(0.0, self._step, waiter, event._value, None)
         else:
             self.schedule(0.0, self._step, waiter, None, event._exc)
@@ -313,9 +305,6 @@ class Engine:
         step = self._step
         bucket = None
         for waiter in waiters:
-            if type(waiter) is not Process:
-                waiter._deliver(event)
-                continue
             self._seq += 1
             if bucket is None:
                 # Nothing between here and the end of the loop can move

@@ -1,4 +1,4 @@
-"""One-shot simulation events and composite events.
+"""One-shot simulation events.
 
 A :class:`SimEvent` is the synchronization primitive the engine understands:
 it triggers exactly once (with a value or an exception), and any process that
@@ -71,95 +71,3 @@ class SimEvent:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self.triggered else "pending"
         return f"<SimEvent {self.name!r} {state}>"
-
-
-class _Composite(SimEvent):
-    """Base for AllOf/AnyOf: an event derived from a set of child events."""
-
-    __slots__ = ("children",)
-
-    def __init__(self, engine, children, name=""):
-        super().__init__(engine, name)
-        self.children = tuple(children)
-        for child in self.children:
-            if not isinstance(child, SimEvent):
-                raise TypeError(f"composite events take SimEvents, got {child!r}")
-        self._arm()
-
-    def _arm(self) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Composite):
-    """Triggers once every child has triggered; value is the list of values.
-
-    Fails fast with the first child failure.
-    """
-
-    __slots__ = ("_remaining",)
-
-    def _arm(self) -> None:
-        self._remaining = len(self.children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for child in self.children:
-            self._watch(child)
-
-    def _watch(self, child: SimEvent) -> None:
-        if child.triggered:
-            self._on_child(child)
-        else:
-            child._waiters.append(_Callback(self._on_child, child))
-
-    def _on_child(self, child: SimEvent) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            self.fail(child._exc)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([c.value for c in self.children])
-
-
-class AnyOf(_Composite):
-    """Triggers with (index, value) of the first child to trigger."""
-
-    __slots__ = ()
-
-    def _arm(self) -> None:
-        if not self.children:
-            raise SimulationError("AnyOf requires at least one child event")
-        for child in self.children:
-            if child.triggered:
-                self._on_child(child)
-                return
-        for child in self.children:
-            child._waiters.append(_Callback(self._on_child, child))
-
-    def _on_child(self, child: SimEvent) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            self.fail(child._exc)
-            return
-        self.succeed((self.children.index(child), child.value))
-
-
-class _Callback:
-    """Adapter letting composite events sit in a child's waiter list.
-
-    The engine resumes ordinary processes via ``_resume_with_outcome``; a
-    composite instead needs a plain function call, which this shim provides
-    through duck-typing (the engine calls ``_resume_with_outcome`` on us).
-    """
-
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn, arg):
-        self.fn = fn
-        self.arg = arg
-
-    def _deliver(self, event: SimEvent) -> None:
-        self.fn(self.arg)

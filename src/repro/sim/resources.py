@@ -1,5 +1,5 @@
-"""Engine-level blocking primitives: mutex, semaphore, condition, barrier,
-and a capacity-limited server resource.
+"""Engine-level blocking primitives: mutex, barrier, and a capacity-limited
+server resource.
 
 These are *simulation* primitives (used to model contention inside simulated
 hardware and inside the Pthreads baseline); the DSM's own locks and barriers
@@ -59,61 +59,6 @@ class SimMutex:
     @property
     def locked(self) -> bool:
         return self.owner is not None
-
-
-class SimSemaphore:
-    """Counting semaphore with FIFO wakeup."""
-
-    def __init__(self, engine: Engine, value: int, name: str = "sem"):
-        if value < 0:
-            raise SimulationError("semaphore initial value must be >= 0")
-        self.engine = engine
-        self.name = name
-        self.value = value
-        self._waiters: deque = deque()
-
-    def acquire(self):
-        if self.value > 0:
-            self.value -= 1
-        else:
-            gate = self.engine.event(f"{self.name}.wait")
-            self._waiters.append(gate)
-            yield gate
-        return self
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self.value += 1
-
-
-class SimCondition:
-    """Condition variable tied to a :class:`SimMutex` (Mesa semantics)."""
-
-    def __init__(self, engine: Engine, mutex: SimMutex, name: str = "cond"):
-        self.engine = engine
-        self.mutex = mutex
-        self.name = name
-        self._waiters: deque = deque()
-
-    def wait(self, who):
-        """Generator: atomically release the mutex and block; reacquires it
-        before returning."""
-        if self.mutex.owner is not who:
-            raise SynchronizationError(f"{self.name}: wait() without holding mutex")
-        gate = self.engine.event(f"{self.name}.wait")
-        self._waiters.append(gate)
-        self.mutex.release(who)
-        yield gate
-        yield from self.mutex.acquire(who)
-
-    def notify(self, n: int = 1) -> None:
-        for _ in range(min(n, len(self._waiters))):
-            self._waiters.popleft().succeed()
-
-    def notify_all(self) -> None:
-        self.notify(len(self._waiters))
 
 
 class SimBarrier:

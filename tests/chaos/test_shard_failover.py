@@ -11,6 +11,10 @@ The kill instants sit inside a deliberately quiet compute window -- a
 retried sync RPC that raced the crash into a *rolled barrier generation*
 is a documented non-goal of the recovery protocol, so the schedule kills
 between rounds, exactly how an operator would drain a shard.
+
+The tree-barrier cases kill the shard that is both a barrier's root and a
+cell's combiner, then arrive before the detector has declared it: both
+upstream hops of a combining arrival must wait the failover out.
 """
 
 import pytest
@@ -96,6 +100,57 @@ def test_lock_service_survives_shard_kill(seed):
     assert report["faults"].get("crash_drops", 0) > 0
     # Post-failover traffic for shard-1 IDs lands on the successor.
     assert system.control.live_index(1) == 0
+
+
+def _run_tree_barriers_across_kill(seed, n_threads):
+    """Two tree-barrier rounds on a shard-1 barrier, the kill, arrivals at
+    t = 3.05e-4 (after the crash, before the detector has declared it),
+    two more rounds. Returns (threads finished, end instant, report)."""
+    plan = permanent_crash(seed, "node1", at=CRASH_AT)
+    system = SamhitaSystem.cluster(
+        n_threads, config=_sharded_replicated(plan).with_(tree_barriers=True))
+    tids = [system.add_thread() for _ in range(n_threads)]
+    bar = system.create_barrier(n_threads)
+    assert system.control.shard_index(bar) == 1
+    done = []
+
+    def body(tid):
+        for _ in range(2):
+            yield from system.barrier_wait(tid, bar)
+        yield Timeout(3.05e-4 - system.engine.now)
+        for _ in range(2):
+            yield from system.barrier_wait(tid, bar)
+        done.append(tid)
+
+    for i, tid in enumerate(tids):
+        system.process(body(tid), name=f"t{i}")
+    system.run()
+    return len(done), system.engine.now, system.stats_report()
+
+
+@pytest.mark.parametrize("n_threads", [
+    16,  # one node per cell: each node leader arrives at the root shard
+    32,  # two per cell: leader -> combiner shard 1, cell 0's leader -> root
+])
+@pytest.mark.parametrize("seed", chaos_seeds())
+def test_tree_barrier_survives_shard_kill(seed, n_threads):
+    """Every hop of a combining arrival is a routed control RPC: a leader
+    whose combiner or root shard died waits out the detection window and
+    re-issues against the successor, like a flat arrival does."""
+    finished, _now, report = _run_tree_barriers_across_kill(seed, n_threads)
+    assert finished == n_threads
+    assert report["control_plane"].get("shard_failovers", 0) == 1
+    assert report["control_plane"].get("shard_failover_retries", 0) >= 1
+    assert report["faults"].get("crash_drops", 0) > 0
+
+
+@pytest.mark.parametrize("seed", [chaos_seeds()[0]])
+def test_tree_barrier_shard_kill_replays_bit_identically(seed):
+    def run():
+        finished, now, report = _run_tree_barriers_across_kill(seed, 32)
+        return finished, now, report["manager"], report["faults"]
+
+    assert run() == run()
 
 
 @pytest.mark.parametrize("seed", [chaos_seeds()[0]])

@@ -125,14 +125,17 @@ class TestConfigSurface:
         # One implementation of each mechanism, no switch to a predecessor:
         # victim selection (column selection in SoftwareCache, pinned to
         # the reference model by tests/property/test_cache_equivalence.py),
-        # the fault / prefetch / evict protocol (rtbatch), the engine --
-        # and no tail-tolerance knob on top of the plain retry loop.
+        # the fault / prefetch / evict protocol (rtbatch), the engine, the
+        # combining barrier arrival (``tree_barriers``) -- and no
+        # tail-tolerance knob on top of the plain retry loop.
         fields = {f.name for f in dataclasses.fields(SamhitaConfig)}
+        assert len(fields) == 32
         for gone in ("eviction_impl", "batched_round_trips",
                      "batch_line_fetches", "prefetch_adjacent",
                      "adaptive_timeouts", "hedged_fetches", "hedge_quantile",
                      "retry_budget", "retry_budget_refill",
-                     "breaker_cooldown", "admission_queue_limit"):
+                     "breaker_cooldown", "admission_queue_limit",
+                     "hierarchical_sync"):
             assert gone not in fields
             with pytest.raises(TypeError):
                 SamhitaConfig(**{gone: False})

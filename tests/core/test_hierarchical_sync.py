@@ -1,4 +1,6 @@
-"""Tests for hierarchical (node-combining) barrier synchronization."""
+"""Tests for node-combining barrier synchronization: the tree protocol on
+one manager shard, where its cell level is skipped and each compute node's
+leader arrives at the manager for the node."""
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from repro.kernels import (
 )
 from repro.runtime import Runtime
 
-HIER = SamhitaConfig(hierarchical_sync=True)
+HIER = SamhitaConfig(tree_barriers=True)
 
 
 class TestCorrectness:
@@ -68,7 +70,7 @@ class TestCorrectness:
 class TestCostShape:
     def test_fewer_manager_requests_per_barrier(self):
         def requests(hierarchical):
-            config = SamhitaConfig(hierarchical_sync=hierarchical)
+            config = SamhitaConfig(tree_barriers=hierarchical)
             rt = Runtime("samhita", n_threads=32, config=config)
             bar = rt.create_barrier()
 
@@ -87,7 +89,7 @@ class TestCostShape:
 
     def test_barrier_sync_time_improves_at_scale(self):
         def sync_time(hierarchical):
-            config = SamhitaConfig(hierarchical_sync=hierarchical)
+            config = SamhitaConfig(tree_barriers=hierarchical)
             rt = Runtime("samhita", n_threads=32, config=config)
             bar = rt.create_barrier()
 

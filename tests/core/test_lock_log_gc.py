@@ -86,7 +86,7 @@ def _cr_round(system, duplicate_of=None):
             yield from system.release_lock(tid, lock)
         elif duplicate_of is not None:
             system.process(manager.barrier_arrive(
-                duplicate_of, system.component_of(duplicate_of), bar, []),
+                system.component_of(duplicate_of), bar, {duplicate_of: []}),
                 name="retry")
         yield from system.barrier_wait(tid, bar)
 

@@ -62,7 +62,7 @@ class TestBarrierStateMachine:
             state = system.manager._barrier(bar)
             state.arrived[0] = []
             with pytest.raises(SynchronizationError):
-                yield from system.manager.barrier_arrive(0, "node2", bar, [])
+                yield from system.manager.barrier_arrive("node2", bar, {0: []})
 
         run_threads(system, [sneaky()])
 

@@ -9,7 +9,7 @@ from repro.experiments import figures
 def test_fig11_under_hierarchical_sync_is_cheaper():
     flat = figures.fig11(pth_cores=(1,), smh_cores=(32,))
     combined = figures.fig11(pth_cores=(1,), smh_cores=(32,),
-                             config=SamhitaConfig(hierarchical_sync=True))
+                             config=SamhitaConfig(tree_barriers=True))
     assert (combined["smh_local"].y_at(32)
             < flat["smh_local"].y_at(32))
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import AllOf, AnyOf, Engine, Timeout
+from repro.sim import Engine, Timeout
 
 
 def test_clock_starts_at_zero():
@@ -162,20 +162,6 @@ def test_event_value_before_trigger_rejected():
         _ = eng.event().value
 
 
-def test_timeout_event_helper():
-    eng = Engine()
-    ev = eng.timeout_event(2.0, value="v")
-    got = []
-
-    def waiter():
-        got.append((yield ev))
-        got.append(eng.now)
-
-    eng.process(waiter())
-    eng.run()
-    assert got == ["v", 2.0]
-
-
 def test_unhandled_process_exception_aborts_run():
     eng = Engine()
 
@@ -221,62 +207,6 @@ def test_daemon_processes_do_not_deadlock():
 
     eng.process(server(), name="srv", daemon=True)
     assert eng.run() == 0.0
-
-
-def test_allof_collects_values_in_child_order():
-    eng = Engine()
-    e1, e2 = eng.timeout_event(2.0, "b"), eng.timeout_event(1.0, "a")
-    got = []
-
-    def waiter():
-        got.append((yield AllOf(eng, [e1, e2])))
-        got.append(eng.now)
-
-    eng.process(waiter())
-    eng.run()
-    assert got == [["b", "a"], 2.0]
-
-
-def test_allof_empty_triggers_immediately():
-    eng = Engine()
-    combined = AllOf(eng, [])
-    assert combined.triggered and combined.value == []
-
-
-def test_anyof_returns_first_index_and_value():
-    eng = Engine()
-    e1, e2 = eng.timeout_event(5.0, "slow"), eng.timeout_event(1.0, "fast")
-    got = []
-
-    def waiter():
-        got.append((yield AnyOf(eng, [e1, e2])))
-        got.append(eng.now)
-
-    eng.process(waiter())
-    eng.run()
-    assert got == [(1, "fast"), 1.0]
-
-
-def test_anyof_empty_rejected():
-    eng = Engine()
-    with pytest.raises(SimulationError):
-        AnyOf(eng, [])
-
-
-def test_allof_propagates_failure():
-    eng = Engine()
-    ok = eng.timeout_event(1.0)
-    bad = eng.event("bad")
-    eng.schedule(0.5, lambda: bad.fail(KeyError("nope")))
-
-    def waiter():
-        with pytest.raises(KeyError):
-            yield AllOf(eng, [ok, bad])
-        return "done"
-
-    p = eng.process(waiter())
-    eng.run()
-    assert p.done_event.value == "done"
 
 
 def test_many_processes_interleave_deterministically():

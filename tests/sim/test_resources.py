@@ -1,9 +1,9 @@
-"""Tests for engine-level mutex / semaphore / condition / barrier / resource."""
+"""Tests for engine-level mutex / barrier / resource."""
 
 import pytest
 
 from repro.errors import SimulationError, SynchronizationError
-from repro.sim import Engine, FIFOStore, Resource, SimBarrier, SimCondition, SimMutex, SimSemaphore, Timeout
+from repro.sim import Engine, Resource, SimBarrier, SimMutex, Timeout
 
 
 def run_all(eng, gens, names=None):
@@ -67,91 +67,6 @@ class TestMutex:
             m.release("a")
 
         run_all(eng, [proc()])
-
-
-class TestSemaphore:
-    def test_counts_down_then_blocks(self):
-        eng = Engine()
-        sem = SimSemaphore(eng, 2)
-        log = []
-
-        def proc(i):
-            yield from sem.acquire()
-            log.append(("in", i, eng.now))
-            yield Timeout(1.0)
-            sem.release()
-
-        run_all(eng, [proc(i) for i in range(3)])
-        times = [t for (_, _, t) in log]
-        assert times == [0.0, 0.0, 1.0]
-
-    def test_negative_initial_value_rejected(self):
-        with pytest.raises(SimulationError):
-            SimSemaphore(Engine(), -1)
-
-    def test_release_without_waiter_increments(self):
-        eng = Engine()
-        sem = SimSemaphore(eng, 0)
-        sem.release()
-        assert sem.value == 1
-
-
-class TestCondition:
-    def test_wait_notify_roundtrip(self):
-        eng = Engine()
-        m = SimMutex(eng)
-        cond = SimCondition(eng, m)
-        state = {"ready": False}
-        log = []
-
-        def consumer():
-            yield from m.acquire("c")
-            while not state["ready"]:
-                yield from cond.wait("c")
-            log.append(("consumed", eng.now))
-            m.release("c")
-
-        def producer():
-            yield Timeout(5.0)
-            yield from m.acquire("p")
-            state["ready"] = True
-            cond.notify()
-            m.release("p")
-
-        run_all(eng, [consumer(), producer()])
-        assert log == [("consumed", 5.0)]
-
-    def test_wait_without_mutex_raises(self):
-        eng = Engine()
-        m = SimMutex(eng)
-        cond = SimCondition(eng, m)
-
-        def proc():
-            with pytest.raises(SynchronizationError):
-                yield from cond.wait("me")
-
-        run_all(eng, [proc()])
-
-    def test_notify_all_wakes_everyone(self):
-        eng = Engine()
-        m = SimMutex(eng)
-        cond = SimCondition(eng, m)
-        woke = []
-
-        def waiter(i):
-            yield from m.acquire(i)
-            yield from cond.wait(i)
-            woke.append(i)
-            m.release(i)
-
-        def waker():
-            yield Timeout(1.0)
-            yield from m.acquire("w")
-            cond.notify_all()
-            m.release("w")
-
-        run_all(eng, [waiter(0), waiter(1), waiter(2), waker()])
-        assert sorted(woke) == [0, 1, 2]
 
 
 class TestBarrier:
@@ -237,43 +152,3 @@ class TestResource:
     def test_bad_capacity_rejected(self):
         with pytest.raises(SimulationError):
             Resource(Engine(), capacity=0)
-
-
-class TestFIFOStore:
-    def test_put_then_get(self):
-        eng = Engine()
-        store = FIFOStore(eng)
-        store.put("a")
-        store.put("b")
-        got = []
-
-        def consumer():
-            got.append((yield from store.get()))
-            got.append((yield from store.get()))
-
-        run_all(eng, [consumer()])
-        assert got == ["a", "b"]
-
-    def test_get_blocks_until_put(self):
-        eng = Engine()
-        store = FIFOStore(eng)
-        got = []
-
-        def consumer():
-            got.append((yield from store.get()))
-            got.append(eng.now)
-
-        def producer():
-            yield Timeout(3.0)
-            store.put("late")
-
-        run_all(eng, [consumer(), producer()])
-        assert got == ["late", 3.0]
-
-    def test_depth_statistics(self):
-        eng = Engine()
-        store = FIFOStore(eng)
-        for i in range(5):
-            store.put(i)
-        assert store.max_depth == 5
-        assert len(store) == 5

@@ -57,14 +57,15 @@ default value in ``SamhitaConfig()``, so the pin covers them.
 ``--check-shard-scaling`` gates the sharded control plane on the
 16 -> 64 -> 256 -> 1,024 compute-server sweep: the mean per-shard manager
 RPC load must stay flat across the sweep (deviation at most
-``max_shard_load_deviation``), hierarchical tree barriers must cut total
+``max_shard_load_deviation``), tree barriers must cut total
 barrier RPCs by at least ``min_barrier_reduction`` x versus flat barriers
 at every sweep point, and the host calls one thread-round costs (cProfile
 total of a second, untimed run) must stay at or under
 ``max_calls_per_thread_round`` at every point and, at the last point,
-within 1.15x of the first -- the sync path's cost per thread may not grow
-with the machine. All quantities are deterministic counts, so the gates
-are exact.
+within 1.15x of the first point whose tree has a cell level (one shard has
+none, so its round is a hop shorter by construction) -- the sync path's
+cost per thread may not grow with the machine. All quantities are
+deterministic counts, so the gates are exact.
 
 ``--check-partition-safety`` gates the fenced three-shard machine: a
 partition severing one memory server must end data-identical to its
@@ -384,24 +385,28 @@ def check_shard_scaling(report: dict, max_deviation: float,
             problems.append(f"{calls} host calls per thread-round > "
                             f"{max_calls:g} at {cell.get('n_compute')} "
                             f"servers")
-    per_round = [cell.get("host_calls_per_thread_round") for cell in sweep]
-    if all(per_round) and per_round[-1] > MAX_CALLS_GROWTH * per_round[0]:
+    # Growth is measured between like protocols: on one shard the tree has
+    # no cell level, so that point's round is shorter by construction.
+    treed = [cell for cell in sweep if cell.get("shards", 0) > 1]
+    per_round = [cell.get("host_calls_per_thread_round") for cell in treed]
+    if (per_round and all(per_round)
+            and per_round[-1] > MAX_CALLS_GROWTH * per_round[0]):
         problems.append(f"host calls per thread-round grow {per_round[0]} "
                         f"-> {per_round[-1]} (> {MAX_CALLS_GROWTH}x) from "
-                        f"{sweep[0].get('n_compute')} to "
-                        f"{sweep[-1].get('n_compute')} servers")
+                        f"{treed[0].get('n_compute')} to "
+                        f"{treed[-1].get('n_compute')} servers")
     if problems:
         return False, "shard scaling FAILED: " + "; ".join(problems)
     top = sweep[-1]
+    calls = " / ".join(str(c["host_calls_per_thread_round"]) for c in sweep)
     return True, (f"shard scaling: per-shard load deviation "
                   f"{deviation * 100:.1f}% (gate <= "
                   f"{max_deviation * 100:.0f}%) across "
                   f"{'/'.join(str(c['n_compute']) for c in sweep)} servers, "
                   f"barriers -{top['barrier_rpc_reduction']:.1f}x vs flat "
                   f"(gate >= {min_barrier_reduction:.1f}x), host calls per "
-                  f"thread-round {' / '.join(str(c) for c in per_round)} "
-                  f"(gate <= {max_calls:g}, last <= {MAX_CALLS_GROWTH}x "
-                  f"first)")
+                  f"thread-round {calls} (gate <= {max_calls:g}, last <= "
+                  f"{MAX_CALLS_GROWTH}x the first with a cell level)")
 
 
 def main(argv=None) -> int:
