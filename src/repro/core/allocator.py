@@ -152,6 +152,14 @@ class SamhitaAllocator:
                 return home
         raise MemoryError_(f"page {page} is not part of any allocation")
 
+    def homes_of(self, pages: list[int]) -> list[int]:
+        """:meth:`home_of_page` of each page of a list (a trip's pages)."""
+        cache = self._home_cache
+        try:
+            return [cache[page] for page in pages]
+        except KeyError:  # some page is looked up for the first time
+            return [self.home_of_page(page) for page in pages]
+
     def home_of_line(self, line: int) -> int:
         return self.home_of_page(line * self.layout.pages_per_line)
 

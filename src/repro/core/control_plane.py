@@ -208,6 +208,9 @@ class ShardedAllocator:
     def home_of_page(self, page: int) -> int:
         return self._part_of_page(page).home_of_page(page)
 
+    def homes_of(self, pages: list[int]) -> list[int]:
+        return [self.home_of_page(page) for page in pages]
+
     def home_of_line(self, line: int) -> int:
         return self.home_of_page(line * self.layout.pages_per_line)
 

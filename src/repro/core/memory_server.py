@@ -161,31 +161,30 @@ class MemoryServer:
         returns ``{page: data}``."""
         backing = self.backing
         integrity = backing.integrity
-        crcs: dict[int, int] | None = {} if integrity else None
-        result = {}
         if self._track_sharers:
             self.directory.add_sharers(pages, requester_tid)
         if backing.functional or integrity:
-            read_page = backing.read_page
-            for page in pages.tolist():
-                if integrity:
-                    # Rot strikes (maybe) before the read below copies the
-                    # bytes; the shipped CRC is the stored one, which a rot
-                    # leaves stale -- that staleness IS the detection.
+            pages = pages.tolist()
+            inj = self._system.injector if integrity else None
+            if inj is not None and inj.plan.bitrot_rate:
+                # Rot strikes (maybe) before the read below copies the
+                # bytes; the shipped CRC is the stored one, which a rot
+                # leaves stale -- that staleness IS the detection.
+                for page in pages:
                     self._maybe_bitrot(page)
-                    crcs[page] = backing.page_crc(page)
-                result[page] = read_page(page)
-        else:
-            # Timing fast path: no bytes move; only frame existence and
-            # the read counters matter, paid in bulk. The returned mapping
-            # stays empty -- timing-mode callers only ``.get`` per-page
-            # data, which is None either way.
-            backing.serve_pages_timing(pages)
-        self.last_serve_crcs = crcs
-        return result
+            result, self.last_serve_crcs = backing.serve_pages(pages)
+            return result
+        # Timing fast path: no bytes move; only frame existence and the
+        # read counters matter, paid in bulk. The returned mapping stays
+        # empty -- timing-mode callers only ``.get`` per-page data, which
+        # is None either way.
+        backing.serve_pages_timing(pages)
+        self.last_serve_crcs = None
+        return {}
 
     def _maybe_bitrot(self, page: int) -> None:
-        """One bitrot draw for a page about to be served.
+        """One bitrot draw for a page about to be served (the plan's
+        ``bitrot_rate`` is armed: the caller checked).
 
         Gated on a live backup existing: unrepairable rot would break the
         data-identity contract, so the fault model only rots what the
@@ -193,27 +192,23 @@ class MemoryServer:
         the dedicated bitrot RNG stream aligned with repairability).
         """
         system = self._system
-        inj = system.injector
-        if inj is None or not inj.plan.bitrot_rate:
-            return
         if system.live_backup_of(page, self.index) is None:
             return
-        if inj.draw_bitrot():
+        if system.injector.draw_bitrot():
             self.backing.corrupt_page(page)
 
-    def _wal_append(self, page: int, diff) -> None:
-        """Write-ahead: log a diff BEFORE it merges into the backing store.
+    def _wal_extend(self, diffs) -> None:
+        """Write-ahead: log diffs BEFORE they merge into the backing store
+        (the WAL is armed: the caller checked).
 
         A recall takes the *only* dirty copy from its writer; if this
         primary then dies mid-merge, the WAL tail replayed into the
-        promoted backup is the sole surviving record. Targets are the
+        promoted backup is the sole surviving record. Targets are each
         page's currently-live backups (dead ones would pin entries
         forever).
         """
-        wal = self.wal
-        if wal is None:
-            return
-        wal.append(page, diff, self._system.replica_targets(page, self.index))
+        self.wal.extend(diffs, self._system.replica_targets_each(
+            diffs, self.index))
 
     # ------------------------------------------------------------------
     # owner recall
@@ -273,33 +268,29 @@ class MemoryServer:
             backing.apply_diff_sizes(dirty_pages, payload)
             self.stats.incr("recall_bytes", payload)
             return None
-        is_dirty = owner_cache.is_dirty
-        diffs = [owner_cache.take_diff(page) for page in pages.tolist()
-                 if is_dirty(page)]
+        diffs = owner_cache.take_diffs(pages.tolist())
         self.directory.clear_owners(pages)
         if not diffs:
             return None
+        if self.wal is not None:
+            self._wal_extend(diffs)
+        payload = wire = 0
         for diff in diffs:
-            self._wal_append(diff.page, diff)
-        payload = sum(d.payload_bytes for d in diffs)
-        wire = sum(d.wire_bytes for d in diffs)
+            payload += diff.payload_bytes
+            wire += diff.wire_bytes
         t = system.fabric.transfer_inline(
             owner_comp, self.component, wire, category="recall_diff",
             tail=self.config.apply_time_per_byte * payload)
         if t is not None:
             return self._recall_bulk_apply(t, diffs, payload)
-        apply_diff = backing.apply_diff
-        for diff in diffs:
-            apply_diff(diff)
+        backing.apply_diffs(diffs)
         self.stats.incr("recall_bytes", payload)
         return None
 
     def _recall_bulk_apply(self, transfer_gen, diffs, payload):
         """Generator: bulk-recall slow path -- diff transfer in flight."""
         yield from transfer_gen
-        apply_diff = self.backing.apply_diff
-        for diff in diffs:
-            apply_diff(diff)
+        self.backing.apply_diffs(diffs)
         self.stats.incr("recall_bytes", payload)
 
     def _recall_bulk_apply_sizes(self, transfer_gen, dirty_pages, payload):
@@ -342,9 +333,10 @@ class MemoryServer:
                 cache = system.cache_of(sharer)
                 if cache.is_dirty(page):
                     # Stale exclusivity: merge first.
-                    diff = cache.take_diff(page)
-                    self._wal_append(page, diff)
-                    self.backing.apply_diff(diff)
+                    diffs = cache.take_diffs((page,))
+                    if self.wal is not None:
+                        self._wal_extend(diffs)
+                    self.backing.apply_diffs(diffs)
                 # Drops the copy AND advances the page's invalidation
                 # counter, voiding any of the sharer's in-flight fetches.
                 cache.invalidate([page])
@@ -448,17 +440,17 @@ class MemoryServer:
                 # diffs on a corpse whose WAL nobody replays again).
                 raise RetryExhaustedError(self.component, self.component,
                                           "diff", 0, self.engine.now)
-            total = sum(d.payload_bytes for d in diffs)
+            total = sum([d.payload_bytes for d in diffs])
             if total:
                 delay = self.config.apply_time_per_byte * total
                 if not self.engine.try_advance(delay):
                     yield Timeout(delay)
-            wal = self.wal
+            if self.wal is not None:
+                self._wal_extend(diffs)
+            self.backing.apply_diffs(diffs)
+            clear_owner = self.directory.clear_owner
             for diff in diffs:
-                if wal is not None:
-                    self._wal_append(diff.page, diff)
-                self.backing.apply_diff(diff)
-                self.directory.clear_owner(diff.page)
+                clear_owner(diff.page)
             self.stats.incr("flushes")
             self.stats.incr("flush_bytes", total)
         finally:
@@ -503,7 +495,7 @@ class MemoryServer:
                     continue
                 backup = system.memory_servers[target]
                 diffs = [e.diff for e in entries]
-                wire = sum(d.wire_bytes for d in diffs)
+                wire = sum([d.wire_bytes for d in diffs])
                 fencing = system.membership is not None
                 try:
                     t = system.scl.rdma_put(self.component, backup.component,
@@ -531,7 +523,7 @@ class MemoryServer:
                 wal.ack(target, entries)
                 counters["repl_ships"] += 1
                 counters["repl_diffs"] += len(diffs)
-                counters["repl_bytes"] += sum(d.payload_bytes for d in diffs)
+                counters["repl_bytes"] += sum([d.payload_bytes for d in diffs])
         finally:
             self._repl_lock.release()
 
@@ -549,13 +541,12 @@ class MemoryServer:
         self._fence(epoch, "repl")
         yield from self.resource.request_service(self._service_time())
         try:
-            total = sum(d.payload_bytes for d in diffs)
+            total = sum([d.payload_bytes for d in diffs])
             if total:
                 delay = self.config.apply_time_per_byte * total
                 if not self.engine.try_advance(delay):
                     yield Timeout(delay)
-            for diff in diffs:
-                self.backing.apply_diff(diff)
+            self.backing.apply_diffs(diffs)
             self.stats.incr("replica_applies")
             self.stats.incr("replica_bytes", total)
         finally:

@@ -41,12 +41,13 @@ from __future__ import annotations
 
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable
+from zlib import crc32
 
 import numpy as np
 
 from repro.errors import CommunicationError, recovery_action
 from repro.interconnect.scl import CONTROL_BYTES
-from repro.memory.backing import payload_crc_ok
+from repro.memory.backing import CRC_CORRUPT
 from repro.memory.pagetable import NO_PAGES
 from repro.sim.engine import Timeout
 
@@ -204,8 +205,14 @@ def _home_trip(cs: "ComputeServer", tid: int, home: int,
             data, crcs = yield from _plain_trip(
                 cs, tid, server, server_pages, nbytes, floor)
             if crcs is not None:
+                # The end-to-end check of each received page against its
+                # shipped checksum (``payload_crc_ok``, in line); with no
+                # bytes (timing mode) it degrades to the corruption sentinel.
+                functional = cache.functional
                 for page in server_pages.tolist():
-                    if payload_crc_ok(data.get(page), crcs.get(page)):
+                    crc = crcs[page]
+                    if (crc32(data[page]) & 0xFFFFFFFF == crc if functional
+                            else crc != CRC_CORRUPT):
                         continue
                     counters["integrity_failures"] += 1
                     data[page] = yield from cs._repair_page(server, page)
@@ -366,11 +373,9 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: np.ndarray,
         # Single home: skip the per-page home lookups entirely.
         grouped = {0: (demand, spec)} if pages.size else {}
     else:
-        home_of_page = system.allocator.home_of_page
-        homes_d = np.fromiter(map(home_of_page, demand.tolist()), np.int64,
-                              demand.size)
-        homes_s = np.fromiter(map(home_of_page, spec.tolist()), np.int64,
-                              spec.size)
+        homes_of = system.allocator.homes_of
+        homes_d = np.array(homes_of(demand.tolist()), dtype=np.int64)
+        homes_s = np.array(homes_of(spec.tolist()), dtype=np.int64)
         grouped = {home: (demand[homes_d == home], spec[homes_s == home])
                    for home in {*homes_d.tolist(), *homes_s.tolist()}}
 
@@ -500,7 +505,7 @@ def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
             by_home.setdefault(home_of_page(diff.page), []).append(diff)
     for home in sorted(by_home):
         group = by_home[home]
-        wire = sum(d.wire_bytes for d in group)
+        wire = sum([d.wire_bytes for d in group])
         lead = scan_time * len(group)
         backoffs = 0
         while True:

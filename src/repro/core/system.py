@@ -20,6 +20,7 @@ Three canonical machines:
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -344,6 +345,16 @@ class SamhitaSystem:
         dead = self._dead_servers
         return [i for i in self.replica_ring(logical)
                 if i != exclude and i not in dead]
+
+    def replica_targets_each(self, diffs, exclude: int):
+        """:meth:`replica_targets` of each diff's page, in order (what
+        ``ReplicationLog.extend`` logs a batch with). A batch is what one
+        server merges at once: until a server has died every page it is
+        home to has its own ring, resolved once; a promoted server also
+        holds its dead neighbour's pages, so its batches resolve per diff."""
+        if self._dead_servers:
+            return [self.replica_targets(diff.page, exclude) for diff in diffs]
+        return repeat(self.replica_targets(diffs[0].page, exclude))
 
     def live_backup_of(self, page: int, exclude: int) -> int | None:
         """First live replica of ``page`` other than ``exclude`` (repair
@@ -746,13 +757,9 @@ class SamhitaSystem:
         invalidate, flush, cr_diffs, cr_invalidate = directives[tid]
         if flush:
             yield Timeout(len(flush) * self.config.diff_scan_time)
-            diffs = []
-            for page in flush:
-                if not cache.resident(page):
-                    continue  # evicted mid-epoch: its diff already reached home
-                diff = cache.take_diff(page)
-                if diff is not None and not diff.empty:
-                    diffs.append(diff)
+            # A page evicted mid-epoch is skipped: its diff already
+            # reached home.
+            diffs = [d for d in cache.take_diffs(flush) if d.n_spans]
             # The scan was charged above, per page the directive named.
             yield from rtbatch.flush_diffs_batched(
                 self.compute_servers[comp], diffs, "barrier_diff", 0.0)

@@ -128,17 +128,30 @@ class BackingStore:
             if self.functional:
                 cols[CRC][i] = None
 
+    def apply_diffs(self, diffs) -> None:
+        """Merge writers' diffs into the authoritative pages, in order. A
+        diff without spans (an unchanged page's) bumps the version and
+        writes no byte, so the frame's cached checksum stays valid."""
+        functional = self.functional
+        integrity = self.integrity
+        ensure = self.ensure
+        nbytes = 0
+        for diff in diffs:
+            cols, i = ensure(diff.page)
+            if functional and diff.n_spans:
+                diff.apply_to(cols[DATA][i])
+                if integrity and not cols[CORRUPT][i]:
+                    cols[CRC][i] = None
+            cols[VERSION][i] += 1
+            nbytes += diff.payload_bytes
+        if diffs:
+            counters = self.stats.counters
+            counters["diffs_applied"] += len(diffs)
+            counters["diff_bytes"] += nbytes
+
     def apply_diff(self, diff: PageDiff) -> None:
-        """Merge one writer's diff into the authoritative page."""
-        counters = self.stats.counters
-        counters["diffs_applied"] += 1
-        counters["diff_bytes"] += diff.payload_bytes
-        cols, i = self.ensure(diff.page)
-        if self.functional:
-            diff.apply_to(cols[DATA][i])
-            if self.integrity and not cols[CORRUPT][i]:
-                cols[CRC][i] = None
-        cols[VERSION][i] += 1
+        """Merge one writer's diff (:meth:`apply_diffs` of one)."""
+        self.apply_diffs((diff,))
 
     def apply_diff_sizes(self, pages: list[int], payload_bytes: int) -> None:
         """Timing-mode bulk twin of :meth:`apply_diff` for a recall batch:
@@ -155,6 +168,22 @@ class BackingStore:
         (frame existence + read counter) for a whole served batch."""
         self.stats.counters["page_reads"] += len(pages)
         self._touch_many(pages, bump=False)
+
+    def serve_pages(self, pages: list[int]):
+        """Bulk :meth:`read_page` (+ :meth:`page_crc` with integrity armed)
+        of a served batch on one row lookup per page: ``({page: copy},
+        {page: crc} or None)``. The copy is ``None`` in timing mode."""
+        functional = self.functional
+        ensure = self.ensure
+        data = {}
+        crcs = {} if self.integrity else None
+        for page in pages:
+            cols, i = ensure(page)
+            if crcs is not None:
+                crcs[page] = self._row_crc(cols, i)
+            data[page] = cols[DATA][i].copy() if functional else None
+        self.stats.counters["page_reads"] += len(pages)
+        return data, crcs
 
     def read_range(self, addr: int, nbytes: int) -> np.ndarray | None:
         """Gather an arbitrary byte range (used by the SMP baseline, which
@@ -200,7 +229,9 @@ class BackingStore:
         the frame version, with :data:`CRC_CORRUPT` standing in when the
         frame is rotted (no bytes exist to checksum).
         """
-        cols, i = self.ensure(page)
+        return self._row_crc(*self.ensure(page))
+
+    def _row_crc(self, cols, i: int) -> int:
         if not self.functional:
             return CRC_CORRUPT if cols[CORRUPT][i] else int(cols[VERSION][i])
         if cols[CRC][i] is None:

@@ -310,8 +310,8 @@ class SoftwareCache:
             pages = batch.tolist()
         if self.functional:
             chunks = self._table.chunks
-            for page in pages:
-                chunks[page >> CHUNK_SHIFT][DATA][page & CHUNK_MASK] = data.get(page)
+            for page, buf in zip(pages, map(data.get, pages)):
+                chunks[page >> CHUNK_SHIFT][DATA][page & CHUNK_MASK] = buf
         self._tick = tick
         self._resident.update(pages)
         counters = self.stats.counters
@@ -362,9 +362,10 @@ class SoftwareCache:
         counters["evictions"] += 1
         cols, i = self._row(page)
         diff = None
-        if cols[HI][i]:
+        hi = cols[HI].item(i)
+        if hi:
             counters["evictions_dirty"] += 1
-            diff = self._diff_of(page)
+            diff = self._diff_of(page, cols, i, hi)
             cols[HI][i] = 0
             self._spill.pop(page, None)
         else:
@@ -654,20 +655,28 @@ class SoftwareCache:
             twin = cols[TWIN][i]
             if ordinary:
                 hi = cols[HI].item(i)
-                if use_twins and not hi:
-                    # Zero-copy twin: uninitialized scratch now, only the
-                    # pre-image of the bytes this write dirties captured.
-                    twin = cols[TWIN][i] = SpanTwin(page_bytes)
-                    twins += 1
-                    twin.snapshot(buf, ((off, end_off),))
-                elif twin is not None:
-                    # Snapshot the bytes this write newly dirties; bytes
-                    # already dirty were captured by the write that
-                    # dirtied them.
-                    twin.snapshot(buf, self._spill[page].gaps_within(off, end_off)
-                                  if hi < 0 else
-                                  _outside(cols[LO].item(i), hi, off, end_off))
-                self._add_dirty(page, off, end_off)
+                if not hi:
+                    if use_twins:
+                        # Zero-copy twin: uninitialized scratch now, only
+                        # the pre-image of the bytes this write dirties
+                        # captured.
+                        twin = cols[TWIN][i] = SpanTwin(page_bytes)
+                        twins += 1
+                        twin.pre[off:end_off] = buf[off:end_off]
+                    cols[LO][i] = off
+                    cols[HI][i] = end_off
+                else:
+                    lo = cols[LO].item(i)
+                    if hi < 0 or off < lo or end_off > hi:
+                        # The store grows or splits the dirty state:
+                        # snapshot the bytes it newly dirties (those already
+                        # dirty were captured by the write that dirtied
+                        # them). A store inside the extent, the common
+                        # rewrite, does neither.
+                        if twin is not None:
+                            twin.snapshot(buf, self._spill[page].gaps_within(off, end_off)
+                                          if hi < 0 else _outside(lo, hi, off, end_off))
+                        self._add_dirty(page, off, end_off)
             if data is not None:
                 chunk_data = data[consumed:consumed + end_off - off]
                 buf[off:end_off] = chunk_data
@@ -684,9 +693,8 @@ class SoftwareCache:
     # ------------------------------------------------------------------
     # diffs & fine-grain updates
     # ------------------------------------------------------------------
-    def _diff_of(self, page: int) -> PageDiff:
-        cols = self._table.chunks[page >> CHUNK_SHIFT]
-        i = page & CHUNK_MASK
+    def _diff_of(self, page: int, cols, i: int, hi: int) -> PageDiff:
+        """The pending diff of a dirty page, given its row and ``HI``."""
         if not self.use_twins:
             # Single-writer fallback: no twin exists, so the whole page is
             # the write-back unit (the classic DSM behaviour the paper's
@@ -695,31 +703,56 @@ class SoftwareCache:
                 return PageDiff(page, spans=[(0, cols[DATA][i])])
             return PageDiff(page, spans=[(0, None)],
                             sizes=[self.layout.page_bytes])
-        ranges = self.dirty_ranges(page)
+        ranges = self._spill[page] if hi < 0 else ((cols[LO].item(i), hi),)
         twin = cols[TWIN][i] if self.functional else None
-        if twin is not None:
-            return twin.diff_spans(cols[DATA][i], ranges, page)
-        return PageDiff.from_ranges(page, ranges)
+        if twin is None:
+            return PageDiff.from_ranges(page, ranges)
+        # A page rewritten with the bytes it held (most of a stencil's
+        # interior) is not a span extraction: it ships the shared empty diff.
+        pre, data = twin.pre, cols[DATA][i]
+        for s, e in ranges:
+            if pre[s:e].tobytes() != data[s:e].tobytes():
+                return twin.diff_spans(data, ranges, page)
+        return PageDiff.unchanged(page)
+
+    def take_diffs(self, pages) -> list[PageDiff]:
+        """Extract the pending diff of every resident-dirty member of
+        ``pages`` (in their order) and mark it clean: one residency + dirty
+        scan for the batch, counters flushed once."""
+        resident = self._resident
+        chunks = self._table.chunks
+        functional = self.functional
+        diffs = []
+        nbytes = 0
+        for page in pages:
+            if page not in resident:
+                continue
+            cols = chunks[page >> CHUNK_SHIFT]
+            i = page & CHUNK_MASK
+            hi = cols[HI].item(i)
+            if not hi:
+                continue
+            diff = self._diff_of(page, cols, i, hi)
+            diffs.append(diff)
+            nbytes += diff.payload_bytes
+            cols[HI][i] = 0
+            if hi < 0:
+                del self._spill[page]
+            if functional:
+                cols[TWIN][i] = None
+        if diffs:
+            counters = self.stats.counters
+            counters["diffs_taken"] += len(diffs)
+            counters["diff_bytes"] += nbytes
+        return diffs
 
     def take_diff(self, page: int) -> PageDiff | None:
-        """Extract the pending diff for one dirty page and mark it clean."""
+        """Extract the pending diff for one dirty page and mark it clean
+        (:meth:`take_diffs` of one page, which must be resident)."""
         if page not in self._resident:
             raise MemoryError_(f"{self.name}: take_diff on non-resident page {page}")
-        cols = self._table.chunks[page >> CHUNK_SHIFT]
-        i = page & CHUNK_MASK
-        hi = cols[HI][i]
-        if not hi:
-            return None
-        diff = self._diff_of(page)
-        cols[HI][i] = 0
-        if hi < 0:
-            del self._spill[page]
-        if self.functional:
-            cols[TWIN][i] = None
-        counters = self.stats.counters
-        counters["diffs_taken"] += 1
-        counters["diff_bytes"] += diff.payload_bytes
-        return diff
+        diffs = self.take_diffs((page,))
+        return diffs[0] if diffs else None
 
     def take_diff_sizes(self, pages):
         """Timing-mode bulk variant of :meth:`take_diff` for a recall batch.

@@ -23,6 +23,11 @@ from repro.errors import MemoryError_
 
 _INF = float("inf")
 _ZERO = np.zeros(1, dtype=np.intp)
+#: The columns every unchanged page's diff shares (read-only).
+_NO_OFFSETS = np.zeros(0, dtype=np.intp)
+_NO_OFFSETS.flags.writeable = False
+_NO_BYTES = np.zeros(0, dtype=np.uint8)
+_NO_BYTES.flags.writeable = False
 
 
 class ByteRanges:
@@ -139,26 +144,26 @@ def _extract(page: int, pre: np.ndarray, current: np.ndarray, dirty) -> "PageDif
     Consecutive changed bytes coalesce into one span. ``dirty`` holds
     ascending ``(start, end)`` ranges that do not touch, so no run crosses
     from one range into the next. Vectorized: a fixed number of NumPy
-    operations per dirty range and none per span.
+    operations per dirty range and none per span. (The cache asks whether
+    anything changed before it comes here: ``SoftwareCache._diff_of``.)
     """
     changed = np.zeros(current.shape[0], dtype=bool)
     for s, e in dirty:
         np.not_equal(pre[s:e], current[s:e], out=changed[s:e])
-    index = np.flatnonzero(changed)
+    index = changed.nonzero()[0]
     n = index.shape[0]
+    if not n:
+        return PageDiff.unchanged(page)
     diff = PageDiff.__new__(PageDiff)
     diff.page, diff.index, diff.payload, diff.payload_bytes = page, index, current[index], n
-    if n:
-        # A span starts at the first changed byte and wherever consecutive
-        # changed positions jump by more than one.
-        breaks = np.flatnonzero(index[1:] - index[:-1] != 1) + 1
-        first = np.concatenate((_ZERO, breaks))
-        diff.starts = index[first]
-        diff.sizes = np.concatenate((breaks, (n,))) - first
-        diff.n_spans, diff.end = first.shape[0], int(index[-1]) + 1
-    else:  # rewritten with the bytes it already held: common, keep it cheap
-        diff.starts = diff.sizes = index
-        diff.n_spans = diff.end = 0
+    # A span starts at the first changed byte and wherever consecutive
+    # changed positions jump by more than one.
+    breaks = (index[1:] - index[:-1] != 1).nonzero()[0] + 1
+    first = np.concatenate((_ZERO, breaks))
+    diff.starts = index[first]
+    diff.sizes = np.concatenate((breaks, (n,))) - first
+    diff.n_spans, diff.end = first.shape[0], int(index[-1]) + 1
+    diff.wire_bytes = n + PageDiff.SPAN_HEADER_BYTES * diff.n_spans
     return diff
 
 
@@ -238,13 +243,14 @@ class PageDiff:
       list: a store log keeps its pieces in program order and they may
       overlap, so those replay span by span and the later store wins.
 
-    ``end`` is one past the last byte any span touches (apply's bounds check).
+    ``end`` is one past the last byte any span touches (apply's bounds
+    check); ``wire_bytes`` is the payload plus one header per span.
     """
 
     SPAN_HEADER_BYTES = 8
 
     __slots__ = ("page", "starts", "sizes", "index", "payload",
-                 "n_spans", "payload_bytes", "end")
+                 "n_spans", "payload_bytes", "wire_bytes", "end")
 
     def __init__(self, page: int, spans=None, sizes=None):
         """Normalise and validate a list of ``(offset, data)`` spans: ``data``
@@ -261,6 +267,7 @@ class PageDiff:
             raise MemoryError_(f"page {page}: negative diff span offset or size")
         self.page, self.index, self.n_spans = page, None, len(spans)
         self.payload_bytes = sum(sizes)
+        self.wire_bytes = self.payload_bytes + self.SPAN_HEADER_BYTES * len(spans)
         self.payload = np.concatenate(
             pieces, dtype=np.uint8, casting="unsafe") if pieces else None
         if pieces and self.payload.shape[0] != self.payload_bytes:
@@ -270,13 +277,35 @@ class PageDiff:
         self.sizes = np.array(sizes, dtype=np.intp)
 
     @classmethod
+    def unchanged(cls, page: int) -> "PageDiff":
+        """The diff of a page whose bytes equal their pre-image: what an
+        extraction finds when nothing changed, on shared empty columns. It
+        is still a diff -- taken, logged, shipped (zero bytes) and merged
+        (a version bump) like any other."""
+        diff = cls.__new__(cls)
+        diff.page = page
+        diff.starts = diff.sizes = diff.index = _NO_OFFSETS
+        diff.payload = _NO_BYTES
+        diff.n_spans = diff.payload_bytes = diff.wire_bytes = diff.end = 0
+        return diff
+
+    @classmethod
+    def one_span(cls, page: int, start: int, size: int, data) -> "PageDiff":
+        """``PageDiff(page, [(start, data)], [size])`` for a span known to
+        lie inside the page, without the list normalisation."""
+        diff = cls.__new__(cls)
+        diff.page, diff.index, diff.n_spans = page, None, 1
+        diff.payload_bytes, diff.end = size, start + size
+        diff.wire_bytes = size + cls.SPAN_HEADER_BYTES
+        diff.payload = None if data is None else np.array(data, dtype=np.uint8)
+        diff.starts = np.array((start,), dtype=np.intp)
+        diff.sizes = np.array((size,), dtype=np.intp)
+        return diff
+
+    @classmethod
     def from_ranges(cls, page: int, ranges) -> "PageDiff":
         """Timing-mode diff: spans with sizes but no data."""
         return cls(page, [(s, None) for s, _ in ranges], [e - s for s, e in ranges])
-
-    @property
-    def wire_bytes(self) -> int:
-        return self.payload_bytes + self.SPAN_HEADER_BYTES * self.n_spans
 
     @property
     def empty(self) -> bool:
@@ -300,9 +329,13 @@ class PageDiff:
 
     def _store(self, buffer: np.ndarray) -> None:
         payload = self.payload
+        if payload is None:  # timing mode, nothing to apply
+            return
         if self.index is not None:
             buffer[self.index] = payload
-        elif payload is not None:  # None: timing mode, nothing to apply
+        elif self.n_spans == 1:  # a release's one store: it ends at ``end``
+            buffer[self.end - self.payload_bytes:self.end] = payload
+        else:
             at = 0
             for start, size in zip(self.starts.tolist(), self.sizes.tolist()):
                 buffer[start:start + size] = payload[at:at + size]

@@ -62,8 +62,15 @@ class StoreLog:
         """Convert the log to per-page diffs (applied at homes / acquirers).
 
         Each page's pieces stay in store order and :class:`PageDiff` replays
-        them in that order, so later stores to the same bytes win.
+        them in that order, so later stores to the same bytes win. The
+        common release -- one store, inside one page -- builds its diff's
+        columns directly.
         """
+        if len(self.entries) == 1:
+            addr, nbytes, data = self.entries[0]
+            page, start = divmod(addr, self.layout.page_bytes)
+            if start + nbytes <= self.layout.page_bytes:
+                return [PageDiff.one_span(page, start, nbytes, data)]
         per_page: dict[int, tuple[list, list]] = {}
         for addr, nbytes, data in self.entries:
             consumed = 0
@@ -113,20 +120,29 @@ class ReplicationLog:
         self._next_lsn = 0
         self.stats = StatSet(f"wal{index}")
 
-    def append(self, page: int, diff: PageDiff, targets) -> ReplEntry | None:
-        """Log one diff bound for ``targets`` (backup server indices).
-
-        Returns None (and logs nothing) when no live backup wants it --
-        with every backup dead there is nobody left to replay to.
-        """
-        targets = tuple(targets)
-        if not targets:
-            return None
-        entry = ReplEntry(self._next_lsn, page, diff, targets)
-        self._next_lsn += 1
-        self.entries.append(entry)
-        self.stats.counters["wal_appends"] += 1
+    def extend(self, diffs, targets) -> ReplEntry | None:
+        """Log a batch in order: each diff with its own ``targets`` item
+        (the backup server indices that must acknowledge it; the two run
+        in parallel). A diff no live backup wants is not logged -- with
+        every backup dead there is nobody left to replay to. Returns the
+        last entry logged, if any."""
+        entries = self.entries
+        first = lsn = self._next_lsn
+        entry = None
+        for diff, pending in zip(diffs, targets):
+            if pending:
+                entry = ReplEntry(lsn, diff.page, diff, pending)
+                entries.append(entry)
+                lsn += 1
+        if entry is not None:
+            self._next_lsn = lsn
+            self.stats.counters["wal_appends"] += lsn - first
         return entry
+
+    def append(self, page: int, diff: PageDiff, targets) -> ReplEntry | None:
+        """Log one diff (of ``page``) bound for ``targets``: :meth:`extend`
+        of one. None when no live backup wants it."""
+        return self.extend((diff,), (tuple(targets),))
 
     def unshipped(self, target: int) -> list[ReplEntry]:
         """Entries ``target`` has not acknowledged, in LSN order."""

@@ -201,3 +201,38 @@ class TestDefaultOff:
         system = SamhitaSystem.cluster(n_threads=1, config=config)
         assert system.detector is not None
         assert system.injector.detector is system.detector
+
+
+class TestBatchTargets:
+    """``replica_targets_each`` (what a merged batch is logged with) is
+    ``replica_targets`` per diff: one ring for the batch while every server
+    lives, each diff's own ring once one has been promoted."""
+
+    def test_one_ring_until_a_server_dies_then_each_diffs_own(self):
+        config = SamhitaConfig(n_memory_servers=3, replication_factor=2)
+        system = SamhitaSystem.cluster(n_threads=1, config=config)
+        tid = system.add_thread()
+        pages = {}
+
+        def allocate():
+            for _ in range(6):  # the shared zone deals homes round-robin
+                addr = yield from system.malloc(tid, 128 << 10, shared=True)
+                page = addr // 4096
+                pages.setdefault(system.allocator.home_of_page(page), page)
+
+        system.process(allocate())
+        system.run()
+        assert sorted(pages) == [0, 1, 2]
+
+        def each(home_pages, exclude):
+            diffs = [make_diff(p) for p in home_pages]
+            got = system.replica_targets_each(diffs, exclude)
+            want = [system.replica_targets(d.page, exclude) for d in diffs]
+            assert [list(t) for _, t in zip(diffs, got)] == want
+            return want
+
+        assert each([pages[0], pages[0] + 1], 0) == [[1], [1]]
+        system.handle_server_failure(0)
+        # Server 1 now also holds server 0's pages: a batch of both resolves
+        # two rings, and ring 0's only other member is dead.
+        assert each([pages[0], pages[1], pages[0] + 1], 1) == [[], [2], []]

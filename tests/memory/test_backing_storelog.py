@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import SamhitaConfig, SamhitaSystem
 from repro.errors import MemoryError_
 from repro.memory import BackingStore, MemoryLayout, PageDiff, StoreLog
+from repro.memory.backing import CRC, payload_crc_ok
 from repro.memory.diff import compute_diff_spans
 
 L = MemoryLayout()
@@ -85,6 +87,86 @@ class TestBackingStore:
                 == [loop.version_of(p) for p in loop.live_pages()])
         assert bulk.stats.snapshot() == loop.stats.snapshot()
         assert bulk.resident_pages == loop.resident_pages == 9
+
+
+class TestChecksumAcrossDiffs:
+    """A diff that changes no byte keeps the frame's cached checksum; no
+    diff, empty or not, ever refreshes a rotted frame's stale one."""
+
+    @staticmethod
+    def _store():
+        store = BackingStore(L)
+        store.integrity = True
+        store.write_page(3, np.arange(4096, dtype=np.uint8))
+        return store
+
+    @staticmethod
+    def _changing(page=3):
+        return PageDiff(page, spans=[(8, np.full(4, 9, np.uint8))])
+
+    def test_span_less_diff_keeps_the_cached_crc(self):
+        store = self._store()
+        crc = store.page_crc(3)
+        cols, i = store.ensure(3)
+        store.apply_diff(PageDiff.unchanged(3))
+        assert cols[CRC][i] == crc  # still cached: the next serve recomputes nothing
+        assert store.version_of(3) == 2 and store.stats.get("diffs_applied") == 1
+        assert store.serve_pages([3])[1] == {3: crc}
+        assert payload_crc_ok(store.read_page(3), crc)
+
+    def test_changing_diff_drops_the_cached_crc(self):
+        store = self._store()
+        crc = store.page_crc(3)
+        cols, i = store.ensure(3)
+        store.apply_diff(self._changing())
+        assert cols[CRC][i] is None
+        assert store.page_crc(3) != crc
+        assert payload_crc_ok(store.read_page(3), store.page_crc(3))
+
+    @pytest.mark.parametrize("spans", [False, True])
+    def test_no_diff_launders_a_rotted_frame(self, spans):
+        store = self._store()
+        store.corrupt_page(3)
+        stale = store.page_crc(3)
+        store.apply_diff(self._changing() if spans else PageDiff.unchanged(3))
+        assert store.page_crc(3) == stale
+        data, crcs = store.serve_pages([3])
+        assert not payload_crc_ok(data[3], crcs[3])
+        # ... until a replica's copy rebuilds it.
+        store.restore_page(3, np.arange(4096, dtype=np.uint8))
+        assert payload_crc_ok(store.read_page(3), store.page_crc(3))
+
+    @pytest.mark.parametrize("spans", [False, True])
+    def test_repair_rebuilds_a_frame_rotted_before_a_diff(self, spans):
+        """End to end: the frame rots, a recall-style merge lands on it
+        (logged first, as every merge is), and the next fault still detects
+        the rot and repairs it from the replica + the unshipped log."""
+        system = SamhitaSystem.cluster(n_threads=2,
+                                       config=SamhitaConfig.grayfail())
+        writer, reader = system.add_thread(), system.add_thread()
+        where = {}
+
+        def allocate():
+            where["base"] = yield from system.malloc(writer, 4096, shared=True)
+
+        system.process(allocate())
+        system.run()
+        page = where["base"] // 4096
+        server = system.server_of_page(page)
+        diff = self._changing(page) if spans else PageDiff.unchanged(page)
+        server.backing.corrupt_page(page)
+        server._wal_extend([diff])
+        server.backing.apply_diffs([diff])
+        system.process(system.compute_server_of(reader).ensure_resident(
+            reader, where["base"], 4096, speculate=False))
+        system.run()
+        stats = system.compute_server_of(reader).stats
+        assert stats.get("integrity_failures") == stats.get("integrity_repairs") == 1
+        want = np.zeros(4096, np.uint8)
+        diff.apply_to(want)
+        assert np.array_equal(system.cache_of(reader).peek(page), want)
+        assert payload_crc_ok(server.backing.read_page(page),
+                              server.backing.page_crc(page))
 
 
 class TestStoreLog:
@@ -177,6 +259,40 @@ class TestStoreLog:
         log.record(0, 8, None)
         diffs = log.to_page_diffs()
         assert diffs[0].payload_bytes == 8
+
+    @pytest.mark.parametrize("functional", [True, False])
+    def test_one_store_in_one_page_builds_the_same_diff_directly(self, functional):
+        """The common release (one entry, one page) skips the span-list
+        constructor; every field equals what it builds."""
+        log = StoreLog(L)
+        data = np.arange(8, dtype=np.uint8) if functional else None
+        log.record(3 * 4096 + 40, 8, data)
+        (got,) = log.to_page_diffs()
+        want = PageDiff(3, [(40, data)], [8])
+        assert got.index is None and want.index is None
+        assert ((got.page, got.n_spans, got.payload_bytes, got.wire_bytes, got.end)
+                == (want.page, want.n_spans, want.payload_bytes, want.wire_bytes,
+                    want.end) == (3, 1, 8, 16, 48))
+        for column in ("starts", "sizes"):
+            assert getattr(got, column).dtype == getattr(want, column).dtype
+            assert getattr(got, column).tolist() == getattr(want, column).tolist()
+        if functional:
+            assert got.payload.dtype == np.uint8 and got.payload is not data
+            assert got.payload.tolist() == want.payload.tolist()
+            page = np.zeros(4096, np.uint8)
+            got.apply_to(page)
+            assert page[40:48].tolist() == list(range(8)) and page.sum() == 28
+        else:
+            assert got.payload is None and want.payload is None
+
+    def test_a_store_ending_on_the_page_boundary_stays_one_diff(self):
+        log = StoreLog(L)
+        log.record(4096 - 8, 8, np.ones(8, np.uint8))
+        (diff,) = log.to_page_diffs()
+        assert (diff.page, diff.end, diff.n_spans) == (0, 4096, 1)
+        log.clear()
+        log.record(4096 - 4, 8, np.ones(8, np.uint8))
+        assert [d.page for d in log.to_page_diffs()] == [0, 1]
 
     def test_clear(self):
         log = StoreLog(L)

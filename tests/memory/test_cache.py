@@ -401,6 +401,64 @@ class TestPageStateTable:
         assert [(off, bytes(d)) for off, d in diff.spans] == [
             (20, bytes([7] * 10 + [9] * 10))]
 
+    @pytest.mark.parametrize("use_twins", [True, False])
+    def test_stores_that_start_stay_inside_grow_and_split_an_extent(self, use_twins):
+        """The four things a functional store can do to a page's dirty
+        state, each against the reference cache: twin bytes (through the
+        diff they produce), extent / spill and counters."""
+        c = SoftwareCache(L, 8, use_twins=use_twins)
+        ref = ReferenceCache(L, 8, use_twins=use_twins)
+        for cache in (c, ref):
+            cache.install(0, np.arange(4096, dtype=np.uint32).astype(np.uint8))
+
+        def store(off, values, want_dirty):
+            data = np.array(values, np.uint8)
+            for cache in (c, ref):
+                cache.write(off, len(data), data)
+            assert list(c.entries[0].dirty) == list(ref.entries[0].dirty) == want_dirty
+            assert bytes(c.peek(0)) == bytes(ref.entries[0].data)
+
+        store(100, [1] * 20, [(100, 120)])                 # starts the page
+        store(105, [105, 106, 2, 2], [(100, 120)])          # inside: restores 2 bytes
+        store(90, [3] * 15, [(90, 120)])                    # grows it to the left
+        store(118, [4] * 10, [(90, 128)])                   # ... and to the right
+        store(300, [5] * 8, [(90, 128), (300, 308)])        # splits: spills
+        store(304, [6] * 8, [(90, 128), (300, 312)])        # grows a spilled range
+        store(302, [5, 5], [(90, 128), (300, 312)])         # inside a spilled range
+        assert c.stats.get("twins_created") == ref.stats["twins_created"] == use_twins
+        got, want = c.take_diff(0), ref.take_diff(0)
+        assert ([(off, bytes(d)) for off, d in got.spans]
+                == [(off, bytes(d)) for off, d in want.spans])
+        assert (got.payload_bytes, got.wire_bytes) == (want.payload_bytes, want.wire_bytes)
+        if use_twins:  # the two restored bytes are not shipped
+            assert [off for off, _ in got.spans] == [90, 107, 300]
+
+    @pytest.mark.parametrize("functional", [True, False])
+    def test_take_diffs_is_the_take_diff_loop_over_the_dirty_members(self, functional):
+        caches = [make(functional=functional), make(functional=functional)]
+        for cache in caches:
+            install_zero(cache, 0, 1, 2, 3, 5)
+            one = np.ones(8, np.uint8) if functional else None
+            cache.write(0, 8, one)                       # changed
+            cache.write(4096 + 8, 8, np.zeros(8, np.uint8) if functional else None)  # unchanged bytes
+            cache.write(2 * 4096, 8, one)
+            cache.write(2 * 4096 + 100, 8, one)          # page 2 spills
+            cache.write(5 * 4096, 8, one, ordinary=False)  # a CR store dirties nothing
+        batch, loop = caches
+        order = [5, 2, 9, 1, 3, 0]                       # 9 is not resident, 3 and 5 are clean
+        got = batch.take_diffs(order)
+        want = [loop.take_diff(p) for p in order if loop.is_dirty(p)]
+        assert [d.page for d in got] == [d.page for d in want] == [2, 1, 0]
+        for a, b in zip(got, want):
+            assert (a.n_spans, a.payload_bytes, a.wire_bytes, a.sizes.tolist()) == (
+                b.n_spans, b.payload_bytes, b.wire_bytes, b.sizes.tolist())
+        assert got[1].n_spans == (0 if functional else 1)
+        assert batch.stats.snapshot() == loop.stats.snapshot()
+        assert batch.dirty_page_ids() == loop.dirty_page_ids() == []
+        assert batch.take_diffs(order) == [] and batch.take_diff(0) is None
+        with pytest.raises(MemoryError_):
+            batch.take_diff(9)
+
     @pytest.mark.parametrize("functional", [True, False])
     def test_wide_span_across_a_chunk_boundary_matches_the_reference(self, functional):
         first = CHUNK_PAGES - WIDE

@@ -1,20 +1,58 @@
-"""Deterministic cost gate for the write-back path (ROADMAP aim 1: "calls
+"""Deterministic cost gates for the write-back path (ROADMAP aim 1: "calls
 per page" proxies gate CI where wall clock is too noisy to).
 
 Taking a page's diff and merging it at the home must cost a constant number
 of calls, builtins included, however many runs the page has: the diff is
-columns, and no step of extraction or application walks its spans.
+columns, and no step of extraction or application walks its spans. A page
+that did not change costs next to nothing to write back, a recall costs
+host work per trip plus a little per page, and a store that stays inside
+what is already dirty does no dirty-extent bookkeeping (DESIGN.md S20).
 """
 
 import gc
 import sys
+from itertools import repeat
 
 import numpy as np
 
+from repro.core import SamhitaConfig, SamhitaSystem
 from repro.memory import BackingStore, MemoryLayout, SoftwareCache
+from repro.memory.storelog import ReplicationLog
 
 L = MemoryLayout(page_bytes=4096, pages_per_line=4)
+PAGE = L.page_bytes
 BOUND = 60
+#: take + log + merge of one unchanged page (16 today; the parent's
+#: ``take_diff`` + ``wal.append`` + ``apply_diff`` made 26, and one crc32
+#: over the frame at its next serve).
+UNCHANGED_BOUND = 16
+#: One more page in an 8-page replicated functional recall: 12 pages minus
+#: 8, per page (14 today, 43 on the parent).
+RECALL_PAGE_BOUND = 25
+#: One more full page in a functional store (3 on first write: extent read,
+#: twin, its buffer; 2 on a rewrite. The parent made 6 and 7).
+STORE_PAGE_BOUND = 4
+
+
+def count_calls(fn) -> tuple[int, int]:
+    """``(calls, crc32 calls)`` made by ``fn()``, builtins included."""
+    calls = crcs = 0
+
+    def count(frame, event, arg):
+        nonlocal calls, crcs
+        calls += event in ("call", "c_call")
+        crcs += event == "c_call" and arg.__name__ == "crc32"
+
+    # No collection while counting: once any hypothesis test has run, a
+    # Python-level gc callback is installed and would be counted here.
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls - 2, crcs  # minus fn itself and the setprofile(None)
 
 
 def calls_to_write_back(runs: int) -> int:
@@ -27,22 +65,14 @@ def calls_to_write_back(runs: int) -> int:
     page[:runs, :7] = 1
     cache.write(0, 4096, page.reshape(-1))
 
-    calls = 0
+    taken = []
 
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event in ("call", "c_call")
+    def write_back():
+        taken.append(cache.take_diff(0))
+        home.apply_diff(taken[0])
 
-    # No collection while counting: once any hypothesis test has run, a
-    # Python-level gc callback is installed and would be counted here.
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        diff = cache.take_diff(0)
-        home.apply_diff(diff)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
+    calls, _ = count_calls(write_back)
+    diff = taken[0]
     assert diff.n_spans == runs and diff.payload_bytes == 7 * runs
     assert np.array_equal(home.read_page(0), page.reshape(-1))
     return calls
@@ -52,3 +82,95 @@ def test_write_back_cost_does_not_grow_with_the_number_of_runs():
     one, many = calls_to_write_back(1), calls_to_write_back(512)
     assert many <= BOUND  # ~1,600 with one tuple and one slice store per run
     assert many == one
+
+
+def test_an_unchanged_page_costs_next_to_nothing_to_write_back():
+    """take + log + merge of a page rewritten with the bytes it held, as a
+    replicated recall does them, and the next serve of the frame."""
+    cache = SoftwareCache(L, capacity_pages=8, functional=True)
+    home = BackingStore(L)
+    home.integrity = True
+    wal = ReplicationLog(0)
+    cache.install(0, np.zeros(PAGE, np.uint8))
+    crc = home.page_crc(0)
+    cache.write(0, PAGE, np.zeros(PAGE, np.uint8))
+    assert cache.is_dirty(0)
+
+    def write_back():
+        diffs = cache.take_diffs((0,))
+        wal.extend(diffs, repeat((1,)))
+        home.apply_diffs(diffs)
+
+    calls, _ = count_calls(write_back)
+    assert calls <= UNCHANGED_BOUND
+    # Every stat and log entry the parent made is still made ...
+    assert not cache.is_dirty(0) and cache.stats.get("diffs_taken") == 1
+    assert len(wal) == 1 and wal.entries[0].diff.n_spans == 0
+    assert home.version_of(0) == 1 and home.stats.get("diffs_applied") == 1
+    # ... and the frame's checksum survived the merge that wrote no byte.
+    _, crcs = count_calls(lambda: home.serve_pages([0]))
+    assert crcs == 0 and home.page_crc(0) == crc
+
+
+def calls_to_recall(n_pages: int) -> int:
+    """Calls of one bulk recall (request, take, log, transfer, merge) of
+    ``n_pages`` pages on the replicated two-server deployment, from an
+    owner who rewrote them with the bytes they held (the Jacobi interior)."""
+    system = SamhitaSystem.cluster(n_threads=2, config=SamhitaConfig.grayfail())
+    owner, other = system.add_thread(), system.add_thread()
+    barrier = system.create_barrier(2)
+    where = {}
+
+    def write():
+        where["base"] = yield from system.malloc(owner, n_pages * PAGE,
+                                                 shared=True)
+        yield from system.mem_write(owner, where["base"], n_pages * PAGE,
+                                    np.zeros(n_pages * PAGE, np.uint8))
+        yield from system.barrier_wait(owner, barrier)
+
+    system.process(write())
+    system.process(system.barrier_wait(other, barrier))
+    system.run()
+    first = where["base"] // PAGE
+    pages = np.arange(first, first + n_pages)
+    server = system.server_of_page(first)
+    assert (system.directory.owners_of(pages) == owner).all()
+
+    def recall():
+        pending = server._recall_bulk(owner, pages)
+        if pending is not None:
+            system.process(pending)
+            system.run()
+
+    calls, _ = count_calls(recall)
+    assert server.stats.get("recalls") == n_pages
+    assert server.stats.get("recall_trips") == 1
+    assert len(server.wal) == server.backing.stats.get("diffs_applied") == n_pages
+    assert not len(system.directory)
+    assert not system.cache_of(owner).dirty_page_ids()
+    return calls
+
+
+def test_a_recall_costs_host_work_per_trip_and_little_per_page():
+    assert (calls_to_recall(12) - calls_to_recall(8)) / 4 <= RECALL_PAGE_BOUND
+
+
+def calls_per_stored_page(rewrite: bool) -> float:
+    """Marginal calls per page of one functional multi-page store (16 pages
+    minus 8), first write or a rewrite of pages already dirty all over."""
+    def calls(n_pages):
+        cache = SoftwareCache(L, capacity_pages=32, functional=True)
+        cache.install_many(list(range(n_pages)),
+                           {p: np.zeros(PAGE, np.uint8) for p in range(n_pages)})
+        data = np.ones(n_pages * PAGE, np.uint8)
+        if rewrite:
+            cache.write(0, n_pages * PAGE, data)
+        made, _ = count_calls(lambda: cache.write(0, n_pages * PAGE, data))
+        assert cache.dirty_page_ids() == list(range(n_pages))
+        return made
+    return (calls(16) - calls(8)) / 8
+
+
+def test_a_full_page_store_costs_a_few_calls_per_page():
+    assert calls_per_stored_page(rewrite=False) <= STORE_PAGE_BOUND
+    assert calls_per_stored_page(rewrite=True) <= STORE_PAGE_BOUND

@@ -3,8 +3,9 @@
 A hypothesis state machine drives both with the same random operations --
 install / install_many / read / write (ordinary and consistency-region) /
 invalidate (a page set, or a barrier directive with dirty pages skipped) /
-begin_fetch (a set or a page vector) / take_diff / take_diff_sizes /
-choose_victims / evict -- under all three policies, functional and timing,
+begin_fetch (a set or a page vector) / take_diff / take_diffs (a batch
+with clean and non-resident members) / take_diff_sizes / choose_victims /
+evict -- under all three policies, functional and timing,
 with spans on both sides of the narrow/wide dispatch, pages on both sides
 of a table chunk boundary, and pages dirtied in one range or several. After every
 step: equal residency, ticks, prefetched flags, dirty ranges, write
@@ -196,6 +197,18 @@ class CacheEquivalence(RuleBasedStateMachine):
         page = self._span(pick, 1)[0]
         assert (diff_record(self.cache.take_diff(page))
                 == diff_record(self.ref.take_diff(page)))
+
+    @rule(pick=picks, n=st.integers(0, 2 * WIDE), extra=page_sets)
+    def take_diffs(self, pick, n, extra):
+        """A recall's batch: a run plus scattered pages, clean, spilled and
+        non-resident members included, in the order given."""
+        first = self._span(pick, 1)[0] if self.ref.entries else FIRST
+        batch = [*range(first, first + n),
+                 *sorted(extra - set(range(first, first + n)))]
+        want = [self.ref.take_diff(p) for p in batch
+                if p in self.ref.entries and not self.ref.entries[p].dirty.empty]
+        assert ([diff_record(d) for d in self.cache.take_diffs(batch)]
+                == [diff_record(d) for d in want])
 
     @precondition(lambda self: not self.functional and self.use_twins)
     @rule(pick=picks, n=st.integers(0, 2 * WIDE), extra=page_sets)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import ByteRanges, compute_diff_spans
+from repro.memory import ByteRanges, PageDiff, compute_diff_spans
 from repro.memory.diff import SpanTwin
 from tests.memory.reference_diff import reference_spans
 
@@ -94,3 +94,46 @@ def test_all_equal_ranges_yield_an_empty_diff():
     for dirty in (((4, 20),), ((4, 20), (30, 40)), ()):
         diff = check(pre, pre.copy(), dirty)
         assert diff.empty and diff.payload_bytes == 0 and diff.wire_bytes == 0
+
+
+def extraction_of_identical_bytes_before_pr22(page, current):
+    """What ``_extract`` built, column by column, for a page whose dirty
+    ranges equal their pre-image, before ``PageDiff.unchanged`` existed."""
+    index = np.flatnonzero(np.zeros(current.shape[0], dtype=bool))
+    return dict(page=page, index=index, payload=current[index],
+                payload_bytes=0, starts=index, sizes=index, n_spans=0, end=0,
+                wire_bytes=0)
+
+
+@given(range_lists, st.integers(0, 2**32 - 1), st.integers(0, 1 << 40))
+@settings(max_examples=100, deadline=None)
+def test_unchanged_is_what_extraction_of_identical_bytes_returned(ranges, seed, page):
+    current = np.random.default_rng(seed).integers(0, 256, PAGE, dtype=np.uint8)
+    dirty = ByteRanges((s, min(s + n, PAGE)) for s, n in ranges)
+    twin = SpanTwin(PAGE)
+    twin.pre[:] = ~current
+    for s, e in dirty:
+        twin.pre[s:e] = current[s:e]
+    want = extraction_of_identical_bytes_before_pr22(page, current)
+    for got in (PageDiff.unchanged(page), twin.diff_spans(current, dirty, page)):
+        for name, value in want.items():
+            field = getattr(got, name)
+            if isinstance(value, np.ndarray):
+                assert (field.dtype, field.shape) == (value.dtype, value.shape), name
+            else:
+                assert field == value and type(field) is type(value), name
+        assert got.empty and got.spans == []
+        # A no-op wherever a diff lands: a home frame, a cached copy, a twin.
+        image = current.copy()
+        got.apply_to(image)
+        mirror = SpanTwin(PAGE)
+        mirror.pre[:] = current
+        mirror.mirror(got)
+        assert np.array_equal(image, current) and np.array_equal(mirror.pre, current)
+
+
+def test_unchanged_diffs_share_read_only_columns():
+    a, b = PageDiff.unchanged(1), PageDiff.unchanged(2)
+    assert a.starts is b.starts and a.payload is b.payload
+    for column in (a.starts, a.sizes, a.index, a.payload):
+        assert not column.flags.writeable
