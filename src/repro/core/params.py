@@ -129,8 +129,8 @@ class SamhitaConfig:
     memserver_service_time: float = 1.0e-6
 
     # -- control plane ----------------------------------------------------
-    #: Manager shards. 1 (the default) is the single-manager build (the
-    #: default trajectory is CI-gated by ``--check-off-state``); k > 1 splits
+    #: Manager shards. 1 (the default) is the single-manager build (its
+    #: trajectory is pinned by ``golden_metrics.json``); k > 1 splits
     #: the control plane across k components: the page directory and
     #: allocator partition by address range (one slice per shard), and
     #: lock/barrier/cond RPCs route to the owning shard by ID hash. Each
@@ -172,8 +172,8 @@ class SamhitaConfig:
     #: dead and failover runs (the detector's ``k``).
     heartbeat_misses: int = 3
     #: Partition-tolerant failover: fencing epochs on write-side RPCs plus
-    #: quorum-gated promotion. On a healthy run it changes nothing (CI-gated
-    #: by ``--check-off-state``); every failover bumps a cluster
+    #: quorum-gated promotion. On a healthy run it changes nothing (pinned
+    #: equal to the default build); every failover bumps a cluster
     #: epoch, stale-epoch writes are rejected at memory servers and manager
     #: shards, declaring a component dead needs a majority of manager
     #: shards to agree it is unreachable (single-shard configs keep the

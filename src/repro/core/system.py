@@ -184,8 +184,8 @@ class SamhitaSystem:
         self._dead_servers: set[int] = set()
         # Fencing epochs: the membership view exists only when the knob is
         # on, so every fencing check below degrades to one ``is None`` on
-        # the default build (a healthy fenced run is CI-gated equal to it
-        # by ``--check-off-state``).
+        # the default build (a healthy fenced run is pinned equal to it by
+        # ``test_jacobi_functional_matches_seed_capture``).
         self.membership: Membership | None = (
             Membership() if self.config.fencing else None)
         # Crash-consistent checkpoints, taken at barrier-aligned quiesce

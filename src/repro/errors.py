@@ -73,17 +73,6 @@ class CommunicationError(ReproError):
     """A fabric-level communication failure (loss, corruption, dead link)."""
 
 
-class RpcTimeoutError(RetryableError, CommunicationError):
-    """An RPC exchange exceeded its timeout before a reply arrived."""
-
-    def __init__(self, src, dst, category, timeout, now=None):
-        self.src, self.dst, self.category = src, dst, category
-        self.timeout, self.now = timeout, now
-        at = f" at t={now:.9f}s" if now is not None else ""
-        super().__init__(
-            f"rpc {src}->{dst} ({category}) timed out after {timeout:g}s{at}")
-
-
 class RetryExhaustedError(RetryableError, CommunicationError):
     """A retransmitted operation gave up after its full retry budget.
 

@@ -148,7 +148,7 @@ def sync_sweep_system(n_threads: int, shards: int, lock_owner_cache: bool,
     a private lock, holds it 1 us, releases it and meets the others at a
     full barrier, ``rounds`` times. No data-plane traffic at all, so the
     counters measure the lock/barrier protocol alone (``sync_cost`` below,
-    ``bench_perf``'s shard sweep, ``tests/core/test_sync_cost.py``)."""
+    ``tests/core/test_sync_cost.py``)."""
     from repro.core.params import SamhitaConfig
     from repro.core.system import SamhitaSystem
     from repro.sim.engine import Timeout

@@ -73,7 +73,7 @@ class FaultPlan:
     configuration: the injector is attached, every message flows through its
     decision point, and the simulated trajectory must stay bit-identical to
     a build without the injector (pinned by the faults-off property test
-    and the ``--check-off-state`` bench gate).
+    and ``test_jacobi_functional_matches_seed_capture``).
     """
 
     seed: int = 0

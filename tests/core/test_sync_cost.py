@@ -24,10 +24,11 @@ from repro.sim.engine import Engine, Timeout
 #: when each was a generator wrapped in ``_timed``.
 PASSAGE_BOUND = 20
 #: Calls per steady-state thread-round of the sweep-cell body (private
-#: lock, 1 us, unlock, full tree barrier): 141 today at 16 servers / 1
-#: shard and at 256 / 16, 217 / 219 before the request legs were fused.
+#: lock, 1 us, unlock, full tree barrier): 128 / 140 / 139 today at 16
+#: servers / 1 shard, 256 / 16 and 1,024 / 64; 217 / 219 before the request
+#: legs were fused.
 ROUND_BOUND = 185
-#: ``Engine._step`` entries per steady-state thread-round: 4.25 / 4.55
+#: ``Engine._step`` entries per steady-state thread-round: 4.25 / 4.55 / 4.56
 #: today (start of the round, stash flush, arrival; the rest are node and
 #: cell leaders' legs), 6.3 / 6.7 before.
 STEP_BOUND = 5.6
@@ -91,7 +92,7 @@ def test_owner_cache_passage_builds_no_generator():
 
 
 def sweep_cell_cost(n_compute: int, shards: int, rounds: int) -> Counter:
-    """``bench_perf``'s tree-barrier sweep cell, run under the counter."""
+    """The tree-barrier sweep cell, run under the counter."""
     system = sync_sweep_system(n_compute, shards, True, True, rounds)
     with Counter() as counter:
         system.run()
@@ -100,15 +101,27 @@ def sweep_cell_cost(n_compute: int, shards: int, rounds: int) -> Counter:
     return counter
 
 
-@pytest.mark.parametrize("n_compute, shards", [(16, 1), (256, 16)])
-def test_thread_round_cost_is_bounded_and_flat(n_compute, shards):
+def steady_round_cost(n_compute: int, shards: int) -> tuple[float, float]:
+    """(calls, ``Engine._step`` entries) per steady-state thread-round."""
     # Rounds 1-2 install the cached grants and price the routes; the
     # difference of two longer runs is steady state only.
     short, long = (sweep_cell_cost(n_compute, shards, rounds)
                    for rounds in (3, 6))
     thread_rounds = n_compute * 3
-    assert (long.calls - short.calls) / thread_rounds <= ROUND_BOUND
-    assert (long.steps - short.steps) / thread_rounds <= STEP_BOUND
+    return ((long.calls - short.calls) / thread_rounds,
+            (long.steps - short.steps) / thread_rounds)
+
+
+@pytest.mark.parametrize("n_compute, shards",
+                         [(16, 1), (256, 16), (1024, 64)])
+def test_thread_round_cost_is_bounded_and_flat(n_compute, shards):
+    calls, steps = steady_round_cost(n_compute, shards)
+    assert calls <= ROUND_BOUND
+    assert steps <= STEP_BOUND
+    # Flat from the smallest machine whose tree has a cell level (141
+    # calls): work per arrival that grows with the party is invisible at
+    # 64 threads and a fifth of the round at 1,024.
+    assert calls <= 1.15 * steady_round_cost(64, 4)[0]
 
 
 def test_contended_rpc_resumes_its_caller_once():
@@ -205,3 +218,18 @@ def test_the_models_own_sync_cost_did_not_move():
     assert sync_cost(16, 1, True, True) == (13 / 6, 2.0)
     assert sync_cost(64, 4, False, False) == (3.0, 64.0)
     assert sync_cost(64, 4, True, True) == (13 / 6, 12.0)
+
+
+@pytest.mark.parametrize("n_compute, shards, mean",
+                         [(16, 1, 70), (64, 4, 73), (256, 16, 73),
+                          (1024, 64, 73)])
+def test_manager_load_per_shard_is_flat(n_compute, shards, mean):
+    """Shards scale with the machine (16 compute servers each), so what a
+    shard absorbs does not: three rounds cost it 64 lock requests wherever
+    it sits, and 70-73 requests in all on average (the barrier's root takes
+    one more per cell and round)."""
+    system = sync_sweep_system(n_compute, shards, True, True, 3)
+    system.run()
+    rows = system.stats_report()["manager_rpcs_by_shard"]
+    assert sum(row["requests"] for row in rows) == mean * shards
+    assert {row["lock"] for row in rows} == {64}

@@ -22,10 +22,12 @@ import pathlib
 
 import pytest
 
+from repro.core.params import SamhitaConfig
 from repro.experiments import figures
 from repro.experiments.harness import run_workload_direct
 from repro.experiments.parallel import (
     CellSpec, Executor, ResultCache, activate, cell_key, make_executor)
+from repro.faults import FaultPlan
 from repro.kernels.jacobi import JacobiParams, spawn_jacobi
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_metrics.json"
@@ -83,8 +85,9 @@ class TestCellKey:
         assert cell_key(a) == cell_key(b)
 
 
-def jacobi_functional_snapshot() -> dict:
-    """Canonical JSON-safe capture of one functional-mode Jacobi cell.
+def jacobi_functional_snapshot(config=None) -> tuple[dict, dict]:
+    """Canonical JSON-safe capture of one functional-mode Jacobi cell, and
+    the run's stats.
 
     Unlike the figure snapshots (timing-only), this pins the *data plane*:
     the converged residual, a hash of the final grid bytes, the per-thread
@@ -94,7 +97,7 @@ def jacobi_functional_snapshot() -> dict:
     """
     params = JacobiParams(rows=64, cols=256, iterations=3, collect_result=True)
     result = run_workload_direct("samhita", 4, spawn_jacobi, params,
-                                 functional=True)
+                                 functional=True, config=config)
     threads = {}
     for tid, tr in sorted(result.threads.items()):
         value = tr.value
@@ -118,7 +121,7 @@ def jacobi_functional_snapshot() -> dict:
         "threads": threads,
         "cache_counters": {k: caches.get(k, 0) for k in counter_keys},
     }
-    return json.loads(json.dumps(snap))
+    return json.loads(json.dumps(snap)), result.stats
 
 
 class TestGoldenMetrics:
@@ -131,5 +134,22 @@ class TestGoldenMetrics:
         got = points_of(figures.FIGURES[name](**QUICK[name]))
         assert got == self.golden[name]
 
-    def test_jacobi_functional_matches_seed_capture(self):
-        assert jacobi_functional_snapshot() == self.golden["jacobi_functional"]
+    @pytest.mark.parametrize("config", [
+        None, SamhitaConfig(faults=FaultPlan(seed=0)),
+        SamhitaConfig(fencing=True)],
+        ids=["default", "silent_injector", "idle_fencing"])
+    def test_jacobi_functional_matches_seed_capture(self, config):
+        """The default build, and the two configurations that arm a
+        subsystem with nothing for it to do (an all-zero fault plan, fencing
+        on a healthy run), all reproduce the capture exactly. The counts
+        below are the same cell's, pinned where the golden file has no
+        field: one resumption sent through the heap, one batched trip split
+        per line, or one message from an idle subsystem moves them."""
+        snap, stats = jacobi_functional_snapshot(config)
+        assert snap == self.golden["jacobi_functional"]
+        assert stats["engine"]["scheduled_events"] == 446
+        caches, trips = stats["caches"], stats["round_trips"]
+        assert (caches["diff_bytes"], caches["fine_grain_bytes"],
+                caches["invalidations"]) == (0, 480, 122)
+        assert (trips["trips"], trips["lines"],
+                trips["recall_trips"]) == (66, 113, 23)

@@ -9,7 +9,6 @@ from repro.errors import (
     DeadlockError,
     ReproError,
     RetryExhaustedError,
-    RpcTimeoutError,
     SimulationError,
     TopologyError,
 )
@@ -26,13 +25,7 @@ def run_threads(system, bodies, names=None):
 class TestErrorTaxonomy:
     def test_hierarchy(self):
         assert issubclass(CommunicationError, ReproError)
-        assert issubclass(RpcTimeoutError, CommunicationError)
         assert issubclass(RetryExhaustedError, CommunicationError)
-
-    def test_rpc_timeout_message_carries_route_and_time(self):
-        err = RpcTimeoutError("node2", "node0", "lock", 25e-6, now=1.5e-3)
-        assert "node2" in str(err) and "node0" in str(err)
-        assert "lock" in str(err) and "t=" in str(err)
 
     def test_deadlock_error_carries_time_and_reasons(self):
         class FakeProc:
