@@ -25,6 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro.core import protocol
 from repro.memory.diff import PageDiff
 from repro.memory.directory import PageDirectory
 from repro.memory.pagetable import NO_PAGES
@@ -107,6 +108,40 @@ class InvalidateDirective:
     def __iter__(self):
         return iter(np.setdiff1d(self._plan.pages, self._kept,
                                  assume_unique=True).tolist())
+
+
+#: The directive every thread of a round that noticed no page gets while no
+#: lock log anywhere has an epoch to ship (``Manager._directives``): nothing
+#: to invalidate, flush or apply. One read-only object shared by every such
+#: round; it names no round's plan, so it keeps none alive.
+QUIET_DIRECTIVE = (
+    InvalidateDirective(BarrierPlan(NO_PAGES, NO_PAGES, {}, {}, 0), NO_PAGES),
+    (), (), ())
+
+
+def group_reply(tids, directives=None) -> tuple[dict, int]:
+    """``({tid: directive}, reply bytes)`` of one directive reply to
+    ``tids``: a departing arrival group, or one node of a tree cell.
+
+    ``directives`` maps (at least) ``tids`` to ``(invalidate, flush,
+    cr_diffs, cr_invalidate)``. None is a quiet round: every thread gets
+    :data:`QUIET_DIRECTIVE` and the size is arithmetic. A round's
+    directives for one group are built together, so if one of them is
+    the quiet directive, all are."""
+    for tid in tids:
+        break
+    if directives is None or directives[tid] is QUIET_DIRECTIVE:
+        return (dict.fromkeys(tids, QUIET_DIRECTIVE),
+                protocol.directive_group_bytes(len(tids)))
+    mine = {}
+    nbytes = 0
+    for tid in tids:
+        inv, flush, cr_diffs, cr_invalidate = mine[tid] = directives[tid]
+        nbytes += (protocol.directive_message_bytes(len(inv), len(flush))
+                   + protocol.PAGE_ID_BYTES * len(cr_invalidate))
+        for diff in cr_diffs:
+            nbytes += diff.payload_bytes
+    return mine, nbytes
 
 
 def _notice_vector(pages) -> np.ndarray:

@@ -53,11 +53,16 @@ import numpy as np
 
 from repro.core import protocol
 from repro.core.allocator import SamhitaAllocator
+from repro.core.consistency import group_reply
 from repro.core.manager import Manager
-from repro.errors import ReplicationError, RetryExhaustedError
+from repro.errors import (
+    ReplicationError,
+    RetryExhaustedError,
+    SynchronizationError,
+)
 from repro.memory.directory import PageDirectory
 from repro.memory.pagetable import page_vector
-from repro.sim.engine import Timeout
+from repro.sim.engine import DONE, Timeout
 from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -258,6 +263,25 @@ class ShardedAllocator:
         return merged
 
 
+class _Cell:
+    """One tree cell's combiner for one round: the node leaders' arrivals,
+    the nodes joined so far, the leaders its last one answers, and the
+    root's answer once the round has closed."""
+
+    __slots__ = ("name", "arrivals", "joined", "waiting", "answer")
+
+    def __init__(self, name: str):
+        #: What a deadlock report says a waiting node leader waits on.
+        self.name = name
+        self.arrivals: dict[int, list[int]] = {}
+        #: component -> the arrivals its node leader's request carried.
+        self.joined: dict[str, dict[int, list[int]]] = {}
+        #: ``(process, component, arrivals)`` of each waiting node leader.
+        self.waiting: list = []
+        #: ``(state, directives)`` from the root.
+        self.answer = None
+
+
 class ControlPlane:
     """Routes control-plane RPCs to the owning manager shard.
 
@@ -293,7 +317,10 @@ class ControlPlane:
         #: their leader before the upstream call, so barrier reuse across
         #: generations gets a fresh combiner each round.
         self._leaf_combiners: dict[tuple[int, str], dict] = {}
-        self._cell_combiners: dict[tuple[int, int], dict] = {}
+        self._cell_combiners: dict[tuple[int, int], _Cell] = {}
+        #: The last closed round of each cell, kept on a build that can
+        #: fail (see :meth:`_join_cell`).
+        self._cell_closed: dict[tuple[int, int], _Cell] = {}
         self._cell_of = {comp: i % self.n
                          for i, comp in enumerate(system._compute_order)}
         self._cell_members: dict[int, set[str]] | None = None
@@ -377,6 +404,8 @@ class ControlPlane:
     def create_barrier(self, parties: int) -> int:
         if self.n == 1:
             return self.shards[0].create_barrier(parties)
+        if parties < 1:
+            raise SynchronizationError("barrier needs at least one party")
         self._next_id += 1
         self.shard_for_id(self._next_id).register_barrier(self._next_id, parties)
         return self._next_id
@@ -570,50 +599,80 @@ class ControlPlane:
 
     def _cell_arrive(self, comp: str, barrier_id: int,
                      arrivals: dict[int, list[int]]):
-        """Generator: node-leader leg of the tree (level 1 + root). Both
-        upstream hops go through :meth:`_route`, so a dead combiner or root
-        shard is waited out and re-resolved like any other control RPC."""
+        """Generator: node-leader leg of the tree (level 1 + root). Every
+        hop goes through :meth:`_route`, so a dead combiner or root shard is
+        waited out and re-resolved like any other control RPC.
+
+        The request into the cell's shard is handled by :meth:`_join_cell`:
+        a node leader that is not its cell's last sleeps until the cell's
+        answer to it lands (:meth:`_cell_depart`); the last carries ONE
+        aggregate message to the root shard, then answers the cell."""
         cell_idx = self._cell_of[comp]
-        total_notices = sum(len(n) for n in arrivals.values())
-        # Leader -> combiner shard: one request into the cell's service queue.
-        yield from self._route(
-            cell_idx, comp, Manager._rpc,
-            comp, protocol.notice_message_bytes(total_notices), "barrier")
+        total_notices = 0
+        for notices in arrivals.values():
+            total_notices += len(notices)
         key = (barrier_id, cell_idx)
+        answer = yield from self._route(
+            cell_idx, comp, Manager._rpc,
+            comp, protocol.notice_message_bytes(total_notices), "barrier",
+            self._join_cell, (key, arrivals, comp))
+        if answer is not None:
+            return answer
+        # Cell leader: one aggregate message to the root shard.
+        cell = self._cell_combiners.pop(key)
+        if self._guard:
+            self._cell_closed[key] = cell
+        cell_comp = self.shards[self.live_index(cell_idx)].component
+        cell.answer = state, directives = yield from self._route(
+            barrier_id % self.n, cell_comp, Manager.barrier_arrive,
+            cell_comp, barrier_id, cell.arrivals)
+        if cell.waiting:
+            self.system.engine.schedule_each(self._cell_depart, cell.waiting,
+                                             cell_idx, state, directives)
+        mine, reply_bytes = group_reply(arrivals, directives)
+        return (yield from self._route(
+            cell_idx, comp, Manager._reply_here,
+            comp, "barrier", reply_bytes, True, (state, mine)))
+
+    def _join_cell(self, proc, key: tuple[int, int],
+                   arrivals: dict[int, list[int]], comp: str):
+        """Handler body of a node leader's request to its cell's shard
+        (see ``Manager._rpc``): combine its arrivals; the cell's last node
+        goes on to the root (``DONE``), any other waits for the answer.
+
+        A waiting node's answer can be lost with the cell's shard; its
+        request is then re-issued to the successor (``_guarded``). The
+        round it joined has closed by then, so it is answered again from
+        that round, not joined into the next: the re-issued request is the
+        very arrivals object the closed round recorded for the node, which
+        a later round's request (a fresh leaf combiner's) never is."""
+        if self._cell_closed:
+            closed = self._cell_closed.get(key)
+            if closed is not None and closed.joined.get(comp) is arrivals:
+                state, directives = closed.answer
+                mine, reply_bytes = group_reply(arrivals, directives)
+                return reply_bytes, True, (state, mine)
         cell = self._cell_combiners.get(key)
         if cell is None:
-            cell = {"arrivals": {}, "comps": set(), "result": None,
-                    "gate": self.system.engine.event(
-                        f"tree.cell.b{barrier_id}.s{cell_idx}")}
-            self._cell_combiners[key] = cell
-        cell["arrivals"].update(arrivals)
-        cell["comps"].add(comp)
-        expected = len(self._cell_population()[cell_idx])
-        if len(cell["comps"]) == expected:
-            # Cell leader: one aggregate message to the root shard.
-            del self._cell_combiners[key]
-            cell_comp = self.shards[self.live_index(cell_idx)].component
-            cell["result"] = yield from self._route(
-                barrier_id % self.n, cell_comp, Manager.barrier_arrive,
-                cell_comp, barrier_id, cell["arrivals"])
-            cell["gate"].succeed()
-        else:
-            yield cell["gate"]
-        state, directives = cell["result"]
-        # Combiner shard -> this node's leader: per-node directive reply,
-        # from whichever shard serves the cell by now.
-        mine = {tid: directives[tid] for tid in arrivals}
-        reply_bytes = 0
-        for inv, flush, cr_diffs, cr_inval in mine.values():
-            reply_bytes += (
-                protocol.directive_message_bytes(len(inv), len(flush))
-                + sum(d.payload_bytes for d in cr_diffs)
-                + protocol.PAGE_ID_BYTES * len(cr_inval))
-        cell_mgr = self.shards[self.live_index(cell_idx)]
-        yield from cell_mgr.resource.use(
-            self.system.config.manager_service_time)
-        yield from cell_mgr._reply(comp, reply_bytes, category="barrier")
-        return state, mine
+            cell = self._cell_combiners[key] = _Cell(
+                f"tree.cell.b{key[0]}.s{key[1]}")
+        cell.arrivals.update(arrivals)
+        cell.joined[comp] = arrivals
+        if len(cell.joined) != len(self._cell_population()[key[1]]):
+            cell.waiting.append((proc, comp, arrivals))
+            proc.blocked_on = cell
+            return None
+        return DONE
+
+    def _cell_depart(self, waiting: tuple, cell_idx: int, state,
+                     directives) -> None:
+        """Combiner shard -> one waiting node leader: its per-node directive
+        reply, from whichever shard serves the cell by now, in the slot its
+        own resumption would take."""
+        proc, comp, arrivals = waiting
+        mine, reply_bytes = group_reply(arrivals, directives)
+        self.shards[self.live_index(cell_idx)]._respond(
+            proc, comp, "barrier", reply_bytes, True, (state, mine))
 
     # ------------------------------------------------------------------
     # shard failover

@@ -18,7 +18,12 @@ from collections import deque
 
 from repro.core import protocol
 from repro.core.allocator import AllocationKind, SamhitaAllocator
-from repro.core.consistency import BarrierPlan, LockUpdateLog, plan_barrier
+from repro.core.consistency import (
+    BarrierPlan,
+    LockUpdateLog,
+    group_reply,
+    plan_barrier,
+)
 from repro.errors import SynchronizationError
 from repro.faults.recovery import RpcDedup
 from repro.interconnect.scl import CONTROL_BYTES, SCL
@@ -52,11 +57,16 @@ class CrClock:
 
 
 class _LockState:
-    __slots__ = ("holder", "waiters", "log", "lease_deadline", "grant_seq",
-                 "cached_at", "revoking")
+    __slots__ = ("id", "holder", "waiters", "log", "lease_deadline",
+                 "grant_seq", "cached_at", "revoking")
 
-    def __init__(self):
+    def __init__(self, lock_id: int):
+        self.id = lock_id
         self.holder: int | None = None
+        #: ``(tid, process, component, manager)`` of each queued acquirer,
+        #: in grant order: :meth:`Manager._hand_over` has ``manager`` -- the
+        #: shard that queued it, even if a failover has merged this lock
+        #: into a successor since -- answer the head's acquire.
         self.waiters: deque = deque()
         self.log = LockUpdateLog()
         #: Simulated instant the current holder's lease expires (leases on).
@@ -76,21 +86,34 @@ class _LockState:
         #: could both run and the second would clobber the first's grant.
         self.revoking = None
 
+    @property
+    def name(self) -> str:
+        """What a deadlock report says a queued acquirer waits on."""
+        return f"lock{self.id}.wait"
+
 
 class _BarrierState:
-    __slots__ = ("parties", "generation", "arrived", "departed",
-                 "arrive_gate", "plan", "flush_remaining", "flush_gate")
+    __slots__ = ("parties", "generation", "arrived", "waiting", "departed",
+                 "plan", "flush_remaining", "flush_gate")
 
     def __init__(self, engine: Engine, parties: int, generation: int):
         self.parties = parties
         self.generation = generation
         self.arrived: dict[int, list[int]] = {}
+        #: ``(manager, process, component, arrivals)`` of every arrival
+        #: group served before the last, in order: the party the last one
+        #: releases, each answered by the shard that served it.
+        self.waiting: list = []
         #: Threads that hold their directive (see ``Manager._prune_logs``).
         self.departed = 0
-        self.arrive_gate = engine.event(f"barrier.gen{generation}.arrive")
         self.plan: BarrierPlan | None = None
         self.flush_remaining = 0
         self.flush_gate = engine.event(f"barrier.gen{generation}.flush")
+
+    @property
+    def name(self) -> str:
+        """What a deadlock report says a waiting arrival waits on."""
+        return f"barrier.gen{self.generation}.arrive"
 
 
 class _CondState:
@@ -216,10 +239,7 @@ class Manager:
         so the lock log is left alone -- waiters see the last completed
         release, exactly the crash semantics of a real lease."""
         if lock.waiters:
-            next_tid, gate = lock.waiters.popleft()
-            lock.holder = next_tid
-            self._arm_lease(lock)
-            gate.succeed()
+            self._hand_over(lock)
         else:
             lock.holder = None
 
@@ -246,14 +266,10 @@ class Manager:
     # Registration with an externally assigned ID: the sharded control
     # plane owns one global counter and places object i on shard i % n.
     def register_lock(self, lock_id: int) -> None:
-        self._locks[lock_id] = _LockState()
+        self._locks[lock_id] = _LockState(lock_id)
 
     def register_barrier(self, barrier_id: int, parties: int) -> None:
-        if parties < 1:
-            raise SynchronizationError("barrier needs at least one party")
         self._barriers[barrier_id] = _BarrierState(self.engine, parties, 0)
-        # Remember the party count for generation rollover.
-        self._barriers[barrier_id].parties = parties
 
     def register_cond(self, cond_id: int) -> None:
         self._conds[cond_id] = _CondState()
@@ -262,43 +278,88 @@ class Manager:
     # RPC plumbing
     # ------------------------------------------------------------------
     def _rpc(self, comp: str, nbytes: int = CONTROL_BYTES,
-             category: str = "sync", reply: int | None = None):
+             category: str = "sync", body=None, args: tuple = ()):
         """Generator: one request message into the manager + service time.
 
         One suspension: a request that is a pure delay (``SCL.flight``)
         joins the service queue as an engine callback at its arrival
-        instant, and the caller resumes when it has been served.
+        instant, and the caller is resumed once, when it is answered.
 
-        ``reply``: the RPC has no body -- a reply of that many bytes leaves
-        the moment the request has been served. A caller that had to park
-        sleeps through the whole exchange (:meth:`_answer`)."""
-        if comp == self._local:
-            return  # §V: co-located threads use local atomics, no RPC
-        at = self.scl.flight(comp, self.component, nbytes, category)
-        if at is None:
-            t = self.scl.send(comp, self.component, nbytes, category=category)
-            if t is not None:
-                yield from t
-        dedup = self.rpc_dedup
-        if dedup is not None:
-            # Reliable transport delivers each request once; retransmit
-            # replays re-present the same number and are dropped before the
-            # handler body (see FaultInjector.on_duplicate).
-            dedup.admit(comp, dedup.next_seq(comp))
+        Without a ``body`` the answer is the service completion itself.
+
+        With one, ``body(proc, *args)`` is the operation's handler: it runs
+        at the service completion -- an engine callback (:meth:`_handle`)
+        when the caller had to park -- and says what happens next:
+
+        * ``None``: the caller was queued (a held lock, a barrier party
+          still arriving); whoever dequeues it answers it (:meth:`_respond`);
+        * ``(nbytes, slot, result)``: answer now with a reply of ``nbytes``,
+          after a manager service slot if ``slot``;
+        * anything else: the rest of the operation is not a pure delay (a
+          revoke, a cross-shard gather) and the caller drives it: what the
+          handler returned is ``yield from``-ed for the result.
+
+        Returns the result the caller was answered with."""
         engine = self.engine
-        service = self.config.manager_service_time
-        if reply is None:
-            if not self.resource.serve(service, at, engine._step,
-                                       engine.active, None, None):
-                yield PARK
-            self._served(category)
-        elif self.resource.serve(service, at, self._answer, engine.active,
-                                 comp, reply, category):
-            self._served(category)
-            yield from self._reply(comp, reply, category)
+        proc = engine.active
+        if comp == self._local:
+            # §V: co-located threads use local atomics, no RPC.
+            if body is None:
+                return
+            out = body(proc, *args)
         else:
-            rest = yield PARK  # _answer resumes us with what is left
-            yield from rest
+            at = self.scl.flight(comp, self.component, nbytes, category)
+            if at is None:
+                t = self.scl.send(comp, self.component, nbytes,
+                                  category=category)
+                if t is not None:
+                    yield from t
+            dedup = self.rpc_dedup
+            if dedup is not None:
+                # Reliable transport delivers each request once; retransmit
+                # replays re-present the same number and are dropped before
+                # the handler body (see FaultInjector.on_duplicate).
+                dedup.admit(comp, dedup.next_seq(comp))
+            service = self.config.manager_service_time
+            if body is None:
+                if not self.resource.serve(service, at, engine._step, proc,
+                                           None, None):
+                    yield PARK
+                self._served(category)
+                return
+            if self.resource.serve(service, at, self._handle, proc, comp,
+                                   category, body, args):
+                self._served(category)
+                out = body(proc, *args)
+            else:
+                out = None
+        if out is not None:
+            # Answered within the caller's own step (served inline, or
+            # co-located): the caller drives the rest.
+            if type(out) is tuple and out:
+                return (yield from self._reply_here(comp, category, *out))
+            return (yield from out)
+        # :meth:`_await`, spelled inline: this is every parked caller's
+        # resumption, and delegating costs two calls more per resume (the
+        # generator's entry and its resumption): 57,157 per ``sync_storm``
+        # pass, 1.4 % of its ``host_calls``.
+        rest, result = yield PARK
+        if result is None:
+            return (yield from rest)
+        yield from rest
+        return result
+
+    def _await(self):
+        """Generator: park until answered. Whoever answers hands over the
+        result and whatever is left of the reply to drive (``DONE`` when it
+        was a pure delay; see :meth:`_reply_to`); a result of ``None``
+        means what is left computes it (:meth:`_handle`). :meth:`_rpc`
+        spells the same resumption inline; change both together."""
+        rest, result = yield PARK
+        if result is None:
+            return (yield from rest)
+        yield from rest
+        return result
 
     def _served(self, category: str) -> None:
         """One request has been through its service: free the unit, count."""
@@ -310,20 +371,72 @@ class Manager:
         counters["requests"] += 1
         counters[key] += 1
 
-    def _answer(self, proc, comp: str, reply: int, category: str) -> None:
-        """Service completion of a body-less RPC whose caller is parked:
-        the reply leaves from here, and the caller is stepped when it lands
-        -- or now, handed the reply to drive, if that is not a pure delay.
-        The same bucket slots as a caller that woke to send it."""
+    def _handle(self, proc, comp: str, category: str, body, args) -> None:
+        """Service completion of a request whose caller is parked: the
+        handler body runs here, in the bucket slot where the caller would
+        have been resumed to run it (see :meth:`_rpc`)."""
         self._served(category)
-        engine = self.engine
-        at = self.scl.flight(self.component, comp, reply, category)
-        if at is None:
-            engine._step(proc, self._reply(comp, reply, category), None)
-        elif engine.try_advance_to(at):
-            engine._step(proc, DONE, None)
+        try:
+            out = body(proc, *args)
+        except Exception as exc:  # noqa: BLE001 - the caller's error
+            # Raised in the caller, where a handler it ran itself raises.
+            self.engine._step(proc, None, exc)
+            return
+        if out is None:
+            return
+        if type(out) is tuple and out:
+            self._respond(proc, comp, category, *out)
         else:
-            engine.schedule_at(at, engine._step, proc, DONE, None)
+            self.engine._step(proc, (out, None), None)
+
+    def _respond(self, proc, comp: str, category: str, nbytes: int,
+                 slot: bool, result) -> None:
+        """Answer a parked caller from a continuation: take a service slot
+        first if ``slot`` (a directive reply), then send the reply."""
+        if slot:
+            self.resource.arrive(self.config.manager_service_time,
+                                  self._reply_to,
+                                  (proc, comp, category, nbytes, result, True))
+        else:
+            self._reply_to(proc, comp, category, nbytes, result, False)
+
+    def _reply_to(self, proc, comp: str, category: str, nbytes: int, result,
+                  slot: bool) -> None:
+        """The reply to a parked caller leaves from here (its service slot,
+        if it held one, is freed first), and the caller is stepped once,
+        with ``(DONE, result)``, when it lands -- or now, handed the reply
+        to drive, if that is not a pure delay. The same bucket slots as a
+        caller that woke to send it."""
+        if slot:
+            self.resource.release(self.config.manager_service_time)
+        engine = self.engine
+        if comp == self._local:
+            engine._step(proc, (DONE, result), None)
+            return
+        at = self.scl.flight(self.component, comp, nbytes, category)
+        if at is None:
+            engine._step(proc, (self._reply(comp, nbytes, category), result),
+                         None)
+        elif engine.try_advance_to(at):
+            engine._step(proc, (DONE, result), None)
+        else:
+            engine.schedule_at(at, engine._step, proc, (DONE, result), None)
+
+    def _reply_here(self, comp: str, category: str, nbytes: int, slot: bool,
+                    result):
+        """Generator: :meth:`_respond` for a caller that is running (its
+        request was served inline, or it leads a tree cell). One
+        suspension: if the service slot cannot be had inline, the rest is
+        :meth:`_reply_to`'s, as for a parked caller."""
+        if slot:
+            service = self.config.manager_service_time
+            if not self.resource.serve(service, None, self._reply_to,
+                                       self.engine.active, comp, category,
+                                       nbytes, result, True):
+                return (yield from self._await())
+            self.resource.release(service)
+        yield from self._reply(comp, nbytes, category)
+        return result
 
     def _reply(self, comp: str, nbytes: int = CONTROL_BYTES, category: str = "sync"):
         """One reply message out of the manager. Plain function: returns
@@ -382,41 +495,73 @@ class Manager:
             raise SynchronizationError(f"unknown lock id {lock_id}") from None
 
     def acquire_lock(self, tid: int, comp: str, lock_id: int):
-        """Generator: block until granted; returns the pending fine-grained
-        updates (diffs, payload_bytes, span_count) the acquirer must apply."""
-        lock = self._lock(lock_id)
-        yield from self._rpc(comp, category="lock")
-        if self.cache_registry is not None:
-            while True:
-                if lock.revoking is not None:
-                    # Another contender is mid-revoke: wait it out, then
-                    # re-check (the grant may have been re-cached since).
-                    yield lock.revoking
-                    continue
-                if lock.cached_at is not None:
-                    yield from self._revoke_cached(lock, lock_id)
-                break
+        """The acquire RPC's generator: it ends when the lock is granted and
+        returns the pending fine-grained updates (diffs, payload_bytes,
+        span_count, invalidate) the acquirer must apply. Its handler is
+        :meth:`_acquire`; a queued acquirer sleeps from its request to its
+        grant's arrival."""
+        return self._rpc(comp, category="lock", body=self._acquire,
+                         args=(self._lock(lock_id), tid, comp))
+
+    def _acquire(self, proc, lock: _LockState, tid: int, comp: str):
+        """Handler body of an acquire (see :meth:`_rpc`): take the lock and
+        grant it, or queue the caller behind the holder."""
+        if self.cache_registry is not None and (
+                lock.revoking is not None or lock.cached_at is not None):
+            return self._acquire_revoking(proc, lock, tid, comp)
         if lock.holder is None:
             lock.holder = tid
             self._arm_lease(lock)
-        elif lock.holder == tid:
-            # Retried RPC of an already-granted request (the original reply
-            # was lost to a shard crash): re-reply without re-queueing.
-            pass
-        else:
-            gate = self.engine.event(f"lock{lock_id}.wait")
-            lock.waiters.append((tid, gate))
-            yield gate
-            if lock.holder != tid:  # pragma: no cover - invariant guard
-                raise SynchronizationError("lock handoff mismatch")
-        diffs, payload, spans, invalidate = lock.log.updates_since(tid)
-        self.stats.incr("lock_acquires")
-        yield from self._reply(
-            comp, protocol.lock_grant_bytes(payload, spans + len(invalidate)),
-            category="lock")
-        return diffs, payload, spans, invalidate
+        elif lock.holder != tid:
+            lock.waiters.append((tid, proc, comp, self))
+            proc.blocked_on = lock
+            return None
+        # (holder == tid: a retried RPC of an already-granted request -- the
+        # original reply was lost to a shard crash -- is re-replied to
+        # without re-queueing.)
+        return self._grant(lock, tid)
 
-    def _revoke_cached(self, lock: _LockState, lock_id: int):
+    def _grant(self, lock: _LockState, tid: int):
+        """The grant of ``lock`` to its holder ``tid``: its reply size, no
+        service slot, and the updates it carries."""
+        grant = lock.log.updates_since(tid)
+        self.stats.counters["lock_acquires"] += 1
+        _diffs, payload, spans, invalidate = grant
+        return (protocol.lock_grant_bytes(payload, spans + len(invalidate)),
+                False, grant)
+
+    def _hand_over(self, lock: _LockState) -> None:
+        """Grant ``lock`` to its first waiter. The grant is answered from a
+        continuation in the bucket slot the waiter's own resumption would
+        take at this instant."""
+        tid, proc, comp, mgr = lock.waiters.popleft()
+        lock.holder = tid
+        self._arm_lease(lock)
+        self.engine.schedule(0.0, mgr._granted, lock, tid, proc, comp)
+
+    def _granted(self, lock: _LockState, tid: int, proc, comp: str) -> None:
+        self._respond(proc, comp, "lock", *self._grant(lock, tid))
+
+    def _acquire_revoking(self, proc, lock: _LockState, tid: int, comp: str):
+        """Generator: the rest of an acquire that found the grant cached at
+        a component (``config.lock_owner_cache``). The revoke's messages
+        are the caller's to wait through; then it takes or queues as
+        :meth:`_acquire` does."""
+        while True:
+            if lock.revoking is not None:
+                # Another contender is mid-revoke: wait it out, then
+                # re-check (the grant may have been re-cached since).
+                yield lock.revoking
+                continue
+            if lock.cached_at is not None:
+                yield from self._revoke_cached(lock)
+            break
+        out = self._acquire(proc, lock, tid, comp)
+        if out is not None:
+            return (yield from self._reply_here(comp, "lock", *out))
+        return (yield from self._await())
+
+    def _revoke_cached(self, lock: _LockState):
         """Generator: a contending acquire found the lock cached at another
         component. Send a revoke; the caching component either surrenders
         its stashed release records inline (idle grant -- the records join
@@ -430,8 +575,8 @@ class Manager:
             if t is not None:
                 yield from t
             verdict, payload = self.cache_registry(ccomp).lock_cache_surrender(
-                lock_id)
-            self.stats.incr("lock_cache_revokes")
+                lock.id)
+            self.stats.counters["lock_cache_revokes"] += 1
             if verdict == "idle":
                 t = self.scl.send(ccomp, self.component,
                                   CONTROL_BYTES + self._stash_bytes(payload),
@@ -502,10 +647,7 @@ class Manager:
             self.cr_clock.value += 1
         cacheable = False
         if lock.waiters:
-            next_tid, gate = lock.waiters.popleft()
-            lock.holder = next_tid
-            self._arm_lease(lock)
-            gate.succeed()
+            self._hand_over(lock)
         else:
             lock.holder = None
             lock.grant_seq += 1
@@ -513,7 +655,7 @@ class Manager:
                     and self.config.lock_lease_time == 0.0):
                 lock.cached_at = (tid, comp)
                 cacheable = True
-        self.stats.incr("lock_releases")
+        self.stats.counters["lock_releases"] += 1
         return cacheable
 
     def absorb_lock_stash(self, tid: int, lock_id: int, stash) -> None:
@@ -527,16 +669,22 @@ class Manager:
         them -- out-of-order CR propagation. The wire cost is charged
         separately by :meth:`flush_lock_stash`."""
         self._absorb_stash(self._lock(lock_id), stash, tid)
-        self.stats.incr("lock_cache_flushes")
+        self.stats.counters["lock_cache_flushes"] += 1
 
     def flush_lock_stash(self, tid: int, comp: str, lock_id: int, stash):
-        """Generator: barrier-entry flush of a cached grant's stashed
-        release records -- RegC's global consistency point must see every
-        release, cached or not. The grant itself stays cached. The records
-        were already absorbed (:meth:`absorb_lock_stash`); this charges
-        the message exchange."""
-        yield from self._rpc(comp, CONTROL_BYTES + self._stash_bytes(stash),
-                             category="lock", reply=CONTROL_BYTES)
+        """The generator of a barrier-entry flush of a cached grant's
+        stashed release records -- RegC's global consistency point must
+        see every release, cached or not. The grant itself stays cached.
+        The records were already absorbed (:meth:`absorb_lock_stash`); this
+        charges the message exchange."""
+        return self._rpc(comp, CONTROL_BYTES + self._stash_bytes(stash),
+                         category="lock", body=self._flushed)
+
+    @staticmethod
+    def _flushed(proc):
+        """Handler body of a stash flush: nothing left to log, a control
+        reply (see :meth:`_rpc`)."""
+        return CONTROL_BYTES, False, None
 
     def holds_lock(self, tid: int, lock_id: int) -> bool:
         return self._lock(lock_id).holder == tid
@@ -570,9 +718,8 @@ class Manager:
     def _cr_updates(self, tid: int):
         """Pending consistency-region updates for ``tid`` across every lock
         this control plane can see (all shards when ``cr_source`` is wired,
-        else the local table)."""
+        else the local table): ``(diffs, pages to invalidate)``."""
         cr_diffs: list = []
-        cr_payload = 0
         cr_invalidate: set[int] = set()
         clock = self.cr_clock.value
         if clock == 0 or self._cr_seen.get(tid) == clock:
@@ -581,7 +728,7 @@ class Manager:
             # date on every lock): the whole O(locks) scan would be empty
             # no-ops. The clock is monotone, so a stale snapshot can never
             # alias the current value.
-            return cr_diffs, cr_payload, cr_invalidate
+            return cr_diffs, cr_invalidate
         locks = self.cr_source() if self.cr_source is not None \
             else self._locks.values()
         for lock in locks:
@@ -592,12 +739,11 @@ class Manager:
                 # every-lock walk O(locks) dict probes instead of O(locks)
                 # method calls + comprehensions.
                 continue
-            diffs, payload, _spans, invalidate = log.updates_since(tid)
+            diffs, _payload, _spans, invalidate = log.updates_since(tid)
             cr_diffs.extend(diffs)
-            cr_payload += payload
             cr_invalidate.update(invalidate)
         self._cr_seen[tid] = clock
-        return cr_diffs, cr_payload, cr_invalidate
+        return cr_diffs, cr_invalidate
 
     def _prune_logs(self) -> None:
         """Garbage-collect the lock logs, behind a barrier round's *last*
@@ -619,75 +765,118 @@ class Manager:
         if not retained:
             self._prune_clean_at = clock
 
-    def _register_arrival(self, state: _BarrierState, tid: int,
-                          notices, barrier_id: int) -> None:
-        if tid in state.arrived:
-            if self.rpc_dedup is None:
-                raise SynchronizationError(
-                    f"thread {tid} arrived twice at barrier {barrier_id}")
-            # Fault build: a retried arrival whose original reply was lost
-            # re-presents itself; keep the first registration.
-            return
-        state.arrived[tid] = notices
-
     def barrier_arrive(self, comp: str, barrier_id: int,
                        arrivals: dict[int, list[int]]):
-        """Generator: submit write notices, wait for the full party, and
-        receive the directives. One message carries the notices of every
-        thread in ``arrivals`` -- one thread when it arrives flat, a compute
-        node's or a cell's when a combining leader arrives for them -- and
-        one directive reply carries everyone's directives back.
+        """The arrival RPC's generator: submit write notices, wait for the
+        full party, and receive the directives. One message carries the
+        notices of every thread in ``arrivals`` -- one thread when it
+        arrives flat, a compute node's or a cell's when a combining leader
+        arrives for them -- and one directive reply carries everyone's
+        directives back. Its handler is :meth:`_arrived`; an arrival that
+        is not the last sleeps from its request to its directives' arrival.
 
-        Returns ``(state, {tid: (invalidate, flush, cr_diffs, cr_inval)})``
-        -- the state handle is needed for the flush-completion phase.
+        The generator returns ``(state, {tid: (invalidate, flush, cr_diffs,
+        cr_inval)})`` -- the state handle is needed for the flush-completion
+        phase.
         """
         state = self._barrier(barrier_id)
         total_notices = 0
         for notices in arrivals.values():
             total_notices += len(notices)
-        yield from self._rpc(comp, protocol.notice_message_bytes(total_notices),
-                             category="barrier")
+        return self._rpc(comp, protocol.notice_message_bytes(total_notices),
+                         "barrier", body=self._arrived,
+                         args=(state, barrier_id, arrivals, comp))
+
+    def _arrived(self, proc, state: _BarrierState, barrier_id: int,
+                 arrivals: dict[int, list[int]], comp: str):
+        """Handler body of an arrival (see :meth:`_rpc`): register the
+        group's notices; the last arrival plans the round, releases the
+        party and departs, every other one joins the party."""
+        arrived = state.arrived
         for tid, notices in arrivals.items():
-            self._register_arrival(state, tid, notices, barrier_id)
-        if len(state.arrived) == state.parties:
-            if self.cr_gather is not None:
-                # Sharded: pull the other shards' lock logs before the plan.
-                yield from self.cr_gather(self)
-            state.plan = plan_barrier(state.arrived, self.directory)
-            state.flush_remaining = sum(
-                1 for pages in state.plan.flush.values() if pages)
-            if state.flush_remaining == 0:
-                state.flush_gate.succeed()
-            # Roll the barrier over to a fresh generation for reuse.
-            self._barriers[barrier_id] = _BarrierState(
-                self.engine, state.parties, state.generation + 1)
-            self.stats.incr("barrier_rounds")
-            state.arrive_gate.succeed()
-        else:
-            yield state.arrive_gate
+            if tid not in arrived:
+                arrived[tid] = notices
+            elif self.rpc_dedup is None:
+                raise SynchronizationError(
+                    f"thread {tid} arrived twice at barrier {barrier_id}")
+            # (Fault build: a retried arrival whose original reply was lost
+            # re-presents itself; the first registration stands.)
+        if len(arrived) != state.parties:
+            state.waiting.append((self, proc, comp, arrivals))
+            proc.blocked_on = state
+            return None
+        if self.cr_gather is not None:
+            return self._gather_and_close(state, barrier_id, arrivals, comp)
+        self._close_round(state, barrier_id)
+        return self._depart(state, arrivals, comp)
+
+    def _gather_and_close(self, state: _BarrierState, barrier_id: int,
+                          arrivals: dict[int, list[int]], comp: str):
+        """Generator: the last arrival on a sharded control plane pulls the
+        other shards' lock logs before the plan -- round trips that are its
+        to wait through -- then closes the round as :meth:`_arrived`
+        does."""
+        yield from self.cr_gather(self)
+        self._close_round(state, barrier_id)
+        return (yield from self._reply_here(
+            comp, "barrier", *self._depart(state, arrivals, comp)))
+
+    def _close_round(self, state: _BarrierState, barrier_id: int) -> None:
+        """Plan the round, roll the barrier over to a fresh generation, and
+        release the party: each waiting group departs from a continuation
+        in the bucket slot its own resumption would take at this instant,
+        in arrival order."""
+        plan = state.plan = plan_barrier(state.arrived, self.directory)
+        state.flush_remaining = sum(map(bool, plan.flush.values()))
+        if state.flush_remaining == 0:
+            state.flush_gate.succeed()
+        self._barriers[barrier_id] = _BarrierState(
+            self.engine, state.parties, state.generation + 1)
+        self.stats.counters["barrier_rounds"] += 1
+        if state.waiting:
+            self.engine.schedule_each(self._departing, state.waiting, state)
+
+    @staticmethod
+    def _departing(waiting: tuple, state: _BarrierState) -> None:
+        mgr, proc, comp, arrivals = waiting
+        mgr._respond(proc, comp, "barrier",
+                     *mgr._depart(state, arrivals, comp))
+
+    def _depart(self, state: _BarrierState, arrivals: dict[int, list[int]],
+                comp: str):
+        """One group's directive reply: its size, a service slot (the
+        manager serializes these sends; none for a co-located group) and
+        ``(state, directives)``.
+
+        A round that noticed no page, while no lock log anywhere has ever
+        gained an epoch, is quiet: every thread gets the one shared empty
+        directive. The clock is read here, as the group departs, not when
+        the round closed: a thread that departed earlier may have released
+        a lock since."""
         plan = state.plan
+        if not plan.pages.size and self.cr_clock.value == 0:
+            directives, reply_bytes = group_reply(arrivals)
+        else:
+            directives, reply_bytes = group_reply(
+                arrivals, self._directives(plan, arrivals))
+        state.departed += len(arrivals)
+        if state.departed >= state.parties:
+            self._prune_logs()
+        return reply_bytes, comp != self._local, (state, directives)
+
+    def _directives(self, plan: BarrierPlan, arrivals: dict[int, list[int]]):
+        """``{tid: directive}`` for one departing group of a round that is
+        not quiet."""
         directives = {}
-        reply_bytes = 0
         for tid in arrivals:
-            inv = plan.directive(tid)
-            flush = plan.flush[tid]
             # A barrier is RegC's *global* consistency point: it must also
             # make consistency-region updates visible to threads that never
             # acquire the corresponding lock. Collect every lock-log update
             # this thread has not yet seen and ship it with the directive.
-            cr_diffs, cr_payload, cr_invalidate = self._cr_updates(tid)
-            directives[tid] = (inv, flush, cr_diffs, sorted(cr_invalidate))
-            reply_bytes += (protocol.directive_message_bytes(len(inv), len(flush))
-                            + cr_payload
-                            + protocol.PAGE_ID_BYTES * len(cr_invalidate))
-        state.departed += len(arrivals)
-        if state.departed >= state.parties:
-            self._prune_logs()
-        # Directive reply (manager serializes these sends).
-        if comp != self._local:
-            yield from self.resource.use(self.config.manager_service_time)
-        yield from self._reply(comp, reply_bytes, category="barrier")
-        return state, directives
+            cr_diffs, cr_invalidate = self._cr_updates(tid)
+            directives[tid] = (plan.directive(tid), plan.flush[tid], cr_diffs,
+                               sorted(cr_invalidate))
+        return directives
 
     def barrier_flush_done(self, tid: int, comp: str, state: _BarrierState):
         """Generator: report completion of this thread's multi-writer flush."""
@@ -723,7 +912,7 @@ class Manager:
         for _ in range(count):
             _tid, gate = cond.waiters.popleft()
             gate.succeed()
-        self.stats.incr("cond_signals")
+        self.stats.counters["cond_signals"] += 1
         return count
 
 

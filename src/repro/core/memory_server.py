@@ -451,8 +451,9 @@ class MemoryServer:
             clear_owner = self.directory.clear_owner
             for diff in diffs:
                 clear_owner(diff.page)
-            self.stats.incr("flushes")
-            self.stats.incr("flush_bytes", total)
+            counters = self.stats.counters
+            counters["flushes"] += 1
+            counters["flush_bytes"] += total
         finally:
             self.resource.release()
         if self.wal is not None:

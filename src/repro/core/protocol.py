@@ -23,6 +23,12 @@ def directive_message_bytes(n_invalidate: int, n_flush: int) -> int:
     return CONTROL_BYTES + PAGE_ID_BYTES * (n_invalidate + n_flush)
 
 
+def directive_group_bytes(n_threads: int) -> int:
+    """One reply carrying ``n_threads`` empty directives (a round that
+    noticed no page): the sum of their :func:`directive_message_bytes`."""
+    return n_threads * directive_message_bytes(0, 0)
+
+
 def lock_grant_bytes(update_payload: int, n_spans: int) -> int:
     """Lock grant carrying pending fine-grained updates."""
     return CONTROL_BYTES + update_payload + PAGE_ID_BYTES * n_spans

@@ -24,6 +24,7 @@ class RegionTracker:
     def __init__(self, name: str = "regions"):
         self._depth = 0
         self.stats = StatSet(name)
+        self._counters = self.stats.counters
 
     @property
     def in_consistency_region(self) -> bool:
@@ -35,7 +36,7 @@ class RegionTracker:
 
     def enter(self) -> None:
         self._depth += 1
-        self.stats.incr("region_entries")
+        self._counters["region_entries"] += 1
 
     def leave(self) -> None:
         if self._depth == 0:
@@ -54,12 +55,13 @@ class RegionTracker:
 
     def classify_store(self, nbytes: int) -> bool:
         """Record one store; True if it belongs to a consistency region."""
+        counters = self._counters
         if self._depth > 0:
-            self.stats.incr("cr_stores")
-            self.stats.incr("cr_store_bytes", nbytes)
+            counters["cr_stores"] += 1
+            counters["cr_store_bytes"] += nbytes
             return True
-        self.stats.incr("ordinary_stores")
-        self.stats.incr("ordinary_store_bytes", nbytes)
+        counters["ordinary_stores"] += 1
+        counters["ordinary_store_bytes"] += nbytes
         return False
 
     def ordinary_stores(self, count: int, nbytes: int) -> None:
@@ -69,5 +71,6 @@ class RegionTracker:
         if self._depth > 0:
             raise ConsistencyError("bulk stores inside a consistency region")
         if count:
-            self.stats.incr("ordinary_stores", count)
-            self.stats.incr("ordinary_store_bytes", nbytes)
+            counters = self._counters
+            counters["ordinary_stores"] += count
+            counters["ordinary_store_bytes"] += nbytes

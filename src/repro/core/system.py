@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.allocator import AllocationKind, SamhitaAllocator
 from repro.core.compute_server import ComputeServer
+from repro.core.consistency import QUIET_DIRECTIVE
 from repro.core.control_plane import (
     ControlPlane,
     ShardedAllocator,
@@ -729,7 +730,7 @@ class SamhitaSystem:
         flushes. Phase 3: invalidate copies written by other threads.
         """
         cache = self._caches[tid]
-        comp = self.component_of(tid)
+        comp = self._thread_comp[tid]
         if self.config.coherence == "ivy":
             # Coherence is maintained eagerly per write: a barrier is a pure
             # rendezvous with no memory-consistency work.
@@ -754,7 +755,8 @@ class SamhitaSystem:
         arrive = (self._arrivals.get(barrier_id)
                   or self._arrival_for(barrier_id))
         state, directives = yield from arrive(tid, comp, barrier_id, notices)
-        invalidate, flush, cr_diffs, cr_invalidate = directives[tid]
+        directive = directives[tid]
+        invalidate, flush, cr_diffs, cr_invalidate = directive
         if flush:
             yield Timeout(len(flush) * self.config.diff_scan_time)
             # A page evicted mid-epoch is skipped: its diff already
@@ -776,6 +778,8 @@ class SamhitaSystem:
             self._ckpt_rounds += 1
             if self._ckpt_rounds % self.config.checkpoint_interval == 0:
                 self.take_checkpoint()
+        if directive is QUIET_DIRECTIVE:
+            return  # nothing to apply or drop
         # Consistency-region updates become globally visible here.
         if cr_diffs:
             applied = cache.apply_fine_grain(cr_diffs)

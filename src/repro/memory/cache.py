@@ -821,7 +821,7 @@ class SoftwareCache:
                 if twin is not None:
                     twin.mirror(diff)
             applied += diff.payload_bytes
-        self.stats.incr("fine_grain_bytes", applied)
+        self.stats.counters["fine_grain_bytes"] += applied
         return applied
 
     def clear(self) -> None:

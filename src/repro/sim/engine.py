@@ -86,7 +86,8 @@ class _Park:
     """Yield command: suspend, and queue nothing. Whoever was handed the
     process (:attr:`Engine.active`) resumes it, by calling or scheduling
     ``engine._step(proc, value, None)`` -- ``Resource.serve`` does, at the
-    service completion of a request whose arrival was an engine callback."""
+    service completion of a request whose arrival was an engine callback,
+    and the manager's continuations do, when a grant or directive lands."""
 
     __slots__ = ()
 
@@ -293,18 +294,13 @@ class Engine:
         else:
             self.schedule(0.0, self._step, waiter, None, event._exc)
 
-    def _resume_waiters(self, waiters: list, event: SimEvent) -> None:
-        """Deliver a triggered event to everything parked on it, in wait
-        order: :meth:`_resume_with_outcome` per waiter, except that the
-        current instant's slice is looked up once for the lot (a barrier
-        gate releases a whole party into one epoch)."""
-        if event._value is not _PENDING:
-            value, exc = event._value, None
-        else:
-            value, exc = None, event._exc
-        step = self._step
+    def schedule_each(self, fn, heads, *tail) -> None:
+        """Run ``fn(head, *tail)`` for each of ``heads``, in order, at the
+        current instant: the slots successive ``schedule(0.0, ...)`` calls
+        would give them, with the slice looked up once for the lot (a
+        barrier releases a whole party into one epoch)."""
         bucket = None
-        for waiter in waiters:
+        for head in heads:
             self._seq += 1
             if bucket is None:
                 # Nothing between here and the end of the loop can move
@@ -316,7 +312,16 @@ class Engine:
                     heapq.heappush(self._times, now)
                 if now < self._next_time:
                     self._next_time = now
-            bucket.append((step, (waiter, value, exc)))
+            bucket.append((fn, (head, *tail)))
+
+    def _resume_waiters(self, waiters: list, event: SimEvent) -> None:
+        """Deliver a triggered event to everything parked on it, in wait
+        order: what :meth:`_resume_with_outcome` does for one waiter, for
+        all of them in one :meth:`schedule_each`."""
+        if event._value is not _PENDING:
+            self.schedule_each(self._step, waiters, event._value, None)
+        else:
+            self.schedule_each(self._step, waiters, None, event._exc)
 
     # ------------------------------------------------------------------
     # process stepping
@@ -459,8 +464,11 @@ class Engine:
         appended *during* the slice by the handlers themselves (a zero-delay
         schedule lands at the live instant and runs in turn). ``_next_time``
         is advanced to the next epoch just before the final record of the
-        slice runs, so the inline-advance peeks inside that record see the
-        next epoch, not the one being drained.
+        slice runs -- the record that is, by identity, the bucket's last --
+        so the inline-advance peeks inside that record see the next epoch,
+        not the one being drained. A record that appends to its own slice
+        is no longer last, and the appended record sees ``_next_time ==
+        now`` until it is.
 
         Raises :class:`DeadlockError` if non-daemon processes remain blocked
         with no scheduled work (after giving every :attr:`deadlock_hooks`
@@ -491,24 +499,20 @@ class Engine:
                     self.epochs_run += 1
                     i = 0
                     try:
-                        n = len(bucket)
-                        seq = self._seq
-                        while i < n:
-                            if i + 1 == n:
-                                # Last known record of the slice: future
-                                # peeks must see the next epoch.
-                                self._next_time = times[0] if times else inf
-                            fn, args = bucket[i]
+                        # The list iterator sees records appended mid-slice.
+                        for rec in bucket:
                             i += 1
+                            if rec is bucket[-1]:
+                                # Last known record of the slice (every
+                                # record is a fresh tuple): future peeks
+                                # must see the next epoch.
+                                self._next_time = times[0] if times else inf
+                            fn, args = rec
                             fn(*args)
                             if failed:
                                 self._raise_failures()
-                            if self._seq != seq:
-                                # Only scheduling grows the live slice.
-                                seq = self._seq
-                                n = len(bucket)
-                        if n > self.epoch_peak:
-                            self.epoch_peak = n
+                        if i > self.epoch_peak:
+                            self.epoch_peak = i
                     except BaseException:
                         if i < len(bucket):
                             # Abnormal exit mid-slice: keep the undispatched

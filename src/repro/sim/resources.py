@@ -142,7 +142,7 @@ class Resource:
             # Hand the unit straight to the next waiter.
             nxt = self._waiters.popleft()
             if type(nxt) is tuple:
-                # Timed hand-off (_arrive): the waiter's next act would be
+                # Timed hand-off (arrive): the waiter's next act would be
                 # sleeping through its service time, so resume it directly
                 # at the completion instant -- fl(now + duration) is the
                 # same float the grant-then-sleep path computes -- and book
@@ -156,20 +156,22 @@ class Resource:
         else:
             self._in_use -= 1
 
-    def _arrive(self, duration: float, fn, args, parked: bool = True) -> bool:
+    def arrive(self, duration: float, fn, args, parked: bool = True) -> bool:
         """One request reaches the server at ``engine.now``: take a free
         unit and sleep through ``duration`` of service, or queue FIFO for
         :meth:`release` to grant; ``fn(*args)`` resumes whoever sent it, at
         service completion, the unit held.
 
         The one arrival routine: called by :meth:`serve` for a requester
-        standing at the server (``parked=False``), and the engine callback
-        of a request still in flight. Returns True when the unit is held
-        and the clock already stands at the service completion (a parked
-        requester is resumed from here). Otherwise the resumption is queued
-        exactly where a process yielding ``Timeout(duration)`` (free unit)
-        or a private gate (busy) would have left it: grant order, queue-time
-        booking and the engine's own counters cannot tell the difference.
+        standing at the server (``parked=False``), the engine callback of a
+        request still in flight, and a continuation taking a unit for a
+        parked caller (``Manager._respond``). Returns True when the unit is
+        held and the clock already stands at the service completion (a
+        parked requester is resumed from here). Otherwise the resumption is
+        queued exactly where a process yielding ``Timeout(duration)`` (free
+        unit) or a private gate (busy) would have left it: grant order,
+        queue-time booking and the engine's own counters cannot tell the
+        difference.
         """
         engine = self.engine
         self.total_requests += 1
@@ -198,8 +200,8 @@ class Resource:
         """
         engine = self.engine
         if at is not None and not engine.try_advance_to(at):
-            engine.schedule_at(at, self._arrive, duration, fn, args)
-        elif self._arrive(duration, fn, args, False):
+            engine.schedule_at(at, self.arrive, duration, fn, args)
+        elif self.arrive(duration, fn, args, False):
             return True
         engine.active.blocked_on = self  # what a deadlock report names
         return False

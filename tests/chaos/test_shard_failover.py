@@ -19,6 +19,7 @@ upstream hops of a combining arrival must wait the failover out.
 
 import pytest
 
+from repro.core.control_plane import ControlPlane
 from repro.core.params import SamhitaConfig
 from repro.core.system import SamhitaSystem
 from repro.faults import permanent_crash
@@ -141,6 +142,70 @@ def test_tree_barrier_survives_shard_kill(seed, n_threads):
     assert finished == n_threads
     assert report["control_plane"].get("shard_failovers", 0) == 1
     assert report["control_plane"].get("shard_failover_retries", 0) >= 1
+    assert report["faults"].get("crash_drops", 0) > 0
+
+
+def _run_tree_rounds(seed, crash_at, rounds=3, n_threads=32):
+    """Tree-barrier rounds on a shard-0 barrier at 32 threads (4 nodes, 2
+    cells of two; cell 1 combines on shard 1 = ``node1``), with ``node1``
+    killed at ``crash_at``. Returns (system, per-round arrival and
+    departure instants, threads finished)."""
+    plan = permanent_crash(seed, "node1", at=crash_at)
+    system = SamhitaSystem.cluster(
+        n_threads, config=_sharded_replicated(plan).with_(tree_barriers=True))
+    tids = [system.add_thread() for _ in range(n_threads)]
+    bar = system.create_barrier(n_threads)
+    while system.control.shard_index(bar) != 0:
+        bar = system.create_barrier(n_threads)
+    arrived = [[] for _ in range(rounds)]
+    departed = [[] for _ in range(rounds)]
+    done = []
+
+    def body(tid):
+        for r in range(rounds):
+            arrived[r].append(system.engine.now)
+            yield from system.barrier_wait(tid, bar)
+            departed[r].append(system.engine.now)
+        done.append(tid)
+
+    for i, tid in enumerate(tids):
+        system.process(body(tid), name=f"t{i}")
+    system.run()
+    return system, arrived, departed, len(done)
+
+
+@pytest.mark.parametrize("seed", chaos_seeds())
+def test_tree_cell_answer_lost_with_its_shard_is_answered_again(
+        seed, monkeypatch):
+    """``node1`` dies the instant cell 1 closes its second round, before
+    any of the cell's replies have left. The cell leader's reply and its
+    waiting node leader's answer are both lost; each re-issues to the
+    successor and is answered from the round it joined -- not joined into
+    the next round as a fresh arrival, which would close that round early
+    or wedge it."""
+    departs = []
+    cell_depart = ControlPlane._cell_depart
+
+    def record(self, waiting, cell_idx, *rest):
+        if cell_idx == 1:
+            departs.append(self.system.engine.now)
+        cell_depart(self, waiting, cell_idx, *rest)
+
+    monkeypatch.setattr(ControlPlane, "_cell_depart", record)
+    _run_tree_rounds(seed, crash_at=1.0)  # armed, never crashes
+    assert len(departs) == 3  # one waiting node leader per round
+    monkeypatch.undo()
+
+    system, arrived, departed, finished = _run_tree_rounds(
+        seed, crash_at=departs[1])
+    assert finished == 32
+    for r in range(3):
+        # No thread left a round before every thread had arrived at it.
+        assert min(departed[r]) >= max(arrived[r])
+    assert system.managers[0].stats.get("barrier_rounds") == 3
+    report = system.stats_report()
+    assert report["control_plane"].get("shard_failovers", 0) == 1
+    assert report["control_plane"].get("shard_failover_retries", 0) >= 2
     assert report["faults"].get("crash_drops", 0) > 0
 
 

@@ -8,6 +8,7 @@ request legs are engine callbacks, so the thread is resumed when it has been
 served, not once per hop; and none of it grows with the machine.
 """
 
+import collections
 import gc
 import sys
 
@@ -24,30 +25,39 @@ from repro.sim.engine import Engine, Timeout
 #: when each was a generator wrapped in ``_timed``.
 PASSAGE_BOUND = 20
 #: Calls per steady-state thread-round of the sweep-cell body (private
-#: lock, 1 us, unlock, full tree barrier): 128 / 140 / 139 today at 16
-#: servers / 1 shard, 256 / 16 and 1,024 / 64; 217 / 219 before the request
-#: legs were fused.
-ROUND_BOUND = 185
-#: ``Engine._step`` entries per steady-state thread-round: 4.25 / 4.55 / 4.56
-#: today (start of the round, stash flush, arrival; the rest are node and
-#: cell leaders' legs), 6.3 / 6.7 before.
-STEP_BOUND = 5.6
+#: lock, 1 us, unlock, full tree barrier): 106 / 109 / 108 today at 16
+#: servers / 1 shard, 256 / 16 and 1,024 / 64; the bound is about the
+#: highest + 10 %.
+ROUND_BOUND = 120
+#: ``Engine._step`` entries per steady-state thread-round: 4.00 / 4.13 /
+#: 4.13 today (the 1 us hold, the stash flush's reply, the node gate or the
+#: arrival's reply, the flush gate behind the node's others; the rest are
+#: cell leaders' legs); the bound is the highest + 10 %.
+STEP_BOUND = 4.55
 
 _STEP = Engine._step.__code__
 
 
 class Counter:
-    """``sys.setprofile`` hook: every call, ``Engine._step`` entries, and
-    generator frames (first entries and resumptions alike)."""
+    """``sys.setprofile`` hook: every call, ``Engine._step`` entries (in all
+    and per process), and generator frames (first entries and resumptions
+    alike)."""
 
     def __init__(self):
         self.calls = self.steps = self.generator_frames = 0
+        self.steps_of = collections.Counter()
+        #: process -> the clock when it was last stepped.
+        self.stepped_at = {}
 
     def __call__(self, frame, event, arg):
         if event == "call":
             self.calls += 1
             code = frame.f_code
-            self.steps += code is _STEP
+            if code is _STEP:
+                self.steps += 1
+                local = frame.f_locals
+                self.steps_of[local["proc"]] += 1
+                self.stepped_at[local["proc"]] = local["self"].now
             self.generator_frames += bool(code.co_flags & 0x20)  # CO_GENERATOR
         elif event == "c_call":
             self.calls += 1
@@ -118,7 +128,7 @@ def test_thread_round_cost_is_bounded_and_flat(n_compute, shards):
     calls, steps = steady_round_cost(n_compute, shards)
     assert calls <= ROUND_BOUND
     assert steps <= STEP_BOUND
-    # Flat from the smallest machine whose tree has a cell level (141
+    # Flat from the smallest machine whose tree has a cell level (110
     # calls): work per arrival that grows with the party is invisible at
     # 64 threads and a fifth of the round at 1,024.
     assert calls <= 1.15 * steady_round_cost(64, 4)[0]
@@ -163,6 +173,104 @@ def test_contended_rpc_resumes_its_caller_once():
     assert times == sorted(times) and len(set(times)) == 4
     assert manager.resource.total_requests == 5
     assert manager.resource.total_queue_time > 0
+
+
+def resumes_per_op(system, tids, warm, op, then=lambda tid: ()):
+    """One process per thread under the counter: ``warm(tid)``, then
+    ``op(tid)``, then ``then(tid)``. Returns ``({tid: steps}, {tid:
+    landed})``: how often each process was stepped between starting ``op``
+    and finishing it, and whether the step it finished in began at that
+    very instant (it was stepped when its answer landed, not woken earlier
+    to carry the clock there itself)."""
+    counter = Counter()
+    resumes, landed = {}, {}
+
+    def measured(tid):
+        yield from warm(tid)
+        me = system.engine.active
+        start = counter.steps_of[me]
+        yield from op(tid)
+        resumes[tid] = counter.steps_of[me] - start
+        landed[tid] = counter.stepped_at.get(me) == system.engine.now
+        yield from then(tid)
+
+    for tid in tids:
+        system.process(measured(tid), name=f"t{tid}")
+    with counter:
+        system.run()
+    return resumes, landed
+
+
+def test_contended_acquire_resumes_its_caller_once():
+    """Four acquires reach one lock at one instant: each caller, queued or
+    not, sleeps from its request to its grant's arrival -- one step. The
+    grant is taken and answered by continuations at the service completion
+    and at the holder's release."""
+    system = SamhitaSystem.cluster(n_threads=4)
+    tids = [system.add_thread() for _ in range(4)]
+    lock = system.create_lock()
+    manager = system.manager
+    comp = system.component_of(tids[0])
+    granted = []
+
+    def acquire(tid):
+        yield from manager.acquire_lock(tid, comp, lock)
+        granted.append(tid)
+
+    def release(tid):
+        yield Timeout(1e-6)
+        yield from manager.release_lock(tid, comp, lock, [], 0, 0)
+
+    # One passage first prices the request, grant and release sizes: only
+    # a priced message can fly.
+    resumes_per_op(system, tids[:1], lambda tid: (), acquire, release)
+    granted.clear()
+    resumes, landed = resumes_per_op(system, tids, lambda tid: (), acquire,
+                                     release)
+    assert resumes == dict.fromkeys(tids, 1)
+    assert landed == dict.fromkeys(tids, True)
+    assert granted == tids
+    assert manager.stats.get("lock_acquires") == 5
+
+
+def test_flat_barrier_arrival_resumes_its_caller_once():
+    """A flat arrival sleeps from its request to its directive's arrival:
+    the party is released by continuations, which take the manager's
+    service slot and send the reply."""
+    system = SamhitaSystem.cluster(n_threads=4)
+    tids = [system.add_thread() for _ in range(4)]
+    bar = system.create_barrier(4)
+
+    def arrive(tid):
+        return system.barrier_wait(tid, bar)
+
+    # The first round prices the notice and directive sizes.
+    resumes, landed = resumes_per_op(system, tids, arrive, arrive)
+    assert resumes == dict.fromkeys(tids, 1)
+    assert landed == dict.fromkeys(tids, True)
+    assert system.manager.stats.get("barrier_rounds") == 2
+
+
+def test_tree_barrier_steps_per_role():
+    """One steady tree round at 32 threads on 2 shards: 4 nodes, 2 cells of
+    two. Every thread also steps once at the flush gate, queued behind the
+    others its node released into the same instant. Beyond that, a thread
+    that is not its node's leader wakes at its node's gate, and a node
+    leader whose cell leader answers it wakes when that answer lands. A
+    cell leader is stepped when served (it goes on to the root), when the
+    root's answer lands and when its own cell reply does; the one that is
+    the root's last arrival also waits through the cross-shard log
+    gather."""
+    system = SamhitaSystem.cluster(32, config=SamhitaConfig(
+        manager_shards=2, tree_barriers=True))
+    tids = [system.add_thread() for _ in range(32)]
+    bar = system.create_barrier(32)
+
+    def arrive(tid):
+        return system.barrier_wait(tid, bar)
+
+    resumes, _ = resumes_per_op(system, tids, arrive, arrive)
+    assert collections.Counter(resumes.values()) == {2: 30, 4: 1, 5: 1}
 
 
 def test_store_free_releases_share_one_record_that_nobody_writes():

@@ -176,6 +176,105 @@ def test_epoch_engine_retains_undispatched_tail_on_error():
     assert ran == [1, 3]
 
 
+def _self_append(eng, how):
+    """A two-record slice at 1.0 (a timer pending at 2.0) whose last record
+    appends two more to it, by ``how``. Every record notes ``(label, now,
+    _next_time, seq, coalesced)``."""
+    seen = []
+
+    def note(label):
+        seen.append((label, eng.now, eng._next_time, eng._seq,
+                     eng.coalesced_events))
+
+    gate = eng.event("gate")
+
+    def waiter(label):
+        yield gate
+        note(label)
+
+    def parker():
+        note("last")
+        eng.schedule(0.0, note, "c1")
+        yield Timeout(0.0)  # a record is due now: parked behind it
+        note("c2")
+
+    def last():
+        note("last")
+        if how == "schedule":
+            eng.schedule(0.0, note, "c1")
+            eng.schedule(0.0, note, "c2")
+        elif how == "schedule_at":
+            eng.schedule_at(eng.now, note, "c1")
+            eng.schedule_at(eng.now, note, "c2")
+        else:
+            gate.succeed()
+
+    if how == "resume_waiters":
+        for label in ("c1", "c2"):
+            eng.process(waiter(label), name=label)
+    eng.schedule(2.0, note, "later")
+    eng.schedule(1.0, note, "first")
+    if how == "timeout":
+        eng.schedule(1.0, lambda: None)
+        eng.process(_delayed(1.0, parker()), name="parker")
+    else:
+        eng.schedule(1.0, last)
+    eng.run()
+    return seen
+
+
+def _delayed(delay, gen):
+    yield Timeout(delay)
+    yield from gen
+
+
+@pytest.mark.parametrize("how", ["schedule", "schedule_at", "resume_waiters",
+                                 "timeout"])
+def test_last_record_appending_to_its_own_slice(how):
+    """The record that ends its slice appends two more to it: it saw the
+    next epoch while last, the first appended record sees ``now`` (the
+    second is still due), the second sees the next epoch again -- as on
+    the per-event heap -- and the slice's final length is the peak."""
+    eng, ref = Engine(), ReferenceEngine()
+    seen = _self_append(eng, how)
+    assert seen == _self_append(ref, how)
+    nexts = {label: next_time for label, now, next_time, _seq, _c in seen}
+    assert nexts["last"] == 2.0
+    assert nexts["c1"] == 1.0
+    assert nexts["c2"] == 2.0
+    assert [label for label, *_ in seen][-1] == "later"
+    peak = 5 if how == "timeout" else 4  # + the parker's own start record
+    assert eng.epoch_peak == peak
+
+
+def test_exception_mid_slice_keeps_the_rest_queued_after_a_self_append():
+    """A record appends to its own slice and then raises: the appended
+    record and the rest of the slice stay queued at their instant, and the
+    next run dispatches them in order -- as the per-event heap does."""
+    def drive(eng):
+        ran = []
+
+        def boom():
+            eng.schedule(0.0, ran.append, "appended")
+            raise SimulationError("mid-slice failure")
+
+        eng.schedule(1.0, ran.append, "a")
+        eng.schedule(1.0, boom)
+        eng.schedule(1.0, ran.append, "c")
+        with pytest.raises(SimulationError):
+            eng.run()
+        pending = (eng.now, eng._next_time, list(ran))
+        eng.run()
+        return pending, ran, eng.now, eng.scheduled_events
+
+    eng = Engine()
+    assert drive(eng) == drive(ReferenceEngine())
+    (now, next_time, ran_then), ran, _, _ = drive(Engine())
+    assert (now, next_time, ran_then) == (1.0, 1.0, ["a"])
+    assert ran == ["a", "c", "appended"]
+    assert eng.epochs_run == 2 and eng.epoch_peak == 2
+
+
 def test_clear_pending_empties_both_columns():
     eng = Engine()
     eng.schedule(1.0, lambda: None)

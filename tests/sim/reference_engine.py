@@ -2,7 +2,7 @@
 
 A test oracle, not a shipped path. :class:`ReferenceEngine` subclasses the
 shipped :class:`~repro.sim.engine.Engine` and overrides only the queue
-methods (``schedule``, ``try_advance*``, ``_step``, ``run``,
+methods (``schedule*``, ``try_advance*``, ``_step``, ``run``,
 ``clear_pending``): pending work is one heap of ``(time, seq, fn, args)``
 tuples, the textbook shape whose dispatch order -- ``(time, seq)`` -- is the
 definition the epoch buckets must reproduce.
@@ -54,9 +54,9 @@ class ReferenceEngine(Engine):
         if t < self._next_time:
             self._next_time = t
 
-    def _resume_waiters(self, waiters, event) -> None:
-        for waiter in waiters:
-            self._resume_with_outcome(waiter, event)
+    def schedule_each(self, fn, heads, *tail) -> None:
+        for head in heads:
+            self.schedule(0.0, fn, head, *tail)
 
     def try_advance(self, delay: float) -> bool:
         if delay < 0:

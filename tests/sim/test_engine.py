@@ -242,3 +242,13 @@ def test_live_processes_listing():
     assert len(eng.live_processes) == 1
     eng.run()
     assert eng.live_processes == []
+
+
+def test_epoch_peak_is_the_final_length_of_the_largest_slice():
+    eng = Engine()
+    for _ in range(3):
+        eng.schedule(1.0, eng.schedule, 0.0, lambda: None)
+    eng.schedule(2.0, lambda: None)
+    eng.run()
+    assert eng.epochs_run == 2
+    assert eng.epoch_peak == 6  # three records, each appending one
