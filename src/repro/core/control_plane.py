@@ -62,7 +62,7 @@ from repro.errors import (
 )
 from repro.memory.directory import PageDirectory
 from repro.memory.pagetable import page_vector
-from repro.sim.engine import DONE, Timeout
+from repro.sim.engine import DONE
 from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -732,21 +732,11 @@ class ControlPlane:
         isolated but quorum refused to declare it dead -- the caller parks
         in degraded mode until the cut heals, then re-issues against a
         shard that never split its brain."""
-        detector = self.system.detector
-        if detector is None or self.n == 1:
+        if self.system.detector is None or self.n == 1:
             raise err
-        config = self.system.config
-        for _ in range(config.heartbeat_misses + 2):
-            if index in self._dead_shards:
-                self.stats.incr("shard_failover_retries")
-                return
-            yield Timeout(config.heartbeat_interval)
-        if self.system.membership is not None and comp is not None:
-            target = self.shards[index].component
-            healed = yield from self.system._degraded_wait(comp, target)
-            if healed:
-                return
-        raise err
+        return self.system._failover_wait(
+            self._dead_shards, index, self.stats, "shard_failover_retries",
+            err, comp, self.shards[index].component)
 
     # ------------------------------------------------------------------
     # reporting

@@ -25,15 +25,17 @@ from repro.core.consistency import (
     plan_barrier,
 )
 from repro.errors import SynchronizationError
-from repro.faults.recovery import RpcDedup
 from repro.interconnect.scl import CONTROL_BYTES, SCL
 from repro.memory.directory import PageDirectory
 from repro.sim.engine import DONE, PARK, Engine
 from repro.sim.resources import Resource
 from repro.sim.stats import StatSet
 
-#: RPC categories the manager serves; the dedup endpoint filters on these.
-RPC_CATEGORIES = frozenset({"sync", "alloc", "lock", "barrier", "cond"})
+#: The failure detector's probe cadence (seconds) and the consecutive
+#: missed beats that declare a component dead: a crash is declared
+#: ``HEARTBEAT_MISSES x HEARTBEAT_INTERVAL`` (30 us) after it is suspected.
+HEARTBEAT_INTERVAL = 10e-6
+HEARTBEAT_MISSES = 3
 
 #: Memoized per-category request counter keys (``routing._CATEGORY_KEYS``'s
 #: idiom): one string build per category, not per request.
@@ -146,10 +148,6 @@ class Manager:
         #: Full thread population (the system registers every spawn); the
         #: lock-log garbage collector needs it to compute a safe horizon.
         self.known_threads: set[int] = set()
-        #: Sequence-numbered idempotent RPC delivery, wired by the system
-        #: when fault injection is armed; None on the fault-free build so
-        #: the RPC path pays one attribute check and nothing else.
-        self.rpc_dedup: RpcDedup | None = None
         #: Threads declared dead (crashed holders); the lease recoverer
         #: force-releases their locks instead of letting waiters wedge.
         self._dead_threads: set[int] = set()
@@ -190,7 +188,7 @@ class Manager:
     def mark_thread_dead(self, tid: int) -> None:
         """Declare a thread crashed.
 
-        Nothing is revoked immediately: the deadlock watchdog calls
+        Nothing is revoked immediately: the engine's deadlock hooks call
         :meth:`recover_dead_holders` when the heap drains with blocked
         waiters, which is the first instant the crash can actually wedge
         anything. This keeps the fault-free path free of lease timers.
@@ -207,7 +205,7 @@ class Manager:
     def recover_dead_holders(self, blocked) -> bool:
         """Deadlock-hook recoverer: expire leases held by dead threads.
 
-        Returns True when at least one expiry was scheduled (the watchdog
+        Returns True when at least one expiry was scheduled (the engine
         then lets the run continue); the expiry itself fires at the lease
         deadline, never earlier, so a live system's timing is unchanged.
         """
@@ -314,12 +312,6 @@ class Manager:
                                   category=category)
                 if t is not None:
                     yield from t
-            dedup = self.rpc_dedup
-            if dedup is not None:
-                # Reliable transport delivers each request once; retransmit
-                # replays re-present the same number and are dropped before
-                # the handler body (see FaultInjector.on_duplicate).
-                dedup.admit(comp, dedup.next_seq(comp))
             service = self.config.manager_service_time
             if body is None:
                 if not self.resource.serve(service, at, engine._step, proc,
@@ -796,7 +788,7 @@ class Manager:
         for tid, notices in arrivals.items():
             if tid not in arrived:
                 arrived[tid] = notices
-            elif self.rpc_dedup is None:
+            elif self.config.faults is None:
                 raise SynchronizationError(
                     f"thread {tid} arrived twice at barrier {barrier_id}")
             # (Fault build: a retried arrival whose original reply was lost
@@ -925,8 +917,8 @@ class FailureDetector:
     dormant until the fault layer records a delivery verdict against a
     server (:meth:`suspect`, called from the injector's crash branches --
     the moment a real cluster would first notice trouble). Only then does
-    it probe that one server every ``config.heartbeat_interval`` seconds;
-    ``config.heartbeat_misses`` consecutive missed beats declare the server
+    it probe that one server every :data:`HEARTBEAT_INTERVAL` seconds;
+    :data:`HEARTBEAT_MISSES` consecutive missed beats declare the server
     dead and trigger the system's failover (backup promotion, home remap,
     WAL-tail replay). A probe that answers clears the suspicion, so
     transient outages shorter than ``misses x interval`` cost nothing but
@@ -982,7 +974,7 @@ class FailureDetector:
         self._misses[comp] = 0
         self._last_probe[comp] = self.engine.now
         self.stats.incr("suspicions")
-        self.engine.schedule(self.config.heartbeat_interval, self._probe, comp)
+        self.engine.schedule(HEARTBEAT_INTERVAL, self._probe, comp)
 
     def _probe(self, comp: str) -> None:
         if comp in self._declared or comp not in self._misses:
@@ -1002,7 +994,7 @@ class FailureDetector:
                 self._misses[comp] = 0
                 self.stats.incr("suspicions_cleared")
             self._misses[comp] += 1
-            if self._misses[comp] >= self.config.heartbeat_misses:
+            if self._misses[comp] >= HEARTBEAT_MISSES:
                 if self._declare_dead(comp):
                     return
                 # Quorum refused (partition ambiguity): keep probing; the
@@ -1010,8 +1002,7 @@ class FailureDetector:
                 # agree -- or the probe below clears the suspicion when the
                 # partition heals and the component answers.
                 self._misses[comp] = 0
-            self.engine.schedule(self.config.heartbeat_interval,
-                                 self._probe, comp)
+            self.engine.schedule(HEARTBEAT_INTERVAL, self._probe, comp)
         else:
             # The beat answered: transient blip, stand down.
             del self._misses[comp]
@@ -1074,7 +1065,7 @@ class FailureDetector:
         server or manager shard is still undeclared (every client
         exhausted its retries before the probe cadence finished), declare
         it immediately so the failover can unwedge the waiters. Returns
-        True when it declared anything (the watchdog then lets the run
+        True when it declared anything (the engine then lets the run
         continue).
         """
         now = self.engine.now

@@ -22,7 +22,6 @@ from repro.errors import (
     RetryExhaustedError,
     StaleEpochError,
 )
-from repro.faults.recovery import RpcDedup
 from repro.memory.backing import BackingStore
 from repro.memory.directory import PageDirectory
 from repro.memory.pagetable import page_vector
@@ -33,12 +32,6 @@ from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import SamhitaSystem
-
-#: Inbound request categories a page home serves; the dedup endpoint
-#: filters on these so a retransmitted fetch/upgrade/diff-apply request
-#: never re-executes its handler.
-RPC_CATEGORIES = frozenset({"fetch_req", "upgrade_req", "diff",
-                            "barrier_diff"})
 
 
 class MemoryServer:
@@ -59,9 +52,6 @@ class MemoryServer:
         self.resource = Resource(engine, capacity=1, name=f"memserver{index}")
         self.stats = StatSet(f"memserver{index}")
         self._system: "SamhitaSystem | None" = None
-        #: Sequence-numbered idempotent delivery state, wired by the system
-        #: when fault injection is armed (None on the fault-free build).
-        self.rpc_dedup: RpcDedup | None = None
         #: Write-ahead replication log, armed by the system when
         #: ``replication_factor > 1`` (None keeps the single-copy build's
         #: apply paths untouched beyond one falsy check).
@@ -92,16 +82,6 @@ class MemoryServer:
                                    name=f"repl{self.index}")
         self.backing.integrity = True
 
-    def _admit(self, peer) -> None:
-        """Record one request delivery in the dedup stream (faults armed).
-
-        The reliable transport delivers each request exactly once here;
-        retransmit replays are dropped by the same dedup instance before
-        any handler runs (see FaultInjector.on_duplicate)."""
-        dedup = self.rpc_dedup
-        if dedup is not None:
-            dedup.admit(peer, dedup.next_seq(peer))
-
     def _service_time(self) -> float:
         """Per-request service charge, inflated by any active slow-server
         window (the gray-failure fault model). Pure window arithmetic --
@@ -123,12 +103,11 @@ class MemoryServer:
                          at: float | None = None):
         """Generator: batched fetch serve of a page vector.
 
-        The caller has already paid the request message; this charges one
-        dedup admission and ONE service charge for the whole request (alpha
-        is paid once per trip, not per line), performs owner recalls grouped
-        into one bulk recall round trip per owner, and returns
-        ``{page: data}`` (empty in timing mode). The caller pays the reply
-        transfer.
+        The caller has already paid the request message; this charges ONE
+        service charge for the whole request (alpha is paid once per trip,
+        not per line), performs owner recalls grouped into one bulk recall
+        round trip per owner, and returns ``{page: data}`` (empty in timing
+        mode). The caller pays the reply transfer.
 
         The service resource is held for the WHOLE request (the server's
         event loop is sequential): otherwise two concurrent faults on an
@@ -139,7 +118,6 @@ class MemoryServer:
         reaches the service queue at that instant; the requester resumes
         once, served.
         """
-        self._admit(requester_tid)
         yield from self.resource.request_service(self._service_time(), at)
         try:
             counters = self.stats.counters
@@ -314,7 +292,6 @@ class MemoryServer:
         """
         assert self._system is not None, "memory server not bound to a system"
         system = self._system
-        self._admit(writer_comp)
         yield from self.resource.request_service(self._service_time())
         try:
             owner = self.directory.owner_of(page)
@@ -374,7 +351,6 @@ class MemoryServer:
         :meth:`serve_fetch_bulk`, the data transfer happens while the server
         resource is still held, so no invalidating operation (upgrade,
         recall) can slip between the read and the requester's install."""
-        self._admit(requester_comp)
         yield from self.resource.request_service(self._service_time())
         try:
             self.stats.incr("pinned_fetches")

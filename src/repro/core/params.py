@@ -164,13 +164,6 @@ class SamhitaConfig:
     #: write-ahead replication log, and a heartbeat failure detector
     #: promotes a backup when the primary permanently crashes.
     replication_factor: int = 1
-    #: Failure-detector probe period (simulated seconds). The detector is
-    #: reactive -- probing starts only once a crash drop raises suspicion --
-    #: so this costs nothing while every server is healthy.
-    heartbeat_interval: float = 10e-6
-    #: Consecutive missed heartbeats before a suspected server is declared
-    #: dead and failover runs (the detector's ``k``).
-    heartbeat_misses: int = 3
     #: Partition-tolerant failover: fencing epochs on write-side RPCs plus
     #: quorum-gated promotion. On a healthy run it changes nothing (pinned
     #: equal to the default build); every failover bumps a cluster
@@ -235,10 +228,6 @@ class SamhitaConfig:
                 f"(n_memory_servers={self.n_memory_servers})")
         if self.manager_shards < 1:
             raise ReproError("manager_shards must be >= 1")
-        if self.heartbeat_interval <= 0.0:
-            raise ReproError("heartbeat_interval must be positive")
-        if self.heartbeat_misses < 1:
-            raise ReproError("heartbeat_misses must be >= 1")
         if self.checkpoint_interval < 0:
             raise ReproError("checkpoint_interval must be >= 0")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):

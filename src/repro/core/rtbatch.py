@@ -32,9 +32,9 @@ Three aggregations ride the same trip structure:
   (:func:`flush_diffs_batched`).
 
 Fault composition is inherited, not re-implemented: a batch is one
-request message through the injector's retry loop and one dedup sequence
-number at the receiver, so a dropped batch retries as a batch and a
-duplicated batch is dropped whole.
+request message through the injector's retry loop, so a dropped batch
+retries as a batch and a duplicated batch costs one more wire crossing
+while its handler runs once.
 """
 
 from __future__ import annotations

@@ -33,19 +33,16 @@ from repro.core.control_plane import (
     ShardedPageDirectory,
 )
 from repro.core.manager import (
+    HEARTBEAT_INTERVAL,
+    HEARTBEAT_MISSES,
     FailureDetector,
     Manager,
-    RPC_CATEGORIES as MANAGER_RPCS,
 )
-from repro.core.memory_server import (
-    MemoryServer,
-    RPC_CATEGORIES as MEMSERVER_RPCS,
-)
+from repro.core.memory_server import MemoryServer
 from repro.core.membership import Membership
 from repro.core.params import SamhitaConfig
 from repro.checkpoint import CheckpointStore, restore_checkpoint, take_checkpoint
 from repro.faults.injector import FaultInjector
-from repro.faults.recovery import RpcDedup
 from repro.core.placement import PlacementPolicy, choose_component
 from repro.core import rtbatch
 from repro.core.rtbatch import RoundTripLedger
@@ -162,19 +159,9 @@ class SamhitaSystem:
         if self.config.faults is not None:
             self.injector = FaultInjector(self.config.faults)
             self.fabric.attach_injector(self.injector)
-            for mgr in self.managers:
-                mgr.rpc_dedup = RpcDedup(mgr.component, MANAGER_RPCS)
-                self.injector.register_endpoint(mgr.component, mgr.rpc_dedup)
-            for server in self.memory_servers:
-                server.rpc_dedup = RpcDedup(server.component, MEMSERVER_RPCS)
-                self.injector.register_endpoint(server.component,
-                                                server.rpc_dedup)
-            for mgr in self.managers:
-                self.injector.watchdog.add(mgr.recover_dead_holders)
-            self.engine.deadlock_hooks.append(self.injector.watchdog)
-        elif self.config.lock_lease_time > 0.0:
-            # Leases without injection: still give the engine a recoverer so
-            # a dead holder cannot wedge the run.
+        if self.config.lock_lease_time > 0.0:
+            # Leases: give the engine a recoverer so a dead holder cannot
+            # wedge the run.
             for mgr in self.managers:
                 self.engine.deadlock_hooks.append(mgr.recover_dead_holders)
 
@@ -445,38 +432,41 @@ class SamhitaSystem:
         """
         if self.detector is None:
             raise err
-        for _ in range(self.config.heartbeat_misses + 2):
-            if index in self._dead_servers:
-                self.stats.incr("failover_retries")
+        return self._failover_wait(
+            self._dead_servers, index, self.stats, "failover_retries", err,
+            comp, self.memory_servers[index].component)
+
+    def _failover_wait(self, dead: set[int], index: int, stats: StatSet,
+                       key: str, err, comp: str | None, target: str):
+        """Generator shared by :meth:`await_failover` and
+        ``ControlPlane.await_shard_failover``: wait for a failover or a
+        partition heal, else raise ``err``.
+
+        Polls ``index in dead`` once a beat for the detector's declaration
+        budget plus two beats, counting ``key`` in ``stats`` when the
+        failover has landed. Then, with fencing on, if ``comp`` or its
+        ``target`` sits inside an active partition group (a cut, not a
+        corpse), backs off (capped exponential) until the cut heals and
+        returns so the caller re-issues."""
+        for _ in range(HEARTBEAT_MISSES + 2):
+            if index in dead:
+                stats.incr(key)
                 return
-            yield Timeout(self.config.heartbeat_interval)
+            yield Timeout(HEARTBEAT_INTERVAL)
         if self.membership is not None and comp is not None:
-            target = self.memory_servers[index].component
-            healed = yield from self._degraded_wait(comp, target)
+            injector = self.injector
+            engine = self.engine
+            delay = HEARTBEAT_INTERVAL
+            healed = False
+            while (injector.partition_isolates(comp, engine.now)
+                   or injector.partition_isolates(target, engine.now)):
+                self.stats.incr("degraded_waits")
+                yield Timeout(delay)
+                delay = min(delay * 2.0, 64.0 * HEARTBEAT_INTERVAL)
+                healed = True
             if healed:
                 return
         raise err
-
-    def _degraded_wait(self, comp: str, target: str):
-        """Generator: if ``comp`` or its ``target`` peer sits inside an
-        active partition group, back off (capped exponential) until the cut
-        heals, then return True so the caller re-issues. Returns False
-        immediately when no partition explains the failure (a real corpse:
-        let the failover machinery handle it)."""
-        injector = self.injector
-        if injector is None:
-            return False
-        isolated = (injector.partition_isolates(comp, self.engine.now)
-                    or injector.partition_isolates(target, self.engine.now))
-        if not isolated:
-            return False
-        delay = self.config.heartbeat_interval
-        while (injector.partition_isolates(comp, self.engine.now)
-               or injector.partition_isolates(target, self.engine.now)):
-            self.stats.incr("degraded_waits")
-            yield Timeout(delay)
-            delay = min(delay * 2.0, 64.0 * self.config.heartbeat_interval)
-        return True
 
     def region_tracker_of(self, tid: int) -> RegionTracker:
         return self._regions[tid]
@@ -927,7 +917,7 @@ class SamhitaSystem:
                 lock_cache["lock_cache_revokes"] = revokes
             report["lock_cache"] = lock_cache
         if self.injector is not None:
-            report["faults"] = self.injector.snapshot()
+            report["faults"] = self.injector.stats.snapshot()
         if self.config.replication_factor > 1:
             # One namespace for the availability machinery: WAL traffic,
             # failover, integrity. Only present when replication is on, so

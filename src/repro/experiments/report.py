@@ -52,7 +52,7 @@ def print_figure(fr: FigureResult) -> None:
 #: stale-epoch writes, degraded-mode backoff waits. ``jitter_stalls``
 #: (heavy-tailed latency stalls) belongs to the jitter-storm profile.
 #: Each group is zero outside its own profiles.
-FAULT_COUNTERS = ("retries", "timeouts", "retransmits", "dup_rpcs_dropped",
+FAULT_COUNTERS = ("retries", "timeouts", "retransmits", "dup_msgs_discarded",
                   "lease_expiries", "delay_spikes", "crash_drops",
                   "partition_drops", "promotions", "stale_writes_fenced",
                   "degraded_waits", "jitter_stalls")

@@ -1,14 +1,17 @@
-"""Deterministic fault injection and recovery for the Samhita fabric.
+"""Deterministic fault injection for the Samhita fabric.
 
 The DSM protocol in :mod:`repro.core` was built over a perfect network;
-this package gives it a fault model and a recovery story:
+this package gives it a fault model:
 
 * :mod:`repro.faults.plan` -- :class:`FaultPlan` / :class:`RetryPolicy`,
   the seeded declarative fault schedules;
 * :mod:`repro.faults.injector` -- :class:`FaultInjector`, the per-message
-  verdict engine attached at the ``Fabric.transfer_inline`` boundary;
-* :mod:`repro.faults.recovery` -- :class:`RpcDedup` (sequence-numbered
-  idempotent RPC delivery) and :class:`DeadlockWatchdog`.
+  verdict engine attached at the ``Fabric.transfer_inline`` boundary.
+
+Recovery is the fabric's retransmit loop plus the core's failure detector,
+lock leases and failover. A duplicate delivery costs wire time and a
+retransmit; the receiver's handler runs once because one copy is
+delivered, so no endpoint keeps sequence state.
 
 Enable by handing a plan to the config::
 
@@ -21,7 +24,6 @@ simulated trajectory is bit-identical to builds predating this package.
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
-    CHAOS_PROFILES,
     FaultPlan,
     RetryPolicy,
     drop_storm,
@@ -32,15 +34,11 @@ from repro.faults.plan import (
     server_outage,
     slow_server,
 )
-from repro.faults.recovery import DeadlockWatchdog, RpcDedup, wait_reasons
 
 __all__ = [
-    "CHAOS_PROFILES",
-    "DeadlockWatchdog",
     "FaultInjector",
     "FaultPlan",
     "RetryPolicy",
-    "RpcDedup",
     "drop_storm",
     "jitter_storm",
     "latency_storm",
@@ -48,5 +46,4 @@ __all__ = [
     "permanent_crash",
     "server_outage",
     "slow_server",
-    "wait_reasons",
 ]

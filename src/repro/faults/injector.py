@@ -16,7 +16,9 @@ Verdicts are small tuples consumed by ``Fabric._transfer_faulty``:
   ``flap_drops``, ``crash_drops``);
 * ``("delay", extra)``   -- deliver after an ``extra``-second latency spike;
 * ``("dup", None)``      -- deliver, lose the ACK, retransmit; the
-  receiving endpoint's sequence check drops the replay.
+  duplicate costs wire time and a retransmit, and the receiver discards it
+  (``dup_msgs_discarded``). One copy is delivered, so the handler runs
+  once and no endpoint keeps sequence state.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import random
 
 from repro.faults.plan import FaultPlan, RetryPolicy
-from repro.faults.recovery import DeadlockWatchdog, RpcDedup
 from repro.sim.stats import StatSet
 
 _DROP = "drop"
@@ -33,23 +34,13 @@ _DUP = "dup"
 
 
 class FaultInjector:
-    """Turns a FaultPlan into per-message verdicts + recovery bookkeeping."""
+    """Turns a FaultPlan into per-message verdicts and fault counters."""
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.retry: RetryPolicy = plan.retry
         self._rng = random.Random(plan.seed)
         self.stats = StatSet("faults")
-        #: RPC endpoints (manager, memory servers) keyed by component name;
-        #: each entry is a list because co-located endpoints (single-node
-        #: machines) share a component.
-        self._endpoints: dict[str, list[RpcDedup]] = {}
-        #: Operations a recoverer may need to re-arm at heap drain; normally
-        #: empty because every retransmit schedules its own timer. Maps a
-        #: blocking event to a zero-argument re-arm callable.
-        self.outstanding: dict = {}
-        self.watchdog = DeadlockWatchdog()
-        self.watchdog.add(self._rearm_outstanding)
         # Window tuples are hot-path data: hold them as locals-friendly
         # tuples and precompute the earliest window start so the common
         # "no window active" case is one float compare.
@@ -233,55 +224,3 @@ class FaultInjector:
             self.stats.counters["bitrot_injected"] += 1
             return True
         return False
-
-    # ------------------------------------------------------------------
-    # idempotent-RPC bookkeeping
-    # ------------------------------------------------------------------
-    def register_endpoint(self, component: str, dedup: RpcDedup) -> None:
-        self._endpoints.setdefault(component, []).append(dedup)
-
-    def on_duplicate(self, src: str, dst: str, category: str) -> None:
-        """A retransmit re-delivered an already-delivered message.
-
-        Route it to the destination's RPC endpoint: the original delivery
-        consumed a fresh sequence number, the replay re-presents it, and the
-        endpoint's high-water check drops it (``dup_rpcs_dropped``). Data
-        messages with no registered endpoint are simply discarded by the
-        receiver's transport layer.
-        """
-        for dedup in self._endpoints.get(dst, ()):
-            if category in dedup.categories:
-                seq = dedup.next_seq(src)
-                dedup.admit(src, seq)          # the original delivery
-                dedup.admit(src, seq)          # the replay: dropped
-                self.stats.counters["dup_rpcs_dropped"] += 1
-                return
-        self.stats.counters["dup_msgs_discarded"] += 1
-
-    # ------------------------------------------------------------------
-    # watchdog recoverers
-    # ------------------------------------------------------------------
-    def _rearm_outstanding(self, blocked) -> bool:
-        """Re-arm any fault-held operation a blocked process waits on.
-
-        Safety net for 'blocked on a lost message': the transport schedules
-        its own retransmit timers, so this registry is empty unless a fault
-        path deliberately parked an operation (see the recovery tests).
-        """
-        recovered = False
-        for proc in blocked:
-            rearm = self.outstanding.pop(getattr(proc, "blocked_on", None), None)
-            if rearm is not None:
-                rearm()
-                self.stats.counters["watchdog_rearms"] += 1
-                recovered = True
-        return recovered
-
-    def snapshot(self) -> dict:
-        """Fault + recovery counters, endpoints merged in."""
-        merged = StatSet("faults")
-        merged.merge(self.stats)
-        for endpoints in self._endpoints.values():
-            for dedup in endpoints:
-                merged.merge(dedup.stats)
-        return merged.snapshot()

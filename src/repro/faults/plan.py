@@ -89,8 +89,9 @@ class FaultPlan:
     latency_spike_rate: float = 0.0
     latency_spike_time: float = 50e-6
     #: Per-message probability the message is delivered but its ACK is lost:
-    #: the sender retransmits and the receiver's sequence check must drop
-    #: the duplicate (the idempotent-RPC path).
+    #: the sender retransmits, so the duplicate costs wire time and a
+    #: retransmit, and the receiver discards it (``dup_msgs_discarded``).
+    #: One copy is delivered, so the handler runs once.
     duplicate_rate: float = 0.0
     #: Transient link flaps: ``(src, dst, start, end)`` -- every message
     #: between the two components (either direction) during the window is
@@ -271,7 +272,3 @@ def jitter_storm(seed: int, rate: float = 0.15,
     """
     return FaultPlan(seed=seed, jitter_rate=rate, jitter_time=jitter_time,
                      jitter_alpha=jitter_alpha)
-
-
-CHAOS_PROFILES = ("drop_storm", "latency_storm", "server_outage",
-                  "partition", "slow_server", "jitter_storm")

@@ -303,8 +303,9 @@ class Fabric:
         CRC-rejected message costs the sender a timeout, then a capped
         exponential backoff and a retransmit that gets a fresh verdict.
         Duplicate delivery models a lost ACK -- the payload lands, the
-        sender retransmits anyway, and the receiver's sequence check drops
-        the replay, so handlers still execute exactly once. Faults therefore
+        sender retransmits anyway, and the receiver discards the replay:
+        the duplicate costs wire time and a retransmit, and the handler
+        runs once because one copy is delivered. Faults therefore
         perturb *timing and message counts* but never the data the protocol
         layers observe.
         """
@@ -329,8 +330,8 @@ class Fabric:
                 break
             if kind == "dup":
                 # Delivered fine, but the ACK is lost: the sender times out
-                # and retransmits; the receiver's sequence check drops the
-                # replay, so the handler body runs once.
+                # and retransmits; the receiver discards the replay. One
+                # copy is delivered, so the handler body runs once.
                 t = clean(self, src, dst, nbytes, category, lead, tail)
                 if t is not None:
                     yield from t
@@ -341,7 +342,7 @@ class Fabric:
                 if not engine.try_advance(delay):
                     yield Timeout(delay)
                 counters["retransmits"] += 1
-                inj.on_duplicate(src, dst, category)
+                counters["dup_msgs_discarded"] += 1
                 # The replay costs the wire again but none of the fused
                 # local work (diff scan/install already happened once).
                 t = clean(self, src, dst, nbytes, category, 0.0, 0.0)

@@ -276,12 +276,11 @@ class SamhitaBackend(BaseBackend):
         for mgr in system.managers:
             mgr.cr_source = mgr.cr_gather = mgr.prune_hook = None
         # With a fault plan armed: the fabric's shadowing bound method, the
-        # failure detector, and the recovery hooks the engine and the
-        # injector's watchdog hold (bound methods of their own owners).
+        # failure detector, and the recovery hooks the engine holds (bound
+        # methods of their own owners).
         system.fabric.detach_injector()
         if system.detector is not None:
             system.detector.system = None
         if system.injector is not None:
-            system.injector.watchdog.recoverers.clear()
             system.injector.detector = None
         system.engine.deadlock_hooks.clear()

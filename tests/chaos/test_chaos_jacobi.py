@@ -68,13 +68,11 @@ def test_jacobi_chaos_replays_bit_identically(seed):
 
 
 def test_duplicate_deliveries_are_deduplicated(baseline):
-    """A pure duplicate storm: every replay must be dropped by the
-    sequence check, with the handlers executing exactly once."""
+    """A pure duplicate storm: every replay is discarded by its receiver,
+    with the handlers executing exactly once."""
     from repro.faults import FaultPlan
 
     plan = FaultPlan(seed=5, duplicate_rate=0.05)
     gdiff, digest, result = _run(SamhitaConfig(faults=plan))
     assert (gdiff, digest) == baseline[:2]
-    faults = result.stats["faults"]
-    assert faults.get("dup_rpcs_dropped", 0) + \
-        faults.get("dup_msgs_discarded", 0) > 0
+    assert result.stats["faults"]["dup_msgs_discarded"] > 0

@@ -11,7 +11,8 @@ schedules and assert:
   per-page trips;
 * the retry counters prove the loss-bearing schedules actually hit the
   batched protocol;
-* a pure duplicate storm is fully deduplicated.
+* under a pure duplicate storm every replay is discarded and the data
+  stays exact.
 """
 
 import hashlib
@@ -98,13 +99,11 @@ def test_batched_chaos_replays_bit_identically(seed):
 
 
 def test_batched_duplicate_storm_deduplicated(baseline):
-    """Replayed batch messages must be dropped by the sequence check --
-    a double-applied batch would install pages or merge diffs twice."""
+    """Replayed batch messages are discarded by their receiver -- a
+    double-applied batch would install pages or merge diffs twice."""
     from repro.faults import FaultPlan
 
     plan = FaultPlan(seed=5, duplicate_rate=0.05)
     gdiff, digest, result = _run(plan)
     assert (gdiff, digest) == baseline[:2]
-    faults = result.stats["faults"]
-    assert faults.get("dup_rpcs_dropped", 0) + \
-        faults.get("dup_msgs_discarded", 0) > 0
+    assert result.stats["faults"]["dup_msgs_discarded"] > 0

@@ -127,15 +127,17 @@ class TestConfigSurface:
         # the reference model by tests/property/test_cache_equivalence.py),
         # the fault / prefetch / evict protocol (rtbatch), the engine, the
         # combining barrier arrival (``tree_barriers``) -- and no
-        # tail-tolerance knob on top of the plain retry loop.
+        # tail-tolerance knob on top of the plain retry loop. The failure
+        # detector's cadence is a pair of constants, not configuration.
         fields = {f.name for f in dataclasses.fields(SamhitaConfig)}
-        assert len(fields) == 32
+        assert len(fields) == 30
         for gone in ("eviction_impl", "batched_round_trips",
                      "batch_line_fetches", "prefetch_adjacent",
                      "adaptive_timeouts", "hedged_fetches", "hedge_quantile",
                      "retry_budget", "retry_budget_refill",
                      "breaker_cooldown", "admission_queue_limit",
-                     "hierarchical_sync"):
+                     "hierarchical_sync", "heartbeat_interval",
+                     "heartbeat_misses"):
             assert gone not in fields
             with pytest.raises(TypeError):
                 SamhitaConfig(**{gone: False})

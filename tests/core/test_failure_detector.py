@@ -1,6 +1,6 @@
 """FailureDetector unit tests: the mid-probe heal reset.
 
-``heartbeat_misses`` consecutive missed beats declare a server dead -- but
+``HEARTBEAT_MISSES`` consecutive missed beats declare a server dead -- but
 "consecutive" must mean *one continuous outage*. Two distinct short cuts
 straddling the probe cadence look identical to a naive miss counter
 (every probe lands inside SOME down-window), and before the
@@ -10,11 +10,10 @@ count (and bumps ``suspicions_cleared``); one unbroken outage still
 declares on schedule.
 """
 
+from repro.core.manager import HEARTBEAT_INTERVAL as BEAT
 from repro.core.params import SamhitaConfig
 from repro.core.system import SamhitaSystem
 from repro.faults.plan import FaultPlan
-
-BEAT = 10e-6  # config.heartbeat_interval default
 
 
 def _system(partitions):

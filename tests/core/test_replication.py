@@ -157,12 +157,6 @@ class TestConfigValidation:
         cfg = SamhitaConfig(n_memory_servers=2, replication_factor=2)
         assert cfg.replication_factor == 2
 
-    def test_heartbeat_knobs_are_validated(self):
-        with pytest.raises(ReproError):
-            SamhitaConfig(heartbeat_interval=0.0)
-        with pytest.raises(ReproError):
-            SamhitaConfig(heartbeat_misses=0)
-
     def test_permanent_crash_plan_is_validated(self):
         with pytest.raises(ReproError):
             FaultPlan(seed=1, permanent_crashes=(("node1", -1.0),))

@@ -1,15 +1,16 @@
-"""Idempotent-delivery window under duplicate storms, and the recovery
-counters that must surface in ``stats_report``.
+"""Duplicate storms end to end, and the recovery counters that must
+surface in ``stats_report``.
 
-:class:`RpcDedup` is the exactly-once layer over at-least-once transfers:
-its per-peer high-water mark has to hold up when retransmits replay whole
-prefixes of the sequence stream, interleaved across peers. The report
-tests pin the operator-facing side -- duplicate drops and lock-lease
+A duplicate delivery models a lost ACK: the message lands once, the sender
+retransmits anyway, and the receiver discards the copy. The duplicate costs
+wire time and a retransmit; the handler runs once because one copy is
+delivered, so the manager counts exactly the requests the program made.
+The report tests pin the operator-facing side -- duplicates and lock-lease
 re-grants must be visible in the run's stats, not just in private state.
 """
 
 from repro.core import SamhitaConfig, SamhitaSystem
-from repro.faults import FaultPlan, RpcDedup
+from repro.faults import FaultPlan
 from repro.sim.engine import Timeout
 
 
@@ -19,85 +20,49 @@ def run_threads(system, bodies, names=None):
     return system.run()
 
 
-class TestDedupWindow:
-    def test_prefix_replay_storm_drops_every_duplicate(self):
-        """Replaying the full delivered prefix after every fresh message --
-        the worst retransmit storm -- re-executes nothing."""
-        dedup = RpcDedup("node0", categories=("lock",))
-        delivered = 0
-        for _ in range(8):
-            seq = dedup.next_seq("node2")
-            assert dedup.admit("node2", seq)
-            delivered += 1
-            for old in range(seq + 1):
-                assert not dedup.admit("node2", old)
-        assert dedup.stats.counters["rpcs_delivered"] == delivered
-        assert dedup.dup_rpcs_dropped == sum(range(1, 9))
-
-    def test_windows_are_per_peer(self):
-        """A storm from one peer must not advance (or poison) another
-        peer's window."""
-        dedup = RpcDedup("node0", categories=("lock",))
-        for _ in range(5):
-            dedup.admit("node2", dedup.next_seq("node2"))
-        # node3 starts its own stream at 0 despite node2 being at 4.
-        assert dedup.admit("node3", dedup.next_seq("node3"))
-        assert not dedup.admit("node3", 0)
-        assert not dedup.admit("node2", 4)
-        assert dedup.admit("node2", dedup.next_seq("node2"))
-
-    def test_interleaved_storm_accounting_is_exact(self):
-        dedup = RpcDedup("node0", categories=("alloc",))
-        peers = ("node2", "node3", "node4")
-        for round_ in range(6):
-            for peer in peers:
-                seq = dedup.next_seq(peer)
-                assert dedup.admit(peer, seq)
-                if round_ % 2:  # every other round the reply is "lost"
-                    assert not dedup.admit(peer, seq)
-        assert dedup.stats.counters["rpcs_delivered"] == 18
-        assert dedup.dup_rpcs_dropped == 9
-
-    def test_duplicate_never_counts_as_delivered(self):
-        dedup = RpcDedup("node0", categories=("lock",))
-        seq = dedup.next_seq("node2")
-        dedup.admit("node2", seq)
-        before = dedup.stats.counters["rpcs_delivered"]
-        for _ in range(10):
-            dedup.admit("node2", seq)
-        assert dedup.stats.counters["rpcs_delivered"] == before
-        assert dedup.dup_rpcs_dropped == 10
-
-
 class TestDuplicateStormEndToEnd:
-    def test_storm_counters_surface_in_the_run_report(self):
-        """A high duplicate rate on a chatty lock workload: the answer is
-        still exact and the report shows the storm was absorbed."""
-        plan = FaultPlan(seed=5, duplicate_rate=0.5)
-        config = SamhitaConfig(faults=plan)
-        system = SamhitaSystem.cluster(n_threads=2, config=config)
-        tids = [system.add_thread(), system.add_thread()]
+    THREADS, ROUNDS, PASSAGES_PER_ROUND = 4, 3, 2
+    PLAN = FaultPlan(seed=5, duplicate_rate=0.5)
+
+    def _storm(self):
+        """Every thread takes one shared lock ``PASSAGES_PER_ROUND`` times,
+        then meets the others at a barrier, ``ROUNDS`` times."""
+        system = SamhitaSystem.cluster(
+            n_threads=self.THREADS, config=SamhitaConfig(faults=self.PLAN))
+        tids = [system.add_thread() for _ in range(self.THREADS)]
         lock = system.create_lock()
-        bar = system.create_barrier(2)
+        bar = system.create_barrier(self.THREADS)
         counts = {"acquired": 0}
 
         def body(tid):
-            yield from system.barrier_wait(tid, bar)
-            for _ in range(10):
-                yield from system.acquire_lock(tid, lock)
-                counts["acquired"] += 1
-                yield from system.release_lock(tid, lock)
-            yield from system.barrier_wait(tid, bar)
+            for _ in range(self.ROUNDS):
+                for _ in range(self.PASSAGES_PER_ROUND):
+                    yield from system.acquire_lock(tid, lock)
+                    counts["acquired"] += 1
+                    yield from system.release_lock(tid, lock)
+                yield from system.barrier_wait(tid, bar)
 
         run_threads(system, [body(t) for t in tids])
-        assert counts["acquired"] == 20
-        faults = system.stats_report()["faults"]
-        # Each injected duplicate shows up as a retransmit, and its replay
-        # is dropped by an RPC endpoint (never re-executing the handler) or
-        # discarded by a data receiver.
-        assert faults["retransmits"] > 0
-        assert faults["dup_rpcs_dropped"] > 0
-        assert faults["rpcs_delivered"] > 0
+        return counts["acquired"], system.stats_report()
+
+    def test_storm_counters_surface_in_the_run_report(self):
+        """Half of all messages are duplicated, yet every lock passage
+        (acquire + release) and every barrier arrival reaches the manager
+        exactly once: a duplicate never re-runs a handler."""
+        acquired, report = self._storm()
+        passages = self.ROUNDS * self.PASSAGES_PER_ROUND
+        assert acquired == self.THREADS * passages
+        manager = report["manager"]
+        assert manager["requests.lock"] == 2 * self.THREADS * passages
+        assert manager["requests.barrier"] == self.THREADS * self.ROUNDS
+        assert report["faults"]["retransmits"] > 0
+
+    def test_each_duplicate_is_counted_once(self):
+        """With duplication the only fault process, every retransmit is one
+        duplicate and the report counts each exactly once."""
+        _, report = self._storm()
+        faults = report["faults"]
+        assert faults["dup_msgs_discarded"] == faults["retransmits"]
 
 
 class TestLeaseCountersInReport:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.faults.recovery import RpcDedup
 
 
 class TestFaultPlan:
@@ -82,41 +81,3 @@ class TestInjectorDeterminism:
         assert inj.decide("a", "c", "data", 0.5) is None
         assert inj.decide("a", "b", "data", 1.5) is None
 
-
-class TestRpcDedup:
-    def test_fresh_sequences_admitted_duplicates_dropped(self):
-        dedup = RpcDedup("node0", ("lock", "barrier"))
-        s0 = dedup.next_seq("node2")
-        s1 = dedup.next_seq("node2")
-        assert dedup.admit("node2", s0)
-        assert dedup.admit("node2", s1)
-        assert not dedup.admit("node2", s0)       # replay of old request
-        assert not dedup.admit("node2", s1)
-        assert dedup.dup_rpcs_dropped == 2
-
-    def test_peers_have_independent_streams(self):
-        dedup = RpcDedup("node0", ("lock",))
-        a = dedup.next_seq("node2")
-        b = dedup.next_seq("node3")
-        assert a == b == 0
-        assert dedup.admit("node2", a)
-        assert dedup.admit("node3", b)
-        assert dedup.dup_rpcs_dropped == 0
-
-
-class TestOnDuplicate:
-    def test_routed_to_matching_endpoint(self):
-        inj = FaultInjector(FaultPlan(seed=0, duplicate_rate=0.5))
-        dedup = RpcDedup("node0", ("lock",))
-        inj.register_endpoint("node0", dedup)
-        inj.on_duplicate("node2", "node0", "lock")
-        assert dedup.dup_rpcs_dropped == 1
-        assert inj.stats.counters["dup_rpcs_dropped"] == 1
-
-    def test_unmatched_category_discarded_at_transport(self):
-        inj = FaultInjector(FaultPlan(seed=0, duplicate_rate=0.5))
-        dedup = RpcDedup("node0", ("lock",))
-        inj.register_endpoint("node0", dedup)
-        inj.on_duplicate("node2", "node0", "page")
-        assert dedup.dup_rpcs_dropped == 0
-        assert inj.stats.counters["dup_msgs_discarded"] == 1

@@ -1,4 +1,4 @@
-"""Recovery protocol tests: retry exhaustion, leases, watchdog, deadlock
+"""Recovery protocol tests: retry exhaustion, leases, deadlock hooks and
 diagnostics, and route validation."""
 
 import pytest

@@ -6,7 +6,10 @@ time, the canonical stats (engine counters included) and every thread's
 clock. The cells were recorded on the tree *before* lock grants and barrier
 departures became manager continuations; host work may change, but no
 simulated quantity and no engine counter may, so each cell must reproduce
-its recorded digest.
+its recorded digest. The faulted cells were re-recorded once since, when a
+duplicate delivery came to be counted once (``dup_msgs_discarded``) instead
+of as two sequence-check counters: with those three counters stripped from
+``faults``, every cell's digest was equal before and after.
 
 The machine puts every manager shard on a compute node, so with
 ``local_sync_optimization`` on some threads take the co-located path and the

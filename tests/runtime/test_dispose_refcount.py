@@ -25,7 +25,7 @@ PARAMS = JacobiParams(rows=512, cols=1024, iterations=2)
     (None, False),
     (SamhitaConfig.sharded_control_plane(4), True),
     (SamhitaConfig.grayfail(), True),
-    # With a fault plan armed: injector shims, detector, watchdog hooks.
+    # With a fault plan armed: injector shims, detector, deadlock hooks.
     (SamhitaConfig.grayfail(faults=latency_storm(11)), True),
 ], ids=["default", "sharded", "grayfail", "grayfail-storm"])
 def test_disposed_run_leaves_no_cyclic_garbage(config, functional):
