@@ -146,16 +146,12 @@ def take_checkpoint(system) -> Checkpoint:
                  if server.wal is not None}
     lock_holders: dict = {}
     barrier_generations: dict = {}
-    managers = (system.control.live_managers()
-                if system.control.n > 1 else [system.manager])
-    for mgr in managers:
+    for mgr in system.control.live_managers():
         for lock_id, state in mgr._locks.items():
             if state.holder is not None:
                 lock_holders[lock_id] = state.holder
         for barrier_id, state in mgr._barriers.items():
             barrier_generations[barrier_id] = state.generation
-    shard_remap = (dict(system.control._shard_remap)
-                   if system.control.n > 1 else {})
     return Checkpoint(
         round=system._ckpt_rounds,
         clock=system.engine.now,
@@ -163,7 +159,7 @@ def take_checkpoint(system) -> Checkpoint:
         pages=pages,
         page_homes=page_homes,
         home_remap=dict(getattr(directory, "home_remap", {}) or {}),
-        shard_remap=shard_remap,
+        shard_remap=system.control.shard_remap,
         wal_marks=wal_marks,
         lock_holders=lock_holders,
         barrier_generations=barrier_generations,

@@ -44,6 +44,7 @@ from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import SamhitaSystem
+    from repro.memory.cache import SoftwareCache
 
 #: Upper bound on lines queued by one plan-informed prefetch: keeps a long
 #: plan from flooding the cache with speculative installs.
@@ -77,6 +78,8 @@ class ComputeServer:
         self.component = component
         self.system = system
         self.threads: list[int] = []
+        #: tid -> the thread's software cache (what the hot paths index).
+        self.caches: dict[int, "SoftwareCache"] = {}
         #: In-flight line fetches per thread: {tid: {line: SimEvent}}.
         self.pending: dict[int, dict[int, object]] = {}
         #: Cached lock-ownership grants: {lock_id: _CachedLock}. Only ever
@@ -95,8 +98,9 @@ class ComputeServer:
         self.prefetcher = (StridePrefetcher(policy, self.stats)
                            if policy.mode == "stride" else None)
 
-    def register_thread(self, tid: int) -> None:
+    def register_thread(self, tid: int, cache: "SoftwareCache") -> None:
         self.threads.append(tid)
+        self.caches[tid] = cache
         self.pending[tid] = {}
         self._grants_of[tid] = {}
 
@@ -197,7 +201,7 @@ class ComputeServer:
         fetch that holds the home server for the whole transfer: nothing
         can invalidate mid-flight, guaranteeing progress.
         """
-        cache = self.system.cache_of(tid)
+        cache = self.caches[tid]
         if cache.span_resident(addr, nbytes):
             return
         layout = cache.layout
@@ -273,7 +277,7 @@ class ComputeServer:
         """Generator: starvation-proof fetch -- the home server is held for
         the whole request INCLUDING the data transfer, and the install runs
         synchronously on return, so no invalidation can void it."""
-        cache = self.system.cache_of(tid)
+        cache = self.caches[tid]
         by_server: dict[int, list[int]] = {}
         for page in pages:
             by_server.setdefault(self.system.allocator.home_of_page(page), []).append(page)
@@ -344,7 +348,7 @@ class ComputeServer:
         evict -- a full cache skips them -- so over-aggressive plans
         degrade to demand paging.
         """
-        cache = self.system.cache_of(tid)
+        cache = self.caches[tid]
         budget = min(PLAN_PREFETCH_MAX_LINES * cache.layout.pages_per_line,
                      cache.free_pages)
         if budget <= 0:
@@ -381,7 +385,7 @@ class ComputeServer:
     def _prefetch_lines(self, tid: int, lines: list[int], pages: list[int],
                         gate):
         try:
-            still_missing = self.system.cache_of(tid).missing_among(
+            still_missing = self.caches[tid].missing_among(
                 np.array(pages, dtype=np.int64))
             if still_missing.size:
                 # Pure speculative trip(s): one per home server.

@@ -297,14 +297,14 @@ class ControlPlane:
         self.n = len(shards)
         self._next_id = 0
         #: With neither a fault plan nor fencing nothing can exhaust an
-        #: RPC's retries or mint an epoch, so :meth:`_route` has no failure
-        #: to guard against: the same "clean path pays nothing" rule
-        #: ``Fabric.attach_injector`` follows, decided here, once.
+        #: RPC's retries or mint an epoch, so a routed RPC has no failure
+        #: to guard against (:meth:`_guarded`): the same "clean path pays
+        #: nothing" rule ``Fabric.attach_injector`` follows, decided once.
         config = system.config
         self._guard = config.faults is not None or config.fencing
-        #: dead shard index -> ring successor (transitive-free, like
-        #: ``PageDirectory.remap_home``).
-        self._shard_remap: dict[int, int] = {}
+        #: Logical shard index (object ``i``'s is ``i % n``) -> the manager
+        #: serving it now, kept current by :meth:`handle_shard_failure`.
+        self._live: list[Manager] = list(shards)
         self._dead_shards: set[int] = set()
         self.stats = StatSet("control_plane")
         #: Fencing (``config.fencing``): last cluster epoch each sender
@@ -343,27 +343,27 @@ class ControlPlane:
         return obj_id % self.n
 
     def live_index(self, index: int) -> int:
-        remap = self._shard_remap
-        if not remap:
-            return index
-        return remap.get(index, index)
+        return self.shards.index(self._live[index])
+
+    @property
+    def shard_remap(self) -> dict[int, int]:
+        """Dead shard index -> the index of the shard serving it now."""
+        return {i: self.live_index(i) for i, mgr in enumerate(self._live)
+                if mgr is not self.shards[i]}
 
     def shard_for_id(self, obj_id: int) -> "Manager":
-        return self.shards[self.live_index(self.shard_index(obj_id))]
+        return self._live[obj_id % self.n]
 
     def _route(self, index: int, comp: str, op, *args):
         """``op(manager, *args)`` -- a :class:`Manager` RPC handler --
-        against the live shard for logical shard ``index``: what every
-        routed RPC below returns.
-
-        Always through :meth:`live_index`: the remap can be populated with
-        no fault plan at all (``handle_shard_failure`` is callable
-        directly, and the failover tests do call it)."""
+        against the live shard for logical shard ``index``: what a routed
+        RPC returns (the lock and flat-barrier operations below resolve
+        their shard inline where nothing can fail). Always through the
+        live table: ``handle_shard_failure`` is callable with no fault
+        plan at all, and the failover tests do call it."""
         if self._guard:
             return self._guarded(index, comp, op, args)
-        remap = self._shard_remap
-        return op(self.shards[remap.get(index, index) if remap else index],
-                  *args)
+        return op(self._live[index], *args)
 
     def _guarded(self, index: int, comp: str, op, args):
         """Generator: :meth:`_route` on a build that can fail -- re-issue
@@ -378,8 +378,7 @@ class ControlPlane:
         """
         membership = self.system.membership
         while True:
-            live = self.live_index(index)
-            mgr = self.shards[live]
+            mgr = self._live[index]
             if (membership is not None
                     and self._known_epoch.get(comp, 0) < mgr.fence_epoch):
                 membership.fenced()
@@ -389,7 +388,8 @@ class ControlPlane:
                 result = yield from op(mgr, *args)
                 return result
             except RetryExhaustedError as err:
-                yield from self.await_shard_failover(live, err, comp=comp)
+                yield from self.await_shard_failover(self.shards.index(mgr),
+                                                     err, comp=comp)
 
     # ------------------------------------------------------------------
     # object creation (zero-cost, setup time)
@@ -453,23 +453,31 @@ class ControlPlane:
     # locks
     # ------------------------------------------------------------------
     def acquire_lock(self, tid: int, comp: str, lock_id: int):
-        return self._route(lock_id % self.n, comp, Manager.acquire_lock,
-                           tid, comp, lock_id)
+        if self._guard:
+            return self._guarded(lock_id % self.n, comp, Manager.acquire_lock,
+                                 (tid, comp, lock_id))
+        return self._live[lock_id % self.n].acquire_lock(tid, comp, lock_id)
 
     def release_lock(self, tid: int, comp: str, lock_id: int, diffs: list,
                      payload_bytes: int, span_count: int,
                      invalidate_pages=(), stash=()):
-        return self._route(lock_id % self.n, comp, Manager.release_lock,
-                           tid, comp, lock_id, diffs, payload_bytes,
-                           span_count, invalidate_pages, stash)
+        args = (tid, comp, lock_id, diffs, payload_bytes, span_count,
+                invalidate_pages, stash)
+        if self._guard:
+            return self._guarded(lock_id % self.n, comp, Manager.release_lock,
+                                 args)
+        return self._live[lock_id % self.n].release_lock(*args)
 
     def absorb_lock_stash(self, tid: int, lock_id: int, stash) -> None:
         """Synchronous stash absorption (see Manager.absorb_lock_stash)."""
-        self.shard_for_id(lock_id).absorb_lock_stash(tid, lock_id, stash)
+        self._live[lock_id % self.n].absorb_lock_stash(tid, lock_id, stash)
 
     def flush_lock_stash(self, tid: int, comp: str, lock_id: int, stash):
-        return self._route(lock_id % self.n, comp, Manager.flush_lock_stash,
-                           tid, comp, lock_id, stash)
+        args = (tid, comp, lock_id, stash)
+        if self._guard:
+            return self._guarded(lock_id % self.n, comp,
+                                 Manager.flush_lock_stash, args)
+        return self._live[lock_id % self.n].flush_lock_stash(*args)
 
     def holds_lock(self, tid: int, lock_id: int) -> bool:
         return self.shard_for_id(lock_id).holds_lock(tid, lock_id)
@@ -495,8 +503,11 @@ class ControlPlane:
     def barrier_arrive(self, tid: int, comp: str, barrier_id: int, notices):
         """Flat arrival: a group of one. Same result shape as
         :meth:`tree_arrive`, ``(state, {tid: directive})``."""
-        return self._route(barrier_id % self.n, comp, Manager.barrier_arrive,
-                           comp, barrier_id, {tid: notices})
+        args = (comp, barrier_id, {tid: notices})
+        if self._guard:
+            return self._guarded(barrier_id % self.n, comp,
+                                 Manager.barrier_arrive, args)
+        return self._live[barrier_id % self.n].barrier_arrive(*args)
 
     def barrier_flush_done(self, tid: int, comp: str, barrier_id: int, state):
         return self._route(barrier_id % self.n, comp,
@@ -519,14 +530,7 @@ class ControlPlane:
     # ------------------------------------------------------------------
     def live_managers(self):
         """Distinct live shard managers, in shard order."""
-        seen: set[int] = set()
-        out = []
-        for i in range(self.n):
-            live = self.live_index(i)
-            if live not in seen:
-                seen.add(live)
-                out.append(self.shards[live])
-        return out
+        return list(dict.fromkeys(self._live))
 
     def cr_gather(self, root: "Manager"):
         """Generator: the barrier root pulls the other live shards'
@@ -622,7 +626,7 @@ class ControlPlane:
         cell = self._cell_combiners.pop(key)
         if self._guard:
             self._cell_closed[key] = cell
-        cell_comp = self.shards[self.live_index(cell_idx)].component
+        cell_comp = self._live[cell_idx].component
         cell.answer = state, directives = yield from self._route(
             barrier_id % self.n, cell_comp, Manager.barrier_arrive,
             cell_comp, barrier_id, cell.arrivals)
@@ -671,7 +675,7 @@ class ControlPlane:
         own resumption would take."""
         proc, comp, arrivals = waiting
         mine, reply_bytes = group_reply(arrivals, directives)
-        self.shards[self.live_index(cell_idx)]._respond(
+        self._live[cell_idx]._respond(
             proc, comp, "barrier", reply_bytes, True, (state, mine))
 
     # ------------------------------------------------------------------
@@ -703,11 +707,12 @@ class ControlPlane:
         succ_mgr._conds.update(dead_mgr._conds)
         succ_mgr.known_threads |= dead_mgr.known_threads
         succ_mgr._dead_threads |= dead_mgr._dead_threads
-        # Transitive-free remap, mirroring PageDirectory.remap_home.
-        for idx, target in list(self._shard_remap.items()):
-            if target == dead:
-                self._shard_remap[idx] = successor
-        self._shard_remap[dead] = successor
+        # Every index the dead shard served (its own, and any it had
+        # inherited) is served by the successor now.
+        live = self._live
+        for idx, mgr in enumerate(live):
+            if mgr is dead_mgr:
+                live[idx] = succ_mgr
         membership = self.system.membership
         if membership is not None:
             # Fence the dead shard's senders: lock grants and releases now

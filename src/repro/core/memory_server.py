@@ -209,7 +209,7 @@ class MemoryServer:
         system.rt_ledger.record(
             self.index, "recall",
             len(self.config.layout.lines_of(pages)))
-        owner_comp = system.component_of(owner_tid)
+        owner_comp = system._thread_comp[owner_tid]
         t = system.scl.send(self.component, owner_comp, category="recall")
         if t is not None:
             return self._recall_bulk_after_send(t, owner_tid, owner_comp,
@@ -228,7 +228,7 @@ class MemoryServer:
         clear ownership (atomically with the take -- no yield between),
         then one bulk transfer + merge."""
         system = self._system
-        owner_cache = system.cache_of(owner_tid)
+        owner_cache = system._caches[owner_tid]
         backing = self.backing
         if (not backing.functional and owner_cache.use_twins
                 and self.wal is None and not backing.integrity):

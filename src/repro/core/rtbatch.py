@@ -185,7 +185,7 @@ def _home_trip(cs: "ComputeServer", tid: int, home: int,
     """
     system = cs.system
     counters = cs.stats.counters
-    cache = system.cache_of(tid)
+    cache = cs.caches[tid]
     inval_epoch = cache.inval_epoch
     epoch_get = inval_epoch.get
     resolve_home = system.directory.resolve_home
@@ -243,7 +243,7 @@ def predict_lines(cs: "ComputeServer", tid: int, lines, speculate: bool):
     if mode == "adjacent":
         return tuple(line + 1 for line in lines) if issue else ()
     if mode == "stride":
-        cache = cs.system.cache_of(tid)
+        cache = cs.caches[tid]
         cache_counters = cache.stats.counters
         pages_per_line = cache.layout.pages_per_line
         allocated_span = cs.system.allocator.allocated_span
@@ -275,7 +275,7 @@ def speculative_pages(cs: "ComputeServer", tid: int, targets,
     path could hide that latency; a rider cannot.) Demand fetches still
     recall owners, as they must.
     """
-    cache = cs.system.cache_of(tid)
+    cache = cs.caches[tid]
     pending = cs.pending[tid]
     per_line = cache.layout.pages_per_line
     wanted = []
@@ -302,7 +302,7 @@ def fault_lines_batched(cs: "ComputeServer", tid: int, missing: np.ndarray,
     prefetch is waited for, and the line and everything after it are
     scanned again (the wait may have filled them, or anything else).
     """
-    cache = cs.system.cache_of(tid)
+    cache = cs.caches[tid]
     layout = cache.layout
     pending = cs.pending[tid]
     counters = cs.stats.counters
@@ -351,7 +351,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
     riders install with ``prefetched=True`` and never evict -- a full
     cache skips them.
     """
-    cache = cs.system.cache_of(tid)
+    cache = cs.caches[tid]
     pages = np.concatenate((demand, spec)) if spec.size else demand
     token = cache.begin_fetch(pages)
     try:
@@ -366,7 +366,7 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: np.ndarray,
                           protect: Iterable[int]):
     """``pages`` is ``demand`` followed by ``spec`` (the whole request)."""
     system = cs.system
-    cache = system.cache_of(tid)
+    cache = cs.caches[tid]
     layout = cache.layout
     grouped: dict[int, tuple[np.ndarray, np.ndarray]]
     if system.config.n_memory_servers == 1:
@@ -456,7 +456,7 @@ def evict_batched(cs: "ComputeServer", tid: int, count: int,
     """Generator: evict ``count`` pages; dirty victims' diffs ship as one
     merge trip per home server instead of one put per page."""
     system = cs.system
-    cache = system.cache_of(tid)
+    cache = cs.caches[tid]
     directory = system.directory
     victims = cache.choose_victims(count, protect=protect)
     diffs = []

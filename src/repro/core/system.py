@@ -202,6 +202,8 @@ class SamhitaSystem:
         self._storelogs: dict[int, StoreLog] = {}
         self._cr_pages: dict[int, set[int]] = {}
         self._thread_comp: dict[int, str] = {}
+        #: tid -> its compute server (what the hot paths index).
+        self._servers: dict[int, ComputeServer] = {}
         #: barrier id -> its arrival protocol (:meth:`_arrival_for`).
         self._arrivals: dict[int, object] = {}
         self._next_tid = 0
@@ -288,7 +290,8 @@ class SamhitaSystem:
         self._regions[tid] = RegionTracker(f"regions.t{tid}")
         self._storelogs[tid] = StoreLog(self.config.layout)
         self._cr_pages[tid] = set()
-        self.compute_servers[component].register_thread(tid)
+        cs = self._servers[tid] = self.compute_servers[component]
+        cs.register_thread(tid, self._caches[tid])
         self.control.register_thread(tid)
         self._arrivals.clear()  # "full party" counts threads
         return tid
@@ -309,7 +312,7 @@ class SamhitaSystem:
         return self._thread_comp[tid]
 
     def compute_server_of(self, tid: int) -> ComputeServer:
-        return self.compute_servers[self._thread_comp[tid]]
+        return self._servers[tid]
 
     def server_of_page(self, page: int) -> MemoryServer:
         return self.memory_servers[
@@ -515,7 +518,7 @@ class SamhitaSystem:
     # ------------------------------------------------------------------
     def mem_read(self, tid: int, addr: int, nbytes: int):
         """Generator: read bytes (faulting lines in as needed)."""
-        yield from self.compute_server_of(tid).ensure_resident(tid, addr, nbytes)
+        yield from self._servers[tid].ensure_resident(tid, addr, nbytes)
         return self._caches[tid].read(addr, nbytes)
 
     def mem_write(self, tid: int, addr: int, nbytes: int, data):
@@ -524,7 +527,7 @@ class SamhitaSystem:
         if self.config.coherence == "ivy":
             yield from self._ivy_write(tid, addr, nbytes, data)
             return
-        yield from self.compute_server_of(tid).ensure_resident(tid, addr, nbytes)
+        yield from self._servers[tid].ensure_resident(tid, addr, nbytes)
         stall = self.write_resident(tid, addr, nbytes, data)
         if stall:
             yield Timeout(stall)
@@ -790,7 +793,7 @@ class SamhitaSystem:
                 # Update-style: pull the merged pages back now, batched per
                 # home server, instead of lazily refaulting line by line.
                 yield from rtbatch.fetch_batched(
-                    self.compute_server_of(tid), tid,
+                    self._servers[tid], tid,
                     np.array(dropped, dtype=np.int64), NO_PAGES, set())
 
     def _arrival_for(self, barrier_id: int):

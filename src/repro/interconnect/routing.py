@@ -56,7 +56,7 @@ class Fabric:
         self._route_plans: dict[tuple[str, str], tuple] = {}
         #: ``(src, dst, nbytes) -> latency + serialize`` for every message
         #: shape :meth:`transfer_inline` has priced as a pure delay (remote,
-        #: uncontended, no injector): all that :meth:`flight` looks up.
+        #: uncontended, no injector): all that ``SCL.flight`` looks up.
         self._flights: dict[tuple[str, str, int], float] = {}
         #: Fault injector, or None. Attached via :meth:`attach_injector`,
         #: which shadows ``transfer_inline`` on the instance -- the clean
@@ -225,35 +225,6 @@ class Fabric:
             engine._coalesced += 1
             return None
         return (AdvanceTo(target),)
-
-    def flight(self, src: str, dst: str, nbytes: int,
-               category: str = "data") -> float | None:
-        """Charge one message that is a pure delay and return the absolute
-        instant it arrives, *without moving the clock*: the receiver
-        handles the arrival as an engine callback (``Resource.serve``), so
-        the sender is not resumed just to queue up.
-
-        Returns ``None``, having charged nothing, when the transfer is
-        anything else -- local delivery, a contended bottleneck, an armed
-        injector (every message needs a verdict), a route/size
-        :meth:`transfer_inline` has not priced yet -- and the caller sends
-        through :meth:`transfer_inline` instead. Counters and arrival
-        instant are the ones that call would have produced.
-        """
-        delay = self._flights.get((src, dst, nbytes))
-        if delay is None:
-            return None
-        try:
-            msg_key, bytes_key = _CATEGORY_KEYS[category]
-        except KeyError:
-            msg_key, bytes_key = _category_keys(category)
-        counters = self.stats.counters
-        counters[msg_key] += 1
-        counters["messages"] += 1
-        counters["bytes"] += nbytes
-        counters[bytes_key] += nbytes
-        self.traffic[(src, dst)] += nbytes
-        return self.engine.now + delay
 
     # -- fault injection --------------------------------------------------
     def attach_injector(self, injector) -> None:

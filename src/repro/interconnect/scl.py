@@ -18,7 +18,7 @@ these methods are byte-for-byte the clean hot path.
 
 from __future__ import annotations
 
-from repro.interconnect.routing import Fabric
+from repro.interconnect.routing import _CATEGORY_KEYS, Fabric, _category_keys
 from repro.sim.stats import StatSet
 
 #: Size of an SCL control/work-request message on the wire.
@@ -83,15 +83,29 @@ class SCL:
     def flight(self, src: str, dst: str, nbytes: int = CONTROL_BYTES,
                category: str = "control", op: str = "send") -> float | None:
         """A :meth:`send` (or, with ``op="rdma_put"``, a lead-less
-        :meth:`rdma_put`) whose arrival the receiver handles: the message
-        is charged and its absolute arrival instant returned for
-        ``Resource.use(duration, at=...)``, or ``None`` with nothing
-        counted when it is not a pure delay (:meth:`Fabric.flight`) and
-        the caller must send it the ordinary way."""
-        at = self.fabric.flight(src, dst, nbytes, category)
-        if at is not None:
-            self._counters[op] += 1
-        return at
+        :meth:`rdma_put`) that is a pure delay: charged, and its absolute
+        arrival instant returned *without moving the clock*, for the
+        receiver to handle as an engine callback (``Resource.serve``).
+        ``None``, with nothing charged, for anything else (local delivery,
+        a contended bottleneck, an armed injector, a route/size
+        ``Fabric.transfer_inline`` has not priced yet): send it the
+        ordinary way. Counters, traffic and arrival are that send's."""
+        fabric = self.fabric
+        delay = fabric._flights.get((src, dst, nbytes))
+        if delay is None:
+            return None
+        try:
+            msg_key, bytes_key = _CATEGORY_KEYS[category]
+        except KeyError:
+            msg_key, bytes_key = _category_keys(category)
+        counters = fabric.stats.counters
+        counters[msg_key] += 1
+        counters["messages"] += 1
+        counters["bytes"] += nbytes
+        counters[bytes_key] += nbytes
+        fabric.traffic[(src, dst)] += nbytes
+        self._counters[op] += 1
+        return fabric.engine.now + delay
 
     def request_response(self, src: str, dst: str,
                          request_bytes: int = CONTROL_BYTES,

@@ -1,11 +1,23 @@
 """Backend base: thread spawning, program execution, result collection.
 
-A backend provides the op set :class:`ThreadCtx` routes to (all generators
-unless noted):
+A backend hands each thread its op table, which :class:`ThreadCtx` binds
+once: the methods of :attr:`BaseBackend.ops` (the
+:class:`~repro.core.system.SamhitaSystem` itself on Samhita, the backend on
+Pthreads). Each takes the tid first and returns something to ``yield
+from``; the right column is the detail key ``ThreadCtx`` charges it to::
 
-``malloc, free, mem_read, mem_write, acquire_lock, release_lock,
-barrier_wait, cond_wait, cond_signal`` plus the plain-function
-``compute_cost`` and the attributes ``engine`` / ``functional``.
+    malloc(tid, size, shared=False) -> address      alloc
+    free(tid, addr)                                 alloc
+    mem_read(tid, addr, nbytes) -> bytes or None    memory
+    mem_write(tid, addr, nbytes, data)              memory
+    acquire_lock(tid, lock_id)                      lock
+    release_lock(tid, lock_id)                      lock
+    barrier_wait(tid, barrier_id)                   barrier
+    cond_wait(tid, cond_id, lock_id)                cond
+    cond_signal(tid, cond_id, broadcast) -> woken   cond
+
+plus ``cost_model_of(tid).element_time`` (``ThreadCtx.compute``) and, with
+``plans_supported``, ``run_plan(tid, plan, clock)`` (``ThreadCtx.submit``).
 """
 
 from __future__ import annotations
@@ -25,6 +37,8 @@ class BaseBackend(ABC):
     """Shared spawn/run machinery for both execution backends."""
 
     name: str = "base"
+    #: Whether ``run_plan`` executes access plans (see ``ThreadCtx.submit``).
+    plans_supported: bool = False
 
     def __init__(self, n_threads: int, functional: bool = True,
                  trace: bool = False):
@@ -35,16 +49,25 @@ class BaseBackend(ABC):
         #: Per-operation interval trace (thread, category, start, duration);
         #: off by default -- enable for the timeline view.
         self.tracer = Tracer(enabled=trace)
-        self._contexts: dict[int, ThreadCtx] = {}
+        #: tid -> result, in finish order (``ThreadCtx._exited``).
         self._results: dict[int, ThreadResult] = {}
         self._spawned = 0
         self._ran = False
 
-    # -- engine comes from the concrete backend --------------------------
+    # -- engine and op table come from the concrete backend ----------------
     @property
     @abstractmethod
     def engine(self):
         ...
+
+    @property
+    def ops(self):
+        """The object whose methods are the op table (module docstring)."""
+        return self
+
+    @abstractmethod
+    def cost_model_of(self, tid: int):
+        """The ComputeCostModel pricing ``tid``'s compute bursts."""
 
     # -- synchronization object creation ---------------------------------
     @abstractmethod
@@ -77,7 +100,9 @@ class BaseBackend(ABC):
     def spawn(self, program, *args) -> int:
         """Register a kernel body; it starts when :meth:`run` is called.
 
-        ``program`` is a generator function ``program(ctx, *args)``.
+        ``program`` is a generator function ``program(ctx, *args)``; its
+        generator is the thread's process, and the context's exit hook
+        records the result when it returns.
         """
         if self._ran:
             raise BackendError("cannot spawn after run()")
@@ -86,13 +111,9 @@ class BaseBackend(ABC):
         tid = self._register_thread()
         self._spawned += 1
         ctx = ThreadCtx(self, tid, self.n_threads)
-        self._contexts[tid] = ctx
-        self.engine.process(self._main(ctx, program, args), name=f"thread{tid}")
+        proc = self.engine.process(program(ctx, *args), name=f"thread{tid}")
+        proc.on_exit = ctx._exited
         return tid
-
-    def _main(self, ctx: ThreadCtx, program, args):
-        value = yield from program(ctx, *args)
-        self._results[ctx.tid] = ThreadResult(ctx.tid, ctx.clock, value)
 
     def spawn_all(self, program, *args) -> list[int]:
         """Spawn ``n_threads`` copies of one kernel body."""
@@ -128,9 +149,8 @@ class BaseBackend(ABC):
         finally:
             if gc_was_enabled:
                 gc.enable()
-        missing = set(self._contexts) - set(self._results)
-        if missing:  # pragma: no cover - deadlock raises first
-            raise BackendError(f"threads never finished: {sorted(missing)}")
+        if len(self._results) < self._spawned:  # pragma: no cover
+            raise BackendError("threads never finished")  # (deadlock first)
         stats = self.stats_report()
         engine_stats = StatSet("engine")
         engine = self.engine
@@ -153,59 +173,13 @@ class BaseBackend(ABC):
 
     def dispose(self) -> None:
         """Break the finished run's reference cycles (see :meth:`run`'s GC
-        note): the engine's process list, the event heap, and the
-        context->backend back-edges are the cycle anchors; with them cut the
+        note): the engine's process list and the event heap are the cycle
+        anchors (a process holds its context's op table); with them cut the
         whole engine/system graph dies by refcount the moment the caller
         drops the backend, and the deferred cyclic collection has nothing
         left to find. Called by the experiment harness on throwaway
         backends; the backend is unusable afterwards.
         """
-        self._contexts.clear()
         engine = self.engine
         engine._procs.clear()
         engine.clear_pending()
-
-    # -- ops the concrete backend must provide -----------------------------
-    @abstractmethod
-    def malloc(self, tid: int, size: int):
-        ...
-
-    @abstractmethod
-    def malloc_shared(self, tid: int, size: int):
-        """Page-aligned allocation for program globals (never arena-mixed)."""
-
-    @abstractmethod
-    def free(self, tid: int, addr: int):
-        ...
-
-    @abstractmethod
-    def mem_read(self, tid: int, addr: int, nbytes: int):
-        ...
-
-    @abstractmethod
-    def mem_write(self, tid: int, addr: int, nbytes: int, data):
-        ...
-
-    @abstractmethod
-    def compute_cost(self, tid: int, elements: int, flops_per_element: float) -> float:
-        ...
-
-    @abstractmethod
-    def acquire_lock(self, tid: int, lock_id: int):
-        ...
-
-    @abstractmethod
-    def release_lock(self, tid: int, lock_id: int):
-        ...
-
-    @abstractmethod
-    def barrier_wait(self, tid: int, barrier_id: int):
-        ...
-
-    @abstractmethod
-    def cond_wait(self, tid: int, cond_id: int, lock_id: int):
-        ...
-
-    @abstractmethod
-    def cond_signal(self, tid: int, cond_id: int, broadcast: bool):
-        ...

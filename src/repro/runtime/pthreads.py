@@ -99,23 +99,23 @@ class PthreadsBackend(BaseBackend):
         self._next_tid += 1
         return tid
 
-    # -- memory ops ----------------------------------------------------------
-    def malloc(self, tid, size):
-        if self.allocator.classify(size) is AllocationKind.ARENA:
-            addr = self.allocator.arena_alloc(tid, size)
-            if addr is None:
-                self.allocator.refill_arena(tid, size)
-                addr = self.allocator.arena_alloc(tid, size)
-            yield Timeout(self.malloc_overhead)
-            return addr
-        addr = self.allocator.shared_alloc(size, tid) \
-            if self.allocator.classify(size) is AllocationKind.SHARED_ZONE \
-            else self.allocator.striped_alloc(size, tid)
-        yield Timeout(self.malloc_overhead)
-        return addr
+    def cost_model_of(self, tid: int) -> ComputeCostModel:
+        return self.cost_model
 
-    def malloc_shared(self, tid, size):
-        addr = self.allocator.shared_alloc(size, tid)
+    # -- memory ops ----------------------------------------------------------
+    def malloc(self, tid, size, shared=False):
+        allocator = self.allocator
+        kind = (AllocationKind.SHARED_ZONE if shared
+                else allocator.classify(size))
+        if kind is AllocationKind.ARENA:
+            addr = allocator.arena_alloc(tid, size)
+            if addr is None:
+                allocator.refill_arena(tid, size)
+                addr = allocator.arena_alloc(tid, size)
+        elif kind is AllocationKind.SHARED_ZONE:
+            addr = allocator.shared_alloc(size, tid)
+        else:
+            addr = allocator.striped_alloc(size, tid)
         yield Timeout(self.malloc_overhead)
         return addr
 
@@ -134,9 +134,6 @@ class PthreadsBackend(BaseBackend):
         if cost > 0.0:
             yield Timeout(cost)
         self.memory.write_range(addr, nbytes, data)
-
-    def compute_cost(self, tid, elements, flops_per_element):
-        return self.cost_model.element_time(elements, flops_per_element)
 
     # -- synchronization ---------------------------------------------------
     def _lock(self, lock_id) -> SimMutex:

@@ -72,10 +72,6 @@ class SamhitaBackend(BaseBackend):
     def engine(self):
         return self.system.engine
 
-    @property
-    def config(self) -> SamhitaConfig:
-        return self.system.config
-
     # -- object creation ---------------------------------------------------
     def _create_lock_id(self) -> int:
         return self.system.create_lock()
@@ -92,21 +88,13 @@ class SamhitaBackend(BaseBackend):
         self._cost_models[tid] = ComputeCostModel(cpu)
         return tid
 
-    # -- ops: each hands back the system's generator (no frame of its own) --
-    def malloc(self, tid, size):
-        return self.system.malloc(tid, size)
+    # -- the op table is the system's own methods ------------------------
+    @property
+    def ops(self) -> SamhitaSystem:
+        return self.system
 
-    def malloc_shared(self, tid, size):
-        return self.system.malloc(tid, size, shared=True)
-
-    def free(self, tid, addr):
-        return self.system.free(tid, addr)
-
-    def mem_read(self, tid, addr, nbytes):
-        return self.system.mem_read(tid, addr, nbytes)
-
-    def mem_write(self, tid, addr, nbytes, data):
-        return self.system.mem_write(tid, addr, nbytes, data)
+    def cost_model_of(self, tid: int) -> ComputeCostModel:
+        return self._cost_models[tid]
 
     # -- batched access plans ---------------------------------------------
     def run_plan(self, tid, plan, clock):
@@ -134,8 +122,8 @@ class SamhitaBackend(BaseBackend):
         """
         system = self.system
         engine = system.engine
-        cache = system.cache_of(tid)
-        cs = system.compute_server_of(tid)
+        cache = system._caches[tid]
+        cs = system._servers[tid]
         cost_model = self._cost_models[tid]
         element_time = cost_model.element_time
         span_resident = cache.span_resident
@@ -149,7 +137,7 @@ class SamhitaBackend(BaseBackend):
                          if system.config.prefetch.mode == "stride" else None)
         kinds, addrs, sizes = plan.kind, plan.addr, plan.nbytes
         n = len(kinds)
-        regions = system.region_tracker_of(tid)
+        regions = system._regions[tid]
         # The operation at which to ask for a hit run: HIT_STREAK past the
         # plan's start and past every miss; never where runs cannot happen.
         hit_streak = (HIT_STREAK if n >= MIN_RUN and not self.functional
@@ -219,7 +207,7 @@ class SamhitaBackend(BaseBackend):
                     data = data(results)
                 dt = write_resident(tid, addr, nbytes, data)
                 if dt:
-                    # fl(fl(t + stall) - t), exactly what _timed measures.
+                    # fl(fl(t + stall) - t): what the per-access path charges.
                     new_target = target + dt
                     dt = new_target - target
                     target = new_target
@@ -229,24 +217,6 @@ class SamhitaBackend(BaseBackend):
         if pending:
             yield AdvanceTo(target)
         return results
-
-    def compute_cost(self, tid, elements, flops_per_element):
-        return self._cost_models[tid].element_time(elements, flops_per_element)
-
-    def acquire_lock(self, tid, lock_id):
-        return self.system.acquire_lock(tid, lock_id)
-
-    def release_lock(self, tid, lock_id):
-        return self.system.release_lock(tid, lock_id)
-
-    def barrier_wait(self, tid, barrier_id):
-        return self.system.barrier_wait(tid, barrier_id)
-
-    def cond_wait(self, tid, cond_id, lock_id):
-        return self.system.cond_wait(tid, cond_id, lock_id)
-
-    def cond_signal(self, tid, cond_id, broadcast):
-        return self.system.cond_signal(tid, cond_id, broadcast)
 
     def stats_report(self) -> dict:
         return self.system.stats_report()

@@ -105,10 +105,14 @@ class Process:
     itself from another process joins it. The generator's ``return`` value
     becomes the join value; an uncaught exception fails the join (and, unless
     someone joins it, aborts the simulation when run() notices).
+
+    ``on_exit``, if set, is called with the return value when the generator
+    returns, in the step that finished it (how ``repro.runtime`` records a
+    thread's result with no frame of its own around the kernel).
     """
 
     __slots__ = ("engine", "gen", "name", "daemon", "_done_event", "_outcome",
-                 "_alive", "blocked_on")
+                 "_alive", "blocked_on", "on_exit")
 
     def __init__(self, engine, gen: GeneratorType, name: str, daemon: bool):
         if not isinstance(gen, GeneratorType):
@@ -124,6 +128,7 @@ class Process:
         self._outcome = None
         self._alive = True
         self.blocked_on = None
+        self.on_exit = None
 
     @property
     def done_event(self) -> SimEvent:
@@ -430,6 +435,8 @@ class Engine:
         ev = proc._done_event
         if exc is None:
             proc._outcome = (value, None)
+            if proc.on_exit is not None:
+                proc.on_exit(value)
             if ev is not None:
                 ev.succeed(value)
         else:

@@ -3,8 +3,8 @@ server resource.
 
 These are *simulation* primitives (used to model contention inside simulated
 hardware and inside the Pthreads baseline); the DSM's own locks and barriers
-are implemented at the protocol level in :mod:`repro.core.sync` because they
-must also perform memory-consistency work.
+are implemented at the protocol level in :mod:`repro.core.manager` because
+they must also perform memory-consistency work.
 
 All acquire-style operations are generators: call them with ``yield from``.
 """
@@ -189,7 +189,7 @@ class Resource:
     def serve(self, duration: float, at: float | None, fn, *args) -> bool:
         """FIFO-acquire a unit and hold it through ``duration`` of service,
         for a request that reaches the server at the absolute instant
-        ``at`` (``Fabric.flight``; None: it is here now).
+        ``at`` (``SCL.flight``; None: it is here now).
 
         True: it all happened inline -- the clock stands at the service
         completion and the caller goes on, unit held. False: the caller

@@ -21,14 +21,17 @@ from repro.runtime import Runtime
 from repro.sim.engine import Engine, Timeout
 
 #: Calls (builtins included) of ``ctx.lock`` + ``ctx.unlock`` on a lock
-#: this thread owns through the cache, no stores in between: 14 today, 40
-#: when each was a generator wrapped in ``_timed``.
-PASSAGE_BOUND = 20
+#: this thread owns through the cache, no stores in between, with the
+#: thread's previous operation already charged: 14 today (16 when the
+#: backend forwarded each op to the system, 40 when each was a generator
+#: wrapped in a timing frame); the bound is that + 10 %.
+PASSAGE_BOUND = 15
 #: Calls per steady-state thread-round of the sweep-cell body (private
-#: lock, 1 us, unlock, full tree barrier): 106 / 109 / 108 today at 16
-#: servers / 1 shard, 256 / 16 and 1,024 / 64; the bound is about the
-#: highest + 10 %.
-ROUND_BOUND = 120
+#: lock, 1 us, unlock, full tree barrier): 99.4 / 102.7 / 101.8 today at 16
+#: servers / 1 shard, 256 / 16 and 1,024 / 64 (106 / 109 / 108 before a
+#: sync-op message leg and a routed op lost their forwarding frames); the
+#: bound is the highest + 10 %.
+ROUND_BOUND = 113
 #: ``Engine._step`` entries per steady-state thread-round: 4.00 / 4.13 /
 #: 4.13 today (the 1 us hold, the stash flush's reply, the node gate or the
 #: arrival's reply, the flush gate behind the node's others; the rest are
@@ -84,6 +87,7 @@ def test_owner_cache_passage_builds_no_generator():
         # The first passage is the manager's: grant, release, grant cached.
         yield from ctx.lock(lock)
         yield from ctx.unlock(lock)
+        ctx.clock  # charges that release, as the next operation would
         with Counter() as counter:
             acquired = ctx.lock(lock)
             released = ctx.unlock(lock)
@@ -132,6 +136,55 @@ def test_thread_round_cost_is_bounded_and_flat(n_compute, shards):
     # calls): work per arrival that grows with the party is invisible at
     # 64 threads and a fifth of the round at 1,024.
     assert calls <= 1.15 * steady_round_cost(64, 4)[0]
+
+
+#: Generator frames and calls per steady-state thread-round of the
+#: ``sync_storm`` kernel (lock, compute, unlock, barrier through
+#: ``ThreadCtx``), and its ``Engine._step`` entries. Frames: 12.5 / 13.5
+#: today at 16 threads / 1 shard and 256 / 16 (20.5 / 21.8 while every
+#: resumption re-entered a run frame and a timing frame around the
+#: kernel's operation); calls 108.3 / 111.7 (125.5 / 129.6).
+KERNEL_FRAME_BOUND = 15
+KERNEL_CALL_BOUND = 125
+
+
+def lock_barrier_kernel(ctx, locks, bar, rounds):
+    """The ``sync_storm`` kernel: a private lock and a global barrier."""
+    own = locks[ctx.tid]
+    for _ in range(rounds):
+        yield from ctx.lock(own)
+        yield from ctx.compute(1)
+        yield from ctx.unlock(own)
+        yield from ctx.barrier(bar)
+
+
+def kernel_cost(n_threads: int, shards: int, rounds: int) -> Counter:
+    rt = Runtime("samhita", n_threads=n_threads,
+                 config=SamhitaConfig.sharded_control_plane(shards))
+    locks = [rt.create_lock() for _ in range(n_threads)]
+    rt.spawn_all(lock_barrier_kernel, locks, rt.create_barrier(), rounds)
+    try:
+        with Counter() as counter:
+            rt.run()
+    finally:
+        rt.backend.dispose()
+    return counter
+
+
+@pytest.mark.parametrize("n_threads, shards, steps",
+                         [(16, 1, 4.0), (256, 16, 4.13)])
+def test_kernel_round_cost_is_bounded(n_threads, shards, steps):
+    """A thread resumption re-enters only frames that do work: the
+    kernel's own generator is the process, its operations are timed
+    without a wrapping frame, and the op table is the system's methods."""
+    short, long = (kernel_cost(n_threads, shards, rounds)
+                   for rounds in (3, 6))
+    thread_rounds = n_threads * 3
+    frames = (long.generator_frames - short.generator_frames) / thread_rounds
+    calls = (long.calls - short.calls) / thread_rounds
+    assert frames <= KERNEL_FRAME_BOUND
+    assert calls <= KERNEL_CALL_BOUND
+    assert round((long.steps - short.steps) / thread_rounds, 2) == steps
 
 
 def test_contended_rpc_resumes_its_caller_once():

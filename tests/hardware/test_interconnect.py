@@ -185,15 +185,15 @@ class TestSCL:
 
 
 class TestFlight:
-    """``Fabric.flight``: a priced pure delay is charged and its arrival
+    """``SCL.flight``: a priced pure delay is charged and its arrival
     instant returned without moving the clock; anything else returns None
     *having charged nothing* (the caller then sends through
     ``transfer_inline``, which charges -- once)."""
 
     @staticmethod
-    def _books(fabric, scl=None):
+    def _books(fabric, scl):
         return (dict(fabric.stats.counters), dict(fabric.traffic),
-                dict(scl.stats.counters) if scl else None)
+                dict(scl.stats.counters))
 
     def _priced(self, topo=None, **kwargs):
         eng = Engine()
@@ -204,7 +204,7 @@ class TestFlight:
     def test_a_priced_message_flies_and_is_charged_like_a_transfer(self):
         eng, fabric = self._priced()
         scl = SCL(fabric)
-        sent = self._books(fabric)
+        sent = self._books(fabric, scl)
         start = eng.now
         at = scl.flight("node0", "node1", 4096, "page", op="rdma_put")
         assert eng.now == start  # the clock did not move
@@ -229,34 +229,38 @@ class TestFlight:
     def test_local_delivery_touches_no_counter(self):
         eng = Engine()
         fabric = Fabric(eng, cluster_topology(2))
+        scl = SCL(fabric)
         assert fabric.transfer_inline("node0", "node0", 64, "lock") is None
-        before = self._books(fabric)
-        assert fabric.flight("node0", "node0", 64, "lock") is None
-        assert self._books(fabric) == before
+        before = self._books(fabric, scl)
+        assert scl.flight("node0", "node0", 64, "lock") is None
+        assert self._books(fabric, scl) == before
 
     def test_contended_bottleneck_touches_no_counter(self):
         eng = Engine()
         fabric = Fabric(eng, hetero_node_topology(), model_contention=True)
+        scl = SCL(fabric)
         eng.process(fabric.transfer("mic0", "host", 4096, "page"))
         eng.run()
-        before = self._books(fabric)
-        assert fabric.flight("mic0", "host", 4096, "page") is None
-        assert self._books(fabric) == before
+        before = self._books(fabric, scl)
+        assert scl.flight("mic0", "host", 4096, "page") is None
+        assert self._books(fabric, scl) == before
         # The same bus with contention not modelled is a pure delay.
         free = Fabric(Engine(), hetero_node_topology(), model_contention=False)
         assert free.transfer_inline("mic0", "host", 4096, "page") is None
-        assert free.flight("mic0", "host", 4096, "page") is not None
+        assert SCL(free).flight("mic0", "host", 4096, "page") is not None
 
     def test_armed_injector_touches_no_counter(self):
         from repro.faults import FaultInjector, FaultPlan
 
         eng, fabric = self._priced()
-        assert fabric.flight("node0", "node1", 4096, "page") is not None
+        scl = SCL(fabric)
+        assert scl.flight("node0", "node1", 4096, "page") is not None
         fabric.attach_injector(FaultInjector(FaultPlan(seed=3)))
-        before = self._books(fabric)
-        assert fabric.flight("node0", "node1", 4096, "page") is None
+        before = self._books(fabric, scl)
+        assert scl.flight("node0", "node1", 4096, "page") is None
         # ...nor does a transfer under the injector price one.
         assert fabric.transfer_inline("node0", "node1", 8192, "page") is None
-        assert fabric.flight("node0", "node1", 8192, "page") is None
-        after = self._books(fabric)
+        assert scl.flight("node0", "node1", 8192, "page") is None
+        after = self._books(fabric, scl)
         assert after[0]["messages"] == before[0]["messages"] + 1
+        assert after[2] == before[2]
