@@ -158,7 +158,7 @@ def take_checkpoint(system) -> Checkpoint:
         epoch=system.membership.epoch if system.membership is not None else 0,
         pages=pages,
         page_homes=page_homes,
-        home_remap=dict(getattr(directory, "home_remap", {}) or {}),
+        home_remap=directory.home_remap,
         shard_remap=system.control.shard_remap,
         wal_marks=wal_marks,
         lock_holders=lock_holders,

@@ -11,6 +11,11 @@
 The allocator is pure state; communication costs (the RPC for strategies 2/3
 and arena refills) are charged by the caller (compute server -> manager).
 Addresses never recycle (bump allocation); ``free`` validates and records.
+
+The address space is cut into one slice of ``SHARD_SLICE_PAGES`` pages per
+manager shard (``config.manager_shards``). Thread *t* allocates in slice
+``t % n``, so every page maps back to the shard that serves its slice with
+one divide (:func:`shard_of_page`); home lookups are global.
 """
 
 from __future__ import annotations
@@ -22,6 +27,16 @@ from enum import Enum
 from repro.errors import AllocationError, MemoryError_
 from repro.core.params import SamhitaConfig
 from repro.sim.stats import StatSet
+
+#: Pages per shard address slice (1 TiB of 4 KiB pages). Slice *k* is
+#: pages [k * SHARD_SLICE_PAGES, (k+1) * SHARD_SLICE_PAGES); the slice of
+#: any page is one integer divide.
+SHARD_SLICE_PAGES = 1 << 28
+
+
+def shard_of_page(page: int, n_shards: int) -> int:
+    """Shard whose address slice contains ``page``."""
+    return min(page // SHARD_SLICE_PAGES, n_shards - 1)
 
 
 class AllocationKind(Enum):
@@ -76,17 +91,20 @@ class _Arena:
 
 
 class SamhitaAllocator:
-    """Global-address-space allocator living at the manager."""
+    """Global-address-space allocator shared by every manager shard."""
 
-    def __init__(self, config: SamhitaConfig, base_page: int = 0):
+    def __init__(self, config: SamhitaConfig):
         self.config = config
         self.layout = config.layout
-        #: First page of this allocator's address slice. 0 for the single
-        #: global allocator; shard k of a sharded control plane gets a
-        #: disjoint slice starting at ``k * SHARD_SLICE_PAGES`` so homes
-        #: and ownership can be routed back to the shard by address range.
-        self.base_page = base_page
-        self._next_page = base_page + 1  # first page reserved (null analogue)
+        #: Address slices: thread t allocates in slice ``t % n``, an
+        #: allocation no thread asked for in slice 0.
+        self._n_slices = n = config.manager_shards
+        #: One bump pointer per slice; each slice's first page is reserved
+        #: (null analogue).
+        self._next_page = list(range(1, n * SHARD_SLICE_PAGES,
+                                     SHARD_SLICE_PAGES))
+        #: Per-slice shared-zone round-robin over the memory servers.
+        self._zone_rr = [0] * n
         self._arenas: dict[int, _Arena] = {}
         self._regions: list[_Region] = []
         self._region_starts: list[int] = []
@@ -96,7 +114,6 @@ class SamhitaAllocator:
         #: are NOT cached -- an unallocated page may be carved later.
         self._home_cache: dict[int, int] = {}
         self.allocations: dict[int, Allocation] = {}
-        self._zone_rr = 0
         self.stats = StatSet("allocator")
 
     # ------------------------------------------------------------------
@@ -114,14 +131,15 @@ class SamhitaAllocator:
     # ------------------------------------------------------------------
     # page extents and homes
     # ------------------------------------------------------------------
-    def _carve(self, nbytes: int, striped: bool, server: int) -> _Region:
+    def _carve(self, nbytes: int, striped: bool, server: int,
+               slice_: int) -> _Region:
         pages = max(1, (nbytes + self.layout.page_bytes - 1) // self.layout.page_bytes)
         # Every region starts on a cache-line boundary so no fetch unit ever
         # spans two regions (and hence two memory servers); striped regions
         # additionally round their extent to whole lines so the stripe
         # arithmetic maps each line to exactly one server.
         ppl = self.layout.pages_per_line
-        start = ((self._next_page + ppl - 1) // ppl) * ppl
+        start = ((self._next_page[slice_] + ppl - 1) // ppl) * ppl
         if striped:
             pages = ((pages + ppl - 1) // ppl) * ppl
         region = _Region(
@@ -132,7 +150,7 @@ class SamhitaAllocator:
             n_servers=self.config.n_memory_servers,
             base_line=start // self.layout.pages_per_line,
         )
-        self._next_page = start + pages
+        self._next_page[slice_] = start + pages
         index = bisect.bisect(self._region_starts, region.start_page)
         self._region_starts.insert(index, region.start_page)
         self._regions.insert(index, region)
@@ -196,7 +214,8 @@ class SamhitaAllocator:
         """Manager-side: hand the thread a fresh page-aligned arena chunk."""
         chunk = max(self.config.arena_chunk_bytes, self.layout.align_up(min_size))
         server = tid % self.config.n_memory_servers
-        region = self._carve(chunk, striped=False, server=server)
+        region = self._carve(chunk, striped=False, server=server,
+                             slice_=tid % self._n_slices)
         self._arenas[tid] = _Arena(self.layout.page_addr(region.start_page), chunk)
         self.stats.incr("arena_refills")
 
@@ -205,9 +224,10 @@ class SamhitaAllocator:
     # ------------------------------------------------------------------
     def shared_alloc(self, size: int, tid: int | None = None) -> int:
         """Medium allocation from the shared zone (page-aligned)."""
-        server = self._zone_rr % self.config.n_memory_servers
-        self._zone_rr += 1
-        region = self._carve(size, striped=False, server=server)
+        slice_ = 0 if tid is None else tid % self._n_slices
+        server = self._zone_rr[slice_] % self.config.n_memory_servers
+        self._zone_rr[slice_] += 1
+        region = self._carve(size, striped=False, server=server, slice_=slice_)
         addr = self.layout.page_addr(region.start_page)
         self._record(addr, size, AllocationKind.SHARED_ZONE, tid)
         self.stats.incr("shared_allocs")
@@ -215,7 +235,8 @@ class SamhitaAllocator:
 
     def striped_alloc(self, size: int, tid: int | None = None) -> int:
         """Large allocation striped line-by-line across all memory servers."""
-        region = self._carve(size, striped=True, server=0)
+        slice_ = 0 if tid is None else tid % self._n_slices
+        region = self._carve(size, striped=True, server=0, slice_=slice_)
         addr = self.layout.page_addr(region.start_page)
         self._record(addr, size, AllocationKind.STRIPED, tid)
         self.stats.incr("striped_allocs")
@@ -242,4 +263,5 @@ class SamhitaAllocator:
 
     @property
     def total_pages(self) -> int:
-        return self._next_page
+        """The highest bump pointer: one past the last page handed out."""
+        return max(self._next_page)

@@ -1,34 +1,31 @@
-"""The sharded control plane.
+"""The control plane: ``config.manager_shards`` manager shards.
 
-PRs 1-5 kept the paper's architecture literal: ONE manager component owns
-the allocator, the page directory and every synchronization object, so all
-control traffic serializes through a single service queue -- the classic
-DSM hotspot (DiSquawk distributes exactly this state to reach 512 cores).
-This module splits that control plane into ``config.manager_shards``
-cooperating :class:`~repro.core.manager.Manager` instances:
+The paper has ONE manager own allocation, the page directory and every
+synchronization object (§II), so all control traffic serializes through a
+single service queue -- the classic DSM hotspot (DiSquawk distributes
+exactly this state to reach 512 cores). Here that manager is ``n``
+cooperating :class:`~repro.core.manager.Manager` instances; a single
+manager is the control plane of one shard, built and routed the same way.
 
-* **Address-range partitioning** -- each shard owns a disjoint slice of the
-  page address space (``SHARD_SLICE_PAGES`` pages). Shard *k*'s allocator
-  bump-allocates inside slice *k* and the sharded page directory routes
-  ownership/sharer updates to the slice's partition, so any page maps back
-  to its owning shard with one shift. The memory-server home remap
-  (``PageDirectory.remap_home``) is deliberately kept *global* across the
-  partitions: page homes name memory servers, not shards, so a memory
-  server failover stays a single indirection no matter how many shards
-  exist -- and a shard failover moves no page data at all (the partitions
-  are plain state; only the component serving them changes).
+* **One set of tables, split messages** -- every shard shares the one
+  :class:`~repro.core.allocator.SamhitaAllocator` and the one
+  :class:`~repro.memory.directory.PageDirectory`. An allocation is served
+  by its thread's shard (``tid % n``) and carved from that shard's address
+  slice; a free is served by the shard of the address's slice
+  (:func:`~repro.core.allocator.shard_of_page`). Page homes name memory
+  servers, not shards, so a shard failover moves no page data at all.
 
-* **ID-hash routing** -- locks, barriers and condition variables get
-  globally unique IDs from one counter; object ``i`` lives on shard
+* **ID-hash routing** -- the control plane owns the one id counter for
+  locks, barriers and condition variables; object ``i`` lives on shard
   ``i % n``. Routing is pure arithmetic, no lookup traffic.
 
 * **Shard failover** -- each shard is an addressable, probe-able component.
   When the failure detector declares one dead, its synchronization tables
   merge into the ring successor (IDs are globally unique, so the merge is
-  collision-free) and a transitive shard remap -- same shape as
-  ``remap_home`` -- points routed RPCs at the successor. In-flight
-  requests that exhausted their retries against the corpse wait out the
-  detection window (:meth:`ControlPlane.await_shard_failover`) and re-issue.
+  collision-free) and the live-shard table points every index the dead
+  shard served at the successor. In-flight requests that exhausted their
+  retries against the corpse wait out the detection window
+  (:meth:`ControlPlane.await_shard_failover`) and re-issue.
 
 * **Tree barriers** (``config.tree_barriers``) -- flat barriers cost
   O(threads) messages into one shard. The tree path combines arrivals per
@@ -40,19 +37,17 @@ cooperating :class:`~repro.core.manager.Manager` instances:
   that is alone in its cell, and every node leader on a single shard
   (where the combiner would be the root itself), arrives at the root.
 
-At ``manager_shards=1`` none of this is constructed: the system keeps the
-plain allocator/directory and the ControlPlane degenerates to a zero-cost
-delegation layer.
+The cross-shard consistency gather, with the lock-log source and pruner
+that go with it, is wired only at ``n > 1``: one shard's root already sees
+every lock log, and the gather is simulated cost.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core import protocol
-from repro.core.allocator import SamhitaAllocator
+from repro.core.allocator import shard_of_page
 from repro.core.consistency import group_reply
 from repro.core.manager import Manager
 from repro.errors import (
@@ -60,207 +55,11 @@ from repro.errors import (
     RetryExhaustedError,
     SynchronizationError,
 )
-from repro.memory.directory import PageDirectory
-from repro.memory.pagetable import page_vector
 from repro.sim.engine import DONE
 from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import SamhitaSystem
-
-#: Pages per shard address slice (1 TiB of 4 KiB pages). Shard *k*'s
-#: allocator owns pages [k * SHARD_SLICE_PAGES, (k+1) * SHARD_SLICE_PAGES);
-#: the owning shard of any page is one integer divide.
-SHARD_SLICE_PAGES = 1 << 28
-
-
-def shard_of_page(page: int, n_shards: int) -> int:
-    """Shard whose address slice contains ``page``."""
-    return min(page // SHARD_SLICE_PAGES, n_shards - 1)
-
-
-class ShardedPageDirectory:
-    """N address-range partitions behind the PageDirectory interface.
-
-    Owner/sharer state routes to the partition of the page's slice; the
-    failover home remap lives once at this facade (page homes are
-    memory-server indices -- orthogonal to control-plane sharding), which
-    is what lets ``remap_home`` keep working per-shard unchanged.
-    """
-
-    def __init__(self, n_shards: int):
-        self.parts = [PageDirectory(f"directory.shard{i}")
-                      for i in range(n_shards)]
-        self._home_remap: dict[int, int] = {}
-        self.stats = StatSet("directory")
-
-    def _part(self, page: int) -> PageDirectory:
-        return self.parts[shard_of_page(page, len(self.parts))]
-
-    def _by_part(self, pages: np.ndarray):
-        """``(partition, where)`` pairs for a bulk operation: ``pages[where]``
-        are the partition's pages (a fault or a notice list rarely leaves
-        one slice, and then ``where`` is the whole vector)."""
-        if not pages.size:
-            return []
-        shards = np.minimum(pages // SHARD_SLICE_PAGES, len(self.parts) - 1)
-        first = int(shards[0])
-        if (shards == first).all():
-            return [(self.parts[first], slice(None))]
-        return [(self.parts[idx], shards == idx)
-                for idx in np.unique(shards).tolist()]
-
-    # -- home map (failover indirection), global across partitions --------
-    def resolve_home(self, index: int) -> int:
-        remap = self._home_remap
-        if not remap:
-            return index
-        return remap.get(index, index)
-
-    def remap_home(self, dead: int, promoted: int) -> None:
-        for logical, target in list(self._home_remap.items()):
-            if target == dead:
-                self._home_remap[logical] = promoted
-        self._home_remap[dead] = promoted
-        self.stats.counters["home_remaps"] += 1
-
-    @property
-    def home_remap(self) -> dict[int, int]:
-        return dict(self._home_remap)
-
-    # -- sharers ---------------------------------------------------------
-    def add_sharer(self, page: int, thread_id: int) -> None:
-        self._part(page).add_sharer(page, thread_id)
-
-    def add_sharers(self, pages, thread_id: int) -> None:
-        pages = page_vector(pages)
-        for part, where in self._by_part(pages):
-            part.add_sharers(pages[where], thread_id)
-
-    def remove_sharer(self, page: int, thread_id: int) -> None:
-        self._part(page).remove_sharer(page, thread_id)
-
-    def sharers_of(self, page: int) -> set[int]:
-        return self._part(page).sharers_of(page)
-
-    # -- owners ----------------------------------------------------------
-    def record_owner(self, page: int, thread_id: int) -> None:
-        self._part(page).record_owner(page, thread_id)
-
-    def owner_of(self, page: int) -> int | None:
-        return self._part(page).owner_of(page)
-
-    def clear_owner(self, page: int) -> None:
-        self._part(page).clear_owner(page)
-
-    def owners_of(self, pages: np.ndarray,
-                  but: int | None = None) -> np.ndarray:
-        owners = np.full(pages.size, -1, dtype=np.int64)
-        for part, where in self._by_part(pages):
-            owners[where] = part.owners_of(pages[where], but)
-        return owners
-
-    def record_owners(self, pages, thread_ids) -> None:
-        pages = page_vector(pages)
-        aligned = np.ndim(thread_ids) > 0
-        for part, where in self._by_part(pages):
-            part.record_owners(
-                pages[where], thread_ids[where] if aligned else thread_ids)
-
-    def clear_owners(self, pages) -> None:
-        pages = page_vector(pages)
-        for part, where in self._by_part(pages):
-            part.clear_owners(pages[where])
-
-    def owned_by(self, thread_id: int | None = None) -> list[int]:
-        # Slices ascend with the partition index, so this is sorted.
-        return [page for part in self.parts
-                for page in part.owned_by(thread_id)]
-
-    def __len__(self) -> int:
-        return sum(len(part) for part in self.parts)
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._part(page)
-
-
-class ShardedAllocator:
-    """N slice allocators behind the SamhitaAllocator interface.
-
-    Allocation requests route by thread (``tid % n`` -- the thread's home
-    shard owns its arena metadata); address lookups route by slice. Both
-    are stable under shard failover: the slice objects persist, only the
-    Manager *serving* RPCs for a slice changes (the control plane passes
-    the slice allocator explicitly to the successor's RPC handlers).
-    """
-
-    def __init__(self, config, n_shards: int):
-        self.config = config
-        self.layout = config.layout
-        self.parts = [SamhitaAllocator(config, base_page=i * SHARD_SLICE_PAGES)
-                      for i in range(n_shards)]
-
-    def _part_of_page(self, page: int) -> SamhitaAllocator:
-        return self.parts[shard_of_page(page, len(self.parts))]
-
-    def part_for_thread(self, tid: int) -> SamhitaAllocator:
-        return self.parts[tid % len(self.parts)]
-
-    # -- strategy selection / lookups ------------------------------------
-    def classify(self, size: int):
-        return self.parts[0].classify(size)
-
-    def home_of_page(self, page: int) -> int:
-        return self._part_of_page(page).home_of_page(page)
-
-    def homes_of(self, pages: list[int]) -> list[int]:
-        return [self.home_of_page(page) for page in pages]
-
-    def home_of_line(self, line: int) -> int:
-        return self.home_of_page(line * self.layout.pages_per_line)
-
-    def allocated_span(self, page: int):
-        return self._part_of_page(page).allocated_span(page)
-
-    def allocation_at(self, addr: int):
-        return self._part_of_page(addr // self.layout.page_bytes).allocation_at(addr)
-
-    # -- allocation paths ------------------------------------------------
-    def arena_alloc(self, tid: int, size: int) -> int | None:
-        return self.part_for_thread(tid).arena_alloc(tid, size)
-
-    def refill_arena(self, tid: int, min_size: int) -> None:
-        self.part_for_thread(tid).refill_arena(tid, min_size)
-
-    def shared_alloc(self, size: int, tid: int | None = None) -> int:
-        part = self.part_for_thread(tid) if tid is not None else self.parts[0]
-        return part.shared_alloc(size, tid)
-
-    def striped_alloc(self, size: int, tid: int | None = None) -> int:
-        part = self.part_for_thread(tid) if tid is not None else self.parts[0]
-        return part.striped_alloc(size, tid)
-
-    def free(self, addr: int) -> None:
-        self._part_of_page(addr // self.layout.page_bytes).free(addr)
-
-    # -- reporting -------------------------------------------------------
-    @property
-    def allocations(self) -> dict:
-        merged: dict = {}
-        for part in self.parts:
-            merged.update(part.allocations)
-        return merged
-
-    @property
-    def total_pages(self) -> int:
-        return max(part.total_pages for part in self.parts)
-
-    @property
-    def stats(self) -> StatSet:
-        merged = StatSet("allocator")
-        for part in self.parts:
-            merged.merge(part.stats)
-        return merged
 
 
 class _Cell:
@@ -285,10 +84,9 @@ class _Cell:
 class ControlPlane:
     """Routes control-plane RPCs to the owning manager shard.
 
-    At ``n == 1`` every route resolves to the one manager with no extra
-    simulated events, keeping the default build bit-identical; at ``n > 1``
-    it owns the global ID counter, the shard remap, the cross-shard
-    consistency-gather hooks and the tree-barrier combiners.
+    Owns the id counter of every synchronization object, the live-shard
+    table, the tree-barrier combiners and, at ``n > 1``, the cross-shard
+    consistency-gather hooks. A route costs no simulated event.
     """
 
     def __init__(self, system: "SamhitaSystem", shards: list["Manager"]):
@@ -395,15 +193,11 @@ class ControlPlane:
     # object creation (zero-cost, setup time)
     # ------------------------------------------------------------------
     def create_lock(self) -> int:
-        if self.n == 1:
-            return self.shards[0].create_lock()
         self._next_id += 1
         self.shard_for_id(self._next_id).register_lock(self._next_id)
         return self._next_id
 
     def create_barrier(self, parties: int) -> int:
-        if self.n == 1:
-            return self.shards[0].create_barrier(parties)
         if parties < 1:
             raise SynchronizationError("barrier needs at least one party")
         self._next_id += 1
@@ -411,8 +205,6 @@ class ControlPlane:
         return self._next_id
 
     def create_cond(self) -> int:
-        if self.n == 1:
-            return self.shards[0].create_cond()
         self._next_id += 1
         self.shard_for_id(self._next_id).register_cond(self._next_id)
         return self._next_id
@@ -429,25 +221,18 @@ class ControlPlane:
             mgr.mark_thread_dead(tid)
 
     # ------------------------------------------------------------------
-    # allocation RPCs (routed by thread home; slice passed explicitly so
-    # failover can serve a dead shard's slice from the successor)
+    # allocation RPCs: an allocation goes to the thread's shard, whose
+    # slice the allocator carves it from; a free to the address's slice
     # ------------------------------------------------------------------
     def alloc_rpc(self, tid: int, comp: str, size: int,
                   force_shared: bool = False):
-        if self.n == 1:
-            return self._route(0, comp, Manager.alloc_rpc, tid, comp, size,
-                               force_shared)
         return self._route(tid % self.n, comp, Manager.alloc_rpc, tid, comp,
-                           size, force_shared,
-                           self.system.allocator.part_for_thread(tid))
+                           size, force_shared)
 
     def free_rpc(self, tid: int, comp: str, addr: int):
-        if self.n == 1:
-            return self._route(0, comp, Manager.free_rpc, tid, comp, addr)
-        allocator = self.system.allocator
-        idx = shard_of_page(addr // allocator.layout.page_bytes, self.n)
-        return self._route(idx, comp, Manager.free_rpc, tid, comp, addr,
-                           allocator.parts[idx])
+        page = addr // self.system.config.layout.page_bytes
+        return self._route(shard_of_page(page, self.n), comp,
+                           Manager.free_rpc, tid, comp, addr)
 
     # ------------------------------------------------------------------
     # locks

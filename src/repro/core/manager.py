@@ -1,15 +1,18 @@
 """The Samhita manager.
 
 "The manager is responsible for memory allocation, synchronization and
-thread placement." Every synchronization operation is an RPC to this single
-component (plus the memory-consistency work it triggers), which is exactly
-why Samhita's synchronization costs more than Pthreads' -- and why §V
-proposes the single-node optimization reproduced here as
-``config.local_sync_optimization``.
+thread placement." Every synchronization operation is an RPC to the
+manager shard that owns the object (plus the memory-consistency work it
+triggers), which is exactly why Samhita's synchronization costs more than
+Pthreads' -- and why §V proposes the single-node optimization reproduced
+here as ``config.local_sync_optimization``.
 
-The manager owns: the allocator, the lock table (with per-lock fine-grained
-update logs), the barrier table (write-notice aggregation -> BarrierPlan),
-and condition-variable wait queues.
+A manager owns its share of the lock table (with per-lock fine-grained
+update logs), of the barrier table (write-notice aggregation ->
+BarrierPlan) and of the condition-variable wait queues, and serves the
+allocation RPCs routed to it. Every shard -- one on the default build --
+shares the one allocator and the one page directory; the object ids are
+the control plane's (:class:`~repro.core.control_plane.ControlPlane`).
 """
 
 from __future__ import annotations
@@ -144,7 +147,6 @@ class Manager:
         self._locks: dict[int, _LockState] = {}
         self._barriers: dict[int, _BarrierState] = {}
         self._conds: dict[int, _CondState] = {}
-        self._next_id = 0
         #: Full thread population (the system registers every spawn); the
         #: lock-log garbage collector needs it to compute a safe horizon.
         self.known_threads: set[int] = set()
@@ -242,27 +244,9 @@ class Manager:
             lock.holder = None
 
     # ------------------------------------------------------------------
-    # object creation (zero-cost: done at program setup time)
+    # object registration (zero-cost: done at program setup time). The
+    # control plane owns the id counter and places object i on shard i % n.
     # ------------------------------------------------------------------
-    def create_lock(self) -> int:
-        self._next_id += 1
-        self.register_lock(self._next_id)
-        return self._next_id
-
-    def create_barrier(self, parties: int) -> int:
-        if parties < 1:
-            raise SynchronizationError("barrier needs at least one party")
-        self._next_id += 1
-        self.register_barrier(self._next_id, parties)
-        return self._next_id
-
-    def create_cond(self) -> int:
-        self._next_id += 1
-        self.register_cond(self._next_id)
-        return self._next_id
-
-    # Registration with an externally assigned ID: the sharded control
-    # plane owns one global counter and places object i on shard i % n.
     def register_lock(self, lock_id: int) -> None:
         self._locks[lock_id] = _LockState(lock_id)
 
@@ -442,20 +426,17 @@ class Manager:
     # ------------------------------------------------------------------
     # allocation RPCs
     # ------------------------------------------------------------------
-    def alloc_rpc(self, tid: int, comp: str, size: int, force_shared: bool = False,
-                  allocator: SamhitaAllocator | None = None):
+    def alloc_rpc(self, tid: int, comp: str, size: int, force_shared: bool = False):
         """Generator: manager-mediated allocation (strategies 2 and 3, and
         arena refills). Returns the address (or None for pure refills).
 
         ``force_shared`` bypasses the size classification and allocates
         page-aligned from the shared zone -- the path for program globals
-        that must not share pages with any thread's arena data.
-
-        ``allocator`` overrides the shard's own address slice: after a
-        shard failover the ring successor serves the dead shard's slice,
-        so the control plane passes the (stable) slice object explicitly.
+        that must not share pages with any thread's arena data. The thread
+        picks the address slice, so a shard failover's successor serves a
+        dead shard's threads from the slice they always used.
         """
-        allocator = allocator or self.allocator
+        allocator = self.allocator
         yield from self._rpc(comp, protocol.alloc_request_bytes(), category="alloc")
         kind = (AllocationKind.SHARED_ZONE if force_shared
                 else allocator.classify(size))
@@ -470,11 +451,9 @@ class Manager:
         self.stats.incr("allocs")
         return addr
 
-    def free_rpc(self, tid: int, comp: str, addr: int,
-                 allocator: SamhitaAllocator | None = None):
-        allocator = allocator or self.allocator
+    def free_rpc(self, tid: int, comp: str, addr: int):
         yield from self._rpc(comp, category="alloc")
-        allocator.free(addr)
+        self.allocator.free(addr)
         yield from self._reply(comp, category="alloc")
 
     # ------------------------------------------------------------------

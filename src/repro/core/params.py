@@ -130,9 +130,11 @@ class SamhitaConfig:
 
     # -- control plane ----------------------------------------------------
     #: Manager shards. 1 (the default) is the single-manager build (its
-    #: trajectory is pinned by ``golden_metrics.json``); k > 1 splits
-    #: the control plane across k components: the page directory and
-    #: allocator partition by address range (one slice per shard), and
+    #: trajectory is pinned by ``golden_metrics.json``); k > 1 spreads the
+    #: control plane's messages over k components. The shards share one
+    #: page directory and one allocator, which carves one address slice
+    #: per shard: thread t allocates in slice t % k through shard t % k,
+    #: a free goes to the shard of the address's slice, and
     #: lock/barrier/cond RPCs route to the owning shard by ID hash. Each
     #: shard is an addressable, probe-able component; with a fault model
     #: armed a permanently crashed shard fails over to its ring successor.

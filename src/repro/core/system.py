@@ -27,11 +27,7 @@ import numpy as np
 from repro.core.allocator import AllocationKind, SamhitaAllocator
 from repro.core.compute_server import ComputeServer
 from repro.core.consistency import QUIET_DIRECTIVE
-from repro.core.control_plane import (
-    ControlPlane,
-    ShardedAllocator,
-    ShardedPageDirectory,
-)
+from repro.core.control_plane import ControlPlane
 from repro.core.manager import (
     HEARTBEAT_INTERVAL,
     HEARTBEAT_MISSES,
@@ -97,14 +93,10 @@ class SamhitaSystem:
         self.fabric = Fabric(self.engine, topology, model_contention=model_contention)
         self.scl = SCL(self.fabric)
         n_shards = self.config.manager_shards
-        # The sharded facades partition by address range; at shards=1 the
-        # plain objects are used unchanged (zero indirection, bit-identity).
-        if n_shards == 1:
-            self.directory = PageDirectory()
-            self.allocator = SamhitaAllocator(self.config)
-        else:
-            self.directory = ShardedPageDirectory(n_shards)
-            self.allocator = ShardedAllocator(self.config, n_shards)
+        # One directory and one allocator (one address slice per shard),
+        # shared by every manager shard.
+        self.directory = PageDirectory()
+        self.allocator = SamhitaAllocator(self.config)
         self.stats = StatSet("system")
         #: Round-trip accounting: one record per modeled batched trip,
         #: surfaced as stats_report's ``round_trips`` namespace.
@@ -126,15 +118,13 @@ class SamhitaSystem:
                 f"config wants {self.config.n_memory_servers} memory servers, "
                 f"got components {mem_comps}")
 
-        shard_allocators = ([self.allocator] if n_shards == 1
-                            else self.allocator.parts)
         self.managers = [
-            Manager(self.engine, comp, self.config, shard_allocators[i],
+            Manager(self.engine, comp, self.config, self.allocator,
                     self.directory, self.scl)
-            for i, comp in enumerate(manager_components)
+            for comp in manager_components
         ]
         #: Shard 0, kept under the historical name for direct-manager tests
-        #: and the shards=1 build (where it IS the whole control plane).
+        #: and the shards=1 build (where it serves every control RPC).
         self.manager = self.managers[0]
         self.memory_servers = [
             MemoryServer(self.engine, comp, i, self.config, self.directory)
@@ -859,17 +849,13 @@ class SamhitaSystem:
 
     def stats_report(self) -> dict:
         """Merged counters from every component (diagnostics)."""
-        if len(self.managers) == 1:
-            manager_stats = self.manager.stats.snapshot()
-        else:
-            merged_mgr = StatSet("managers")
-            for mgr in self.managers:
-                merged_mgr.merge(mgr.stats)
-            manager_stats = merged_mgr.snapshot()
+        merged_mgr = StatSet("managers")
+        for mgr in self.managers:
+            merged_mgr.merge(mgr.stats)
         report = {
             "fabric": self.fabric.stats.snapshot(),
             "scl": self.scl.stats.snapshot(),
-            "manager": manager_stats,
+            "manager": merged_mgr.snapshot(),
             "allocator": self.allocator.stats.snapshot(),
         }
         # Per-shard RPC load (one entry even at shards=1, so tooling can

@@ -17,10 +17,10 @@ must be trajectory-identical to a build that predates the sharding.
 import pytest
 
 from repro.core import SamhitaConfig, SamhitaSystem
-from repro.core.control_plane import (
+from repro.core.allocator import (
     SHARD_SLICE_PAGES,
-    ShardedAllocator,
-    ShardedPageDirectory,
+    AllocationKind,
+    SamhitaAllocator,
     shard_of_page,
 )
 from repro.errors import ReproError, SynchronizationError
@@ -69,11 +69,16 @@ def test_sync_ids_route_round_robin():
 
 
 def test_address_slices_are_disjoint_and_routable():
-    alloc = ShardedAllocator(SamhitaConfig(manager_shards=4), 4)
-    for i, part in enumerate(alloc.parts):
-        assert part.base_page == i * SHARD_SLICE_PAGES
-        assert shard_of_page(part.base_page, 4) == i
-        assert shard_of_page(part.base_page + SHARD_SLICE_PAGES - 1, 4) == i
+    alloc = SamhitaAllocator(SamhitaConfig(manager_shards=4))
+    page_bytes = alloc.layout.page_bytes
+    for k in range(4):
+        assert shard_of_page(k * SHARD_SLICE_PAGES, 4) == k
+        assert shard_of_page((k + 1) * SHARD_SLICE_PAGES - 1, 4) == k
+        # Thread k's first carve opens slice k, past its null page.
+        page = alloc.shared_alloc(1 << 17, tid=k) // page_bytes
+        assert k * SHARD_SLICE_PAGES < page < (k + 1) * SHARD_SLICE_PAGES
+    # An allocation no thread asked for lands in slice 0.
+    assert alloc.striped_alloc(2 << 20) // page_bytes < SHARD_SLICE_PAGES
     # Pages past the last slice boundary clamp to the last shard.
     assert shard_of_page(10 * SHARD_SLICE_PAGES, 4) == 3
 
@@ -90,76 +95,71 @@ def test_alloc_routes_by_thread_and_page_routes_back():
     layout = system.config.layout
     for tid, addr in addrs.items():
         page = layout.page_of(addr)
-        part = system.allocator.part_for_thread(tid)
-        # The address lives inside the owning shard's slice, and the pure
-        # page->shard map agrees with the allocating shard.
-        assert part.base_page <= page < part.base_page + SHARD_SLICE_PAGES
-        assert shard_of_page(page, 2) == tid % 2
+        # The address lives inside the thread's slice, and the pure
+        # page->shard map sends it back to the shard that served it.
+        slice_ = tid % 2
+        assert (slice_ * SHARD_SLICE_PAGES < page
+                < (slice_ + 1) * SHARD_SLICE_PAGES)
+        assert shard_of_page(page, 2) == slice_
         assert system.allocator.home_of_page(page) is not None
+    # One arena refill each, served by the thread's shard.
+    assert [row["alloc"] for row in system.control.rpcs_by_shard()] == [1, 1]
 
 
-def test_sharded_directory_routes_per_page():
-    directory = ShardedPageDirectory(2)
-    low, high = 7, SHARD_SLICE_PAGES + 7
-    directory.add_sharer(low, 0)
-    directory.add_sharer(high, 1)
-    assert directory.parts[0].sharers_of(low) == {0}
-    assert directory.parts[1].sharers_of(high) == {1}
-    assert directory.sharers_of(low) == {0}
-    assert directory.sharers_of(high) == {1}
-    directory.record_owners([low, high], 3)
-    assert directory.owner_of(low) == 3 and directory.owner_of(high) == 3
-    assert sorted(directory.owned_by(3)) == [low, high]
-    assert len(directory) == 2 and low in directory
+@pytest.mark.parametrize("shards", [2, 3])
+def test_allocation_placement_survives_shard_count_and_failover(shards):
+    system, tids = sharded_cluster(4, shards=shards, n_memory_servers=2)
+    allocator = system.allocator
+    page_bytes = system.config.layout.page_bytes
+    got = {}
 
+    def allocate(tid):
+        # Arena, two shared-zone, striped, and a page-aligned global.
+        for size in (100, 128 << 10, 256 << 10, 2 << 20):
+            got[tid].append((yield from system.malloc(tid, size)))
+        got[tid].append((yield from system.malloc(tid, 64, shared=True)))
 
-def test_sharded_directory_has_every_public_name_of_page_directory():
-    # The facade stands in for PageDirectory everywhere (system.directory);
-    # a bulk method added to one and not the other only fails on the first
-    # deployment that reaches it -- as add_sharers did, in timing mode.
-    from repro.memory import PageDirectory
-    public = {name for name in vars(PageDirectory) if not name.startswith("_")}
-    missing = sorted(name for name in public
-                     if not hasattr(ShardedPageDirectory, name))
-    assert not missing
+    def allocate_all(threads):
+        got.clear()
+        got.update({tid: [] for tid in threads})
+        run_threads(system, [allocate(tid) for tid in threads])
+        for tid, addrs in got.items():
+            assert {addr // page_bytes // SHARD_SLICE_PAGES
+                    for addr in addrs} == {tid % shards}
 
+    def alloc_column():
+        return [row["alloc"] for row in system.control.rpcs_by_shard()]
 
-def test_sharded_directory_bulk_methods_match_the_plain_signatures():
-    # Name parity is not enough for the bulk methods: the callers pass
-    # ``but=`` and aligned owner vectors by the plain directory's names.
-    import inspect
-    from repro.memory import PageDirectory
-    for name in ("owners_of", "record_owners", "clear_owners", "owned_by",
-                 "add_sharers"):
-        plain = inspect.signature(getattr(PageDirectory, name))
-        sharded = inspect.signature(getattr(ShardedPageDirectory, name))
-        assert list(plain.parameters) == list(sharded.parameters), name
+    def free_served_by(free_from, addr):
+        before = alloc_column()
+        run_threads(system, [system.free(free_from, addr)])
+        assert allocator.allocation_at(addr).freed
+        return [b - a for a, b in zip(before, alloc_column())]
 
+    allocate_all(tids)
+    # A free routes by the address's slice, not by the freeing thread.
+    assert free_served_by(0, got[1][1]) == [int(i == 1) for i in range(shards)]
 
-def test_sharded_directory_bulk_owners_route_per_slice():
-    import numpy as np
-    directory = ShardedPageDirectory(3)
-    low, mid, high = 7, SHARD_SLICE_PAGES + 7, 2 * SHARD_SLICE_PAGES + 7
-    pages = np.array([high, low, mid, low + 1], dtype=np.int64)
-    directory.record_owners(pages, np.array([4, 1, 2, 1], dtype=np.int64))
-    assert [len(part) for part in directory.parts] == [2, 1, 1]
-    assert directory.parts[0].owned_by(1) == [low, low + 1]
-    assert directory.owners_of(pages).tolist() == [4, 1, 2, 1]
-    assert directory.owners_of(pages, but=1).tolist() == [4, -1, 2, -1]
-    assert directory.owned_by() == [low, low + 1, mid, high]
-    directory.clear_owners(np.array([low, high], dtype=np.int64))
-    assert directory.owners_of(pages).tolist() == [-1, -1, 2, 1]
-    assert len(directory) == 2 and mid in directory and high not in directory
+    system.handle_shard_failure(1)
+    successor = 2 % shards
+    before = alloc_column()
+    allocate_all([tid for tid in tids if tid % shards == 1])
+    grew = [i for i, (a, b) in enumerate(zip(before, alloc_column())) if a != b]
+    assert grew == [successor]
+    assert free_served_by(0, got[1][2]) == [
+        int(i == successor) for i in range(shards)]
 
-
-def test_sharded_directory_bulk_sharers_route_per_slice():
-    directory = ShardedPageDirectory(2)
-    low, high = 7, SHARD_SLICE_PAGES + 7
-    directory.add_sharers([low, high, low + 1], 5)
-    assert directory.parts[0].sharers_of(low) == {5}
-    assert directory.parts[0].sharers_of(low + 1) == {5}
-    assert directory.parts[1].sharers_of(high) == {5}
-    assert directory.parts[1].sharers_of(low) == set()
+    for k in range(shards):
+        # The first page of a slice is its null page.
+        assert allocator.allocated_span(k * SHARD_SLICE_PAGES) is None
+        # Each slice deals its shared-zone allocations round-robin over
+        # the memory servers, in carve (= address) order.
+        zone = sorted(addr for addr, alloc in allocator.allocations.items()
+                      if alloc.kind is AllocationKind.SHARED_ZONE
+                      and addr // page_bytes // SHARD_SLICE_PAGES == k)
+        assert zone
+        assert [allocator.home_of_page(addr // page_bytes)
+                for addr in zone] == [i % 2 for i in range(len(zone))]
 
 
 def test_timing_mode_cell_with_data_runs_on_the_sharded_control_plane():

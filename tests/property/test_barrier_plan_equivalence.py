@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.consistency import plan_barrier
-from repro.core.control_plane import ShardedPageDirectory
 from repro.memory import PageDirectory
 from repro.memory.pagetable import CHUNK_PAGES
 from tests.core import reference_plan
@@ -52,29 +51,28 @@ def test_plans_agree(notices, prior, as_vectors, held):
     want = reference_plan.plan_barrier(notices, ref_dir)
     given_notices = ({t: np.unique(np.array(p, dtype=np.int64))
                       for t, p in notices.items()} if as_vectors else notices)
-    for directory in (PageDirectory(), ShardedPageDirectory(4)):
-        _seeded(directory, prior)
-        plan = plan_barrier(given_notices, directory)
+    directory = _seeded(PageDirectory(), prior)
+    plan = plan_barrier(given_notices, directory)
 
-        assert plan.flush == want.flush
-        assert plan.multi_writer_pages == want.multi_writer_pages
-        assert plan.multi.tolist() == sorted(want.multi_writer_pages)
-        assert plan.total_notices == want.total_notices
-        assert plan.pages.tolist() == sorted(
-            set().union(*(set(p) for p in notices.values())))
-        for tid in notices:
-            directive = plan.directive(tid)
-            assert set(directive) == want.invalidate[tid]
-            assert len(directive) == len(want.invalidate[tid])
-            # Resolved against what a cache holds, without being built.
-            assert directive.intersection(set(held)) == (
-                held & want.invalidate[tid])
-        assert {t: set(d) for t, d in plan.invalidate.items()} == (
-            want.invalidate)
+    assert plan.flush == want.flush
+    assert plan.multi_writer_pages == want.multi_writer_pages
+    assert plan.multi.tolist() == sorted(want.multi_writer_pages)
+    assert plan.total_notices == want.total_notices
+    assert plan.pages.tolist() == sorted(
+        set().union(*(set(p) for p in notices.values())))
+    for tid in notices:
+        directive = plan.directive(tid)
+        assert set(directive) == want.invalidate[tid]
+        assert len(directive) == len(want.invalidate[tid])
+        # Resolved against what a cache holds, without being built.
+        assert directive.intersection(set(held)) == (
+            held & want.invalidate[tid])
+    assert {t: set(d) for t, d in plan.invalidate.items()} == (
+        want.invalidate)
 
-        assert directory.owned_by() == ref_dir.owned_by()
-        for page in range(FIRST, FIRST + 40):
-            assert directory.owner_of(page) == ref_dir.owner_of(page)
+    assert directory.owned_by() == ref_dir.owned_by()
+    for page in range(FIRST, FIRST + 40):
+        assert directory.owner_of(page) == ref_dir.owner_of(page)
 
 
 @given(notice_maps, prior_owners)

@@ -1,13 +1,13 @@
 """The owner-column directory against the dict-of-sets reference.
 
-A hypothesis state machine drives ``PageDirectory``, a four-way
-``ShardedPageDirectory`` and the reference with the same operations --
-single-page and bulk owner records / clears, owner gathers (with and
-without the requester excluded), the IVY sharer operations -- over pages
-that straddle a table chunk boundary and (for the sharded one) a shard
-slice boundary, in batches on both sides of the table's narrow/wide
-dispatch. After every step: same owners, same ``owned_by``, same length,
-same membership, same sharers, same counters.
+A hypothesis state machine drives ``PageDirectory`` and the reference with
+the same operations -- single-page and bulk owner records / clears, owner
+gathers (with and without the requester excluded), the IVY sharer
+operations -- over pages that straddle a table chunk boundary and a shard
+address-slice boundary (every shard shares the one directory), in batches
+on both sides of the table's narrow/wide dispatch. After every step: same
+owners, same ``owned_by``, same length, same membership, same sharers, same
+counters.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.control_plane import SHARD_SLICE_PAGES, ShardedPageDirectory
+from repro.core.allocator import SHARD_SLICE_PAGES
 from repro.memory import PageDirectory
 from repro.memory.pagetable import CHUNK_PAGES, NARROW
 from tests.memory.reference_directory import ReferenceDirectory
@@ -35,31 +35,24 @@ class DirectoryEquivalence(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.ref = ReferenceDirectory()
-        self.plain = PageDirectory()
-        self.sharded = ShardedPageDirectory(4)
-
-    def _each(self):
-        return (self.plain, self.sharded)
+        self.directory = PageDirectory()
 
     # -- owners ----------------------------------------------------------
     @rule(page=pages, tid=tids)
     def record_owner(self, page, tid):
         self.ref.record_owner(page, tid)
-        for d in self._each():
-            d.record_owner(page, tid)
+        self.directory.record_owner(page, tid)
 
     @rule(page=pages)
     def clear_owner(self, page):
         self.ref.clear_owner(page)
-        for d in self._each():
-            d.clear_owner(page)
+        self.directory.clear_owner(page)
 
     @rule(batch=batches, tid=tids, as_vector=st.booleans())
     def record_owners_one_thread(self, batch, tid, as_vector):
         self.ref.record_owners(batch, tid)
         given = np.array(batch, dtype=np.int64) if as_vector else batch
-        for d in self._each():
-            d.record_owners(given, tid)
+        self.directory.record_owners(given, tid)
 
     @rule(batch=batches, data=st.data())
     def record_owners_aligned(self, batch, data):
@@ -67,61 +60,50 @@ class DirectoryEquivalence(RuleBasedStateMachine):
         owners = data.draw(st.lists(tids, min_size=len(batch),
                                     max_size=len(batch)))
         self.ref.record_owners(batch, owners)
-        for d in self._each():
-            d.record_owners(np.array(batch, dtype=np.int64),
-                            np.array(owners, dtype=np.int64))
+        self.directory.record_owners(np.array(batch, dtype=np.int64),
+                                     np.array(owners, dtype=np.int64))
 
     @rule(batch=batches, as_vector=st.booleans())
     def clear_owners(self, batch, as_vector):
         self.ref.clear_owners(batch)
         given = np.array(batch, dtype=np.int64) if as_vector else set(batch)
-        for d in self._each():
-            d.clear_owners(given)
+        self.directory.clear_owners(given)
 
     @rule(batch=batches, but=st.one_of(st.none(), tids))
     def owners_of(self, batch, but):
-        want = self.ref.owners_of(batch, but)
-        for d in self._each():
-            got = d.owners_of(np.array(batch, dtype=np.int64), but)
-            assert got.tolist() == want
+        got = self.directory.owners_of(np.array(batch, dtype=np.int64), but)
+        assert got.tolist() == self.ref.owners_of(batch, but)
 
     # -- sharers (IVY) ---------------------------------------------------
     @rule(page=pages, tid=tids)
     def add_sharer(self, page, tid):
         self.ref.add_sharer(page, tid)
-        for d in self._each():
-            d.add_sharer(page, tid)
+        self.directory.add_sharer(page, tid)
 
     @rule(batch=batches, tid=tids, as_vector=st.booleans())
     def add_sharers(self, batch, tid, as_vector):
         self.ref.add_sharers(batch, tid)
         given = np.array(batch, dtype=np.int64) if as_vector else batch
-        for d in self._each():
-            d.add_sharers(given, tid)
+        self.directory.add_sharers(given, tid)
 
     @rule(page=pages, tid=tids)
     def remove_sharer(self, page, tid):
         self.ref.remove_sharer(page, tid)
-        for d in self._each():
-            d.remove_sharer(page, tid)
+        self.directory.remove_sharer(page, tid)
 
     # -- after every step ------------------------------------------------
     @invariant()
     def same_state(self):
-        ref = self.ref
-        for d in self._each():
-            assert len(d) == len(ref)
-            assert d.owned_by() == ref.owned_by()
-            for tid in range(6):
-                assert d.owned_by(tid) == ref.owned_by(tid)
-            for page in UNIVERSE:
-                assert d.owner_of(page) == ref.owner_of(page)
-                assert (page in d) == (page in ref)
-                assert d.sharers_of(page) == ref.sharers_of(page)
-        assert ({k: self.plain.stats.get(k) for k in COUNTERS}
-                == {k: ref.counters[k] for k in COUNTERS})
-        parts = self.sharded.parts
-        assert ({k: sum(p.stats.get(k) for p in parts) for k in COUNTERS}
+        ref, d = self.ref, self.directory
+        assert len(d) == len(ref)
+        assert d.owned_by() == ref.owned_by()
+        for tid in range(6):
+            assert d.owned_by(tid) == ref.owned_by(tid)
+        for page in UNIVERSE:
+            assert d.owner_of(page) == ref.owner_of(page)
+            assert (page in d) == (page in ref)
+            assert d.sharers_of(page) == ref.sharers_of(page)
+        assert ({k: d.stats.get(k) for k in COUNTERS}
                 == {k: ref.counters[k] for k in COUNTERS})
 
 
