@@ -39,7 +39,13 @@ def _category_keys(category: str) -> tuple[str, str]:
 
 
 class Fabric:
-    """Binds a topology to an engine and moves bytes across it."""
+    """Binds a topology to an engine and moves bytes across it.
+
+    ``_route_plans``, ``_flights`` and ``_path_times`` assume the topology
+    no longer changes once the fabric has priced a route:
+    ``Topology.connect`` clears only the topology's own route cache, and
+    nothing calls it after a ``Fabric`` exists.
+    """
 
     def __init__(self, engine: Engine, topology: "Topology", model_contention: bool = True):
         self.engine = engine
@@ -58,6 +64,10 @@ class Fabric:
         #: shape :meth:`transfer_inline` has priced as a pure delay (remote,
         #: uncontended, no injector): all that ``SCL.flight`` looks up.
         self._flights: dict[tuple[str, str, int], float] = {}
+        #: ``(src, dst, nbytes) -> path_time``. Kept apart from the route
+        #: plans' ``size_cache``: a ``size_cache`` miss is what registers a
+        #: ``_flights`` entry.
+        self._path_times: dict[tuple[str, str, int], float] = {}
         #: Fault injector, or None. Attached via :meth:`attach_injector`,
         #: which shadows ``transfer_inline`` on the instance -- the clean
         #: path below carries zero injection overhead when disabled.
@@ -103,13 +113,21 @@ class Fabric:
         return plan
 
     def path_time(self, src: str, dst: str, nbytes: int) -> float:
-        """Analytic uncontended transfer time (no simulation side effects)."""
+        """Analytic uncontended transfer time (no simulation side effects),
+        priced once per ``(src, dst, nbytes)``."""
+        key = (src, dst, nbytes)
+        try:
+            return self._path_times[key]
+        except KeyError:
+            pass
         links = self.topology.route(src, dst)
         if not links:
-            return 0.0
-        latency = sum(link.latency for link in links)
-        serialize = max(link.serialize_time(nbytes) for link in links)
-        return latency + serialize
+            time = 0.0
+        else:
+            time = (sum(link.latency for link in links)
+                    + max(link.serialize_time(nbytes) for link in links))
+        self._path_times[key] = time
+        return time
 
     def transfer(self, src: str, dst: str, nbytes: int, category: str = "data",
                  lead: float = 0.0, tail: float = 0.0,

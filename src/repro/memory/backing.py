@@ -73,12 +73,16 @@ class BackingStore:
             cols = self._table.chunk(page >> CHUNK_SHIFT)
         i = page & CHUNK_MASK
         if not cols[LIVE][i]:
-            cols[LIVE][i] = True
-            if self.functional:
-                cols[DATA][i] = np.zeros(self.layout.page_bytes, dtype=np.uint8)
-            self._frames += 1
-            self.stats.incr("frames_created")
+            self._create(cols, i)
         return cols, i
+
+    def _create(self, cols, i: int) -> None:
+        """Make row ``i`` of ``cols`` a zero-filled frame."""
+        cols[LIVE][i] = True
+        if self.functional:
+            cols[DATA][i] = np.zeros(self.layout.page_bytes, dtype=np.uint8)
+        self._frames += 1
+        self.stats.incr("frames_created")
 
     def _touch_many(self, pages, bump: bool) -> None:
         """Bulk frame creation (+ one version bump each with ``bump``) for
@@ -134,10 +138,15 @@ class BackingStore:
         writes no byte, so the frame's cached checksum stays valid."""
         functional = self.functional
         integrity = self.integrity
-        ensure = self.ensure
+        chunks = self._table.chunks
         nbytes = 0
         for diff in diffs:
-            cols, i = ensure(diff.page)
+            # The frame's row in place (created if missing, as by ensure).
+            page = diff.page
+            key, i = page >> CHUNK_SHIFT, page & CHUNK_MASK
+            cols = chunks[key] if key in chunks else self._table.chunk(key)
+            if not cols[LIVE][i]:
+                self._create(cols, i)
             if functional and diff.n_spans:
                 diff.apply_to(cols[DATA][i])
                 if integrity and not cols[CORRUPT][i]:
@@ -171,16 +180,26 @@ class BackingStore:
 
     def serve_pages(self, pages: list[int]):
         """Bulk :meth:`read_page` (+ :meth:`page_crc` with integrity armed)
-        of a served batch on one row lookup per page: ``({page: copy},
-        {page: crc} or None)``. The copy is ``None`` in timing mode."""
+        of a served batch, reading each frame's row in place: ``({page:
+        copy}, {page: crc} or None)``. The copy is ``None`` in timing
+        mode."""
         functional = self.functional
-        ensure = self.ensure
+        chunks = self._table.chunks
         data = {}
         crcs = {} if self.integrity else None
         for page in pages:
-            cols, i = ensure(page)
-            if crcs is not None:
-                crcs[page] = self._row_crc(cols, i)
+            key, i = page >> CHUNK_SHIFT, page & CHUNK_MASK
+            cols = chunks[key] if key in chunks else self._table.chunk(key)
+            if not cols[LIVE][i]:
+                self._create(cols, i)
+            if crcs is not None:  # page_crc, inline
+                if not functional:
+                    crc = CRC_CORRUPT if cols[CORRUPT][i] else int(cols[VERSION][i])
+                else:
+                    crc = cols[CRC][i]
+                    if crc is None:
+                        crc = cols[CRC][i] = zlib.crc32(cols[DATA][i]) & 0xFFFFFFFF
+                crcs[page] = crc
             data[page] = cols[DATA][i].copy() if functional else None
         self.stats.counters["page_reads"] += len(pages)
         return data, crcs
@@ -229,9 +248,7 @@ class BackingStore:
         the frame version, with :data:`CRC_CORRUPT` standing in when the
         frame is rotted (no bytes exist to checksum).
         """
-        return self._row_crc(*self.ensure(page))
-
-    def _row_crc(self, cols, i: int) -> int:
+        cols, i = self.ensure(page)
         if not self.functional:
             return CRC_CORRUPT if cols[CORRUPT][i] else int(cols[VERSION][i])
         if cols[CRC][i] is None:

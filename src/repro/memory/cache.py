@@ -642,52 +642,66 @@ class SoftwareCache:
 
     def _store(self, addr: int, nbytes: int, data, ordinary: bool) -> int:
         """Functional-mode store: real byte copies, so one pass per page --
-        twin upkeep, dirty extent, scatter. Returns twins created."""
+        twin upkeep, dirty extent, scatter -- over each chunk segment's rows,
+        whose extents are read once per segment. Returns twins created."""
         page_bytes = self.layout.page_bytes
-        chunks = self._table.chunks
         use_twins = self.use_twins
-        consumed = 0
         twins = 0
-        for page, off, end_off in self.layout.page_slices(addr, nbytes):
-            cols = chunks[page >> CHUNK_SHIFT]
-            i = page & CHUNK_MASK
-            buf = cols[DATA][i]
-            twin = cols[TWIN][i]
+        for cols, a, b, page in self._table.segments(
+                addr // page_bytes, (addr + nbytes - 1) // page_bytes + 1):
+            data_col, twin_col = cols[DATA], cols[TWIN]
             if ordinary:
-                hi = cols[HI].item(i)
-                if not hi:
-                    if use_twins:
-                        # Zero-copy twin: uninitialized scratch now, only
-                        # the pre-image of the bytes this write dirties
-                        # captured.
-                        twin = cols[TWIN][i] = SpanTwin(page_bytes)
-                        twins += 1
-                        twin.pre[off:end_off] = buf[off:end_off]
-                    cols[LO][i] = off
-                    cols[HI][i] = end_off
+                # Plain ints: NumPy scalars compare slowly. One row's two
+                # scalar reads are cheaper than two slices.
+                if b - a == 1:
+                    los, his = (cols[LO].item(a),), (cols[HI].item(a),)
                 else:
-                    lo = cols[LO].item(i)
-                    if hi < 0 or off < lo or end_off > hi:
-                        # The store grows or splits the dirty state:
-                        # snapshot the bytes it newly dirties (those already
-                        # dirty were captured by the write that dirtied
-                        # them). A store inside the extent, the common
-                        # rewrite, does neither.
-                        if twin is not None:
-                            twin.snapshot(buf, self._spill[page].gaps_within(off, end_off)
-                                          if hi < 0 else _outside(lo, hi, off, end_off))
-                        self._add_dirty(page, off, end_off)
-            if data is not None:
-                chunk_data = data[consumed:consumed + end_off - off]
-                buf[off:end_off] = chunk_data
-                if not ordinary and twin is not None:
-                    # Consistency-region stores propagate via the store
-                    # log; mirroring them into the twin keeps them out of
-                    # this thread's ordinary-region diff (shipping them
-                    # there could overwrite other threads' CR updates at
-                    # the home); clean bytes too: their pre-image is never read.
-                    twin.pre[off:end_off] = chunk_data
-            consumed += end_off - off
+                    los, his = cols[LO][a:b].tolist(), cols[HI][a:b].tolist()
+            at = page * page_bytes - addr  # where the page starts in data
+            for i in range(a, b):
+                off = -at if at < 0 else 0
+                end_off = nbytes - at
+                if end_off > page_bytes:
+                    end_off = page_bytes
+                buf = data_col[i]
+                twin = twin_col[i]
+                if ordinary:
+                    hi = his[i - a]
+                    if not hi:
+                        if use_twins:
+                            # Zero-copy twin: uninitialized scratch now,
+                            # only the pre-image of the bytes this write
+                            # dirties captured.
+                            twin = twin_col[i] = SpanTwin(page_bytes)
+                            twins += 1
+                            twin.pre[off:end_off] = buf[off:end_off]
+                        cols[LO][i] = off
+                        cols[HI][i] = end_off
+                    else:
+                        lo = los[i - a]
+                        if hi < 0 or off < lo or end_off > hi:
+                            # The store grows or splits the dirty state:
+                            # snapshot the bytes it newly dirties (those
+                            # already dirty were captured by the write that
+                            # dirtied them). A store inside the extent, the
+                            # common rewrite, does neither.
+                            p = page + i - a
+                            if twin is not None:
+                                twin.snapshot(buf, self._spill[p].gaps_within(off, end_off)
+                                              if hi < 0 else _outside(lo, hi, off, end_off))
+                            self._add_dirty(p, off, end_off)
+                if data is not None:
+                    chunk_data = data[at + off:at + end_off]
+                    buf[off:end_off] = chunk_data
+                    if not ordinary and twin is not None:
+                        # Consistency-region stores propagate via the store
+                        # log; mirroring them into the twin keeps them out
+                        # of this thread's ordinary-region diff (shipping
+                        # them there could overwrite other threads' CR
+                        # updates at the home); clean bytes too: their
+                        # pre-image is never read.
+                        twin.pre[off:end_off] = chunk_data
+                at += page_bytes
         return twins
 
     # ------------------------------------------------------------------

@@ -68,17 +68,25 @@ class PageTable:
                 for kind in self._columns)
         return cols
 
-    def segments(self, first: int, stop: int):
-        """Cover pages ``[first, stop)`` chunk by chunk: yields
+    def segments(self, first: int, stop: int) -> list:
+        """Cover pages ``[first, stop)`` chunk by chunk: a list of
         ``(cols, a, b, page)`` where ``cols[k][a:b]`` are the rows of pages
         ``page .. page + (b - a)``. ``cols`` is None for a chunk that does
-        not exist."""
+        not exist. A span nearly always sits in one chunk, so building the
+        list makes no call per segment (``in`` + subscript, not ``.get``
+        or ``try``: no slower for a chunk that exists or one that does
+        not)."""
         chunks = self.chunks
+        out = []
         while first < stop:
+            key = first >> CHUNK_SHIFT
             a = first & CHUNK_MASK
-            b = min(CHUNK_PAGES, a + stop - first)
-            yield chunks.get(first >> CHUNK_SHIFT), a, b, first
+            b = a + stop - first
+            if b > CHUNK_PAGES:
+                b = CHUNK_PAGES
+            out += ((chunks[key] if key in chunks else None, a, b, first),)
             first += b - a
+        return out
 
     def groups(self, pages: np.ndarray, create: bool = False):
         """Split an arbitrary page array into maximal runs that stay inside

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware import cluster_topology, hetero_node_topology
+from repro.hardware import cluster_topology, hetero_node_topology, smp_topology
 from repro.interconnect import (
     Fabric,
     LinkModel,
@@ -123,6 +123,32 @@ class TestFabric:
             eng.process(client(), name="c")
         eng.run()
         assert eng.now == pytest.approx(fabric.path_time("mic0", "host", nbytes))
+
+    @pytest.mark.parametrize("build", [lambda: cluster_topology(4),
+                                       hetero_node_topology, smp_topology],
+                             ids=["cluster4", "hetero", "single-node"])
+    def test_memoized_path_time_is_the_route_law_exactly(self, build):
+        topo = build()
+        fabric = Fabric(Engine(), topo)
+        for src in topo.components:
+            for dst in topo.components:
+                links = topo.route(src, dst)
+                for nbytes in (0, 1, 64, 4096, 3 * 4096 + 1):
+                    law = (sum(l.latency for l in links)
+                           + max((l.serialize_time(nbytes) for l in links),
+                                 default=0.0))
+                    assert fabric.path_time(src, dst, nbytes) == law
+                    assert fabric.path_time(src, dst, nbytes) == law
+
+    def test_path_time_memo_leaves_flight_pricing_to_transfers(self):
+        # SCL.flight prices from _flights, which a route plan's first
+        # transfer of a size registers; asking path_time first must not
+        # stand in for that transfer.
+        fabric = Fabric(Engine(), cluster_topology(2))
+        expected = fabric.path_time("node0", "node1", 4096)
+        assert ("node0", "node1", 4096) not in fabric._flights
+        assert fabric.transfer_inline("node0", "node1", 4096, "page") is None
+        assert fabric._flights[("node0", "node1", 4096)] == expected
 
     def test_link_utilization_reported(self):
         eng = Engine()

@@ -6,7 +6,7 @@ import pytest
 from repro.core import SamhitaConfig, SamhitaSystem
 from repro.errors import MemoryError_
 from repro.memory import BackingStore, MemoryLayout, PageDiff, StoreLog
-from repro.memory.backing import CRC, payload_crc_ok
+from repro.memory.backing import CRC, CRC_CORRUPT, payload_crc_ok
 from repro.memory.diff import compute_diff_spans
 
 L = MemoryLayout()
@@ -88,6 +88,39 @@ class TestBackingStore:
         assert bulk.stats.snapshot() == loop.stats.snapshot()
         assert bulk.resident_pages == loop.resident_pages == 9
 
+    @pytest.mark.parametrize("merge", [False, True])
+    @pytest.mark.parametrize("chunk_exists", [False, True])
+    def test_a_serve_or_merge_creates_a_missing_frame_once(self, merge,
+                                                           chunk_exists):
+        # The batch forms read a frame's row in place and create the frame
+        # only where it is missing: for a page of a chunk never touched,
+        # and for a page of a touched chunk whose row is not live yet.
+        store = BackingStore(L)
+        store.integrity = True
+        if chunk_exists:
+            store.ensure(0)
+        before = store.stats.get("frames_created")
+        if merge:
+            store.apply_diffs([PageDiff.unchanged(1)])
+            assert store.version_of(1) == 1
+        else:
+            data, crcs = store.serve_pages([1])
+            assert not data[1].any() and crcs == {1: store.page_crc(1)}
+        assert store.stats.get("frames_created") == before + 1
+        assert store.resident_pages == 1 + chunk_exists
+        assert not store.read_page(1).any()
+
+    def test_a_timing_serve_ships_the_version_or_the_corruption_sentinel(self):
+        store = BackingStore(L, functional=False)
+        store.integrity = True
+        store.write_page(1, None)
+        store.write_page(1, None)
+        store.corrupt_page(2)
+        data, crcs = store.serve_pages([1, 2, 3])
+        assert data == {1: None, 2: None, 3: None}
+        assert crcs == {1: 2, 2: CRC_CORRUPT, 3: 0}
+        assert [store.page_crc(p) for p in (1, 2, 3)] == [2, CRC_CORRUPT, 0]
+
 
 class TestChecksumAcrossDiffs:
     """A diff that changes no byte keeps the frame's cached checksum; no
@@ -128,10 +161,11 @@ class TestChecksumAcrossDiffs:
         store = self._store()
         store.corrupt_page(3)
         stale = store.page_crc(3)
+        assert store.serve_pages([3])[1] == {3: stale}
         store.apply_diff(self._changing() if spans else PageDiff.unchanged(3))
         assert store.page_crc(3) == stale
         data, crcs = store.serve_pages([3])
-        assert not payload_crc_ok(data[3], crcs[3])
+        assert crcs == {3: stale} and not payload_crc_ok(data[3], crcs[3])
         # ... until a replica's copy rebuilds it.
         store.restore_page(3, np.arange(4096, dtype=np.uint8))
         assert payload_crc_ok(store.read_page(3), store.page_crc(3))

@@ -5,8 +5,11 @@ Taking a page's diff and merging it at the home must cost a constant number
 of calls, builtins included, however many runs the page has: the diff is
 columns, and no step of extraction or application walks its spans. A page
 that did not change costs next to nothing to write back, a recall costs
-host work per trip plus a little per page, and a store that stays inside
-what is already dirty does no dirty-extent bookkeeping (DESIGN.md S20).
+host work per trip plus a little per page, a store reads each chunk
+segment's dirty extents once and a rewrite inside them costs no call per
+page, a serve reads each frame's row in place, a span walk is one call
+however many chunks it crosses, and a trip's retransmit floor is priced
+once per route and size (DESIGN.md S20).
 """
 
 import gc
@@ -16,22 +19,36 @@ from itertools import repeat
 import numpy as np
 
 from repro.core import SamhitaConfig, SamhitaSystem
+from repro.core.rtbatch import trip_timeout_floor
+from repro.faults import FaultInjector, FaultPlan
 from repro.memory import BackingStore, MemoryLayout, SoftwareCache
+from repro.memory.pagetable import CHUNK_PAGES, PageTable
 from repro.memory.storelog import ReplicationLog
 
 L = MemoryLayout(page_bytes=4096, pages_per_line=4)
 PAGE = L.page_bytes
 BOUND = 60
-#: take + log + merge of one unchanged page (16 today; the parent's
-#: ``take_diff`` + ``wal.append`` + ``apply_diff`` made 26, and one crc32
-#: over the frame at its next serve).
+#: take + log + merge of one unchanged page (15 today, 16 before the merge
+#: read the frame's row in place; ``take_diff`` + ``wal.append`` +
+#: ``apply_diff`` made 26, and one crc32 over the frame at its next serve).
 UNCHANGED_BOUND = 16
 #: One more page in an 8-page replicated functional recall: 12 pages minus
 #: 8, per page (14 today, 43 on the parent).
 RECALL_PAGE_BOUND = 25
-#: One more full page in a functional store (3 on first write: extent read,
-#: twin, its buffer; 2 on a rewrite. The parent made 6 and 7).
-STORE_PAGE_BOUND = 4
+#: One more full page in a functional store, first write: the twin and its
+#: buffer (3 before the extents were read per chunk segment).
+STORE_FIRST_PAGE_BOUND = 2
+#: ... and a rewrite inside the dirty extent: nothing (2 before).
+STORE_REWRITE_PAGE_BOUND = 0
+#: One more page with a cached checksum in a serve: its copy (3 before:
+#: ``ensure``, the checksum helper, the copy).
+SERVE_PAGE_BOUND = 1
+#: A warm ``trip_timeout_floor``: itself and two memoized ``path_time``
+#: (43 before, each ``path_time`` walking the route).
+TRIP_FLOOR_BOUND = 4
+#: ``PageTable.segments`` over a span inside one chunk, or one crossing
+#: into a second: the call itself (4 and 7 as a generator).
+SEGMENTS_BOUND = 1
 
 
 def count_calls(fn) -> tuple[int, int]:
@@ -172,5 +189,42 @@ def calls_per_stored_page(rewrite: bool) -> float:
 
 
 def test_a_full_page_store_costs_a_few_calls_per_page():
-    assert calls_per_stored_page(rewrite=False) <= STORE_PAGE_BOUND
-    assert calls_per_stored_page(rewrite=True) <= STORE_PAGE_BOUND
+    assert calls_per_stored_page(rewrite=False) <= STORE_FIRST_PAGE_BOUND
+    assert calls_per_stored_page(rewrite=True) <= STORE_REWRITE_PAGE_BOUND
+
+
+def test_a_served_page_with_a_cached_checksum_costs_its_copy():
+    def calls(n_pages):
+        store = BackingStore(L)
+        store.integrity = True
+        pages = list(range(n_pages))
+        crcs = {page: store.page_crc(page) for page in pages}
+        served = []
+        made, zlib_calls = count_calls(
+            lambda: served.append(store.serve_pages(pages)))
+        assert zlib_calls == 0 and served[0][1] == crcs
+        return made
+    assert (calls(16) - calls(8)) / 8 <= SERVE_PAGE_BOUND
+
+
+def test_a_warm_trip_timeout_floor_is_priced_once():
+    system = SamhitaSystem.cluster(n_threads=2, config=SamhitaConfig.grayfail())
+    system.fabric.attach_injector(FaultInjector(FaultPlan(seed=3)))
+    cold = trip_timeout_floor(system, "node0", "node1", 8)
+    warm = [None]
+
+    def price():
+        warm[0] = trip_timeout_floor(system, "node0", "node1", 8)
+
+    made, _ = count_calls(price)
+    assert made <= TRIP_FLOOR_BOUND and warm == [cold]
+
+
+def test_a_span_walk_is_one_call_however_many_chunks_it_crosses():
+    table = PageTable((np.int64,))
+    table.chunk(0)
+    for first, stop in ((10, 84), (CHUNK_PAGES - 30, CHUNK_PAGES + 40)):
+        walked = []
+        made, _ = count_calls(lambda: walked.extend(table.segments(first, stop)))
+        assert made - 1 <= SEGMENTS_BOUND  # minus the test's own extend
+        assert sum(b - a for _, a, b, _ in walked) == stop - first
