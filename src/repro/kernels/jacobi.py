@@ -84,9 +84,33 @@ def jacobi_thread(ctx: ThreadCtx, shared: dict, lock: Lock, bar: Barrier,
     yield from ctx.barrier(bar)
     ctx.reset_clock()  # time only the iteration loop
 
+    # Halo read + stencil write + compute as one access plan per direction
+    # (u -> v, v -> u), built once and submitted every other iteration. The
+    # residual falls out of the write callable (which runs between the read
+    # and the write, exactly where the per-access loop computed it) into
+    # ``residual``, cleared before each submission.
+    plans: list[AccessPlan] = []
+    residual: list[float] = []
+    if count:
+        for src, dst in ((grids[0], grids[1]), (grids[1], grids[0])):
+            plan = AccessPlan()
+            h = src.read_rows_op(plan, start - 1, count + 2)
+            if ctx.functional:
+                def step(results, _h=h, _src=src):
+                    halo = _src.decode(results[_h], count + 2)
+                    new = _stencil(halo)
+                    residual.append(float(np.abs(new - halo[1:-1]).max()))
+                    return new
+
+                dst.write_rows_op(plan, start, step, nrows=count)
+            else:
+                dst.write_rows_op(plan, start, None, nrows=count)
+            # 5-point stencil + residual magnitude + copy: ~8 flops/point.
+            plan.compute(count * cols, flops_per_element=8.0)
+            plans.append(plan)
+
     last_gdiff = 0.0
     for _ in range(params.iterations):
-        src, dst = grids[src_index], grids[1 - src_index]
         # Reset the global residual (one thread). Done under the mutex so the
         # store stays in a consistency region (fine-grain propagation).
         if ctx.tid == 0:
@@ -99,27 +123,8 @@ def jacobi_thread(ctx: ThreadCtx, shared: dict, lock: Lock, bar: Barrier,
 
         local_diff = 0.0
         if count:
-            # Halo read + stencil write + compute as one access plan; the
-            # residual falls out of the write callable (which runs between
-            # the read and the write, exactly where the per-access loop
-            # computed it).
-            plan = AccessPlan()
-            h = src.read_rows_op(plan, start - 1, count + 2)
-            if ctx.functional:
-                residual: list[float] = []
-
-                def step(results, _h=h, _src=src):
-                    halo = _src.decode(results[_h], count + 2)
-                    new = _stencil(halo)
-                    residual.append(float(np.abs(new - halo[1:-1]).max()))
-                    return new
-
-                dst.write_rows_op(plan, start, step, nrows=count)
-            else:
-                dst.write_rows_op(plan, start, None, nrows=count)
-            # 5-point stencil + residual magnitude + copy: ~8 flops/point.
-            plan.compute(count * cols, flops_per_element=8.0)
-            yield from ctx.submit(plan)
+            residual.clear()
+            yield from ctx.submit(plans[src_index])
             if ctx.functional:
                 local_diff = residual[0]
         yield from ctx.barrier(bar)                              # barrier 2

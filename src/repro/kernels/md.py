@@ -111,6 +111,58 @@ def md_thread(ctx: ThreadCtx, shared: dict, lock: Lock, bar: Barrier,
     yield from ctx.barrier(bar)
     ctx.reset_clock()  # time only the integration loop
 
+    # The step's two access plans, built once and submitted every step: the
+    # position half-step (write my block) and the force + velocity update
+    # (reads ALL positions). The velocity-write callable does the force
+    # evaluation and energy bookkeeping (between the reads and the writes,
+    # as the per-access loop did) into ``state``, cleared before each
+    # submission; the acceleration write reuses its force result.
+    state: list = []
+    if count:
+        position_plan = AccessPlan()
+        if ctx.functional:
+            ip = pos.read_rows_op(position_plan, start, count)
+            iv = vel.read_rows_op(position_plan, start, count)
+            ia = acc.read_rows_op(position_plan, start, count)
+
+            def half_step(results, _ip=ip, _iv=iv, _ia=ia):
+                p = pos.decode(results[_ip], count)
+                v = vel.decode(results[_iv], count)
+                a = acc.decode(results[_ia], count)
+                return p + v * dt + 0.5 * a * dt * dt
+
+            pos.write_rows_op(position_plan, start, half_step, nrows=count)
+        else:
+            pos.write_rows_op(position_plan, start, None, nrows=count)
+        position_plan.compute(count * 3, flops_per_element=4.0)
+
+        force_plan = AccessPlan()
+        iall = pos.read_rows_op(force_plan, 0, n)
+        if ctx.functional:
+            iv = vel.read_rows_op(force_plan, start, count)
+            ia = acc.read_rows_op(force_plan, start, count)
+
+            def new_vel(results, _iall=iall, _iv=iv, _ia=ia):
+                all_pos = pos.decode(results[_iall], n)
+                new_a = _forces(all_pos, k)[start:start + count] / mass
+                v = vel.decode(results[_iv], count)
+                a = acc.decode(results[_ia], count)
+                v = v + 0.5 * (a + new_a) * dt
+                ke = float(0.5 * mass * (v ** 2).sum())
+                pe = _potential_share(all_pos[start:start + count],
+                                      all_pos, k)
+                state.append((new_a, ke, pe))
+                return v
+
+            vel.write_rows_op(force_plan, start, new_vel, nrows=count)
+            acc.write_rows_op(force_plan, start,
+                              lambda results: state[0][0], nrows=count)
+        else:
+            vel.write_rows_op(force_plan, start, None, nrows=count)
+            acc.write_rows_op(force_plan, start, None, nrows=count)
+        # O(n) pairwise interactions per particle.
+        force_plan.compute(count * n, flops_per_element=8.0)
+
     energies: list[float] = []
     for _ in range(params.steps):
         # -- position half-step (write my block) --------------------------
@@ -121,60 +173,14 @@ def md_thread(ctx: ThreadCtx, shared: dict, lock: Lock, bar: Barrier,
                                  np.zeros(8, np.uint8) if ctx.functional else None)
             yield from ctx.unlock(lock)
         if count:
-            plan = AccessPlan()
-            if ctx.functional:
-                ip = pos.read_rows_op(plan, start, count)
-                iv = vel.read_rows_op(plan, start, count)
-                ia = acc.read_rows_op(plan, start, count)
-
-                def half_step(results, _ip=ip, _iv=iv, _ia=ia):
-                    p = pos.decode(results[_ip], count)
-                    v = vel.decode(results[_iv], count)
-                    a = acc.decode(results[_ia], count)
-                    return p + v * dt + 0.5 * a * dt * dt
-
-                pos.write_rows_op(plan, start, half_step, nrows=count)
-            else:
-                pos.write_rows_op(plan, start, None, nrows=count)
-            plan.compute(count * 3, flops_per_element=4.0)
-            yield from ctx.submit(plan)
+            yield from ctx.submit(position_plan)
         yield from ctx.barrier(bar)                              # barrier 1
 
         # -- force + velocity update (reads ALL positions) -----------------
         local_ke = local_pe = 0.0
         if count:
-            plan = AccessPlan()
-            iall = pos.read_rows_op(plan, 0, n)
-            if ctx.functional:
-                iv = vel.read_rows_op(plan, start, count)
-                ia = acc.read_rows_op(plan, start, count)
-                # The velocity-write callable does the force evaluation and
-                # energy bookkeeping (between the reads and the writes, as
-                # the per-access loop did); the acceleration write reuses
-                # its force result.
-                state: list = []
-
-                def new_vel(results, _iall=iall, _iv=iv, _ia=ia):
-                    all_pos = pos.decode(results[_iall], n)
-                    new_a = _forces(all_pos, k)[start:start + count] / mass
-                    v = vel.decode(results[_iv], count)
-                    a = acc.decode(results[_ia], count)
-                    v = v + 0.5 * (a + new_a) * dt
-                    ke = float(0.5 * mass * (v ** 2).sum())
-                    pe = _potential_share(all_pos[start:start + count],
-                                          all_pos, k)
-                    state.append((new_a, ke, pe))
-                    return v
-
-                vel.write_rows_op(plan, start, new_vel, nrows=count)
-                acc.write_rows_op(plan, start,
-                                  lambda results: state[0][0], nrows=count)
-            else:
-                vel.write_rows_op(plan, start, None, nrows=count)
-                acc.write_rows_op(plan, start, None, nrows=count)
-            # O(n) pairwise interactions per particle.
-            plan.compute(count * n, flops_per_element=8.0)
-            yield from ctx.submit(plan)
+            state.clear()
+            yield from ctx.submit(force_plan)
             if ctx.functional:
                 _, local_ke, local_pe = state[0]
         yield from ctx.barrier(bar)                              # barrier 2

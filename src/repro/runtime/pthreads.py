@@ -54,8 +54,10 @@ class PthreadsBackend(BaseBackend):
         super().__init__(n_threads, functional=functional, trace=trace)
         self.node = node
         self._engine = Engine()
-        layout = MemoryLayout()
-        self.memory = BackingStore(layout, functional=functional, name="dram")
+        # DRAM holds bytes only in functional mode; in timing mode the
+        # cache model is the whole memory system and nothing reads frames.
+        self.memory = (BackingStore(MemoryLayout(), name="dram")
+                       if functional else None)
         self.cache = CoherentCacheModel(node.cache,
                                         cores_per_socket=node.cores_per_socket)
         self.cost_model = ComputeCostModel(node.cpu)
@@ -127,13 +129,16 @@ class PthreadsBackend(BaseBackend):
         cost = self.cache.access(tid, addr, nbytes, is_write=False)
         if cost > 0.0:
             yield Timeout(cost)
+        if self.memory is None:
+            return None
         return self.memory.read_range(addr, nbytes)
 
     def mem_write(self, tid, addr, nbytes, data):
         cost = self.cache.access(tid, addr, nbytes, is_write=True)
         if cost > 0.0:
             yield Timeout(cost)
-        self.memory.write_range(addr, nbytes, data)
+        if self.memory is not None:
+            self.memory.write_range(addr, nbytes, data)
 
     # -- synchronization ---------------------------------------------------
     def _lock(self, lock_id) -> SimMutex:

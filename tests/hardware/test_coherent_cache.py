@@ -3,7 +3,10 @@
 import pytest
 
 from repro.hardware import CoherentCacheModel
-from repro.hardware.specs import CacheSpec
+from repro.hardware.specs import CacheSpec, generic_node
+from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
+from repro.runtime import Runtime
+from tests.property.test_coherent_cache_props import ReferenceCache
 
 SPEC = CacheSpec(line_bytes=64, cold_miss_time=60e-9, coherence_miss_time=80e-9)
 
@@ -100,3 +103,41 @@ class TestCoherence:
         c.reset()
         assert c.tracked_lines == 0
         assert c.stats.snapshot() == {}
+
+
+class TestManyCores:
+    """Sharer sets are unbounded: a node may have more than 64 cores."""
+
+    def test_core_index_has_no_upper_limit(self):
+        c = make()
+        c.access(200, 0, 8, True)
+        for core, is_write in ((3, False), (3, True), (200, False)):
+            assert c.access(core, 0, 8, is_write) == pytest.approx(
+                SPEC.coherence_miss_time)
+        assert c.stats.get("upgrade_misses") == 1
+
+    def test_negative_core_rejected(self):
+        with pytest.raises(ValueError):
+            make().access(-1, 0, 8, False)
+
+    @pytest.mark.parametrize("allocation",
+                             [Allocation.GLOBAL, Allocation.GLOBAL_STRIDED])
+    def test_pthreads_runs_72_threads_exactly(self, allocation):
+        rt = Runtime("pthreads", n_threads=72, node=generic_node(72))
+        cache = rt.backend.cache
+        ref = ReferenceCache(cache.spec, cache.cores_per_socket)
+        priced = cache.access
+
+        def replayed(core, addr, nbytes, is_write):
+            cost = priced(core, addr, nbytes, is_write)
+            assert cost == ref.access(core, addr, nbytes, is_write)
+            return cost
+
+        cache.access = replayed
+        spawn_microbench(rt, MicrobenchParams(N=2, M=2, S=2,
+                                              allocation=allocation))
+        result = rt.run()
+        assert len(result.threads) == 72
+        assert len({t.value for t in result.threads.values()}) == 1
+        assert cache.stats.snapshot() == ref.counters
+        assert cache.tracked_lines == len(ref.lines)
