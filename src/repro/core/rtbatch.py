@@ -152,77 +152,6 @@ def recover(cs: "ComputeServer", server, err, backoffs: int = 0):
     return backoffs
 
 
-def _plain_trip(cs: "ComputeServer", tid: int, server, server_pages,
-                nbytes: int, floor: float):
-    """Generator: one request/bulk-serve/reply exchange against
-    ``server``; returns ``(data, crcs)`` with the CRCs read synchronously
-    at the serve, before any other serve overwrites them."""
-    system = cs.system
-    at = system.scl.flight(cs.component, server.component,
-                           category="fetch_req")
-    if at is None:
-        t = system.scl.send(cs.component, server.component,
-                            category="fetch_req", timeout_floor=floor)
-        if t is not None:
-            yield from t
-    data = yield from server.serve_fetch_bulk(tid, server_pages, at)
-    crcs = server.last_serve_crcs
-    t = system.fabric.transfer_inline(server.component, cs.component,
-                                      nbytes, category="page")
-    if t is not None:
-        yield from t
-    return data, crcs
-
-
-def _home_trip(cs: "ComputeServer", tid: int, home: int,
-               server_pages: np.ndarray):
-    """Generator: land the bulk data for one home group -- one
-    :func:`_plain_trip` against whichever server currently resolves as
-    ``home``, re-issued after :func:`recover` until it lands.
-
-    ``server_pages`` is the request: the demand pages, then the
-    speculative riders. Returns ``(data, snapshots)`` for the install leg.
-    """
-    system = cs.system
-    counters = cs.stats.counters
-    cache = cs.caches[tid]
-    inval_epoch = cache.inval_epoch
-    epoch_get = inval_epoch.get
-    resolve_home = system.directory.resolve_home
-    nbytes = server_pages.size * cache.layout.page_bytes
-    armed = system.injector is not None
-    backoffs = 0
-    while True:
-        server = system.memory_servers[resolve_home(home)]
-        floor = (trip_timeout_floor(system, cs.component, server.component,
-                                    server_pages.size) if armed else 0.0)
-        # No epochs recorded yet -> every snapshot would read 0; skip
-        # building the dict and compare against 0 in _live instead.
-        snapshots = ({p: epoch_get(p, 0) for p in server_pages.tolist()}
-                     if inval_epoch else None)
-        counters["fetch_requests"] += 1
-        try:
-            data, crcs = yield from _plain_trip(
-                cs, tid, server, server_pages, nbytes, floor)
-            if crcs is not None:
-                # The end-to-end check of each received page against its
-                # shipped checksum (``payload_crc_ok``, in line); with no
-                # bytes (timing mode) it degrades to the corruption sentinel.
-                functional = cache.functional
-                for page in server_pages.tolist():
-                    crc = crcs[page]
-                    if (crc32(data[page]) & 0xFFFFFFFF == crc if functional
-                            else crc != CRC_CORRUPT):
-                        continue
-                    counters["integrity_failures"] += 1
-                    data[page] = yield from cs._repair_page(server, page)
-                    counters["integrity_repairs"] += 1
-        except CommunicationError as err:
-            backoffs = yield from recover(cs, server, err, backoffs)
-            continue
-        return data, snapshots
-
-
 def predict_lines(cs: "ComputeServer", tid: int, lines, speculate: bool):
     """The policy's predictions for a run of demand-missed lines, returned
     so they can ride the demand trip.
@@ -349,26 +278,13 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
 
     Demand pages install like a demand fetch (may evict); speculative
     riders install with ``prefetched=True`` and never evict -- a full
-    cache skips them.
+    cache skips them. The whole fetch is this one frame: every suspension
+    of a trip (request, serve, reply, repair, recovery, eviction, install
+    charge) resumes here.
     """
-    cache = cs.caches[tid]
-    pages = np.concatenate((demand, spec)) if spec.size else demand
-    token = cache.begin_fetch(pages)
-    try:
-        yield from _fetch_batched_flight(cs, tid, demand, spec, pages,
-                                         protect)
-    finally:
-        cache.end_fetch(token)
-
-
-def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: np.ndarray,
-                          spec: np.ndarray, pages: np.ndarray,
-                          protect: Iterable[int]):
-    """``pages`` is ``demand`` followed by ``spec`` (the whole request)."""
     system = cs.system
     cache = cs.caches[tid]
-    layout = cache.layout
-    grouped: dict[int, tuple[np.ndarray, np.ndarray]]
+    pages = np.concatenate((demand, spec)) if spec.size else demand
     if system.config.n_memory_servers == 1:
         # Single home: skip the per-page home lookups entirely.
         grouped = {0: (demand, spec)} if pages.size else {}
@@ -378,77 +294,128 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: np.ndarray,
         homes_s = np.array(homes_of(spec.tolist()), dtype=np.int64)
         grouped = {home: (demand[homes_d == home], spec[homes_s == home])
                    for home in {*homes_d.tolist(), *homes_s.tolist()}}
-
+    scl = system.scl
+    comp = cs.component
+    resolve_home = system.directory.resolve_home
+    armed = system.injector is not None
     inval_epoch = cache.inval_epoch
     epoch_get = inval_epoch.get
-    install_time = system.config.install_page_time
-    engine = cs.engine
-    try_advance = engine.try_advance
     counters = cs.stats.counters
-    ledger = system.rt_ledger
-    for home in sorted(grouped):
-        demand_pages, spec_pages = grouped[home]
-        server_pages = (
-            pages if demand_pages is demand and spec_pages is spec
-            else np.concatenate((demand_pages, spec_pages)))
-        data, snapshots = yield from _home_trip(cs, tid, home, server_pages)
-        ledger.record(
-            home, "demand" if demand_pages.size else "speculative",
-            len(layout.lines_of(server_pages)))
-        counters["pages_fetched"] += server_pages.size
+    token = cache.begin_fetch(pages)
+    try:
+        for home in sorted(grouped):
+            demand_pages, spec_pages = grouped[home]
+            # The request: the demand pages, then the speculative riders.
+            server_pages = (
+                pages if demand_pages is demand and spec_pages is spec
+                else np.concatenate((demand_pages, spec_pages)))
+            nbytes = server_pages.size * cache.layout.page_bytes
+            backoffs = 0
+            while True:  # the trip, re-issued after ``recover``
+                server = system.memory_servers[resolve_home(home)]
+                to = server.component
+                floor = (trip_timeout_floor(system, comp, to,
+                                            server_pages.size)
+                         if armed else 0.0)
+                # No epochs recorded yet -> every snapshot would read 0; skip
+                # building the dict and compare against 0 at the install.
+                snapshots = ({p: epoch_get(p, 0)
+                              for p in server_pages.tolist()}
+                             if inval_epoch else None)
+                counters["fetch_requests"] += 1
+                try:
+                    at = scl.flight(comp, to, category="fetch_req")
+                    if at is None:
+                        t = scl.send(comp, to, category="fetch_req",
+                                     timeout_floor=floor)
+                        if t is not None:
+                            yield from t
+                    data = yield from server.serve_fetch_bulk(
+                        tid, server_pages, at)
+                    # Read at the serve, before another serve overwrites it.
+                    crcs = server.last_serve_crcs
+                    t = system.fabric.transfer_inline(to, comp, nbytes,
+                                                      category="page")
+                    if t is not None:
+                        yield from t
+                    if crcs is not None:
+                        # The end-to-end check of each received page against
+                        # its shipped checksum (``payload_crc_ok``, in line);
+                        # with no bytes (timing mode) it degrades to the
+                        # corruption sentinel.
+                        functional = cache.functional
+                        for page in server_pages.tolist():
+                            crc = crcs[page]
+                            if (crc32(data[page]) & 0xFFFFFFFF == crc
+                                    if functional else crc != CRC_CORRUPT):
+                                continue
+                            counters["integrity_failures"] += 1
+                            data[page] = yield from cs._repair_page(server,
+                                                                    page)
+                            counters["integrity_repairs"] += 1
+                except CommunicationError as err:
+                    backoffs = yield from recover(cs, server, err, backoffs)
+                    continue
+                break
+            system.rt_ledger.record(
+                home, "demand" if demand_pages.size else "speculative",
+                len(cache.layout.lines_of(server_pages)))
+            counters["pages_fetched"] += server_pages.size
 
-        # The batched install leg: beta's per-page install cost is ONE
-        # modeled charge of k * install_page_time for the whole group.
-        # Installs apply in bulk after the charge; any suspension (eviction
-        # for the demand leg, the charge itself not advancing inline)
-        # re-validates against raced fills and invalidation epochs before
-        # bytes land. Speculative riders never evict: what the cache cannot
-        # hold is skipped, not made room for.
-        def _live(pages, snapshots=snapshots):
-            if not pages.size:
-                return pages, 0
-            live = cache.missing_among(pages)  # minus raced fills
-            if snapshots is None and not inval_epoch:
-                return live, 0  # still no epochs anywhere
-            fresh = [p for p in live.tolist()
-                     if epoch_get(p, 0) == (0 if snapshots is None
-                                            else snapshots[p])]
-            return (np.array(fresh, dtype=np.int64),
-                    live.size - len(fresh))
-
-        stale = 0
-        eligible_d = demand_pages
-        eligible_s = spec_pages
-        charged = False
-        while True:
-            eligible_d, dropped = _live(eligible_d)
-            stale += dropped
-            eligible_s, dropped = _live(eligible_s)
-            stale += dropped
-            need = eligible_d.size - cache.free_pages
-            if need > 0:
-                yield from evict_batched(
-                    cs, tid, need, {*protect, *server_pages.tolist()})
-                continue
-            room = cache.free_pages - eligible_d.size
-            if eligible_s.size > room:
-                keep = room if room > 0 else 0
-                counters["prefetch_skipped_full"] += eligible_s.size - keep
-                eligible_s = eligible_s[:keep]
-            k = eligible_d.size + eligible_s.size
-            if k and not charged:
-                charged = True
-                delay = k * install_time
-                if not try_advance(delay):
-                    yield Timeout(delay)
-                    continue  # suspended: re-validate before installing
-            if eligible_d.size:
-                cache.install_many(eligible_d, data, prefetched=False)
-            if eligible_s.size:
-                cache.install_many(eligible_s, data, prefetched=True)
-            break
-        if stale:
-            counters["stale_fetch_dropped"] += stale
+            # The batched install leg: beta's per-page install cost is ONE
+            # modeled charge of k * install_page_time for the whole group.
+            # Installs apply in bulk after the charge; every pass -- the
+            # first, and each after a suspension (eviction for the demand
+            # leg, the charge itself not advancing inline) -- re-validates
+            # against raced fills and invalidation epochs, read afresh,
+            # before bytes land. Speculative riders never evict: what the
+            # cache cannot hold is skipped, not made room for.
+            stale = 0
+            eligible_d, eligible_s = demand_pages, spec_pages
+            charged = False
+            while True:
+                if eligible_d.size:
+                    eligible_d = cache.missing_among(eligible_d)
+                if eligible_s.size:
+                    eligible_s = cache.missing_among(eligible_s)
+                if snapshots is not None or inval_epoch:
+                    # A page whose epoch moved since the snapshot (0 where
+                    # none was taken: no epoch existed then) is stale.
+                    taken = snapshots or {}
+                    live = eligible_d.size + eligible_s.size
+                    eligible_d, eligible_s = (
+                        np.array([p for p in v.tolist()
+                                  if epoch_get(p, 0) == taken.get(p, 0)],
+                                 dtype=np.int64)
+                        for v in (eligible_d, eligible_s))
+                    stale += live - eligible_d.size - eligible_s.size
+                free = cache.free_pages
+                need = eligible_d.size - free
+                if need > 0:
+                    yield from evict_batched(
+                        cs, tid, need, {*protect, *server_pages.tolist()})
+                    continue
+                room = free - eligible_d.size
+                if eligible_s.size > room:
+                    keep = room if room > 0 else 0
+                    counters["prefetch_skipped_full"] += eligible_s.size - keep
+                    eligible_s = eligible_s[:keep]
+                k = eligible_d.size + eligible_s.size
+                if k and not charged:
+                    charged = True
+                    delay = k * system.config.install_page_time
+                    if not cs.engine.try_advance(delay):
+                        yield Timeout(delay)
+                        continue  # suspended: re-validate before installing
+                if eligible_d.size:
+                    cache.install_many(eligible_d, data, prefetched=False)
+                if eligible_s.size:
+                    cache.install_many(eligible_s, data, prefetched=True)
+                break
+            if stale:
+                counters["stale_fetch_dropped"] += stale
+    finally:
+        cache.end_fetch(token)
 
 
 def evict_batched(cs: "ComputeServer", tid: int, count: int,

@@ -295,10 +295,11 @@ class SoftwareCache:
         if n < WIDE:
             if isinstance(pages, np.ndarray):
                 pages = pages.tolist()
-            chunk = self._table.chunk
+            chunks = self._table.chunks
             for page in pages:
                 tick += 1
-                cols = chunk(page >> CHUNK_SHIFT)
+                key = page >> CHUNK_SHIFT
+                cols = chunks[key] if key in chunks else self._table.chunk(key)
                 cols[TICK][page & CHUNK_MASK] = tick
                 cols[PREF][page & CHUNK_MASK] = prefetched
         else:
@@ -717,10 +718,13 @@ class SoftwareCache:
                 return PageDiff(page, spans=[(0, cols[DATA][i])])
             return PageDiff(page, spans=[(0, None)],
                             sizes=[self.layout.page_bytes])
-        ranges = self._spill[page] if hi < 0 else ((cols[LO].item(i), hi),)
         twin = cols[TWIN][i] if self.functional else None
-        if twin is None:
-            return PageDiff.from_ranges(page, ranges)
+        if twin is None:  # nothing to diff against: sizes, no bytes
+            if hi < 0:
+                return PageDiff.from_ranges(page, self._spill[page])
+            lo = cols[LO].item(i)
+            return PageDiff.one_span(page, lo, hi - lo, None)
+        ranges = self._spill[page] if hi < 0 else ((cols[LO].item(i), hi),)
         # A page rewritten with the bytes it held (most of a stencil's
         # interior) is not a span extraction: it ships the shared empty diff.
         pre, data = twin.pre, cols[DATA][i]

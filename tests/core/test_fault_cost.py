@@ -16,16 +16,23 @@ import numpy as np
 from repro.core import SamhitaConfig, SamhitaSystem
 from repro.core.consistency import plan_barrier
 from repro.memory import PageDirectory
+from repro.memory.pagetable import CHUNK_PAGES, PageTable
 from tests.core.conftest import run_threads
+from tests.memory.test_diff_cost import count_calls
 
 PAGE = 4096
 #: Calls (builtins included) of one 1,024-page timing-mode fault: scan,
-#: request, bulk serve, install. ~395 today; the per-line scan took ~7,570
+#: request, bulk serve, install. ~339 today; the per-line scan took ~7,570
 #: (~7 per page).
-FAULT_BOUND = 500
+FAULT_BOUND = 440
 #: What crossing five table chunks instead of one may add to the 64-page
-#: count (~234 today; each chunk costs ~40 calls of segment and group work).
+#: count (~141 today; each chunk costs ~35 calls of segment and group
+#: work).
 CHUNK_ALLOWANCE = 220
+#: Calls of one write-shared timing-mode fault: a 4-page demand line, the
+#: adjacent line riding along, one demand page recalled from its owner.
+#: 251 today: host work per trip, not per page or per layer crossed.
+STRIDED_FAULT_BOUND = 265
 
 
 def calls_to_fault(n_pages: int) -> int:
@@ -64,6 +71,66 @@ def test_fault_cost_does_not_grow_with_the_pages_of_the_span():
     small, big = calls_to_fault(64), calls_to_fault(1024)
     assert big <= FAULT_BOUND
     assert big <= small + CHUNK_ALLOWANCE
+
+
+def calls_to_fault_strided() -> int:
+    """One fault of the write-sharing shape (``strided_share``): the faulted
+    line's pages plus an adjacent-line rider in one trip, whose serve
+    gathers the owners of all eight pages and recalls the one another
+    thread holds dirty."""
+    system = SamhitaSystem.cluster(
+        n_threads=2, config=SamhitaConfig(functional=False))
+    faulter, owner = system.add_thread(), system.add_thread()
+    barrier = system.create_barrier(2)
+    line = system.config.layout.pages_per_line * PAGE
+    where = {}
+
+    def write():
+        where["base"] = yield from system.malloc(owner, 4 * line,
+                                                 shared=True)
+        yield from system.mem_write(owner, where["base"] + PAGE, 8, None)
+        yield from system.barrier_wait(owner, barrier)
+
+    run_threads(system, [write(), system.barrier_wait(faulter, barrier)])
+    base = where["base"]
+    assert system.directory.owned_by(owner) == [base // PAGE + 1]
+    cs = system.compute_server_of(faulter)
+    server = system.server_of_page(base // PAGE)
+    before = dict(cs.stats.counters), dict(server.stats.counters)
+    system.process(cs.ensure_resident(faulter, base, line))
+    calls, _ = count_calls(system.run)
+    assert system.cache_of(faulter).span_resident(base, 2 * line)
+    assert not len(system.directory)
+    moved = {key: cs.stats.counters[key] - before[0].get(key, 0)
+             for key in ("faults", "fetch_requests", "pages_fetched",
+                         "speculative_riders")}
+    assert moved == {"faults": 1, "fetch_requests": 1, "pages_fetched": 8,
+                     "speculative_riders": 4}
+    assert server.stats.counters["recall_trips"] - before[1].get(
+        "recall_trips", 0) == 1
+    return calls
+
+
+def test_a_write_shared_fault_costs_host_work_per_trip():
+    assert calls_to_fault_strided() <= STRIDED_FAULT_BOUND
+
+
+def test_a_narrow_walk_inside_one_chunk_costs_no_call_per_page():
+    """A fault's page vectors are 4-12 pages, nearly always inside one
+    table chunk: gathering or scattering 15 of them costs what 8 do."""
+    table = PageTable((np.int32, np.bool_))
+    table.chunk(3)
+    counts = {}
+    for n in (8, 15):
+        pages = np.arange(3 * CHUNK_PAGES + 17, 3 * CHUNK_PAGES + 17 + n)
+        values = np.arange(n) + 1
+        walks = (lambda: table.scatter(0, pages, values),
+                 lambda: table.scatter(1, pages, True),
+                 lambda: table.gather(0, pages))
+        counts[n] = [count_calls(walk)[0] for walk in walks]
+        assert table.gather(0, pages).tolist() == values.tolist()
+        assert table.gather(1, pages).all()
+    assert counts[8] == counts[15]
 
 
 def plan_peak_bytes(threads: int, pages_each: int) -> int:

@@ -110,3 +110,35 @@ class TestFetchInvalidateRace:
         system.engine.run()
         assert page in cache.entries
         assert cs.stats.counters.get("stale_fetch_dropped", 0) == 1
+
+    def test_invalidation_during_the_install_charge_drops_install(self):
+        """The data has arrived and the install charge is running; the
+        snapshot found no epoch anywhere, so none was taken. An
+        invalidation that lands now is seen by the re-validation after
+        the charge, which reads the epochs afresh: the page stays out."""
+        system, tid = make_system()
+        page = alloc_page(system, tid)
+        cs = system.compute_servers[system.component_of(tid)]
+        start = system.engine.now
+        system.engine.process(fetch(cs, tid, page), name="undisturbed")
+        system.engine.run()
+        took = system.engine.now - start  # 6.915 us
+        install = system.config.install_page_time  # 0.8 us, the last leg
+
+        system, tid = make_system()
+        page = alloc_page(system, tid)
+        cache = system.cache_of(tid)
+        cs = system.compute_servers[system.component_of(tid)]
+        assert not cache.inval_epoch
+
+        def invalidator():
+            yield Timeout(took - install / 2)
+            cache.invalidate([page])
+
+        system.engine.process(fetch(cs, tid, page), name="fetch")
+        system.engine.process(invalidator(), name="invalidate")
+        system.engine.run()
+
+        assert page not in cache.entries
+        assert cs.stats.counters.get("stale_fetch_dropped", 0) == 1
+        assert cache.inval_epoch_of(page) == 1
