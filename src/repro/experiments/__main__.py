@@ -6,6 +6,7 @@ Usage::
     python -m repro.experiments fig03        # run + print one figure
     python -m repro.experiments all          # run + print every figure
     python -m repro.experiments fig12 --quick   # reduced sweep (fast check)
+    python -m repro.experiments verify    # every paper claim, paper scale
 """
 
 from __future__ import annotations
@@ -210,13 +211,12 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate figures from the paper's evaluation (§III).")
     parser.add_argument("figure", nargs="?",
-                        help="fig03..fig13, 'all', or 'verify' (quick "
-                             "pass/fail check of every paper claim); omit "
-                             "to list figures")
+                        help="fig03..fig13, 'all', or 'verify' (every "
+                             "paper claim, checked on the paper-scale "
+                             "figures); omit to list figures")
     parser.add_argument("--quick", action="store_true",
-                        help="reduced sweep for a fast shape check")
-    parser.add_argument("--full", action="store_true",
-                        help="campaign only: paper-scale sweeps")
+                        help="figures only: reduced sweep for a fast shape "
+                             "check")
     parser.add_argument("--plot", action="store_true",
                         help="render an ASCII chart instead of a table")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
@@ -252,8 +252,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.figure == "campaign":
         from repro.experiments.campaign import run_campaign
-        run_campaign(quick=args.quick or not args.full,
-                     workers=args.workers, cache_dir=args.cache_dir)
+        run_campaign(workers=args.workers, cache_dir=args.cache_dir)
         return 0
 
     if args.figure == "chaos":
@@ -263,8 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         import pathlib
         results = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
         if not results.is_dir():
-            print("no archived results; run `pytest benchmarks/ "
-                  "--benchmark-only` first", file=sys.stderr)
+            print("no archived results; run `python -m repro.experiments "
+                  "campaign` and copy campaign/fig*.txt to "
+                  "benchmarks/results/", file=sys.stderr)
             return 1
         for path in sorted(results.glob("*.txt")):
             print(f"===== {path.name} =====")

@@ -1,11 +1,11 @@
 """One-command reproduction campaign.
 
-Runs the figure sweeps and claim checks and writes a self-contained
-markdown report (tables + PASS/FAIL per paper claim) -- the generated
-counterpart of the hand-written EXPERIMENTS.md.
+Builds the 11 paper figures at paper scale, checks every claim on them and
+writes each table (``figNN.txt``, the bytes ``benchmarks/results/`` archives)
+plus a self-contained markdown report (tables + PASS/FAIL per paper claim)
+-- the generated counterpart of the hand-written EXPERIMENTS.md.
 
-    python -m repro.experiments campaign            # quick sweeps, ./campaign/
-    python -m repro.experiments campaign --full     # paper-scale sweeps
+    python -m repro.experiments campaign            # writes ./campaign/
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ import platform
 import time
 
 from repro._version import __version__
-from repro.experiments.figures import FIGURES
 from repro.experiments.report import format_figure
-from repro.experiments.verification import CLAIMS
-from repro.experiments.__main__ import _QUICK_KWARGS
+from repro.experiments.verification import check_claims
 
 
 def run_campaign(out_dir: str | pathlib.Path = "campaign",
-                 quick: bool = True,
-                 figure_names: list[str] | None = None,
                  echo: bool = True,
                  workers: int = 0,
                  cache_dir: str | pathlib.Path | None = None) -> pathlib.Path:
@@ -38,58 +34,40 @@ def run_campaign(out_dir: str | pathlib.Path = "campaign",
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = figure_names if figure_names is not None else sorted(FIGURES)
     executor = (make_executor(workers, cache_dir)
                 if workers > 0 or cache_dir else None)
     started = time.time()
+    with activate(executor):
+        figs, verdicts = check_claims()
 
     lines = [
         "# Reproduction campaign report",
         "",
         f"* package: repro {__version__}",
         f"* python:  {platform.python_version()} on {platform.system()}",
-        f"* mode:    {'quick (reduced sweeps)' if quick else 'full paper-scale'}",
         "",
         "## Claim checks",
         "",
         "| figure | claim | status | detail |",
         "|---|---|---|---|",
     ]
-
-    claims_by_figure = {c.figure: c for c in CLAIMS}
-    results = {}
-    all_ok = True
-    with activate(executor):
-        for name in names:
-            kwargs = _QUICK_KWARGS.get(name, {}) if quick else {}
-            fr = FIGURES[name](**kwargs)
-            results[name] = fr
-            (out / f"{name}.txt").write_text(format_figure(fr) + "\n")
-            claim = claims_by_figure.get(name)
-            if claim is not None:
-                # Claim checks use their own reduced builds so their
-                # thresholds match; run them independently of the sweep
-                # above (the shared result cache dedups any overlap).
-                cfr = claim.build()
-                ok, detail = claim.check(cfr)
-                all_ok &= ok
-                status = "PASS" if ok else "**FAIL**"
-                lines.append(f"| {name} | {claim.statement} | {status} | {detail} |")
-                if echo:
-                    print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    for claim, ok, detail in verdicts:
+        status = "PASS" if ok else "**FAIL**"
+        lines.append(f"| {claim.figure} | {claim.statement} | {status} "
+                     f"| {detail} |")
+        if echo:
+            print(f"[{'PASS' if ok else 'FAIL'}] {claim.figure}: {detail}")
 
     lines += ["", "## Figure tables", ""]
-    for name in names:
-        lines.append(f"### {name}")
-        lines.append("")
-        lines.append("```")
-        lines.append(format_figure(results[name]))
-        lines.append("```")
-        lines.append("")
+    for name, fr in figs.items():
+        table = format_figure(fr)
+        (out / f"{name}.txt").write_text(table + "\n")
+        lines += [f"### {name}", "", "```", table, "```", ""]
 
-    elapsed = time.time() - started
-    lines.append(f"_Campaign wall time: {elapsed:.1f} s. "
-                 f"{'All claims reproduced.' if all_ok else 'SOME CLAIMS FAILED.'}_")
+    verdict = ("All claims reproduced." if all(ok for _, ok, _ in verdicts)
+               else "SOME CLAIMS FAILED.")
+    lines.append(f"_Campaign wall time: {time.time() - started:.1f} s. "
+                 f"{verdict}_")
     report = out / "REPORT.md"
     report.write_text("\n".join(lines) + "\n")
     if echo:

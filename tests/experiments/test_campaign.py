@@ -1,29 +1,23 @@
 """Tests for the one-command campaign report."""
 
-from repro.experiments.campaign import run_campaign
+from repro.experiments.figures import FIGURES
 
 
-def test_campaign_writes_report_and_tables(tmp_path):
-    report = run_campaign(tmp_path, quick=True,
-                          figure_names=["fig06", "fig10"], echo=False)
-    assert report.exists()
+def test_campaign_writes_report_and_tables(campaign_dir):
+    report = campaign_dir / "REPORT.md"
     text = report.read_text()
     assert "# Reproduction campaign report" in text
-    assert "| fig06 |" in text and "| fig10 |" in text
-    assert "PASS" in text
-    assert "### fig06" in text and "### fig10" in text
-    assert (tmp_path / "fig06.txt").exists()
-    assert (tmp_path / "fig10.txt").exists()
+    for name in FIGURES:
+        assert f"| {name} |" in text
+        assert f"### {name}" in text
+        assert (campaign_dir / f"{name}.txt").exists()
 
 
-def test_campaign_tables_match_figure_format(tmp_path):
-    run_campaign(tmp_path, quick=True, figure_names=["fig06"], echo=False)
-    table = (tmp_path / "fig06.txt").read_text()
+def test_campaign_tables_match_figure_format(campaign_dir):
+    table = (campaign_dir / "fig06.txt").read_text()
     assert table.startswith("# fig06")
     assert "S = " in table
 
 
-def test_campaign_reports_wall_time(tmp_path):
-    report = run_campaign(tmp_path, quick=True, figure_names=["fig06"],
-                          echo=False)
-    assert "Campaign wall time" in report.read_text()
+def test_campaign_reports_wall_time(campaign_dir):
+    assert "Campaign wall time" in (campaign_dir / "REPORT.md").read_text()

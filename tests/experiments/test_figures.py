@@ -1,25 +1,18 @@
-"""Shape tests for the figure definitions (reduced sweeps for speed).
+"""Tests for the figure registry, its rendering, and a few shape checks on
+reduced sweeps.
 
-Each test asserts the qualitative relationship the corresponding paper
-figure demonstrates; the full-scale sweeps live in benchmarks/.
+The paper's shape claims are checked on the paper-scale figures by
+``repro.experiments.verification.CLAIMS`` (``test_verification.py``); the
+reduced-sweep tests below check the same relations on smaller cells.
 """
 
-import pytest
-
 from repro.experiments import figures, format_figure
-from repro.kernels import JacobiParams, MDParams
 
 SMALL_CORES = (1, 4)
 PTH_CORES = (1, 4)
 
 
 class TestComputeFigures:
-    def test_fig03_local_matches_pthreads(self):
-        fr = figures.fig03(pth_cores=PTH_CORES, smh_cores=SMALL_CORES,
-                           m_values=(10,))
-        # No false sharing: Samhita compute tracks Pthreads closely.
-        assert fr["smh, M=10"].y_at(4) < 1.5 * fr["pth, M=10"].y_at(4)
-
     def test_fig05_strided_penalty_amortized_by_M(self):
         fr = figures.fig05(pth_cores=PTH_CORES, smh_cores=SMALL_CORES,
                            m_values=(1, 10))
@@ -37,32 +30,6 @@ class TestComputeFigures:
         strided = figures.fig05(**kw)["smh, M=1"].y_at(8)
         assert local < glob < strided
 
-    def test_fig06_compute_flat_in_cores_stacked_in_S(self):
-        fr = figures.fig06(smh_cores=SMALL_CORES, s_values=(1, 4))
-        s1, s4 = fr["S = 1"], fr["S = 4"]
-        assert s4.y_at(1) > 2 * s1.y_at(1)         # work scales with S
-        assert s1.y_at(4) < 1.2 * s1.y_at(1)       # flat in cores (no sharing)
-
-    def test_fig08_strided_compute_grows_with_cores(self):
-        fr = figures.fig08(smh_cores=(1, 8), s_values=(4,))
-        series = fr["S = 4"]
-        assert series.y_at(8) > 1.5 * series.y_at(1)
-
-
-class TestOrdinaryRegionFigures:
-    def test_fig09_ordering_and_growth(self):
-        fr = figures.fig09(cores=4, s_values=(2, 8))
-        assert fr["local"].y_at(8) > fr["local"].y_at(2)      # work grows
-        assert fr["stride"].y_at(8) > fr["global"].y_at(8)    # sharing order
-        assert fr["global"].y_at(8) > fr["local"].y_at(8)
-
-    def test_fig10_local_sync_flat_strided_grows(self):
-        fr = figures.fig10(cores=4, s_values=(1, 8))
-        local_growth = fr["local"].y_at(8) / fr["local"].y_at(1)
-        stride_growth = fr["stride"].y_at(8) / fr["stride"].y_at(1)
-        assert local_growth < 1.5       # "hardly noticeable"
-        assert stride_growth > local_growth
-
 
 class TestSyncFigure:
     def test_fig11_samhita_sync_far_above_pthreads(self):
@@ -73,26 +40,6 @@ class TestSyncFigure:
         fr = figures.fig11(pth_cores=(1, 4), smh_cores=(1, 4))
         growth = fr["smh_local"].y_at(4) / fr["smh_local"].y_at(1)
         assert growth < 8  # sub-linear-ish in thread count
-
-
-SMALL_JACOBI = JacobiParams(rows=256, cols=1024, iterations=3)
-SMALL_MD = MDParams(n_particles=1024, steps=3, collect_energy=False)
-
-
-class TestSpeedupFigures:
-    def test_fig12_shapes(self):
-        fr = figures.fig12(params=SMALL_JACOBI, pth_cores=(1, 4),
-                           smh_cores=(1, 4, 16))
-        assert fr["pthreads"].y_at(4) > 3.0       # near-linear baseline
-        assert fr["samhita"].y_at(4) > 1.5        # tracks within reach
-        # Small grid: sync overheads cap Samhita scaling well below ideal.
-        assert fr["samhita"].y_at(16) < 16
-
-    def test_fig13_md_scales_well(self):
-        fr = figures.fig13(params=SMALL_MD, pth_cores=(1, 4),
-                           smh_cores=(1, 4, 16))
-        assert fr["samhita"].y_at(4) > 3.0
-        assert fr["samhita"].y_at(16) > 6.0
 
 
 class TestRegistryAndReport:

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.params import SamhitaConfig
 from repro.experiments import figures
+from repro.experiments.__main__ import _QUICK_KWARGS
 from repro.experiments.harness import run_workload_direct
 from repro.experiments.parallel import (
     CellSpec, Executor, ResultCache, activate, cell_key, make_executor)
@@ -31,14 +32,6 @@ from repro.faults import FaultPlan
 from repro.kernels.jacobi import JacobiParams, spawn_jacobi
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_metrics.json"
-
-#: Reduced axes: small enough for the test suite, wide enough to cover
-#: both backends and a multi-node Samhita point.
-QUICK = {
-    "fig03": dict(smh_cores=(1, 4, 16), pth_cores=(1, 4), m_values=(1, 10)),
-    "fig11": dict(smh_cores=(1, 4, 16), pth_cores=(1, 4)),
-    "fig12": dict(smh_cores=(1, 4, 16), pth_cores=(1, 4)),
-}
 
 
 def points_of(fr):
@@ -51,22 +44,23 @@ def points_of(fr):
 class TestSerialEqualsParallel:
     @pytest.mark.parametrize("name", ["fig03", "fig11"])
     def test_pool_backed_sweep_matches_serial(self, name):
-        serial = points_of(figures.FIGURES[name](**QUICK[name]))
+        serial = points_of(figures.FIGURES[name](**_QUICK_KWARGS[name]))
         with activate(make_executor(workers=2)):
-            pooled = points_of(figures.FIGURES[name](**QUICK[name]))
+            pooled = points_of(figures.FIGURES[name](**_QUICK_KWARGS[name]))
         assert pooled == serial
 
     def test_cache_only_executor_matches_serial(self):
         # workers=0 exercises the cache/dedup layer without a pool.
-        serial = points_of(figures.FIGURES["fig03"](**QUICK["fig03"]))
+        quick = _QUICK_KWARGS["fig03"]
+        serial = points_of(figures.fig03(**quick))
         executor = Executor(workers=0, cache=ResultCache())
         with activate(executor):
-            cached = points_of(figures.FIGURES["fig03"](**QUICK["fig03"]))
+            cached = points_of(figures.fig03(**quick))
             assert cached == serial
             # A second pass over the same figure must be served entirely
             # from the cache and reproduce the same points.
             hits_before = executor.cache.hits
-            repeat = points_of(figures.FIGURES["fig03"](**QUICK["fig03"]))
+            repeat = points_of(figures.fig03(**quick))
         assert repeat == serial
         assert executor.cache.hits > hits_before
 
@@ -129,9 +123,9 @@ class TestGoldenMetrics:
 
     golden = json.loads(GOLDEN.read_text())
 
-    @pytest.mark.parametrize("name", sorted(set(golden) & set(QUICK)))
+    @pytest.mark.parametrize("name", sorted(set(golden) & set(_QUICK_KWARGS)))
     def test_matches_seed_capture(self, name):
-        got = points_of(figures.FIGURES[name](**QUICK[name]))
+        got = points_of(figures.FIGURES[name](**_QUICK_KWARGS[name]))
         assert got == self.golden[name]
 
     @pytest.mark.parametrize("config", [
