@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pathlib
 
-from repro.core import PrefetchPolicy, SamhitaConfig, SamhitaSystem
+from repro.core import SamhitaConfig, SamhitaSystem
 from repro.experiments.harness import run_workload
 from repro.interconnect import gigabit_ethernet, ib_qdr, scif_link, verbs_proxy_link
 from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
@@ -43,8 +43,7 @@ def _stream_scan_time(pages_per_line: int, mbytes: int = 2) -> float:
     """Virtual time for one thread to cold-stream ``mbytes`` MiB through the
     DSM with a given line size (prefetch off to isolate the effect)."""
     config = SamhitaConfig(layout=MemoryLayout(pages_per_line=pages_per_line),
-                           prefetch=PrefetchPolicy(mode="none"),
-                           functional=False)
+                           prefetch=False, functional=False)
     rt = Runtime("samhita", n_threads=1, config=config)
     total = mbytes << 20
 
@@ -90,8 +89,7 @@ def test_prefetch(benchmark):
 
     def sweep():
         on = _run(LOCAL_BIG, SamhitaConfig())
-        off = _run(LOCAL_BIG,
-                   SamhitaConfig(prefetch=PrefetchPolicy(mode="none")))
+        off = _run(LOCAL_BIG, SamhitaConfig(prefetch=False))
         return on, off
 
     on, off = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -116,7 +114,7 @@ def test_eviction_policy(benchmark):
         out = {}
         for policy in EvictionPolicy:
             config = SamhitaConfig(cache_capacity_pages=8,
-                                   prefetch=PrefetchPolicy(mode="none"),
+                                   prefetch=False,
                                    eviction_policy=policy)
             result = run_workload("samhita", 2, spawn_microbench, params,
                                   config=config)

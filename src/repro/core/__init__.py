@@ -11,9 +11,8 @@ The Regional Consistency model is implemented across
 and the synchronization paths in :mod:`repro.core.manager`.
 """
 
-from repro.core.params import PrefetchPolicy, SamhitaConfig
+from repro.core.params import SamhitaConfig
 from repro.core.placement import PlacementPolicy
 from repro.core.system import SamhitaSystem
 
-__all__ = ["PlacementPolicy", "PrefetchPolicy", "SamhitaConfig",
-           "SamhitaSystem"]
+__all__ = ["PlacementPolicy", "SamhitaConfig", "SamhitaSystem"]

@@ -5,20 +5,10 @@ This class implements the fault path of §II: on a miss the thread requests
 the whole multi-page cache line from its home; if the cache is full, victims
 are chosen by the dirty-biased policy and written back before the install.
 
-Every fault, prefetch and eviction is one batched round trip per home
-server (:mod:`repro.core.rtbatch`); the prefetch side is policy-driven
-(``SamhitaConfig.prefetch``):
-
-* ``adjacent`` -- the paper's anticipatory paging: the line after every
-  demand miss rides the miss's own round trip (the default);
-* ``stride`` -- a per-thread reference-prediction table
-  (:class:`~repro.core.prefetcher.StridePrefetcher`) detects forward and
-  backward strides in the miss stream and fetches ``degree`` lines ahead
-  on the demand trip, throttling back to adjacent-line behaviour when
-  measured accuracy drops; the plan executor additionally feeds
-  upcoming-operation spans in as plan-informed prefetch (see
-  ``SamhitaBackend.run_plan``);
-* ``none`` -- demand paging only.
+Every fault and eviction is one batched round trip per home server
+(:mod:`repro.core.rtbatch`). The paper's anticipatory paging
+(``SamhitaConfig.prefetch``) fetches the line after a demand miss on the
+miss's own round trip.
 
 Two fetch paths exist: the batched one every fault takes, and the pinned
 fetch :meth:`ComputeServer.ensure_resident` escalates to when ordinary
@@ -32,23 +22,17 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro.core import rtbatch
-from repro.core.prefetcher import StridePrefetcher
 from repro.errors import (
     CommunicationError,
     MemoryError_,
     ReplicationError,
 )
 from repro.memory.backing import payload_crc_ok
-from repro.memory.pagetable import NO_PAGES
 from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import SamhitaSystem
     from repro.memory.cache import SoftwareCache
-
-#: Upper bound on lines queued by one plan-informed prefetch: keeps a long
-#: plan from flooding the cache with speculative installs.
-PLAN_PREFETCH_MAX_LINES = 16
 
 
 class _CachedLock:
@@ -80,8 +64,6 @@ class ComputeServer:
         self.threads: list[int] = []
         #: tid -> the thread's software cache (what the hot paths index).
         self.caches: dict[int, "SoftwareCache"] = {}
-        #: In-flight line fetches per thread: {tid: {line: SimEvent}}.
-        self.pending: dict[int, dict[int, object]] = {}
         #: Cached lock-ownership grants: {lock_id: _CachedLock}. Only ever
         #: populated with ``config.lock_owner_cache``.
         self.lock_cache: dict[int, _CachedLock] = {}
@@ -94,14 +76,10 @@ class ComputeServer:
         #: stamped on write-side RPCs, refreshed when a receiver fences a
         #: stale stamp after a failover this component missed.
         self.known_epoch = 0
-        policy = system.config.prefetch
-        self.prefetcher = (StridePrefetcher(policy, self.stats)
-                           if policy.mode == "stride" else None)
 
     def register_thread(self, tid: int, cache: "SoftwareCache") -> None:
         self.threads.append(tid)
         self.caches[tid] = cache
-        self.pending[tid] = {}
         self._grants_of[tid] = {}
 
     # ------------------------------------------------------------------
@@ -188,8 +166,7 @@ class ComputeServer:
     # ------------------------------------------------------------------
     # fault path
     # ------------------------------------------------------------------
-    def ensure_resident(self, tid: int, addr: int, nbytes: int,
-                        speculate: bool = True):
+    def ensure_resident(self, tid: int, addr: int, nbytes: int):
         """Generator: make every page of [addr, addr+nbytes) resident.
 
         Retries when a concurrent consistency action (an IVY upgrade by
@@ -226,7 +203,7 @@ class ComputeServer:
                     protect)
             else:
                 yield from rtbatch.fault_lines_batched(
-                    self, tid, missing, protect, speculate)
+                    self, tid, missing, protect)
         raise MemoryError_(
             f"thread {tid} starved faulting [{addr:#x}, +{nbytes})")
 
@@ -314,85 +291,3 @@ class ComputeServer:
                     cache.install(page, data.get(page))
             counters["pinned_fetches"] += 1
             counters["pages_fetched"] += len(server_pages)
-
-    # ------------------------------------------------------------------
-    # plan-informed prefetch (speculation itself rides the demand trips:
-    # rtbatch.predict_lines)
-    # ------------------------------------------------------------------
-    def _issue_prefetch(self, tid: int, targets: list[int],
-                        pages: list[int]) -> None:
-        """Spawn the daemon fetching ``pages``, registered under ``targets``
-        (the lines a demand fault may wait on)."""
-        # Static names: tens of thousands of prefetches are issued per run
-        # and the per-prefetch f-strings were pure debug-label overhead (the
-        # pending dict, not the name, identifies the line).
-        gate = self.engine.event("prefetch")
-        pending = self.pending[tid]
-        for line in targets:
-            pending[line] = gate
-        self.engine.process(self._prefetch_lines(tid, targets, pages, gate),
-                            name="prefetch", daemon=True)
-        counters = self.stats.counters
-        counters["prefetches_issued"] += 1
-        counters["prefetch_lines_requested"] += len(targets)
-
-    def prefetch_spans(self, tid: int, spans) -> None:
-        """Plan-informed prefetch: fetch the missing pages of upcoming plan
-        operations ahead of their demand faults (one batched request per
-        home server).
-
-        Unlike the speculative paths this is page-PRECISE: the plan says
-        exactly which pages it will touch, so fetching their whole cache
-        lines would only install line-tail pages (other threads' data)
-        that sit untouched until invalidated. Speculative installs never
-        evict -- a full cache skips them -- so over-aggressive plans
-        degrade to demand paging.
-        """
-        cache = self.caches[tid]
-        budget = min(PLAN_PREFETCH_MAX_LINES * cache.layout.pages_per_line,
-                     cache.free_pages)
-        if budget <= 0:
-            return
-        pending = self.pending[tid]
-        resident = cache.resident_page_set()
-        pages_spanning = cache.layout.pages_spanning
-        line_of = cache.layout.line_of_page
-        pages: list[int] = []
-        targets: list[int] = []
-        seen: set[int] = set()
-        for addr, nbytes in spans:
-            for page in pages_spanning(addr, nbytes):
-                if page in seen or page in resident:
-                    continue
-                seen.add(page)
-                line = line_of(page)
-                if line in pending:
-                    continue  # already in flight
-                if line not in targets:
-                    targets.append(line)
-                pages.append(page)
-                if len(pages) >= budget:
-                    break
-            if len(pages) >= budget:
-                break
-        allocated = set(self._allocated_only(
-            np.array(sorted(pages), dtype=np.int64)).tolist())
-        pages = [p for p in pages if p in allocated]  # span order kept
-        if pages:
-            self.stats.counters["plan_prefetches"] += 1
-            self._issue_prefetch(tid, targets, pages)
-
-    def _prefetch_lines(self, tid: int, lines: list[int], pages: list[int],
-                        gate):
-        try:
-            still_missing = self.caches[tid].missing_among(
-                np.array(pages, dtype=np.int64))
-            if still_missing.size:
-                # Pure speculative trip(s): one per home server.
-                yield from rtbatch.fetch_batched(
-                    self, tid, NO_PAGES, still_missing, set())
-        finally:
-            pending = self.pending[tid]
-            for line in lines:
-                del pending[line]
-            gate.succeed()

@@ -317,16 +317,28 @@ class ControlPlane:
         """Generator: the barrier root pulls the other live shards'
         consistency-region logs before computing directives -- one control
         round trip plus one service slot per other shard, once per barrier
-        round (the cost that keeps cross-shard RegC honest)."""
+        round (the cost that keeps cross-shard RegC honest).
+
+        A hop that exhausts its retries recovers against the peer it
+        failed on, not the root: it waits out that peer's failover (or
+        the cut), then gathers from whichever shard serves the peer now,
+        unless that is the root itself."""
         scl = self.system.scl
         service = self.system.config.manager_service_time
         for mgr in self.live_managers():
-            if mgr is root:
-                continue
-            yield from scl.request_response(root.component, mgr.component,
-                                            category="barrier")
-            yield from mgr.resource.use(service)
-            self.stats.incr("cr_gathers")
+            while mgr is not root:
+                try:
+                    yield from scl.request_response(
+                        root.component, mgr.component, category="barrier")
+                except RetryExhaustedError as err:
+                    peer = self.shards.index(mgr)
+                    yield from self.await_shard_failover(
+                        peer, err, comp=root.component)
+                    mgr = self._live[peer]
+                    continue
+                yield from mgr.resource.use(service)
+                self.stats.incr("cr_gathers")
+                break
 
     # ------------------------------------------------------------------
     # tree barriers

@@ -21,58 +21,6 @@ from repro.memory.layout import MemoryLayout
 
 
 @dataclass(frozen=True)
-class PrefetchPolicy:
-    """Prefetch policy of the software-cache data plane.
-
-    ``mode`` selects the predictor:
-
-    * ``"adjacent"`` -- the paper's anticipatory paging: every demand miss
-      also fetches the next cache line, riding the same round trip (§II).
-      This is the default and the behaviour the stride predictor demotes
-      to when its predictions miss.
-    * ``"stride"`` -- a per-thread reference-prediction table over the
-      demand-miss line stream: constant forward/backward strides (and
-      sequential runs, stride +1) are detected after ``min_confidence``
-      repeats, and ``degree`` lines ahead ride the demand trip; the plan
-      executor additionally prefetches the pages its upcoming operations
-      name.
-    * ``"none"`` -- demand paging only (the ablation).
-
-    The throttle keeps the stride predictor honest: every
-    ``throttle_window`` prefetched pages the measured accuracy
-    (``prefetch_hits / prefetch_installs`` over the window) is compared
-    against ``throttle_accuracy``; below it the thread is demoted to
-    adjacent-line behaviour, and promoted back once a (still-measured)
-    window clears the bar again.
-    """
-
-    mode: str = "adjacent"
-    #: Lines fetched per stride-mode trigger (prefetch depth).
-    degree: int = 2
-    #: Consecutive equal strides before the predictor streams.
-    min_confidence: int = 2
-    #: Window accuracy below this demotes to adjacent-line mode.
-    throttle_accuracy: float = 0.5
-    #: Prefetch installs per accuracy-evaluation window.
-    throttle_window: int = 64
-
-    def __post_init__(self):
-        if self.mode not in ("none", "adjacent", "stride"):
-            raise ReproError(f"unknown prefetch mode {self.mode!r}")
-        if self.degree < 1:
-            raise ReproError("prefetch degree must be >= 1")
-        if self.min_confidence < 1:
-            raise ReproError("prefetch min_confidence must be >= 1")
-        if not 0.0 <= self.throttle_accuracy <= 1.0:
-            raise ReproError("throttle_accuracy must be in [0, 1]")
-        if self.throttle_window < 1:
-            raise ReproError("throttle_window must be >= 1")
-
-    def with_(self, **changes) -> "PrefetchPolicy":
-        return replace(self, **changes)
-
-
-@dataclass(frozen=True)
 class SamhitaConfig:
     """Configuration of one Samhita instance."""
 
@@ -84,9 +32,10 @@ class SamhitaConfig:
     #: ablation shrinks this).
     cache_capacity_pages: int = 1 << 18
     eviction_policy: EvictionPolicy = EvictionPolicy.DIRTY_BIASED
-    #: Prefetch policy (default: the paper's adjacent-line anticipatory
-    #: paging, §II).
-    prefetch: PrefetchPolicy = PrefetchPolicy()
+    #: The paper's anticipatory paging (§II): every demand miss of at most
+    #: ``rtbatch.PREFETCH_DEGREE`` lines also fetches the next line, riding
+    #: the same round trip. False is demand paging only (the ablation).
+    prefetch: bool = True
 
     # -- consistency ----------------------------------------------------
     #: Memory coherence protocol: "regc" (the paper's Regional Consistency)
@@ -206,8 +155,6 @@ class SamhitaConfig:
             raise ReproError(f"unknown coherence protocol {self.coherence!r}")
         if self.cache_capacity_pages < self.layout.pages_per_line:
             raise ReproError("cache must hold at least one cache line")
-        if not isinstance(self.prefetch, PrefetchPolicy):
-            raise ReproError("prefetch must be a PrefetchPolicy")
         if not (0 < self.arena_max_alloc <= self.arena_chunk_bytes):
             raise ReproError("require 0 < arena_max_alloc <= arena_chunk_bytes")
         if self.stripe_threshold <= self.arena_max_alloc:
@@ -227,16 +174,6 @@ class SamhitaConfig:
             raise ReproError("checkpoint_interval must be >= 0")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise ReproError("faults must be a FaultPlan or None")
-
-    @classmethod
-    def adaptive_cache(cls, **overrides) -> "SamhitaConfig":
-        """The adaptive data plane: stride prefetching, which also turns on
-        the plan executor's look-ahead prefetch. Keyword overrides apply on
-        top, e.g. ``SamhitaConfig.adaptive_cache(coherence="ivy")``.
-        """
-        base: dict = {"prefetch": PrefetchPolicy(mode="stride")}
-        base.update(overrides)
-        return cls(**base)
 
     @classmethod
     def sharded_control_plane(cls, shards: int = 4, **overrides) -> "SamhitaConfig":

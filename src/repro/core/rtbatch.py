@@ -20,9 +20,9 @@ what a per-operation model charges minus the repeated alphas.
 
 Three aggregations ride the same trip structure:
 
-* **demand + speculation** -- a faulted span's missing lines AND the
-  stride/adjacent predictor's targets fetch as one trip per home
-  (:func:`fault_lines_batched`); speculative riders install with
+* **demand + anticipation** -- a faulted span's missing lines AND the
+  adjacent line of each (the paper's anticipatory paging) fetch as one
+  trip per home (:func:`fault_lines_batched`); the riders install with
   ``prefetched=True`` and stay out of demand accounting;
 * **recalls** -- the home pulls ALL pages one owner holds with a single
   recall request and a single bulk diff return
@@ -60,8 +60,10 @@ class RoundTripLedger:
     ``round_trips`` namespace).
 
     ``record`` is called once per *successful* trip with the trip's kind
-    (``demand`` -- a fault batch, speculative riders included; ``speculative``
-    -- a pure prefetch trip; ``recall`` -- one bulk owner recall; ``merge``
+    (``demand`` -- a fault batch, adjacent-line riders included;
+    ``speculative`` -- a trip of riders only, to a home none of the batch's
+    demand pages has (striped allocations home neighbouring lines apart);
+    ``recall`` -- one bulk owner recall; ``merge``
     -- one bulk diff ship) and the number of distinct cache lines it moved.
     """
 
@@ -152,65 +154,38 @@ def recover(cs: "ComputeServer", server, err, backoffs: int = 0):
     return backoffs
 
 
-def predict_lines(cs: "ComputeServer", tid: int, lines, speculate: bool):
-    """The policy's predictions for a run of demand-missed lines, returned
-    so they can ride the demand trip.
+#: The most demand-missed lines a fault batch may have and still carry
+#: riders. A batch fetching more has outrun the prediction: the only lines
+#: it would reach past such a batch are the ones BEYOND the faulted span --
+#: measured on the Jacobi campaigns, those are the installs that cross into
+#: other threads' partitions and get invalidated untouched.
+PREFETCH_DEGREE = 2
 
-    The stride predictor observes every miss; ``speculate=False``
-    (plan-executor misses, whose own look-ahead is authoritative about
-    what comes next) trains it but predicts nothing.
-    """
-    policy = cs.system.config.prefetch
-    # A batch already fetching more lines than the prefetch degree has
-    # outrun anything the predictor could add: the only lines a prediction
-    # would reach past such a batch are the ones BEYOND the faulted span --
-    # measured on the Jacobi campaigns, those are the installs that cross
-    # into other threads' partitions and get invalidated untouched. Train
-    # on the batch, predict nothing.
-    issue = speculate and len(lines) <= policy.degree
-    mode = policy.mode
-    if mode == "adjacent":
-        return tuple(line + 1 for line in lines) if issue else ()
-    if mode == "stride":
-        cache = cs.caches[tid]
-        cache_counters = cache.stats.counters
-        pages_per_line = cache.layout.pages_per_line
-        allocated_span = cs.system.allocator.allocated_span
-        prefetcher = cs.prefetcher
-        targets: tuple[int, ...] = ()
-        for line in lines:
-            # Streams are keyed by allocation so a kernel alternating
-            # between arrays (src/dst sweeps) trains one clean stride per
-            # array. Feed the whole run; the last observation's prediction
-            # is the freshest, so only it is returned.
-            span = allocated_span(line * pages_per_line)
-            targets = prefetcher.observe(
-                tid, line, cache_counters,
-                stream_key=span[0] if span else None)
-        return targets if issue else ()
+
+def predict_lines(cs: "ComputeServer", lines):
+    """The lines to ride a run of demand-missed lines' trip: the adjacent
+    line of each (``SamhitaConfig.prefetch``), or none."""
+    if cs.system.config.prefetch and len(lines) <= PREFETCH_DEGREE:
+        return tuple(line + 1 for line in lines)
     return ()
 
 
 def speculative_pages(cs: "ComputeServer", tid: int, targets,
                       exclude: frozenset) -> np.ndarray:
     """Expand predicted lines to the missing pages a trip should carry
-    (skipping in-flight lines and the demand batch's own lines), in
-    prediction order.
+    (skipping the demand batch's own lines), in prediction order.
 
     Pages another thread currently owns dirty are NOT speculated on:
     riders share the demand trip, so a guessed page would recall an
     active writer *synchronously* -- the faulting thread and the owner
-    both stall for data the guess may never touch. (The async daemon
-    path could hide that latency; a rider cannot.) Demand fetches still
+    both stall for data the guess may never touch. Demand fetches still
     recall owners, as they must.
     """
     cache = cs.caches[tid]
-    pending = cs.pending[tid]
     per_line = cache.layout.pages_per_line
     wanted = []
-    # At most ``degree`` predictions; each line once, first mention first.
-    for line in dict.fromkeys(targets):
-        if line not in pending and line not in exclude:
+    for line in targets:  # distinct: one per distinct demand line
+        if line not in exclude:
             wanted.append(cs._allocated_only(
                 cache.missing_in(line * per_line, (line + 1) * per_line)))
     if not wanted:
@@ -220,43 +195,23 @@ def speculative_pages(cs: "ComputeServer", tid: int, targets,
 
 
 def fault_lines_batched(cs: "ComputeServer", tid: int, missing: np.ndarray,
-                        protect: Iterable[int], speculate: bool = True):
+                        protect: Iterable[int]):
     """Generator: the batched fault path -- one fault-handler charge and
     one round trip per home server for the whole missed span, with the
-    predictor's targets riding the same trips as speculative cargo.
+    adjacent lines riding the same trips as speculative cargo.
 
     ``missing`` is the caller's residency scan, taken with no suspension
     since: the non-resident pages (ascending) of every line the faulted
-    span touches. It is cut only at a line with a prefetch in flight: that
-    prefetch is waited for, and the line and everything after it are
-    scanned again (the wait may have filled them, or anything else).
+    span touches.
     """
-    cache = cs.caches[tid]
-    layout = cache.layout
-    pending = cs.pending[tid]
-    counters = cs.stats.counters
-    found = []  # non-resident pages, one piece per wait
-    if pending:
-        per_line = layout.pages_per_line
-        lines = layout.lines_of(missing)
-        for at, line in enumerate(lines):
-            in_flight = pending.get(line)
-            if in_flight is not None:
-                found.append(missing[:missing.searchsorted(line * per_line)])
-                counters["prefetch_waits"] += 1
-                yield in_flight
-                missing = cache.missing_in(line * per_line,
-                                           (lines[-1] + 1) * per_line)
-                missing = missing[np.isin(missing // per_line, lines[at:])]
-    found.append(missing)
-    demand = cs._allocated_only(
-        found[0] if len(found) == 1 else np.concatenate(found))
+    demand = cs._allocated_only(missing)
     if not demand.size:
         return
-    missed_lines = layout.lines_of(demand)
+    missed_lines = cs.caches[tid].layout.lines_of(demand)
+    counters = cs.stats.counters
     counters["faults"] += len(missed_lines)
     spec = NO_PAGES
-    targets = predict_lines(cs, tid, missed_lines, speculate)
+    targets = predict_lines(cs, missed_lines)
     if targets:
         spec = speculative_pages(cs, tid, targets, frozenset(missed_lines))
     counters["batched_line_fetches"] += 1

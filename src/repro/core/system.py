@@ -580,7 +580,7 @@ class SamhitaSystem:
                     cache.install(page, fresh)
                     cache.write(start, chunk, slice_, ordinary=True)
                     break
-                # A concurrent prefetch filled the cache: retry.
+                # The cache filled meanwhile: retry.
             else:
                 raise ConsistencyError(
                     f"thread {tid} starved acquiring exclusive access to page {page}")

@@ -222,9 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=0, metavar="N",
                         help="fan sweep cells over N worker processes "
                              "(with a result cache; 0 = serial, uncached)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persist the cell result cache to DIR "
-                             "(re-runs of identical cells become free)")
     args = parser.parse_args(argv)
 
     if args.figure is None:
@@ -242,8 +239,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.experiments.parallel import activate, make_executor
 
-    executor = (make_executor(args.workers, args.cache_dir)
-                if args.workers > 0 or args.cache_dir else None)
+    executor = make_executor(args.workers) if args.workers > 0 else None
 
     if args.figure == "verify":
         from repro.experiments.verification import verify
@@ -252,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.figure == "campaign":
         from repro.experiments.campaign import run_campaign
-        run_campaign(workers=args.workers, cache_dir=args.cache_dir)
+        run_campaign(workers=args.workers)
         return 0
 
     if args.figure == "chaos":

@@ -21,21 +21,18 @@ from repro.experiments.verification import check_claims
 
 def run_campaign(out_dir: str | pathlib.Path = "campaign",
                  echo: bool = True,
-                 workers: int = 0,
-                 cache_dir: str | pathlib.Path | None = None) -> pathlib.Path:
+                 workers: int = 0) -> pathlib.Path:
     """Run the campaign; returns the path of the written report.
 
     ``workers > 0`` fans the sweep cells of each figure over a process pool
     and shares one result cache across the whole campaign (repeated cells --
     e.g. every figure's 1-thread Pthreads baseline -- run once).
-    ``cache_dir`` persists that cache so re-running the campaign is free.
     """
     from repro.experiments.parallel import activate, make_executor
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    executor = (make_executor(workers, cache_dir)
-                if workers > 0 or cache_dir else None)
+    executor = make_executor(workers) if workers > 0 else None
     started = time.time()
     with activate(executor):
         figs, verdicts = check_claims()

@@ -1,8 +1,16 @@
 """Workload execution helpers for the figure sweeps.
 
-Experiments default to *timing mode* (no functional data plane): the
-simulated clocks, traffic and protocol behaviour are identical, while large
-paper-scale workloads (32 threads, thousands of rows) stay cheap to run.
+Experiments default to *timing mode* (no functional data plane), so that
+large paper-scale workloads (32 threads, thousands of rows) stay cheap to
+run. Its clocks and traffic are not those of functional mode: at paper
+scale 9 of the 11 figures differ between the modes, by up to 26 % (fig12
+at 32 threads), in both directions. The two known causes:
+
+* timing mode never charges ``twin_create_time``;
+* timing mode ships every written byte as a diff, where functional mode
+  ships only the bytes that changed.
+
+ROADMAP item 2 ("one data plane") is where the modes are to be made one.
 """
 
 from __future__ import annotations

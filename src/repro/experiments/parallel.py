@@ -9,10 +9,10 @@ That independence is exploited twice:
   collects results in submission order, so figure output is byte-identical
   to a serial run regardless of worker scheduling;
 * a content-hash :class:`ResultCache` (keyed on the workload parameters and
-  the full :class:`SamhitaConfig`) makes repeated cells free -- both the
-  duplicates inside one campaign (every normalized figure re-runs its
-  1-thread Pthreads baseline) and whole re-runs against a persistent
-  cache directory.
+  the full :class:`SamhitaConfig`) makes the duplicate cells inside one
+  run free (every normalized figure re-runs its 1-thread Pthreads
+  baseline). It lives in memory only: the key does not hash the code, so
+  a cache kept across runs would serve an older model's cells.
 
 The executor is installed process-globally (:func:`activate`); the harness
 routes ``run_workload``/``sweep`` through it when one is active, so the
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import os
-import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -70,29 +68,16 @@ def cell_key(spec: CellSpec) -> str:
 
 
 class ResultCache:
-    """Content-addressed store of :class:`RunResult` objects.
+    """In-memory, content-addressed store of :class:`RunResult` objects,
+    for the length of one run."""
 
-    In-memory by default; give ``path`` to persist results as pickles named
-    by their content hash, which survives across processes and campaign
-    invocations (re-runs then cost only the disk read).
-    """
-
-    def __init__(self, path: str | os.PathLike | None = None):
-        self.path = os.fspath(path) if path is not None else None
-        if self.path is not None:
-            os.makedirs(self.path, exist_ok=True)
+    def __init__(self):
         self._mem: dict[str, RunResult] = {}
         self.hits = 0
         self.misses = 0
 
     def get(self, key: str) -> RunResult | None:
         result = self._mem.get(key)
-        if result is None and self.path is not None:
-            file = os.path.join(self.path, key + ".pkl")
-            if os.path.exists(file):
-                with open(file, "rb") as fh:
-                    result = pickle.load(fh)
-                self._mem[key] = result
         if result is None:
             self.misses += 1
         else:
@@ -101,12 +86,6 @@ class ResultCache:
 
     def put(self, key: str, result: RunResult) -> None:
         self._mem[key] = result
-        if self.path is not None:
-            file = os.path.join(self.path, key + ".pkl")
-            tmp = file + f".tmp.{os.getpid()}"
-            with open(tmp, "wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, file)  # atomic: concurrent writers race safely
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -214,7 +193,6 @@ def activate(executor: Executor | None):
             executor.close()
 
 
-def make_executor(workers: int = 0,
-                  cache_dir: str | os.PathLike | None = None) -> Executor:
+def make_executor(workers: int = 0) -> Executor:
     """Executor factory used by the CLI: always caches, pools if asked."""
-    return Executor(workers=workers, cache=ResultCache(cache_dir))
+    return Executor(workers=workers, cache=ResultCache())

@@ -91,24 +91,6 @@ class AccessPlan:
     def __len__(self) -> int:
         return len(self.kind)
 
-    def upcoming_spans(self, start: int, limit: int = 32):
-        """The ``(addr, nbytes)`` spans of the next memory ops at/after
-        ``start``.
-
-        Used by the plan-informed prefetch: after a miss mid-plan, the
-        executor hands the compute server the spans the plan is *about* to
-        touch so their lines can be fetched ahead of the demand faults. At
-        most ``limit`` spans are returned (compute intervals are skipped).
-        """
-        spans = []
-        kinds, addrs, sizes = self.kind, self.addr, self.nbytes
-        for i in range(start, len(kinds)):
-            if kinds[i] != COMPUTE and sizes[i]:
-                spans.append((addrs[i], sizes[i]))
-                if len(spans) >= limit:
-                    break
-        return spans
-
     def hit_columns(self, page_bytes: int, cost_model) -> "HitColumns":
         """The plan's page-level vectors for one page size and cost model,
         derived on first use and kept while the plan stays as it is."""

@@ -130,11 +130,6 @@ class SamhitaBackend(BaseBackend):
         write_resident = system.write_resident
         cache_read = cache.read
         charge = clock.charge
-        # Plan-informed prefetch (stride policy only): a miss mid-plan
-        # reveals exactly what the plan touches next, so hand those spans to
-        # the compute server for a batched look-ahead fetch.
-        plan_prefetch = (cs.prefetch_spans
-                         if system.config.prefetch.mode == "stride" else None)
         kinds, addrs, sizes = plan.kind, plan.addr, plan.nbytes
         n = len(kinds)
         regions = system._regions[tid]
@@ -182,10 +177,7 @@ class SamhitaBackend(BaseBackend):
                     yield AdvanceTo(target)
                     pending = False
                 t0 = engine.now
-                yield from cs.ensure_resident(
-                    tid, addr, nbytes, speculate=plan_prefetch is None)
-                if plan_prefetch is not None:
-                    plan_prefetch(tid, plan.upcoming_spans(i + 1))
+                yield from cs.ensure_resident(tid, addr, nbytes)
                 if kind == READ:
                     results.append(cache_read(addr, nbytes))
                 else:

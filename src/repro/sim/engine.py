@@ -10,7 +10,7 @@ of distinct epoch instants (a plain float column, so heap compares never
 touch tuples) plus a dict mapping each instant to its slice of ``(fn, args)``
 records in sequence order. Scheduling into an instant that is already
 pending is an O(1) append -- no ``heappush`` -- which is what lets
-independent components (per-cell barriers, prefetch daemons, heartbeat
+independent components (per-cell barriers, transfers, heartbeat
 probes) ride through quiet epochs without per-event heap churn. ``run()``
 drains one epoch as a batch: a single pop surfaces the whole same-instant
 slice.
@@ -121,8 +121,8 @@ class Process:
         self.gen = gen
         self.name = name
         self.daemon = daemon
-        #: The completion event is created lazily: most processes (prefetch
-        #: daemons above all) are never joined, and the event plus its name
+        #: The completion event is created lazily: most processes are never
+        #: joined, and the event plus its name
         #: string were a measurable share of process-creation cost.
         self._done_event = None
         self._outcome = None
@@ -444,7 +444,7 @@ class Engine:
                 if ev is not None:
                     ev.fail(exc)
         # Compact finished processes so long campaigns (millions of
-        # short-lived prefetch daemons and transfers) don't grow _procs
+        # short-lived transfers) don't grow _procs
         # without bound -- the deadlock scan and live_processes would
         # otherwise iterate every corpse ever spawned.
         dead = self._dead + 1

@@ -15,6 +15,9 @@ node3/node4 memory servers, node5 the compute node):
 * **Two of three shards** (node1+node2): the surviving shard cannot
   assemble a majority, so promotion is *denied* and the system waits out
   the cut instead of electing a second primary -- no split brain.
+
+A cut of one shard (node0 or node1) that the barrier root gathers lock
+logs from must not kill the root's gather either.
 """
 
 import hashlib
@@ -121,6 +124,18 @@ def test_isolated_compute_node_degrades_then_rejoins(jacobi_baseline, seed):
     assert member["epoch"] == 0
     assert result.stats["replication"].get("failovers", 0) == 0
     assert result.stats["faults"].get("partition_drops", 0) > 0
+
+
+@pytest.mark.parametrize("shard", ["node0", "node1"])
+@pytest.mark.parametrize("seed", chaos_seeds())
+def test_jacobi_survives_a_cut_gather_peer(jacobi_baseline, seed, shard):
+    """Cut a manager shard the Jacobi barrier's root (node2) gathers lock
+    logs from: the root's hop to it exhausts its retries, and the root
+    must recover against that peer -- its failover, or the heal -- rather
+    than wait for a failover of its own that never comes."""
+    plan = partition(seed, (shard,), start=JACOBI_CUT_AT, duration=CUT_LEN)
+    digest, _result = _run_jacobi(_fenced(plan))
+    assert digest == jacobi_baseline[0]
 
 
 @pytest.mark.parametrize("seed", [chaos_seeds()[0]])

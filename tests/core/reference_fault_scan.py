@@ -31,14 +31,13 @@ def _allocated_only(cs, pages: list[int]) -> list[int]:
 
 def _speculative_pages(cs, tid: int, targets, exclude: frozenset) -> list[int]:
     cache = cs.system.cache_of(tid)
-    pending = cs.pending[tid]
     resident = cache.resident_page_set()
     line_pages = cache.layout.line_pages
     owner_of = cs.system.directory.owner_of
     pages: list[int] = []
     seen: set[int] = set()
     for line in targets:
-        if line in pending or line in exclude or line in seen:
+        if line in exclude or line in seen:
             continue
         seen.add(line)
         missing = [p for p in line_pages(line) if p not in resident]
@@ -49,23 +48,17 @@ def _speculative_pages(cs, tid: int, targets, exclude: frozenset) -> list[int]:
     return pages
 
 
-def fault_lines_batched(cs, tid: int, missing: np.ndarray, protect,
-                        speculate: bool = True):
+def fault_lines_batched(cs, tid: int, missing: np.ndarray, protect):
     """Generator with the shipped scan's signature; ``missing`` only names
     the lines to visit (what ``SoftwareCache.missing_lines`` returned)."""
     cache = cs.system.cache_of(tid)
     config = cs.system.config
-    pending = cs.pending[tid]
     counters = cs.stats.counters
     line_pages = cache.layout.line_pages
     resident = cache.resident_page_set()
     demand: list[int] = []
     missed_lines: list[int] = []
     for line in cache.layout.lines_of(missing):
-        in_flight = pending.get(line)
-        if in_flight is not None:
-            counters["prefetch_waits"] += 1
-            yield in_flight
         still = [p for p in line_pages(line) if p not in resident]
         still = _allocated_only(cs, still)
         if still:
@@ -75,7 +68,7 @@ def fault_lines_batched(cs, tid: int, missing: np.ndarray, protect,
     if not missed_lines:
         return
     spec: list[int] = []
-    targets = rtbatch.predict_lines(cs, tid, missed_lines, speculate)
+    targets = rtbatch.predict_lines(cs, missed_lines)
     if targets:
         spec = _speculative_pages(cs, tid, targets, frozenset(missed_lines))
     counters["batched_line_fetches"] += 1

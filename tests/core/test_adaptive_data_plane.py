@@ -1,11 +1,8 @@
-"""End-to-end checks of the adaptive software-cache data plane.
+"""The data plane's configuration surface and its prefetch reporting.
 
-The adaptive configuration (stride prefetch + plan look-ahead) must be a
-pure *timing* optimization: the computed data is identical to the default
-data plane's. These tests run the canonical functional Jacobi cell under
-both and compare data and counters; the per-line protocol that used to be
-the comparison's other side survives as the recorded numbers in
-:data:`PER_LINE_PR8`.
+The canonical functional Jacobi cell computes the grid the per-line
+protocol of the PR 8 tree computed (:data:`PER_LINE_PR8`); with the
+adjacent-line prefetch off it installs no rider.
 """
 
 import dataclasses
@@ -16,7 +13,7 @@ import pathlib
 import pytest
 
 import repro
-from repro.core.params import PrefetchPolicy, SamhitaConfig
+from repro.core.params import SamhitaConfig
 from repro.core.system import SamhitaSystem
 from repro.experiments.harness import run_workload_direct
 from repro.kernels.jacobi import JacobiParams, spawn_jacobi
@@ -42,8 +39,6 @@ def _grid_digest(result):
 PER_LINE_PR8 = {
     "grid": (7.8125, "2b3e7a116b07bdfd16475c9584b7b7e1"
                      "8394155fdfc4cc67038985f54f9e34b2"),
-    "fetch_requests": 82,
-    "scheduled_events": 849,
 }
 
 
@@ -52,52 +47,12 @@ def default():
     return _run(SamhitaConfig(functional=True))
 
 
-@pytest.fixture(scope="module")
-def adaptive():
-    return _run(SamhitaConfig.adaptive_cache(functional=True))
-
-
 class TestFunctionalIdentity:
-    def test_adaptive_computes_identical_data(self, default, adaptive):
-        assert _grid_digest(adaptive) == _grid_digest(default)
-
     def test_default_config_matches_compat_data(self, default):
         assert _grid_digest(default) == PER_LINE_PR8["grid"]
 
 
-class TestFetchReduction:
-    def test_batching_collapses_round_trips(self, adaptive):
-        after = adaptive.stats["compute_servers"]["fetch_requests"]
-        assert 0 < after <= 0.8 * PER_LINE_PR8["fetch_requests"]
-
-    def test_adaptive_uses_batched_path(self, adaptive):
-        cs = adaptive.stats["compute_servers"]
-        assert cs.get("batched_line_fetches", 0) > 0
-        assert cs.get("plan_prefetches", 0) > 0
-
-    def test_adaptive_schedules_no_more_events(self, adaptive):
-        assert (adaptive.stats["engine"]["scheduled_events"]
-                <= PER_LINE_PR8["scheduled_events"])
-
-
 class TestPrefetchReporting:
-    def test_prefetch_namespace_is_merged(self, adaptive):
-        ns = adaptive.stats["prefetch"]
-        assert "prefetch_installs" in ns or "prefetch_waits" in ns
-
-    def test_accuracy_meets_gate_when_speculating(self, adaptive):
-        ns = adaptive.stats["prefetch"]
-        installs = ns.get("prefetch_installs", 0)
-        if installs:
-            assert ns["prefetch_accuracy"] >= 0.6
-            assert ns["prefetch_accuracy"] == ns["prefetch_hits"] / installs
-
-    def test_demand_misses_wait_on_pending_prefetches(self, adaptive):
-        # A demand miss that lands on an in-flight prefetched line must
-        # block on the existing fetch (one wire transfer), not start a
-        # second one -- counted as prefetch_waits.
-        assert adaptive.stats["prefetch"]["prefetch_waits"] > 0
-
     def test_compat_accuracy_reported_from_adjacent_prefetch(self, cluster2):
         # The default (adjacent-line) policy: a sequential scan installs
         # riders, and the report derives accuracy from the same counters.
@@ -118,15 +73,12 @@ class TestPrefetchReporting:
 
 
 class TestConfigSurface:
-    def test_adaptive_cache_knobs(self):
-        assert SamhitaConfig.adaptive_cache().prefetch.mode == "stride"
-        assert SamhitaConfig().prefetch.mode == "adjacent"
-
     def test_victim_selection_is_not_configurable(self):
         # One implementation of each mechanism, no switch to a predecessor:
         # victim selection (column selection in SoftwareCache, pinned to
         # the reference model by tests/property/test_cache_equivalence.py),
-        # the fault / prefetch / evict protocol (rtbatch), the engine, the
+        # the fault / prefetch / evict protocol (rtbatch) with the paper's
+        # adjacent-line prefetch as its one predictor, the engine, the
         # combining barrier arrival (``tree_barriers``) -- and no
         # tail-tolerance knob on top of the plain retry loop. The failure
         # detector's cadence is a pair of constants, not configuration. A
@@ -155,12 +107,19 @@ class TestConfigSurface:
         assert not [a for a in vars(Engine()) if "hook" in a]
         assert not [a for a in dir(SamhitaSystem) if "thread_dead" in a]
         src = pathlib.Path(repro.__file__).parent
-        assert not [str(p) for p in src.rglob("*.py")
-                    if "os.environ" in p.read_text()]
+        texts = {str(p): p.read_text() for p in src.rglob("*.py")}
+        assert not [p for p, text in texts.items() if "os.environ" in text]
+        # The stride predictor and the plan-informed look-ahead went with
+        # their mode: the paper's adjacent-line prefetch, on or off.
+        assert SamhitaConfig().prefetch is True
+        assert not (src / "core" / "prefetcher.py").exists()
+        for gone in ("StridePrefetcher", "PrefetchPolicy", "adaptive_cache",
+                     "prefetch_spans", "upcoming_spans", "prefetch_waits",
+                     "plan_prefetches"):
+            assert not [p for p, text in texts.items() if gone in text], gone
 
     def test_prefetch_none_disables_speculation(self):
-        cfg = SamhitaConfig(functional=True,
-                            prefetch=PrefetchPolicy(mode="none"))
+        cfg = SamhitaConfig(functional=True, prefetch=False)
         result = run_workload_direct("samhita", N_THREADS, spawn_jacobi,
                                      PARAMS, functional=True, config=cfg)
         assert result.stats["caches"].get("prefetch_installs", 0) == 0

@@ -31,7 +31,7 @@ FAULT_BOUND = 440
 CHUNK_ALLOWANCE = 220
 #: Calls of one write-shared timing-mode fault: a 4-page demand line, the
 #: adjacent line riding along, one demand page recalled from its owner.
-#: 251 today: host work per trip, not per page or per layer crossed.
+#: 248 today: host work per trip, not per page or per layer crossed.
 STRIDED_FAULT_BOUND = 265
 
 
@@ -48,8 +48,7 @@ def calls_to_fault(n_pages: int) -> int:
 
     run_threads(system, [allocate()])
     cs = system.compute_server_of(tid)
-    system.process(cs.ensure_resident(tid, where["base"], n_pages * PAGE,
-                                      speculate=False))
+    system.process(cs.ensure_resident(tid, where["base"], n_pages * PAGE))
     calls = 0
 
     def count(frame, event, arg):

@@ -1,5 +1,5 @@
-"""The vector fault path: one residency scan per attempt, runs cut only at
-in-flight lines, and the same events as the per-line scan it replaced."""
+"""The vector fault path: one residency scan per attempt, and the same
+events as the per-line scan it replaced."""
 
 import numpy as np
 import pytest
@@ -46,8 +46,7 @@ class TestEnsureResident:
         cs = system.compute_server_of(tid)
         scans = _spy(monkeypatch, cache, "missing_in")
         faults = _spy(monkeypatch, rtbatch, "fault_lines_batched")
-        run_threads(system, [cs.ensure_resident(tid, base, 40 * PAGE,
-                                                speculate=False)])
+        run_threads(system, [cs.ensure_resident(tid, base, 40 * PAGE)])
         assert cache.span_resident(base, 40 * PAGE)
         first = base // PAGE
         # Attempt 0 scans and faults; attempt 1 scans and finds nothing.
@@ -81,16 +80,15 @@ class TestEnsureResident:
         real = rtbatch.fault_lines_batched
         handed = []
 
-        def voided_once(cs_, tid_, missing, protect, speculate=True):
+        def voided_once(cs_, tid_, missing, protect):
             handed.append(missing.tolist())
-            yield from real(cs_, tid_, missing, protect, speculate)
+            yield from real(cs_, tid_, missing, protect)
             if len(handed) == 1:
                 cache.invalidate([first + 2, first + 3])
 
         monkeypatch.setattr(rtbatch, "fault_lines_batched", voided_once)
         scans = _spy(monkeypatch, cache, "missing_in")
-        run_threads(system, [cs.ensure_resident(tid, base, 8 * PAGE,
-                                                speculate=False)])
+        run_threads(system, [cs.ensure_resident(tid, base, 8 * PAGE)])
         assert cache.span_resident(base, 8 * PAGE)
         assert handed == [list(range(first, first + 8)),
                           [first + 2, first + 3]]
@@ -130,16 +128,14 @@ def _outcome(result):
 
 @pytest.mark.parametrize("config, spawn, params, cores", [
     (None, spawn_jacobi, JacobiParams(rows=128, cols=256, iterations=3), 4),
-    # Stride prediction + plan-informed prefetch: demand faults find lines
-    # with a prefetch in flight and must wait exactly where they used to.
-    (SamhitaConfig.adaptive_cache(), spawn_microbench,
-     MicrobenchParams(N=6, M=4, S=8, allocation=Allocation.GLOBAL), 6),
-    (SamhitaConfig.adaptive_cache(n_memory_servers=2), spawn_microbench,
+    # Striped homes: an adjacent-line rider travels to another home than
+    # its demand line, on a trip of its own.
+    (SamhitaConfig(n_memory_servers=2), spawn_microbench,
      MicrobenchParams(N=5, M=3, S=4, allocation=Allocation.GLOBAL_STRIDED),
      8),
     (SamhitaConfig(cache_capacity_pages=48), spawn_microbench,
      MicrobenchParams(N=3, M=2, S=64, allocation=Allocation.LOCAL), 4),
-], ids=["jacobi", "adaptive-global", "adaptive-strided-2homes", "evicting"])
+], ids=["jacobi", "strided-2homes", "evicting"])
 def test_same_run_as_the_per_line_scan(monkeypatch, config, spawn, params,
                                        cores):
     shipped = run_workload_direct("samhita", cores, spawn, params,
@@ -150,17 +146,6 @@ def test_same_run_as_the_per_line_scan(monkeypatch, config, spawn, params,
                                     functional=False, config=config)
     assert _outcome(shipped) == _outcome(reference)
     assert shipped.stats["compute_servers"]["pages_fetched"] > 0
-
-
-def test_the_in_flight_cut_is_exercised():
-    """The adaptive cell above is only an oracle for the cut if faults
-    really meet in-flight prefetches there."""
-    result = run_workload_direct(
-        "samhita", 6, spawn_microbench,
-        MicrobenchParams(N=6, M=4, S=8, allocation=Allocation.GLOBAL),
-        functional=False,
-        config=SamhitaConfig.adaptive_cache())
-    assert result.stats["prefetch"]["prefetch_waits"] > 0
 
 
 @pytest.mark.parametrize("functional", [False, True])

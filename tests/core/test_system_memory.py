@@ -4,7 +4,7 @@ recall -- driven through a whole SamhitaSystem."""
 import numpy as np
 import pytest
 
-from repro.core import PrefetchPolicy, SamhitaConfig, SamhitaSystem
+from repro.core import SamhitaConfig, SamhitaSystem
 from repro.errors import MemoryError_
 from tests.core.conftest import run_threads, u8
 
@@ -145,7 +145,7 @@ class TestPrefetch:
         assert cache.stats.get("prefetch_hits") >= 8
 
     def test_prefetch_disabled_by_config(self):
-        config = SamhitaConfig(prefetch=PrefetchPolicy(mode="none"))
+        config = SamhitaConfig(prefetch=False)
         system = SamhitaSystem.cluster(n_threads=1, config=config)
         t0 = system.add_thread()
 
@@ -160,7 +160,7 @@ class TestPrefetch:
 class TestEviction:
     def _tiny_cache_system(self, policy=None):
         kw = {"cache_capacity_pages": 8,
-              "prefetch": PrefetchPolicy(mode="none")}
+              "prefetch": False}
         if policy is not None:
             kw["eviction_policy"] = policy
         config = SamhitaConfig(**kw)

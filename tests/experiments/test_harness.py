@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PrefetchPolicy, SamhitaConfig
+from repro.core import SamhitaConfig
 from repro.experiments import FigureResult, Series, run_workload, sweep
 from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
 
@@ -26,7 +26,7 @@ class TestRunWorkload:
         assert result.value_of(0) is not None
 
     def test_config_override(self):
-        config = SamhitaConfig(prefetch=PrefetchPolicy(mode="none"))
+        config = SamhitaConfig(prefetch=False)
         result = run_workload("samhita", 1, spawn_microbench, PARAMS,
                               config=config)
         assert result.stats["compute_servers"].get("speculative_riders", 0) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PrefetchPolicy, SamhitaConfig
+from repro.core import SamhitaConfig
 from repro.core.invariants import InvariantViolation, check_invariants
 from repro.kernels import (
     Allocation,
@@ -54,7 +54,7 @@ def test_ivy_invariants_hold(name):
 
 def test_invariants_hold_under_cache_pressure():
     config = SamhitaConfig(cache_capacity_pages=8,
-                           prefetch=PrefetchPolicy(mode="none"))
+                           prefetch=False)
     rt = Runtime("samhita", n_threads=2, config=config)
     spawn_fn, params = WORKLOADS["microbench-strided"]
     spawn_fn(rt, params)

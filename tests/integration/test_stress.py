@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PrefetchPolicy, SamhitaConfig, SamhitaSystem
+from repro.core import SamhitaConfig, SamhitaSystem
 from repro.kernels import (
     Allocation,
     MicrobenchParams,
@@ -43,7 +43,7 @@ class TestEvictionUnderSharing:
         eviction write-backs interleaved with barrier merges; every thread
         must still see every byte correctly."""
         config = SamhitaConfig(cache_capacity_pages=8,
-                               prefetch=PrefetchPolicy(mode="none"))
+                               prefetch=False)
         rt = Runtime("samhita", n_threads=4, config=config)
         bar = rt.create_barrier()
         shared = {}
@@ -75,7 +75,7 @@ class TestEvictionUnderSharing:
         """Evicting an owned page clears ownership; later readers get fresh
         data from the home, not a recall to a cleaned cache."""
         config = SamhitaConfig(cache_capacity_pages=8,
-                               prefetch=PrefetchPolicy(mode="none"))
+                               prefetch=False)
         rt = Runtime("samhita", n_threads=2, config=config)
         bar = rt.create_barrier()
         shared = {}

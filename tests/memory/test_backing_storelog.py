@@ -192,7 +192,7 @@ class TestChecksumAcrossDiffs:
         server._wal_extend([diff])
         server.backing.apply_diffs([diff])
         system.process(system.compute_server_of(reader).ensure_resident(
-            reader, where["base"], 4096, speculate=False))
+            reader, where["base"], 4096))
         system.run()
         stats = system.compute_server_of(reader).stats
         assert stats.get("integrity_failures") == stats.get("integrity_repairs") == 1

@@ -29,7 +29,6 @@ PINS = json.loads(
 CONFIGS = {
     "default": SamhitaConfig(),
     "compat": SamhitaConfig(),
-    "adaptive": SamhitaConfig.adaptive_cache(),
     "sharded": SamhitaConfig(manager_shards=2, n_memory_servers=2),
     "replicated": SamhitaConfig(n_memory_servers=2, replication_factor=2,
                                 fencing=True),
