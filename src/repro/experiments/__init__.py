@@ -4,7 +4,9 @@
 functions that run the corresponding parameter sweep and return a
 :class:`~repro.experiments.results.FigureResult`;
 :func:`repro.experiments.report.format_figure` renders it as the same
-rows/series the paper plots.
+rows/series the paper plots. ``repro.experiments.verification.TABLES``
+adds the ablations, extended experiments and sensitivity sweeps, keyed by
+their ``benchmarks/results`` file stems, and ``CLAIMS`` checks each table.
 """
 
 from repro.experiments.results import FigureResult, Series

@@ -1,12 +1,13 @@
-"""Command-line figure regeneration.
+"""Command-line table regeneration.
 
 Usage::
 
-    python -m repro.experiments              # list figures
-    python -m repro.experiments fig03        # run + print one figure
-    python -m repro.experiments all          # run + print every figure
+    python -m repro.experiments              # list the archived tables
+    python -m repro.experiments fig03        # run + print one table
+    python -m repro.experiments ablation_prefetch
+    python -m repro.experiments all          # run + print every table
     python -m repro.experiments fig12 --quick   # reduced sweep (fast check)
-    python -m repro.experiments verify    # every paper claim, paper scale
+    python -m repro.experiments verify    # every table's claim
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.extended import EXTENDED_FIGURES
-from repro.experiments.figures import FIGURES
 from repro.experiments.report import print_figure
-
-ALL_FIGURES = {**FIGURES, **EXTENDED_FIGURES}
 
 #: Reduced sweeps for --quick: enough points to see the shape in seconds.
 _QUICK_KWARGS: dict = {
@@ -209,14 +206,19 @@ def _print_sync_row() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
-        description="Regenerate figures from the paper's evaluation (§III).")
+        description="Regenerate the archived tables: the paper's figures "
+                    "(§III), the ablations, the extended experiments and "
+                    "the sensitivity sweeps.")
     parser.add_argument("figure", nargs="?",
-                        help="fig03..fig13, 'all', or 'verify' (every "
-                             "paper claim, checked on the paper-scale "
-                             "figures); omit to list figures")
+                        help="a table's file stem (fig03, ablation_prefetch, "
+                             "ext_hetero, sensitivity_ordering, ...), 'all', "
+                             "'verify' (every table's claim), 'campaign' "
+                             "(every table and claim, written to "
+                             "./campaign/), 'report' or 'chaos'; omit to "
+                             "list the tables")
     parser.add_argument("--quick", action="store_true",
-                        help="figures only: reduced sweep for a fast shape "
-                             "check")
+                        help="paper figures only: reduced sweep for a fast "
+                             "shape check")
     parser.add_argument("--plot", action="store_true",
                         help="render an ASCII chart instead of a table")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
@@ -224,17 +226,17 @@ def main(argv: list[str] | None = None) -> int:
                              "(with a result cache; 0 = serial, uncached)")
     args = parser.parse_args(argv)
 
+    from repro.experiments.verification import TABLES
+
     if args.figure is None:
-        print("Paper figures:")
-        for name, fn in sorted(FIGURES.items()):
+        print("Archived tables (benchmarks/results/<name>.txt):")
+        width = max(map(len, TABLES))
+        for name, fn in sorted(TABLES.items()):
             doc = ((fn.__doc__ or "").strip().splitlines() or [""])[0]
-            print(f"  {name}  {doc}")
-        print("Extended experiments:")
-        for name, fn in sorted(EXTENDED_FIGURES.items()):
-            doc = ((fn.__doc__ or "").strip().splitlines() or [""])[0]
-            print(f"  {name}  {doc}")
-        print("Special: 'all' (every paper figure), 'verify' (claim "
-              "checks), 'chaos' (fault-schedule report)")
+            print(f"  {name:<{width}}  {doc}")
+        print("Special: 'all' (every table), 'verify' (claim checks), "
+              "'campaign' (tables + report), 'report' (the archive), "
+              "'chaos' (fault-schedule report)")
         return 0
 
     from repro.experiments.parallel import activate, make_executor
@@ -259,8 +261,8 @@ def main(argv: list[str] | None = None) -> int:
         results = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
         if not results.is_dir():
             print("no archived results; run `python -m repro.experiments "
-                  "campaign` and copy campaign/fig*.txt to "
-                  "benchmarks/results/", file=sys.stderr)
+                  "campaign` and cp campaign/*.txt benchmarks/results/",
+                  file=sys.stderr)
             return 1
         for path in sorted(results.glob("*.txt")):
             print(f"===== {path.name} =====")
@@ -270,15 +272,15 @@ def main(argv: list[str] | None = None) -> int:
         _print_sync_row()
         return 0
 
-    names = sorted(FIGURES) if args.figure == "all" else [args.figure]
-    unknown = [n for n in names if n not in ALL_FIGURES]
+    names = sorted(TABLES) if args.figure == "all" else [args.figure]
+    unknown = [n for n in names if n not in TABLES]
     if unknown:
-        print(f"unknown figure(s): {', '.join(unknown)}", file=sys.stderr)
+        print(f"unknown table(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     with activate(executor):
         for name in names:
             kwargs = _QUICK_KWARGS.get(name, {}) if args.quick else {}
-            fr = ALL_FIGURES[name](**kwargs)
+            fr = TABLES[name](**kwargs)
             if args.plot:
                 from repro.experiments.plots import print_chart
                 print_chart(fr)

@@ -14,6 +14,12 @@ working on".
 * :func:`matmul_figure` -- read-broadcast scaling (best case for
   demand-paged DSM).
 * :func:`pipeline_figure` -- condvar pipeline throughput vs consumer count.
+* :func:`sor_figure`, :func:`taskfarm_figure`, :func:`interconnect_era_figure`
+  -- fragmented-diff SOR, a dynamic task farm, and one workload across
+  three decades of interconnects.
+
+Each is archived as ``benchmarks/results/ext_*.txt``
+(``verification.TABLES``) and checked by its claim.
 """
 
 from __future__ import annotations
@@ -251,13 +257,3 @@ def interconnect_era_figure(core_counts=(8, 32)) -> FigureResult:
             series.add(cores, rt.run().mean_compute_time / base)
     return fr
 
-
-EXTENDED_FIGURES = {
-    "ext-hetero": hetero_figure,
-    "ext-multimic": multi_coprocessor_figure,
-    "ext-matmul": matmul_figure,
-    "ext-pipeline": pipeline_figure,
-    "ext-sor": sor_figure,
-    "ext-taskfarm": taskfarm_figure,
-    "ext-eras": interconnect_era_figure,
-}

@@ -31,7 +31,9 @@ def ascii_chart(fr: FigureResult, width: int = 64, height: int = 18,
     if log_y is None:
         log_y = bool(fr.meta.get("log_scale"))
 
-    xs = [x for s in fr.series.values() for x in s.xs]
+    # A categorical x (a policy, a protocol) is plotted at its column index.
+    column = {x: i if isinstance(x, str) else x for i, x in enumerate(fr.xs)}
+    xs = list(column.values())
     ys = [y for s in fr.series.values() for y in s.ys if y > 0 or not log_y]
     if not ys:
         ys = [1e-9]
@@ -54,7 +56,7 @@ def ascii_chart(fr: FigureResult, width: int = 64, height: int = 18,
         marker = _MARKERS[i % len(_MARKERS)]
         legend.append(f"{marker} {label}")
         for x, y in series.points:
-            place(x, y, marker)
+            place(column[x], y, marker)
 
     def fmt(v: float) -> str:
         if log_y:

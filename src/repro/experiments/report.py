@@ -21,8 +21,9 @@ def format_figure(fr: FigureResult) -> str:
     """Render one figure as an aligned text table."""
     log_scale = bool(fr.meta.get("log_scale"))
     xs = fr.xs
-    header = [fr.xlabel] + [str(int(x) if float(x).is_integer() else x)
-                            for x in xs]
+    header = [fr.xlabel] + [
+        str(x if isinstance(x, str) or not float(x).is_integer() else int(x))
+        for x in xs]
     rows = [header]
     for label, series in fr.series.items():
         lookup = dict(series.points)

@@ -9,12 +9,20 @@ claim that shapes, not absolute values, are the reproduction targets.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.core.params import SamhitaConfig
 from repro.experiments.harness import run_workload
 from repro.experiments.results import FigureResult
+from repro.interconnect import ib_ddr, ib_fdr, ib_qdr, ib_sdr
 from repro.interconnect.base import LinkModel
+from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
+
+#: The archived sweeps' workloads: the micro-benchmark at P=8.
+LOCAL, GLOBAL, STRIDED = (
+    MicrobenchParams(N=6, M=4, S=2, B=256, allocation=allocation)
+    for allocation in (Allocation.LOCAL, Allocation.GLOBAL,
+                       Allocation.GLOBAL_STRIDED))
 
 
 def _metric(result, which: str) -> float:
@@ -73,20 +81,31 @@ def link_sensitivity(links: Mapping[str, LinkModel], spawn_fn, params,
     return fr
 
 
-def ordering_robust(field: str, values, spawn_fn, params_by_label: Mapping,
-                    n_threads: int = 8, metric: str = "compute",
-                    base: SamhitaConfig | None = None) -> bool:
-    """True if the relative ordering of the given workloads is the same for
-    every value of the swept field -- the formal version of "the shape
-    holds regardless of calibration"."""
-    base = base or SamhitaConfig()
-    orderings = set()
-    for value in values:
-        config = base.with_(**{field: value})
-        scores = {}
-        for label, params in params_by_label.items():
-            result = run_workload("samhita", n_threads, spawn_fn, params,
-                                  config=config)
-            scores[label] = _metric(result, metric)
-        orderings.add(tuple(sorted(scores, key=scores.get)))
-    return len(orderings) == 1
+def manager_service() -> FigureResult:
+    """Sync and compute time across a 10x swing of the manager service time."""
+    return config_sensitivity("manager_service_time", [0.5e-6, 1.5e-6, 5e-6],
+                              spawn_microbench, STRIDED)
+
+
+def ib_generations() -> FigureResult:
+    """One strided workload over each InfiniBand generation, SDR to FDR."""
+    links = {"sdr": ib_sdr(), "ddr": ib_ddr(), "qdr": ib_qdr(), "fdr": ib_fdr()}
+    return link_sensitivity(links, spawn_microbench, STRIDED)
+
+
+def ordering() -> FigureResult:
+    """Compute time per allocation across the fault-handler cost sweep."""
+    fr = FigureResult(
+        figure="sensitivity[fault_handler_time]",
+        title="Allocation ordering across fault_handler_time (P=8)",
+        xlabel="fault_handler_time",
+        ylabel="compute time (s)",
+        meta={"P": 8},
+    )
+    for label, params in (("local", LOCAL), ("global", GLOBAL),
+                          ("strided", STRIDED)):
+        sweep = config_sensitivity("fault_handler_time", [0.3e-6, 1e-6, 3e-6],
+                                   spawn_microbench, params,
+                                   metrics=("compute",))
+        fr.new_series(label).points.extend(sweep["compute"].points)
+    return fr

@@ -1,5 +1,5 @@
-"""The paper-scale campaign, run once per test session and shared by the
-claim gate, the archive gate and the report tests."""
+"""The campaign, run once per test session and shared by the claim gate,
+the archive gate and the report tests."""
 
 import pytest
 
@@ -8,8 +8,9 @@ from repro.experiments.campaign import run_campaign
 
 @pytest.fixture(scope="session")
 def campaign_dir(tmp_path_factory):
-    """All 11 paper figures built once on two workers, every claim checked,
-    and each table written as ``figNN.txt`` next to ``REPORT.md``."""
+    """All 34 archived tables built once on two workers, every claim
+    checked, and each table written as ``<stem>.txt`` next to
+    ``REPORT.md``."""
     out = tmp_path_factory.mktemp("campaign")
     run_campaign(out, echo=False, workers=2)
     return out

@@ -1,13 +1,13 @@
 """Tests for the one-command campaign report."""
 
-from repro.experiments.figures import FIGURES
+from repro.experiments.verification import TABLES
 
 
 def test_campaign_writes_report_and_tables(campaign_dir):
     report = campaign_dir / "REPORT.md"
     text = report.read_text()
     assert "# Reproduction campaign report" in text
-    for name in FIGURES:
+    for name in TABLES:
         assert f"| {name} |" in text
         assert f"### {name}" in text
         assert (campaign_dir / f"{name}.txt").exists()

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.experiments.extended import (
-    EXTENDED_FIGURES,
     hetero_figure,
     matmul_figure,
     multi_coprocessor_figure,
     pipeline_figure,
 )
+from repro.experiments.verification import TABLES
 
 
 class TestHeteroFigure:
@@ -63,6 +63,6 @@ class TestPipelineFigure:
 
 
 def test_registry():
-    assert set(EXTENDED_FIGURES) == {"ext-hetero", "ext-multimic",
-                                     "ext-matmul", "ext-pipeline",
-                                     "ext-sor", "ext-taskfarm", "ext-eras"}
+    assert {name for name in TABLES if name.startswith("ext_")} == {
+        "ext_hetero", "ext_multimic", "ext_matmul", "ext_pipeline",
+        "ext_sor", "ext_taskfarm", "ext_eras"}

@@ -52,6 +52,17 @@ class TestAsciiChart:
         # Top row is the largest y (largest x): columns descend going down.
         assert cols == sorted(cols, reverse=True)
 
+    def test_categorical_x_plotted_at_column_index(self):
+        fr = FigureResult("figC", "policies", "policy", "ms")
+        s = fr.new_series("s")
+        s.add("lru", 1.0)
+        s.add("clean-first", 2.0)
+        rows = [l.split("|")[1] for l in ascii_chart(fr, width=20, height=5)
+                .splitlines() if l.endswith("|")]
+        # Columns sort as clean-first (0, the larger y), then lru (1).
+        assert rows[0].index("o") == 0
+        assert rows[-1].index("o") == 19
+
     def test_empty_figure_handled(self):
         fr = FigureResult("figZ", "empty", "x", "y")
         assert "(no data)" in ascii_chart(fr)
