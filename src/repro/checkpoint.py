@@ -13,7 +13,7 @@ global observer.
 What goes into the cut (one :class:`Checkpoint`):
 
 * the engine clock and the barrier-round counter;
-* the fencing epoch (``config.fencing``), so a restore cannot resurrect a
+* the fencing epoch (armed by a fault plan), so a restore cannot resurrect a
   pre-failover membership view;
 * every page's authoritative bytes. The home server's frame is the base;
   when the directory credits a thread with lazily-held (single-writer)
@@ -51,7 +51,7 @@ class Checkpoint:
     round: int
     #: Simulated time of the quiesce point.
     clock: float
-    #: Fencing epoch at the cut (0 when fencing is off / never failed over).
+    #: Fencing epoch at the cut (0 without a fault plan / never failed over).
     epoch: int
     #: page -> bytes: the authoritative copy of every materialized page
     #: (owner cache copy when the page's diff is lazily held, else the home
@@ -92,17 +92,8 @@ class CheckpointStore:
     def latest(self) -> Checkpoint | None:
         return self._checkpoints[-1] if self._checkpoints else None
 
-    def at_round(self, round_: int) -> Checkpoint | None:
-        for ckpt in reversed(self._checkpoints):
-            if ckpt.round == round_:
-                return ckpt
-        return None
-
     def __len__(self) -> int:
         return len(self._checkpoints)
-
-    def __iter__(self):
-        return iter(self._checkpoints)
 
 
 def _authoritative_bytes(system, page: int, backing):

@@ -6,27 +6,19 @@ the whole multi-page cache line from its home; if the cache is full, victims
 are chosen by the dirty-biased policy and written back before the install.
 
 Every fault and eviction is one batched round trip per home server
-(:mod:`repro.core.rtbatch`). The paper's anticipatory paging
-(``SamhitaConfig.prefetch``) fetches the line after a demand miss on the
-miss's own round trip.
-
-Two fetch paths exist: the batched one every fault takes, and the pinned
-fetch :meth:`ComputeServer.ensure_resident` escalates to when ordinary
-fetches keep being voided (the starvation escape).
+(:mod:`repro.core.rtbatch`); there is no other fetch path. The paper's
+anticipatory paging (``SamhitaConfig.prefetch``) fetches the line after a
+demand miss on the miss's own round trip.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core import rtbatch
-from repro.errors import (
-    CommunicationError,
-    MemoryError_,
-    ReplicationError,
-)
+from repro.errors import MemoryError_, ReplicationError
 from repro.memory.backing import payload_crc_ok
 from repro.sim.stats import StatSet
 
@@ -72,7 +64,7 @@ class ComputeServer:
         #: thread's stashes without walking every lock cached on the node.
         self._grants_of: dict[int, dict[int, _CachedLock]] = {}
         self.stats = StatSet(f"compute[{component}]")
-        #: Last cluster epoch this sender observed (``config.fencing``):
+        #: Last cluster epoch this sender observed (fault plans only):
         #: stamped on write-side RPCs, refreshed when a receiver fences a
         #: stale stamp after a failover this component missed.
         self.known_epoch = 0
@@ -172,11 +164,8 @@ class ComputeServer:
         Retries when a concurrent consistency action (an IVY upgrade by
         another thread, a barrier invalidation) voids an in-flight fetch --
         the per-page invalidation guard drops the stale data and the next
-        pass refetches. Under sustained write pressure (IVY readers racing
-        a tight writer loop) ordinary fetches can be voided indefinitely,
-        so after a few failed rounds the reader escalates to a *pinned*
-        fetch that holds the home server for the whole transfer: nothing
-        can invalidate mid-flight, guaranteeing progress.
+        pass refetches -- up to a bound past which the thread is starved.
+        An access outside every allocation raises on its first attempt.
         """
         cache = self.caches[tid]
         if cache.span_resident(addr, nbytes):
@@ -197,13 +186,8 @@ class ComputeServer:
                 lo, hi = missing.searchsorted((span.start, span.stop))
                 if lo == hi:
                     return
-            if attempt >= 8:
-                yield from self._fetch_pages_pinned(
-                    tid, self._allocated_only(missing[lo:hi]).tolist(),
-                    protect)
-            else:
-                yield from rtbatch.fault_lines_batched(
-                    self, tid, missing, protect)
+            yield from rtbatch.fault_lines_batched(self, tid, missing,
+                                                   protect)
         raise MemoryError_(
             f"thread {tid} starved faulting [{addr:#x}, +{nbytes})")
 
@@ -248,46 +232,3 @@ class ComputeServer:
             raise ReplicationError(
                 f"page {page}: repaired copy failed its checksum")
         return repaired
-
-    def _fetch_pages_pinned(self, tid: int, pages: list[int],
-                            protect: Iterable[int]):
-        """Generator: starvation-proof fetch -- the home server is held for
-        the whole request INCLUDING the data transfer, and the install runs
-        synchronously on return, so no invalidation can void it."""
-        cache = self.caches[tid]
-        by_server: dict[int, list[int]] = {}
-        for page in pages:
-            by_server.setdefault(self.system.allocator.home_of_page(page), []).append(page)
-        counters = self.stats.counters
-        for server_index, server_pages in sorted(by_server.items()):
-            # Pre-make room (evictions may need the same server).
-            while cache.free_pages < len(server_pages):
-                yield from rtbatch.evict_batched(
-                    self, tid, 1, {*protect, *server_pages})
-            counters["fetch_requests"] += 1
-            backoffs = 0
-            while True:
-                server = self.system.memory_servers[
-                    self.system.directory.resolve_home(server_index)]
-                floor = (rtbatch.trip_timeout_floor(
-                    self.system, self.component, server.component,
-                    len(server_pages))
-                    if self.system.injector is not None else 0.0)
-                try:
-                    t = self.system.scl.send(self.component, server.component,
-                                             category="fetch_req",
-                                             timeout_floor=floor)
-                    if t is not None:
-                        yield from t
-                    data = yield from server.serve_fetch_pinned(
-                        tid, self.component, server_pages)
-                except CommunicationError as err:
-                    backoffs = yield from rtbatch.recover(self, server, err,
-                                                          backoffs)
-                    continue
-                break
-            for page in server_pages:
-                if not cache.resident(page):
-                    cache.install(page, data.get(page))
-            counters["pinned_fetches"] += 1
-            counters["pages_fetched"] += len(server_pages)

@@ -94,18 +94,17 @@ class ControlPlane:
         self.shards = shards
         self.n = len(shards)
         self._next_id = 0
-        #: With neither a fault plan nor fencing nothing can exhaust an
-        #: RPC's retries or mint an epoch, so a routed RPC has no failure
-        #: to guard against (:meth:`_guarded`): the same "clean path pays
-        #: nothing" rule ``Fabric.attach_injector`` follows, decided once.
-        config = system.config
-        self._guard = config.faults is not None or config.fencing
+        #: Without a fault plan nothing can exhaust an RPC's retries or
+        #: mint an epoch, so a routed RPC has no failure to guard against
+        #: (:meth:`_guarded`): the same "clean path pays nothing" rule
+        #: ``Fabric.attach_injector`` follows, decided once.
+        self._guard = system.config.faults is not None
         #: Logical shard index (object ``i``'s is ``i % n``) -> the manager
         #: serving it now, kept current by :meth:`handle_shard_failure`.
         self._live: list[Manager] = list(shards)
         self._dead_shards: set[int] = set()
         self.stats = StatSet("control_plane")
-        #: Fencing (``config.fencing``): last cluster epoch each sender
+        #: Fencing (armed by a fault plan): last cluster epoch each sender
         #: component observed on the control plane. A shard that inherited
         #: state in a failover rejects grant/release traffic from senders
         #: still stamping the pre-merge epoch (see :meth:`_guarded`).
@@ -168,17 +167,17 @@ class ControlPlane:
         through a shard failover when the RPC exhausts its retries against
         a corpse.
 
-        With fencing on, a sender whose epoch view predates the successor
-        shard's promotion is fenced first: its stale stamp is rejected
-        (counted), its view refreshed, and the op then issues with the
-        current epoch -- so a lock grant or release can never be served
-        under a membership the sender has not acknowledged.
+        A sender whose epoch view predates the successor shard's
+        promotion is fenced first: its stale stamp is rejected (counted),
+        its view refreshed, and the op then issues with the current epoch
+        -- so a lock grant or release can never be served under a
+        membership the sender has not acknowledged.
         """
         membership = self.system.membership
         while True:
             mgr = self._live[index]
-            if (membership is not None
-                    and self._known_epoch.get(comp, 0) < mgr.fence_epoch):
+            fence = mgr.fence_epoch  # 0 until a failover promotes mgr
+            if fence and self._known_epoch.get(comp, 0) < fence:
                 membership.fenced()
                 self.stats.incr("control_rpcs_fenced")
                 self._known_epoch[comp] = membership.epoch
@@ -499,6 +498,15 @@ class ControlPlane:
         succ_mgr._barriers.update(dead_mgr._barriers)
         succ_mgr._conds.update(dead_mgr._conds)
         succ_mgr.known_threads |= dead_mgr.known_threads
+        # One copy of the sync state: a deposed shard that was only cut off
+        # may still serve a request sent before the failover, and it must
+        # act on the successor's tables -- a barrier round it closes rolls
+        # over there, not in a copy the successor never reads.
+        for mgr in self.shards:
+            if mgr._barriers is dead_mgr._barriers:
+                mgr._locks = succ_mgr._locks
+                mgr._barriers = succ_mgr._barriers
+                mgr._conds = succ_mgr._conds
         # Every index the dead shard served (its own, and any it had
         # inherited) is served by the successor now.
         live = self._live
@@ -510,13 +518,9 @@ class ControlPlane:
             # Fence the dead shard's senders: lock grants and releases now
             # carry the successor's promotion epoch; anything stamped older
             # is refused until the sender refreshes its view.
-            succ_mgr.fence_epoch = membership.promote(("shard", dead),
-                                                      successor)
+            succ_mgr.fence_epoch = membership.promote()
         self.stats.incr("shard_failovers")
         self.system.stats.incr("shard_failovers")
-
-    def is_shard_dead(self, index: int) -> bool:
-        return index in self._dead_shards
 
     def await_shard_failover(self, index: int, err, comp: str | None = None):
         """Generator: a control RPC against shard ``index`` exhausted its
@@ -524,11 +528,10 @@ class ControlPlane:
         budget) for the shard failover to land, then return so the caller
         re-routes; otherwise re-raise.
 
-        With fencing on and a partition explaining the failure -- either
-        this sender is on the minority side, or the target shard is
-        isolated but quorum refused to declare it dead -- the caller parks
-        in degraded mode until the cut heals, then re-issues against a
-        shard that never split its brain."""
+        With a partition explaining the failure -- the sender or the
+        target shard sits inside an active cut and no failover has landed
+        -- the caller parks in degraded mode until the cut heals, then
+        re-issues against the shard that serves the index now."""
         if self.system.detector is None or self.n == 1:
             raise err
         return self.system._failover_wait(

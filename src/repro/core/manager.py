@@ -170,7 +170,7 @@ class Manager:
         #: ``config.lock_owner_cache`` is on; lets a contending acquire
         #: revoke another component's cached ownership grant.
         self.cache_registry = None
-        #: Fencing (``config.fencing``): minimum epoch this shard accepts
+        #: Fencing (armed by a fault plan): minimum epoch this shard accepts
         #: on control RPCs, set to the minted epoch when the shard inherits
         #: a dead peer's state in a failover. 0 = never promoted.
         self.fence_epoch = 0
@@ -841,6 +841,10 @@ class FailureDetector:
     never suspectable and cannot false-positive) and manager shards (only
     with ``manager_shards > 1``, for the same reason: a lone manager has
     no ring successor). A component in neither map is ignored outright.
+    A declaration fails over at once, with no vote: the successor inherits
+    the dead component's own state, so there is no second copy for a
+    partitioned minority to diverge from, and the fencing epoch the
+    failover mints stops the deposed side's stale writes.
     """
 
     def __init__(self, engine: Engine, config, system, injector):
@@ -901,13 +905,8 @@ class FailureDetector:
                 self.stats.incr("suspicions_cleared")
             self._misses[comp] += 1
             if self._misses[comp] >= HEARTBEAT_MISSES:
-                if self._declare_dead(comp):
-                    return
-                # Quorum refused (partition ambiguity): keep probing; the
-                # declaration re-attempts once connectivity lets a majority
-                # agree -- or the probe below clears the suspicion when the
-                # partition heals and the component answers.
-                self._misses[comp] = 0
+                self._declare_dead(comp)
+                return
             self.engine.schedule(HEARTBEAT_INTERVAL, self._probe, comp)
         else:
             # The beat answered: transient blip, stand down.
@@ -915,44 +914,7 @@ class FailureDetector:
             self._last_probe.pop(comp, None)
             self.stats.incr("suspicions_cleared")
 
-    def _quorum_grants(self, target: str) -> bool:
-        """Majority agreement that ``target`` is gone (``config.fencing``).
-
-        The first live, non-isolated manager shard coordinates; every shard
-        it can reach votes on whether IT can reach ``target``; declaring
-        requires a strict majority of all configured shards. On the
-        fencing-off or single-shard build this is unconditionally True --
-        the PR-5/PR-6 reactive path, bit-identical.
-        """
-        system = self.system
-        membership = system.membership
-        control = system.control
-        if membership is None or control.n == 1:
-            return True
-        now = self.engine.now
-        injector = self.injector
-        candidates = [mgr.component for i, mgr in enumerate(control.shards)
-                      if not control.is_shard_dead(i)
-                      and mgr.component != target]
-        coordinator = next((c for c in candidates
-                            if not injector.server_down(c, now)), None)
-        if coordinator is None:
-            membership.quorum_denied()
-            return False
-        votes = 0
-        for c in candidates:
-            if c != coordinator and injector.unreachable(coordinator, c, now):
-                continue  # the coordinator cannot collect this vote
-            if injector.unreachable(c, target, now):
-                votes += 1
-        if votes >= control.n // 2 + 1:
-            return True
-        membership.quorum_denied()
-        return False
-
-    def _declare_dead(self, comp: str) -> bool:
-        if not self._quorum_grants(comp):
-            return False
+    def _declare_dead(self, comp: str) -> None:
         self._declared.add(comp)
         self._misses.pop(comp, None)
         self._last_probe.pop(comp, None)
@@ -962,4 +924,3 @@ class FailureDetector:
         if comp in self._index_of:
             self.stats.incr("servers_declared_dead")
             self.system.handle_server_failure(self._index_of[comp])
-        return True

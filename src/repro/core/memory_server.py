@@ -63,7 +63,7 @@ class MemoryServer:
         #: Valid only until the requester's next yield -- it reads them
         #: synchronously after the serve returns. None when integrity off.
         self.last_serve_crcs: dict[int, int] | None = None
-        #: Fencing (``config.fencing``): minimum epoch this server accepts
+        #: Fencing (armed by a fault plan): minimum epoch this server accepts
         #: on write-side RPCs, set to the minted epoch when the server is
         #: promoted. 0 means "never promoted": everything is acceptable.
         self.fence_epoch = 0
@@ -345,41 +345,11 @@ class MemoryServer:
             yield from self._replicate()
         return result
 
-    def serve_fetch_pinned(self, requester_tid: int, requester_comp: str,
-                           pages: list[int]):
-        """Generator: starvation-proof fetch. Unlike
-        :meth:`serve_fetch_bulk`, the data transfer happens while the server
-        resource is still held, so no invalidating operation (upgrade,
-        recall) can slip between the read and the requester's install."""
-        yield from self.resource.request_service(self._service_time())
-        try:
-            self.stats.incr("pinned_fetches")
-            self.stats.incr("pages_served", len(pages))
-            result = {}
-            for page in pages:
-                owner = self.directory.owner_of(page)
-                if owner is not None and owner != requester_tid:
-                    r = self._recall_bulk(owner, page_vector([page]))
-                    if r is not None:
-                        yield from r
-                if self._track_sharers:
-                    self.directory.add_sharer(page, requester_tid)
-                result[page] = self.backing.read_page(page)
-            nbytes = len(pages) * self.config.layout.page_bytes
-            t = self._system.fabric.transfer_inline(
-                self.component, requester_comp, nbytes, category="page",
-                tail=len(pages) * self.config.install_page_time)
-            if t is not None:
-                yield from t
-            return result
-        finally:
-            self.resource.release()
-
     def _fence(self, epoch: int | None, category: str) -> None:
         """Reject a write-side RPC stamped with a pre-promotion epoch.
 
-        ``epoch`` is None unless ``config.fencing`` is armed (senders only
-        stamp when a membership view exists), so the default build pays one
+        ``epoch`` is None unless a fault plan is armed (senders only stamp
+        when a membership view exists), so a fault-free build pays one
         ``is None`` check. The write is never applied: the sender catches
         :class:`StaleEpochError`, refreshes its epoch and re-issues against
         the current primary -- which is how a partitioned old primary (or
@@ -389,9 +359,7 @@ class MemoryServer:
         if epoch is None or epoch >= self.fence_epoch:
             return
         self.stats.counters["writes_fenced"] += 1
-        membership = self._system.membership
-        if membership is not None:
-            membership.fenced()
+        self._system.membership.fenced()  # a stamp implies a membership
         raise StaleEpochError(self.component, self.component, category,
                               epoch, self.fence_epoch, self.engine.now)
 
@@ -402,7 +370,7 @@ class MemoryServer:
         The caller pays the wire transfer; homes apply in arrival order,
         which the DES serializes deterministically. As with fetches, the
         resource is held until the merge is visible. ``epoch`` is the
-        sender's fencing stamp (``config.fencing``); stale stamps are
+        sender's fencing stamp (None without a fault plan); stale stamps are
         rejected before any byte is merged. ``at``: the put is still in
         flight (see :meth:`serve_fetch_bulk`).
         """

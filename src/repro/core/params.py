@@ -113,15 +113,6 @@ class SamhitaConfig:
     #: write-ahead replication log, and a heartbeat failure detector
     #: promotes a backup when the primary permanently crashes.
     replication_factor: int = 1
-    #: Partition-tolerant failover: fencing epochs on write-side RPCs plus
-    #: quorum-gated promotion. On a healthy run it changes nothing (pinned
-    #: equal to the default build); every failover bumps a cluster
-    #: epoch, stale-epoch writes are rejected at memory servers and manager
-    #: shards, declaring a component dead needs a majority of manager
-    #: shards to agree it is unreachable (single-shard configs keep the
-    #: reactive path), and senders isolated by a partition degrade to
-    #: read-only retries with backoff instead of diverging.
-    fencing: bool = False
     #: Coordinated crash-consistent checkpoints every N barrier rounds;
     #: 0 (the default) disables checkpointing entirely. Snapshots are taken
     #: at the barrier's quiesce point (all diffs applied at their homes):
@@ -133,7 +124,11 @@ class SamhitaConfig:
     # -- fault model ------------------------------------------------------
     #: Seeded fault schedule, or None (the default) for a perfect network.
     #: With None the fault subsystem is never constructed and the simulated
-    #: trajectory is bit-identical to builds predating it.
+    #: trajectory is bit-identical to builds predating it. A plan also arms
+    #: partition-tolerant failover: every failover mints a fencing epoch,
+    #: write-side RPCs stamped older are rejected at memory servers and
+    #: manager shards, and a sender cut off by a partition degrades to
+    #: read-only retries with backoff instead of diverging.
     faults: FaultPlan | None = None
 
     # -- local software costs ---------------------------------------------

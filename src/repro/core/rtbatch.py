@@ -45,7 +45,7 @@ from zlib import crc32
 
 import numpy as np
 
-from repro.errors import CommunicationError, recovery_action
+from repro.errors import CommunicationError, MemoryError_, recovery_action
 from repro.interconnect.scl import CONTROL_BYTES
 from repro.memory.backing import CRC_CORRUPT
 from repro.memory.pagetable import NO_PAGES
@@ -202,12 +202,16 @@ def fault_lines_batched(cs: "ComputeServer", tid: int, missing: np.ndarray,
 
     ``missing`` is the caller's residency scan, taken with no suspension
     since: the non-resident pages (ascending) of every line the faulted
-    span touches.
+    span touches. The caller faults only a span that lacks a page, so when
+    none of them is allocated the span reaches outside every allocation.
     """
     demand = cs._allocated_only(missing)
+    layout = cs.caches[tid].layout
     if not demand.size:
-        return
-    missed_lines = cs.caches[tid].layout.lines_of(demand)
+        raise MemoryError_(
+            f"thread {tid} accessed unallocated page "
+            f"{missing.item(0) * layout.page_bytes:#x}")
+    missed_lines = layout.lines_of(demand)
     counters = cs.stats.counters
     counters["faults"] += len(missed_lines)
     spec = NO_PAGES

@@ -155,12 +155,12 @@ class SamhitaSystem:
         # manager_shards=1) nothing below runs.
         self.detector: FailureDetector | None = None
         self._dead_servers: set[int] = set()
-        # Fencing epochs: the membership view exists only when the knob is
-        # on, so every fencing check below degrades to one ``is None`` on
-        # the default build (a healthy fenced run is pinned equal to it by
-        # ``test_jacobi_functional_matches_seed_capture``).
+        # Fencing epochs: a fault plan arms them (without one nothing can
+        # fail over), so every fencing check below degrades to one
+        # ``is None`` on a fault-free build (an armed but silent plan is
+        # pinned equal to it by ``test_jacobi_functional_matches_seed_capture``).
         self.membership: Membership | None = (
-            Membership() if self.config.fencing else None)
+            Membership() if self.config.faults is not None else None)
         # Crash-consistent checkpoints, taken at barrier-aligned quiesce
         # points every ``checkpoint_interval`` rounds (0 = never, and the
         # hook in barrier_wait is one ``is None`` check).
@@ -393,8 +393,7 @@ class SamhitaSystem:
             # older -- a partitioned (not actually dead) old primary, or
             # any sender that has not refreshed its view, cannot launder
             # pre-failover writes into the new primary's pages.
-            epoch = self.membership.promote(("server", dead), promoted)
-            promoted_server.fence_epoch = epoch
+            promoted_server.fence_epoch = self.membership.promote()
         self.stats.incr("failovers")
 
     def await_failover(self, index: int, err, comp: str | None = None):
@@ -403,9 +402,9 @@ class SamhitaSystem:
         budget) for the failover to land, then return so the caller can
         re-resolve the home and retry; otherwise re-raise ``err``.
 
-        With fencing on and a partition active (the request died on a cut,
-        not a corpse), the caller instead enters *degraded mode*: read-only
-        from its cache, write-side retries parked on a capped exponential
+        With a partition active (the request died on a cut, not a
+        corpse), the caller instead enters *degraded mode*: read-only from
+        its cache, write-side retries parked on a capped exponential
         backoff until the partition heals -- a minority-side compute server
         waits out the cut rather than diverging.
         """
@@ -423,16 +422,16 @@ class SamhitaSystem:
 
         Polls ``index in dead`` once a beat for the detector's declaration
         budget plus two beats, counting ``key`` in ``stats`` when the
-        failover has landed. Then, with fencing on, if ``comp`` or its
-        ``target`` sits inside an active partition group (a cut, not a
-        corpse), backs off (capped exponential) until the cut heals and
-        returns so the caller re-issues."""
+        failover has landed. Then, if ``comp`` or its ``target`` sits
+        inside an active partition group (a cut, not a corpse), backs off
+        (capped exponential) until the cut heals and returns so the caller
+        re-issues."""
         for _ in range(HEARTBEAT_MISSES + 2):
             if index in dead:
                 stats.incr(key)
                 return
             yield Timeout(HEARTBEAT_INTERVAL)
-        if self.membership is not None and comp is not None:
+        if comp is not None:
             injector = self.injector
             engine = self.engine
             delay = HEARTBEAT_INTERVAL
@@ -917,9 +916,9 @@ class SamhitaSystem:
             report["replication"] = repl
         if self.membership is not None or self.checkpoints is not None:
             # One namespace for the partition-tolerance machinery: the
-            # fencing epoch and its counters, quorum decisions, degraded
-            # waits and checkpoint activity. Absent at the defaults, so
-            # fencing-off/no-checkpoint reports stay byte-identical.
+            # fencing epoch and its counters, degraded waits and checkpoint
+            # activity. Absent at the defaults, so fault-free,
+            # no-checkpoint reports stay byte-identical.
             member: dict = {}
             if self.membership is not None:
                 member.update(self.membership.snapshot())

@@ -123,11 +123,11 @@ class StaleEpochError(RetryableError, CommunicationError):
     Retryable with ``recovery = "refresh_epoch"``: the sender refreshes its
     membership view and re-issues against the current primary.
 
-    Raised by memory servers and manager shards (``config.fencing``) when a
-    sender that has not yet observed a failover presents traffic stamped
-    with a pre-promotion epoch: the write is rejected, never applied. The
-    sender refreshes its epoch from the membership view and retries against
-    the current primary.
+    Raised by memory servers and manager shards (fencing is armed by any
+    fault plan) when a sender that has not yet observed a failover
+    presents traffic stamped with a pre-promotion epoch: the write is
+    rejected, never applied. The sender refreshes its epoch from the
+    membership view and retries against the current primary.
     """
 
     recovery = "refresh_epoch"

@@ -59,9 +59,9 @@ def _run_chaos(seeds=(11, 23, 47)) -> int:
         return (gdiff, hashlib.sha256(grid.tobytes()).hexdigest()), result
 
     baseline, clean = run()
-    fenced_kwargs = dict(manager_shards=3, n_memory_servers=2,
-                         replication_factor=2, fencing=True)
-    fenced_baseline, fenced_clean = run(SamhitaConfig(**fenced_kwargs))
+    sharded_kwargs = dict(manager_shards=3, n_memory_servers=2,
+                          replication_factor=2)
+    sharded_baseline, sharded_clean = run(SamhitaConfig(**sharded_kwargs))
     grayfail_baseline, grayfail_clean = run(SamhitaConfig.grayfail())
     rows = []
     for seed in seeds:
@@ -79,21 +79,21 @@ def _run_chaos(seeds=(11, 23, 47)) -> int:
                 "elapsed": result.elapsed,
                 "counters": result.stats.get("faults", {}),
             })
-        # The partition profile needs the fenced machine: quorum + epochs
-        # live on manager_shards>1 / rf>1 (node4 is a memory server
-        # there). The severed server is declared by majority vote, its
-        # backup promoted under a fresh epoch, and the row's counters
+        # The partition profile needs the replicated, sharded machine:
+        # failover lives on manager_shards>1 / rf>1 (node4 is a memory
+        # server there). The severed server is declared dead, its backup
+        # promoted under a fresh fencing epoch, and the row's counters
         # surface the membership bookkeeping next to the fault verdicts.
         plan = partition(seed, ("node4",), start=4e-4, duration=3e-4)
-        data, result = run(SamhitaConfig(faults=plan, **fenced_kwargs))
+        data, result = run(SamhitaConfig(faults=plan, **sharded_kwargs))
         counters = dict(result.stats.get("faults", {}))
         counters.update(result.stats.get("membership", {}))
         rows.append({
             "profile": "partition", "seed": seed,
-            "data_identical": data == baseline == fenced_baseline,
+            "data_identical": data == baseline == sharded_baseline,
             # Normalized so the table's slowdown column stays relative to
             # THIS profile's own fault-free machine.
-            "elapsed": (result.elapsed / fenced_clean.elapsed
+            "elapsed": (result.elapsed / sharded_clean.elapsed
                         * clean.elapsed),
             "counters": counters,
         })

@@ -49,7 +49,7 @@ def print_figure(fr: FigureResult) -> None:
 
 #: Recovery counters shown by the chaos report, in display order.
 #: ``partition_drops`` through ``degraded_waits`` belong to the partition
-#: profile (fenced machine): severed messages, quorum promotions, fenced
+#: profile (replicated, sharded machine): severed messages, promotions, fenced
 #: stale-epoch writes, degraded-mode backoff waits. ``jitter_stalls``
 #: (heavy-tailed latency stalls) belongs to the jitter-storm profile.
 #: Each group is zero outside its own profiles.

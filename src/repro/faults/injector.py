@@ -155,9 +155,10 @@ class FaultInjector:
             if comp == component and start <= now < end:
                 return True
         for group, start, end in self._partitions:
-            # From the (majority-side) detector's vantage point an isolated
-            # component misses heartbeats exactly like a crashed one -- the
-            # ambiguity quorum-gated promotion exists to resolve.
+            # From the detector's vantage point an isolated component
+            # misses heartbeats exactly like a crashed one; a cut outliving
+            # the detection budget is failed over, and the fencing epoch
+            # the promotion mints stops the isolated side's stale writes.
             if component in group and start <= now < end:
                 return True
         return False
@@ -170,20 +171,6 @@ class FaultInjector:
         """
         for group, start, end in self._partitions:
             if component in group and start <= now < end:
-                return True
-        return False
-
-    def unreachable(self, src: str, dst: str, now: float) -> bool:
-        """Would a message from ``src`` to ``dst`` be severed at ``now``?
-
-        The quorum vote's connectivity oracle: ``dst`` down, or a partition
-        cut between the two. Pure window arithmetic -- consulting it draws
-        no RNG and perturbs no verdict stream.
-        """
-        if self.server_down(dst, now):
-            return True
-        for group, start, end in self._partitions:
-            if start <= now < end and (src in group) != (dst in group):
                 return True
         return False
 

@@ -146,10 +146,6 @@ class Process:
                     ev._exc = exc
         return ev
 
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self._alive else "done"
         return f"<Process {self.name} {state}>"

@@ -34,11 +34,6 @@ class SimEvent:
         return self._value is not _PENDING or self._exc is not None
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        return self._value is not _PENDING
-
-    @property
     def value(self):
         if self._value is _PENDING:
             raise SimulationError(f"event {self.name!r} has not triggered")

@@ -225,11 +225,3 @@ class Resource:
                           None):
             yield PARK
         self.release(duration)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use

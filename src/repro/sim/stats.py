@@ -29,12 +29,6 @@ class StatSet:
             return self.counters[key]
         return self.accumulators.get(key, 0.0)
 
-    def ratio(self, num_key: str, den_key: str) -> float:
-        """``num/den`` over counters-or-accumulators; 0.0 on an empty
-        denominator (hit rates, prefetch accuracy)."""
-        den = self.get(den_key)
-        return self.get(num_key) / den if den else 0.0
-
     def merge(self, other: "StatSet") -> "StatSet":
         for key, val in other.counters.items():
             self.counters[key] += val

@@ -18,6 +18,7 @@ import pytest
 from repro.core.params import SamhitaConfig
 from repro.core.system import SamhitaSystem
 from repro.errors import ReplicationError, SimulationError
+from repro.faults import FaultPlan
 from repro.sim.engine import Timeout
 
 pytestmark = pytest.mark.chaos
@@ -31,8 +32,11 @@ KILL_AFTER = 3                    # both replicas die after this round's barrier
 
 
 def _config(checkpoint_interval=1) -> SamhitaConfig:
+    # An all-zero fault plan arms fencing without injecting anything: the
+    # kills below are direct failure declarations.
     return SamhitaConfig(n_memory_servers=2, replication_factor=2,
-                         fencing=True, checkpoint_interval=checkpoint_interval)
+                         faults=FaultPlan(),
+                         checkpoint_interval=checkpoint_interval)
 
 
 def _build(config):

@@ -1,10 +1,11 @@
 """Chaos partition tests: sever node groups, finish with identical data.
 
-Three canonical cuts over the fenced cluster (``manager_shards=3``,
-``replication_factor=2``, ``fencing=True`` -- node0-2 are manager shards,
+Two canonical cuts over the replicated, sharded cluster
+(``manager_shards=3``, ``n_memory_servers=2``, ``replication_factor=2``;
+any fault plan arms fencing epochs -- node0-2 are manager shards,
 node3/node4 memory servers, node5 the compute node):
 
-* **Minority memory server** (node4): the quorum of shards agrees it is
+* **Minority memory server** (node4): the failure detector declares it
   gone, promotes its backup under a fresh fencing epoch, and every
   compute-side write still stamped with the old epoch is fenced once,
   refreshed, and re-issued -- the acceptance matrix (Jacobi, MD) x seeds.
@@ -12,12 +13,16 @@ node3/node4 memory servers, node5 the compute node):
   are fine, the *writer* is cut off), so the minority side degrades --
   read-only from cache, write-side retries parked on capped backoff --
   until the cut heals, then rejoins and finishes bit-identically.
-* **Two of three shards** (node1+node2): the surviving shard cannot
-  assemble a majority, so promotion is *denied* and the system waits out
-  the cut instead of electing a second primary -- no split brain.
 
 A cut of one shard (node0 or node1) that the barrier root gathers lock
-logs from must not kill the root's gather either.
+logs from must not kill the root's gather either, and a cut root shard
+(node2) that is failed over but serves a late arrival after the heal must
+close the round in its successor's table. The shard-cut matrix
+runs lock traffic from two compute nodes across seven cuts of shards,
+memory servers and compute nodes: whether a cut shard is failed over or
+waited out, no increment is lost and the critical section never holds two
+threads -- a failover hands the successor the dead shard's own sync
+state, so there is no second copy for a minority side to diverge from.
 """
 
 import hashlib
@@ -27,7 +32,7 @@ import pytest
 from repro.core.params import SamhitaConfig
 from repro.core.system import SamhitaSystem
 from repro.experiments.harness import run_workload_direct
-from repro.faults import partition
+from repro.faults import FaultPlan, partition
 from repro.kernels.jacobi import JacobiParams, spawn_jacobi
 from repro.kernels.md import MDParams, spawn_md
 from repro.sim.engine import Timeout
@@ -42,8 +47,8 @@ JACOBI_PARAMS = JacobiParams(rows=64, cols=256, iterations=3,
 MD_PARAMS = MDParams(n_particles=48, steps=3, collect_energy=False,
                      collect_state=True)
 #: Cut instants chosen inside each kernel's run so the severed server
-#: still owes writes -- forcing detection, quorum promotion and at least
-#: one fenced stale-epoch write rather than the schedule missing.
+#: still owes writes -- forcing detection, promotion and at least one
+#: fenced stale-epoch write rather than the schedule missing.
 JACOBI_CUT_AT = 4e-4
 MD_CUT_AT = 8.5e-5
 CUT_LEN = 3e-4
@@ -51,7 +56,7 @@ CUT_LEN = 3e-4
 
 def _fenced(faults=None) -> SamhitaConfig:
     return SamhitaConfig(manager_shards=3, n_memory_servers=2,
-                         replication_factor=2, fencing=True, faults=faults)
+                         replication_factor=2, faults=faults)
 
 
 def _run_jacobi(config):
@@ -71,7 +76,8 @@ def _run_md(config):
 
 @pytest.fixture(scope="module")
 def jacobi_baseline():
-    digest, result = _run_jacobi(_fenced())
+    # An all-zero plan: fencing armed, nothing injected.
+    digest, result = _run_jacobi(_fenced(FaultPlan()))
     return digest, result.stats
 
 
@@ -138,10 +144,28 @@ def test_jacobi_survives_a_cut_gather_peer(jacobi_baseline, seed, shard):
     assert digest == jacobi_baseline[0]
 
 
+@pytest.mark.parametrize("group, start", [(("node4", "node2"), 4e-4),
+                                          (("node1", "node2"), 2e-4)],
+                         ids=["node4+node2", "node1+node2"])
+@pytest.mark.parametrize("seed", chaos_seeds())
+def test_deposed_shard_closes_its_round_in_the_successors_table(
+        jacobi_baseline, seed, group, start):
+    """A 100 us cut of the barrier root (node2) outlives detection: the
+    shard is failed over while a late arrival is still retrying towards
+    it, and after the heal the deposed shard serves that arrival and
+    closes the round. The round must roll over in the successor's table;
+    in a copy of its own, the successor would close the same generation
+    again at the next barrier and fire its flush event twice."""
+    plan = partition(seed, group, start=start, duration=1e-4)
+    digest, result = _run_jacobi(_fenced(plan))
+    assert digest == jacobi_baseline[0]
+    assert result.stats["control_plane"].get("shard_failovers", 0) >= 1
+
+
 @pytest.mark.parametrize("seed", [chaos_seeds()[0]])
 def test_partition_schedule_replays_bit_identically(seed):
-    """Same cut, same seed: detection, quorum, fencing and the degraded
-    backoffs all draw from deterministic streams."""
+    """Same cut, same seed: detection, fencing and the degraded backoffs
+    all draw from deterministic streams."""
     def run():
         plan = partition(seed, ("node4",), start=JACOBI_CUT_AT,
                          duration=CUT_LEN)
@@ -153,8 +177,9 @@ def test_partition_schedule_replays_bit_identically(seed):
 
 
 def test_fencing_itself_does_not_change_data(jacobi_baseline):
-    """The fenced three-shard replicated machine produces the same answer
-    as the plain defaults machine -- fencing is pure bookkeeping."""
+    """The fenced three-shard replicated machine (a silent plan) produces
+    the same answer as the plain defaults machine -- fencing is pure
+    bookkeeping."""
     digest, _result = _run_jacobi(SamhitaConfig())
     assert digest == jacobi_baseline[0]
 
@@ -164,22 +189,26 @@ def test_healthy_fenced_run_never_bumps_the_epoch(jacobi_baseline):
     assert member["epoch"] == 0
     assert member.get("promotions", 0) == 0
     assert member.get("stale_writes_fenced", 0) == 0
-    assert member.get("quorum_denials", 0) == 0
 
 
 # ----------------------------------------------------------------------
-# Quorum denial: a minority of shards must not elect a primary.
+# Shard-cut matrix: lock traffic across cuts of shards, servers and nodes.
 # ----------------------------------------------------------------------
 
-def _build_fenced(faults=None):
-    system = SamhitaSystem.cluster(N_THREADS, config=_fenced(faults))
-    tids = [system.add_thread() for _ in range(N_THREADS)]
-    return system, tids
+#: 16 threads fill two compute nodes (node5, node6).
+MATRIX_THREADS = 16
+MATRIX_ITERATIONS = 30
+#: Every group is cut at 200 us for 300 us: shard node1 and the pair
+#: node1+node2, each alone and with either compute node, and shard node0
+#: with compute node node5.
+MATRIX_CUTS = (("node1",), ("node1", "node2"), ("node1", "node2", "node5"),
+               ("node1", "node2", "node6"), ("node1", "node5"),
+               ("node1", "node6"), ("node0", "node5"))
 
 
-def _run_lock_traffic(system, tids, iterations=30):
+def _run_lock_traffic(system, tids, iterations):
     """Lock-protected increments against a shard-1 lock spanning the cut
-    window; returns (state dict, stats report)."""
+    window; returns the state dict."""
     locks = [system.create_lock() for _ in range(3)]
     lock = next(l for l in locks if system.control.shard_index(l) == 1)
     state = {"count": 0, "in_cr": 0, "max_in_cr": 0}
@@ -198,25 +227,18 @@ def _run_lock_traffic(system, tids, iterations=30):
     for i, tid in enumerate(tids):
         system.process(body(tid), name=f"t{i}")
     system.run()
-    return state, system.stats_report()
+    return state
 
 
+@pytest.mark.parametrize("group", MATRIX_CUTS, ids="+".join)
 @pytest.mark.parametrize("seed", chaos_seeds())
-def test_minority_shard_partition_is_quorum_denied(seed):
-    """Sever two of three shards mid-traffic: the lone survivor cannot
-    assemble a majority, so the detector's declaration is DENIED -- no
-    shard fails over, callers wait out the cut, and mutual exclusion
-    holds across the heal."""
-    plan = partition(seed, ("node1", "node2"), start=2e-4, duration=CUT_LEN)
-    system, tids = _build_fenced(plan)
-    state, report = _run_lock_traffic(system, tids)
-    assert state["count"] == N_THREADS * 30
+def test_shard_cut_keeps_mutual_exclusion(seed, group):
+    """Cut a group mid-traffic: a cut shard is failed over (fenced) or
+    waited out, a cut compute node degrades until the heal, and every
+    increment lands under mutual exclusion."""
+    plan = partition(seed, group, start=2e-4, duration=CUT_LEN)
+    system = SamhitaSystem.cluster(MATRIX_THREADS, config=_fenced(plan))
+    tids = [system.add_thread() for _ in range(MATRIX_THREADS)]
+    state = _run_lock_traffic(system, tids, MATRIX_ITERATIONS)
+    assert state["count"] == MATRIX_THREADS * MATRIX_ITERATIONS
     assert state["max_in_cr"] == 1
-    member = report["membership"]
-    assert member.get("quorum_denials", 0) >= 1
-    assert member.get("promotions", 0) == 0
-    assert member["epoch"] == 0
-    assert report["control_plane"].get("shard_failovers", 0) == 0
-    # No remap: shard 1 still answers for its own IDs after the heal.
-    assert system.control.live_index(1) == 1
-    assert report["faults"].get("partition_drops", 0) > 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import rtbatch
+from repro.errors import MemoryError_
 from repro.sim.engine import Timeout
 
 
@@ -66,7 +67,8 @@ def fault_lines_batched(cs, tid: int, missing: np.ndarray, protect):
             demand.extend(still)
             missed_lines.append(line)
     if not missed_lines:
-        return
+        raise MemoryError_(f"thread {tid} accessed unallocated page "
+                           f"{missing.item(0) * cache.layout.page_bytes:#x}")
     spec: list[int] = []
     targets = rtbatch.predict_lines(cs, missed_lines)
     if targets:

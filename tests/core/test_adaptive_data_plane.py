@@ -83,16 +83,17 @@ class TestConfigSurface:
         # tail-tolerance knob on top of the plain retry loop. The failure
         # detector's cadence is a pair of constants, not configuration. A
         # wedged run is a DeadlockError: no lock lease, no thread death and
-        # no engine hook that could re-arm a drained queue.
+        # no engine hook that could re-arm a drained queue. Fencing epochs
+        # are armed by any fault plan, not by a flag of their own.
         fields = {f.name for f in dataclasses.fields(SamhitaConfig)}
-        assert len(fields) == 29
+        assert len(fields) == 28
         for gone in ("eviction_impl", "batched_round_trips",
                      "batch_line_fetches", "prefetch_adjacent",
                      "adaptive_timeouts", "hedged_fetches", "hedge_quantile",
                      "retry_budget", "retry_budget_refill",
                      "breaker_cooldown", "admission_queue_limit",
                      "hierarchical_sync", "heartbeat_interval",
-                     "heartbeat_misses"):
+                     "heartbeat_misses", "fencing"):
             assert gone not in fields
             with pytest.raises(TypeError):
                 SamhitaConfig(**{gone: False})

@@ -110,13 +110,17 @@ class TestDemandPaging:
         assert np.array_equal(out["data"], np.arange(256, dtype=np.uint8))
 
     def test_unallocated_access_rejected(self, cluster2):
+        # Rejected on the first attempt, before any fetch is issued.
         system, (t0, _) = cluster2
 
         def body():
-            with pytest.raises(MemoryError_):
+            with pytest.raises(MemoryError_,
+                               match=f"unallocated page {50 << 20:#x}"):
                 yield from system.mem_read(t0, 50 << 20, 8)
 
         run_threads(system, [body()])
+        cs = system.stats_report()["compute_servers"]
+        assert cs.get("fetch_requests", 0) == 0
 
 
 class TestPrefetch:

@@ -1,80 +1,67 @@
-"""Property tests for the fencing-epoch membership view.
+"""Property tests for the fence and the failure detector's window oracle.
 
-The split-brain safety argument reduces to two invariants of
-:class:`repro.core.membership.Membership`, checked here over arbitrary
-interleavings of promotions (= partitions resolving into failovers,
-in any order, against any keys):
+The split-brain safety argument reduces to the fence each receiver keeps
+(``MemoryServer.fence_epoch``, set to the epoch its promotion minted):
 
-* **Exactly one epoch-valid primary per key**: after any promotion
-  history, exactly one owner passes :meth:`validate` for each promoted
-  key -- there is never an instant with two writers the fence would admit.
-* **Stale stamps are always rejected**: every ``(owner, epoch)``
-  credential that was ever valid for a key is rejected the moment a newer
-  promotion lands, including re-promotions of the *same* owner (the old
-  epoch alone damns it). Only the latest credential survives.
+* **A stale stamp is rejected exactly when it predates the fence**: for
+  any fence epoch and any sender stamp, ``apply_diffs`` raises
+  :class:`~repro.errors.StaleEpochError` iff ``stamp < fence``, and an
+  accepted stamp merges the diff.
+* **A rejected write changes nothing**: the backing page keeps its bytes
+  and its version, so a deposed primary cannot launder a single byte.
 
-A third suite pins the injector's window arithmetic
+A second suite pins the injector's window arithmetic
 (``came_up_between``) against brute-force sampling of ``server_down`` --
 the failure detector's heal-reset correctness hangs off this oracle.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.membership import Membership
+from repro.core.params import SamhitaConfig
+from repro.core.system import SamhitaSystem
+from repro.errors import StaleEpochError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.memory.diff import PageDiff
 
-KEYS = 4
-OWNERS = 3
-
-promotions = st.lists(
-    st.tuples(st.integers(0, KEYS - 1), st.integers(0, OWNERS - 1)),
-    max_size=40)
+PAGE = 3
+epochs = st.integers(0, 6)
 
 
-@given(promotions)
-@settings(max_examples=100, deadline=None)
-def test_exactly_one_epoch_valid_primary_per_key(history):
-    m = Membership()
-    for key, owner in history:
-        m.promote(key, owner)
-    assert m.epoch == len(history)
-    promoted = {key for key, _ in history}
-    for key in promoted:
-        valid = [o for o in range(OWNERS) if m.validate(key, o, m.epoch)]
-        assert len(valid) == 1
-        assert valid[0] == m.primary_of(key)
+@given(epochs, epochs, st.integers(0, 4088), st.integers(1, 255))
+@settings(max_examples=200, deadline=None)
+def test_fence_rejects_exactly_the_stale_stamps(fence, stamp, offset, fill):
+    system = SamhitaSystem.cluster(1, config=SamhitaConfig(faults=FaultPlan()))
+    server = system.memory_servers[0]
+    backing = server.backing
+    before = (np.arange(backing.layout.page_bytes) % 251).astype(np.uint8)
+    backing.write_page(PAGE, before)
+    version = backing.version_of(PAGE)
+    server.fence_epoch = fence
+    diff = PageDiff(PAGE, [(offset, np.full(8, fill, np.uint8))])
+    outcome = {}
 
+    def body():
+        try:
+            yield from server.apply_diffs([diff], epoch=stamp)
+        except StaleEpochError as err:
+            outcome["fenced"] = err
 
-@given(promotions)
-@settings(max_examples=100, deadline=None)
-def test_stale_stamps_are_always_rejected(history):
-    m = Membership()
-    stamps = []  # every credential that was ever the valid one for its key
-    for key, owner in history:
-        epoch = m.promote(key, owner)
-        stamps.append((key, owner, epoch))
-    latest = {}
-    for key, owner, epoch in stamps:
-        latest[key] = (owner, epoch)
-    for key, owner, epoch in stamps:
-        accepted = m.validate(key, owner, epoch)
-        assert accepted == (latest[key] == (owner, epoch))
-
-
-@given(promotions)
-@settings(max_examples=50, deadline=None)
-def test_fence_epoch_matches_the_installing_promotion(history):
-    m = Membership()
-    installed = {}
-    for key, owner in history:
-        installed[key] = m.promote(key, owner)
-    for key, epoch in installed.items():
-        assert m.fence_epoch_of(key) == epoch
-        # The epoch minted one step earlier is stale for this key.
-        assert not m.validate(key, m.primary_of(key), epoch - 1)
-        assert m.validate(key, m.primary_of(key), epoch)
+    system.process(body())
+    system.run()
+    assert ("fenced" in outcome) == (stamp < fence)
+    after = backing.peek(PAGE)
+    if stamp < fence:
+        assert np.array_equal(after, before)
+        assert backing.version_of(PAGE) == version
+        assert server.stats.get("writes_fenced") == 1
+        assert system.membership.snapshot()["stale_writes_fenced"] == 1
+    else:
+        assert (after[offset:offset + 8] == fill).all()
+        assert backing.version_of(PAGE) == version + 1
+        assert server.stats.get("writes_fenced") == 0
 
 
 # ----------------------------------------------------------------------

@@ -30,8 +30,7 @@ CONFIGS = {
     "default": SamhitaConfig(),
     "compat": SamhitaConfig(),
     "sharded": SamhitaConfig(manager_shards=2, n_memory_servers=2),
-    "replicated": SamhitaConfig(n_memory_servers=2, replication_factor=2,
-                                fencing=True),
+    "replicated": SamhitaConfig(n_memory_servers=2, replication_factor=2),
     "ivy": SamhitaConfig(coherence="ivy"),
 }
 

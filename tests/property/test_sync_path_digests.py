@@ -12,7 +12,10 @@ of as two sequence-check counters: with those three counters stripped from
 ``faults``, every cell's digest was equal before and after. When lock
 leases were deleted, their axis went with them: the 216 cells left (of 408)
 keep the digests recorded with leases off, under names without the
-``-nolease`` token.
+``-nolease`` token. The 144 faulted cells were re-recorded again when every
+fault plan came to arm fencing epochs, which adds a ``membership`` stats
+namespace: with that namespace stripped, all 216 digests were equal before
+and after.
 
 The machine puts every manager shard on a compute node, so with
 ``local_sync_optimization`` on some threads take the co-located path and the
