@@ -44,6 +44,7 @@ every lock log, and the gather is simulated cost.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING
 
 from repro.core import protocol
@@ -64,21 +65,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class _Cell:
     """One tree cell's combiner for one round: the node leaders' arrivals,
-    the nodes joined so far, the leaders its last one answers, and the
-    root's answer once the round has closed."""
+    the leaders its last one answers, and the record of the cell's last
+    closed round."""
 
-    __slots__ = ("name", "arrivals", "joined", "waiting", "answer")
+    __slots__ = ("name", "arrivals", "waiting", "answered")
 
     def __init__(self, name: str):
         #: What a deadlock report says a waiting node leader waits on.
         self.name = name
         self.arrivals: dict[int, list[int]] = {}
-        #: component -> the arrivals its node leader's request carried.
-        self.joined: dict[str, dict[int, list[int]]] = {}
         #: ``(process, component, arrivals)`` of each waiting node leader.
         self.waiting: list = []
-        #: ``(state, directives)`` from the root.
-        self.answer = None
+        #: Numbered: the last round's ``(number, state, directives)`` (one
+        #: number: a tree barrier is a full party) and the root's answer.
+        self.answered = None
 
 
 class ControlPlane:
@@ -110,14 +110,14 @@ class ControlPlane:
         #: still stamping the pre-merge epoch (see :meth:`_guarded`).
         self._known_epoch: dict[str, int] = {}
         #: Tree-barrier combiner state: level 0 keyed (barrier_id, comp),
-        #: level 1 keyed (barrier_id, cell_index). Entries are deleted by
+        #: level 1 keyed (barrier_id, cell_index). Entries are retired by
         #: their leader before the upstream call, so barrier reuse across
         #: generations gets a fresh combiner each round.
         self._leaf_combiners: dict[tuple[int, str], dict] = {}
         self._cell_combiners: dict[tuple[int, int], _Cell] = {}
-        #: The last closed round of each cell, kept on a build that can
-        #: fail (see :meth:`_join_cell`).
-        self._cell_closed: dict[tuple[int, int], _Cell] = {}
+        #: (tid, barrier_id) -> the thread's arrivals there so far: each
+        #: arrival's number on a build that can fail (``Manager._arrived``).
+        self._numbers: defaultdict[tuple[int, int], int] = defaultdict(int)
         self._cell_of = {comp: i % self.n
                          for i, comp in enumerate(system._compute_order)}
         self._cell_members: dict[int, set[str]] | None = None
@@ -285,8 +285,10 @@ class ControlPlane:
         :meth:`tree_arrive`, ``(state, {tid: directive})``."""
         args = (comp, barrier_id, {tid: notices})
         if self._guard:
+            self._numbers[tid, barrier_id] += 1
             return self._guarded(barrier_id % self.n, comp,
-                                 Manager.barrier_arrive, args)
+                                 Manager.barrier_arrive,
+                                 args + (self._numbers[tid, barrier_id],))
         return self._live[barrier_id % self.n].barrier_arrive(*args)
 
     def barrier_flush_done(self, tid: int, comp: str, barrier_id: int, state):
@@ -370,6 +372,9 @@ class ControlPlane:
         ``(state, directives)`` covering at least this node's threads.
         """
         engine = self.system.engine
+        if self._guard:
+            self._numbers[tid, barrier_id] += 1
+        number = self._numbers[tid, barrier_id] if self._guard else None
         key = (barrier_id, comp)
         leaf = self._leaf_combiners.get(key)
         if leaf is None:
@@ -384,17 +389,17 @@ class ControlPlane:
                     or len(self._cell_population()[self._cell_of[comp]]) == 1):
                 leaf["result"] = yield from self._route(
                     barrier_id % self.n, comp, Manager.barrier_arrive,
-                    comp, barrier_id, leaf["arrivals"])
+                    comp, barrier_id, leaf["arrivals"], number)
             else:
                 leaf["result"] = yield from self._cell_arrive(
-                    comp, barrier_id, leaf["arrivals"])
+                    comp, barrier_id, leaf["arrivals"], number)
             leaf["gate"].succeed()
         else:
             yield leaf["gate"]
         return leaf["result"]
 
     def _cell_arrive(self, comp: str, barrier_id: int,
-                     arrivals: dict[int, list[int]]):
+                     arrivals: dict[int, list[int]], number):
         """Generator: node-leader leg of the tree (level 1 + root). Every
         hop goes through :meth:`_route`, so a dead combiner or root shard is
         waited out and re-resolved like any other control RPC.
@@ -411,17 +416,18 @@ class ControlPlane:
         answer = yield from self._route(
             cell_idx, comp, Manager._rpc,
             comp, protocol.notice_message_bytes(total_notices), "barrier",
-            self._join_cell, (key, arrivals, comp))
+            self._join_cell, (key, arrivals, comp, number))
         if answer is not None:
             return answer
         # Cell leader: one aggregate message to the root shard.
-        cell = self._cell_combiners.pop(key)
-        if self._guard:
-            self._cell_closed[key] = cell
+        cell = self._cell_combiners[key]
+        self._cell_combiners[key] = fresh = _Cell(cell.name)
         cell_comp = self._live[cell_idx].component
-        cell.answer = state, directives = yield from self._route(
+        state, directives = yield from self._route(
             barrier_id % self.n, cell_comp, Manager.barrier_arrive,
-            cell_comp, barrier_id, cell.arrivals)
+            cell_comp, barrier_id, cell.arrivals, number)
+        if number is not None:
+            fresh.answered = (number, state, directives)
         if cell.waiting:
             self.system.engine.schedule_each(self._cell_depart, cell.waiting,
                                              cell_idx, state, directives)
@@ -431,30 +437,25 @@ class ControlPlane:
             comp, "barrier", reply_bytes, True, (state, mine)))
 
     def _join_cell(self, proc, key: tuple[int, int],
-                   arrivals: dict[int, list[int]], comp: str):
+                   arrivals: dict[int, list[int]], comp: str, number):
         """Handler body of a node leader's request to its cell's shard
         (see ``Manager._rpc``): combine its arrivals; the cell's last node
         goes on to the root (``DONE``), any other waits for the answer.
 
-        A waiting node's answer can be lost with the cell's shard; its
-        request is then re-issued to the successor (``_guarded``). The
-        round it joined has closed by then, so it is answered again from
-        that round, not joined into the next: the re-issued request is the
-        very arrivals object the closed round recorded for the node, which
-        a later round's request (a fresh leaf combiner's) never is."""
-        if self._cell_closed:
-            closed = self._cell_closed.get(key)
-            if closed is not None and closed.joined.get(comp) is arrivals:
-                state, directives = closed.answer
-                mine, reply_bytes = group_reply(arrivals, directives)
-                return reply_bytes, True, (state, mine)
+        A node leader the last closed round answered under this number lost
+        that answer with the cell's shard: it is answered again from that
+        round, not joined into the next (``Manager._arrived``'s rule)."""
         cell = self._cell_combiners.get(key)
         if cell is None:
             cell = self._cell_combiners[key] = _Cell(
                 f"tree.cell.b{key[0]}.s{key[1]}")
+        elif cell.answered is not None and cell.answered[0] == number:
+            self._live[key[1]].stats.counters["barrier_reanswers"] += 1
+            _number, state, directives = cell.answered
+            mine, reply_bytes = group_reply(arrivals, directives)
+            return reply_bytes, True, (state, mine)
         cell.arrivals.update(arrivals)
-        cell.joined[comp] = arrivals
-        if len(cell.joined) != len(self._cell_population()[key[1]]):
+        if len(cell.waiting) + 1 != len(self._cell_population()[key[1]]):
             cell.waiting.append((proc, comp, arrivals))
             proc.blocked_on = cell
             return None

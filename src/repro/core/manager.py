@@ -93,7 +93,8 @@ class _LockState:
 
 class _BarrierState:
     __slots__ = ("parties", "generation", "arrived", "waiting", "departed",
-                 "plan", "flush_remaining", "flush_gate")
+                 "plan", "flush_remaining", "flush_gate", "numbers", "sent",
+                 "closed")
 
     def __init__(self, engine: Engine, parties: int, generation: int):
         self.parties = parties
@@ -108,6 +109,11 @@ class _BarrierState:
         self.plan: BarrierPlan | None = None
         self.flush_remaining = 0
         self.flush_gate = engine.event(f"barrier.gen{generation}.flush")
+        #: Numbered (``Manager._arrived``): tid -> number, and directive
+        #: sent; the last closed round, which only the open round holds.
+        self.numbers: dict[int, int] = {}
+        self.sent: dict[int, tuple] = {}
+        self.closed: _BarrierState | None = None
 
     @property
     def name(self) -> str:
@@ -647,9 +653,7 @@ class Manager:
         """Garbage-collect the lock logs, behind a barrier round's *last*
         departure: once per round is all it takes, and since pruning only
         drops epochs no thread can ask for again (``updates_since`` slices
-        by version), when it runs is invisible to the simulation. Callers
-        test ``departed >= parties``: a retried arrival (fault build)
-        departs twice and may prune twice, but never wedges the count."""
+        by version), when it runs is invisible to the simulation."""
         clock = self.cr_clock.value
         if self._prune_clean_at == clock:
             # The last prune pass left every visible log empty and nothing
@@ -664,7 +668,7 @@ class Manager:
             self._prune_clean_at = clock
 
     def barrier_arrive(self, comp: str, barrier_id: int,
-                       arrivals: dict[int, list[int]]):
+                       arrivals: dict[int, list[int]], number=None):
         """The arrival RPC's generator: submit write notices, wait for the
         full party, and receive the directives. One message carries the
         notices of every thread in ``arrivals`` -- one thread when it
@@ -672,6 +676,7 @@ class Manager:
         arrives for them -- and one directive reply carries everyone's
         directives back. Its handler is :meth:`_arrived`; an arrival that
         is not the last sleeps from its request to its directives' arrival.
+        ``number`` is the group's count of its arrivals here, or None.
 
         The generator returns ``(state, {tid: (invalidate, flush, cr_diffs,
         cr_inval)})`` -- the state handle is needed for the flush-completion
@@ -683,22 +688,30 @@ class Manager:
             total_notices += len(notices)
         return self._rpc(comp, protocol.notice_message_bytes(total_notices),
                          "barrier", body=self._arrived,
-                         args=(state, barrier_id, arrivals, comp))
+                         args=(state, barrier_id, arrivals, comp, number))
 
     def _arrived(self, proc, state: _BarrierState, barrier_id: int,
-                 arrivals: dict[int, list[int]], comp: str):
+                 arrivals: dict[int, list[int]], comp: str, number):
         """Handler body of an arrival (see :meth:`_rpc`): register the
         group's notices; the last arrival plans the round, releases the
-        party and departs, every other one joins the party."""
+        party and departs, every other one joins the party. A re-issue of
+        one the last closed round answered (same number) is answered again."""
+        closed = state.closed
+        if closed is not None:
+            for tid in arrivals:
+                break
+            if tid in closed.numbers and closed.numbers[tid] == number:
+                self.stats.counters["barrier_reanswers"] += 1
+                mine, reply_bytes = group_reply(arrivals, closed.sent)
+                return reply_bytes, comp != self._local, (closed, mine)
         arrived = state.arrived
         for tid, notices in arrivals.items():
-            if tid not in arrived:
-                arrived[tid] = notices
-            elif self.config.faults is None:
+            if tid in arrived:
                 raise SynchronizationError(
                     f"thread {tid} arrived twice at barrier {barrier_id}")
-            # (Fault build: a retried arrival whose original reply was lost
-            # re-presents itself; the first registration stands.)
+            arrived[tid] = notices
+            if number is not None:
+                state.numbers[tid] = number
         if len(arrived) != state.parties:
             state.waiting.append((self, proc, comp, arrivals))
             proc.blocked_on = state
@@ -728,11 +741,14 @@ class Manager:
         state.flush_remaining = sum(map(bool, plan.flush.values()))
         if state.flush_remaining == 0:
             state.flush_gate.succeed()
-        self._barriers[barrier_id] = _BarrierState(
+        self._barriers[barrier_id] = fresh = _BarrierState(
             self.engine, state.parties, state.generation + 1)
         self.stats.counters["barrier_rounds"] += 1
         if state.waiting:
             self.engine.schedule_each(self._departing, state.waiting, state)
+        if state.numbers:
+            fresh.closed, state.closed = state, None
+            state.waiting.clear()  # the engine copied them: no process kept
 
     @staticmethod
     def _departing(waiting: tuple, state: _BarrierState) -> None:
@@ -757,8 +773,11 @@ class Manager:
         else:
             directives, reply_bytes = group_reply(
                 arrivals, self._directives(plan, arrivals))
+        if state.numbers:
+            for tid in directives:
+                state.sent[tid] = directives[tid]
         state.departed += len(arrivals)
-        if state.departed >= state.parties:
+        if state.departed == state.parties:
             self._prune_logs()
         return reply_bytes, comp != self._local, (state, directives)
 

@@ -10,7 +10,7 @@ at 32 threads), in both directions. The two known causes:
 * timing mode ships every written byte as a diff, where functional mode
   ships only the bytes that changed.
 
-ROADMAP item 2 ("one data plane") is where the modes are to be made one.
+The ROADMAP's "one data plane" item is where the modes are to be made one.
 """
 
 from __future__ import annotations

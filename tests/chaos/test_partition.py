@@ -23,6 +23,11 @@ memory servers and compute nodes: whether a cut shard is failed over or
 waited out, no increment is lost and the critical section never holds two
 threads -- a failover hands the successor the dead shard's own sync
 state, so there is no second copy for a minority side to diverge from.
+
+The partition sweep cuts Jacobi and MD at 84 shapes (start x group x
+length) per seed. A cut that drops a barrier's departure replies makes the
+parked threads re-issue their arrivals after the heal; each is answered
+from the round it joined, so every cell returns the fault-free data.
 """
 
 import hashlib
@@ -242,3 +247,52 @@ def test_shard_cut_keeps_mutual_exclusion(seed, group):
     state = _run_lock_traffic(system, tids, MATRIX_ITERATIONS)
     assert state["count"] == MATRIX_THREADS * MATRIX_ITERATIONS
     assert state["max_in_cr"] == 1
+
+
+# ----------------------------------------------------------------------
+# The partition sweep: 84 cut shapes per seed, every cell's data exact.
+# ----------------------------------------------------------------------
+
+#: Cut starts inside each kernel's run, seconds.
+SWEEP_STARTS = {"jacobi": (1e-4, 2e-4, 4e-4, 6e-4),
+                "md": (5e-5, 8.5e-5, 1.5e-4)}
+#: Memory servers (node3, node4), the compute node (node5) and manager
+#: shards (node1, node2: the Jacobi and MD barriers' root), alone and in
+#: pairs.
+SWEEP_GROUPS = (("node3",), ("node4",), ("node5",), ("node3", "node1"),
+                ("node4", "node2"), ("node1", "node2"))
+SWEEP_LENGTHS = (1e-4, 3e-4)
+
+
+@pytest.mark.parametrize("seed", chaos_seeds())
+def test_partition_sweep_returns_fault_free_data(jacobi_baseline, md_baseline,
+                                                 seed):
+    """Every cut shape finishes with the fault-free data. A failure names
+    each failing cell and its innermost exception."""
+    runs = {"jacobi": (_run_jacobi, jacobi_baseline[0]),
+            "md": (_run_md, md_baseline)}
+    failures = []
+    for kernel, starts in SWEEP_STARTS.items():
+        run, baseline = runs[kernel]
+        for start in starts:
+            for group in SWEEP_GROUPS:
+                for length in SWEEP_LENGTHS:
+                    plan = partition(seed, group, start=start,
+                                     duration=length)
+                    try:
+                        digest, _result = run(_fenced(plan))
+                        outcome = None if digest == baseline else "wrong data"
+                    except Exception as exc:  # noqa: BLE001 - reported
+                        while exc.__cause__ is not None:
+                            exc = exc.__cause__
+                        outcome = f"{type(exc).__name__}: {exc}"[:160]
+                    if outcome is not None:
+                        failures.append(
+                            f"{kernel} {'+'.join(group)} "
+                            f"start={start * 1e6:g}us "
+                            f"length={length * 1e6:g}us seed={seed}: "
+                            f"{outcome}")
+    cells = sum(map(len, SWEEP_STARTS.values())) * len(SWEEP_GROUPS) \
+        * len(SWEEP_LENGTHS)
+    assert not failures, (f"{len(failures)} of {cells} cells failed:\n"
+                          + "\n".join(failures))

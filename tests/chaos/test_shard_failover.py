@@ -7,19 +7,18 @@ declares the shard dead, its lock/barrier/cond tables merge into the ring
 successor (``node0``), blocked callers retry against the successor, and
 the run finishes with mutual exclusion intact.
 
-The kill instants sit inside a deliberately quiet compute window -- a
-retried sync RPC that raced the crash into a *rolled barrier generation*
-is a documented non-goal of the recovery protocol, so the schedule kills
-between rounds, exactly how an operator would drain a shard.
-
 The tree-barrier cases kill the shard that is both a barrier's root and a
 cell's combiner, then arrive before the detector has declared it: both
-upstream hops of a combining arrival must wait the failover out.
+upstream hops of a combining arrival must wait the failover out. Kills
+may land mid-round: the shard dies the instant a round closes, its
+departure replies are lost, and every arrival that lost its answer is
+re-issued to the successor and answered from the round it joined.
 """
 
 import pytest
 
 from repro.core.control_plane import ControlPlane
+from repro.core.manager import Manager
 from repro.core.params import SamhitaConfig
 from repro.core.system import SamhitaSystem
 from repro.faults import permanent_crash
@@ -206,8 +205,62 @@ def test_tree_cell_answer_lost_with_its_shard_is_answered_again(
         assert min(departed[r]) >= max(arrived[r])
     assert system.managers[0].stats.get("barrier_rounds") == 3
     report = system.stats_report()
+    # The waiting node leader's re-issue, answered at the cell level.
+    assert report["manager"].get("barrier_reanswers", 0) >= 1
     assert report["control_plane"].get("shard_failovers", 0) == 1
     assert report["control_plane"].get("shard_failover_retries", 0) >= 2
+    assert report["faults"].get("crash_drops", 0) > 0
+
+
+def _run_flat_rounds(seed, crash_at, rounds=3):
+    """Flat barrier rounds on a shard-1 barrier, ``node1`` killed at
+    ``crash_at``. Returns (system, threads finished)."""
+    plan = permanent_crash(seed, "node1", at=crash_at)
+    system, tids = _build(_sharded_replicated(plan))
+    bar = system.create_barrier(N_THREADS)
+    while system.control.shard_index(bar) != 1:
+        bar = system.create_barrier(N_THREADS)
+    done = []
+
+    def body(tid):
+        for _ in range(rounds):
+            yield Timeout(1e-6 * tid)
+            yield from system.barrier_wait(tid, bar)
+        done.append(tid)
+
+    for i, tid in enumerate(tids):
+        system.process(body(tid), name=f"t{i}")
+    system.run()
+    return system, len(done)
+
+
+@pytest.mark.parametrize("seed", chaos_seeds())
+def test_flat_barrier_answer_lost_with_its_shard_is_answered_again(
+        seed, monkeypatch):
+    """``node1`` dies the instant it closes the second round, with three
+    arrivals parked: every departure reply is lost. Each thread re-issues
+    its arrival to the successor under the number it arrived with, and is
+    answered from the round it joined -- not counted into the next round,
+    which would leave the threads a round apart and wedge them."""
+    closes = []
+    close_round = Manager._close_round
+
+    def record(self, state, *rest):
+        if state.waiting:
+            closes.append(self.engine.now)
+        close_round(self, state, *rest)
+
+    monkeypatch.setattr(Manager, "_close_round", record)
+    _run_flat_rounds(seed, crash_at=1.0)  # armed, never crashes
+    assert len(closes) == 3
+    monkeypatch.undo()
+
+    system, finished = _run_flat_rounds(seed, crash_at=closes[1])
+    assert finished == N_THREADS
+    report = system.stats_report()
+    assert report["manager"]["barrier_rounds"] == 3
+    assert report["manager"].get("barrier_reanswers", 0) >= 1
+    assert report["control_plane"].get("shard_failovers", 0) == 1
     assert report["faults"].get("crash_drops", 0) > 0
 
 

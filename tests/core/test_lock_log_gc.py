@@ -65,11 +65,11 @@ def test_non_acquiring_threads_still_gate_pruning():
 P = 8
 
 
-def _cr_round(system, duplicate_of=None):
+def _cr_round(system, reissue=False):
     """P threads each store under one lock, then meet at a barrier. With
-    ``duplicate_of`` an extra process re-presents that thread's arrival
-    right behind the original -- what a retried arrival (fault build: the
-    first reply was lost) looks like to the manager."""
+    ``reissue``, once the round has closed, thread 0's arrival is issued
+    again with the number it arrived under -- what a thread whose reply
+    was lost (a build that can fail) sends -- and its answer is returned."""
     tids = [system.add_thread() for _ in range(P)]
     lock = system.create_lock()
     bar = system.create_barrier(P)
@@ -84,33 +84,44 @@ def _cr_round(system, duplicate_of=None):
             yield from system.acquire_lock(tid, lock)
             yield from system.mem_write(tid, shared["addr"], 8, u8(tid))
             yield from system.release_lock(tid, lock)
-        elif duplicate_of is not None:
-            system.process(manager.barrier_arrive(
-                system.component_of(duplicate_of), bar, {duplicate_of: []}),
-                name="retry")
         yield from system.barrier_wait(tid, bar)
+
+    def reissued():
+        shared["answer"] = yield from manager.barrier_arrive(
+            system.component_of(tids[0]), bar, {tids[0]: []},
+            system.control._numbers[tids[0], bar])
 
     run_threads(system, [allocate()])
     run_threads(system, [body(tid) for tid in tids])
+    if reissue:
+        run_threads(system, [reissued()])
     assert manager.stats.get("barrier_rounds") == 1
     appended = manager._locks[lock].log.version
     retained = sum(len(state.log) for state in manager._locks.values())
-    return appended, retained
+    return appended, retained, shared.get("answer")
 
 
 def test_logs_are_empty_behind_a_round_of_consistency_region_stores():
-    appended, retained = _cr_round(SamhitaSystem.cluster(n_threads=P))
+    appended, retained, _ = _cr_round(SamhitaSystem.cluster(n_threads=P))
     assert appended == P - 1  # there was something to prune...
     assert retained == 0      # ...and the last departure pruned it all
 
 
-def test_a_duplicated_arrival_cannot_wedge_the_once_per_round_prune():
-    """The retried arrival departs twice, ahead of threads that have not
-    consumed the round yet: a prune keyed to ``departed == parties`` would
-    fire one departure early, find epochs still owed, and never run again.
-    ``>=`` prunes behind every late departure too."""
+def test_a_reissued_arrival_is_answered_from_the_round_it_joined():
+    """The re-issue is sent the answer the closed round recorded for it,
+    and registers, departs and prunes nothing: the round departed each
+    thread once, its last departure pruned the logs to empty, and the
+    open round holds no arrival."""
     system = SamhitaSystem.cluster(
         n_threads=P, config=SamhitaConfig(faults=FaultPlan(seed=5)))
-    appended, retained = _cr_round(system, duplicate_of=0)
+    appended, retained, (state, directives) = _cr_round(system, reissue=True)
     assert appended == P - 1
     assert retained == 0
+    manager = system.manager
+    assert state.generation == 0 and state.departed == P
+    [tid] = directives
+    assert directives[tid] is state.sent[tid]
+    assert manager.stats.get("barrier_reanswers") == 1
+    [open_round] = manager._barriers.values()
+    assert open_round.generation == 1 and not open_round.arrived
+    assert open_round.closed is state

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import SamhitaConfig, SamhitaSystem
 from repro.errors import SynchronizationError
+from repro.faults import FaultPlan
 from tests.core.conftest import run_threads
 
 
@@ -63,6 +64,25 @@ class TestBarrierStateMachine:
             state.arrived[0] = []
             with pytest.raises(SynchronizationError):
                 yield from system.manager.barrier_arrive("node2", bar, {0: []})
+
+        run_threads(system, [sneaky()])
+
+    def test_double_arrival_rejected_under_a_silent_fault_plan(self):
+        """One registration rule for every build: a thread registered in
+        a round still open cannot register again when a fault plan numbers
+        arrivals, as on a build without one."""
+        system = SamhitaSystem.cluster(n_threads=2, config=SamhitaConfig(
+            manager_shards=2, faults=FaultPlan()))
+        tid = system.add_thread()
+        system.add_thread()
+        bar = system.create_barrier(2)
+
+        def sneaky():
+            root = system.control.shard_for_id(bar)
+            root._barrier(bar).arrived[tid] = []
+            with pytest.raises(SynchronizationError):
+                yield from system.control.barrier_arrive(
+                    tid, system.component_of(tid), bar, [])
 
         run_threads(system, [sneaky()])
 

@@ -397,9 +397,8 @@ def test_tree_barrier_falls_back_for_partial_party_barriers():
 
 
 def test_double_arrival_still_rejected_without_fault_model():
-    """The retried-arrival tolerance only arms with a fault model
-    (``config.faults``); fault-free sharded builds must still treat a
-    duplicate same-generation arrival as a protocol violation."""
+    """A fault-free sharded build treats a duplicate same-generation
+    arrival as a protocol violation, as every build does."""
     system, tids = sharded_cluster(2, shards=2)
     bar = system.create_barrier(2)
     root = system.control.shard_for_id(bar)
