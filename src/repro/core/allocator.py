@@ -33,6 +33,13 @@ from repro.sim.stats import StatSet
 #: any page is one integer divide.
 SHARD_SLICE_PAGES = 1 << 28
 
+#: Allocations at or below this size come from the per-thread arena.
+ARENA_MAX_ALLOC = 64 << 10
+#: Arena refill chunk size (one manager RPC buys this much).
+ARENA_CHUNK_BYTES = 256 << 10
+#: Allocations at or above this size stripe across memory servers.
+STRIPE_THRESHOLD = 1 << 20
+
 
 def shard_of_page(page: int, n_shards: int) -> int:
     """Shard whose address slice contains ``page``."""
@@ -122,9 +129,9 @@ class SamhitaAllocator:
     def classify(self, size: int) -> AllocationKind:
         if size <= 0:
             raise AllocationError(f"allocation size must be positive, got {size}")
-        if size <= self.config.arena_max_alloc:
+        if size <= ARENA_MAX_ALLOC:
             return AllocationKind.ARENA
-        if size < self.config.stripe_threshold:
+        if size < STRIPE_THRESHOLD:
             return AllocationKind.SHARED_ZONE
         return AllocationKind.STRIPED
 
@@ -212,7 +219,7 @@ class SamhitaAllocator:
 
     def refill_arena(self, tid: int, min_size: int) -> None:
         """Manager-side: hand the thread a fresh page-aligned arena chunk."""
-        chunk = max(self.config.arena_chunk_bytes, self.layout.align_up(min_size))
+        chunk = max(ARENA_CHUNK_BYTES, self.layout.align_up(min_size))
         server = tid % self.config.n_memory_servers
         region = self._carve(chunk, striped=False, server=server,
                              slice_=tid % self._n_slices)

@@ -17,6 +17,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.params import (
+    APPLY_TIME_PER_BYTE,
+    INSTALL_PAGE_TIME,
+    INVALIDATE_PAGE_TIME,
+    MEMSERVER_SERVICE_TIME,
+)
 from repro.errors import (
     ReplicationError,
     RetryExhaustedError,
@@ -85,9 +91,9 @@ class MemoryServer:
     def _service_time(self) -> float:
         """Per-request service charge, inflated by any active slow-server
         window (the gray-failure fault model). Pure window arithmetic --
-        with no injector or no active window this returns the configured
-        constant, bit-identically."""
-        base = self.config.memserver_service_time
+        with no injector or no active window this returns
+        ``MEMSERVER_SERVICE_TIME``, bit-identically."""
+        base = MEMSERVER_SERVICE_TIME
         system = self._system
         if system is None:
             return base
@@ -167,10 +173,15 @@ class MemoryServer:
         Gated on a live backup existing: unrepairable rot would break the
         data-identity contract, so the fault model only rots what the
         repair path can still fix (the draw itself is skipped too, keeping
-        the dedicated bitrot RNG stream aligned with repairability).
+        the dedicated bitrot RNG stream aligned with repairability). A
+        backup the plan has already taken down counts as gone even before
+        the detector declares it dead: between its crash and that
+        declaration nothing could repair the page.
         """
         system = self._system
-        if system.live_backup_of(page, self.index) is None:
+        backup = system.live_backup_of(page, self.index)
+        if backup is None or system.injector.server_down(
+                system.memory_servers[backup].component, self.engine.now):
             return
         if system.injector.draw_bitrot():
             self.backing.corrupt_page(page)
@@ -240,7 +251,7 @@ class MemoryServer:
                 return None
             t = system.fabric.transfer_inline(
                 owner_comp, self.component, wire, category="recall_diff",
-                tail=self.config.apply_time_per_byte * payload)
+                tail=APPLY_TIME_PER_BYTE * payload)
             if t is not None:
                 return self._recall_bulk_apply_sizes(t, dirty_pages, payload)
             backing.apply_diff_sizes(dirty_pages, payload)
@@ -258,7 +269,7 @@ class MemoryServer:
             wire += diff.wire_bytes
         t = system.fabric.transfer_inline(
             owner_comp, self.component, wire, category="recall_diff",
-            tail=self.config.apply_time_per_byte * payload)
+            tail=APPLY_TIME_PER_BYTE * payload)
         if t is not None:
             return self._recall_bulk_apply(t, diffs, payload)
         backing.apply_diffs(diffs)
@@ -317,8 +328,8 @@ class MemoryServer:
                 # Drops the copy AND advances the page's invalidation
                 # counter, voiding any of the sharer's in-flight fetches.
                 cache.invalidate([page])
-                if not self.engine.try_advance(self.config.invalidate_page_time):
-                    yield Timeout(self.config.invalidate_page_time)
+                if not self.engine.try_advance(INVALIDATE_PAGE_TIME):
+                    yield Timeout(INVALIDATE_PAGE_TIME)
                 t = system.scl.send(comp, self.component,
                                     category="invalidate_ack")
                 if t is not None:
@@ -331,7 +342,7 @@ class MemoryServer:
             # (fused into the transfer's suspension).
             t = system.fabric.transfer_inline(
                 self.component, writer_comp, self.config.layout.page_bytes,
-                category="upgrade_data", tail=self.config.install_page_time)
+                category="upgrade_data", tail=INSTALL_PAGE_TIME)
             if t is not None:
                 yield from t
             result = self.backing.read_page(page)
@@ -386,7 +397,7 @@ class MemoryServer:
                                           "diff", 0, self.engine.now)
             total = sum([d.payload_bytes for d in diffs])
             if total:
-                delay = self.config.apply_time_per_byte * total
+                delay = APPLY_TIME_PER_BYTE * total
                 if not self.engine.try_advance(delay):
                     yield Timeout(delay)
             if self.wal is not None:
@@ -488,7 +499,7 @@ class MemoryServer:
         try:
             total = sum([d.payload_bytes for d in diffs])
             if total:
-                delay = self.config.apply_time_per_byte * total
+                delay = APPLY_TIME_PER_BYTE * total
                 if not self.engine.try_advance(delay):
                     yield Timeout(delay)
             self.backing.apply_diffs(diffs)
@@ -540,7 +551,7 @@ class MemoryServer:
         repaired = self.backing.read_page(page)
         t = system.fabric.transfer_inline(
             self.component, requester_comp, self.config.layout.page_bytes,
-            category="repair_data", tail=self.config.install_page_time)
+            category="repair_data", tail=INSTALL_PAGE_TIME)
         if t is not None:
             yield from t
         return repaired, crc

@@ -2,12 +2,15 @@
 
 Everything the paper describes as a design choice (cache line size,
 prefetching, eviction bias, multiple-writer protocol, fine-grain consistency
-region updates, allocator thresholds) is a field here, so the ablation
-benches can toggle each one independently.
+region updates, striping across memory servers) is a field here, so the
+ablation benches can toggle each one independently.
 
-Time constants model user-level software costs of the original
+The time constants below model user-level software costs of the original
 implementation (signal-handler page faults, twin copies, diff scans); they
-are small relative to interconnect costs, as in the real system.
+are small relative to interconnect costs, as in the real system. They are
+fixed costs of the paper's C runtime, not design choices, so no caller
+sets them. Two costs stay fields because the sensitivity tables sweep
+them: ``manager_service_time`` and ``fault_handler_time``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,19 @@ from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.memory.cache import EvictionPolicy
 from repro.memory.layout import MemoryLayout
+
+#: Memory-server service charge per request (one slot on its resource).
+MEMSERVER_SERVICE_TIME = 1.0e-6
+#: Copy cost for creating one twin page.
+TWIN_CREATE_TIME = 0.8e-6
+#: Scanning one dirty page against its twin.
+DIFF_SCAN_TIME = 0.4e-6
+#: Applying received bytes (diffs / fine-grain updates), per byte.
+APPLY_TIME_PER_BYTE = 0.2e-9
+#: Dropping one cached page (mprotect + bookkeeping).
+INVALIDATE_PAGE_TIME = 0.3e-6
+#: Installing one fetched page into the local cache (copy + mmap).
+INSTALL_PAGE_TIME = 0.8e-6
 
 
 @dataclass(frozen=True)
@@ -64,18 +80,11 @@ class SamhitaConfig:
     #: Functional mode moves real bytes; timing mode tracks sizes only.
     functional: bool = True
 
-    # -- allocator (three strategies, §II) --------------------------------
-    #: Allocations at or below this size come from the per-thread arena.
-    arena_max_alloc: int = 64 << 10
-    #: Arena refill chunk size (one manager RPC buys this much).
-    arena_chunk_bytes: int = 256 << 10
-    #: Allocations at or above this size stripe across memory servers.
-    stripe_threshold: int = 1 << 20
-
     # -- server model -----------------------------------------------------
     n_memory_servers: int = 1
+    #: Manager service charge per control request (swept by
+    #: ``sensitivity_manager_service``).
     manager_service_time: float = 1.5e-6
-    memserver_service_time: float = 1.0e-6
 
     # -- control plane ----------------------------------------------------
     #: Manager shards. 1 (the default) is the single-manager build (its
@@ -132,28 +141,16 @@ class SamhitaConfig:
     faults: FaultPlan | None = None
 
     # -- local software costs ---------------------------------------------
-    #: Signal-handler + mprotect cost charged per page fault event.
+    #: Signal-handler + mprotect cost charged per page fault event (swept
+    #: by ``sensitivity_ordering``; the other local costs are the module's
+    #: constants).
     fault_handler_time: float = 1.0e-6
-    #: Copy cost for creating one twin page.
-    twin_create_time: float = 0.8e-6
-    #: Scanning one dirty page against its twin.
-    diff_scan_time: float = 0.4e-6
-    #: Applying received bytes (diffs / fine-grain updates), per byte.
-    apply_time_per_byte: float = 0.2e-9
-    #: Dropping one cached page (mprotect + bookkeeping).
-    invalidate_page_time: float = 0.3e-6
-    #: Installing one fetched page into the local cache (copy + mmap).
-    install_page_time: float = 0.8e-6
 
     def __post_init__(self):
         if self.coherence not in ("regc", "ivy"):
             raise ReproError(f"unknown coherence protocol {self.coherence!r}")
         if self.cache_capacity_pages < self.layout.pages_per_line:
             raise ReproError("cache must hold at least one cache line")
-        if not (0 < self.arena_max_alloc <= self.arena_chunk_bytes):
-            raise ReproError("require 0 < arena_max_alloc <= arena_chunk_bytes")
-        if self.stripe_threshold <= self.arena_max_alloc:
-            raise ReproError("stripe_threshold must exceed arena_max_alloc")
         if self.n_memory_servers < 1:
             raise ReproError("need at least one memory server")
         if self.replication_factor < 1:

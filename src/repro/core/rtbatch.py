@@ -12,9 +12,9 @@ round into ONE modeled round trip with the timing law
     trip cost = alpha + beta * lines
 
 where alpha is the fixed per-trip part (request latency + control-message
-serialization + one ``memserver_service_time`` charge + reply latency) and
+serialization + one ``MEMSERVER_SERVICE_TIME`` charge + reply latency) and
 beta the per-line part (per-page wire serialization at the link bandwidth
-+ one ``install_page_time`` per page), all under the *existing*
++ one ``INSTALL_PAGE_TIME`` per page), all under the *existing*
 interconnect parameters -- no new constants are introduced, the law is
 what a per-operation model charges minus the repeated alphas.
 
@@ -45,6 +45,11 @@ from zlib import crc32
 
 import numpy as np
 
+from repro.core.params import (
+    DIFF_SCAN_TIME,
+    INSTALL_PAGE_TIME,
+    MEMSERVER_SERVICE_TIME,
+)
 from repro.errors import CommunicationError, MemoryError_, recovery_action
 from repro.interconnect.scl import CONTROL_BYTES
 from repro.memory.backing import CRC_CORRUPT
@@ -118,9 +123,9 @@ def trip_timeout_floor(system, src: str, dst: str, n_pages: int) -> float:
     config = system.config
     fabric = system.fabric
     return (fabric.path_time(src, dst, CONTROL_BYTES)
-            + config.memserver_service_time
+            + MEMSERVER_SERVICE_TIME
             + fabric.path_time(dst, src, n_pages * config.layout.page_bytes)
-            + n_pages * config.install_page_time)
+            + n_pages * INSTALL_PAGE_TIME)
 
 
 def recover(cs: "ComputeServer", server, err, backoffs: int = 0):
@@ -322,7 +327,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
             counters["pages_fetched"] += server_pages.size
 
             # The batched install leg: beta's per-page install cost is ONE
-            # modeled charge of k * install_page_time for the whole group.
+            # modeled charge of k * INSTALL_PAGE_TIME for the whole group.
             # Installs apply in bulk after the charge; every pass -- the
             # first, and each after a suspension (eviction for the demand
             # leg, the charge itself not advancing inline) -- re-validates
@@ -362,7 +367,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
                 k = eligible_d.size + eligible_s.size
                 if k and not charged:
                     charged = True
-                    delay = k * system.config.install_page_time
+                    delay = k * INSTALL_PAGE_TIME
                     if not cs.engine.try_advance(delay):
                         yield Timeout(delay)
                         continue  # suspended: re-validate before installing
@@ -397,8 +402,7 @@ def evict_batched(cs: "ComputeServer", tid: int, count: int,
             directory.clear_owner(page)
         directory.remove_sharer(page, tid)
     if diffs:
-        yield from flush_diffs_batched(cs, diffs, "diff",
-                                       system.config.diff_scan_time)
+        yield from flush_diffs_batched(cs, diffs, "diff", DIFF_SCAN_TIME)
     cs.stats.counters["evictions"] += len(victims)
 
 
@@ -410,7 +414,7 @@ def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
 
     ``scan_time``: what the sender still owes per diff for scanning the
     page against its twin, fused into the put as its lead (an eviction:
-    ``diff_scan_time``). 0.0 at a sync point, which has charged its scans
+    ``DIFF_SCAN_TIME``). 0.0 at a sync point, which has charged its scans
     already; a put without a lead is a pure delay the home can handle on
     arrival (``SCL.flight``)."""
     system = cs.system

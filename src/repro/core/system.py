@@ -36,7 +36,13 @@ from repro.core.manager import (
 )
 from repro.core.memory_server import MemoryServer
 from repro.core.membership import Membership
-from repro.core.params import SamhitaConfig
+from repro.core.params import (
+    APPLY_TIME_PER_BYTE,
+    DIFF_SCAN_TIME,
+    INVALIDATE_PAGE_TIME,
+    TWIN_CREATE_TIME,
+    SamhitaConfig,
+)
 from repro.checkpoint import CheckpointStore, restore_checkpoint, take_checkpoint
 from repro.faults.injector import FaultInjector
 from repro.core.placement import PlacementPolicy, choose_component
@@ -73,6 +79,15 @@ from repro.sim.stats import StatSet
 NO_STORES = ((), 0, 0, ())
 
 
+def _one_memory_server(config: SamhitaConfig, machine: str) -> SamhitaConfig:
+    """``config``, checked for a machine with one memory server (the host)."""
+    if config.n_memory_servers != 1:
+        raise BackendError(
+            f"the {machine} machine has one memory server; the config asks "
+            f"for n_memory_servers={config.n_memory_servers}")
+    return config
+
+
 class SamhitaSystem:
     """One Samhita instance bound to a topology."""
 
@@ -80,17 +95,15 @@ class SamhitaSystem:
         self,
         topology: Topology,
         config: SamhitaConfig | None = None,
-        manager_component: str | None = None,
         memserver_components: list[str] | None = None,
         compute_components: list[str] | None = None,
-        model_contention: bool = True,
         placement: PlacementPolicy = PlacementPolicy.PACKED,
         manager_components: list[str] | None = None,
     ):
         self.config = config or SamhitaConfig()
         self.topology = topology
         self.engine = Engine()
-        self.fabric = Fabric(self.engine, topology, model_contention=model_contention)
+        self.fabric = Fabric(self.engine, topology)
         self.scl = SCL(self.fabric)
         n_shards = self.config.manager_shards
         # One directory and one allocator (one address slice per shard),
@@ -106,8 +119,7 @@ class SamhitaSystem:
         if not compute:
             raise BackendError("topology has no compute components")
         if manager_components is None:
-            base = manager_component or compute[0]
-            manager_components = [base] * n_shards
+            manager_components = [compute[0]] * n_shards
         if len(manager_components) != n_shards:
             raise BackendError(
                 f"config wants {n_shards} manager shards, "
@@ -197,8 +209,8 @@ class SamhitaSystem:
     # ------------------------------------------------------------------
     @classmethod
     def cluster(cls, n_threads: int, config: SamhitaConfig | None = None,
-                node: NodeSpec = PENRYN_NODE, fabric_link=None,
-                model_contention: bool = True) -> "SamhitaSystem":
+                node: NodeSpec = PENRYN_NODE,
+                fabric_link=None) -> "SamhitaSystem":
         """The paper's testbed: dedicated manager node + memory-server
         node(s) + enough compute nodes for ``n_threads``."""
         config = config or SamhitaConfig()
@@ -214,35 +226,33 @@ class SamhitaSystem:
             manager_components=names[:n_shards],
             memserver_components=names[first_mem:first_compute],
             compute_components=names[first_compute:],
-            model_contention=model_contention,
         )
 
     @classmethod
     def hetero(cls, n_coprocessors: int = 1, config: SamhitaConfig | None = None,
                host: NodeSpec = PENRYN_NODE, coprocessor=XEON_PHI_KNC,
-               bus=None, model_contention: bool = True,
+               bus=None,
                placement: PlacementPolicy = PlacementPolicy.PACKED) -> "SamhitaSystem":
         """Figure 1: host runs manager + memory server, threads run on the
-        coprocessor(s) across the PCIe bus."""
-        config = config or SamhitaConfig()
-        if config.n_memory_servers != 1:
-            config = config.with_(n_memory_servers=1)
+        coprocessor(s) across the PCIe bus. Bus contention is the bus
+        link's own ``contended`` flag."""
+        config = _one_memory_server(config or SamhitaConfig(), "hetero")
         topo = hetero_node_topology(n_coprocessors, host=host,
                                     coprocessor=coprocessor, bus=bus)
         mics = [f"mic{i}" for i in range(n_coprocessors)]
-        return cls(topo, config, manager_component="host",
+        return cls(topo, config,
+                   manager_components=["host"] * config.manager_shards,
                    memserver_components=["host"], compute_components=mics,
-                   model_contention=model_contention, placement=placement)
+                   placement=placement)
 
     @classmethod
     def single_node(cls, config: SamhitaConfig | None = None,
                     node: NodeSpec = PENRYN_NODE) -> "SamhitaSystem":
         """Everything co-located on one node (the §V ablation machine)."""
-        config = config or SamhitaConfig()
-        if config.n_memory_servers != 1:
-            config = config.with_(n_memory_servers=1)
+        config = _one_memory_server(config or SamhitaConfig(), "single_node")
         topo = smp_topology(node)
-        return cls(topo, config, manager_component="host",
+        return cls(topo, config,
+                   manager_components=["host"] * config.manager_shards,
                    memserver_components=["host"], compute_components=["host"])
 
     # ------------------------------------------------------------------
@@ -527,7 +537,7 @@ class SamhitaSystem:
             # Page-grain ablation: remember which pages this CR touched.
             self._cr_pages[tid].update(cache.layout.pages_spanning(addr, nbytes))
         if twins:
-            return twins * self.config.twin_create_time
+            return twins * TWIN_CREATE_TIME
         return 0.0
 
     def _ivy_write(self, tid: int, addr: int, nbytes: int, data):
@@ -618,7 +628,7 @@ class SamhitaSystem:
         if diffs:
             applied = cache.apply_fine_grain(diffs)
             if applied:
-                yield Timeout(applied * self.config.apply_time_per_byte)
+                yield Timeout(applied * APPLY_TIME_PER_BYTE)
         if invalidate:
             # Page-grain ablation: drop stale copies of CR pages. Passing
             # non-resident pages too advances their invalidation counters,
@@ -626,7 +636,7 @@ class SamhitaSystem:
             targets = [p for p in invalidate if not cache.is_dirty(p)]
             dropped = cache.invalidate(targets)
             if dropped:
-                yield Timeout(len(dropped) * self.config.invalidate_page_time)
+                yield Timeout(len(dropped) * INVALIDATE_PAGE_TIME)
         self._regions[tid].enter()
 
     def release_lock(self, tid: int, lock_id: int):
@@ -726,7 +736,7 @@ class SamhitaSystem:
         directive = directives[tid]
         invalidate, flush, cr_diffs, cr_invalidate = directive
         if flush:
-            yield Timeout(len(flush) * self.config.diff_scan_time)
+            yield Timeout(len(flush) * DIFF_SCAN_TIME)
             # A page evicted mid-epoch is skipped: its diff already
             # reached home.
             diffs = [d for d in cache.take_diffs(flush) if d.n_spans]
@@ -752,7 +762,7 @@ class SamhitaSystem:
         if cr_diffs:
             applied = cache.apply_fine_grain(cr_diffs)
             if applied:
-                yield Timeout(applied * self.config.apply_time_per_byte)
+                yield Timeout(applied * APPLY_TIME_PER_BYTE)
         # Locally-dirty pages are skipped (lazily-held diffs the directory
         # still credits to this thread). The directive is resolved against
         # the pages this cache holds; it is never built as a page list.
@@ -763,7 +773,7 @@ class SamhitaSystem:
             if extra:
                 dropped = sorted(dropped + cache.invalidate(extra))
         if dropped:
-            yield Timeout(len(dropped) * self.config.invalidate_page_time)
+            yield Timeout(len(dropped) * INVALIDATE_PAGE_TIME)
             if self.config.barrier_eager_refresh:
                 # Update-style: pull the merged pages back now, batched per
                 # home server, instead of lazily refaulting line by line.

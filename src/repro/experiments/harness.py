@@ -6,7 +6,7 @@ run. Its clocks and traffic are not those of functional mode: at paper
 scale 9 of the 11 figures differ between the modes, by up to 26 % (fig12
 at 32 threads), in both directions. The two known causes:
 
-* timing mode never charges ``twin_create_time``;
+* timing mode never charges ``TWIN_CREATE_TIME``;
 * timing mode ships every written byte as a diff, where functional mode
   ships only the bytes that changed.
 

@@ -47,10 +47,9 @@ class Fabric:
     nothing calls it after a ``Fabric`` exists.
     """
 
-    def __init__(self, engine: Engine, topology: "Topology", model_contention: bool = True):
+    def __init__(self, engine: Engine, topology: "Topology"):
         self.engine = engine
         self.topology = topology
-        self.model_contention = model_contention
         self.stats = StatSet("fabric")
         #: Bytes moved per (src, dst) pair -- the traffic matrix that makes
         #: hot spots (e.g. a single memory server's in-degree) visible.
@@ -222,10 +221,9 @@ class Fabric:
                     bottleneck = link
             size_cache[nbytes] = (serialize, bottleneck)
             if self._injector is None and not (
-                    self.model_contention and bottleneck.contended
-                    and serialize > 0.0):
+                    bottleneck.contended and serialize > 0.0):
                 self._flights[(src, dst, nbytes)] = latency + serialize
-        if self.model_contention and bottleneck.contended and serialize > 0.0:
+        if bottleneck.contended and serialize > 0.0:
             return self._slow_contended(latency, serialize, bottleneck,
                                         lead, tail)
         # The whole transfer is one resume instant, accumulated with the

@@ -27,6 +27,15 @@ from repro.runtime.backend import BaseBackend
 from repro.sim.engine import Engine, Timeout
 from repro.sim.resources import SimBarrier, SimMutex
 
+#: Uncontended mutex acquire (an atomic RMW); a release costs half.
+LOCK_OVERHEAD = 100e-9
+#: Barrier entry, before the counter line bounces between the parties.
+BARRIER_BASE_OVERHEAD = 400e-9
+#: Condition-variable wait or signal (futex-style).
+COND_OVERHEAD = 150e-9
+#: glibc malloc from a thread's arena; a free costs half.
+MALLOC_OVERHEAD = 120e-9
+
 
 class _CondState:
     __slots__ = ("waiters",)
@@ -42,10 +51,6 @@ class PthreadsBackend(BaseBackend):
 
     def __init__(self, n_threads: int, node: NodeSpec = PENRYN_NODE,
                  functional: bool = True, allow_oversubscribe: bool = False,
-                 lock_overhead: float = 100e-9,
-                 barrier_base_overhead: float = 400e-9,
-                 cond_overhead: float = 150e-9,
-                 malloc_overhead: float = 120e-9,
                  trace: bool = False):
         if n_threads > node.cores and not allow_oversubscribe:
             raise BackendError(
@@ -65,10 +70,6 @@ class PthreadsBackend(BaseBackend):
         # (page-aligned chunks), larger allocations contiguous -- the same
         # local/global layout semantics the micro-benchmark varies.
         self.allocator = SamhitaAllocator(SamhitaConfig(functional=functional))
-        self.lock_overhead = lock_overhead
-        self.barrier_base_overhead = barrier_base_overhead
-        self.cond_overhead = cond_overhead
-        self.malloc_overhead = malloc_overhead
         self._locks: dict[int, SimMutex] = {}
         self._barriers: dict[int, SimBarrier] = {}
         self._conds: dict[int, _CondState] = {}
@@ -118,12 +119,12 @@ class PthreadsBackend(BaseBackend):
             addr = allocator.shared_alloc(size, tid)
         else:
             addr = allocator.striped_alloc(size, tid)
-        yield Timeout(self.malloc_overhead)
+        yield Timeout(MALLOC_OVERHEAD)
         return addr
 
     def free(self, tid, addr):
         self.allocator.free(addr)
-        yield Timeout(self.malloc_overhead / 2)
+        yield Timeout(MALLOC_OVERHEAD / 2)
 
     def mem_read(self, tid, addr, nbytes):
         cost = self.cache.access(tid, addr, nbytes, is_write=False)
@@ -148,11 +149,11 @@ class PthreadsBackend(BaseBackend):
             raise SynchronizationError(f"unknown lock id {lock_id}") from None
 
     def acquire_lock(self, tid, lock_id):
-        yield Timeout(self.lock_overhead)
+        yield Timeout(LOCK_OVERHEAD)
         yield from self._lock(lock_id).acquire(tid)
 
     def release_lock(self, tid, lock_id):
-        yield Timeout(self.lock_overhead / 2)
+        yield Timeout(LOCK_OVERHEAD / 2)
         self._lock(lock_id).release(tid)
 
     def barrier_wait(self, tid, barrier_id):
@@ -162,7 +163,7 @@ class PthreadsBackend(BaseBackend):
             raise SynchronizationError(f"unknown barrier id {barrier_id}") from None
         # Centralized counter barrier: the shared counter line bounces
         # between arrivals, so per-thread cost grows with the party count.
-        cost = (self.barrier_base_overhead
+        cost = (BARRIER_BASE_OVERHEAD
                 + barrier.parties * self.node.cache.coherence_miss_time)
         yield Timeout(cost)
         yield from barrier.wait()
@@ -175,7 +176,7 @@ class PthreadsBackend(BaseBackend):
         lock = self._lock(lock_id)
         if lock.owner != tid:
             raise SynchronizationError("cond_wait without holding the lock")
-        yield Timeout(self.cond_overhead)
+        yield Timeout(COND_OVERHEAD)
         gate = self._engine.event(f"pth.cond{cond_id}.wait")
         cond.waiters.append(gate)
         lock.release(tid)
@@ -187,7 +188,7 @@ class PthreadsBackend(BaseBackend):
             cond = self._conds[cond_id]
         except KeyError:
             raise SynchronizationError(f"unknown cond id {cond_id}") from None
-        yield Timeout(self.cond_overhead)
+        yield Timeout(COND_OVERHEAD)
         count = len(cond.waiters) if broadcast else min(1, len(cond.waiters))
         for _ in range(count):
             cond.waiters.popleft().succeed()

@@ -5,6 +5,7 @@ protocol of the PR 8 tree computed (:data:`PER_LINE_PR8`); with the
 adjacent-line prefetch off it installs no rider.
 """
 
+import ast
 import dataclasses
 import hashlib
 import inspect
@@ -16,7 +17,10 @@ import repro
 from repro.core.params import SamhitaConfig
 from repro.core.system import SamhitaSystem
 from repro.experiments.harness import run_workload_direct
+from repro.hardware.topology import cluster_topology, smp_topology
+from repro.interconnect.routing import Fabric
 from repro.kernels.jacobi import JacobiParams, spawn_jacobi
+from repro.runtime.pthreads import PthreadsBackend
 from repro.sim.engine import Engine
 from tests.core.conftest import run_threads
 
@@ -84,16 +88,23 @@ class TestConfigSurface:
         # detector's cadence is a pair of constants, not configuration. A
         # wedged run is a DeadlockError: no lock lease, no thread death and
         # no engine hook that could re-arm a drained queue. Fencing epochs
-        # are armed by any fault plan, not by a flag of their own.
+        # are armed by any fault plan, not by a flag of their own. The
+        # fixed software costs and the allocator thresholds nobody set are
+        # constants of params.py and allocator.py.
         fields = {f.name for f in dataclasses.fields(SamhitaConfig)}
-        assert len(fields) == 28
+        assert len(fields) == 19
         for gone in ("eviction_impl", "batched_round_trips",
                      "batch_line_fetches", "prefetch_adjacent",
                      "adaptive_timeouts", "hedged_fetches", "hedge_quantile",
                      "retry_budget", "retry_budget_refill",
                      "breaker_cooldown", "admission_queue_limit",
                      "hierarchical_sync", "heartbeat_interval",
-                     "heartbeat_misses", "fencing"):
+                     "heartbeat_misses", "fencing",
+                     "memserver_service_time", "twin_create_time",
+                     "diff_scan_time", "apply_time_per_byte",
+                     "invalidate_page_time", "install_page_time",
+                     "arena_max_alloc", "arena_chunk_bytes",
+                     "stripe_threshold"):
             assert gone not in fields
             with pytest.raises(TypeError):
                 SamhitaConfig(**{gone: False})
@@ -118,6 +129,51 @@ class TestConfigSurface:
                      "prefetch_spans", "upcoming_spans", "prefetch_waits",
                      "plan_prefetches"):
             assert not [p for p, text in texts.items() if gone in text], gone
+
+    def test_every_field_has_a_setter_outside_the_tests(self):
+        # A field only a test sets is a constant in disguise: each one is
+        # set by keyword (``name=``) or swept by name (a ``"name"`` call
+        # argument or dict key, as ``config_sensitivity`` takes it)
+        # somewhere in the package, the benchmarks or the examples.
+        root = pathlib.Path(repro.__file__).parents[2]
+        named = set()
+        for d in ("src", "benchmarks", "examples"):
+            for path in (root / d).rglob("*.py"):
+                if path.name == "params.py":
+                    continue
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Call):
+                        named.update(k.arg for k in node.keywords)
+                        names = node.args
+                    elif isinstance(node, ast.Dict):
+                        names = node.keys
+                    else:
+                        continue
+                    named.update(n.value for n in names
+                                 if isinstance(n, ast.Constant))
+        exempt = {
+            # A capability with its own chaos tests and a DESIGN S13
+            # trial; no shipped workload or table takes checkpoints.
+            "checkpoint_interval",
+        }
+        unset = {f.name for f in dataclasses.fields(SamhitaConfig)} - named
+        assert unset == exempt
+
+    def test_removed_cost_knobs_are_rejected(self):
+        with pytest.raises(TypeError):
+            Fabric(Engine(), cluster_topology(2), model_contention=False)
+        with pytest.raises(TypeError):
+            SamhitaSystem.cluster(1, model_contention=False)
+        with pytest.raises(TypeError):
+            SamhitaSystem.hetero(model_contention=False)
+        with pytest.raises(TypeError):
+            SamhitaSystem(smp_topology(), model_contention=False)
+        with pytest.raises(TypeError):
+            SamhitaSystem(smp_topology(), manager_component="host")
+        for knob in ("lock_overhead", "barrier_base_overhead",
+                     "cond_overhead", "malloc_overhead"):
+            with pytest.raises(TypeError):
+                PthreadsBackend(1, **{knob: 0.0})
 
     def test_prefetch_none_disables_speculation(self):
         cfg = SamhitaConfig(functional=True, prefetch=False)

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.allocator import AllocationKind, SamhitaAllocator
+from repro.core.allocator import (
+    ARENA_CHUNK_BYTES,
+    AllocationKind,
+    SamhitaAllocator,
+)
 from repro.core.params import SamhitaConfig
 from repro.errors import AllocationError, MemoryError_
 
@@ -55,7 +59,7 @@ class TestArena:
     def test_arena_exhaustion_returns_none(self):
         a = make()
         a.refill_arena(0, 1)
-        chunk = a.config.arena_chunk_bytes
+        chunk = ARENA_CHUNK_BYTES
         assert a.arena_alloc(0, chunk) is not None
         assert a.arena_alloc(0, chunk) is None
 
@@ -72,8 +76,8 @@ class TestArena:
 
     def test_refill_honours_oversized_request(self):
         a = make()
-        big = a.config.arena_chunk_bytes * 2
-        # Pretend arena_max_alloc allowed it: refill directly.
+        big = ARENA_CHUNK_BYTES * 2
+        # Pretend ARENA_MAX_ALLOC allowed it: refill directly.
         a.refill_arena(0, big)
         assert a.arena_alloc(0, big) is not None
 

@@ -65,6 +65,20 @@ class TestSystemPlacement:
         with pytest.raises(BackendError):
             system.add_thread(component="mic7")
 
+    @pytest.mark.parametrize("machine", ["hetero", "single_node"])
+    def test_one_server_machines_reject_more_servers(self, machine):
+        # The host is the only memory server: a config asking for more is
+        # refused, not quietly rewritten.
+        config = SamhitaConfig(n_memory_servers=2)
+        with pytest.raises(BackendError, match="n_memory_servers=2"):
+            getattr(SamhitaSystem, machine)(config=config)
+
+    def test_one_server_machines_host_every_manager_shard(self):
+        config = SamhitaConfig(manager_shards=2)
+        for system in (SamhitaSystem.hetero(config=config),
+                       SamhitaSystem.single_node(config=config)):
+            assert [m.component for m in system.managers] == ["host", "host"]
+
     def test_spreading_relieves_pcie_contention(self):
         """Two coprocessors give two PCIe buses: spreading the same thread
         count across them beats packing them onto one."""

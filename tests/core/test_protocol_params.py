@@ -50,14 +50,6 @@ class TestConfigValidation:
         with pytest.raises(ReproError):
             SamhitaConfig(layout=layout, cache_capacity_pages=4)
 
-    def test_arena_threshold_ordering_enforced(self):
-        with pytest.raises(ReproError):
-            SamhitaConfig(arena_max_alloc=0)
-        with pytest.raises(ReproError):
-            SamhitaConfig(arena_max_alloc=1 << 20, arena_chunk_bytes=1 << 10)
-        with pytest.raises(ReproError):
-            SamhitaConfig(stripe_threshold=1 << 10)
-
     def test_memory_server_count_positive(self):
         with pytest.raises(ReproError):
             SamhitaConfig(n_memory_servers=0)

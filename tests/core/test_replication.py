@@ -197,6 +197,42 @@ class TestDefaultOff:
         assert system.injector.detector is system.detector
 
 
+class TestBitrotGate:
+    """Bitrot only lands where the repair path can still fix it: a page
+    whose backup the plan has taken down is left alone (and draws nothing
+    from the bitrot stream) even before the detector declares the backup
+    dead."""
+
+    @staticmethod
+    def _primary_page(backup_dies_at):
+        # node1 and node2 are memory servers 0 and 1; every draw rots.
+        plan = permanent_crash(5, "node2", at=backup_dies_at, bitrot_rate=1.0)
+        config = SamhitaConfig(n_memory_servers=2, replication_factor=2,
+                               faults=plan)
+        system = SamhitaSystem.cluster(n_threads=1, config=config)
+        addr = system.allocator.shared_alloc(128 << 10, 0)
+        page = addr // system.config.layout.page_bytes
+        assert system.allocator.home_of_page(page) == 0
+        return system, system.memory_servers[0], page
+
+    def test_a_crashed_but_undeclared_backup_gets_no_rot_and_no_draw(self):
+        system, primary, page = self._primary_page(backup_dies_at=0.0)
+        assert system.injector.server_down("node2", system.engine.now)
+        assert not system.is_server_dead(1)  # not declared yet
+        assert system.live_backup_of(page, 0) == 1
+        rng = system.injector._bitrot_rng.getstate()
+        primary._maybe_bitrot(page)
+        assert primary.backing.stats.counters["pages_rotted"] == 0
+        assert system.injector.stats.counters["bitrot_injected"] == 0
+        assert system.injector._bitrot_rng.getstate() == rng
+
+    def test_a_live_backup_lets_the_draw_rot(self):
+        system, primary, page = self._primary_page(backup_dies_at=1.0)
+        primary._maybe_bitrot(page)
+        assert primary.backing.stats.counters["pages_rotted"] == 1
+        assert system.injector.stats.counters["bitrot_injected"] == 1
+
+
 class TestBatchTargets:
     """``replica_targets_each`` (what a merged batch is logged with) is
     ``replica_targets`` per diff: one ring for the batch while every server

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from repro.core.params import SamhitaConfig
+from repro.core.params import MEMSERVER_SERVICE_TIME, SamhitaConfig
 from repro.core.rtbatch import trip_timeout_floor
 from repro.core.system import SamhitaSystem
 from repro.experiments.harness import run_workload_direct
@@ -29,7 +29,7 @@ class TestTripTimeoutFloor:
         system = SamhitaSystem.cluster(
             n_threads=1, config=SamhitaConfig(faults=FaultPlan(seed=0)))
         assert (trip_timeout_floor(system, "node2", "node1", 1)
-                > system.config.memserver_service_time)
+                > MEMSERVER_SERVICE_TIME)
 
 
 class TestNoSpuriousRetransmits:

@@ -13,6 +13,7 @@ from repro.interconnect import (
     ib_qdr,
     ib_sdr,
     pcie_gen2_x16,
+    scif_link,
 )
 from repro.interconnect.scl import CONTROL_BYTES
 from repro.sim import Engine, Timeout
@@ -76,7 +77,7 @@ class TestFabric:
 
     def test_transfer_advances_clock_by_path_time(self):
         self.eng = eng = Engine()
-        fabric = Fabric(eng, cluster_topology(2), model_contention=False)
+        fabric = Fabric(eng, cluster_topology(2))
         expected = fabric.path_time("node0", "node1", 4096)
         elapsed = self._run(fabric.transfer("node0", "node1", 4096))
         assert elapsed == pytest.approx(expected)
@@ -97,7 +98,7 @@ class TestFabric:
     def test_contended_bus_serializes_concurrent_transfers(self):
         eng = Engine()
         topo = hetero_node_topology()  # PCIe bus is contended
-        fabric = Fabric(eng, topo, model_contention=True)
+        fabric = Fabric(eng, topo)
         nbytes = 6 << 20  # ~1s/6 GB/s = 1 ms serialization each
 
         def client():
@@ -112,8 +113,8 @@ class TestFabric:
 
     def test_uncontended_mode_overlaps_transfers(self):
         eng = Engine()
-        topo = hetero_node_topology()
-        fabric = Fabric(eng, topo, model_contention=False)
+        topo = hetero_node_topology(bus=scif_link(contended=False))
+        fabric = Fabric(eng, topo)
         nbytes = 6 << 20
 
         def client():
@@ -152,7 +153,7 @@ class TestFabric:
 
     def test_link_utilization_reported(self):
         eng = Engine()
-        fabric = Fabric(eng, hetero_node_topology(), model_contention=True)
+        fabric = Fabric(eng, hetero_node_topology())
 
         def client():
             yield from fabric.transfer("mic0", "host", 1 << 20)
@@ -176,7 +177,7 @@ class TestSCL:
 
     def test_rdma_get_is_request_plus_data(self):
         self.eng = eng = Engine()
-        fabric = Fabric(eng, cluster_topology(2), model_contention=False)
+        fabric = Fabric(eng, cluster_topology(2))
         scl = SCL(fabric)
         elapsed = self._elapsed(scl.rdma_get("node0", "node1", 4096))
         expected = (fabric.path_time("node0", "node1", CONTROL_BYTES)
@@ -186,14 +187,14 @@ class TestSCL:
 
     def test_rdma_put_is_one_way(self):
         self.eng = eng = Engine()
-        fabric = Fabric(eng, cluster_topology(2), model_contention=False)
+        fabric = Fabric(eng, cluster_topology(2))
         scl = SCL(fabric)
         elapsed = self._elapsed(scl.rdma_put("node0", "node1", 4096))
         assert elapsed == pytest.approx(fabric.path_time("node0", "node1", 4096))
 
     def test_request_response_round_trip(self):
         self.eng = eng = Engine()
-        fabric = Fabric(eng, cluster_topology(2), model_contention=False)
+        fabric = Fabric(eng, cluster_topology(2))
         scl = SCL(fabric)
         elapsed = self._elapsed(scl.request_response("node0", "node1"))
         one_way = fabric.path_time("node0", "node1", CONTROL_BYTES)
@@ -201,8 +202,8 @@ class TestSCL:
 
     def test_get_bigger_payload_costs_more(self):
         eng1, eng2 = Engine(), Engine()
-        f1 = Fabric(eng1, cluster_topology(2), model_contention=False)
-        f2 = Fabric(eng2, cluster_topology(2), model_contention=False)
+        f1 = Fabric(eng1, cluster_topology(2))
+        f2 = Fabric(eng2, cluster_topology(2))
         s1, s2 = SCL(f1), SCL(f2)
         eng1.process(s1.rdma_get("node0", "node1", 4096))
         eng2.process(s2.rdma_get("node0", "node1", 64 * 4096))
@@ -263,15 +264,16 @@ class TestFlight:
 
     def test_contended_bottleneck_touches_no_counter(self):
         eng = Engine()
-        fabric = Fabric(eng, hetero_node_topology(), model_contention=True)
+        fabric = Fabric(eng, hetero_node_topology())
         scl = SCL(fabric)
         eng.process(fabric.transfer("mic0", "host", 4096, "page"))
         eng.run()
         before = self._books(fabric, scl)
         assert scl.flight("mic0", "host", 4096, "page") is None
         assert self._books(fabric, scl) == before
-        # The same bus with contention not modelled is a pure delay.
-        free = Fabric(Engine(), hetero_node_topology(), model_contention=False)
+        # The same bus built uncontended is a pure delay.
+        free = Fabric(Engine(),
+                      hetero_node_topology(bus=scif_link(contended=False)))
         assert free.transfer_inline("mic0", "host", 4096, "page") is None
         assert SCL(free).flight("mic0", "host", 4096, "page") is not None
 

@@ -15,6 +15,7 @@ statistical.
 import numpy as np
 
 from repro.core import SamhitaConfig, rtbatch
+from repro.core.params import INSTALL_PAGE_TIME
 from repro.core.system import SamhitaSystem
 from repro.memory.pagetable import NO_PAGES
 from repro.sim.engine import Timeout
@@ -123,7 +124,7 @@ class TestFetchInvalidateRace:
         system.engine.process(fetch(cs, tid, page), name="undisturbed")
         system.engine.run()
         took = system.engine.now - start  # 6.915 us
-        install = system.config.install_page_time  # 0.8 us, the last leg
+        install = INSTALL_PAGE_TIME  # 0.8 us, the last leg
 
         system, tid = make_system()
         page = alloc_page(system, tid)

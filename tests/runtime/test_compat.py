@@ -88,3 +88,64 @@ class TestMemoryHelpers:
 
         rt.spawn(body)
         assert rt.run().value_of(0)
+
+
+ITEMS = 6
+
+
+def handoff_worker(ctx, shared, mutex, not_empty, not_full, barrier):
+    """A one-slot bounded buffer in the Pthreads vocabulary: thread 0
+    produces 1..ITEMS, every other thread consumes until the producer's
+    closing broadcast. Slot layout: value, full flag, done flag."""
+    if pt.pthread_self(ctx) == 0:
+        shared["slot"] = yield from pt.malloc(ctx, 64)
+        yield from pt.memset(ctx, shared["slot"], 0, 24)
+    yield from pt.pthread_barrier_wait(ctx, barrier)
+    slot = shared["slot"]
+    value, full, done = slot, slot + 8, slot + 16
+
+    if pt.pthread_self(ctx) == 0:
+        for item in range(1, ITEMS + 1):
+            yield from pt.pthread_mutex_lock(ctx, mutex)
+            while (yield from pt.load_int64(ctx, full)):
+                yield from pt.pthread_cond_wait(ctx, not_full, mutex)
+            yield from pt.store_int64(ctx, value, item)
+            yield from pt.store_int64(ctx, full, 1)
+            yield from pt.pthread_cond_signal(ctx, not_empty)
+            yield from pt.pthread_mutex_unlock(ctx, mutex)
+        yield from pt.pthread_mutex_lock(ctx, mutex)
+        while (yield from pt.load_int64(ctx, full)):
+            yield from pt.pthread_cond_wait(ctx, not_full, mutex)
+        yield from pt.store_int64(ctx, done, 1)
+        yield from pt.pthread_cond_broadcast(ctx, not_empty)
+        yield from pt.pthread_mutex_unlock(ctx, mutex)
+        return []
+
+    taken = []
+    while True:
+        yield from pt.pthread_mutex_lock(ctx, mutex)
+        while not (yield from pt.load_int64(ctx, full)):
+            if (yield from pt.load_int64(ctx, done)):
+                yield from pt.pthread_mutex_unlock(ctx, mutex)
+                return taken
+            yield from pt.pthread_cond_wait(ctx, not_empty, mutex)
+        taken.append((yield from pt.load_int64(ctx, value)))
+        yield from pt.store_int64(ctx, full, 0)
+        yield from pt.pthread_cond_signal(ctx, not_full)
+        yield from pt.pthread_mutex_unlock(ctx, mutex)
+
+
+class TestConditionVariables:
+    @pytest.mark.parametrize("backend", ["pthreads", "samhita"])
+    def test_producer_consumer_handoff(self, backend):
+        rt = Runtime(backend, n_threads=3)
+        mutex, barrier = rt.create_lock(), rt.create_barrier()
+        not_empty, not_full = rt.create_cond(), rt.create_cond()
+        shared = {}
+        rt.spawn_all(handoff_worker, shared, mutex, not_empty, not_full,
+                     barrier)
+        result = rt.run()
+        taken = [item for t in result.threads for item in result.value_of(t)]
+        # Every item is handed off exactly once, and the broadcast releases
+        # every consumer still waiting when the producer closes.
+        assert sorted(taken) == list(range(1, ITEMS + 1))
