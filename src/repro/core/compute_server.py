@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import rtbatch
-from repro.errors import MemoryError_, ReplicationError
-from repro.memory.backing import payload_crc_ok
+from repro.errors import MemoryError_
 from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,10 +63,6 @@ class ComputeServer:
         #: thread's stashes without walking every lock cached on the node.
         self._grants_of: dict[int, dict[int, _CachedLock]] = {}
         self.stats = StatSet(f"compute[{component}]")
-        #: Last cluster epoch this sender observed (fault plans only):
-        #: stamped on write-side RPCs, refreshed when a receiver fences a
-        #: stale stamp after a failover this component missed.
-        self.known_epoch = 0
 
     def register_thread(self, tid: int, cache: "SoftwareCache") -> None:
         self.threads.append(tid)
@@ -218,17 +213,3 @@ class ComputeServer:
             if at < pages.size:
                 span = allocated_span(pages.item(at))
         return np.concatenate(kept) if kept else pages[:0]
-
-    def _repair_page(self, server, page: int):
-        """Generator: ask the home to rebuild a page whose fetched copy
-        failed its checksum (replica copy + unacked-WAL replay), and verify
-        the repaired copy end to end."""
-        t = self.system.scl.send(self.component, server.component,
-                                 category="repair_req")
-        if t is not None:
-            yield from t
-        repaired, crc = yield from server.serve_repair(self.component, page)
-        if not payload_crc_ok(repaired, crc):
-            raise ReplicationError(
-                f"page {page}: repaired copy failed its checksum")
-        return repaired

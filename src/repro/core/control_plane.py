@@ -104,11 +104,6 @@ class ControlPlane:
         self._live: list[Manager] = list(shards)
         self._dead_shards: set[int] = set()
         self.stats = StatSet("control_plane")
-        #: Fencing (armed by a fault plan): last cluster epoch each sender
-        #: component observed on the control plane. A shard that inherited
-        #: state in a failover rejects grant/release traffic from senders
-        #: still stamping the pre-merge epoch (see :meth:`_guarded`).
-        self._known_epoch: dict[str, int] = {}
         #: Tree-barrier combiner state: level 0 keyed (barrier_id, comp),
         #: level 1 keyed (barrier_id, cell_index). Entries are retired by
         #: their leader before the upstream call, so barrier reuse across
@@ -142,12 +137,6 @@ class ControlPlane:
     def live_index(self, index: int) -> int:
         return self.shards.index(self._live[index])
 
-    @property
-    def shard_remap(self) -> dict[int, int]:
-        """Dead shard index -> the index of the shard serving it now."""
-        return {i: self.live_index(i) for i, mgr in enumerate(self._live)
-                if mgr is not self.shards[i]}
-
     def shard_for_id(self, obj_id: int) -> "Manager":
         return self._live[obj_id % self.n]
 
@@ -173,14 +162,13 @@ class ControlPlane:
         -- so a lock grant or release can never be served under a
         membership the sender has not acknowledged.
         """
-        membership = self.system.membership
+        # A guarded build has a fault plan, so the package has a membership.
+        membership = self.system.resilience.membership
+        promoted = membership.shard_fence
         while True:
             mgr = self._live[index]
-            fence = mgr.fence_epoch  # 0 until a failover promotes mgr
-            if fence and self._known_epoch.get(comp, 0) < fence:
-                membership.fenced()
+            if mgr in promoted and membership.stale_control(mgr, comp):
                 self.stats.incr("control_rpcs_fenced")
-                self._known_epoch[comp] = membership.epoch
             try:
                 result = yield from op(mgr, *args)
                 return result
@@ -514,12 +502,9 @@ class ControlPlane:
         for idx, mgr in enumerate(live):
             if mgr is dead_mgr:
                 live[idx] = succ_mgr
-        membership = self.system.membership
-        if membership is not None:
-            # Fence the dead shard's senders: lock grants and releases now
-            # carry the successor's promotion epoch; anything stamped older
-            # is refused until the sender refreshes its view.
-            succ_mgr.fence_epoch = membership.promote()
+        res = self.system.resilience
+        if res is not None:
+            res.promote_shard(succ_mgr)
         self.stats.incr("shard_failovers")
         self.system.stats.incr("shard_failovers")
 
@@ -533,9 +518,10 @@ class ControlPlane:
         target shard sits inside an active cut and no failover has landed
         -- the caller parks in degraded mode until the cut heals, then
         re-issues against the shard that serves the index now."""
-        if self.system.detector is None or self.n == 1:
+        res = self.system.resilience
+        if res is None or self.n == 1:
             raise err
-        return self.system._failover_wait(
+        return res.failover_wait(
             self._dead_shards, index, self.stats, "shard_failover_retries",
             err, comp, self.shards[index].component)
 

@@ -23,15 +23,9 @@ from repro.core.params import (
     INVALIDATE_PAGE_TIME,
     MEMSERVER_SERVICE_TIME,
 )
-from repro.errors import (
-    ReplicationError,
-    RetryExhaustedError,
-    StaleEpochError,
-)
 from repro.memory.backing import BackingStore
 from repro.memory.directory import PageDirectory
 from repro.memory.pagetable import page_vector
-from repro.memory.storelog import ReplicationLog
 from repro.sim.engine import Engine, Timeout
 from repro.sim.resources import Resource
 from repro.sim.stats import StatSet
@@ -58,35 +52,10 @@ class MemoryServer:
         self.resource = Resource(engine, capacity=1, name=f"memserver{index}")
         self.stats = StatSet(f"memserver{index}")
         self._system: "SamhitaSystem | None" = None
-        #: Write-ahead replication log, armed by the system when
-        #: ``replication_factor > 1`` (None keeps the single-copy build's
-        #: apply paths untouched beyond one falsy check).
-        self.wal: ReplicationLog | None = None
-        #: Serializes shipping so two concurrent flushes cannot double-ship
-        #: the same WAL tail (created with the WAL).
-        self._repl_lock: Resource | None = None
-        #: Checksums of the last :meth:`serve_fetch_bulk` reply, keyed by page.
-        #: Valid only until the requester's next yield -- it reads them
-        #: synchronously after the serve returns. None when integrity off.
-        self.last_serve_crcs: dict[int, int] | None = None
-        #: Fencing (armed by a fault plan): minimum epoch this server accepts
-        #: on write-side RPCs, set to the minted epoch when the server is
-        #: promoted. 0 means "never promoted": everything is acceptable.
-        self.fence_epoch = 0
-        #: Last cluster epoch this server observed, stamped on its own
-        #: outbound WAL shipments.
-        self.known_epoch = 0
 
     def bind(self, system: "SamhitaSystem") -> None:
         """Late-bind the system for owner-recall resolution."""
         self._system = system
-
-    def arm_replication(self) -> None:
-        """Give this server a WAL (``replication_factor > 1``)."""
-        self.wal = ReplicationLog(self.index)
-        self._repl_lock = Resource(self.engine, capacity=1,
-                                   name=f"repl{self.index}")
-        self.backing.integrity = True
 
     def _service_time(self) -> float:
         """Per-request service charge, inflated by any active slow-server
@@ -140,64 +109,22 @@ class MemoryServer:
 
     def _read_served(self, requester_tid: int, pages: np.ndarray) -> dict:
         """The read leg of a bulk serve: register the requester as sharer
-        (IVY) and copy each page out (checksummed, after the fault model's
-        bitrot draw, with integrity armed). Sets ``last_serve_crcs``;
-        returns ``{page: data}``."""
+        (IVY) and copy each page out -- through the resilience layer's
+        serve hook when it armed the store's checksums. Returns
+        ``{page: data}``."""
         backing = self.backing
-        integrity = backing.integrity
         if self._track_sharers:
             self.directory.add_sharers(pages, requester_tid)
-        if backing.functional or integrity:
-            pages = pages.tolist()
-            inj = self._system.injector if integrity else None
-            if inj is not None and inj.plan.bitrot_rate:
-                # Rot strikes (maybe) before the read below copies the
-                # bytes; the shipped CRC is the stored one, which a rot
-                # leaves stale -- that staleness IS the detection.
-                for page in pages:
-                    self._maybe_bitrot(page)
-            result, self.last_serve_crcs = backing.serve_pages(pages)
-            return result
+        if backing.integrity:
+            return self._system.resilience.serve(self, pages.tolist())
+        if backing.functional:
+            return backing.serve_pages(pages.tolist())[0]
         # Timing fast path: no bytes move; only frame existence and the
         # read counters matter, paid in bulk. The returned mapping stays
         # empty -- timing-mode callers only ``.get`` per-page data, which
         # is None either way.
         backing.serve_pages_timing(pages)
-        self.last_serve_crcs = None
         return {}
-
-    def _maybe_bitrot(self, page: int) -> None:
-        """One bitrot draw for a page about to be served (the plan's
-        ``bitrot_rate`` is armed: the caller checked).
-
-        Gated on a live backup existing: unrepairable rot would break the
-        data-identity contract, so the fault model only rots what the
-        repair path can still fix (the draw itself is skipped too, keeping
-        the dedicated bitrot RNG stream aligned with repairability). A
-        backup the plan has already taken down counts as gone even before
-        the detector declares it dead: between its crash and that
-        declaration nothing could repair the page.
-        """
-        system = self._system
-        backup = system.live_backup_of(page, self.index)
-        if backup is None or system.injector.server_down(
-                system.memory_servers[backup].component, self.engine.now):
-            return
-        if system.injector.draw_bitrot():
-            self.backing.corrupt_page(page)
-
-    def _wal_extend(self, diffs) -> None:
-        """Write-ahead: log diffs BEFORE they merge into the backing store
-        (the WAL is armed: the caller checked).
-
-        A recall takes the *only* dirty copy from its writer; if this
-        primary then dies mid-merge, the WAL tail replayed into the
-        promoted backup is the sole surviving record. Targets are each
-        page's currently-live backups (dead ones would pin entries
-        forever).
-        """
-        self.wal.extend(diffs, self._system.replica_targets_each(
-            diffs, self.index))
 
     # ------------------------------------------------------------------
     # owner recall
@@ -242,7 +169,7 @@ class MemoryServer:
         owner_cache = system._caches[owner_tid]
         backing = self.backing
         if (not backing.functional and owner_cache.use_twins
-                and self.wal is None and not backing.integrity):
+                and not backing.integrity):
             # Timing fast path: a diff is pure sizes here, so take and
             # apply in bulk without materializing PageDiff objects.
             dirty_pages, payload, wire = owner_cache.take_diff_sizes(pages)
@@ -261,8 +188,9 @@ class MemoryServer:
         self.directory.clear_owners(pages)
         if not diffs:
             return None
-        if self.wal is not None:
-            self._wal_extend(diffs)
+        res = system.resilience
+        if res is not None:
+            res.log(self, diffs)
         payload = wire = 0
         for diff in diffs:
             payload += diff.payload_bytes
@@ -303,6 +231,7 @@ class MemoryServer:
         """
         assert self._system is not None, "memory server not bound to a system"
         system = self._system
+        res = system.resilience
         yield from self.resource.request_service(self._service_time())
         try:
             owner = self.directory.owner_of(page)
@@ -322,8 +251,8 @@ class MemoryServer:
                 if cache.is_dirty(page):
                     # Stale exclusivity: merge first.
                     diffs = cache.take_diffs((page,))
-                    if self.wal is not None:
-                        self._wal_extend(diffs)
+                    if res is not None:
+                        res.log(self, diffs)
                     self.backing.apply_diffs(diffs)
                 # Drops the copy AND advances the page's invalidation
                 # counter, voiding any of the sharer's in-flight fetches.
@@ -348,210 +277,53 @@ class MemoryServer:
             result = self.backing.read_page(page)
         finally:
             self.resource.release()
-        if self.wal is not None:
-            # After release (a ship holds the BACKUP's resource; holding our
-            # own across it would AB-BA with the backup's own ships) but
-            # before the grant returns: the upgrade completes only once
-            # every live backup has acked its merged diffs.
-            yield from self._replicate()
+        if res is not None:
+            yield from res.ship(self)
         return result
 
-    def _fence(self, epoch: int | None, category: str) -> None:
-        """Reject a write-side RPC stamped with a pre-promotion epoch.
-
-        ``epoch`` is None unless a fault plan is armed (senders only stamp
-        when a membership view exists), so a fault-free build pays one
-        ``is None`` check. The write is never applied: the sender catches
-        :class:`StaleEpochError`, refreshes its epoch and re-issues against
-        the current primary -- which is how a partitioned old primary (or
-        any sender that missed a failover) is stopped from laundering
-        stale writes.
-        """
-        if epoch is None or epoch >= self.fence_epoch:
-            return
-        self.stats.counters["writes_fenced"] += 1
-        self._system.membership.fenced()  # a stamp implies a membership
-        raise StaleEpochError(self.component, self.component, category,
-                              epoch, self.fence_epoch, self.engine.now)
+    def merge(self, diffs: list, at: float | None = None, res=None):
+        """Generator: the apply leg every merge at this server shares -- one
+        service slot, held until the merge is visible, the per-byte apply
+        charge, the merge into the backing store. Returns the payload bytes
+        merged; what the caller does next, with no yield between, is atomic
+        with the merge. ``res``: the resilience layer, whose liveness check
+        a merge must pass once it holds the slot; ``at``: see
+        :meth:`serve_fetch_bulk`."""
+        yield from self.resource.request_service(self._service_time(), at)
+        try:
+            if res is not None:
+                res.check_alive(self)
+            total = sum([d.payload_bytes for d in diffs])
+            if total:
+                delay = APPLY_TIME_PER_BYTE * total
+                if not self.engine.try_advance(delay):
+                    yield Timeout(delay)
+            self.backing.apply_diffs(diffs)
+        finally:
+            self.resource.release()
+        return total
 
     def apply_diffs(self, diffs: list, epoch: int | None = None,
                     at: float | None = None):
         """Generator: merge flushed diffs (server service + apply cost).
 
         The caller pays the wire transfer; homes apply in arrival order,
-        which the DES serializes deterministically. As with fetches, the
-        resource is held until the merge is visible. ``epoch`` is the
-        sender's fencing stamp (None without a fault plan); stale stamps are
-        rejected before any byte is merged. ``at``: the put is still in
-        flight (see :meth:`serve_fetch_bulk`).
+        which the DES serializes deterministically. ``epoch`` is the
+        sender's stamp (None unless the resilience layer stamps it), which
+        the layer may refuse before any byte is merged. ``at``: the put is
+        still in flight (see :meth:`serve_fetch_bulk`).
         """
-        self._fence(epoch, "diff")
-        yield from self.resource.request_service(self._service_time(), at)
-        try:
-            if self._system.is_server_dead(self.index):
-                # The request landed just before the crash cut the wire: a
-                # dead server processes nothing, so model it as lost and
-                # let the caller fail over (applying here would strand the
-                # diffs on a corpse whose WAL nobody replays again).
-                raise RetryExhaustedError(self.component, self.component,
-                                          "diff", 0, self.engine.now)
-            total = sum([d.payload_bytes for d in diffs])
-            if total:
-                delay = APPLY_TIME_PER_BYTE * total
-                if not self.engine.try_advance(delay):
-                    yield Timeout(delay)
-            if self.wal is not None:
-                self._wal_extend(diffs)
-            self.backing.apply_diffs(diffs)
-            clear_owner = self.directory.clear_owner
-            for diff in diffs:
-                clear_owner(diff.page)
-            counters = self.stats.counters
-            counters["flushes"] += 1
-            counters["flush_bytes"] += total
-        finally:
-            self.resource.release()
-        if self.wal is not None:
-            # Release-completes-after-ack: the flusher's release (barrier
-            # arrival, lock handoff) does not finish until every live
-            # backup acked. Runs after our own resource is free -- see
-            # serve_upgrade for the deadlock rationale.
-            yield from self._replicate()
-
-    # ------------------------------------------------------------------
-    # replication (replication_factor > 1)
-    # ------------------------------------------------------------------
-    def _replicate(self):
-        """Generator: ship the WAL's unacknowledged tail to each live
-        backup and collect acks.
-
-        Serialized by ``_repl_lock`` so two concurrent flushes cannot ship
-        the same entries twice. Acks are recorded only after the backup's
-        apply returns (ack-after-delivery): claiming entries at collect
-        time would discard diffs the backup never received if this primary
-        dies mid-ship. A ship that exhausts its retries (this server or
-        the backup is mid-crash) leaves its entries pending -- failover
-        replays them into the promoted backup or prunes the dead target.
-        """
-        wal = self.wal
-        if not wal.entries:
-            return
-        system = self._system
+        res = self._system.resilience
+        if res is not None:
+            res.admit(self, epoch, "diff")
+        total = yield from self.merge(diffs, at, res)
+        if res is not None:
+            res.log(self, diffs)
+        clear_owner = self.directory.clear_owner
+        for diff in diffs:
+            clear_owner(diff.page)
         counters = self.stats.counters
-        yield from self._repl_lock.request()
-        try:
-            targets = sorted({t for e in wal.entries for t in e.pending})
-            for target in targets:
-                if system.is_server_dead(target):
-                    wal.drop_target(target)
-                    counters["repl_dead_targets"] += 1
-                    continue
-                entries = wal.unshipped(target)
-                if not entries:
-                    continue
-                backup = system.memory_servers[target]
-                diffs = [e.diff for e in entries]
-                wire = sum([d.wire_bytes for d in diffs])
-                fencing = system.membership is not None
-                try:
-                    t = system.scl.rdma_put(self.component, backup.component,
-                                            wire, category="repl")
-                    if t is not None:
-                        yield from t
-                    yield from backup.apply_replica(
-                        diffs, epoch=self.known_epoch if fencing else None)
-                    t = system.scl.send(backup.component, self.component,
-                                        category="repl_ack")
-                    if t is not None:
-                        yield from t
-                except RetryExhaustedError:
-                    counters["repl_ship_failed"] += 1
-                    continue
-                except StaleEpochError:
-                    # The backup was promoted past us: these entries were
-                    # already replayed into it from the durable log at
-                    # failover time, so shipping them again would launder
-                    # pre-failover writes. Mark them superseded.
-                    self.known_epoch = system.membership.epoch
-                    wal.ack(target, entries)
-                    counters["repl_ship_fenced"] += 1
-                    continue
-                wal.ack(target, entries)
-                counters["repl_ships"] += 1
-                counters["repl_diffs"] += len(diffs)
-                counters["repl_bytes"] += sum([d.payload_bytes for d in diffs])
-        finally:
-            self._repl_lock.release()
-
-    def apply_replica(self, diffs: list, epoch: int | None = None):
-        """Generator: apply a primary's shipped WAL entries (backup side).
-
-        Charges this server's queueing + service + apply cost, merges into
-        the backing store, and nothing else -- no directory writes and no
-        WAL append of its own. A backup is a passive byte copy until
-        promoted; on promotion its frames already equal the dead primary's
-        acked prefix, and the replayed WAL tail supplies the rest. A stamp
-        older than this server's own promotion epoch is fenced: the shipper
-        is a deposed primary whose tail the failover already replayed.
-        """
-        self._fence(epoch, "repl")
-        yield from self.resource.request_service(self._service_time())
-        try:
-            total = sum([d.payload_bytes for d in diffs])
-            if total:
-                delay = APPLY_TIME_PER_BYTE * total
-                if not self.engine.try_advance(delay):
-                    yield Timeout(delay)
-            self.backing.apply_diffs(diffs)
-            self.stats.incr("replica_applies")
-            self.stats.incr("replica_bytes", total)
-        finally:
-            self.resource.release()
-
-    def serve_repair(self, requester_comp: str, page: int):
-        """Generator: rebuild a rotted page from a live replica and ship
-        the repaired copy (plus a fresh CRC) to the requester.
-
-        The server resource is charged but NOT held across the replica
-        round trip: two servers repairing pages homed on each other would
-        AB-BA deadlock. Dropping the hold is safe because the rebuild
-        below is atomic (no yields) and self-correcting: the replica's
-        copy lags this primary by exactly the WAL entries the replica has
-        not acked, so replica copy + unacked-entries-for-this-page replay
-        reproduces the primary's correct current bytes (bitrot flips
-        stored bytes, never logged diffs). Any diff that lands during the
-        round trip is itself WAL-logged and therefore in the replay.
-        """
-        system = self._system
-        yield from self.resource.use(self._service_time())
-        target = system.live_backup_of(page, self.index)
-        if target is None:
-            raise ReplicationError(
-                f"page {page}: no live replica to repair from")
-        replica = system.memory_servers[target]
-        t = system.scl.send(self.component, replica.component,
-                            category="repair_pull")
-        if t is not None:
-            yield from t
-        yield from replica.resource.use(replica._service_time())
-        data = replica.backing.read_page(page)
-        t = system.fabric.transfer_inline(
-            replica.component, self.component, self.config.layout.page_bytes,
-            category="repair_page")
-        if t is not None:
-            yield from t
-        # Atomic rebuild: replica copy, then the unacked WAL tail for this
-        # page, in LSN order.
-        self.backing.restore_page(page, data)
-        if self.wal is not None:
-            for entry in self.wal.unshipped_for_page(page, target):
-                self.backing.apply_diff(entry.diff)
-        self.stats.counters["repairs_served"] += 1
-        crc = self.backing.page_crc(page)
-        repaired = self.backing.read_page(page)
-        t = system.fabric.transfer_inline(
-            self.component, requester_comp, self.config.layout.page_bytes,
-            category="repair_data", tail=INSTALL_PAGE_TIME)
-        if t is not None:
-            yield from t
-        return repaired, crc
+        counters["flushes"] += 1
+        counters["flush_bytes"] += total
+        if res is not None:
+            yield from res.ship(self)

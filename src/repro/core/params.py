@@ -115,7 +115,7 @@ class SamhitaConfig:
     #: Only applies to full-party barriers; partial barriers stay flat.
     tree_barriers: bool = False
 
-    # -- replication / availability ---------------------------------------
+    # -- replication / availability (repro.resilience) ---------------------
     #: Copies of every home page, primary included. 1 (the default) is the
     #: single-copy build; k > 1 gives each page ``k - 1`` backup
     #: homes on the next servers of the ring, diffs ship to them through a
@@ -124,10 +124,10 @@ class SamhitaConfig:
     replication_factor: int = 1
     #: Coordinated crash-consistent checkpoints every N barrier rounds;
     #: 0 (the default) disables checkpointing entirely. Snapshots are taken
-    #: at the barrier's quiesce point (all diffs applied at their homes):
-    #: manager directory + epoch, every server's pages, replication-WAL
-    #: high-water marks and the engine clock. ``Samhita.restore()`` resumes
-    #: a campaign from the latest snapshot.
+    #: at the barrier's quiesce point (all diffs applied at their homes)
+    #: and hold what a restore reads: the round count, the fencing epoch,
+    #: and every page's authoritative bytes with its logical home.
+    #: ``Samhita.restore()`` resumes a campaign from the latest snapshot.
     checkpoint_interval: int = 0
 
     # -- fault model ------------------------------------------------------

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable
-from zlib import crc32
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from repro.core.params import (
 )
 from repro.errors import CommunicationError, MemoryError_, recovery_action
 from repro.interconnect.scl import CONTROL_BYTES
-from repro.memory.backing import CRC_CORRUPT
 from repro.memory.pagetable import NO_PAGES
 from repro.sim.engine import Timeout
 
@@ -135,21 +133,23 @@ def recover(cs: "ComputeServer", server, err, backoffs: int = 0):
 
     * ``failover`` -- wait out the promotion, then let the caller
       re-resolve the home and retry;
-    * ``refresh_epoch`` -- fenced by a newer view: re-read the membership
-      epoch and re-issue;
+    * ``refresh_epoch`` -- a receiver refused a stale stamp: take the
+      current view and re-issue;
     * ``backoff`` -- capped exponential delay under the plan's retry
       policy, then re-issue.
+
+    The first two are the resilience layer's, which a build that can raise
+    them always has.
     """
     system = cs.system
     action = recovery_action(err)
     if action is None:
         raise err
     if action == "failover":
-        yield from system.await_failover(server.index, err,
-                                         comp=cs.component)
+        yield from system.resilience.await_failover(server.index, err,
+                                                    comp=cs.component)
     elif action == "refresh_epoch":
-        cs.known_epoch = system.membership.epoch
-        cs.stats.incr("epoch_refreshes")
+        system.resilience.refresh(cs)
     else:  # "backoff"
         backoffs += 1
         cs.stats.counters["retry_backoffs"] += 1
@@ -262,6 +262,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
     comp = cs.component
     resolve_home = system.directory.resolve_home
     armed = system.injector is not None
+    res = system.resilience
     inval_epoch = cache.inval_epoch
     epoch_get = inval_epoch.get
     counters = cs.stats.counters
@@ -296,27 +297,15 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
                             yield from t
                     data = yield from server.serve_fetch_bulk(
                         tid, server_pages, at)
-                    # Read at the serve, before another serve overwrites it.
-                    crcs = server.last_serve_crcs
+                    # What the serve hook sealed the reply with, read at the
+                    # serve, before another serve overwrites it.
+                    sealed = None if res is None else res.sealed
                     t = system.fabric.transfer_inline(to, comp, nbytes,
                                                       category="page")
                     if t is not None:
                         yield from t
-                    if crcs is not None:
-                        # The end-to-end check of each received page against
-                        # its shipped checksum (``payload_crc_ok``, in line);
-                        # with no bytes (timing mode) it degrades to the
-                        # corruption sentinel.
-                        functional = cache.functional
-                        for page in server_pages.tolist():
-                            crc = crcs[page]
-                            if (crc32(data[page]) & 0xFFFFFFFF == crc
-                                    if functional else crc != CRC_CORRUPT):
-                                continue
-                            counters["integrity_failures"] += 1
-                            data[page] = yield from cs._repair_page(server,
-                                                                    page)
-                            counters["integrity_repairs"] += 1
+                    if sealed is not None:
+                        yield from res.received(cs, server, sealed, data)
                 except CommunicationError as err:
                     backoffs = yield from recover(cs, server, err, backoffs)
                     continue
@@ -409,7 +398,7 @@ def evict_batched(cs: "ComputeServer", tid: int, count: int,
 def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
                         scan_time: float):
     """Generator: write diffs back grouped per logical home -- one put +
-    one bulk apply per home, retrying through failovers and fencing
+    one bulk apply per home, retrying through failovers and stale-stamp
     rejects as a unit.
 
     ``scan_time``: what the sender still owes per diff for scanning the
@@ -420,7 +409,7 @@ def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
     system = cs.system
     config = system.config
     scl = system.scl
-    fencing = system.membership is not None
+    res = system.resilience
     ledger = system.rt_ledger
     line_of = config.layout.line_of_page
     resolve_home = system.directory.resolve_home
@@ -450,11 +439,12 @@ def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
                     if t is not None:
                         yield from t
                 yield from server.apply_diffs(
-                    group, epoch=cs.known_epoch if fencing else None, at=at)
+                    group, epoch=None if res is None else res.stamp(cs),
+                    at=at)
             except CommunicationError as err:
-                # Failover wait, fencing-epoch refresh or backoff, chosen by
-                # the error's recovery classification (the retry pays its
-                # own wire cost -- the reject round trip).
+                # Failover wait, view refresh or backoff, chosen by the
+                # error's recovery classification (the retry pays its own
+                # wire cost -- the reject round trip).
                 backoffs = yield from recover(cs, server, err, backoffs)
                 continue
             break

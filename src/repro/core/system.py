@@ -20,7 +20,6 @@ Three canonical machines:
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -28,14 +27,8 @@ from repro.core.allocator import AllocationKind, SamhitaAllocator
 from repro.core.compute_server import ComputeServer
 from repro.core.consistency import QUIET_DIRECTIVE
 from repro.core.control_plane import ControlPlane
-from repro.core.manager import (
-    HEARTBEAT_INTERVAL,
-    HEARTBEAT_MISSES,
-    FailureDetector,
-    Manager,
-)
+from repro.core.manager import Manager
 from repro.core.memory_server import MemoryServer
-from repro.core.membership import Membership
 from repro.core.params import (
     APPLY_TIME_PER_BYTE,
     DIFF_SCAN_TIME,
@@ -43,7 +36,6 @@ from repro.core.params import (
     TWIN_CREATE_TIME,
     SamhitaConfig,
 )
-from repro.checkpoint import CheckpointStore, restore_checkpoint, take_checkpoint
 from repro.faults.injector import FaultInjector
 from repro.core.placement import PlacementPolicy, choose_component
 from repro.core import rtbatch
@@ -53,7 +45,6 @@ from repro.errors import (
     BackendError,
     CommunicationError,
     ConsistencyError,
-    ReplicationError,
     SynchronizationError,
 )
 from repro.hardware.specs import NodeSpec, PENRYN_NODE, XEON_PHI_KNC
@@ -162,35 +153,17 @@ class SamhitaSystem:
             self.injector = FaultInjector(self.config.faults)
             self.fabric.attach_injector(self.injector)
 
-        # Replication / failover: armed only when the config asks for extra
-        # copies or extra shards. At the defaults (replication_factor=1,
-        # manager_shards=1) nothing below runs.
-        self.detector: FailureDetector | None = None
-        self._dead_servers: set[int] = set()
-        # Fencing epochs: a fault plan arms them (without one nothing can
-        # fail over), so every fencing check below degrades to one
-        # ``is None`` on a fault-free build (an armed but silent plan is
-        # pinned equal to it by ``test_jacobi_functional_matches_seed_capture``).
-        self.membership: Membership | None = (
-            Membership() if self.config.faults is not None else None)
-        # Crash-consistent checkpoints, taken at barrier-aligned quiesce
-        # points every ``checkpoint_interval`` rounds (0 = never, and the
-        # hook in barrier_wait is one ``is None`` check).
-        self.checkpoints: CheckpointStore | None = (
-            CheckpointStore() if self.config.checkpoint_interval > 0
-            else None)
-        self._ckpt_gate = None
-        self._ckpt_rounds = 0
-        if self.config.replication_factor > 1:
-            for server in self.memory_servers:
-                server.arm_replication()
-        if (self.injector is not None
-                and (self.config.replication_factor > 1 or n_shards > 1)):
-            # Failure detection only makes sense with a fault model to
-            # observe; a fault-free replicated run just pays the copies.
-            self.detector = FailureDetector(self.engine, self.config,
-                                            self, self.injector)
-            self.injector.detector = self.detector
+        # The fault-tolerance layer (repro.resilience), composed in only
+        # when the config can use it: every hook into it is one ``is None``
+        # check on the paper's build.
+        self.resilience = None
+        #: Called with a round's flush gate at its quiesce point.
+        self.on_quiesce = None
+        config = self.config
+        if (config.faults is not None or config.replication_factor > 1
+                or config.checkpoint_interval > 0):
+            from repro.resilience import Resilience
+            self.resilience = Resilience(self)
 
         # Per-thread state.
         self._caches: dict[int, SoftwareCache] = {}
@@ -303,158 +276,6 @@ class SamhitaSystem:
     def server_of_page(self, page: int) -> MemoryServer:
         return self.memory_servers[
             self.directory.resolve_home(self.allocator.home_of_page(page))]
-
-    # ------------------------------------------------------------------
-    # replication topology & failover
-    # ------------------------------------------------------------------
-    def replica_ring(self, logical: int) -> list[int]:
-        """Server indices holding copies of pages logically homed on
-        ``logical``: the primary plus the next ``replication_factor - 1``
-        servers in index order (the same hashing that spreads homes)."""
-        n = len(self.memory_servers)
-        return [(logical + i) % n
-                for i in range(self.config.replication_factor)]
-
-    def replica_targets(self, page: int, exclude: int) -> list[int]:
-        """Live backup indices for ``page``, excluding ``exclude`` (the
-        server asking -- it never ships to itself)."""
-        logical = self.allocator.home_of_page(page)
-        dead = self._dead_servers
-        return [i for i in self.replica_ring(logical)
-                if i != exclude and i not in dead]
-
-    def replica_targets_each(self, diffs, exclude: int):
-        """:meth:`replica_targets` of each diff's page, in order (what
-        ``ReplicationLog.extend`` logs a batch with). A batch is what one
-        server merges at once: until a server has died every page it is
-        home to has its own ring, resolved once; a promoted server also
-        holds its dead neighbour's pages, so its batches resolve per diff."""
-        if self._dead_servers:
-            return [self.replica_targets(diff.page, exclude) for diff in diffs]
-        return repeat(self.replica_targets(diffs[0].page, exclude))
-
-    def live_backup_of(self, page: int, exclude: int) -> int | None:
-        """First live replica of ``page`` other than ``exclude`` (repair
-        source / rot-eligibility check), or None."""
-        targets = self.replica_targets(page, exclude)
-        return targets[0] if targets else None
-
-    def is_server_dead(self, index: int) -> bool:
-        return index in self._dead_servers
-
-    def handle_shard_failure(self, index: int) -> None:
-        """Control-plane failover: merge the dead manager shard's sync state
-        into its ring successor (detector probe callback)."""
-        self.control.handle_shard_failure(index)
-
-    def handle_server_failure(self, dead: int) -> None:
-        """Failover: promote the dead primary's backup.
-
-        Plain function, called from the failure detector's probe callback
-        (outside any process), so the whole transition is atomic in
-        simulated time. The dead server's WAL survives its crash by
-        design -- it models a durable (disk/NVRAM) log, which is the whole
-        point of logging diffs before applying them.
-        """
-        if dead in self._dead_servers:
-            return
-        self._dead_servers.add(dead)
-        ring = self.replica_ring(dead)
-        promoted = next(
-            (i for i in ring[1:] if i not in self._dead_servers), None)
-        if promoted is None:
-            raise ReplicationError(
-                f"server {dead} failed with no live replica to promote "
-                f"(ring {ring})")
-        dead_server = self.memory_servers[dead]
-        promoted_server = self.memory_servers[promoted]
-        wal = dead_server.wal
-        if wal is not None:
-            # The promoted backup holds the acked prefix of the dead
-            # primary's apply stream; replaying the unacknowledged tail
-            # (from the durable log) makes it byte-equal to the primary.
-            replay = wal.unshipped(promoted)
-            for entry in replay:
-                promoted_server.backing.apply_diff(entry.diff)
-            if replay:
-                wal.ack(promoted, replay)
-                self.stats.incr("wal_replayed", len(replay))
-            # Entries still owed to OTHER replicas transfer to the
-            # promoted server's own log; it inherits the shipping duty.
-            inherited = 0
-            for entry in wal.entries:
-                pending = [t for t in entry.pending
-                           if t != dead and t not in self._dead_servers]
-                if pending and promoted_server.wal is not None:
-                    promoted_server.wal.append(entry.page, entry.diff,
-                                               pending)
-                    inherited += 1
-            if inherited:
-                self.stats.incr("wal_inherited", inherited)
-            wal.clear()
-        # Nobody ships to a corpse: prune the dead target everywhere.
-        for server in self.memory_servers:
-            if server.index != dead and server.wal is not None:
-                server.wal.drop_target(dead)
-        self.directory.remap_home(dead, promoted)
-        if self.membership is not None:
-            # Fence the old primary: the promotion mints a fresh epoch and
-            # the promoted server rejects every write-side RPC stamped
-            # older -- a partitioned (not actually dead) old primary, or
-            # any sender that has not refreshed its view, cannot launder
-            # pre-failover writes into the new primary's pages.
-            promoted_server.fence_epoch = self.membership.promote()
-        self.stats.incr("failovers")
-
-    def await_failover(self, index: int, err, comp: str | None = None):
-        """Generator: a request against server ``index`` exhausted its
-        retries. With a detector armed, wait (bounded by the detection
-        budget) for the failover to land, then return so the caller can
-        re-resolve the home and retry; otherwise re-raise ``err``.
-
-        With a partition active (the request died on a cut, not a
-        corpse), the caller instead enters *degraded mode*: read-only from
-        its cache, write-side retries parked on a capped exponential
-        backoff until the partition heals -- a minority-side compute server
-        waits out the cut rather than diverging.
-        """
-        if self.detector is None:
-            raise err
-        return self._failover_wait(
-            self._dead_servers, index, self.stats, "failover_retries", err,
-            comp, self.memory_servers[index].component)
-
-    def _failover_wait(self, dead: set[int], index: int, stats: StatSet,
-                       key: str, err, comp: str | None, target: str):
-        """Generator shared by :meth:`await_failover` and
-        ``ControlPlane.await_shard_failover``: wait for a failover or a
-        partition heal, else raise ``err``.
-
-        Polls ``index in dead`` once a beat for the detector's declaration
-        budget plus two beats, counting ``key`` in ``stats`` when the
-        failover has landed. Then, if ``comp`` or its ``target`` sits
-        inside an active partition group (a cut, not a corpse), backs off
-        (capped exponential) until the cut heals and returns so the caller
-        re-issues."""
-        for _ in range(HEARTBEAT_MISSES + 2):
-            if index in dead:
-                stats.incr(key)
-                return
-            yield Timeout(HEARTBEAT_INTERVAL)
-        if comp is not None:
-            injector = self.injector
-            engine = self.engine
-            delay = HEARTBEAT_INTERVAL
-            healed = False
-            while (injector.partition_isolates(comp, engine.now)
-                   or injector.partition_isolates(target, engine.now)):
-                self.stats.incr("degraded_waits")
-                yield Timeout(delay)
-                delay = min(delay * 2.0, 64.0 * HEARTBEAT_INTERVAL)
-                healed = True
-            if healed:
-                return
-        raise err
 
     def region_tracker_of(self, tid: int) -> RegionTracker:
         return self._regions[tid]
@@ -746,16 +567,10 @@ class SamhitaSystem:
             yield from self.control.barrier_flush_done(tid, comp, barrier_id,
                                                        state)
         yield state.flush_gate
-        if self.checkpoints is not None and state.flush_gate is not self._ckpt_gate:
-            # Barrier-aligned quiesce point: the gate succeeds only after
-            # every thread's flushed diffs are applied at their homes, so
-            # the global pages are a consistent cut of the computation.
-            # Each generation gets a fresh _BarrierState, so gate identity
-            # makes exactly one thread per round take the snapshot.
-            self._ckpt_gate = state.flush_gate
-            self._ckpt_rounds += 1
-            if self._ckpt_rounds % self.config.checkpoint_interval == 0:
-                self.take_checkpoint()
+        if self.on_quiesce is not None:
+            # Quiesce point: the gate succeeds only after every thread's
+            # flushed diffs are applied at their homes.
+            self.on_quiesce(state.flush_gate)
         if directive is QUIET_DIRECTIVE:
             return  # nothing to apply or drop
         # Consistency-region updates become globally visible here.
@@ -813,25 +628,6 @@ class SamhitaSystem:
         woken = yield from self.control.cond_signal(tid, comp, cond_id,
                                                     broadcast=broadcast)
         return woken
-
-    # ------------------------------------------------------------------
-    # checkpoint / restore
-    # ------------------------------------------------------------------
-    def take_checkpoint(self):
-        """Snapshot the coordinated global state (see repro.checkpoint).
-
-        Plain function called from the barrier quiesce point, so the whole
-        cut is atomic in simulated time."""
-        ckpt = take_checkpoint(self)
-        self.checkpoints.add(ckpt)
-        self.stats.incr("checkpoints_taken")
-        return ckpt
-
-    def restore_checkpoint(self, ckpt) -> None:
-        """Rehydrate this (fresh) system's global memory from a checkpoint
-        so a continuation program can replay the remaining rounds."""
-        restore_checkpoint(self, ckpt)
-        self.stats.incr("checkpoints_restored")
 
     # ------------------------------------------------------------------
     # execution & reporting
@@ -902,39 +698,6 @@ class SamhitaSystem:
             report["lock_cache"] = lock_cache
         if self.injector is not None:
             report["faults"] = self.injector.stats.snapshot()
-        if self.config.replication_factor > 1:
-            # One namespace for the availability machinery: WAL traffic,
-            # failover, integrity. Only present when replication is on, so
-            # rf=1 reports stay byte-identical to the single-copy build.
-            repl = {k: v for k, v in report["memory_servers"].items()
-                    if k.startswith(("repl_", "replica_", "repairs_",
-                                     "pages_rotted", "pages_restored"))}
-            wal_stats = StatSet("wal")
-            for server in self.memory_servers:
-                if server.wal is not None:
-                    wal_stats.merge(server.wal.stats)
-            repl.update(wal_stats.snapshot())
-            repl.update({k: v for k, v in self.stats.snapshot().items()
-                         if k.startswith(("failover", "wal_"))})
-            remaps = self.directory.stats.snapshot().get("home_remaps")
-            if remaps:
-                repl["home_remaps"] = remaps
-            if self.detector is not None:
-                repl.update(self.detector.stats.snapshot())
-            repl.update({k: v for k, v in report["compute_servers"].items()
-                         if k.startswith("integrity_")})
-            report["replication"] = repl
-        if self.membership is not None or self.checkpoints is not None:
-            # One namespace for the partition-tolerance machinery: the
-            # fencing epoch and its counters, degraded waits and checkpoint
-            # activity. Absent at the defaults, so fault-free,
-            # no-checkpoint reports stay byte-identical.
-            member: dict = {}
-            if self.membership is not None:
-                member.update(self.membership.snapshot())
-            member.update({k: v for k, v in self.stats.snapshot().items()
-                           if k.startswith(("degraded_", "checkpoints_"))})
-            member.update({k: v for k, v in report["compute_servers"].items()
-                           if k.startswith("epoch_")})
-            report["membership"] = member
+        if self.resilience is not None:
+            self.resilience.report(report)
         return report

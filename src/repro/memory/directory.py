@@ -64,10 +64,6 @@ class PageDirectory:
         self._home_remap[dead] = promoted
         self.stats.counters["home_remaps"] += 1
 
-    @property
-    def home_remap(self) -> dict[int, int]:
-        return dict(self._home_remap)
-
     # -- sharers (IVY only) ----------------------------------------------
     def add_sharer(self, page: int, thread_id: int) -> None:
         sharers = self._sharers.get(page)

@@ -1,0 +1,515 @@
+"""Fault tolerance for a Samhita machine, attached by composition.
+
+PAPER.md §II's Samhita has no fault tolerance. What lets a run survive a
+fault plan lives here, and a system gets it (``SamhitaSystem.resilience``)
+only when its config sets ``faults``, ``replication_factor > 1`` or
+``checkpoint_interval > 0``; otherwise nothing here is imported. The
+package owns replication and its write-ahead log (:mod:`.wal`), page
+integrity and repair, the failure detector (:mod:`.detector`), membership
+and fencing (:mod:`.membership`) and checkpoints (:mod:`.checkpoint`).
+The core calls :class:`Resilience` at five hooks, each one ``is None``
+check on the paper's build:
+
+1. after a server merges diffs: :meth:`~Resilience.log` (in the merge's
+   atomic step) and :meth:`~Resilience.ship` (once its slot is free);
+2. before served pages leave: :meth:`~Resilience.serve`; on receipt:
+   :meth:`~Resilience.received`;
+3. on a write-side RPC: :meth:`~Resilience.stamp` at the sender and
+   :meth:`~Resilience.admit` at a memory server (the control plane's
+   guard asks ``Membership.stale_control``);
+4. at the barrier's quiesce point: :meth:`~Resilience.quiesced`, bound to
+   ``SamhitaSystem.on_quiesce`` only when checkpointing;
+5. on a detector declaration: :meth:`~Resilience.handle_server_failure`
+   (a shard's failover stays ``ControlPlane.handle_shard_failure``).
+"""
+
+from __future__ import annotations
+
+from itertools import repeat
+from zlib import crc32
+
+from repro.core.params import INSTALL_PAGE_TIME
+from repro.errors import (
+    ReplicationError,
+    RetryExhaustedError,
+    StaleEpochError,
+)
+from repro.memory.backing import CRC_CORRUPT, payload_crc_ok
+from repro.resilience.checkpoint import CheckpointStore, take_checkpoint
+from repro.resilience.detector import (
+    HEARTBEAT_INTERVAL,
+    HEARTBEAT_MISSES,
+    FailureDetector,
+)
+from repro.resilience.membership import Membership
+from repro.resilience.wal import ReplicationLog
+from repro.sim.engine import Timeout
+from repro.sim.resources import Resource
+from repro.sim.stats import StatSet
+
+__all__ = ["Resilience"]
+
+
+class Resilience:
+    """The fault-tolerance layer of one :class:`~repro.core.system.SamhitaSystem`."""
+
+    def __init__(self, system):
+        config = system.config
+        servers = system.memory_servers
+        self.system = system
+        #: Fencing epochs: armed by a fault plan (nothing else can fail
+        #: over); without one every stamp is None.
+        self.membership = (Membership(len(servers))
+                           if config.faults is not None else None)
+        #: Memory server indices declared dead.
+        self.dead_servers: set[int] = set()
+        #: One write-ahead log per memory server and the lock serializing
+        #: its shipping (``replication_factor > 1``).
+        self.wals: list[ReplicationLog] | None = None
+        self._ship_locks: list[Resource] | None = None
+        if config.replication_factor > 1:
+            self.wals = [ReplicationLog(s.index) for s in servers]
+            self._ship_locks = [Resource(system.engine, capacity=1,
+                                         name=f"repl{s.index}")
+                                for s in servers]
+            for server in servers:
+                server.backing.integrity = True
+        #: ``(pages, checksums)`` of the last serve, read by its requester
+        #: right after the serve returns. None while integrity is off.
+        self.sealed = None
+        self.detector: FailureDetector | None = None
+        if system.injector is not None and (config.replication_factor > 1
+                                            or config.manager_shards > 1):
+            # Failure detection only makes sense with a fault model to
+            # observe; a fault-free replicated run just pays the copies.
+            self.detector = FailureDetector(self)
+            system.injector.detector = self.detector
+        #: Checkpoints, one every ``checkpoint_interval`` barrier rounds.
+        self.checkpoints: CheckpointStore | None = None
+        self._ckpt_gate = None
+        self._ckpt_rounds = 0
+        if config.checkpoint_interval > 0:
+            self.checkpoints = CheckpointStore()
+            system.on_quiesce = self.quiesced
+
+    def detach(self) -> None:
+        """Cut every edge to the system (a disposed run dies by refcount)."""
+        system = self.system
+        system.resilience = system.on_quiesce = None
+        if system.injector is not None:
+            system.injector.detector = None
+        self.detector = self.system = None
+
+    # ------------------------------------------------------------------
+    # replica ring
+    # ------------------------------------------------------------------
+    def replica_ring(self, logical: int) -> list[int]:
+        """Server indices holding copies of pages logically homed on
+        ``logical``: the primary plus the next ``replication_factor - 1``
+        servers in index order (the same hashing that spreads homes)."""
+        n = len(self.system.memory_servers)
+        return [(logical + i) % n
+                for i in range(self.system.config.replication_factor)]
+
+    def replica_targets(self, page: int, exclude: int) -> list[int]:
+        """Live backup indices for ``page``, excluding ``exclude`` (the
+        server asking -- it never ships to itself)."""
+        logical = self.system.allocator.home_of_page(page)
+        dead = self.dead_servers
+        return [i for i in self.replica_ring(logical)
+                if i != exclude and i not in dead]
+
+    def replica_targets_each(self, diffs, exclude: int):
+        """:meth:`replica_targets` of each diff's page, in order (what
+        ``ReplicationLog.extend`` logs a batch with). A batch is what one
+        server merges at once: until a server has died every page it is
+        home to has its own ring, resolved once; a promoted server also
+        holds its dead neighbour's pages, so its batches resolve per diff."""
+        if self.dead_servers:
+            return [self.replica_targets(diff.page, exclude) for diff in diffs]
+        return repeat(self.replica_targets(diffs[0].page, exclude))
+
+    def live_backup_of(self, page: int, exclude: int) -> int | None:
+        """First live replica of ``page`` other than ``exclude`` (repair
+        source / rot-eligibility check), or None."""
+        targets = self.replica_targets(page, exclude)
+        return targets[0] if targets else None
+
+    # ------------------------------------------------------------------
+    # hook 1: after a server merges diffs
+    # ------------------------------------------------------------------
+    def log(self, server, diffs) -> None:
+        """Write-ahead: log the diffs ``server`` merges, in the merge's
+        atomic step (a recall, which took the *only* dirty copy, logs
+        before its transfer), for each page's currently-live backups (dead
+        ones would pin entries forever)."""
+        if self.wals is not None:
+            self.wals[server.index].extend(
+                diffs, self.replica_targets_each(diffs, server.index))
+
+    def ship(self, server):
+        """Generator: ship ``server``'s unacknowledged WAL tail to each live
+        backup and collect acks -- after the merge released the server's
+        own slot (a ship holds the BACKUP's: holding both would AB-BA),
+        before the merge's sender goes on, so a release completes only
+        once every live backup acked.
+
+        Serialized per server so two flushes cannot ship the same entries
+        twice. Acks follow the backup's apply (ack-after-delivery), so a
+        primary dying mid-ship loses nothing; a ship that exhausts its
+        retries leaves its entries pending for the failover to replay or
+        prune.
+        """
+        if self.wals is None:
+            return
+        wal = self.wals[server.index]
+        if not wal.entries:
+            return
+        system = self.system
+        counters = server.stats.counters
+        membership = self.membership
+        lock = self._ship_locks[server.index]
+        yield from lock.request()
+        try:
+            targets = sorted({t for e in wal.entries for t in e.pending})
+            for target in targets:
+                if target in self.dead_servers:
+                    wal.drop_target(target)
+                    counters["repl_dead_targets"] += 1
+                    continue
+                entries = wal.unshipped(target)
+                if not entries:
+                    continue
+                backup = system.memory_servers[target]
+                diffs = [e.diff for e in entries]
+                wire = sum([d.wire_bytes for d in diffs])
+                try:
+                    t = system.scl.rdma_put(server.component, backup.component,
+                                            wire, category="repl")
+                    if t is not None:
+                        yield from t
+                    # The backup side: a passive byte copy until promoted
+                    # (no directory write, no WAL append), fenced against
+                    # a deposed primary's stamp.
+                    self.admit(backup, None if membership is None
+                               else membership.server_views[server.index],
+                               "repl")
+                    total = yield from backup.merge(diffs)
+                    backup.stats.incr("replica_applies")
+                    backup.stats.incr("replica_bytes", total)
+                    t = system.scl.send(backup.component, server.component,
+                                        category="repl_ack")
+                    if t is not None:
+                        yield from t
+                except RetryExhaustedError:
+                    counters["repl_ship_failed"] += 1
+                    continue
+                except StaleEpochError:
+                    # The backup was promoted past us and the failover
+                    # replayed these entries from the durable log: shipping
+                    # them again would launder pre-failover writes.
+                    membership.server_views[server.index] = membership.epoch
+                    wal.ack(target, entries)
+                    counters["repl_ship_fenced"] += 1
+                    continue
+                wal.ack(target, entries)
+                counters["repl_ships"] += 1
+                counters["repl_diffs"] += len(diffs)
+                counters["repl_bytes"] += total
+        finally:
+            lock.release()
+
+    # ------------------------------------------------------------------
+    # hook 2: before served pages leave, and on their receipt
+    # ------------------------------------------------------------------
+    def serve(self, server, pages: list) -> dict:
+        """The pages ``server`` serves (integrity armed): the fault plan's
+        bitrot draw per page, then the copies, returned as ``{page: copy}``,
+        and their stored checksums, kept in :attr:`sealed` -- a rot leaves
+        the stored checksum stale, and that staleness IS the detection."""
+        injector = self.system.injector
+        if injector is not None and injector.plan.bitrot_rate:
+            for page in pages:
+                self._maybe_bitrot(server, page)
+        data, crcs = server.backing.serve_pages(pages)
+        self.sealed = (pages, crcs)
+        return data
+
+    def _maybe_bitrot(self, server, page: int) -> None:
+        """One bitrot draw for a page about to be served -- only where the
+        repair path can still fix it (no draw otherwise, keeping the bitrot
+        RNG stream aligned with repairability): a live backup the plan has
+        not taken down (between a crash and its declaration nothing could
+        repair the page)."""
+        system = self.system
+        backup = self.live_backup_of(page, server.index)
+        if backup is None or system.injector.server_down(
+                system.memory_servers[backup].component, system.engine.now):
+            return
+        if system.injector.draw_bitrot():
+            server.backing.corrupt_page(page)
+
+    def received(self, cs, server, sealed, data: dict):
+        """Generator: check each page a fetch received against the checksum
+        it left with (``payload_crc_ok``, in line; timing mode compares the
+        corruption sentinel) and replace a failing copy in ``data`` with
+        its home's rebuild."""
+        pages, crcs = sealed
+        functional = self.system.config.functional
+        counters = cs.stats.counters
+        for page in pages:
+            crc = crcs[page]
+            if (crc32(data[page]) & 0xFFFFFFFF == crc
+                    if functional else crc != CRC_CORRUPT):
+                continue
+            counters["integrity_failures"] += 1
+            data[page] = yield from self._repair(cs, server, page)
+            counters["integrity_repairs"] += 1
+
+    def _repair(self, cs, server, page: int):
+        """Generator: ``cs`` asks ``server`` to rebuild a page whose fetched
+        copy failed its checksum, and verifies the repaired copy end to end.
+
+        The home's slot is charged but NOT held across the replica round
+        trip (two servers repairing each other's pages would AB-BA). The
+        rebuild is atomic and self-correcting: the replica lags the primary
+        by exactly its unacked WAL entries, so its copy plus those entries
+        for this page (bitrot flips stored bytes, never logged diffs; a diff
+        landing meanwhile is logged too) is the primary's current page.
+        """
+        system = self.system
+        scl = system.scl
+        fabric = system.fabric
+        page_bytes = system.config.layout.page_bytes
+        t = scl.send(cs.component, server.component, category="repair_req")
+        if t is not None:
+            yield from t
+        yield from server.resource.use(server._service_time())
+        target = self.live_backup_of(page, server.index)
+        if target is None:
+            raise ReplicationError(
+                f"page {page}: no live replica to repair from")
+        replica = system.memory_servers[target]
+        t = scl.send(server.component, replica.component,
+                     category="repair_pull")
+        if t is not None:
+            yield from t
+        yield from replica.resource.use(replica._service_time())
+        data = replica.backing.read_page(page)
+        t = fabric.transfer_inline(replica.component, server.component,
+                                   page_bytes, category="repair_page")
+        if t is not None:
+            yield from t
+        # Atomic rebuild: replica copy, then the unacked WAL tail for this
+        # page, in LSN order.
+        backing = server.backing
+        backing.restore_page(page, data)
+        for entry in self.wals[server.index].unshipped_for_page(page, target):
+            backing.apply_diff(entry.diff)
+        server.stats.counters["repairs_served"] += 1
+        crc = backing.page_crc(page)
+        repaired = backing.read_page(page)
+        t = fabric.transfer_inline(server.component, cs.component, page_bytes,
+                                   category="repair_data",
+                                   tail=INSTALL_PAGE_TIME)
+        if t is not None:
+            yield from t
+        if not payload_crc_ok(repaired, crc):
+            raise ReplicationError(
+                f"page {page}: repaired copy failed its checksum")
+        return repaired
+
+    # ------------------------------------------------------------------
+    # hook 3: write-side RPCs
+    # ------------------------------------------------------------------
+    def stamp(self, cs) -> int | None:
+        """The epoch a write-side RPC from ``cs`` carries: its last known
+        view with a fault plan armed, else None."""
+        membership = self.membership
+        if membership is None:
+            return None
+        return membership.views.get(cs.component, 0)
+
+    def admit(self, server, epoch: int | None, category: str) -> None:
+        """Reject a write-side RPC stamped with a pre-promotion epoch, before
+        any byte is applied: the sender catches :class:`StaleEpochError`,
+        refreshes its view and re-issues against the current primary -- so
+        a partitioned old primary cannot launder stale writes."""
+        if epoch is None:
+            return
+        fence = self.membership.server_fence[server.index]
+        if epoch >= fence:
+            return
+        server.stats.counters["writes_fenced"] += 1
+        self.membership.fenced()
+        raise StaleEpochError(server.component, server.component, category,
+                              epoch, fence, self.system.engine.now)
+
+    def refresh(self, cs) -> None:
+        """``cs`` was fenced by a newer view: adopt the current epoch."""
+        self.membership.views[cs.component] = self.membership.epoch
+        cs.stats.incr("epoch_refreshes")
+
+    def check_alive(self, server) -> None:
+        """A merge reached ``server``'s slot: a dead server processes
+        nothing, so the request is lost and the caller fails over (applying
+        would strand the diffs on a corpse whose WAL nobody replays)."""
+        if server.index in self.dead_servers:
+            raise RetryExhaustedError(server.component, server.component,
+                                      "diff", 0, self.system.engine.now)
+
+    # ------------------------------------------------------------------
+    # hook 4: the barrier quiesce point
+    # ------------------------------------------------------------------
+    def quiesced(self, gate) -> None:
+        """A thread passed a barrier's flush gate (the pages are a
+        consistent cut). Gate identity counts each round once; every
+        ``checkpoint_interval``-th is snapshotted."""
+        if gate is self._ckpt_gate:
+            return
+        self._ckpt_gate = gate
+        self._ckpt_rounds += 1
+        if self._ckpt_rounds % self.system.config.checkpoint_interval == 0:
+            # A plain call: the cut is atomic in simulated time.
+            self.checkpoints.add(take_checkpoint(self, self._ckpt_rounds))
+            self.system.stats.incr("checkpoints_taken")
+
+    # ------------------------------------------------------------------
+    # hook 5: failover
+    # ------------------------------------------------------------------
+    def handle_server_failure(self, dead: int) -> None:
+        """Failover: promote the dead primary's backup -- a plain call from
+        the detector's probe callback, atomic in simulated time. The dead
+        server's WAL survives it: it models a durable (disk/NVRAM) log."""
+        if dead in self.dead_servers:
+            return
+        self.dead_servers.add(dead)
+        system = self.system
+        ring = self.replica_ring(dead)
+        promoted = next(
+            (i for i in ring[1:] if i not in self.dead_servers), None)
+        if promoted is None:
+            raise ReplicationError(
+                f"server {dead} failed with no live replica to promote "
+                f"(ring {ring})")
+        wals = self.wals
+        if wals is not None:
+            wal = wals[dead]
+            # The promoted backup holds the acked prefix; the unacked
+            # tail makes it byte-equal to the dead primary.
+            replay = wal.unshipped(promoted)
+            backing = system.memory_servers[promoted].backing
+            for entry in replay:
+                backing.apply_diff(entry.diff)
+            if replay:
+                wal.ack(promoted, replay)
+                system.stats.incr("wal_replayed", len(replay))
+            # Entries owed to OTHER replicas move to the promoted log.
+            inherited = 0
+            for entry in wal.entries:
+                pending = [t for t in entry.pending
+                           if t != dead and t not in self.dead_servers]
+                if pending:
+                    wals[promoted].append(entry.page, entry.diff, pending)
+                    inherited += 1
+            if inherited:
+                system.stats.incr("wal_inherited", inherited)
+            wal.clear()
+            # Nobody ships to a corpse: prune the dead target everywhere.
+            for index, other in enumerate(wals):
+                if index != dead:
+                    other.drop_target(dead)
+        system.directory.remap_home(dead, promoted)
+        if self.membership is not None:
+            # The promoted server fences every stamp older than the
+            # epoch its promotion mints (a partitioned old primary's too).
+            self.membership.server_fence[promoted] = self.membership.promote()
+        system.stats.incr("failovers")
+
+    def promote_shard(self, mgr) -> None:
+        """A manager shard inherited a dead peer's state: it fences control
+        RPCs from senders that have not seen its promotion epoch."""
+        if self.membership is not None:
+            self.membership.shard_fence[mgr] = self.membership.promote()
+
+    def await_failover(self, index: int, err, comp: str | None = None):
+        """Generator: a request against server ``index`` exhausted its
+        retries: :meth:`failover_wait` for the server's failover."""
+        return self.failover_wait(
+            self.dead_servers, index, self.system.stats, "failover_retries",
+            err, comp, self.system.memory_servers[index].component)
+
+    def failover_wait(self, dead: set[int], index: int, stats: StatSet,
+                      key: str, err, comp: str | None, target: str):
+        """Generator shared by :meth:`await_failover` and
+        ``ControlPlane.await_shard_failover``: wait for a failover or a
+        partition heal, then return so the caller re-resolves and retries;
+        else raise ``err`` (at once without a detector).
+
+        Polls ``index in dead`` once a beat for the declaration budget plus
+        two beats, counting ``key`` in ``stats`` when the failover landed.
+        Then, if ``comp`` or its ``target`` sits inside an active cut (not
+        a corpse), the caller is in *degraded mode*: read-only from its
+        cache, its write retry parked on a capped exponential backoff until
+        the cut heals -- a minority side waits rather than diverges."""
+        if self.detector is None:
+            raise err
+        for _ in range(HEARTBEAT_MISSES + 2):
+            if index in dead:
+                stats.incr(key)
+                return
+            yield Timeout(HEARTBEAT_INTERVAL)
+        if comp is not None:
+            system = self.system
+            injector = system.injector
+            engine = system.engine
+            delay = HEARTBEAT_INTERVAL
+            healed = False
+            while (injector.partition_isolates(comp, engine.now)
+                   or injector.partition_isolates(target, engine.now)):
+                system.stats.incr("degraded_waits")
+                yield Timeout(delay)
+                delay = min(delay * 2.0, 64.0 * HEARTBEAT_INTERVAL)
+                healed = True
+            if healed:
+                return
+        raise err
+
+    # ------------------------------------------------------------------
+    # reporting
+    # ------------------------------------------------------------------
+    def report(self, report: dict) -> None:
+        """Add the ``replication`` and ``membership`` namespaces to a
+        ``stats_report``, each counter read from the StatSet counting it."""
+        system = self.system
+        system_stats = system.stats.snapshot()
+        if self.wals is not None:
+            # The availability machinery: WAL traffic, failover, integrity.
+            repl = {k: v for k, v in report["memory_servers"].items()
+                    if k.startswith(("repl_", "replica_", "repairs_",
+                                     "pages_rotted", "pages_restored"))}
+            wal_stats = StatSet("wal")
+            for wal in self.wals:
+                wal_stats.merge(wal.stats)
+            repl.update(wal_stats.snapshot())
+            repl.update({k: v for k, v in system_stats.items()
+                         if k.startswith(("failover", "wal_"))})
+            remaps = system.directory.stats.snapshot().get("home_remaps")
+            if remaps:
+                repl["home_remaps"] = remaps
+            if self.detector is not None:
+                repl.update(self.detector.stats.snapshot())
+            repl.update({k: v for k, v in report["compute_servers"].items()
+                         if k.startswith("integrity_")})
+            report["replication"] = repl
+        if self.membership is not None or self.checkpoints is not None:
+            # The partition-tolerance machinery: the fencing epoch and its
+            # counters, degraded waits and checkpoint activity.
+            member: dict = {}
+            if self.membership is not None:
+                member.update(self.membership.snapshot())
+            member.update({k: v for k, v in system_stats.items()
+                           if k.startswith(("degraded_", "checkpoints_"))})
+            member.update({k: v for k, v in report["compute_servers"].items()
+                           if k.startswith("epoch_")})
+            report["membership"] = member

@@ -215,13 +215,15 @@ class SamhitaBackend(BaseBackend):
 
     def checkpoints(self):
         """The system's checkpoint store (None at checkpoint_interval=0)."""
-        return self.system.checkpoints
+        res = self.system.resilience
+        return None if res is None else res.checkpoints
 
     def restore(self, ckpt) -> None:
         """Rehydrate this (fresh) backend from a checkpoint so a
         continuation program can replay the remaining rounds (see
-        :mod:`repro.checkpoint`)."""
-        self.system.restore_checkpoint(ckpt)
+        :mod:`repro.resilience.checkpoint`)."""
+        from repro.resilience.checkpoint import restore_checkpoint
+        restore_checkpoint(self.system, ckpt)
 
     def dispose(self) -> None:
         # The component->system back-edges are the remaining cycle anchors
@@ -237,10 +239,8 @@ class SamhitaBackend(BaseBackend):
         system._arrivals.clear()  # bound methods of the system and its plane
         for mgr in system.managers:
             mgr.cr_source = mgr.cr_gather = mgr.prune_hook = None
-        # With a fault plan armed: the fabric's shadowing bound method and
-        # the failure detector.
+        # With a fault plan armed: the fabric's shadowing bound method; with
+        # any trigger of repro.resilience, that layer.
         system.fabric.detach_injector()
-        if system.detector is not None:
-            system.detector.system = None
-        if system.injector is not None:
-            system.injector.detector = None
+        if system.resilience is not None:
+            system.resilience.detach()

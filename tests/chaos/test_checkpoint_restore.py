@@ -19,6 +19,7 @@ from repro.core.params import SamhitaConfig
 from repro.core.system import SamhitaSystem
 from repro.errors import ReplicationError, SimulationError
 from repro.faults import FaultPlan
+from repro.resilience.checkpoint import restore_checkpoint
 from repro.sim.engine import Timeout
 
 pytestmark = pytest.mark.chaos
@@ -67,8 +68,8 @@ def _spawn_rounds(system, tids, state, start_round, end_round,
             yield from system.barrier_wait(tid, bar)
             if kill_after is not None and i == 0 and r == kill_after:
                 yield Timeout(1e-6)
-                system.handle_server_failure(0)
-                system.handle_server_failure(1)
+                system.resilience.handle_server_failure(0)
+                system.resilience.handle_server_failure(1)
         if i == 0:
             state["final"] = bytes(
                 (yield from system.mem_read(tid, state["addr"], NBYTES)))
@@ -107,7 +108,7 @@ def test_last_replica_loss_recovers_via_checkpoint_restore(reference_final):
     # One checkpoint per barrier generation: the publish barrier plus one
     # per completed round.
     assert report["membership"]["checkpoints_taken"] == KILL_AFTER + 2
-    store = system.checkpoints
+    store = system.resilience.checkpoints
     ckpt = store.latest()
     assert ckpt is not None
     assert ckpt.page_count > 0
@@ -117,7 +118,7 @@ def test_last_replica_loss_recovers_via_checkpoint_restore(reference_final):
 
     # --- fresh machine, restore, replay the remaining rounds.
     system2, tids2 = _build(_config())
-    system2.restore_checkpoint(ckpt)
+    restore_checkpoint(system2, ckpt)
     state2: dict = {}
     _spawn_rounds(system2, tids2, state2, KILL_AFTER + 1, ROUNDS)
     system2.run()
@@ -138,7 +139,7 @@ def test_checkpoint_interval_thins_the_snapshots(reference_final):
     assert state["final"] == reference_final
     taken = system.stats_report()["membership"]["checkpoints_taken"]
     assert taken == (ROUNDS + 1) // 2
-    assert len(system.checkpoints) == taken
+    assert len(system.resilience.checkpoints) == taken
 
 
 def test_restore_replay_is_deterministic(reference_final):
@@ -147,11 +148,11 @@ def test_restore_replay_is_deterministic(reference_final):
     state: dict = {}
     _spawn_rounds(system, tids, state, 0, KILL_AFTER + 1)
     system.run()
-    ckpt = system.checkpoints.latest()
+    ckpt = system.resilience.checkpoints.latest()
 
     def replay():
         sys2, tids2 = _build(_config(checkpoint_interval=0))
-        sys2.restore_checkpoint(ckpt)
+        restore_checkpoint(sys2, ckpt)
         st: dict = {}
         _spawn_rounds(sys2, tids2, st, KILL_AFTER + 1, ROUNDS)
         sys2.run()
@@ -165,6 +166,6 @@ def test_restore_replay_is_deterministic(reference_final):
 def test_checkpointing_is_off_by_default():
     system, _tids = _build(SamhitaConfig(n_memory_servers=2,
                                          replication_factor=2))
-    assert system.checkpoints is None
-    assert system.membership is None
+    assert system.resilience.checkpoints is None
+    assert system.resilience.membership is None
     assert "membership" not in system.stats_report()

@@ -10,7 +10,7 @@ count (and bumps ``suspicions_cleared``); one unbroken outage still
 declares on schedule.
 """
 
-from repro.core.manager import HEARTBEAT_INTERVAL as BEAT
+from repro.resilience.detector import HEARTBEAT_INTERVAL as BEAT
 from repro.core.params import SamhitaConfig
 from repro.core.system import SamhitaSystem
 from repro.faults.plan import FaultPlan
@@ -31,13 +31,13 @@ def test_two_short_cuts_straddling_probes_do_not_declare():
     windows = ((("node1",), 0.0, 25e-6),
                (("node1",), 26e-6, 45e-6))
     system = _system(windows)
-    system.detector.suspect("node1")
+    system.resilience.detector.suspect("node1")
     system.run()
-    det = system.detector.stats.snapshot()
+    det = system.resilience.detector.stats.snapshot()
     # Reset once mid-suspicion (the heal), cleared once at stand-down.
     assert det["suspicions_cleared"] == 2
     assert det.get("servers_declared_dead", 0) == 0
-    assert not system._dead_servers
+    assert not system.resilience.dead_servers
     assert system.stats.snapshot().get("failovers", 0) == 0
 
 
@@ -45,12 +45,12 @@ def test_one_unbroken_cut_still_declares():
     # Same total down-time, no gap: three consecutive misses of a single
     # outage declare node1 dead at the 30 us beat.
     system = _system(((("node1",), 0.0, 45e-6),))
-    system.detector.suspect("node1")
+    system.resilience.detector.suspect("node1")
     system.run()
-    det = system.detector.stats.snapshot()
+    det = system.resilience.detector.stats.snapshot()
     assert det.get("suspicions_cleared", 0) == 0
     assert det["servers_declared_dead"] == 1
-    assert system._dead_servers == {0}
+    assert system.resilience.dead_servers == {0}
     assert system.stats.snapshot()["failovers"] == 1
 
 
@@ -58,9 +58,9 @@ def test_heal_during_probe_clears_suspicion():
     # The cut ends before the second beat: the probe answers, the
     # suspicion stands down without ever approaching the threshold.
     system = _system(((("node1",), 0.0, 15e-6),))
-    system.detector.suspect("node1")
+    system.resilience.detector.suspect("node1")
     system.run()
-    det = system.detector.stats.snapshot()
+    det = system.resilience.detector.stats.snapshot()
     assert det["suspicions_cleared"] == 1
     assert det.get("servers_declared_dead", 0) == 0
-    assert not system._dead_servers
+    assert not system.resilience.dead_servers

@@ -17,7 +17,7 @@ from repro.memory.backing import CRC, CRC_CORRUPT, BackingStore, payload_crc_ok
 from repro.memory.diff import PageDiff
 from repro.memory.directory import PageDirectory
 from repro.memory.layout import MemoryLayout
-from repro.memory.storelog import ReplicationLog
+from repro.resilience.wal import ReplicationLog
 
 
 def make_diff(page: int, offset: int = 0, data: bytes = b"\x2a") -> PageDiff:
@@ -170,22 +170,23 @@ class TestConfigValidation:
 class TestDefaultOff:
     def test_rf1_system_has_no_replication_machinery(self):
         system = SamhitaSystem.cluster(n_threads=1)
-        assert system.detector is None
+        assert system.resilience is None
+        assert system.on_quiesce is None
         for server in system.memory_servers:
-            assert server.wal is None
             assert not server.backing.integrity
         assert "replication" not in system.stats_report()
 
     def test_rf2_system_arms_wal_and_integrity(self):
         config = SamhitaConfig(n_memory_servers=2, replication_factor=2)
         system = SamhitaSystem.cluster(n_threads=1, config=config)
+        res = system.resilience
+        assert [wal.index for wal in res.wals] == [0, 1]
         for server in system.memory_servers:
-            assert server.wal is not None
             assert server.backing.integrity
         # No fault plan -> nothing to detect failures with.
-        assert system.detector is None
-        assert system.replica_ring(0) == [0, 1]
-        assert system.replica_ring(1) == [1, 0]
+        assert res.detector is None
+        assert res.replica_ring(0) == [0, 1]
+        assert res.replica_ring(1) == [1, 0]
         assert "replication" in system.stats_report()
 
     def test_detector_armed_with_faults_and_replication(self):
@@ -193,8 +194,24 @@ class TestDefaultOff:
         config = SamhitaConfig(n_memory_servers=2, replication_factor=2,
                                faults=plan)
         system = SamhitaSystem.cluster(n_threads=1, config=config)
-        assert system.detector is not None
-        assert system.injector.detector is system.detector
+        assert system.resilience.detector is not None
+        assert system.injector.detector is system.resilience.detector
+
+    @pytest.mark.parametrize("config, armed", [
+        (SamhitaConfig(faults=FaultPlan()), "membership"),
+        (SamhitaConfig(n_memory_servers=2, replication_factor=2), "wals"),
+        (SamhitaConfig(checkpoint_interval=1), "checkpoints"),
+    ], ids=["faults", "replication_factor", "checkpoint_interval"])
+    def test_each_trigger_attaches_the_package(self, config, armed):
+        """The package composes in for each of its three triggers alone,
+        arming only what that trigger needs."""
+        system = SamhitaSystem.cluster(n_threads=1, config=config)
+        res = system.resilience
+        assert res is not None and res.system is system
+        facets = {"membership": res.membership, "wals": res.wals,
+                  "checkpoints": res.checkpoints}
+        assert [k for k, v in facets.items() if v is not None] == [armed]
+        assert (system.on_quiesce is not None) == (armed == "checkpoints")
 
 
 class TestBitrotGate:
@@ -218,17 +235,18 @@ class TestBitrotGate:
     def test_a_crashed_but_undeclared_backup_gets_no_rot_and_no_draw(self):
         system, primary, page = self._primary_page(backup_dies_at=0.0)
         assert system.injector.server_down("node2", system.engine.now)
-        assert not system.is_server_dead(1)  # not declared yet
-        assert system.live_backup_of(page, 0) == 1
+        res = system.resilience
+        assert 1 not in res.dead_servers  # not declared yet
+        assert res.live_backup_of(page, 0) == 1
         rng = system.injector._bitrot_rng.getstate()
-        primary._maybe_bitrot(page)
+        res._maybe_bitrot(primary, page)
         assert primary.backing.stats.counters["pages_rotted"] == 0
         assert system.injector.stats.counters["bitrot_injected"] == 0
         assert system.injector._bitrot_rng.getstate() == rng
 
     def test_a_live_backup_lets_the_draw_rot(self):
         system, primary, page = self._primary_page(backup_dies_at=1.0)
-        primary._maybe_bitrot(page)
+        system.resilience._maybe_bitrot(primary, page)
         assert primary.backing.stats.counters["pages_rotted"] == 1
         assert system.injector.stats.counters["bitrot_injected"] == 1
 
@@ -256,13 +274,14 @@ class TestBatchTargets:
 
         def each(home_pages, exclude):
             diffs = [make_diff(p) for p in home_pages]
-            got = system.replica_targets_each(diffs, exclude)
-            want = [system.replica_targets(d.page, exclude) for d in diffs]
+            got = system.resilience.replica_targets_each(diffs, exclude)
+            want = [system.resilience.replica_targets(d.page, exclude)
+                    for d in diffs]
             assert [list(t) for _, t in zip(diffs, got)] == want
             return want
 
         assert each([pages[0], pages[0] + 1], 0) == [[1], [1]]
-        system.handle_server_failure(0)
+        system.resilience.handle_server_failure(0)
         # Server 1 now also holds server 0's pages: a batch of both resolves
         # two rings, and ring 0's only other member is dead.
         assert each([pages[0], pages[1], pages[0] + 1], 1) == [[], [2], []]

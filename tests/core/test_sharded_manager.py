@@ -140,7 +140,7 @@ def test_allocation_placement_survives_shard_count_and_failover(shards):
     # A free routes by the address's slice, not by the freeing thread.
     assert free_served_by(0, got[1][1]) == [int(i == 1) for i in range(shards)]
 
-    system.handle_shard_failure(1)
+    system.control.handle_shard_failure(1)
     successor = 2 % shards
     before = alloc_column()
     allocate_all([tid for tid in tids if tid % shards == 1])

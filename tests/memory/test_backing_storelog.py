@@ -189,7 +189,7 @@ class TestChecksumAcrossDiffs:
         server = system.server_of_page(page)
         diff = self._changing(page) if spans else PageDiff.unchanged(page)
         server.backing.corrupt_page(page)
-        server._wal_extend([diff])
+        system.resilience.log(server, [diff])
         server.backing.apply_diffs([diff])
         system.process(system.compute_server_of(reader).ensure_resident(
             reader, where["base"], 4096))

@@ -23,7 +23,7 @@ from repro.core.rtbatch import trip_timeout_floor
 from repro.faults import FaultInjector, FaultPlan
 from repro.memory import BackingStore, MemoryLayout, SoftwareCache
 from repro.memory.pagetable import CHUNK_PAGES, PageTable
-from repro.memory.storelog import ReplicationLog
+from repro.resilience.wal import ReplicationLog
 
 L = MemoryLayout(page_bytes=4096, pages_per_line=4)
 PAGE = L.page_bytes
@@ -162,7 +162,7 @@ def calls_to_recall(n_pages: int) -> int:
     calls, _ = count_calls(recall)
     assert server.stats.get("recalls") == n_pages
     assert server.stats.get("recall_trips") == 1
-    assert len(server.wal) == server.backing.stats.get("diffs_applied") == n_pages
+    assert len(system.resilience.wals[server.index]) == server.backing.stats.get("diffs_applied") == n_pages
     assert not len(system.directory)
     assert not system.cache_of(owner).dirty_page_ids()
     return calls

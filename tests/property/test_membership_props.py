@@ -1,7 +1,7 @@
 """Property tests for the fence and the failure detector's window oracle.
 
 The split-brain safety argument reduces to the fence each receiver keeps
-(``MemoryServer.fence_epoch``, set to the epoch its promotion minted):
+(``Membership.server_fence``, set to the epoch its promotion minted):
 
 * **A stale stamp is rejected exactly when it predates the fence**: for
   any fence epoch and any sender stamp, ``apply_diffs`` raises
@@ -39,7 +39,8 @@ def test_fence_rejects_exactly_the_stale_stamps(fence, stamp, offset, fill):
     before = (np.arange(backing.layout.page_bytes) % 251).astype(np.uint8)
     backing.write_page(PAGE, before)
     version = backing.version_of(PAGE)
-    server.fence_epoch = fence
+    membership = system.resilience.membership
+    membership.server_fence[server.index] = fence
     diff = PageDiff(PAGE, [(offset, np.full(8, fill, np.uint8))])
     outcome = {}
 
@@ -57,7 +58,7 @@ def test_fence_rejects_exactly_the_stale_stamps(fence, stamp, offset, fill):
         assert np.array_equal(after, before)
         assert backing.version_of(PAGE) == version
         assert server.stats.get("writes_fenced") == 1
-        assert system.membership.snapshot()["stale_writes_fenced"] == 1
+        assert membership.snapshot()["stale_writes_fenced"] == 1
     else:
         assert (after[offset:offset + 8] == fill).all()
         assert backing.version_of(PAGE) == version + 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.memory import BackingStore, MemoryLayout, PageDiff, StoreLog
 from repro.memory.backing import CRC, VERSION
-from repro.memory.storelog import ReplicationLog
+from repro.resilience.wal import ReplicationLog
 
 LAYOUT = MemoryLayout(page_bytes=512, pages_per_line=2)
 SPAN = 4 * 512
