@@ -22,8 +22,9 @@ Three aggregations ride the same trip structure:
 
 * **demand + anticipation** -- a faulted span's missing lines AND the
   adjacent line of each (the paper's anticipatory paging) fetch as one
-  trip per home (:func:`fault_lines_batched`); the riders install with
-  ``prefetched=True`` and stay out of demand accounting;
+  trip per home (:func:`fault_lines_batched`), the trips to different
+  homes in flight together (:func:`fetch_batched`); the riders install
+  with ``prefetched=True`` and stay out of demand accounting;
 * **recalls** -- the home pulls ALL pages one owner holds with a single
   recall request and a single bulk diff return
   (``MemoryServer.serve_fetch_bulk`` / ``_recall_bulk``);
@@ -56,6 +57,7 @@ from repro.sim.engine import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compute_server import ComputeServer
+    from repro.sim.engine import Process
 
 
 class RoundTripLedger:
@@ -234,7 +236,8 @@ def fault_lines_batched(cs: "ComputeServer", tid: int, missing: np.ndarray,
 
 
 def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
-                  spec: np.ndarray, protect: Iterable[int]):
+                  spec: np.ndarray, protect: Iterable[int],
+                  home: int | None = None, after: "Process | None" = None):
     """Generator: fetch demand + speculative pages (two page vectors), ONE
     round trip per home server (request message, bulk serve -- recalls
     included -- and one bulk data return; installs pay beta's per-page
@@ -242,22 +245,41 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
 
     Demand pages install like a demand fetch (may evict); speculative
     riders install with ``prefetched=True`` and never evict -- a full
-    cache skips them. The whole fetch is this one frame: every suspension
-    of a trip (request, serve, reply, repair, recovery, eviction, install
-    charge) resumes here.
+    cache skips them. One home's share of a fetch is one frame of this
+    generator: every suspension of its trip (request, serve, reply,
+    repair, recovery, eviction, install charge) resumes that frame. A
+    fetch that spans k homes forks: the faulting thread starts every
+    other home's share as an engine process running this same path
+    (``home``) and runs the last home's share itself, so all k trips fly
+    together. The installs stay serial -- they are the thread's own CPU
+    work -- so each share installs only after the previous share's
+    process has finished (``after``), and the thread's own share joins
+    the chain last. The fault costs its slowest home's trip plus its
+    installs, not the sum of its trips.
     """
     system = cs.system
     cache = cs.caches[tid]
+    spawned = home is not None
+    if not spawned:
+        home = 0
+        if system.config.n_memory_servers > 1:
+            homes_of = system.allocator.homes_of
+            homes_d = np.array(homes_of(demand.tolist()), dtype=np.int64)
+            homes_s = np.array(homes_of(spec.tolist()), dtype=np.int64)
+            homes = sorted({*homes_d.tolist(), *homes_s.tolist()}) or [0]
+            home = homes.pop()  # this frame's share: the last home's
+            for other in homes:
+                after = cs.engine.process(fetch_batched(
+                    cs, tid, demand[homes_d == other],
+                    spec[homes_s == other], protect, other, after),
+                    name=f"t{tid}.fetch{other}")
+            if homes:
+                demand = demand[homes_d == home]
+                spec = spec[homes_s == home]
+    # The request: the demand pages, then the speculative riders.
     pages = np.concatenate((demand, spec)) if spec.size else demand
-    if system.config.n_memory_servers == 1:
-        # Single home: skip the per-page home lookups entirely.
-        grouped = {0: (demand, spec)} if pages.size else {}
-    else:
-        homes_of = system.allocator.homes_of
-        homes_d = np.array(homes_of(demand.tolist()), dtype=np.int64)
-        homes_s = np.array(homes_of(spec.tolist()), dtype=np.int64)
-        grouped = {home: (demand[homes_d == home], spec[homes_s == home])
-                   for home in {*homes_d.tolist(), *homes_s.tolist()}}
+    if not pages.size:
+        return
     scl = system.scl
     comp = cs.component
     resolve_home = system.directory.resolve_home
@@ -266,107 +288,111 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
     inval_epoch = cache.inval_epoch
     epoch_get = inval_epoch.get
     counters = cs.stats.counters
+    nbytes = pages.size * cache.layout.page_bytes
     token = cache.begin_fetch(pages)
     try:
-        for home in sorted(grouped):
-            demand_pages, spec_pages = grouped[home]
-            # The request: the demand pages, then the speculative riders.
-            server_pages = (
-                pages if demand_pages is demand and spec_pages is spec
-                else np.concatenate((demand_pages, spec_pages)))
-            nbytes = server_pages.size * cache.layout.page_bytes
-            backoffs = 0
-            while True:  # the trip, re-issued after ``recover``
-                server = system.memory_servers[resolve_home(home)]
-                to = server.component
-                floor = (trip_timeout_floor(system, comp, to,
-                                            server_pages.size)
-                         if armed else 0.0)
-                # No epochs recorded yet -> every snapshot would read 0; skip
-                # building the dict and compare against 0 at the install.
-                snapshots = ({p: epoch_get(p, 0)
-                              for p in server_pages.tolist()}
-                             if inval_epoch else None)
-                counters["fetch_requests"] += 1
-                try:
-                    at = scl.flight(comp, to, category="fetch_req")
-                    if at is None:
-                        t = scl.send(comp, to, category="fetch_req",
-                                     timeout_floor=floor)
-                        if t is not None:
-                            yield from t
-                    data = yield from server.serve_fetch_bulk(
-                        tid, server_pages, at)
-                    # What the serve hook sealed the reply with, read at the
-                    # serve, before another serve overwrites it.
-                    sealed = None if res is None else res.sealed
-                    t = system.fabric.transfer_inline(to, comp, nbytes,
-                                                      category="page")
+        backoffs = 0
+        while True:  # the trip, re-issued after ``recover``
+            server = system.memory_servers[resolve_home(home)]
+            to = server.component
+            floor = (trip_timeout_floor(system, comp, to, pages.size)
+                     if armed else 0.0)
+            # No epochs recorded yet -> every snapshot would read 0; skip
+            # building the dict and compare against 0 at the install.
+            snapshots = ({p: epoch_get(p, 0) for p in pages.tolist()}
+                         if inval_epoch else None)
+            counters["fetch_requests"] += 1
+            try:
+                at = scl.flight(comp, to, category="fetch_req")
+                if at is None:
+                    t = scl.send(comp, to, category="fetch_req",
+                                 timeout_floor=floor)
                     if t is not None:
                         yield from t
-                    if sealed is not None:
-                        yield from res.received(cs, server, sealed, data)
-                except CommunicationError as err:
-                    backoffs = yield from recover(cs, server, err, backoffs)
-                    continue
-                break
-            system.rt_ledger.record(
-                home, "demand" if demand_pages.size else "speculative",
-                len(cache.layout.lines_of(server_pages)))
-            counters["pages_fetched"] += server_pages.size
+                data = yield from server.serve_fetch_bulk(tid, pages, at)
+                # What the serve hook sealed the reply with, read at the
+                # serve, before another serve overwrites it.
+                sealed = None if res is None else res.sealed
+                t = system.fabric.transfer_inline(to, comp, nbytes,
+                                                  category="page")
+                if t is not None:
+                    yield from t
+                if sealed is not None:
+                    yield from res.received(cs, server, sealed, data)
+            except CommunicationError as err:
+                backoffs = yield from recover(cs, server, err, backoffs)
+                continue
+            break
+        system.rt_ledger.record(
+            home, "demand" if demand.size else "speculative",
+            len(cache.layout.lines_of(pages)))
+        counters["pages_fetched"] += pages.size
+        if after is not None:
+            # The previous share's installs first: one thread installs one
+            # share at a time. A share that failed hands its error on.
+            failed = yield after
+            if failed is not None:
+                raise failed
 
-            # The batched install leg: beta's per-page install cost is ONE
-            # modeled charge of k * INSTALL_PAGE_TIME for the whole group.
-            # Installs apply in bulk after the charge; every pass -- the
-            # first, and each after a suspension (eviction for the demand
-            # leg, the charge itself not advancing inline) -- re-validates
-            # against raced fills and invalidation epochs, read afresh,
-            # before bytes land. Speculative riders never evict: what the
-            # cache cannot hold is skipped, not made room for.
-            stale = 0
-            eligible_d, eligible_s = demand_pages, spec_pages
-            charged = False
-            while True:
-                if eligible_d.size:
-                    eligible_d = cache.missing_among(eligible_d)
-                if eligible_s.size:
-                    eligible_s = cache.missing_among(eligible_s)
-                if snapshots is not None or inval_epoch:
-                    # A page whose epoch moved since the snapshot (0 where
-                    # none was taken: no epoch existed then) is stale.
-                    taken = snapshots or {}
-                    live = eligible_d.size + eligible_s.size
-                    eligible_d, eligible_s = (
-                        np.array([p for p in v.tolist()
-                                  if epoch_get(p, 0) == taken.get(p, 0)],
-                                 dtype=np.int64)
-                        for v in (eligible_d, eligible_s))
-                    stale += live - eligible_d.size - eligible_s.size
-                free = cache.free_pages
-                need = eligible_d.size - free
-                if need > 0:
-                    yield from evict_batched(
-                        cs, tid, need, {*protect, *server_pages.tolist()})
-                    continue
-                room = free - eligible_d.size
-                if eligible_s.size > room:
-                    keep = room if room > 0 else 0
-                    counters["prefetch_skipped_full"] += eligible_s.size - keep
-                    eligible_s = eligible_s[:keep]
-                k = eligible_d.size + eligible_s.size
-                if k and not charged:
-                    charged = True
-                    delay = k * INSTALL_PAGE_TIME
-                    if not cs.engine.try_advance(delay):
-                        yield Timeout(delay)
-                        continue  # suspended: re-validate before installing
-                if eligible_d.size:
-                    cache.install_many(eligible_d, data, prefetched=False)
-                if eligible_s.size:
-                    cache.install_many(eligible_s, data, prefetched=True)
-                break
-            if stale:
-                counters["stale_fetch_dropped"] += stale
+        # The batched install leg: beta's per-page install cost is ONE
+        # modeled charge of k * INSTALL_PAGE_TIME for the whole group.
+        # Installs apply in bulk after the charge; every pass -- the
+        # first, and each after a suspension (eviction for the demand
+        # leg, the charge itself not advancing inline) -- re-validates
+        # against raced fills and invalidation epochs, read afresh,
+        # before bytes land. Speculative riders never evict: what the
+        # cache cannot hold is skipped, not made room for.
+        stale = 0
+        eligible_d, eligible_s = demand, spec
+        charged = False
+        while True:
+            if eligible_d.size:
+                eligible_d = cache.missing_among(eligible_d)
+            if eligible_s.size:
+                eligible_s = cache.missing_among(eligible_s)
+            if snapshots is not None or inval_epoch:
+                # A page whose epoch moved since the snapshot (0 where
+                # none was taken: no epoch existed then) is stale.
+                taken = snapshots or {}
+                live = eligible_d.size + eligible_s.size
+                eligible_d, eligible_s = (
+                    np.array([p for p in v.tolist()
+                              if epoch_get(p, 0) == taken.get(p, 0)],
+                             dtype=np.int64)
+                    for v in (eligible_d, eligible_s))
+                stale += live - eligible_d.size - eligible_s.size
+            free = cache.free_pages
+            need = eligible_d.size - free
+            if need > 0:
+                yield from evict_batched(cs, tid, need,
+                                         {*protect, *pages.tolist()})
+                continue
+            room = free - eligible_d.size
+            if eligible_s.size > room:
+                keep = room if room > 0 else 0
+                counters["prefetch_skipped_full"] += eligible_s.size - keep
+                eligible_s = eligible_s[:keep]
+            k = eligible_d.size + eligible_s.size
+            if k and not charged:
+                charged = True
+                delay = k * INSTALL_PAGE_TIME
+                if not cs.engine.try_advance(delay):
+                    yield Timeout(delay)
+                    continue  # suspended: re-validate before installing
+            if eligible_d.size:
+                cache.install_many(eligible_d, data, prefetched=False)
+            if eligible_s.size:
+                cache.install_many(eligible_s, data, prefetched=True)
+            break
+        if stale:
+            counters["stale_fetch_dropped"] += stale
+    except Exception as err:
+        if not spawned:
+            raise
+        # Returned, not raised: the next share (or the faulting thread)
+        # re-raises it when it joins, so it never fails an unjoined
+        # process.
+        return err
     finally:
         cache.end_fetch(token)
 

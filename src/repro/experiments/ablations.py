@@ -149,12 +149,12 @@ def regc_finegrain() -> FigureResult:
 
 
 def allocator_striping() -> FigureResult:
-    """One memory server vs large allocations striped across four."""
+    """One memory server vs large allocations striped across two and four."""
     big = MicrobenchParams(N=4, M=1, S=32, B=512,
                            allocation=Allocation.GLOBAL_STRIDED)
     columns = {n: _times(_run(big, SamhitaConfig(n_memory_servers=n),
                               n_threads=16), "compute")
-               for n in (1, 4)}
+               for n in (1, 2, 4)}
     return _table("allocator_striping", "Allocator striping (P=16 strided)",
                   "memory servers", columns)
 

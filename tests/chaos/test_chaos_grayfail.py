@@ -105,8 +105,9 @@ def test_gray_failures_replay_bit_identically(seed):
 def test_fault_storm_slow_cell_is_pinned():
     """The slow-server cell of the benchmark suite's ``fault_storm``,
     pinned: the grid equals the sequential reference and the 10x-slow home
-    costs exactly what the plain retry loop pays for it. Value recorded at
-    PR 18 (1.29x the fault-free cell's 0.005616409799999949)."""
+    costs exactly what the plain retry loop pays for it. Re-pinned when a
+    fault's trips to its two homes came to fly together (1.32x the
+    fault-free cell's 0.005033405199999972)."""
     params = JacobiParams(rows=256, cols=512, iterations=10,
                           collect_result=True)
     plan = grayfail_profiles(11)["slow_server"]
@@ -118,4 +119,4 @@ def test_fault_storm_slow_cell_is_pinned():
     assert gdiff == ref_gdiff
     assert np.array_equal(grid, ref_grid)
     assert result.stats["compute_servers"]["fetch_requests"] == 122
-    assert result.elapsed == 0.007225090699999824
+    assert result.elapsed == 0.006646670699999856

@@ -9,12 +9,17 @@ fault-free run -- while the failover/WAL-replay/integrity-repair counters
 prove the machinery actually ran rather than the schedule missing.
 """
 
+import collections
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.core.params import SamhitaConfig
+from repro.core.system import SamhitaSystem
+from repro.errors import ReplicationError, SimulationError
 from repro.experiments.harness import run_workload_direct
+from repro.faults import permanent_crash
 from repro.kernels.jacobi import JacobiParams, spawn_jacobi
 from repro.kernels.md import MDParams, spawn_md
 
@@ -125,3 +130,105 @@ def test_kill_schedule_replays_bit_identically(seed):
     assert first[1].elapsed == second[1].elapsed
     assert first[1].stats["replication"] == second[1].stats["replication"]
     assert first[1].stats["faults"] == second[1].stats["faults"]
+
+
+# -- one fault, two homes ---------------------------------------------------
+
+def _two_home_fault(faults=None, at_fault=None):
+    """A writer stores 100 and 101 at the heads of the first two lines of
+    a striped allocation (homed on servers 0 and 1) and meets a reader at
+    a barrier. The reader then reads the first line: one fault whose
+    demand trip goes to home 0 while the adjacent line rides a trip to
+    home 1. ``at_fault(system)`` runs just before that read. Returns the
+    system and the reader's view: the instants its fault began and ended
+    and the values it read from both lines."""
+    system = SamhitaSystem.cluster(2, config=_replicated(faults))
+    writer, reader = system.add_thread(), system.add_thread()
+    barrier = system.create_barrier(2)
+    line = system.config.layout.pages_per_line * 4096
+    where, seen = {}, {}
+
+    def write():
+        where["base"] = base = yield from system.malloc(writer, 2 << 20)
+        for i in (0, 1):
+            yield from system.mem_write(
+                writer, base + i * line, 8,
+                np.frombuffer(np.int64(100 + i).tobytes(), np.uint8))
+        yield from system.barrier_wait(writer, barrier)
+
+    def read():
+        yield from system.barrier_wait(reader, barrier)
+        base = where["base"]
+        assert [system.allocator.home_of_page((base + i * line) // 4096)
+                for i in (0, 1)] == [0, 1]
+        if at_fault is not None:
+            at_fault(system)
+        seen["began"] = system.engine.now
+        first = yield from system.mem_read(reader, base, 8)
+        seen["ended"] = system.engine.now
+        second = yield from system.mem_read(reader, base + line, 8)
+        seen["values"] = [int(np.asarray(v, dtype=np.uint8).view(np.int64)[0])
+                          for v in (first, second)]
+
+    system.process(write(), name="writer")
+    system.process(read(), name="reader")
+    system.run()
+    return system, seen
+
+
+def _log_trips(log):
+    """``at_fault`` hook: log ``(instant, logical home)`` of every home
+    resolution from the fault on -- each trip attempt resolves its home
+    once."""
+    def install(system):
+        resolve = system.directory.resolve_home
+
+        def logging(home):
+            log.append((system.engine.now, home))
+            return resolve(home)
+
+        system.directory.resolve_home = logging
+    return install
+
+
+@pytest.mark.parametrize("seed", chaos_seeds())
+@pytest.mark.parametrize("killed", [0, 1])
+def test_two_home_fault_survives_losing_one_home(seed, killed):
+    """Kill one of the two homes while both trips of one fault are in
+    flight: the fault ends on fault-free data, only the dead home's trip
+    is re-issued (after the failover), and the surviving home's trip --
+    finished while its sibling waits out the failover -- is not."""
+    _, clean = _two_home_fault()
+    assert clean["values"] == [100, 101]
+    at = clean["began"] + 2e-6  # both requests are on the wire
+    assert at < clean["ended"]
+    log = []
+    system, seen = _two_home_fault(
+        permanent_crash(seed, f"node{1 + killed}", at=at),
+        at_fault=_log_trips(log))
+    counts = collections.Counter(home for t, home in log
+                                 if t <= seen["ended"])
+    assert system.memory_servers[killed].component == f"node{1 + killed}"
+    assert seen["values"] == clean["values"]
+    assert system.stats_report()["replication"]["failovers"] == 1
+    assert counts[1 - killed] == 1
+    assert counts[killed] >= 2
+
+
+def test_a_sibling_share_failure_surfaces_in_the_faulting_thread():
+    """A fatal error in the share the faulting thread did not run itself
+    (home 0's) fails the reader through the join, although that share
+    fails before the reader's own trip returns to join it -- not as an
+    orphaned process failure."""
+    planted = ReplicationError("planted: home 0 cannot serve")
+
+    def fail_home_0(system):
+        def serve(*args, **kwargs):
+            raise planted
+            yield  # a generator, like the serve it stands in for
+
+        system.memory_servers[0].serve_fetch_bulk = serve
+
+    with pytest.raises(SimulationError, match="process reader failed") as info:
+        _two_home_fault(at_fault=fail_home_0)
+    assert info.value.__cause__ is planted

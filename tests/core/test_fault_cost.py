@@ -12,11 +12,13 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from repro.core import SamhitaConfig, SamhitaSystem
+from repro.core import SamhitaConfig, SamhitaSystem, rtbatch
 from repro.core.consistency import plan_barrier
+from repro.core.params import INSTALL_PAGE_TIME
 from repro.memory import PageDirectory
-from repro.memory.pagetable import CHUNK_PAGES, PageTable
+from repro.memory.pagetable import CHUNK_PAGES, NO_PAGES, PageTable
 from tests.core.conftest import run_threads
 from tests.memory.test_diff_cost import count_calls
 
@@ -31,8 +33,14 @@ FAULT_BOUND = 440
 CHUNK_ALLOWANCE = 220
 #: Calls of one write-shared timing-mode fault: a 4-page demand line, the
 #: adjacent line riding along, one demand page recalled from its owner.
-#: 248 today: host work per trip, not per page or per layer crossed.
+#: 247 today: host work per trip, not per page or per layer crossed.
 STRIDED_FAULT_BOUND = 265
+#: Calls of one two-home timing-mode fault: the demand line on one home,
+#: its adjacent rider on the other, both trips in flight together. 395
+#: today, 316 when the second trip waited for the first: the fork and the
+#: join are one share process and the queue traffic of two interleaved
+#: trips.
+TWO_HOME_FAULT_BOUND = 420
 
 
 def calls_to_fault(n_pages: int) -> int:
@@ -112,6 +120,91 @@ def calls_to_fault_strided() -> int:
 
 def test_a_write_shared_fault_costs_host_work_per_trip():
     assert calls_to_fault_strided() <= STRIDED_FAULT_BOUND
+
+
+def _striped_lines():
+    """A two-server timing-mode machine, one thread, and the first two
+    lines of a striped allocation: the first homed on server 0, the
+    second (the first's adjacent line) on server 1."""
+    system = SamhitaSystem.cluster(n_threads=2, config=SamhitaConfig(
+        n_memory_servers=2, functional=False))
+    tid = system.add_thread()
+    system.add_thread()
+    where = {}
+
+    def allocate():
+        where["base"] = yield from system.malloc(tid, 2 << 20)
+
+    run_threads(system, [allocate()])
+    per_line = system.config.layout.pages_per_line
+    first = where["base"] // PAGE
+    lines = [np.arange(first + i * per_line, first + (i + 1) * per_line)
+             for i in (0, 1)]
+    for home, line in enumerate(lines):
+        assert set(system.allocator.homes_of(line.tolist())) == {home}
+    return system, tid, lines
+
+
+def _time_of(system, gen) -> float:
+    start = system.engine.now
+    system.process(gen)
+    system.run()
+    return system.engine.now - start
+
+
+def test_a_two_home_fault_costs_its_slowest_home():
+    """The demand line's trip to home 0 and its rider's trip to home 1
+    fly together: the fault costs the handler, the slower trip and both
+    installs, which stay serial -- not the sum of the two trips."""
+    alone = []  # each home's share fetched by itself: trip + install
+    for home in (0, 1):
+        system, tid, lines = _striped_lines()
+        demand, spec = ((lines[0], NO_PAGES) if home == 0
+                        else (NO_PAGES, lines[1]))
+        alone.append(_time_of(system, rtbatch.fetch_batched(
+            system.compute_server_of(tid), tid, demand, spec, set())))
+    system, tid, lines = _striped_lines()
+    cache = system.cache_of(tid)
+    installs = []
+    install_many = cache.install_many
+
+    def spy(pages, data, prefetched):
+        installs.append((system.engine.now, pages.size))
+        return install_many(pages, data, prefetched)
+
+    cache.install_many = spy
+    base, span = lines[0].item(0) * PAGE, lines[0].size * PAGE
+    cost = _time_of(system, system.compute_server_of(tid).ensure_resident(
+        tid, base, span))
+    assert cache.span_resident(base, 2 * span)
+    assert system.rt_ledger.snapshot()["by_home"] == {
+        "0": {"demand": 1}, "1": {"speculative": 1}}
+    install = lines[0].size * INSTALL_PAGE_TIME
+    trips = [t - install for t in alone]
+    handler = system.config.fault_handler_time
+    assert cost == pytest.approx(handler + max(trips) + 2 * install, rel=1e-9)
+    # One thread's install charges never overlap: each ends at its
+    # install and began k * INSTALL_PAGE_TIME before.
+    charges = sorted((at - k * INSTALL_PAGE_TIME, at) for at, k in installs)
+    assert [k for _, k in installs] == [lines[0].size, lines[1].size]
+    assert charges[0][1] <= charges[1][0] * (1 + 1e-12)
+
+
+def calls_to_fault_two_homes() -> int:
+    """One fault of the striped shape: a demand line homed on server 0,
+    its adjacent rider on server 1, one trip to each."""
+    system, tid, lines = _striped_lines()
+    base, span = lines[0].item(0) * PAGE, lines[0].size * PAGE
+    cs = system.compute_server_of(tid)
+    system.process(cs.ensure_resident(tid, base, span))
+    calls, _ = count_calls(system.run)
+    assert system.cache_of(tid).span_resident(base, 2 * span)
+    assert cs.stats.get("fetch_requests") == 2
+    return calls
+
+
+def test_a_two_home_fault_costs_host_work_per_trip():
+    assert calls_to_fault_two_homes() <= TWO_HOME_FAULT_BOUND
 
 
 def test_a_narrow_walk_inside_one_chunk_costs_no_call_per_page():
