@@ -2,9 +2,10 @@
 
 A :class:`BackingStore` holds the authoritative copy of every page homed on
 one memory server. A frame is one row of a page table (existence, version,
-corruption marker); functional mode adds a real zero-initialized NumPy
-buffer per frame, timing mode carries no data, keeping large sweeps cheap
-while versioning still works.
+corruption marker); functional mode adds the frame's bytes -- a row of its
+chunk's lazily zeroed byte array, so creating a frame allocates nothing --
+and timing mode carries no data, keeping large sweeps cheap while
+versioning still works.
 """
 
 from __future__ import annotations
@@ -16,12 +17,17 @@ import numpy as np
 from repro.errors import MemoryError_
 from repro.memory.diff import PageDiff
 from repro.memory.layout import MemoryLayout
-from repro.memory.pagetable import CHUNK_MASK, CHUNK_SHIFT, PageTable
+from repro.memory.pagetable import (CHUNK_MASK, CHUNK_SHIFT, PageTable,
+                                    page_vector)
 from repro.sim.stats import StatSet
 
 #: Timing-mode corruption sentinel: with no bytes to checksum, a rotted
 #: frame ships this instead of its version so the receiver's check fires.
 CRC_CORRUPT = -1
+
+#: ``CRC`` column value of a frame whose checksum is not computed since its
+#: last clean mutation (a CRC32 is never negative).
+NO_CRC = -1
 
 
 def payload_crc_ok(data: np.ndarray | None, crc: int | None) -> bool:
@@ -42,8 +48,8 @@ def payload_crc_ok(data: np.ndarray | None, crc: int | None) -> bool:
 #: deliberately stale (it predates the rot), so verification keeps failing
 #: until a replica repair rebuilds the frame -- never cleared by apply_diff,
 #: recomputing a checksum over rotted bytes would launder the corruption.
-#: ``DATA`` (page bytes) and ``CRC`` (lazily computed CRC32, None = not
-#: computed since the last clean mutation) exist in functional mode only.
+#: ``DATA`` (page bytes, one row per frame) and ``CRC`` (lazily computed
+#: CRC32, :data:`NO_CRC` until then) exist in functional mode only.
 VERSION, LIVE, CORRUPT, DATA, CRC = range(5)
 
 
@@ -55,8 +61,10 @@ class BackingStore:
         self.layout = layout
         self.functional = functional
         self.name = name
-        payload = list if functional else None
-        self._table = PageTable((np.int64, np.bool_, np.bool_, payload, payload))
+        self._table = PageTable((
+            np.int64, np.bool_, np.bool_,
+            layout.page_bytes if functional else None,
+            np.int64 if functional else None))
         self._frames = 0
         #: End-to-end checksums; armed by the system when replication is on
         #: (a detected corruption is only survivable with a replica to
@@ -77,10 +85,11 @@ class BackingStore:
         return cols, i
 
     def _create(self, cols, i: int) -> None:
-        """Make row ``i`` of ``cols`` a zero-filled frame."""
+        """Make row ``i`` of ``cols`` a frame (its bytes are the row's
+        zeros)."""
         cols[LIVE][i] = True
         if self.functional:
-            cols[DATA][i] = np.zeros(self.layout.page_bytes, dtype=np.uint8)
+            cols[CRC][i] = NO_CRC
         self._frames += 1
         self.stats.incr("frames_created")
 
@@ -124,13 +133,13 @@ class BackingStore:
                 raise MemoryError_("functional store requires data on write_page")
             if data.shape[0] != self.layout.page_bytes:
                 raise MemoryError_("write_page size mismatch")
-            cols[DATA][i][:] = data
+            cols[DATA][i] = data
         cols[VERSION][i] += 1
         if self.integrity:
             # Wholesale replacement overwrites any rot.
             cols[CORRUPT][i] = False
             if self.functional:
-                cols[CRC][i] = None
+                cols[CRC][i] = NO_CRC
 
     def apply_diffs(self, diffs) -> None:
         """Merge writers' diffs into the authoritative pages, in order. A
@@ -150,7 +159,7 @@ class BackingStore:
             if functional and diff.n_spans:
                 diff.apply_to(cols[DATA][i])
                 if integrity and not cols[CORRUPT][i]:
-                    cols[CRC][i] = None
+                    cols[CRC][i] = NO_CRC
             cols[VERSION][i] += 1
             nbytes += diff.payload_bytes
         if diffs:
@@ -180,28 +189,51 @@ class BackingStore:
 
     def serve_pages(self, pages: list[int]):
         """Bulk :meth:`read_page` (+ :meth:`page_crc` with integrity armed)
-        of a served batch, reading each frame's row in place: ``({page:
-        copy}, {page: crc} or None)``. The copy is ``None`` in timing
-        mode."""
+        of a served batch: ``({page: copy}, {page: crc} or None)``. Each
+        frame's row is read in place (a missing frame is created) and the
+        copies are rows of one gather per chunk, so a served page costs no
+        call. The copy is ``None`` in timing mode."""
         functional = self.functional
-        chunks = self._table.chunks
-        data = {}
+        table = self._table
+        chunks = table.chunks
         crcs = {} if self.integrity else None
+        created = 0
+        last = None
+        walked = 0  # chunks entered, counted per change of chunk
         for page in pages:
             key, i = page >> CHUNK_SHIFT, page & CHUNK_MASK
-            cols = chunks[key] if key in chunks else self._table.chunk(key)
-            if not cols[LIVE][i]:
-                self._create(cols, i)
+            if key != last:
+                last = key
+                walked += 1
+                cols = chunks[key] if key in chunks else table.chunk(key)
+                live = cols[LIVE]
+            if not live[i]:  # _create, inline
+                live[i] = True
+                if functional:
+                    cols[CRC][i] = NO_CRC
+                created += 1
             if crcs is not None:  # page_crc, inline
                 if not functional:
                     crc = CRC_CORRUPT if cols[CORRUPT][i] else int(cols[VERSION][i])
                 else:
-                    crc = cols[CRC][i]
-                    if crc is None:
+                    crc = int(cols[CRC][i])
+                    if crc == NO_CRC:
                         crc = cols[CRC][i] = zlib.crc32(cols[DATA][i]) & 0xFFFFFFFF
                 crcs[page] = crc
-            data[page] = cols[DATA][i].copy() if functional else None
-        self.stats.counters["page_reads"] += len(pages)
+        counters = self.stats.counters
+        if created:
+            self._frames += created
+            counters["frames_created"] += created
+        counters["page_reads"] += len(pages)
+        if not functional:
+            return dict.fromkeys(pages), crcs
+        # ``take`` copies rows at half the cost of an indexing expression.
+        if walked == 1:
+            rows = [page & CHUNK_MASK for page in pages]
+            return dict(zip(pages, cols[DATA].take(rows, axis=0))), crcs
+        data = {}
+        for cols, rows, where in table.groups(page_vector(pages)):
+            data.update(zip(pages[where], cols[DATA].take(rows, axis=0)))
         return data, crcs
 
     def read_range(self, addr: int, nbytes: int) -> np.ndarray | None:
@@ -251,16 +283,16 @@ class BackingStore:
         cols, i = self.ensure(page)
         if not self.functional:
             return CRC_CORRUPT if cols[CORRUPT][i] else int(cols[VERSION][i])
-        if cols[CRC][i] is None:
+        if cols[CRC][i] == NO_CRC:
             cols[CRC][i] = zlib.crc32(cols[DATA][i]) & 0xFFFFFFFF
-        return cols[CRC][i]
+        return int(cols[CRC][i])
 
     def corrupt_page(self, page: int) -> None:
         """Inject bitrot: flip a stored byte WITHOUT refreshing the CRC."""
         cols, i = self.ensure(page)
         if self.functional:
             self.page_crc(page)  # pin the pre-rot checksum
-            cols[DATA][i][0] ^= 0xFF
+            cols[DATA][i, 0] ^= 0xFF
         cols[CORRUPT][i] = True
         self.stats.counters["pages_rotted"] += 1
 
@@ -269,8 +301,8 @@ class BackingStore:
         cols, i = self.ensure(page)
         if self.functional:
             if data is not None:
-                cols[DATA][i][:] = data
-            cols[CRC][i] = None
+                cols[DATA][i] = data
+            cols[CRC][i] = NO_CRC
         cols[VERSION][i] += 1
         cols[CORRUPT][i] = False
         self.stats.counters["pages_restored"] += 1

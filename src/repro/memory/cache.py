@@ -14,11 +14,14 @@ Policy knobs reproduced from the paper:
 
 Per-page state is one row of a :class:`~repro.memory.pagetable.PageTable`
 (DESIGN.md S9): LRU tick, prefetched flag and a dirty extent ``[lo, hi)`` in
-NumPy columns, page bytes and twin in list columns that only functional
-mode allocates. A page that acquires a second, disjoint dirty range spills
-to a :class:`ByteRanges`. Operations on a wide span or batch are slice /
-index operations on the columns; narrow ones (fewer than ``WIDE`` pages)
-walk the pages, which is cheaper than the fixed cost of an array call.
+NumPy columns, and in functional mode the page's bytes and its twin as rows
+of two byte columns (one ``(256, page_bytes)`` array per chunk each). A
+page that acquires a second, disjoint dirty range spills to a
+:class:`ByteRanges`. Operations on a wide span or batch are slice / index
+operations on the columns; narrow ones (fewer than ``WIDE`` pages) walk the
+pages, which is cheaper than the fixed cost of an array call. Bytes always
+move by slice: a store or a read of a span is one slice of each chunk's
+flat byte view.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import ConsistencyError, MemoryError_, ProtectionError
-from repro.memory.diff import ByteRanges, PageDiff, SpanTwin
+from repro.memory.diff import ByteRanges, PageDiff, diff_spans
 from repro.memory.layout import MemoryLayout
 from repro.memory.pagetable import (CHUNK_MASK, CHUNK_SHIFT, NO_PAGES,
                                     PageTable)
@@ -39,8 +42,12 @@ from repro.sim.stats import StatSet
 
 #: Column indices of a cache chunk. ``TICK`` is the last-access tick, 0 for
 #: a non-resident page (ticks start at 1). ``HI`` is 0 for a clean page and
-#: -1 for one whose ranges spilled to ``SoftwareCache._spill``.
-TICK, PREF, LO, HI, DATA, TWIN = range(6)
+#: -1 for one whose ranges spilled to ``SoftwareCache._spill``. ``DATA`` and
+#: ``TWIN`` are byte columns (functional mode; ``TWIN`` only with twins), a
+#: page's row of which holds its bytes and its twin; ``DATA_FLAT`` and
+#: ``TWIN_FLAT`` are their chunks' flat views. A page's twin row is live
+#: exactly while ``HI != 0``.
+TICK, PREF, LO, HI, DATA, TWIN, DATA_FLAT, TWIN_FLAT = range(8)
 
 #: Spans and batches of at least this many pages go through the columns.
 WIDE = 8
@@ -77,7 +84,6 @@ class CacheEntry:
         return None if cols[column] is None else cols[column][self.page & CHUNK_MASK]
 
     data = property(lambda self: self._field(DATA))
-    twin = property(lambda self: self._field(TWIN))
     last_access = property(lambda self: int(self._field(TICK)))
     prefetched = property(lambda self: bool(self._field(PREF)))
     is_dirty = property(lambda self: bool(self._field(HI)))
@@ -118,10 +124,15 @@ class SoftwareCache:
         #: like a single-writer protocol and write-back ships whole pages.
         self.use_twins = use_twins
         self.name = name
-        payload = list if functional else None
-        extent = np.int16 if layout.page_bytes < 1 << 15 else np.int32
-        self._table = PageTable((np.int64, np.bool_, extent, extent,
-                                 payload, payload))
+        page_bytes = layout.page_bytes
+        extent = np.int16 if page_bytes < 1 << 15 else np.int32
+        self._table = PageTable((
+            np.int64, np.bool_, extent, extent,
+            page_bytes if functional else None,
+            page_bytes if functional and use_twins else None))
+        #: Byte offsets of a page, for :meth:`take_diffs`'s extent masks.
+        self._offsets = (np.arange(page_bytes, dtype=extent)
+                         if functional and use_twins else None)
         #: Resident page numbers. Mirrors ``TICK != 0``: the set answers
         #: per-page probes and set intersections (barrier directives), the
         #: column answers spans.
@@ -282,7 +293,7 @@ class SoftwareCache:
     def install_many(self, pages, data, prefetched: bool = False) -> None:
         """Batched :meth:`install` of distinct, non-resident pages (a list
         or a page vector); ``data`` maps page -> bytes (empty in timing
-        mode).
+        mode), which are copied into the pages' rows.
 
         Contract (the bulk-fetch fast path guarantees it): none of the
         pages is already resident. Ticks advance exactly as the per-page
@@ -311,8 +322,8 @@ class SoftwareCache:
             pages = batch.tolist()
         if self.functional:
             chunks = self._table.chunks
-            for page, buf in zip(pages, map(data.get, pages)):
-                chunks[page >> CHUNK_SHIFT][DATA][page & CHUNK_MASK] = buf
+            for page in pages:
+                chunks[page >> CHUNK_SHIFT][DATA][page & CHUNK_MASK] = data[page]
         self._tick = tick
         self._resident.update(pages)
         counters = self.stats.counters
@@ -373,8 +384,6 @@ class SoftwareCache:
             counters["evictions_clean"] += 1
         self._resident.remove(page)
         cols[TICK][i] = 0
-        if self.functional:
-            cols[DATA][i] = cols[TWIN][i] = None
         return diff
 
     def begin_fetch(self, pages) -> int:
@@ -439,7 +448,7 @@ class SoftwareCache:
         if not hits:
             return []
         dropped = sorted(hits)
-        # Clean rows: HI is 0 and (invariant I3) no twin is held.
+        # Clean rows: HI is 0, so no twin is held.
         self._resident.difference_update(dropped)
         chunks = self._table.chunks
         if len(dropped) < WIDE:
@@ -447,9 +456,6 @@ class SoftwareCache:
                 chunks[page >> CHUNK_SHIFT][TICK][page & CHUNK_MASK] = 0
         else:
             self._table.scatter(TICK, np.array(dropped, dtype=np.int64), 0)
-        if self.functional:
-            for page in dropped:
-                chunks[page >> CHUNK_SHIFT][DATA][page & CHUNK_MASK] = None
         self.stats.counters["invalidations"] += len(dropped)
         return dropped
 
@@ -550,7 +556,8 @@ class SoftwareCache:
             counters["write_bytes"] += write_bytes
 
     def read(self, addr: int, nbytes: int) -> np.ndarray | None:
-        """Gather bytes (functional) or just touch pages (timing)."""
+        """A copy of the bytes (functional: later stores do not show in
+        it) or just a touch of the pages (timing)."""
         if nbytes == 0:
             return np.empty(0, dtype=np.uint8) if self.functional else None
         if addr < 0 or nbytes < 0:
@@ -564,13 +571,18 @@ class SoftwareCache:
         counters["read_bytes"] += nbytes
         if not self.functional:
             return None
-        chunks = self._table.chunks
-        if first == last:
-            start = addr - first * page_bytes
-            return chunks[first >> CHUNK_SHIFT][DATA][first & CHUNK_MASK][start:start + nbytes]
-        return np.concatenate(
-            [chunks[page >> CHUNK_SHIFT][DATA][page & CHUNK_MASK][start:end]
-             for page, start, end in self.layout.page_slices(addr, nbytes)])
+        key = first >> CHUNK_SHIFT
+        if key == last >> CHUNK_SHIFT:
+            at = addr - (key << CHUNK_SHIFT) * page_bytes
+            return self._table.chunks[key][DATA_FLAT][at:at + nbytes].copy()
+        end = addr + nbytes
+        pieces = []
+        for cols, a, b, page in self._table.segments(first, last + 1):
+            base = (page - a) * page_bytes  # the chunk's first byte
+            s = max(addr, page * page_bytes) - base
+            e = min(end, (page + b - a) * page_bytes) - base
+            pieces.append(cols[DATA_FLAT][s:e])
+        return np.concatenate(pieces)
 
     def write(self, addr: int, nbytes: int, data: np.ndarray | None,
               ordinary: bool = True) -> int:
@@ -642,74 +654,110 @@ class SoftwareCache:
                     cols[HI][i] = end
 
     def _store(self, addr: int, nbytes: int, data, ordinary: bool) -> int:
-        """Functional-mode store: real byte copies, so one pass per page --
-        twin upkeep, dirty extent, scatter -- over each chunk segment's rows,
-        whose extents are read once per segment. Returns twins created."""
+        """Functional-mode store: one slice copy per chunk segment, after
+        the twin upkeep of an ordinary store. A segment of clean pages
+        snapshots its pre-image into the twin rows with one slice copy and
+        starts each page's extent; a segment holding a dirty page walks its
+        rows (:meth:`_upkeep`). Returns twins created."""
         page_bytes = self.layout.page_bytes
-        use_twins = self.use_twins
+        twinned = self.use_twins
+        end = addr + nbytes
         twins = 0
         for cols, a, b, page in self._table.segments(
-                addr // page_bytes, (addr + nbytes - 1) // page_bytes + 1):
-            data_col, twin_col = cols[DATA], cols[TWIN]
-            if ordinary:
-                # Plain ints: NumPy scalars compare slowly. One row's two
-                # scalar reads are cheaper than two slices.
+                addr // page_bytes, (end - 1) // page_bytes + 1):
+            base = (page - a) * page_bytes  # the chunk's first byte
+            s = page * page_bytes
+            if s < addr:
+                s = addr
+            e = (page + b - a) * page_bytes
+            if e > end:
+                e = end
+            s -= base  # the segment is [s, e) of the chunk's flat views
+            e -= base
+            if ordinary or twinned:
+                # Plain ints: NumPy scalars compare slowly. One row's
+                # scalar read is cheaper than a slice.
                 if b - a == 1:
-                    los, his = (cols[LO].item(a),), (cols[HI].item(a),)
+                    his = (cols[HI].item(a),)
+                    dirty = his[0]
                 else:
-                    los, his = cols[LO][a:b].tolist(), cols[HI][a:b].tolist()
-            at = page * page_bytes - addr  # where the page starts in data
-            for i in range(a, b):
-                off = -at if at < 0 else 0
-                end_off = nbytes - at
-                if end_off > page_bytes:
-                    end_off = page_bytes
-                buf = data_col[i]
-                twin = twin_col[i]
-                if ordinary:
-                    hi = his[i - a]
-                    if not hi:
-                        if use_twins:
-                            # Zero-copy twin: uninitialized scratch now,
-                            # only the pre-image of the bytes this write
-                            # dirties captured.
-                            twin = twin_col[i] = SpanTwin(page_bytes)
-                            twins += 1
-                            twin.pre[off:end_off] = buf[off:end_off]
-                        cols[LO][i] = off
-                        cols[HI][i] = end_off
-                    else:
-                        lo = los[i - a]
-                        if hi < 0 or off < lo or end_off > hi:
-                            # The store grows or splits the dirty state:
-                            # snapshot the bytes it newly dirties (those
-                            # already dirty were captured by the write that
-                            # dirtied them). A store inside the extent, the
-                            # common rewrite, does neither.
-                            p = page + i - a
-                            if twin is not None:
-                                twin.snapshot(buf, self._spill[p].gaps_within(off, end_off)
-                                              if hi < 0 else _outside(lo, hi, off, end_off))
-                            self._add_dirty(p, off, end_off)
-                if data is not None:
-                    chunk_data = data[at + off:at + end_off]
-                    buf[off:end_off] = chunk_data
-                    if not ordinary and twin is not None:
-                        # Consistency-region stores propagate via the store
-                        # log; mirroring them into the twin keeps them out
-                        # of this thread's ordinary-region diff (shipping
-                        # them there could overwrite other threads' CR
-                        # updates at the home); clean bytes too: their
-                        # pre-image is never read.
-                        twin.pre[off:end_off] = chunk_data
-                at += page_bytes
+                    his = cols[HI][a:b].tolist()
+                    dirty = any(his)
+            if ordinary:
+                if not dirty:
+                    if twinned:
+                        cols[TWIN_FLAT][s:e] = cols[DATA_FLAT][s:e]
+                        twins += b - a
+                    if b - a > 1:
+                        cols[LO][a:b] = 0
+                        cols[HI][a:b] = page_bytes
+                    cols[LO][a] = s - a * page_bytes
+                    cols[HI][b - 1] = e - (b - 1) * page_bytes
+                elif not (b - a == 1 and dirty > 0
+                          and cols[LO].item(a) <= s - a * page_bytes
+                          and e - a * page_bytes <= dirty):
+                    # (A store inside one page's extent, the common
+                    # rewrite, needs no upkeep.)
+                    twins += self._upkeep(cols, a, b, page, s, e, his)
+            if data is not None:
+                at = s + base - addr  # where the segment starts in data
+                cols[DATA_FLAT][s:e] = data[at:at + e - s]
+                if not ordinary and twinned and dirty:
+                    # Consistency-region stores propagate via the store
+                    # log; mirroring them into the twin keeps them out of
+                    # this thread's ordinary-region diff (shipping them
+                    # there could overwrite other threads' CR updates at
+                    # the home). Clean pages' twin bytes too: a twin byte
+                    # outside the dirty ranges is never read.
+                    cols[TWIN_FLAT][s:e] = data[at:at + e - s]
+        return twins
+
+    def _upkeep(self, cols, a: int, b: int, page: int, s: int, e: int,
+                his) -> int:
+        """The twin and dirty-state upkeep of an ordinary store over rows
+        ``a:b`` of a chunk (``page`` is row ``a``'s page, ``his`` the rows'
+        ``HI``), bytes ``[s, e)`` of its flat views, when some row is
+        dirty: a clean row snapshots the bytes the store dirties and starts
+        its extent, a dirty one grows or splits its dirty state,
+        snapshotting only the bytes it newly dirties (those already dirty
+        were captured by the write that dirtied them). A store inside the
+        extent, the common rewrite, does neither. Returns twins created."""
+        page_bytes = self.layout.page_bytes
+        twin = cols[TWIN] if self.use_twins else None
+        rows = cols[DATA]
+        los = (cols[LO].item(a),) if b - a == 1 else cols[LO][a:b].tolist()
+        twins = 0
+        for i in range(a, b):
+            off = s - i * page_bytes
+            if off < 0:
+                off = 0
+            end_off = e - i * page_bytes
+            if end_off > page_bytes:
+                end_off = page_bytes
+            hi = his[i - a]
+            if not hi:
+                if twin is not None:
+                    twin[i, off:end_off] = rows[i, off:end_off]
+                    twins += 1
+                cols[LO][i] = off
+                cols[HI][i] = end_off
+                continue
+            lo = los[i - a]
+            if hi < 0 or off < lo or end_off > hi:
+                p = page + i - a
+                if twin is not None:
+                    pre, buf = twin[i], rows[i]
+                    for gs, ge in (self._spill[p].gaps_within(off, end_off)
+                                   if hi < 0 else _outside(lo, hi, off, end_off)):
+                        pre[gs:ge] = buf[gs:ge]
+                self._add_dirty(p, off, end_off)
         return twins
 
     # ------------------------------------------------------------------
     # diffs & fine-grain updates
     # ------------------------------------------------------------------
     def _diff_of(self, page: int, cols, i: int, hi: int) -> PageDiff:
-        """The pending diff of a dirty page, given its row and ``HI``."""
+        """The pending diff of one dirty page, given its row and ``HI``."""
         if not self.use_twins:
             # Single-writer fallback: no twin exists, so the whole page is
             # the write-back unit (the classic DSM behaviour the paper's
@@ -718,8 +766,7 @@ class SoftwareCache:
                 return PageDiff(page, spans=[(0, cols[DATA][i])])
             return PageDiff(page, spans=[(0, None)],
                             sizes=[self.layout.page_bytes])
-        twin = cols[TWIN][i] if self.functional else None
-        if twin is None:  # nothing to diff against: sizes, no bytes
+        if not self.functional:  # nothing to diff against: sizes, no bytes
             if hi < 0:
                 return PageDiff.from_ranges(page, self._spill[page])
             lo = cols[LO].item(i)
@@ -727,42 +774,84 @@ class SoftwareCache:
         ranges = self._spill[page] if hi < 0 else ((cols[LO].item(i), hi),)
         # A page rewritten with the bytes it held (most of a stencil's
         # interior) is not a span extraction: it ships the shared empty diff.
-        pre, data = twin.pre, cols[DATA][i]
+        pre, data = cols[TWIN][i], cols[DATA][i]
         for s, e in ranges:
             if pre[s:e].tobytes() != data[s:e].tobytes():
-                return twin.diff_spans(data, ranges, page)
+                return diff_spans(pre, data, ranges, page)
         return PageDiff.unchanged(page)
 
     def take_diffs(self, pages) -> list[PageDiff]:
         """Extract the pending diff of every resident-dirty member of
-        ``pages`` (in their order) and mark it clean: one residency + dirty
-        scan for the batch, counters flushed once."""
+        ``pages`` (distinct; in their order) and mark it clean.
+
+        The batch is walked in runs of consecutive pages inside one chunk,
+        each run's ``HI`` read as one slice. With twins, a run's pages are
+        tested for "unchanged" together (:meth:`_changed_rows`): a page
+        whose extent equals its twin (most of a stencil's interior,
+        rewritten with the bytes it held) gets the shared empty diff, one
+        that does not goes through the span extraction. A spilled page,
+        and every page in timing mode or without twins, goes through
+        :meth:`_diff_of`. Counters flush once."""
         resident = self._resident
         chunks = self._table.chunks
-        functional = self.functional
-        diffs = []
-        nbytes = 0
+        runs = []  # [cols, a, b, page]: rows a:b of cols hold page, page + 1, ...
+        end = -1
         for page in pages:
             if page not in resident:
                 continue
-            cols = chunks[page >> CHUNK_SHIFT]
-            i = page & CHUNK_MASK
-            hi = cols[HI].item(i)
-            if not hi:
-                continue
-            diff = self._diff_of(page, cols, i, hi)
-            diffs.append(diff)
-            nbytes += diff.payload_bytes
-            cols[HI][i] = 0
-            if hi < 0:
-                del self._spill[page]
-            if functional:
-                cols[TWIN][i] = None
+            if page == end and page & CHUNK_MASK:
+                run[2] += 1
+            else:
+                i = page & CHUNK_MASK
+                run = [chunks[page >> CHUNK_SHIFT], i, i + 1, page]
+                runs += (run,)
+            end = page + 1
+        compare = self.functional and self.use_twins
+        diffs = []
+        nbytes = 0
+        for cols, a, b, first in runs:
+            his = (cols[HI].item(a),) if b - a == 1 else cols[HI][a:b].tolist()
+            changed = self._changed_rows(cols, a, b, his) if compare else his
+            for i, hi in enumerate(his, a):
+                if not hi:
+                    continue
+                page = first + i - a
+                if hi < 0 or not compare:
+                    diff = self._diff_of(page, cols, i, hi)
+                    if hi < 0:
+                        del self._spill[page]
+                elif changed[i - a]:
+                    diff = diff_spans(cols[TWIN][i], cols[DATA][i],
+                                      ((int(cols[LO][i]), hi),), page)
+                else:
+                    diff = PageDiff.unchanged(page)
+                diffs += (diff,)
+                nbytes += diff.payload_bytes
+                cols[HI][i] = 0
         if diffs:
             counters = self.stats.counters
             counters["diffs_taken"] += len(diffs)
             counters["diff_bytes"] += nbytes
         return diffs
+
+    def _changed_rows(self, cols, a: int, b: int, his: list) -> list:
+        """Per row of ``a:b`` with one dirty extent (``HI`` values
+        ``his``): does a byte inside the extent differ from the twin row?
+        (Other rows' answers are unused.) One compare of the span from the
+        first row's extent to the last one's answers a run that did not
+        change; a run of several rows that did pays one masked compare of
+        its rows."""
+        page_bytes = self.layout.page_bytes
+        s = a * page_bytes + (int(cols[LO][a]) if his[0] > 0 else 0)
+        e = (b - 1) * page_bytes + (his[-1] if his[-1] > 0 else page_bytes)
+        if cols[TWIN_FLAT][s:e].tobytes() == cols[DATA_FLAT][s:e].tobytes():
+            return [False] * (b - a)
+        if b - a == 1:
+            return [True]
+        at = self._offsets
+        return ((cols[TWIN][a:b] != cols[DATA][a:b])
+                & (at >= cols[LO][a:b][:, None])
+                & (at < cols[HI][a:b][:, None])).any(1).tolist()
 
     def take_diff(self, page: int) -> PageDiff | None:
         """Extract the pending diff for one dirty page and mark it clean
@@ -826,18 +915,23 @@ class SoftwareCache:
         the already-updated home). Returns bytes applied."""
         applied = 0
         resident = self._resident
+        chunks = self._table.chunks
+        functional, twinned = self.functional, self.use_twins
         for diff in diffs:
             page = diff.page
             if page not in resident:
                 continue
-            if self.functional:
-                cols, i = self._row(page)
+            if functional:
+                cols = chunks[page >> CHUNK_SHIFT]
+                i = page & CHUNK_MASK
                 diff.apply_to(cols[DATA][i])
-                # Keep the twin in sync so these bytes don't reappear in the
-                # thread's own ordinary-region diff.
-                twin = cols[TWIN][i]
-                if twin is not None:
-                    twin.mirror(diff)
+                if twinned and cols[HI][i]:
+                    # Keep the twin in sync so these bytes don't reappear
+                    # in the thread's own ordinary-region diff. The whole
+                    # diff is stored, dirty or not: outside the dirty
+                    # ranges the twin is never read, and a byte is
+                    # snapshotted before it turns dirty.
+                    diff._store(cols[TWIN][i])
             applied += diff.payload_bytes
         self.stats.counters["fine_grain_bytes"] += applied
         return applied

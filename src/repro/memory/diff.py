@@ -7,8 +7,9 @@ disjoint byte ranges therefore merge cleanly at the page's home.
 
 Both modes ship the same immutable, columnar :class:`PageDiff`:
 
-* functional mode -- :meth:`SpanTwin.diff_spans` compares real NumPy buffers
-  and keeps the changed bytes as one position column and one payload array;
+* functional mode -- :func:`diff_spans` compares a page's row of bytes with
+  its twin row (both rows of the cache's chunk arrays) and keeps the
+  changed bytes as one position column and one payload array;
 * timing mode -- :class:`ByteRanges` tracks dirty intervals without data, so
   diff *sizes* (what the timing model needs) stay exact.
 """
@@ -145,7 +146,7 @@ def _extract(page: int, pre: np.ndarray, current: np.ndarray, dirty) -> "PageDif
     ascending ``(start, end)`` ranges that do not touch, so no run crosses
     from one range into the next. Vectorized: a fixed number of NumPy
     operations per dirty range and none per span. (The cache asks whether
-    anything changed before it comes here: ``SoftwareCache._diff_of``.)
+    anything changed before it comes here: ``SoftwareCache.take_diffs``.)
     """
     changed = np.zeros(current.shape[0], dtype=bool)
     for s, e in dirty:
@@ -174,59 +175,37 @@ def compute_diff_spans(twin: np.ndarray, current: np.ndarray, page: int = 0) -> 
     return _extract(page, twin, current, ((0, current.shape[0]),))
 
 
-class SpanTwin:
-    """Zero-copy multiple-writer twin: pre-images of dirty ranges only.
+def diff_spans(pre: np.ndarray, current: np.ndarray, dirty,
+               page: int = 0) -> "PageDiff":
+    """The diff of a page row against its twin row, scanning only the
+    ``dirty`` ranges: span for span what the whole-page
+    :func:`compute_diff_spans` finds against a whole-page twin.
 
-    The classic twin copies the whole page at first write. This variant
-    allocates an (uninitialized) scratch buffer and snapshots *only the
-    bytes a write is about to dirty*, immediately before the write lands --
-    so twin maintenance costs O(bytes written), not O(page), and the common
-    small-stencil write never touches 4 KiB.
+    The twin row is a *zero-copy* twin: the cache snapshots into it only
+    the bytes a write is about to dirty, immediately before the write
+    lands, so twin upkeep costs O(bytes written), not O(page), and the rest
+    of the row is whatever it held. The per-range scan is still exact:
 
-    Equivalence with the whole-page twin (the reference the property tests
-    pin against):
-
-    * changed bytes are confined to the entry's dirty ranges -- outside
-      them, data only moves via consistency-region stores and incoming
-      fine-grain updates, which the cache copies into the twin either way;
-    * within a dirty range the pre-image is byte-identical to the page copy
-      (snapshotted before the dirtying write, then kept in sync by the same
-      CR mirroring);
+    * changed bytes are confined to the dirty ranges -- outside them, data
+      only moves via consistency-region stores and incoming fine-grain
+      updates, which the cache copies into the twin row either way;
+    * within a dirty range the twin row is byte-identical to a whole-page
+      copy (snapshotted before the dirtying write, then kept in sync by the
+      same mirroring);
     * dirty ranges coalesce when touching (:meth:`ByteRanges.add`), so a
       changed-byte run can never straddle a gap -- the gap byte is equal by
       construction and would split the run in the whole-page scan too.
-
-    Hence per-dirty-range span extraction yields exactly the spans the
-    whole-page ``compute_diff_spans`` would, in the same order.
     """
+    return _extract(page, pre, current, dirty)
 
-    __slots__ = ("pre",)
 
-    def __init__(self, page_bytes: int):
-        self.pre = np.empty(page_bytes, dtype=np.uint8)
+class SpanTwin:
+    """The name under which ``benchmarks/suite/metrics.py`` counts span
+    extractions (``SpanTwin.diff_spans``). A twin is not an object: it is
+    the page's row of the cache's ``TWIN`` column, present exactly while
+    the page is dirty."""
 
-    def snapshot(self, data: np.ndarray, gaps) -> None:
-        """Capture pre-images of ``gaps``: the not-yet-dirty sub-ranges of
-        the window a store is about to dirty.
-
-        Must run before the store's range joins the dirty set and before
-        the write itself scatters into ``data``.
-        """
-        pre = self.pre
-        for s, e in gaps:
-            pre[s:e] = data[s:e]
-
-    def mirror(self, diff: "PageDiff") -> None:
-        """Keep the pre-image in sync with a fine-grain update that landed on
-        the page, so its bytes stay out of this writer's ordinary diff. The
-        whole diff is stored, dirty or not: outside the dirty ranges the
-        pre-image is never read, and a byte is snapshotted before it turns dirty."""
-        diff._store(self.pre)
-
-    def diff_spans(self, current: np.ndarray, dirty, page: int = 0) -> "PageDiff":
-        """The page's diff vs the pre-image, scanning only the dirty ranges
-        (span for span what the whole-page scan would find)."""
-        return _extract(page, self.pre, current, dirty)
+    diff_spans = staticmethod(diff_spans)
 
 
 class PageDiff:
@@ -275,19 +254,6 @@ class PageDiff:
         self.end = max((s + n for s, n in zip(starts, sizes)), default=0)
         self.starts = np.array(starts, dtype=np.intp)
         self.sizes = np.array(sizes, dtype=np.intp)
-
-    @classmethod
-    def unchanged(cls, page: int) -> "PageDiff":
-        """The diff of a page whose bytes equal their pre-image: what an
-        extraction finds when nothing changed, on shared empty columns. It
-        is still a diff -- taken, logged, shipped (zero bytes) and merged
-        (a version bump) like any other."""
-        diff = cls.__new__(cls)
-        diff.page = page
-        diff.starts = diff.sizes = diff.index = _NO_OFFSETS
-        diff.payload = _NO_BYTES
-        diff.n_spans = diff.payload_bytes = diff.wire_bytes = diff.end = 0
-        return diff
 
     @classmethod
     def one_span(cls, page: int, start: int, size: int, data) -> "PageDiff":
@@ -343,3 +309,23 @@ class PageDiff:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PageDiff page={self.page} spans={self.n_spans} bytes={self.payload_bytes}>"
+
+
+class _Unchanged(PageDiff):
+    """``PageDiff.unchanged(page)``: the diff of a page whose bytes equal
+    their pre-image -- what an extraction finds when nothing changed. It is
+    still a diff -- taken, logged, shipped (zero bytes) and merged (a
+    version bump) like any other. Only ``page`` is per instance; every other
+    field is the class's (the shared read-only empty columns, zero counts),
+    so building one is a single call and none of its fields can be set."""
+
+    __slots__ = ()
+    starts = sizes = index = _NO_OFFSETS
+    payload = _NO_BYTES
+    n_spans = payload_bytes = wire_bytes = end = 0
+
+    def __init__(self, page: int):
+        self.page = page
+
+
+PageDiff.unchanged = _Unchanged

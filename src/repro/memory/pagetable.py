@@ -1,9 +1,13 @@
 """Sparse struct-of-arrays page state.
 
 Per-page bookkeeping (the software cache's LRU ticks and dirty extents, a
-memory server's frame versions) lives in *columns* -- one array per field,
-indexed by page -- so an operation on a span or a batch of pages is a few
-array operations instead of a Python object per page.
+memory server's frame versions) and, in functional mode, the page bytes
+themselves live in *columns* -- one array per field, indexed by page -- so
+an operation on a span or a batch of pages is a few array operations
+instead of a Python object per page. A byte column is one
+``(CHUNK_PAGES, page_bytes)`` uint8 array per chunk: a page's bytes are a
+row of it, a batch of pages is a fancy index, and a span of pages is a
+slice of the flat view the chunk keeps beside it.
 
 The table is two-level: fixed-size chunks keyed by ``page >> CHUNK_SHIFT``,
 created on first touch. Memory is therefore O(pages ever touched), not
@@ -13,6 +17,8 @@ plain slice of each column.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -47,30 +53,47 @@ def page_vector(pages) -> np.ndarray:
     return np.fromiter(pages, np.int64, len(pages))
 
 
+def byte_rows(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, flat)``: a zeroed ``(CHUNK_PAGES, width)`` uint8 array and
+    its flat view. The memory is a private anonymous mapping, so it is
+    zeroed lazily by the OS -- a row costs memory once it is written, never at
+    creation -- and a row of a 4 KiB page is exactly one OS page."""
+    flat = np.frombuffer(
+        mmap.mmap(-1, CHUNK_PAGES * width, flags=mmap.MAP_PRIVATE), np.uint8)
+    return flat.reshape(CHUNK_PAGES, width), flat
+
+
 class PageTable:
-    """Chunked columns. A chunk is a tuple with one entry per column.
+    """Chunked columns. A chunk is a tuple with one entry per column, then
+    the flat view of each byte column, in column order.
 
     ``columns`` gives each column's kind: a NumPy dtype (zero-filled
-    array), ``list`` (a Python list of ``None`` -- object payloads such as
-    page buffers, read per page without NumPy scalar boxing) or ``None``
-    (column absent in this mode; the chunk holds ``None`` in its place).
+    array), an ``int`` (a byte column of rows that wide, see
+    :func:`byte_rows`) or ``None`` (column absent in this mode; the chunk
+    holds ``None`` in its place).
     """
 
-    __slots__ = ("_columns", "chunks")
+    __slots__ = ("_columns", "_byte_columns", "chunks")
 
     def __init__(self, columns):
         self._columns = tuple(columns)
+        self._byte_columns = [k for k, kind in enumerate(self._columns)
+                              if type(kind) is int]
         self.chunks: dict[int, tuple] = {}
 
     def chunk(self, key: int) -> tuple:
         """The chunk ``key``, created zeroed on first touch."""
         cols = self.chunks.get(key)
         if cols is None:
-            cols = self.chunks[key] = tuple(
-                None if kind is None
-                else [None] * CHUNK_PAGES if kind is list
-                else np.zeros(CHUNK_PAGES, dtype=kind)
-                for kind in self._columns)
+            cols = [None if kind is None
+                    else byte_rows(kind) if type(kind) is int
+                    else np.zeros(CHUNK_PAGES, dtype=kind)
+                    for kind in self._columns]
+            flats = []
+            for k in self._byte_columns:
+                cols[k], flat = cols[k]
+                flats += (flat,)
+            cols = self.chunks[key] = (*cols, *flats)
         return cols
 
     def segments(self, first: int, stop: int) -> list:

@@ -13,7 +13,8 @@ import pytest
 from repro.core import SamhitaConfig, SamhitaSystem
 from repro.errors import ReproError
 from repro.faults import FaultPlan, permanent_crash
-from repro.memory.backing import CRC, CRC_CORRUPT, BackingStore, payload_crc_ok
+from repro.memory.backing import (CRC, CRC_CORRUPT, NO_CRC, BackingStore,
+                                  payload_crc_ok)
 from repro.memory.diff import PageDiff
 from repro.memory.directory import PageDirectory
 from repro.memory.layout import MemoryLayout
@@ -144,7 +145,7 @@ class TestPageIntegrity:
         store = BackingStore(MemoryLayout(page_bytes=64), functional=True)
         store.apply_diff(make_diff(3, 0, b"\x11"))
         cols, row = store.ensure(3)
-        assert cols[CRC][row] is None
+        assert cols[CRC][row] == NO_CRC
         assert payload_crc_ok(store.read_page(3), None)
 
 

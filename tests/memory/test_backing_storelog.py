@@ -6,7 +6,7 @@ import pytest
 from repro.core import SamhitaConfig, SamhitaSystem
 from repro.errors import MemoryError_
 from repro.memory import BackingStore, MemoryLayout, PageDiff, StoreLog
-from repro.memory.backing import CRC, CRC_CORRUPT, payload_crc_ok
+from repro.memory.backing import CRC, CRC_CORRUPT, NO_CRC, payload_crc_ok
 from repro.memory.diff import compute_diff_spans
 
 L = MemoryLayout()
@@ -152,7 +152,7 @@ class TestChecksumAcrossDiffs:
         crc = store.page_crc(3)
         cols, i = store.ensure(3)
         store.apply_diff(self._changing())
-        assert cols[CRC][i] is None
+        assert cols[CRC][i] == NO_CRC
         assert store.page_crc(3) != crc
         assert payload_crc_ok(store.read_page(3), store.page_crc(3))
 

@@ -69,6 +69,26 @@ class TestReadWrite:
         c.write(4096 - 16, 32, payload)
         assert np.array_equal(c.read(4096 - 16, 32), payload)
 
+    @pytest.mark.parametrize("first, n_pages", [
+        (0, 1), (0, 3), (CHUNK_PAGES - 2, 4)], ids=[
+        "one-page", "several-pages", "across-a-chunk-boundary"])
+    def test_a_read_is_a_snapshot_that_later_stores_do_not_change(
+            self, first, n_pages):
+        c = make()
+        install_zero(c, *range(first, first + n_pages))
+        addr = first * 4096 + 100
+        nbytes = (n_pages - 1) * 4096 + 8
+        c.write(addr, nbytes, np.ones(nbytes, np.uint8))
+        got = c.read(addr, nbytes)
+        c.write(addr, nbytes, np.full(nbytes, 2, np.uint8))
+        c.write(addr, nbytes, np.full(nbytes, 3, np.uint8), ordinary=False)
+        last = (first + n_pages - 1) * 4096
+        c.apply_fine_grain([PageDiff(first, spans=[(100, np.full(8, 4, np.uint8))]),
+                            PageDiff(first + n_pages - 1,
+                                     spans=[(0, np.full(8, 5, np.uint8))])])
+        assert (got == 1).all() and got.size == nbytes
+        assert (c.read(addr, 8) == 4).all() and (c.read(last, 8) == 5).all()
+
     def test_zero_length_ops(self):
         c = make()
         assert c.read(0, 0).size == 0

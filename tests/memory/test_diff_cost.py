@@ -4,12 +4,13 @@ per page" proxies gate CI where wall clock is too noisy to).
 Taking a page's diff and merging it at the home must cost a constant number
 of calls, builtins included, however many runs the page has: the diff is
 columns, and no step of extraction or application walks its spans. A page
-that did not change costs next to nothing to write back, a recall costs
-host work per trip plus a little per page, a store reads each chunk
-segment's dirty extents once and a rewrite inside them costs no call per
-page, a serve reads each frame's row in place, a span walk is one call
-however many chunks it crosses, and a trip's retransmit floor is priced
-once per route and size (DESIGN.md S20).
+that did not change costs next to nothing to write back, and a batch of
+them one call per page to take, a recall costs host work per trip plus a
+little per page, a functional store or read of a span inside one chunk
+costs the same at any width (page bytes are rows of one array per chunk:
+a span is a slice), a serve costs no call per page (a fancy index per
+chunk), a span walk is one call however many chunks it crosses, and a
+trip's retransmit floor is priced once per route and size (DESIGN.md S20).
 """
 
 import gc
@@ -17,6 +18,7 @@ import sys
 from itertools import repeat
 
 import numpy as np
+import pytest
 
 from repro.core import SamhitaConfig, SamhitaSystem
 from repro.core.rtbatch import trip_timeout_floor
@@ -35,14 +37,24 @@ UNCHANGED_BOUND = 16
 #: One more page in an 8-page replicated functional recall: 12 pages minus
 #: 8, per page (14 today, 43 on the parent).
 RECALL_PAGE_BOUND = 25
-#: One more full page in a functional store, first write: the twin and its
-#: buffer (3 before the extents were read per chunk segment).
-STORE_FIRST_PAGE_BOUND = 2
+#: One more full page in a functional store, first write: nothing -- the
+#: twin rows' pre-image and the bytes are one slice copy each per chunk
+#: segment (2 before: a twin object and its buffer per page; 3 before the
+#: extents were read per chunk segment).
+STORE_FIRST_PAGE_BOUND = 0
 #: ... and a rewrite inside the dirty extent: nothing (2 before).
 STORE_REWRITE_PAGE_BOUND = 0
-#: One more page with a cached checksum in a serve: its copy (3 before:
-#: ``ensure``, the checksum helper, the copy).
-SERVE_PAGE_BOUND = 1
+#: One more page with a cached checksum in a serve: nothing -- a chunk's
+#: rows are copied out with one fancy index (1 before: its copy; 3 before
+#: that: ``ensure``, the checksum helper, the copy).
+SERVE_PAGE_BOUND = 0
+#: One more page in a serve that creates its frames: nothing (4 before:
+#: ``_create``, its ``np.zeros`` and the copy, plus the stat).
+SERVE_CREATE_PAGE_BOUND = 0
+#: One more page in ``take_diffs`` of a batch of unchanged pages: its
+#: ``PageDiff.unchanged`` (6 before: ``.item`` twice, ``_diff_of``, two
+#: ``tobytes`` and ``unchanged``).
+TAKE_UNCHANGED_PAGE_BOUND = 1
 #: A warm ``trip_timeout_floor``: itself and two memoized ``path_time``
 #: (43 before, each ``path_time`` walking the route).
 TRIP_FLOOR_BOUND = 4
@@ -194,6 +206,7 @@ def test_a_full_page_store_costs_a_few_calls_per_page():
 
 
 def test_a_served_page_with_a_cached_checksum_costs_its_copy():
+    """... which is one fancy index per chunk, not a call per page."""
     def calls(n_pages):
         store = BackingStore(L)
         store.integrity = True
@@ -205,6 +218,66 @@ def test_a_served_page_with_a_cached_checksum_costs_its_copy():
         assert zlib_calls == 0 and served[0][1] == crcs
         return made
     assert (calls(16) - calls(8)) / 8 <= SERVE_PAGE_BOUND
+
+
+def test_a_serve_that_creates_its_frames_costs_no_call_per_page():
+    def calls(n_pages):
+        store = BackingStore(L)
+        pages = list(range(n_pages))
+        served = []
+        made, _ = count_calls(lambda: served.append(store.serve_pages(pages)))
+        data, crcs = served[0]
+        assert crcs is None and list(data) == pages
+        assert not any(row.any() for row in data.values())
+        assert store.stats.get("frames_created") == store.resident_pages == n_pages
+        # Python ints: a NumPy scalar would change the repr of every stats
+        # report, and with it every pass fingerprint.
+        assert {type(v) for v in store.stats.snapshot().values()} == {int}
+        return made
+    assert (calls(16) - calls(8)) / 8 <= SERVE_CREATE_PAGE_BOUND
+
+
+def test_taking_a_batch_of_unchanged_pages_costs_one_call_per_page():
+    """``take_diffs`` of pages rewritten with the bytes they held (a
+    recall of a stencil's interior): one masked row compare per chunk run
+    finds them unchanged, then one ``PageDiff.unchanged`` each."""
+    def calls(n_pages):
+        cache = SoftwareCache(L, capacity_pages=32, functional=True)
+        pages = list(range(n_pages))
+        cache.install_many(pages, {p: np.full(PAGE, p, np.uint8) for p in pages})
+        for p in pages:
+            cache.write(p * PAGE + 64, 512, np.full(512, p, np.uint8))
+        taken = []
+        made, _ = count_calls(lambda: taken.extend(cache.take_diffs(pages)))
+        assert [d.page for d in taken] == pages
+        assert not any(d.n_spans for d in taken)
+        assert not cache.dirty_page_ids()
+        return made
+    assert (calls(16) - calls(8)) / 8 <= TAKE_UNCHANGED_PAGE_BOUND
+
+
+@pytest.mark.parametrize("op", ["read", "first write", "rewrite"])
+def test_a_span_inside_one_chunk_costs_the_same_at_8_and_32_pages(op):
+    """A functional read or store of a span is a slice of the chunk's flat
+    byte view (plus the twin's for a first write), whatever its width."""
+    def calls(n_pages):
+        cache = SoftwareCache(L, capacity_pages=64, functional=True)
+        cache.install_many(list(range(n_pages)),
+                           {p: np.zeros(PAGE, np.uint8) for p in range(n_pages)})
+        addr, nbytes = 100, n_pages * PAGE - 200
+        data = np.ones(nbytes, np.uint8)
+        if op == "rewrite":
+            cache.write(addr, nbytes, data)
+        got = []
+        if op == "read":
+            made, _ = count_calls(lambda: got.append(cache.read(addr, nbytes)))
+            assert got[0].size == nbytes and not got[0].any()
+        else:
+            made, _ = count_calls(lambda: cache.write(addr, nbytes, data))
+            assert (cache.read(addr, nbytes) == 1).all()
+            assert cache.dirty_page_ids() == list(range(n_pages))
+        return made
+    assert calls(8) == calls(32)
 
 
 def test_a_warm_trip_timeout_floor_is_priced_once():

@@ -8,11 +8,16 @@ from repro.memory.pagetable import CHUNK_PAGES, NARROW, PageTable
 
 
 def test_chunks_appear_on_first_touch_only():
-    table = PageTable((np.int64, list, None))
+    table = PageTable((np.int64, 64, None))
     assert table.chunks == {}
     cols = table.chunk(3)
     assert cols[0].shape == (CHUNK_PAGES,) and not cols[0].any()
-    assert cols[1] == [None] * CHUNK_PAGES and cols[2] is None
+    # A byte column: zeroed rows, and its flat view after the columns.
+    assert cols[1].shape == (CHUNK_PAGES, 64) and not cols[1].any()
+    assert cols[2] is None and len(cols) == 4
+    assert cols[3].shape == (CHUNK_PAGES * 64,)
+    cols[3][64 + 5] = 7
+    assert cols[1][1, 5] == 7
     assert table.chunk(3) is cols and list(table.chunks) == [3]
 
 

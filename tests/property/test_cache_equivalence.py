@@ -10,7 +10,8 @@ with spans on both sides of the narrow/wide dispatch, pages on both sides
 of a table chunk boundary, and pages dirtied in one range or several. After every
 step: equal residency, ticks, prefetched flags, dirty ranges, write
 notices, invalidation epochs and counters; every diff equal in spans,
-sizes and bytes; every victim list equal.
+sizes and bytes; every victim list equal. Functional draws run at two page
+sizes, because a page's bytes and twin are rows as wide as a page.
 """
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.memory.pagetable import CHUNK_PAGES
 from tests.memory.reference_cache import ReferenceCache
 
 LAYOUT = MemoryLayout(page_bytes=64, pages_per_line=2)
-PAGE = LAYOUT.page_bytes
 #: The page universe straddles a chunk boundary and is wider than 2 * WIDE.
 FIRST = CHUNK_PAGES - 12
 N_PAGES = 24
@@ -40,9 +40,10 @@ COUNTERS = ("installs", "prefetch_installs", "evictions", "evictions_dirty",
 pages = st.integers(FIRST, FIRST + N_PAGES - 1)
 #: Half the accesses stay inside one page (sub-page ranges are what spill
 #: and what twins snapshot); the rest sit around the narrow/wide dispatch.
-#: Byte offsets within a page, coarse so that ranges touch and overlap.
+#: Byte offsets within a page, in eighths of a page: coarse so that
+#: ranges touch and overlap.
 picks = st.integers(0, 1 << 16)
-offsets = st.integers(0, 8).map(lambda k: 8 * k)
+offsets = st.integers(0, 8)
 span_lengths = st.sampled_from([1, 1, 1, 1, 2, 3, WIDE - 1, WIDE, 2 * WIDE])
 page_sets = st.sets(pages, max_size=N_PAGES)
 
@@ -56,13 +57,19 @@ def diff_record(diff):
 
 
 class CacheEquivalence(RuleBasedStateMachine):
+    layout = LAYOUT
+
     @initialize(policy=st.sampled_from(list(EvictionPolicy)),
                 functional=st.booleans(), use_twins=st.booleans())
     def build(self, policy, functional, use_twins):
+        self._build(policy, functional, use_twins)
+
+    def _build(self, policy, functional, use_twins):
         self.functional, self.use_twins = functional, use_twins
-        self.cache = SoftwareCache(LAYOUT, CAPACITY, functional=functional,
+        self.page = self.layout.page_bytes
+        self.cache = SoftwareCache(self.layout, CAPACITY, functional=functional,
                                    policy=policy, use_twins=use_twins)
-        self.ref = ReferenceCache(LAYOUT, CAPACITY, functional=functional,
+        self.ref = ReferenceCache(self.layout, CAPACITY, functional=functional,
                                   policy=policy, use_twins=use_twins)
         self.tokens = []
         self.fill = 0
@@ -94,7 +101,7 @@ class CacheEquivalence(RuleBasedStateMachine):
             return
         if page in self.ref.entries and not self.ref.entries[page].dirty.empty:
             return  # refreshing a dirty page is a protocol error
-        data = self._bytes(PAGE)
+        data = self._bytes(self.page)
         self.cache.install(page, data, prefetched)
         self.ref.install(page, None if data is None else data.copy(), prefetched)
 
@@ -106,7 +113,7 @@ class CacheEquivalence(RuleBasedStateMachine):
                              *sorted(extra - set(range(first, first + n)))]
                  if p not in self.ref.entries]
         batch = batch[:CAPACITY - len(self.ref.entries)]
-        data = {p: self._bytes(PAGE) for p in batch} if self.functional else {}
+        data = {p: self._bytes(self.page) for p in batch} if self.functional else {}
         self.cache.install_many(batch, data, prefetched)
         self.ref.install_many(batch, {p: d.copy() for p, d in data.items()},
                               prefetched)
@@ -160,10 +167,11 @@ class CacheEquivalence(RuleBasedStateMachine):
     @rule(pick=picks, n=span_lengths, head=offsets, tail=offsets)
     def read(self, pick, n, head, tail):
         first, n = self._span(pick, n)
-        if head == PAGE or tail == 0 or (n == 1 and tail <= head):
+        if head == 8 or tail == 0 or (n == 1 and tail <= head):
             return
-        addr = first * PAGE + head
-        nbytes = (n - 1) * PAGE + tail - head
+        page = self.page
+        addr = first * page + head * page // 8
+        nbytes = (n - 1) * page + (tail - head) * page // 8
         got = self.cache.read(addr, nbytes)
         want = self.ref.read(addr, nbytes)
         assert (None if got is None else bytes(got)) == want
@@ -176,16 +184,18 @@ class CacheEquivalence(RuleBasedStateMachine):
         """A burst of stores (kernels write far more often than they sync)."""
         for pick, n, head, tail, ordinary, rewrite in stores:
             first, n = self._span(pick, n)
-            if head == PAGE or tail == 0 or (n == 1 and tail <= head):
+            if head == 8 or tail == 0 or (n == 1 and tail <= head):
                 continue
-            addr = first * PAGE + head
-            nbytes = (n - 1) * PAGE + tail - head
+            page = self.page
+            at = head * page // 8
+            addr = first * page + at
+            nbytes = (n - 1) * page + (tail - head) * page // 8
             payload = self._bytes(nbytes)
             if rewrite and self.functional:
                 # Store what is already there: value-based diffs skip it.
                 payload = np.concatenate(
                     [self.ref.entries[p].data for p in range(first, first + n)]
-                )[head:head + nbytes].copy()
+                )[at:at + nbytes].copy()
             self.cache.write(addr, nbytes, payload, ordinary=ordinary)
             self.ref.write(addr, nbytes, payload, ordinary=ordinary)
             self.same_state()
@@ -246,10 +256,23 @@ class CacheEquivalence(RuleBasedStateMachine):
         assert cache.missing_among(backwards).tolist() == missing[::-1]
         assert cache.missing_among(backwards[:WIDE - 1]).tolist() == [
             p for p in span[::-1][:WIDE - 1] if p not in ref.entries]
-        assert cache.span_resident(FIRST * PAGE, N_PAGES * PAGE) == (
+        assert cache.span_resident(FIRST * self.page, N_PAGES * self.page) == (
             len(ref.entries) == N_PAGES)
+
+
+class WideRowEquivalence(CacheEquivalence):
+    """Functional draws at a second page size (1 KiB rows)."""
+    layout = MemoryLayout(page_bytes=1024, pages_per_line=2)
+
+    @initialize(policy=st.sampled_from(list(EvictionPolicy)),
+                use_twins=st.booleans())
+    def build(self, policy, use_twins):
+        self._build(policy, True, use_twins)
 
 
 TestCacheEquivalence = CacheEquivalence.TestCase
 TestCacheEquivalence.settings = settings(max_examples=300,
                                          stateful_step_count=80, deadline=None)
+TestWideRowEquivalence = WideRowEquivalence.TestCase
+TestWideRowEquivalence.settings = settings(max_examples=100,
+                                           stateful_step_count=80, deadline=None)

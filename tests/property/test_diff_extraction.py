@@ -1,10 +1,11 @@
 """Property tests: columnar diff extraction against the byte-loop reference.
 
-``SpanTwin.diff_spans`` scans only the dirty ranges of a page whose twin
-holds garbage everywhere else; it must find, span for span, what a Python
-loop over the bytes finds, and what the whole-page ``compute_diff_spans``
-finds against a real whole-page twin. Applying the extracted diff to the
-pre-image must reproduce the current page.
+``diff_spans`` scans only the dirty ranges of a page row whose twin row
+holds garbage everywhere else (the rows are rows of a chunk's byte array,
+as in the cache); it must find, span for span, what a Python loop over the
+bytes finds, and what the whole-page ``compute_diff_spans`` finds against a
+real whole-page twin. Applying the extracted diff to the pre-image must
+reproduce the current page.
 """
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import ByteRanges, PageDiff, compute_diff_spans
-from repro.memory.diff import SpanTwin
+from repro.memory.diff import diff_spans
+from repro.memory.pagetable import byte_rows
 from tests.memory.reference_diff import reference_spans
 
 PAGE = 256
@@ -29,14 +31,22 @@ def view(diff):
     return [(off, bytes(data)) for off, data in diff.spans]
 
 
+def rows_of(current):
+    """A twin row and a page row holding ``current``: two rows of one
+    chunk's byte array."""
+    rows, _ = byte_rows(len(current))
+    rows[1] = current
+    return rows[0], rows[1]
+
+
 def check(pre, current, dirty):
     """``dirty`` covers every byte where ``current`` differs from ``pre``."""
-    twin = SpanTwin(len(pre))
-    twin.pre[:] = ~current  # garbage that differs everywhere ...
+    twin, row = rows_of(current)
+    twin[:] = ~current  # garbage that differs everywhere ...
     for s, e in dirty:
-        twin.pre[s:e] = pre[s:e]  # ... except where a write snapshotted it
-    diff = twin.diff_spans(current, dirty, page=5)
-    expected = reference_spans(twin.pre, current, dirty)
+        twin[s:e] = pre[s:e]  # ... except where a write snapshotted it
+    diff = diff_spans(twin, row, dirty, page=5)
+    expected = reference_spans(twin, current, dirty)
     assert view(diff) == expected
     assert view(compute_diff_spans(pre, current)) == expected
     assert diff.page == 5 and diff.n_spans == len(expected)
@@ -110,12 +120,12 @@ def extraction_of_identical_bytes_before_pr22(page, current):
 def test_unchanged_is_what_extraction_of_identical_bytes_returned(ranges, seed, page):
     current = np.random.default_rng(seed).integers(0, 256, PAGE, dtype=np.uint8)
     dirty = ByteRanges((s, min(s + n, PAGE)) for s, n in ranges)
-    twin = SpanTwin(PAGE)
-    twin.pre[:] = ~current
+    twin, row = rows_of(current)
+    twin[:] = ~current
     for s, e in dirty:
-        twin.pre[s:e] = current[s:e]
+        twin[s:e] = current[s:e]
     want = extraction_of_identical_bytes_before_pr22(page, current)
-    for got in (PageDiff.unchanged(page), twin.diff_spans(current, dirty, page)):
+    for got in (PageDiff.unchanged(page), diff_spans(twin, row, dirty, page)):
         for name, value in want.items():
             field = getattr(got, name)
             if isinstance(value, np.ndarray):
@@ -126,10 +136,10 @@ def test_unchanged_is_what_extraction_of_identical_bytes_returned(ranges, seed, 
         # A no-op wherever a diff lands: a home frame, a cached copy, a twin.
         image = current.copy()
         got.apply_to(image)
-        mirror = SpanTwin(PAGE)
-        mirror.pre[:] = current
-        mirror.mirror(got)
-        assert np.array_equal(image, current) and np.array_equal(mirror.pre, current)
+        mirror, _ = rows_of(current)
+        mirror[:] = current
+        got.apply_to(mirror)
+        assert np.array_equal(image, current) and np.array_equal(mirror, current)
 
 
 def test_unchanged_diffs_share_read_only_columns():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import BackingStore, MemoryLayout, PageDiff, StoreLog
-from repro.memory.backing import CRC, VERSION
+from repro.memory.backing import CRC, NO_CRC, VERSION
 from repro.resilience.wal import ReplicationLog
 
 LAYOUT = MemoryLayout(page_bytes=512, pages_per_line=2)
@@ -144,4 +144,4 @@ def test_apply_diffs_is_the_apply_diff_loop(diffs, integrity, rotted):
             # Only a diff that wrote bytes into a sound frame drops the
             # cached checksum; a rotted frame keeps its stale one for good.
             dropped = page in changed and page not in rotted
-            assert cols[CRC][i] == (None if dropped else primed[page])
+            assert cols[CRC][i] == (NO_CRC if dropped else primed[page])
