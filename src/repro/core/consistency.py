@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -147,13 +147,13 @@ def group_reply(tids, directives=None) -> tuple[dict, int]:
 def _notice_vector(pages) -> np.ndarray:
     """One thread's notices, ascending and distinct. A vector is taken to
     be both already (``SoftwareCache.take_epoch_notices`` hands one over);
-    any other iterable is normalised."""
+    any other collection is normalised."""
     if isinstance(pages, np.ndarray):
         return pages
     return np.unique(np.array(list(pages), dtype=np.int64))
 
 
-def plan_barrier(notices: Mapping[int, Iterable[int]],
+def plan_barrier(notices: Mapping[int, Collection[int]],
                  directory: PageDirectory) -> BarrierPlan:
     """Aggregate write notices into flush/invalidate directives.
 
@@ -161,6 +161,11 @@ def plan_barrier(notices: Mapping[int, Iterable[int]],
     become owned by their writer; multi-writer pages lose any owner because
     the eager merge makes the home authoritative again.
     """
+    if not any(map(len, notices.values())):
+        # A quiet round: nothing to own, flush or invalidate.
+        tids = sorted(notices)
+        return BarrierPlan(NO_PAGES, NO_PAGES, dict.fromkeys(tids, NO_PAGES),
+                           {tid: [] for tid in tids}, 0)
     # In thread order, so that block partitions concatenate ascending.
     kept = {tid: _notice_vector(notices[tid]) for tid in sorted(notices)}
     flat = np.concatenate(list(kept.values())) if kept else NO_PAGES

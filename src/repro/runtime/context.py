@@ -181,18 +181,17 @@ class ThreadCtx:
     def _submit_compat(self, plan: AccessPlan):
         """Generator: the per-op reference semantics of a plan."""
         results = []
-        payloads = plan.payload
-        for i, kind in enumerate(plan.kind):
+        ops = plan.ops
+        for j in range(0, len(ops), 6):
+            kind, addr, nbytes, data, elements, flops = ops[j:j + 6]
             if kind == COMPUTE:
-                yield from self.compute(plan.elements[i], plan.flops[i])
+                yield from self.compute(elements, flops)
             elif kind == READ:
-                results.append(
-                    (yield from self.read(plan.addr[i], plan.nbytes[i])))
+                results.append((yield from self.read(addr, nbytes)))
             else:
-                data = payloads[i]
                 if callable(data):
                     data = data(results)
-                yield from self.write(plan.addr[i], plan.nbytes[i], data)
+                yield from self.write(addr, nbytes, data)
         return results
 
     # -- synchronization ---------------------------------------------------

@@ -11,11 +11,12 @@ ordinary per-page protocol path only for misses (see
 plan through the per-op compat path in ``ThreadCtx.submit`` -- a plan is a
 description of accesses, never a change in their meaning.
 
-A plan is parallel columns, one entry per operation, and may be submitted
-any number of times: a kernel whose iterations repeat the same accesses
-builds its plan once. The timing-mode executor derives page-level vectors
-from the columns on first use (:class:`HitColumns`, cached on the plan) so
-that a long run of hits is a handful of array operations (DESIGN.md S17).
+A plan is one flat record list, six slots per operation, and may be
+submitted any number of times: a kernel whose iterations repeat the same
+accesses builds its plan once. The timing-mode executor derives page-level
+vectors from the records on first use (:class:`HitColumns`, cached on the
+plan) so that a long run of hits is a handful of array operations
+(DESIGN.md S17).
 
 Write data may be a callable ``fn(results) -> ndarray`` over the plan's
 earlier read results, so read-modify-write rows need only one plan.
@@ -36,29 +37,25 @@ class AccessPlan:
 
     Submitted through ``ThreadCtx.submit``; equivalent to issuing each
     operation individually, in order (the compat path does exactly that).
-    Operation ``i`` is ``(kind[i], addr[i], nbytes[i], payload[i],
-    elements[i], flops[i])``; ``payload`` is a uint8 array, ``None``
-    (timing mode) or a callable mapping the read-results list to a uint8
-    array. Memory columns are 0 / ``None`` for a compute interval and the
-    compute columns 0 for a memory operation.
+    Operation ``i`` is the record ``ops[6 * i:6 * i + 6]``: ``(kind, addr,
+    nbytes, payload, elements, flops)``; ``payload`` is a uint8 array,
+    ``None`` (timing mode) or a callable mapping the read-results list to a
+    uint8 array. The memory slots are 0 / ``None`` for a compute interval
+    and the compute slots 0 for a memory operation. One flat list, not a
+    tuple per operation: appending a record is one ``+=``, and there is no
+    per-op object.
     """
 
-    __slots__ = ("kind", "addr", "nbytes", "payload", "elements", "flops",
-                 "n_reads", "_hit_columns")
+    __slots__ = ("ops", "n_reads", "_hit_columns")
 
     def __init__(self):
-        self.kind: list[int] = []
-        self.addr: list[int] = []
-        self.nbytes: list[int] = []
-        self.payload: list = []
-        self.elements: list[int] = []
-        self.flops: list[float] = []
+        self.ops: list = []
         self.n_reads = 0
         self._hit_columns: HitColumns | None = None
 
     def read(self, addr: int, nbytes: int) -> int:
         """Append a read; returns its index into the results list."""
-        self._memory_op(READ, addr, nbytes, None)
+        self.ops += (READ, addr, nbytes, None, 0, 0.0)
         index = self.n_reads
         self.n_reads += 1
         return index
@@ -66,36 +63,23 @@ class AccessPlan:
     def write(self, addr: int, nbytes: int,
               data: np.ndarray | None = None) -> "AccessPlan":
         """Append a write (``data``: uint8 bytes, callable, or None)."""
-        self._memory_op(WRITE, addr, nbytes, data)
+        self.ops += (WRITE, addr, nbytes, data, 0, 0.0)
         return self
-
-    def _memory_op(self, kind: int, addr: int, nbytes: int, payload) -> None:
-        self.kind.append(kind)
-        self.addr.append(addr)
-        self.nbytes.append(nbytes)
-        self.payload.append(payload)
-        self.elements.append(0)
-        self.flops.append(0.0)
 
     def compute(self, elements: int,
                 flops_per_element: float = 2.0) -> "AccessPlan":
         """Append a compute interval (same costing as ``ctx.compute``)."""
-        self.kind.append(COMPUTE)
-        self.addr.append(0)
-        self.nbytes.append(0)
-        self.payload.append(None)
-        self.elements.append(elements)
-        self.flops.append(flops_per_element)
+        self.ops += (COMPUTE, 0, 0, None, elements, flops_per_element)
         return self
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(self.ops) // 6
 
     def hit_columns(self, page_bytes: int, cost_model) -> "HitColumns":
         """The plan's page-level vectors for one page size and cost model,
         derived on first use and kept while the plan stays as it is."""
         cached = self._hit_columns
-        if (cached is None or cached.n_ops != len(self.kind)
+        if (cached is None or 6 * cached.n_ops != len(self.ops)
                 or cached.page_bytes != page_bytes
                 or cached.cost_model is not cost_model):
             cached = self._hit_columns = HitColumns(self, page_bytes,
@@ -111,7 +95,7 @@ class HitColumns:
     numbered in execution order (operation by operation, pages ascending
     within one). A *dirty piece* is the byte range ``[lo, hi)`` a write
     touch dirties on its page. Everything here is a function of the plan's
-    columns, the page size and the thread's compute cost model alone -- no
+    records, the page size and the thread's compute cost model alone -- no
     cache state -- which is why it can be cached on the plan and reused by
     every submission.
 
@@ -129,12 +113,13 @@ class HitColumns:
                  "_write_bytes", "_computes", "_compute_dt")
 
     def __init__(self, plan: AccessPlan, page_bytes: int, cost_model):
-        n = self.n_ops = len(plan)
+        ops = plan.ops
+        n = self.n_ops = len(ops) // 6
         self.page_bytes = page_bytes
         self.cost_model = cost_model
-        kind = np.array(plan.kind, dtype=np.int64)
-        addr = np.array(plan.addr, dtype=np.int64)
-        nbytes = np.array(plan.nbytes, dtype=np.int64)
+        kind = np.array(ops[0::6], dtype=np.int64)
+        addr = np.array(ops[1::6], dtype=np.int64)
+        nbytes = np.array(ops[2::6], dtype=np.int64)
         is_compute = kind == COMPUTE
         is_write = kind == WRITE
         first = addr // page_bytes
@@ -144,7 +129,7 @@ class HitColumns:
         # Compute intervals: the same scalar call ``ctx.compute`` makes, once
         # per distinct (elements, flops), so every dt is the float the
         # per-op path charges. One that path would refuse is a cut.
-        costs = list(zip(plan.elements, plan.flops))
+        costs = list(zip(ops[4::6], ops[5::6]))
         element_time = cost_model.element_time
         dt_of = {cost: element_time(*cost) if cost[0] >= 0 else -1.0
                  for cost in set(costs)}

@@ -130,8 +130,8 @@ class SamhitaBackend(BaseBackend):
         write_resident = system.write_resident
         cache_read = cache.read
         charge = clock.charge
-        kinds, addrs, sizes = plan.kind, plan.addr, plan.nbytes
-        n = len(kinds)
+        ops = plan.ops
+        n = len(ops) // 6
         regions = system._regions[tid]
         # The operation at which to ask for a hit run: HIT_STREAK past the
         # plan's start and past every miss; never where runs cannot happen.
@@ -162,16 +162,15 @@ class SamhitaBackend(BaseBackend):
                         pending = True
                     i = stop
                     continue
-            kind = kinds[i]
+            j = 6 * i
+            kind, addr, nbytes, data, elements, flops = ops[j:j + 6]
             if kind == COMPUTE:
-                dt = element_time(plan.elements[i], plan.flops[i])
+                dt = element_time(elements, flops)
                 charge("compute", dt, "cpu")
                 target = target + dt
                 pending = True
                 i += 1
                 continue
-            addr = addrs[i]
-            nbytes = sizes[i]
             if nbytes and not span_resident(addr, nbytes):
                 if pending:
                     yield AdvanceTo(target)
@@ -181,7 +180,6 @@ class SamhitaBackend(BaseBackend):
                 if kind == READ:
                     results.append(cache_read(addr, nbytes))
                 else:
-                    data = plan.payload[i]
                     if callable(data):
                         data = data(results)
                     stall = write_resident(tid, addr, nbytes, data)
@@ -194,7 +192,6 @@ class SamhitaBackend(BaseBackend):
                 results.append(cache_read(addr, nbytes))
                 dt = 0.0
             else:
-                data = plan.payload[i]
                 if callable(data):
                     data = data(results)
                 dt = write_resident(tid, addr, nbytes, data)

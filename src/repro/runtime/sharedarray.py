@@ -62,14 +62,19 @@ class SharedArray:
             return None
         return np.ascontiguousarray(raw).view(self.dtype).reshape(nrows, self.cols)
 
-    def _encode(self, values: np.ndarray) -> tuple[int, np.ndarray]:
-        """Validate a row block and flatten it to raw bytes."""
+    def _encode(self, values: np.ndarray,
+                nrows: int | None = None) -> tuple[int, np.ndarray]:
+        """Validate a row block (of ``nrows`` rows, when given) and flatten
+        it to raw bytes."""
         values = np.ascontiguousarray(values, dtype=self.dtype)
         if values.ndim == 1:
             values = values.reshape(1, -1)
         if values.shape[1] != self.cols:
             raise MemoryError_("row length mismatch")
-        return values.shape[0], values.reshape(-1).view(np.uint8)
+        got = values.shape[0]
+        if nrows is not None and got != nrows:
+            raise MemoryError_(f"block of {got} rows, declared {nrows}")
+        return got, values.reshape(-1).view(np.uint8)
 
     def decode(self, raw: np.ndarray, nrows: int) -> np.ndarray:
         """View raw read bytes as an ``(nrows, cols)`` block of ``dtype``."""
@@ -78,7 +83,7 @@ class SharedArray:
     def write_rows(self, row0: int, values: np.ndarray | None, nrows: int | None = None):
         """Generator: write contiguous rows (values=None in timing mode)."""
         if values is not None:
-            nrows, raw = self._encode(values)
+            nrows, raw = self._encode(values, nrows)
         else:
             if nrows is None:
                 raise MemoryError_("timing-mode write needs an explicit nrows")
@@ -92,8 +97,10 @@ class SharedArray:
     def read_rows_op(self, plan: AccessPlan, row0: int, nrows: int = 1) -> int:
         """Append a block read to ``plan``; returns its results index.
         Decode the raw result with :meth:`decode`."""
-        self._check_block(row0, nrows)
-        return plan.read(self.row_addr(row0), nrows * self.row_bytes)
+        if nrows < 1 or row0 < 0 or row0 + nrows > self.rows:
+            self._check_block(row0, nrows)
+        return plan.read(self.addr + row0 * self.row_bytes,
+                         nrows * self.row_bytes)
 
     def write_rows_op(self, plan: AccessPlan, row0: int, values=None,
                       nrows: int | None = None) -> None:
@@ -108,19 +115,17 @@ class SharedArray:
                 raise MemoryError_("callable plan write needs an explicit nrows")
 
             def payload(results, _fn=values, _nrows=nrows):
-                got, raw = self._encode(_fn(results))
-                if got != _nrows:
-                    raise MemoryError_(
-                        f"plan write produced {got} rows, declared {_nrows}")
-                return raw
+                return self._encode(_fn(results), _nrows)[1]
         elif values is not None:
-            nrows, payload = self._encode(values)
+            nrows, payload = self._encode(values, nrows)
         else:
             if nrows is None:
                 raise MemoryError_("timing-mode write needs an explicit nrows")
             payload = None
-        self._check_block(row0, nrows)
-        plan.write(self.row_addr(row0), nrows * self.row_bytes, payload)
+        if nrows < 1 or row0 < 0 or row0 + nrows > self.rows:
+            self._check_block(row0, nrows)
+        plan.write(self.addr + row0 * self.row_bytes, nrows * self.row_bytes,
+                   payload)
 
     def read_all(self):
         """Generator: the whole array (use sparingly -- it faults everything)."""

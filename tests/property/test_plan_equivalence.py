@@ -169,10 +169,11 @@ sweep_specs = st.fixed_dictionaries({
 })
 
 
-def _sweep_plan(base, spec, min_ops=200):
+def _sweep_plan(base, spec, min_ops=200, plan=None):
     """Repeated read / write / compute sweeps over the spec's rows, at
-    least ``min_ops`` operations, with the far ops spliced in."""
-    plan = AccessPlan()
+    least ``min_ops`` operations, with the far ops spliced in (appended to
+    ``plan`` if one is given)."""
+    plan = AccessPlan() if plan is None else plan
     row_bytes = spec["row_bytes"]
     sweep = 0
     while len(plan) < min_ops:
@@ -210,9 +211,10 @@ def _cache_state(cache):
 
 
 def _run_long(spec, mode, times=1, hold_lock=False, build=_sweep_plan,
-              functional=False):
+              functional=False, grow=None):
     """Run a long plan through ``ctx.submit`` (mode "plan") or the per-op
-    reference ``ctx._submit_compat`` (mode "compat"); returns
+    reference ``ctx._submit_compat`` (mode "compat"), ``times`` times,
+    calling ``grow(plan, base)`` between submissions if given; returns
     ``(state, bulk_runs)``."""
     rt = Runtime("samhita", n_threads=1, config=SamhitaConfig(
         functional=functional, cache_capacity_pages=spec["capacity"]))
@@ -234,7 +236,9 @@ def _run_long(spec, mode, times=1, hold_lock=False, build=_sweep_plan,
         if hold_lock:
             yield from ctx.lock(lock)
         results = []
-        for _ in range(times):
+        for k in range(times):
+            if k and grow is not None:
+                grow(plan, base)
             results.append((yield from submit(plan)))
         if hold_lock:
             yield from ctx.unlock(lock)
@@ -297,6 +301,23 @@ def test_plan_submitted_twice_matches_two_per_op_passes(spec):
     compat_state, _ = _run_long({**spec, "far": []}, "compat", times=2)
     assert plan_state == compat_state
     assert len(bulk_runs) >= 2
+
+
+@given(sweep_specs)
+@settings(max_examples=50, deadline=None)
+def test_plan_grown_after_a_submission_matches_per_op_passes(spec):
+    """Sweeps appended after a submission reach the bulk path on the next
+    one: the vectors cached on the plan are derived again for its new
+    length, not reused (a stale set would end every run at the old end)."""
+    spec = {**spec, "far": []}
+
+    def grow(plan, base):
+        _sweep_plan(base, spec, min_ops=len(plan) + 100, plan=plan)
+
+    plan_state, bulk_runs = _run_long(spec, "plan", times=2, grow=grow)
+    compat_state, _ = _run_long(spec, "compat", times=2, grow=grow)
+    assert plan_state == compat_state
+    assert len(bulk_runs) == 2 and bulk_runs[1] > bulk_runs[0]
 
 
 _FIG2 = {"row_bytes": 2048, "misalign": 64, "rows": [0, 1, 2, 3], "far": [],

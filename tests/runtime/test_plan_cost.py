@@ -12,14 +12,20 @@ import sys
 
 from repro.core.params import SamhitaConfig
 from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
-from repro.runtime import Runtime
+from repro.runtime import Runtime, SharedArray
 from repro.runtime.plan import AccessPlan
 
 S = 8
 ROW_BYTES = 2048
-#: Calls, builtins included, of one all-hit submission (247 for the first,
-#: which derives the plan's vectors, 152 for a repeat).
+#: Calls, builtins included, of one all-hit submission (221 for the first,
+#: which derives the plan's vectors, 126 for a repeat).
 BOUND = 300
+REPEAT_BOUND = 126
+#: Calls per operation of building a row sweep: 2.0 (the builder and the
+#: plan method per memory op, ``callable`` on a write; a record is one
+#: ``+=``). 10.0 when the builders checked bounds and addressed rows through
+#: helper calls and a record was six column appends.
+BUILD_BOUND = 4
 
 
 def calls_to_submit(M: int) -> tuple[int, int]:
@@ -69,6 +75,7 @@ def test_all_hit_plan_cost_does_not_grow_with_its_length():
     # loop per hit; deriving the vectors is array calls however long the
     # plan is.
     assert first_100 <= BOUND and again_100 <= BOUND
+    assert again_10 <= REPEAT_BOUND and again_100 <= REPEAT_BOUND
     assert first_100 <= 1.10 * first_10
     assert again_100 <= 1.10 * again_10
     assert again_100 < first_100  # the vectors are cached on the plan
@@ -91,3 +98,37 @@ def test_microbench_builds_its_plan_once_per_thread(monkeypatch):
     rt.run()
     assert len(built) == threads
     assert all(len(plan) == 3 * 3 * 2 for plan in built)
+
+
+def test_building_a_row_sweep_costs_a_few_calls_per_operation():
+    """The Figure 2 kernel builds its M x S sweep once per thread; building
+    is host work per operation, so it is counted per operation."""
+    rows = 64
+    built = []
+
+    def program(ctx):
+        arr = yield from SharedArray.allocate(ctx, rows, ROW_BYTES // 8)
+        plan = AccessPlan()
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event in ("call", "c_call")
+
+        sys.setprofile(profile)
+        try:
+            for row in range(rows):
+                arr.read_rows_op(plan, row)
+                arr.write_rows_op(plan, row, None, nrows=1)
+                plan.compute(ROW_BYTES // 8)
+        finally:
+            sys.setprofile(None)
+        built.append((count, plan))
+        return 0
+
+    rt = Runtime("samhita", n_threads=1, config=SamhitaConfig(functional=False))
+    rt.spawn(program)
+    rt.run()
+    (count, plan), = built
+    assert len(plan) == 3 * rows
+    assert count <= BUILD_BOUND * len(plan)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import MemoryError_
 from repro.runtime import Runtime, SharedArray
+from repro.runtime.plan import AccessPlan
 
 BACKENDS = ["pthreads", "samhita"]
 
@@ -74,6 +75,27 @@ class TestSharedArray:
             return True
 
         assert run_single("pthreads", body)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_declared_nrows_must_match_the_block(self, backend):
+        def body(ctx):
+            arr = yield from SharedArray.allocate(ctx, rows=4, cols=8)
+            with pytest.raises(MemoryError_, match="3 rows, declared 1"):
+                yield from arr.write_rows(0, np.ones((3, 8)), nrows=1)
+            plan = AccessPlan()
+            with pytest.raises(MemoryError_, match="2 rows, declared 1"):
+                arr.write_rows_op(plan, 0, np.full((2, 8), 7.0), nrows=1)
+            assert len(plan) == 0
+            arr.write_rows_op(plan, 0, lambda results: np.ones((2, 8)),
+                              nrows=1)
+            with pytest.raises(MemoryError_, match="2 rows, declared 1"):
+                yield from ctx.submit(plan)
+            # Agreeing counts write as before.
+            yield from arr.write_rows(0, np.full((2, 8), 5.0), nrows=2)
+            back = yield from arr.read_rows(0, 2)
+            return float(back.sum())
+
+        assert run_single(backend, body) == pytest.approx(2 * 8 * 5.0)
 
     def test_view_shares_storage_between_threads(self):
         rt = Runtime("pthreads", n_threads=2)
