@@ -51,6 +51,7 @@ from repro.core import protocol
 from repro.core.allocator import shard_of_page
 from repro.core.consistency import group_reply
 from repro.core.manager import Manager
+from repro.core.params import MANAGER_SERVICE_TIME
 from repro.errors import (
     ReplicationError,
     RetryExhaustedError,
@@ -313,7 +314,6 @@ class ControlPlane:
         the cut), then gathers from whichever shard serves the peer now,
         unless that is the root itself."""
         scl = self.system.scl
-        service = self.system.config.manager_service_time
         for mgr in self.live_managers():
             while mgr is not root:
                 try:
@@ -325,7 +325,7 @@ class ControlPlane:
                         peer, err, comp=root.component)
                     mgr = self._live[peer]
                     continue
-                yield from mgr.resource.use(service)
+                yield from mgr.resource.use(MANAGER_SERVICE_TIME)
                 self.stats.incr("cr_gathers")
                 break
 

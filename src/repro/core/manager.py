@@ -27,6 +27,7 @@ from repro.core.consistency import (
     group_reply,
     plan_barrier,
 )
+from repro.core.params import MANAGER_SERVICE_TIME
 from repro.errors import SynchronizationError
 from repro.interconnect.scl import CONTROL_BYTES, SCL
 from repro.memory.directory import PageDirectory
@@ -224,15 +225,14 @@ class Manager:
                                   category=category)
                 if t is not None:
                     yield from t
-            service = self.config.manager_service_time
             if body is None:
-                if not self.resource.serve(service, at, engine._step, proc,
-                                           None, None):
+                if not self.resource.serve(MANAGER_SERVICE_TIME, at,
+                                           engine._step, proc, None, None):
                     yield PARK
                 self._served(category)
                 return
-            if self.resource.serve(service, at, self._handle, proc, comp,
-                                   category, body, args):
+            if self.resource.serve(MANAGER_SERVICE_TIME, at, self._handle,
+                                   proc, comp, category, body, args):
                 self._served(category)
                 out = body(proc, *args)
             else:
@@ -267,7 +267,7 @@ class Manager:
 
     def _served(self, category: str) -> None:
         """One request has been through its service: free the unit, count."""
-        self.resource.release(self.config.manager_service_time)
+        self.resource.release(MANAGER_SERVICE_TIME)
         key = _REQUEST_KEYS.get(category)
         if key is None:
             key = _REQUEST_KEYS[category] = "requests." + category
@@ -298,9 +298,8 @@ class Manager:
         """Answer a parked caller from a continuation: take a service slot
         first if ``slot`` (a directive reply), then send the reply."""
         if slot:
-            self.resource.arrive(self.config.manager_service_time,
-                                  self._reply_to,
-                                  (proc, comp, category, nbytes, result, True))
+            self.resource.arrive(MANAGER_SERVICE_TIME, self._reply_to,
+                                 (proc, comp, category, nbytes, result, True))
         else:
             self._reply_to(proc, comp, category, nbytes, result, False)
 
@@ -312,7 +311,7 @@ class Manager:
         to drive, if that is not a pure delay. The same bucket slots as a
         caller that woke to send it."""
         if slot:
-            self.resource.release(self.config.manager_service_time)
+            self.resource.release(MANAGER_SERVICE_TIME)
         engine = self.engine
         if comp == self._local:
             engine._step(proc, (DONE, result), None)
@@ -333,12 +332,11 @@ class Manager:
         suspension: if the service slot cannot be had inline, the rest is
         :meth:`_reply_to`'s, as for a parked caller."""
         if slot:
-            service = self.config.manager_service_time
-            if not self.resource.serve(service, None, self._reply_to,
-                                       self.engine.active, comp, category,
-                                       nbytes, result, True):
+            if not self.resource.serve(MANAGER_SERVICE_TIME, None,
+                                       self._reply_to, self.engine.active,
+                                       comp, category, nbytes, result, True):
                 return (yield from self._await())
-            self.resource.release(service)
+            self.resource.release(MANAGER_SERVICE_TIME)
         yield from self._reply(comp, nbytes, category)
         return result
 

@@ -9,8 +9,7 @@ The time constants below model user-level software costs of the original
 implementation (signal-handler page faults, twin copies, diff scans); they
 are small relative to interconnect costs, as in the real system. They are
 fixed costs of the paper's C runtime, not design choices, so no caller
-sets them. Two costs stay fields because the sensitivity tables sweep
-them: ``manager_service_time`` and ``fault_handler_time``.
+sets them; a sweep monkeypatches the constant where it is read.
 """
 
 from __future__ import annotations
@@ -24,6 +23,10 @@ from repro.memory.layout import MemoryLayout
 
 #: Memory-server service charge per request (one slot on its resource).
 MEMSERVER_SERVICE_TIME = 1.0e-6
+#: Manager service charge per control request (one slot on its resource).
+MANAGER_SERVICE_TIME = 1.5e-6
+#: Signal-handler + mprotect cost charged per page fault event.
+FAULT_HANDLER_TIME = 1.0e-6
 #: Copy cost for creating one twin page.
 TWIN_CREATE_TIME = 0.8e-6
 #: Scanning one dirty page against its twin.
@@ -82,9 +85,6 @@ class SamhitaConfig:
 
     # -- server model -----------------------------------------------------
     n_memory_servers: int = 1
-    #: Manager service charge per control request (swept by
-    #: ``sensitivity_manager_service``).
-    manager_service_time: float = 1.5e-6
 
     # -- control plane ----------------------------------------------------
     #: Manager shards. 1 (the default) is the single-manager build (its
@@ -139,12 +139,6 @@ class SamhitaConfig:
     #: manager shards, and a sender cut off by a partition degrades to
     #: read-only retries with backoff instead of diverging.
     faults: FaultPlan | None = None
-
-    # -- local software costs ---------------------------------------------
-    #: Signal-handler + mprotect cost charged per page fault event (swept
-    #: by ``sensitivity_ordering``; the other local costs are the module's
-    #: constants).
-    fault_handler_time: float = 1.0e-6
 
     def __post_init__(self):
         if self.coherence not in ("regc", "ivy"):

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.core.params import (
     DIFF_SCAN_TIME,
+    FAULT_HANDLER_TIME,
     INSTALL_PAGE_TIME,
     MEMSERVER_SERVICE_TIME,
 )
@@ -229,9 +230,8 @@ def fault_lines_batched(cs: "ComputeServer", tid: int, missing: np.ndarray,
     counters["batched_lines"] += len(missed_lines)
     if spec.size:
         counters["speculative_riders"] += spec.size
-    config = cs.system.config
-    if not cs.engine.try_advance(config.fault_handler_time):
-        yield Timeout(config.fault_handler_time)
+    if not cs.engine.try_advance(FAULT_HANDLER_TIME):
+        yield Timeout(FAULT_HANDLER_TIME)
     yield from fetch_batched(cs, tid, demand, spec, protect)
 
 

@@ -207,11 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the archived tables: the paper's figures "
-                    "(§III), the ablations, the extended experiments and "
-                    "the sensitivity sweeps.")
+                    "(§III), the ablations and the extended experiments.")
     parser.add_argument("figure", nargs="?",
                         help="a table's file stem (fig03, ablation_prefetch, "
-                             "ext_hetero, sensitivity_ordering, ...), 'all', "
+                             "ext_hetero, ...), 'all', "
                              "'verify' (every table's claim), 'campaign' "
                              "(every table and claim, written to "
                              "./campaign/), 'report' or 'chaos'; omit to "

@@ -1,7 +1,7 @@
 """One-command reproduction campaign.
 
 Builds every archived table once (the 11 paper figures at paper scale, the
-ablations, extended experiments and sensitivity sweeps), checks every claim
+ablations and the extended experiments), checks every claim
 on them and writes each table (``<stem>.txt``, the bytes
 ``benchmarks/results/`` archives) plus a self-contained markdown report
 (tables + PASS/FAIL per claim) -- the generated counterpart of the

@@ -1,11 +1,11 @@
 """Reproduction verification: every archived table as a pass/fail claim.
 
 :data:`TABLES` maps each ``benchmarks/results`` file stem to the builder of
-its table: the 11 paper figures, 13 ablations, 7 extended experiments and
-3 sensitivity sweeps. :data:`CLAIMS` holds one claim per table. A paper
-figure's claim quotes its §III sentence; any other claim quotes the §II /
-§V text its mechanism rests on where there is one, names its DESIGN.md §6
-row, and says its threshold is a repo prediction. :func:`check_claims`
+its table: the 11 paper figures, 13 ablations and 3 extended experiments.
+:data:`CLAIMS` holds one claim per table. A paper figure's claim quotes its
+§III sentence; any other claim quotes the §II / §V text its mechanism rests
+on where there is one (else it names its DESIGN.md §6 row) and says its
+threshold is a repo prediction. :func:`check_claims`
 builds every table once and evaluates every claim on them; ``python -m
 repro.experiments verify`` prints the verdicts and ``campaign`` writes
 them with the tables.
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.experiments import ablations, extended, sensitivity
+from repro.experiments import ablations, extended
 from repro.experiments.figures import FIGURES
 from repro.experiments.results import FigureResult
 
@@ -43,16 +43,9 @@ TABLES: dict[str, Callable[[], FigureResult]] = {
     "ablation_prefetch": ablations.prefetch,
     "ablation_regc_finegrain": ablations.regc_finegrain,
     "ablation_scif": ablations.scif,
-    "ext_eras": extended.interconnect_era_figure,
     "ext_hetero": extended.hetero_figure,
-    "ext_matmul": extended.matmul_figure,
     "ext_multimic": extended.multi_coprocessor_figure,
     "ext_pipeline": extended.pipeline_figure,
-    "ext_sor": extended.sor_figure,
-    "ext_taskfarm": extended.taskfarm_figure,
-    "sensitivity_ib_generations": sensitivity.ib_generations,
-    "sensitivity_manager_service": sensitivity.manager_service,
-    "sensitivity_ordering": sensitivity.ordering,
 }
 
 
@@ -398,21 +391,6 @@ def _scif(t: Tables) -> tuple[bool, str]:
 
 # -- Extended experiments (DESIGN.md §6) ----------------------------------------
 
-@_claim("ext_eras",
-        "DESIGN.md §6, interconnect eras; repo prediction: at every thread "
-        "count the overhead falls 1 GbE > Myrinet > QDR and rises again on "
-        "2020s HDR")
-def _eras(t: Tables) -> tuple[bool, str]:
-    fr = t["ext_eras"]
-    gbe, myr, qdr, hdr = (fr[s] for s in ("1gbe-1990s", "myrinet-2000s",
-                                          "qdr-2013", "hdr-2020s"))
-    ok = all(gbe.y_at(c) > myr.y_at(c) > qdr.y_at(c) < hdr.y_at(c)
-             for c in fr.xs)
-    return ok, ", ".join(f"{c}: {gbe.y_at(c):.1f} > {myr.y_at(c):.1f} > "
-                         f"{qdr.y_at(c):.2f} < {hdr.y_at(c):.2f}"
-                         for c in fr.xs)
-
-
 @_claim("ext_hetero",
         "§V targets SCIF over PCIe (DESIGN.md §6, Figure 1 machine); repo "
         "prediction: SCIF beats the verbs proxy at every thread count and "
@@ -427,18 +405,10 @@ def _hetero(t: Tables) -> tuple[bool, str]:
             f"proxy everywhere: {beats}")
 
 
-@_claim("ext_matmul",
-        "DESIGN.md §6, read-broadcast matmul; repo prediction: DSM speedup "
-        "over 6 at 8 threads and over 20 at 32")
-def _matmul(t: Tables) -> tuple[bool, str]:
-    smh = t["ext_matmul"]["samhita"]
-    return (smh.y_at(8) > 6.0 and smh.y_at(32) > 20.0,
-            f"samhita {smh.y_at(8):.1f}@8 {smh.y_at(32):.1f}@32")
-
-
 @_claim("ext_multimic",
-        "DESIGN.md §6, two coprocessors; repo prediction: spreading 32 "
-        "threads over two PCIe buses beats one")
+        "§V targets \"SCIF over PCIe\" on the Figure 1 node, host CPUs "
+        "plus coprocessors; repo prediction: spreading 32 threads over two "
+        "coprocessors' PCIe buses beats one")
 def _multimic(t: Tables) -> tuple[bool, str]:
     fr = t["ext_multimic"]
     two, one = fr["2 mics (spread)"].y_at(32), fr["1 mic"].y_at(32)
@@ -446,8 +416,9 @@ def _multimic(t: Tables) -> tuple[bool, str]:
 
 
 @_claim("ext_pipeline",
-        "DESIGN.md §6, condvar pipeline; repo prediction: the DSM pipeline "
-        "runs at 1 and 4 consumers within 500x of Pthreads throughput")
+        "§II: \"mutexes, condition variables, barriers, all mediated by "
+        "the manager\"; repo prediction: the DSM condvar pipeline runs at 1 "
+        "and 4 consumers within 500x of Pthreads throughput")
 def _pipeline(t: Tables) -> tuple[bool, str]:
     fr = t["ext_pipeline"]
     pth, smh = fr["pthreads"], fr["samhita"]
@@ -455,61 +426,6 @@ def _pipeline(t: Tables) -> tuple[bool, str]:
              for c in (1, 4))
     return ok, ", ".join(f"pth / smh {pth.y_at(c) / smh.y_at(c):.2f}x at {c}"
                          for c in (1, 4))
-
-
-@_claim("ext_sor",
-        "DESIGN.md §6, red-black SOR; repo prediction: DSM speedup over "
-        "2.5 at 4 threads, lower at 32 than at 16, and never 8")
-def _sor(t: Tables) -> tuple[bool, str]:
-    smh = t["ext_sor"]["samhita"]
-    ok = smh.y_at(4) > 2.5 and smh.y_at(32) < smh.y_at(16) and max(smh.ys) < 8
-    return ok, (f"samhita {smh.y_at(4):.2f}@4 {smh.y_at(16):.2f}@16 "
-                f"{smh.y_at(32):.2f}@32, peak {max(smh.ys):.2f}")
-
-
-@_claim("ext_taskfarm",
-        "DESIGN.md §6, task farm; repo prediction: dynamic beats static on "
-        "both machines at 4 and 8 cores, by less on the DSM")
-def _taskfarm(t: Tables) -> tuple[bool, str]:
-    fr = t["ext_taskfarm"]
-    dyn_wins = all(fr[f"{b}-dyn"].y_at(c) < fr[f"{b}-static"].y_at(c)
-                   for b in ("pth", "sam") for c in (4, 8))
-    adv = {b: fr[f"{b}-static"].y_at(8) / fr[f"{b}-dyn"].y_at(8)
-           for b in ("pth", "sam")}
-    return (dyn_wins and adv["pth"] > adv["sam"] > 1.0,
-            f"static / dynamic at 8 cores: pthreads {adv['pth']:.2f}x, "
-            f"samhita {adv['sam']:.2f}x; dynamic wins at 4 and 8: {dyn_wins}")
-
-
-# -- Sensitivity sweeps (DESIGN.md §6) ----------------------------------------
-
-@_claim("sensitivity_ib_generations",
-        "DESIGN.md §6, InfiniBand generations; repo prediction: compute "
-        "time falls with each generation, SDR to FDR")
-def _ib_generations(t: Tables) -> tuple[bool, str]:
-    compute = t["sensitivity_ib_generations"]["compute"].ys
-    return (compute == sorted(compute, reverse=True),
-            "compute " + " > ".join(f"{y:.3e}" for y in compute) + " s")
-
-
-@_claim("sensitivity_manager_service",
-        "DESIGN.md §6, manager service time; repo prediction: sync time "
-        "never falls as the manager's service time grows")
-def _manager_service(t: Tables) -> tuple[bool, str]:
-    sync = t["sensitivity_manager_service"]["sync"].ys
-    return (sync == sorted(sync),
-            "sync " + " <= ".join(f"{y:.3e}" for y in sync) + " s")
-
-
-@_claim("sensitivity_ordering",
-        "DESIGN.md §6, allocation ordering; repo prediction: local < global "
-        "< strided compute time at every fault-handler cost")
-def _ordering(t: Tables) -> tuple[bool, str]:
-    fr = t["sensitivity_ordering"]
-    local, glob, strided = fr["local"], fr["global"], fr["strided"]
-    ok = all(local.y_at(x) < glob.y_at(x) < strided.y_at(x) for x in fr.xs)
-    return ok, ", ".join(f"{x:g} s: {local.y_at(x):.3e} < {glob.y_at(x):.3e} "
-                         f"< {strided.y_at(x):.3e}" for x in fr.xs)
 
 
 CLAIMS.sort(key=lambda claim: claim.table)

@@ -10,8 +10,6 @@ Corner" coprocessors in a host node).
 from repro.hardware.specs import (
     CPUSpec,
     CoprocessorSpec,
-    MODERN_CPU,
-    MODERN_NODE,
     NodeSpec,
     PENRYN_CPU,
     PENRYN_NODE,
@@ -31,8 +29,6 @@ __all__ = [
     "ComponentKind",
     "ComputeCostModel",
     "CoprocessorSpec",
-    "MODERN_CPU",
-    "MODERN_NODE",
     "NodeSpec",
     "PENRYN_CPU",
     "PENRYN_NODE",

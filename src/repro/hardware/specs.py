@@ -97,27 +97,14 @@ XEON_PHI_KNC = CoprocessorSpec(name="xeon-phi-knc", cpu=_KNC_CPU,
                                cores=60, dram_bytes=8 << 30)
 
 
-#: A 2026-era server core (for the what-if extension experiments): higher
-#: clock, wider issue -- the micro-benchmark body runs ~3x faster.
-MODERN_CPU = CPUSpec(name="modern-3.6GHz", clock_hz=3.6e9, flops_per_cycle=4.0,
-                     element_op_time=0.4e-9)
-
-#: A modern dual-socket node: 64 cores, 512 GiB.
-MODERN_NODE = NodeSpec(name="modern-64c", cpu=MODERN_CPU,
-                       sockets=2, cores_per_socket=32,
-                       dram_bytes=512 << 30,
-                       cache=CacheSpec(cold_miss_time=40e-9,
-                                       coherence_miss_time=50e-9))
-
-
 def generic_cpu(clock_ghz: float = 2.0, element_op_ns: float = 2.0) -> CPUSpec:
-    """A configurable CPU for sensitivity studies."""
+    """A CPU of the given clock and per-element cost."""
     return CPUSpec(name=f"generic-{clock_ghz}GHz", clock_hz=clock_ghz * 1e9,
                    element_op_time=element_op_ns * 1e-9)
 
 
 def generic_node(cores: int = 8, clock_ghz: float = 2.0, dram_gib: int = 8) -> NodeSpec:
-    """A configurable SMP node for sensitivity studies."""
+    """A one-socket SMP node of ``cores`` :func:`generic_cpu` cores."""
     if cores < 1:
         raise ValueError("a node needs at least one core")
     return NodeSpec(name=f"generic-{cores}c", cpu=generic_cpu(clock_ghz),

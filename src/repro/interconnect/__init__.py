@@ -9,9 +9,9 @@ verbs, and its proposed SCIF backend for PCIe.
 """
 
 from repro.interconnect.base import LinkModel
-from repro.interconnect.ethernet import gigabit_ethernet, ten_gigabit_ethernet
-from repro.interconnect.infiniband import ib_ddr, ib_fdr, ib_hdr, ib_qdr, ib_sdr, myrinet_2000
-from repro.interconnect.pcie import pcie_gen2_x8, pcie_gen2_x16, pcie_gen3_x16
+from repro.interconnect.ethernet import gigabit_ethernet
+from repro.interconnect.infiniband import ib_qdr
+from repro.interconnect.pcie import pcie_gen2_x8, pcie_gen2_x16
 from repro.interconnect.routing import Fabric
 from repro.interconnect.scif import scif_link, verbs_proxy_link
 from repro.interconnect.scl import SCL
@@ -21,16 +21,9 @@ __all__ = [
     "LinkModel",
     "SCL",
     "gigabit_ethernet",
-    "ib_ddr",
-    "ib_fdr",
-    "ib_hdr",
     "ib_qdr",
-    "ib_sdr",
-    "myrinet_2000",
     "pcie_gen2_x16",
     "pcie_gen2_x8",
-    "pcie_gen3_x16",
     "scif_link",
-    "ten_gigabit_ethernet",
     "verbs_proxy_link",
 ]

@@ -45,5 +45,5 @@ class LinkModel:
         return self.latency + self.serialize_time(nbytes)
 
     def with_(self, **changes) -> "LinkModel":
-        """A modified copy; convenient for sensitivity sweeps."""
+        """A modified copy (per-edge names, half links, sweeps)."""
         return replace(self, **changes)

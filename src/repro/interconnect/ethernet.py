@@ -15,9 +15,3 @@ def gigabit_ethernet() -> LinkModel:
     """1 GbE with kernel TCP stack: ~50 us, ~110 MB/s payload."""
     return LinkModel("1gbe-tcp", latency=50e-6, bandwidth=0.110e9, mtu=1500,
                      per_packet_overhead=1e-6)
-
-
-def ten_gigabit_ethernet() -> LinkModel:
-    """10 GbE with kernel TCP stack: ~15 us, ~1.1 GB/s payload."""
-    return LinkModel("10gbe-tcp", latency=15e-6, bandwidth=1.1e9, mtu=1500,
-                     per_packet_overhead=1e-6)

@@ -1,9 +1,9 @@
-"""InfiniBand link generations.
+"""InfiniBand links.
 
-The paper's testbed uses QDR (quad data rate) 4x InfiniBand. Effective
-payload bandwidths are the usual published application-level numbers (after
-8b/10b coding and protocol overhead), and latencies are end-to-end verbs
-latencies including the HCA.
+The paper's testbed uses QDR (quad data rate) 4x InfiniBand. The effective
+payload bandwidth is the usual published application-level number (after
+8b/10b coding and protocol overhead), and the latency is the end-to-end
+verbs latency including the HCA.
 """
 
 from __future__ import annotations
@@ -11,40 +11,7 @@ from __future__ import annotations
 from repro.interconnect.base import LinkModel
 
 
-def ib_sdr() -> LinkModel:
-    """Single data rate 4x: 8 Gbit/s signalling, ~0.9 GB/s payload."""
-    return LinkModel("ib-sdr-4x", latency=4.0e-6, bandwidth=0.9e9, mtu=2048,
-                     per_packet_overhead=5e-9)
-
-
-def ib_ddr() -> LinkModel:
-    """Double data rate 4x: 16 Gbit/s signalling, ~1.8 GB/s payload."""
-    return LinkModel("ib-ddr-4x", latency=2.0e-6, bandwidth=1.8e9, mtu=2048,
-                     per_packet_overhead=5e-9)
-
-
 def ib_qdr() -> LinkModel:
     """Quad data rate 4x (the paper's fabric): ~1.3 us, ~3.2 GB/s payload."""
     return LinkModel("ib-qdr-4x", latency=1.3e-6, bandwidth=3.2e9, mtu=2048,
                      per_packet_overhead=5e-9)
-
-
-def ib_fdr() -> LinkModel:
-    """Fourteen data rate 4x: ~0.7 us, ~6.0 GB/s payload."""
-    return LinkModel("ib-fdr-4x", latency=0.7e-6, bandwidth=6.0e9, mtu=2048,
-                     per_packet_overhead=5e-9)
-
-
-def ib_hdr() -> LinkModel:
-    """HDR 4x (2020s): ~0.6 us, ~23 GB/s payload -- the what-if fabric for
-    the modern-hardware extension experiment."""
-    return LinkModel("ib-hdr-4x", latency=0.6e-6, bandwidth=23.0e9, mtu=4096,
-                     per_packet_overhead=3e-9)
-
-
-def myrinet_2000() -> LinkModel:
-    """Myrinet-2000: the best cluster fabric of the early-2000s DSM era
-    (~7 us, ~0.24 GB/s) -- between Ethernet and InfiniBand in the
-    interconnect-history sweep."""
-    return LinkModel("myrinet-2000", latency=7.0e-6, bandwidth=0.24e9,
-                     mtu=4096, per_packet_overhead=1e-7)

@@ -21,9 +21,3 @@ def pcie_gen2_x16(contended: bool = True) -> LinkModel:
     """PCIe 2.0 x16 (Xeon Phi KNC attach): ~0.9 us, ~6.0 GB/s effective."""
     return LinkModel("pcie-gen2-x16", latency=0.9e-6, bandwidth=6.0e9,
                      contended=contended)
-
-
-def pcie_gen3_x16(contended: bool = True) -> LinkModel:
-    """PCIe 3.0 x16: ~0.7 us, ~12 GB/s effective."""
-    return LinkModel("pcie-gen3-x16", latency=0.7e-6, bandwidth=12.0e9,
-                     contended=contended)

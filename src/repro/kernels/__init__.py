@@ -21,7 +21,6 @@ from repro.kernels.microbench import (
     spawn_microbench,
 )
 from repro.kernels.jacobi import JacobiParams, jacobi_reference, jacobi_thread, spawn_jacobi
-from repro.kernels.matmul import MatmulParams, matmul_reference, matmul_thread, spawn_matmul
 from repro.kernels.md import MDParams, md_reference, md_thread, spawn_md
 from repro.kernels.pipeline import PipelineParams, pipeline_thread, spawn_pipeline
 from repro.kernels.sor import SORParams, sor_reference, sor_thread, spawn_sor
@@ -31,7 +30,6 @@ __all__ = [
     "Allocation",
     "JacobiParams",
     "MDParams",
-    "MatmulParams",
     "MicrobenchParams",
     "PipelineParams",
     "SORParams",
@@ -39,8 +37,6 @@ __all__ = [
     "block_partition",
     "jacobi_reference",
     "jacobi_thread",
-    "matmul_reference",
-    "matmul_thread",
     "md_reference",
     "md_thread",
     "microbench_reference",
@@ -49,7 +45,6 @@ __all__ = [
     "sor_reference",
     "sor_thread",
     "spawn_jacobi",
-    "spawn_matmul",
     "spawn_md",
     "spawn_microbench",
     "spawn_pipeline",

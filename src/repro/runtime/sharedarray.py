@@ -56,8 +56,10 @@ class SharedArray:
 
         Returns an ``(nrows, cols)`` ndarray in functional mode, else None.
         """
-        self._check_block(row0, nrows)
-        raw = yield from self.ctx.read(self.row_addr(row0), nrows * self.row_bytes)
+        if nrows < 1 or row0 < 0 or row0 + nrows > self.rows:
+            self._check_block(row0, nrows)
+        raw = yield from self.ctx.read(self.addr + row0 * self.row_bytes,
+                                       nrows * self.row_bytes)
         if raw is None:
             return None
         return np.ascontiguousarray(raw).view(self.dtype).reshape(nrows, self.cols)
@@ -88,8 +90,10 @@ class SharedArray:
             if nrows is None:
                 raise MemoryError_("timing-mode write needs an explicit nrows")
             raw = None
-        self._check_block(row0, nrows)
-        yield from self.ctx.write(self.row_addr(row0), nrows * self.row_bytes, raw)
+        if nrows < 1 or row0 < 0 or row0 + nrows > self.rows:
+            self._check_block(row0, nrows)
+        yield from self.ctx.write(self.addr + row0 * self.row_bytes,
+                                  nrows * self.row_bytes, raw)
 
     # ------------------------------------------------------------------
     # batched access-plan builders

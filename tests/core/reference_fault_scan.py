@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import rtbatch
+from repro.core.params import FAULT_HANDLER_TIME
 from repro.errors import MemoryError_
 from repro.sim.engine import Timeout
 
@@ -53,7 +54,6 @@ def fault_lines_batched(cs, tid: int, missing: np.ndarray, protect):
     """Generator with the shipped scan's signature; ``missing`` only names
     the lines to visit (what ``SoftwareCache.missing_lines`` returned)."""
     cache = cs.system.cache_of(tid)
-    config = cs.system.config
     counters = cs.stats.counters
     line_pages = cache.layout.line_pages
     resident = cache.resident_page_set()
@@ -77,8 +77,8 @@ def fault_lines_batched(cs, tid: int, missing: np.ndarray, protect):
     counters["batched_lines"] += len(missed_lines)
     if spec:
         counters["speculative_riders"] += len(spec)
-    if not cs.engine.try_advance(config.fault_handler_time):
-        yield Timeout(config.fault_handler_time)
+    if not cs.engine.try_advance(FAULT_HANDLER_TIME):
+        yield Timeout(FAULT_HANDLER_TIME)
     yield from rtbatch.fetch_batched(
         cs, tid, np.array(demand, dtype=np.int64),
         np.array(spec, dtype=np.int64), protect)

@@ -92,7 +92,7 @@ class TestConfigSurface:
         # fixed software costs and the allocator thresholds nobody set are
         # constants of params.py and allocator.py.
         fields = {f.name for f in dataclasses.fields(SamhitaConfig)}
-        assert len(fields) == 19
+        assert len(fields) == 17
         for gone in ("eviction_impl", "batched_round_trips",
                      "batch_line_fetches", "prefetch_adjacent",
                      "adaptive_timeouts", "hedged_fetches", "hedge_quantile",
@@ -104,7 +104,8 @@ class TestConfigSurface:
                      "diff_scan_time", "apply_time_per_byte",
                      "invalidate_page_time", "install_page_time",
                      "arena_max_alloc", "arena_chunk_bytes",
-                     "stripe_threshold"):
+                     "stripe_threshold", "manager_service_time",
+                     "fault_handler_time"):
             assert gone not in fields
             with pytest.raises(TypeError):
                 SamhitaConfig(**{gone: False})
@@ -133,8 +134,8 @@ class TestConfigSurface:
     def test_every_field_has_a_setter_outside_the_tests(self):
         # A field only a test sets is a constant in disguise: each one is
         # set by keyword (``name=``) or swept by name (a ``"name"`` call
-        # argument or dict key, as ``config_sensitivity`` takes it)
-        # somewhere in the package, the benchmarks or the examples.
+        # argument or dict key) somewhere in the package, the benchmarks
+        # or the examples.
         root = pathlib.Path(repro.__file__).parents[2]
         named = set()
         for d in ("src", "benchmarks", "examples"):

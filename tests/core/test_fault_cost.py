@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import SamhitaConfig, SamhitaSystem, rtbatch
 from repro.core.consistency import plan_barrier
-from repro.core.params import INSTALL_PAGE_TIME
+from repro.core.params import FAULT_HANDLER_TIME, INSTALL_PAGE_TIME
 from repro.memory import PageDirectory
 from repro.memory.pagetable import CHUNK_PAGES, NO_PAGES, PageTable
 from tests.core.conftest import run_threads
@@ -181,8 +181,8 @@ def test_a_two_home_fault_costs_its_slowest_home():
         "0": {"demand": 1}, "1": {"speculative": 1}}
     install = lines[0].size * INSTALL_PAGE_TIME
     trips = [t - install for t in alone]
-    handler = system.config.fault_handler_time
-    assert cost == pytest.approx(handler + max(trips) + 2 * install, rel=1e-9)
+    assert cost == pytest.approx(FAULT_HANDLER_TIME + max(trips) + 2 * install,
+                                 rel=1e-9)
     # One thread's install charges never overlap: each ends at its
     # install and began k * INSTALL_PAGE_TIME before.
     charges = sorted((at - k * INSTALL_PAGE_TIME, at) for at, k in installs)

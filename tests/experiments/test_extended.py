@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.extended import (
     hetero_figure,
-    matmul_figure,
     multi_coprocessor_figure,
     pipeline_figure,
 )
@@ -41,14 +40,6 @@ class TestMultiCoprocessor:
         assert fr.series["2 mics (spread)"].y_at(16) < fr.series["1 mic"].y_at(16)
 
 
-class TestMatmulFigure:
-    def test_read_broadcast_scales_well(self):
-        fr = matmul_figure(core_counts=(1, 4, 16))
-        smh = fr.series["samhita"]
-        assert smh.y_at(4) > 3.0
-        assert smh.y_at(16) > smh.y_at(4)
-
-
 class TestPipelineFigure:
     def test_throughput_positive_and_backends_present(self):
         fr = pipeline_figure(consumer_counts=(1, 3))
@@ -64,5 +55,4 @@ class TestPipelineFigure:
 
 def test_registry():
     assert {name for name in TABLES if name.startswith("ext_")} == {
-        "ext_hetero", "ext_multimic", "ext_matmul", "ext_pipeline",
-        "ext_sor", "ext_taskfarm", "ext_eras"}
+        "ext_hetero", "ext_multimic", "ext_pipeline"}

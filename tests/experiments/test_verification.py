@@ -15,7 +15,7 @@ ARCHIVE = ROOT / "benchmarks/results"
 def test_one_claim_per_figure():
     tables = [c.table for c in CLAIMS]
     assert tables == sorted(TABLES)
-    assert len(tables) == 34
+    assert len(tables) == 27
 
 
 def test_claims_have_statements():

@@ -70,11 +70,22 @@ class TestSharedArray:
             assert arr.row_addr(1) == arr.addr + 2048
             with pytest.raises(MemoryError_):
                 arr.row_addr(4)
-            with pytest.raises(MemoryError_):
+            out_of_range = r"block \[3, 5\) out of range \[0, 4\)"
+            with pytest.raises(MemoryError_, match=out_of_range):
                 yield from arr.read_rows(3, 2)
-            return True
+            with pytest.raises(MemoryError_, match=out_of_range):
+                yield from arr.write_rows(3, np.ones((2, 256)))
+            with pytest.raises(MemoryError_, match=out_of_range):
+                yield from arr.write_rows(3, None, nrows=2)
+            with pytest.raises(MemoryError_, match=r"block \[-1, 0\)"):
+                yield from arr.read_rows(-1)
+            # In range, the inline address is row_addr's.
+            yield from arr.write_rows(2, np.full((2, 256), 3.0))
+            back = yield from arr.read_rows(3)
+            return float(back.sum())
 
-        assert run_single("pthreads", body)
+        for backend in BACKENDS:
+            assert run_single(backend, body) == pytest.approx(256 * 3.0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_declared_nrows_must_match_the_block(self, backend):
