@@ -73,11 +73,6 @@ class SamhitaConfig:
     #: §V future work -- threads co-located with the manager skip the
     #: network round-trip for synchronization operations.
     local_sync_optimization: bool = False
-    #: Update-style barriers (Munin-flavoured ablation): instead of leaving
-    #: invalidated pages to refault lazily during the next compute phase,
-    #: refetch them in one batched request per home server while still
-    #: inside the barrier. Trades sync time for compute-phase fault stalls.
-    barrier_eager_refresh: bool = False
 
     # -- data plane ------------------------------------------------------
     #: Functional mode moves real bytes; timing mode tracks sizes only.

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.core.allocator import AllocationKind, SamhitaAllocator
 from repro.core.compute_server import ComputeServer
 from repro.core.consistency import QUIET_DIRECTIVE
@@ -58,7 +56,6 @@ from repro.interconnect.routing import Fabric
 from repro.interconnect.scl import SCL
 from repro.memory.cache import SoftwareCache
 from repro.memory.directory import PageDirectory
-from repro.memory.pagetable import NO_PAGES
 from repro.memory.storelog import StoreLog
 from repro.sim.engine import DONE, Engine, Timeout
 from repro.sim.stats import StatSet
@@ -182,15 +179,14 @@ class SamhitaSystem:
     # ------------------------------------------------------------------
     @classmethod
     def cluster(cls, n_threads: int, config: SamhitaConfig | None = None,
-                node: NodeSpec = PENRYN_NODE,
-                fabric_link=None) -> "SamhitaSystem":
+                node: NodeSpec = PENRYN_NODE) -> "SamhitaSystem":
         """The paper's testbed: dedicated manager node + memory-server
         node(s) + enough compute nodes for ``n_threads``."""
         config = config or SamhitaConfig()
         n_compute = max(1, math.ceil(n_threads / node.cores))
         n_shards = config.manager_shards
         n_nodes = n_shards + config.n_memory_servers + n_compute
-        topo = cluster_topology(n_nodes, node=node, fabric_link=fabric_link)
+        topo = cluster_topology(n_nodes, node=node)
         names = [f"node{i}" for i in range(n_nodes)]
         first_mem = n_shards
         first_compute = n_shards + config.n_memory_servers
@@ -586,15 +582,9 @@ class SamhitaSystem:
             extra = {p for p in cr_invalidate if not cache.is_dirty(p)}
             extra -= invalidate.intersection(extra)  # the directive's, done
             if extra:
-                dropped = sorted(dropped + cache.invalidate(extra))
+                dropped += cache.invalidate(extra)
         if dropped:
             yield Timeout(len(dropped) * INVALIDATE_PAGE_TIME)
-            if self.config.barrier_eager_refresh:
-                # Update-style: pull the merged pages back now, batched per
-                # home server, instead of lazily refaulting line by line.
-                yield from rtbatch.fetch_batched(
-                    self._servers[tid], tid,
-                    np.array(dropped, dtype=np.int64), NO_PAGES, set())
 
     def _arrival_for(self, barrier_id: int):
         """The arrival protocol of one barrier, resolved once per barrier

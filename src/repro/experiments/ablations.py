@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.core import SamhitaConfig, SamhitaSystem
 from repro.experiments.harness import run_workload
 from repro.experiments.results import FigureResult
-from repro.interconnect import gigabit_ethernet, ib_qdr, scif_link, verbs_proxy_link
+from repro.interconnect import scif_link, verbs_proxy_link
 from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
 from repro.memory import MemoryLayout
 from repro.memory.cache import EvictionPolicy
@@ -37,9 +37,9 @@ def _table(name: str, title: str, xlabel: str, columns: dict) -> FigureResult:
     return fr
 
 
-def _run(params, config=None, n_threads=THREADS, **kw):
+def _run(params, config=None, n_threads=THREADS):
     return run_workload("samhita", n_threads, spawn_microbench, params,
-                        config=config, **kw)
+                        config=config)
 
 
 def _times(result, *which: str) -> dict[str, float]:
@@ -173,18 +173,6 @@ def local_sync() -> FigureResult:
                   columns)
 
 
-def eager_refresh() -> FigureResult:
-    """Update-style barriers: batched in-barrier refresh vs lazy refaults."""
-    columns = {}
-    for label, eager in (("lazy", False), ("eager", True)):
-        result = _run(STRIDED, SamhitaConfig(barrier_eager_refresh=eager))
-        columns[label] = {
-            **_times(result, "compute", "sync"),
-            "faults": result.stats["compute_servers"].get("faults", 0)}
-    return _table("eager_refresh", "Barrier refresh (P=8 strided)", "refresh",
-                  columns)
-
-
 def hierarchical_sync() -> FigureResult:
     """Flat vs node-combining barriers, at 8 and 32 threads.
 
@@ -219,18 +207,6 @@ def scif() -> FigureResult:
                   "path", columns)
 
 
-def page_size() -> FigureResult:
-    """Page granularity: fault count vs false-sharing traffic."""
-    columns = {}
-    for page_bytes in (1024, 4096, 16384):
-        result = _run(STRIDED, SamhitaConfig(
-            layout=MemoryLayout(page_bytes=page_bytes)))
-        columns[page_bytes] = {**_times(result, "compute", "sync"),
-                               "total bytes": result.stats["fabric"].get(
-                                   "bytes", 0)}
-    return _table("page_size", "Page size (P=8 strided)", "page (B)", columns)
-
-
 def coherence_baseline() -> FigureResult:
     """RegC vs the eager write-invalidate (IVY-style) 1990s protocol."""
     columns: dict = {"regc": {}, "ivy": {}}
@@ -246,13 +222,3 @@ def coherence_baseline() -> FigureResult:
     return _table("coherence_baseline", "Coherence protocol (P=8)",
                   "protocol", columns)
 
-
-def interconnect_history() -> FigureResult:
-    """The identical system over gigabit Ethernet vs QDR InfiniBand."""
-    params = MicrobenchParams(N=5, M=10, S=2, B=256,
-                              allocation=Allocation.GLOBAL)
-    columns = {label: _times(_run(params, fabric_link=link), "compute", "sync")
-               for label, link in (("1 GbE (1990s-class)", gigabit_ethernet()),
-                                   ("QDR InfiniBand", ib_qdr()))}
-    return _table("interconnect_history", "Cluster interconnect (P=8 global)",
-                  "fabric", columns)

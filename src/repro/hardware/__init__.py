@@ -14,8 +14,6 @@ from repro.hardware.specs import (
     PENRYN_CPU,
     PENRYN_NODE,
     XEON_PHI_KNC,
-    generic_cpu,
-    generic_node,
 )
 from repro.hardware.cpu import ComputeCostModel
 from repro.hardware.coherent_cache import CoherentCacheModel
@@ -35,8 +33,6 @@ __all__ = [
     "Topology",
     "XEON_PHI_KNC",
     "cluster_topology",
-    "generic_cpu",
-    "generic_node",
     "hetero_node_topology",
     "smp_topology",
 ]

@@ -34,9 +34,3 @@ class ComputeCostModel:
         if flops < 0:
             raise ValueError("flops must be >= 0")
         return flops * self.cpu.flop_time
-
-    def scalar_overhead(self, operations: int, ops_per_second: float = 2e8) -> float:
-        """Non-vectorizable bookkeeping (loop control, pointer chasing)."""
-        if operations < 0:
-            raise ValueError("operations must be >= 0")
-        return operations / ops_per_second

@@ -4,7 +4,7 @@ All timing constants in this package are expressed in seconds and bytes.
 The numbers below are published figures for the paper's testbed hardware
 (2.8 GHz Penryn Harpertown Xeons, 8 GB/node) and for the Intel Xeon Phi
 "Knights Corner" coprocessor that §V targets. They parameterize the compute
-and cache cost models; every experiment accepts overrides.
+and cache cost models.
 """
 
 from __future__ import annotations
@@ -95,17 +95,3 @@ _KNC_CPU = CPUSpec(name="knc-1.1GHz", clock_hz=1.1e9, flops_per_cycle=2.0,
                    element_op_time=4.0e-9)
 XEON_PHI_KNC = CoprocessorSpec(name="xeon-phi-knc", cpu=_KNC_CPU,
                                cores=60, dram_bytes=8 << 30)
-
-
-def generic_cpu(clock_ghz: float = 2.0, element_op_ns: float = 2.0) -> CPUSpec:
-    """A CPU of the given clock and per-element cost."""
-    return CPUSpec(name=f"generic-{clock_ghz}GHz", clock_hz=clock_ghz * 1e9,
-                   element_op_time=element_op_ns * 1e-9)
-
-
-def generic_node(cores: int = 8, clock_ghz: float = 2.0, dram_gib: int = 8) -> NodeSpec:
-    """A one-socket SMP node of ``cores`` :func:`generic_cpu` cores."""
-    if cores < 1:
-        raise ValueError("a node needs at least one core")
-    return NodeSpec(name=f"generic-{cores}c", cpu=generic_cpu(clock_ghz),
-                    sockets=1, cores_per_socket=cores, dram_bytes=dram_gib << 30)

@@ -183,14 +183,10 @@ def smp_topology(node: NodeSpec = PENRYN_NODE) -> Topology:
     return topo
 
 
-def cluster_topology(
-    n_nodes: int,
-    node: NodeSpec = PENRYN_NODE,
-    fabric_link: LinkModel | None = None,
-    host_hop: LinkModel | None = None,
-) -> Topology:
+def cluster_topology(n_nodes: int, node: NodeSpec = PENRYN_NODE) -> Topology:
     """N identical nodes on one switch; every message crosses
-    PCIe -> IB -> switch -> IB -> PCIe, exactly as the paper describes.
+    PCIe -> IB -> switch -> IB -> PCIe, exactly as the paper describes: the
+    testbed's QDR InfiniBand and a PCIe gen2 x8 hop to each HCA.
 
     The switch is a zero-core component; the IB link latency is split evenly
     across the two node<->switch edges so the end-to-end latency matches one
@@ -198,10 +194,9 @@ def cluster_topology(
     """
     if n_nodes < 2:
         raise TopologyError("a cluster needs at least 2 nodes")
-    fabric_link = fabric_link or ib_qdr()
-    host_hop = host_hop or pcie_gen2_x8(contended=False)
-    half = fabric_link.with_(name=fabric_link.name + "-half",
-                             latency=fabric_link.latency / 2.0)
+    fabric = ib_qdr()
+    host_hop = pcie_gen2_x8(contended=False)
+    half = fabric.with_(name=fabric.name + "-half", latency=fabric.latency / 2.0)
     topo = Topology(name=f"cluster[{n_nodes}x{node.name}]")
     topo.add(Component("switch", ComponentKind.SWITCH))
     for i in range(n_nodes):

@@ -9,7 +9,6 @@ verbs, and its proposed SCIF backend for PCIe.
 """
 
 from repro.interconnect.base import LinkModel
-from repro.interconnect.ethernet import gigabit_ethernet
 from repro.interconnect.infiniband import ib_qdr
 from repro.interconnect.pcie import pcie_gen2_x8, pcie_gen2_x16
 from repro.interconnect.routing import Fabric
@@ -20,7 +19,6 @@ __all__ = [
     "Fabric",
     "LinkModel",
     "SCL",
-    "gigabit_ethernet",
     "ib_qdr",
     "pcie_gen2_x16",
     "pcie_gen2_x8",

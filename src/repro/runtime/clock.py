@@ -46,10 +46,6 @@ class ThreadClock:
         if key is not None:
             detail[key] += dt
 
-    def charge_detail(self, key: str, dt: float) -> None:
-        """Extra attribution alone, on top of a bucket already charged."""
-        self.detail[key] += dt
-
     def charge_hit_run(self, start: float, dts: np.ndarray,
                        memory: bool) -> float:
         """Charge a stretch of plan operations that all hit: compute

@@ -43,11 +43,6 @@ class SharedArray:
     def nbytes(self) -> int:
         return self.rows * self.row_bytes
 
-    def row_addr(self, row: int) -> int:
-        if not 0 <= row < self.rows:
-            raise MemoryError_(f"row {row} out of range [0, {self.rows})")
-        return self.addr + row * self.row_bytes
-
     # ------------------------------------------------------------------
     # block accessors (generators)
     # ------------------------------------------------------------------

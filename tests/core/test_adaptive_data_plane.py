@@ -92,7 +92,7 @@ class TestConfigSurface:
         # fixed software costs and the allocator thresholds nobody set are
         # constants of params.py and allocator.py.
         fields = {f.name for f in dataclasses.fields(SamhitaConfig)}
-        assert len(fields) == 17
+        assert len(fields) == 16
         for gone in ("eviction_impl", "batched_round_trips",
                      "batch_line_fetches", "prefetch_adjacent",
                      "adaptive_timeouts", "hedged_fetches", "hedge_quantile",
@@ -105,7 +105,7 @@ class TestConfigSurface:
                      "invalidate_page_time", "install_page_time",
                      "arena_max_alloc", "arena_chunk_bytes",
                      "stripe_threshold", "manager_service_time",
-                     "fault_handler_time"):
+                     "fault_handler_time", "barrier_eager_refresh"):
             assert gone not in fields
             with pytest.raises(TypeError):
                 SamhitaConfig(**{gone: False})

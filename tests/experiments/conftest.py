@@ -8,7 +8,7 @@ from repro.experiments.campaign import run_campaign
 
 @pytest.fixture(scope="session")
 def campaign_dir(tmp_path_factory):
-    """All 27 archived tables built once on two workers, every claim
+    """All 24 archived tables built once on two workers, every claim
     checked, and each table written as ``<stem>.txt`` next to
     ``REPORT.md``."""
     out = tmp_path_factory.mktemp("campaign")

@@ -15,7 +15,13 @@ ARCHIVE = ROOT / "benchmarks/results"
 def test_one_claim_per_figure():
     tables = [c.table for c in CLAIMS]
     assert tables == sorted(TABLES)
-    assert len(tables) == 27
+    assert len(tables) == 24
+
+
+def test_every_archive_has_a_table():
+    """The archive holds exactly one file per table: a table's deletion
+    takes its ``benchmarks/results`` file with it."""
+    assert sorted(p.stem for p in ARCHIVE.glob("*.txt")) == sorted(TABLES)
 
 
 def test_claims_have_statements():

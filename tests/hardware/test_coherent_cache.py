@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware import CoherentCacheModel
-from repro.hardware.specs import CacheSpec, generic_node
+from repro.hardware.specs import CacheSpec, NodeSpec, PENRYN_CPU
 from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
 from repro.runtime import Runtime
 from tests.property.test_coherent_cache_props import ReferenceCache
@@ -123,7 +123,8 @@ class TestManyCores:
     @pytest.mark.parametrize("allocation",
                              [Allocation.GLOBAL, Allocation.GLOBAL_STRIDED])
     def test_pthreads_runs_72_threads_exactly(self, allocation):
-        rt = Runtime("pthreads", n_threads=72, node=generic_node(72))
+        node = NodeSpec("smp-72c", PENRYN_CPU, sockets=1, cores_per_socket=72)
+        rt = Runtime("pthreads", n_threads=72, node=node)
         cache = rt.backend.cache
         ref = ReferenceCache(cache.spec, cache.cores_per_socket)
         priced = cache.access

@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.core import SamhitaConfig
 from repro.hardware import cluster_topology, hetero_node_topology, smp_topology
 from repro.interconnect import (
     Fabric,
     LinkModel,
     SCL,
-    gigabit_ethernet,
     ib_qdr,
     pcie_gen2_x16,
     scif_link,
 )
 from repro.interconnect.scl import CONTROL_BYTES
+from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
+from repro.runtime import Runtime
 from repro.sim import Engine, Timeout
 
 
@@ -43,9 +45,10 @@ class TestLinkModel:
         assert slower.bandwidth == 1e9
         assert link.bandwidth != 1e9
 
-    def test_ethernet_is_much_slower_than_ib(self):
-        page = 4096
-        assert gigabit_ethernet().transfer_time(page) > 10 * ib_qdr().transfer_time(page)
+    def test_qdr_page_costs_published_latency_plus_wire_time(self):
+        # ~1.3 us verbs latency, ~3.2 GB/s payload, two 2 KiB packets.
+        assert ib_qdr().transfer_time(4096) == pytest.approx(
+            1.3e-6 + 4096 / 3.2e9 + 2 * 5e-9)
 
 
 class TestFabric:
@@ -283,3 +286,33 @@ class TestFlight:
         after = self._books(fabric, scl)
         assert after[0]["messages"] == before[0]["messages"] + 1
         assert after[2] == before[2]
+
+
+class TestTrafficMatrix:
+    """Per-flow byte accounting on the paper's cluster (node0 is the
+    manager, node1 the memory server)."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        rt = Runtime("samhita", n_threads=4,
+                     config=SamhitaConfig(functional=False))
+        spawn_microbench(rt, MicrobenchParams(
+            N=4, M=2, S=2, B=256, allocation=Allocation.GLOBAL_STRIDED))
+        rt.run()
+        return rt.backend.system
+
+    def test_memory_server_is_the_top_talker(self, system):
+        fabric = system.fabric
+        assert fabric.stats.get("bytes.page") > 0
+        (src, _), _ = fabric.top_talkers(1)[0]
+        assert src == "node1"
+
+    def test_matrix_accessors(self, system):
+        fabric = system.fabric
+        talkers = fabric.top_talkers(5)
+        assert talkers and all(v > 0 for _, v in talkers)
+        # The memory server (node1) dominates outbound bytes.
+        assert fabric.out_bytes("node1") > fabric.out_bytes("node0")
+        total_in = sum(fabric.in_bytes(c) for c in system.topology.components)
+        total_out = sum(fabric.out_bytes(c) for c in system.topology.components)
+        assert total_in == total_out == fabric.stats.get("bytes")

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.hardware import (
+    CPUSpec,
     ComputeCostModel,
     PENRYN_CPU,
     PENRYN_NODE,
     XEON_PHI_KNC,
-    generic_cpu,
-    generic_node,
 )
 
 
@@ -27,13 +26,6 @@ class TestSpecs:
 
     def test_flop_time_derived_from_clock(self):
         assert PENRYN_CPU.flop_time == pytest.approx(1.0 / (2.8e9 * 2.0))
-
-    def test_generic_builders(self):
-        node = generic_node(cores=16, clock_ghz=3.0)
-        assert node.cores == 16
-        assert node.cpu.clock_hz == pytest.approx(3.0e9)
-        with pytest.raises(ValueError):
-            generic_node(cores=0)
 
     def test_specs_are_frozen(self):
         with pytest.raises(Exception):
@@ -55,7 +47,6 @@ class TestComputeCostModel:
         model = ComputeCostModel(PENRYN_CPU)
         assert model.element_time(0) == 0.0
         assert model.flop_time(0) == 0.0
-        assert model.scalar_overhead(0) == 0.0
 
     def test_negative_work_rejected(self):
         model = ComputeCostModel(PENRYN_CPU)
@@ -63,10 +54,8 @@ class TestComputeCostModel:
             model.element_time(-1)
         with pytest.raises(ValueError):
             model.flop_time(-1)
-        with pytest.raises(ValueError):
-            model.scalar_overhead(-1)
 
     def test_slower_core_costs_more(self):
-        fast = ComputeCostModel(generic_cpu(element_op_ns=1.0))
-        slow = ComputeCostModel(generic_cpu(element_op_ns=4.0))
+        fast = ComputeCostModel(CPUSpec("fast", 2e9, element_op_time=1e-9))
+        slow = ComputeCostModel(CPUSpec("slow", 2e9, element_op_time=4e-9))
         assert slow.element_time(100) == pytest.approx(4 * fast.element_time(100))

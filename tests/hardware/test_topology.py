@@ -1,7 +1,10 @@
 """Tests for topology builders and routing."""
 
+import inspect
+
 import pytest
 
+from repro.core import SamhitaSystem
 from repro.errors import TopologyError
 from repro.hardware import (
     Component,
@@ -88,6 +91,14 @@ class TestCluster:
         fwd = topo.route("node0", "node2")
         back = topo.route("node2", "node0")
         assert [l.name for l in back] == [l.name for l in reversed(fwd)]
+
+    def test_the_cluster_fabric_is_fixed(self):
+        # QDR InfiniBand and PCIe gen2 x8 are the paper's testbed; neither
+        # cluster_topology nor SamhitaSystem.cluster takes a link argument.
+        assert list(inspect.signature(cluster_topology).parameters) == [
+            "n_nodes", "node"]
+        assert list(inspect.signature(SamhitaSystem.cluster).parameters) == [
+            "n_threads", "config", "node"]
 
     def test_too_small_cluster_rejected(self):
         with pytest.raises(TopologyError):

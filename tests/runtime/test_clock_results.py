@@ -19,8 +19,8 @@ class TestThreadClock:
     def test_detail_tracks_buckets_and_extras(self):
         clock = ThreadClock()
         clock.charge("compute", 1.0)
-        clock.charge_detail("fault", 0.4)
-        assert clock.detail["compute"] == 1.0
+        clock.charge("compute", 0.4, key="fault")
+        assert clock.detail["compute"] == 1.4
         assert clock.detail["fault"] == 0.4
 
     def test_unknown_bucket_rejected(self):
