@@ -227,10 +227,16 @@ class LockUpdateLog:
     def append(self, diffs: list[PageDiff], invalidate_pages=()) -> int:
         """Record one release's updates; returns the new version."""
         self._version += 1
-        payload = sum(d.payload_bytes for d in diffs)
-        spans = sum(d.n_spans for d in diffs)
-        self._epochs.append(_LogEpoch(self._version, list(diffs), payload,
-                                      spans, tuple(invalidate_pages)))
+        if len(diffs) == 1:  # a release that stored into one page
+            diff = diffs[0]
+            diffs, payload, spans = [diff], diff.payload_bytes, diff.n_spans
+        else:
+            diffs = list(diffs)
+            payload = sum([d.payload_bytes for d in diffs])
+            spans = sum([d.n_spans for d in diffs])
+        self._epochs.append(_LogEpoch(
+            self._version, diffs, payload, spans,
+            tuple(invalidate_pages) if invalidate_pages else ()))
         return self._version
 
     def updates_since(self, tid: int) -> tuple[list[PageDiff], int, int, list[int]]:
@@ -251,16 +257,19 @@ class LockUpdateLog:
         # Versions are consecutive (one epoch per bump) and the list is
         # only ever trimmed from the front, so the unseen epochs are a
         # suffix that starts at a computable index.
+        first = seen + 1 - epochs[0].version
         diffs: list[PageDiff] = []
         payload = spans = 0
-        invalidate: set[int] = set()
-        for epoch in epochs[max(seen + 1 - epochs[0].version, 0):]:
+        invalidate: list[int] = []
+        for epoch in epochs[first if first > 0 else 0:]:
             diffs += epoch.diffs
             payload += epoch.payload_bytes
             spans += epoch.span_count
             if epoch.invalidate_pages:  # page-grain ablation only
-                invalidate.update(epoch.invalidate_pages)
-        return diffs, payload, spans, sorted(invalidate)
+                invalidate += epoch.invalidate_pages
+        if invalidate:
+            invalidate = sorted(set(invalidate))
+        return diffs, payload, spans, invalidate
 
     def prune(self, all_tids: Iterable[int]) -> None:
         """Drop epochs every known thread has consumed.

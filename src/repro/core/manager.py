@@ -632,8 +632,9 @@ class Manager:
                 # method calls + comprehensions.
                 continue
             diffs, _payload, _spans, invalidate = log.updates_since(tid)
-            cr_diffs.extend(diffs)
-            cr_invalidate.update(invalidate)
+            cr_diffs += diffs
+            if invalidate:  # page-grain ablation only
+                cr_invalidate.update(invalidate)
         self._cr_seen[tid] = clock
         return cr_diffs, cr_invalidate
 
@@ -780,7 +781,7 @@ class Manager:
             # this thread has not yet seen and ship it with the directive.
             cr_diffs, cr_invalidate = self._cr_updates(tid)
             directives[tid] = (plan.directive(tid), plan.flush[tid], cr_diffs,
-                               sorted(cr_invalidate))
+                               sorted(cr_invalidate) if cr_invalidate else [])
         return directives
 
     def barrier_flush_done(self, tid: int, comp: str, state: _BarrierState):

@@ -293,7 +293,8 @@ class MemoryServer:
         try:
             if res is not None:
                 res.check_alive(self)
-            total = sum([d.payload_bytes for d in diffs])
+            total = (diffs[0].payload_bytes if len(diffs) == 1
+                     else sum([d.payload_bytes for d in diffs]))
             if total:
                 delay = APPLY_TIME_PER_BYTE * total
                 if not self.engine.try_advance(delay):

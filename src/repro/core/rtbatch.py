@@ -90,7 +90,7 @@ class RoundTripLedger:
         per_kind[kind] += 1
         self.trips += 1
         self.lines += lines
-        self.hist[1 << max(lines, 1).bit_length() - 1] += 1
+        self.hist[1 if lines < 2 else 1 << lines.bit_length() - 1] += 1
 
     def snapshot(self) -> dict:
         hist = {}
@@ -425,7 +425,8 @@ def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
                         scan_time: float):
     """Generator: write diffs back grouped per logical home -- one put +
     one bulk apply per home, retrying through failovers and stale-stamp
-    rejects as a unit.
+    rejects as a unit. ``diffs`` is a list, only read: with one memory
+    server it is the one group.
 
     ``scan_time``: what the sender still owes per diff for scanning the
     page against its twin, fused into the put as its lead (an eviction:
@@ -439,19 +440,22 @@ def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
     ledger = system.rt_ledger
     line_of = config.layout.line_of_page
     resolve_home = system.directory.resolve_home
-    by_home: dict[int, list] = {}
     if config.n_memory_servers == 1:
-        diffs = list(diffs)
-        if diffs:
-            by_home[0] = diffs
+        groups = ((0, diffs),) if diffs else ()
     else:
+        by_home: dict[int, list] = {}
         home_of_page = system.allocator.home_of_page
         for diff in diffs:
             by_home.setdefault(home_of_page(diff.page), []).append(diff)
-    for home in sorted(by_home):
-        group = by_home[home]
-        wire = sum([d.wire_bytes for d in group])
-        lead = scan_time * len(group)
+        groups = sorted(by_home.items())
+    for home, group in groups:
+        n = len(group)
+        if n == 1:  # a release's one stored-to page, one dirty victim
+            wire, lines = group[0].wire_bytes, 1
+        else:
+            wire = sum([d.wire_bytes for d in group])
+            lines = len({line_of(d.page) for d in group})
+        lead = scan_time * n
         backoffs = 0
         while True:
             server = system.memory_servers[resolve_home(home)]
@@ -474,4 +478,4 @@ def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
                 backoffs = yield from recover(cs, server, err, backoffs)
                 continue
             break
-        ledger.record(home, "merge", len({line_of(d.page) for d in group}))
+        ledger.record(home, "merge", lines)

@@ -137,6 +137,10 @@ class SamhitaSystem:
         }
         self._compute_order = list(compute)
         self.placement = placement
+        #: Placement's inputs, read once and kept as threads are added
+        #: (a compute server's thread list only grows).
+        self._cores = {c: topology.component(c).cores for c in compute}
+        self._load = dict.fromkeys(compute, 0)
         self.control = ControlPlane(self, self.managers)
         if self.config.lock_owner_cache:
             for mgr in self.managers:
@@ -231,14 +235,11 @@ class SamhitaSystem:
         """Create a compute thread (the manager's thread placement applies
         the configured policy, one thread per core). Returns the thread id."""
         if component is None:
-            cores = {c: self.topology.component(c).cores
-                     for c in self._compute_order}
-            load = {c: len(self.compute_servers[c].threads)
-                    for c in self._compute_order}
             component = choose_component(self.placement, self._compute_order,
-                                         cores, load)
+                                         self._cores, self._load)
         elif component not in self.compute_servers:
             raise BackendError(f"{component!r} is not a compute component")
+        self._load[component] += 1
         tid = self._next_tid
         self._next_tid += 1
         self._thread_comp[tid] = component
@@ -453,7 +454,7 @@ class SamhitaSystem:
             targets = [p for p in invalidate if not cache.is_dirty(p)]
             dropped = cache.invalidate(targets)
             if dropped:
-                yield Timeout(len(dropped) * INVALIDATE_PAGE_TIME)
+                yield Timeout(dropped * INVALIDATE_PAGE_TIME)
         self._regions[tid].enter()
 
     def release_lock(self, tid: int, lock_id: int):
@@ -474,7 +475,7 @@ class SamhitaSystem:
         if self.config.regc_fine_grain:
             log = self._storelogs[tid]
             diffs = log.to_page_diffs()
-            payload, spans = log.wire_bytes, len(log)
+            payload, spans = log.wire_bytes, len(log.entries)
             log.clear()
             yield from rtbatch.flush_diffs_batched(
                 self.compute_servers[comp], diffs, "fine_grain", 0.0)
@@ -584,7 +585,7 @@ class SamhitaSystem:
             if extra:
                 dropped += cache.invalidate(extra)
         if dropped:
-            yield Timeout(len(dropped) * INVALIDATE_PAGE_TIME)
+            yield Timeout(dropped * INVALIDATE_PAGE_TIME)
 
     def _arrival_for(self, barrier_id: int):
         """The arrival protocol of one barrier, resolved once per barrier

@@ -409,8 +409,8 @@ class SoftwareCache:
                     pages.tolist() if isinstance(pages, np.ndarray) else pages)
             yield pages
 
-    def invalidate(self, pages, skip_dirty: bool = False) -> list[int]:
-        """Drop clean copies of the given pages; returns the pages dropped.
+    def invalidate(self, pages, skip_dirty: bool = False) -> int:
+        """Drop clean copies of the given pages; returns how many it dropped.
 
         ``pages`` is an iterable of page numbers, or anything that can say
         which members of a set it lists (``intersection``: a set, or a
@@ -446,17 +446,19 @@ class SoftwareCache:
             if bump:
                 self.inval_epoch.update(bump)
         if not hits:
-            return []
-        dropped = sorted(hits)
+            return 0
         # Clean rows: HI is 0, so no twin is held.
-        self._resident.difference_update(dropped)
+        self._resident.difference_update(hits)
         chunks = self._table.chunks
-        if len(dropped) < WIDE:
-            for page in dropped:
+        dropped = len(hits)
+        if dropped < WIDE:
+            for page in hits:
                 chunks[page >> CHUNK_SHIFT][TICK][page & CHUNK_MASK] = 0
         else:
-            self._table.scatter(TICK, np.array(dropped, dtype=np.int64), 0)
-        self.stats.counters["invalidations"] += len(dropped)
+            rows = np.fromiter(hits, np.int64, dropped)
+            rows.sort()
+            self._table.scatter(TICK, rows, 0)
+        self.stats.counters["invalidations"] += dropped
         return dropped
 
     def inval_epoch_of(self, page: int) -> int:

@@ -256,19 +256,6 @@ class PageDiff:
         self.sizes = np.array(sizes, dtype=np.intp)
 
     @classmethod
-    def one_span(cls, page: int, start: int, size: int, data) -> "PageDiff":
-        """``PageDiff(page, [(start, data)], [size])`` for a span known to
-        lie inside the page, without the list normalisation."""
-        diff = cls.__new__(cls)
-        diff.page, diff.index, diff.n_spans = page, None, 1
-        diff.payload_bytes, diff.end = size, start + size
-        diff.wire_bytes = size + cls.SPAN_HEADER_BYTES
-        diff.payload = None if data is None else np.array(data, dtype=np.uint8)
-        diff.starts = np.array((start,), dtype=np.intp)
-        diff.sizes = np.array((size,), dtype=np.intp)
-        return diff
-
-    @classmethod
     def from_ranges(cls, page: int, ranges) -> "PageDiff":
         """Timing-mode diff: spans with sizes but no data."""
         return cls(page, [(s, None) for s, _ in ranges], [e - s for s, e in ranges])
@@ -329,3 +316,31 @@ class _Unchanged(PageDiff):
 
 
 PageDiff.unchanged = _Unchanged
+
+
+class _OneSpan(PageDiff):
+    """``PageDiff.one_span(page, start, size, data)``: what
+    ``PageDiff(page, [(start, data)], [size])`` builds, for a span known to
+    lie inside the page -- a release's one store, a timing-mode page's one
+    dirty range -- without the list normalisation. Its scalar fields are
+    set here; the span columns, which no write-back, merge or apply reads
+    (they use ``end`` and ``payload_bytes``), are built on each read."""
+
+    __slots__ = ()
+
+    def __init__(self, page: int, start: int, size: int, data):
+        self.page, self.index, self.n_spans = page, None, 1
+        self.payload_bytes, self.end = size, start + size
+        self.wire_bytes = size + self.SPAN_HEADER_BYTES
+        self.payload = None if data is None else np.array(data, dtype=np.uint8)
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.array((self.end - self.payload_bytes,), dtype=np.intp)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.array((self.payload_bytes,), dtype=np.intp)
+
+
+PageDiff.one_span = _OneSpan

@@ -17,7 +17,12 @@ from repro.memory.layout import MemoryLayout
 
 
 class StoreLog:
-    """Ordered log of (addr, nbytes, data) stores from one consistency region."""
+    """Ordered log of (addr, nbytes, data) stores from one consistency region.
+
+    ``payload_bytes`` is a running total that :meth:`record` adds to and
+    :meth:`clear` zeroes: a release reads its size, it does not walk the
+    log for it.
+    """
 
     #: Wire overhead per logged store (address + length header).
     ENTRY_HEADER_BYTES = 12
@@ -25,6 +30,8 @@ class StoreLog:
     def __init__(self, layout: MemoryLayout):
         self.layout = layout
         self.entries: list[tuple[int, int, np.ndarray | None]] = []
+        #: Bytes stored since the last :meth:`clear`.
+        self.payload_bytes = 0
 
     def record(self, addr: int, nbytes: int, data: np.ndarray | None) -> None:
         if nbytes < 0:
@@ -34,10 +41,7 @@ class StoreLog:
         if data is not None and len(data) != nbytes:
             raise MemoryError_("store data length mismatch")
         self.entries.append((addr, nbytes, data))
-
-    @property
-    def payload_bytes(self) -> int:
-        return sum(n for _, n, _ in self.entries)
+        self.payload_bytes += nbytes
 
     @property
     def wire_bytes(self) -> int:
@@ -55,8 +59,8 @@ class StoreLog:
 
         Each page's pieces stay in store order and :class:`PageDiff` replays
         them in that order, so later stores to the same bytes win. The
-        common release -- one store, inside one page -- builds its diff's
-        columns directly.
+        common release -- one store, inside one page -- is one
+        ``PageDiff.one_span``, which builds no span column.
         """
         if len(self.entries) == 1:
             addr, nbytes, data = self.entries[0]
@@ -77,3 +81,4 @@ class StoreLog:
 
     def clear(self) -> None:
         self.entries.clear()
+        self.payload_bytes = 0

@@ -60,6 +60,24 @@ class TestSystemPlacement:
         tid = system.add_thread(component="mic1")
         assert system.component_of(tid) == "mic1"
 
+    @pytest.mark.parametrize("policy", list(PlacementPolicy))
+    def test_kept_load_places_like_fresh_dicts(self, policy):
+        """The system keeps each component's core count and load as threads
+        are added; explicit placements count. Each thread lands where
+        ``choose_component`` over dicts rebuilt from the compute servers
+        would put it."""
+        system = SamhitaSystem.cluster(n_threads=24)  # 3 nodes x 8 cores
+        system.placement = policy
+        comps = list(system.compute_servers)
+        explicit = {1: comps[2], 2: comps[2], 5: comps[0], 9: comps[1]}
+        for step in range(23):
+            cores = {c: system.topology.component(c).cores for c in comps}
+            load = {c: len(system.compute_servers[c].threads) for c in comps}
+            want = explicit.get(step) or choose_component(policy, comps,
+                                                          cores, load)
+            tid = system.add_thread(component=explicit.get(step))
+            assert system.component_of(tid) == want
+
     def test_unknown_component_rejected(self):
         system = SamhitaSystem.hetero(n_coprocessors=1)
         with pytest.raises(BackendError):

@@ -286,6 +286,52 @@ def test_contended_acquire_resumes_its_caller_once():
     assert manager.stats.get("lock_acquires") == 5
 
 
+#: Calls per contended lock passage that stores 8 bytes in its consistency
+#: region (16 threads on one lock, timing mode, straight on
+#: ``SamhitaSystem``): 132.9 today, 157.9 while a release re-derived its
+#: sizes at every layer (the store log's generator sums, the lock log's,
+#: the write-back's line set, a span column per diff); the bound is that +
+#: 10 %.
+STORE_PASSAGE_BOUND = 146
+
+
+def store_passage_cost(passages: int) -> Counter:
+    """16 threads, each taking one lock ``passages`` times and storing one
+    8-byte word inside it, run under the counter."""
+    system = SamhitaSystem.cluster(
+        n_threads=16, config=SamhitaConfig(functional=False))
+    tids = [system.add_thread() for _ in range(16)]
+    lock = system.create_lock()
+    word = []
+
+    def alloc():
+        word.append((yield from system.malloc(tids[0], 8, shared=True)))
+
+    system.process(alloc())
+    system.run()
+
+    def body(tid):
+        for _ in range(passages):
+            yield from system.acquire_lock(tid, lock)
+            yield from system.mem_write(tid, word[0], 8, None)
+            yield from system.release_lock(tid, lock)
+
+    for tid in tids:
+        system.process(body(tid), name=f"t{tid}")
+    with Counter() as counter:
+        system.run()
+    assert system.manager.stats.get("lock_releases") == 16 * passages
+    return counter
+
+
+def test_contended_store_passage_pays_for_its_messages():
+    """A passage that stores one word ships one one-span diff to one home:
+    its totals travel with it from the store log to the lock log, so no
+    layer walks the release again to size it."""
+    short, long = (store_passage_cost(passages) for passages in (4, 8))
+    assert (long.calls - short.calls) / (16 * 4) <= STORE_PASSAGE_BOUND
+
+
 def test_flat_barrier_arrival_resumes_its_caller_once():
     """A flat arrival sleeps from its request to its directive's arrival:
     the party is released by continuations, which take the manager's

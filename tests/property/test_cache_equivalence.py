@@ -121,7 +121,7 @@ class CacheEquivalence(RuleBasedStateMachine):
     @rule(stale=page_sets)
     def invalidate(self, stale):
         stale -= {p for p, e in self.ref.entries.items() if not e.dirty.empty}
-        assert self.cache.invalidate(stale) == self.ref.invalidate(stale)
+        assert self.cache.invalidate(stale) == len(self.ref.invalidate(stale))
 
     @rule(mine=page_sets, others=page_sets)
     def barrier_invalidate(self, mine, others):
@@ -133,7 +133,7 @@ class CacheEquivalence(RuleBasedStateMachine):
         clean = set(directive) - {p for p, e in self.ref.entries.items()
                                   if not e.dirty.empty}
         assert (self.cache.invalidate(directive, skip_dirty=True)
-                == self.ref.invalidate(clean))
+                == len(self.ref.invalidate(clean)))
 
     @rule(batch=page_sets, as_vector=st.booleans())
     def begin_fetch(self, batch, as_vector):

@@ -63,6 +63,55 @@ def test_diff_pages_are_sorted_and_within_bounds(ops):
     assert all(0 <= p < SPAN // 512 for p in pages)
 
 
+#: A log's operations: a store ``(addr, nbytes, value)``, or None for a clear.
+log_ops = st.lists(
+    st.one_of(st.none(), st.tuples(st.integers(0, SPAN - 33),
+                                   st.integers(0, 32), st.integers(0, 255))),
+    max_size=40)
+
+
+@given(log_ops, st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_running_totals_equal_the_sums_over_entries(ops, functional):
+    log = StoreLog(LAYOUT)
+    for op in ops:
+        if op is None:
+            log.clear()
+        else:
+            addr, nbytes, value = op
+            log.record(addr, nbytes,
+                       np.full(nbytes, value, np.uint8) if functional else None)
+        assert log.payload_bytes == sum(n for _, n, _ in log.entries)
+        assert log.wire_bytes == sum(
+            n + StoreLog.ENTRY_HEADER_BYTES for _, n, _ in log.entries)
+
+
+@given(st.integers(0, 7), st.integers(0, 511), st.integers(0, 512),
+       st.booleans(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_one_span_is_the_one_span_list_diff(page, start, size, functional, data):
+    size = min(size, 512 - start)
+    payload = (np.array(data.draw(st.lists(st.integers(0, 255), min_size=size,
+                                           max_size=size)), dtype=np.uint8)
+               if functional else None)
+    one = PageDiff.one_span(page, start, size, payload)
+    ref = PageDiff(page, [(start, payload)], [size])
+    for field in ("page", "n_spans", "payload_bytes", "wire_bytes", "end",
+                  "empty", "index"):
+        assert getattr(one, field) == getattr(ref, field), field
+    assert one.starts.tolist() == ref.starts.tolist()
+    assert one.sizes.tolist() == ref.sizes.tolist()
+    assert one.starts.dtype == ref.starts.dtype == np.intp
+    assert one.sizes.dtype == ref.sizes.dtype == np.intp
+    assert [(s, None if d is None else d.tolist()) for s, d in one.spans] == \
+        [(s, None if d is None else d.tolist()) for s, d in ref.spans]
+    assert (one.payload is None) == (ref.payload is None) == (not functional)
+    buffers = [np.arange(512, dtype=np.uint16).astype(np.uint8) for _ in "ab"]
+    one.apply_to(buffers[0])
+    ref.apply_to(buffers[1])
+    assert bytes(buffers[0]) == bytes(buffers[1])
+
+
 # -- batches: a trip's diffs logged and merged at once -----------------------
 
 def _diff(page, kind, fill):
