@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import rtbatch
-from repro.errors import MemoryError_
+from repro.memory.pagetable import NO_PAGES
+from repro.sim.engine import DONE
 from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,53 +155,32 @@ class ComputeServer:
     # fault path
     # ------------------------------------------------------------------
     def ensure_resident(self, tid: int, addr: int, nbytes: int):
-        """Generator: make every page of [addr, addr+nbytes) resident.
+        """Make every page of [addr, addr+nbytes) resident: ``DONE`` when
+        it is, else the fault, one :func:`rtbatch.fetch_batched` frame
+        (which faults again if a concurrent consistency action voids part
+        of its fetch). Either way the caller ``yield from``-s it."""
+        if self.caches[tid].span_resident(addr, nbytes):
+            return DONE
+        return rtbatch.fetch_batched(self, tid, NO_PAGES, NO_PAGES, (),
+                                     access=(addr, nbytes))
 
-        Retries when a concurrent consistency action (an IVY upgrade by
-        another thread, a barrier invalidation) voids an in-flight fetch --
-        the per-page invalidation guard drops the stale data and the next
-        pass refetches -- up to a bound past which the thread is starved.
-        An access outside every allocation raises on its first attempt.
-        """
-        cache = self.caches[tid]
-        if cache.span_resident(addr, nbytes):
-            return
-        layout = cache.layout
-        span = layout.pages_spanning(addr, nbytes)
-        protect = span  # eviction must spare the faulted span
-        per_line = layout.pages_per_line
-        first = span.start - span.start % per_line
-        stop = span.stop + -span.stop % per_line
-        for attempt in range(64):
-            # The attempt's one residency scan: every non-resident page of
-            # the lines the span touches. A voided attempt scans again.
-            missing = cache.missing_in(first, stop)
-            if attempt:
-                # Only a retry has to ask again whether the span itself
-                # still lacks a page (line tails may stay missing forever).
-                lo, hi = missing.searchsorted((span.start, span.stop))
-                if lo == hi:
-                    return
-            yield from rtbatch.fault_lines_batched(self, tid, missing,
-                                                   protect)
-        raise MemoryError_(
-            f"thread {tid} starved faulting [{addr:#x}, +{nbytes})")
-
-    def _allocated_only(self, pages: np.ndarray) -> np.ndarray:
+    def _allocated_only(self, pages: np.ndarray, first: int,
+                        stop: int) -> np.ndarray:
         """Drop pages outside any allocation (line tails past a region)
-        from an ascending page vector.
+        from an ascending page vector that lies in ``[first, stop)``.
 
-        A region is one page extent, so when the first page's region also
-        holds the last page it holds them all: a fault inside one
-        allocation is answered by a single lookup. Otherwise the vector is
-        cut region by region.
+        A region is one page extent, so when the region of ``first`` also
+        holds ``stop - 1`` it holds every page: a fault inside one
+        allocation is answered by a single lookup on the bounds, Python
+        ints. Otherwise the vector is cut region by region.
         """
         if not pages.size:
             return pages
         allocated_span = self.system.allocator.allocated_span
-        span = allocated_span(pages.item(0))
-        if span is not None and pages.item(-1) < span[1]:
+        span = allocated_span(first)
+        if span is not None and stop <= span[1]:
             return pages
+        span = allocated_span(pages.item(0))
         kept = []
         at = 0
         while at < pages.size:

@@ -219,6 +219,8 @@ class LockUpdateLog:
         self._epochs: list[_LogEpoch] = []
         self._version = 0
         self.last_seen: dict[int, int] = {}
+        #: The version at which a release next prunes (``Manager._prune_log``).
+        self.prune_at = 0
 
     @property
     def version(self) -> int:

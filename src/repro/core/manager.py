@@ -504,7 +504,8 @@ class Manager:
         original order) to the lock's update log."""
         for diffs, payload, _spans, invalidate in stash:
             if diffs or payload or invalidate:
-                lock.log.append(diffs, invalidate)
+                if lock.log.append(diffs, invalidate) >= lock.log.prune_at:
+                    self._prune_log(lock.log)
                 self.cr_clock.value += 1
         if stash:
             # The stasher has seen its own records by construction.
@@ -537,7 +538,8 @@ class Manager:
         if stash:
             self._absorb_stash(lock, stash, tid)
         if diffs or payload_bytes or invalidate_pages:
-            lock.log.append(diffs, invalidate_pages)
+            if lock.log.append(diffs, invalidate_pages) >= lock.log.prune_at:
+                self._prune_log(lock.log)
             self.cr_clock.value += 1
         cacheable = False
         if lock.waiters:
@@ -580,6 +582,13 @@ class Manager:
 
     def holds_lock(self, tid: int, lock_id: int) -> bool:
         return self._lock(lock_id).holder == tid
+
+    def _prune_log(self, log) -> None:
+        """Prune one lock's log outside a barrier round, next after a
+        population's worth of appends: a lock-only program keeps O(threads)
+        epochs per lock, at O(1) amortised work per release."""
+        log.prune(self.known_threads)
+        log.prune_at = log.version + len(self.known_threads)
 
     def prune_lock_logs(self, all_tids) -> bool:
         """Garbage-collect fine-grain logs every thread has consumed.

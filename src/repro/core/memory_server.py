@@ -99,10 +99,12 @@ class MemoryServer:
             counters["fetches"] += 1
             counters["pages_served"] += pages.size
             owners = self.directory.owners_of(pages, but=requester_tid)
-            for owner in sorted(set(owners[owners >= 0].tolist())):
-                r = self._recall_bulk(owner, pages[owners == owner])
-                if r is not None:
-                    yield from r
+            recalled = owners[owners >= 0]
+            if recalled.size:
+                for owner in sorted(set(recalled.tolist())):
+                    r = self._recall_bulk(owner, pages[owners == owner])
+                    if r is not None:
+                        yield from r
             return self._read_served(requester_tid, pages)
         finally:
             self.resource.release()
@@ -174,7 +176,7 @@ class MemoryServer:
             # apply in bulk without materializing PageDiff objects.
             dirty_pages, payload, wire = owner_cache.take_diff_sizes(pages)
             self.directory.clear_owners(pages)
-            if not dirty_pages:
+            if not dirty_pages.size:
                 return None
             t = system.fabric.transfer_inline(
                 owner_comp, self.component, wire, category="recall_diff",

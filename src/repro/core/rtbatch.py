@@ -170,16 +170,8 @@ def recover(cs: "ComputeServer", server, err, backoffs: int = 0):
 PREFETCH_DEGREE = 2
 
 
-def predict_lines(cs: "ComputeServer", lines):
-    """The lines to ride a run of demand-missed lines' trip: the adjacent
-    line of each (``SamhitaConfig.prefetch``), or none."""
-    if cs.system.config.prefetch and len(lines) <= PREFETCH_DEGREE:
-        return tuple(line + 1 for line in lines)
-    return ()
-
-
 def speculative_pages(cs: "ComputeServer", tid: int, targets,
-                      exclude: frozenset) -> np.ndarray:
+                      exclude) -> np.ndarray:
     """Expand predicted lines to the missing pages a trip should carry
     (skipping the demand batch's own lines), in prediction order.
 
@@ -194,8 +186,10 @@ def speculative_pages(cs: "ComputeServer", tid: int, targets,
     wanted = []
     for line in targets:  # distinct: one per distinct demand line
         if line not in exclude:
+            first = line * per_line
             wanted.append(cs._allocated_only(
-                cache.missing_in(line * per_line, (line + 1) * per_line)))
+                cache.missing_in(first, first + per_line), first,
+                first + per_line))
     if not wanted:
         return NO_PAGES
     pages = wanted[0] if len(wanted) == 1 else np.concatenate(wanted)
@@ -203,41 +197,43 @@ def speculative_pages(cs: "ComputeServer", tid: int, targets,
 
 
 def fault_lines_batched(cs: "ComputeServer", tid: int, missing: np.ndarray,
-                        protect: Iterable[int]):
-    """Generator: the batched fault path -- one fault-handler charge and
-    one round trip per home server for the whole missed span, with the
-    adjacent lines riding the same trips as speculative cargo.
+                        first: int, stop: int):
+    """The batched fault's cargo, ``(demand, spec, lines)``: the allocated
+    pages of ``missing``, the riders of the adjacent lines
+    (``SamhitaConfig.prefetch``) and the distinct lines of both, counted
+    once for the fault counters and the trip's ledger record.
 
-    ``missing`` is the caller's residency scan, taken with no suspension
-    since: the non-resident pages (ascending) of every line the faulted
-    span touches. The caller faults only a span that lacks a page, so when
-    none of them is allocated the span reaches outside every allocation.
+    ``missing`` is the residency scan of ``[first, stop)``, the lines the
+    faulted span touches, taken with no suspension since. The caller
+    faults only a span that lacks a page, so when none of them is
+    allocated the span reaches outside every allocation.
     """
-    demand = cs._allocated_only(missing)
     layout = cs.caches[tid].layout
+    demand = cs._allocated_only(missing, first, stop)
     if not demand.size:
         raise MemoryError_(
             f"thread {tid} accessed unallocated page "
             f"{missing.item(0) * layout.page_bytes:#x}")
     missed_lines = layout.lines_of(demand)
+    lines = len(missed_lines)
     counters = cs.stats.counters
-    counters["faults"] += len(missed_lines)
+    counters["faults"] += lines
     spec = NO_PAGES
-    targets = predict_lines(cs, missed_lines)
-    if targets:
-        spec = speculative_pages(cs, tid, targets, frozenset(missed_lines))
+    if cs.system.config.prefetch and lines <= PREFETCH_DEGREE:
+        spec = speculative_pages(cs, tid, [line + 1 for line in missed_lines],
+                                 missed_lines)
     counters["batched_line_fetches"] += 1
     counters["batched_lines"] += len(missed_lines)
     if spec.size:
         counters["speculative_riders"] += spec.size
-    if not cs.engine.try_advance(FAULT_HANDLER_TIME):
-        yield Timeout(FAULT_HANDLER_TIME)
-    yield from fetch_batched(cs, tid, demand, spec, protect)
+        lines += len(layout.lines_of(spec))
+    return demand, spec, lines
 
 
 def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
                   spec: np.ndarray, protect: Iterable[int],
-                  home: int | None = None, after: "Process | None" = None):
+                  home: int | None = None, after: "Process | None" = None,
+                  access: tuple[int, int] | None = None, attempt: int = 0):
     """Generator: fetch demand + speculative pages (two page vectors), ONE
     round trip per home server (request message, bulk serve -- recalls
     included -- and one bulk data return; installs pay beta's per-page
@@ -256,10 +252,27 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
     process has finished (``after``), and the thread's own share joins
     the chain last. The fault costs its slowest home's trip plus its
     installs, not the sum of its trips.
+
+    ``access``: the ``(addr, nbytes)`` of a fault, whose frame this is:
+    it scans for its cargo (:func:`fault_lines_batched`) and charges the
+    handler first, and faults again (``attempt``, at most 64) should an
+    invalidation take a page of the span back before it ends.
     """
     system = cs.system
     cache = cs.caches[tid]
+    layout = cache.layout
     spawned = home is not None
+    lines = None  # the trip's distinct lines, where already counted
+    if access is not None:
+        addr, span_bytes = access
+        protect = layout.pages_spanning(addr, span_bytes)
+        per_line = layout.pages_per_line
+        first = protect.start - protect.start % per_line
+        stop = protect.stop + -protect.stop % per_line
+        demand, spec, lines = fault_lines_batched(
+            cs, tid, cache.missing_in(first, stop), first, stop)
+        if not cs.engine.try_advance(FAULT_HANDLER_TIME):
+            yield Timeout(FAULT_HANDLER_TIME)
     if not spawned:
         home = 0
         if system.config.n_memory_servers > 1:
@@ -276,6 +289,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
             if homes:
                 demand = demand[homes_d == home]
                 spec = spec[homes_s == home]
+                lines = None
     # The request: the demand pages, then the speculative riders.
     pages = np.concatenate((demand, spec)) if spec.size else demand
     if not pages.size:
@@ -288,7 +302,8 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
     inval_epoch = cache.inval_epoch
     epoch_get = inval_epoch.get
     counters = cs.stats.counters
-    nbytes = pages.size * cache.layout.page_bytes
+    nbytes = pages.size * layout.page_bytes
+    listed = pages.tolist()
     token = cache.begin_fetch(pages)
     try:
         backoffs = 0
@@ -299,7 +314,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
                      if armed else 0.0)
             # No epochs recorded yet -> every snapshot would read 0; skip
             # building the dict and compare against 0 at the install.
-            snapshots = ({p: epoch_get(p, 0) for p in pages.tolist()}
+            snapshots = ({p: epoch_get(p, 0) for p in listed}
                          if inval_epoch else None)
             counters["fetch_requests"] += 1
             try:
@@ -325,7 +340,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
             break
         system.rt_ledger.record(
             home, "demand" if demand.size else "speculative",
-            len(cache.layout.lines_of(pages)))
+            len(layout.lines_of(pages)) if lines is None else lines)
         counters["pages_fetched"] += pages.size
         if after is not None:
             # The previous share's installs first: one thread installs one
@@ -339,17 +354,20 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
         # Installs apply in bulk after the charge; every pass -- the
         # first, and each after a suspension (eviction for the demand
         # leg, the charge itself not advancing inline) -- re-validates
-        # against raced fills and invalidation epochs, read afresh,
-        # before bytes land. Speculative riders never evict: what the
-        # cache cannot hold is skipped, not made room for.
+        # against raced fills (one probe of the trip's pages) and
+        # invalidation epochs, read afresh, before bytes land.
+        # Speculative riders never evict: what the cache cannot hold is
+        # skipped, not made room for.
+        resident = cache.resident_page_set()
         stale = 0
         eligible_d, eligible_s = demand, spec
         charged = False
         while True:
-            if eligible_d.size:
-                eligible_d = cache.missing_among(eligible_d)
-            if eligible_s.size:
-                eligible_s = cache.missing_among(eligible_s)
+            if not resident.isdisjoint(listed):
+                if eligible_d.size:
+                    eligible_d = cache.missing_among(eligible_d)
+                if eligible_s.size:
+                    eligible_s = cache.missing_among(eligible_s)
             if snapshots is not None or inval_epoch:
                 # A page whose epoch moved since the snapshot (0 where
                 # none was taken: no epoch existed then) is stale.
@@ -364,8 +382,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
             free = cache.free_pages
             need = eligible_d.size - free
             if need > 0:
-                yield from evict_batched(cs, tid, need,
-                                         {*protect, *pages.tolist()})
+                yield from evict_batched(cs, tid, need, {*protect, *listed})
                 continue
             room = free - eligible_d.size
             if eligible_s.size > room:
@@ -395,6 +412,13 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
         return err
     finally:
         cache.end_fetch(token)
+    if access is not None and not cache.span_resident(addr, span_bytes):
+        # An invalidation took a page of the span back: fault again.
+        if attempt == 63:
+            raise MemoryError_(
+                f"thread {tid} starved faulting [{addr:#x}, +{span_bytes})")
+        yield from fetch_batched(cs, tid, NO_PAGES, NO_PAGES, (),
+                                 access=access, attempt=attempt + 1)
 
 
 def evict_batched(cs: "ComputeServer", tid: int, count: int,

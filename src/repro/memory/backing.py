@@ -98,8 +98,8 @@ class BackingStore:
         timing-mode batches of distinct pages: no bytes exist, only
         existence and versions."""
         table = self._table
-        pages = np.asarray(pages, dtype=np.int64)
-        created = len(pages) - int(np.count_nonzero(table.gather(LIVE, pages)))
+        pages = pages if type(pages) is np.ndarray else page_vector(pages)
+        created = pages.size - int(np.add.reduce(table.gather(LIVE, pages)))
         if created:
             table.scatter(LIVE, pages, True, create=True)
             self._frames += created
@@ -171,7 +171,7 @@ class BackingStore:
         """Merge one writer's diff (:meth:`apply_diffs` of one)."""
         self.apply_diffs((diff,))
 
-    def apply_diff_sizes(self, pages: list[int], payload_bytes: int) -> None:
+    def apply_diff_sizes(self, pages, payload_bytes: int) -> None:
         """Timing-mode bulk twin of :meth:`apply_diff` for a recall batch:
         the frame/version/counter side effects of one diff per (distinct)
         page, without PageDiff objects (no bytes to merge; the caller gates

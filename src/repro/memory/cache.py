@@ -37,7 +37,7 @@ from repro.errors import ConsistencyError, MemoryError_, ProtectionError
 from repro.memory.diff import ByteRanges, PageDiff, diff_spans
 from repro.memory.layout import MemoryLayout
 from repro.memory.pagetable import (CHUNK_MASK, CHUNK_SHIFT, NO_PAGES,
-                                    PageTable)
+                                    PageTable, page_vector)
 from repro.sim.stats import StatSet
 
 #: Column indices of a cache chunk. ``TICK`` is the last-access tick, 0 for
@@ -866,31 +866,33 @@ class SoftwareCache:
     def take_diff_sizes(self, pages):
         """Timing-mode bulk variant of :meth:`take_diff` for a recall batch.
 
-        Returns ``(dirty_pages, payload_bytes, wire_bytes)`` summed over
-        the dirty members of ``pages`` (in their given order), with
-        take_diff's exact side effects but none of the PageDiff objects:
-        with no data to diff a span diff is pure sizes -- payload = dirty
-        bytes, wire = payload + one span header per dirty range. Only
-        valid with ``use_twins`` in timing mode (the caller gates on both).
+        Returns ``(dirty_pages, payload_bytes, wire_bytes)``: the dirty
+        members of ``pages`` (in their given order) as a page vector, and
+        sizes summed over them, with take_diff's exact side effects but
+        none of the PageDiff objects: with no data to diff a span diff is
+        pure sizes -- payload = dirty bytes, wire = payload + one span
+        header per dirty range. Only valid with ``use_twins`` in timing
+        mode (the caller gates on both).
         """
         table = self._table
-        batch = np.asarray(pages, dtype=np.int64)
+        batch = pages if type(pages) is np.ndarray else page_vector(pages)
         hi = table.gather(HI, batch)
-        dirty_pages = batch[hi != 0].tolist()
-        if not dirty_pages:
+        dirty_pages = batch[hi != 0]
+        if not dirty_pages.size:
             return dirty_pages, 0, 0
         single = hi > 0             # one extent each; the rest spilled
-        n_ranges = int(single.sum())
-        payload = int((hi[single] - table.gather(LO, batch[single])).sum())
-        if n_ranges < len(dirty_pages):
-            for page in dirty_pages:
+        n_ranges = int(np.add.reduce(single))
+        payload = int(np.add.reduce(
+            hi[single] - table.gather(LO, batch[single])))
+        if n_ranges < dirty_pages.size:
+            for page in dirty_pages.tolist():
                 ranges = self._spill.pop(page, None)
                 if ranges is not None:
                     payload += ranges.nbytes
                     n_ranges += len(ranges)
         table.scatter(HI, batch, 0)
         counters = self.stats.counters
-        counters["diffs_taken"] += len(dirty_pages)
+        counters["diffs_taken"] += dirty_pages.size
         counters["diff_bytes"] += payload
         return (dirty_pages, payload,
                 payload + PageDiff.SPAN_HEADER_BYTES * n_ranges)

@@ -116,7 +116,7 @@ class PageDirectory:
         is none -- or where it is ``but``: a fetch by thread *t* asks whom
         it must recall from, and *t* itself is nobody."""
         if not self._owned:
-            return np.full(pages.size, -1, dtype=np.int64)
+            return np.zeros(pages.size, dtype=np.int64) - 1
         owners = self._owners.gather(0, pages)
         if but is not None:
             owners[owners == but + 1] = 0
@@ -127,22 +127,22 @@ class PageDirectory:
         """Make ``thread_ids`` (one id, or a vector aligned with ``pages``)
         the owners of the distinct ``pages`` -- a barrier plan assigns every
         single-writer page of its round in one call."""
-        pages = page_vector(pages)
-        if not len(pages):
+        pages = pages if type(pages) is np.ndarray else page_vector(pages)
+        n = pages.size
+        if not n:
             return
         table = self._owners
-        self._owned += len(pages) - int(
-            np.count_nonzero(table.gather(0, pages)))
-        table.scatter(0, pages, np.asarray(thread_ids) + 1, create=True)
-        self.stats.counters["owners_recorded"] += len(pages)
+        self._owned += n - int(np.add.reduce(table.gather(0, pages) != 0))
+        table.scatter(0, pages, thread_ids + 1, create=True)
+        self.stats.counters["owners_recorded"] += n
 
     def clear_owners(self, pages) -> None:
         """Drop whatever ownership the distinct ``pages`` carry."""
         if not self._owned:
             return
-        pages = page_vector(pages)
+        pages = pages if type(pages) is np.ndarray else page_vector(pages)
         table = self._owners
-        owned = int(np.count_nonzero(table.gather(0, pages)))
+        owned = int(np.add.reduce(table.gather(0, pages) != 0))
         if owned:
             table.scatter(0, pages, 0)
             self._owned -= owned

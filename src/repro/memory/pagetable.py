@@ -12,8 +12,10 @@ slice of the flat view the chunk keeps beside it.
 The table is two-level: fixed-size chunks keyed by ``page >> CHUNK_SHIFT``,
 created on first touch. Memory is therefore O(pages ever touched), not
 O(capacity) and not O(highest page number) -- the sharded control plane
-hands out pages from 2^28-page slices -- and a span inside one chunk is a
-plain slice of each column.
+hands out pages from 2^28-page slices -- a span inside one chunk is a
+plain slice of each column, and a batch inside one chunk, at any width, is
+one subscript of it (``cols[k][pages & CHUNK_MASK]``); a batch that crosses
+chunks is split by chunk.
 """
 
 from __future__ import annotations
@@ -31,18 +33,14 @@ CHUNK_SHIFT = 8
 CHUNK_PAGES = 1 << CHUNK_SHIFT
 CHUNK_MASK = CHUNK_PAGES - 1
 
-#: :meth:`PageTable.gather` / :meth:`PageTable.scatter` walk batches
-#: shorter than this page by page: splitting a batch into per-chunk index
-#: arrays costs ~4 us however few pages there are, a page ~0.2 us.
-NARROW = 16
-
-#: A narrow batch of at least this many pages inside one chunk is one
-#: ``take`` / ``put`` (a column is one chunk long: ``mode="wrap"`` is the
-#: row mask) instead of a walk; below it, the walk is faster.
-ONE_CHUNK = 8
-
 #: The empty page vector.
 NO_PAGES = np.empty(0, dtype=np.int64)
+
+#: What :meth:`PageTable.gather` returns, whatever the column's dtype.
+_INT64 = NO_PAGES.dtype
+#: OR of a vector in one call: a batch lies in one chunk when OR-ing every
+#: page XOR its first leaves no bit at or above ``CHUNK_SHIFT``.
+_or = np.bitwise_or.reduce
 
 
 def page_vector(pages) -> np.ndarray:
@@ -135,28 +133,19 @@ class PageTable:
             start = stop
 
     def gather(self, column: int, pages: np.ndarray) -> np.ndarray:
-        """``column`` at each of ``pages``, in order (0 where no chunk)."""
-        n = pages.size
-        if n < NARROW:
-            chunks = self.chunks
-            listed = pages.tolist()
-            if n >= ONE_CHUNK:
-                key = listed[0] >> CHUNK_SHIFT
-                if (key == listed[-1] >> CHUNK_SHIFT
-                        == min(listed) >> CHUNK_SHIFT
-                        == max(listed) >> CHUNK_SHIFT):
-                    cols = chunks.get(key)
-                    if cols is None:
-                        return np.zeros(n, dtype=np.int64)
-                    return cols[column].take(pages, mode="wrap").astype(
-                        np.int64)
-            found = []
-            for page in listed:
-                cols = chunks.get(page >> CHUNK_SHIFT)
-                found.append(0 if cols is None
-                             else cols[column].item(page & CHUNK_MASK))
-            return np.array(found, dtype=np.int64)
-        out = np.zeros(n, dtype=np.int64)
+        """``column`` at each of ``pages`` (any order), as ``int64`` (0
+        where no chunk). A batch inside one chunk is one subscript of that
+        chunk's column; one that crosses chunks is split by chunk."""
+        if not pages.size:
+            return np.zeros(0, dtype=np.int64)
+        first = pages[0]
+        if not _or(pages ^ first) >> CHUNK_SHIFT:  # one chunk
+            key = int(first) >> CHUNK_SHIFT
+            if key not in self.chunks:
+                return np.zeros(pages.size, dtype=np.int64)
+            found = self.chunks[key][column][pages & CHUNK_MASK]
+            return found if found.dtype is _INT64 else found.astype(np.int64)
+        out = np.zeros(pages.size, dtype=np.int64)
         for cols, rows, where in self.groups(pages):
             if cols is not None:
                 out[where] = cols[column][rows]
@@ -166,29 +155,19 @@ class PageTable:
                 create: bool = False) -> None:
         """Store ``values`` (a scalar, or an array aligned with ``pages``)
         into ``column`` at ``pages``; chunks that do not exist are skipped
-        unless ``create``."""
-        n = pages.size
-        if n < NARROW:
-            chunks = self.chunks
-            listed = pages.tolist()
-            if n >= ONE_CHUNK:
-                key = listed[0] >> CHUNK_SHIFT
-                if (key == listed[-1] >> CHUNK_SHIFT
-                        == min(listed) >> CHUNK_SHIFT
-                        == max(listed) >> CHUNK_SHIFT):
-                    cols = self.chunk(key) if create else chunks.get(key)
-                    if cols is not None:
-                        cols[column].put(pages, values, mode="wrap")
-                    return
-            aligned = np.ndim(values) > 0
-            for at, page in enumerate(listed):
-                cols = (self.chunk(page >> CHUNK_SHIFT) if create
-                        else chunks.get(page >> CHUNK_SHIFT))
-                if cols is not None:
-                    cols[column][page & CHUNK_MASK] = (values[at] if aligned
-                                                       else values)
+        unless ``create``. One subscript per chunk, as in :meth:`gather`."""
+        if not pages.size:
             return
-        aligned = np.ndim(values) > 0
+        first = pages[0]
+        if not _or(pages ^ first) >> CHUNK_SHIFT:  # one chunk
+            key = int(first) >> CHUNK_SHIFT
+            chunks = self.chunks
+            if key in chunks:
+                chunks[key][column][pages & CHUNK_MASK] = values
+            elif create:
+                self.chunk(key)[column][pages & CHUNK_MASK] = values
+            return
+        aligned = isinstance(values, np.ndarray)
         for cols, rows, where in self.groups(pages, create):
             if cols is not None:
                 cols[column][rows] = values[where] if aligned else values

@@ -4,18 +4,16 @@
 before page-id collections became vectors: it visits the faulted lines one
 at a time, probes residency page by page, asks the allocator and the
 directory about single pages, and builds Python lists. It hands those lists
-(as vectors) to the shipped ``fetch_batched``, so swapping it in for the
-shipped scan must leave every counter and every event where it was.
+(as vectors) back to the shipped ``fetch_batched``, so swapping it in for
+the shipped scan must leave every counter and every event where it was.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import rtbatch
-from repro.core.params import FAULT_HANDLER_TIME
+from repro.core.rtbatch import PREFETCH_DEGREE
 from repro.errors import MemoryError_
-from repro.sim.engine import Timeout
 
 
 def _allocated_only(cs, pages: list[int]) -> list[int]:
@@ -50,9 +48,11 @@ def _speculative_pages(cs, tid: int, targets, exclude: frozenset) -> list[int]:
     return pages
 
 
-def fault_lines_batched(cs, tid: int, missing: np.ndarray, protect):
-    """Generator with the shipped scan's signature; ``missing`` only names
-    the lines to visit (what ``SoftwareCache.missing_lines`` returned)."""
+def fault_lines_batched(cs, tid: int, missing: np.ndarray, first: int,
+                        stop: int):
+    """The shipped scan's signature and result, ``(demand, spec, lines)``;
+    ``missing`` only names the lines to visit (what
+    ``SoftwareCache.missing_lines`` returned)."""
     cache = cs.system.cache_of(tid)
     counters = cs.stats.counters
     line_pages = cache.layout.line_pages
@@ -70,15 +70,14 @@ def fault_lines_batched(cs, tid: int, missing: np.ndarray, protect):
         raise MemoryError_(f"thread {tid} accessed unallocated page "
                            f"{missing.item(0) * cache.layout.page_bytes:#x}")
     spec: list[int] = []
-    targets = rtbatch.predict_lines(cs, missed_lines)
-    if targets:
+    if cs.system.config.prefetch and len(missed_lines) <= PREFETCH_DEGREE:
+        targets = [line + 1 for line in missed_lines]
         spec = _speculative_pages(cs, tid, targets, frozenset(missed_lines))
     counters["batched_line_fetches"] += 1
     counters["batched_lines"] += len(missed_lines)
     if spec:
         counters["speculative_riders"] += len(spec)
-    if not cs.engine.try_advance(FAULT_HANDLER_TIME):
-        yield Timeout(FAULT_HANDLER_TIME)
-    yield from rtbatch.fetch_batched(
-        cs, tid, np.array(demand, dtype=np.int64),
-        np.array(spec, dtype=np.int64), protect)
+    per_line = cache.layout.pages_per_line
+    lines = len(missed_lines) + len({p // per_line for p in spec})
+    return (np.array(demand, dtype=np.int64), np.array(spec, dtype=np.int64),
+            lines)

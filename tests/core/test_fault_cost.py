@@ -8,7 +8,7 @@ and (b) planning a barrier allocates in proportion to the pages noticed,
 not to pages x threads.
 """
 
-import sys
+import collections
 import tracemalloc
 
 import numpy as np
@@ -20,30 +20,42 @@ from repro.core.params import FAULT_HANDLER_TIME, INSTALL_PAGE_TIME
 from repro.memory import PageDirectory
 from repro.memory.pagetable import CHUNK_PAGES, NO_PAGES, PageTable
 from tests.core.conftest import run_threads
-from tests.memory.test_diff_cost import count_calls
+from tests.memory.test_diff_cost import count_calls, where_calls_go
 
 PAGE = 4096
-#: Calls (builtins included) of one 1,024-page timing-mode fault: scan,
-#: request, bulk serve, install. ~339 today; the per-line scan took ~7,570
-#: (~7 per page).
-FAULT_BOUND = 440
+#: Calls (builtins included) of one 1,024-page timing-mode fault, from the
+#: access's residency check: scan, request, bulk serve, install. 255 today
+#: (281 while the fault resumed three nested frames and a page-table
+#: access in one chunk walked short batches); the per-line scan took
+#: ~7,570 (~7 per page). The bound is that + 10 %.
+FAULT_BOUND = 280
 #: What crossing five table chunks instead of one may add to the 64-page
-#: count (~141 today; each chunk costs ~35 calls of segment and group
-#: work).
-CHUNK_ALLOWANCE = 220
+#: count: 122 today (255 - 133), each chunk ~30 calls of segment and group
+#: work; the bound is that + 10 %.
+CHUNK_ALLOWANCE = 134
 #: Calls of one write-shared timing-mode fault: a 4-page demand line, the
 #: adjacent line riding along, one demand page recalled from its owner.
-#: 247 today: host work per trip, not per page or per layer crossed.
-STRIDED_FAULT_BOUND = 265
+#: 158 today, 238 while the fault resumed three nested frames, walked
+#: short page-table batches page by page and paid NumPy's Python-level
+#: wrappers for its counts: host work per trip, not per page or per layer
+#: crossed. The bound is that + 10 %, under 170.
+STRIDED_FAULT_BOUND = 170
 #: Calls of one two-home timing-mode fault: the demand line on one home,
-#: its adjacent rider on the other, both trips in flight together. 395
-#: today, 316 when the second trip waited for the first: the fork and the
-#: join are one share process and the queue traffic of two interleaved
-#: trips.
-TWO_HOME_FAULT_BOUND = 420
+#: its adjacent rider on the other, both trips in flight together. 313
+#: today (371 before the cuts above; 316 -> 395 when the second trip
+#: stopped waiting for the first: the fork and the join are one share
+#: process and the queue traffic of two interleaved trips). The bound is
+#: that + 8 %.
+TWO_HOME_FAULT_BOUND = 338
 
 
-def calls_to_fault(n_pages: int) -> int:
+def faulting(cs, tid: int, addr: int, nbytes: int):
+    """A thread's access that faults: its residency check and the fault
+    (the frame ``ensure_resident`` returns), as the caller runs them."""
+    yield from cs.ensure_resident(tid, addr, nbytes)
+
+
+def calls_to_fault(n_pages: int, tally=None) -> int:
     system = SamhitaSystem.cluster(
         n_threads=2, config=SamhitaConfig(functional=False))
     tid = system.add_thread()
@@ -56,18 +68,8 @@ def calls_to_fault(n_pages: int) -> int:
 
     run_threads(system, [allocate()])
     cs = system.compute_server_of(tid)
-    system.process(cs.ensure_resident(tid, where["base"], n_pages * PAGE))
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event in ("call", "c_call")
-
-    sys.setprofile(count)
-    try:
-        system.run()
-    finally:
-        sys.setprofile(None)
+    system.process(faulting(cs, tid, where["base"], n_pages * PAGE))
+    calls, _ = count_calls(system.run, tally)
     assert system.cache_of(tid).span_resident(where["base"], n_pages * PAGE)
     assert cs.stats.get("pages_fetched") == n_pages
     assert cs.stats.get("fetch_requests") == 1
@@ -75,12 +77,13 @@ def calls_to_fault(n_pages: int) -> int:
 
 
 def test_fault_cost_does_not_grow_with_the_pages_of_the_span():
-    small, big = calls_to_fault(64), calls_to_fault(1024)
-    assert big <= FAULT_BOUND
-    assert big <= small + CHUNK_ALLOWANCE
+    tally = collections.Counter()
+    small, big = calls_to_fault(64), calls_to_fault(1024, tally)
+    assert big <= FAULT_BOUND, where_calls_go(tally)
+    assert big <= small + CHUNK_ALLOWANCE, where_calls_go(tally)
 
 
-def calls_to_fault_strided() -> int:
+def calls_to_fault_strided(tally=None) -> int:
     """One fault of the write-sharing shape (``strided_share``): the faulted
     line's pages plus an adjacent-line rider in one trip, whose serve
     gathers the owners of all eight pages and recalls the one another
@@ -104,8 +107,8 @@ def calls_to_fault_strided() -> int:
     cs = system.compute_server_of(faulter)
     server = system.server_of_page(base // PAGE)
     before = dict(cs.stats.counters), dict(server.stats.counters)
-    system.process(cs.ensure_resident(faulter, base, line))
-    calls, _ = count_calls(system.run)
+    system.process(faulting(cs, faulter, base, line))
+    calls, _ = count_calls(system.run, tally)
     assert system.cache_of(faulter).span_resident(base, 2 * line)
     assert not len(system.directory)
     moved = {key: cs.stats.counters[key] - before[0].get(key, 0)
@@ -119,7 +122,9 @@ def calls_to_fault_strided() -> int:
 
 
 def test_a_write_shared_fault_costs_host_work_per_trip():
-    assert calls_to_fault_strided() <= STRIDED_FAULT_BOUND
+    tally = collections.Counter()
+    assert calls_to_fault_strided(tally) <= STRIDED_FAULT_BOUND, (
+        where_calls_go(tally))
 
 
 def _striped_lines():
@@ -190,30 +195,33 @@ def test_a_two_home_fault_costs_its_slowest_home():
     assert charges[0][1] <= charges[1][0] * (1 + 1e-12)
 
 
-def calls_to_fault_two_homes() -> int:
+def calls_to_fault_two_homes(tally=None) -> int:
     """One fault of the striped shape: a demand line homed on server 0,
     its adjacent rider on server 1, one trip to each."""
     system, tid, lines = _striped_lines()
     base, span = lines[0].item(0) * PAGE, lines[0].size * PAGE
     cs = system.compute_server_of(tid)
-    system.process(cs.ensure_resident(tid, base, span))
-    calls, _ = count_calls(system.run)
+    system.process(faulting(cs, tid, base, span))
+    calls, _ = count_calls(system.run, tally)
     assert system.cache_of(tid).span_resident(base, 2 * span)
     assert cs.stats.get("fetch_requests") == 2
     return calls
 
 
 def test_a_two_home_fault_costs_host_work_per_trip():
-    assert calls_to_fault_two_homes() <= TWO_HOME_FAULT_BOUND
+    tally = collections.Counter()
+    assert calls_to_fault_two_homes(tally) <= TWO_HOME_FAULT_BOUND, (
+        where_calls_go(tally))
 
 
 def test_a_narrow_walk_inside_one_chunk_costs_no_call_per_page():
     """A fault's page vectors are 4-12 pages, nearly always inside one
-    table chunk: gathering or scattering 15 of them costs what 8 do."""
+    table chunk: gathering or scattering one page of them, or 15, is one
+    subscript of the chunk's column and costs the same."""
     table = PageTable((np.int32, np.bool_))
     table.chunk(3)
     counts = {}
-    for n in (8, 15):
+    for n in (1, 2, 4, 8, 15):
         pages = np.arange(3 * CHUNK_PAGES + 17, 3 * CHUNK_PAGES + 17 + n)
         values = np.arange(n) + 1
         walks = (lambda: table.scatter(0, pages, values),
@@ -222,7 +230,7 @@ def test_a_narrow_walk_inside_one_chunk_costs_no_call_per_page():
         counts[n] = [count_calls(walk)[0] for walk in walks]
         assert table.gather(0, pages).tolist() == values.tolist()
         assert table.gather(1, pages).all()
-    assert counts[8] == counts[15]
+    assert all(counts[n] == counts[15] for n in counts), counts
 
 
 def plan_peak_bytes(threads: int, pages_each: int) -> int:

@@ -49,9 +49,10 @@ class TestEnsureResident:
         run_threads(system, [cs.ensure_resident(tid, base, 40 * PAGE)])
         assert cache.span_resident(base, 40 * PAGE)
         first = base // PAGE
-        # Attempt 0 scans and faults; attempt 1 scans and finds nothing.
+        # The attempt scans and faults; its installs leave the span
+        # resident, which a residency check (no scan) sees.
         assert [args for args in scans if args == (first, first + 40)] == [
-            (first, first + 40)] * 2
+            (first, first + 40)]
         assert len(faults) == 1
         assert faults[0][2].tolist() == list(range(first, first + 40))
 
@@ -67,7 +68,7 @@ class TestEnsureResident:
         monkeypatch.setattr(system.cache_of(tid), "missing_in", boom)
         monkeypatch.setattr(system.directory, "owners_of", boom)
         monkeypatch.setattr(system.directory, "owner_of", boom)
-        run_threads(system, [cs.ensure_resident(tid, base + PAGE, 9 * PAGE)])
+        assert cs.ensure_resident(tid, base + PAGE, 9 * PAGE) == ()  # DONE
 
     def test_a_voided_attempt_scans_again(self, monkeypatch):
         """The retry loop's contract: whatever an attempt installed may be
@@ -77,22 +78,21 @@ class TestEnsureResident:
         cache = system.cache_of(tid)
         cs = system.compute_server_of(tid)
         first = base // PAGE
-        real = rtbatch.fault_lines_batched
-        handed = []
+        handed = _spy(monkeypatch, rtbatch, "fault_lines_batched")
+        end_fetch = cache.end_fetch
 
-        def voided_once(cs_, tid_, missing, protect):
-            handed.append(missing.tolist())
-            yield from real(cs_, tid_, missing, protect)
-            if len(handed) == 1:
+        def voided_once(token):
+            end_fetch(token)
+            if len(handed) == 1:  # the first attempt's installs are done
                 cache.invalidate([first + 2, first + 3])
 
-        monkeypatch.setattr(rtbatch, "fault_lines_batched", voided_once)
+        monkeypatch.setattr(cache, "end_fetch", voided_once)
         scans = _spy(monkeypatch, cache, "missing_in")
         run_threads(system, [cs.ensure_resident(tid, base, 8 * PAGE)])
         assert cache.span_resident(base, 8 * PAGE)
-        assert handed == [list(range(first, first + 8)),
-                          [first + 2, first + 3]]
-        assert len([a for a in scans if a == (first, first + 8)]) == 3
+        assert [args[2].tolist() for args in handed] == [
+            list(range(first, first + 8)), [first + 2, first + 3]]
+        assert len([a for a in scans if a == (first, first + 8)]) == 2
         assert cs.stats.get("fetch_requests") == 2
 
     def test_line_tails_outside_the_span_do_not_keep_it_faulting(self):
@@ -112,14 +112,18 @@ class TestAllocatedOnly:
         cs = system.compute_server_of(tid)
         first = base // PAGE
         inside = np.arange(first, first + 6)
-        assert cs._allocated_only(inside) is inside  # one lookup, no copy
+        # One lookup on the bounds, no copy.
+        assert cs._allocated_only(inside, first, first + 6) is inside
+        assert cs._allocated_only(inside, first - 2, first + 8).tolist() == (
+            inside.tolist())
         tails = np.arange(first - 2, first + 9)
-        kept = cs._allocated_only(tails).tolist()
+        kept = cs._allocated_only(tails, first - 2, first + 9).tolist()
         allocated = system.allocator.allocated_span
         assert kept == [p for p in tails.tolist() if allocated(p)]
         assert set(inside.tolist()) <= set(kept)
         nothing = np.array([first + 1000], dtype=np.int64)
-        assert cs._allocated_only(nothing).size == 0
+        assert cs._allocated_only(nothing, first + 1000,
+                                  first + 1001).size == 0
 
 
 def _outcome(result):

@@ -1,6 +1,8 @@
-"""Tests for lock-update-log garbage collection at barriers."""
+"""Tests for lock-update-log garbage collection, at barriers and in
+programs that only take locks."""
 
 import numpy as np
+import pytest
 
 from repro.core import SamhitaConfig, SamhitaSystem
 from repro.faults import FaultPlan
@@ -125,3 +127,38 @@ def test_a_reissued_arrival_is_answered_from_the_round_it_joined():
     [open_round] = manager._barriers.values()
     assert open_round.generation == 1 and not open_round.arrived
     assert open_round.closed is state
+
+
+# ----------------------------------------------------------------------
+# lock-only programs (no barrier round ever prunes)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("functional", [False, True])
+@pytest.mark.parametrize("passages", [4, 8, 16])
+def test_logs_are_pruned_without_a_barrier(functional, passages):
+    """16 threads each take one lock ``passages`` times and store a word
+    under it, and never meet at a barrier. Every epoch all 16 have seen
+    goes: the log keeps O(threads) epochs, not one per release."""
+    threads = 16
+    system = SamhitaSystem.cluster(
+        n_threads=threads, config=SamhitaConfig(functional=functional))
+    tids = [system.add_thread() for _ in range(threads)]
+    lock = system.create_lock()
+    word = []
+
+    def allocate():
+        word.append((yield from system.malloc(tids[0], 8, shared=True)))
+
+    def body(tid):
+        for _ in range(passages):
+            yield from system.acquire_lock(tid, lock)
+            yield from system.mem_write(tid, word[0], 8,
+                                        u8(tid) if functional else None)
+            yield from system.release_lock(tid, lock)
+
+    run_threads(system, [allocate()])
+    run_threads(system, [body(tid) for tid in tids])
+    manager = system.manager
+    log = manager._locks[lock].log
+    assert manager.stats.get("barrier_rounds") == 0
+    assert log.version == threads * passages
+    assert len(log) <= 2 * threads

@@ -19,6 +19,7 @@ from repro.core.system import NO_STORES
 from repro.experiments.__main__ import sync_cost, sync_sweep_system
 from repro.runtime import Runtime
 from repro.sim.engine import Engine, Timeout
+from tests.memory.test_diff_cost import tally_call, where_calls_go
 
 #: Calls (builtins included) of ``ctx.lock`` + ``ctx.unlock`` on a lock
 #: this thread owns through the cache, no stores in between, with the
@@ -42,17 +43,19 @@ _STEP = Engine._step.__code__
 
 
 class Counter:
-    """``sys.setprofile`` hook: every call, ``Engine._step`` entries (in all
-    and per process), and generator frames (first entries and resumptions
-    alike)."""
+    """``sys.setprofile`` hook: every call (in all and per function, see
+    ``tally_call``), ``Engine._step`` entries (in all and per process), and
+    generator frames (first entries and resumptions alike)."""
 
     def __init__(self):
         self.calls = self.steps = self.generator_frames = 0
+        self.tally = collections.Counter()
         self.steps_of = collections.Counter()
         #: process -> the clock when it was last stepped.
         self.stepped_at = {}
 
     def __call__(self, frame, event, arg):
+        tally_call(self.tally, frame, event, arg)
         if event == "call":
             self.calls += 1
             code = frame.f_code
@@ -100,7 +103,7 @@ def test_owner_cache_passage_builds_no_generator():
     counter = seen["counter"]
     assert seen["ops"] == ((), ())  # DONE, twice
     assert counter.generator_frames == 0
-    assert counter.calls <= PASSAGE_BOUND
+    assert counter.calls <= PASSAGE_BOUND, where_calls_go(counter.tally)
     assert result.stats["lock_cache"]["lock_cache_hits"] == 1
     assert result.stats["lock_cache"]["lock_cache_local_releases"] == 1
 
@@ -115,27 +118,30 @@ def sweep_cell_cost(n_compute: int, shards: int, rounds: int) -> Counter:
     return counter
 
 
-def steady_round_cost(n_compute: int, shards: int) -> tuple[float, float]:
-    """(calls, ``Engine._step`` entries) per steady-state thread-round."""
+def steady_round_cost(n_compute: int,
+                      shards: int) -> tuple[float, float, str]:
+    """(calls, ``Engine._step`` entries) per steady-state thread-round,
+    and where the calls go (``where_calls_go``)."""
     # Rounds 1-2 install the cached grants and price the routes; the
     # difference of two longer runs is steady state only.
     short, long = (sweep_cell_cost(n_compute, shards, rounds)
                    for rounds in (3, 6))
     thread_rounds = n_compute * 3
     return ((long.calls - short.calls) / thread_rounds,
-            (long.steps - short.steps) / thread_rounds)
+            (long.steps - short.steps) / thread_rounds,
+            where_calls_go(long.tally - short.tally))
 
 
 @pytest.mark.parametrize("n_compute, shards",
                          [(16, 1), (256, 16), (1024, 64)])
 def test_thread_round_cost_is_bounded_and_flat(n_compute, shards):
-    calls, steps = steady_round_cost(n_compute, shards)
-    assert calls <= ROUND_BOUND
+    calls, steps, where = steady_round_cost(n_compute, shards)
+    assert calls <= ROUND_BOUND, where
     assert steps <= STEP_BOUND
     # Flat from the smallest machine whose tree has a cell level (110
     # calls): work per arrival that grows with the party is invisible at
     # 64 threads and a fifth of the round at 1,024.
-    assert calls <= 1.15 * steady_round_cost(64, 4)[0]
+    assert calls <= 1.15 * steady_round_cost(64, 4)[0], where
 
 
 #: Generator frames and calls per steady-state thread-round of the
@@ -183,7 +189,7 @@ def test_kernel_round_cost_is_bounded(n_threads, shards, steps):
     frames = (long.generator_frames - short.generator_frames) / thread_rounds
     calls = (long.calls - short.calls) / thread_rounds
     assert frames <= KERNEL_FRAME_BOUND
-    assert calls <= KERNEL_CALL_BOUND
+    assert calls <= KERNEL_CALL_BOUND, where_calls_go(long.tally - short.tally)
     assert round((long.steps - short.steps) / thread_rounds, 2) == steps
 
 
@@ -329,7 +335,8 @@ def test_contended_store_passage_pays_for_its_messages():
     its totals travel with it from the store log to the lock log, so no
     layer walks the release again to size it."""
     short, long = (store_passage_cost(passages) for passages in (4, 8))
-    assert (long.calls - short.calls) / (16 * 4) <= STORE_PASSAGE_BOUND
+    assert (long.calls - short.calls) / (16 * 4) <= STORE_PASSAGE_BOUND, (
+        where_calls_go(long.tally - short.tally))
 
 
 def test_flat_barrier_arrival_resumes_its_caller_once():

@@ -385,7 +385,7 @@ class TestPageStateTable:
         c.write(4096 + 16, 16, None)      # page 1: one range
         assert list(c.entries[0].dirty) == [(0, 8), (100, 150)]
         pages, payload, wire = c.take_diff_sizes([1, 0, 5])
-        assert (pages, payload) == ([1, 0], 58 + 16)
+        assert (pages.tolist(), payload) == ([1, 0], 58 + 16)
         assert wire == payload + 3 * PageDiff.SPAN_HEADER_BYTES
         assert c.dirty_page_ids() == []
 

@@ -14,6 +14,7 @@ trip's retransmit floor is priced once per route and size (DESIGN.md S20).
 """
 
 import gc
+import os
 import sys
 from itertools import repeat
 
@@ -63,14 +64,19 @@ TRIP_FLOOR_BOUND = 4
 SEGMENTS_BOUND = 1
 
 
-def count_calls(fn) -> tuple[int, int]:
-    """``(calls, crc32 calls)`` made by ``fn()``, builtins included."""
+def count_calls(fn, tally=None) -> tuple[int, int]:
+    """``(calls, crc32 calls)`` made by ``fn()``, builtins included. A
+    ``tally`` (a ``collections.Counter``) also counts each call under its
+    function (:func:`tally_call`), so that a gate can say where the calls
+    went when it fails (:func:`where_calls_go`)."""
     calls = crcs = 0
 
     def count(frame, event, arg):
         nonlocal calls, crcs
         calls += event in ("call", "c_call")
         crcs += event == "c_call" and arg.__name__ == "crc32"
+        if tally is not None:
+            tally_call(tally, frame, event, arg)
 
     # No collection while counting: once any hypothesis test has run, a
     # Python-level gc callback is installed and would be counted here.
@@ -82,6 +88,27 @@ def count_calls(fn) -> tuple[int, int]:
         sys.setprofile(None)
         gc.enable()
     return calls - 2, crcs  # minus fn itself and the setprofile(None)
+
+
+def tally_call(tally, frame, event, arg) -> None:
+    """Count one ``sys.setprofile`` event in ``tally`` under the function
+    it calls: its code object, or a builtin's qualified name."""
+    if event == "call":
+        tally[frame.f_code] += 1
+    elif event == "c_call":
+        tally[arg.__qualname__] += 1
+
+
+def where_calls_go(tally, n: int = 10) -> str:
+    """A failure message for a call-count gate: the ``n`` functions with
+    the most calls in ``tally`` (see :func:`tally_call`)."""
+    def name(key):
+        if isinstance(key, str):
+            return f"{key} (builtin)"
+        return (f"{key.co_qualname} ({os.path.basename(key.co_filename)}"
+                f":{key.co_firstlineno})")
+    return f"the {n} functions with the most calls: " + "; ".join(
+        f"{name(key)} x{count}" for key, count in tally.most_common(n))
 
 
 def calls_to_write_back(runs: int) -> int:

@@ -4,7 +4,12 @@ import numpy as np
 
 import pytest
 
-from repro.memory.pagetable import CHUNK_PAGES, NARROW, PageTable
+from repro.memory.pagetable import CHUNK_PAGES, PageTable
+
+#: Where gather / scatter used to switch from a page walk to per-chunk
+#: index arrays (16), and from the walk to one take / put inside a chunk
+#: (8): batches on both sides of both stay in the matrix.
+NARROW, ONE_CHUNK = 16, 8
 
 
 def test_chunks_appear_on_first_touch_only():
@@ -49,10 +54,12 @@ def test_gather_and_scatter_keep_input_order_over_sparse_pages():
     assert table.gather(0, np.empty(0, dtype=np.int64)).size == 0
 
 
-@pytest.mark.parametrize("n", [1, NARROW - 1, NARROW, 5 * NARROW])
+@pytest.mark.parametrize("n", [1, ONE_CHUNK - 1, ONE_CHUNK, NARROW - 1,
+                               NARROW, 5 * NARROW])
 def test_gather_and_scatter_agree_with_a_dict_on_both_sides_of_narrow(n):
-    """Batches shorter than ``NARROW`` walk pages, longer ones split into
-    per-chunk index arrays; both must read and write the same cells."""
+    """A batch inside one chunk is one subscript, one across chunks is
+    split by chunk; at every width both must read and write the cells a
+    dict would."""
     rng = np.random.default_rng(n)
     universe = np.concatenate([
         np.arange(CHUNK_PAGES - 20, CHUNK_PAGES + 20),

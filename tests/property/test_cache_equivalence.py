@@ -226,7 +226,8 @@ class CacheEquivalence(RuleBasedStateMachine):
         first = self._span(pick, 1)[0] if self.ref.entries else FIRST
         batch = [*range(first, first + n),
                  *sorted(extra - set(range(first, first + n)))]
-        assert (self.cache.take_diff_sizes(batch)
+        pages, payload, wire = self.cache.take_diff_sizes(batch)
+        assert ((pages.tolist(), payload, wire)
                 == self.ref.take_diff_sizes(batch))
 
     # -- the comparison --------------------------------------------------

@@ -5,7 +5,7 @@ the same operations -- single-page and bulk owner records / clears, owner
 gathers (with and without the requester excluded), the IVY sharer
 operations -- over pages that straddle a table chunk boundary and a shard
 address-slice boundary (every shard shares the one directory), in batches
-on both sides of the table's narrow/wide dispatch. After every step: same
+inside one table chunk and across two. After every step: same
 owners, same ``owned_by``, same length, same membership, same sharers, same
 counters.
 """
@@ -17,12 +17,14 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.allocator import SHARD_SLICE_PAGES
 from repro.memory import PageDirectory
-from repro.memory.pagetable import CHUNK_PAGES, NARROW
+from repro.memory.pagetable import CHUNK_PAGES
 from tests.memory.reference_directory import ReferenceDirectory
 
 #: Two windows of pages: one across a chunk boundary inside shard slice 0,
-#: one across the boundary between slices 1 and 2.
-WINDOW = 2 * NARROW + 4
+#: one across the boundary between slices 1 and 2. 36 pages each: batches
+#: reach past 16 pages, where the page table once stopped walking, on
+#: either side of the boundary.
+WINDOW = 36
 UNIVERSE = ([CHUNK_PAGES - WINDOW // 2 + i for i in range(WINDOW)]
             + [2 * SHARD_SLICE_PAGES - WINDOW // 2 + i for i in range(WINDOW)])
 pages = st.sampled_from(UNIVERSE)

@@ -8,12 +8,14 @@ M x S operations it lists (DESIGN.md S17), and a kernel must build its plan
 once, not once per outer iteration.
 """
 
+import collections
 import sys
 
 from repro.core.params import SamhitaConfig
 from repro.kernels import Allocation, MicrobenchParams, spawn_microbench
 from repro.runtime import Runtime, SharedArray
 from repro.runtime.plan import AccessPlan
+from tests.memory.test_diff_cost import tally_call, where_calls_go
 
 S = 8
 ROW_BYTES = 2048
@@ -28,12 +30,15 @@ REPEAT_BOUND = 126
 BUILD_BOUND = 4
 
 
-def calls_to_submit(M: int) -> tuple[int, int]:
+def calls_to_submit(M: int, tally=None) -> tuple[int, int]:
     """Calls made by the first and by the second submission of one
     timing-mode plan of M sweeps over S resident 2 KB rows (read, write,
-    compute per row: 3 * M * S operations)."""
+    compute per row: 3 * M * S operations); ``tally`` counts both per
+    function (``tally_call``)."""
     rt = Runtime("samhita", n_threads=1, config=SamhitaConfig(functional=False))
     calls = []
+    if tally is None:
+        tally = collections.Counter()
 
     def program(ctx):
         base = yield from ctx.malloc(S * ROW_BYTES + 4096)
@@ -51,6 +56,7 @@ def calls_to_submit(M: int) -> tuple[int, int]:
             def profile(frame, event, arg):
                 nonlocal count
                 count += event in ("call", "c_call")
+                tally_call(tally, frame, event, arg)
 
             sys.setprofile(profile)
             try:
@@ -69,15 +75,18 @@ def calls_to_submit(M: int) -> tuple[int, int]:
 
 
 def test_all_hit_plan_cost_does_not_grow_with_its_length():
-    first_10, again_10 = calls_to_submit(10)
-    first_100, again_100 = calls_to_submit(100)
+    tally_10, tally_100 = collections.Counter(), collections.Counter()
+    first_10, again_10 = calls_to_submit(10, tally_10)
+    first_100, again_100 = calls_to_submit(100, tally_100)
+    where = where_calls_go(tally_100)
+    grown = where_calls_go(tally_100 - tally_10)
     # 28,009 at M=100 (11.7 per operation) with one trip through the per-op
     # loop per hit; deriving the vectors is array calls however long the
     # plan is.
-    assert first_100 <= BOUND and again_100 <= BOUND
-    assert again_10 <= REPEAT_BOUND and again_100 <= REPEAT_BOUND
-    assert first_100 <= 1.10 * first_10
-    assert again_100 <= 1.10 * again_10
+    assert first_100 <= BOUND and again_100 <= BOUND, where
+    assert again_10 <= REPEAT_BOUND and again_100 <= REPEAT_BOUND, where
+    assert first_100 <= 1.10 * first_10, grown
+    assert again_100 <= 1.10 * again_10, grown
     assert again_100 < first_100  # the vectors are cached on the plan
 
 
@@ -110,10 +119,12 @@ def test_building_a_row_sweep_costs_a_few_calls_per_operation():
         arr = yield from SharedArray.allocate(ctx, rows, ROW_BYTES // 8)
         plan = AccessPlan()
         count = 0
+        tally = collections.Counter()
 
         def profile(frame, event, arg):
             nonlocal count
             count += event in ("call", "c_call")
+            tally_call(tally, frame, event, arg)
 
         sys.setprofile(profile)
         try:
@@ -123,12 +134,12 @@ def test_building_a_row_sweep_costs_a_few_calls_per_operation():
                 plan.compute(ROW_BYTES // 8)
         finally:
             sys.setprofile(None)
-        built.append((count, plan))
+        built.append((count, plan, tally))
         return 0
 
     rt = Runtime("samhita", n_threads=1, config=SamhitaConfig(functional=False))
     rt.spawn(program)
     rt.run()
-    (count, plan), = built
+    (count, plan, tally), = built
     assert len(plan) == 3 * rows
-    assert count <= BUILD_BOUND * len(plan)
+    assert count <= BUILD_BOUND * len(plan), where_calls_go(tally)
