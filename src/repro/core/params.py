@@ -117,13 +117,6 @@ class SamhitaConfig:
     #: write-ahead replication log, and a heartbeat failure detector
     #: promotes a backup when the primary permanently crashes.
     replication_factor: int = 1
-    #: Coordinated crash-consistent checkpoints every N barrier rounds;
-    #: 0 (the default) disables checkpointing entirely. Snapshots are taken
-    #: at the barrier's quiesce point (all diffs applied at their homes)
-    #: and hold what a restore reads: the round count, the fencing epoch,
-    #: and every page's authoritative bytes with its logical home.
-    #: ``Samhita.restore()`` resumes a campaign from the latest snapshot.
-    checkpoint_interval: int = 0
 
     # -- fault model ------------------------------------------------------
     #: Seeded fault schedule, or None (the default) for a perfect network.
@@ -151,8 +144,6 @@ class SamhitaConfig:
                 f"(n_memory_servers={self.n_memory_servers})")
         if self.manager_shards < 1:
             raise ReproError("manager_shards must be >= 1")
-        if self.checkpoint_interval < 0:
-            raise ReproError("checkpoint_interval must be >= 0")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise ReproError("faults must be a FaultPlan or None")
 

@@ -158,11 +158,8 @@ class SamhitaSystem:
         # when the config can use it: every hook into it is one ``is None``
         # check on the paper's build.
         self.resilience = None
-        #: Called with a round's flush gate at its quiesce point.
-        self.on_quiesce = None
         config = self.config
-        if (config.faults is not None or config.replication_factor > 1
-                or config.checkpoint_interval > 0):
+        if config.faults is not None or config.replication_factor > 1:
             from repro.resilience import Resilience
             self.resilience = Resilience(self)
 
@@ -564,10 +561,6 @@ class SamhitaSystem:
             yield from self.control.barrier_flush_done(tid, comp, barrier_id,
                                                        state)
         yield state.flush_gate
-        if self.on_quiesce is not None:
-            # Quiesce point: the gate succeeds only after every thread's
-            # flushed diffs are applied at their homes.
-            self.on_quiesce(state.flush_gate)
         if directive is QUIET_DIRECTIVE:
             return  # nothing to apply or drop
         # Consistency-region updates become globally visible here.

@@ -94,16 +94,10 @@ def analyze(backend: SamhitaBackend, result: RunResult) -> UtilizationReport:
     touches = cache_stats.get("page_touches", 0)
     installs = cache_stats.get("installs", 0)
     hit_ratio = (touches - installs) / touches if touches > installs else 0.0
-    # The merged "prefetch" namespace carries the ready-made accuracy;
-    # fall back to the cache counters for reports predating it.
-    prefetch_ns = result.stats.get("prefetch", {})
-    if "prefetch_accuracy" in prefetch_ns:
-        prefetch_ratio = prefetch_ns["prefetch_accuracy"]
-    else:
-        prefetch_installs = cache_stats.get("prefetch_installs", 0)
-        prefetch_hits = cache_stats.get("prefetch_hits", 0)
-        prefetch_ratio = (prefetch_hits / prefetch_installs
-                          if prefetch_installs else 0.0)
+    # The merged "prefetch" namespace carries the ready-made accuracy
+    # whenever a prefetched page was installed.
+    prefetch_ratio = result.stats.get("prefetch", {}).get(
+        "prefetch_accuracy", 0.0)
 
     computes = [t.clock.compute for t in result.threads.values()]
     balance = (min(computes) / max(computes)

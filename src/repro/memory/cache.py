@@ -220,21 +220,6 @@ class SoftwareCache:
             return np.array(missing, dtype=np.int64)
         return pages[self._table.gather(TICK, pages) == 0]
 
-    def missing_pages(self, addr: int, nbytes: int) -> list[int]:
-        pages = self.layout.pages_spanning(addr, nbytes)
-        if not pages:
-            return []
-        return self.missing_in(pages.start, pages.stop).tolist()
-
-    def missing_lines(self, addr: int, nbytes: int) -> list[int]:
-        """Lines with at least one non-resident page, for the span."""
-        lines = self.layout.lines_spanning(addr, nbytes)
-        if not lines:
-            return []
-        per_line = self.layout.pages_per_line
-        return self.layout.lines_of(self.missing_in(
-            lines.start * per_line, lines.stop * per_line))
-
     def resident_page_set(self):
         """Set view of the resident page numbers (live, do not mutate)."""
         return self._resident

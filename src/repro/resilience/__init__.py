@@ -2,13 +2,12 @@
 
 PAPER.md §II's Samhita has no fault tolerance. What lets a run survive a
 fault plan lives here, and a system gets it (``SamhitaSystem.resilience``)
-only when its config sets ``faults``, ``replication_factor > 1`` or
-``checkpoint_interval > 0``; otherwise nothing here is imported. The
-package owns replication and its write-ahead log (:mod:`.wal`), page
-integrity and repair, the failure detector (:mod:`.detector`), membership
-and fencing (:mod:`.membership`) and checkpoints (:mod:`.checkpoint`).
-The core calls :class:`Resilience` at five hooks, each one ``is None``
-check on the paper's build:
+only when its config sets ``faults`` or ``replication_factor > 1``;
+otherwise nothing here is imported. The package owns replication and its
+write-ahead log (:mod:`.wal`), page integrity and repair, the failure
+detector (:mod:`.detector`) and membership and fencing
+(:mod:`.membership`). The core calls :class:`Resilience` at four hooks,
+each one ``is None`` check on the paper's build:
 
 1. after a server merges diffs: :meth:`~Resilience.log` (in the merge's
    atomic step) and :meth:`~Resilience.ship` (once its slot is free);
@@ -17,9 +16,7 @@ check on the paper's build:
 3. on a write-side RPC: :meth:`~Resilience.stamp` at the sender and
    :meth:`~Resilience.admit` at a memory server (the control plane's
    guard asks ``Membership.stale_control``);
-4. at the barrier's quiesce point: :meth:`~Resilience.quiesced`, bound to
-   ``SamhitaSystem.on_quiesce`` only when checkpointing;
-5. on a detector declaration: :meth:`~Resilience.handle_server_failure`
+4. on a detector declaration: :meth:`~Resilience.handle_server_failure`
    (a shard's failover stays ``ControlPlane.handle_shard_failure``).
 """
 
@@ -35,7 +32,6 @@ from repro.errors import (
     StaleEpochError,
 )
 from repro.memory.backing import CRC_CORRUPT, payload_crc_ok
-from repro.resilience.checkpoint import CheckpointStore, take_checkpoint
 from repro.resilience.detector import (
     HEARTBEAT_INTERVAL,
     HEARTBEAT_MISSES,
@@ -84,18 +80,11 @@ class Resilience:
             # observe; a fault-free replicated run just pays the copies.
             self.detector = FailureDetector(self)
             system.injector.detector = self.detector
-        #: Checkpoints, one every ``checkpoint_interval`` barrier rounds.
-        self.checkpoints: CheckpointStore | None = None
-        self._ckpt_gate = None
-        self._ckpt_rounds = 0
-        if config.checkpoint_interval > 0:
-            self.checkpoints = CheckpointStore()
-            system.on_quiesce = self.quiesced
 
     def detach(self) -> None:
         """Cut every edge to the system (a disposed run dies by refcount)."""
         system = self.system
-        system.resilience = system.on_quiesce = None
+        system.resilience = None
         if system.injector is not None:
             system.injector.detector = None
         self.detector = self.system = None
@@ -359,23 +348,7 @@ class Resilience:
                                       "diff", 0, self.system.engine.now)
 
     # ------------------------------------------------------------------
-    # hook 4: the barrier quiesce point
-    # ------------------------------------------------------------------
-    def quiesced(self, gate) -> None:
-        """A thread passed a barrier's flush gate (the pages are a
-        consistent cut). Gate identity counts each round once; every
-        ``checkpoint_interval``-th is snapshotted."""
-        if gate is self._ckpt_gate:
-            return
-        self._ckpt_gate = gate
-        self._ckpt_rounds += 1
-        if self._ckpt_rounds % self.system.config.checkpoint_interval == 0:
-            # A plain call: the cut is atomic in simulated time.
-            self.checkpoints.add(take_checkpoint(self, self._ckpt_rounds))
-            self.system.stats.incr("checkpoints_taken")
-
-    # ------------------------------------------------------------------
-    # hook 5: failover
+    # hook 4: failover
     # ------------------------------------------------------------------
     def handle_server_failure(self, dead: int) -> None:
         """Failover: promote the dead primary's backup -- a plain call from
@@ -502,14 +475,12 @@ class Resilience:
             repl.update({k: v for k, v in report["compute_servers"].items()
                          if k.startswith("integrity_")})
             report["replication"] = repl
-        if self.membership is not None or self.checkpoints is not None:
+        if self.membership is not None:
             # The partition-tolerance machinery: the fencing epoch and its
-            # counters, degraded waits and checkpoint activity.
-            member: dict = {}
-            if self.membership is not None:
-                member.update(self.membership.snapshot())
+            # counters, and degraded waits.
+            member = self.membership.snapshot()
             member.update({k: v for k, v in system_stats.items()
-                           if k.startswith(("degraded_", "checkpoints_"))})
+                           if k.startswith("degraded_")})
             member.update({k: v for k, v in report["compute_servers"].items()
                            if k.startswith("epoch_")})
             report["membership"] = member

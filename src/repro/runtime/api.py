@@ -73,9 +73,3 @@ class Runtime:
 
     def run(self):
         return self.backend.run()
-
-    def restore(self, ckpt) -> None:
-        """Rehydrate a fresh runtime from a checkpoint taken by a previous
-        (lost) run; spawn a continuation program, then :meth:`run`.
-        Backends without checkpoint support raise ``AttributeError``."""
-        self.backend.restore(ckpt)

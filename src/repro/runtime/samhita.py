@@ -210,18 +210,6 @@ class SamhitaBackend(BaseBackend):
     def stats_report(self) -> dict:
         return self.system.stats_report()
 
-    def checkpoints(self):
-        """The system's checkpoint store (None at checkpoint_interval=0)."""
-        res = self.system.resilience
-        return None if res is None else res.checkpoints
-
-    def restore(self, ckpt) -> None:
-        """Rehydrate this (fresh) backend from a checkpoint so a
-        continuation program can replay the remaining rounds (see
-        :mod:`repro.resilience.checkpoint`)."""
-        from repro.resilience.checkpoint import restore_checkpoint
-        restore_checkpoint(self.system, ckpt)
-
     def dispose(self) -> None:
         # The component->system back-edges are the remaining cycle anchors
         # on the Samhita side: compute servers, memory-server bind(), the

@@ -19,9 +19,10 @@ from repro.core.params import SamhitaConfig
 from repro.core.system import SamhitaSystem
 from repro.errors import ReplicationError, SimulationError
 from repro.experiments.harness import run_workload_direct
-from repro.faults import permanent_crash
+from repro.faults import FaultPlan, permanent_crash
 from repro.kernels.jacobi import JacobiParams, spawn_jacobi
 from repro.kernels.md import MDParams, spawn_md
+from repro.sim.engine import Timeout
 
 from tests.chaos.conftest import chaos_seeds, kill_plan
 
@@ -232,3 +233,48 @@ def test_a_sibling_share_failure_surfaces_in_the_faulting_thread():
     with pytest.raises(SimulationError, match="process reader failed") as info:
         _two_home_fault(at_fault=fail_home_0)
     assert info.value.__cause__ is planted
+
+
+# -- losing the last replica ------------------------------------------------
+
+def test_last_replica_loss_stops_the_run():
+    """Both servers of a two-server rf=2 ring die after a round's barrier.
+    The first declaration is an ordinary fenced failover; the second finds
+    no live replica and stops the run with a ReplicationError."""
+    # An all-zero fault plan arms fencing without injecting anything: the
+    # kills below are direct failure declarations.
+    system = SamhitaSystem.cluster(N_THREADS,
+                                   config=_replicated(FaultPlan()))
+    tids = [system.add_thread() for _ in range(N_THREADS)]
+    bar = system.create_barrier(N_THREADS)
+    slice_bytes = 2 * 4096  # 8 pages in all, striped across both servers
+    rounds, kill_after = 6, 3
+    where = {}
+
+    def body(i, tid):
+        if i == 0:
+            where["addr"] = yield from system.malloc(
+                tid, N_THREADS * slice_bytes, shared=True)
+        yield from system.barrier_wait(tid, bar)
+        addr = where["addr"] + i * slice_bytes
+        for r in range(rounds):
+            data = yield from system.mem_read(tid, addr, slice_bytes)
+            arr = (np.frombuffer(data, dtype=np.float64) * 1.25
+                   + (r + 1) * (i + 1))
+            yield from system.mem_write(tid, addr, slice_bytes,
+                                        arr.view(np.uint8))
+            yield from system.barrier_wait(tid, bar)
+            if i == 0 and r == kill_after:
+                yield Timeout(1e-6)
+                system.resilience.handle_server_failure(0)
+                system.resilience.handle_server_failure(1)
+
+    for i, tid in enumerate(tids):
+        system.process(body(i, tid), name=f"t{i}")
+    with pytest.raises(SimulationError) as excinfo:
+        system.run()
+    # The engine surfaces the thread's death with the cause chained in.
+    assert isinstance(excinfo.value.__cause__, ReplicationError)
+    membership = system.stats_report()["membership"]
+    assert membership["promotions"] == 1
+    assert membership["epoch"] == 1

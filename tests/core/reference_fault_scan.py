@@ -51,8 +51,8 @@ def _speculative_pages(cs, tid: int, targets, exclude: frozenset) -> list[int]:
 def fault_lines_batched(cs, tid: int, missing: np.ndarray, first: int,
                         stop: int):
     """The shipped scan's signature and result, ``(demand, spec, lines)``;
-    ``missing`` only names the lines to visit (what
-    ``SoftwareCache.missing_lines`` returned)."""
+    ``missing`` (the span's ``SoftwareCache.missing_in`` vector) only
+    names the lines to visit."""
     cache = cs.system.cache_of(tid)
     counters = cs.stats.counters
     line_pages = cache.layout.line_pages

@@ -90,9 +90,10 @@ class TestConfigSurface:
         # no engine hook that could re-arm a drained queue. Fencing epochs
         # are armed by any fault plan, not by a flag of their own. The
         # fixed software costs and the allocator thresholds nobody set are
-        # constants of params.py and allocator.py.
+        # constants of params.py and allocator.py. Checkpoint/restart went
+        # too: losing a ring's last replica stops the run.
         fields = {f.name for f in dataclasses.fields(SamhitaConfig)}
-        assert len(fields) == 16
+        assert len(fields) == 15
         for gone in ("eviction_impl", "batched_round_trips",
                      "batch_line_fetches", "prefetch_adjacent",
                      "adaptive_timeouts", "hedged_fetches", "hedge_quantile",
@@ -105,7 +106,8 @@ class TestConfigSurface:
                      "invalidate_page_time", "install_page_time",
                      "arena_max_alloc", "arena_chunk_bytes",
                      "stripe_threshold", "manager_service_time",
-                     "fault_handler_time", "barrier_eager_refresh"):
+                     "fault_handler_time", "barrier_eager_refresh",
+                     "checkpoint_interval"):
             assert gone not in fields
             with pytest.raises(TypeError):
                 SamhitaConfig(**{gone: False})
@@ -152,13 +154,8 @@ class TestConfigSurface:
                         continue
                     named.update(n.value for n in names
                                  if isinstance(n, ast.Constant))
-        exempt = {
-            # A capability with its own chaos tests and a DESIGN S13
-            # trial; no shipped workload or table takes checkpoints.
-            "checkpoint_interval",
-        }
         unset = {f.name for f in dataclasses.fields(SamhitaConfig)} - named
-        assert unset == exempt
+        assert unset == set()
 
     def test_removed_cost_knobs_are_rejected(self):
         with pytest.raises(TypeError):

@@ -2,9 +2,9 @@
 
 PAPER.md §II's Samhita -- memory servers, a manager, compute servers and
 RegC -- has no fault tolerance; replication, the WAL, integrity repair, the
-failure detector, fencing and checkpoints live in :mod:`repro.resilience`,
-which a system composes in only when its config sets ``faults``,
-``replication_factor > 1`` or ``checkpoint_interval > 0``. Two guards:
+failure detector and fencing live in :mod:`repro.resilience`, which a
+system composes in only when its config sets ``faults`` or
+``replication_factor > 1``. Two guards:
 
 * a fault-free run imports no part of the fault plane at all;
 * ``src/repro/core`` names it only where it calls the package's hooks.
@@ -34,8 +34,7 @@ result = run_workload_direct("samhita", 4, spawn_jacobi,
                              JacobiParams(rows=16, cols=64, iterations=2),
                              functional=True)
 assert result.elapsed > 0
-fault_plane = ("ReplicationLog", "FailureDetector", "Membership",
-               "CheckpointStore")
+fault_plane = ("ReplicationLog", "FailureDetector", "Membership")
 for name, module in sorted(sys.modules.items()):
     if not name.startswith("repro"):
         continue

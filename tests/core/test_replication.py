@@ -172,7 +172,6 @@ class TestDefaultOff:
     def test_rf1_system_has_no_replication_machinery(self):
         system = SamhitaSystem.cluster(n_threads=1)
         assert system.resilience is None
-        assert system.on_quiesce is None
         for server in system.memory_servers:
             assert not server.backing.integrity
         assert "replication" not in system.stats_report()
@@ -201,18 +200,15 @@ class TestDefaultOff:
     @pytest.mark.parametrize("config, armed", [
         (SamhitaConfig(faults=FaultPlan()), "membership"),
         (SamhitaConfig(n_memory_servers=2, replication_factor=2), "wals"),
-        (SamhitaConfig(checkpoint_interval=1), "checkpoints"),
-    ], ids=["faults", "replication_factor", "checkpoint_interval"])
+    ], ids=["faults", "replication_factor"])
     def test_each_trigger_attaches_the_package(self, config, armed):
-        """The package composes in for each of its three triggers alone,
+        """The package composes in for each of its two triggers alone,
         arming only what that trigger needs."""
         system = SamhitaSystem.cluster(n_threads=1, config=config)
         res = system.resilience
         assert res is not None and res.system is system
-        facets = {"membership": res.membership, "wals": res.wals,
-                  "checkpoints": res.checkpoints}
+        facets = {"membership": res.membership, "wals": res.wals}
         assert [k for k, v in facets.items() if v is not None] == [armed]
-        assert (system.on_quiesce is not None) == (armed == "checkpoints")
 
 
 class TestBitrotGate:

@@ -31,10 +31,10 @@ class TestResidency:
     def test_missing_pages_and_lines(self):
         c = make()
         install_zero(c, 0, 1)
-        assert c.missing_pages(0, 3 * 4096) == [2]
-        assert c.missing_lines(0, 3 * 4096) == [0]
+        assert c.missing_in(0, 3).tolist() == [2]
+        assert L.lines_of(c.missing_in(0, 4)) == [0]
         install_zero(c, 2, 3)
-        assert c.missing_lines(0, 4 * 4096) == []
+        assert c.missing_in(0, 4).size == 0
 
     def test_capacity_must_fit_a_line(self):
         with pytest.raises(MemoryError_):
@@ -306,39 +306,40 @@ class TestEvictionBothImpls:
 
 
 class TestLineResidency:
-    """missing_lines is answered from the residency columns."""
+    """A line's residency is answered from the residency columns: the
+    lines of ``missing_in``'s page vector."""
 
     def test_counts_track_evict(self):
         c = make()
         install_zero(c, 0, 1, 2, 3)           # line 0 complete
-        assert c.missing_lines(0, 4 * 4096) == []
+        assert c.missing_in(0, 4).size == 0
         c.evict(2)
-        assert c.missing_lines(0, 4 * 4096) == [0]
-        assert c.missing_pages(0, 4 * 4096) == [2]
+        assert L.lines_of(c.missing_in(0, 4)) == [0]
+        assert c.missing_in(0, 4).tolist() == [2]
 
     def test_counts_track_invalidate(self):
         c = make()
         install_zero(c, 4, 5, 6, 7)           # line 1 complete
-        assert c.missing_lines(4 * 4096, 4 * 4096) == []
+        assert c.missing_in(4, 8).size == 0
         c.invalidate([5, 6])
-        assert c.missing_lines(4 * 4096, 4 * 4096) == [1]
+        assert L.lines_of(c.missing_in(4, 8)) == [1]
         install_zero(c, 5, 6)
-        assert c.missing_lines(4 * 4096, 4 * 4096) == []
+        assert c.missing_in(4, 8).size == 0
 
     def test_counts_survive_clear(self):
         c = make()
         install_zero(c, 0, 1, 2, 3)
         c.clear()
-        assert c.missing_lines(0, 4 * 4096) == [0]
+        assert L.lines_of(c.missing_in(0, 4)) == [0]
         install_zero(c, 0, 1, 2, 3)
-        assert c.missing_lines(0, 4 * 4096) == []
+        assert c.missing_in(0, 4).size == 0
 
     def test_refresh_install_does_not_double_count(self):
         c = make()
         install_zero(c, 0, 1, 2, 3)
         install_zero(c, 1)                    # refresh of a resident page
         c.evict(1)
-        assert c.missing_lines(0, 4 * 4096) == [0]
+        assert L.lines_of(c.missing_in(0, 4)) == [0]
         assert c.resident_pages == 3
 
 
@@ -502,7 +503,7 @@ class TestPageStateTable:
         stale = range(first + WIDE // 2, first + 4 * WIDE)
         assert c.invalidate(stale) == len(ref.invalidate(stale)) == len(pages) - WIDE // 2
         assert c.resident_page_set() == ref.entries.keys() == set(pages[:WIDE // 2])
-        assert c.missing_pages(first * 4096, 3 * WIDE * 4096) == pages[WIDE // 2:]
+        assert c.missing_in(first, first + 3 * WIDE).tolist() == pages[WIDE // 2:]
 
     def test_page_vectors_in_and_out(self):
         # What the fault path hands the cache and gets back: ascending
@@ -562,7 +563,7 @@ class TestPageStateTable:
         assert not c._table.chunks           # nothing until the first install
         install_zero(c, 3, (1 << 28) + 3, 5 * (1 << 28))
         assert len(c._table.chunks) == 3     # one small chunk per region
-        assert c.missing_pages(((1 << 28) + 2) * 4096, 3 * 4096) == [
+        assert c.missing_in((1 << 28) + 2, (1 << 28) + 5).tolist() == [
             (1 << 28) + 2, (1 << 28) + 4]
 
     def test_entries_view_is_read_only(self):
