@@ -111,16 +111,12 @@ class MemoryServer:
 
     def _read_served(self, requester_tid: int, pages: np.ndarray) -> dict:
         """The read leg of a bulk serve: register the requester as sharer
-        (IVY) and copy each page out -- through the resilience layer's
-        serve hook when it armed the store's checksums. Returns
-        ``{page: data}``."""
+        (IVY) and copy each page out. Returns ``{page: data}``."""
         backing = self.backing
         if self._track_sharers:
             self.directory.add_sharers(pages, requester_tid)
-        if backing.integrity:
-            return self._system.resilience.serve(self, pages.tolist())
         if backing.functional:
-            return backing.serve_pages(pages.tolist())[0]
+            return backing.serve_pages(pages.tolist())
         # Timing fast path: no bytes move; only frame existence and the
         # read counters matter, paid in bulk. The returned mapping stays
         # empty -- timing-mode callers only ``.get`` per-page data, which
@@ -170,10 +166,12 @@ class MemoryServer:
         system = self._system
         owner_cache = system._caches[owner_tid]
         backing = self.backing
+        res = system.resilience
         if (not backing.functional and owner_cache.use_twins
-                and not backing.integrity):
+                and (res is None or res.wals is None)):
             # Timing fast path: a diff is pure sizes here, so take and
-            # apply in bulk without materializing PageDiff objects.
+            # apply in bulk without materializing PageDiff objects (a
+            # write-ahead log records PageDiffs, so it takes the slow path).
             dirty_pages, payload, wire = owner_cache.take_diff_sizes(pages)
             self.directory.clear_owners(pages)
             if not dirty_pages.size:
@@ -190,7 +188,6 @@ class MemoryServer:
         self.directory.clear_owners(pages)
         if not diffs:
             return None
-        res = system.resilience
         if res is not None:
             res.log(self, diffs)
         payload = wire = 0

@@ -243,7 +243,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
     riders install with ``prefetched=True`` and never evict -- a full
     cache skips them. One home's share of a fetch is one frame of this
     generator: every suspension of its trip (request, serve, reply,
-    repair, recovery, eviction, install charge) resumes that frame. A
+    recovery, eviction, install charge) resumes that frame. A
     fetch that spans k homes forks: the faulting thread starts every
     other home's share as an engine process running this same path
     (``home``) and runs the last home's share itself, so all k trips fly
@@ -298,7 +298,6 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
     comp = cs.component
     resolve_home = system.directory.resolve_home
     armed = system.injector is not None
-    res = system.resilience
     inval_epoch = cache.inval_epoch
     epoch_get = inval_epoch.get
     counters = cs.stats.counters
@@ -325,15 +324,10 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: np.ndarray,
                     if t is not None:
                         yield from t
                 data = yield from server.serve_fetch_bulk(tid, pages, at)
-                # What the serve hook sealed the reply with, read at the
-                # serve, before another serve overwrites it.
-                sealed = None if res is None else res.sealed
                 t = system.fabric.transfer_inline(to, comp, nbytes,
                                                   category="page")
                 if t is not None:
                     yield from t
-                if sealed is not None:
-                    yield from res.received(cs, server, sealed, data)
             except CommunicationError as err:
                 backoffs = yield from recover(cs, server, err, backoffs)
                 continue

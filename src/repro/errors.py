@@ -114,7 +114,7 @@ class RetryExhaustedError(RetryableError, CommunicationError):
 
 class ReplicationError(CommunicationError):
     """The replication layer could not keep a page available (no live
-    replica to promote or repair from)."""
+    replica to promote)."""
 
 
 class StaleEpochError(RetryableError, CommunicationError):

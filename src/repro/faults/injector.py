@@ -51,16 +51,12 @@ class FaultInjector:
         #: membership tests dominate the hot path.
         self._partitions = tuple((frozenset(group), start, end)
                                  for group, start, end in plan.partitions)
-        #: Bitrot has its own RNG stream: page-serve draws must never
-        #: perturb the message-verdict sequence (and vice versa), or two
-        #: plans differing only in bitrot_rate would diverge in timing.
-        self._bitrot_rng = random.Random(plan.seed ^ 0x6B17507)
         #: Slow-server windows ``(component, factor, start, end)``: pure
         #: arithmetic consulted by memory-server service charges, no RNG.
         self._slow = tuple(plan.slow_servers)
         self.has_slow_servers = bool(self._slow)
-        #: Jitter draws come from a dedicated stream for the same reason as
-        #: bitrot: arming jitter must not shift the main verdict sequence.
+        #: Jitter draws come from a dedicated stream: arming jitter must not
+        #: shift the main verdict sequence.
         self._jitter_rng = random.Random(plan.seed ^ 0x9E3779B9)
         #: Failure detector hook, wired by the system when replication is
         #: on. Notified (never consulted) from the crash-verdict branches,
@@ -203,11 +199,3 @@ class FaultInjector:
                 merged.append([start, end])
         return not any(start <= since and until < end
                        for start, end in merged)
-
-    def draw_bitrot(self) -> bool:
-        """One bitrot draw for a page about to be served (dedicated RNG)."""
-        rate = self.plan.bitrot_rate
-        if rate and self._bitrot_rng.random() < rate:
-            self.stats.counters["bitrot_injected"] += 1
-            return True
-        return False

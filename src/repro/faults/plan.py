@@ -11,7 +11,9 @@ verdicts, and :class:`RetryPolicy` bounds the recovery protocol that copes.
 Corruption is *flagged*, never applied: the simulation models a CRC check at
 the receiver that detects the damage and discards the message, so the data
 plane is untouched by construction and a corrupted message costs exactly one
-retransmit round. Faults may change timing; they can never change data.
+retransmit round. Faults may change timing; they can never change data, and
+no fault touches a stored page (memory corruption is outside the modelled
+machine: DESIGN.md §13's profile table).
 """
 
 from __future__ import annotations
@@ -115,14 +117,6 @@ class FaultPlan:
     #: crash window the partitioned components keep RUNNING -- which is
     #: exactly the split-brain hazard fencing epochs exist for.
     partitions: tuple = ()
-    #: Per-served-page probability that a page frame at a memory server has
-    #: silently rotted (a flipped byte) by the time it is read for a fetch.
-    #: Detected by the end-to-end CRC attached at the server and verified at
-    #: the compute server, then repaired from a replica -- so bitrot needs
-    #: ``replication_factor > 1`` to be survivable and the injector only
-    #: draws it when a live replica exists. Drawn from a dedicated RNG so
-    #: arming bitrot never perturbs the message-verdict stream.
-    bitrot_rate: float = 0.0
     #: Gray failure: slow-server windows ``(component, factor, start, end)``
     #: -- during the window every service-time charge at the component is
     #: multiplied by ``factor`` (>= 1.0). The server stays up, answers
@@ -146,7 +140,7 @@ class FaultPlan:
 
     def __post_init__(self):
         for name in ("drop_rate", "corrupt_rate", "latency_spike_rate",
-                     "duplicate_rate", "bitrot_rate", "jitter_rate"):
+                     "duplicate_rate", "jitter_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ReproError(f"{name} must be in [0, 1], got {value!r}")
@@ -184,7 +178,6 @@ class FaultPlan:
         return (self.drop_rate == 0.0 and self.corrupt_rate == 0.0
                 and self.latency_spike_rate == 0.0
                 and self.duplicate_rate == 0.0
-                and self.bitrot_rate == 0.0
                 and self.jitter_rate == 0.0
                 and not self.link_flaps and not self.server_crash_windows
                 and not self.permanent_crashes and not self.partitions
@@ -213,8 +206,7 @@ def server_outage(seed: int, component: str, start: float,
                      server_crash_windows=((component, start, start + duration),))
 
 
-def permanent_crash(seed: int, component: str, at: float,
-                    bitrot_rate: float = 0.0) -> FaultPlan:
+def permanent_crash(seed: int, component: str, at: float) -> FaultPlan:
     """Kill one memory server forever at ``at`` (the failover kill-test).
 
     The retry budget is deliberately tight: senders talking to a dead
@@ -225,7 +217,7 @@ def permanent_crash(seed: int, component: str, at: float,
     retry = RetryPolicy(timeout=2e-6, backoff=2.0, max_backoff=16e-6,
                         max_retries=10)
     return FaultPlan(seed=seed, permanent_crashes=((component, at),),
-                     bitrot_rate=bitrot_rate, retry=retry)
+                     retry=retry)
 
 
 def partition(seed: int, group, start: float, duration: float,

@@ -4,34 +4,29 @@ PAPER.md §II's Samhita has no fault tolerance. What lets a run survive a
 fault plan lives here, and a system gets it (``SamhitaSystem.resilience``)
 only when its config sets ``faults`` or ``replication_factor > 1``;
 otherwise nothing here is imported. The package owns replication and its
-write-ahead log (:mod:`.wal`), page integrity and repair, the failure
-detector (:mod:`.detector`) and membership and fencing
-(:mod:`.membership`). The core calls :class:`Resilience` at four hooks,
-each one ``is None`` check on the paper's build:
+write-ahead log (:mod:`.wal`), the failure detector (:mod:`.detector`) and
+membership and fencing (:mod:`.membership`). The core calls
+:class:`Resilience` at three hooks, each one ``is None`` check on the
+paper's build:
 
 1. after a server merges diffs: :meth:`~Resilience.log` (in the merge's
    atomic step) and :meth:`~Resilience.ship` (once its slot is free);
-2. before served pages leave: :meth:`~Resilience.serve`; on receipt:
-   :meth:`~Resilience.received`;
-3. on a write-side RPC: :meth:`~Resilience.stamp` at the sender and
+2. on a write-side RPC: :meth:`~Resilience.stamp` at the sender and
    :meth:`~Resilience.admit` at a memory server (the control plane's
    guard asks ``Membership.stale_control``);
-4. on a detector declaration: :meth:`~Resilience.handle_server_failure`
+3. on a detector declaration: :meth:`~Resilience.handle_server_failure`
    (a shard's failover stays ``ControlPlane.handle_shard_failure``).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from zlib import crc32
 
-from repro.core.params import INSTALL_PAGE_TIME
 from repro.errors import (
     ReplicationError,
     RetryExhaustedError,
     StaleEpochError,
 )
-from repro.memory.backing import CRC_CORRUPT, payload_crc_ok
 from repro.resilience.detector import (
     HEARTBEAT_INTERVAL,
     HEARTBEAT_MISSES,
@@ -68,11 +63,6 @@ class Resilience:
             self._ship_locks = [Resource(system.engine, capacity=1,
                                          name=f"repl{s.index}")
                                 for s in servers]
-            for server in servers:
-                server.backing.integrity = True
-        #: ``(pages, checksums)`` of the last serve, read by its requester
-        #: right after the serve returns. None while integrity is off.
-        self.sealed = None
         self.detector: FailureDetector | None = None
         if system.injector is not None and (config.replication_factor > 1
                                             or config.manager_shards > 1):
@@ -117,12 +107,6 @@ class Resilience:
         if self.dead_servers:
             return [self.replica_targets(diff.page, exclude) for diff in diffs]
         return repeat(self.replica_targets(diffs[0].page, exclude))
-
-    def live_backup_of(self, page: int, exclude: int) -> int | None:
-        """First live replica of ``page`` other than ``exclude`` (repair
-        source / rot-eligibility check), or None."""
-        targets = self.replica_targets(page, exclude)
-        return targets[0] if targets else None
 
     # ------------------------------------------------------------------
     # hook 1: after a server merges diffs
@@ -209,107 +193,7 @@ class Resilience:
             lock.release()
 
     # ------------------------------------------------------------------
-    # hook 2: before served pages leave, and on their receipt
-    # ------------------------------------------------------------------
-    def serve(self, server, pages: list) -> dict:
-        """The pages ``server`` serves (integrity armed): the fault plan's
-        bitrot draw per page, then the copies, returned as ``{page: copy}``,
-        and their stored checksums, kept in :attr:`sealed` -- a rot leaves
-        the stored checksum stale, and that staleness IS the detection."""
-        injector = self.system.injector
-        if injector is not None and injector.plan.bitrot_rate:
-            for page in pages:
-                self._maybe_bitrot(server, page)
-        data, crcs = server.backing.serve_pages(pages)
-        self.sealed = (pages, crcs)
-        return data
-
-    def _maybe_bitrot(self, server, page: int) -> None:
-        """One bitrot draw for a page about to be served -- only where the
-        repair path can still fix it (no draw otherwise, keeping the bitrot
-        RNG stream aligned with repairability): a live backup the plan has
-        not taken down (between a crash and its declaration nothing could
-        repair the page)."""
-        system = self.system
-        backup = self.live_backup_of(page, server.index)
-        if backup is None or system.injector.server_down(
-                system.memory_servers[backup].component, system.engine.now):
-            return
-        if system.injector.draw_bitrot():
-            server.backing.corrupt_page(page)
-
-    def received(self, cs, server, sealed, data: dict):
-        """Generator: check each page a fetch received against the checksum
-        it left with (``payload_crc_ok``, in line; timing mode compares the
-        corruption sentinel) and replace a failing copy in ``data`` with
-        its home's rebuild."""
-        pages, crcs = sealed
-        functional = self.system.config.functional
-        counters = cs.stats.counters
-        for page in pages:
-            crc = crcs[page]
-            if (crc32(data[page]) & 0xFFFFFFFF == crc
-                    if functional else crc != CRC_CORRUPT):
-                continue
-            counters["integrity_failures"] += 1
-            data[page] = yield from self._repair(cs, server, page)
-            counters["integrity_repairs"] += 1
-
-    def _repair(self, cs, server, page: int):
-        """Generator: ``cs`` asks ``server`` to rebuild a page whose fetched
-        copy failed its checksum, and verifies the repaired copy end to end.
-
-        The home's slot is charged but NOT held across the replica round
-        trip (two servers repairing each other's pages would AB-BA). The
-        rebuild is atomic and self-correcting: the replica lags the primary
-        by exactly its unacked WAL entries, so its copy plus those entries
-        for this page (bitrot flips stored bytes, never logged diffs; a diff
-        landing meanwhile is logged too) is the primary's current page.
-        """
-        system = self.system
-        scl = system.scl
-        fabric = system.fabric
-        page_bytes = system.config.layout.page_bytes
-        t = scl.send(cs.component, server.component, category="repair_req")
-        if t is not None:
-            yield from t
-        yield from server.resource.use(server._service_time())
-        target = self.live_backup_of(page, server.index)
-        if target is None:
-            raise ReplicationError(
-                f"page {page}: no live replica to repair from")
-        replica = system.memory_servers[target]
-        t = scl.send(server.component, replica.component,
-                     category="repair_pull")
-        if t is not None:
-            yield from t
-        yield from replica.resource.use(replica._service_time())
-        data = replica.backing.read_page(page)
-        t = fabric.transfer_inline(replica.component, server.component,
-                                   page_bytes, category="repair_page")
-        if t is not None:
-            yield from t
-        # Atomic rebuild: replica copy, then the unacked WAL tail for this
-        # page, in LSN order.
-        backing = server.backing
-        backing.restore_page(page, data)
-        for entry in self.wals[server.index].unshipped_for_page(page, target):
-            backing.apply_diff(entry.diff)
-        server.stats.counters["repairs_served"] += 1
-        crc = backing.page_crc(page)
-        repaired = backing.read_page(page)
-        t = fabric.transfer_inline(server.component, cs.component, page_bytes,
-                                   category="repair_data",
-                                   tail=INSTALL_PAGE_TIME)
-        if t is not None:
-            yield from t
-        if not payload_crc_ok(repaired, crc):
-            raise ReplicationError(
-                f"page {page}: repaired copy failed its checksum")
-        return repaired
-
-    # ------------------------------------------------------------------
-    # hook 3: write-side RPCs
+    # hook 2: write-side RPCs
     # ------------------------------------------------------------------
     def stamp(self, cs) -> int | None:
         """The epoch a write-side RPC from ``cs`` carries: its last known
@@ -348,7 +232,7 @@ class Resilience:
                                       "diff", 0, self.system.engine.now)
 
     # ------------------------------------------------------------------
-    # hook 4: failover
+    # hook 3: failover
     # ------------------------------------------------------------------
     def handle_server_failure(self, dead: int) -> None:
         """Failover: promote the dead primary's backup -- a plain call from
@@ -457,10 +341,9 @@ class Resilience:
         system = self.system
         system_stats = system.stats.snapshot()
         if self.wals is not None:
-            # The availability machinery: WAL traffic, failover, integrity.
+            # The availability machinery: WAL traffic and failover.
             repl = {k: v for k, v in report["memory_servers"].items()
-                    if k.startswith(("repl_", "replica_", "repairs_",
-                                     "pages_rotted", "pages_restored"))}
+                    if k.startswith(("repl_", "replica_"))}
             wal_stats = StatSet("wal")
             for wal in self.wals:
                 wal_stats.merge(wal.stats)
@@ -472,8 +355,6 @@ class Resilience:
                 repl["home_remaps"] = remaps
             if self.detector is not None:
                 repl.update(self.detector.stats.snapshot())
-            repl.update({k: v for k, v in report["compute_servers"].items()
-                         if k.startswith("integrity_")})
             report["replication"] = repl
         if self.membership is not None:
             # The partition-tolerance machinery: the fencing epoch and its

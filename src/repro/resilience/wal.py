@@ -72,11 +72,6 @@ class ReplicationLog:
         """Entries ``target`` has not acknowledged, in LSN order."""
         return [e for e in self.entries if target in e.pending]
 
-    def unshipped_for_page(self, page: int, target: int) -> list[ReplEntry]:
-        """Unacknowledged entries for one page (the repair-merge path)."""
-        return [e for e in self.entries
-                if e.page == page and target in e.pending]
-
     def ack(self, target: int, entries) -> None:
         """Record ``target``'s acknowledgement of ``entries`` and prune the
         fully-acked head."""

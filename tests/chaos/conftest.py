@@ -34,9 +34,8 @@ def chaos_profiles(seed: int) -> dict:
     }
 
 
-def kill_plan(seed: int, at: float, bitrot_rate: float = 0.05):
+def kill_plan(seed: int, at: float):
     """The replication kill-test schedule: ``node1`` (always a memory
     server on cluster machines) crashes permanently at ``at`` and never
-    restarts, with enough bitrot sprinkled on served pages that every seed
-    exercises the checksum-repair path too."""
-    return permanent_crash(seed, "node1", at=at, bitrot_rate=bitrot_rate)
+    restarts."""
+    return permanent_crash(seed, "node1", at=at)

@@ -1,10 +1,10 @@
 """The paper's core stands without the fault plane.
 
 PAPER.md §II's Samhita -- memory servers, a manager, compute servers and
-RegC -- has no fault tolerance; replication, the WAL, integrity repair, the
-failure detector and fencing live in :mod:`repro.resilience`, which a
-system composes in only when its config sets ``faults`` or
-``replication_factor > 1``. Two guards:
+RegC -- has no fault tolerance; replication, the WAL, the failure detector
+and fencing live in :mod:`repro.resilience`, which a system composes in
+only when its config sets ``faults`` or ``replication_factor > 1``. Two
+guards:
 
 * a fault-free run imports no part of the fault plane at all;
 * ``src/repro/core`` names it only where it calls the package's hooks.

@@ -69,7 +69,7 @@ def calls_to_fault(n_pages: int, tally=None) -> int:
     run_threads(system, [allocate()])
     cs = system.compute_server_of(tid)
     system.process(faulting(cs, tid, where["base"], n_pages * PAGE))
-    calls, _ = count_calls(system.run, tally)
+    calls = count_calls(system.run, tally)
     assert system.cache_of(tid).span_resident(where["base"], n_pages * PAGE)
     assert cs.stats.get("pages_fetched") == n_pages
     assert cs.stats.get("fetch_requests") == 1
@@ -108,7 +108,7 @@ def calls_to_fault_strided(tally=None) -> int:
     server = system.server_of_page(base // PAGE)
     before = dict(cs.stats.counters), dict(server.stats.counters)
     system.process(faulting(cs, faulter, base, line))
-    calls, _ = count_calls(system.run, tally)
+    calls = count_calls(system.run, tally)
     assert system.cache_of(faulter).span_resident(base, 2 * line)
     assert not len(system.directory)
     moved = {key: cs.stats.counters[key] - before[0].get(key, 0)
@@ -202,7 +202,7 @@ def calls_to_fault_two_homes(tally=None) -> int:
     base, span = lines[0].item(0) * PAGE, lines[0].size * PAGE
     cs = system.compute_server_of(tid)
     system.process(faulting(cs, tid, base, span))
-    calls, _ = count_calls(system.run, tally)
+    calls = count_calls(system.run, tally)
     assert system.cache_of(tid).span_resident(base, 2 * span)
     assert cs.stats.get("fetch_requests") == 2
     return calls
@@ -227,7 +227,7 @@ def test_a_narrow_walk_inside_one_chunk_costs_no_call_per_page():
         walks = (lambda: table.scatter(0, pages, values),
                  lambda: table.scatter(1, pages, True),
                  lambda: table.gather(0, pages))
-        counts[n] = [count_calls(walk)[0] for walk in walks]
+        counts[n] = [count_calls(walk) for walk in walks]
         assert table.gather(0, pages).tolist() == values.tolist()
         assert table.gather(1, pages).all()
     assert all(counts[n] == counts[15] for n in counts), counts

@@ -1,10 +1,10 @@
-"""Replication-layer units: WAL, home remap, page integrity, config.
+"""Replication-layer units: WAL, home remap, config.
 
 The end-to-end kill tests live in ``tests/chaos/test_failover.py``; this
 file pins the pieces down in isolation -- write-ahead log bookkeeping
 (pending sets, acks, pruning, dead-target drops), the directory's failover
-indirection, CRC integrity semantics on the backing store, and the config
-validation / default-off gating of the whole subsystem.
+indirection, and the config validation / default-off gating of the whole
+subsystem.
 """
 
 import numpy as np
@@ -12,12 +12,12 @@ import pytest
 
 from repro.core import SamhitaConfig, SamhitaSystem
 from repro.errors import ReproError
+from repro.experiments.harness import run_workload_direct
 from repro.faults import FaultPlan, permanent_crash
-from repro.memory.backing import (CRC, CRC_CORRUPT, NO_CRC, BackingStore,
-                                  payload_crc_ok)
+from repro.kernels.jacobi import JacobiParams, spawn_jacobi
+from repro.kernels.md import MDParams, spawn_md
 from repro.memory.diff import PageDiff
 from repro.memory.directory import PageDirectory
-from repro.memory.layout import MemoryLayout
 from repro.resilience.wal import ReplicationLog
 
 
@@ -62,14 +62,6 @@ class TestReplicationLog:
         assert [e.page for e in wal.entries] == [8]
         assert wal.unshipped(1) == []
 
-    def test_unshipped_for_page_filters_the_repair_merge_set(self):
-        wal = ReplicationLog(0)
-        wal.append(7, make_diff(7, 0), targets=(1,))
-        wal.append(8, make_diff(8, 0), targets=(1,))
-        wal.append(7, make_diff(7, 4), targets=(1,))
-        entries = wal.unshipped_for_page(7, 1)
-        assert [e.lsn for e in entries] == [0, 2]
-
 
 class TestHomeRemap:
     def test_resolve_is_identity_until_a_failover(self):
@@ -93,62 +85,6 @@ class TestHomeRemap:
         assert d.resolve_home(2) == 3
 
 
-class TestPageIntegrity:
-    def _store(self, functional=True):
-        store = BackingStore(MemoryLayout(page_bytes=64),
-                             functional=functional)
-        store.integrity = True
-        return store
-
-    def test_crc_round_trips_a_clean_page(self):
-        store = self._store()
-        store.apply_diff(make_diff(3, 0, b"\x11\x22"))
-        crc = store.page_crc(3)
-        assert payload_crc_ok(store.read_page(3), crc)
-
-    def test_corrupt_page_keeps_the_stale_crc(self):
-        store = self._store()
-        store.apply_diff(make_diff(3, 0, b"\x11\x22"))
-        store.page_crc(3)
-        store.corrupt_page(3)
-        assert not payload_crc_ok(store.read_page(3), store.page_crc(3))
-        assert store.stats.counters["pages_rotted"] == 1
-
-    def test_apply_diff_never_launders_corruption(self):
-        """Merging new diffs into a rotted frame must not refresh the CRC:
-        the rot stays detectable until a replica repair."""
-        store = self._store()
-        store.apply_diff(make_diff(3, 0, b"\x11"))
-        store.corrupt_page(3)
-        store.apply_diff(make_diff(3, 8, b"\x77"))
-        assert not payload_crc_ok(store.read_page(3), store.page_crc(3))
-
-    def test_restore_page_clears_the_rot(self):
-        store = self._store()
-        store.apply_diff(make_diff(3, 0, b"\x11"))
-        store.corrupt_page(3)
-        clean = np.zeros(64, dtype=np.uint8)
-        clean[0] = 0x11
-        store.restore_page(3, clean)
-        assert payload_crc_ok(store.read_page(3), store.page_crc(3))
-        assert store.stats.counters["pages_restored"] == 1
-
-    def test_timing_mode_uses_the_corruption_sentinel(self):
-        store = self._store(functional=False)
-        store.apply_diff(PageDiff(3, spans=[(0, None)], sizes=[4]))
-        assert payload_crc_ok(None, store.page_crc(3))
-        store.corrupt_page(3)
-        assert store.page_crc(3) == CRC_CORRUPT
-        assert not payload_crc_ok(None, store.page_crc(3))
-
-    def test_integrity_off_means_no_crc_bookkeeping(self):
-        store = BackingStore(MemoryLayout(page_bytes=64), functional=True)
-        store.apply_diff(make_diff(3, 0, b"\x11"))
-        cols, row = store.ensure(3)
-        assert cols[CRC][row] == NO_CRC
-        assert payload_crc_ok(store.read_page(3), None)
-
-
 class TestConfigValidation:
     def test_replication_factor_must_fit_the_server_count(self):
         with pytest.raises(ReproError):
@@ -161,9 +97,12 @@ class TestConfigValidation:
     def test_permanent_crash_plan_is_validated(self):
         with pytest.raises(ReproError):
             FaultPlan(seed=1, permanent_crashes=(("node1", -1.0),))
-        with pytest.raises(ReproError):
-            FaultPlan(seed=1, bitrot_rate=1.5)
-        plan = permanent_crash(3, "node1", at=1e-4, bitrot_rate=0.01)
+        # Memory corruption is not in the fault model (DESIGN.md S13).
+        with pytest.raises(TypeError):
+            FaultPlan(seed=1, bitrot_rate=0.01)
+        with pytest.raises(TypeError):
+            permanent_crash(1, "node1", at=1e-4, bitrot_rate=0.01)
+        plan = permanent_crash(3, "node1", at=1e-4)
         assert plan.permanent_crashes == (("node1", 1e-4),)
         assert not plan.silent
 
@@ -172,17 +111,13 @@ class TestDefaultOff:
     def test_rf1_system_has_no_replication_machinery(self):
         system = SamhitaSystem.cluster(n_threads=1)
         assert system.resilience is None
-        for server in system.memory_servers:
-            assert not server.backing.integrity
         assert "replication" not in system.stats_report()
 
-    def test_rf2_system_arms_wal_and_integrity(self):
+    def test_rf2_system_arms_the_wal(self):
         config = SamhitaConfig(n_memory_servers=2, replication_factor=2)
         system = SamhitaSystem.cluster(n_threads=1, config=config)
         res = system.resilience
         assert [wal.index for wal in res.wals] == [0, 1]
-        for server in system.memory_servers:
-            assert server.backing.integrity
         # No fault plan -> nothing to detect failures with.
         assert res.detector is None
         assert res.replica_ring(0) == [0, 1]
@@ -211,41 +146,21 @@ class TestDefaultOff:
         assert [k for k, v in facets.items() if v is not None] == [armed]
 
 
-class TestBitrotGate:
-    """Bitrot only lands where the repair path can still fix it: a page
-    whose backup the plan has taken down is left alone (and draws nothing
-    from the bitrot stream) even before the detector declares the backup
-    dead."""
-
-    @staticmethod
-    def _primary_page(backup_dies_at):
-        # node1 and node2 are memory servers 0 and 1; every draw rots.
-        plan = permanent_crash(5, "node2", at=backup_dies_at, bitrot_rate=1.0)
-        config = SamhitaConfig(n_memory_servers=2, replication_factor=2,
-                               faults=plan)
-        system = SamhitaSystem.cluster(n_threads=1, config=config)
-        addr = system.allocator.shared_alloc(128 << 10, 0)
-        page = addr // system.config.layout.page_bytes
-        assert system.allocator.home_of_page(page) == 0
-        return system, system.memory_servers[0], page
-
-    def test_a_crashed_but_undeclared_backup_gets_no_rot_and_no_draw(self):
-        system, primary, page = self._primary_page(backup_dies_at=0.0)
-        assert system.injector.server_down("node2", system.engine.now)
-        res = system.resilience
-        assert 1 not in res.dead_servers  # not declared yet
-        assert res.live_backup_of(page, 0) == 1
-        rng = system.injector._bitrot_rng.getstate()
-        res._maybe_bitrot(primary, page)
-        assert primary.backing.stats.counters["pages_rotted"] == 0
-        assert system.injector.stats.counters["bitrot_injected"] == 0
-        assert system.injector._bitrot_rng.getstate() == rng
-
-    def test_a_live_backup_lets_the_draw_rot(self):
-        system, primary, page = self._primary_page(backup_dies_at=1.0)
-        system.resilience._maybe_bitrot(primary, page)
-        assert primary.backing.stats.counters["pages_rotted"] == 1
-        assert system.injector.stats.counters["bitrot_injected"] == 1
+@pytest.mark.parametrize("spawn, params", [
+    (spawn_jacobi, JacobiParams(rows=64, cols=256, iterations=3)),
+    (spawn_md, MDParams(n_particles=48, steps=3, collect_energy=False)),
+], ids=["jacobi", "md"])
+def test_a_timing_mode_replicated_run_logs_every_merge(spawn, params):
+    """Timing mode merges a recall's diffs as bare sizes unless a WAL must
+    log them: with rf=2 every merge at a primary is logged, shipped and
+    merged once more at its backup."""
+    config = SamhitaConfig(n_memory_servers=2, replication_factor=2)
+    stats = run_workload_direct("samhita", 4, spawn, params,
+                                functional=False, config=config).stats
+    repl = stats["replication"]
+    assert repl["wal_appends"] > 0
+    assert repl["wal_appends"] == repl["repl_diffs"]
+    assert stats["memory_servers"]["diffs_applied"] == 2 * repl["wal_appends"]
 
 
 class TestBatchTargets:

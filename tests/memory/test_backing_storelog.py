@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import SamhitaConfig, SamhitaSystem
 from repro.errors import MemoryError_
 from repro.memory import BackingStore, MemoryLayout, PageDiff, StoreLog
-from repro.memory.backing import CRC, CRC_CORRUPT, NO_CRC, payload_crc_ok
+from repro.memory.backing import LIVE
 from repro.memory.diff import compute_diff_spans
 
 L = MemoryLayout()
+
+
+def live_pages(store: BackingStore) -> list[int]:
+    """Every page that has a frame, ascending (the ``LIVE`` rows)."""
+    return sorted(p for _, _, pages in store._table.live_rows(LIVE)
+                  for p in pages.tolist())
 
 
 class TestBackingStore:
@@ -29,14 +34,14 @@ class TestBackingStore:
     def test_write_page_replaces_contents(self):
         store = BackingStore(L)
         payload = np.full(4096, 3, dtype=np.uint8)
-        store.write_page(2, payload)
+        store.write_range(2 * 4096, 4096, payload)
         assert (store.read_page(2) == 3).all()
         assert store.version_of(2) == 1
 
     def test_write_page_size_mismatch_rejected(self):
         store = BackingStore(L)
-        with pytest.raises(MemoryError_):
-            store.write_page(0, np.zeros(10, np.uint8))
+        with pytest.raises(MemoryError_, match="length mismatch"):
+            store.write_range(0, 4096, np.zeros(10, np.uint8))
 
     def test_apply_diff_merges(self):
         store = BackingStore(L)
@@ -81,10 +86,10 @@ class TestBackingStore:
         for page in range(CHUNK_PAGES - 2, CHUNK_PAGES + 3):
             loop.apply_diff(PageDiff(page, spans=[(0, None)], sizes=[0]))
             loop.stats.counters["diffs_applied"] -= 1
-        assert bulk.live_pages() == loop.live_pages() == sorted(
+        assert live_pages(bulk) == live_pages(loop) == sorted(
             {*served, *merged, *range(CHUNK_PAGES - 2, CHUNK_PAGES + 3)})
-        assert ([bulk.version_of(p) for p in bulk.live_pages()]
-                == [loop.version_of(p) for p in loop.live_pages()])
+        assert ([bulk.version_of(p) for p in live_pages(bulk)]
+                == [loop.version_of(p) for p in live_pages(loop)])
         assert bulk.stats.snapshot() == loop.stats.snapshot()
         assert bulk.resident_pages == loop.resident_pages == 9
 
@@ -96,7 +101,6 @@ class TestBackingStore:
         # only where it is missing: for a page of a chunk never touched,
         # and for a page of a touched chunk whose row is not live yet.
         store = BackingStore(L)
-        store.integrity = True
         if chunk_exists:
             store.ensure(0)
         before = store.stats.get("frames_created")
@@ -104,103 +108,11 @@ class TestBackingStore:
             store.apply_diffs([PageDiff.unchanged(1)])
             assert store.version_of(1) == 1
         else:
-            data, crcs = store.serve_pages([1])
-            assert not data[1].any() and crcs == {1: store.page_crc(1)}
+            data = store.serve_pages([1])
+            assert list(data) == [1] and not data[1].any()
         assert store.stats.get("frames_created") == before + 1
         assert store.resident_pages == 1 + chunk_exists
         assert not store.read_page(1).any()
-
-    def test_a_timing_serve_ships_the_version_or_the_corruption_sentinel(self):
-        store = BackingStore(L, functional=False)
-        store.integrity = True
-        store.write_page(1, None)
-        store.write_page(1, None)
-        store.corrupt_page(2)
-        data, crcs = store.serve_pages([1, 2, 3])
-        assert data == {1: None, 2: None, 3: None}
-        assert crcs == {1: 2, 2: CRC_CORRUPT, 3: 0}
-        assert [store.page_crc(p) for p in (1, 2, 3)] == [2, CRC_CORRUPT, 0]
-
-
-class TestChecksumAcrossDiffs:
-    """A diff that changes no byte keeps the frame's cached checksum; no
-    diff, empty or not, ever refreshes a rotted frame's stale one."""
-
-    @staticmethod
-    def _store():
-        store = BackingStore(L)
-        store.integrity = True
-        store.write_page(3, np.arange(4096, dtype=np.uint8))
-        return store
-
-    @staticmethod
-    def _changing(page=3):
-        return PageDiff(page, spans=[(8, np.full(4, 9, np.uint8))])
-
-    def test_span_less_diff_keeps_the_cached_crc(self):
-        store = self._store()
-        crc = store.page_crc(3)
-        cols, i = store.ensure(3)
-        store.apply_diff(PageDiff.unchanged(3))
-        assert cols[CRC][i] == crc  # still cached: the next serve recomputes nothing
-        assert store.version_of(3) == 2 and store.stats.get("diffs_applied") == 1
-        assert store.serve_pages([3])[1] == {3: crc}
-        assert payload_crc_ok(store.read_page(3), crc)
-
-    def test_changing_diff_drops_the_cached_crc(self):
-        store = self._store()
-        crc = store.page_crc(3)
-        cols, i = store.ensure(3)
-        store.apply_diff(self._changing())
-        assert cols[CRC][i] == NO_CRC
-        assert store.page_crc(3) != crc
-        assert payload_crc_ok(store.read_page(3), store.page_crc(3))
-
-    @pytest.mark.parametrize("spans", [False, True])
-    def test_no_diff_launders_a_rotted_frame(self, spans):
-        store = self._store()
-        store.corrupt_page(3)
-        stale = store.page_crc(3)
-        assert store.serve_pages([3])[1] == {3: stale}
-        store.apply_diff(self._changing() if spans else PageDiff.unchanged(3))
-        assert store.page_crc(3) == stale
-        data, crcs = store.serve_pages([3])
-        assert crcs == {3: stale} and not payload_crc_ok(data[3], crcs[3])
-        # ... until a replica's copy rebuilds it.
-        store.restore_page(3, np.arange(4096, dtype=np.uint8))
-        assert payload_crc_ok(store.read_page(3), store.page_crc(3))
-
-    @pytest.mark.parametrize("spans", [False, True])
-    def test_repair_rebuilds_a_frame_rotted_before_a_diff(self, spans):
-        """End to end: the frame rots, a recall-style merge lands on it
-        (logged first, as every merge is), and the next fault still detects
-        the rot and repairs it from the replica + the unshipped log."""
-        system = SamhitaSystem.cluster(n_threads=2,
-                                       config=SamhitaConfig.grayfail())
-        writer, reader = system.add_thread(), system.add_thread()
-        where = {}
-
-        def allocate():
-            where["base"] = yield from system.malloc(writer, 4096, shared=True)
-
-        system.process(allocate())
-        system.run()
-        page = where["base"] // 4096
-        server = system.server_of_page(page)
-        diff = self._changing(page) if spans else PageDiff.unchanged(page)
-        server.backing.corrupt_page(page)
-        system.resilience.log(server, [diff])
-        server.backing.apply_diffs([diff])
-        system.process(system.compute_server_of(reader).ensure_resident(
-            reader, where["base"], 4096))
-        system.run()
-        stats = system.compute_server_of(reader).stats
-        assert stats.get("integrity_failures") == stats.get("integrity_repairs") == 1
-        want = np.zeros(4096, np.uint8)
-        diff.apply_to(want)
-        assert np.array_equal(system.cache_of(reader).peek(page), want)
-        assert payload_crc_ok(server.backing.read_page(page),
-                              server.backing.page_crc(page))
 
 
 class TestStoreLog:

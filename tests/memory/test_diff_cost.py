@@ -33,7 +33,7 @@ PAGE = L.page_bytes
 BOUND = 60
 #: take + log + merge of one unchanged page (15 today, 16 before the merge
 #: read the frame's row in place; ``take_diff`` + ``wal.append`` +
-#: ``apply_diff`` made 26, and one crc32 over the frame at its next serve).
+#: ``apply_diff`` made 26).
 UNCHANGED_BOUND = 16
 #: One more page in an 8-page replicated functional recall: 12 pages minus
 #: 8, per page (14 today, 43 on the parent).
@@ -45,9 +45,9 @@ RECALL_PAGE_BOUND = 25
 STORE_FIRST_PAGE_BOUND = 0
 #: ... and a rewrite inside the dirty extent: nothing (2 before).
 STORE_REWRITE_PAGE_BOUND = 0
-#: One more page with a cached checksum in a serve: nothing -- a chunk's
-#: rows are copied out with one fancy index (1 before: its copy; 3 before
-#: that: ``ensure``, the checksum helper, the copy).
+#: One more page in a serve of existing frames: nothing -- a chunk's rows
+#: are copied out with one fancy index (1 before: its copy; 3 before that:
+#: ``ensure``, a checksum helper, the copy).
 SERVE_PAGE_BOUND = 0
 #: One more page in a serve that creates its frames: nothing (4 before:
 #: ``_create``, its ``np.zeros`` and the copy, plus the stat).
@@ -64,17 +64,16 @@ TRIP_FLOOR_BOUND = 4
 SEGMENTS_BOUND = 1
 
 
-def count_calls(fn, tally=None) -> tuple[int, int]:
-    """``(calls, crc32 calls)`` made by ``fn()``, builtins included. A
+def count_calls(fn, tally=None) -> int:
+    """The calls made by ``fn()``, builtins included. A
     ``tally`` (a ``collections.Counter``) also counts each call under its
     function (:func:`tally_call`), so that a gate can say where the calls
     went when it fails (:func:`where_calls_go`)."""
-    calls = crcs = 0
+    calls = 0
 
     def count(frame, event, arg):
-        nonlocal calls, crcs
+        nonlocal calls
         calls += event in ("call", "c_call")
-        crcs += event == "c_call" and arg.__name__ == "crc32"
         if tally is not None:
             tally_call(tally, frame, event, arg)
 
@@ -87,7 +86,7 @@ def count_calls(fn, tally=None) -> tuple[int, int]:
     finally:
         sys.setprofile(None)
         gc.enable()
-    return calls - 2, crcs  # minus fn itself and the setprofile(None)
+    return calls - 2  # minus fn itself and the setprofile(None)
 
 
 def tally_call(tally, frame, event, arg) -> None:
@@ -127,7 +126,7 @@ def calls_to_write_back(runs: int) -> int:
         taken.append(cache.take_diff(0))
         home.apply_diff(taken[0])
 
-    calls, _ = count_calls(write_back)
+    calls = count_calls(write_back)
     diff = taken[0]
     assert diff.n_spans == runs and diff.payload_bytes == 7 * runs
     assert np.array_equal(home.read_page(0), page.reshape(-1))
@@ -142,13 +141,12 @@ def test_write_back_cost_does_not_grow_with_the_number_of_runs():
 
 def test_an_unchanged_page_costs_next_to_nothing_to_write_back():
     """take + log + merge of a page rewritten with the bytes it held, as a
-    replicated recall does them, and the next serve of the frame."""
+    replicated recall does them, into a frame that exists."""
     cache = SoftwareCache(L, capacity_pages=8, functional=True)
     home = BackingStore(L)
-    home.integrity = True
     wal = ReplicationLog(0)
     cache.install(0, np.zeros(PAGE, np.uint8))
-    crc = home.page_crc(0)
+    home.ensure(0)
     cache.write(0, PAGE, np.zeros(PAGE, np.uint8))
     assert cache.is_dirty(0)
 
@@ -157,15 +155,12 @@ def test_an_unchanged_page_costs_next_to_nothing_to_write_back():
         wal.extend(diffs, repeat((1,)))
         home.apply_diffs(diffs)
 
-    calls, _ = count_calls(write_back)
+    calls = count_calls(write_back)
     assert calls <= UNCHANGED_BOUND
-    # Every stat and log entry the parent made is still made ...
+    # Every stat and log entry the parent made is still made.
     assert not cache.is_dirty(0) and cache.stats.get("diffs_taken") == 1
     assert len(wal) == 1 and wal.entries[0].diff.n_spans == 0
     assert home.version_of(0) == 1 and home.stats.get("diffs_applied") == 1
-    # ... and the frame's checksum survived the merge that wrote no byte.
-    _, crcs = count_calls(lambda: home.serve_pages([0]))
-    assert crcs == 0 and home.page_crc(0) == crc
 
 
 def calls_to_recall(n_pages: int) -> int:
@@ -198,7 +193,7 @@ def calls_to_recall(n_pages: int) -> int:
             system.process(pending)
             system.run()
 
-    calls, _ = count_calls(recall)
+    calls = count_calls(recall)
     assert server.stats.get("recalls") == n_pages
     assert server.stats.get("recall_trips") == 1
     assert len(system.resilience.wals[server.index]) == server.backing.stats.get("diffs_applied") == n_pages
@@ -221,7 +216,7 @@ def calls_per_stored_page(rewrite: bool) -> float:
         data = np.ones(n_pages * PAGE, np.uint8)
         if rewrite:
             cache.write(0, n_pages * PAGE, data)
-        made, _ = count_calls(lambda: cache.write(0, n_pages * PAGE, data))
+        made = count_calls(lambda: cache.write(0, n_pages * PAGE, data))
         assert cache.dirty_page_ids() == list(range(n_pages))
         return made
     return (calls(16) - calls(8)) / 8
@@ -232,17 +227,17 @@ def test_a_full_page_store_costs_a_few_calls_per_page():
     assert calls_per_stored_page(rewrite=True) <= STORE_REWRITE_PAGE_BOUND
 
 
-def test_a_served_page_with_a_cached_checksum_costs_its_copy():
+def test_a_served_page_costs_its_copy():
     """... which is one fancy index per chunk, not a call per page."""
     def calls(n_pages):
         store = BackingStore(L)
-        store.integrity = True
         pages = list(range(n_pages))
-        crcs = {page: store.page_crc(page) for page in pages}
+        for page in pages:
+            store.ensure(page)
         served = []
-        made, zlib_calls = count_calls(
-            lambda: served.append(store.serve_pages(pages)))
-        assert zlib_calls == 0 and served[0][1] == crcs
+        made = count_calls(lambda: served.append(store.serve_pages(pages)))
+        assert list(served[0]) == pages
+        assert store.stats.get("frames_created") == n_pages
         return made
     assert (calls(16) - calls(8)) / 8 <= SERVE_PAGE_BOUND
 
@@ -252,9 +247,9 @@ def test_a_serve_that_creates_its_frames_costs_no_call_per_page():
         store = BackingStore(L)
         pages = list(range(n_pages))
         served = []
-        made, _ = count_calls(lambda: served.append(store.serve_pages(pages)))
-        data, crcs = served[0]
-        assert crcs is None and list(data) == pages
+        made = count_calls(lambda: served.append(store.serve_pages(pages)))
+        data = served[0]
+        assert list(data) == pages
         assert not any(row.any() for row in data.values())
         assert store.stats.get("frames_created") == store.resident_pages == n_pages
         # Python ints: a NumPy scalar would change the repr of every stats
@@ -275,7 +270,7 @@ def test_taking_a_batch_of_unchanged_pages_costs_one_call_per_page():
         for p in pages:
             cache.write(p * PAGE + 64, 512, np.full(512, p, np.uint8))
         taken = []
-        made, _ = count_calls(lambda: taken.extend(cache.take_diffs(pages)))
+        made = count_calls(lambda: taken.extend(cache.take_diffs(pages)))
         assert [d.page for d in taken] == pages
         assert not any(d.n_spans for d in taken)
         assert not cache.dirty_page_ids()
@@ -297,10 +292,10 @@ def test_a_span_inside_one_chunk_costs_the_same_at_8_and_32_pages(op):
             cache.write(addr, nbytes, data)
         got = []
         if op == "read":
-            made, _ = count_calls(lambda: got.append(cache.read(addr, nbytes)))
+            made = count_calls(lambda: got.append(cache.read(addr, nbytes)))
             assert got[0].size == nbytes and not got[0].any()
         else:
-            made, _ = count_calls(lambda: cache.write(addr, nbytes, data))
+            made = count_calls(lambda: cache.write(addr, nbytes, data))
             assert (cache.read(addr, nbytes) == 1).all()
             assert cache.dirty_page_ids() == list(range(n_pages))
         return made
@@ -316,7 +311,7 @@ def test_a_warm_trip_timeout_floor_is_priced_once():
     def price():
         warm[0] = trip_timeout_floor(system, "node0", "node1", 8)
 
-    made, _ = count_calls(price)
+    made = count_calls(price)
     assert made <= TRIP_FLOOR_BOUND and warm == [cold]
 
 
@@ -325,6 +320,6 @@ def test_a_span_walk_is_one_call_however_many_chunks_it_crosses():
     table.chunk(0)
     for first, stop in ((10, 84), (CHUNK_PAGES - 30, CHUNK_PAGES + 40)):
         walked = []
-        made, _ = count_calls(lambda: walked.extend(table.segments(first, stop)))
+        made = count_calls(lambda: walked.extend(table.segments(first, stop)))
         assert made - 1 <= SEGMENTS_BOUND  # minus the test's own extend
         assert sum(b - a for _, a, b, _ in walked) == stop - first

@@ -37,7 +37,7 @@ def test_fence_rejects_exactly_the_stale_stamps(fence, stamp, offset, fill):
     server = system.memory_servers[0]
     backing = server.backing
     before = (np.arange(backing.layout.page_bytes) % 251).astype(np.uint8)
-    backing.write_page(PAGE, before)
+    backing.write_range(PAGE * before.size, before.size, before)
     version = backing.version_of(PAGE)
     membership = system.resilience.membership
     membership.server_fence[server.index] = fence
@@ -53,7 +53,7 @@ def test_fence_rejects_exactly_the_stale_stamps(fence, stamp, offset, fill):
     system.process(body())
     system.run()
     assert ("fenced" in outcome) == (stamp < fence)
-    after = backing.peek(PAGE)
+    after = backing.read_page(PAGE)
     if stamp < fence:
         assert np.array_equal(after, before)
         assert backing.version_of(PAGE) == version

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import BackingStore, MemoryLayout, PageDiff, StoreLog
-from repro.memory.backing import CRC, NO_CRC, VERSION
+from repro.memory.backing import DATA, VERSION
 from repro.resilience.wal import ReplicationLog
 
 LAYOUT = MemoryLayout(page_bytes=512, pages_per_line=2)
@@ -163,34 +163,21 @@ def test_wal_extend_is_repeated_append(batches, data):
     assert not len(batch_wal)
 
 
-@given(diff_batches, st.booleans(), st.sets(st.integers(0, 5)))
+@given(diff_batches)
 @settings(max_examples=120, deadline=None)
-def test_apply_diffs_is_the_apply_diff_loop(diffs, integrity, rotted):
+def test_apply_diffs_is_the_apply_diff_loop(diffs):
     stores = [BackingStore(LAYOUT), BackingStore(LAYOUT)]
     for store in stores:
-        store.integrity = integrity
         for page in range(6):
-            store.write_page(page, np.full(512, page, np.uint8))
-            if integrity:
-                store.page_crc(page)
-        for page in rotted if integrity else ():
-            store.corrupt_page(page)
+            store.write_range(page * 512, 512, np.full(512, page, np.uint8))
     batch, loop = stores
-    primed = {page: batch.ensure(page)[0][CRC][page] for page in range(6)}
     batch.apply_diffs(diffs)
     for diff in diffs:
         loop.apply_diff(diff)
     assert batch.stats.snapshot() == loop.stats.snapshot()
     assert batch.stats.get("diffs_applied") == len(diffs)
-    changed = {d.page for d in diffs if d.n_spans}
     for page in range(6):
         (cols, i), (ref_cols, _) = batch.ensure(page), loop.ensure(page)
-        assert bytes(cols[3][i]) == bytes(ref_cols[3][i])
+        assert bytes(cols[DATA][i]) == bytes(ref_cols[DATA][i])
         assert cols[VERSION][i] == ref_cols[VERSION][i] == 1 + sum(
             d.page == page for d in diffs)
-        assert cols[CRC][i] == ref_cols[CRC][i]
-        if integrity:
-            # Only a diff that wrote bytes into a sound frame drops the
-            # cached checksum; a rotted frame keeps its stale one for good.
-            dropped = page in changed and page not in rotted
-            assert cols[CRC][i] == (NO_CRC if dropped else primed[page])
