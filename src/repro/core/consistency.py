@@ -166,14 +166,14 @@ def plan_barrier(notices: Mapping[int, Collection[int]],
         tids = sorted(notices)
         return BarrierPlan(NO_PAGES, NO_PAGES, dict.fromkeys(tids, NO_PAGES),
                            {tid: [] for tid in tids}, 0)
-    # In thread order, so that block partitions concatenate ascending.
+    # In thread order, so that thread blocks concatenate ascending.
     kept = {tid: _notice_vector(notices[tid]) for tid in sorted(notices)}
     flat = np.concatenate(list(kept.values())) if kept else NO_PAGES
     flush: dict[int, list[int]] = {tid: [] for tid in kept}
     sizes = [own.size for own in kept.values()]
     writer = np.repeat(np.fromiter(kept, np.int64, len(kept)), sizes)
     if (flat[1:] > flat[:-1]).all():
-        # Disjoint partitions noticed in thread order (a block-partitioned
+        # Disjoint blocks noticed in thread order (a block-partitioned
         # grid): the concatenation is already the page list, one writer each.
         directory.record_owners(flat, writer)
         return BarrierPlan(flat, NO_PAGES, kept, flush, flat.size)

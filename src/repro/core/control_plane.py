@@ -95,8 +95,8 @@ class ControlPlane:
         self.shards = shards
         self.n = len(shards)
         self._next_id = 0
-        #: Without a fault plan nothing can exhaust an RPC's retries or
-        #: mint an epoch, so a routed RPC has no failure to guard against
+        #: Without a fault plan nothing can exhaust an RPC's retries, so a
+        #: routed RPC has no failure to guard against
         #: (:meth:`_guarded`): the same "clean path pays nothing" rule
         #: ``Fabric.attach_injector`` follows, decided once.
         self._guard = system.config.faults is not None
@@ -141,7 +141,7 @@ class ControlPlane:
     def shard_for_id(self, obj_id: int) -> "Manager":
         return self._live[obj_id % self.n]
 
-    def _route(self, index: int, comp: str, op, *args):
+    def _route(self, index: int, op, *args):
         """``op(manager, *args)`` -- a :class:`Manager` RPC handler --
         against the live shard for logical shard ``index``: what a routed
         RPC returns (the lock and flat-barrier operations below resolve
@@ -149,33 +149,21 @@ class ControlPlane:
         live table: ``handle_shard_failure`` is callable with no fault
         plan at all, and the failover tests do call it."""
         if self._guard:
-            return self._guarded(index, comp, op, args)
+            return self._guarded(index, op, args)
         return op(self._live[index], *args)
 
-    def _guarded(self, index: int, comp: str, op, args):
+    def _guarded(self, index: int, op, args):
         """Generator: :meth:`_route` on a build that can fail -- re-issue
         through a shard failover when the RPC exhausts its retries against
-        a corpse.
-
-        A sender whose epoch view predates the successor shard's
-        promotion is fenced first: its stale stamp is rejected (counted),
-        its view refreshed, and the op then issues with the current epoch
-        -- so a lock grant or release can never be served under a
-        membership the sender has not acknowledged.
-        """
-        # A guarded build has a fault plan, so the package has a membership.
-        membership = self.system.resilience.membership
-        promoted = membership.shard_fence
+        a corpse."""
         while True:
             mgr = self._live[index]
-            if mgr in promoted and membership.stale_control(mgr, comp):
-                self.stats.incr("control_rpcs_fenced")
             try:
                 result = yield from op(mgr, *args)
                 return result
             except RetryExhaustedError as err:
                 yield from self.await_shard_failover(self.shards.index(mgr),
-                                                     err, comp=comp)
+                                                     err)
 
     # ------------------------------------------------------------------
     # object creation (zero-cost, setup time)
@@ -210,20 +198,20 @@ class ControlPlane:
     # ------------------------------------------------------------------
     def alloc_rpc(self, tid: int, comp: str, size: int,
                   force_shared: bool = False):
-        return self._route(tid % self.n, comp, Manager.alloc_rpc, tid, comp,
-                           size, force_shared)
+        return self._route(tid % self.n, Manager.alloc_rpc, tid, comp, size,
+                           force_shared)
 
     def free_rpc(self, tid: int, comp: str, addr: int):
         page = addr // self.system.config.layout.page_bytes
-        return self._route(shard_of_page(page, self.n), comp,
-                           Manager.free_rpc, tid, comp, addr)
+        return self._route(shard_of_page(page, self.n), Manager.free_rpc,
+                           tid, comp, addr)
 
     # ------------------------------------------------------------------
     # locks
     # ------------------------------------------------------------------
     def acquire_lock(self, tid: int, comp: str, lock_id: int):
         if self._guard:
-            return self._guarded(lock_id % self.n, comp, Manager.acquire_lock,
+            return self._guarded(lock_id % self.n, Manager.acquire_lock,
                                  (tid, comp, lock_id))
         return self._live[lock_id % self.n].acquire_lock(tid, comp, lock_id)
 
@@ -233,8 +221,7 @@ class ControlPlane:
         args = (tid, comp, lock_id, diffs, payload_bytes, span_count,
                 invalidate_pages, stash)
         if self._guard:
-            return self._guarded(lock_id % self.n, comp, Manager.release_lock,
-                                 args)
+            return self._guarded(lock_id % self.n, Manager.release_lock, args)
         return self._live[lock_id % self.n].release_lock(*args)
 
     def absorb_lock_stash(self, tid: int, lock_id: int, stash) -> None:
@@ -244,8 +231,8 @@ class ControlPlane:
     def flush_lock_stash(self, tid: int, comp: str, lock_id: int, stash):
         args = (tid, comp, lock_id, stash)
         if self._guard:
-            return self._guarded(lock_id % self.n, comp,
-                                 Manager.flush_lock_stash, args)
+            return self._guarded(lock_id % self.n, Manager.flush_lock_stash,
+                                 args)
         return self._live[lock_id % self.n].flush_lock_stash(*args)
 
     def holds_lock(self, tid: int, lock_id: int) -> bool:
@@ -275,26 +262,25 @@ class ControlPlane:
         args = (comp, barrier_id, {tid: notices})
         if self._guard:
             self._numbers[tid, barrier_id] += 1
-            return self._guarded(barrier_id % self.n, comp,
-                                 Manager.barrier_arrive,
+            return self._guarded(barrier_id % self.n, Manager.barrier_arrive,
                                  args + (self._numbers[tid, barrier_id],))
         return self._live[barrier_id % self.n].barrier_arrive(*args)
 
     def barrier_flush_done(self, tid: int, comp: str, barrier_id: int, state):
-        return self._route(barrier_id % self.n, comp,
-                           Manager.barrier_flush_done, tid, comp, state)
+        return self._route(barrier_id % self.n, Manager.barrier_flush_done,
+                           tid, comp, state)
 
     # ------------------------------------------------------------------
     # condition variables
     # ------------------------------------------------------------------
     def cond_register(self, tid: int, comp: str, cond_id: int):
-        return self._route(cond_id % self.n, comp, Manager.cond_register,
-                           tid, comp, cond_id)
+        return self._route(cond_id % self.n, Manager.cond_register, tid, comp,
+                           cond_id)
 
     def cond_signal(self, tid: int, comp: str, cond_id: int,
                     broadcast: bool = False):
-        return self._route(cond_id % self.n, comp, Manager.cond_signal,
-                           tid, comp, cond_id, broadcast)
+        return self._route(cond_id % self.n, Manager.cond_signal, tid, comp,
+                           cond_id, broadcast)
 
     # ------------------------------------------------------------------
     # cross-shard consistency gather
@@ -310,9 +296,9 @@ class ControlPlane:
         round (the cost that keeps cross-shard RegC honest).
 
         A hop that exhausts its retries recovers against the peer it
-        failed on, not the root: it waits out that peer's failover (or
-        the cut), then gathers from whichever shard serves the peer now,
-        unless that is the root itself."""
+        failed on, not the root: it waits out that peer's failover, then
+        gathers from whichever shard serves the peer now, unless that is
+        the root itself."""
         scl = self.system.scl
         for mgr in self.live_managers():
             while mgr is not root:
@@ -321,8 +307,7 @@ class ControlPlane:
                         root.component, mgr.component, category="barrier")
                 except RetryExhaustedError as err:
                     peer = self.shards.index(mgr)
-                    yield from self.await_shard_failover(
-                        peer, err, comp=root.component)
+                    yield from self.await_shard_failover(peer, err)
                     mgr = self._live[peer]
                     continue
                 yield from mgr.resource.use(MANAGER_SERVICE_TIME)
@@ -376,7 +361,7 @@ class ControlPlane:
             if (self.n == 1
                     or len(self._cell_population()[self._cell_of[comp]]) == 1):
                 leaf["result"] = yield from self._route(
-                    barrier_id % self.n, comp, Manager.barrier_arrive,
+                    barrier_id % self.n, Manager.barrier_arrive,
                     comp, barrier_id, leaf["arrivals"], number)
             else:
                 leaf["result"] = yield from self._cell_arrive(
@@ -402,7 +387,7 @@ class ControlPlane:
             total_notices += len(notices)
         key = (barrier_id, cell_idx)
         answer = yield from self._route(
-            cell_idx, comp, Manager._rpc,
+            cell_idx, Manager._rpc,
             comp, protocol.notice_message_bytes(total_notices), "barrier",
             self._join_cell, (key, arrivals, comp, number))
         if answer is not None:
@@ -412,7 +397,7 @@ class ControlPlane:
         self._cell_combiners[key] = fresh = _Cell(cell.name)
         cell_comp = self._live[cell_idx].component
         state, directives = yield from self._route(
-            barrier_id % self.n, cell_comp, Manager.barrier_arrive,
+            barrier_id % self.n, Manager.barrier_arrive,
             cell_comp, barrier_id, cell.arrivals, number)
         if number is not None:
             fresh.answered = (number, state, directives)
@@ -421,7 +406,7 @@ class ControlPlane:
                                              cell_idx, state, directives)
         mine, reply_bytes = group_reply(arrivals, directives)
         return (yield from self._route(
-            cell_idx, comp, Manager._reply_here,
+            cell_idx, Manager._reply_here,
             comp, "barrier", reply_bytes, True, (state, mine)))
 
     def _join_cell(self, proc, key: tuple[int, int],
@@ -487,10 +472,11 @@ class ControlPlane:
         succ_mgr._barriers.update(dead_mgr._barriers)
         succ_mgr._conds.update(dead_mgr._conds)
         succ_mgr.known_threads |= dead_mgr.known_threads
-        # One copy of the sync state: a deposed shard that was only cut off
-        # may still serve a request sent before the failover, and it must
-        # act on the successor's tables -- a barrier round it closes rolls
-        # over there, not in a copy the successor never reads.
+        # One copy of the sync state: a deposed shard whose crash window
+        # ends may still serve a request retransmitted to it from before
+        # the failover, and it must act on the successor's tables -- a
+        # barrier round it closes rolls over there, not in a copy the
+        # successor never reads.
         for mgr in self.shards:
             if mgr._barriers is dead_mgr._barriers:
                 mgr._locks = succ_mgr._locks
@@ -502,28 +488,19 @@ class ControlPlane:
         for idx, mgr in enumerate(live):
             if mgr is dead_mgr:
                 live[idx] = succ_mgr
-        res = self.system.resilience
-        if res is not None:
-            res.promote_shard(succ_mgr)
         self.stats.incr("shard_failovers")
         self.system.stats.incr("shard_failovers")
 
-    def await_shard_failover(self, index: int, err, comp: str | None = None):
+    def await_shard_failover(self, index: int, err):
         """Generator: a control RPC against shard ``index`` exhausted its
         retries. With a detector armed, wait (bounded by the detection
         budget) for the shard failover to land, then return so the caller
-        re-routes; otherwise re-raise.
-
-        With a partition explaining the failure -- the sender or the
-        target shard sits inside an active cut and no failover has landed
-        -- the caller parks in degraded mode until the cut heals, then
-        re-issues against the shard that serves the index now."""
+        re-routes; otherwise re-raise."""
         res = self.system.resilience
         if res is None or self.n == 1:
             raise err
-        return res.failover_wait(
-            self._dead_shards, index, self.stats, "shard_failover_retries",
-            err, comp, self.shards[index].component)
+        return res.failover_wait(self._dead_shards, index, self.stats,
+                                 "shard_failover_retries", err)
 
     # ------------------------------------------------------------------
     # reporting

@@ -303,19 +303,14 @@ class MemoryServer:
             self.resource.release()
         return total
 
-    def apply_diffs(self, diffs: list, epoch: int | None = None,
-                    at: float | None = None):
+    def apply_diffs(self, diffs: list, at: float | None = None):
         """Generator: merge flushed diffs (server service + apply cost).
 
         The caller pays the wire transfer; homes apply in arrival order,
-        which the DES serializes deterministically. ``epoch`` is the
-        sender's stamp (None unless the resilience layer stamps it), which
-        the layer may refuse before any byte is merged. ``at``: the put is
+        which the DES serializes deterministically. ``at``: the put is
         still in flight (see :meth:`serve_fetch_bulk`).
         """
         res = self._system.resilience
-        if res is not None:
-            res.admit(self, epoch, "diff")
         total = yield from self.merge(diffs, at, res)
         if res is not None:
             res.log(self, diffs)

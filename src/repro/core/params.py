@@ -121,11 +121,8 @@ class SamhitaConfig:
     # -- fault model ------------------------------------------------------
     #: Seeded fault schedule, or None (the default) for a perfect network.
     #: With None the fault subsystem is never constructed and the simulated
-    #: trajectory is bit-identical to builds predating it. A plan also arms
-    #: partition-tolerant failover: every failover mints a fencing epoch,
-    #: write-side RPCs stamped older are rejected at memory servers and
-    #: manager shards, and a sender cut off by a partition degrades to
-    #: read-only retries with backoff instead of diverging.
+    #: trajectory is bit-identical to builds predating it. On
+    #: ``manager_shards > 1`` a plan also arms shard failover.
     faults: FaultPlan | None = None
 
     def __post_init__(self):

@@ -135,24 +135,19 @@ def recover(cs: "ComputeServer", server, err, backoffs: int = 0):
     updated backoff count; fatal errors re-raise.
 
     * ``failover`` -- wait out the promotion, then let the caller
-      re-resolve the home and retry;
-    * ``refresh_epoch`` -- a receiver refused a stale stamp: take the
-      current view and re-issue;
+      re-resolve the home and retry; a build without the resilience layer
+      has nothing to fail over to and re-raises;
     * ``backoff`` -- capped exponential delay under the plan's retry
       policy, then re-issue.
-
-    The first two are the resilience layer's, which a build that can raise
-    them always has.
     """
     system = cs.system
     action = recovery_action(err)
     if action is None:
         raise err
     if action == "failover":
-        yield from system.resilience.await_failover(server.index, err,
-                                                    comp=cs.component)
-    elif action == "refresh_epoch":
-        system.resilience.refresh(cs)
+        if system.resilience is None:
+            raise err
+        yield from system.resilience.await_failover(server.index, err)
     else:  # "backoff"
         backoffs += 1
         cs.stats.counters["retry_backoffs"] += 1
@@ -166,7 +161,7 @@ def recover(cs: "ComputeServer", server, err, backoffs: int = 0):
 #: riders. A batch fetching more has outrun the prediction: the only lines
 #: it would reach past such a batch are the ones BEYOND the faulted span --
 #: measured on the Jacobi campaigns, those are the installs that cross into
-#: other threads' partitions and get invalidated untouched.
+#: other threads' row blocks and get invalidated untouched.
 PREFETCH_DEGREE = 2
 
 
@@ -454,7 +449,6 @@ def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
     system = cs.system
     config = system.config
     scl = system.scl
-    res = system.resilience
     ledger = system.rt_ledger
     line_of = config.layout.line_of_page
     resolve_home = system.directory.resolve_home
@@ -486,13 +480,10 @@ def flush_diffs_batched(cs: "ComputeServer", diffs, category: str,
                                      category=category, lead=lead)
                     if t is not None:
                         yield from t
-                yield from server.apply_diffs(
-                    group, epoch=None if res is None else res.stamp(cs),
-                    at=at)
+                yield from server.apply_diffs(group, at=at)
             except CommunicationError as err:
-                # Failover wait, view refresh or backoff, chosen by the
-                # error's recovery classification (the retry pays its own
-                # wire cost -- the reject round trip).
+                # Failover wait or backoff, chosen by the error's recovery
+                # classification (the retry pays its own wire cost).
                 backoffs = yield from recover(cs, server, err, backoffs)
                 continue
             break

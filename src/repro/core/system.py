@@ -155,11 +155,12 @@ class SamhitaSystem:
             self.fabric.attach_injector(self.injector)
 
         # The fault-tolerance layer (repro.resilience), composed in only
-        # when the config can use it: every hook into it is one ``is None``
-        # check on the paper's build.
+        # where something can fail over: every hook into it is one
+        # ``is None`` check on the paper's build.
         self.resilience = None
         config = self.config
-        if config.faults is not None or config.replication_factor > 1:
+        if config.replication_factor > 1 or (config.faults is not None
+                                             and config.manager_shards > 1):
             from repro.resilience import Resilience
             self.resilience = Resilience(self)
 

@@ -12,10 +12,10 @@ class ReproError(Exception):
     Every error carries a retryability classification: ``retryable`` says
     whether the reliable-transport recovery loop may retry the operation at
     all, and ``recovery`` names the action the loop dispatches on
-    (``"backoff"``, ``"failover"``, ``"refresh_epoch"``) -- ``None`` for
-    fatal errors. Recovery code branches on these attributes, never on
-    isinstance chains, so adding a new retryable error is a one-line
-    classification, not a grep for every handler.
+    (``"backoff"``, ``"failover"``) -- ``None`` for fatal errors. Recovery
+    code branches on these attributes, never on isinstance chains, so adding
+    a new retryable error is a one-line classification, not a grep for every
+    handler.
     """
 
     retryable = False
@@ -78,8 +78,8 @@ class RetryExhaustedError(RetryableError, CommunicationError):
 
     Retryable with ``recovery = "failover"``: the transport itself is out
     of budget, so the only useful retry is against a *different* primary --
-    the caller waits for the failure detector / membership to promote a
-    backup and re-resolves the home.
+    the caller waits for the failure detector to promote a backup and
+    re-resolves the home.
 
     ``timeline`` carries one entry per failed attempt --
     ``{"attempt", "t", "fault", "timeout", "backoff"}`` with the simulated
@@ -115,31 +115,6 @@ class RetryExhaustedError(RetryableError, CommunicationError):
 class ReplicationError(CommunicationError):
     """The replication layer could not keep a page available (no live
     replica to promote)."""
-
-
-class StaleEpochError(RetryableError, CommunicationError):
-    """A write-side RPC carried a fencing epoch older than the receiver's.
-
-    Retryable with ``recovery = "refresh_epoch"``: the sender refreshes its
-    membership view and re-issues against the current primary.
-
-    Raised by memory servers and manager shards (fencing is armed by any
-    fault plan) when a sender that has not yet observed a failover
-    presents traffic stamped with a pre-promotion epoch: the write is
-    rejected, never applied. The sender refreshes its epoch from the
-    membership view and retries against the current primary.
-    """
-
-    recovery = "refresh_epoch"
-
-    def __init__(self, src, dst, category, sent_epoch, fence_epoch, now=None):
-        self.src, self.dst, self.category = src, dst, category
-        self.sent_epoch, self.fence_epoch = sent_epoch, fence_epoch
-        self.now = now
-        at = f" at t={now:.9f}s" if now is not None else ""
-        super().__init__(
-            f"{category} {src}->{dst} fenced: epoch {sent_epoch} < "
-            f"{fence_epoch}{at}")
 
 
 class MemoryError_(ReproError):

@@ -46,7 +46,7 @@ def _run_chaos(seeds=(11, 23, 47)) -> int:
     from repro.experiments.harness import run_workload_direct
     from repro.experiments.report import format_chaos
     from repro.faults import (drop_storm, jitter_storm, latency_storm,
-                              partition, server_outage, slow_server)
+                              server_outage, slow_server)
     from repro.kernels.jacobi import JacobiParams, spawn_jacobi
 
     params = JacobiParams(rows=64, cols=256, iterations=3,
@@ -59,9 +59,6 @@ def _run_chaos(seeds=(11, 23, 47)) -> int:
         return (gdiff, hashlib.sha256(grid.tobytes()).hexdigest()), result
 
     baseline, clean = run()
-    sharded_kwargs = dict(manager_shards=3, n_memory_servers=2,
-                          replication_factor=2)
-    sharded_baseline, sharded_clean = run(SamhitaConfig(**sharded_kwargs))
     grayfail_baseline, grayfail_clean = run(SamhitaConfig.grayfail())
     rows = []
     for seed in seeds:
@@ -79,24 +76,6 @@ def _run_chaos(seeds=(11, 23, 47)) -> int:
                 "elapsed": result.elapsed,
                 "counters": result.stats.get("faults", {}),
             })
-        # The partition profile needs the replicated, sharded machine:
-        # failover lives on manager_shards>1 / rf>1 (node4 is a memory
-        # server there). The severed server is declared dead, its backup
-        # promoted under a fresh fencing epoch, and the row's counters
-        # surface the membership bookkeeping next to the fault verdicts.
-        plan = partition(seed, ("node4",), start=4e-4, duration=3e-4)
-        data, result = run(SamhitaConfig(faults=plan, **sharded_kwargs))
-        counters = dict(result.stats.get("faults", {}))
-        counters.update(result.stats.get("membership", {}))
-        rows.append({
-            "profile": "partition", "seed": seed,
-            "data_identical": data == baseline == sharded_baseline,
-            # Normalized so the table's slowdown column stays relative to
-            # THIS profile's own fault-free machine.
-            "elapsed": (result.elapsed / sharded_clean.elapsed
-                        * clean.elapsed),
-            "counters": counters,
-        })
         # The gray-failure profiles run on the replicated two-server
         # machine: a 10x slow server and a heavy-tailed jitter storm
         # change timing only.

@@ -48,15 +48,10 @@ def print_figure(fr: FigureResult) -> None:
 
 
 #: Recovery counters shown by the chaos report, in display order.
-#: ``partition_drops`` through ``degraded_waits`` belong to the partition
-#: profile (replicated, sharded machine): severed messages, promotions, fenced
-#: stale-epoch writes, degraded-mode backoff waits. ``jitter_stalls``
-#: (heavy-tailed latency stalls) belongs to the jitter-storm profile.
-#: Each group is zero outside its own profiles.
+#: ``jitter_stalls`` (heavy-tailed latency stalls) belongs to the
+#: jitter-storm profile and is zero outside it.
 FAULT_COUNTERS = ("retries", "timeouts", "retransmits", "dup_msgs_discarded",
-                  "delay_spikes", "crash_drops", "partition_drops",
-                  "promotions", "stale_writes_fenced", "degraded_waits",
-                  "jitter_stalls")
+                  "delay_spikes", "crash_drops", "jitter_stalls")
 
 
 def format_chaos(rows: list[dict], clean_elapsed: float) -> str:

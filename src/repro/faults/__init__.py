@@ -31,7 +31,6 @@ from repro.faults.plan import (
     drop_storm,
     jitter_storm,
     latency_storm,
-    partition,
     permanent_crash,
     server_outage,
     slow_server,
@@ -44,7 +43,6 @@ __all__ = [
     "drop_storm",
     "jitter_storm",
     "latency_storm",
-    "partition",
     "permanent_crash",
     "server_outage",
     "slow_server",

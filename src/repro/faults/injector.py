@@ -47,10 +47,6 @@ class FaultInjector:
         self._flaps = tuple(plan.link_flaps)
         self._crashes = tuple(plan.server_crash_windows)
         self._permanent = tuple(plan.permanent_crashes)
-        #: Partition windows as ((frozenset(group), start, end), ...):
-        #: membership tests dominate the hot path.
-        self._partitions = tuple((frozenset(group), start, end)
-                                 for group, start, end in plan.partitions)
         #: Slow-server windows ``(component, factor, start, end)``: pure
         #: arithmetic consulted by memory-server service charges, no RNG.
         self._slow = tuple(plan.slow_servers)
@@ -58,9 +54,10 @@ class FaultInjector:
         #: Jitter draws come from a dedicated stream: arming jitter must not
         #: shift the main verdict sequence.
         self._jitter_rng = random.Random(plan.seed ^ 0x9E3779B9)
-        #: Failure detector hook, wired by the system when replication is
-        #: on. Notified (never consulted) from the crash-verdict branches,
-        #: so attaching it cannot change any verdict or RNG draw.
+        #: Failure detector hook, wired by ``repro.resilience`` where
+        #: something can fail over. Notified (never consulted) from the
+        #: crash-verdict branches, so attaching it cannot change any
+        #: verdict or RNG draw.
         self.detector = None
 
     # ------------------------------------------------------------------
@@ -84,19 +81,6 @@ class FaultInjector:
                 if detector is not None:
                     detector.suspect(comp)
                 return (_DROP, "crash_drops")
-        for group, start, end in self._partitions:
-            # Severed iff exactly one endpoint is inside the group: traffic
-            # wholly on either side of the cut still flows. Checked before
-            # any RNG draw so arming partitions never perturbs the verdict
-            # stream of an otherwise identical plan.
-            if start <= now < end and (src in group) != (dst in group):
-                detector = self.detector
-                if detector is not None:
-                    # The isolated (in-group) endpoint is the one the rest
-                    # of the machine should probe; the detector ignores
-                    # components it does not monitor.
-                    detector.suspect(src if src in group else dst)
-                return (_DROP, "partition_drops")
         for a, b, start, end in self._flaps:
             if (start <= now < end
                     and ((src == a and dst == b) or (src == b and dst == a))):
@@ -150,40 +134,21 @@ class FaultInjector:
         for comp, start, end in self._crashes:
             if comp == component and start <= now < end:
                 return True
-        for group, start, end in self._partitions:
-            # From the detector's vantage point an isolated component
-            # misses heartbeats exactly like a crashed one; a cut outliving
-            # the detection budget is failed over, and the fencing epoch
-            # the promotion mints stops the isolated side's stale writes.
-            if component in group and start <= now < end:
-                return True
-        return False
-
-    def partition_isolates(self, component: str, now: float) -> bool:
-        """Is ``component`` inside an active partition group at ``now``?
-
-        Distinguishes "isolated but alive" (degrade and wait for the heal)
-        from "actually down" (fail over) on the sender's side.
-        """
-        for group, start, end in self._partitions:
-            if component in group and start <= now < end:
-                return True
         return False
 
     def came_up_between(self, component: str, since: float,
                         until: float) -> bool:
         """Was ``component`` reachable at any instant in ``(since, until]``?
 
-        Exact window arithmetic for the failure detector: a transient
-        outage (crash window or partition) that healed between two probes
-        must RESET the consecutive-miss count even if a second outage has
-        already begun by the next probe -- otherwise distinct short windows
-        straddling the probe interval accumulate into a false declaration.
+        Exact window arithmetic for the failure detector: a crash window
+        that healed between two probes must RESET the consecutive-miss
+        count even if a second window has already begun by the next probe
+        -- otherwise distinct short windows straddling the probe interval
+        accumulate into a false declaration.
         """
         if since >= until:
             return False
         downs = [(s, e) for c, s, e in self._crashes if c == component]
-        downs += [(s, e) for g, s, e in self._partitions if component in g]
         downs += [(at, float("inf")) for c, at in self._permanent
                   if c == component]
         # Reachable at t iff no down-window covers t. Every window is

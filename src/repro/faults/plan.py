@@ -11,9 +11,10 @@ verdicts, and :class:`RetryPolicy` bounds the recovery protocol that copes.
 Corruption is *flagged*, never applied: the simulation models a CRC check at
 the receiver that detects the damage and discards the message, so the data
 plane is untouched by construction and a corrupted message costs exactly one
-retransmit round. Faults may change timing; they can never change data, and
-no fault touches a stored page (memory corruption is outside the modelled
-machine: DESIGN.md §13's profile table).
+retransmit round. Faults may change timing; they can never change data. No
+fault touches a stored page or splits the network: memory corruption and
+network splits are outside the modelled machine (DESIGN.md §13's profile
+table).
 """
 
 from __future__ import annotations
@@ -109,14 +110,6 @@ class FaultPlan:
     #: layer (``SamhitaConfig.replication_factor > 1``) to fail the dead
     #: server's pages over to a backup.
     permanent_crashes: tuple = ()
-    #: Network partitions: ``(group, start, end)`` where ``group`` is a
-    #: tuple of component names. During ``[start, end)`` the group is
-    #: severed from the rest of the machine: every message with exactly one
-    #: endpoint inside the group is lost (both directions), while traffic
-    #: wholly inside or wholly outside the group flows normally. Unlike a
-    #: crash window the partitioned components keep RUNNING -- which is
-    #: exactly the split-brain hazard fencing epochs exist for.
-    partitions: tuple = ()
     #: Gray failure: slow-server windows ``(component, factor, start, end)``
     #: -- during the window every service-time charge at the component is
     #: multiplied by ``factor`` (>= 1.0). The server stays up, answers
@@ -158,11 +151,6 @@ class FaultPlan:
             if len(crash) != 2 or crash[1] < 0:
                 raise ReproError(f"malformed permanent crash {crash!r}; "
                                  "want (component, at)")
-        for window in self.partitions:
-            if (len(window) != 3 or not isinstance(window[0], tuple)
-                    or not window[0] or window[1] > window[2]):
-                raise ReproError(f"malformed partition {window!r}; "
-                                 "want ((comp, ...), start, end)")
         for window in self.slow_servers:
             if len(window) != 4 or window[1] < 1.0 or window[2] > window[3]:
                 raise ReproError(f"malformed slow-server window {window!r}; "
@@ -180,8 +168,7 @@ class FaultPlan:
                 and self.duplicate_rate == 0.0
                 and self.jitter_rate == 0.0
                 and not self.link_flaps and not self.server_crash_windows
-                and not self.permanent_crashes and not self.partitions
-                and not self.slow_servers)
+                and not self.permanent_crashes and not self.slow_servers)
 
 
 #: Canonical chaos profiles for the test harness and CI: each maps a name to
@@ -217,23 +204,6 @@ def permanent_crash(seed: int, component: str, at: float) -> FaultPlan:
     retry = RetryPolicy(timeout=2e-6, backoff=2.0, max_backoff=16e-6,
                         max_retries=10)
     return FaultPlan(seed=seed, permanent_crashes=((component, at),),
-                     retry=retry)
-
-
-def partition(seed: int, group, start: float, duration: float,
-              drop_rate: float = 0.0) -> FaultPlan:
-    """Sever ``group`` (a tuple of component names) from everyone else for
-    ``[start, start + duration)``; the isolated components keep running.
-
-    The retry budget matches :func:`permanent_crash`: senders facing the
-    partition must exhaust within tens of microseconds and fall into the
-    degraded-wait / failover machinery rather than stalling the run on the
-    default multi-millisecond budget.
-    """
-    retry = RetryPolicy(timeout=2e-6, backoff=2.0, max_backoff=16e-6,
-                        max_retries=10)
-    return FaultPlan(seed=seed, drop_rate=drop_rate,
-                     partitions=((tuple(group), start, start + duration),),
                      retry=retry)
 
 

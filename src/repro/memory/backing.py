@@ -187,14 +187,6 @@ class BackingStore:
             consumed += end - start
             cols[VERSION][i] += 1
 
-    def version_of(self, page: int) -> int:
-        cols = self._table.chunks.get(page >> CHUNK_SHIFT)
-        return int(cols[VERSION][page & CHUNK_MASK]) if cols is not None else 0
-
     @property
     def resident_pages(self) -> int:
         return self._frames
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._frames * self.layout.page_bytes

@@ -232,12 +232,6 @@ class SoftwareCache:
     def free_pages(self) -> int:
         return self.capacity_pages - len(self._resident)
 
-    def peek(self, page: int) -> np.ndarray | None:
-        """A resident page's bytes in place, untouched (None in timing
-        mode)."""
-        cols, i = self._row(page)
-        return cols[DATA][i] if self.functional else None
-
     def is_dirty(self, page: int) -> bool:
         """Resident with unflushed ordinary-region writes?"""
         return (page in self._resident and bool(

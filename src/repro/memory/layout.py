@@ -86,12 +86,6 @@ class MemoryLayout:
             return lines.tolist()
         return sorted(set(lines.tolist()))
 
-    def lines_spanning(self, addr: int, nbytes: int) -> range:
-        pages = self.pages_spanning(addr, nbytes)
-        if not pages:
-            return range(0)
-        return range(self.line_of_page(pages[0]), self.line_of_page(pages[-1]) + 1)
-
     # -- alignment ------------------------------------------------------
     def align_up(self, nbytes: int) -> int:
         """Round a size up to a whole number of pages."""

@@ -2,19 +2,16 @@
 
 PAPER.md §II's Samhita has no fault tolerance. What lets a run survive a
 fault plan lives here, and a system gets it (``SamhitaSystem.resilience``)
-only when its config sets ``faults`` or ``replication_factor > 1``;
-otherwise nothing here is imported. The package owns replication and its
-write-ahead log (:mod:`.wal`), the failure detector (:mod:`.detector`) and
-membership and fencing (:mod:`.membership`). The core calls
-:class:`Resilience` at three hooks, each one ``is None`` check on the
-paper's build:
+only where something can fail over: ``replication_factor > 1``, or a fault
+plan on ``manager_shards > 1``; otherwise nothing here is imported. The
+package owns replication and its write-ahead log (:mod:`.wal`) and the
+failure detector (:mod:`.detector`). The core calls :class:`Resilience` at
+two hooks, each one ``is None`` check on the paper's build:
 
-1. after a server merges diffs: :meth:`~Resilience.log` (in the merge's
-   atomic step) and :meth:`~Resilience.ship` (once its slot is free);
-2. on a write-side RPC: :meth:`~Resilience.stamp` at the sender and
-   :meth:`~Resilience.admit` at a memory server (the control plane's
-   guard asks ``Membership.stale_control``);
-3. on a detector declaration: :meth:`~Resilience.handle_server_failure`
+1. when a server merges diffs: :meth:`~Resilience.check_alive` (in its
+   slot), :meth:`~Resilience.log` (in the merge's atomic step) and
+   :meth:`~Resilience.ship` (once its slot is free);
+2. on a detector declaration: :meth:`~Resilience.handle_server_failure`
    (a shard's failover stays ``ControlPlane.handle_shard_failure``).
 """
 
@@ -22,17 +19,12 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from repro.errors import (
-    ReplicationError,
-    RetryExhaustedError,
-    StaleEpochError,
-)
+from repro.errors import ReplicationError, RetryExhaustedError
 from repro.resilience.detector import (
     HEARTBEAT_INTERVAL,
     HEARTBEAT_MISSES,
     FailureDetector,
 )
-from repro.resilience.membership import Membership
 from repro.resilience.wal import ReplicationLog
 from repro.sim.engine import Timeout
 from repro.sim.resources import Resource
@@ -48,10 +40,6 @@ class Resilience:
         config = system.config
         servers = system.memory_servers
         self.system = system
-        #: Fencing epochs: armed by a fault plan (nothing else can fail
-        #: over); without one every stamp is None.
-        self.membership = (Membership(len(servers))
-                           if config.faults is not None else None)
         #: Memory server indices declared dead.
         self.dead_servers: set[int] = set()
         #: One write-ahead log per memory server and the lock serializing
@@ -64,8 +52,7 @@ class Resilience:
                                          name=f"repl{s.index}")
                                 for s in servers]
         self.detector: FailureDetector | None = None
-        if system.injector is not None and (config.replication_factor > 1
-                                            or config.manager_shards > 1):
+        if system.injector is not None:
             # Failure detection only makes sense with a fault model to
             # observe; a fault-free replicated run just pays the copies.
             self.detector = FailureDetector(self)
@@ -109,7 +96,7 @@ class Resilience:
         return repeat(self.replica_targets(diffs[0].page, exclude))
 
     # ------------------------------------------------------------------
-    # hook 1: after a server merges diffs
+    # hook 1: when a server merges diffs
     # ------------------------------------------------------------------
     def log(self, server, diffs) -> None:
         """Write-ahead: log the diffs ``server`` merges, in the merge's
@@ -140,7 +127,6 @@ class Resilience:
             return
         system = self.system
         counters = server.stats.counters
-        membership = self.membership
         lock = self._ship_locks[server.index]
         yield from lock.request()
         try:
@@ -162,11 +148,7 @@ class Resilience:
                     if t is not None:
                         yield from t
                     # The backup side: a passive byte copy until promoted
-                    # (no directory write, no WAL append), fenced against
-                    # a deposed primary's stamp.
-                    self.admit(backup, None if membership is None
-                               else membership.server_views[server.index],
-                               "repl")
+                    # (no directory write, no WAL append).
                     total = yield from backup.merge(diffs)
                     backup.stats.incr("replica_applies")
                     backup.stats.incr("replica_bytes", total)
@@ -177,51 +159,12 @@ class Resilience:
                 except RetryExhaustedError:
                     counters["repl_ship_failed"] += 1
                     continue
-                except StaleEpochError:
-                    # The backup was promoted past us and the failover
-                    # replayed these entries from the durable log: shipping
-                    # them again would launder pre-failover writes.
-                    membership.server_views[server.index] = membership.epoch
-                    wal.ack(target, entries)
-                    counters["repl_ship_fenced"] += 1
-                    continue
                 wal.ack(target, entries)
                 counters["repl_ships"] += 1
                 counters["repl_diffs"] += len(diffs)
                 counters["repl_bytes"] += total
         finally:
             lock.release()
-
-    # ------------------------------------------------------------------
-    # hook 2: write-side RPCs
-    # ------------------------------------------------------------------
-    def stamp(self, cs) -> int | None:
-        """The epoch a write-side RPC from ``cs`` carries: its last known
-        view with a fault plan armed, else None."""
-        membership = self.membership
-        if membership is None:
-            return None
-        return membership.views.get(cs.component, 0)
-
-    def admit(self, server, epoch: int | None, category: str) -> None:
-        """Reject a write-side RPC stamped with a pre-promotion epoch, before
-        any byte is applied: the sender catches :class:`StaleEpochError`,
-        refreshes its view and re-issues against the current primary -- so
-        a partitioned old primary cannot launder stale writes."""
-        if epoch is None:
-            return
-        fence = self.membership.server_fence[server.index]
-        if epoch >= fence:
-            return
-        server.stats.counters["writes_fenced"] += 1
-        self.membership.fenced()
-        raise StaleEpochError(server.component, server.component, category,
-                              epoch, fence, self.system.engine.now)
-
-    def refresh(self, cs) -> None:
-        """``cs`` was fenced by a newer view: adopt the current epoch."""
-        self.membership.views[cs.component] = self.membership.epoch
-        cs.stats.incr("epoch_refreshes")
 
     def check_alive(self, server) -> None:
         """A merge reached ``server``'s slot: a dead server processes
@@ -232,7 +175,7 @@ class Resilience:
                                       "diff", 0, self.system.engine.now)
 
     # ------------------------------------------------------------------
-    # hook 3: failover
+    # hook 2: failover
     # ------------------------------------------------------------------
     def handle_server_failure(self, dead: int) -> None:
         """Failover: promote the dead primary's backup -- a plain call from
@@ -277,38 +220,23 @@ class Resilience:
                 if index != dead:
                     other.drop_target(dead)
         system.directory.remap_home(dead, promoted)
-        if self.membership is not None:
-            # The promoted server fences every stamp older than the
-            # epoch its promotion mints (a partitioned old primary's too).
-            self.membership.server_fence[promoted] = self.membership.promote()
         system.stats.incr("failovers")
 
-    def promote_shard(self, mgr) -> None:
-        """A manager shard inherited a dead peer's state: it fences control
-        RPCs from senders that have not seen its promotion epoch."""
-        if self.membership is not None:
-            self.membership.shard_fence[mgr] = self.membership.promote()
-
-    def await_failover(self, index: int, err, comp: str | None = None):
+    def await_failover(self, index: int, err):
         """Generator: a request against server ``index`` exhausted its
         retries: :meth:`failover_wait` for the server's failover."""
-        return self.failover_wait(
-            self.dead_servers, index, self.system.stats, "failover_retries",
-            err, comp, self.system.memory_servers[index].component)
+        return self.failover_wait(self.dead_servers, index, self.system.stats,
+                                  "failover_retries", err)
 
     def failover_wait(self, dead: set[int], index: int, stats: StatSet,
-                      key: str, err, comp: str | None, target: str):
+                      key: str, err):
         """Generator shared by :meth:`await_failover` and
-        ``ControlPlane.await_shard_failover``: wait for a failover or a
-        partition heal, then return so the caller re-resolves and retries;
-        else raise ``err`` (at once without a detector).
+        ``ControlPlane.await_shard_failover``: wait for the failover, then
+        return so the caller re-resolves and retries; else raise ``err``
+        (at once without a detector).
 
         Polls ``index in dead`` once a beat for the declaration budget plus
-        two beats, counting ``key`` in ``stats`` when the failover landed.
-        Then, if ``comp`` or its ``target`` sits inside an active cut (not
-        a corpse), the caller is in *degraded mode*: read-only from its
-        cache, its write retry parked on a capped exponential backoff until
-        the cut heals -- a minority side waits rather than diverges."""
+        two beats, counting ``key`` in ``stats`` when the failover landed."""
         if self.detector is None:
             raise err
         for _ in range(HEARTBEAT_MISSES + 2):
@@ -316,52 +244,29 @@ class Resilience:
                 stats.incr(key)
                 return
             yield Timeout(HEARTBEAT_INTERVAL)
-        if comp is not None:
-            system = self.system
-            injector = system.injector
-            engine = system.engine
-            delay = HEARTBEAT_INTERVAL
-            healed = False
-            while (injector.partition_isolates(comp, engine.now)
-                   or injector.partition_isolates(target, engine.now)):
-                system.stats.incr("degraded_waits")
-                yield Timeout(delay)
-                delay = min(delay * 2.0, 64.0 * HEARTBEAT_INTERVAL)
-                healed = True
-            if healed:
-                return
         raise err
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def report(self, report: dict) -> None:
-        """Add the ``replication`` and ``membership`` namespaces to a
-        ``stats_report``, each counter read from the StatSet counting it."""
+        """Add the ``replication`` namespace to a ``stats_report``, each
+        counter read from the StatSet counting it."""
+        if self.wals is None:
+            return
         system = self.system
-        system_stats = system.stats.snapshot()
-        if self.wals is not None:
-            # The availability machinery: WAL traffic and failover.
-            repl = {k: v for k, v in report["memory_servers"].items()
-                    if k.startswith(("repl_", "replica_"))}
-            wal_stats = StatSet("wal")
-            for wal in self.wals:
-                wal_stats.merge(wal.stats)
-            repl.update(wal_stats.snapshot())
-            repl.update({k: v for k, v in system_stats.items()
-                         if k.startswith(("failover", "wal_"))})
-            remaps = system.directory.stats.snapshot().get("home_remaps")
-            if remaps:
-                repl["home_remaps"] = remaps
-            if self.detector is not None:
-                repl.update(self.detector.stats.snapshot())
-            report["replication"] = repl
-        if self.membership is not None:
-            # The partition-tolerance machinery: the fencing epoch and its
-            # counters, and degraded waits.
-            member = self.membership.snapshot()
-            member.update({k: v for k, v in system_stats.items()
-                           if k.startswith("degraded_")})
-            member.update({k: v for k, v in report["compute_servers"].items()
-                           if k.startswith("epoch_")})
-            report["membership"] = member
+        # The availability machinery: WAL traffic and failover.
+        repl = {k: v for k, v in report["memory_servers"].items()
+                if k.startswith(("repl_", "replica_"))}
+        wal_stats = StatSet("wal")
+        for wal in self.wals:
+            wal_stats.merge(wal.stats)
+        repl.update(wal_stats.snapshot())
+        repl.update({k: v for k, v in system.stats.snapshot().items()
+                     if k.startswith(("failover", "wal_"))})
+        remaps = system.directory.stats.snapshot().get("home_remaps")
+        if remaps:
+            repl["home_remaps"] = remaps
+        if self.detector is not None:
+            repl.update(self.detector.stats.snapshot())
+        report["replication"] = repl

@@ -33,9 +33,11 @@ class FailureDetector:
     with ``replication_factor > 1``: without a backup there is nothing to
     promote) and manager shards (only with ``manager_shards > 1``: a lone
     manager has no successor). A declaration fails over at once, with no
-    vote: the successor inherits the dead component's own state, so there
-    is no second copy for a partitioned minority to diverge from, and the
-    epoch the failover mints fences the deposed side's writes.
+    vote: the modelled machine does not split (DESIGN.md §13), and the
+    successor inherits the dead component's own state, so there is no
+    second copy to diverge from. A component whose crash window outlives
+    detection comes back deposed: a memory server merges nothing
+    (``Resilience.check_alive``), a shard acts on its successor's tables.
     """
 
     def __init__(self, resilience):
@@ -90,7 +92,7 @@ class FailureDetector:
             if (self._misses[comp]
                     and self.injector.came_up_between(comp, last, now)):
                 # The component was reachable at some instant since the
-                # last beat (a partition healed mid-probe): what it suffers
+                # last beat (a crash window ended mid-probe): what it suffers
                 # NOW is a fresh outage, not a continuation of the one
                 # under suspicion. Only consecutive misses of one outage
                 # may accumulate toward a declaration.

@@ -53,8 +53,8 @@ def _run_jacobi(config):
     return (gdiff, hashlib.sha256(grid.tobytes()).hexdigest()), result
 
 
-def _run_md(config):
-    result = run_workload_direct("samhita", N_THREADS, spawn_md, MD_PARAMS,
+def _run_md(config, params=MD_PARAMS):
+    result = run_workload_direct("samhita", N_THREADS, spawn_md, params,
                                  functional=True, config=config)
     _energies, pos, vel = result.threads[0].value
     return hashlib.sha256(pos.tobytes() + vel.tobytes()).hexdigest(), result
@@ -94,6 +94,33 @@ def test_md_survives_permanent_server_loss(md_baseline, seed):
     digest, result = _run_md(_replicated(kill_plan(seed, at=MD_CRASH_AT)))
     assert digest == md_baseline
     _assert_failover_ran(result.stats)
+
+
+# -- a second crash on a three-copy ring --------------------------------------
+
+RF3_MD_PARAMS = MDParams(n_particles=48, steps=6, collect_energy=False,
+                         collect_state=True)
+
+
+def _rf3(faults=None) -> SamhitaConfig:
+    return SamhitaConfig(n_memory_servers=3, replication_factor=3,
+                         faults=faults)
+
+
+@pytest.mark.parametrize("seed", chaos_seeds())
+def test_rf3_second_crash_keeps_md_exact(seed):
+    """node2 dies, node1 is promoted for its pages and keeps shipping to
+    node3, then node1 dies too. Every batch node1 shipped after the first
+    promotion must land on node3: a backup that acks a batch without
+    applying it ends MD on wrong positions after the second failover."""
+    baseline = _run_md(_rf3(), RF3_MD_PARAMS)[0]
+    retry = permanent_crash(seed, "node2", at=0.0).retry
+    for second_at in (1.5e-4, 3e-4, 6e-4, 9e-4):
+        plan = FaultPlan(seed=seed, retry=retry, permanent_crashes=(
+            ("node2", MD_CRASH_AT), ("node1", second_at)))
+        digest, result = _run_md(_rf3(plan), RF3_MD_PARAMS)
+        assert digest == baseline, f"second crash at {second_at * 1e6:g} us"
+        assert result.stats["replication"]["failovers"] == 2
 
 
 def test_replication_itself_does_not_change_data(jacobi_baseline):
@@ -233,10 +260,10 @@ def test_a_sibling_share_failure_surfaces_in_the_faulting_thread():
 
 def test_last_replica_loss_stops_the_run():
     """Both servers of a two-server rf=2 ring die after a round's barrier.
-    The first declaration is an ordinary fenced failover; the second finds
-    no live replica and stops the run with a ReplicationError."""
-    # An all-zero fault plan arms fencing without injecting anything: the
-    # kills below are direct failure declarations.
+    The first declaration is an ordinary failover; the second finds no
+    live replica and stops the run with a ReplicationError."""
+    # An all-zero fault plan arms the detector without injecting anything:
+    # the kills below are direct failure declarations.
     system = SamhitaSystem.cluster(N_THREADS,
                                    config=_replicated(FaultPlan()))
     tids = [system.add_thread() for _ in range(N_THREADS)]
@@ -269,6 +296,4 @@ def test_last_replica_loss_stops_the_run():
         system.run()
     # The engine surfaces the thread's death with the cause chained in.
     assert isinstance(excinfo.value.__cause__, ReplicationError)
-    membership = system.stats_report()["membership"]
-    assert membership["promotions"] == 1
-    assert membership["epoch"] == 1
+    assert system.stats_report()["replication"]["failovers"] == 1

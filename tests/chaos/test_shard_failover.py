@@ -93,8 +93,6 @@ def test_lock_service_survives_shard_kill(seed):
     assert state["max_in_cr"] == 1
     # The failover actually happened (rather than the schedule missing).
     assert report["control_plane"].get("shard_failovers", 0) == 1
-    # The fault plan armed fencing: the remap minted a promotion epoch.
-    assert report["membership"].get("promotions", 0) >= 1
     rows = {r["shard"]: r for r in report["manager_rpcs_by_shard"]}
     assert rows[1]["dead"] is True
     assert rows[0]["dead"] is False

@@ -137,23 +137,41 @@ class TestConfigSurface:
         # A field only a test sets is a constant in disguise: each one is
         # set by keyword (``name=``) or swept by name (a ``"name"`` call
         # argument or dict key) somewhere in the package, the benchmarks
-        # or the examples.
+        # or the examples -- or by a ``SamhitaConfig`` preset that one of
+        # them calls (``SamhitaConfig.grayfail()``).
         root = pathlib.Path(repro.__file__).parents[2]
-        named = set()
+
+        def names_set(tree, named, called):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    named.update(k.arg for k in node.keywords)
+                    if isinstance(node.func, ast.Attribute):
+                        called.add(node.func.attr)
+                    names = node.args
+                elif isinstance(node, ast.Dict):
+                    names = node.keys
+                else:
+                    continue
+                named.update(n.value for n in names
+                             if isinstance(n, ast.Constant))
+
+        named, called = set(), set()
+        params = None
         for d in ("src", "benchmarks", "examples"):
             for path in (root / d).rglob("*.py"):
+                tree = ast.parse(path.read_text())
                 if path.name == "params.py":
+                    params = tree
                     continue
-                for node in ast.walk(ast.parse(path.read_text())):
-                    if isinstance(node, ast.Call):
-                        named.update(k.arg for k in node.keywords)
-                        names = node.args
-                    elif isinstance(node, ast.Dict):
-                        names = node.keys
-                    else:
-                        continue
-                    named.update(n.value for n in names
-                                 if isinstance(n, ast.Constant))
+                names_set(tree, named, called)
+        config_class = next(node for node in params.body
+                            if isinstance(node, ast.ClassDef)
+                            and node.name == "SamhitaConfig")
+        for method in config_class.body:
+            if (isinstance(method, ast.FunctionDef) and method.name in called
+                    and "classmethod" in [getattr(d, "id", None)
+                                          for d in method.decorator_list]):
+                names_set(method, named, set())
         unset = {f.name for f in dataclasses.fields(SamhitaConfig)} - named
         assert unset == set()
 

@@ -1,5 +1,6 @@
 """Tests for the three-strategy allocator."""
 
+import numpy as np
 import pytest
 
 from repro.core.allocator import (
@@ -119,7 +120,8 @@ class TestSharedZoneAndStriped:
         a = make(n_servers=2)
         addr = a.striped_alloc(2 << 20)
         layout = a.layout
-        for line in layout.lines_spanning(addr, 2 << 20):
+        pages = np.asarray(layout.pages_spanning(addr, 2 << 20))
+        for line in layout.lines_of(pages):
             homes = {a.home_of_page(p) for p in layout.line_pages(line)}
             assert len(homes) == 1
 

@@ -133,17 +133,26 @@ class TestDefaultOff:
         assert system.injector.detector is system.resilience.detector
 
     @pytest.mark.parametrize("config, armed", [
-        (SamhitaConfig(faults=FaultPlan()), "membership"),
+        (SamhitaConfig(manager_shards=2, faults=FaultPlan()), "detector"),
         (SamhitaConfig(n_memory_servers=2, replication_factor=2), "wals"),
     ], ids=["faults", "replication_factor"])
     def test_each_trigger_attaches_the_package(self, config, armed):
-        """The package composes in for each of its two triggers alone,
-        arming only what that trigger needs."""
+        """The package composes in for each of its two triggers alone (a
+        fault plan on a machine whose shards can fail over, or a replica
+        ring), arming only what that trigger needs."""
         system = SamhitaSystem.cluster(n_threads=1, config=config)
         res = system.resilience
         assert res is not None and res.system is system
-        facets = {"membership": res.membership, "wals": res.wals}
+        facets = {"detector": res.detector, "wals": res.wals}
         assert [k for k, v in facets.items() if v is not None] == [armed]
+
+    def test_a_plan_with_nothing_to_fail_over_attaches_nothing(self):
+        """One manager, one copy: a fault plan gets the injector and its
+        retries, and nothing can fail over."""
+        config = SamhitaConfig(faults=FaultPlan())
+        system = SamhitaSystem.cluster(n_threads=1, config=config)
+        assert system.injector is not None
+        assert system.resilience is None
 
 
 @pytest.mark.parametrize("spawn, params", [

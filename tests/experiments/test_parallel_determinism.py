@@ -133,8 +133,8 @@ class TestGoldenMetrics:
         ids=["default", "silent_injector"])
     def test_jacobi_functional_matches_seed_capture(self, config):
         """The default build, and the one that arms the fault subsystem
-        and fencing with nothing for them to do (an all-zero fault plan),
-        both reproduce the capture exactly. The counts
+        with nothing for it to do (an all-zero fault plan), both
+        reproduce the capture exactly. The counts
         below are the same cell's, pinned where the golden file has no
         field: one resumption sent through the heap, one batched trip split
         per line, or one message from an idle subsystem moves them."""

@@ -18,7 +18,6 @@ from repro.errors import (
     RetryableError,
     RetryExhaustedError,
     SimulationError,
-    StaleEpochError,
     TopologyError,
     recovery_action,
 )
@@ -38,10 +37,6 @@ def _exhausted():
     return RetryExhaustedError("node0", "node1", "page", 64, now=1e-3)
 
 
-def _stale():
-    return StaleEpochError("node0", "node1", "diff", 1, 2, now=1e-3)
-
-
 class TestClassification:
     def test_base_is_fatal(self):
         assert ReproError.retryable is False
@@ -50,7 +45,6 @@ class TestClassification:
     @pytest.mark.parametrize("make,action", [
         (_transient, "backoff"),
         (_exhausted, "failover"),
-        (_stale, "refresh_epoch"),
     ])
     def test_retryable_errors_carry_their_action(self, make, action):
         err = make()

@@ -19,6 +19,13 @@ class TestFaultPlan:
         with pytest.raises(ReproError):
             FaultPlan(link_flaps=(("a", "b", 0.0),))
 
+    def test_network_splits_are_not_in_the_model(self):
+        # One PCIe node over verbs RC does not split (DESIGN.md S13).
+        with pytest.raises(TypeError):
+            FaultPlan(partitions=((("node1",), 0.0, 1e-4),))
+        with pytest.raises(ImportError):
+            from repro.faults import partition  # noqa: F401
+
     def test_retry_policy_validated(self):
         with pytest.raises(ReproError):
             RetryPolicy(timeout=0.0)

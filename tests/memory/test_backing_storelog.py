@@ -5,8 +5,9 @@ import pytest
 
 from repro.errors import MemoryError_
 from repro.memory import BackingStore, MemoryLayout, PageDiff, StoreLog
-from repro.memory.backing import LIVE
+from repro.memory.backing import LIVE, VERSION
 from repro.memory.diff import compute_diff_spans
+from repro.memory.pagetable import CHUNK_MASK, CHUNK_SHIFT
 
 L = MemoryLayout()
 
@@ -15,6 +16,12 @@ def live_pages(store: BackingStore) -> list[int]:
     """Every page that has a frame, ascending (the ``LIVE`` rows)."""
     return sorted(p for _, _, pages in store._table.live_rows(LIVE)
                   for p in pages.tolist())
+
+
+def version_of(store: BackingStore, page: int) -> int:
+    """A page's mutation count (its ``VERSION`` row; 0 without a frame)."""
+    cols = store._table.chunks.get(page >> CHUNK_SHIFT)
+    return int(cols[VERSION][page & CHUNK_MASK]) if cols is not None else 0
 
 
 class TestBackingStore:
@@ -36,7 +43,7 @@ class TestBackingStore:
         payload = np.full(4096, 3, dtype=np.uint8)
         store.write_range(2 * 4096, 4096, payload)
         assert (store.read_page(2) == 3).all()
-        assert store.version_of(2) == 1
+        assert version_of(store, 2) == 1
 
     def test_write_page_size_mismatch_rejected(self):
         store = BackingStore(L)
@@ -51,20 +58,21 @@ class TestBackingStore:
         diff = compute_diff_spans(base, new)
         store.apply_diff(diff)
         assert (store.read_page(0)[10:20] == 7).all()
-        assert store.version_of(0) == 1
+        assert version_of(store, 0) == 1
 
     def test_timing_mode_has_no_data(self):
         store = BackingStore(L, functional=False)
         assert store.read_page(0) is None
         store.apply_diff(PageDiff(0, spans=[(0, None)], sizes=[16]))
-        assert store.version_of(0) == 1
+        assert version_of(store, 0) == 1
         assert store.stats.get("diff_bytes") == 16
 
     def test_resident_bytes(self):
         store = BackingStore(L)
         store.ensure(0)
         store.ensure(1)
-        assert store.resident_bytes == 8192
+        assert live_pages(store) == [0, 1]
+        assert sum(store.read_page(p).nbytes for p in live_pages(store)) == 8192
 
 
     def test_timing_bulk_touches_equal_the_per_page_calls(self):
@@ -88,8 +96,8 @@ class TestBackingStore:
             loop.stats.counters["diffs_applied"] -= 1
         assert live_pages(bulk) == live_pages(loop) == sorted(
             {*served, *merged, *range(CHUNK_PAGES - 2, CHUNK_PAGES + 3)})
-        assert ([bulk.version_of(p) for p in live_pages(bulk)]
-                == [loop.version_of(p) for p in live_pages(loop)])
+        assert ([version_of(bulk, p) for p in live_pages(bulk)]
+                == [version_of(loop, p) for p in live_pages(loop)])
         assert bulk.stats.snapshot() == loop.stats.snapshot()
         assert bulk.resident_pages == loop.resident_pages == 9
 
@@ -106,7 +114,7 @@ class TestBackingStore:
         before = store.stats.get("frames_created")
         if merge:
             store.apply_diffs([PageDiff.unchanged(1)])
-            assert store.version_of(1) == 1
+            assert version_of(store, 1) == 1
         else:
             data = store.serve_pages([1])
             assert list(data) == [1] and not data[1].any()

@@ -436,7 +436,7 @@ class TestPageStateTable:
             for cache in (c, ref):
                 cache.write(off, len(data), data)
             assert list(c.entries[0].dirty) == list(ref.entries[0].dirty) == want_dirty
-            assert bytes(c.peek(0)) == bytes(ref.entries[0].data)
+            assert bytes(c.entries[0].data) == bytes(ref.entries[0].data)
 
         store(100, [1] * 20, [(100, 120)])                 # starts the page
         store(105, [105, 106, 2, 2], [(100, 120)])          # inside: restores 2 bytes

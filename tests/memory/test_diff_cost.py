@@ -25,6 +25,7 @@ from repro.core import SamhitaConfig, SamhitaSystem
 from repro.core.rtbatch import trip_timeout_floor
 from repro.faults import FaultInjector, FaultPlan
 from repro.memory import BackingStore, MemoryLayout, SoftwareCache
+from repro.memory.backing import VERSION
 from repro.memory.pagetable import CHUNK_PAGES, PageTable
 from repro.resilience.wal import ReplicationLog
 
@@ -160,7 +161,8 @@ def test_an_unchanged_page_costs_next_to_nothing_to_write_back():
     # Every stat and log entry the parent made is still made.
     assert not cache.is_dirty(0) and cache.stats.get("diffs_taken") == 1
     assert len(wal) == 1 and wal.entries[0].diff.n_spans == 0
-    assert home.version_of(0) == 1 and home.stats.get("diffs_applied") == 1
+    assert home._table.chunks[0][VERSION][0] == 1   # page 0's mutations
+    assert home.stats.get("diffs_applied") == 1
 
 
 def calls_to_recall(n_pages: int) -> int:

@@ -1,5 +1,6 @@
 """Tests for address-space layout arithmetic."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MemoryError_
@@ -51,11 +52,14 @@ class TestLines:
         assert L.line_bytes == 16384
 
     def test_lines_spanning(self):
-        assert list(L.lines_spanning(0, 4096)) == [0]
-        assert list(L.lines_spanning(0, L.line_bytes + 1)) == [0, 1]
+        # The lines a byte range touches are the lines of its pages.
+        def spanning(addr, nbytes):
+            return L.lines_of(np.asarray(L.pages_spanning(addr, nbytes)))
+
+        assert spanning(0, 4096) == [0]
+        assert spanning(0, L.line_bytes + 1) == [0, 1]
 
     def test_lines_of_a_page_vector(self):
-        import numpy as np
         # Any order, duplicates of a line collapse, ascending result; both
         # sides of the few-lines shortcut give the same answer.
         for pages in ([9, 1, 2, 8, 40], list(range(3, 300, 2))[::-1],

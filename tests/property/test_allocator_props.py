@@ -1,5 +1,6 @@
 """Property tests: allocator invariants under random allocation sequences."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,7 +61,8 @@ def test_lines_never_split_across_servers(requests):
     layout = allocator.layout
     for tid, size in requests:
         addr = _alloc(allocator, tid, size)
-        for line in layout.lines_spanning(addr, size):
+        for line in layout.lines_of(
+                np.asarray(layout.pages_spanning(addr, size))):
             homes = set()
             for page in layout.line_pages(line):
                 try:

@@ -242,8 +242,9 @@ class CacheEquivalence(RuleBasedStateMachine):
                 == {k: ref.stats[k] for k in COUNTERS})
         assert cache.dirty_page_ids() == sorted(
             p for p, e in ref.entries.items() if not e.dirty.empty)
+        entries = cache.entries  # one snapshot per check, not per page
         for page, want in ref.entries.items():
-            got = cache.entries[page]
+            got = entries[page]
             assert got.last_access == want.last_access
             assert got.prefetched == bool(want.prefetched)
             assert list(got.dirty) == list(want.dirty)

@@ -228,9 +228,10 @@ def _run_long(spec, mode, times=1, hold_lock=False, build=_sweep_plan,
         # Warm the sweep area so the plan starts on hits, then flag some of
         # its (clean) pages as prefetched.
         yield from ctx.read(base, SWEEP_PAGES * PAGE)
+        entries = cache.entries
         for page in sorted(spec["prefetched"]):
             cache.install(base // PAGE + page,
-                          cache.peek(base // PAGE + page), prefetched=True)
+                          entries[base // PAGE + page].data, prefetched=True)
         plan = build(base, spec)
         submit = ctx.submit if mode == "plan" else ctx._submit_compat
         if hold_lock:

@@ -15,7 +15,9 @@ keep the digests recorded with leases off, under names without the
 ``-nolease`` token. The 144 faulted cells were re-recorded again when every
 fault plan came to arm fencing epochs, which adds a ``membership`` stats
 namespace: with that namespace stripped, all 216 digests were equal before
-and after.
+and after. They were re-recorded once more when fencing epochs were deleted,
+which takes the namespace away again; with it stripped from the old runs,
+all 216 digests were equal before and after.
 
 The machine puts every manager shard on a compute node, so with
 ``local_sync_optimization`` on some threads take the co-located path and the
